@@ -1,5 +1,6 @@
-// Benchmark harness: one benchmark per experiment in DESIGN.md's
-// per-experiment index. Each Figure-1 benchmark runs the AMPC algorithm and
+// Benchmark harness: one benchmark per experiment — every row of the
+// paper's Figure 1 and each lemma the reproduction measures (the index is
+// the function list below). Each Figure-1 benchmark runs the AMPC algorithm and
 // its MPC baseline on the same workload and reports the measured round
 // counts as custom metrics (rounds-ampc, rounds-mpc); the lemma benchmarks
 // report the quantity the lemma bounds. `cmd/figure1` and `cmd/lemmas`

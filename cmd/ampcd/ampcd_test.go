@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -235,6 +236,25 @@ func TestDaemonRetainFalse(t *testing.T) {
 	get(t, fmt.Sprintf("%s/v1/jobs/%d/query?key=0", base, id), http.StatusConflict, &e)
 	if !strings.Contains(e.Error, "not queryable") {
 		t.Fatalf("retain=false query error = %q", e.Error)
+	}
+}
+
+// A finished job must not leave its garbage for the serving window: by the
+// time a client can see "done", the daemon has run a collection of its own.
+func TestDaemonCollectsAfterJob(t *testing.T) {
+	_, base := testServer(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	id := postJob(t, base, submitRequest{
+		Algo:  "connectivity",
+		Graph: &graphSpec{Kind: "gnm", N: 300, M: 600, Seed: 2},
+	})
+	if got := waitDone(t, base, id); got != stateDone {
+		t.Fatalf("job ended %q", got)
+	}
+	runtime.ReadMemStats(&after)
+	if after.NumForcedGC == before.NumForcedGC {
+		t.Fatal("job finished without the daemon collecting its garbage")
 	}
 }
 

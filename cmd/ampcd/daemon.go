@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -233,6 +234,14 @@ func (d *daemon) runJob(ctx context.Context, j *job, ampcJob ampc.Job) {
 			err = qerr
 		}
 	}
+
+	// Collect the run's garbage - the decoded request body, the input graph,
+	// the driver's buffers - before the job reads as finished. Left to the
+	// pacer, that collection lands at some later moment inside the serving
+	// window (or never, with the heap goal stuck at a multiple of the run's
+	// peak), so query latency would depend on how much the run happened to
+	// allocate. ampcJob is dead from here on.
+	debug.FreeOSMemory()
 
 	d.mu.Lock()
 	j.finished = time.Now()

@@ -22,7 +22,9 @@
 //
 // Jobs default to retain=true: the run's final store stays resident until
 // the job is deleted. Submitting with "retain": false runs fire-and-forget
-// (status and result still served, no /query surface).
+// (status and result still served, no /query surface). Either way the run's
+// garbage is collected and returned to the OS before the job reads "done",
+// so queries are served from the small live heap, not from the run's.
 //
 // -selfcheck starts a daemon on a loopback port, drives one connectivity
 // job through the full HTTP surface (submit, long-poll telemetry, result

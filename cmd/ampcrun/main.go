@@ -223,6 +223,10 @@ type benchLine struct {
 	FreezeMergeMS     float64 `json:"freeze_merge_ms"`
 	FreezeBuildMS     float64 `json:"freeze_build_ms"`
 	PublishMS         float64 `json:"publish_ms"`
+	DriverMS          float64 `json:"driver_ms"`
+	DriverContractMS  float64 `json:"driver_contract_ms"`
+	DriverReadbackMS  float64 `json:"driver_readback_ms"`
+	DriverIngestMS    float64 `json:"driver_ingest_ms"`
 	RSSPeakMB         float64 `json:"rss_peak_mb"`
 	Check             string  `json:"check"`
 }
@@ -253,6 +257,10 @@ func printBenchLine(res *ampc.Result, backend, workload string, n, m int, eps fl
 		FreezeMergeMS:     float64(t.FreezeMergeTime.Microseconds()) / 1000,
 		FreezeBuildMS:     float64(t.FreezeBuildTime.Microseconds()) / 1000,
 		PublishMS:         float64(t.PublishTime.Microseconds()) / 1000,
+		DriverMS:          float64(t.DriverTime.Microseconds()) / 1000,
+		DriverContractMS:  float64(t.DriverContractTime.Microseconds()) / 1000,
+		DriverReadbackMS:  float64(t.DriverReadbackTime.Microseconds()) / 1000,
+		DriverIngestMS:    float64(t.DriverIngestTime.Microseconds()) / 1000,
 		RSSPeakMB:         math.Round(sysmem.PeakRSSMB()*10) / 10,
 		Check:             check.String(),
 	}
@@ -344,6 +352,9 @@ func printTelemetry(t ampc.Telemetry, wall time.Duration) {
 	fmt.Printf("  freeze time         %v (merge %v, build %v)\n", t.FreezeTime.Round(time.Microsecond),
 		t.FreezeMergeTime.Round(time.Microsecond), t.FreezeBuildTime.Round(time.Microsecond))
 	fmt.Printf("  publish time        %v\n", t.PublishTime.Round(time.Microsecond))
+	fmt.Printf("  driver time         %v (contract %v, read-back %v, ingest %v)\n", t.DriverTime.Round(time.Microsecond),
+		t.DriverContractTime.Round(time.Microsecond), t.DriverReadbackTime.Round(time.Microsecond),
+		t.DriverIngestTime.Round(time.Microsecond))
 	fmt.Printf("  wall time           %v\n", wall.Round(time.Microsecond))
 }
 

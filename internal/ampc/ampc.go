@@ -189,6 +189,9 @@ type Runtime struct {
 	pubSeq int
 	pubErr error
 
+	// created is when New returned the runtime: Elapsed measures from it.
+	created time.Time
+
 	// Execution engine: a pool of long-lived workers, a builder reused
 	// across rounds, pooled Ctx objects whose cache maps survive between
 	// machines, and per-machine stat slices owned by the runtime. nextSalt
@@ -279,7 +282,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Backend == nil {
 		cfg.Backend = dds.MemPublisher{}
 	}
-	r := &Runtime{cfg: cfg, seedR: rng.New(cfg.Seed, 0xA3)}
+	r := &Runtime{cfg: cfg, seedR: rng.New(cfg.Seed, 0xA3), created: time.Now()}
 	r.shardDiv = dds.NewShardDiv(cfg.Shards)
 	r.workers = cfg.Workers
 	if r.workers > cfg.P {
@@ -467,6 +470,12 @@ func (r *Runtime) Config() Config { return r.cfg }
 // computation aborts at the next round boundary — rounds themselves are
 // budget-bounded and therefore short.
 func (r *Runtime) SetContext(ctx context.Context) { r.ctx = ctx }
+
+// Elapsed returns the wall-clock time since the runtime was created. A
+// driver subtracts the rounds' execute, freeze and publish times from it to
+// get the time it spent itself, between rounds — the share no per-round
+// timer sees.
+func (r *Runtime) Elapsed() time.Duration { return time.Since(r.created) }
 
 // Budget returns the per-machine, per-round query (and write) budget.
 func (r *Runtime) Budget() int { return r.cfg.BudgetFactor * r.cfg.S }

@@ -199,3 +199,25 @@ func TestFaultDropsPrimedWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowWritesClipsToBudget checks that a reservation is only a hint: it
+// changes no accounting, and one far past the write budget reserves at most
+// the budget instead of attempting the allocation.
+func TestGrowWritesClipsToBudget(t *testing.T) {
+	rt := New(Config{P: 4, S: 10, Seed: 3})
+	defer rt.Close()
+	err := rt.Round("reserve", func(ctx *Ctx) error {
+		ctx.GrowWrites(1 << 50)
+		ctx.Write(dds.Key{Tag: 1, A: int64(ctx.Machine)}, dds.Value{A: 7})
+		if ctx.Writes() != 1 {
+			t.Errorf("machine %d: %d writes charged, want 1", ctx.Machine, ctx.Writes())
+		}
+		return ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Store().Len(); got != 4 {
+		t.Fatalf("store holds %d pairs, want 4", got)
+	}
+}

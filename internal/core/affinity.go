@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"time"
 
 	"ampc/internal/ampc"
 	"ampc/internal/dds"
@@ -38,21 +38,14 @@ func AffinityClustering(ctx context.Context, g *graph.WeightedGraph, opts Option
 		return AffinityResult{}, err
 	}
 	n := g.N()
+	d, err := newFlatDriver(n, true, opts.Workers)
+	if err != nil {
+		return AffinityResult{}, err
+	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 
-	gc := &contracted{adj: make(map[int][]wedge, n)}
-	for v := 0; v < n; v++ {
-		if g.Deg(v) == 0 {
-			continue
-		}
-		gc.verts = append(gc.verts, v)
-		for _, u := range g.Neighbors(v) {
-			gc.adj[v] = append(gc.adj[v], wedge{to: u, w: g.Weight(v, u)})
-		}
-		adj := gc.adj[v]
-		sort.Slice(adj, func(i, j int) bool { return adj[i].w < adj[j].w })
-	}
+	gc := d.fromWeighted(g.WeightedEdges())
 	m2 := make([]int, n)
 	for v := range m2 {
 		m2[v] = v
@@ -86,28 +79,10 @@ func AffinityClustering(ctx context.Context, g *graph.WeightedGraph, opts Option
 			return AffinityResult{}, err
 		}
 
-		// Master: union along the picked edges (Borůvka fragments), an MPC
-		// contraction step.
-		dsu := graph.NewDSU(n)
-		for _, v := range verts {
-			p, ok := rt.Store().Get(dds.Key{Tag: tagAffPick, A: int64(v)})
-			if ok {
-				dsu.Union(v, int(p.A))
-			}
+		if err := d.fragmentTargets(rt.Store(), verts); err != nil {
+			return AffinityResult{}, err
 		}
-		// Canonical fragment label: minimum member.
-		minOf := map[int]int{}
-		for _, v := range verts {
-			r := dsu.Find(v)
-			if cur, ok := minOf[r]; !ok || v < cur {
-				minOf[r] = v
-			}
-		}
-		target := make(map[int]int, len(verts))
-		for _, v := range verts {
-			target[v] = minOf[dsu.Find(v)]
-		}
-		gc = contractInto(gc, target, m2, nil)
+		gc = d.contract(gc, m2)
 
 		snapshot := make([]int, n)
 		copy(snapshot, m2)
@@ -119,7 +94,44 @@ func AffinityClustering(ctx context.Context, g *graph.WeightedGraph, opts Option
 		copy(snapshot, m2)
 		levels = append(levels, snapshot)
 	}
-	return AffinityResult{Levels: levels, Telemetry: telemetryFrom(rt, len(levels))}, nil
+	return AffinityResult{Levels: levels, Telemetry: d.telemetry(rt, len(levels))}, nil
+}
+
+// fragmentTargets reads back every cluster's picked edge, unions along the
+// picks (Borůvka fragments — an MPC contraction step) and sets each
+// cluster's contraction target to its fragment's minimum member.
+func (d *flatDriver) fragmentTargets(store dds.StoreBackend, verts []int32) error {
+	defer since(&d.times.readback, time.Now())
+	d.found = resized(d.found, len(verts))
+	picks := d.found
+	err := d.rb.perVertex(store, tagAffPick, "pick", verts, func(i int, p dds.Value) {
+		picks[i] = int32(p.A)
+	})
+	if err != nil {
+		return err
+	}
+	dsu := graph.NewDSU(len(d.target))
+	for i, v := range verts {
+		dsu.Union(int(v), int(picks[i]))
+	}
+	// Canonical fragment label: the minimum member, which in ascending
+	// order is the first member met. A root's own target is its fragment's
+	// label, so the roots' entries double as the per-fragment table and the
+	// leader marks record which roots are set.
+	target, seen := d.target, d.leader
+	for _, v := range verts {
+		if r := dsu.Find(int(v)); !seen[r] {
+			seen[r] = true
+			target[r] = v
+		}
+	}
+	for _, v := range verts {
+		target[v] = target[dsu.Find(int(v))]
+	}
+	for _, v := range verts {
+		seen[v] = false
+	}
+	return nil
 }
 
 func bitsLen(n int) int {

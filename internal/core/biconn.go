@@ -45,8 +45,12 @@ type BiconnResult struct {
 //  4. the block auxiliary graph: tree edges (named by their child) joined
 //     when Low/High prove a shared cycle, plus unrelated-pair non-tree
 //     edges — the corrected form of the paper's Equation (1) critical-edge
-//     test (the paper deletes critical edges and reuses E, which miscounts
-//     ancestor-type non-tree edges; see DESIGN.md),
+//     test. Substitution: the paper deletes the critical tree edges and
+//     reuses E as the auxiliary edge set, which miscounts non-tree edges
+//     between a vertex and its own ancestor (they would join blocks that
+//     share no cycle); here only non-tree edges between unrelated vertices
+//     join their endpoints' blocks, and ancestor-type ones contribute
+//     through Low/High alone,
 //  5. connectivity over the auxiliary graph — the paper's Step 5 — using
 //     the AMPC connectivity algorithm.
 //

@@ -4,7 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"time"
 
 	"ampc/internal/ampc"
 	"ampc/internal/dds"
@@ -35,29 +36,6 @@ type ConnectivityResult struct {
 	Telemetry Telemetry
 }
 
-// contracted is the driver-side view of the current contracted graph Gc.
-// Maintaining it (contraction bookkeeping, relabeling, deduplication) uses
-// only standard MPC primitives, which the paper accounts inside each
-// phase's O(1) rounds; the AMPC-specific work — the adaptive neighborhood
-// exploration — runs on the runtime.
-type contracted struct {
-	verts []int
-	adj   map[int][]wedge
-}
-
-type wedge struct {
-	to int
-	w  int64
-}
-
-func (c *contracted) edges() int {
-	m := 0
-	for _, a := range c.adj {
-		m += len(a)
-	}
-	return m / 2
-}
-
 // Connectivity computes connected components in O(log log_{T/n} n + 1/ε)
 // phases w.h.p. (§6, Theorem 3), each phase costing two AMPC rounds. Every
 // phase each vertex explores its component via adaptive BFS until it has
@@ -71,8 +49,7 @@ func (c *contracted) edges() int {
 // MPC algorithm of Lemma 6.2. We instead start the main loop at
 // d = sqrt(T/n) < log n with leader probability capped at 1/2; the early
 // phases then halve the vertex count just like the preprocessing would,
-// costing the same O(log log n) extra phases (substitution recorded in
-// DESIGN.md).
+// costing the same O(log log n) extra phases.
 func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (ConnectivityResult, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
@@ -80,27 +57,21 @@ func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (Connectivi
 		return ConnectivityResult{}, err
 	}
 	n := g.N()
+	d, err := newFlatDriver(n, false, opts.Workers)
+	if err != nil {
+		return ConnectivityResult{}, err
+	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 	driver := opts.driverRNG(5)
 
-	// Build the initial contracted graph and the original->current map.
-	gc := &contracted{adj: make(map[int][]wedge, n)}
-	for v := 0; v < n; v++ {
-		if g.Deg(v) == 0 {
-			continue
-		}
-		gc.verts = append(gc.verts, v)
-		for _, u := range g.Neighbors(v) {
-			gc.adj[v] = append(gc.adj[v], wedge{to: u})
-		}
-	}
+	gc := d.fromGraph(g)
 	m2 := make([]int, n) // M: original vertex -> current representative
 	for v := range m2 {
 		m2[v] = v
 	}
 
-	phases, err := connectivityPhases(ctx, rt, gc, m2, driver, opts, n, g.M(), 0)
+	phases, err := connectivityPhases(ctx, rt, d, gc, m2, driver, opts, n, g.M(), 0)
 	if err != nil {
 		return ConnectivityResult{}, err
 	}
@@ -115,7 +86,7 @@ func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (Connectivi
 		}
 		res.Store = store
 	}
-	res.Telemetry = telemetryFrom(rt, phases)
+	res.Telemetry = d.telemetry(rt, phases)
 	return res, nil
 }
 
@@ -124,7 +95,7 @@ func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (Connectivi
 // returns the total phase count. Connectivity enters it at phase 0 with the
 // materialized input; ConnectivityStream enters at phase 1, having run the
 // first phase against the streamed ingest without ever materializing Gc.
-func connectivityPhases(ctx context.Context, rt *ampc.Runtime, gc *contracted, m2 []int, driver *rng.RNG, opts Options, n, m, phases int) (int, error) {
+func connectivityPhases(ctx context.Context, rt *ampc.Runtime, d *flatDriver, gc *contracted, m2 []int, driver *rng.RNG, opts Options, n, m, phases int) (int, error) {
 	totalSpace := float64(opts.TotalSpaceFactor * (n + m + 1))
 	dCap := math.Pow(float64(n), opts.Epsilon/2)
 	maxPhases := 4*int(math.Log2(float64(n+4))) + 16
@@ -143,24 +114,26 @@ func connectivityPhases(ctx context.Context, rt *ampc.Runtime, gc *contracted, m
 			if err := solveLocally(rt, gc, phases); err != nil {
 				return phases, err
 			}
-			applyLocalLabels(rt, gc, m2)
+			if err := d.applyLocalLabels(rt.Store(), gc, m2); err != nil {
+				return phases, err
+			}
 			break
 		}
 
-		nPrime := len(gc.verts)
-		d := connExploreBudget(totalSpace, nPrime, dCap)
+		budget := connExploreBudget(totalSpace, len(gc.verts), dCap)
 
 		if err := publishContracted(rt, gc, phases); err != nil {
 			return phases, err
 		}
-		if err := increaseDegrees(rt, gc, d, driver, phases); err != nil {
+		if err := increaseDegrees(rt, d.shuffled(gc.verts, driver), budget, phases); err != nil {
 			return phases, err
 		}
 
 		// Leader sampling and contraction (MPC bookkeeping, master side).
-		leader := sampleLeaders(gc.verts, nPrime, d, driver)
-		target := contractionTargets(rt, gc.verts, leader)
-		gc = contractInto(gc, target, m2, nil)
+		if err := d.pickTargets(rt.Store(), gc.verts, budget, driver, false); err != nil {
+			return phases, err
+		}
+		gc = d.contract(gc, m2)
 	}
 	return phases, nil
 }
@@ -179,78 +152,18 @@ func connExploreBudget(totalSpace float64, nPrime int, dCap float64) int {
 	return d
 }
 
-// sampleLeaders draws each live vertex as a leader with probability
-// ~min(1/2, ln n'/d), the §6 sampling rate.
-func sampleLeaders(verts []int, nPrime, d int, driver rngShuffler) map[int]bool {
-	pLead := math.Log(float64(nPrime) + 3)
-	pLead /= float64(d)
-	if pLead > 0.5 {
-		pLead = 0.5
-	}
-	leader := make(map[int]bool, nPrime)
-	for _, v := range verts {
-		if driver.Bernoulli(pLead) {
-			leader[v] = true
-		}
-	}
-	return leader
-}
-
-// contractionTargets reads back every vertex's explored set and picks its
-// contraction target: itself if a leader, the minimum id of a fully
-// explored component, or the first leader it visited.
-func contractionTargets(rt *ampc.Runtime, verts []int, leader map[int]bool) map[int]int {
-	target := make(map[int]int, len(verts))
-	for _, v := range verts {
-		fv, whole := readFound(rt, v)
-		switch {
-		case leader[v]:
-			target[v] = v
-		case whole:
-			// Entire component explored: collapse it to its minimum id.
-			min := v
-			for _, x := range fv {
-				if x < min {
-					min = x
-				}
-			}
-			target[v] = min
-		default:
-			target[v] = v
-			for _, x := range fv {
-				if leader[x] {
-					target[v] = x
-					break
-				}
-			}
-		}
-	}
-	return target
-}
-
 // publishContracted writes the current contracted graph to the DDS: the
-// first round of each phase. The records are flattened into one list and
-// block-partitioned across machines, so a high-degree contracted vertex
-// cannot overload a single writer (the flattening is the usual MPC
-// load-balancing shuffle).
+// first round of each phase. The records form one flat list, block-
+// partitioned across machines, so a high-degree contracted vertex cannot
+// overload a single writer (the flattening is the usual MPC load-balancing
+// shuffle); each machine generates its block straight from the CSR arrays
+// into a writer reserved to the block's exact size.
 func publishContracted(rt *ampc.Runtime, gc *contracted, phase int) error {
-	pairs := make([]dds.KV, 0, len(gc.verts)+2*gc.edges())
-	for _, v := range gc.verts {
-		adj := gc.adj[v]
-		pairs = append(pairs, dds.KV{
-			Key:   dds.Key{Tag: tagConnDeg, A: int64(v)},
-			Value: dds.Value{A: int64(len(adj))},
-		})
-		for i, e := range adj {
-			pairs = append(pairs, dds.KV{
-				Key:   dds.Key{Tag: tagConnAdj, A: int64(v), B: int64(i)},
-				Value: dds.Value{A: int64(e.to), B: e.w},
-			})
-		}
-	}
+	total := gc.records()
 	return rt.Round(fmt.Sprintf("conn-publish-%d", phase), func(ctx *ampc.Ctx) error {
-		lo, hi := ampc.BlockRange(ctx.Machine, len(pairs), ctx.P)
-		ctx.WriteMany(pairs[lo:hi])
+		lo, hi := ampc.BlockRange(ctx.Machine, total, ctx.P)
+		ctx.GrowWrites(hi - lo)
+		gc.writeRecords(ctx, lo, hi)
 		return ctx.Err()
 	})
 }
@@ -259,16 +172,15 @@ func publishContracted(rt *ampc.Runtime, gc *contracted, phase int) error {
 // the DDS until it has visited d vertices (or exhausted the component),
 // and records the visited set. The reads are adaptive: each frontier pop
 // depends on earlier reads. Per-vertex reads are capped at ~4d²+32, the
-// O(d²) of Lemma 6.1.
-func increaseDegrees(rt *ampc.Runtime, gc *contracted, d int, driver rngShuffler, phase int) error {
-	verts := append([]int(nil), gc.verts...)
-	driver.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
+// O(d²) of Lemma 6.1. verts is the live vertex list in the phase's shuffled
+// order, block-partitioned across machines.
+func increaseDegrees(rt *ampc.Runtime, verts []int32, d int, phase int) error {
 	return rt.Round(fmt.Sprintf("conn-increase-%d", phase), func(ctx *ampc.Ctx) error {
 		lo, hi := ampc.BlockRange(ctx.Machine, len(verts), ctx.P)
 		var out []dds.KV // per-vertex batch, reused across the machine's block
 		var st bfsScratch
 		for _, v := range verts[lo:hi] {
-			found, whole, err := bfsExplore(ctx, &st, v, d)
+			found, whole, err := bfsExplore(ctx, &st, int(v), d)
 			if err != nil {
 				return err
 			}
@@ -399,79 +311,6 @@ func bfsExplore(ctx *ampc.Ctx, st *bfsScratch, v, d int) ([]int, bool, error) {
 	return order, whole, nil
 }
 
-// readFound returns the visited set recorded for v and whether it covered
-// v's whole component (master-side read).
-func readFound(rt *ampc.Runtime, v int) ([]int, bool) {
-	sz, ok := rt.Store().Get(dds.Key{Tag: tagConnSize, A: int64(v)})
-	if !ok {
-		return nil, false
-	}
-	out := make([]int, 0, sz.A)
-	for i := 0; i < int(sz.A); i++ {
-		x, _ := rt.Store().Get(dds.Key{Tag: tagConnFound, A: int64(v), B: int64(i)})
-		out = append(out, int(x.A))
-	}
-	return out, sz.B == 1
-}
-
-// contractInto applies the contraction map target to gc, updating the
-// original->current map m2 and (for MSF) keeping the minimum-weight edge
-// per contracted pair. Isolated vertices drop out: their label is final.
-func contractInto(gc *contracted, target map[int]int, m2 []int, keepMinWeight map[graph.Edge]int64) *contracted {
-	// Resolve one level of chaining: a non-leader's target is a leader,
-	// which maps to itself, so a single hop suffices; the min-id target of
-	// a fully-explored component maps to itself likewise.
-	for v := range m2 {
-		if t, ok := target[m2[v]]; ok {
-			m2[v] = t
-		}
-	}
-	type pair struct{ a, b int }
-	best := make(map[pair]int64)
-	for v, adj := range gc.adj {
-		tv := target[v]
-		for _, e := range adj {
-			tu := target[e.to]
-			if tv == tu {
-				continue
-			}
-			p := pair{tv, tu}
-			if cur, ok := best[p]; !ok || e.w < cur {
-				best[p] = e.w
-			}
-		}
-	}
-	next := &contracted{adj: make(map[int][]wedge)}
-	seen := make(map[int]bool)
-	for p, w := range best {
-		next.adj[p.a] = append(next.adj[p.a], wedge{to: p.b, w: w})
-		if !seen[p.a] {
-			seen[p.a] = true
-			next.verts = append(next.verts, p.a)
-		}
-		if keepMinWeight != nil {
-			e := graph.Edge{U: p.a, V: p.b}.Canon()
-			if cur, ok := keepMinWeight[e]; !ok || w < cur {
-				keepMinWeight[e] = w
-			}
-		}
-	}
-	sort.Ints(next.verts)
-	// Keep adjacency weight-sorted (ties by id): lazy Prim in the MSF
-	// algorithm depends on reading each list cheapest-first; connectivity
-	// is order-agnostic.
-	for v := range next.adj {
-		adj := next.adj[v]
-		sort.Slice(adj, func(i, j int) bool {
-			if adj[i].w != adj[j].w {
-				return adj[i].w < adj[j].w
-			}
-			return adj[i].to < adj[j].to
-		})
-	}
-	return next
-}
-
 // readAdjacency streams vertex v's n adjacency records through the batched
 // read API in blocks, invoking f for every (index, value) in order.
 func readAdjacency(ctx *ampc.Ctx, v, n int, f func(i int, a dds.Value) error) error {
@@ -510,38 +349,38 @@ func solveLocally(rt *ampc.Runtime, gc *contracted, phase int) error {
 		if ctx.Machine != 0 {
 			return nil
 		}
-		// Machine 0 reads the whole remainder and runs a local union-find.
-		idx := make(map[int]int, len(verts))
-		for i, v := range verts {
-			idx[v] = i
-		}
+		// Machine 0 reads the whole remainder and runs a local union-find
+		// over positions in verts (ascending, so ids resolve by search).
 		dsu := graph.NewDSU(len(verts))
 		for i, v := range verts {
 			deg, ok := ctx.Read(dds.Key{Tag: tagConnDeg, A: int64(v)})
 			if !ok {
 				return fmt.Errorf("core: local solve missing degree for %d (err %v)", v, ctx.Err())
 			}
-			err := readAdjacency(ctx, v, int(deg.A), func(_ int, a dds.Value) error {
-				dsu.Union(i, idx[int(a.A)])
+			err := readAdjacency(ctx, int(v), int(deg.A), func(_ int, a dds.Value) error {
+				j, _ := slices.BinarySearch(verts, int32(a.A))
+				dsu.Union(i, j)
 				return nil
 			})
 			if err != nil {
 				return err
 			}
 		}
-		// Canonical label: minimum vertex id per root.
-		min := make(map[int]int)
-		for i, v := range verts {
-			r := dsu.Find(i)
-			if cur, ok := min[r]; !ok || v < cur {
-				min[r] = v
-			}
+		// Canonical label: minimum vertex id per root — the first member met
+		// in ascending order.
+		minOf := make([]int32, len(verts))
+		for i := range minOf {
+			minOf[i] = -1
 		}
 		labels := make([]dds.KV, 0, len(verts))
 		for i, v := range verts {
+			r := dsu.Find(i)
+			if minOf[r] < 0 {
+				minOf[r] = v
+			}
 			labels = append(labels, dds.KV{
 				Key:   dds.Key{Tag: tagConnLabel, A: int64(v)},
-				Value: dds.Value{A: int64(min[dsu.Find(i)])},
+				Value: dds.Value{A: int64(minOf[r])},
 			})
 		}
 		ctx.WriteMany(labels)
@@ -550,20 +389,19 @@ func solveLocally(rt *ampc.Runtime, gc *contracted, phase int) error {
 }
 
 // applyLocalLabels folds the local-solve labels into the original->current
-// map.
-func applyLocalLabels(rt *ampc.Runtime, gc *contracted, m2 []int) {
-	label := make(map[int]int, len(gc.verts))
-	for _, v := range gc.verts {
-		l, ok := rt.Store().Get(dds.Key{Tag: tagConnLabel, A: int64(v)})
-		if ok {
-			label[v] = int(l.A)
-		}
+// map: the labels are one more contraction map.
+func (d *flatDriver) applyLocalLabels(store dds.StoreBackend, gc *contracted, m2 []int) error {
+	defer since(&d.times.readback, time.Now())
+	target := d.target
+	err := d.rb.perVertex(store, tagConnLabel, "label", gc.verts, func(i int, l dds.Value) {
+		target[gc.verts[i]] = int32(l.A)
+	})
+	if err != nil {
+		return err
 	}
-	for v := range m2 {
-		if l, ok := label[m2[v]]; ok {
-			m2[v] = l
-		}
-	}
+	d.relabel(m2)
+	d.restoreTargets(gc.verts)
+	return nil
 }
 
 // rngShuffler is the minimal driver-RNG interface the phase helpers need.

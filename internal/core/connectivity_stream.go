@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
+	"time"
 
 	"ampc/internal/ampc"
 	"ampc/internal/dds"
@@ -31,61 +31,60 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 		return ConnectivityResult{}, err
 	}
 	n, m := es.N(), es.M()
+	d, err := newFlatDriver(n, false, opts.Workers)
+	if err != nil {
+		return ConnectivityResult{}, err
+	}
 	rt := opts.newRuntime(ctx, n, m)
 	defer rt.Close()
 	driver := opts.driverRNG(5)
 
 	// Pass 1: degrees. O(n) driver state, one stream replay.
+	ingestStart := time.Now()
 	deg := make([]int32, n)
 	es.Each(func(u, v int) {
 		deg[u]++
 		deg[v]++
 	})
-	verts := make([]int, 0, n)
-	for v, d := range deg {
-		if d > 0 {
-			verts = append(verts, v)
+	verts := make([]int32, 0, n)
+	for v, dv := range deg {
+		if dv > 0 {
+			verts = append(verts, int32(v))
 		}
 	}
+	d.times.ingest += time.Since(ingestStart)
 
 	m2 := make([]int, n) // M: original vertex -> current representative
 	for v := range m2 {
 		m2[v] = v
 	}
 
-	var gc *contracted
+	gc := &contracted{}
 	phases := 0
 	switch {
 	case m == 0:
 		// Every vertex is isolated; the phase loop exits immediately.
-		gc = &contracted{adj: map[int][]wedge{}}
 	case 1+len(verts)+2*m <= rt.Budget()/2:
 		// The whole input fits one machine's budget: materialize it as the
-		// contracted form (deduping the multigraph) and let the phase loop
-		// solve it locally, exactly as Connectivity would.
-		gc = materializeStream(es, deg)
+		// contracted form (the identity contraction dedups the multigraph)
+		// and let the phase loop solve it locally, exactly as Connectivity
+		// would.
+		gc = d.contractStream(es, nil, m2)
 	default:
-		if err := streamIngest(rt, es, deg, verts); err != nil {
-			return ConnectivityResult{}, err
-		}
+		streamIngest(rt, d, es, deg, verts)
 		phases = 1
 		totalSpace := float64(opts.TotalSpaceFactor * (n + m + 1))
-		d := connExploreBudget(totalSpace, len(verts), math.Pow(float64(n), opts.Epsilon/2))
-		if err := increaseDegrees(rt, &contracted{verts: verts}, d, driver, phases); err != nil {
+		budget := connExploreBudget(totalSpace, len(verts), math.Pow(float64(n), opts.Epsilon/2))
+		if err := increaseDegrees(rt, d.shuffled(verts, driver), budget, phases); err != nil {
 			return ConnectivityResult{}, err
 		}
-		leader := sampleLeaders(verts, len(verts), d, driver)
-		target := contractionTargets(rt, verts, leader)
-		// m2 is still the identity, so one hop applies the contraction.
-		for v := range m2 {
-			if t, ok := target[v]; ok {
-				m2[v] = t
-			}
+		if err := d.pickTargets(rt.Store(), verts, budget, driver, false); err != nil {
+			return ConnectivityResult{}, err
 		}
-		gc = contractStream(es, target)
+		gc = d.contractStream(es, verts, m2)
 	}
 
-	phases, err := connectivityPhases(ctx, rt, gc, m2, driver, opts, n, m, phases)
+	phases, err = connectivityPhases(ctx, rt, d, gc, m2, driver, opts, n, m, phases)
 	if err != nil {
 		return ConnectivityResult{}, err
 	}
@@ -100,7 +99,7 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 		}
 		res.Store = store
 	}
-	res.Telemetry = telemetryFrom(rt, phases)
+	res.Telemetry = d.telemetry(rt, phases)
 	return res, nil
 }
 
@@ -111,7 +110,8 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 // the same balanced layout publishContracted produces for materialized
 // graphs, so a high-degree vertex cannot overload one writer. The per-edge
 // adjacency index is tracked with O(n) cursors; nothing here is O(m).
-func streamIngest(rt *ampc.Runtime, es graph.EdgeStream, deg []int32, verts []int) error {
+func streamIngest(rt *ampc.Runtime, d *flatDriver, es graph.EdgeStream, deg []int32, verts []int32) {
+	defer since(&d.times.ingest, time.Now())
 	p := rt.Config().P
 	total := len(verts) + 2*es.M()
 	block := (total + p - 1) / p
@@ -129,9 +129,11 @@ func streamIngest(rt *ampc.Runtime, es graph.EdgeStream, deg []int32, verts []in
 			}
 			if mach != cur {
 				// Strictly ascending: each machine's writer is fetched
-				// exactly once (a refetch would discard its records).
+				// exactly once (a refetch would discard its records), and
+				// reserved to the block it is about to receive.
 				cur = mach
 				w = writer(mach)
+				w.Grow(min(block, total-ord))
 			}
 			w.Write(k, v)
 			ord++
@@ -147,71 +149,6 @@ func streamIngest(rt *ampc.Runtime, es graph.EdgeStream, deg []int32, verts []in
 			cursor[v]++
 		})
 	})
-	return nil
-}
-
-// contractStream applies the phase-1 contraction map by replaying the edge
-// stream: each streamed edge maps to a contracted pair, deduped both ways.
-// The result is the same contracted graph contractInto would build from the
-// materialized adjacency (weights are all zero on the plain-connectivity
-// path, adjacency id-sorted), but the memory high-water mark is the deduped
-// contracted graph, never the input.
-func contractStream(es graph.EdgeStream, target map[int]int) *contracted {
-	type pair struct{ a, b int }
-	seen := make(map[pair]bool)
-	next := &contracted{adj: make(map[int][]wedge)}
-	add := func(a, b int) {
-		p := pair{a, b}
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		if _, ok := next.adj[a]; !ok {
-			next.verts = append(next.verts, a)
-		}
-		next.adj[a] = append(next.adj[a], wedge{to: b})
-	}
-	es.Each(func(u, v int) {
-		tu, tv := target[u], target[v]
-		if tu == tv {
-			return
-		}
-		add(tu, tv)
-		add(tv, tu)
-	})
-	sort.Ints(next.verts)
-	for v := range next.adj {
-		adj := next.adj[v]
-		sort.Slice(adj, func(i, j int) bool { return adj[i].to < adj[j].to })
-	}
-	return next
-}
-
-// materializeStream builds the contracted form of a small streamed graph
-// directly, deduping multigraph edges, for the local-solve shortcut.
-func materializeStream(es graph.EdgeStream, deg []int32) *contracted {
-	type pair struct{ a, b int }
-	seen := make(map[pair]bool)
-	gc := &contracted{adj: make(map[int][]wedge)}
-	for v, d := range deg {
-		if d > 0 {
-			gc.verts = append(gc.verts, v)
-		}
-	}
-	es.Each(func(u, v int) {
-		if u == v || seen[pair{u, v}] {
-			return
-		}
-		seen[pair{u, v}] = true
-		seen[pair{v, u}] = true
-		gc.adj[u] = append(gc.adj[u], wedge{to: v})
-		gc.adj[v] = append(gc.adj[v], wedge{to: u})
-	})
-	for v := range gc.adj {
-		adj := gc.adj[v]
-		sort.Slice(adj, func(i, j int) bool { return adj[i].to < adj[j].to })
-	}
-	return gc
 }
 
 // ConnectivityStreamCheck verifies a streamed connectivity labeling against

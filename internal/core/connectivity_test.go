@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"ampc/internal/graph"
 	"ampc/internal/rng"
@@ -109,47 +110,45 @@ func TestConnectivityRejectsBadEpsilon(t *testing.T) {
 	}
 }
 
-func TestContractedEdgesCount(t *testing.T) {
-	gc := &contracted{
-		verts: []int{0, 1, 2},
-		adj: map[int][]wedge{
-			0: {{to: 1}}, 1: {{to: 0}, {to: 2}}, 2: {{to: 1}},
+// TestDriverTimeAccountsForWall checks the in-program time split against
+// the clock outside the call: driver + execute + freeze + publish must
+// cover the run's wall time to within 10 % (the rest is option validation,
+// runtime start-up and shutdown), so Telemetry.DriverTime agrees with the
+// benchmark's outside-in "wall minus round phases" — and the named driver
+// sub-phases must be measured and fit inside it.
+func TestDriverTimeAccountsForWall(t *testing.T) {
+	g := graph.GNM(20000, 80000, rng.New(55, 0))
+	wg := graph.WithRandomWeights(g, rng.New(55, 1))
+	runs := map[string]func() (Telemetry, error){
+		"connectivity": func() (Telemetry, error) {
+			res, err := Connectivity(context.Background(), g, Options{Seed: 2})
+			return res.Telemetry, err
+		},
+		"stream": func() (Telemetry, error) {
+			res, err := ConnectivityStream(context.Background(), graph.StreamOf(g), Options{Seed: 2})
+			return res.Telemetry, err
+		},
+		"msf": func() (Telemetry, error) {
+			res, err := MSF(context.Background(), wg, Options{Seed: 2})
+			return res.Telemetry, err
 		},
 	}
-	if gc.edges() != 2 {
-		t.Fatalf("edges = %d, want 2", gc.edges())
-	}
-}
-
-func TestContractIntoMergesAndDedups(t *testing.T) {
-	// Triangle 0-1-2 with weights; contract 1 and 2 into 0's neighbor sets.
-	gc := &contracted{
-		verts: []int{0, 1, 2, 3},
-		adj: map[int][]wedge{
-			0: {{1, 5}, {2, 7}},
-			1: {{0, 5}, {3, 2}},
-			2: {{0, 7}, {3, 9}},
-			3: {{1, 2}, {2, 9}},
-		},
-	}
-	m2 := []int{0, 1, 2, 3}
-	target := map[int]int{0: 0, 1: 0, 2: 0, 3: 3}
-	kept := map[graph.Edge]int64{}
-	next := contractInto(gc, target, m2, kept)
-	// Vertices 0 (merged) and 3 remain, joined by min-weight edge 2.
-	if len(next.verts) != 2 {
-		t.Fatalf("verts = %v", next.verts)
-	}
-	if next.edges() != 1 {
-		t.Fatalf("edges = %d", next.edges())
-	}
-	if w := next.adj[0][0].w; w != 2 {
-		t.Fatalf("kept weight %d, want min 2", w)
-	}
-	if kept[graph.Edge{U: 0, V: 3}] != 2 {
-		t.Fatalf("keepMinWeight = %v", kept)
-	}
-	if m2[1] != 0 || m2[2] != 0 || m2[3] != 3 {
-		t.Fatalf("m2 = %v", m2)
+	for name, run := range runs {
+		start := time.Now()
+		tel, err := run()
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sum := tel.DriverTime + tel.ExecuteTime + tel.FreezeTime + tel.PublishTime
+		if sum > wall || wall-sum > wall/10 {
+			t.Errorf("%s: driver %v + execute %v + freeze %v + publish %v = %v, wall %v",
+				name, tel.DriverTime, tel.ExecuteTime, tel.FreezeTime, tel.PublishTime, sum, wall)
+		}
+		named := tel.DriverContractTime + tel.DriverReadbackTime + tel.DriverIngestTime
+		if tel.DriverContractTime <= 0 || tel.DriverReadbackTime <= 0 || tel.DriverIngestTime <= 0 || named > tel.DriverTime {
+			t.Errorf("%s: contract %v + read-back %v + ingest %v against driver time %v",
+				name, tel.DriverContractTime, tel.DriverReadbackTime, tel.DriverIngestTime, tel.DriverTime)
+		}
 	}
 }

@@ -1,0 +1,605 @@
+package core
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"time"
+
+	"ampc/internal/ampc"
+	"ampc/internal/dds"
+	"ampc/internal/graph"
+)
+
+// contracted is the driver-side view of the current contracted graph Gc in
+// CSR form: the live vertices in ascending id order, and for verts[i] the
+// adjacency run to[offs[i]:offs[i+1]] — id-sorted for connectivity (w nil),
+// ordered by (weight, id) with the parallel weights in w for MSF and
+// affinity, whose lazy Prim and pick rounds read each list cheapest-first.
+// Every live vertex has at least one edge: a vertex that loses its last
+// edge drops out, its label final. Maintaining Gc (contraction bookkeeping,
+// relabeling, deduplication) uses only standard MPC primitives, which the
+// paper accounts inside each phase's O(1) rounds; the AMPC-specific work —
+// the adaptive neighborhood exploration — runs on the runtime.
+type contracted struct {
+	verts []int32
+	offs  []int // len(verts)+1
+	to    []int32
+	w     []int64
+}
+
+// edges returns the number of undirected edges of Gc.
+func (gc *contracted) edges() int { return len(gc.to) / 2 }
+
+// records returns the length of Gc's flattened record list: one degree
+// record per live vertex plus one record per directed edge.
+func (gc *contracted) records() int { return len(gc.verts) + len(gc.to) }
+
+func (gc *contracted) reset() {
+	gc.verts, gc.offs, gc.to, gc.w = gc.verts[:0], gc.offs[:0], gc.to[:0], gc.w[:0]
+}
+
+// writeRecords writes records [lo, hi) of the flattened record list — per
+// live vertex, in order, its degree record followed by its adjacency
+// records — so vertex i's degree record has ordinal i+offs[i] and a machine
+// generates its block straight from the CSR arrays.
+func (gc *contracted) writeRecords(ctx *ampc.Ctx, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	// The vertex whose records cover ordinal lo: the last i with
+	// i+offs[i] <= lo.
+	i := sort.Search(len(gc.verts), func(i int) bool { return i+gc.offs[i] > lo }) - 1
+	for ord := lo; ord < hi; i++ {
+		v := int64(gc.verts[i])
+		first, deg := gc.offs[i], gc.offs[i+1]-gc.offs[i]
+		if ord == i+first {
+			ctx.Write(dds.Key{Tag: tagConnDeg, A: v}, dds.Value{A: int64(deg)})
+			ord++
+		}
+		for j := ord - (i + first) - 1; j < deg && ord < hi; j++ {
+			val := dds.Value{A: int64(gc.to[first+j])}
+			if gc.w != nil {
+				val.B = gc.w[first+j]
+			}
+			ctx.Write(dds.Key{Tag: tagConnAdj, A: v, B: int64(j)}, val)
+			ord++
+		}
+	}
+}
+
+// wrec is one directed weighted edge of a contraction in flight: the packed
+// endpoint pair and its weight.
+type wrec struct {
+	key uint64 // from<<32 | to
+	w   int64
+}
+
+// resized returns s with length n, reusing its array when that is large
+// enough; the contents are unspecified.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+func pack(from, to int32) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
+
+// driverTimes splits the driver's own wall-clock time — what a run spends
+// between rounds, outside every execute/freeze/publish timer — by sub-phase.
+type driverTimes struct {
+	contract, readback, ingest time.Duration
+}
+
+// since adds the time elapsed from start to acc; deferred around a sub-phase
+// as since(&d.times.x, time.Now()).
+func since(acc *time.Duration, start time.Time) { *acc += time.Since(start) }
+
+// flatDriver is the master's working set for the contraction algorithms
+// (connectivity, its streamed variant, MSF, affinity): the dense
+// vertex-indexed contraction maps, the sort buffer contraction runs in, the
+// two CSR buffers Gc alternates between, and the read-back buffers. All of
+// it is allocated once per run and reused by every phase, so a phase costs
+// no allocation proportional to the live graph.
+type flatDriver struct {
+	weighted bool
+
+	// target is the phase's contraction map and leader its sampled leader
+	// set. Between phases target is the identity and leader all false: each
+	// phase touches only its live vertices and restores them.
+	target []int32
+	leader []bool
+
+	keys []uint64 // unweighted contraction: packed directed edges
+	recs []wrec   // weighted contraction: directed edges with weights
+	bufs [2]contracted
+
+	// compactAt is how many records a streamed contraction collects before
+	// it first sorts and dedups them in place (streamCompactAt; tests
+	// lower it).
+	compactAt int
+
+	order []int32 // the phase's shuffled exploration order
+
+	// Read-back of an increase round: vertex i of the live list explored
+	// found[off[i]:off[i+1]], whole[i] reports a fully explored component;
+	// tree holds the matching local-tree edge weights (MSF).
+	off   []int
+	whole []bool
+	found []int32
+	tree  []int64
+	rb    readback
+
+	times driverTimes
+}
+
+// streamCompactAt is the record count (32 MiB of packed pairs) at which a
+// streamed contraction starts deduplicating as it collects.
+const streamCompactAt = 1 << 22
+
+// newFlatDriver sizes the dense maps for vertex ids in [0, n). Ids are
+// packed two to a 64-bit sort key, so n must fit 31 bits. workers is the
+// run's Options.Workers: the read-back stripes over as many goroutines.
+func newFlatDriver(n int, weighted bool, workers int) (*flatDriver, error) {
+	if int64(n) > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d vertices exceed the driver's 2^31-1 vertex id range", ErrInvalidOptions, n)
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	d := &flatDriver{
+		weighted:  weighted,
+		target:    make([]int32, n),
+		leader:    make([]bool, n),
+		rb:        readback{workers: workers},
+		compactAt: streamCompactAt,
+	}
+	for v := range d.target {
+		d.target[v] = int32(v)
+	}
+	return d, nil
+}
+
+// telemetry is telemetryFrom plus the driver's sub-phase split.
+func (d *flatDriver) telemetry(rt *ampc.Runtime, phases int) Telemetry {
+	t := telemetryFrom(rt, phases)
+	t.DriverContractTime = d.times.contract
+	t.DriverReadbackTime = d.times.readback
+	t.DriverIngestTime = d.times.ingest
+	return t
+}
+
+// fromGraph builds the initial Gc of an unweighted graph: a straight copy
+// of its CSR arrays minus the isolated vertices.
+func (d *flatDriver) fromGraph(g *graph.Graph) *contracted {
+	defer since(&d.times.ingest, time.Now())
+	gc := &d.bufs[0]
+	gc.reset()
+	gc.to = slices.Grow(gc.to, 2*g.M())
+	for v := 0; v < g.N(); v++ {
+		if g.Deg(v) == 0 {
+			continue
+		}
+		gc.verts = append(gc.verts, int32(v))
+		gc.offs = append(gc.offs, len(gc.to))
+		for _, u := range g.Neighbors(v) {
+			gc.to = append(gc.to, int32(u))
+		}
+	}
+	gc.offs = append(gc.offs, len(gc.to))
+	return gc
+}
+
+// fromWeighted builds the initial Gc of a weighted graph by running its
+// edges through the contraction routine under the identity map, which
+// leaves every adjacency list ordered cheapest-first.
+func (d *flatDriver) fromWeighted(edges []graph.WeightedEdge) *contracted {
+	defer since(&d.times.ingest, time.Now())
+	d.recs = slices.Grow(d.recs[:0], 2*len(edges))
+	for _, e := range edges {
+		u, v := int32(e.U), int32(e.V)
+		d.recs = append(d.recs, wrec{pack(u, v), e.Weight}, wrec{pack(v, u), e.Weight})
+	}
+	return d.build(&d.bufs[0])
+}
+
+// relabel applies the phase's contraction map to the original->current map
+// m2. One hop suffices: a non-leader's target is a leader, which maps to
+// itself; the min-id target of a fully explored component maps to itself
+// likewise; and target is the identity on vertices that already dropped out.
+func (d *flatDriver) relabel(m2 []int) {
+	target := d.target
+	for v, cur := range m2 {
+		m2[v] = int(target[cur])
+	}
+}
+
+// restoreTargets returns target to the identity on the given live vertices.
+func (d *flatDriver) restoreTargets(live []int32) {
+	for _, v := range live {
+		d.target[v] = v
+	}
+}
+
+// contract applies the phase's contraction map to gc, updating m2, and
+// returns the next Gc: every directed edge maps through target into a packed
+// record, self-loops drop, and build sorts, dedups (keeping the minimum
+// weight per contracted pair, which the cycle property allows MSF) and
+// emits CSR. The result lives in the driver's other CSR buffer; gc's arrays
+// are recycled by the contraction after next.
+func (d *flatDriver) contract(gc *contracted, m2 []int) *contracted {
+	defer since(&d.times.contract, time.Now())
+	d.relabel(m2)
+	target := d.target
+	if d.weighted {
+		d.recs = slices.Grow(d.recs[:0], len(gc.to))
+	} else {
+		d.keys = slices.Grow(d.keys[:0], len(gc.to))
+	}
+	for i, v := range gc.verts {
+		tv := target[v]
+		for j := gc.offs[i]; j < gc.offs[i+1]; j++ {
+			tu := target[gc.to[j]]
+			if tv == tu {
+				continue
+			}
+			if d.weighted {
+				d.recs = append(d.recs, wrec{pack(tv, tu), gc.w[j]})
+			} else {
+				d.keys = append(d.keys, pack(tv, tu))
+			}
+		}
+	}
+	d.restoreTargets(gc.verts)
+	out := &d.bufs[0]
+	if out == gc {
+		out = &d.bufs[1]
+	}
+	return d.build(out)
+}
+
+// contractStream is contract fed from a replayed edge stream instead of a
+// materialized Gc: the first contraction of a streamed run (live is the
+// ingest's vertex list), or — with target still the identity and live nil —
+// the plain materialization of a small stream, multigraph edges deduped.
+// Streams are unweighted, so this is for unweighted drivers only. Records are deduplicated in place whenever they have doubled since the
+// last time (from compactAt on), so the memory high-water mark is a
+// constant plus twice the deduped contracted graph — never the input, and
+// never a hash set over it.
+func (d *flatDriver) contractStream(es graph.EdgeStream, live []int32, m2 []int) *contracted {
+	defer since(&d.times.contract, time.Now())
+	d.relabel(m2)
+	target := d.target
+	limit := d.compactAt
+	d.keys = slices.Grow(d.keys[:0], min(2*es.M(), limit))
+	es.Each(func(u, v int) {
+		tu, tv := target[u], target[v]
+		if tu == tv {
+			return
+		}
+		if len(d.keys) >= limit {
+			slices.Sort(d.keys)
+			d.keys = slices.Compact(d.keys)
+			limit = max(limit, 2*len(d.keys))
+		}
+		d.keys = append(d.keys, pack(tu, tv), pack(tv, tu))
+	})
+	d.restoreTargets(live)
+	return d.build(&d.bufs[0])
+}
+
+// build turns the collected directed-edge records into CSR in out: one sort
+// groups them by source and, within a source, by destination (then weight),
+// a single pass drops the duplicates, and — weighted graphs only — each
+// adjacency run is then ordered by (weight, id).
+func (d *flatDriver) build(out *contracted) *contracted {
+	out.reset()
+	if !d.weighted {
+		slices.Sort(d.keys)
+		out.to = slices.Grow(out.to, len(d.keys))
+		// Ids fit 31 bits, so ^0 equals no packed pair and shares no source.
+		prev := ^uint64(0)
+		for _, k := range d.keys {
+			if k == prev {
+				continue
+			}
+			if k>>32 != prev>>32 {
+				out.verts = append(out.verts, int32(k>>32))
+				out.offs = append(out.offs, len(out.to))
+			}
+			out.to = append(out.to, int32(uint32(k)))
+			prev = k
+		}
+		out.offs = append(out.offs, len(out.to))
+		return out
+	}
+
+	recs := d.recs
+	slices.SortFunc(recs, func(a, b wrec) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.w, b.w)
+	})
+	n := 0
+	for _, r := range recs {
+		if n == 0 || r.key != recs[n-1].key {
+			recs[n] = r
+			n++
+		}
+	}
+	recs = recs[:n]
+	out.to = slices.Grow(out.to, n)
+	out.w = slices.Grow(out.w, n)
+	for lo := 0; lo < n; {
+		from := recs[lo].key >> 32
+		hi := lo + 1
+		for hi < n && recs[hi].key>>32 == from {
+			hi++
+		}
+		run := recs[lo:hi]
+		slices.SortFunc(run, func(a, b wrec) int {
+			if c := cmp.Compare(a.w, b.w); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.key, b.key)
+		})
+		out.verts = append(out.verts, int32(from))
+		out.offs = append(out.offs, len(out.to))
+		for _, r := range run {
+			out.to = append(out.to, int32(uint32(r.key)))
+			out.w = append(out.w, r.w)
+		}
+		lo = hi
+	}
+	out.offs = append(out.offs, len(out.to))
+	return out
+}
+
+// shuffled returns the live vertices in the phase's exploration order: a
+// copy shuffled by the driver RNG, block-partitioned across machines.
+func (d *flatDriver) shuffled(verts []int32, driver rngShuffler) []int32 {
+	d.order = append(d.order[:0], verts...)
+	order := d.order
+	driver.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	return order
+}
+
+// pickTargets is the master's half of a phase after the increase round:
+// sample leaders, read back every live vertex's explored set (and, withTree,
+// its local-tree edge weights into d.tree) and set the contraction map.
+func (d *flatDriver) pickTargets(store dds.StoreBackend, verts []int32, budget int, driver rngShuffler, withTree bool) error {
+	d.sampleLeaders(verts, budget, driver)
+	if err := d.readFound(store, verts, withTree); err != nil {
+		return err
+	}
+	d.contractionTargets(verts)
+	return nil
+}
+
+// sampleLeaders draws each live vertex as a leader with probability
+// ~min(1/2, ln n'/d), the §6 sampling rate.
+func (d *flatDriver) sampleLeaders(verts []int32, budget int, driver rngShuffler) {
+	pLead := math.Log(float64(len(verts)) + 3)
+	pLead /= float64(budget)
+	if pLead > 0.5 {
+		pLead = 0.5
+	}
+	for _, v := range verts {
+		if driver.Bernoulli(pLead) {
+			d.leader[v] = true
+		}
+	}
+}
+
+// contractionTargets picks every live vertex's contraction target from the
+// explored sets readFound fetched: itself if a leader, the minimum id of a
+// fully explored component, or the first leader it visited. It consumes the
+// leader marks.
+func (d *flatDriver) contractionTargets(verts []int32) {
+	target, leader := d.target, d.leader
+	for i, v := range verts {
+		if leader[v] {
+			continue
+		}
+		fv := d.found[d.off[i]:d.off[i+1]]
+		t := v
+		if d.whole[i] {
+			// Entire component explored: collapse it to its minimum id.
+			for _, x := range fv {
+				if x < t {
+					t = x
+				}
+			}
+		} else {
+			for _, x := range fv {
+				if leader[x] {
+					t = x
+					break
+				}
+			}
+		}
+		target[v] = t
+	}
+	for _, v := range verts {
+		leader[v] = false
+	}
+}
+
+// readFound reads back the explored set every live vertex recorded in the
+// increase round just run — sizes first, then the members in one batched
+// sweep — into off/whole/found; withTree also fetches the local-tree edge
+// weights (one per member) into tree.
+func (d *flatDriver) readFound(store dds.StoreBackend, verts []int32, withTree bool) error {
+	defer since(&d.times.readback, time.Now())
+	n := len(verts)
+	d.off = resized(d.off, n+1)
+	d.whole = resized(d.whole, n)
+	off, whole := d.off, d.whole
+	err := d.rb.perVertex(store, tagConnSize, "size", verts, func(i int, v dds.Value) {
+		off[i+1] = int(v.A)
+		whole[i] = v.B == 1
+	})
+	if err != nil {
+		return err
+	}
+	off[0] = 0
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	total := off[n]
+	d.found = resized(d.found, total)
+	found := d.found
+	err = d.rb.perMember(store, tagConnFound, "found", verts, off, func(j int, v dds.Value) {
+		found[j] = int32(v.A)
+	})
+	if err != nil || !withTree {
+		return err
+	}
+	d.tree = resized(d.tree, total)
+	tree := d.tree
+	return d.rb.perMember(store, tagMSFEdge, "tree-edge", verts, off, func(j int, v dds.Value) {
+		tree[j] = v.A
+	})
+}
+
+// readback is the master's batched read path over the current store: key
+// chunks go through the backend's GetMany, striped over the run's workers,
+// with per-worker key and value buffers kept across phases. These reads
+// model the master machine and are charged to no budget.
+type readback struct {
+	workers int
+	scratch []rbScratch
+}
+
+type rbScratch struct {
+	keys []dds.Key
+	vals []dds.Value
+	oks  []bool
+}
+
+// rbChunk is the key batch one GetMany call carries: large enough that the
+// stores' shard-sorted sweep forms long same-shard runs, small enough that
+// the buffers stay cache-resident.
+const rbChunk = 4096
+
+// perVertex reads record (tag, v, 0) of every vertex in verts and hands the
+// i-th vertex's value to put. A missing record is an error.
+func (rb *readback) perVertex(store dds.StoreBackend, tag uint8, what string, verts []int32, put func(i int, v dds.Value)) error {
+	return rb.sweep(store, len(verts), put,
+		func(keys []dds.Key, lo int) {
+			for t := range keys {
+				keys[t] = dds.Key{Tag: tag, A: int64(verts[lo+t])}
+			}
+		},
+		func(i int) error { return missingRecord(store, what, int64(verts[i]), 0) })
+}
+
+// perMember reads records (tag, v, 0..k-1) of every vertex, where vertex i
+// holds k = off[i+1]-off[i] of them, and hands each value to put with its
+// flat position off[i]+index. A missing record is an error.
+func (rb *readback) perMember(store dds.StoreBackend, tag uint8, what string, verts []int32, off []int, put func(j int, v dds.Value)) error {
+	// owner returns the vertex index whose records cover flat position j.
+	owner := func(j int) int {
+		return sort.Search(len(verts), func(i int) bool { return off[i+1] > j })
+	}
+	return rb.sweep(store, off[len(verts)], put,
+		func(keys []dds.Key, lo int) {
+			i := owner(lo)
+			for t := range keys {
+				for off[i+1] <= lo+t {
+					i++
+				}
+				keys[t] = dds.Key{Tag: tag, A: int64(verts[i]), B: int64(lo + t - off[i])}
+			}
+		},
+		func(j int) error {
+			i := owner(j)
+			return missingRecord(store, what, int64(verts[i]), int64(j-off[i]))
+		})
+}
+
+// sweep reads total keys in chunks: fill writes the keys of flat positions
+// [lo, lo+len(keys)), every value goes to put with its position, and the
+// first absent key (lowest position per worker, lowest worker first) fails
+// the sweep with missing's error. Workers own contiguous spans, so put and
+// fill are called concurrently for disjoint positions only.
+func (rb *readback) sweep(store dds.StoreBackend, total int, put func(j int, v dds.Value), fill func(keys []dds.Key, lo int), missing func(j int) error) error {
+	workers := rb.workers
+	if most := (total + rbChunk - 1) / rbChunk; workers > most {
+		workers = most
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	for len(rb.scratch) < workers {
+		rb.scratch = append(rb.scratch, rbScratch{
+			keys: make([]dds.Key, rbChunk),
+			vals: make([]dds.Value, rbChunk),
+			oks:  make([]bool, rbChunk),
+		})
+	}
+	span := func(w int) error {
+		s := &rb.scratch[w]
+		lo, hi := ampc.BlockRange(w, total, workers)
+		for ; lo < hi; lo += rbChunk {
+			n := min(rbChunk, hi-lo)
+			keys, vals, oks := s.keys[:n], s.vals[:n], s.oks[:n]
+			fill(keys, lo)
+			getMany(store, keys, vals, oks)
+			for t, ok := range oks {
+				if !ok {
+					return missing(lo + t)
+				}
+				put(lo+t, vals[t])
+			}
+		}
+		return nil
+	}
+	if workers == 1 {
+		return span(0)
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = span(w)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// getMany is Get over a key batch, through the backend's batch surface when
+// it has one (every built-in backend does).
+func getMany(store dds.StoreBackend, keys []dds.Key, vals []dds.Value, oks []bool) {
+	if bg, ok := store.(dds.BatchGetter); ok {
+		bg.GetMany(keys, vals, oks)
+		return
+	}
+	for i, k := range keys {
+		vals[i], oks[i] = store.Get(k)
+	}
+}
+
+// missingRecord reports a record the previous round must have written and
+// the master could not read back. Folding the absent value in as a zero
+// would silently contract a vertex into vertex 0, so it is an error; when
+// the backend latched a read failure (a networked store whose replicas were
+// all exhausted reads as absent), that failure is the cause and is wrapped.
+func missingRecord(store dds.StoreBackend, what string, a, b int64) error {
+	err := fmt.Errorf("core: missing %s record (%d,%d)", what, a, b)
+	if re, ok := store.(interface{ ReadErr() error }); ok {
+		if cause := re.ReadErr(); cause != nil {
+			return fmt.Errorf("%w: %w", err, cause)
+		}
+	}
+	return err
+}

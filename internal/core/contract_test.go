@@ -1,0 +1,401 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"ampc/internal/ampc"
+	"ampc/internal/dds"
+	"ampc/internal/graph"
+	"ampc/internal/rng"
+)
+
+// refContracted is the map-of-slices contracted graph the driver used before
+// the flat CSR form, kept as the reference the flat routine is tested
+// against.
+type refContracted struct {
+	verts []int
+	adj   map[int][]wedge
+}
+
+// refContractInto is the map-based contraction the flat routine replaced,
+// verbatim: the oracle for flatDriver.contract and contractStream.
+func refContractInto(gc *refContracted, target map[int]int, m2 []int) *refContracted {
+	for v := range m2 {
+		if t, ok := target[m2[v]]; ok {
+			m2[v] = t
+		}
+	}
+	type pair struct{ a, b int }
+	best := make(map[pair]int64)
+	for v, adj := range gc.adj {
+		tv := target[v]
+		for _, e := range adj {
+			tu := target[e.to]
+			if tv == tu {
+				continue
+			}
+			p := pair{tv, tu}
+			if cur, ok := best[p]; !ok || e.w < cur {
+				best[p] = e.w
+			}
+		}
+	}
+	next := &refContracted{adj: make(map[int][]wedge)}
+	seen := make(map[int]bool)
+	for p, w := range best {
+		next.adj[p.a] = append(next.adj[p.a], wedge{to: p.b, w: w})
+		if !seen[p.a] {
+			seen[p.a] = true
+			next.verts = append(next.verts, p.a)
+		}
+	}
+	sort.Ints(next.verts)
+	for v := range next.adj {
+		adj := next.adj[v]
+		sort.Slice(adj, func(i, j int) bool {
+			if adj[i].w != adj[j].w {
+				return adj[i].w < adj[j].w
+			}
+			return adj[i].to < adj[j].to
+		})
+	}
+	return next
+}
+
+// asRef converts a flat Gc to the reference form for comparison.
+func asRef(gc *contracted) *refContracted {
+	ref := &refContracted{adj: make(map[int][]wedge)}
+	for i, v := range gc.verts {
+		ref.verts = append(ref.verts, int(v))
+		for j := gc.offs[i]; j < gc.offs[i+1]; j++ {
+			e := wedge{to: int(gc.to[j])}
+			if gc.w != nil {
+				e.w = gc.w[j]
+			}
+			ref.adj[int(v)] = append(ref.adj[int(v)], e)
+		}
+	}
+	return ref
+}
+
+func sameContracted(t *testing.T, what string, got *contracted, want *refContracted) {
+	t.Helper()
+	if len(got.offs) != len(got.verts)+1 {
+		t.Fatalf("%s: %d offsets for %d vertices", what, len(got.offs), len(got.verts))
+	}
+	g := asRef(got)
+	if len(g.verts) == 0 && len(want.verts) == 0 {
+		return
+	}
+	if !reflect.DeepEqual(g.verts, want.verts) {
+		t.Fatalf("%s: verts %v, reference %v", what, g.verts, want.verts)
+	}
+	if !reflect.DeepEqual(g.adj, want.adj) {
+		t.Fatalf("%s: adjacency %v, reference %v", what, g.adj, want.adj)
+	}
+}
+
+// randomWeightedEdges draws m random non-loop edges on n vertices with
+// distinct endpoint pairs; weights repeat across pairs when distinct is
+// false, which exercises the (weight, id) tie-break.
+func randomWeightedEdges(n, m int, distinct bool, r *rng.RNG) []graph.WeightedEdge {
+	seen := map[graph.Edge]bool{}
+	var out []graph.WeightedEdge
+	for len(out) < m {
+		u, v := r.Intn(n), r.Intn(n)
+		e := graph.Edge{U: u, V: v}.Canon()
+		if u == v || seen[e] {
+			continue
+		}
+		seen[e] = true
+		w := int64(len(out) + 1)
+		if !distinct {
+			w = int64(r.Intn(4))
+		}
+		out = append(out, graph.WeightedEdge{U: e.U, V: e.V, Weight: w})
+	}
+	return out
+}
+
+func refFromEdges(edges []graph.WeightedEdge, weighted bool) *refContracted {
+	ref := &refContracted{adj: make(map[int][]wedge)}
+	id := map[int]int{}
+	for _, e := range edges {
+		w := e.Weight
+		if !weighted {
+			w = 0
+		}
+		ref.adj[e.U] = append(ref.adj[e.U], wedge{e.V, w})
+		ref.adj[e.V] = append(ref.adj[e.V], wedge{e.U, w})
+		id[e.U], id[e.V] = e.U, e.V
+	}
+	// The identity contraction puts the lists in canonical order.
+	return refContractInto(ref, id, nil)
+}
+
+// randomTarget draws a contraction map over the live vertices in one of the
+// shapes the property test must cover.
+func randomTarget(verts []int32, shape int, r *rng.RNG) map[int]int {
+	target := make(map[int]int, len(verts))
+	for _, v := range verts {
+		switch shape {
+		case 0: // arbitrary: parallel edges and isolated vertices after contraction
+			target[int(v)] = int(verts[r.Intn(len(verts))])
+		case 1: // a few hubs, as leader contraction produces
+			target[int(v)] = int(verts[r.Intn(1+len(verts)/4)])
+		case 2: // everything into one vertex: the graph vanishes
+			target[int(v)] = int(verts[0])
+		default: // identity: nothing moves
+			target[int(v)] = int(v)
+		}
+	}
+	return target
+}
+
+// TestContractMatchesReference drives the flat contraction and the map-based
+// reference side by side through chains of random contractions — weighted
+// and not, over every target shape — and requires identical vertex lists,
+// adjacency order, weights and relabeling after every step. Chaining three
+// steps also covers the CSR double buffer and the restored dense maps.
+func TestContractMatchesReference(t *testing.T) {
+	r := rng.New(300, 0)
+	for trial := 0; trial < 400; trial++ {
+		weighted := trial%2 == 0
+		n := 2 + r.Intn(40)
+		m := r.Intn(n * (n - 1) / 2)
+		if m > 3*n {
+			m = 3 * n
+		}
+		edges := randomWeightedEdges(n, m, trial%4 == 0, r)
+		what := fmt.Sprintf("trial %d (n=%d m=%d weighted=%v)", trial, n, m, weighted)
+
+		d, err := newFlatDriver(n, weighted, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gc *contracted
+		if weighted {
+			gc = d.fromWeighted(edges)
+		} else {
+			plain := make([]graph.Edge, len(edges))
+			for i, e := range edges {
+				plain[i] = graph.Edge{U: e.U, V: e.V}
+			}
+			gc = d.fromGraph(graph.MustGraph(n, plain))
+		}
+		ref := refFromEdges(edges, weighted)
+		sameContracted(t, what+" initial", gc, ref)
+
+		m2, refM2 := make([]int, n), make([]int, n)
+		for v := range m2 {
+			m2[v], refM2[v] = v, v
+		}
+		for step := 0; step < 3 && len(gc.verts) > 0; step++ {
+			target := randomTarget(gc.verts, (trial/4+step)%4, r)
+			for v, tv := range target {
+				d.target[v] = int32(tv)
+			}
+			gc = d.contract(gc, m2)
+			ref = refContractInto(ref, target, refM2)
+			sameContracted(t, fmt.Sprintf("%s step %d", what, step), gc, ref)
+			if !reflect.DeepEqual(m2, refM2) {
+				t.Fatalf("%s step %d: m2 %v, reference %v", what, step, m2, refM2)
+			}
+			for v, tv := range d.target {
+				if int(tv) != v {
+					t.Fatalf("%s step %d: target[%d] = %d left behind", what, step, v, tv)
+				}
+			}
+		}
+	}
+}
+
+// TestContractMergesAndDedups is the hand-checked case: contracting two
+// corners of a weighted square into a third keeps one edge to the fourth,
+// at the minimum weight.
+func TestContractMergesAndDedups(t *testing.T) {
+	d, err := newFlatDriver(4, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := d.fromWeighted([]graph.WeightedEdge{{U: 0, V: 1, Weight: 5}, {U: 0, V: 2, Weight: 7}, {U: 1, V: 3, Weight: 2}, {U: 2, V: 3, Weight: 9}})
+	if gc.edges() != 4 || gc.records() != 12 {
+		t.Fatalf("initial graph: %d edges, %d records", gc.edges(), gc.records())
+	}
+	m2 := []int{0, 1, 2, 3}
+	d.target[1], d.target[2] = 0, 0
+	next := d.contract(gc, m2)
+	if !reflect.DeepEqual(next.verts, []int32{0, 3}) || next.edges() != 1 {
+		t.Fatalf("verts %v with %d edges, want [0 3] with 1", next.verts, next.edges())
+	}
+	if next.to[0] != 3 || next.w[0] != 2 || next.to[1] != 0 || next.w[1] != 2 {
+		t.Fatalf("kept to=%v w=%v, want the weight-2 edge both ways", next.to, next.w)
+	}
+	if !reflect.DeepEqual(m2, []int{0, 0, 0, 3}) {
+		t.Fatalf("m2 = %v", m2)
+	}
+}
+
+// TestContractStreamMatchesReference replays multigraph streams (duplicate
+// edges included) through contractStream under the identity map — the
+// materialize shortcut — and under a random contraction, against the
+// reference fed the same edges; odd trials force the in-flight dedup.
+func TestContractStreamMatchesReference(t *testing.T) {
+	r := rng.New(301, 0)
+	for trial := 0; trial < 60; trial++ {
+		n := 2 + r.Intn(50)
+		es := graph.StreamGNM(n, r.Intn(6*n), uint64(trial))
+		ref := &refContracted{adj: make(map[int][]wedge)}
+		id := map[int]int{}
+		var live []int32
+		es.Each(func(u, v int) {
+			ref.adj[u] = append(ref.adj[u], wedge{to: v})
+			ref.adj[v] = append(ref.adj[v], wedge{to: u})
+			id[u], id[v] = u, v
+		})
+		for v := 0; v < n; v++ {
+			if _, ok := id[v]; ok {
+				live = append(live, int32(v))
+			}
+		}
+		d, err := newFlatDriver(n, false, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%2 == 1 {
+			d.compactAt = 16 // dedup mid-stream, several times over
+		}
+		m2, refM2 := make([]int, n), make([]int, n)
+		for v := range m2 {
+			m2[v], refM2[v] = v, v
+		}
+		sameContracted(t, fmt.Sprintf("trial %d identity", trial), d.contractStream(es, nil, m2), refContractInto(ref, id, refM2))
+		if len(live) == 0 {
+			continue
+		}
+		target := randomTarget(live, trial%3, r)
+		for v, tv := range target {
+			d.target[v] = int32(tv)
+		}
+		sameContracted(t, fmt.Sprintf("trial %d contracted", trial), d.contractStream(es, live, m2), refContractInto(ref, target, refM2))
+		if !reflect.DeepEqual(m2, refM2) {
+			t.Fatalf("trial %d: m2 %v, reference %v", trial, m2, refM2)
+		}
+	}
+}
+
+// TestPublishContractedRecords checks the in-round record generation: for
+// machine counts that split adjacency runs mid-list, leave machines empty,
+// or give one machine everything, the published store holds exactly the
+// degree and adjacency records of Gc and nothing else.
+func TestPublishContractedRecords(t *testing.T) {
+	r := rng.New(302, 0)
+	for _, p := range []int{1, 2, 7, 64, 500} {
+		d, err := newFlatDriver(40, true, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc := d.fromWeighted(randomWeightedEdges(40, 90, true, r))
+		rt := ampc.New(ampc.Config{P: p, S: 1 << 12, Seed: 1})
+		if err := publishContracted(rt, gc, 1); err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		store := rt.Store()
+		if store.Len() != gc.records() {
+			t.Fatalf("P=%d: store holds %d pairs, Gc has %d records", p, store.Len(), gc.records())
+		}
+		for i, v := range gc.verts {
+			deg, ok := store.Get(dds.Key{Tag: tagConnDeg, A: int64(v)})
+			if want := gc.offs[i+1] - gc.offs[i]; !ok || int(deg.A) != want {
+				t.Fatalf("P=%d: degree of %d = %v (present %v), want %d", p, v, deg.A, ok, want)
+			}
+			for j := gc.offs[i]; j < gc.offs[i+1]; j++ {
+				a, ok := store.Get(dds.Key{Tag: tagConnAdj, A: int64(v), B: int64(j - gc.offs[i])})
+				if !ok || a.A != int64(gc.to[j]) || a.B != gc.w[j] {
+					t.Fatalf("P=%d: adjacency (%d,%d) = %v (present %v), want (%d,%d)", p, v, j-gc.offs[i], a, ok, gc.to[j], gc.w[j])
+				}
+			}
+		}
+		rt.Close()
+	}
+}
+
+// contractFixture returns a driver holding a GNM graph and a leader-style
+// contraction map over it: about a third of the vertices are leaders and
+// every other vertex joins its smallest leader neighbor, if it has one.
+func contractFixture(tb testing.TB, n, m int) (*flatDriver, *contracted, func()) {
+	g := graph.GNM(n, m, rng.New(303, 0))
+	d, err := newFlatDriver(n, false, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gc := d.fromGraph(g)
+	setTargets := func() {
+		for _, v := range gc.verts {
+			if v%3 == 0 {
+				continue
+			}
+			for _, u := range g.Neighbors(int(v)) {
+				if u%3 == 0 {
+					d.target[v] = int32(u)
+					break
+				}
+			}
+		}
+	}
+	return d, gc, setTargets
+}
+
+// TestContractReusesBuffers pins the allocation contract: once the first
+// contraction has sized the driver's buffers, a contraction of the same
+// graph allocates nothing — the per-phase cost is O(1) allocations, not
+// O(n') maps and slices.
+func TestContractReusesBuffers(t *testing.T) {
+	d, gc, setTargets := contractFixture(t, 5000, 20000)
+	m2 := make([]int, 5000)
+	contractOnce := func() {
+		for v := range m2 {
+			m2[v] = v
+		}
+		setTargets()
+		if next := d.contract(gc, m2); next.edges() == 0 || next.edges() >= gc.edges() {
+			t.Fatalf("contraction kept %d of %d edges", next.edges(), gc.edges())
+		}
+	}
+	contractOnce()
+	if allocs := testing.AllocsPerRun(5, contractOnce); allocs > 0 {
+		t.Fatalf("a warmed-up contraction allocates %.0f times, want 0", allocs)
+	}
+}
+
+func BenchmarkContract(b *testing.B) {
+	d, gc, setTargets := contractFixture(b, 100000, 400000)
+	m2 := make([]int, 100000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setTargets()
+		if next := d.contract(gc, m2); next.edges() == 0 {
+			b.Fatal("contraction emptied the graph")
+		}
+	}
+}
+
+// hugeStream claims more vertices than the driver's packed 31-bit ids hold.
+type hugeStream struct{}
+
+func (hugeStream) N() int                   { return int(int64(1) << 31) }
+func (hugeStream) M() int                   { return 1 }
+func (hugeStream) Each(emit func(u, v int)) { emit(0, 1) }
+
+func TestVertexRangeGuard(t *testing.T) {
+	_, err := ConnectivityStream(context.Background(), hugeStream{}, Options{})
+	if !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("2^31 vertices: got %v, want ErrInvalidOptions", err)
+	}
+}

@@ -358,6 +358,20 @@ type Telemetry struct {
 	// frozen stores (joining write-behind serialization and installing the
 	// backend), summed over rounds. Zero for the in-memory backend.
 	PublishTime time.Duration
+	// DriverTime is the wall-clock time the run spent on the driver itself,
+	// between rounds: the runtime's lifetime up to this report minus every
+	// round's execute, freeze and publish time. For the contraction
+	// algorithms (connectivity, MSF, affinity) DriverContractTime,
+	// DriverReadbackTime and DriverIngestTime split out its three named
+	// sub-phases — applying a phase's contraction map and rebuilding Gc,
+	// the master's read-back of the records a round wrote, and turning the
+	// input into the first Gc or streaming it into D0 — so a driver delta
+	// in a perf trajectory is attributable; the remainder is sampling,
+	// shuffling and result assembly.
+	DriverTime         time.Duration
+	DriverContractTime time.Duration
+	DriverReadbackTime time.Duration
+	DriverIngestTime   time.Duration
 	// CacheHits and CacheMisses sum the per-round worker read-cache
 	// counters: hits were charged queries answered without a store probe,
 	// misses reached the store. They never affect TotalQueries or any
@@ -395,6 +409,7 @@ func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
 		t.CacheMisses += st.CacheMisses
 		t.RPCFrames += st.RPCFrames
 	}
+	t.DriverTime = rt.Elapsed() - t.ExecuteTime - t.FreezeTime - t.PublishTime
 	return t
 }
 

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
+	"ampc/internal/dds"
 	"ampc/internal/graph"
 	"ampc/internal/rng"
 )
@@ -145,6 +148,72 @@ func TestBiconnectivitySurvivesFaults(t *testing.T) {
 	for i := range clean.Bridges {
 		if clean.Bridges[i] != faulty.Bridges[i] {
 			t.Fatal("failure injection changed bridge set")
+		}
+	}
+}
+
+// lossyStore reads as its inner store with one key knocked out — the shape
+// of a networked backend whose replicas were all exhausted: the key reads
+// absent and the failure, if any, is latched for ReadErr.
+type lossyStore struct {
+	dds.StoreBackend
+	drop    dds.Key
+	latched error
+}
+
+func (s *lossyStore) Get(k dds.Key) (dds.Value, bool) {
+	if k == s.drop {
+		return dds.Value{}, false
+	}
+	return s.StoreBackend.Get(k)
+}
+
+func (s *lossyStore) ReadErr() error { return s.latched }
+
+// TestReadFoundMissingRecord is the fault injection for the silent-wrong-
+// label bug: a found record the increase round wrote but the master cannot
+// read back must fail the phase — it used to fold in as vertex 0 and could
+// contract a vertex into leader 0 — and a latched backend failure must be
+// the wrapped cause.
+func TestReadFoundMissingRecord(t *testing.T) {
+	g := graph.GNM(3000, 9000, rng.New(304, 0))
+	for _, workers := range []int{1, 4} {
+		d, err := newFlatDriver(g.N(), false, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc := d.fromGraph(g)
+		rt := Options{Seed: 3}.withDefaults().newRuntime(context.Background(), g.N(), g.M())
+		defer rt.Close()
+		if err := publishContracted(rt, gc, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := increaseDegrees(rt, d.shuffled(gc.verts, rng.New(3, 1)), 4, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.readFound(rt.Store(), gc.verts, false); err != nil {
+			t.Fatalf("clean read-back: %v", err)
+		}
+		// Knock out the second found record of the first vertex that has one.
+		i := 0
+		for d.off[i+1]-d.off[i] < 2 {
+			i++
+		}
+		v := int64(gc.verts[i])
+		lossy := &lossyStore{StoreBackend: rt.Store(), drop: dds.Key{Tag: tagConnFound, A: v, B: 1}}
+		err = d.readFound(lossy, gc.verts, false)
+		if want := fmt.Sprintf("core: missing found record (%d,1)", v); err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: read-back over a lossy store returned %v, want %q", workers, err, want)
+		}
+		lossy.latched = fmt.Errorf("shard 3: %w", dds.ErrBackendUnavailable)
+		err = d.readFound(lossy, gc.verts, false)
+		if !errors.Is(err, dds.ErrBackendUnavailable) {
+			t.Fatalf("workers=%d: latched read failure not wrapped: %v", workers, err)
+		}
+		// A missing size record is the same defect one step earlier.
+		lossy = &lossyStore{StoreBackend: rt.Store(), drop: dds.Key{Tag: tagConnSize, A: v}}
+		if err := d.readFound(lossy, gc.verts, false); err == nil {
+			t.Fatalf("workers=%d: missing size record accepted", workers)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ampc/internal/ampc"
@@ -43,12 +44,17 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 		return MSFResult{}, err
 	}
 	n := g.N()
+	d, err := newFlatDriver(n, true, opts.Workers)
+	if err != nil {
+		return MSFResult{}, err
+	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 	driver := opts.driverRNG(6)
 
-	byWeight := make(map[int64]graph.WeightedEdge, g.M())
-	for _, e := range g.WeightedEdges() {
+	wes := g.WeightedEdges()
+	byWeight := make(map[int64]graph.WeightedEdge, len(wes))
+	for _, e := range wes {
 		byWeight[e.Weight] = e
 	}
 
@@ -56,18 +62,7 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 	// vertex's cheapest unread edge first and never needs a full list,
 	// which is what bounds a local tree's reads by O(d²) (Lemma 6.1's
 	// argument). The sort is a standard MPC primitive.
-	gc := &contracted{adj: make(map[int][]wedge, n)}
-	for v := 0; v < n; v++ {
-		if g.Deg(v) == 0 {
-			continue
-		}
-		gc.verts = append(gc.verts, v)
-		for _, u := range g.Neighbors(v) {
-			gc.adj[v] = append(gc.adj[v], wedge{to: u, w: g.Weight(v, u)})
-		}
-		adj := gc.adj[v]
-		sort.Slice(adj, func(i, j int) bool { return adj[i].w < adj[j].w })
-	}
+	gc := d.fromWeighted(wes)
 	m2 := make([]int, n)
 	for v := range m2 {
 		m2[v] = v
@@ -94,67 +89,24 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 			break
 		}
 
-		nPrime := len(gc.verts)
-		d := int(math.Sqrt(totalSpace / float64(nPrime)))
-		if fd := float64(d); fd > dCap {
-			d = int(dCap)
-		}
-		if d < 2 {
-			d = 2
-		}
+		budget := connExploreBudget(totalSpace, len(gc.verts), dCap)
 
 		if err := publishContracted(rt, gc, phases); err != nil {
 			return MSFResult{}, err
 		}
-		if err := msfIncreaseDegree(rt, gc, d, driver, phases); err != nil {
+		if err := msfIncreaseDegree(rt, d.shuffled(gc.verts, driver), budget, phases); err != nil {
 			return MSFResult{}, err
 		}
 
-		// Commit this round's local-tree edges (all are MSF edges of Gc,
-		// hence of G).
-		for _, v := range gc.verts {
-			for _, w := range readTreeWeights(rt, v) {
-				committed[w] = true
-			}
+		// Sample leaders and contract within local trees, committing this
+		// round's local-tree edges (all are MSF edges of Gc, hence of G).
+		if err := d.pickTargets(rt.Store(), gc.verts, budget, driver, true); err != nil {
+			return MSFResult{}, err
 		}
-
-		// Leader sampling and contraction within local trees.
-		pLead := math.Log(float64(nPrime) + 3)
-		pLead /= float64(d)
-		if pLead > 0.5 {
-			pLead = 0.5
+		for _, w := range d.tree {
+			committed[w] = true
 		}
-		leader := make(map[int]bool, nPrime)
-		for _, v := range gc.verts {
-			if driver.Bernoulli(pLead) {
-				leader[v] = true
-			}
-		}
-		target := make(map[int]int, nPrime)
-		for _, v := range gc.verts {
-			fv, whole := readFound(rt, v)
-			switch {
-			case leader[v]:
-				target[v] = v
-			case whole:
-				min := v
-				for _, x := range fv {
-					if x < min {
-						min = x
-					}
-				}
-				target[v] = min
-			default:
-				target[v] = v
-				for _, x := range fv {
-					if leader[x] {
-						target[v] = x
-						break
-					}
-				}
-			}
-		}
-		gc = contractInto(gc, target, m2, nil)
+		gc = d.contract(gc, m2)
 	}
 
 	edges := make([]graph.WeightedEdge, 0, len(committed))
@@ -175,7 +127,7 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 		}
 		res.Store = store
 	}
-	res.Telemetry = telemetryFrom(rt, phases)
+	res.Telemetry = d.telemetry(rt, phases)
 	return res, nil
 }
 
@@ -218,14 +170,12 @@ func SpanningForest(ctx context.Context, g *graph.Graph, opts Options) ([]graph.
 // msfIncreaseDegree is Algorithm 8: every vertex grows a local Prim tree of
 // up to d vertices through adaptive reads and records both the tree members
 // (Fv) and the chosen edge weights (E(v)).
-func msfIncreaseDegree(rt *ampc.Runtime, gc *contracted, d int, driver rngShuffler, phase int) error {
-	verts := append([]int(nil), gc.verts...)
-	driver.Shuffle(len(verts), func(i, j int) { verts[i], verts[j] = verts[j], verts[i] })
+func msfIncreaseDegree(rt *ampc.Runtime, verts []int32, d int, phase int) error {
 	return rt.Round(fmt.Sprintf("msf-increase-%d", phase), func(ctx *ampc.Ctx) error {
 		lo, hi := ampc.BlockRange(ctx.Machine, len(verts), ctx.P)
 		var out []dds.KV // per-vertex batch, reused across the machine's block
 		for _, v := range verts[lo:hi] {
-			fv, tree, whole, err := primExplore(ctx, v, d)
+			fv, tree, whole, err := primExplore(ctx, int(v), d)
 			if err != nil {
 				return err
 			}
@@ -253,6 +203,12 @@ func msfIncreaseDegree(rt *ampc.Runtime, gc *contracted, d int, driver rngShuffl
 		}
 		return ctx.Err()
 	})
+}
+
+// wedge is one adjacency entry as a machine reads it: neighbor and weight.
+type wedge struct {
+	to int
+	w  int64
 }
 
 // primExplore grows v's local Prim tree to at most d vertices using lazy
@@ -379,18 +335,6 @@ func primExplore(ctx *ampc.Ctx, v, d int) ([]int, []int64, bool, error) {
 	return members, treeWeights, false, nil
 }
 
-// readTreeWeights returns the local-tree edge weights recorded for v.
-func readTreeWeights(rt *ampc.Runtime, v int) []int64 {
-	var out []int64
-	for i := 0; ; i++ {
-		w, ok := rt.Store().Get(dds.Key{Tag: tagMSFEdge, A: int64(v), B: int64(i)})
-		if !ok {
-			return out
-		}
-		out = append(out, w.A)
-	}
-}
-
 // msfSolveLocally publishes the remainder and has machine 0 finish it with
 // a local Kruskal, writing the chosen weights for the master to commit.
 func msfSolveLocally(rt *ampc.Runtime, gc *contracted, phase int, committed map[int64]bool) error {
@@ -402,23 +346,22 @@ func msfSolveLocally(rt *ampc.Runtime, gc *contracted, phase int, committed map[
 		if ctx.Machine != 0 {
 			return nil
 		}
-		idx := make(map[int]int, len(verts))
-		for i, v := range verts {
-			idx[v] = i
-		}
+		// Edges are kept as positions in verts (ascending, so neighbor ids
+		// resolve by search).
 		type we struct {
 			w    int64
 			a, b int
 		}
 		var edges []we
-		for _, v := range verts {
+		for i, v := range verts {
 			deg, ok := ctx.Read(dds.Key{Tag: tagConnDeg, A: int64(v)})
 			if !ok {
 				return fmt.Errorf("core: local MSF missing degree for %d (err %v)", v, ctx.Err())
 			}
-			err := readAdjacency(ctx, v, int(deg.A), func(_ int, a dds.Value) error {
-				if v < int(a.A) {
-					edges = append(edges, we{w: a.B, a: v, b: int(a.A)})
+			err := readAdjacency(ctx, int(v), int(deg.A), func(_ int, a dds.Value) error {
+				if int64(v) < a.A {
+					j, _ := slices.BinarySearch(verts, int32(a.A))
+					edges = append(edges, we{w: a.B, a: i, b: j})
 				}
 				return nil
 			})
@@ -430,7 +373,7 @@ func msfSolveLocally(rt *ampc.Runtime, gc *contracted, phase int, committed map[
 		dsu := graph.NewDSU(len(verts))
 		chosen := make([]dds.KV, 0, len(verts))
 		for _, e := range edges {
-			if dsu.Union(idx[e.a], idx[e.b]) {
+			if dsu.Union(e.a, e.b) {
 				chosen = append(chosen, dds.KV{
 					Key:   dds.Key{Tag: tagMSFEdge, A: -1, B: int64(len(chosen))},
 					Value: dds.Value{A: e.w},

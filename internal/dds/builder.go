@@ -2,6 +2,7 @@ package dds
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -537,6 +538,22 @@ func (w *Writer) clear() {
 	w.sis = w.sis[:0]
 }
 
+// Grow reserves room for n more pairs, so a producer that knows its output
+// size up front (a machine publishing a fixed block of records) appends
+// without ever doubling and copying the buffer. It never changes what the
+// writer holds or what Freeze produces.
+func (w *Writer) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	if w.p == 0 {
+		w.buf = slices.Grow(w.buf, n)
+		return
+	}
+	w.ents = slices.Grow(w.ents, n)
+	w.sis = slices.Grow(w.sis, n)
+}
+
 // Write appends one pair.
 func (w *Writer) Write(k Key, v Value) {
 	if w.p == 0 {
@@ -556,6 +573,7 @@ func (w *Writer) WriteMany(kvs []KV) {
 		w.buf = append(w.buf, kvs...)
 		return
 	}
+	w.Grow(len(kvs))
 	for i := range kvs {
 		h := hash(kvs[i].Key, w.salt)
 		si := w.div.mod(h)

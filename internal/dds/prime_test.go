@@ -237,3 +237,45 @@ func TestWriterWriteManyMatchesWriteLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestWriterGrow pins the reservation contract on both write paths: a
+// writer reserved for n pairs takes exactly n — by Write and by WriteMany —
+// without allocating, and a reservation never changes the frozen bytes.
+func TestWriterGrow(t *testing.T) {
+	const n = 1000
+	kvs := make([]KV, n)
+	for i := range kvs {
+		kvs[i] = KV{Key{Tag: 2, A: int64(i % 70), B: int64(i)}, Value{A: int64(i)}}
+	}
+	for _, primed := range []bool{false, true} {
+		p, salt := 9, uint64(55)
+		plain, grown := NewBuilder(1), NewBuilder(1)
+		if primed {
+			plain.Prime(p, salt)
+			grown.Prime(p, salt)
+		}
+		pw := plain.Writer(0)
+		for _, kv := range kvs {
+			pw.Write(kv.Key, kv.Value)
+		}
+		gw := grown.Writer(0)
+		gw.Grow(n)
+		if allocs := testing.AllocsPerRun(10, func() {
+			gw.clear()
+			for _, kv := range kvs[:n/2] {
+				gw.Write(kv.Key, kv.Value)
+			}
+			gw.WriteMany(kvs[n/2:])
+		}); allocs != 0 {
+			t.Fatalf("primed=%v: filling a reserved writer allocates %.0f times", primed, allocs)
+		}
+		if gw.Len() != n {
+			t.Fatalf("primed=%v: reserved writer holds %d pairs, want %d", primed, gw.Len(), n)
+		}
+		a := string(AppendSegment(nil, plain.Freeze(p, salt)))
+		b := string(AppendSegment(nil, grown.Freeze(p, salt)))
+		if a != b {
+			t.Fatalf("primed=%v: Grow changed the frozen store", primed)
+		}
+	}
+}
