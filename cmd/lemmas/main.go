@@ -71,8 +71,9 @@ func main() {
 	}
 
 	fmt.Println("\n== Proposition 5.1: MIS total query work ==")
-	fmt.Println("expected total queries <= m+n in the paper's call-counting; our per-read accounting")
-	fmt.Println("should stay within a constant factor of m+n and scale linearly")
+	fmt.Println("expected total queries <= m+n in the paper's call-counting (one per visited vertex); we charge")
+	fmt.Println("every read — a visit's degree record plus one pi-ordered adjacency record per earlier neighbor it")
+	fmt.Println("gets to — so queries/(m+n) is that per-visit constant: it should sit near 2 and not grow with n")
 	fmt.Printf("%10s %10s %14s %16s\n", "n", "m", "queries", "queries/(m+n)")
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 10)

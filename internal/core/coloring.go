@@ -2,19 +2,14 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 
 	"ampc/internal/ampc"
-	"ampc/internal/dds"
 	"ampc/internal/graph"
 )
 
-// DDS tags private to the coloring algorithm.
-const (
-	tagColorPrio   = graph.TagAlgoBase + 38 // (tag, v, 0) -> (priority rank, 0)
-	tagColorStatus = graph.TagAlgoBase + 39 // (tag, v, 0) -> (color + 1, 0)
-)
+// DDS tag private to the coloring algorithm.
+const tagColorStatus = graph.TagAlgoBase + 39 // (tag, v, 0) -> (color + 1, 0)
 
 // ColoringResult reports the outcome and cost of the AMPC greedy coloring
 // algorithm.
@@ -45,180 +40,74 @@ func GreedyColoring(ctx context.Context, g *graph.Graph, opts Options) (Coloring
 	n := g.N()
 	if opts.BudgetFactor == 0 {
 		_, s := opts.params(n, g.M())
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (3*g.MaxDeg()+16)/s
+		// Afford a visit its worst case: an adjacency read and a status read
+		// for each of up to Δ settled earlier neighbors.
+		opts.BudgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/s
 	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 	driver := opts.driverRNG(13)
 
 	pi := driver.Perm(n)
-	pairs := graph.Encode(g)
-	for v := 0; v < n; v++ {
-		pairs = append(pairs, dds.KV{
-			Key:   dds.Key{Tag: tagColorPrio, A: int64(v)},
-			Value: dds.Value{A: int64(pi[v])},
-		})
+	if err := rt.AddStatic("color-publish", graph.EncodeRanked(g, pi)); err != nil {
+		return ColoringResult{}, err
 	}
-	if err := rt.AddStatic("color-publish", pairs); err != nil {
+
+	// A vertex's status is its color plus one.
+	s := settler{name: "color", tag: tagColorStatus, state: make([]int32, n)}
+	iters, err := s.run(ctx, rt, opts, driver, colorEval, nil)
+	if err != nil {
 		return ColoringResult{}, err
 	}
 
 	color := make([]int, n)
 	for v := range color {
-		color[v] = -1
+		color[v] = int(s.state[v]) - 1
 	}
-	unsettled := n
-	maxIters := 8*shrinkIterations(opts.Epsilon) + 32
-	iters := 0
-
-	vertices := make([]int, n)
-	for v := range vertices {
-		vertices[v] = v
-	}
-
-	for unsettled > 0 {
-		if err := ctx.Err(); err != nil {
-			return ColoringResult{}, err
-		}
-		if iters++; iters > maxIters {
-			return ColoringResult{}, fmt.Errorf("core: coloring failed to settle after %d iterations (%d left)", maxIters, unsettled)
-		}
-		driver.Shuffle(len(vertices), func(i, j int) { vertices[i], vertices[j] = vertices[j], vertices[i] })
-
-		err := rt.Round(fmt.Sprintf("color-iter-%d", iters), func(ctx *ampc.Ctx) error {
-			lo, hi := ampc.BlockRange(ctx.Machine, len(vertices), ctx.P)
-			q := &colorQuery{ctx: ctx, memo: make(map[int]int)}
-			for _, v := range vertices[lo:hi] {
-				if color[v] >= 0 {
-					q.writeColor(v, color[v])
-				}
-			}
-			for _, v := range vertices[lo:hi] {
-				if color[v] >= 0 {
-					continue
-				}
-				capacity := ctx.S
-				q.eval(v, &capacity)
-			}
-			q.flush()
-			return nil
-		})
-		if err != nil {
-			return ColoringResult{}, err
-		}
-
-		unsettled = 0
-		for v := 0; v < n; v++ {
-			if color[v] >= 0 {
-				continue
-			}
-			if s, ok := rt.Store().Get(dds.Key{Tag: tagColorStatus, A: int64(v)}); ok {
-				color[v] = int(s.A) - 1
-			} else {
-				unsettled++
-			}
-		}
-	}
-
 	return ColoringResult{Color: color, Pi: pi, Telemetry: telemetryFrom(rt, iters)}, nil
 }
 
-// colorQuery evaluates greedy colors through the truncated query process.
-// memo holds determined colors; -1 is never stored.
-type colorQuery struct {
-	ctx  *ampc.Ctx
-	memo map[int]int
-	out  []dds.KV // buffered color writes, flushed once per machine
-}
-
-func (q *colorQuery) writeColor(v, c int) {
-	q.out = append(q.out, dds.KV{Key: dds.Key{Tag: tagColorStatus, A: int64(v)}, Value: dds.Value{A: int64(c) + 1}})
-}
-
-// flush hands the buffered colors to the store in one batched write.
-func (q *colorQuery) flush() {
-	q.ctx.WriteMany(q.out)
-	q.out = q.out[:0]
-}
-
-// eval determines v's greedy color, returning (color, true) or (0, false)
-// when the visit capacity or machine budget ran out.
-func (q *colorQuery) eval(v int, capacity *int) (int, bool) {
-	if c, ok := q.memo[v]; ok {
-		return c, true
+// colorEval determines v's greedy color, returning it plus one, or 0 when
+// the visit capacity or machine budget ran out. Only earlier-priority
+// neighbors constrain v — in the sequential greedy process later neighbors
+// pick their colors after v — so the scan reads exactly the earlier prefix
+// of v's list. The colors seen are marked in a frame of q.used pushed for
+// this visit: deg(v)+1 slots always hold a free color, and the recursion
+// pushes its own frames above.
+func colorEval(q *queryMachine, v int) int32 {
+	if s, done := q.enter(v); done {
+		return s
 	}
-	if *capacity <= 0 || q.ctx.Remaining() <= misReserve {
-		return 0, false
-	}
-	*capacity--
-
-	if s, ok := q.ctx.Read(dds.Key{Tag: tagColorStatus, A: int64(v)}); ok {
-		c := int(s.A) - 1
-		q.memo[v] = c
-		return c, true
-	}
-
-	p, ok := q.ctx.ReadStatic(dds.Key{Tag: tagColorPrio, A: int64(v)})
+	d, ok := q.readStatic(graph.DegKey(v))
 	if !ok {
-		return 0, false
+		return 0
 	}
-	myPrio := p.A
-	d, ok := q.ctx.ReadStatic(graph.DegKey(v))
-	if !ok {
-		return 0, false
-	}
-
-	// Only earlier-priority neighbors constrain v: in the sequential greedy
-	// process, later neighbors pick their colors after v. Later neighbors
-	// are skipped before their statuses are even read.
-	var earlier []prioNbr
-	used := map[int]bool{}
-	for i := 0; i < int(d.A); i++ {
-		if q.ctx.Remaining() <= misReserve {
-			return 0, false
+	deg := int(d.A)
+	base := len(q.used)
+	q.used = slices.Grow(q.used, deg+1)[:base+deg+1]
+	clear(q.used[base:])
+	for i := 0; i < deg; i++ {
+		a, ok := q.readStatic(graph.AdjKey(v, i))
+		if ok && a.B > d.B {
+			break
 		}
-		a, ok := q.ctx.ReadStatic(graph.AdjKey(v, i))
-		if !ok {
-			return 0, false
+		var s int32 // stays 0 if the read was truncated
+		if ok {
+			s = colorEval(q, int(a.A))
 		}
-		u := int(a.A)
-		up, ok := q.ctx.ReadStatic(dds.Key{Tag: tagColorPrio, A: int64(u)})
-		if !ok {
-			return 0, false
+		if s == 0 {
+			q.used = q.used[:base]
+			return 0
 		}
-		if up.A >= myPrio {
-			continue
+		if c := int(s) - 1; c <= deg {
+			q.used[base+c] = true
 		}
-		if c, done := q.memo[u]; done {
-			used[c] = true
-			continue
-		}
-		if s, ok := q.ctx.Read(dds.Key{Tag: tagColorStatus, A: int64(u)}); ok {
-			c := int(s.A) - 1
-			q.memo[u] = c
-			used[c] = true
-			continue
-		}
-		earlier = append(earlier, prioNbr{u, up.A})
-	}
-
-	sort.Slice(earlier, func(i, j int) bool { return earlier[i].prio < earlier[j].prio })
-	for _, u := range earlier {
-		if _, done := q.memo[u.v]; done {
-			continue
-		}
-		c, ok := q.eval(u.v, capacity)
-		if !ok {
-			return 0, false
-		}
-		used[c] = true
 	}
 	// All earlier neighbors colored: take the smallest free color.
 	c := 0
-	for used[c] {
+	for q.used[base+c] {
 		c++
 	}
-	q.memo[v] = c
-	q.writeColor(v, c)
-	return c, true
+	q.used = q.used[:base]
+	return q.settle(v, int32(c)+1)
 }

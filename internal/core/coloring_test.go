@@ -84,6 +84,40 @@ func TestGreedyColoringIterationsSmall(t *testing.T) {
 	}
 }
 
+func TestGreedyColoringTotalQueriesNearLinear(t *testing.T) {
+	// Coloring has no early exit — a vertex needs every earlier neighbor's
+	// color — so its query trees grow exponentially with the degree and
+	// Proposition 5.1 does not carry over. On a bounded-degree graph they
+	// stay small, and the total must stay within a constant of m+n.
+	g := graph.Grid(40, 40)
+	res, err := GreedyColoring(context.Background(), g, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(10 * (g.N() + g.M()))
+	if res.Telemetry.TotalQueries > limit {
+		t.Fatalf("total queries %d exceed %d (10(m+n))", res.Telemetry.TotalQueries, limit)
+	}
+}
+
+func TestGreedyColoringHighDegreeVertex(t *testing.T) {
+	// This seed ranks the star's center after 2737 of its 2999 leaves, all
+	// settled by iteration 2: its one visit then reads an adjacency record
+	// and a status per leaf, about 23x the default budget 8S, and must not
+	// be charged visit capacity for leaves that have left the graph.
+	g := graph.Star(3000)
+	res, err := GreedyColoring(context.Background(), g, Options{Seed: 9, Epsilon: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := graph.GreedyColoring(g, res.Pi)
+	for v := range want {
+		if res.Color[v] != want[v] {
+			t.Fatalf("color[%d] = %d, greedy oracle %d", v, res.Color[v], want[v])
+		}
+	}
+}
+
 func TestGreedyColoringSurvivesFaults(t *testing.T) {
 	r := rng.New(103, 0)
 	g := graph.GNM(150, 400, r)

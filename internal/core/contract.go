@@ -144,14 +144,11 @@ func newFlatDriver(n int, weighted bool, workers int) (*flatDriver, error) {
 	if int64(n) > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: %d vertices exceed the driver's 2^31-1 vertex id range", ErrInvalidOptions, n)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	d := &flatDriver{
 		weighted:  weighted,
 		target:    make([]int32, n),
 		leader:    make([]bool, n),
-		rb:        readback{workers: workers},
+		rb:        newReadback(workers),
 		compactAt: streamCompactAt,
 	}
 	for v := range d.target {
@@ -478,21 +475,36 @@ type rbScratch struct {
 	oks  []bool
 }
 
+// newReadback returns a read path striped over the run's Options.Workers
+// goroutines (zero selects GOMAXPROCS, as in the runtime).
+func newReadback(workers int) readback {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return readback{workers: workers}
+}
+
 // rbChunk is the key batch one GetMany call carries: large enough that the
 // stores' shard-sorted sweep forms long same-shard runs, small enough that
 // the buffers stay cache-resident.
 const rbChunk = 4096
 
 // perVertex reads record (tag, v, 0) of every vertex in verts and hands the
-// i-th vertex's value to put. A missing record is an error.
+// i-th vertex's value to put. A missing record is an error naming what it
+// is; an empty what allows absent records (a §5 query process leaves
+// truncated elements without a status) and skips them.
 func (rb *readback) perVertex(store dds.StoreBackend, tag uint8, what string, verts []int32, put func(i int, v dds.Value)) error {
+	var missing func(i int) error
+	if what != "" {
+		missing = func(i int) error { return missingRecord(store, what, int64(verts[i]), 0) }
+	}
 	return rb.sweep(store, len(verts), put,
 		func(keys []dds.Key, lo int) {
 			for t := range keys {
 				keys[t] = dds.Key{Tag: tag, A: int64(verts[lo+t])}
 			}
 		},
-		func(i int) error { return missingRecord(store, what, int64(verts[i]), 0) })
+		missing)
 }
 
 // perMember reads records (tag, v, 0..k-1) of every vertex, where vertex i
@@ -522,8 +534,11 @@ func (rb *readback) perMember(store dds.StoreBackend, tag uint8, what string, ve
 // sweep reads total keys in chunks: fill writes the keys of flat positions
 // [lo, lo+len(keys)), every value goes to put with its position, and the
 // first absent key (lowest position per worker, lowest worker first) fails
-// the sweep with missing's error. Workers own contiguous spans, so put and
-// fill are called concurrently for disjoint positions only.
+// the sweep with missing's error. A nil missing allows absent keys: they are
+// skipped, and since a networked store whose replicas were all exhausted
+// also reads as absent, the sweep then fails on the store's latched read
+// error instead. Workers own contiguous spans, so put and fill are called
+// concurrently for disjoint positions only.
 func (rb *readback) sweep(store dds.StoreBackend, total int, put func(j int, v dds.Value), fill func(keys []dds.Key, lo int), missing func(j int) error) error {
 	workers := rb.workers
 	if most := (total + rbChunk - 1) / rbChunk; workers > most {
@@ -548,33 +563,42 @@ func (rb *readback) sweep(store dds.StoreBackend, total int, put func(j int, v d
 			fill(keys, lo)
 			getMany(store, keys, vals, oks)
 			for t, ok := range oks {
-				if !ok {
+				if ok {
+					put(lo+t, vals[t])
+				} else if missing != nil {
 					return missing(lo + t)
 				}
-				put(lo+t, vals[t])
 			}
 		}
 		return nil
 	}
+	var err error
 	if workers == 1 {
-		return span(0)
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = span(w)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+		err = span(0)
+	} else {
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = span(w)
+			}(w)
+		}
+		wg.Wait()
+		for _, e := range errs {
+			if e != nil {
+				err = e
+				break
+			}
 		}
 	}
-	return nil
+	if err == nil && missing == nil {
+		if cause := readErr(store); cause != nil {
+			err = fmt.Errorf("core: read-back: %w", cause)
+		}
+	}
+	return err
 }
 
 // getMany is Get over a key batch, through the backend's batch surface when
@@ -596,10 +620,17 @@ func getMany(store dds.StoreBackend, keys []dds.Key, vals []dds.Value, oks []boo
 // all exhausted reads as absent), that failure is the cause and is wrapped.
 func missingRecord(store dds.StoreBackend, what string, a, b int64) error {
 	err := fmt.Errorf("core: missing %s record (%d,%d)", what, a, b)
-	if re, ok := store.(interface{ ReadErr() error }); ok {
-		if cause := re.ReadErr(); cause != nil {
-			return fmt.Errorf("%w: %w", err, cause)
-		}
+	if cause := readErr(store); cause != nil {
+		return fmt.Errorf("%w: %w", err, cause)
 	}
 	return err
+}
+
+// readErr returns the read failure the store latched, if it is a backend
+// that latches one.
+func readErr(store dds.StoreBackend) error {
+	if re, ok := store.(interface{ ReadErr() error }); ok {
+		return re.ReadErr()
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ampc/internal/ampc"
 	"ampc/internal/dds"
 	"ampc/internal/graph"
 	"ampc/internal/rng"
@@ -214,6 +215,61 @@ func TestReadFoundMissingRecord(t *testing.T) {
 		lossy = &lossyStore{StoreBackend: rt.Store(), drop: dds.Key{Tag: tagConnSize, A: v}}
 		if err := d.readFound(lossy, gc.verts, false); err == nil {
 			t.Fatalf("workers=%d: missing size record accepted", workers)
+		}
+	}
+}
+
+// TestSettleFoldLossyStore is the same fault for the three §5 query
+// processes, whose fold-back legitimately allows absent statuses (a truncated
+// element has none): a status that is absent because the backend lost it must
+// not read as "unsettled" once the backend has latched the failure — the run
+// used to burn its iterations and then report "failed to settle" — while
+// without a latched failure it is just one more element to retry.
+func TestSettleFoldLossyStore(t *testing.T) {
+	const n = 20000 // several read-back chunks
+	for _, tc := range []struct {
+		name string
+		tag  uint8
+	}{{"mis", tagMISStatus}, {"match", tagMatchStatus}, {"color", tagColorStatus}} {
+		rt := Options{Seed: 3}.withDefaults().newRuntime(context.Background(), n, 0)
+		defer rt.Close()
+		// Every third id is left without a status, as if truncated.
+		err := rt.Round("statuses", func(ctx *ampc.Ctx) error {
+			lo, hi := ampc.BlockRange(ctx.Machine, n, ctx.P)
+			for id := lo; id < hi; id++ {
+				if id%3 != 0 {
+					ctx.Write(dds.Key{Tag: tc.tag, A: int64(id)}, dds.Value{A: 1})
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending := make([]int32, n)
+		for i := range pending {
+			pending[i] = int32(i)
+		}
+		for _, workers := range []int{1, 4} {
+			rb := newReadback(workers)
+			lossy := &lossyStore{StoreBackend: rt.Store(), drop: dds.Key{Tag: tc.tag, A: 7}}
+			state := make([]int32, n)
+			fold := func() error {
+				return rb.perVertex(lossy, tc.tag, "", pending, func(i int, v dds.Value) { state[pending[i]] = int32(v.A) })
+			}
+			if err := fold(); err != nil {
+				t.Fatalf("%s workers=%d: fold over a store with absent statuses: %v", tc.name, workers, err)
+			}
+			for id, st := range state {
+				if want := id%3 != 0 && id != 7; (st != 0) != want {
+					t.Fatalf("%s workers=%d: id %d folded as %d, settled should be %v", tc.name, workers, id, st, want)
+				}
+			}
+			lossy.latched = fmt.Errorf("shard 3: %w", dds.ErrBackendUnavailable)
+			err := fold()
+			if !errors.Is(err, dds.ErrBackendUnavailable) {
+				t.Fatalf("%s workers=%d: latched read failure not returned: %v", tc.name, workers, err)
+			}
 		}
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"ampc/internal/ampc"
 	"ampc/internal/dds"
@@ -13,9 +11,8 @@ import (
 // DDS tags private to the maximal matching algorithm.
 const (
 	tagMatchEdge   = graph.TagAlgoBase + 32 // (tag, e, 0) -> (u, v) endpoints of edge e
-	tagMatchInc    = graph.TagAlgoBase + 33 // (tag, v, i) -> (edge id of v's i-th incident edge, 0)
-	tagMatchPrio   = graph.TagAlgoBase + 34 // (tag, e, 0) -> (priority rank, 0)
-	tagMatchStatus = graph.TagAlgoBase + 35 // (tag, e, 0) -> (1 matched / 0 not, 0)
+	tagMatchInc    = graph.TagAlgoBase + 33 // (tag, v, i) -> (e, rank of e): v's incident edge of i-th smallest rank
+	tagMatchStatus = graph.TagAlgoBase + 35 // (tag, e, 0) -> (+1 matched / -1 not, 0)
 )
 
 // MatchingResult reports the outcome and cost of the AMPC maximal matching
@@ -47,107 +44,41 @@ func MaximalMatching(ctx context.Context, g *graph.Graph, opts Options) (Matchin
 	m := g.M()
 	if opts.BudgetFactor == 0 {
 		_, s := opts.params(m+1, m)
-		// A line-graph neighborhood scan touches both endpoints' incident
-		// edge lists: afford 2Δ of them plus the usual c·S.
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (6*g.MaxDeg()+16)/s
+		// A line-graph neighborhood is both endpoints' incident edge lists,
+		// up to 2Δ edges: afford each its list read and its status read, plus
+		// the usual c·S.
+		opts.BudgetFactor = ampc.DefaultBudgetFactor + (4*g.MaxDeg()+16)/s
 	}
 	rt := opts.newRuntime(ctx, m+1, m)
 	defer rt.Close()
 	driver := opts.driverRNG(12)
 
-	// Publish the line-graph structure: edge endpoints, per-vertex incident
-	// edge ids, and the random edge priorities.
 	pi := driver.Perm(m)
-	pairs := make([]dds.KV, 0, 3*m+g.N())
-	incIndex := make([]int, g.N())
-	for e, edge := range g.Edges() {
-		pairs = append(pairs,
-			dds.KV{Key: dds.Key{Tag: tagMatchEdge, A: int64(e)}, Value: dds.Value{A: int64(edge.U), B: int64(edge.V)}},
-			dds.KV{Key: dds.Key{Tag: tagMatchPrio, A: int64(e)}, Value: dds.Value{A: int64(pi[e])}},
-			dds.KV{Key: dds.Key{Tag: tagMatchInc, A: int64(edge.U), B: int64(incIndex[edge.U])}, Value: dds.Value{A: int64(e)}},
-			dds.KV{Key: dds.Key{Tag: tagMatchInc, A: int64(edge.V), B: int64(incIndex[edge.V])}, Value: dds.Value{A: int64(e)}},
-		)
-		incIndex[edge.U]++
-		incIndex[edge.V]++
-	}
-	for v := 0; v < g.N(); v++ {
-		pairs = append(pairs, dds.KV{Key: graph.DegKey(v), Value: dds.Value{A: int64(g.Deg(v))}})
-	}
-	if err := rt.AddStatic("match-publish", pairs); err != nil {
+	if err := rt.AddStatic("match-publish", encodeLineGraph(g, pi)); err != nil {
 		return MatchingResult{}, err
 	}
 
-	settled := make([]int8, m)
-	unsettled := m
-	maxIters := 8*shrinkIterations(opts.Epsilon) + 32
-	iters := 0
-
-	edges := make([]int, m)
-	for e := range edges {
-		edges[e] = e
-	}
-
-	for unsettled > 0 {
-		if err := ctx.Err(); err != nil {
-			return MatchingResult{}, err
-		}
-		if iters++; iters > maxIters {
-			return MatchingResult{}, fmt.Errorf("core: matching failed to settle after %d iterations (%d left)", maxIters, unsettled)
-		}
-		driver.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-
-		err := rt.Round(fmt.Sprintf("match-iter-%d", iters), func(ctx *ampc.Ctx) error {
-			lo, hi := ampc.BlockRange(ctx.Machine, len(edges), ctx.P)
-			q := &matchQuery{ctx: ctx, memo: make(map[int]int8)}
-			for _, e := range edges[lo:hi] {
-				if s := settled[e]; s != 0 {
-					q.writeStatus(e, s)
+	s := settler{name: "match", tag: tagMatchStatus, state: make([]int32, m)}
+	settled := s.state // 0 unknown, +1 matched, -1 not matched
+	matchedV := make([]bool, g.N())
+	iters, err := s.run(ctx, rt, opts, driver,
+		func(q *queryMachine, e int) int32 { return matchEval(q, e, int64(pi[e])) },
+		// The removal rule: edges adjacent to a matched edge leave the graph
+		// unmatched.
+		func() {
+			for e, edge := range g.Edges() {
+				if settled[e] == 1 {
+					matchedV[edge.U], matchedV[edge.V] = true, true
 				}
 			}
-			for _, e := range edges[lo:hi] {
-				if settled[e] != 0 {
-					continue
-				}
-				capacity := ctx.S
-				q.eval(e, &capacity)
-			}
-			q.flush()
-			return nil
-		})
-		if err != nil {
-			return MatchingResult{}, err
-		}
-
-		// Master: fold discoveries, then apply the removal rule (edges
-		// adjacent to a matched edge leave the graph unmatched).
-		for e := 0; e < m; e++ {
-			if settled[e] != 0 {
-				continue
-			}
-			if s, ok := rt.Store().Get(dds.Key{Tag: tagMatchStatus, A: int64(e)}); ok {
-				if s.A == 1 {
-					settled[e] = 1
-				} else {
+			for e, edge := range g.Edges() {
+				if settled[e] == 0 && (matchedV[edge.U] || matchedV[edge.V]) {
 					settled[e] = -1
 				}
 			}
-		}
-		matchedV := make([]bool, g.N())
-		for e, edge := range g.Edges() {
-			if settled[e] == 1 {
-				matchedV[edge.U] = true
-				matchedV[edge.V] = true
-			}
-		}
-		unsettled = 0
-		for e, edge := range g.Edges() {
-			if settled[e] == 0 && (matchedV[edge.U] || matchedV[edge.V]) {
-				settled[e] = -1
-			}
-			if settled[e] == 0 {
-				unsettled++
-			}
-		}
+		})
+	if err != nil {
+		return MatchingResult{}, err
 	}
 
 	matched := make([]bool, m)
@@ -157,122 +88,70 @@ func MaximalMatching(ctx context.Context, g *graph.Graph, opts Options) (Matchin
 	return MatchingResult{Matched: matched, Pi: pi, Telemetry: telemetryFrom(rt, iters)}, nil
 }
 
-// matchQuery runs the truncated query process on the line graph.
-type matchQuery struct {
-	ctx  *ampc.Ctx
-	memo map[int]int8
-	out  []dds.KV // buffered status writes, flushed once per machine
-}
-
-func (q *matchQuery) writeStatus(e int, s int8) {
-	val := int64(0)
-	if s == 1 {
-		val = 1
+// encodeLineGraph serializes what the query process reads of g's line graph
+// under the edge priorities pi: every edge's endpoints and, per vertex, its
+// incident edges ordered by rank with the ranks inline (visiting the edges
+// by ascending rank fills every list in rank order).
+func encodeLineGraph(g *graph.Graph, pi []int) []dds.KV {
+	byRank := make([]int, len(pi))
+	for e, rank := range pi {
+		byRank[rank] = e
 	}
-	q.out = append(q.out, dds.KV{Key: dds.Key{Tag: tagMatchStatus, A: int64(e)}, Value: dds.Value{A: val}})
+	pairs := make([]dds.KV, 0, 3*len(pi))
+	filled := make([]int64, g.N())
+	for rank, e := range byRank {
+		u, v := int64(g.Edges()[e].U), int64(g.Edges()[e].V)
+		inc := dds.Value{A: int64(e), B: int64(rank)}
+		pairs = append(pairs,
+			dds.KV{Key: dds.Key{Tag: tagMatchEdge, A: int64(e)}, Value: dds.Value{A: u, B: v}},
+			dds.KV{Key: dds.Key{Tag: tagMatchInc, A: u, B: filled[u]}, Value: inc},
+			dds.KV{Key: dds.Key{Tag: tagMatchInc, A: v, B: filled[v]}, Value: inc},
+		)
+		filled[u]++
+		filled[v]++
+	}
+	return pairs
 }
 
-// flush hands the buffered statuses to the store in one batched write.
-func (q *matchQuery) flush() {
-	q.ctx.WriteMany(q.out)
-	q.out = q.out[:0]
-}
-
-func (q *matchQuery) low() bool { return q.ctx.Remaining() <= misReserve }
-
-// eval determines whether edge e joins the greedy matching, returning +1,
-// -1, or 0 (truncated). capacity counts recursive visits.
-func (q *matchQuery) eval(e int, capacity *int) int8 {
-	if s, ok := q.memo[e]; ok {
+// matchEval determines whether edge e, of the given rank, joins the greedy
+// matching, returning +1, -1, or 0 (truncated). e's earlier neighbors in the
+// line graph are the edges ahead of it in its two endpoints' incident lists,
+// so the scan merges the two lists lazily, earliest first, and ends when
+// both have reached e itself. e sits in both lists, so neither is ever read
+// past its end.
+func matchEval(q *queryMachine, e int, rank int64) int32 {
+	if s, done := q.enter(e); done {
 		return s
 	}
-	if *capacity <= 0 || q.low() {
-		return 0
-	}
-	*capacity--
-
-	if s, ok := q.ctx.Read(dds.Key{Tag: tagMatchStatus, A: int64(e)}); ok {
-		r := int8(-1)
-		if s.A == 1 {
-			r = 1
-		}
-		q.memo[e] = r
-		return r
-	}
-
-	p, ok := q.ctx.ReadStatic(dds.Key{Tag: tagMatchPrio, A: int64(e)})
+	ends, ok := q.readStatic(dds.Key{Tag: tagMatchEdge, A: int64(e)})
 	if !ok {
 		return 0
 	}
-	myPrio := p.A
-	ends, ok := q.ctx.ReadStatic(dds.Key{Tag: tagMatchEdge, A: int64(e)})
-	if !ok {
-		return 0
-	}
-
-	// Scan the incident edges of both endpoints: a settled matched
-	// neighbor decides e immediately; settled unmatched neighbors are gone
-	// from the remaining line graph.
-	var earlier []prioNbr
-	for _, v := range [2]int64{ends.A, ends.B} {
-		if q.low() {
+	end := [2]int64{ends.A, ends.B}
+	var at [2]int64       // the cursor into each endpoint's list
+	var head [2]dds.Value // the record under it
+	for side := range end {
+		if head[side], ok = q.readStatic(dds.Key{Tag: tagMatchInc, A: end[side]}); !ok {
 			return 0
 		}
-		deg, ok := q.ctx.ReadStatic(graph.DegKey(int(v)))
-		if !ok {
-			return 0
-		}
-		for i := 0; i < int(deg.A); i++ {
-			if q.low() {
-				return 0
-			}
-			rec, ok := q.ctx.ReadStatic(dds.Key{Tag: tagMatchInc, A: v, B: int64(i)})
-			if !ok {
-				return 0
-			}
-			o := int(rec.A)
-			if o == e {
-				continue
-			}
-			if s, done := q.memo[o]; done {
-				if s == 1 {
-					q.memo[e] = -1
-					q.writeStatus(e, -1)
-					return -1
-				}
-				continue
-			}
-			if s, ok := q.ctx.Read(dds.Key{Tag: tagMatchStatus, A: int64(o)}); ok {
-				if s.A == 1 {
-					q.memo[e] = -1
-					q.writeStatus(e, -1)
-					return -1
-				}
-				q.memo[o] = -1
-				continue
-			}
-			op, ok := q.ctx.ReadStatic(dds.Key{Tag: tagMatchPrio, A: int64(o)})
-			if !ok {
-				return 0
-			}
-			if op.A < myPrio {
-				earlier = append(earlier, prioNbr{o, op.A})
-			}
-		}
 	}
-	sort.Slice(earlier, func(i, j int) bool { return earlier[i].prio < earlier[j].prio })
-
-	for _, o := range earlier {
-		switch q.eval(o.v, capacity) {
+	for {
+		side := 0
+		if head[1].B < head[0].B {
+			side = 1
+		}
+		if head[side].B >= rank {
+			return q.settle(e, 1) // no earlier neighbor is matched
+		}
+		switch matchEval(q, int(head[side].A), head[side].B) {
 		case 1:
-			q.memo[e] = -1
-			q.writeStatus(e, -1)
-			return -1
+			return q.settle(e, -1)
 		case 0:
 			return 0
 		}
+		at[side]++
+		if head[side], ok = q.readStatic(dds.Key{Tag: tagMatchInc, A: end[side], B: at[side]}); !ok {
+			return 0
+		}
 	}
-	q.memo[e] = 1
-	q.writeStatus(e, 1)
-	return 1
 }

@@ -65,6 +65,25 @@ func TestMaximalMatchingIterationsSmall(t *testing.T) {
 	}
 }
 
+func TestMaximalMatchingTotalQueriesNearLinear(t *testing.T) {
+	// Proposition 5.1 on the line graph, whose vertices are g's edges and
+	// whose edges are the pairs of edges sharing an endpoint.
+	r := rng.New(95, 0)
+	g := graph.GNM(1500, 6000, r)
+	res, err := MaximalMatching(context.Background(), g, Options{Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineSize := g.M()
+	for v := 0; v < g.N(); v++ {
+		lineSize += g.Deg(v) * (g.Deg(v) - 1) / 2
+	}
+	limit := int64(3 * lineSize)
+	if res.Telemetry.TotalQueries > limit {
+		t.Fatalf("total queries %d exceed %d (3x the line graph's m+n)", res.Telemetry.TotalQueries, limit)
+	}
+}
+
 func TestMaximalMatchingSurvivesFaults(t *testing.T) {
 	r := rng.New(93, 0)
 	g := graph.GNM(200, 500, r)

@@ -2,19 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
 
 	"ampc/internal/ampc"
-	"ampc/internal/dds"
 	"ampc/internal/graph"
 )
 
-// DDS tags private to the MIS algorithm.
-const (
-	tagMISPrio   = graph.TagAlgoBase + 16 // (tag, v, 0) -> (priority rank, 0)
-	tagMISStatus = graph.TagAlgoBase + 17 // (tag, v, 0) -> (1 in MIS / 0 not, 0)
-)
+// DDS tag private to the MIS algorithm.
+const tagMISStatus = graph.TagAlgoBase + 17 // (tag, v, 0) -> (+1 in MIS / -1 not, 0)
 
 // MISResult reports the outcome and cost of the AMPC MIS algorithm.
 type MISResult struct {
@@ -40,12 +34,17 @@ type MISResult struct {
 // unsettled and retry in the next iteration against the statuses settled so
 // far (Lemma 5.2 bounds the iterations by O(1/ε)).
 //
-// Communication accounting: the paper counts one query per visited vertex
-// and implicitly assumes a neighbor list fits in machine space (Algorithm 5
-// sorts it locally), i.e. Δ = O(S). We charge every DDS read individually —
-// stricter — and size the budget to afford Δ reads plus the usual c·S, so
-// inputs with Δ > S still run while the per-read accounting stays visible
-// in the telemetry.
+// Communication accounting: the paper counts one query per visited vertex,
+// with Algorithm 5 sorting the visited vertex's neighbor list by π locally.
+// Here the lists are published already in π order with the ranks inline
+// (graph.EncodeRanked) and every DDS read is charged individually, so a
+// visit costs one status read (from the second iteration on), one
+// degree-and-rank read, and one adjacency read per earlier neighbor the
+// recursion actually gets to, plus the one that shows the earlier prefix has
+// ended — never a read for a neighbor ranked after that. A neighbor settled
+// in an earlier iteration costs its adjacency read and its status read, so
+// the budget affords 2Δ reads on top of the usual c·S: one visit always
+// fits, and inputs with Δ > S still run.
 func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
@@ -55,99 +54,39 @@ func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 	n := g.N()
 	if opts.BudgetFactor == 0 {
 		_, s := opts.params(n, g.M())
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (3*g.MaxDeg()+16)/s
+		opts.BudgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/s
 	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 	driver := opts.driverRNG(4)
 
-	// Publish the graph and the priority permutation.
+	// Publish the graph with every adjacency list ordered by the priority
+	// permutation and the ranks inline.
 	pi := driver.Perm(n)
-	pairs := graph.Encode(g)
-	for v := 0; v < n; v++ {
-		pairs = append(pairs, dds.KV{
-			Key:   dds.Key{Tag: tagMISPrio, A: int64(v)},
-			Value: dds.Value{A: int64(pi[v])},
-		})
-	}
-	if err := rt.AddStatic("mis-publish", pairs); err != nil {
+	if err := rt.AddStatic("mis-publish", graph.EncodeRanked(g, pi)); err != nil {
 		return MISResult{}, err
 	}
 
-	settled := make([]int8, n) // 0 unknown, +1 in MIS, -1 not in MIS
-	unsettled := n
-	maxIters := 8*shrinkIterations(opts.Epsilon) + 32 // generous safety cap
-	iters := 0
-
-	vertices := make([]int, n)
-	for v := range vertices {
-		vertices[v] = v
-	}
-
-	for unsettled > 0 {
-		if err := ctx.Err(); err != nil {
-			return MISResult{}, err
-		}
-		if iters++; iters > maxIters {
-			return MISResult{}, fmt.Errorf("core: MIS failed to settle after %d iterations (%d left)", maxIters, unsettled)
-		}
-		driver.Shuffle(len(vertices), func(i, j int) { vertices[i], vertices[j] = vertices[j], vertices[i] })
-
-		err := rt.Round(fmt.Sprintf("mis-iter-%d", iters), func(ctx *ampc.Ctx) error {
-			lo, hi := ampc.BlockRange(ctx.Machine, len(vertices), ctx.P)
-			q := &misQuery{ctx: ctx, memo: make(map[int]int8)}
-			// Carry forward settled statuses for owned vertices, then run
-			// the truncated query process for the unsettled ones.
-			for _, v := range vertices[lo:hi] {
-				if s := settled[v]; s != 0 {
-					q.writeStatus(v, s)
-				}
-			}
-			for _, v := range vertices[lo:hi] {
-				if settled[v] != 0 {
+	s := settler{name: "mis", tag: tagMISStatus, state: make([]int32, n)}
+	settled := s.state // 0 unknown, +1 in MIS, -1 not in MIS
+	iters, err := s.run(ctx, rt, opts, driver, misEval,
+		// The Algorithm 4 removal rule — neighbors of vertices that joined
+		// the MIS leave the graph as non-members (an MPC compaction step in
+		// the paper).
+		func() {
+			for v, st := range settled {
+				if st != 1 {
 					continue
 				}
-				capacity := ctx.S // the paper's per-vertex visit cap c
-				q.eval(v, &capacity)
-			}
-			q.flush()
-			return nil
-		})
-		if err != nil {
-			return MISResult{}, err
-		}
-
-		// Master: fold the round's discoveries back into the driver state,
-		// and apply the Algorithm 4 removal rule — neighbors of vertices
-		// that joined the MIS leave the graph as non-members (an MPC
-		// compaction step in the paper).
-		for v := 0; v < n; v++ {
-			if settled[v] != 0 {
-				continue
-			}
-			if s, ok := rt.Store().Get(dds.Key{Tag: tagMISStatus, A: int64(v)}); ok {
-				if s.A == 1 {
-					settled[v] = 1
-				} else {
-					settled[v] = -1
-				}
-			}
-		}
-		unsettled = 0
-		for v := 0; v < n; v++ {
-			if settled[v] == 1 {
 				for _, u := range g.Neighbors(v) {
 					if settled[u] == 0 {
 						settled[u] = -1
 					}
 				}
 			}
-		}
-		for v := 0; v < n; v++ {
-			if settled[v] == 0 {
-				unsettled++
-			}
-		}
+		})
+	if err != nil {
+		return MISResult{}, err
 	}
 
 	in := make([]bool, n)
@@ -157,127 +96,33 @@ func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 	return MISResult{InMIS: in, Pi: pi, Telemetry: telemetryFrom(rt, iters)}, nil
 }
 
-// misQuery runs the truncated query process (Algorithm 5) for one machine
-// within one round. memo caches fully determined vertices: f(v, π) is a
-// deterministic function of the graph and π, so locally determined values
-// are globally consistent and can be published.
-type misQuery struct {
-	ctx  *ampc.Ctx
-	memo map[int]int8
-	out  []dds.KV // buffered status writes, flushed once per machine
-}
-
-func (q *misQuery) writeStatus(v int, s int8) {
-	val := int64(0)
-	if s == 1 {
-		val = 1
-	}
-	q.out = append(q.out, dds.KV{Key: dds.Key{Tag: tagMISStatus, A: int64(v)}, Value: dds.Value{A: val}})
-}
-
-// flush hands the buffered statuses to the store in one batched write —
-// the machine's whole round output, order preserved.
-func (q *misQuery) flush() {
-	q.ctx.WriteMany(q.out)
-	q.out = q.out[:0]
-}
-
-// reserve is the slack kept unspent in the machine budget so bookkeeping
-// writes never trip ErrBudget; running low is treated as truncation.
-const misReserve = 8
-
-func (q *misQuery) low() bool { return q.ctx.Remaining() <= misReserve }
-
-// eval determines f(v, π) if possible, returning +1 (in MIS), -1 (not), or
-// 0 (unknown: the visit capacity or the machine budget ran out). capacity
-// counts recursive visits, matching Algorithm 5's q.
-func (q *misQuery) eval(v int, capacity *int) int8 {
-	if s, ok := q.memo[v]; ok {
+// misEval determines f(v, π) if possible (Algorithm 5), returning +1 (in
+// MIS), -1 (not), or 0 (unknown: the visit capacity or the machine budget
+// ran out). v is in the MIS exactly if none of its earlier neighbors is, so
+// the scan walks v's list — earliest first — only as far as the first MIS
+// member or the first neighbor ranked after v.
+func misEval(q *queryMachine, v int) int32 {
+	if s, done := q.enter(v); done {
 		return s
 	}
-	if *capacity <= 0 || q.low() {
-		return 0
-	}
-	*capacity--
-
-	// Previously settled status is authoritative.
-	if s, ok := q.ctx.Read(dds.Key{Tag: tagMISStatus, A: int64(v)}); ok {
-		r := int8(-1)
-		if s.A == 1 {
-			r = 1
-		}
-		q.memo[v] = r
-		return r
-	}
-
-	p, ok := q.ctx.ReadStatic(dds.Key{Tag: tagMISPrio, A: int64(v)})
+	d, ok := q.readStatic(graph.DegKey(v))
 	if !ok {
 		return 0
 	}
-	myPrio := p.A
-
-	// Scan the neighborhood: settled non-members are gone from the
-	// remaining graph; a settled member anywhere decides v immediately
-	// (MIS neighbors exclude v regardless of order).
-	d, ok := q.ctx.ReadStatic(graph.DegKey(v))
-	if !ok {
-		return 0
-	}
-	var earlier []prioNbr
 	for i := 0; i < int(d.A); i++ {
-		if q.low() {
-			return 0
-		}
-		a, ok := q.ctx.ReadStatic(graph.AdjKey(v, i))
+		a, ok := q.readStatic(graph.AdjKey(v, i))
 		if !ok {
 			return 0
 		}
-		u := int(a.A)
-		if s, done := q.memo[u]; done {
-			if s == 1 {
-				q.memo[v] = -1
-				q.writeStatus(v, -1)
-				return -1
-			}
-			if s == -1 {
-				continue
-			}
+		if a.B > d.B {
+			break
 		}
-		if s, ok := q.ctx.Read(dds.Key{Tag: tagMISStatus, A: int64(u)}); ok {
-			if s.A == 1 {
-				q.memo[v] = -1
-				q.writeStatus(v, -1)
-				return -1
-			}
-			q.memo[u] = -1
-			continue
-		}
-		up, ok := q.ctx.ReadStatic(dds.Key{Tag: tagMISPrio, A: int64(u)})
-		if !ok {
-			return 0
-		}
-		if up.A < myPrio {
-			earlier = append(earlier, prioNbr{u, up.A})
-		}
-	}
-	sort.Slice(earlier, func(i, j int) bool { return earlier[i].prio < earlier[j].prio })
-
-	for _, u := range earlier {
-		switch q.eval(u.v, capacity) {
+		switch misEval(q, int(a.A)) {
 		case 1:
-			q.memo[v] = -1
-			q.writeStatus(v, -1)
-			return -1
+			return q.settle(v, -1)
 		case 0:
 			return 0 // truncated below; v stays unknown this iteration
 		}
 	}
-	q.memo[v] = 1
-	q.writeStatus(v, 1)
-	return 1
-}
-
-type prioNbr struct {
-	v    int
-	prio int64
+	return q.settle(v, 1)
 }

@@ -69,18 +69,19 @@ func TestMISIterationsSmall(t *testing.T) {
 }
 
 func TestMISTotalQueriesNearLinear(t *testing.T) {
-	// Proposition 5.1: E[sum of query costs] <= m + n. Our accounting also
-	// counts neighborhood reads, so allow a constant factor over m+n, but
-	// reject anything superlinear.
+	// Proposition 5.1: E[sum of query costs] <= m + n, counting one query
+	// per visited vertex. Our accounting charges a visit its degree read and
+	// the adjacency reads of the earlier neighbors it gets to, which is a
+	// small constant per visit (about 2 here), so hold the total to 5(m+n).
 	r := rng.New(43, 0)
 	g := graph.GNM(1500, 6000, r)
 	res, err := MIS(context.Background(), g, Options{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := int64(20 * (g.N() + g.M()))
+	limit := int64(5 * (g.N() + g.M()))
 	if res.Telemetry.TotalQueries > limit {
-		t.Fatalf("total queries %d exceed %d (~20(m+n))", res.Telemetry.TotalQueries, limit)
+		t.Fatalf("total queries %d exceed %d (5(m+n))", res.Telemetry.TotalQueries, limit)
 	}
 }
 

@@ -10,6 +10,8 @@ import "ampc/internal/dds"
 //	(TagAdj,  v, i)  -> (u, w)    the i-th neighbor of v, with edge weight w
 //	                              (w = 0 for unweighted graphs)
 //
+// EncodeRanked is the variant for algorithms that fix a vertex permutation.
+//
 // Tags below 16 are reserved for this encoding; algorithm packages use
 // higher tags for their own records.
 const (
@@ -38,6 +40,45 @@ func Encode(g *Graph) []dds.KV {
 		pairs = append(pairs, dds.KV{Key: DegKey(v), Value: dds.Value{A: int64(g.Deg(v))}})
 		for i, u := range g.Neighbors(v) {
 			pairs = append(pairs, dds.KV{Key: AdjKey(v, i), Value: dds.Value{A: int64(u)}})
+		}
+	}
+	return pairs
+}
+
+// EncodeRanked serializes g for the §5 query processes, which explore a
+// neighborhood in the order of a priority permutation pi (pi[v] is v's rank):
+// every adjacency list is published already ordered by rank, with the ranks
+// inline, so a machine reads one record per neighbor it needs and none to
+// learn who comes first.
+//
+//	(TagDeg, v, 0)  -> (deg(v), pi[v])
+//	(TagAdj, v, i)  -> (u, pi[u])   v's neighbor of i-th smallest rank
+//
+// The lists come out sorted without sorting: visiting the vertices by
+// ascending rank and appending each to its neighbors' lists fills every list
+// in rank order.
+func EncodeRanked(g *Graph, pi []int) []dds.KV {
+	n := g.N()
+	byRank := make([]int, n)
+	for v, rank := range pi {
+		byRank[rank] = v
+	}
+	// ranked is g.adj with every list reordered by rank, filled through a
+	// per-vertex cursor.
+	ranked := make([]int, len(g.adj))
+	next := append([]int(nil), g.offs[:n]...)
+	for _, u := range byRank {
+		for _, v := range g.Neighbors(u) {
+			ranked[next[v]] = u
+			next[v]++
+		}
+	}
+	pairs := make([]dds.KV, 0, 1+n+len(ranked))
+	pairs = append(pairs, dds.KV{Key: MetaKey(), Value: dds.Value{A: int64(n), B: int64(g.M())}})
+	for v := 0; v < n; v++ {
+		pairs = append(pairs, dds.KV{Key: DegKey(v), Value: dds.Value{A: int64(g.Deg(v)), B: int64(pi[v])}})
+		for i, u := range ranked[g.offs[v]:g.offs[v+1]] {
+			pairs = append(pairs, dds.KV{Key: AdjKey(v, i), Value: dds.Value{A: int64(u), B: int64(pi[u])}})
 		}
 	}
 	return pairs

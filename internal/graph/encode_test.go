@@ -116,3 +116,45 @@ func TestDecodeTruncatedAdjacency(t *testing.T) {
 		t.Fatal("empty error message")
 	}
 }
+
+func TestEncodeRankedOrdersByRank(t *testing.T) {
+	check := func(seed uint64, nRaw uint8) bool {
+		n := int(nRaw)%60 + 1
+		r := rng.New(seed, 11)
+		m := r.Intn(3*n + 1)
+		if max := n * (n - 1) / 2; m > max {
+			m = max
+		}
+		g := GNM(n, m, r)
+		pi := r.Perm(n)
+		pairs := EncodeRanked(g, pi)
+		if len(pairs) != 1+n+2*m {
+			return false
+		}
+		store := dds.NewStore(pairs, 8, seed)
+		for v := 0; v < n; v++ {
+			d, ok := store.Get(DegKey(v))
+			if !ok || int(d.A) != g.Deg(v) || int(d.B) != pi[v] {
+				return false
+			}
+			// The list is a permutation of v's neighbors, each with its own
+			// rank inline, strictly increasing in rank.
+			seen := map[int]bool{}
+			prev := int64(-1)
+			for i := 0; i < g.Deg(v); i++ {
+				a, ok := store.Get(AdjKey(v, i))
+				if !ok || a.B <= prev || int(a.B) != pi[a.A] || !g.HasEdge(v, int(a.A)) || seen[int(a.A)] {
+					return false
+				}
+				seen[int(a.A)] = true
+				prev = a.B
+			}
+		}
+		// The encoding still decodes as the standard one.
+		h, err := Decode(store)
+		return err == nil && h.N() == n && h.M() == m
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
