@@ -44,6 +44,20 @@ func postJob(t *testing.T, base string, req submitRequest) uint64 {
 	return sub.ID
 }
 
+// decodeJSON checks the response status and decodes the body, surfacing the
+// server's error message on mismatch.
+func decodeJSON(resp *http.Response, wantStatus int, v any) error {
+	defer resp.Body.Close()
+	if resp.StatusCode != wantStatus {
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return fmt.Errorf("status %d (want %d): %s", resp.StatusCode, wantStatus, e.Error)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
 // get fetches URL expecting the given status and decodes the JSON body.
 func get(t *testing.T, url string, wantStatus int, v any) {
 	t.Helper()
@@ -332,14 +346,5 @@ func TestDaemonBadRequests(t *testing.T) {
 	get(t, base+"/healthz", http.StatusOK, &hz)
 	if !hz.OK || len(hz.Algorithms) == 0 {
 		t.Fatalf("healthz: %+v", hz)
-	}
-}
-
-func TestSelfcheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("selfcheck runs a full workload")
-	}
-	if err := runSelfcheck(ampc.Options{Epsilon: 0.5, Seed: 1}, 2000, 6000, 1, 200, ""); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@
 // Usage:
 //
 //	ampcd -addr 127.0.0.1:7780
-//	ampcd -selfcheck -n 20000 -m 80000 -queries 1000
 //
 // HTTP surface:
 //
@@ -25,13 +24,6 @@
 // (status and result still served, no /query surface). Either way the run's
 // garbage is collected and returned to the OS before the job reads "done",
 // so queries are served from the small live heap, not from the run's.
-//
-// -selfcheck starts a daemon on a loopback port, drives one connectivity
-// job through the full HTTP surface (submit, long-poll telemetry, result
-// verified against the sequential oracle, point queries cross-checked
-// label by label, /metrics scrape), measures client-observed point-query
-// latency, and emits one BENCH-format JSON line with query_p50_us — the
-// serving-latency record the perf gate tracks.
 package main
 
 import (
@@ -56,28 +48,10 @@ func main() {
 		eps     = flag.Float64("eps", 0.5, "default space exponent: S = n^eps")
 		seed    = flag.Uint64("seed", 1, "default random seed")
 		workers = flag.Int("workers", 0, "worker goroutines per round (0 = GOMAXPROCS)")
-
-		selfcheck = flag.Bool("selfcheck", false, "run the serving smoke + latency benchmark against an in-process daemon and exit")
-		scN       = flag.Int("n", 20000, "selfcheck: vertex count")
-		scM       = flag.Int("m", 0, "selfcheck: edge count (default 4n)")
-		scQueries = flag.Int("queries", 1000, "selfcheck: point queries to time")
-		benchOut  = flag.String("bench-out", "", "selfcheck: append the BENCH JSON line to this file")
 	)
 	flag.Parse()
 
-	defaults := ampc.Options{Epsilon: *eps, Seed: *seed, Workers: *workers}
-
-	if *selfcheck {
-		if *scM == 0 {
-			*scM = 4 * *scN
-		}
-		if err := runSelfcheck(defaults, *scN, *scM, *seed, *scQueries, *benchOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	d := newDaemon(defaults, *maxConc)
+	d := newDaemon(ampc.Options{Epsilon: *eps, Seed: *seed, Workers: *workers}, *maxConc)
 	srv := &http.Server{Addr: *addr, Handler: d.mux()}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -22,13 +22,10 @@
 // (connectivity only; combine with -backend file -residency drop to bound
 // resident memory at one store generation).
 //
-// -stream prints every round's statistics as it completes; -bench emits
-// one machine-readable JSON line per run for perf trajectories — including
-// the write volume and the freeze_merge_ms/freeze_build_ms split, so a
-// freeze delta is attributable to data movement versus index builds — and
-// -bench-out appends that line to a trajectory file (see BENCH_*.json);
-// -workers sets the runtime's worker-pool size (outputs never depend on
-// it); -backend selects where each round's frozen store lives (mem keeps it
+// -stream prints every round's statistics as it completes; -json emits the
+// run's telemetry (per-round breakdown included) as JSON instead of the
+// human summary; -workers sets the runtime's worker-pool size (outputs
+// never depend on it); -backend selects where each round's frozen store lives (mem keeps it
 // in process, file publishes it write-behind to a single mmap'd segment
 // file per store under -store-dir, rpc ships it to the shardd fleet named
 // by -servers with -replication copies per shard; outputs are identical for
@@ -71,19 +68,12 @@ func main() {
 		replicas = flag.Int("replication", 1, "copies of each shard across the -servers fleet (rpc backend)")
 		rpcTO    = flag.Duration("rpc-timeout", 0, "per-request timeout against shardd servers (0 = default 2s)")
 		rpcCool  = flag.Duration("rpc-cooldown", 0, "how long a failing shardd server stays marked down (0 = default 250ms)")
-		unpinned = flag.Bool("unpinned", false, "stripe machines to workers dynamically instead of pinning m to worker m mod W")
 		noCache  = flag.Bool("no-worker-cache", false, "disable the per-worker read cache over the previous round's data (rpc backend)")
 		asJSON   = flag.Bool("json", false, "emit telemetry as JSON (per-round breakdown included)")
-		bench    = flag.Bool("bench", false, "emit one machine-readable JSON line (algo, n, m, rounds, queries, wall time)")
-		benchOut = flag.String("bench-out", "", "append the -bench JSON line to this trajectory file (implies -bench)")
 		stream   = flag.Bool("stream", false, "print each round's stats as it completes")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	)
 	flag.Parse()
-	if *benchOut != "" {
-		*bench = true
-	}
-
 	if *list {
 		for _, name := range ampc.Algorithms() {
 			spec, _ := ampc.Lookup(name)
@@ -106,13 +96,11 @@ func main() {
 			Epsilon: *eps, Seed: *seed, FaultProb: *fault, Workers: *workers,
 			Backend: *backend, StoreDir: *storeDir, Residency: *resid,
 			Servers: splitServers(*servers), Replication: *replicas, RPCTimeout: *rpcTO,
-			RPCDownCooldown: *rpcCool, Unpinned: *unpinned, NoWorkerCache: *noCache,
+			RPCDownCooldown: *rpcCool, NoWorkerCache: *noCache,
 		},
 		Observer: roundPrinter(*stream),
 	})
-	// Under -bench the oracle check runs outside the timed window (below),
-	// so wall_ms measures the algorithm alone.
-	job := ampc.Job{Algo: *algo, Check: *check && !*bench}
+	job := ampc.Job{Algo: *algo, Check: *check}
 
 	r := ampc.NewRNG(*seed, 0x7)
 	var workload string
@@ -144,9 +132,7 @@ func main() {
 		job.Weighted = wg
 		workload, wn, wm = *gkind, wg.N(), wg.M()
 	}
-	if !*bench {
-		fmt.Printf("workload: %s n=%d m=%d   eps=%.2f seed=%d\n", workload, wn, wm, *eps, *seed)
-	}
+	fmt.Printf("workload: %s n=%d m=%d   eps=%.2f seed=%d\n", workload, wn, wm, *eps, *seed)
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -160,17 +146,6 @@ func main() {
 	wall := time.Since(start)
 	fail(err)
 
-	if *bench {
-		checkStatus := ampc.CheckSkipped
-		if *check && spec.Check != nil {
-			if cerr := spec.Check(job, res); cerr != nil {
-				log.Fatalf("oracle check failed: %v", cerr)
-			}
-			checkStatus = ampc.CheckPassed
-		}
-		printBenchLine(res, *backend, workload, wn, wm, *eps, *seed, wall, checkStatus, *benchOut)
-		return
-	}
 	fmt.Printf("result: %s\n", res.Summary)
 	if res.Check == ampc.CheckPassed {
 		fmt.Println("oracle check passed")
@@ -185,7 +160,7 @@ func main() {
 }
 
 // roundPrinter returns a streaming observer, or nil when -stream is off.
-// Rounds go to stderr so stdout stays parseable under -json and -bench.
+// Rounds go to stderr so stdout stays parseable under -json.
 func roundPrinter(enabled bool) ampc.TelemetryObserver {
 	if !enabled {
 		return nil
@@ -194,85 +169,6 @@ func roundPrinter(enabled bool) ampc.TelemetryObserver {
 		fmt.Fprintf(os.Stderr, "round %-24s queries=%-8d writes=%-8d maxMachine=%-6d maxShard=%-6d pairs=%d\n",
 			ev.Round.Name, ev.Round.Queries, ev.Round.Writes,
 			ev.Round.MaxMachineQueries, ev.Round.MaxShardLoad, ev.Round.Pairs)
-	}
-}
-
-// benchLine is the stable machine-readable record emitted by -bench, one
-// JSON object per line, for recording perf trajectories across commits.
-type benchLine struct {
-	Algo              string  `json:"algo"`
-	Backend           string  `json:"backend,omitempty"`
-	Workload          string  `json:"workload"`
-	N                 int     `json:"n"`
-	M                 int     `json:"m"`
-	Epsilon           float64 `json:"eps"`
-	Seed              uint64  `json:"seed"`
-	Rounds            int     `json:"rounds"`
-	Phases            int     `json:"phases"`
-	TotalQueries      int64   `json:"queries"`
-	TotalWrites       int64   `json:"writes"`
-	MaxMachineQueries int     `json:"max_machine_queries"`
-	MaxShardLoad      int64   `json:"max_shard_load"`
-	CacheHits         int64   `json:"cache_hits"`
-	RPCFrames         int64   `json:"rpc_frames"`
-	P                 int     `json:"p"`
-	S                 int     `json:"s"`
-	WallMS            float64 `json:"wall_ms"`
-	ExecMS            float64 `json:"exec_ms"`
-	FreezeMS          float64 `json:"freeze_ms"`
-	FreezeMergeMS     float64 `json:"freeze_merge_ms"`
-	FreezeBuildMS     float64 `json:"freeze_build_ms"`
-	PublishMS         float64 `json:"publish_ms"`
-	DriverMS          float64 `json:"driver_ms"`
-	DriverContractMS  float64 `json:"driver_contract_ms"`
-	DriverReadbackMS  float64 `json:"driver_readback_ms"`
-	DriverIngestMS    float64 `json:"driver_ingest_ms"`
-	RSSPeakMB         float64 `json:"rss_peak_mb"`
-	Check             string  `json:"check"`
-}
-
-func printBenchLine(res *ampc.Result, backend, workload string, n, m int, eps float64, seed uint64, wall time.Duration, check ampc.CheckStatus, benchOut string) {
-	t := res.Telemetry
-	line := benchLine{
-		Algo:              res.Algo,
-		Backend:           backend,
-		Workload:          workload,
-		N:                 n,
-		M:                 m,
-		Epsilon:           eps,
-		Seed:              seed,
-		Rounds:            t.Rounds,
-		Phases:            t.Phases,
-		TotalQueries:      t.TotalQueries,
-		TotalWrites:       t.TotalWrites,
-		MaxMachineQueries: t.MaxMachineQueries,
-		MaxShardLoad:      t.MaxShardLoad,
-		CacheHits:         t.CacheHits,
-		RPCFrames:         t.RPCFrames,
-		P:                 t.P,
-		S:                 t.S,
-		WallMS:            float64(wall.Microseconds()) / 1000,
-		ExecMS:            float64(t.ExecuteTime.Microseconds()) / 1000,
-		FreezeMS:          float64(t.FreezeTime.Microseconds()) / 1000,
-		FreezeMergeMS:     float64(t.FreezeMergeTime.Microseconds()) / 1000,
-		FreezeBuildMS:     float64(t.FreezeBuildTime.Microseconds()) / 1000,
-		PublishMS:         float64(t.PublishTime.Microseconds()) / 1000,
-		DriverMS:          float64(t.DriverTime.Microseconds()) / 1000,
-		DriverContractMS:  float64(t.DriverContractTime.Microseconds()) / 1000,
-		DriverReadbackMS:  float64(t.DriverReadbackTime.Microseconds()) / 1000,
-		DriverIngestMS:    float64(t.DriverIngestTime.Microseconds()) / 1000,
-		RSSPeakMB:         math.Round(sysmem.PeakRSSMB()*10) / 10,
-		Check:             check.String(),
-	}
-	out, err := json.Marshal(line)
-	fail(err)
-	fmt.Println(string(out))
-	if benchOut != "" {
-		f, err := os.OpenFile(benchOut, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		fail(err)
-		_, err = f.Write(append(out, '\n'))
-		fail(err)
-		fail(f.Close())
 	}
 }
 
@@ -356,6 +252,7 @@ func printTelemetry(t ampc.Telemetry, wall time.Duration) {
 		t.DriverContractTime.Round(time.Microsecond), t.DriverReadbackTime.Round(time.Microsecond),
 		t.DriverIngestTime.Round(time.Microsecond))
 	fmt.Printf("  wall time           %v\n", wall.Round(time.Microsecond))
+	fmt.Printf("  peak rss            %.1f MB\n", sysmem.PeakRSSMB())
 }
 
 func fail(err error) {

@@ -4,9 +4,8 @@
 // rounds, and verifies each cell against the mem-backend oracle — the
 // output must be byte-identical, or (for expected-blackout scenarios) the
 // run must fail with the clean typed dds.ErrBackendUnavailable. Never a
-// hang, never corruption. Each cell emits the same bench JSON line the
-// perf gate consumes, extended with scenario/chaos_actions/workers/outcome
-// fields so committed trajectories can gate degraded-mode latency.
+// hang, never corruption. A cell's wall time is printed, not gated: this is
+// a correctness harness, performance is bench/'s job.
 package main
 
 import (
@@ -70,12 +69,14 @@ func (r *scenarioRunner) close() {
 }
 
 // buildJob regenerates a workload spec's input deterministically — the
-// same construction ampcrun and the perf gate use, so a spec plus seed
-// always yields byte-identical inputs.
+// same construction ampcrun uses, so a spec plus seed always yields
+// byte-identical inputs.
 func buildJob(spec workloadSpec) (ampc.Job, int, int, error) {
 	job := ampc.Job{Algo: spec.Algo}
 	r := ampc.NewRNG(spec.Seed, 0x7)
-	if spec.Kind == "list" {
+	var g *ampc.Graph
+	switch spec.Kind {
+	case "list":
 		next := make([]int, spec.N)
 		for i := 0; i < spec.N-1; i++ {
 			next[i] = i + 1
@@ -85,10 +86,16 @@ func buildJob(spec workloadSpec) (ampc.Job, int, int, error) {
 		}
 		job.Next = next
 		return job, spec.N, 0, nil
-	}
-	g, err := makeGraph(spec.Kind, spec.N, spec.M, r)
-	if err != nil {
-		return ampc.Job{}, 0, 0, err
+	case "gnm":
+		g = ampc.GNM(spec.N, spec.M, r)
+	case "cgnm":
+		g = ampc.ConnectedGNM(spec.N, spec.M, r)
+	case "powerlaw":
+		g = ampc.PowerLaw(spec.N, spec.M, r)
+	case "skew":
+		g = ampc.SkewedDegree(spec.N, spec.M, ampc.HubCount(spec.N), r)
+	default:
+		return ampc.Job{}, 0, 0, fmt.Errorf("unknown workload kind %q", spec.Kind)
 	}
 	algoSpec, ok := ampc.Lookup(spec.Algo)
 	if !ok {
@@ -146,14 +153,14 @@ func (r *scenarioRunner) startFleet(sc scenario) (chaosFleet, error) {
 	return rpc.StartFleet(cfgs)
 }
 
-// buildShardd compiles cmd/shardd once per benchgate invocation so proc
-// fleets spawn a real server binary, not `go run` wrappers whose pid is
-// not the server's (signals must hit shardd itself).
+// buildShardd compiles cmd/shardd once per invocation so proc fleets spawn
+// a real server binary, not `go run` wrappers whose pid is not the server's
+// (signals must hit shardd itself).
 func (r *scenarioRunner) buildShardd() error {
 	if r.sharddBin != "" {
 		return nil
 	}
-	dir, err := os.MkdirTemp("", "benchgate-shardd-")
+	dir, err := os.MkdirTemp("", "scenario-shardd-")
 	if err != nil {
 		return err
 	}
@@ -168,16 +175,30 @@ func (r *scenarioRunner) buildShardd() error {
 	return nil
 }
 
-// scenarioCell is one executed cell: the emitted bench line plus the
-// verdict inputs the caller needs for gating and the summary table.
+// cellLine is what one executed cell reports: which workload ran, the chaos
+// actions that actually fired, and the verified outcome ("ok",
+// "unavailable", or "fail: ...").
+type cellLine struct {
+	Algo         string
+	Workload     string
+	N            int
+	Workers      int
+	Rounds       int
+	WallMS       float64
+	ChaosActions []string
+	Outcome      string
+}
+
+// scenarioCell is one executed cell and whether its outcome was the
+// expected one.
 type scenarioCell struct {
-	line   benchLine
-	failed bool // outcome was not the expected one
+	line   cellLine
+	failed bool
 }
 
 // run executes every workload × workers cell of a scenario against a
 // fresh fleet per cell (chaos mutates fleet state, so cells never share
-// one) and returns the emitted lines.
+// one) and returns the executed cells.
 func (r *scenarioRunner) run(sc scenario) ([]scenarioCell, error) {
 	var cells []scenarioCell
 	for _, spec := range sc.Workloads {
@@ -246,7 +267,7 @@ func (c *chaosInjector) report() (fired []string, unfired []chaosAction, errs []
 // runCell executes one workload × workers cell: fresh fleet, chaos
 // injected between rounds, output verified against the mem oracle.
 func (r *scenarioRunner) runCell(sc scenario, spec workloadSpec, workers int, want *oracleResult) (scenarioCell, error) {
-	job, n, m, err := buildJob(spec)
+	job, n, _, err := buildJob(spec)
 	if err != nil {
 		return scenarioCell{}, err
 	}
@@ -271,43 +292,24 @@ func (r *scenarioRunner) runCell(sc scenario, spec workloadSpec, workers int, wa
 	res, runErr := eng.Run(ctx, job)
 	wall := time.Since(start)
 
-	line := benchLine{
-		Algo: spec.Algo, Backend: "rpc", Workload: spec.Kind, N: n, M: m,
-		Epsilon: spec.Epsilon, Seed: spec.Seed, Workers: workers,
-		Scenario: sc.Name, Check: ampc.CheckSkipped.String(),
-		WallMS: float64(wall.Microseconds()) / 1000,
-	}
 	fired, unfired, chaosErrs := inject.report()
-	line.ChaosActions = fired
-	if res != nil {
-		t := res.Telemetry
-		line.Rounds, line.Phases = t.Rounds, t.Phases
-		line.TotalQueries, line.TotalWrites = t.TotalQueries, t.TotalWrites
-		line.MaxMachineQueries, line.MaxShardLoad = t.MaxMachineQueries, t.MaxShardLoad
-		line.CacheHits, line.RPCFrames = t.CacheHits, t.RPCFrames
-		line.P, line.S = t.P, t.S
-		line.ExecMS = float64(t.ExecuteTime.Microseconds()) / 1000
-		line.FreezeMS = float64(t.FreezeTime.Microseconds()) / 1000
-		line.FreezeMergeMS = float64(t.FreezeMergeTime.Microseconds()) / 1000
-		line.FreezeBuildMS = float64(t.FreezeBuildTime.Microseconds()) / 1000
-		line.PublishMS = float64(t.PublishTime.Microseconds()) / 1000
+	line := cellLine{
+		Algo: spec.Algo, Workload: spec.Kind, N: n, Workers: workers, Rounds: roundsOf(res),
+		WallMS: float64(wall.Microseconds()) / 1000, ChaosActions: fired,
 	}
-
-	line.Outcome = cellOutcome(sc, spec, res, runErr, want, unfired, chaosErrs, ctx)
-	if line.Outcome == "ok" || (sc.ExpectUnavailable && line.Outcome == "unavailable") {
-		if !sc.ExpectUnavailable {
-			line.Check = ampc.CheckPassed.String()
-		}
-		return scenarioCell{line: line}, nil
+	line.Outcome = cellOutcome(sc, res, runErr, want, unfired, chaosErrs, ctx)
+	expected := "ok"
+	if sc.ExpectUnavailable {
+		expected = "unavailable"
 	}
-	return scenarioCell{line: line, failed: true}, nil
+	return scenarioCell{line: line, failed: line.Outcome != expected}, nil
 }
 
 // cellOutcome classifies one cell run: "ok" (completed, byte-identical
 // labels, full chaos schedule fired), "unavailable" (failed cleanly with
 // the typed backend-unavailable error after the full schedule fired), or
 // "fail: <reason>".
-func cellOutcome(sc scenario, spec workloadSpec, res *ampc.Result, runErr error,
+func cellOutcome(sc scenario, res *ampc.Result, runErr error,
 	want *oracleResult, unfired []chaosAction, chaosErrs []error, ctx context.Context) string {
 	if len(chaosErrs) > 0 {
 		return fmt.Sprintf("fail: chaos action: %v", chaosErrs[0])
@@ -323,7 +325,7 @@ func cellOutcome(sc scenario, spec workloadSpec, res *ampc.Result, runErr error,
 			}
 			return "unavailable"
 		case ctx.Err() != nil:
-			return fmt.Sprintf("fail: timed out after %v (hang is a bug, not a degraded mode)", sc.cellTimeoutHint())
+			return "fail: hit -timeout (a hang is a bug, not a degraded mode)"
 		default:
 			return fmt.Sprintf("fail: %v", runErr)
 		}
@@ -355,10 +357,6 @@ func roundsOf(res *ampc.Result) int {
 	}
 	return res.Telemetry.Rounds
 }
-
-// cellTimeoutHint names the timeout in failure messages without threading
-// the runner through; scenarios share one -scenario-timeout.
-func (sc scenario) cellTimeoutHint() string { return "-scenario-timeout" }
 
 // procFleet drives real shardd processes: kill is SIGKILL, restart
 // re-spawns the binary on the original port, pause/resume are
@@ -525,12 +523,4 @@ func (f *procFleet) Close() error {
 		cmd.Wait()
 	}
 	return first
-}
-
-// scenarioWallBound is the gate bound for a scenario cell: chaos timings
-// are far noisier than healthy-path phase times (failover waits, process
-// respawns), so scenarios gate end-to-end wall time with their own factor
-// and floor.
-func scenarioWallBound(base benchLine, factor, floorMS float64) float64 {
-	return factor*base.WallMS + floorMS
 }

@@ -9,9 +9,9 @@ import (
 
 // Straggler chaos needs SIGSTOP/SIGCONT, which this platform lacks; the
 // affected cell reports a chaos-action failure instead of pretending the
-// pause happened. Use -scenario-fleet inproc here: Server.Pause gives the
+// pause happened. Use -fleet inproc here: Server.Pause gives the
 // same held-request semantics without process signals.
-var errNoStopSignal = errors.New("SIGSTOP/SIGCONT unsupported on this platform; use -scenario-fleet inproc")
+var errNoStopSignal = errors.New("SIGSTOP/SIGCONT unsupported on this platform; use -fleet inproc")
 
 func sigstop(*os.Process) error { return errNoStopSignal }
 

@@ -80,7 +80,7 @@ type scenario struct {
 }
 
 // scaleInt shrinks a full-scale size by the scenario scale factor with a
-// floor, so CI can run the same scenarios at -scenario-scale 0.25 without
+// floor, so CI can run the same scenarios at -scale 0.25 without
 // degenerating below the sizes where the algorithms still take many
 // rounds (chaos actions scheduled at round k must have a round k to fire
 // in).
@@ -208,36 +208,4 @@ func scenarioNames() []string {
 		names = append(names, sc.Name)
 	}
 	return names
-}
-
-// resolveScenarios expands a -scenarios value: "all", or a comma-separated
-// subset of names.
-func resolveScenarios(list string, scale float64) ([]scenario, error) {
-	if strings.TrimSpace(list) == "all" {
-		var all []scenario
-		for _, name := range scenarioNames() {
-			sc, err := planScenario(name, scale)
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, sc)
-		}
-		return all, nil
-	}
-	var out []scenario
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		sc, err := planScenario(name, scale)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sc)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no scenarios named (have %s)", strings.Join(scenarioNames(), ", "))
-	}
-	return out, nil
 }

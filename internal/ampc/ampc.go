@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,18 +74,6 @@ type Config struct {
 	// byte-identical for every backend; only the physical home of D_{i-1}
 	// changes.
 	Backend dds.Publisher
-	// Unpinned disables stable work-to-worker ownership. Pinned (the
-	// default), freeze index builds and sync-publish section fills run on
-	// the worker pool with shard i owned by worker i mod Workers, and the
-	// execute phase stripes machine m to worker m mod Workers — so a
-	// shard's arrays, and a machine's cache maps, RNG state and worker
-	// read cache, stay on one worker's cache lines round after round.
-	// Unpinned restores dynamic striping everywhere (shard work over
-	// transient goroutines, machines claimed from a shared atomic counter),
-	// which tolerates skewed per-machine cost at the price of cache
-	// affinity. Outputs are byte-identical either way — the knob exists for
-	// benchmarking and the differential tests that prove it.
-	Unpinned bool
 	// NoWorkerCache disables the per-worker read-through cache over the
 	// immutable D_{i-1}: machines then hit the backend for every first
 	// read of a key, as if no other machine on their worker had fetched
@@ -95,8 +82,9 @@ type Config struct {
 	// magnitude cheaper than a network round trip — so the cache engages
 	// on every built-in backend. Outputs, charged queries and shard loads
 	// are byte-identical with the cache on or off — it saves probes and
-	// network frames, never model accounting — so this knob too exists
-	// only for benchmarking and differential tests.
+	// network frames, never model accounting. This is not a tuning knob:
+	// the cache-off run is the reference side of the cache-invisibility
+	// differential tests, which is why the option stays.
 	NoWorkerCache bool
 	// Observer, when non-nil, receives every round's statistics as soon as
 	// the round completes, before the next round starts. It is called
@@ -193,7 +181,7 @@ type Runtime struct {
 	created time.Time
 
 	// Execution engine: a pool of long-lived workers, a builder reused
-	// across rounds, pooled Ctx objects whose cache maps survive between
+	// across rounds, per-worker Ctx objects whose cache maps survive between
 	// machines, and per-machine stat slices owned by the runtime. nextSalt
 	// is the placement salt of the next store to be built — drawn before
 	// the round executes, so writers pre-hash their pairs for it.
@@ -202,8 +190,7 @@ type Runtime struct {
 	builder  *dds.Builder
 	arena    *dds.Arena
 	nextSalt uint64
-	ctxPool  sync.Pool
-	ctxs     []*Ctx // per-worker Ctxs for pinned machine execution
+	ctxs     []*Ctx // per-worker Ctxs, persistent across rounds
 	errs     []error
 	queries  []int
 	writes   []int
@@ -306,21 +293,22 @@ func New(cfg Config) *Runtime {
 	if ap, ok := cfg.Backend.(interface{ SetArena(*dds.Arena) }); ok {
 		ap.SetArena(r.arena)
 	}
-	if !cfg.Unpinned {
-		// Stable shard ownership: freeze index builds (and sync-mode
-		// segment section fills) run on the pool with shard i pinned to
-		// worker i mod Workers, so a shard's arrays stay hot in the same
-		// worker's cache every round. The pool is idle during both phases —
-		// they run from the driver between rounds — so the pinned queues
-		// never contend with machine execution.
-		pool := r.pool
-		pinned := dds.Parallel(func(n int, f func(int)) { pool.runStriped(n, f) })
-		r.builder.SetParallel(pinned)
-		if sp, ok := cfg.Backend.(interface{ SetParallel(dds.Parallel) }); ok {
-			sp.SetParallel(pinned)
-		}
+	// Stable shard ownership: freeze index builds (and sync-mode segment
+	// section fills) run on the pool with shard i pinned to worker i mod
+	// Workers, so a shard's arrays stay hot in the same worker's cache
+	// every round. The pool is idle during both phases — they run from the
+	// driver between rounds — so the pinned queues never contend with
+	// machine execution.
+	pool := r.pool
+	pinned := dds.Parallel(func(n int, f func(int)) { pool.runStriped(n, f) })
+	r.builder.SetParallel(pinned)
+	if sp, ok := cfg.Backend.(interface{ SetParallel(dds.Parallel) }); ok {
+		sp.SetParallel(pinned)
 	}
-	r.ctxPool.New = func() any { return &Ctx{} }
+	r.ctxs = make([]*Ctx, r.workers)
+	for w := range r.ctxs {
+		r.ctxs[w] = &Ctx{}
+	}
 	r.errs = make([]error, cfg.P)
 	r.queries = make([]int, cfg.P)
 	r.writes = make([]int, cfg.P)
@@ -627,48 +615,21 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 		framesBase = r.curFrames.ReadFrames()
 	}
 	execStart := time.Now()
-	if r.cfg.Unpinned {
-		// Dynamic striping: every worker claims machine ids from a shared
-		// counter, so an expensive machine never stalls the round behind
-		// one worker.
-		var next atomic.Int64
-		r.pool.run(r.workers, func() {
-			c := r.ctxPool.Get().(*Ctx)
-			c.bind(r)
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= r.cfg.P {
-					break
-				}
-				r.runMachine(c, m, f, 1+fail[m])
-			}
-			// finish drops store and writer references so a pooled Ctx
-			// never pins the retiring round's store for an extra round.
-			c.finish(r)
-			r.ctxPool.Put(c)
-		})
-	} else {
-		// Pinned striping: machine m always runs on worker m mod Workers,
-		// on that worker's own persistent Ctx — its cache maps, RNG state
-		// and worker read cache stay on one worker's cache lines across
-		// rounds. Outputs cannot differ: writes merge in machine-id order
-		// and machine randomness is keyed by (seed, round, machine).
-		if r.ctxs == nil {
-			r.ctxs = make([]*Ctx, r.workers)
+	// Pinned striping: machine m always runs on worker m mod Workers, on
+	// that worker's own persistent Ctx — its cache maps, RNG state and
+	// worker read cache stay on one worker's cache lines across rounds.
+	// Outputs cannot depend on it: writes merge in machine-id order and
+	// machine randomness is keyed by (seed, round, machine).
+	r.pool.runWorkers(r.workers, func(w int) {
+		c := r.ctxs[w]
+		c.bind(r)
+		for m := w; m < r.cfg.P; m += r.workers {
+			r.runMachine(c, m, f, 1+fail[m])
 		}
-		r.pool.runWorkers(r.workers, func(w int) {
-			c := r.ctxs[w]
-			if c == nil {
-				c = &Ctx{}
-				r.ctxs[w] = c
-			}
-			c.bind(r)
-			for m := w; m < r.cfg.P; m += r.workers {
-				r.runMachine(c, m, f, 1+fail[m])
-			}
-			c.finish(r)
-		})
-	}
+		// finish drops store and writer references so a persistent Ctx
+		// never pins the retiring round's store for an extra round.
+		c.finish(r)
+	})
 	execTime := time.Since(execStart)
 
 	// A remote read that survives replica failover with no answer cannot be

@@ -8,18 +8,15 @@ import "sync"
 // per-round cost; the pool starts Config.Workers goroutines once and stripes
 // the P virtual machines over them round after round.
 //
-// Every worker owns a private job channel, which serves three dispatch
-// shapes. run hands every worker the same closure — used for dynamically
-// striped (Config.Unpinned) machine execution, where the closure claims
-// machine ids from a shared atomic counter so an expensive machine never
-// stalls the round behind one worker. runWorkers hands worker w a closure
-// that knows it is worker w — used for pinned machine execution, where
-// worker w owns machines w, w+W, w+2W, ... every round. Shard work — freeze
-// merges and index builds, sync-publish section fills — goes through
-// runStriped with stable ownership: worker w always receives the same
-// stripe of shard indices, so a shard's slot arrays, slab and scratch
-// region stay in the same worker's cache generation after generation.
-// Outputs never depend on which scheduler ran the work.
+// Every worker owns a private job channel, which serves two dispatch
+// shapes. runWorkers hands worker w a closure that knows it is worker w —
+// used for machine execution, where worker w owns machines w, w+W, w+2W,
+// ... every round. Shard work — freeze merges and index builds,
+// sync-publish section fills — goes through runStriped with stable
+// ownership: worker w always receives the same stripe of shard indices, so
+// a shard's slot arrays, slab and scratch region stay in the same worker's
+// cache generation after generation. Outputs never depend on which worker
+// ran the work.
 //
 // The workers reference only the pool, never the Runtime, so an abandoned
 // Runtime stays collectable: its finalizer closes the pool and the workers
@@ -47,25 +44,10 @@ func newWorkerPool(n int) *workerPool {
 	return p
 }
 
-// run hands f to n workers and blocks until all n invocations return. n must
-// not exceed the pool size, or run would wait on workers that never free.
-func (p *workerPool) run(n int, f func()) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	job := func() {
-		defer wg.Done()
-		f()
-	}
-	for i := 0; i < n; i++ {
-		p.jobs[i] <- job
-	}
-	wg.Wait()
-}
-
 // runWorkers hands worker w the call f(w), for w in [0, n), and blocks until
-// all n return. Unlike run, the closure knows which worker runs it — the
-// hook pinned machine execution builds its stable machine-to-worker stripe
-// on. n must not exceed the pool size.
+// all n return. The closure knows which worker runs it — the hook machine
+// execution builds its stable machine-to-worker stripe on. n must not exceed
+// the pool size.
 func (p *workerPool) runWorkers(n int, f func(w int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
@@ -84,7 +66,7 @@ func (p *workerPool) runWorkers(n int, f func(w int)) {
 // shard count is fixed for a runtime's lifetime — the index-to-worker map
 // never changes across calls, which is what keeps a shard's memory hot in
 // one worker's cache across rounds. Must not be called concurrently with
-// itself or with run.
+// itself or with runWorkers.
 func (p *workerPool) runStriped(n int, f func(i int)) {
 	w := len(p.jobs)
 	if w > n {
@@ -110,8 +92,8 @@ func (p *workerPool) runStriped(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// close releases the workers. Idempotent; run and runStriped must not be
-// called afterwards.
+// close releases the workers. Idempotent; runWorkers and runStriped must
+// not be called afterwards.
 func (p *workerPool) close() {
 	p.stop.Do(func() {
 		for _, c := range p.jobs {

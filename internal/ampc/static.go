@@ -77,6 +77,7 @@ func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) {
 	if c.static != nil {
 		v, ok = c.static.GetHashed(k, h)
 	}
+	c.misses++
 	c.stbl.insert(h, k, v, ok, c.stamp, c.liveStatic())
 	return v, ok
 }

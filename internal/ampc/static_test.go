@@ -89,6 +89,40 @@ func TestStaticChargesBudget(t *testing.T) {
 	})
 }
 
+// TestStaticReadsCountedAsHitOrMiss pins the cache accounting identity on a
+// static-only round: every charged point read is either a worker-cache hit
+// or a store probe, so hits + misses equals the round's queries — with the
+// cache on (machines sharing a worker hit each other's entries) and off.
+func TestStaticReadsCountedAsHitOrMiss(t *testing.T) {
+	for _, noCache := range []bool{false, true} {
+		rt := New(Config{P: 8, S: 100, Seed: 3, Workers: 2, NoWorkerCache: noCache})
+		var pairs []dds.KV
+		for i := int64(0); i < 16; i++ {
+			pairs = append(pairs, pair(i, i))
+		}
+		if err := rt.AddStatic("publish", pairs); err != nil {
+			t.Fatal(err)
+		}
+		err := rt.Round("read", func(ctx *Ctx) error {
+			for i := int64(0); i < 16; i++ {
+				ctx.ReadStatic(key(i, 0))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := rt.Stats()[len(rt.Stats())-1]
+		if st.Queries != 8*16 {
+			t.Fatalf("noCache=%v: Queries = %d, want %d", noCache, st.Queries, 8*16)
+		}
+		if st.CacheMisses == 0 || st.CacheHits+st.CacheMisses != st.Queries {
+			t.Errorf("noCache=%v: hits %d + misses %d != %d charged point reads",
+				noCache, st.CacheHits, st.CacheMisses, st.Queries)
+		}
+	}
+}
+
 func TestStaticAndDynamicKeysDistinct(t *testing.T) {
 	// The same key may exist in both stores with different values; caching
 	// must not cross-contaminate.

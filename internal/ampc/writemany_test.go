@@ -127,39 +127,6 @@ func TestWriteManyBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestPinnedUnpinnedIdentical is the runtime half of the shard-ownership
-// differential: pinned (default) and Unpinned freezes, across worker
-// counts and both store backends, must produce byte-identical outputs.
-// Runs under -race in CI, which also exercises the pinned scheduler's
-// cross-worker handoffs.
-func TestPinnedUnpinnedIdentical(t *testing.T) {
-	const n = 512
-	var want []int64
-	for _, backend := range []string{"mem", "file"} {
-		for _, unpinned := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
-				var pub dds.Publisher
-				if backend == "file" {
-					pub = dds.NewFilePublisher("")
-				}
-				rt := New(Config{P: 16, S: 400, Seed: 99, Workers: workers, Unpinned: unpinned, Backend: pub})
-				got := chase(t, rt, n)
-				rt.Close()
-				if want == nil {
-					want = got
-					continue
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("backend=%s unpinned=%v workers=%d: label[%d] = %d, want %d",
-							backend, unpinned, workers, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestFaultDropsPrimedWrites reruns the fault-transparency invariant
 // against the pre-hashed write path explicitly: a machine that fails after
 // writing must leave no trace, batched writes included.

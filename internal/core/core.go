@@ -97,14 +97,10 @@ type Options struct {
 	// the backend default (250ms). Chaos scenarios tune it to trade
 	// recovery latency against probe storms on a flapping server.
 	RPCDownCooldown time.Duration
-	// Unpinned disables stable work-to-worker pinning in the runtime (see
-	// ampc.Config.Unpinned). Outputs are identical; the knob exists for
-	// benchmarking and differential tests.
-	Unpinned bool
 	// NoWorkerCache disables the runtime's per-worker read-through cache
 	// over the previous round's store (see ampc.Config.NoWorkerCache).
-	// Outputs and all model accounting are identical; the knob exists for
-	// benchmarking and differential tests.
+	// Outputs and all model accounting are identical; the cache-off run is
+	// the reference side of the cache-invisibility differential tests.
 	NoWorkerCache bool
 	// Observer, when non-nil, receives every AMPC round's statistics as
 	// soon as the round completes, letting callers stream telemetry while
@@ -309,7 +305,6 @@ func (o Options) newRuntime(ctx context.Context, n, m int) *ampc.Runtime {
 		Seed:             o.Seed,
 		FaultProb:        o.FaultProb,
 		Backend:          pub,
-		Unpinned:         o.Unpinned,
 		NoWorkerCache:    o.NoWorkerCache,
 		Observer:         o.Observer,
 		RetainFinalStore: o.RetainStore,

@@ -273,3 +273,47 @@ func TestSettleFoldLossyStore(t *testing.T) {
 		}
 	}
 }
+
+// TestMasterReadbackMissingRecord is the same fault for the two master
+// read-backs outside the flat driver: list ranking's contracted-level hops
+// and Shrink's contracted cycle edges. A record the previous round must
+// have written and the master cannot read back used to fold in as zeros —
+// successor 0 with weight 0, neighbours {0, 0} — and must instead be a
+// typed missing-record error wrapping the backend's latched failure.
+func TestMasterReadbackMissingRecord(t *testing.T) {
+	samples := []int{3, 5, 8}
+	for _, tc := range []struct {
+		name string
+		tag  uint8
+		b    int64 // key.B of the records
+		want string
+		read func(store dds.StoreBackend) error
+	}{
+		{"listrank", tagListNext, 2, "core: missing list hop record (5,2)", func(store dds.StoreBackend) error {
+			_, err := readListLevel(store, samples, 2)
+			return err
+		}},
+		{"shrink", tagCycEdge, 0, "core: missing cycle edge record (5,0)", func(store dds.StoreBackend) error {
+			cur := &cycleGraph{verts: samples, adj: map[int][2]int{3: {5, 8}, 5: {3, 8}, 8: {3, 5}}}
+			_, err := readContracted(store, cur, samples, map[int]int{})
+			return err
+		}},
+	} {
+		var pairs []dds.KV
+		for _, s := range samples {
+			pairs = append(pairs, dds.KV{Key: dds.Key{Tag: tc.tag, A: int64(s), B: tc.b}, Value: dds.Value{A: 8, B: 3}})
+		}
+		store := dds.NewStore(pairs, 4, 1)
+		if err := tc.read(store); err != nil {
+			t.Fatalf("%s: clean read-back: %v", tc.name, err)
+		}
+		lossy := &lossyStore{StoreBackend: store, drop: dds.Key{Tag: tc.tag, A: 5, B: tc.b}}
+		if err := tc.read(lossy); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: read-back over a lossy store returned %v, want %q", tc.name, err, tc.want)
+		}
+		lossy.latched = fmt.Errorf("shard 3: %w", dds.ErrBackendUnavailable)
+		if err := tc.read(lossy); !errors.Is(err, dds.ErrBackendUnavailable) {
+			t.Fatalf("%s: latched read failure not wrapped: %v", tc.name, err)
+		}
+	}
+}

@@ -30,6 +30,33 @@ type ListRankingResult struct {
 	Telemetry Telemetry
 }
 
+// listLevel is one contraction level's state, driver side: alive elements,
+// successor, hop weight.
+type listLevel struct {
+	alive  []int
+	nxt    map[int]int
+	weight map[int]int64
+}
+
+// readListLevel is the master's read-back of contracted level r: the hop
+// record (next sample or -1, summed weight) the contract round wrote for
+// every sample. A sample without one is an error — folding the absent value
+// in would splice the list into element 0 with weight 0.
+func readListLevel(store dds.StoreBackend, samples []int, r int) (listLevel, error) {
+	lv := listLevel{alive: samples, nxt: make(map[int]int, len(samples)), weight: make(map[int]int64, len(samples))}
+	for _, s := range samples {
+		v, ok := store.Get(dds.Key{Tag: tagListNext, A: int64(s), B: int64(r)})
+		if !ok {
+			return listLevel{}, missingRecord(store, "list hop", int64(s), int64(r))
+		}
+		lv.nxt[s] = int(v.A)
+		if v.A != -1 {
+			lv.weight[s] = v.B
+		}
+	}
+	return lv, nil
+}
+
 // ListRanking ranks the elements of one or more disjoint linked lists in
 // O(1/ε) rounds (Algorithm 11, Theorem 6). next[v] is v's successor, or -1
 // at a tail; every element must belong to exactly one acyclic chain.
@@ -56,13 +83,7 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 	defer rt.Close()
 	driver := opts.driverRNG(3)
 
-	// level r state, driver side: alive elements, successor, hop weight.
-	type level struct {
-		alive  []int
-		nxt    map[int]int
-		weight map[int]int64
-	}
-	cur := level{alive: make([]int, 0, n), nxt: make(map[int]int, n), weight: make(map[int]int64, n)}
+	cur := listLevel{alive: make([]int, 0, n), nxt: make(map[int]int, n), weight: make(map[int]int64, n)}
 	for v := 0; v < n; v++ {
 		cur.alive = append(cur.alive, v)
 		cur.nxt[v] = next[v]
@@ -79,7 +100,7 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 	maxLevels := int(math.Ceil(2*(1-opts.Epsilon)/opts.Epsilon)) + 1
 	stopAt := rt.Config().S
 
-	levels := []level{cur}
+	levels := []listLevel{cur}
 	for r := 0; r < maxLevels && len(levels[len(levels)-1].alive) > stopAt; r++ {
 		lv := levels[len(levels)-1]
 
@@ -136,14 +157,9 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 			return ListRankingResult{}, err
 		}
 
-		// Master: read back the contracted level.
-		nextLv := level{alive: samples, nxt: make(map[int]int, len(samples)), weight: make(map[int]int64, len(samples))}
-		for _, s := range samples {
-			v, _ := rt.Store().Get(dds.Key{Tag: tagListNext, A: int64(s), B: int64(r + 1)})
-			nextLv.nxt[s] = int(v.A)
-			if v.A != -1 {
-				nextLv.weight[s] = v.B
-			}
+		nextLv, err := readListLevel(rt.Store(), samples, r+1)
+		if err != nil {
+			return ListRankingResult{}, err
 		}
 		levels = append(levels, nextLv)
 	}

@@ -200,32 +200,45 @@ func shrink(rt *ampc.Runtime, cg *cycleGraph, n int, delta float64, t int, drive
 			return nil, err
 		}
 
-		// Master: assemble the contracted graph. Samples adopt their new
-		// two neighbors; vertices never visited by any traversal belong to
-		// sample-free cycles and survive unchanged.
-		visited := make(map[int]bool)
-		next := &cycleGraph{adj: make(map[int]([2]int))}
-		for _, v := range samples {
-			e, _ := rt.Store().Get(dds.Key{Tag: tagCycEdge, A: int64(v)})
-			next.verts = append(next.verts, v)
-			next.adj[v] = [2]int{int(e.A), int(e.B)}
-			visited[v] = true
-		}
-		for _, v := range verts {
-			if p, ok := rt.Store().Get(dds.Key{Tag: tagCycParent, A: int64(v)}); ok {
-				res.parent[v] = int(p.A)
-				visited[v] = true
-			}
-		}
-		for _, v := range verts {
-			if !visited[v] {
-				next.verts = append(next.verts, v)
-				next.adj[v] = cur.adj[v]
-			}
+		next, err := readContracted(rt.Store(), cur, samples, res.parent)
+		if err != nil {
+			return nil, err
 		}
 		res.g = next
 	}
 	return res, nil
+}
+
+// readContracted is the master's assembly of the contracted graph after a
+// traverse round. Samples adopt their new two neighbors — a sample whose
+// edge record is missing is an error, not neighbors {0, 0}; traversed
+// vertices record their parent; vertices never visited by any traversal
+// belong to sample-free cycles and survive unchanged.
+func readContracted(store dds.StoreBackend, cur *cycleGraph, samples []int, parent map[int]int) (*cycleGraph, error) {
+	visited := make(map[int]bool)
+	next := &cycleGraph{adj: make(map[int]([2]int))}
+	for _, v := range samples {
+		e, ok := store.Get(dds.Key{Tag: tagCycEdge, A: int64(v)})
+		if !ok {
+			return nil, missingRecord(store, "cycle edge", int64(v), 0)
+		}
+		next.verts = append(next.verts, v)
+		next.adj[v] = [2]int{int(e.A), int(e.B)}
+		visited[v] = true
+	}
+	for _, v := range cur.verts {
+		if p, ok := store.Get(dds.Key{Tag: tagCycParent, A: int64(v)}); ok {
+			parent[v] = int(p.A)
+			visited[v] = true
+		}
+	}
+	for _, v := range cur.verts {
+		if !visited[v] {
+			next.verts = append(next.verts, v)
+			next.adj[v] = cur.adj[v]
+		}
+	}
+	return next, nil
 }
 
 // traverse walks from sample v starting at vertex start (a neighbor of v)

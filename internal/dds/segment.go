@@ -13,10 +13,10 @@ import (
 //
 // A frozen store serializes as ONE file — store-NNNNNN.seg — instead of the
 // v1 layout's one file per shard. Writing P shard files per round made the
-// file backend's freeze 20-50x the in-memory backend's (BENCH_PR3.json):
-// the cost was P opens, P tiny writes and P closes, not the bytes. A segment
-// batches the shards of one store behind a single super-header, written
-// through one reused buffer and one write syscall.
+// file backend's freeze 20-50x the in-memory backend's: the cost was P
+// opens, P tiny writes and P closes, not the bytes. A segment batches the
+// shards of one store behind a single super-header, written through one
+// reused buffer and one write syscall.
 //
 //	super-header  64 bytes
 //	  [0:8)    magic "AMPCSEGM"

@@ -288,16 +288,15 @@ func ChungLu(n, m int, gamma float64, r *rng.RNG) *Graph {
 // PowerLaw returns a ChungLu sample at gamma 2.5, the long-tailed degree
 // profile of social and web graphs — the workload axis the scenario
 // harness sweeps next to gnm/cgnm. The fixed gamma keeps the workload
-// regenerable from (kind, n, m, seed) alone, which the bench trajectory
-// format requires.
+// regenerable from (kind, n, m, seed) alone.
 func PowerLaw(n, m int, r *rng.RNG) *Graph {
 	return ChungLu(n, m, 2.5, r)
 }
 
 // HubCount returns the hub-set size the "skew" workload kind uses for n
 // vertices: 1% of the graph, at least one vertex. Fixed here so every
-// consumer (ampcrun, benchgate, scenarios) regenerates identical graphs
-// from (kind, n, m, seed).
+// consumer (ampcrun, cmd/scenario) regenerates identical graphs from
+// (kind, n, m, seed).
 func HubCount(n int) int {
 	if h := n / 100; h > 1 {
 		return h

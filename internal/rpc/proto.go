@@ -75,6 +75,9 @@ const (
 	valBytes  = 16
 	maxFrame  = 1 << 28 // 256 MiB cap on one frame's payload
 	frameHead = 5       // u32 length + op/status byte
+	// frameEager is the largest payload buffer allocated on a header's word
+	// alone; a larger claimed length must be paid for in bytes received.
+	frameEager = 1 << 20
 )
 
 var le = binary.LittleEndian
@@ -112,7 +115,11 @@ func writeFrame(w *bufio.Writer, tag byte, payload []byte) error {
 }
 
 // readFrame reads one frame, reusing buf for the payload when it fits, and
-// returns the tag byte, the payload, and the possibly-grown buffer.
+// returns the tag byte, the payload, and the possibly-grown buffer. A header
+// costs a peer 5 bytes, so a claimed length beyond both buf and frameEager
+// allocates nothing up front: the buffer doubles as payload bytes actually
+// arrive, and a peer that sends a hostile length and stops costs at most
+// frameEager.
 func readFrame(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
 	var head [frameHead]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -123,12 +130,22 @@ func readFrame(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
 		return 0, nil, buf, fmt.Errorf("rpc: frame length %d outside [1, %d]", length, maxFrame)
 	}
 	n := int(length) - 1
-	if cap(buf) < n {
+	if cap(buf) < n && n <= frameEager {
 		buf = make([]byte, n)
 	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, buf, err
+	// One ReadFull when buf already holds n; otherwise fill, double, repeat.
+	payload := buf[:0]
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), min(n, max(2*cap(payload), frameEager)))
+			copy(grown, payload)
+			payload = grown
+		}
+		have := len(payload)
+		payload = payload[:min(cap(payload), n)]
+		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			return 0, nil, buf, err
+		}
 	}
-	return head[4], payload, buf, nil
+	return head[4], payload, payload, nil
 }

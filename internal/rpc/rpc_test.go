@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,96 @@ func TestFrameRejectsOversize(t *testing.T) {
 	if _, _, _, err := readFrame(bufio.NewReader(&netBuf), nil); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
+}
+
+// TestReadFrameHostileLength: five bytes claiming the largest legal frame,
+// then EOF. The read must fail having allocated about frameEager, not the
+// 256 MiB the header asked for.
+func TestReadFrameHostileLength(t *testing.T) {
+	head := append(le.AppendUint32(nil, maxFrame), opPut)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bufio.NewReader(bytes.NewReader(head)), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*frameEager {
+		t.Fatalf("a %d-byte header made readFrame allocate %d bytes (bound %d)", len(head), got, 2*frameEager)
+	}
+}
+
+// TestReadFrameGrows reads a frame larger than frameEager into a small
+// recycled buffer: the incremental path must deliver it intact and hand
+// back a buffer the next frame of that size reuses.
+func TestReadFrameGrows(t *testing.T) {
+	want := bytes.Repeat([]byte("0123456789abcdef"), 3*frameEager/16+1)
+	var netBuf bytes.Buffer
+	bw := bufio.NewWriter(&netBuf)
+	for i := 0; i < 2; i++ {
+		if err := writeFrame(bw, opPut, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bw.Flush()
+	br := bufio.NewReader(&netBuf)
+	tag, got, buf, err := readFrame(br, make([]byte, 64))
+	if err != nil || tag != opPut || !bytes.Equal(got, want) {
+		t.Fatalf("grown frame: tag %d err %v equal %v", tag, err, bytes.Equal(got, want))
+	}
+	_, got, again, err := readFrame(br, buf)
+	if err != nil || !bytes.Equal(got, want) || &again[0] != &buf[0] {
+		t.Fatalf("second frame: err %v, buffer reused %v", err, err == nil && &again[0] == &buf[0])
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader the way a
+// connection would: frame after frame into one recycled buffer. Whatever
+// the bytes, readFrame must return an error or a payload of exactly the
+// claimed length that re-encodes to the bytes consumed, and the buffer may
+// never outgrow what the peer actually sent.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(op byte, payload []byte) []byte {
+		var b bytes.Buffer
+		bw := bufio.NewWriter(&b)
+		writeFrame(bw, op, payload)
+		bw.Flush()
+		return b.Bytes()
+	}
+	// Real frames, encoded as client.putShard and client.getMany encode them.
+	c := &client{run: 0xfeed}
+	sections, err := dds.SegmentSections(dds.AppendSegment(nil, dds.NewStore(testPairs(200), 4, 0x5eed)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	put := append(le.AppendUint32(c.reqHeader(nil, 3), 1), sections[1]...)
+	get := le.AppendUint32(c.reqHeader(nil, 3), 2)
+	get = appendKey(appendKey(get, dds.Key{Tag: 1, A: 4, B: 4}), dds.Key{Tag: 2, A: -5})
+	f.Add(frame(opPut, put))
+	f.Add(append(frame(opGetBatch, get), frame(opPing, nil)...))
+	f.Add(append(le.AppendUint32(nil, maxFrame), opPut))
+	f.Add(append(le.AppendUint32(nil, 0), opPing))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		rest := data
+		var buf []byte
+		for {
+			tag, payload, b, err := readFrame(br, buf)
+			buf = b
+			if limit := max(frameEager, 2*len(data)); cap(buf) > limit {
+				t.Fatalf("buffer grew to %d for %d input bytes", cap(buf), len(data))
+			}
+			if err != nil {
+				return
+			}
+			enc := frame(tag, payload)
+			if !bytes.HasPrefix(rest, enc) {
+				t.Fatalf("frame tag %d len %d does not re-encode to the bytes consumed", tag, len(payload))
+			}
+			rest = rest[len(enc):]
+		}
+	})
 }
 
 func TestKeyValueCodec(t *testing.T) {

@@ -1,6 +1,6 @@
-// Package sysmem reports process memory high-water marks for bench lines.
-// Out-of-core runs exist to bound resident memory, so the bench surface
-// must report what the OS saw, not only what the Go heap retained.
+// Package sysmem reports process memory high-water marks. Out-of-core runs
+// exist to bound resident memory, so ampcrun's summary must report what the
+// OS saw, not only what the Go heap retained.
 package sysmem
 
 import (
@@ -11,12 +11,11 @@ import (
 )
 
 // PeakRSSMB returns the process's peak resident set size in MiB: VmHWM
-// from /proc/self/status where the kernel provides it (Linux — the
-// measurement the out-of-core CI gate watches, since it includes mmap'd
-// segment pages actually touched), falling back to the Go runtime's
+// from /proc/self/status where the kernel provides it (Linux — it includes
+// mmap'd segment pages actually touched), falling back to the Go runtime's
 // HeapSys+StackSys high-water proxy elsewhere. The fallback undercounts
-// non-heap memory, so gates should run on Linux; the value is still
-// monotone and useful for trend lines on other platforms.
+// non-heap memory; the value is still monotone and useful for orientation
+// on other platforms.
 func PeakRSSMB() float64 {
 	if kb, ok := procVmHWMKB(); ok {
 		return float64(kb) / 1024

@@ -13,12 +13,11 @@ import (
 )
 
 // readPathConfigs is the full read-path acceptance cube: every backend and
-// worker count crossed with the worker cache and machine pinning toggles.
+// worker count crossed with the worker cache toggle.
 type readPathConfig struct {
-	backend  string
-	workers  int
-	noCache  bool
-	unpinned bool
+	backend string
+	workers int
+	noCache bool
 }
 
 func readPathConfigs() []readPathConfig {
@@ -26,9 +25,7 @@ func readPathConfigs() []readPathConfig {
 	for _, backend := range []string{ampc.BackendMem, ampc.BackendFile, ampc.BackendRPC} {
 		for _, workers := range []int{1, 8} {
 			for _, noCache := range []bool{false, true} {
-				for _, unpinned := range []bool{false, true} {
-					cfgs = append(cfgs, readPathConfig{backend, workers, noCache, unpinned})
-				}
+				cfgs = append(cfgs, readPathConfig{backend, workers, noCache})
 			}
 		}
 	}
@@ -71,9 +68,9 @@ func segmentBytes(t *testing.T, dir string) []byte {
 // TestReadPathDifferential is the acceptance gate for the read-path
 // acceleration stack: the per-worker generation cache, pinned machine
 // execution and batched store reads are all observable only as speed. Every
-// combination of backend, worker count, cache toggle and pinning toggle must
-// produce byte-identical labels, payloads, summaries, query accounting —
-// and, on the file backend, byte-identical serialized segments. Runs under
+// combination of backend, worker count and cache toggle must produce
+// byte-identical labels, payloads, summaries, query accounting — and, on
+// the file backend, byte-identical serialized segments. Runs under
 // -race in CI, which also exercises the single-flight and shared-cache
 // synchronization.
 func TestReadPathDifferential(t *testing.T) {
@@ -88,13 +85,13 @@ func TestReadPathDifferential(t *testing.T) {
 		job := job
 		t.Run(job.Algo, func(t *testing.T) {
 			t.Parallel()
-			base, basePairs := runBackend(t, job, ampc.Options{Seed: 21, Backend: ampc.BackendMem, Workers: 1, NoWorkerCache: true, Unpinned: true})
+			base, basePairs := runBackend(t, job, ampc.Options{Seed: 21, Backend: ampc.BackendMem, Workers: 1, NoWorkerCache: true})
 			var segWant []byte
 			cacheHitsSeen := false
 			for _, cfg := range readPathConfigs() {
 				opts := ampc.Options{
 					Seed: 21, Backend: cfg.backend, Workers: cfg.workers,
-					NoWorkerCache: cfg.noCache, Unpinned: cfg.unpinned,
+					NoWorkerCache: cfg.noCache,
 				}
 				var storeDir string
 				if cfg.backend == ampc.BackendRPC {
@@ -105,7 +102,7 @@ func TestReadPathDifferential(t *testing.T) {
 					storeDir = t.TempDir()
 					opts.StoreDir = storeDir
 				}
-				label := fmt.Sprintf("%s/workers=%d/noCache=%v/unpinned=%v", cfg.backend, cfg.workers, cfg.noCache, cfg.unpinned)
+				label := fmt.Sprintf("%s/workers=%d/noCache=%v", cfg.backend, cfg.workers, cfg.noCache)
 				res, pairs := runBackend(t, job, opts)
 				if !reflect.DeepEqual(res.Labels, base.Labels) {
 					t.Errorf("%s: labels differ from baseline", label)
@@ -119,7 +116,7 @@ func TestReadPathDifferential(t *testing.T) {
 				if !reflect.DeepEqual(pairs, basePairs) {
 					t.Errorf("%s: per-round pair counts differ: %v vs %v", label, pairs, basePairs)
 				}
-				// The cache and pinning must be invisible to the model's cost
+				// The cache must be invisible to the model's cost
 				// accounting, not just to the algorithm outputs.
 				bt, rt := base.Telemetry, res.Telemetry
 				if rt.TotalQueries != bt.TotalQueries || rt.MaxMachineQueries != bt.MaxMachineQueries ||
