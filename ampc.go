@@ -19,22 +19,24 @@
 //   - graph generators and exact reference oracles (internal/graph).
 //
 // This root package is the stable facade: it re-exports the graph types,
-// generators, algorithm entry points and telemetry so applications depend
-// on a single import.
+// generators, oracles and telemetry so applications depend on a single
+// import.
 //
-// The primary way to run algorithms is the Engine: a configured, reusable
-// handle whose Run method executes any registered algorithm by name with
-// context cancellation, per-job option overrides, streaming per-round
-// telemetry, and optional oracle verification:
+// The Engine is the one way to run a registered algorithm: a configured,
+// reusable handle whose Run method executes any registered algorithm by
+// name with context cancellation, per-job option overrides, streaming
+// per-round telemetry, and optional oracle verification:
 //
 //	eng := ampc.NewEngine(ampc.EngineOptions{Defaults: ampc.Options{Seed: 1}})
 //	res, err := eng.Run(ctx, ampc.Job{Algo: "connectivity", Graph: g, Check: true})
+//	comps := res.Payload.(ampc.ConnectivityResult).Components
 //
 // Register and Algorithms expose the registry itself, so servers and CLI
 // harnesses dispatch by name instead of switching over entry points. The
-// per-algorithm free functions (Connectivity, MIS, ...) remain as thin
-// wrappers over the same implementations and are deprecated in favour of
-// the Engine.
+// three entry points whose inputs a Job does not carry — RootForest (a root
+// per tree), SubtreeAggregates (a rooted forest and per-vertex values) and
+// ShrinkTrace (the Lemma 4.1 experiment) — are plain functions that take
+// the context first.
 //
 // Every algorithm takes an Options value; the zero value picks ε = 0.5,
 // seed 0 and sensible simulation defaults, and the same seed always
@@ -181,82 +183,9 @@ type (
 	AffinityResult           = core.AffinityResult
 )
 
-// The paper's algorithms (section numbers refer to arXiv:1905.07533),
-// kept as thin wrappers over the registry-backed implementations so
-// existing callers migrate incrementally. New code should prefer
-// NewEngine / Engine.Run, which add cancellation, option overrides,
-// streaming telemetry and oracle checks in one uniform call.
-
-// TwoCycle decides one cycle vs two in O(1/ε) rounds (§4).
-//
-// Deprecated: use Engine.Run with Job{Algo: "twocycle"}.
-func TwoCycle(g *Graph, opts Options) (TwoCycleResult, error) {
-	return core.TwoCycle(context.Background(), g, opts)
-}
-
-// MIS computes the lexicographically-first maximal independent set under a
-// random permutation in O(1/ε) rounds w.h.p. (§5).
-//
-// Deprecated: use Engine.Run with Job{Algo: "mis"}.
-func MIS(g *Graph, opts Options) (MISResult, error) {
-	return core.MIS(context.Background(), g, opts)
-}
-
-// Connectivity labels connected components in O(log log n + 1/ε) phases
-// w.h.p. (§6).
-//
-// Deprecated: use Engine.Run with Job{Algo: "connectivity"}.
-func Connectivity(g *Graph, opts Options) (ConnectivityResult, error) {
-	return core.Connectivity(context.Background(), g, opts)
-}
-
-// MSF computes the minimum spanning forest in O(log log n + 1/ε) phases
-// w.h.p. (§7).
-//
-// Deprecated: use Engine.Run with Job{Algo: "msf"}.
-func MSF(g *WeightedGraph, opts Options) (MSFResult, error) {
-	return core.MSF(context.Background(), g, opts)
-}
-
-// SpanningForest computes an arbitrary spanning forest (Corollary 7.2).
-//
-// Deprecated: use Engine.Run with Job{Algo: "spanningforest"}.
-func SpanningForest(g *Graph, opts Options) ([]Edge, []int, Telemetry, error) {
-	return core.SpanningForest(context.Background(), g, opts)
-}
-
-// CycleConnectivity labels components of disjoint cycle unions in O(1/ε)
-// rounds (§8, Algorithm 10).
-//
-// Deprecated: use Engine.Run with Job{Algo: "cycleconn"}.
-func CycleConnectivity(g *Graph, opts Options) (CycleConnectivityResult, error) {
-	return core.CycleConnectivity(context.Background(), g, opts)
-}
-
-// ForestConnectivity labels components of forests in O(1/ε) rounds via
-// Euler tours (§8, Theorem 5).
-//
-// Deprecated: use Engine.Run with Job{Algo: "forestconn"}.
-func ForestConnectivity(g *Graph, opts Options) (ForestConnectivityResult, error) {
-	return core.ForestConnectivity(context.Background(), g, opts)
-}
-
-// ListRanking ranks linked lists in O(1/ε) rounds (§8.1, Theorem 6).
-//
-// Deprecated: use Engine.Run with Job{Algo: "listrank"}.
-func ListRanking(next []int, opts Options) (ListRankingResult, error) {
-	return core.ListRanking(context.Background(), next, opts)
-}
-
 // RootForest roots forest trees via Euler tours and list ranking (§8.1,
-// Theorem 7). It is not registry-dispatched (it needs a per-tree root
-// set); use RootForestCtx for cancellation.
-func RootForest(g *Graph, roots []int, opts Options) (*RootedForest, error) {
-	return core.RootForest(context.Background(), g, roots, opts)
-}
-
-// RootForestCtx is RootForest with cancellation.
-func RootForestCtx(ctx context.Context, g *Graph, roots []int, opts Options) (*RootedForest, error) {
+// Theorem 7). It is not registry-dispatched: it needs a per-tree root set.
+func RootForest(ctx context.Context, g *Graph, roots []int, opts Options) (*RootedForest, error) {
 	return core.RootForest(ctx, g, roots, opts)
 }
 
@@ -265,57 +194,15 @@ func RootForestCtx(ctx context.Context, g *Graph, roots []int, opts Options) (*R
 var ComputeTreeProps = core.ComputeTreeProps
 
 // SubtreeAggregates computes per-vertex subtree min/max via a DDS-resident
-// RMQ (Lemma 8.9). Use SubtreeAggregatesCtx for cancellation.
-func SubtreeAggregates(rf *RootedForest, values []int64, opts Options) (min, max []int64, tel Telemetry, err error) {
-	return core.SubtreeAggregates(context.Background(), rf, values, opts)
-}
-
-// SubtreeAggregatesCtx is SubtreeAggregates with cancellation.
-func SubtreeAggregatesCtx(ctx context.Context, rf *RootedForest, values []int64, opts Options) (min, max []int64, tel Telemetry, err error) {
+// RMQ (Lemma 8.9).
+func SubtreeAggregates(ctx context.Context, rf *RootedForest, values []int64, opts Options) (min, max []int64, tel Telemetry, err error) {
 	return core.SubtreeAggregates(ctx, rf, values, opts)
 }
 
-// Biconnectivity computes BC-labeling, bridges, articulation points and
-// 2-edge-connected components (§9, Theorem 8).
-//
-// Deprecated: use Engine.Run with Job{Algo: "biconn"}.
-func Biconnectivity(g *Graph, opts Options) (BiconnResult, error) {
-	return core.Biconnectivity(context.Background(), g, opts)
-}
-
-// ShrinkTrace exposes per-iteration sizes of the Shrink procedure for the
-// Lemma 4.1 experiments. Use ShrinkTraceCtx for cancellation.
-func ShrinkTrace(g *Graph, delta float64, iterations int, opts Options) ([]int, Telemetry, error) {
-	return core.ShrinkTrace(context.Background(), g, delta, iterations, opts)
-}
-
-// ShrinkTraceCtx is ShrinkTrace with cancellation.
-func ShrinkTraceCtx(ctx context.Context, g *Graph, delta float64, iterations int, opts Options) ([]int, Telemetry, error) {
+// ShrinkTrace exposes per-iteration sizes of the Shrink procedure (§4) for
+// the Lemma 4.1 experiments.
+func ShrinkTrace(ctx context.Context, g *Graph, delta float64, iterations int, opts Options) ([]int, Telemetry, error) {
 	return core.ShrinkTrace(ctx, g, delta, iterations, opts)
-}
-
-// MaximalMatching implements the paper's §10 future-work matching problem
-// with the §5 query-process machinery.
-//
-// Deprecated: use Engine.Run with Job{Algo: "matching"}.
-func MaximalMatching(g *Graph, opts Options) (MatchingResult, error) {
-	return core.MaximalMatching(context.Background(), g, opts)
-}
-
-// GreedyColoring implements the paper's §10 future-work (Δ+1)-coloring
-// problem with the §5 query-process machinery.
-//
-// Deprecated: use Engine.Run with Job{Algo: "coloring"}.
-func GreedyColoring(g *Graph, opts Options) (ColoringResult, error) {
-	return core.GreedyColoring(context.Background(), g, opts)
-}
-
-// AffinityClustering implements the hierarchical clustering of Bateni et
-// al., the DHT+MapReduce system that motivated AMPC (paper intro).
-//
-// Deprecated: use Engine.Run with Job{Algo: "affinity"}.
-func AffinityClustering(g *WeightedGraph, opts Options) (AffinityResult, error) {
-	return core.AffinityClustering(context.Background(), g, opts)
 }
 
 // Matching and coloring oracles.

@@ -1,26 +1,28 @@
-// Integration tests through the public facade: end-to-end pipelines that
-// combine several algorithms the way an application would, plus
-// property-based tests over randomized instances.
+// Integration tests through the Engine: end-to-end pipelines that combine
+// several algorithms the way an application would, plus property-based
+// tests over randomized instances.
 package ampc_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"ampc"
 )
 
-func TestFacadeConnectivityPipeline(t *testing.T) {
-	r := ampc.NewRNG(1, 0)
-	g := ampc.Union(ampc.ConnectedGNM(500, 1500, r), ampc.Cycle(100), ampc.Star(50))
-	g = ampc.Relabel(g, r.Perm(g.N()))
-	res, err := ampc.Connectivity(g, ampc.Options{Seed: 2})
+// runChecked runs job through a fresh Engine with the given seed and the
+// algorithm's oracle check on, failing the test on any error — an oracle
+// mismatch included.
+func runChecked(t *testing.T, job ampc.Job, seed uint64) *ampc.Result {
+	t.Helper()
+	job.Opts = &ampc.Options{Seed: seed}
+	job.Check = true
+	res, err := ampc.NewEngine(ampc.EngineOptions{}).Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ampc.SameLabeling(res.Components, ampc.Components(g)) {
-		t.Fatal("wrong labeling through facade")
-	}
+	return res
 }
 
 func TestFacadeMSFThenBridges(t *testing.T) {
@@ -28,10 +30,7 @@ func TestFacadeMSFThenBridges(t *testing.T) {
 	// connected graph's spanning tree is a bridge of the tree itself.
 	r := ampc.NewRNG(2, 0)
 	wg := ampc.WithRandomWeights(ampc.ConnectedGNM(300, 900, r), r)
-	msf, err := ampc.MSF(wg, ampc.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	msf := runChecked(t, ampc.Job{Algo: "msf", Weighted: wg}, 3).Payload.(ampc.MSFResult)
 	var treeEdges []ampc.Edge
 	for _, e := range msf.Edges {
 		treeEdges = append(treeEdges, ampc.Edge{U: e.U, V: e.V}.Canon())
@@ -40,10 +39,7 @@ func TestFacadeMSFThenBridges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	audit, err := ampc.Biconnectivity(tree, ampc.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	audit := runChecked(t, ampc.Job{Algo: "biconn", Graph: tree}, 4).Payload.(ampc.BiconnResult)
 	if len(audit.Bridges) != tree.M() {
 		t.Fatalf("tree audit found %d bridges, want all %d edges", len(audit.Bridges), tree.M())
 	}
@@ -54,14 +50,8 @@ func TestFacadeMISAndMatchingConsistency(t *testing.T) {
 	// cannot have both endpoints in the MIS.
 	r := ampc.NewRNG(3, 0)
 	g := ampc.GNM(300, 900, r)
-	mis, err := ampc.MIS(g, ampc.Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	match, err := ampc.MaximalMatching(g, ampc.Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mis := runChecked(t, ampc.Job{Algo: "mis", Graph: g}, 5).Payload.(ampc.MISResult)
+	match := runChecked(t, ampc.Job{Algo: "matching", Graph: g}, 6).Payload.(ampc.MatchingResult)
 	for e, in := range match.Matched {
 		if !in {
 			continue
@@ -78,12 +68,9 @@ func TestFacadeColoringRespectsMIS(t *testing.T) {
 	// under permutation π is exactly LFMIS(g, π).
 	r := ampc.NewRNG(4, 0)
 	g := ampc.GNM(200, 500, r)
-	col, err := ampc.GreedyColoring(g, ampc.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := runChecked(t, ampc.Job{Algo: "coloring", Graph: g}, 7)
 	class0 := make([]bool, g.N())
-	for v, c := range col.Color {
+	for v, c := range col.Labels {
 		class0[v] = c == 0
 	}
 	if !ampc.IsMIS(g, class0) {
@@ -91,16 +78,15 @@ func TestFacadeColoringRespectsMIS(t *testing.T) {
 	}
 }
 
+// The property tests below lean on the oracle check runChecked turns on;
+// each adds only what the oracle does not pin.
+
 func TestPropertyTwoCycleAlwaysCorrect(t *testing.T) {
 	check := func(seed uint64, sizeRaw uint8, single bool) bool {
 		n := (int(sizeRaw)%40 + 4) * 16 // 64..688, always even
-		r := ampc.NewRNG(seed, 0)
-		g := ampc.TwoCycleInstance(n, single, r)
-		res, err := ampc.TwoCycle(g, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		return res.SingleCycle == single
+		g := ampc.TwoCycleInstance(n, single, ampc.NewRNG(seed, 0))
+		res := runChecked(t, ampc.Job{Algo: "twocycle", Graph: g}, seed)
+		return res.Payload.(ampc.TwoCycleResult).SingleCycle == single
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -110,17 +96,9 @@ func TestPropertyTwoCycleAlwaysCorrect(t *testing.T) {
 func TestPropertyConnectivityAlwaysMatchesBFS(t *testing.T) {
 	check := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw)%150 + 10
-		m := int(mRaw) % (2 * n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		r := ampc.NewRNG(seed, 1)
-		g := ampc.GNM(n, m, r)
-		res, err := ampc.Connectivity(g, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		return ampc.SameLabeling(res.Components, ampc.Components(g))
+		m := min(int(mRaw)%(2*n), n*(n-1)/2)
+		g := ampc.GNM(n, m, ampc.NewRNG(seed, 1))
+		return runChecked(t, ampc.Job{Algo: "connectivity", Graph: g}, seed).Check == ampc.CheckPassed
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -131,21 +109,12 @@ func TestPropertyMSFAlwaysMatchesKruskal(t *testing.T) {
 	check := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%100 + 10
 		r := ampc.NewRNG(seed, 2)
-		m := n + r.Intn(2*n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(n+r.Intn(2*n), n*(n-1)/2)
 		g := ampc.WithRandomWeights(ampc.GNM(n, m, r), r)
-		res, err := ampc.MSF(g, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		want := ampc.KruskalMSF(g)
-		if len(res.Edges) != len(want) {
-			return false
-		}
-		for i := range want {
-			if res.Edges[i].Weight != want[i].Weight {
+		edges := runChecked(t, ampc.Job{Algo: "msf", Weighted: g}, seed).Payload.(ampc.MSFResult).Edges
+		// The oracle compares edge sets; the result is also weight-sorted.
+		for i, e := range ampc.KruskalMSF(g) {
+			if edges[i].Weight != e.Weight {
 				return false
 			}
 		}
@@ -159,17 +128,9 @@ func TestPropertyMSFAlwaysMatchesKruskal(t *testing.T) {
 func TestPropertyMISAlwaysValid(t *testing.T) {
 	check := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw)%120 + 5
-		m := int(mRaw) % (3 * n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
-		r := ampc.NewRNG(seed, 3)
-		g := ampc.GNM(n, m, r)
-		res, err := ampc.MIS(g, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		return ampc.IsMIS(g, res.InMIS)
+		m := min(int(mRaw)%(3*n), n*(n-1)/2)
+		g := ampc.GNM(n, m, ampc.NewRNG(seed, 3))
+		return runChecked(t, ampc.Job{Algo: "mis", Graph: g}, seed).Check == ampc.CheckPassed
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -179,14 +140,8 @@ func TestPropertyMISAlwaysValid(t *testing.T) {
 func TestPropertyForestConnectivityAlwaysCorrect(t *testing.T) {
 	check := func(seed uint64, nRaw, tRaw uint8) bool {
 		n := int(nRaw)%200 + 2
-		trees := int(tRaw)%n + 1
-		r := ampc.NewRNG(seed, 4)
-		g := ampc.RandomForest(n, trees, r)
-		res, err := ampc.ForestConnectivity(g, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		return ampc.SameLabeling(res.Components, ampc.Components(g))
+		g := ampc.RandomForest(n, int(tRaw)%n+1, ampc.NewRNG(seed, 4))
+		return runChecked(t, ampc.Job{Algo: "forestconn", Graph: g}, seed).Check == ampc.CheckPassed
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -197,21 +152,12 @@ func TestPropertyBiconnectivityBridges(t *testing.T) {
 	check := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%60 + 8
 		r := ampc.NewRNG(seed, 5)
-		m := n + r.Intn(n)
-		if max := n * (n - 1) / 2; m > max {
-			m = max
-		}
+		m := min(n+r.Intn(n), n*(n-1)/2)
 		g := ampc.GNM(n, m, r)
-		res, err := ampc.Biconnectivity(g, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		want := ampc.BridgesOracle(g)
-		if len(res.Bridges) != len(want) {
-			return false
-		}
-		for i := range want {
-			if res.Bridges[i] != want[i] {
+		bridges := runChecked(t, ampc.Job{Algo: "biconn", Graph: g}, seed).Payload.(ampc.BiconnResult).Bridges
+		// The oracle compares bridge sets; the result is also in oracle order.
+		for i, e := range ampc.BridgesOracle(g) {
+			if bridges[i] != e {
 				return false
 			}
 		}
@@ -225,31 +171,13 @@ func TestPropertyBiconnectivityBridges(t *testing.T) {
 func TestPropertyListRankingRanksArePermutation(t *testing.T) {
 	check := func(seed uint64, nRaw uint16) bool {
 		n := int(nRaw)%2000 + 1
-		r := ampc.NewRNG(seed, 6)
-		order := r.Perm(n)
+		order := ampc.NewRNG(seed, 6).Perm(n)
 		next := make([]int, n)
 		for i := 0; i < n-1; i++ {
 			next[order[i]] = order[i+1]
 		}
 		next[order[n-1]] = -1
-		res, err := ampc.ListRanking(next, ampc.Options{Seed: seed})
-		if err != nil {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, rk := range res.Rank {
-			if rk < 0 || rk >= n || seen[rk] {
-				return false
-			}
-			seen[rk] = true
-		}
-		// Ranks must respect the successor relation.
-		for v, u := range next {
-			if u != -1 && res.Rank[u] != res.Rank[v]+1 {
-				return false
-			}
-		}
-		return true
+		return runChecked(t, ampc.Job{Algo: "listrank", Next: next}, seed).Check == ampc.CheckPassed
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -257,33 +185,11 @@ func TestPropertyListRankingRanksArePermutation(t *testing.T) {
 }
 
 func TestFacadeDeterminismAcrossAlgorithms(t *testing.T) {
-	r := ampc.NewRNG(9, 0)
-	g := ampc.GNM(150, 400, r)
-	for name, run := range map[string]func(seed uint64) interface{}{
-		"connectivity": func(s uint64) interface{} {
-			res, err := ampc.Connectivity(g, ampc.Options{Seed: s})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Telemetry.TotalQueries
-		},
-		"mis": func(s uint64) interface{} {
-			res, err := ampc.MIS(g, ampc.Options{Seed: s})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Telemetry.TotalQueries
-		},
-		"matching": func(s uint64) interface{} {
-			res, err := ampc.MaximalMatching(g, ampc.Options{Seed: s})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res.Telemetry.TotalQueries
-		},
-	} {
-		if run(42) != run(42) {
-			t.Fatalf("%s: same seed gave different telemetry", name)
+	g := ampc.GNM(150, 400, ampc.NewRNG(9, 0))
+	for _, algo := range []string{"connectivity", "mis", "matching"} {
+		job := ampc.Job{Algo: algo, Graph: g}
+		if a, b := runChecked(t, job, 42), runChecked(t, job, 42); a.Telemetry.TotalQueries != b.Telemetry.TotalQueries {
+			t.Fatalf("%s: same seed gave different telemetry", algo)
 		}
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,6 +21,14 @@ import (
 	"ampc/internal/rng"
 )
 
+// run dispatches one AMPC measurement through the shared Engine and
+// returns its telemetry.
+func run(eng *ampc.Engine, job ampc.Job) ampc.Telemetry {
+	res, err := eng.Run(context.Background(), job)
+	fail(err)
+	return res.Telemetry
+}
+
 func main() {
 	quick := flag.Bool("quick", false, "smaller sweep for smoke testing")
 	flag.Parse()
@@ -29,6 +38,7 @@ func main() {
 		sizes = []int{1 << 9, 1 << 11}
 	}
 	const p = 64 // MPC machines
+	eng := ampc.NewEngine(ampc.EngineOptions{})
 
 	fmt.Println("Figure 1 reproduction: rounds, AMPC vs MPC baselines")
 	fmt.Println("(shapes, not absolute values, are the claim under test)")
@@ -39,11 +49,10 @@ func main() {
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 1)
 		g := graph.TwoCycleInstance(n, n%3 != 0, r)
-		a, err := ampc.TwoCycle(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "twocycle", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		m, err := mpc.TwoCycle(g, p, r)
 		fail(err)
-		fmt.Printf("%10d %14d %14d\n", n, a.Telemetry.Rounds, m.Rounds)
+		fmt.Printf("%10d %14d %14d\n", n, a.Rounds, m.Rounds)
 	}
 
 	fmt.Println("\n== Connectivity: AMPC IncreaseDegrees (O(log log n)) vs MPC label propagation (Theta(D)) ==")
@@ -52,20 +61,18 @@ func main() {
 	for _, n := range sizes {
 		side := isqrt(n)
 		g := graph.Grid(side, side)
-		a, err := ampc.Connectivity(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "connectivity", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		m := mpc.LabelPropagation(g, p)
 		htm := mpc.HashToMin(g, p)
-		fmt.Printf("%10d %10d %14d %14d %14d\n", side*side, 2*(side-1), a.Telemetry.Rounds, m.Rounds, htm.Rounds)
+		fmt.Printf("%10d %10d %14d %14d %14d\n", side*side, 2*(side-1), a.Rounds, m.Rounds, htm.Rounds)
 	}
 	fmt.Printf("%10s %10s %14s %14s\n", "n (gnm)", "~log n", "AMPC rounds", "MPC rounds")
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 2)
 		g := graph.ConnectedGNM(n, 4*n, r)
-		a, err := ampc.Connectivity(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "connectivity", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		m := mpc.LabelPropagation(g, p)
-		fmt.Printf("%10d %10s %14d %14d\n", n, "-", a.Telemetry.Rounds, m.Rounds)
+		fmt.Printf("%10d %10s %14d %14d\n", n, "-", a.Rounds, m.Rounds)
 	}
 
 	fmt.Println("\n== Minimum spanning forest: AMPC local Prim (O(log log n)) vs MPC Boruvka (Theta(log n)) ==")
@@ -73,10 +80,9 @@ func main() {
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 3)
 		g := graph.WithRandomWeights(graph.ConnectedGNM(n, 4*n, r), r)
-		a, err := ampc.MSF(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "msf", Weighted: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		m := mpc.BoruvkaMSF(g, p)
-		fmt.Printf("%10d %14d %14d %12d\n", n, a.Telemetry.Rounds, m.Rounds, m.Phases)
+		fmt.Printf("%10d %14d %14d %12d\n", n, a.Rounds, m.Rounds, m.Phases)
 	}
 
 	fmt.Println("\n== Maximal independent set: AMPC LFMIS (O(1/eps)) vs MPC Luby (Theta(log n)) ==")
@@ -84,10 +90,9 @@ func main() {
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 4)
 		g := graph.GNM(n, 4*n, r)
-		a, err := ampc.MIS(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "mis", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		m := mpc.LubyMIS(g, p, r)
-		fmt.Printf("%10d %14d %14d %12d\n", n, a.Telemetry.Rounds, m.Rounds, m.Iterations)
+		fmt.Printf("%10d %14d %14d %12d\n", n, a.Rounds, m.Rounds, m.Iterations)
 	}
 
 	fmt.Println("\n== Forest connectivity: AMPC Euler tours (O(1/eps)) vs MPC label propagation (Theta(tree depth)) ==")
@@ -95,10 +100,9 @@ func main() {
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 5)
 		g := graph.RandomForest(n, 8, r)
-		a, err := ampc.ForestConnectivity(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "forestconn", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		m := mpc.LabelPropagation(g, p)
-		fmt.Printf("%10d %14d %14d\n", n, a.Telemetry.Rounds, m.Rounds)
+		fmt.Printf("%10d %14d %14d\n", n, a.Rounds, m.Rounds)
 	}
 
 	fmt.Println("\n== 2-edge connectivity: AMPC BC-labeling (O(log log n)) vs MPC pipeline proxy ==")
@@ -111,8 +115,7 @@ func main() {
 		}
 		r := rng.New(uint64(n), 6)
 		g := graph.ConnectedGNM(n, 2*n, r)
-		a, err := ampc.Biconnectivity(g, ampc.Options{Seed: uint64(n)})
-		fail(err)
+		a := run(eng, ampc.Job{Algo: "biconn", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
 		lp := mpc.LabelPropagation(g, p)
 		next := make([]int, n)
 		for i := 0; i < n-1; i++ {
@@ -121,7 +124,7 @@ func main() {
 		next[n-1] = -1
 		lr := mpc.PointerDoublingListRank(next, p)
 		proxy := 2*lp.Rounds + lr.Rounds
-		fmt.Printf("%10d %14d %14d\n", n, a.Telemetry.Rounds, proxy)
+		fmt.Printf("%10d %14d %14d\n", n, a.Rounds, proxy)
 	}
 }
 

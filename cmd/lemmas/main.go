@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("%10s %8s %26s %18s\n", "n", "delta", "sizes per iteration", "measured factors")
 	for _, n := range sizes {
 		for _, delta := range []float64{0.4, 0.5} {
-			sizesTrace, _, err := ampc.ShrinkTrace(graph.Cycle(n), delta, 3, ampc.Options{Seed: uint64(n)})
+			sizesTrace, _, err := ampc.ShrinkTrace(context.Background(), graph.Cycle(n), delta, 3, ampc.Options{Seed: uint64(n)})
 			fail(err)
 			pred := math.Pow(float64(n), delta/2)
 			var factors []string

@@ -45,15 +45,17 @@ func ExampleEngine_Run_streaming() {
 	// streamed every round: true
 }
 
-// ExampleConnectivity labels the components of a small disconnected graph.
-func ExampleConnectivity() {
+// ExampleEngine_Run_connectivity labels the components of a small
+// disconnected graph.
+func ExampleEngine_Run_connectivity() {
+	eng := ampc.NewEngine(ampc.EngineOptions{Defaults: ampc.Options{Seed: 1}})
 	g := ampc.Union(ampc.Cycle(4), ampc.Path(3))
-	res, err := ampc.Connectivity(g, ampc.Options{Seed: 1})
+	res, err := eng.Run(context.Background(), ampc.Job{Algo: "connectivity", Graph: g})
 	if err != nil {
 		panic(err)
 	}
 	labels := map[int]bool{}
-	for _, c := range res.Components {
+	for _, c := range res.Payload.(ampc.ConnectivityResult).Components {
 		labels[c] = true
 	}
 	fmt.Println("components:", len(labels))
@@ -61,29 +63,32 @@ func ExampleConnectivity() {
 	// components: 2
 }
 
-// ExampleTwoCycle diagnoses whether a 2-regular graph is one ring or two.
-func ExampleTwoCycle() {
+// ExampleEngine_Run_twoCycle diagnoses whether a 2-regular graph is one
+// ring or two.
+func ExampleEngine_Run_twoCycle() {
+	eng := ampc.NewEngine(ampc.EngineOptions{Defaults: ampc.Options{Seed: 2}})
 	r := ampc.NewRNG(7, 0)
 	one := ampc.TwoCycleInstance(64, true, r)
 	two := ampc.TwoCycleInstance(64, false, r)
 
-	a, err := ampc.TwoCycle(one, ampc.Options{Seed: 2})
+	a, err := eng.Run(context.Background(), ampc.Job{Algo: "twocycle", Graph: one})
 	if err != nil {
 		panic(err)
 	}
-	b, err := ampc.TwoCycle(two, ampc.Options{Seed: 2})
+	b, err := eng.Run(context.Background(), ampc.Job{Algo: "twocycle", Graph: two})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("one ring:", a.SingleCycle)
-	fmt.Println("two rings:", !b.SingleCycle)
+	fmt.Println("one ring:", a.Payload.(ampc.TwoCycleResult).SingleCycle)
+	fmt.Println("two rings:", !b.Payload.(ampc.TwoCycleResult).SingleCycle)
 	// Output:
 	// one ring: true
 	// two rings: true
 }
 
-// ExampleMSF builds the unique minimum spanning forest of a weighted graph.
-func ExampleMSF() {
+// ExampleEngine_Run_msf builds the unique minimum spanning forest of a
+// weighted graph.
+func ExampleEngine_Run_msf() {
 	g, err := ampc.NewWeightedGraph(4, []ampc.WeightedEdge{
 		{U: 0, V: 1, Weight: 1},
 		{U: 1, V: 2, Weight: 2},
@@ -93,28 +98,31 @@ func ExampleMSF() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := ampc.MSF(g, ampc.Options{Seed: 3})
+	eng := ampc.NewEngine(ampc.EngineOptions{Defaults: ampc.Options{Seed: 3}})
+	res, err := eng.Run(context.Background(), ampc.Job{Algo: "msf", Weighted: g})
 	if err != nil {
 		panic(err)
 	}
+	edges := res.Payload.(ampc.MSFResult).Edges
 	var total int64
-	for _, e := range res.Edges {
+	for _, e := range edges {
 		total += e.Weight
 	}
-	fmt.Println("edges:", len(res.Edges), "weight:", total)
+	fmt.Println("edges:", len(edges), "weight:", total)
 	// Output:
 	// edges: 3 weight: 6
 }
 
-// ExampleListRanking positions every element of a linked list.
-func ExampleListRanking() {
+// ExampleEngine_Run_listRanking positions every element of a linked list.
+func ExampleEngine_Run_listRanking() {
+	eng := ampc.NewEngine(ampc.EngineOptions{Defaults: ampc.Options{Seed: 4}})
 	// The list 3 -> 0 -> 2 -> 1.
 	next := []int{2, -1, 1, 0}
-	res, err := ampc.ListRanking(next, ampc.Options{Seed: 4})
+	res, err := eng.Run(context.Background(), ampc.Job{Algo: "listrank", Next: next})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("ranks:", res.Rank)
+	fmt.Println("ranks:", res.Payload.(ampc.ListRankingResult).Rank)
 	// Output:
 	// ranks: [1 3 2 0]
 }

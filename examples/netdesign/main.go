@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -22,11 +23,14 @@ func main() {
 	// distinct costs (market quotes).
 	const sites = 3000
 	g := ampc.WithRandomWeights(ampc.ConnectedGNM(sites, 12000, r), r)
+	ctx := context.Background()
+	eng := ampc.NewEngine(ampc.EngineOptions{})
 
-	msf, err := ampc.MSF(g, ampc.Options{Seed: 8})
+	out, err := eng.Run(ctx, ampc.Job{Algo: "msf", Weighted: g, Opts: &ampc.Options{Seed: 8}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	msf := out.Payload.(ampc.MSFResult)
 	var total int64
 	for _, e := range msf.Edges {
 		total += e.Weight
@@ -73,10 +77,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	audit, err := ampc.Biconnectivity(network, ampc.Options{Seed: 9})
+	out, err = eng.Run(ctx, ampc.Job{Algo: "biconn", Graph: network, Opts: &ampc.Options{Seed: 9}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	audit := out.Payload.(ampc.BiconnResult)
 	fmt.Printf("\nredundant network: %d links\n", network.M())
 	fmt.Printf("  single-point-of-failure links (bridges): %d\n", len(audit.Bridges))
 	fmt.Printf("  single-point-of-failure sites (articulation points): %d\n", len(audit.ArticulationPoints))

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,13 +22,14 @@ func main() {
 	)
 	g = ampc.Relabel(g, r.Perm(g.N())) // hide the component structure
 
-	res, err := ampc.Connectivity(g, ampc.Options{Seed: 1, Epsilon: 0.5})
+	eng := ampc.NewEngine(ampc.EngineOptions{Defaults: ampc.Options{Seed: 1, Epsilon: 0.5}})
+	res, err := eng.Run(context.Background(), ampc.Job{Algo: "connectivity", Graph: g})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	sizes := map[int]int{}
-	for _, c := range res.Components {
+	for _, c := range res.Labels {
 		sizes[c]++
 	}
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
@@ -46,7 +48,7 @@ func main() {
 	fmt.Printf("  max shard load   %d queries/round (Lemma 2.1 contention)\n", t.MaxShardLoad)
 
 	// Cross-check against the exact sequential oracle.
-	if ampc.SameLabeling(res.Components, ampc.Components(g)) {
+	if ampc.SameLabeling(res.Labels, ampc.Components(g)) {
 		fmt.Println("\noracle check: labeling matches sequential BFS ✓")
 	} else {
 		log.Fatal("oracle check FAILED")

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,15 +21,18 @@ import (
 
 func main() {
 	const nodes = 1 << 14
+	ctx := context.Background()
+	eng := ampc.NewEngine(ampc.EngineOptions{})
 
 	for scenario, healthy := range map[string]bool{"healthy ring": true, "mis-wired ring": false} {
 		r := ampc.NewRNG(123, 0)
 		g := ampc.TwoCycleInstance(nodes, healthy, r)
 
-		res, err := ampc.TwoCycle(g, ampc.Options{Seed: 42})
+		out, err := eng.Run(ctx, ampc.Job{Algo: "twocycle", Graph: g, Opts: &ampc.Options{Seed: 42}})
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := out.Payload.(ampc.TwoCycleResult)
 		verdict := "OK: single ring"
 		if !res.SingleCycle {
 			verdict = "FAULT: ring is split in two"
@@ -60,13 +64,13 @@ func main() {
 		next[cur] = nxt
 		prev, cur = cur, nxt
 	}
-	lr, err := ampc.ListRanking(next, ampc.Options{Seed: 43})
+	lr, err := eng.Run(ctx, ampc.Job{Algo: "listrank", Next: next, Opts: &ampc.Options{Seed: 43}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwork order: %d nodes position-ranked in %d AMPC rounds\n",
 		g.N(), lr.Telemetry.Rounds)
 	for _, v := range []int{0, 1, 17, 4096} {
-		fmt.Printf("  node %-5d is at ring position %d\n", v, lr.Rank[v])
+		fmt.Printf("  node %-5d is at ring position %d\n", v, lr.Labels[v])
 	}
 }

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,12 +25,15 @@ func main() {
 	r := ampc.NewRNG(55, 0)
 	const jobs = 3000
 	conflicts := ampc.GNM(jobs, 4*jobs, r)
+	ctx := context.Background()
+	eng := ampc.NewEngine(ampc.EngineOptions{})
 
 	// Slot assignment: greedy coloring over a random priority order.
-	col, err := ampc.GreedyColoring(conflicts, ampc.Options{Seed: 21})
+	out, err := eng.Run(ctx, ampc.Job{Algo: "coloring", Graph: conflicts, Opts: &ampc.Options{Seed: 21}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	col := out.Payload.(ampc.ColoringResult)
 	slotCount := 0
 	slotSizes := map[int]int{}
 	for _, c := range col.Color {
@@ -51,10 +55,11 @@ func main() {
 
 	// Adversarial audit pairs: match jobs along conflict edges so each pair
 	// contends for the same resource and can audit the other's usage.
-	match, err := ampc.MaximalMatching(conflicts, ampc.Options{Seed: 22})
+	out, err = eng.Run(ctx, ampc.Job{Algo: "matching", Graph: conflicts, Opts: &ampc.Options{Seed: 22}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	match := out.Payload.(ampc.MatchingResult)
 	pairs := 0
 	for _, in := range match.Matched {
 		if in {

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,12 +54,14 @@ func main() {
 	}
 
 	// Whole-network connectivity: one giant component.
-	conn, err := ampc.Connectivity(full, ampc.Options{Seed: 3})
+	ctx := context.Background()
+	eng := ampc.NewEngine(ampc.EngineOptions{})
+	conn, err := eng.Run(ctx, ampc.Job{Algo: "connectivity", Graph: full, Opts: &ampc.Options{Seed: 3}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	giant := map[int]bool{}
-	for _, c := range conn.Components {
+	for _, c := range conn.Labels {
 		giant[c] = true
 	}
 	fmt.Printf("full network: n=%d m=%d, %d component(s), %d rounds\n",
@@ -79,12 +82,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	comm, err := ampc.Connectivity(strongG, ampc.Options{Seed: 4})
+	comm, err := eng.Run(ctx, ampc.Job{Algo: "connectivity", Graph: strongG, Opts: &ampc.Options{Seed: 4}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	commSizes := map[int]int{}
-	for _, c := range comm.Components {
+	for _, c := range comm.Labels {
 		commSizes[c]++
 	}
 	fmt.Printf("without weak ties: %d communities (expected %d), %d rounds\n",
@@ -92,16 +95,17 @@ func main() {
 
 	// Seed users: a maximal independent set of the full network — no two
 	// seeds are friends, and every user has a seed friend (or is one).
-	mis, err := ampc.MIS(full, ampc.Options{Seed: 5})
+	out, err := eng.Run(ctx, ampc.Job{Algo: "mis", Graph: full, Opts: &ampc.Options{Seed: 5}})
 	if err != nil {
 		log.Fatal(err)
 	}
+	mis := out.Payload.(ampc.MISResult)
 	seeds := 0
 	perCommunity := map[int]int{}
 	for v, in := range mis.InMIS {
 		if in {
 			seeds++
-			perCommunity[comm.Components[v]]++
+			perCommunity[comm.Labels[v]]++
 		}
 	}
 	fmt.Printf("seed set: %d users (%.1f%% of network), %d MIS iterations\n",

@@ -40,7 +40,9 @@ var ErrBudget = errors.New("ampc: per-machine communication budget exceeded")
 
 // Config describes the simulated cluster.
 type Config struct {
-	// P is the number of virtual machines executing each round.
+	// P is the number of virtual machines executing each round. It is also
+	// the DDS shard count, the paper's assumption that the DDS is handled
+	// by P machines.
 	P int
 	// S is the space per machine in words; the per-round communication
 	// budget is BudgetFactor * S queries and as many writes.
@@ -48,9 +50,6 @@ type Config struct {
 	// BudgetFactor is the constant hidden in the model's O(S) communication
 	// bound. Zero means DefaultBudgetFactor.
 	BudgetFactor int
-	// Shards is the number of DDS machines. Zero means P, matching the
-	// paper's assumption that the DDS is handled by P machines.
-	Shards int
 	// Workers is the number of long-lived OS worker goroutines that the P
 	// virtual machines are striped over each round. Zero means GOMAXPROCS.
 	// The paper's parallel-slackness argument (§2.1) runs many virtual
@@ -260,9 +259,6 @@ func New(cfg Config) *Runtime {
 	if cfg.BudgetFactor <= 0 {
 		cfg.BudgetFactor = DefaultBudgetFactor
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.P
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -270,7 +266,7 @@ func New(cfg Config) *Runtime {
 		cfg.Backend = dds.MemPublisher{}
 	}
 	r := &Runtime{cfg: cfg, seedR: rng.New(cfg.Seed, 0xA3), created: time.Now()}
-	r.shardDiv = dds.NewShardDiv(cfg.Shards)
+	r.shardDiv = dds.NewShardDiv(cfg.P)
 	r.workers = cfg.Workers
 	if r.workers > cfg.P {
 		r.workers = cfg.P
@@ -314,9 +310,9 @@ func New(cfg Config) *Runtime {
 	r.writes = make([]int, cfg.P)
 	// The initial empty D0 stays in memory whatever the backend: publishing
 	// a placeholder through a file publisher would write and immediately
-	// retire a full set of shard files before SetInput installs real data.
+	// retire a whole segment before SetInput installs real data.
 	// The salt is still drawn here so the seed stream is backend-invariant.
-	r.cur = dds.NewStore(nil, cfg.Shards, r.seedR.Uint64())
+	r.cur = dds.NewStore(nil, cfg.P, r.seedR.Uint64())
 	r.bindBackend()
 	r.staticSalt = r.seedR.Uint64()
 	// The next store's salt is drawn up front (and re-drawn after every
@@ -324,7 +320,7 @@ func New(cfg Config) *Runtime {
 	// lets Freeze skip its counting pass. The draw order matches the old
 	// freeze-time draw exactly, so seeds produce the same salt sequence.
 	r.nextSalt = r.seedR.Uint64()
-	r.builder.Prime(cfg.Shards, r.nextSalt)
+	r.builder.Prime(cfg.P, r.nextSalt)
 	if cfg.FaultProb > 0 {
 		r.faultR = rng.New(cfg.Seed, 0xFA)
 	}
@@ -472,7 +468,7 @@ func (r *Runtime) Budget() int { return r.cfg.BudgetFactor * r.cfg.S }
 // using a set of keys known to all machines"). It does not count as a round.
 // With a file backend, a publish failure here surfaces from the next Round.
 func (r *Runtime) SetInput(pairs []dds.KV) {
-	r.publish(dds.NewStoreArena(pairs, r.cfg.Shards, r.nextSalt, r.arena))
+	r.publish(dds.NewStoreArena(pairs, r.cfg.P, r.nextSalt, r.arena))
 }
 
 // SetInputStream installs D0 from a streaming producer instead of a
@@ -485,9 +481,9 @@ func (r *Runtime) SetInput(pairs []dds.KV) {
 // Like SetInput this does not count as a round, and with a file backend a
 // publish failure surfaces from the next Round.
 func (r *Runtime) SetInputStream(fill func(writer func(machine int) *dds.Writer)) {
-	r.builder.Prime(r.cfg.Shards, r.nextSalt)
+	r.builder.Prime(r.cfg.P, r.nextSalt)
 	fill(r.builder.Writer)
-	r.publish(r.builder.FreezeArena(r.arena, r.cfg.Shards, r.nextSalt))
+	r.publish(r.builder.FreezeArena(r.arena, r.cfg.P, r.nextSalt))
 }
 
 // Store returns the current store D_{i-1} (the output of the last round).
@@ -594,7 +590,7 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 	// write-time pre-hashing for the next store's geometry, so this round's
 	// writes land in per-shard buckets and the freeze below is a sized merge
 	// with no counting pass.
-	r.builder.Prime(r.cfg.Shards, r.nextSalt)
+	r.builder.Prime(r.cfg.P, r.nextSalt)
 	fail := r.failNext
 	r.failNext = nil
 	if r.faultR != nil {
@@ -691,7 +687,7 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 		}
 		t1 = time.Now()
 	}
-	nextStore := r.builder.FreezeArena(r.arena, r.cfg.Shards, r.nextSalt)
+	nextStore := r.builder.FreezeArena(r.arena, r.cfg.P, r.nextSalt)
 	st.Pairs = nextStore.Len()
 	fz := r.builder.FreezeTimes()
 	t2 := time.Now()

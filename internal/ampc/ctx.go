@@ -357,17 +357,17 @@ func (c *Ctx) bind(r *Runtime) {
 	}
 	if c.sharedDyn {
 		c.loadSink = r.curLoads
-		if cap(c.loads) < r.cfg.Shards {
-			c.loads = make([]int64, r.cfg.Shards)
+		if cap(c.loads) < r.cfg.P {
+			c.loads = make([]int64, r.cfg.P)
 		} else {
-			c.loads = c.loads[:r.cfg.Shards]
+			c.loads = c.loads[:r.cfg.P]
 		}
 	}
 	if c.sharedStatic {
-		if cap(c.sloads) < r.cfg.Shards {
-			c.sloads = make([]int64, r.cfg.Shards)
+		if cap(c.sloads) < r.cfg.P {
+			c.sloads = make([]int64, r.cfg.P)
 		} else {
-			c.sloads = c.sloads[:r.cfg.Shards]
+			c.sloads = c.sloads[:r.cfg.P]
 		}
 	}
 }

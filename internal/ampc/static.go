@@ -30,7 +30,7 @@ func (r *Runtime) AddStatic(name string, pairs []dds.KV) error {
 		return err
 	}
 	r.staticPairs = append(r.staticPairs, pairs...)
-	r.static = dds.NewStore(r.staticPairs, r.cfg.Shards, r.staticSalt)
+	r.static = dds.NewStore(r.staticPairs, r.cfg.P, r.staticSalt)
 	r.staticSeq++
 	return nil
 }

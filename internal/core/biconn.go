@@ -253,7 +253,7 @@ func subtreeExtremes(cctx context.Context, g *graph.Graph, lowVals, highVals []i
 	for 1<<logN < n+2 {
 		logN++
 	}
-	opts.TotalSpaceFactor *= logN
+	opts.spaceFactor *= logN
 	rt := opts.newRuntime(cctx, n, g.M())
 	defer rt.Close()
 	if n == 0 {

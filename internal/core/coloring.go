@@ -38,12 +38,10 @@ func GreedyColoring(ctx context.Context, g *graph.Graph, opts Options) (Coloring
 		return ColoringResult{}, err
 	}
 	n := g.N()
-	if opts.BudgetFactor == 0 {
-		_, s := opts.params(n, g.M())
-		// Afford a visit its worst case: an adjacency read and a status read
-		// for each of up to Δ settled earlier neighbors.
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/s
-	}
+	_, space := opts.params(n, g.M())
+	// Afford a visit its worst case: an adjacency read and a status read for
+	// each of up to Δ settled earlier neighbors.
+	opts.budgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/space
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 	driver := opts.driverRNG(13)

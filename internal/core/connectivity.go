@@ -96,7 +96,7 @@ func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (Connectivi
 // materialized input; ConnectivityStream enters at phase 1, having run the
 // first phase against the streamed ingest without ever materializing Gc.
 func connectivityPhases(ctx context.Context, rt *ampc.Runtime, d *flatDriver, gc *contracted, m2 []int, driver *rng.RNG, opts Options, n, m, phases int) (int, error) {
-	totalSpace := float64(opts.TotalSpaceFactor * (n + m + 1))
+	totalSpace := float64(opts.spaceFactor * (n + m + 1))
 	dCap := math.Pow(float64(n), opts.Epsilon/2)
 	maxPhases := 4*int(math.Log2(float64(n+4))) + 16
 

@@ -73,7 +73,7 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 	default:
 		streamIngest(rt, d, es, deg, verts)
 		phases = 1
-		totalSpace := float64(opts.TotalSpaceFactor * (n + m + 1))
+		totalSpace := float64(opts.spaceFactor * (n + m + 1))
 		budget := connExploreBudget(totalSpace, len(verts), math.Pow(float64(n), opts.Epsilon/2))
 		if err := increaseDegrees(rt, d.shuffled(verts, driver), budget, phases); err != nil {
 			return ConnectivityResult{}, err

@@ -40,17 +40,6 @@ type Options struct {
 	Epsilon float64
 	// Seed makes the run deterministic.
 	Seed uint64
-	// BudgetFactor overrides the runtime's per-machine budget constant.
-	// Zero selects ampc.DefaultBudgetFactor.
-	BudgetFactor int
-	// TotalSpaceFactor scales the total space T = factor * (n + m). Zero
-	// selects DefaultTotalSpaceFactor. The paper allows T = O(N polylog N);
-	// connectivity and MSF benefit from slack here.
-	TotalSpaceFactor int
-	// MaxP caps the simulated machine count so tiny-S runs do not spawn
-	// millions of goroutines. Zero selects DefaultMaxP. Capping P only
-	// makes per-machine load larger, so enforced budgets stay meaningful.
-	MaxP int
 	// Workers is the number of long-lived OS worker goroutines the P
 	// virtual machines are striped over each round (see
 	// ampc.Config.Workers). Zero selects GOMAXPROCS. Outputs are identical
@@ -119,6 +108,16 @@ type Options struct {
 	// reads die with the run's connection pools, so RetainStore with
 	// BackendRPC is rejected by validation.
 	RetainStore bool
+
+	// budgetFactor is the runtime's per-machine budget constant; zero
+	// selects ampc.DefaultBudgetFactor. The §5 query processes (MIS,
+	// matching, coloring) raise it to afford a high-degree visit.
+	budgetFactor int
+	// spaceFactor scales the total space T = factor * (n + m); withDefaults
+	// sets defaultSpaceFactor. The paper allows T = O(N polylog N):
+	// connectivity and MSF read their exploration budgets from it, and
+	// biconnectivity's sparse-table stage scales it by log n.
+	spaceFactor int
 }
 
 // Store backend names accepted by Options.Backend.
@@ -146,9 +145,12 @@ const (
 
 // Defaults for Options fields.
 const (
-	DefaultEpsilon          = 0.5
-	DefaultTotalSpaceFactor = 2
-	DefaultMaxP             = 512
+	DefaultEpsilon     = 0.5
+	defaultSpaceFactor = 2
+	// maxP caps the simulated machine count so tiny-S runs do not spawn
+	// millions of goroutines. Capping P only makes per-machine load
+	// larger, so enforced budgets stay meaningful.
+	maxP = 512
 	// minS keeps small test instances from degenerating to S of a few
 	// words, where the model's asymptotic assumptions are meaningless.
 	minS = 64
@@ -158,35 +160,22 @@ func (o Options) withDefaults() Options {
 	if o.Epsilon == 0 {
 		o.Epsilon = DefaultEpsilon
 	}
-	if o.TotalSpaceFactor == 0 {
-		o.TotalSpaceFactor = DefaultTotalSpaceFactor
-	}
-	if o.MaxP == 0 {
-		o.MaxP = DefaultMaxP
+	if o.spaceFactor == 0 {
+		o.spaceFactor = defaultSpaceFactor
 	}
 	return o
 }
 
 // validate enforces the documented contracts, coherently with withDefaults:
-// for every defaultable knob (Epsilon, BudgetFactor, TotalSpaceFactor,
-// MaxP) the zero value means "select the default" and is accepted, while
-// values outside the documented range — Epsilon outside (0,1), negative
-// factors, FaultProb outside [0,1) — are rejected with an error wrapping
-// ErrInvalidOptions. It therefore gives the same verdict whether called
+// for every defaultable knob the zero value means "select the default" and
+// is accepted, while values outside the documented range — Epsilon outside
+// (0,1), negative counts, FaultProb outside [0,1) — are rejected with an
+// error wrapping ErrInvalidOptions. It therefore gives the same verdict whether called
 // before or after withDefaults.
 func (o Options) validate() error {
 	if o.Epsilon != 0 && (o.Epsilon <= 0 || o.Epsilon >= 1) {
 		return fmt.Errorf("%w: Epsilon must lie in (0,1) (0 selects the default %v), got %v",
 			ErrInvalidOptions, DefaultEpsilon, o.Epsilon)
-	}
-	if o.BudgetFactor < 0 {
-		return fmt.Errorf("%w: BudgetFactor must be non-negative, got %d", ErrInvalidOptions, o.BudgetFactor)
-	}
-	if o.TotalSpaceFactor < 0 {
-		return fmt.Errorf("%w: TotalSpaceFactor must be non-negative, got %d", ErrInvalidOptions, o.TotalSpaceFactor)
-	}
-	if o.MaxP < 0 {
-		return fmt.Errorf("%w: MaxP must be non-negative, got %d", ErrInvalidOptions, o.MaxP)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("%w: Workers must be non-negative, got %d", ErrInvalidOptions, o.Workers)
@@ -237,36 +226,36 @@ func (o Options) validate() error {
 
 // params derives the cluster shape from the instance size: space per
 // machine S = max(n^ε, minS) and machine count P = ceil(T/S) with
-// T = factor·(n+m), capped at MaxP.
+// T = factor·(n+m), capped at maxP.
 func (o Options) params(n, m int) (p, s int) {
 	s = int(math.Ceil(math.Pow(float64(n), o.Epsilon)))
 	if s < minS {
 		s = minS
 	}
-	total := o.TotalSpaceFactor * (n + m + 1)
+	total := o.spaceFactor * (n + m + 1)
 	p = (total + s - 1) / s
 	if p < 1 {
 		p = 1
 	}
-	if p > o.MaxP {
-		p = o.MaxP
+	if p > maxP {
+		p = maxP
 	}
 	return p, s
 }
 
 // newRuntime builds the AMPC runtime for an instance with n vertices and m
-// edges under the given options. When the machine count is capped at MaxP
+// edges under the given options. When the machine count is capped at maxP
 // (a simulation limit, not a model limit), each simulated machine stands in
 // for ceil(P_uncapped/P) model machines, so the per-machine budget scales
 // by the same factor to keep enforcement meaningful rather than spuriously
 // tight.
 func (o Options) newRuntime(ctx context.Context, n, m int) *ampc.Runtime {
 	p, s := o.params(n, m)
-	bf := o.BudgetFactor
+	bf := o.budgetFactor
 	if bf <= 0 {
 		bf = ampc.DefaultBudgetFactor
 	}
-	total := o.TotalSpaceFactor * (n + m + 1)
+	total := o.spaceFactor * (n + m + 1)
 	if uncapped := (total + s - 1) / s; uncapped > p {
 		bf *= (uncapped + p - 1) / p
 	}

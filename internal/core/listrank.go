@@ -259,14 +259,9 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 		}
 	}
 
-	// Master: read the final ranks.
-	ranks := make([]int, n)
-	for v := 0; v < n; v++ {
-		d, ok := rt.Store().Get(dds.Key{Tag: tagListD, A: int64(v)})
-		if !ok {
-			return ListRankingResult{}, fmt.Errorf("core: element %d was never ranked", v)
-		}
-		ranks[v] = int(d.A)
+	ranks, err := readRanks(rt.Store(), n)
+	if err != nil {
+		return ListRankingResult{}, err
 	}
 	res := ListRankingResult{Rank: ranks}
 	if opts.RetainStore {
@@ -278,6 +273,20 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 	}
 	res.Telemetry = telemetryFrom(rt, coarsest)
 	return res, nil
+}
+
+// readRanks is the master's read of the final ranks: every element must
+// have one, so a miss is a typed missing-record error.
+func readRanks(store dds.StoreBackend, n int) ([]int, error) {
+	ranks := make([]int, n)
+	for v := range ranks {
+		d, ok := store.Get(dds.Key{Tag: tagListD, A: int64(v)})
+		if !ok {
+			return nil, missingRecord(store, "list rank", int64(v), 0)
+		}
+		ranks[v] = int(d.A)
+	}
+	return ranks, nil
 }
 
 // listWalk walks forward from sample s along level-r pointers until the

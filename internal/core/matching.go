@@ -42,13 +42,11 @@ func MaximalMatching(ctx context.Context, g *graph.Graph, opts Options) (Matchin
 		return MatchingResult{}, err
 	}
 	m := g.M()
-	if opts.BudgetFactor == 0 {
-		_, s := opts.params(m+1, m)
-		// A line-graph neighborhood is both endpoints' incident edge lists,
-		// up to 2Δ edges: afford each its list read and its status read, plus
-		// the usual c·S.
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (4*g.MaxDeg()+16)/s
-	}
+	_, space := opts.params(m+1, m)
+	// A line-graph neighborhood is both endpoints' incident edge lists, up
+	// to 2Δ edges: afford each its list read and its status read, plus the
+	// usual c·S.
+	opts.budgetFactor = ampc.DefaultBudgetFactor + (4*g.MaxDeg()+16)/space
 	rt := opts.newRuntime(ctx, m+1, m)
 	defer rt.Close()
 	driver := opts.driverRNG(12)

@@ -52,10 +52,8 @@ func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 		return MISResult{}, err
 	}
 	n := g.N()
-	if opts.BudgetFactor == 0 {
-		_, s := opts.params(n, g.M())
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/s
-	}
+	_, space := opts.params(n, g.M())
+	opts.budgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/space
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
 	driver := opts.driverRNG(4)

@@ -69,7 +69,7 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 	}
 
 	committed := make(map[int64]bool)
-	totalSpace := float64(opts.TotalSpaceFactor * (n + g.M() + 1))
+	totalSpace := float64(opts.spaceFactor * (n + g.M() + 1))
 	dCap := math.Pow(float64(n), opts.Epsilon/2)
 	phases := 0
 	maxPhases := 4*int(math.Log2(float64(n+4))) + 16
@@ -386,12 +386,22 @@ func msfSolveLocally(rt *ampc.Runtime, gc *contracted, phase int, committed map[
 	if err != nil {
 		return err
 	}
+	return readCommitted(rt.Store(), committed)
+}
+
+// readCommitted folds the local solve's chosen weights into committed. The
+// list ends at the first absent index, so a record the backend lost would
+// silently truncate it: a latched read failure fails the phase instead.
+func readCommitted(store dds.StoreBackend, committed map[int64]bool) error {
 	for i := 0; ; i++ {
-		w, ok := rt.Store().Get(dds.Key{Tag: tagMSFEdge, A: -1, B: int64(i)})
+		w, ok := store.Get(dds.Key{Tag: tagMSFEdge, A: -1, B: int64(i)})
 		if !ok {
 			break
 		}
 		committed[w.A] = true
+	}
+	if cause := readErr(store); cause != nil {
+		return fmt.Errorf("core: reading committed MSF edges: %w", cause)
 	}
 	return nil
 }

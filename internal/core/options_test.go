@@ -11,11 +11,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Epsilon != DefaultEpsilon {
 		t.Fatalf("Epsilon default = %v", o.Epsilon)
 	}
-	if o.TotalSpaceFactor != DefaultTotalSpaceFactor {
-		t.Fatalf("TotalSpaceFactor default = %v", o.TotalSpaceFactor)
-	}
-	if o.MaxP != DefaultMaxP {
-		t.Fatalf("MaxP default = %v", o.MaxP)
+	if o.spaceFactor != defaultSpaceFactor {
+		t.Fatalf("spaceFactor default = %v", o.spaceFactor)
 	}
 }
 
@@ -41,33 +38,33 @@ func TestParamsScaling(t *testing.T) {
 	if s != 1000 {
 		t.Fatalf("n=1e6: S = %d, want 1000", s)
 	}
-	// P·S ≈ factor·(n+m), capped at MaxP.
+	// P·S ≈ factor·(n+m), capped at maxP.
 	p, s := o.params(10_000, 40_000)
-	wantP := (2*(10_000+40_000+1) + s - 1) / s
-	if wantP > o.MaxP {
-		wantP = o.MaxP
-	}
+	wantP := min((2*(10_000+40_000+1)+s-1)/s, maxP)
 	if p != wantP {
 		t.Fatalf("P = %d, want %d", p, wantP)
 	}
 }
 
 func TestParamsMaxPCap(t *testing.T) {
-	o := Options{Epsilon: 0.3, MaxP: 16}.withDefaults()
-	p, _ := o.params(1_000_000, 4_000_000)
-	if p != 16 {
-		t.Fatalf("P = %d, want cap 16", p)
+	o := Options{Epsilon: 0.3}.withDefaults()
+	p, s := o.params(1_000_000, 4_000_000)
+	if uncapped := (defaultSpaceFactor*(1_000_000+4_000_000+1) + s - 1) / s; uncapped <= maxP {
+		t.Fatalf("instance too small to reach the cap: uncapped P = %d", uncapped)
+	}
+	if p != maxP {
+		t.Fatalf("P = %d, want cap %d", p, maxP)
 	}
 }
 
 func TestNewRuntimeBudgetScalesWithCap(t *testing.T) {
 	// When P is capped, the per-machine budget must scale so each simulated
 	// machine can stand in for several model machines.
-	big := Options{Epsilon: 0.3, MaxP: 8}.withDefaults()
+	big := Options{Epsilon: 0.3}.withDefaults()
 	rt := big.newRuntime(context.Background(), 100_000, 400_000)
 	_, s := big.params(100_000, 400_000)
-	uncapped := (big.TotalSpaceFactor*(100_000+400_000+1) + s - 1) / s
-	scale := (uncapped + 7) / 8
+	uncapped := (big.spaceFactor*(100_000+400_000+1) + s - 1) / s
+	scale := (uncapped + maxP - 1) / maxP
 	if rt.Budget() < 8*s*scale {
 		t.Fatalf("budget %d did not scale with the P cap (want >= %d)", rt.Budget(), 8*s*scale)
 	}

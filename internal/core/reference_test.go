@@ -33,9 +33,9 @@ func refMIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error
 		return MISResult{}, err
 	}
 	n := g.N()
-	if opts.BudgetFactor == 0 {
+	if opts.budgetFactor == 0 {
 		_, s := opts.params(n, g.M())
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (3*g.MaxDeg()+16)/s
+		opts.budgetFactor = ampc.DefaultBudgetFactor + (3*g.MaxDeg()+16)/s
 	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
@@ -277,11 +277,11 @@ func refMaximalMatching(ctx context.Context, g *graph.Graph, opts Options) (Matc
 		return MatchingResult{}, err
 	}
 	m := g.M()
-	if opts.BudgetFactor == 0 {
+	if opts.budgetFactor == 0 {
 		_, s := opts.params(m+1, m)
 		// A line-graph neighborhood scan touches both endpoints' incident
 		// edge lists: afford 2Δ of them plus the usual c·S.
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (6*g.MaxDeg()+16)/s
+		opts.budgetFactor = ampc.DefaultBudgetFactor + (6*g.MaxDeg()+16)/s
 	}
 	rt := opts.newRuntime(ctx, m+1, m)
 	defer rt.Close()
@@ -522,9 +522,9 @@ func refGreedyColoring(ctx context.Context, g *graph.Graph, opts Options) (Color
 		return ColoringResult{}, err
 	}
 	n := g.N()
-	if opts.BudgetFactor == 0 {
+	if opts.budgetFactor == 0 {
 		_, s := opts.params(n, g.M())
-		opts.BudgetFactor = ampc.DefaultBudgetFactor + (3*g.MaxDeg()+16)/s
+		opts.budgetFactor = ampc.DefaultBudgetFactor + (3*g.MaxDeg()+16)/s
 	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()

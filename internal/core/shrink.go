@@ -160,11 +160,9 @@ func shrink(rt *ampc.Runtime, cg *cycleGraph, n int, delta float64, t int, drive
 
 		// Master: collect the sample set M from the store (uncounted master
 		// read) and randomly distribute it to the machines.
-		var samples []int
-		for _, v := range verts {
-			if _, ok := rt.Store().Get(dds.Key{Tag: tagCycMark, A: int64(v)}); ok {
-				samples = append(samples, v)
-			}
+		samples, err := readSamples(rt.Store(), verts)
+		if err != nil {
+			return nil, err
 		}
 		if len(samples) == 0 {
 			// No vertex sampled (only plausible when the graph is tiny):
@@ -209,6 +207,22 @@ func shrink(rt *ampc.Runtime, cg *cycleGraph, n int, delta float64, t int, drive
 	return res, nil
 }
 
+// readSamples returns the vertices the publish round marked. An absent mark
+// means "unsampled", so a mark the backend lost is visible only as a latched
+// read failure, which fails the iteration.
+func readSamples(store dds.StoreBackend, verts []int) ([]int, error) {
+	var samples []int
+	for _, v := range verts {
+		if _, ok := store.Get(dds.Key{Tag: tagCycMark, A: int64(v)}); ok {
+			samples = append(samples, v)
+		}
+	}
+	if cause := readErr(store); cause != nil {
+		return nil, fmt.Errorf("core: reading cycle marks: %w", cause)
+	}
+	return samples, nil
+}
+
 // readContracted is the master's assembly of the contracted graph after a
 // traverse round. Samples adopt their new two neighbors — a sample whose
 // edge record is missing is an error, not neighbors {0, 0}; traversed
@@ -231,6 +245,11 @@ func readContracted(store dds.StoreBackend, cur *cycleGraph, samples []int, pare
 			parent[v] = int(p.A)
 			visited[v] = true
 		}
+	}
+	// An absent parent means "unvisited": only a latched failure tells a
+	// lost record apart.
+	if cause := readErr(store); cause != nil {
+		return nil, fmt.Errorf("core: reading cycle parents: %w", cause)
 	}
 	for _, v := range cur.verts {
 		if !visited[v] {

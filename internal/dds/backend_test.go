@@ -10,18 +10,19 @@ import (
 	"testing"
 )
 
-// roundTrip serializes s into a fresh temp directory and opens it back as a
-// FileStore, failing the test on any codec error. The FileStore is closed
-// when the test finishes.
+// roundTrip serializes s as an all-raw segment — every section a plain
+// shard block, served straight from the mapping — and opens it back with
+// full verification, failing the test on any codec error. The FileStore is
+// closed when the test finishes.
 func roundTrip(t testing.TB, s *Store) *FileStore {
 	t.Helper()
-	dir := t.TempDir()
-	if err := WriteStore(s, dir); err != nil {
-		t.Fatalf("WriteStore: %v", err)
+	path := filepath.Join(t.TempDir(), "store-raw.seg")
+	if err := os.WriteFile(path, AppendSegment(nil, s), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	fs, err := OpenFileStore(dir)
+	fs, err := OpenSegment(path)
 	if err != nil {
-		t.Fatalf("OpenFileStore: %v", err)
+		t.Fatalf("OpenSegment: %v", err)
 	}
 	t.Cleanup(func() {
 		if err := fs.Close(); err != nil {
@@ -31,8 +32,9 @@ func roundTrip(t testing.TB, s *Store) *FileStore {
 	return fs
 }
 
-// segmentRoundTrip serializes s as a single segment file and opens it back
-// with full verification, failing the test on any codec error.
+// segmentRoundTrip serializes s as WriteSegment's compressed segment (packed
+// sections where they win) and opens it back with full verification,
+// failing the test on any codec error.
 func segmentRoundTrip(t testing.TB, s *Store) *FileStore {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.seg")
@@ -52,8 +54,8 @@ func segmentRoundTrip(t testing.TB, s *Store) *FileStore {
 }
 
 // forEachBackend runs fn once per storage backend as subtests: against the
-// in-memory store itself, against its legacy per-shard-file round-trip, and
-// against its segment-file round-trip. Every read-path test in this package
+// in-memory store itself, against its raw-segment round-trip, and against
+// its compressed-segment round-trip. Every read-path test in this package
 // goes through it, so any future backend added here is locked to the same
 // semantics mechanically.
 func forEachBackend(t *testing.T, s *Store, fn func(t *testing.T, b StoreBackend)) {
@@ -118,31 +120,6 @@ func TestFileStoreShardMetadata(t *testing.T) {
 	fs.ResetLoads()
 	if fs.MaxShardLoad() != 0 {
 		t.Fatal("file store ResetLoads did not zero counters")
-	}
-}
-
-// TestWriteStoreDeterministic asserts serialization is a pure function of
-// store contents: writing the same store twice produces byte-identical
-// files — the property the golden-format test depends on.
-func TestWriteStoreDeterministic(t *testing.T) {
-	r := rand.New(rand.NewSource(88))
-	pairs := randomPairs(r, 2000, 5)
-	s := NewStore(pairs, 6, 42)
-	var first [][]byte
-	for trial := 0; trial < 2; trial++ {
-		var bufs [][]byte
-		for i := range s.shards {
-			bufs = append(bufs, appendShardFile(nil, &s.shards[i], i, len(s.shards), s.salt))
-		}
-		if trial == 0 {
-			first = bufs
-			continue
-		}
-		for i := range bufs {
-			if string(bufs[i]) != string(first[i]) {
-				t.Fatalf("shard %d serialized differently on repeat", i)
-			}
-		}
 	}
 }
 
@@ -275,7 +252,7 @@ func TestBarrierSwapResidency(t *testing.T) {
 			pub := NewFilePublisher(t.TempDir())
 			defer pub.Close()
 			pub.SetDropRetired(tc.drop)
-			pub.SetCompression(tc.compress)
+			pub.compress = tc.compress
 			b, err := pub.Publish(0, NewStore(kvs, 2, 5))
 			if err != nil {
 				t.Fatal(err)

@@ -301,8 +301,9 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkFileGet is BenchmarkGet against the mmap'd file backend, pinning
-// the cost of probing serialized slots relative to the in-memory index.
+// BenchmarkFileGet is BenchmarkGet against the mmap'd file backend (an
+// all-raw segment, probed in place), pinning the cost of probing serialized
+// slots relative to the in-memory index.
 func BenchmarkFileGet(b *testing.B) {
 	const n = 1 << 16
 	pairs := make([]KV, n)
@@ -317,9 +318,8 @@ func BenchmarkFileGet(b *testing.B) {
 }
 
 // BenchmarkSegmentGet is BenchmarkFileGet against the production read path:
-// a segment file opened through the publisher's trusted fast path, so the
-// per-Get cost of the single-mmap layout is pinned against the legacy
-// per-shard files.
+// a compressed segment opened through the publisher's trusted fast path,
+// its packed sections decoded at open.
 func BenchmarkSegmentGet(b *testing.B) {
 	const n = 1 << 16
 	pairs := make([]KV, n)

@@ -13,13 +13,14 @@ import (
 	"sync/atomic"
 )
 
-// On-disk shard format (version 1).
+// Shard block format (version 1).
 //
-// A frozen store serializes as one file per shard, shard-NNNN.shard, in a
-// store directory. Each file is the shard's flat index written verbatim in
-// little-endian — the same open-addressing slot array and overflow slab the
-// in-memory engine probes — so the mmap'd read path runs the identical probe
-// sequence over the mapped bytes with no deserialization step.
+// One shard of a frozen store serializes as a block: the shard's flat index
+// written verbatim in little-endian — the same open-addressing slot array and
+// overflow slab the in-memory engine probes — so the mmap'd read path runs
+// the identical probe sequence over the mapped bytes with no deserialization
+// step. A block is a raw section of a segment file (segment.go) and the
+// payload rpc ships to a shard server.
 //
 //	header   64 bytes
 //	  [0:8)    magic "AMPCSHRD"
@@ -54,7 +55,6 @@ const (
 	headerBytes   = 64
 	slotBytes     = 48
 	valueBytes    = 16
-	shardFileFmt  = "shard-%04d.shard"
 	checksumSeed  = 0x9e3779b97f4a7c15
 	maxShardFiles = 1 << 20 // sanity cap on the shard count read from a header
 )
@@ -62,21 +62,21 @@ const (
 // Typed errors returned when opening a serialized store. Use errors.Is; the
 // returned errors wrap these sentinels with the offending path and detail.
 var (
-	// ErrBadMagic means the file does not start with the shard magic — it
-	// is not a shard file at all.
+	// ErrBadMagic means the bytes do not start with the shard (or segment)
+	// magic — they are not a shard block at all.
 	ErrBadMagic = errors.New("dds: shard file: bad magic")
 	// ErrBadVersion means the file declares a format version this reader
 	// does not implement.
 	ErrBadVersion = errors.New("dds: shard file: unsupported format version")
 	// ErrTruncated means the file is shorter than its header or declared
-	// payload, or a shard file of the store is missing entirely.
+	// payload.
 	ErrTruncated = errors.New("dds: shard file: truncated")
 	// ErrChecksum means the header+payload checksum does not match: the
 	// bytes were corrupted after serialization.
 	ErrChecksum = errors.New("dds: shard file: checksum mismatch")
 	// ErrBadGeometry means the header fields are structurally inconsistent:
-	// a non-power-of-two slot count, a shard index that contradicts the
-	// filename, or shard files that disagree on salt or shard count.
+	// a non-power-of-two slot count, a shard index other than the expected
+	// one, or a section table that does not tile its segment.
 	ErrBadGeometry = errors.New("dds: shard file: inconsistent geometry")
 )
 
@@ -149,15 +149,6 @@ func fillShardBlock(dst []byte, sh *shard, index, count int, salt uint64) {
 	le.PutUint64(h[56:], checksum(h[0:56], dst[headerBytes:]))
 }
 
-// appendShardFile serializes one shard into buf (header + slots + slab) and
-// returns the extended slice.
-func appendShardFile(buf []byte, sh *shard, index, count int, salt uint64) []byte {
-	base := len(buf)
-	buf = growBytes(buf, shardBlockBytes(sh))
-	fillShardBlock(buf[base:], sh, index, count, salt)
-	return buf
-}
-
 // growBytes extends buf by n bytes, reusing spare capacity when available.
 // The extension is not zeroed when recycled; callers overwrite every byte.
 func growBytes(buf []byte, n int) []byte {
@@ -165,22 +156,6 @@ func growBytes(buf []byte, n int) []byte {
 		return buf[:tot]
 	}
 	return append(buf, make([]byte, n)...)
-}
-
-// WriteStore serializes every shard of s into dir (created if absent), one
-// shard-NNNN.shard file per shard. Serialization is deterministic: the same
-// store produces byte-identical files.
-func WriteStore(s *Store, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	p := len(s.shards)
-	errs := make([]error, p)
-	parallelDo(p, buildWorkers(s.pairs), func(i int) {
-		buf := appendShardFile(nil, &s.shards[i], i, p, s.salt)
-		errs[i] = os.WriteFile(filepath.Join(dir, fmt.Sprintf(shardFileFmt, i)), buf, 0o644)
-	})
-	return errors.Join(errs...)
 }
 
 // fileShard is one shard of a FileStore: the serialized slot array and slab,
@@ -235,68 +210,23 @@ func (sh *fileShard) value(off, i int) Value {
 	return Value{A: int64(le.Uint64(rec[0:])), B: int64(le.Uint64(rec[8:]))}
 }
 
-// FileStore is a StoreBackend reading a serialized store from mmap'd shard
-// files. All read methods are safe for concurrent use and account per-shard
-// load exactly like the in-memory store.
+// FileStore is a StoreBackend reading a serialized store from an mmap'd
+// segment file. All read methods are safe for concurrent use and account
+// per-shard load exactly like the in-memory store.
 type FileStore struct {
 	shards []fileShard
 	salt   uint64
 	pairs  int
-	dir    string
-	// sections holds each shard's raw block bytes in shard order when the
-	// store came from a segment file — views into the mapping for raw
-	// sections, decode buffers for packed and delta ones. They are what a
+	// sections holds each shard's raw block bytes in shard order — views
+	// into the mapping for raw sections, decode buffers for packed and
+	// delta ones. They are what a
 	// later generation's delta sections encode against.
 	sections [][]byte
 	unmaps   []func() error
 	cleanup  func() error // optional, run after unmapping (e.g. remove dir)
 }
 
-// OpenFileStore maps the serialized store in dir. Every shard file's
-// checksum is verified before any read is answered; a corrupted, truncated
-// or version-skewed file fails with one of the typed errors above.
-func OpenFileStore(dir string) (*FileStore, error) {
-	s := &FileStore{dir: dir}
-	ok := false
-	defer func() {
-		if !ok {
-			s.Close()
-		}
-	}()
-	count := 1
-	for i := 0; i < count; i++ {
-		path := filepath.Join(dir, fmt.Sprintf(shardFileFmt, i))
-		hdr, err := openShardFile(s, path, i)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, fmt.Errorf("%w: %s: missing shard file", ErrTruncated, path)
-			}
-			return nil, err
-		}
-		if i == 0 {
-			count = hdr.count
-			if count <= 0 || count > maxShardFiles {
-				return nil, fmt.Errorf("%w: %s: shard count %d", ErrBadGeometry, path, count)
-			}
-			s.salt = hdr.salt
-			s.shards = make([]fileShard, 0, count)
-		} else if hdr.count != count || hdr.salt != s.salt {
-			return nil, fmt.Errorf("%w: %s: shard disagrees with shard 0 on count or salt",
-				ErrBadGeometry, path)
-		}
-		s.shards = append(s.shards, fileShard{
-			slots: hdr.slots,
-			mask:  hdr.mask,
-			slab:  hdr.slab,
-			size:  hdr.size,
-		})
-		s.pairs += hdr.size
-	}
-	ok = true
-	return s, nil
-}
-
-// shardHeader carries one decoded shard file.
+// shardHeader carries one decoded shard block.
 type shardHeader struct {
 	count int
 	salt  uint64
@@ -306,31 +236,8 @@ type shardHeader struct {
 	slab  []byte
 }
 
-// openShardFile maps one shard file, validates magic, version, geometry and
-// checksum, and registers the unmap on s.
-func openShardFile(s *FileStore, path string, index int) (shardHeader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return shardHeader{}, err
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return shardHeader{}, err
-	}
-	if info.Size() < headerBytes {
-		return shardHeader{}, fmt.Errorf("%w: %s: %d bytes, header needs %d", ErrTruncated, path, info.Size(), headerBytes)
-	}
-	data, unmap, err := mmapFile(f, info.Size())
-	if err != nil {
-		return shardHeader{}, fmt.Errorf("dds: shard file: %s: map: %w", path, err)
-	}
-	s.unmaps = append(s.unmaps, unmap)
-	return parseShardBlock(data, path, index, true)
-}
-
-// parseShardBlock decodes one serialized shard — a standalone v1 shard file
-// or one section of a segment file — validating magic, version, geometry and
+// parseShardBlock decodes one serialized shard block — a section of a
+// segment file or a block shipped to a shard server — validating magic, version, geometry and
 // checksum against exactly len(data) bytes. verify=false skips the checksum
 // and the slot-table scan: the trusted fast path for bytes this process
 // serialized itself moments ago, where validation would re-read the whole
@@ -430,13 +337,10 @@ func parseShardBlockOpts(data []byte, path string, index int, verifySum, verifyS
 	return hdr, nil
 }
 
-// Dir returns the directory the store was opened from.
-func (s *FileStore) Dir() string { return s.dir }
-
 // Salt returns the placement salt recorded in the shard headers.
 func (s *FileStore) Salt() uint64 { return s.salt }
 
-// Close unmaps every shard file and runs the cleanup hook, if any. The store
+// Close unmaps the segment file and runs the cleanup hook, if any. The store
 // must not be read afterwards.
 func (s *FileStore) Close() error {
 	var errs []error
@@ -583,7 +487,8 @@ func (s *FileStore) ResetLoads() {
 //
 // Segments compress on the way down by default (packed sections, plus delta
 // sections against the previous generation when the placement salts match —
-// see segcodec.go); SetCompression(false) restores raw v3 segments.
+// see segcodec.go). Compression never changes read results: packed and
+// delta sections decode to the exact raw block bytes at open.
 // SetDropRetired(true) selects the bounded-residency mode for out-of-core
 // runs: the runtime barriers before each execute, so adaptive reads serve
 // from the mmap'd segment (page cache, reclaimable under memory pressure)
@@ -644,12 +549,6 @@ func NewFilePublisher(dir string) *FilePublisher {
 // mmaps the segment before returning, instead of write-behind. Call before
 // the first Publish.
 func (p *FilePublisher) SetSync(sync bool) { p.sync = sync }
-
-// SetCompression toggles packed/delta section encoding (on by default).
-// Compression never changes read results — packed and delta sections decode
-// to the exact raw block bytes at open — only write bandwidth and decode
-// cost at the barrier. Call before the first Publish.
-func (p *FilePublisher) SetCompression(on bool) { p.compress = on }
 
 // SetDropRetired selects the bounded-residency mode: the runtime barriers
 // before each execute (see BarrierBeforeExecute), so reads come from the

@@ -1,15 +1,15 @@
 package dds
 
 import (
+	"bytes"
 	"errors"
 	"flag"
-	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden shard files under testdata/golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden segments and fuzz seed corpora under testdata")
 
 // goldenPairs is the fixed content of the committed golden store: duplicate
 // keys (slab path), negative key and value words, and multiple tags, spread
@@ -32,54 +32,63 @@ const (
 
 func goldenStore() *Store { return NewStore(goldenPairs, goldenShards, goldenSalt) }
 
-// TestGoldenShardFiles pins the on-disk format: serializing the golden store
-// must reproduce the two committed shard files byte-for-byte, and opening
-// the committed files must answer every read exactly. Any codec change that
-// silently alters the format — field moves, endianness, checksum definition
-// — fails here; deliberate format changes must bump shardVersion and
-// regenerate with -update.
-func TestGoldenShardFiles(t *testing.T) {
-	s := goldenStore()
-	if *updateGolden {
-		if err := os.RemoveAll(goldenDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteStore(s, goldenDir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < goldenShards; i++ {
-		name := filepath.Join(goldenDir, shardFileName(i))
-		want, err := os.ReadFile(name)
-		if err != nil {
-			t.Fatalf("missing golden file (regenerate with -update): %v", err)
-		}
-		got := appendShardFile(nil, &s.shards[i], i, goldenShards, goldenSalt)
-		if string(got) != string(want) {
-			t.Errorf("%s: serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
-				"a deliberate format change must bump shardVersion and regenerate with -update",
-				name, len(got), len(want))
-		}
-	}
-
-	fs, err := OpenFileStore(goldenDir)
-	if err != nil {
-		t.Fatalf("open golden store: %v", err)
-	}
-	defer fs.Close()
-	if fs.Salt() != goldenSalt || fs.Shards() != goldenShards || fs.Len() != len(goldenPairs) {
-		t.Fatalf("golden metadata: salt=%#x shards=%d len=%d", fs.Salt(), fs.Shards(), fs.Len())
-	}
-	checkAgainstReference(t, fs, reference(goldenPairs), []Key{{9, 9, 9}, {1, 3, 0}})
+// shardBlock serializes one shard as a standalone block.
+func shardBlock(sh *shard, index, count int, salt uint64) []byte {
+	b := make([]byte, shardBlockBytes(sh))
+	fillShardBlock(b, sh, index, count, salt)
+	return b
 }
 
-func shardFileName(i int) string { return fmt.Sprintf(shardFileFmt, i) }
+// TestGoldenShardFiles pins the shard block format: every section of the
+// committed raw golden segment must be byte-for-byte the block the codec
+// serializes today, and each must open as a ShardReader answering every
+// read for the keys it owns. Any codec change that silently alters the
+// format — field moves, endianness, checksum definition — fails here;
+// deliberate format changes must bump shardVersion and regenerate with
+// -update.
+func TestGoldenShardFiles(t *testing.T) {
+	s := goldenStore()
+	seg, err := os.ReadFile(goldenSegmentRaw)
+	if err != nil {
+		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
+	}
+	sections, err := SegmentSections(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sections) != goldenShards {
+		t.Fatalf("golden segment has %d sections, want %d", len(sections), goldenShards)
+	}
+	ref := reference(goldenPairs)
+	for i, sec := range sections {
+		if want := shardBlock(&s.shards[i], i, goldenShards, goldenSalt); !bytes.Equal(sec, want) {
+			t.Errorf("shard %d: block serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
+				"a deliberate format change must bump shardVersion and regenerate with -update",
+				i, len(want), len(sec))
+		}
+		r, err := OpenShardBlock(sec, i, true)
+		if err != nil {
+			t.Fatalf("open golden block %d: %v", i, err)
+		}
+		if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.Pairs() != s.ShardSizes()[i] {
+			t.Fatalf("golden block %d metadata: salt=%#x shards=%d pairs=%d", i, r.Salt(), r.ShardCount(), r.Pairs())
+		}
+		for k, vs := range ref {
+			if !r.Owns(k) {
+				continue
+			}
+			if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
+				t.Fatalf("golden block %d: GetRange(%v) = %v, want %v", i, k, got, vs)
+			}
+		}
+	}
+}
 
-// TestShardCorruption is the corruption table: every way a shard file can be
-// damaged maps to a typed error, so callers can distinguish "not a shard
-// file" from "torn write" from "bit rot".
+// TestShardCorruption is the corruption table: every way a shard block can
+// be damaged maps to a typed error, so callers can distinguish "not a shard
+// block" from "torn write" from "bit rot".
 func TestShardCorruption(t *testing.T) {
-	valid := appendShardFile(nil, &goldenStore().shards[0], 0, 1, goldenSalt)
+	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 
 	cases := []struct {
 		name   string
@@ -101,24 +110,17 @@ func TestShardCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
 			buf := tc.mutate(append([]byte(nil), valid...))
-			if err := os.WriteFile(filepath.Join(dir, shardFileName(0)), buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fs, err := OpenFileStore(dir)
-			if err == nil {
-				fs.Close()
-				t.Fatalf("corrupted store opened cleanly")
-			}
-			if !errors.Is(err, tc.want) {
+			if _, err := OpenShardBlock(buf, 0, true); err == nil {
+				t.Fatalf("corrupted block opened cleanly")
+			} else if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
 			}
 		})
 	}
 }
 
-// fixChecksum recomputes a mutated file's checksum, making the structural
+// fixChecksum recomputes a mutated block's checksum, making the structural
 // validation behind the checksum gate reachable — the dishonest-writer case.
 func fixChecksum(b []byte) []byte {
 	le.PutUint64(b[56:], checksum(b[0:56], b[headerBytes:]))
@@ -130,7 +132,7 @@ func fixChecksum(b []byte) []byte {
 // that the writer was honest, so the reader must reject slot tables whose
 // probes would hang or read out of bounds.
 func TestSlotTableValidation(t *testing.T) {
-	base := appendShardFile(nil, &NewStore(goldenPairs, 1, goldenSalt).shards[0], 0, 1, goldenSalt)
+	base := shardBlock(&NewStore(goldenPairs, 1, goldenSalt).shards[0], 0, 1, goldenSalt)
 	slotCount := int(le.Uint64(base[40:48]))
 	findSlot := func(b []byte, pred func(cnt int32) bool) int {
 		for off := headerBytes; off < headerBytes+slotCount*slotBytes; off += slotBytes {
@@ -170,55 +172,12 @@ func TestSlotTableValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
 			buf := tc.mutate(append([]byte(nil), base...))
-			if err := os.WriteFile(filepath.Join(dir, shardFileName(0)), buf, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fs, err := OpenFileStore(dir)
-			if err == nil {
-				fs.Close()
+			if _, err := OpenShardBlock(buf, 0, true); err == nil {
 				t.Fatal("dishonest slot table opened cleanly")
-			}
-			if !errors.Is(err, ErrBadGeometry) {
+			} else if !errors.Is(err, ErrBadGeometry) {
 				t.Fatalf("error %v, want errors.Is(..., ErrBadGeometry)", err)
 			}
 		})
 	}
-}
-
-// TestStoreLevelCorruption covers damage visible only across shard files:
-// a missing shard and shards that disagree on placement metadata.
-func TestStoreLevelCorruption(t *testing.T) {
-	t.Run("missing shard file", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := WriteStore(goldenStore(), dir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Remove(filepath.Join(dir, shardFileName(1))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenFileStore(dir); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("error %v, want ErrTruncated", err)
-		}
-	})
-	t.Run("salt mismatch across shards", func(t *testing.T) {
-		dir := t.TempDir()
-		if err := WriteStore(goldenStore(), dir); err != nil {
-			t.Fatal(err)
-		}
-		other := NewStore(goldenPairs, goldenShards, goldenSalt+1)
-		buf := appendShardFile(nil, &other.shards[1], 1, goldenShards, goldenSalt+1)
-		if err := os.WriteFile(filepath.Join(dir, shardFileName(1)), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenFileStore(dir); !errors.Is(err, ErrBadGeometry) {
-			t.Fatalf("error %v, want ErrBadGeometry", err)
-		}
-	})
-	t.Run("empty directory", func(t *testing.T) {
-		if _, err := OpenFileStore(t.TempDir()); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("error %v, want ErrTruncated", err)
-		}
-	})
 }

@@ -4,11 +4,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
 
-// fuzzSizeCap bounds fuzz inputs for the segment targets: mutated inputs
+// fuzzSizeCap bounds fuzz inputs for the codec targets: mutated inputs
 // beyond 1 MiB only add file IO per exec (pathologically slow on
 // discard-mounted filesystems), never reader coverage — every header and
 // table field the reader branches on sits in the first kilobytes.
@@ -64,68 +65,80 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
-// FuzzShardCodec round-trips arbitrary KV multisets through
-// serialize→mmap→read and demands the file backend answer Get, GetIndexed,
-// GetRange and Count exactly like the in-memory store built from the same
-// pairs — the differential oracle for the on-disk codec.
+// FuzzShardCodec round-trips arbitrary KV multisets through the shard block
+// codec — fillShardBlock → OpenShardBlock with full verification, shard by
+// shard — and demands the readers answer Get, GetIndexed, GetRange and Count
+// exactly like a reference map built from the same pairs: the differential
+// oracle for the block format a segment's raw sections and the rpc wire
+// share.
 func FuzzShardCodec(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > fuzzSizeCap {
+			t.Skip("oversized input: every header field is within the first 64 bytes")
+		}
 		pairs, p, salt := decodeFuzzPairs(data)
 		mem := NewStore(pairs, p, salt)
-		dir := t.TempDir()
-		if err := WriteStore(mem, dir); err != nil {
-			t.Fatalf("WriteStore: %v", err)
+		readers := make([]*ShardReader, p)
+		for i := range readers {
+			r, err := OpenShardBlock(shardBlock(&mem.shards[i], i, p, salt), i, true)
+			if err != nil {
+				t.Fatalf("OpenShardBlock rejected its own serialization: %v", err)
+			}
+			if r.Pairs() != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
+				t.Fatalf("shard %d metadata drift: pairs %d/%d shards %d/%d salt %#x/%#x",
+					i, r.Pairs(), mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
+			}
+			readers[i] = r
 		}
-		fs, err := OpenFileStore(dir)
-		if err != nil {
-			t.Fatalf("OpenFileStore rejected its own serialization: %v", err)
-		}
-		defer fs.Close()
-
-		if fs.Len() != mem.Len() || fs.Shards() != mem.Shards() || fs.Salt() != mem.Salt() {
-			t.Fatalf("metadata drift: len %d/%d shards %d/%d salt %#x/%#x",
-				fs.Len(), mem.Len(), fs.Shards(), mem.Shards(), fs.Salt(), mem.Salt())
-		}
-		ms, fss := mem.ShardSizes(), fs.ShardSizes()
-		for i := range ms {
-			if ms[i] != fss[i] {
-				t.Fatalf("shard %d size %d vs %d", i, ms[i], fss[i])
+		owner := func(k Key) *ShardReader { return readers[ShardOf(k, salt, p)] }
+		for k, vs := range reference(pairs) {
+			r := owner(k)
+			if got := r.Count(k); got != len(vs) {
+				t.Fatalf("Count(%v) = %d, want %d", k, got, len(vs))
+			}
+			if v, ok := r.Get(k); !ok || v != vs[0] {
+				t.Fatalf("Get(%v) = %v ok=%v, want %v", k, v, ok, vs[0])
+			}
+			if v, ok := r.GetIndexed(k, len(vs)-1); !ok || v != vs[len(vs)-1] {
+				t.Fatalf("GetIndexed(%v, last) = %v ok=%v, want %v", k, v, ok, vs[len(vs)-1])
+			}
+			if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
+				t.Fatalf("GetRange(%v) = %v, want %v", k, got, vs)
 			}
 		}
-		absent := []Key{{9, 0, 0}, {9, 5, 1}, {0, 99, 0}, {4, -21, 2}}
-		checkAgainstReference(t, fs, reference(pairs), absent)
+		for _, k := range []Key{{9, 0, 0}, {9, 5, 1}, {0, 99, 0}, {4, -21, 2}} {
+			if _, ok := owner(k).Get(k); ok {
+				t.Fatalf("absent key %v answered a Get", k)
+			}
+		}
 	})
 }
 
-// FuzzOpenShardFile feeds arbitrary bytes to the reader as a shard file:
-// whatever the bytes, OpenFileStore must either fail with an error or yield
-// a store whose reads do not crash — no input may panic the probe
-// arithmetic or map past the file.
-func FuzzOpenShardFile(f *testing.F) {
-	valid := appendShardFile(nil, &goldenStore().shards[0], 0, 1, goldenSalt)
+// FuzzOpenShardBlock feeds arbitrary bytes to the block reader, the entry
+// point a shard server exposes to the network: whatever the bytes,
+// OpenShardBlock must either fail with an error or yield a reader whose
+// reads do not crash — no input may panic the probe arithmetic or slice
+// past the block.
+func FuzzOpenShardBlock(f *testing.F) {
+	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 	f.Add(valid)
 	f.Add(valid[:headerBytes])
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte(shardMagic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, shardFileName(0)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fs, err := OpenFileStore(dir)
+		r, err := OpenShardBlock(data, 0, true)
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		defer fs.Close()
 		for _, k := range []Key{{1, 1, 0}, {2, 1, 1}, {0, 0, 0}} {
-			fs.Get(k)
-			fs.Count(k)
-			fs.GetIndexed(k, 1)
-			fs.GetRange(k, 0, 4, nil)
+			r.Get(k)
+			r.Count(k)
+			r.GetIndexed(k, 1)
+			r.GetRange(k, 0, 4, nil)
 		}
 	})
 }

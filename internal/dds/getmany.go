@@ -109,7 +109,7 @@ func (s *Store) AddShardLoads(deltas []int64) {
 	}
 }
 
-// GetMany implements BatchGetter over the mmap'd shard files: identical
+// GetMany implements BatchGetter over the mmap'd segment: identical
 // results and per-shard load accounting to the scalar Get loop, with the
 // batch grouped by shard so each shard's slot region is swept while its
 // pages are hot.

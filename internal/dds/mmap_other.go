@@ -8,7 +8,7 @@ import (
 )
 
 // mmapFile is the portable fallback: without a memory-mapping syscall shim
-// for this platform the shard file is read into an ordinary byte slice. The
+// for this platform the segment file is read into an ordinary byte slice. The
 // probe code upstairs is identical either way.
 func mmapFile(f *os.File, size int64) ([]byte, func() error, error) {
 	if size == 0 {

@@ -232,7 +232,7 @@ func patchSegHeader(t *testing.T, path string, mutate func([]byte)) {
 // the table, 64-bit varint overflow and trailing bytes all fail with typed
 // errors — never a panic, never a silent mis-decode.
 func TestPackedBlockCorruption(t *testing.T) {
-	raw := appendShardFile(nil, &goldenStore().shards[0], 0, 1, goldenSalt)
+	raw := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 	valid := packRawBlock(nil, raw)
 	got, err := unpackBlock(valid, "t", true)
 	if err != nil {

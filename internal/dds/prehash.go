@@ -41,7 +41,7 @@ func (s *Store) GetHashed(k Key, h uint64) (Value, bool) {
 	return Value{}, false
 }
 
-// GetHashed implements PrehashedGetter for the mmap'd shard files.
+// GetHashed implements PrehashedGetter for the mmap'd segment.
 func (s *FileStore) GetHashed(k Key, h uint64) (Value, bool) {
 	sh := &s.shards[h%uint64(len(s.shards))]
 	sh.load.Add(1)

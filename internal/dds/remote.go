@@ -9,7 +9,7 @@ import (
 // server receives the same serialized shard blocks the segment codec writes
 // to disk (one v1 block per shard, sliced out of a segment's section table)
 // and answers point queries over them through ShardReader — the identical
-// probe sequence as a standalone shard file, so a remote read returns
+// probe sequence as the mmap'd segment, so a remote read returns
 // byte-for-byte what a local read of the same frozen store would.
 
 // ErrBackendUnavailable reports that a store backend could not answer reads
@@ -104,8 +104,8 @@ type ShardReader struct {
 	salt   uint64
 }
 
-// OpenShardBlock decodes one serialized shard block (a section of a segment,
-// or a standalone v1 shard file) into a reader. index is the shard index the
+// OpenShardBlock decodes one serialized shard block (a raw section of a
+// segment) into a reader. index is the shard index the
 // block must declare. verify=true additionally checks the checksum and scans
 // the slot table so reads over untrusted bytes cannot probe out of bounds or
 // loop; a server receiving blocks over the network should keep it on.

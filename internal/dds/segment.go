@@ -39,8 +39,8 @@ import (
 //
 // A raw section is bit-for-bit a v1 shard block (64-byte shard header, slot
 // records, slab records) keeping its own checksum and slot/slab geometry, so
-// it validates independently and the mmap'd read path probes the same bytes
-// as a standalone shard file. Packed and delta sections (segcodec.go) decode
+// it validates independently and the mmap'd read path probes the block's
+// bytes in place. Packed and delta sections (segcodec.go) decode
 // back to raw blocks before the same structural validation runs. A delta
 // section reconstructs the raw bytes exactly, raw checksum included; a
 // packed section instead carries a checksum over its own packed bytes, so a
@@ -450,7 +450,7 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 	if err != nil {
 		return nil, fmt.Errorf("dds: segment file: %s: map: %w", path, err)
 	}
-	s := &FileStore{dir: path, unmaps: []func() error{unmap}}
+	s := &FileStore{unmaps: []func() error{unmap}}
 	ok := false
 	defer func() {
 		if !ok {
