@@ -60,7 +60,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		check    = flag.Bool("check", true, "verify against the sequential oracle")
 		fault    = flag.Float64("faults", 0, "per-round machine failure probability (output must not change)")
-		workers  = flag.Int("workers", 0, "OS worker goroutines per round (0 = GOMAXPROCS); outputs are identical for any value")
+		workers  = flag.Int("workers", 0, "OS worker goroutines per round (0 = GOMAXPROCS); rounds over -backend rpc run every machine concurrently instead; outputs are identical for any value")
 		backend  = flag.String("backend", "mem", "store backend: mem (in-process), file (write-behind segment files) or rpc (shardd servers); outputs are identical")
 		storeDir = flag.String("store-dir", "", "directory for -backend=file segment files (default: a temp dir removed after the run)")
 		resid    = flag.String("residency", "", "file-backend memory policy for retired stores: retain (default) or drop (serve the previous round from mmap, freeing its memory)")

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,7 +56,10 @@ type Config struct {
 	// The paper's parallel-slackness argument (§2.1) runs many virtual
 	// machines per physical processor; the pool is that multiplexing, and
 	// the worker count never affects any output — machine randomness and
-	// write merge order depend only on (Seed, round, machine).
+	// write merge order depend only on (Seed, round, machine). A remote
+	// round — one whose store reports read frames — runs every machine
+	// concurrently instead, so their reads can share frames; Workers then
+	// still sizes the freeze.
 	Workers int
 	// Seed makes the whole computation deterministic.
 	Seed uint64
@@ -551,12 +555,13 @@ type RoundFunc func(ctx *Ctx) error
 // writes into the next store, and advances the round counter. It returns
 // the first machine error (budget violations or algorithm errors).
 //
-// The P virtual machines are striped over the runtime's worker pool: each of
-// the Workers long-lived goroutines claims machine ids from a shared counter
-// and runs them to completion, reusing one pooled Ctx (cache maps, RNG)
-// per worker. Machine outputs are independent of the striping — writes merge
-// in machine-id order and randomness is keyed by (seed, round, machine) — so
-// any Workers value produces bit-identical stores.
+// The P virtual machines are pinned to the runtime's worker pool: worker w
+// runs machines w, w+Workers, w+2·Workers, ... to completion, reusing one
+// persistent Ctx (cache maps, RNG) per worker. A remote round instead runs
+// all P machines at once, each on a Ctx of its own. Machine outputs are
+// independent of the schedule — writes merge in machine-id order and
+// randomness is keyed by (seed, round, machine) — so any Workers value
+// produces bit-identical stores.
 func (r *Runtime) Round(name string, f RoundFunc) error {
 	if r.ctx != nil {
 		if err := r.ctx.Err(); err != nil {
@@ -611,21 +616,40 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 		framesBase = r.curFrames.ReadFrames()
 	}
 	execStart := time.Now()
-	// Pinned striping: machine m always runs on worker m mod Workers, on
-	// that worker's own persistent Ctx — its cache maps, RNG state and
-	// worker read cache stay on one worker's cache lines across rounds.
-	// Outputs cannot depend on it: writes merge in machine-id order and
-	// machine randomness is keyed by (seed, round, machine).
-	r.pool.runWorkers(r.workers, func(w int) {
-		c := r.ctxs[w]
-		c.bind(r)
-		for m := w; m < r.cfg.P; m += r.workers {
-			r.runMachine(c, m, f, 1+fail[m])
+	if r.curFrames != nil {
+		// A remote round runs in the model's shape: all P machines at once,
+		// each on a Ctx of its own that dies with it, so their concurrent
+		// reads meet in the backend's per-server frames instead of queueing
+		// behind Workers round trips.
+		var wg sync.WaitGroup
+		wg.Add(r.cfg.P)
+		for m := 0; m < r.cfg.P; m++ {
+			go func() {
+				defer wg.Done()
+				c := &Ctx{}
+				c.bind(r)
+				r.runMachine(c, m, f, 1+fail[m])
+				c.finish(r)
+			}()
 		}
-		// finish drops store and writer references so a persistent Ctx
-		// never pins the retiring round's store for an extra round.
-		c.finish(r)
-	})
+		wg.Wait()
+	} else {
+		// Pinned striping: machine m always runs on worker m mod Workers, on
+		// that worker's own persistent Ctx — its cache maps, RNG state and
+		// worker read cache stay on one worker's cache lines across rounds.
+		// Outputs cannot depend on it: writes merge in machine-id order and
+		// machine randomness is keyed by (seed, round, machine).
+		r.pool.runWorkers(r.workers, func(w int) {
+			c := r.ctxs[w]
+			c.bind(r)
+			for m := w; m < r.cfg.P; m += r.workers {
+				r.runMachine(c, m, f, 1+fail[m])
+			}
+			// finish drops store and writer references so a persistent Ctx
+			// never pins the retiring round's store for an extra round.
+			c.finish(r)
+		})
+	}
 	execTime := time.Since(execStart)
 
 	// A remote read that survives replica failover with no answer cannot be

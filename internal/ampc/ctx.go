@@ -9,7 +9,10 @@ import (
 // used by exactly one goroutine at a time, and recycled: each pool worker
 // binds one Ctx per round and resets it per machine it executes, so cache
 // maps and scratch buffers keep their capacity across machines and rounds
-// instead of being reallocated P times per round.
+// instead of being reallocated P times per round. A remote round (one whose
+// store reports read frames) is the exception: there every machine runs at
+// once on a fresh Ctx of its own, and cross-machine dedup is the networked
+// backend's per-generation single-flight.
 //
 // All Read* methods are adaptive: their arguments may depend on the results
 // of earlier reads in the same round. Each distinct query counts against the
@@ -25,11 +28,10 @@ import (
 // this worker already fetched, the cached value is byte-identical to what
 // the store would return — the machine is still charged its query and the
 // owning shard still counts it (the model's accounting never changes), but
-// the store probe (and, on a networked backend, the request frame) is
-// saved. Entries are invalidated when the store generation changes and
-// ignored (via the stamp) for budget purposes, so queries,
-// max_machine_queries and every output stay byte-identical with the cache
-// on or off.
+// the store probe is saved. Entries are invalidated when the store
+// generation changes and ignored (via the stamp) for budget purposes, so
+// queries, max_machine_queries and every output stay byte-identical with
+// the cache on or off.
 type Ctx struct {
 	// Machine is this machine's id in [0, P).
 	Machine int
@@ -64,9 +66,7 @@ type Ctx struct {
 	// without a store probe). sharedDyn gates that layer for the current
 	// store's table and sharedStatic for the static one; both start on and
 	// answer to a payoff policy (cachePolicy below) that watches whether
-	// machines actually re-read each other's keys. On a networked store
-	// sharedDyn additionally ignores the policy: a hit there saves a whole
-	// request frame, which pays at any hit rate. When a side is off, its
+	// machines actually re-read each other's keys. When a side is off, its
 	// stale entries are dead and a re-read misses to the store,
 	// reproducing the pre-cache behavior exactly.
 	sharedDyn    bool
@@ -84,12 +84,9 @@ type Ctx struct {
 	sHits        int64           // same, against the static store
 	misses       int64           // point reads that reached a store
 
-	// Payoff policies for the two shared tables. netDyn records whether
-	// the current store is networked, where a dynamic hit saves a request
-	// frame and sharing always pays regardless of what dpol concludes.
-	dpol   cachePolicy
-	spol   cachePolicy
-	netDyn bool
+	// Payoff policies for the two shared tables.
+	dpol cachePolicy
+	spol cachePolicy
 
 	scratch []dds.Value // staging buffer for batched store reads
 
@@ -135,7 +132,14 @@ type getCache struct {
 	used  int // slots with stamp != 0; insertion keeps used <= 5/8 len
 }
 
-const getCacheMinSlots = 1 << 10
+// A new table starts at getCacheInitSlots — every machine of a remote round
+// builds its own, and most read a few dozen keys. compact never shrinks a
+// table that has grown past getCacheMinSlots below it, and drop restarts one
+// there.
+const (
+	getCacheInitSlots = 1 << 6
+	getCacheMinSlots  = 1 << 10
+)
 
 // lookup returns the slot holding (h, k) — live or stale; the caller
 // decides by stamp — or nil. Chains terminate at never-used slots only, so
@@ -165,8 +169,8 @@ func (t *getCache) lookup(h uint64, k dds.Key) *getSlot {
 // generation and nothing is reused.
 func (t *getCache) insert(h uint64, k dds.Key, v dds.Value, ok bool, stamp, live uint32) {
 	if t.slots == nil {
-		t.slots = make([]getSlot, getCacheMinSlots)
-		t.mask = getCacheMinSlots - 1
+		t.slots = make([]getSlot, getCacheInitSlots)
+		t.mask = getCacheInitSlots - 1
 	}
 	i := h & t.mask
 	dead := -1
@@ -245,10 +249,11 @@ func (t *getCache) clear() {
 	}
 }
 
-// drop releases the table entirely; the next insert starts from the
-// minimum size.
+// drop releases the table's entries and slots, restarting it at the
+// getCacheMinSlots floor: a dropped table goes on serving a worker's
+// machines in per-machine mode, where a smaller one would compact more often.
 func (t *getCache) drop() {
-	t.slots, t.mask, t.used = nil, 0, 0
+	*t = getCache{slots: make([]getSlot, getCacheMinSlots), mask: getCacheMinSlots - 1}
 }
 
 // cachePolicy decides whether sharing one worker-cache table across machines
@@ -327,10 +332,10 @@ func (c *Ctx) bind(r *Runtime) {
 	c.reads = r.cur
 	c.batch = r.curBatch
 	c.preGet = r.curPre
+	c.loadSink = r.curLoads
 	c.static = r.static
 	c.budget = r.Budget()
-	c.netDyn = r.curFrames != nil
-	c.sharedDyn = r.curCache && (c.netDyn || !c.dpol.off)
+	c.sharedDyn = r.curCache && !c.dpol.off
 	c.sharedStatic = !r.cfg.NoWorkerCache && !c.spol.off
 	if c.dpol.dropPending {
 		c.dpol.dropPending = false
@@ -354,21 +359,6 @@ func (c *Ctx) bind(r *Runtime) {
 	if c.sgen != r.staticSeq {
 		c.sgen = r.staticSeq
 		c.stbl.clear()
-	}
-	if c.sharedDyn {
-		c.loadSink = r.curLoads
-		if cap(c.loads) < r.cfg.P {
-			c.loads = make([]int64, r.cfg.P)
-		} else {
-			c.loads = c.loads[:r.cfg.P]
-		}
-	}
-	if c.sharedStatic {
-		if cap(c.sloads) < r.cfg.P {
-			c.sloads = make([]int64, r.cfg.P)
-		} else {
-			c.sloads = c.sloads[:r.cfg.P]
-		}
 	}
 }
 
@@ -460,8 +450,13 @@ func (c *Ctx) Remaining() int {
 
 // hit finalizes a worker-cache hit on a stale table slot: the machine was
 // charged, so the owning shard is credited locally (settled in one batched
-// add at round end) and the slot is restamped as this machine's read.
+// add at round end) and the slot is restamped as this machine's read. The
+// per-shard delta array is allocated by the first hit: a Ctx that never
+// hits, like every remote machine's, never pays for it.
 func (c *Ctx) hit(s *getSlot) (dds.Value, bool) {
+	if c.loads == nil {
+		c.loads = make([]int64, c.P)
+	}
 	c.loads[c.div.Of(s.h)]++
 	c.hits++
 	c.dpol.hits++
@@ -471,18 +466,15 @@ func (c *Ctx) hit(s *getSlot) (dds.Value, bool) {
 }
 
 // dynProbe counts one charged read against the dynamic table's payoff
-// policy and applies its verdict when a window closes. A networked store
-// ignores an off verdict: there a hit saves a request frame, which pays at
-// any hit rate.
+// policy and applies its verdict when a window closes.
 func (c *Ctx) dynProbe() {
 	c.dpol.probes++
-	if !c.dpol.off && c.dpol.probes&(policyWindow-1) == 0 && c.dpol.judge() && !c.netDyn {
+	if !c.dpol.off && c.dpol.probes&(policyWindow-1) == 0 && c.dpol.judge() {
 		c.sharedDyn = false
 	}
 }
 
-// staticProbe is dynProbe for the static table. The static store is always
-// in-process, so its verdict has no networked override.
+// staticProbe is dynProbe for the static table.
 func (c *Ctx) staticProbe() {
 	c.spol.probes++
 	if !c.spol.off && c.spol.probes&(policyWindow-1) == 0 && c.spol.judge() {

@@ -62,6 +62,9 @@ func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) {
 			c.spol.hits++
 			c.staticProbe()
 			if c.static != nil {
+				if c.sloads == nil {
+					c.sloads = make([]int64, c.P)
+				}
 				c.sloads[c.div.Of(h)]++
 			}
 			s.stamp = c.stamp

@@ -107,7 +107,8 @@ func (s *settler) run(ctx context.Context, rt *ampc.Runtime, opts Options, drive
 // queryMachine is one machine's working set for an iteration round: the memo
 // of statuses it has determined or read, its buffered output and, for
 // coloring, the stack of color sets. The round's machines draw it from a
-// pool, so a run allocates one per worker rather than one per machine.
+// pool, so a run allocates one per concurrently running machine rather than
+// one per machine.
 type queryMachine struct {
 	ctx      *ampc.Ctx
 	tag      uint8
@@ -201,8 +202,9 @@ func (m *stampMemo) get(id int) (int32, bool) {
 
 func (m *stampMemo) set(id int, val int32) { m.cells[id] = memoCell{m.stamp, val} }
 
-// machinePool recycles queryMachines across the machines of a run. At most
-// Workers machines run at once, so that is how many it ever holds.
+// machinePool recycles queryMachines across the machines of a run. It holds
+// as many as ever ran at once: Workers, or up to P on a remote round, whose
+// machines all run together.
 type machinePool struct {
 	mu   sync.Mutex
 	free []*queryMachine

@@ -23,16 +23,22 @@ type Backend struct {
 	sizes []int
 	loads []atomic.Int64
 
-	// reads single-flights key fetches for this generation: dds.Key ->
-	// *flight. The generation is immutable, so the first fetch of a key is
+	// reads single-flights key fetches for this generation, one locked map
+	// per shard. The generation is immutable, so the first fetch of a key is
 	// authoritative; concurrent and later readers of the same key wait on
 	// (or find) its flight instead of paying their own request frame. Shard
 	// loads are still counted per arriving read — the Lemma 2.1 ledger
 	// charges the query whether or not a frame travels.
-	reads sync.Map
+	reads []flights
 
 	errMu sync.Mutex
 	err   error
+}
+
+// flights is one shard's share of the single-flight table.
+type flights struct {
+	mu sync.Mutex
+	m  map[dds.Key]*flight
 }
 
 // flight is one single-flighted key fetch: done closes once val/ok are
@@ -53,7 +59,24 @@ func newBackend(c *client, seq uint64, s *dds.Store) *Backend {
 		pairs: s.Len(),
 		sizes: s.ShardSizes(),
 		loads: make([]atomic.Int64, s.Shards()),
+		reads: make([]flights, s.Shards()),
 	}
+}
+
+// claim returns k's flight and whether it is fresh — installed just now by
+// this call, which must then resolve it.
+func (b *Backend) claim(shard int, k dds.Key, fresh *flight) (*flight, bool) {
+	fs := &b.reads[shard]
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f := fs.m[k]; f != nil {
+		return f, false
+	}
+	if fs.m == nil {
+		fs.m = make(map[dds.Key]*flight)
+	}
+	fs.m[k] = fresh
+	return fresh, true
 }
 
 // fail latches the first read failure for the runtime to surface.
@@ -78,16 +101,10 @@ func (b *Backend) ReadErr() error {
 func (b *Backend) Get(k dds.Key) (dds.Value, bool) {
 	shard := dds.ShardOf(k, b.salt, b.p)
 	b.loads[shard].Add(1)
-	if prev, hit := b.reads.Load(k); hit {
-		f := prev.(*flight)
+	f, fresh := b.claim(shard, k, &flight{done: make(chan struct{})})
+	if !fresh {
 		<-f.done
 		return f.val, f.ok
-	}
-	f := &flight{done: make(chan struct{})}
-	if prev, loaded := b.reads.LoadOrStore(k, f); loaded {
-		pf := prev.(*flight)
-		<-pf.done
-		return pf.val, pf.ok
 	}
 	v, ok, err := b.c.getOne(b.seq, k, shard, b.p)
 	if err != nil {
@@ -168,23 +185,22 @@ func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 		shards[i] = dds.ShardOf(k, b.salt, b.p)
 		b.loads[shards[i]].Add(1)
 	}
+	// The flights this call claims resolve together, so they share one
+	// allocation and one done channel.
+	done := make(chan struct{})
+	fresh := make([]flight, n)
 	flights := make([]*flight, n)
 	pending := make([]int, 0, n) // indices whose fetch this call owns
 	var waits []int              // indices served by another caller's flight
 	for i, k := range keys {
-		if prev, hit := b.reads.Load(k); hit {
-			flights[i] = prev.(*flight)
-			waits = append(waits, i)
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		if prev, loaded := b.reads.LoadOrStore(k, f); loaded {
-			flights[i] = prev.(*flight)
-			waits = append(waits, i)
-			continue
-		}
+		fresh[i].done = done
+		f, mine := b.claim(shards[i], k, &fresh[i])
 		flights[i] = f
-		pending = append(pending, i)
+		if mine {
+			pending = append(pending, i)
+		} else {
+			waits = append(waits, i)
+		}
 	}
 	owned := append([]int(nil), pending...)
 	r := b.c.cfg.Replication
@@ -198,49 +214,41 @@ func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 			s := b.c.replica(shards[i], b.p, att%r)
 			groups[s] = append(groups[s], i)
 		}
-		type result struct {
-			idxs  []int
-			retry []int
-			err   error
-		}
 		type job struct {
-			s    *server
-			idxs []int
+			s           *server
+			idxs, retry []int
+			err         error
 		}
 		jobs := make([]job, 0, len(groups))
 		for s, idxs := range groups {
-			jobs = append(jobs, job{s, idxs})
+			jobs = append(jobs, job{s: s, idxs: idxs})
 		}
-		outs := make([]result, len(jobs))
-		if len(jobs) == 1 {
-			retry, err := b.c.getBatch(jobs[0].s, b.seq, keys, jobs[0].idxs, vals, oks, force)
-			outs[0] = result{idxs: jobs[0].idxs, retry: retry, err: err}
-		} else {
-			var wg sync.WaitGroup
-			for j := range jobs {
-				wg.Add(1)
-				go func(j int) {
-					defer wg.Done()
-					retry, err := b.c.getBatch(jobs[j].s, b.seq, keys, jobs[j].idxs, vals, oks, force)
-					outs[j] = result{idxs: jobs[j].idxs, retry: retry, err: err}
-				}(j)
-			}
-			wg.Wait()
+		// Every server's share joins that server's next frame at once; this
+		// goroutine carries the first.
+		fetch := func(j *job) { j.retry, j.err = b.c.getBatch(j.s, b.seq, keys, j.idxs, vals, oks, force) }
+		var wg sync.WaitGroup
+		for j := 1; j < len(jobs); j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fetch(&jobs[j])
+			}()
 		}
+		fetch(&jobs[0])
+		wg.Wait()
 		pending = pending[:0]
-		for _, out := range outs {
-			if out.err != nil {
-				if !retryable(out.err) {
-					for _, i := range out.idxs {
-						vals[i], oks[i] = dds.Value{}, false
-					}
-					b.fail(out.err)
-					continue
+		for _, j := range jobs {
+			switch {
+			case j.err == nil:
+				pending = append(pending, j.retry...)
+			case retryable(j.err):
+				pending = append(pending, j.idxs...)
+			default:
+				for _, i := range j.idxs {
+					vals[i], oks[i] = dds.Value{}, false
 				}
-				pending = append(pending, out.idxs...)
-				continue
+				b.fail(j.err)
 			}
-			pending = append(pending, out.retry...)
 		}
 	}
 	for _, i := range pending {
@@ -253,10 +261,9 @@ func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 	// the indices waiting on other callers. Own flights close first, so a
 	// duplicated key inside one call never deadlocks on itself.
 	for _, i := range owned {
-		f := flights[i]
-		f.val, f.ok = vals[i], oks[i]
-		close(f.done)
+		flights[i].val, flights[i].ok = vals[i], oks[i]
 	}
+	close(done)
 	for _, i := range waits {
 		f := flights[i]
 		<-f.done

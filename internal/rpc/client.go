@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,7 +121,9 @@ func (cn *conn) close() { cn.nc.Close() }
 // and health mark. downUntil holds the monotonic cfg.now() deadline before
 // which the server is skipped (0 = healthy); it turns a dead server into one
 // fast failure per cooldown instead of a timeout per request. downs counts
-// mark-downs over the server's lifetime, for tests and diagnostics.
+// mark-downs over the server's lifetime, for tests and diagnostics. queue
+// holds the getBatch calls waiting for a frame and sending says one is in
+// flight (see getBatch); batchMu guards both.
 type server struct {
 	addr      string
 	cfg       *Config
@@ -129,6 +132,26 @@ type server struct {
 	closed    bool
 	downUntil atomic.Int64
 	downs     atomic.Int64
+
+	batchMu sync.Mutex
+	queue   []*batchCall
+	sending bool
+}
+
+// batchCall is one caller's share of a coalesced getBatch frame: its keys,
+// where their results land, and the outcome. wake delivers true when the
+// caller is handed the sender role, false once a sender has filled in its
+// results.
+type batchCall struct {
+	seq   uint64
+	force bool
+	keys  []dds.Key
+	idxs  []int
+	vals  []dds.Value
+	oks   []bool
+	retry []int
+	err   error
+	wake  chan bool
 }
 
 func (s *server) down() bool {
@@ -397,31 +420,19 @@ func (c *client) free(seq uint64) {
 	}
 }
 
-// getOne reads a single key with replica failover.
+// getOne reads a single key with replica failover, as a one-key member of
+// each tried server's coalesced getBatch frame.
 func (c *client) getOne(seq uint64, k dds.Key, shard, p int) (dds.Value, bool, error) {
-	var val dds.Value
-	var ok bool
+	var val [1]dds.Value
+	var ok [1]bool
 	err := c.eachReplica(shard, p, func(s *server, force bool) error {
-		c.frames.Add(1)
-		req := c.reqHeader(make([]byte, 0, 20+keyBytes), seq)
-		req = le.AppendUint32(req, 1)
-		req = appendKey(req, k)
-		return s.roundTrip(opGetBatch, req, force, func(resp []byte) error {
-			if len(resp) != 1+valBytes {
-				return fmt.Errorf("%s: getBatch response of %d bytes", s.addr, len(resp))
-			}
-			switch resp[0] {
-			case codePresent:
-				val, ok = decodeValue(resp[1:]), true
-			case codeAbsent:
-				val, ok = dds.Value{}, false
-			default:
-				return fmt.Errorf("%w: %s: shard %d", errNoStore, s.addr, shard)
-			}
-			return nil
-		})
+		retry, err := c.getBatch(s, seq, []dds.Key{k}, []int{0}, val[:], ok[:], force)
+		if err == nil && len(retry) > 0 {
+			err = fmt.Errorf("%w: %s: shard %d", errNoStore, s.addr, shard)
+		}
+		return err
 	})
-	return val, ok, err
+	return val[0], ok[0], err
 }
 
 // getRange reads values [lo, hi) of one key with replica failover, appending
@@ -470,36 +481,106 @@ func (c *client) count(seq uint64, k dds.Key, shard, p int) (int, error) {
 	return n, err
 }
 
+// maxBatchKeys caps one coalesced getBatch frame so that neither its request
+// nor its response outgrows maxFrame; a single call above it still travels
+// alone, as it always did.
+const maxBatchKeys = (maxFrame - 64) / keyBytes
+
 // getBatch reads the keys at idxs (indices into keys) from one server,
 // filling vals/oks. It returns the indices that must retry on another
 // replica (shards not resident there) and the transport/protocol error, if
 // any, in which case every index must retry.
+//
+// Concurrent calls to one server share frames, group-commit style: every
+// call queues itself; one that finds no getBatch in flight becomes the
+// sender, ships itself and every queued call with the same (seq, force) as
+// one frame, splits the response back by offset, and hands the sender role
+// to the oldest call still queued. Calls arriving while a frame is out ride
+// the next one, so a round of P adaptive machines pays one round trip per
+// server per step instead of one per machine. A failed frame fails every
+// member, and each member then fails over on its own.
 func (c *client) getBatch(s *server, seq uint64, keys []dds.Key, idxs []int, vals []dds.Value, oks []bool, force bool) ([]int, error) {
-	c.frames.Add(1)
-	req := c.reqHeader(make([]byte, 0, 20+len(idxs)*keyBytes), seq)
-	req = le.AppendUint32(req, uint32(len(idxs)))
-	for _, i := range idxs {
-		req = appendKey(req, keys[i])
+	call := &batchCall{seq: seq, force: force, keys: keys, idxs: idxs, vals: vals, oks: oks, wake: make(chan bool, 1)}
+	s.batchMu.Lock()
+	s.queue = append(s.queue, call)
+	lead := !s.sending
+	s.sending = true
+	s.batchMu.Unlock()
+	if !lead && !<-call.wake {
+		return call.retry, call.err
 	}
-	var retry []int
-	err := s.roundTrip(opGetBatch, req, force, func(resp []byte) error {
-		if len(resp) != len(idxs)*(1+valBytes) {
-			return fmt.Errorf("%s: getBatch response of %d bytes for %d keys", s.addr, len(resp), len(idxs))
+	// One yield before collecting lets the callers the previous frame just
+	// woke queue their next reads in time to ride this frame.
+	runtime.Gosched()
+	batch, n := []*batchCall{call}, len(idxs)
+	s.batchMu.Lock()
+	rest := s.queue[:0]
+	for _, b := range s.queue {
+		switch {
+		case b == call:
+		case b.seq == seq && b.force == force && n+len(b.idxs) <= maxBatchKeys:
+			batch, n = append(batch, b), n+len(b.idxs)
+		default:
+			rest = append(rest, b)
 		}
-		for j, i := range idxs {
-			rec := resp[j*(1+valBytes):]
-			switch rec[0] {
-			case codePresent:
-				vals[i], oks[i] = decodeValue(rec[1:]), true
-			case codeAbsent:
-				vals[i], oks[i] = dds.Value{}, false
-			default:
-				retry = append(retry, i)
+	}
+	clear(s.queue[len(rest):])
+	s.queue = rest
+	s.batchMu.Unlock()
+
+	c.sendBatch(s, batch, n)
+
+	var next *batchCall
+	s.batchMu.Lock()
+	if len(s.queue) > 0 {
+		next = s.queue[0]
+	} else {
+		s.sending = false
+	}
+	s.batchMu.Unlock()
+	if next != nil {
+		next.wake <- true
+	}
+	for _, b := range batch[1:] {
+		b.wake <- false
+	}
+	return call.retry, call.err
+}
+
+// sendBatch ships the n keys of a coalesced batch as one getBatch frame and
+// records each member's share of the outcome.
+func (c *client) sendBatch(s *server, batch []*batchCall, n int) {
+	c.frames.Add(1)
+	req := c.reqHeader(make([]byte, 0, 20+n*keyBytes), batch[0].seq)
+	req = le.AppendUint32(req, uint32(n))
+	for _, b := range batch {
+		for _, i := range b.idxs {
+			req = appendKey(req, b.keys[i])
+		}
+	}
+	err := s.roundTrip(opGetBatch, req, batch[0].force, func(resp []byte) error {
+		if len(resp) != n*(1+valBytes) {
+			return fmt.Errorf("%s: getBatch response of %d bytes for %d keys", s.addr, len(resp), n)
+		}
+		for _, b := range batch {
+			for _, i := range b.idxs {
+				rec := resp[:1+valBytes]
+				resp = resp[1+valBytes:]
+				switch rec[0] {
+				case codePresent:
+					b.vals[i], b.oks[i] = decodeValue(rec[1:]), true
+				case codeAbsent:
+					b.vals[i], b.oks[i] = dds.Value{}, false
+				default:
+					b.retry = append(b.retry, i)
+				}
 			}
 		}
 		return nil
 	})
-	return retry, err
+	for _, b := range batch {
+		b.err = err
+	}
 }
 
 // Ping dials addr and exchanges one ping, bounded by timeout. Used by

@@ -12,11 +12,15 @@
 //	response   u32 length | u8 status | payload
 //
 // Connections are synchronous: one request is answered before the next is
-// read, and concurrency comes from per-server connection pools, not from
-// multiplexing. Keys are 17 bytes (tag u8, A i64, B i64), values 16 bytes
-// (A i64, B i64). Stores are addressed by (run, seq): run is a random
-// 64-bit id drawn per publisher so concurrent runs sharing servers never
-// collide, seq is the store generation within the run.
+// read. Reads coalesce instead of multiplexing: the client keeps at most one
+// getBatch frame in flight per server, and the calls that arrive meanwhile
+// queue and leave together in the next one, so the concurrent machines of a
+// round pay about one round trip per server per adaptive step.
+//
+// Keys are 17 bytes (tag u8, A i64, B i64), values 16 bytes (A i64, B i64).
+// Stores are addressed by (run, seq): run is a random 64-bit id drawn per
+// publisher so concurrent runs sharing servers never collide, seq is the
+// store generation within the run.
 //
 // Ops:
 //

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +102,146 @@ func TestSingleFlightCoalescesFrames(t *testing.T) {
 	}
 	if got := fr.ReadFrames() - base; got > readers {
 		t.Fatalf("%d concurrent Gets used %d frames", readers, got)
+	}
+}
+
+// concurrentReads runs one reader per key slice at once — even readers with
+// a single GetMany, odd ones with scalar Gets, one adaptive step per key —
+// and checks every answer against the oracle.
+func concurrentReads(t *testing.T, b dds.StoreBackend, ref map[dds.Key][]dds.Value, slices [][]dds.Key) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan string, len(slices))
+	for r, keys := range slices {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vals := make([]dds.Value, len(keys))
+			oks := make([]bool, len(keys))
+			if r%2 == 0 {
+				b.(dds.BatchGetter).GetMany(keys, vals, oks)
+			} else {
+				for i, k := range keys {
+					vals[i], oks[i] = b.Get(k)
+				}
+			}
+			for i, k := range keys {
+				if !oks[i] || vals[i] != ref[k][0] {
+					errs <- fmt.Sprintf("reader %d key %+v: got %+v %v, want %+v", r, k, vals[i], oks[i], ref[k][0])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// splitKeys deals the oracle's keys (optionally only those keep accepts)
+// into n disjoint slices of at most per keys each.
+func splitKeys(ref map[dds.Key][]dds.Value, n, per int, keep func(dds.Key) bool) [][]dds.Key {
+	out := make([][]dds.Key, n)
+	i := 0
+	for k := range ref {
+		if keep != nil && !keep(k) {
+			continue
+		}
+		if len(out[i%n]) < per {
+			out[i%n] = append(out[i%n], k)
+		}
+		i++
+	}
+	return out
+}
+
+// TestCoalescedFrames pins request coalescing: while one getBatch frame is
+// held at a slow server, every caller that arrives queues and rides the next
+// frame with the others. 64 concurrent readers — 32 single GetMany batches
+// and 32 chains of 4 scalar Gets, 160 requests in all — measure 8 frames
+// (about two per adaptive step: the callers woken by one frame straddle the
+// hand-off to the next sender); the bound of 16 is twice that, while one
+// frame per request would be 160. The shard-load ledger still charges every
+// key: coalescing saves frames, never accounting.
+func TestCoalescedFrames(t *testing.T) {
+	_, addrs := startFleet(t, 1, ServerConfig{FaultLatency: 20 * time.Millisecond})
+	pairs := testPairs(2000)
+	ref := reference(pairs)
+	_, b := publish(t, Config{Servers: addrs}, dds.NewStore(pairs, 4, 0x5eed))
+	fr := b.(interface{ ReadFrames() int64 })
+	slices := splitKeys(ref, 64, 4, nil)
+	total := 0
+	for _, s := range slices {
+		total += len(s)
+	}
+	frames0, loads0 := fr.ReadFrames(), sumLoads(b)
+	concurrentReads(t, b, ref, slices)
+	got := fr.ReadFrames() - frames0
+	t.Logf("64 concurrent readers: %d frames", got)
+	if got > 16 {
+		t.Fatalf("64 concurrent readers used %d frames, want <= 16", got)
+	}
+	if got := sumLoads(b) - loads0; got != int64(total) {
+		t.Fatalf("%d reads accounted %d shard loads", total, got)
+	}
+	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+		t.Fatalf("reads latched %v", err)
+	}
+}
+
+// TestCoalescedFrameDropFailsOver: the primary server drops connections at
+// random, so whole coalesced frames fail at the transport. Every member of
+// a dropped frame must fail over to the replica on its own and read the
+// right value, with no failure latched.
+func TestCoalescedFrameDropFailsOver(t *testing.T) {
+	f, err := StartFleet([]ServerConfig{
+		{FaultDrop: 0.5, FaultSeed: 3, FaultLatency: 5 * time.Millisecond},
+		{FaultLatency: 5 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	pairs := testPairs(2000)
+	ref := reference(pairs)
+	p, b := publish(t, Config{Servers: f.Addrs(), Replication: 2, Timeout: time.Second, DownCooldown: time.Millisecond},
+		dds.NewStore(pairs, 8, 0x5eed))
+	downs0 := p.c.servers[0].downs.Load()
+	concurrentReads(t, b, ref, splitKeys(ref, 64, 8, nil))
+	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+		t.Fatalf("failover latched %v", err)
+	}
+	if p.c.servers[0].downs.Load() == downs0 {
+		t.Fatal("no read frame was dropped; the test exercised nothing")
+	}
+}
+
+// TestCoalescedFramePausedPrimary: a paused primary holds a coalesced frame
+// until the timeout. The callers queued behind it must not each wait out a
+// timeout of their own — the whole batch fails over to the replica in about
+// one (two on a pooled connection, which is retried once on a fresh dial),
+// where 32 sequential timeouts would take 3.2s.
+func TestCoalescedFramePausedPrimary(t *testing.T) {
+	fleet, addrs := startFleet(t, 2, ServerConfig{})
+	pairs := testPairs(2000)
+	ref := reference(pairs)
+	const timeout = 100 * time.Millisecond
+	const shards, salt = 8, 0x5eed
+	p, b := publish(t, Config{Servers: addrs, Replication: 2, Timeout: timeout}, dds.NewStore(pairs, shards, salt))
+	onPrimary := func(k dds.Key) bool {
+		return p.c.replica(dds.ShardOf(k, salt, shards), shards, 0) == p.c.servers[0]
+	}
+	slices := splitKeys(ref, 32, 4, onPrimary)
+	fleet[0].Pause()
+	start := time.Now()
+	concurrentReads(t, b, ref, slices)
+	if took := time.Since(start); took > 6*timeout {
+		t.Fatalf("32 readers behind a paused primary took %v, want about one timeout (%v)", took, timeout)
+	}
+	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+		t.Fatalf("failover latched %v", err)
 	}
 }
 

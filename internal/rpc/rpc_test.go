@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -125,23 +127,9 @@ func TestReadFrameGrows(t *testing.T) {
 // claimed length that re-encodes to the bytes consumed, and the buffer may
 // never outgrow what the peer actually sent.
 func FuzzReadFrame(f *testing.F) {
-	frame := func(op byte, payload []byte) []byte {
-		var b bytes.Buffer
-		bw := bufio.NewWriter(&b)
-		writeFrame(bw, op, payload)
-		bw.Flush()
-		return b.Bytes()
-	}
-	// Real frames, encoded as client.putShard and client.getMany encode them.
-	c := &client{run: 0xfeed}
-	sections, err := dds.SegmentSections(dds.AppendSegment(nil, dds.NewStore(testPairs(200), 4, 0x5eed)))
-	if err != nil {
-		f.Fatal(err)
-	}
-	put := append(le.AppendUint32(c.reqHeader(nil, 3), 1), sections[1]...)
-	get := le.AppendUint32(c.reqHeader(nil, 3), 2)
-	get = appendKey(appendKey(get, dds.Key{Tag: 1, A: 4, B: 4}), dds.Key{Tag: 2, A: -5})
-	f.Add(frame(opPut, put))
+	// Real frames, encoded as client.putShard and client.getBatch encode them.
+	puts, get := seedRequests(f)
+	f.Add(frame(opPut, puts[1]))
 	f.Add(append(frame(opGetBatch, get), frame(opPing, nil)...))
 	f.Add(append(le.AppendUint32(nil, maxFrame), opPut))
 	f.Add(append(le.AppendUint32(nil, 0), opPing))
@@ -164,6 +152,119 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("frame tag %d len %d does not re-encode to the bytes consumed", tag, len(payload))
 			}
 			rest = rest[len(enc):]
+		}
+	})
+}
+
+// frame encodes one wire frame.
+func frame(op byte, payload []byte) []byte {
+	var b bytes.Buffer
+	bw := bufio.NewWriter(&b)
+	writeFrame(bw, op, payload)
+	bw.Flush()
+	return b.Bytes()
+}
+
+// seedRequests returns real request payloads for generation 3 of run 0xfeed:
+// one put per shard of a 4-shard store, and a two-key getBatch.
+func seedRequests(f *testing.F) (puts [][]byte, get []byte) {
+	c := &client{run: 0xfeed}
+	sections, err := dds.SegmentSections(dds.AppendSegment(nil, dds.NewStore(testPairs(200), 4, 0x5eed)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for sh, sec := range sections {
+		puts = append(puts, append(le.AppendUint32(c.reqHeader(nil, 3), uint32(sh)), sec...))
+	}
+	get = le.AppendUint32(c.reqHeader(nil, 3), 2)
+	get = appendKey(appendKey(get, dds.Key{Tag: 1, A: 4, B: 4}), dds.Key{Tag: 2, A: -5})
+	return puts, get
+}
+
+// fuzzConn is a net.Conn over fixed input bytes: the server reads them, then
+// EOF, and whatever it writes back collects in out.
+type fuzzConn struct {
+	in     io.Reader
+	out    bytes.Buffer
+	closed bool
+}
+
+func (c *fuzzConn) Read(p []byte) (int, error)       { return c.in.Read(p) }
+func (c *fuzzConn) Write(p []byte) (int, error)      { return c.out.Write(p) }
+func (c *fuzzConn) Close() error                     { c.closed = true; return nil }
+func (c *fuzzConn) LocalAddr() net.Addr              { return nil }
+func (c *fuzzConn) RemoteAddr() net.Addr             { return nil }
+func (c *fuzzConn) SetDeadline(time.Time) error      { return nil }
+func (c *fuzzConn) SetReadDeadline(time.Time) error  { return nil }
+func (c *fuzzConn) SetWriteDeadline(time.Time) error { return nil }
+
+// FuzzServerConn plays a whole hostile connection — handshake, ops, key
+// counts, payloads — into the server's connection handler, against a server
+// holding a real generation so reads reach resident shards. Whatever the
+// bytes, the handler must not panic, must return once the input runs out,
+// close the connection, and have written nothing but whole response frames
+// with a known status. Coalesced getBatch frames carry hundreds of keys, so
+// this is the server's largest attack surface.
+func FuzzServerConn(f *testing.F) {
+	s, err := NewServer(ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { s.Close() })
+	puts, get := seedRequests(f)
+	conn := func(frames ...[]byte) []byte {
+		b := []byte(handshakeMagic)
+		for _, fr := range frames {
+			b = append(b, fr...)
+		}
+		return b
+	}
+	key := appendKey(nil, dds.Key{Tag: 1, A: 4, B: 4})
+	hdr := (&client{run: 0xfeed}).reqHeader(nil, 3)
+	rangeReq := le.AppendUint32(le.AppendUint32(append(append([]byte(nil), hdr...), key...), 0), 2)
+	f.Add(conn(frame(opPing, nil), frame(opGetBatch, get)))
+	f.Add(conn(frame(opGetRange, rangeReq), frame(opCount, append(append([]byte(nil), hdr...), key...)), frame(opFree, hdr), frame(opGetBatch, get)))
+	f.Add(conn(frame(opPut, puts[2]), frame(opGetBatch, get)))
+	f.Add(conn(frame(opGetBatch, le.AppendUint32(append([]byte(nil), hdr...), 1<<30))))
+	f.Add(conn(append(le.AppendUint32(nil, maxFrame), opGetBatch)))
+	f.Add(conn(frame(99, nil), frame(opPut, hdr)))
+	f.Add([]byte("AMPCRPC0"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Re-seed the generation: an earlier input may have freed or
+		// overwritten it.
+		for _, p := range puts {
+			if err := s.handlePut(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := &fuzzConn{in: bytes.NewReader(data)}
+		done := make(chan struct{})
+		s.wg.Add(1)
+		go func() {
+			s.serveConn(c)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("connection handler still running 10s after its input ended")
+		}
+		if !c.closed {
+			t.Fatal("handler returned without closing the connection")
+		}
+		br := bufio.NewReader(&c.out)
+		for {
+			status, _, _, err := readFrame(br, nil)
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				t.Fatalf("response stream ends in a broken frame: %v", err)
+			}
+			if status != statusOK && status != statusErr && status != statusNoStore {
+				t.Fatalf("response with unknown status %d", status)
+			}
 		}
 	})
 }

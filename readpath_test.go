@@ -134,6 +134,16 @@ func TestReadPathDifferential(t *testing.T) {
 				if cfg.backend == ampc.BackendRPC && rt.RPCFrames == 0 {
 					t.Errorf("%s: rpc run reported zero read frames", label)
 				}
+				// A remote round runs all its machines at once and their
+				// reads share frames, whatever the worker count. Measured:
+				// 7–10 queries per frame on connectivity, 28–49 on MSF, where
+				// one frame per machine read gave 1.3 and 7.4. Connectivity's
+				// floor is its local-solve round, in which machine 0 alone
+				// makes 119 adaptive reads over ~76 frames.
+				if cfg.backend == ampc.BackendRPC && rt.RPCFrames*5 > rt.TotalQueries {
+					t.Errorf("%s: %d read frames for %d queries, want at least 5 queries per frame",
+						label, rt.RPCFrames, rt.TotalQueries)
+				}
 				if cfg.backend != ampc.BackendRPC && rt.RPCFrames != 0 {
 					t.Errorf("%s: non-rpc run reported %d rpc frames", label, rt.RPCFrames)
 				}
