@@ -1,4 +1,4 @@
-// Command shardd is one AMPC shard server: it owns whatever shard blocks
+// Command shardd is one AMPC shard server: it owns whatever store sections
 // rpc-backend publishers put to it and answers batched point reads over
 // them, speaking the length-prefixed binary protocol documented in
 // internal/rpc. A fleet of shardd processes plus `ampcrun -backend rpc

@@ -19,8 +19,8 @@ import (
 // written verbatim in little-endian — the same open-addressing slot array and
 // overflow slab the in-memory engine probes — so the mmap'd read path runs
 // the identical probe sequence over the mapped bytes with no deserialization
-// step. A block is a raw section of a segment file (segment.go) and the
-// payload rpc ships to a shard server.
+// step. A block is a raw section of a segment file (segment.go), and what
+// every packed or delta section decodes back to.
 //
 //	header   64 bytes
 //	  [0:8)    magic "AMPCSHRD"
@@ -236,24 +236,17 @@ type shardHeader struct {
 	slab  []byte
 }
 
-// parseShardBlock decodes one serialized shard block — a section of a
-// segment file or a block shipped to a shard server — validating magic, version, geometry and
-// checksum against exactly len(data) bytes. verify=false skips the checksum
-// and the slot-table scan: the trusted fast path for bytes this process
-// serialized itself moments ago, where validation would re-read the whole
-// payload the write-behind publisher just wrote.
-func parseShardBlock(data []byte, path string, index int, verify bool) (shardHeader, error) {
-	return parseShardBlockOpts(data, path, index, verify, verify)
-}
-
-// parseShardBlockOpts splits verification in two: verifySum re-folds the raw
-// block checksum; verifyScan runs the structural slot-table scan that makes
-// probing safe. They separate for packed segment sections, whose integrity
-// was already checked against the packed bytes on disk — a verifying open
-// still needs the scan (a checksum anyone can recompute proves nothing about
-// slab windows), but the decoded block's checksum word holds the packed sum,
-// not a raw sum.
-func parseShardBlockOpts(data []byte, path string, index int, verifySum, verifyScan bool) (shardHeader, error) {
+// parseShardBlock decodes one raw shard block — a section as it lies in a
+// segment, or as a packed or delta section decodes — validating magic,
+// version and geometry against exactly len(data) bytes. Verification comes
+// in two parts: verifySum re-folds the raw block checksum; verifyScan runs
+// the structural slot-table scan that makes probing safe. Both off is the
+// trusted fast path for bytes this process serialized itself moments ago.
+// They separate for packed sections, whose integrity was already checked
+// against the packed bytes received — a verifying open still needs the scan
+// (a checksum anyone can recompute proves nothing about slab windows), but
+// the decoded block's checksum word holds the packed sum, not a raw sum.
+func parseShardBlock(data []byte, path string, index int, verifySum, verifyScan bool) (shardHeader, error) {
 	var hdr shardHeader
 	size := int64(len(data))
 	if size < headerBytes {
@@ -270,6 +263,11 @@ func parseShardBlockOpts(data []byte, path string, index int, verifySum, verifyS
 		return hdr, fmt.Errorf("%w: %s: header says shard %d", ErrBadGeometry, path, got)
 	}
 	hdr.count = int(le.Uint32(h[16:]))
+	// Readers route by hash % count, so a zero count would divide by zero on
+	// the first read, and a shard outside its own store is never addressed.
+	if hdr.count == 0 || hdr.count > maxShardFiles || index >= hdr.count {
+		return hdr, fmt.Errorf("%w: %s: shard %d of a %d-shard store", ErrBadGeometry, path, index, hdr.count)
+	}
 	hdr.salt = le.Uint64(h[24:])
 	hdr.size = int(le.Uint64(h[32:]))
 	slotCount := le.Uint64(h[40:])

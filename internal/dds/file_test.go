@@ -41,44 +41,48 @@ func shardBlock(sh *shard, index, count int, salt uint64) []byte {
 
 // TestGoldenShardFiles pins the shard block format: every section of the
 // committed raw golden segment must be byte-for-byte the block the codec
-// serializes today, and each must open as a ShardReader answering every
-// read for the keys it owns. Any codec change that silently alters the
-// format — field moves, endianness, checksum definition — fails here;
-// deliberate format changes must bump shardVersion and regenerate with
-// -update.
+// serializes today, and every section of both golden segments — raw and
+// packed — must open with OpenSection, the shard server's entry point, as a
+// reader answering every read for the keys it owns. Any codec change that
+// silently alters the format — field moves, endianness, checksum definition
+// — fails here; deliberate format changes must bump shardVersion and
+// regenerate with -update.
 func TestGoldenShardFiles(t *testing.T) {
 	s := goldenStore()
-	seg, err := os.ReadFile(goldenSegmentRaw)
-	if err != nil {
-		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
-	}
-	sections, err := SegmentSections(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sections) != goldenShards {
-		t.Fatalf("golden segment has %d sections, want %d", len(sections), goldenShards)
-	}
 	ref := reference(goldenPairs)
-	for i, sec := range sections {
-		if want := shardBlock(&s.shards[i], i, goldenShards, goldenSalt); !bytes.Equal(sec, want) {
-			t.Errorf("shard %d: block serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
-				"a deliberate format change must bump shardVersion and regenerate with -update",
-				i, len(want), len(sec))
-		}
-		r, err := OpenShardBlock(sec, i, true)
+	for _, path := range []string{goldenSegmentRaw, goldenSegment} {
+		seg, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("open golden block %d: %v", i, err)
+			t.Fatalf("missing golden segment (regenerate with -update): %v", err)
 		}
-		if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.Pairs() != s.ShardSizes()[i] {
-			t.Fatalf("golden block %d metadata: salt=%#x shards=%d pairs=%d", i, r.Salt(), r.ShardCount(), r.Pairs())
+		sections, encs, err := sliceSections(seg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k, vs := range ref {
-			if !r.Owns(k) {
-				continue
+		if len(sections) != goldenShards {
+			t.Fatalf("%s has %d sections, want %d", path, len(sections), goldenShards)
+		}
+		for i, sec := range sections {
+			want := shardBlock(&s.shards[i], i, goldenShards, goldenSalt)
+			if path == goldenSegmentRaw && !bytes.Equal(sec, want) {
+				t.Errorf("shard %d: block serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
+					"a deliberate format change must bump shardVersion and regenerate with -update",
+					i, len(want), len(sec))
 			}
-			if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
-				t.Fatalf("golden block %d: GetRange(%v) = %v, want %v", i, k, got, vs)
+			r, err := OpenSection(sec, encs[i], i)
+			if err != nil {
+				t.Fatalf("%s: open section %d (encoding %d): %v", path, i, encs[i], err)
+			}
+			if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.fs.size != s.ShardSizes()[i] {
+				t.Fatalf("%s: section %d metadata: salt=%#x shards=%d pairs=%d", path, i, r.Salt(), r.ShardCount(), r.fs.size)
+			}
+			for k, vs := range ref {
+				if ShardOf(k, goldenSalt, goldenShards) != i {
+					continue
+				}
+				if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
+					t.Fatalf("%s: section %d: GetRange(%v) = %v, want %v", path, i, k, got, vs)
+				}
 			}
 		}
 	}
@@ -86,7 +90,9 @@ func TestGoldenShardFiles(t *testing.T) {
 
 // TestShardCorruption is the corruption table: every way a shard block can
 // be damaged maps to a typed error, so callers can distinguish "not a shard
-// block" from "torn write" from "bit rot".
+// block" from "torn write" from "bit rot". The header-bounds rows recompute
+// the checksum, as any sender can: a block whose shard count is zero would
+// otherwise divide by zero on the first read routed to its store.
 func TestShardCorruption(t *testing.T) {
 	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 
@@ -94,24 +100,31 @@ func TestShardCorruption(t *testing.T) {
 		name   string
 		mutate func([]byte) []byte
 		want   error
+		index  int // the shard the block is opened as
 	}{
-		{"truncated header", func(b []byte) []byte { return b[:headerBytes-12] }, ErrTruncated},
-		{"empty file", func(b []byte) []byte { return nil }, ErrTruncated},
-		{"truncated payload", func(b []byte) []byte { return b[:len(b)-5] }, ErrTruncated},
-		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic},
-		{"wrong version", func(b []byte) []byte { le.PutUint32(b[8:], shardVersion+1); return b }, ErrBadVersion},
-		{"future version", func(b []byte) []byte { le.PutUint32(b[8:], 0xFFFF); return b }, ErrBadVersion},
-		{"bad checksum", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, ErrChecksum},
-		{"flipped header field", func(b []byte) []byte { b[33] ^= 0x01; return b }, ErrChecksum},
-		{"wrong shard index", func(b []byte) []byte { le.PutUint32(b[12:], 7); return b }, ErrBadGeometry},
-		{"slot count not a power of two", func(b []byte) []byte { le.PutUint64(b[40:], 3); return b }, ErrBadGeometry},
-		{"declared payload beyond file", func(b []byte) []byte { le.PutUint64(b[48:], 1<<40); return b }, ErrTruncated},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrBadGeometry},
+		{"truncated header", func(b []byte) []byte { return b[:headerBytes-12] }, ErrTruncated, 0},
+		{"empty file", func(b []byte) []byte { return nil }, ErrTruncated, 0},
+		{"truncated payload", func(b []byte) []byte { return b[:len(b)-5] }, ErrTruncated, 0},
+		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic, 0},
+		{"wrong version", func(b []byte) []byte { le.PutUint32(b[8:], shardVersion+1); return b }, ErrBadVersion, 0},
+		{"future version", func(b []byte) []byte { le.PutUint32(b[8:], 0xFFFF); return b }, ErrBadVersion, 0},
+		{"bad checksum", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, ErrChecksum, 0},
+		{"flipped header field", func(b []byte) []byte { b[33] ^= 0x01; return b }, ErrChecksum, 0},
+		{"wrong shard index", func(b []byte) []byte { le.PutUint32(b[12:], 7); return b }, ErrBadGeometry, 0},
+		{"slot count not a power of two", func(b []byte) []byte { le.PutUint64(b[40:], 3); return b }, ErrBadGeometry, 0},
+		{"declared payload beyond file", func(b []byte) []byte { le.PutUint64(b[48:], 1<<40); return b }, ErrTruncated, 0},
+		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrBadGeometry, 0},
+		{"zero shard count", func(b []byte) []byte { le.PutUint32(b[16:], 0); return fixChecksum(b) }, ErrBadGeometry, 0},
+		{"shard count beyond cap", func(b []byte) []byte {
+			le.PutUint32(b[16:], maxShardFiles+1)
+			return fixChecksum(b)
+		}, ErrBadGeometry, 0},
+		{"shard index beyond count", func(b []byte) []byte { le.PutUint32(b[12:], 1); return fixChecksum(b) }, ErrBadGeometry, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), valid...))
-			if _, err := OpenShardBlock(buf, 0, true); err == nil {
+			if _, err := OpenSection(buf, encRaw, tc.index); err == nil {
 				t.Fatalf("corrupted block opened cleanly")
 			} else if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
@@ -173,7 +186,7 @@ func TestSlotTableValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), base...))
-			if _, err := OpenShardBlock(buf, 0, true); err == nil {
+			if _, err := OpenSection(buf, encRaw, 0); err == nil {
 				t.Fatal("dishonest slot table opened cleanly")
 			} else if !errors.Is(err, ErrBadGeometry) {
 				t.Fatalf("error %v, want errors.Is(..., ErrBadGeometry)", err)

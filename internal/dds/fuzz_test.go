@@ -65,12 +65,11 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
-// FuzzShardCodec round-trips arbitrary KV multisets through the shard block
-// codec — fillShardBlock → OpenShardBlock with full verification, shard by
-// shard — and demands the readers answer Get, GetIndexed, GetRange and Count
-// exactly like a reference map built from the same pairs: the differential
-// oracle for the block format a segment's raw sections and the rpc wire
-// share.
+// FuzzShardCodec round-trips arbitrary KV multisets through the section
+// codec the rpc wire carries — EncodeSections → OpenSection with full
+// verification, shard by shard, once over the packed sections it ships and
+// once over the raw blocks — and demands the readers answer Get, GetRange
+// and Count exactly like a reference map built from the same pairs.
 func FuzzShardCodec(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -81,63 +80,96 @@ func FuzzShardCodec(f *testing.F) {
 		}
 		pairs, p, salt := decodeFuzzPairs(data)
 		mem := NewStore(pairs, p, salt)
-		readers := make([]*ShardReader, p)
-		for i := range readers {
-			r, err := OpenShardBlock(shardBlock(&mem.shards[i], i, p, salt), i, true)
-			if err != nil {
-				t.Fatalf("OpenShardBlock rejected its own serialization: %v", err)
-			}
-			if r.Pairs() != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
-				t.Fatalf("shard %d metadata drift: pairs %d/%d shards %d/%d salt %#x/%#x",
-					i, r.Pairs(), mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
-			}
-			readers[i] = r
+		_, packed, encs := EncodeSections(nil, mem)
+		raw, err := SegmentSections(AppendSegment(nil, mem))
+		if err != nil {
+			t.Fatal(err)
 		}
-		owner := func(k Key) *ShardReader { return readers[ShardOf(k, salt, p)] }
-		for k, vs := range reference(pairs) {
-			r := owner(k)
-			if got := r.Count(k); got != len(vs) {
-				t.Fatalf("Count(%v) = %d, want %d", k, got, len(vs))
+		for _, form := range []struct {
+			sections [][]byte
+			encs     []byte
+		}{{packed, encs}, {raw, make([]byte, p)}} {
+			readers := make([]*ShardReader, p)
+			for i := range readers {
+				r, err := OpenSection(form.sections[i], form.encs[i], i)
+				if err != nil {
+					t.Fatalf("OpenSection rejected its own encoding %d: %v", form.encs[i], err)
+				}
+				if r.fs.size != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
+					t.Fatalf("shard %d metadata drift: pairs %d/%d shards %d/%d salt %#x/%#x",
+						i, r.fs.size, mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
+				}
+				readers[i] = r
 			}
-			if v, ok := r.Get(k); !ok || v != vs[0] {
-				t.Fatalf("Get(%v) = %v ok=%v, want %v", k, v, ok, vs[0])
+			owner := func(k Key) *ShardReader { return readers[ShardOf(k, salt, p)] }
+			for k, vs := range reference(pairs) {
+				r := owner(k)
+				if got := r.Count(k); got != len(vs) {
+					t.Fatalf("Count(%v) = %d, want %d", k, got, len(vs))
+				}
+				if v, ok := r.Get(k); !ok || v != vs[0] {
+					t.Fatalf("Get(%v) = %v ok=%v, want %v", k, v, ok, vs[0])
+				}
+				if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
+					t.Fatalf("GetRange(%v) = %v, want %v", k, got, vs)
+				}
 			}
-			if v, ok := r.GetIndexed(k, len(vs)-1); !ok || v != vs[len(vs)-1] {
-				t.Fatalf("GetIndexed(%v, last) = %v ok=%v, want %v", k, v, ok, vs[len(vs)-1])
-			}
-			if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
-				t.Fatalf("GetRange(%v) = %v, want %v", k, got, vs)
-			}
-		}
-		for _, k := range []Key{{9, 0, 0}, {9, 5, 1}, {0, 99, 0}, {4, -21, 2}} {
-			if _, ok := owner(k).Get(k); ok {
-				t.Fatalf("absent key %v answered a Get", k)
+			for _, k := range []Key{{9, 0, 0}, {9, 5, 1}, {0, 99, 0}, {4, -21, 2}} {
+				if _, ok := owner(k).Get(k); ok {
+					t.Fatalf("absent key %v answered a Get", k)
+				}
 			}
 		}
 	})
 }
 
-// FuzzOpenShardBlock feeds arbitrary bytes to the block reader, the entry
-// point a shard server exposes to the network: whatever the bytes,
-// OpenShardBlock must either fail with an error or yield a reader whose
-// reads do not crash — no input may panic the probe arithmetic or slice
-// past the block.
-func FuzzOpenShardBlock(f *testing.F) {
+// FuzzOpenSection feeds arbitrary bytes, encoding byte and shard index to
+// OpenSection, the entry point a shard server exposes to the network:
+// whatever the input, it must either fail with an error or yield a reader
+// whose reads and routing do not crash — no input may panic the packed
+// decoder, the probe arithmetic or the shard modulo, or slice past the
+// section. A delta section must always be refused: a lone section carries no
+// base.
+func FuzzOpenSection(f *testing.F) {
 	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
-	f.Add(valid)
-	f.Add(valid[:headerBytes])
-	f.Add(valid[:len(valid)-3])
-	f.Add([]byte(shardMagic))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := OpenShardBlock(data, 0, true)
+	f.Add(valid, encRaw, uint8(0))
+	f.Add(valid[:headerBytes], encRaw, uint8(0))
+	f.Add(valid[:len(valid)-3], encRaw, uint8(0))
+	f.Add([]byte(shardMagic), encRaw, uint8(0))
+	f.Add([]byte{}, encRaw, uint8(0))
+	for _, path := range []string{goldenSegmentRaw, goldenSegment} {
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		sections, encs, err := sliceSections(seg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, sec := range sections {
+			f.Add(sec, encs[i], uint8(i))
+		}
+	}
+	seeds := segmentByteSeeds()
+	sections, encs, err := sliceSections(seeds[len(seeds)-1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, sec := range sections {
+		f.Add(sec, encs[i], uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, enc byte, index uint8) {
+		r, err := OpenSection(data, enc, int(index))
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
+		if enc == encDelta {
+			t.Fatal("a delta section opened without a base")
+		}
 		for _, k := range []Key{{1, 1, 0}, {2, 1, 1}, {0, 0, 0}} {
+			ShardOf(k, r.Salt(), r.ShardCount())
 			r.Get(k)
 			r.Count(k)
-			r.GetIndexed(k, 1)
 			r.GetRange(k, 0, 4, nil)
 		}
 	})

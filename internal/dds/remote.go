@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// This file is the dds surface a networked store builds on. A remote shard
-// server receives the same serialized shard blocks the segment codec writes
-// to disk (one v1 block per shard, sliced out of a segment's section table)
-// and answers point queries over them through ShardReader — the identical
-// probe sequence as the mmap'd segment, so a remote read returns
+// This file is the dds surface a networked store builds on. A publisher
+// ships each generation in the segment codec's own sections — EncodeSections
+// packs them exactly as the file publisher does on disk, minus delta — and a
+// remote shard server opens each one with OpenSection, the decoder behind
+// OpenSegment, then answers point queries through ShardReader with the
+// identical probe sequence as the mmap'd segment, so a remote read returns
 // byte-for-byte what a local read of the same frozen store would.
 
 // ErrBackendUnavailable reports that a store backend could not answer reads
@@ -39,107 +40,130 @@ func ShardOf(k Key, salt uint64, p int) int {
 	return int(hash(k, salt) % uint64(p))
 }
 
-// SegmentSections slices a serialized segment (AppendSegment's output) into
-// its per-shard section byte ranges, in shard order, without copying.
-// Section i is bit-for-bit a v1 shard block, the unit a shard server stores
-// and validates independently — AppendSegment writes every section raw, and
-// a compressed section (the on-disk publisher's form) is rejected here, so a
-// slice handed to the wire is always a self-contained block. The
-// super-header and section tiling are checked so the returned slices are in
-// bounds; section contents are not re-validated here — the receiver does
-// that when it opens each block.
+// EncodeSections serializes s into buf (reused as scratch) as the networked
+// publisher ships it: the compressed segment the file publisher writes —
+// each section packed where that is smaller, raw otherwise — but never delta,
+// since a shard server holds no base to decode against. It returns the
+// segment bytes and, in shard order, each section (a view into them) with
+// its encoding byte: the pairs OpenSection takes.
+func EncodeSections(buf []byte, s *Store) ([]byte, [][]byte, []byte) {
+	buf, _ = appendSegment(buf[:0], s, segOpts{compress: true}, nil)
+	sections, encs, err := sliceSections(buf)
+	if err != nil {
+		panic("dds: EncodeSections produced an unreadable segment: " + err.Error())
+	}
+	return buf, sections, encs
+}
+
+// SegmentSections slices a raw segment (AppendSegment's output) into its
+// per-shard sections, in shard order, without copying; a compressed section
+// is rejected, so every slice is a self-contained v1 shard block. It sizes
+// the uncompressed form — the wire moves EncodeSections' sections — and its
+// one caller outside the tests is the benchmark's computed
+// rpc.wire_bytes_per_generation.
 func SegmentSections(seg []byte) ([][]byte, error) {
-	if len(seg) < headerBytes {
-		return nil, fmt.Errorf("%w: segment of %d bytes, super-header needs %d", ErrTruncated, len(seg), headerBytes)
+	sections, encs, err := sliceSections(seg)
+	if err != nil {
+		return nil, err
 	}
-	h := seg[:headerBytes]
-	if string(h[0:8]) != segmentMagic {
-		return nil, fmt.Errorf("%w: not a segment", ErrBadMagic)
-	}
-	if v := le.Uint32(h[8:]); v != segmentVersion {
-		return nil, fmt.Errorf("%w: segment version %d, reader implements %d", ErrBadVersion, v, segmentVersion)
-	}
-	count := int(le.Uint32(h[12:]))
-	if count <= 0 || count > maxShardFiles {
-		return nil, fmt.Errorf("%w: shard count %d", ErrBadGeometry, count)
-	}
-	tableEnd := headerBytes + count*segTableEntry
-	if len(seg) < tableEnd {
-		return nil, fmt.Errorf("%w: segment of %d bytes, section table needs %d", ErrTruncated, len(seg), tableEnd)
-	}
-	table := seg[headerBytes:tableEnd]
-	sections := make([][]byte, count)
-	next := uint64(tableEnd)
-	for i := 0; i < count; i++ {
-		off := le.Uint64(table[i*segTableEntry:])
-		length := le.Uint64(table[i*segTableEntry+8:])
-		if enc := table[i*segTableEntry+16]; enc != encRaw {
-			return nil, fmt.Errorf("%w: section %d has encoding %d; only raw sections can be sliced for the wire",
+	for i, enc := range encs {
+		if enc != encRaw {
+			return nil, fmt.Errorf("%w: section %d has encoding %d; only raw sections are shard blocks",
 				ErrBadGeometry, i, enc)
 		}
-		if off != next {
-			return nil, fmt.Errorf("%w: section %d starts at %d, want %d", ErrBadGeometry, i, off, next)
-		}
-		if length < headerBytes || length > uint64(len(seg))-off {
-			return nil, fmt.Errorf("%w: section %d of %d bytes at offset %d outside the segment",
-				ErrBadGeometry, i, length, off)
-		}
-		next = off + length
-		sections[i] = seg[off:next:next]
-	}
-	if next != uint64(len(seg)) {
-		return nil, fmt.Errorf("%w: sections end at %d of %d bytes", ErrBadGeometry, next, len(seg))
 	}
 	return sections, nil
 }
 
-// ShardReader answers point queries over one serialized shard block — the
-// read side of a shard server. It retains the block bytes it was opened
-// over; the probe sequence is identical to the mmap'd file path, so a query
-// answered remotely returns exactly what the local store would.
+// sliceSections checks a serialized segment's super-header and section
+// tiling and returns each section's bytes and encoding byte, so the returned
+// slices are in bounds; section contents are left to OpenSection.
+func sliceSections(seg []byte) ([][]byte, []byte, error) {
+	if len(seg) < headerBytes {
+		return nil, nil, fmt.Errorf("%w: segment of %d bytes, super-header needs %d", ErrTruncated, len(seg), headerBytes)
+	}
+	h := seg[:headerBytes]
+	if string(h[0:8]) != segmentMagic {
+		return nil, nil, fmt.Errorf("%w: not a segment", ErrBadMagic)
+	}
+	if v := le.Uint32(h[8:]); v != segmentVersion {
+		return nil, nil, fmt.Errorf("%w: segment version %d, reader implements %d", ErrBadVersion, v, segmentVersion)
+	}
+	count := int(le.Uint32(h[12:]))
+	if count <= 0 || count > maxShardFiles {
+		return nil, nil, fmt.Errorf("%w: shard count %d", ErrBadGeometry, count)
+	}
+	tableEnd := headerBytes + count*segTableEntry
+	if len(seg) < tableEnd {
+		return nil, nil, fmt.Errorf("%w: segment of %d bytes, section table needs %d", ErrTruncated, len(seg), tableEnd)
+	}
+	table := seg[headerBytes:tableEnd]
+	sections := make([][]byte, count)
+	encs := make([]byte, count)
+	next := uint64(tableEnd)
+	for i := 0; i < count; i++ {
+		off := le.Uint64(table[i*segTableEntry:])
+		length := le.Uint64(table[i*segTableEntry+8:])
+		if off != next {
+			return nil, nil, fmt.Errorf("%w: section %d starts at %d, want %d", ErrBadGeometry, i, off, next)
+		}
+		// Bound length by subtraction, never `off+length > size`: a crafted
+		// length near 2^64 would wrap the addition past the check and panic
+		// the slicing below.
+		if length == 0 || length > uint64(len(seg))-off {
+			return nil, nil, fmt.Errorf("%w: section %d of %d bytes at offset %d outside the segment",
+				ErrBadGeometry, i, length, off)
+		}
+		next = off + length
+		sections[i] = seg[off:next:next]
+		encs[i] = table[i*segTableEntry+16]
+	}
+	if next != uint64(len(seg)) {
+		return nil, nil, fmt.Errorf("%w: sections end at %d of %d bytes", ErrBadGeometry, next, len(seg))
+	}
+	return sections, encs, nil
+}
+
+// ShardReader answers point queries over one opened section — the read side
+// of a shard server. The probe sequence is identical to the mmap'd segment
+// path, so a query answered remotely returns exactly what the local store
+// would.
 type ShardReader struct {
 	fs     fileShard
-	index  int
 	shards int
 	salt   uint64
 }
 
-// OpenShardBlock decodes one serialized shard block (a raw section of a
-// segment) into a reader. index is the shard index the
-// block must declare. verify=true additionally checks the checksum and scans
-// the slot table so reads over untrusted bytes cannot probe out of bounds or
-// loop; a server receiving blocks over the network should keep it on.
-func OpenShardBlock(data []byte, index int, verify bool) (*ShardReader, error) {
-	hdr, err := parseShardBlock(data, fmt.Sprintf("shard block %d", index), index, verify)
+// OpenSection opens one section as EncodeSections produced it — enc is its
+// encoding byte, index the shard it must declare — with the same
+// verification OpenSegment applies: a raw section's checksum, a packed
+// section's checksum over the packed bytes before it decodes, then the
+// slot-table scan that keeps probes over untrusted bytes in bounds. The
+// shard count must be in range and hold index, since readers route by it. A
+// delta section is refused with ErrMissingBase: it decodes only against a
+// base segment, which a lone section does not carry. The reader owns its
+// memory — a raw section is copied, a packed one decodes into fresh bytes —
+// so data may be reused once OpenSection returns.
+func OpenSection(data []byte, enc byte, index int) (*ShardReader, error) {
+	if enc == encRaw {
+		data = append([]byte(nil), data...)
+	}
+	_, hdr, err := openSection(data, enc, index, nil, true, fmt.Sprintf("section %d", index))
 	if err != nil {
 		return nil, err
 	}
 	return &ShardReader{
 		fs:     fileShard{slots: hdr.slots, mask: hdr.mask, slab: hdr.slab, size: hdr.size},
-		index:  index,
 		shards: hdr.count,
 		salt:   hdr.salt,
 	}, nil
 }
 
-// Index returns the shard index the block declares.
-func (r *ShardReader) Index() int { return r.index }
-
-// ShardCount returns the total shard count of the store the block came from.
+// ShardCount returns the total shard count of the store the section came from.
 func (r *ShardReader) ShardCount() int { return r.shards }
 
 // Salt returns the placement salt the store was built with.
 func (r *ShardReader) Salt() uint64 { return r.salt }
-
-// Pairs returns the number of pairs resident on this shard.
-func (r *ShardReader) Pairs() int { return r.fs.size }
-
-// Owns reports whether key k routes to this shard under the block's salt and
-// shard count — the guard a server applies before answering, so a misrouted
-// key is an error instead of a silent miss.
-func (r *ShardReader) Owns(k Key) bool {
-	return ShardOf(k, r.salt, r.shards) == r.index
-}
 
 // Get returns the value stored under k (index 0 of a duplicated key).
 func (r *ShardReader) Get(k Key) (Value, bool) {
@@ -148,15 +172,6 @@ func (r *ShardReader) Get(k Key) (Value, bool) {
 		return Value{}, false
 	}
 	return r.fs.value(off, 0), true
-}
-
-// GetIndexed returns the i-th (0-based) value stored under k.
-func (r *ShardReader) GetIndexed(k Key, i int) (Value, bool) {
-	off := r.fs.findOff(k, hash(k, r.salt))
-	if off < 0 || i < 0 || i >= r.fs.count(off) {
-		return Value{}, false
-	}
-	return r.fs.value(off, i), true
 }
 
 // GetRange appends the values stored under k at indices [lo, hi) to dst.

@@ -94,8 +94,8 @@ func (e *SectionError) Error() string {
 func (e *SectionError) Unwrap() error { return e.Err }
 
 // segOpts selects how appendSegment encodes sections. The zero value writes
-// every section raw — the form SegmentSections can slice and ship to shard
-// servers. compress enables packed sections; a non-nil base additionally
+// every section raw (AppendSegment). compress enables packed sections — what
+// disk and wire both carry; a non-nil base additionally
 // offers delta encoding against it (the publisher's previous durable
 // generation, reopened trusted). baseSeq is the base's segment sequence,
 // recorded in the super-header iff a section actually chose delta.
@@ -126,10 +126,10 @@ type segStats struct {
 }
 
 // AppendSegment serializes s as a segment into buf and returns the extended
-// slice. Every section is raw — this is the wire form a networked publisher
-// slices with SegmentSections — and serialization is deterministic: the same
-// store produces identical bytes into a fresh or recycled buffer, with
-// per-shard sections filling in parallel for large stores.
+// slice. Every section is raw — the uncompressed form, which SegmentSections
+// slices — and serialization is deterministic: the same store produces
+// identical bytes into a fresh or recycled buffer, with per-shard sections
+// filling in parallel for large stores.
 func AppendSegment(buf []byte, s *Store) []byte {
 	buf, _ = appendSegment(buf, s, segOpts{}, nil)
 	return buf
@@ -492,7 +492,12 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 
 	// The section table must tile [tableEnd, size) exactly in shard order: a
 	// swapped, overlapping or gapped pair of entries is a geometry error, and
-	// catching it here means section offsets can be trusted as slice bounds.
+	// catching it before any section is read means section offsets can be
+	// trusted as slice bounds.
+	sections, encs, err := sliceSections(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	// The base segment of any delta section opens lazily, once, trusted (the
 	// decoded block's own checksum verifies the reconstruction when verify
 	// is on) and closes before return — decoded sections own their bytes.
@@ -502,72 +507,34 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 			deltaBase.Close()
 		}
 	}()
-	next := uint64(tableEnd)
+	baseSection := func(i int) ([]byte, error) {
+		if !allowDelta {
+			return nil, fmt.Errorf("%w: %s: delta section in a base segment (chains are one level deep)", ErrMissingBase, path)
+		}
+		if deltaBase == nil {
+			if baseSeq == noBaseSeq {
+				return nil, fmt.Errorf("%w: %s: delta section but super-header names no base", ErrMissingBase, path)
+			}
+			basePath := filepath.Join(filepath.Dir(path), fmt.Sprintf(segFileFmt, baseSeq))
+			if basePath == path {
+				return nil, fmt.Errorf("%w: %s: segment names itself as base", ErrMissingBase, path)
+			}
+			b, err := openSegmentDepth(basePath, false, false)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %s: base %s: %v", ErrMissingBase, path, filepath.Base(basePath), err)
+			}
+			deltaBase = b
+		}
+		if i < len(deltaBase.sections) {
+			return deltaBase.sections[i], nil
+		}
+		return nil, nil
+	}
 	s.shards = make([]fileShard, 0, count)
 	s.sections = make([][]byte, 0, count)
 	pairs := uint64(0)
-	for i := 0; i < count; i++ {
-		off := le.Uint64(table[i*segTableEntry:])
-		length := le.Uint64(table[i*segTableEntry+8:])
-		enc := table[i*segTableEntry+16]
-		if off != next {
-			return nil, fmt.Errorf("%w: %s: section %d starts at %d, want %d (sections must be contiguous and in shard order)",
-				ErrBadGeometry, path, i, off, next)
-		}
-		// Bound length by subtraction, never `off+length > size`: a crafted
-		// length near 2^64 would wrap the addition past the check and panic
-		// the section slicing below.
-		if length == 0 || length > uint64(info.Size())-off {
-			return nil, fmt.Errorf("%w: %s: section %d of %d bytes at offset %d outside the file",
-				ErrBadGeometry, path, i, length, off)
-		}
-		next = off + length
-		var raw []byte
-		switch enc {
-		case encRaw:
-			raw = data[off : off+length : off+length]
-		case encPacked:
-			raw, err = unpackBlock(data[off:off+length], path, verify)
-			if err != nil {
-				return nil, &SectionError{Section: i, Err: err}
-			}
-		case encDelta:
-			if !allowDelta {
-				return nil, &SectionError{Section: i, Err: fmt.Errorf(
-					"%w: %s: delta section in a base segment (chains are one level deep)", ErrMissingBase, path)}
-			}
-			if deltaBase == nil {
-				if baseSeq == noBaseSeq {
-					return nil, &SectionError{Section: i, Err: fmt.Errorf(
-						"%w: %s: delta section but super-header names no base", ErrMissingBase, path)}
-				}
-				basePath := filepath.Join(filepath.Dir(path), fmt.Sprintf(segFileFmt, baseSeq))
-				if basePath == path {
-					return nil, &SectionError{Section: i, Err: fmt.Errorf(
-						"%w: %s: segment names itself as base", ErrMissingBase, path)}
-				}
-				deltaBase, err = openSegmentDepth(basePath, false, false)
-				if err != nil {
-					return nil, &SectionError{Section: i, Err: fmt.Errorf(
-						"%w: %s: base %s: %v", ErrMissingBase, path, filepath.Base(basePath), err)}
-				}
-			}
-			var baseRaw []byte
-			if i < len(deltaBase.sections) {
-				baseRaw = deltaBase.sections[i]
-			}
-			raw, err = undeltaBlock(data[off:off+length], baseRaw, path)
-			if err != nil {
-				return nil, &SectionError{Section: i, Err: err}
-			}
-		default:
-			return nil, &SectionError{Section: i, Err: fmt.Errorf(
-				"%w: %s: section encoding %d, reader implements raw/packed/delta", ErrBadVersion, path, enc)}
-		}
-		// Packed sections were verified against the on-disk bytes inside
-		// unpackBlock; their checksum word holds the packed sum, so the
-		// parse skips the raw checksum but keeps the slot-table scan.
-		hdr, err := parseShardBlockOpts(raw, path, i, verify && enc != encPacked, verify)
+	for i, sec := range sections {
+		raw, hdr, err := openSection(sec, encs[i], i, baseSection, verify, path)
 		if err != nil {
 			return nil, &SectionError{Section: i, Err: err}
 		}
@@ -584,9 +551,6 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 		})
 		s.sections = append(s.sections, raw)
 	}
-	if next != uint64(info.Size()) {
-		return nil, fmt.Errorf("%w: %s: sections end at %d of %d bytes", ErrBadGeometry, path, next, info.Size())
-	}
 	if pairs != declaredPairs {
 		return nil, fmt.Errorf("%w: %s: sections hold %d pairs, super-header declares %d",
 			ErrBadGeometry, path, pairs, declaredPairs)
@@ -594,4 +558,39 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 	s.pairs = int(pairs)
 	ok = true
 	return s, nil
+}
+
+// openSection decodes one section of encoding enc into the raw shard block
+// it stands for and parses it as shard index — the one section decoder behind
+// both OpenSegment and the shard server's OpenSection. A raw section parses
+// in place (the returned block aliases data); packed and delta sections
+// decode into fresh memory. With verify on, raw and delta sections get the
+// raw checksum and the slot-table scan; a packed section's checksum is
+// checked over the packed bytes before decoding (its checksum word holds the
+// packed sum, so the parse skips the raw one) and the decoded block is then
+// scanned. base returns the raw section a delta decodes against; nil refuses
+// delta sections with ErrMissingBase.
+func openSection(data []byte, enc byte, index int, base func(index int) ([]byte, error), verify bool, path string) ([]byte, shardHeader, error) {
+	raw := data
+	var err error
+	switch enc {
+	case encRaw:
+	case encPacked:
+		raw, err = unpackBlock(data, path, verify)
+	case encDelta:
+		if base == nil {
+			return nil, shardHeader{}, fmt.Errorf("%w: %s: delta section with no base segment to decode against", ErrMissingBase, path)
+		}
+		var b []byte
+		if b, err = base(index); err == nil {
+			raw, err = undeltaBlock(data, b, path)
+		}
+	default:
+		err = fmt.Errorf("%w: %s: section encoding %d, reader implements raw/packed/delta", ErrBadVersion, path, enc)
+	}
+	if err != nil {
+		return nil, shardHeader{}, err
+	}
+	hdr, err := parseShardBlock(raw, path, index, verify && enc != encPacked, verify)
+	return raw, hdr, err
 }

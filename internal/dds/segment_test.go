@@ -66,6 +66,47 @@ func TestGoldenSegmentFile(t *testing.T) {
 	}
 }
 
+// TestEncodeSectionsIsTheDiskCodec pins that the wire and the disk carry one
+// encoding: EncodeSections' bytes are the committed compressed golden
+// segment (whose sections TestGoldenShardFiles opens with OpenSection), its
+// sections are packed — the golden shards are tables at most half full — and
+// a delta section, which only a base segment can decode, is refused with
+// ErrMissingBase.
+func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
+	want, err := os.ReadFile(goldenSegment)
+	if err != nil {
+		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
+	}
+	seg, _, encs := EncodeSections([]byte("dirty scratch"), goldenStore())
+	if !bytes.Equal(seg, want) {
+		t.Fatalf("EncodeSections differs from the compressed golden segment (%d vs %d bytes)", len(seg), len(want))
+	}
+	for i, enc := range encs {
+		if enc != encPacked {
+			t.Fatalf("section %d has encoding %d, want packed", i, enc)
+		}
+	}
+
+	seeds := segmentByteSeeds()
+	sections, encs, err := sliceSections(seeds[len(seeds)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := 0
+	for i, sec := range sections {
+		if encs[i] != encDelta {
+			continue
+		}
+		deltas++
+		if _, err := OpenSection(sec, encs[i], i); !errors.Is(err, ErrMissingBase) {
+			t.Fatalf("delta section %d: %v, want ErrMissingBase", i, err)
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("the delta seed segment holds no delta section")
+	}
+}
+
 // fixSegChecksum recomputes a mutated segment's super-header checksum so the
 // validation behind the checksum gate is reachable.
 func fixSegChecksum(b []byte) []byte {

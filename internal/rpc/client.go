@@ -94,7 +94,7 @@ func (cfg Config) withDefaults() Config {
 var errNoStore = errors.New("rpc: store not resident on replica")
 
 // remoteError is a terminal server-side failure (malformed request, corrupt
-// block): retrying another replica would not help.
+// section): retrying another replica would not help.
 type remoteError struct{ msg string }
 
 func (e *remoteError) Error() string { return "rpc: server: " + e.msg }
@@ -400,13 +400,34 @@ func (c *client) reqHeader(buf []byte, seq uint64) []byte {
 	return le.AppendUint64(buf, seq)
 }
 
-// putShard uploads one serialized shard block to a specific server.
-func (c *client) putShard(s *server, seq uint64, shard int, block []byte) error {
-	req := make([]byte, 0, 20+len(block))
-	req = c.reqHeader(req, seq)
-	req = le.AppendUint32(req, uint32(shard))
-	req = append(req, block...)
-	return s.roundTrip(opPut, req, true, func([]byte) error { return nil })
+// putFrames splits shards (indices into sections) into the runs that one put
+// frame each carries: as many sections as fit in frameEager bytes, and a
+// larger section alone.
+func putFrames(shards []int, sections [][]byte) [][]int {
+	var frames [][]int
+	for len(shards) > 0 {
+		n, size := 0, 20
+		for n < len(shards) && (n == 0 || size+sectionHead+len(sections[shards[n]]) <= frameEager) {
+			size += sectionHead + len(sections[shards[n]])
+			n++
+		}
+		frames = append(frames, shards[:n])
+		shards = shards[n:]
+	}
+	return frames
+}
+
+// appendPut appends the payload of one put frame: the sections of shards
+// (indices into sections) with their encoding bytes.
+func (c *client) appendPut(req []byte, seq uint64, shards []int, sections [][]byte, encs []byte) []byte {
+	req = le.AppendUint32(c.reqHeader(req, seq), uint32(len(shards)))
+	for _, sh := range shards {
+		req = le.AppendUint32(req, uint32(sh))
+		req = append(req, encs[sh])
+		req = le.AppendUint32(req, uint32(len(sections[sh])))
+		req = append(req, sections[sh]...)
+	}
+	return req
 }
 
 // free drops generation seq on every reachable server, best-effort.

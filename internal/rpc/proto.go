@@ -4,10 +4,11 @@
 // let the AMPC runtime pay the model's defining cost — adaptive remote reads
 // against D_{i-1} — over real sockets instead of in-process arrays.
 //
-// Wire protocol (version 1, little-endian throughout):
+// Wire protocol (version 2, little-endian throughout):
 //
-//	handshake  the client sends the 8-byte magic "AMPCRPC1" once per
-//	           connection; a server that reads anything else closes.
+//	handshake  the client sends the 8-byte magic "AMPCRPC2" once per
+//	           connection; a server that reads anything else — a version 1
+//	           client included — closes without answering.
 //	request    u32 length | u8 op | payload   (length covers op + payload)
 //	response   u32 length | u8 status | payload
 //
@@ -25,7 +26,8 @@
 // Ops:
 //
 //	ping      req  —                                 resp —
-//	put       req  run u64 | seq u64 | shard u32 | v1 shard block
+//	put       req  run u64 | seq u64 | n u32 |
+//	               n × (shard u32 | enc u8 | len u32 | len bytes)
 //	          resp —
 //	getBatch  req  run u64 | seq u64 | n u32 | n × key
 //	          resp n × (code u8 | value)   code: 0 absent, 1 present,
@@ -36,10 +38,14 @@
 //	          resp n u32
 //	free      req  run u64 | seq u64                 resp —
 //
-// Shard blocks are bit-for-bit the segment codec's sections (the v1 shard
-// file format), so a server validates a received shard with the same
-// checksum and slot-table scan the file backend applies, and its probe
-// sequence over the block matches a local read exactly.
+// A put carries the segment codec's own sections (dds.EncodeSections):
+// packed where that is smaller, raw otherwise, never delta. A publisher
+// fills each put frame with as many of one server's sections as fit in
+// frameEager bytes (a larger section travels alone), so a generation costs
+// a few round trips per server, not one per shard. The server opens every
+// section with dds.OpenSection — the decoder, checksums and slot-table scan
+// the file backend applies — and installs a frame's sections all or none;
+// its probe sequence over them matches a local read exactly.
 package rpc
 
 import (
@@ -52,7 +58,7 @@ import (
 )
 
 const (
-	handshakeMagic = "AMPCRPC1"
+	handshakeMagic = "AMPCRPC2"
 
 	opPing     = byte(1)
 	opPut      = byte(2)
@@ -63,7 +69,7 @@ const (
 
 	statusOK = byte(0)
 	// statusErr is a terminal failure for the request (malformed frame, bad
-	// shard block); the payload is the error message.
+	// section); the payload is the error message.
 	statusErr = byte(1)
 	// statusNoStore means the addressed generation (or the key's shard) is
 	// not resident on this server — retryable against another replica.
@@ -75,10 +81,11 @@ const (
 	codePresent = byte(1)
 	codeNoShard = byte(2)
 
-	keyBytes  = 17
-	valBytes  = 16
-	maxFrame  = 1 << 28 // 256 MiB cap on one frame's payload
-	frameHead = 5       // u32 length + op/status byte
+	keyBytes    = 17
+	valBytes    = 16
+	sectionHead = 9       // shard u32 | enc u8 | len u32 before each put section
+	maxFrame    = 1 << 28 // 256 MiB cap on one frame's payload
+	frameHead   = 5       // u32 length + op/status byte
 	// frameEager is the largest payload buffer allocated on a header's word
 	// alone; a larger claimed length must be paid for in bytes received.
 	frameEager = 1 << 20

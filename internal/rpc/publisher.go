@@ -17,11 +17,12 @@ var errPublishCancelled = errors.New("rpc: store publish cancelled")
 
 // Publisher ships each round's frozen store to the shard servers. It
 // mirrors the file backend's write-behind pendingStore pattern: Publish
-// serializes the store into segment sections on a background goroutine and
-// uploads each section to its R owning servers, while the returned backend
-// serves reads from the still-in-memory store; Barrier joins the upload,
-// verifies the per-shard write quorum, swaps reads onto the remote fleet
-// and recycles the in-memory arrays.
+// encodes the store on a background goroutine into the same packed sections
+// the file backend writes to disk, and uploads each to its R owning servers
+// in a few put frames per server, while the returned backend serves reads
+// from the still-in-memory store; Barrier joins the upload, verifies the
+// per-shard write quorum, swaps reads onto the remote fleet and recycles the
+// in-memory arrays.
 //
 // Unlike the file publisher, Barrier runs before the next round's execute
 // phase (BarrierBeforeExecute): a round's adaptive reads must hit D_{i-1}
@@ -53,7 +54,7 @@ func NewPublisher(cfg Config) *Publisher {
 func (p *Publisher) SetArena(a *dds.Arena) { p.arena = a }
 
 // SetContext attaches a cancellation context: an in-flight upload aborts
-// between shard sections once ctx is done. Call before the first Publish.
+// between put frames once ctx is done. Call before the first Publish.
 func (p *Publisher) SetContext(ctx context.Context) { p.ctx = ctx }
 
 // InFlight reports whether an upload has not yet been joined.
@@ -115,15 +116,12 @@ func (p *Publisher) Publish(seq int, s *dds.Store) (dds.StoreBackend, error) {
 	return ps, nil
 }
 
-// upload serializes s and sends each shard section to its R owners, one
-// goroutine per server so a slow server delays only its own shards. It
+// upload encodes s into packed sections and sends each to its R owners, one
+// goroutine per server so a slow server delays only its own shards, and
+// each server's sections in as few put frames as frameEager allows. It
 // returns nil once every shard reached its write quorum.
 func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error) {
-	buf = dds.AppendSegment(buf[:0], s)
-	sections, err := dds.SegmentSections(buf)
-	if err != nil {
-		return buf, err
-	}
+	buf, sections, encs := dds.EncodeSections(buf, s)
 	shardCount := len(sections)
 	n := len(p.c.servers)
 	r := p.cfg.Replication
@@ -145,17 +143,22 @@ func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error)
 		go func(j int) {
 			defer wg.Done()
 			s := p.c.servers[j]
-			for _, sh := range perServer[j] {
+			var req []byte
+			for _, frame := range putFrames(perServer[j], sections) {
 				if p.cancelled() != nil {
 					return
 				}
 				// One failed put marks the server down and abandons its
-				// remaining shards this publish: the replicas cover them, and
-				// retrying a dead server R×P times would stall the barrier.
-				if err := p.c.putShard(s, seq, sh, sections[sh]); err != nil {
+				// remaining frames this publish: the replicas cover them, and
+				// retrying a dead server frame after frame would stall the
+				// barrier.
+				req = p.c.appendPut(req[:0], seq, frame, sections, encs)
+				if err := s.roundTrip(opPut, req, true, func([]byte) error { return nil }); err != nil {
 					return
 				}
-				acks[sh].Add(1)
+				for _, sh := range frame {
+					acks[sh].Add(1)
+				}
 			}
 		}(j)
 	}

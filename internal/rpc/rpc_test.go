@@ -127,7 +127,7 @@ func TestReadFrameGrows(t *testing.T) {
 // claimed length that re-encodes to the bytes consumed, and the buffer may
 // never outgrow what the peer actually sent.
 func FuzzReadFrame(f *testing.F) {
-	// Real frames, encoded as client.putShard and client.getBatch encode them.
+	// Real frames, encoded as client.appendPut and client.getBatch encode them.
 	puts, get := seedRequests(f)
 	f.Add(frame(opPut, puts[1]))
 	f.Add(append(frame(opGetBatch, get), frame(opPing, nil)...))
@@ -166,16 +166,19 @@ func frame(op byte, payload []byte) []byte {
 }
 
 // seedRequests returns real request payloads for generation 3 of run 0xfeed:
-// one put per shard of a 4-shard store, and a two-key getBatch.
+// two multi-section put frames covering a 4-shard store — the sections
+// EncodeSections ships, except shard 2 travels raw so both forms the server
+// opens are present — and a two-key getBatch.
 func seedRequests(f *testing.F) (puts [][]byte, get []byte) {
 	c := &client{run: 0xfeed}
-	sections, err := dds.SegmentSections(dds.AppendSegment(nil, dds.NewStore(testPairs(200), 4, 0x5eed)))
+	store := dds.NewStore(testPairs(200), 4, 0x5eed)
+	_, sections, encs := dds.EncodeSections(nil, store)
+	raw, err := dds.SegmentSections(dds.AppendSegment(nil, store))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for sh, sec := range sections {
-		puts = append(puts, append(le.AppendUint32(c.reqHeader(nil, 3), uint32(sh)), sec...))
-	}
+	sections[2], encs[2] = raw[2], 0
+	puts = append(puts, c.appendPut(nil, 3, []int{0, 1}, sections, encs), c.appendPut(nil, 3, []int{2, 3}, sections, encs))
 	get = le.AppendUint32(c.reqHeader(nil, 3), 2)
 	get = appendKey(appendKey(get, dds.Key{Tag: 1, A: 4, B: 4}), dds.Key{Tag: 2, A: -5})
 	return puts, get
@@ -224,11 +227,15 @@ func FuzzServerConn(f *testing.F) {
 	rangeReq := le.AppendUint32(le.AppendUint32(append(append([]byte(nil), hdr...), key...), 0), 2)
 	f.Add(conn(frame(opPing, nil), frame(opGetBatch, get)))
 	f.Add(conn(frame(opGetRange, rangeReq), frame(opCount, append(append([]byte(nil), hdr...), key...)), frame(opFree, hdr), frame(opGetBatch, get)))
-	f.Add(conn(frame(opPut, puts[2]), frame(opGetBatch, get)))
+	f.Add(conn(frame(opPut, puts[0]), frame(opGetBatch, get), frame(opPut, puts[1]), frame(opGetBatch, get)))
 	f.Add(conn(frame(opGetBatch, le.AppendUint32(append([]byte(nil), hdr...), 1<<30))))
 	f.Add(conn(append(le.AppendUint32(nil, maxFrame), opGetBatch)))
 	f.Add(conn(frame(99, nil), frame(opPut, hdr)))
 	f.Add([]byte("AMPCRPC0"))
+	torn := append([]byte(nil), puts[1]...)
+	torn[len(torn)-1] ^= 0x40 // the last section's bytes, under its checksum
+	f.Add(conn(frame(opFree, hdr), frame(opPut, puts[0]), frame(opPut, torn), frame(opGetBatch, get)))
+	f.Add(append([]byte("AMPCRPC1"), frame(opPing, nil)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Re-seed the generation: an earlier input may have freed or
@@ -491,7 +498,7 @@ func TestWriteQuorumFailure(t *testing.T) {
 // naming the shard.
 func TestFaultLatencyTimeout(t *testing.T) {
 	_, addrs := startFleet(t, 1, ServerConfig{FaultLatency: 500 * time.Millisecond})
-	// Publishing needs working puts, so load the blocks through a patient
+	// Publishing needs working puts, so load the sections through a patient
 	// client first, then read through an impatient one.
 	pairs := testPairs(60)
 	store := dds.NewStore(pairs, 2, 0x5eed)
@@ -531,25 +538,29 @@ func TestFaultDropRetry(t *testing.T) {
 	}
 }
 
-// uploadStore puts every shard block of s to its owners, retrying puts that
-// a fault-injecting server drops.
+// uploadStore puts the sections of s to their owners in the publisher's put
+// frames, retrying frames that a fault-injecting server drops.
 func uploadStore(t *testing.T, c *client, seq uint64, s *dds.Store) {
 	t.Helper()
-	sections, err := dds.SegmentSections(dds.AppendSegment(nil, s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sh, block := range sections {
-		for i := 0; i < c.cfg.Replication; i++ {
-			srv := c.replica(sh, len(sections), i)
+	_, sections, encs := dds.EncodeSections(nil, s)
+	for _, srv := range c.servers {
+		var owned []int
+		for sh := range sections {
+			for i := 0; i < c.cfg.Replication; i++ {
+				if c.replica(sh, len(sections), i) == srv {
+					owned = append(owned, sh)
+				}
+			}
+		}
+		for _, shards := range putFrames(owned, sections) {
 			var putErr error
 			for attempt := 0; attempt < 20; attempt++ {
-				if putErr = c.putShard(srv, seq, sh, block); putErr == nil {
+				if putErr = putFrame(c, srv, seq, shards, sections, encs); putErr == nil {
 					break
 				}
 			}
 			if putErr != nil {
-				t.Fatalf("put shard %d: %v", sh, putErr)
+				t.Fatalf("put shards %v to %s: %v", shards, srv.addr, putErr)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net"
 	"sync"
@@ -44,7 +45,7 @@ type genKey struct {
 	seq uint64
 }
 
-// generation holds the shard blocks of one (run, seq) resident here.
+// generation holds the opened sections of one (run, seq) resident here.
 type generation struct {
 	shards map[int]*dds.ShardReader
 	salt   uint64
@@ -58,7 +59,7 @@ type runState struct {
 	touch atomic.Uint64 // server-wide LRU clock at last access
 }
 
-// Server is one shard server: it owns whatever shard blocks publishers put
+// Server is one shard server: it owns whatever store sections publishers put
 // to it and answers batched point reads over them. It is oblivious to the
 // shard→server assignment — the client routes; the server only refuses keys
 // whose shard is not resident (codeNoShard) so misrouting is loud.
@@ -293,30 +294,54 @@ func (s *Server) handle(op byte, req, resp []byte) ([]byte, error) {
 	}
 }
 
+// handlePut opens every section of a put frame before taking s.mu, then
+// installs them together: a frame with any bad section installs none. Each
+// reader owns its memory (dds.OpenSection copies raw sections out of the
+// connection's reused frame buffer; packed ones decode into fresh bytes).
 func (s *Server) handlePut(req []byte) error {
 	if len(req) < 20 {
 		return fmt.Errorf("rpc: put: short frame (%d bytes)", len(req))
 	}
 	key := genKey{run: le.Uint64(req[0:8]), seq: le.Uint64(req[8:16])}
-	shard := int(le.Uint32(req[16:20]))
-	// The frame payload buffer is reused per connection, but the reader
-	// retains the block bytes — copy before opening.
-	block := append([]byte(nil), req[20:]...)
-	r, err := dds.OpenShardBlock(block, shard, true)
-	if err != nil {
-		return fmt.Errorf("rpc: put shard %d of store %d: %w", shard, key.seq, err)
+	n := int(le.Uint32(req[16:20]))
+	rest := req[20:]
+	if n == 0 || n > len(rest)/sectionHead {
+		return fmt.Errorf("rpc: put: %d sections in %d bytes", n, len(rest))
+	}
+	frame := &generation{shards: make(map[int]*dds.ShardReader)}
+	for i := 0; i < n; i++ {
+		if len(rest) < sectionHead || uint64(le.Uint32(rest[5:9])) > uint64(len(rest)-sectionHead) {
+			return fmt.Errorf("rpc: put: section %d of %d cut short", i, n)
+		}
+		shard, enc, length := int(le.Uint32(rest[0:4])), rest[4], int(le.Uint32(rest[5:9]))
+		rest = rest[sectionHead:]
+		r, err := dds.OpenSection(rest[:length], enc, shard)
+		if err != nil {
+			return fmt.Errorf("rpc: put shard %d of store %d: %w", shard, key.seq, err)
+		}
+		if i == 0 {
+			frame.salt, frame.count = r.Salt(), r.ShardCount()
+		} else if r.Salt() != frame.salt || r.ShardCount() != frame.count {
+			return fmt.Errorf("rpc: put shard %d of store %d: salt or shard count disagrees with the frame", shard, key.seq)
+		}
+		frame.shards[shard] = r
+		rest = rest[length:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("rpc: put: %d trailing bytes", len(rest))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g := s.gens[key]
 	if g == nil {
-		g = &generation{shards: make(map[int]*dds.ShardReader), salt: r.Salt(), count: r.ShardCount()}
-		s.gens[key] = g
+		s.gens[key] = frame
 		s.trackGen(key)
-	} else if g.salt != r.Salt() || g.count != r.ShardCount() {
-		return fmt.Errorf("rpc: put shard %d of store %d: salt or shard count disagrees with resident blocks", shard, key.seq)
+		return nil
 	}
-	g.shards[shard] = r
+	if g.salt != frame.salt || g.count != frame.count {
+		return fmt.Errorf("rpc: put to store %d: salt or shard count disagrees with resident sections", key.seq)
+	}
+	maps.Copy(g.shards, frame.shards)
 	return nil
 }
 
