@@ -63,7 +63,6 @@ type roundRec struct {
 	ExecuteMS         float64 `json:"exec_ms"`
 	FreezeMS          float64 `json:"freeze_ms"`
 	PublishMS         float64 `json:"publish_ms"`
-	CacheHits         int64   `json:"cache_hits"`
 	RPCFrames         int64   `json:"rpc_frames"`
 }
 
@@ -205,7 +204,6 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			ExecuteMS:         ms(s.Execute),
 			FreezeMS:          ms(s.Freeze),
 			PublishMS:         ms(s.Publish),
-			CacheHits:         s.CacheHits,
 			RPCFrames:         s.RPCFrames,
 		})
 		d.notifyLocked(j)

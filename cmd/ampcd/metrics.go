@@ -25,8 +25,7 @@ type metrics struct {
 	phaseSeconds map[string]float64
 	queries      int64
 	writes       int64
-	cacheHits    int64
-	cacheMisses  int64
+	pointReads   int64
 	rpcFrames    int64
 
 	jobsSubmitted int64
@@ -59,8 +58,7 @@ func (m *metrics) observeRound(ev ampc.RoundEvent) {
 	m.phaseSeconds["publish"] += s.Publish.Seconds()
 	m.queries += s.Queries
 	m.writes += s.Writes
-	m.cacheHits += s.CacheHits
-	m.cacheMisses += s.CacheMisses
+	m.pointReads += s.CacheMisses
 	m.rpcFrames += s.RPCFrames
 	m.mu.Unlock()
 }
@@ -137,8 +135,7 @@ func (m *metrics) write(w io.Writer, running, resident int) {
 	}
 	counter("ampcd_store_queries_total", "DDS queries issued by round functions.", m.queries)
 	counter("ampcd_store_writes_total", "Pairs written to next-round stores.", m.writes)
-	counter("ampcd_worker_cache_hits_total", "Point reads served by the per-worker cache.", m.cacheHits)
-	counter("ampcd_worker_cache_misses_total", "Point reads that reached the store.", m.cacheMisses)
+	counter("ampcd_store_point_reads_total", "Point reads that reached the store.", m.pointReads)
 	counter("ampcd_rpc_read_frames_total", "Read-path request frames sent by the rpc backend.", m.rpcFrames)
 
 	counter("ampcd_point_queries_total", "Warm point lookups served by /v1/jobs/{id}/query.", m.pointQueries)

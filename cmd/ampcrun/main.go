@@ -60,7 +60,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		check    = flag.Bool("check", true, "verify against the sequential oracle")
 		fault    = flag.Float64("faults", 0, "per-round machine failure probability (output must not change)")
-		workers  = flag.Int("workers", 0, "OS worker goroutines per round (0 = GOMAXPROCS); rounds over -backend rpc run every machine concurrently instead; outputs are identical for any value")
+		workers  = flag.Int("workers", 0, "worker lanes per round (0 = GOMAXPROCS); rounds over -backend rpc run one lane per machine instead; outputs are identical for any value")
 		backend  = flag.String("backend", "mem", "store backend: mem (in-process), file (write-behind segment files) or rpc (shardd servers); outputs are identical")
 		storeDir = flag.String("store-dir", "", "directory for -backend=file segment files (default: a temp dir removed after the run)")
 		resid    = flag.String("residency", "", "file-backend memory policy for retired stores: retain (default) or drop (serve the previous round from mmap, freeing its memory)")
@@ -68,7 +68,6 @@ func main() {
 		replicas = flag.Int("replication", 1, "copies of each shard across the -servers fleet (rpc backend)")
 		rpcTO    = flag.Duration("rpc-timeout", 0, "per-request timeout against shardd servers (0 = default 2s)")
 		rpcCool  = flag.Duration("rpc-cooldown", 0, "how long a failing shardd server stays marked down (0 = default 250ms)")
-		noCache  = flag.Bool("no-worker-cache", false, "disable the per-worker read cache over the previous round's data (rpc backend)")
 		asJSON   = flag.Bool("json", false, "emit telemetry as JSON (per-round breakdown included)")
 		stream   = flag.Bool("stream", false, "print each round's stats as it completes")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
@@ -96,7 +95,7 @@ func main() {
 			Epsilon: *eps, Seed: *seed, FaultProb: *fault, Workers: *workers,
 			Backend: *backend, StoreDir: *storeDir, Residency: *resid,
 			Servers: splitServers(*servers), Replication: *replicas, RPCTimeout: *rpcTO,
-			RPCDownCooldown: *rpcCool, NoWorkerCache: *noCache,
+			RPCDownCooldown: *rpcCool,
 		},
 		Observer: roundPrinter(*stream),
 	})
@@ -238,8 +237,8 @@ func printTelemetry(t ampc.Telemetry, wall time.Duration) {
 	fmt.Printf("  total queries       %d\n", t.TotalQueries)
 	fmt.Printf("  max machine queries %d per round\n", t.MaxMachineQueries)
 	fmt.Printf("  max shard load      %d per round\n", t.MaxShardLoad)
-	if t.CacheHits > 0 || t.CacheMisses > 0 {
-		fmt.Printf("  worker cache        %d hits / %d misses\n", t.CacheHits, t.CacheMisses)
+	if t.CacheMisses > 0 {
+		fmt.Printf("  store point reads   %d\n", t.CacheMisses)
 	}
 	if t.RPCFrames > 0 {
 		fmt.Printf("  rpc read frames     %d\n", t.RPCFrames)

@@ -4,7 +4,8 @@
 // A Runtime owns a sequence of immutable distributed data stores
 // D0, D1, D2, ... (package dds). A computation proceeds in rounds: in round
 // i the caller supplies a round function which the runtime executes on P
-// virtual machines (one goroutine each). Every machine receives a Ctx whose
+// virtual machines, striped over a pool of long-lived worker goroutines (one
+// per machine when the store is remote). Every machine receives a Ctx whose
 // Read* methods query D_{i-1} and whose Write method appends to D_i. The
 // defining feature of the model — adaptivity — falls out naturally: Read is
 // an ordinary blocking call, so a machine's later queries may depend on the
@@ -18,7 +19,7 @@
 // count once (assumption 4 of the paper's §2.1 contention analysis).
 //
 // The paper's parallel-slackness discussion (§2.1) justifies running many
-// virtual machines per physical core; goroutines are exactly that mechanism,
+// virtual machines per physical core; the worker pool is that multiplexing,
 // with the Go scheduler providing the latency hiding the paper describes.
 package ampc
 
@@ -27,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,15 +51,15 @@ type Config struct {
 	// BudgetFactor is the constant hidden in the model's O(S) communication
 	// bound. Zero means DefaultBudgetFactor.
 	BudgetFactor int
-	// Workers is the number of long-lived OS worker goroutines that the P
-	// virtual machines are striped over each round. Zero means GOMAXPROCS.
-	// The paper's parallel-slackness argument (§2.1) runs many virtual
-	// machines per physical processor; the pool is that multiplexing, and
-	// the worker count never affects any output — machine randomness and
-	// write merge order depend only on (Seed, round, machine). A remote
-	// round — one whose store reports read frames — runs every machine
-	// concurrently instead, so their reads can share frames; Workers then
-	// still sizes the freeze.
+	// Workers is the number of lanes — long-lived worker goroutines — the
+	// P virtual machines are striped over each round, and the width of the
+	// freeze. Zero means GOMAXPROCS. The paper's parallel-slackness argument
+	// (§2.1) runs many virtual machines per physical processor; the lanes
+	// are that multiplexing, and the worker count never affects any output
+	// — machine randomness and write merge order depend only on (Seed,
+	// round, machine). A remote round — one whose store reports read frames
+	// — runs P lanes instead, one machine each, so their reads can share
+	// frames.
 	Workers int
 	// Seed makes the whole computation deterministic.
 	Seed uint64
@@ -77,18 +77,6 @@ type Config struct {
 	// byte-identical for every backend; only the physical home of D_{i-1}
 	// changes.
 	Backend dds.Publisher
-	// NoWorkerCache disables the per-worker read-through cache over the
-	// immutable D_{i-1}: machines then hit the backend for every first
-	// read of a key, as if no other machine on their worker had fetched
-	// it. A hit costs one probe of the worker's own flat table — cheaper
-	// than even the in-process stores' shard probe, and orders of
-	// magnitude cheaper than a network round trip — so the cache engages
-	// on every built-in backend. Outputs, charged queries and shard loads
-	// are byte-identical with the cache on or off — it saves probes and
-	// network frames, never model accounting. This is not a tuning knob:
-	// the cache-off run is the reference side of the cache-invisibility
-	// differential tests, which is why the option stays.
-	NoWorkerCache bool
 	// Observer, when non-nil, receives every round's statistics as soon as
 	// the round completes, before the next round starts. It is called
 	// synchronously from the driver goroutine; slow observers slow the run.
@@ -115,8 +103,8 @@ const DefaultBudgetFactor = 8
 type RoundStats struct {
 	// Name labels the round for reports (e.g. "shrink-iter-3").
 	Name string
-	// Queries is the total number of DDS queries issued by all machines,
-	// counting cache hits once (they do not touch the network).
+	// Queries is the total number of DDS queries issued by all machines:
+	// each machine's distinct keys, its repeats being free.
 	Queries int64
 	// Writes is the total number of pairs written to the next store.
 	Writes int64
@@ -126,7 +114,9 @@ type RoundStats struct {
 	// MaxMachineWrites is the largest per-machine write count.
 	MaxMachineWrites int
 	// MaxShardLoad is the largest number of queries answered by one DDS
-	// shard this round, the quantity bounded by Lemma 2.1.
+	// shard this round, the quantity bounded by Lemma 2.1. A shard of the
+	// current store and the same-index shard of the static store are one
+	// DDS machine, so its load counts both.
 	MaxShardLoad int64
 	// Pairs is the number of key-value pairs in the store produced by the
 	// round.
@@ -150,13 +140,9 @@ type RoundStats struct {
 	// write-behind the serialization itself overlaps the next round's
 	// execute phase and never appears here.
 	Publish time.Duration
-	// CacheHits counts point reads served by the per-worker read cache
-	// this round: charged against the reading machine's budget and the
-	// owning shard like any first read, but answered without a store
-	// probe. CacheMisses counts point reads that reached the store. The
-	// two let perf trajectories see cross-machine dedup working; they
-	// never affect Queries or any output.
-	CacheHits   int64
+	// CacheMisses counts point reads (Read, ReadMany, ReadStatic) that
+	// reached a store this round: every charged point read, since the
+	// per-machine memo serves only free repeats.
 	CacheMisses int64
 	// RPCFrames counts read-path request frames the networked backend sent
 	// during this round's execute phase, retries included; zero for
@@ -184,16 +170,17 @@ type Runtime struct {
 	created time.Time
 
 	// Execution engine: a pool of long-lived workers, a builder reused
-	// across rounds, per-worker Ctx objects whose cache maps survive between
-	// machines, and per-machine stat slices owned by the runtime. nextSalt
-	// is the placement salt of the next store to be built — drawn before
-	// the round executes, so writers pre-hash their pairs for it.
+	// across rounds, one persistent Ctx per worker lane whose tables keep
+	// their capacity between machines and rounds, and per-machine stat
+	// slices owned by the runtime. nextSalt is the placement salt of the
+	// next store to be built — drawn before the round executes, so writers
+	// pre-hash their pairs for it.
 	workers  int
 	pool     *workerPool
 	builder  *dds.Builder
 	arena    *dds.Arena
 	nextSalt uint64
-	ctxs     []*Ctx // per-worker Ctxs, persistent across rounds
+	ctxs     []*Ctx // lanes 0..workers-1's Ctxs, persistent across rounds
 	errs     []error
 	queries  []int
 	writes   []int
@@ -201,30 +188,21 @@ type Runtime struct {
 	// Capabilities of the current read backend, asserted once per publish
 	// instead of once per machine reset (type assertions on every reset
 	// showed up in the round-overhead benchmark): the batch surface, the
-	// pre-hashed point-read surface, and the load-batching + salt surfaces
-	// the worker read cache needs. curCache is the per-round verdict: the
-	// worker cache runs only when the backend can settle its deferred
-	// accounting.
+	// pre-hashed point-read surface and the placement salt it needs.
 	curBatch dds.BatchGetter
 	curPre   dds.PrehashedGetter
-	curLoads dds.LoadBatcher
 	curSalt  uint64
-	curCache bool
 	// curFrames exposes the networked backend's read-frame counter, for
-	// the per-round RPCFrames delta; nil for in-process backends.
+	// the per-round RPCFrames delta and the lane count; nil for in-process
+	// backends.
 	curFrames interface{ ReadFrames() int64 }
-	// shardDiv maps placement hashes to shards, precomputed once for the
-	// fixed shard count; the workers' cache-hit attribution uses it.
-	shardDiv dds.ShardDiv
-	// hits and misses accumulate the workers' cache counters each round.
-	hits, misses atomic.Int64
+	// misses accumulates the lanes' store-read counters each round.
+	misses atomic.Int64
 
-	// Static side store; see static.go. staticSeq counts rebuilds, so the
-	// workers' static read caches drop entries from a superseded store.
+	// Static side store; see static.go.
 	static      *dds.Store
 	staticPairs []dds.KV
 	staticSalt  uint64
-	staticSeq   int
 
 	// failNext maps machine id -> number of times the machine should fail
 	// (have its writes dropped and be re-executed) in the next round.
@@ -270,7 +248,6 @@ func New(cfg Config) *Runtime {
 		cfg.Backend = dds.MemPublisher{}
 	}
 	r := &Runtime{cfg: cfg, seedR: rng.New(cfg.Seed, 0xA3), created: time.Now()}
-	r.shardDiv = dds.NewShardDiv(cfg.P)
 	r.workers = cfg.Workers
 	if r.workers > cfg.P {
 		r.workers = cfg.P
@@ -364,10 +341,7 @@ func (r *Runtime) publish(s *dds.Store) {
 }
 
 // bindBackend re-asserts the current backend's optional capabilities, once
-// per publish. The worker read cache needs both the load-batching surface
-// (to settle the Lemma 2.1 ledger for hits) and the placement salt (to
-// attribute a hit to its owning shard); a backend lacking either simply
-// runs uncached. ReadMany's store-batch wiring only engages on backends
+// per publish. ReadMany's store-batch wiring only engages on backends
 // that report read frames — the networked ones, where one GetMany is what
 // collapses a machine's read set into per-server request frames. On the
 // in-process stores a batched read's dedup and result-routing bookkeeping
@@ -377,18 +351,16 @@ func (r *Runtime) publish(s *dds.Store) {
 func (r *Runtime) bindBackend() {
 	r.curBatch = nil
 	r.curPre = nil
-	r.curLoads, _ = r.cur.(dds.LoadBatcher)
 	r.curFrames, _ = r.cur.(interface{ ReadFrames() int64 })
 	if b, ok := r.cur.(dds.BatchGetter); ok && r.curFrames != nil {
 		r.curBatch = b
 	}
-	r.curSalt, r.curCache = 0, false
+	r.curSalt = 0
 	if sl, ok := r.cur.(dds.Salter); ok {
 		r.curSalt = sl.Salt()
 		// The salt pins the backend's own placement hash, so a
 		// pre-hashed Get can trust the caller's value.
 		r.curPre, _ = r.cur.(dds.PrehashedGetter)
-		r.curCache = r.curLoads != nil && !r.cfg.NoWorkerCache
 	}
 }
 
@@ -555,13 +527,17 @@ type RoundFunc func(ctx *Ctx) error
 // writes into the next store, and advances the round counter. It returns
 // the first machine error (budget violations or algorithm errors).
 //
-// The P virtual machines are pinned to the runtime's worker pool: worker w
-// runs machines w, w+Workers, w+2·Workers, ... to completion, reusing one
-// persistent Ctx (cache maps, RNG) per worker. A remote round instead runs
-// all P machines at once, each on a Ctx of its own. Machine outputs are
-// independent of the schedule — writes merge in machine-id order and
-// randomness is keyed by (seed, round, machine) — so any Workers value
-// produces bit-identical stores.
+// The P virtual machines run in lanes on the runtime's worker pool: lane w
+// runs machines w, w+lanes, w+2·lanes, ... to completion on one Ctx. There
+// are Workers lanes, or P when the store reports read frames, so that every
+// machine of a remote round reads at once and their reads meet in the
+// backend's per-server frames instead of queueing behind Workers round
+// trips. Lanes below Workers reuse the runtime's persistent Ctxs (their
+// tables and RNG stay on one worker's cache lines across rounds); an extra
+// lane's Ctx dies with the round. Machine outputs are independent of the
+// schedule — writes merge in machine-id order and randomness is keyed by
+// (seed, round, machine) — so any Workers value produces bit-identical
+// stores.
 func (r *Runtime) Round(name string, f RoundFunc) error {
 	if r.ctx != nil {
 		if err := r.ctx.Err(); err != nil {
@@ -591,6 +567,9 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 		}
 	}
 	r.cur.ResetLoads()
+	if r.static != nil {
+		r.static.ResetLoads()
+	}
 	// Priming replaces the plain Reset: it empties every writer and arms
 	// write-time pre-hashing for the next store's geometry, so this round's
 	// writes land in per-shard buckets and the freeze below is a sized merge
@@ -609,47 +588,28 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 		}
 	}
 
-	r.hits.Store(0)
 	r.misses.Store(0)
 	var framesBase int64
+	lanes := r.workers
 	if r.curFrames != nil {
 		framesBase = r.curFrames.ReadFrames()
+		lanes = r.cfg.P
 	}
+	r.pool.grow(lanes)
 	execStart := time.Now()
-	if r.curFrames != nil {
-		// A remote round runs in the model's shape: all P machines at once,
-		// each on a Ctx of its own that dies with it, so their concurrent
-		// reads meet in the backend's per-server frames instead of queueing
-		// behind Workers round trips.
-		var wg sync.WaitGroup
-		wg.Add(r.cfg.P)
-		for m := 0; m < r.cfg.P; m++ {
-			go func() {
-				defer wg.Done()
-				c := &Ctx{}
-				c.bind(r)
-				r.runMachine(c, m, f, 1+fail[m])
-				c.finish(r)
-			}()
+	r.pool.runWorkers(lanes, func(w int) {
+		var c *Ctx
+		if w < len(r.ctxs) {
+			c = r.ctxs[w]
+		} else {
+			c = new(Ctx)
 		}
-		wg.Wait()
-	} else {
-		// Pinned striping: machine m always runs on worker m mod Workers, on
-		// that worker's own persistent Ctx — its cache maps, RNG state and
-		// worker read cache stay on one worker's cache lines across rounds.
-		// Outputs cannot depend on it: writes merge in machine-id order and
-		// machine randomness is keyed by (seed, round, machine).
-		r.pool.runWorkers(r.workers, func(w int) {
-			c := r.ctxs[w]
-			c.bind(r)
-			for m := w; m < r.cfg.P; m += r.workers {
-				r.runMachine(c, m, f, 1+fail[m])
-			}
-			// finish drops store and writer references so a persistent Ctx
-			// never pins the retiring round's store for an extra round.
-			c.finish(r)
-		})
-	}
+		c.bind(r)
+		for m := w; m < r.cfg.P; m += lanes {
+			r.runMachine(c, m, f, 1+fail[m])
+		}
+		c.finish(r)
+	})
 	execTime := time.Since(execStart)
 
 	// A remote read that survives replica failover with no answer cannot be
@@ -671,9 +631,8 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 
 	st := RoundStats{
 		Name:         name,
-		MaxShardLoad: r.cur.MaxShardLoad(),
+		MaxShardLoad: r.maxShardLoad(),
 		Execute:      execTime,
-		CacheHits:    r.hits.Load(),
 		CacheMisses:  r.misses.Load(),
 	}
 	if r.curFrames != nil {
@@ -732,8 +691,23 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 	return nil
 }
 
+// maxShardLoad returns this round's largest per-DDS-machine query count:
+// shard i of the current store and shard i of the static store live on the
+// same machine, so their loads add.
+func (r *Runtime) maxShardLoad() int64 {
+	if r.static == nil {
+		return r.cur.MaxShardLoad()
+	}
+	cur := r.cur.ShardLoads()
+	var m int64
+	for i, l := range r.static.ShardLoads() {
+		m = max(m, l+cur[i])
+	}
+	return m
+}
+
 // runMachine executes machine m's attempts for the current round on the
-// pooled Ctx c, recording the final attempt's error and accounting.
+// lane's Ctx c, recording the final attempt's error and accounting.
 func (r *Runtime) runMachine(c *Ctx, m int, f RoundFunc, attempts int) {
 	for a := 0; a < attempts; a++ {
 		// reset discards the previous attempt's buffered writes (fetching a

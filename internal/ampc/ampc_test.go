@@ -2,10 +2,13 @@ package ampc
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"ampc/internal/dds"
+	"ampc/internal/rpc"
 )
 
 const tagTest = 1
@@ -133,6 +136,72 @@ func TestCacheHitsAreFree(t *testing.T) {
 	}
 	if got := rt.Stats()[0].Queries; got != 1 {
 		t.Fatalf("round queries = %d, want 1", got)
+	}
+}
+
+// TestSameKeyChargedPerMachine pins the per-machine memo: machines sharing
+// a lane do not share reads, so four machines reading one key are each
+// charged once and its shard answers four queries.
+func TestSameKeyChargedPerMachine(t *testing.T) {
+	rt := New(Config{P: 4, S: 100, Seed: 1, Workers: 1})
+	rt.SetInput([]dds.KV{pair(0, 7)})
+	err := rt.Round("same", func(ctx *Ctx) error {
+		for i := 0; i < 3; i++ {
+			if v, ok := ctx.Read(key(0, 0)); !ok || v.A != 7 {
+				t.Errorf("machine %d: read = %v ok=%v", ctx.Machine, v, ok)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rt.Stats()[0]
+	if st.Queries != 4 || st.MaxMachineQueries != 1 || st.MaxShardLoad != 4 {
+		t.Fatalf("Queries = %d MaxMachineQueries = %d MaxShardLoad = %d, want 4, 1, 4",
+			st.Queries, st.MaxMachineQueries, st.MaxShardLoad)
+	}
+}
+
+// TestCloseStopsGoroutines checks that no goroutine a runtime starts
+// outlives Close: the worker pool of a mem runtime, and on a loopback rpc
+// runtime the pool grown to P lanes plus the publisher's connections.
+func TestCloseStopsGoroutines(t *testing.T) {
+	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for name, c := range map[string]Config{
+		"mem": {P: 16, S: 100, Seed: 1, Workers: 4},
+		"rpc": {P: 64, S: 100, Seed: 1, Workers: 2,
+			Backend: rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}})},
+	} {
+		before := runtime.NumGoroutine()
+		rt := New(c)
+		rt.SetInput([]dds.KV{pair(0, 1), pair(1, 2)})
+		for i := 0; i < 3; i++ {
+			err := rt.Round("work", func(ctx *Ctx) error {
+				v, _ := ctx.Read(key(int64(ctx.Machine%2), 0))
+				ctx.Write(key(int64(ctx.Machine%2), 0), v)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<16)
+			t.Errorf("%s: %d goroutines 2s after Close, %d before New\n%s",
+				name, n, before, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkRoundOverhead measures the fixed cost of executing one round
-// across P goroutine machines with no work, the floor under every
+// across P machines with no work, the floor under every
 // algorithm's per-round cost.
 func BenchmarkRoundOverhead(b *testing.B) {
 	for _, p := range []int{8, 64, 512} {
@@ -93,13 +93,12 @@ func BenchmarkAdaptiveReadMany(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerCache measures the per-worker generation cache on its
-// winning shape: a loopback rpc backend with every machine reading the same
-// hot key set, so all but the first machine on each worker serve from the
-// cache (charged, but without a wire request). cache=off pins the uncached
-// cost of the identical round — every first-per-machine read then crosses
-// the socket (single-flighted, but still framed and serialized).
-func BenchmarkWorkerCache(b *testing.B) {
+// BenchmarkRemoteRound measures the remote lane shape: a loopback rpc
+// backend whose store reports read frames, so the round runs one lane per
+// machine (P = 64) and every machine reads the same 256 hot keys. Each
+// machine is charged for and fetches every key; the backend's per-server
+// frames and per-generation single-flight are all that coalesce the reads.
+func BenchmarkRemoteRound(b *testing.B) {
 	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
@@ -110,33 +109,26 @@ func BenchmarkWorkerCache(b *testing.B) {
 	for i := range pairs {
 		pairs[i] = dds.KV{Key: key(int64(i), 0), Value: val(int64(i), 0)}
 	}
-	for _, tc := range []struct {
-		name    string
-		noCache bool
-	}{{"on", false}, {"off", true}} {
-		b.Run("cache="+tc.name, func(b *testing.B) {
-			rt := New(Config{
-				P: 64, S: 4096, Seed: 4, NoWorkerCache: tc.noCache,
-				Backend: rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}}),
-			})
-			defer rt.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rt.SetInput(pairs)
-				err := rt.Round("hot", func(ctx *Ctx) error {
-					for j := 0; j < hot; j++ {
-						if _, ok := ctx.Read(key(int64(j), 0)); !ok {
-							b.Error("missing key")
-							return nil
-						}
-					}
+	rt := New(Config{
+		P: 64, S: 4096, Seed: 4,
+		Backend: rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}}),
+	})
+	defer rt.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.SetInput(pairs)
+		err := rt.Round("hot", func(ctx *Ctx) error {
+			for j := 0; j < hot; j++ {
+				if _, ok := ctx.Read(key(int64(j), 0)); !ok {
+					b.Error("missing key")
 					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
 				}
 			}
+			return nil
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

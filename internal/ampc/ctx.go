@@ -5,33 +5,21 @@ import (
 	"ampc/internal/rng"
 )
 
-// Ctx is one virtual machine's view of a round. It is owned by the runtime,
-// used by exactly one goroutine at a time, and recycled: each pool worker
-// binds one Ctx per round and resets it per machine it executes, so cache
-// maps and scratch buffers keep their capacity across machines and rounds
-// instead of being reallocated P times per round. A remote round (one whose
-// store reports read frames) is the exception: there every machine runs at
-// once on a fresh Ctx of its own, and cross-machine dedup is the networked
-// backend's per-generation single-flight.
+// Ctx is one virtual machine's view of a round. It is owned by the runtime
+// and used by exactly one goroutine at a time: each lane of a round binds
+// one Ctx and resets it per machine it executes, so read tables and scratch
+// buffers keep their capacity across machines — and, on the runtime's
+// persistent lanes, across rounds — instead of being reallocated P times per
+// round.
 //
 // All Read* methods are adaptive: their arguments may depend on the results
 // of earlier reads in the same round. Each distinct query counts against the
 // machine's budget; repeats of an already-answered query are served from the
-// machine-local cache for free, matching the model's assumption that "each
+// machine-local memo for free, matching the model's assumption that "each
 // worker machine queries for each key at most once" because machines have
-// space to cache results.
-//
-// On top of the per-machine cache sits the worker cache: point-read table
-// entries survive from one machine to the next on the same worker, stamped
-// with the machine-attempt that inserted them. D_{i-1} is immutable for the
-// whole round, so when a later machine reads a key an earlier machine on
-// this worker already fetched, the cached value is byte-identical to what
-// the store would return — the machine is still charged its query and the
-// owning shard still counts it (the model's accounting never changes), but
-// the store probe is saved. Entries are invalidated when the store
-// generation changes and ignored (via the stamp) for budget purposes, so
-// queries, max_machine_queries and every output stay byte-identical with
-// the cache on or off.
+// space to cache results. The memo is per machine and nothing more: an entry
+// another machine left in a recycled table is dead, so every machine's first
+// read of a key is charged and probes the store.
 type Ctx struct {
 	// Machine is this machine's id in [0, P).
 	Machine int
@@ -54,39 +42,21 @@ type Ctx struct {
 	writes  int
 	err     error
 
-	tbl        getCache // point-read cache over the current store
-	stbl       getCache // point-read cache over the static store
+	tbl        getCache // point-read memo over the current store
+	stbl       getCache // point-read memo over the static store
 	cacheIdx   map[indexedKey]cachedValue
 	cacheCount map[dds.Key]int
 
-	// Worker-cache state. stamp identifies the current machine attempt: a
-	// table entry with a matching stamp was read by this machine this
-	// attempt (repeat — free); a mismatched stamp means an earlier machine
-	// on this worker read it from the same store (hit — charged, served
-	// without a store probe). sharedDyn gates that layer for the current
-	// store's table and sharedStatic for the static one; both start on and
-	// answer to a payoff policy (cachePolicy below) that watches whether
-	// machines actually re-read each other's keys. When a side is off, its
-	// stale entries are dead and a re-read misses to the store,
-	// reproducing the pre-cache behavior exactly.
-	sharedDyn    bool
-	sharedStatic bool
-	stamp        uint32
-	gen          int             // store generation (pubSeq) tbl belongs to
-	sgen         int             // static generation (staticSeq) stbl belongs to
-	salt         uint64          // reads' placement salt; tbl's hash seed
-	ssalt        uint64          // static store's placement salt; stbl's hash seed
-	div          dds.ShardDiv    // hash→shard, for hit shard attribution
-	loads        []int64         // deferred per-shard load deltas from hits
-	sloads       []int64         // same, for static-store hits
-	loadSink     dds.LoadBatcher // where loads settles at round end
-	hits         int64           // worker-cache hits (charged, probe saved)
-	sHits        int64           // same, against the static store
-	misses       int64           // point reads that reached a store
-
-	// Payoff policies for the two shared tables.
-	dpol cachePolicy
-	spol cachePolicy
+	// stamp identifies the current machine attempt: a table entry with a
+	// matching stamp was read by this machine this attempt (a free repeat);
+	// any other stamp is a finished machine's leftover, dead to lookups and
+	// reusable by inserts. salt and ssalt are the placement salts of the
+	// current and static stores, the tables' hash seeds. misses counts point
+	// reads that reached a store.
+	stamp  uint32
+	salt   uint64
+	ssalt  uint64
+	misses int64
 
 	scratch []dds.Value // staging buffer for batched store reads
 
@@ -108,10 +78,10 @@ type cachedValue struct {
 	ok    bool
 }
 
-// getSlot is one entry of the point-read cache: the key's placement hash
+// getSlot is one entry of the point-read memo: the key's placement hash
 // (the table's probe key, shared with the store's shard routing), the key
 // itself for collision rejection, the cached result, and the stamp of the
-// machine attempt that last read it. stamp == 0 marks a never-used slot.
+// machine attempt that read it. Stamps start at 1, so a zeroed slot is dead.
 type getSlot struct {
 	h     uint64
 	key   dds.Key
@@ -120,184 +90,89 @@ type getSlot struct {
 	ok    bool
 }
 
-// getCache is the open-addressed table behind Read and ReadStatic. A
-// hash-keyed flat table beats a map[dds.Key]cachedValue twice over: the
-// placement hash is computed once and shared with the store probe (the map
-// re-hashed every 24-byte key through aeshash), and recycling is O(1) — a
-// stamp bump dead-ends every entry of the finished machine, where clearing
-// the map swept its whole bucket array per machine.
+// getCache is the open-addressed, linear-probing table behind Read and
+// ReadStatic. A hash-keyed flat table beats a map[dds.Key]cachedValue twice
+// over: the placement hash is computed once and shared with the store probe
+// (the map re-hashed every 24-byte key through aeshash), and recycling is
+// O(1) — a stamp bump kills every entry of the finished machine, where
+// clearing the map swept its whole bucket array per machine.
+//
+// Dead slots count as empty. That is sound because an attempt's entries
+// never die while it runs: when an entry is inserted, every slot between its
+// home and its position holds a live entry, and stays live, so a probe for
+// a live key never crosses a dead slot before reaching it. Dead entries
+// therefore cost no probe length, and the table needs no sweep between
+// machines or store generations.
 type getCache struct {
 	slots []getSlot
 	mask  uint64
-	used  int // slots with stamp != 0; insertion keeps used <= 5/8 len
+	live  uint32 // the attempt whose entries n counts
+	n     int    // live entries; insert keeps n <= len/2
 }
 
-// A new table starts at getCacheInitSlots — every machine of a remote round
-// builds its own, and most read a few dozen keys. compact never shrinks a
-// table that has grown past getCacheMinSlots below it, and drop restarts one
-// there.
-const (
-	getCacheInitSlots = 1 << 6
-	getCacheMinSlots  = 1 << 10
-)
+// getCacheInitSlots is a new table's size: a lane Ctx that dies with its
+// round builds its own tables, and most machines read a few dozen keys.
+const getCacheInitSlots = 1 << 6
 
-// lookup returns the slot holding (h, k) — live or stale; the caller
-// decides by stamp — or nil. Chains terminate at never-used slots only, so
-// stale entries keep later entries of their chain reachable.
-func (t *getCache) lookup(h uint64, k dds.Key) *getSlot {
-	if t.used == 0 {
+// lookup returns the slot holding (h, k) for the attempt stamped live, or
+// nil.
+func (t *getCache) lookup(h uint64, k dds.Key, live uint32) *getSlot {
+	if t.slots == nil {
 		return nil
 	}
-	i := h & t.mask
-	for {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
 		s := &t.slots[i]
-		if s.stamp == 0 {
+		if s.stamp != live {
 			return nil
 		}
 		if s.h == h && s.key == k {
 			return s
 		}
-		i = (i + 1) & t.mask
 	}
 }
 
-// insert stores (h, k) → (v, ok) stamped as stamp. A slot already holding k
-// is overwritten in place. Otherwise the entry lands in the first dead slot
-// of its probe chain — live != 0 declares every stamp but live dead (the
-// per-machine mode) — or in the chain's empty tail. Shared mode passes
-// live == 0: every stamped entry is a valid cache line for the current
-// generation and nothing is reused.
-func (t *getCache) insert(h uint64, k dds.Key, v dds.Value, ok bool, stamp, live uint32) {
-	if t.slots == nil {
-		t.slots = make([]getSlot, getCacheInitSlots)
-		t.mask = getCacheInitSlots - 1
+// insert stores (h, k) → (v, ok) for the attempt stamped live in the first
+// dead slot of its probe chain. Callers insert only keys lookup missed.
+func (t *getCache) insert(h uint64, k dds.Key, v dds.Value, ok bool, live uint32) {
+	if t.live != live {
+		t.live, t.n = live, 0
+	}
+	if (t.n+1)*2 > len(t.slots) {
+		t.grow()
 	}
 	i := h & t.mask
-	dead := -1
-	for {
-		s := &t.slots[i]
-		if s.stamp == 0 {
-			if dead >= 0 {
-				s = &t.slots[dead]
-			} else {
-				t.used++
-			}
-			*s = getSlot{h: h, key: k, val: v, stamp: stamp, ok: ok}
-			break
-		}
-		if s.h == h && s.key == k {
-			s.val, s.ok, s.stamp = v, ok, stamp
-			return
-		}
-		if dead < 0 && live != 0 && s.stamp != live {
-			dead = int(i)
-		}
+	for t.slots[i].stamp == live {
 		i = (i + 1) & t.mask
 	}
-	if t.used*8 > len(t.slots)*5 {
-		t.compact(live)
-	}
+	t.slots[i] = getSlot{h: h, key: k, val: v, stamp: live, ok: ok}
+	t.n++
 }
 
-// compact rebuilds the table keeping only live entries — every stamped
-// entry in shared mode (live == 0), the current attempt's otherwise — and
-// resizes the slot array to fit the live set: doubling when it crowds the
-// table, shrinking when dead entries were most of it. The grow target
-// leaves the live set under 3/8 of the slots: lookup is the hottest
-// instruction path in read-heavy algorithms, and the extra memory is
-// cheaper than the probe chains a denser table grows. In per-machine mode
-// this is the analogue of the old per-machine map clear, but amortized: it
-// runs only when dead entries from finished machines have filled five
-// eighths of the table.
-func (t *getCache) compact(live uint32) {
-	keep := 0
-	for i := range t.slots {
-		s := &t.slots[i]
-		if s.stamp != 0 && (live == 0 || s.stamp == live) {
-			keep++
-		}
-	}
-	n := len(t.slots)
-	for keep*8 > n*3 {
-		n *= 2
-	}
-	for n > getCacheMinSlots && keep*8 <= n {
-		n /= 2
-	}
+// grow doubles the table and rehashes the live entries into it; dead ones
+// are left behind. A table never shrinks: its size tracks the largest read
+// set any machine on its lane has made, so later machines never regrow it.
+func (t *getCache) grow() {
 	old := t.slots
+	n := max(2*len(old), getCacheInitSlots)
 	t.slots = make([]getSlot, n)
 	t.mask = uint64(n - 1)
-	t.used = keep
 	for i := range old {
 		s := &old[i]
-		if s.stamp == 0 || (live != 0 && s.stamp != live) {
+		if s.stamp != t.live {
 			continue
 		}
 		j := s.h & t.mask
-		for t.slots[j].stamp != 0 {
+		for t.slots[j].stamp == t.live {
 			j = (j + 1) & t.mask
 		}
 		t.slots[j] = *s
 	}
 }
 
-// clear drops every entry, keeping the allocation.
+// clear kills every entry, keeping the allocation.
 func (t *getCache) clear() {
-	if t.used > 0 {
-		clear(t.slots)
-		t.used = 0
-	}
-}
-
-// drop releases the table's entries and slots, restarting it at the
-// getCacheMinSlots floor: a dropped table goes on serving a worker's
-// machines in per-machine mode, where a smaller one would compact more often.
-func (t *getCache) drop() {
-	*t = getCache{slots: make([]getSlot, getCacheMinSlots), mask: getCacheMinSlots - 1}
-}
-
-// cachePolicy decides whether sharing one worker-cache table across machines
-// keeps paying for itself. Sharing pays only when machines actually re-read
-// each other's keys: on a pointer-jumping workload every machine reads fresh
-// keys, the table balloons past cache residency, and every cold probe costs
-// more than the ~35ns in-memory store probe a hit would save. The hot paths
-// count every charged shared-mode read and how many were table hits; every
-// policyWindow-th read closes a window and judge renders a verdict. A hit
-// rate under 1/16 switches the table off for good — access patterns that
-// are disjoint once stay so, and a sticky verdict keeps the policy free of
-// flapping. Workloads with real re-reading clear the bar inside the first
-// window (MIS overlaps 13% in its first 8k reads and climbs to 84%;
-// list-ranking never passes 3%). Turning the table off never changes any
-// output: a hit and a store probe charge the machine, the shard ledger and
-// the telemetry identically, so the switch is invisible to the model.
-type cachePolicy struct {
-	probes, hits   int64 // charged shared-mode reads; table hits among them
-	probes0, hits0 int64 // values when the last window closed
-	off            bool
-	dropPending    bool // table should be dropped at the next bind
-}
-
-// policyWindow is the judgement granularity: hot paths call judge when
-// probes crosses a multiple of it, so verdicts land mid-round, before an
-// unprofitable table has grown past a few thousand entries.
-const policyWindow = 1 << 13
-
-// judge closes the current window and reports whether it just switched the
-// table off. The caller must also stop treating stale entries as hits
-// (clear sharedDyn/sharedStatic); the table itself is dropped at the next
-// bind, never mid-machine — the current machine's live entries are what
-// make its repeats free, and evicting them would turn repeats back into
-// charged queries.
-func (p *cachePolicy) judge() bool {
-	w := p.probes - p.probes0
-	h := p.hits - p.hits0
-	p.probes0, p.hits0 = p.probes, p.hits
-	if h*16 < w {
-		p.off = true
-		p.dropPending = true
-		return true
-	}
-	return false
+	clear(t.slots)
+	t.live, t.n = 0, 0
 }
 
 type indexedKey struct {
@@ -318,13 +193,11 @@ type ValueOK struct {
 // grow a fresh one.
 const resetMapThreshold = 1 << 12
 
-// bind prepares the Ctx for one worker-round: everything constant across the
-// machines this worker will run — store references, budget, the worker-cache
-// wiring — is set once here instead of P/Workers times in reset. The
-// point-read table is keyed by the current store's placement hash, so a
-// generation change (new store, new salt) invalidates it outright: entries
-// describe a store that no longer serves reads, and their hashes no longer
-// route.
+// bind prepares the Ctx for one lane-round: everything constant across the
+// machines this lane will run — store references, salts, budget — is set
+// once here instead of once per machine in reset. Entries left from earlier
+// rounds need no clearing: reset bumps the stamp before any read, which
+// makes them dead.
 func (c *Ctx) bind(r *Runtime) {
 	c.P = r.cfg.P
 	c.S = r.cfg.S
@@ -332,65 +205,26 @@ func (c *Ctx) bind(r *Runtime) {
 	c.reads = r.cur
 	c.batch = r.curBatch
 	c.preGet = r.curPre
-	c.loadSink = r.curLoads
 	c.static = r.static
 	c.budget = r.Budget()
-	c.sharedDyn = r.curCache && !c.dpol.off
-	c.sharedStatic = !r.cfg.NoWorkerCache && !c.spol.off
-	if c.dpol.dropPending {
-		c.dpol.dropPending = false
-		c.tbl.drop()
-	}
-	if c.spol.dropPending {
-		c.spol.dropPending = false
-		c.stbl.drop()
-	}
 	c.salt = r.curSalt
 	c.ssalt = r.staticSalt
-	c.div = r.shardDiv
-	if c.gen != r.pubSeq {
-		c.gen = r.pubSeq
-		c.tbl.clear()
-	}
-	// The static table outlives store generations — the static store is
-	// immutable for the whole computation — and drops only when AddStatic
-	// rebuilds it, or when its observed hit rate shows the workload never
-	// re-reads keys (sticky: access patterns that start disjoint stay so).
-	if c.sgen != r.staticSeq {
-		c.sgen = r.staticSeq
-		c.stbl.clear()
-	}
 }
 
-// finish settles a worker-round: deferred shard loads flush to the store
-// (one batched add instead of an atomic per hit), hit/miss counters flush to
-// the runtime, and the store and writer references drop so a parked Ctx
-// never pins the retiring round's store.
+// finish settles a lane-round: the store-read counter flushes to the
+// runtime, and the store and writer references drop so a parked Ctx never
+// pins the retiring round's store.
 func (c *Ctx) finish(r *Runtime) {
-	if c.hits > 0 {
-		c.loadSink.AddShardLoads(c.loads)
-		for i := range c.loads {
-			c.loads[i] = 0
-		}
-	}
-	if c.sHits > 0 && c.static != nil {
-		c.static.AddShardLoads(c.sloads)
-		for i := range c.sloads {
-			c.sloads[i] = 0
-		}
-	}
-	r.hits.Add(c.hits + c.sHits)
 	r.misses.Add(c.misses)
-	c.hits, c.sHits, c.misses = 0, 0, 0
-	c.reads, c.batch, c.preGet, c.static, c.w, c.loadSink = nil, nil, nil, nil, nil, nil
+	c.misses = 0
+	c.reads, c.batch, c.preGet, c.static, c.w = nil, nil, nil, nil, nil
 }
 
 // reset prepares the Ctx to run machine m of the runtime's current round
 // (also called between the attempts of a failure-injected machine, so a
 // restarted machine re-runs from scratch with identical randomness). The
-// stamp bump is what isolates machines sharing the worker cache: every
-// entry an earlier machine (or a discarded attempt) inserted becomes a
-// charged hit instead of a free repeat.
+// stamp bump is what isolates machines sharing a lane: every entry an
+// earlier machine (or a discarded attempt) inserted becomes dead.
 func (c *Ctx) reset(r *Runtime, m int) {
 	c.Machine = m
 	if c.RNG == nil {
@@ -448,78 +282,13 @@ func (c *Ctx) Remaining() int {
 	return c.budget - c.queries
 }
 
-// hit finalizes a worker-cache hit on a stale table slot: the machine was
-// charged, so the owning shard is credited locally (settled in one batched
-// add at round end) and the slot is restamped as this machine's read. The
-// per-shard delta array is allocated by the first hit: a Ctx that never
-// hits, like every remote machine's, never pays for it.
-func (c *Ctx) hit(s *getSlot) (dds.Value, bool) {
-	if c.loads == nil {
-		c.loads = make([]int64, c.P)
-	}
-	c.loads[c.div.Of(s.h)]++
-	c.hits++
-	c.dpol.hits++
-	c.dynProbe()
-	s.stamp = c.stamp
-	return s.val, s.ok
-}
-
-// dynProbe counts one charged read against the dynamic table's payoff
-// policy and applies its verdict when a window closes.
-func (c *Ctx) dynProbe() {
-	c.dpol.probes++
-	if !c.dpol.off && c.dpol.probes&(policyWindow-1) == 0 && c.dpol.judge() {
-		c.sharedDyn = false
-	}
-}
-
-// staticProbe is dynProbe for the static table.
-func (c *Ctx) staticProbe() {
-	c.spol.probes++
-	if !c.spol.off && c.spol.probes&(policyWindow-1) == 0 && c.spol.judge() {
-		c.sharedStatic = false
-	}
-}
-
-// liveDyn returns the stamp that marks current-store table entries
-// reusable for insertion: none in shared mode (every entry is a valid
-// cache line), the current attempt's otherwise. liveStatic is the static
-// table's counterpart.
-func (c *Ctx) liveDyn() uint32 {
-	if c.sharedDyn {
-		return 0
-	}
-	return c.stamp
-}
-
-func (c *Ctx) liveStatic() uint32 {
-	if c.sharedStatic {
-		return 0
-	}
-	return c.stamp
-}
-
 // Read returns the value stored under k in the previous round's store, or
 // ok=false if the key is absent or the budget is exhausted (check Err to
 // distinguish).
 func (c *Ctx) Read(k dds.Key) (dds.Value, bool) {
 	h := dds.HashOf(k, c.salt)
-	if s := c.tbl.lookup(h, k); s != nil {
-		if s.stamp == c.stamp {
-			return s.val, s.ok
-		}
-		if c.sharedDyn {
-			// Worker-cache hit: an earlier machine on this worker read k
-			// from this same immutable generation. This machine is charged
-			// exactly as a first read; only the store probe is saved.
-			if !c.charge() {
-				return dds.Value{}, false
-			}
-			return c.hit(s)
-		}
-		// Per-machine mode: the entry is a finished machine's leftover.
-		// Fall through to a real store read; insert will reuse the slot.
+	if s := c.tbl.lookup(h, k, c.stamp); s != nil {
+		return s.val, s.ok
 	}
 	if !c.charge() {
 		return dds.Value{}, false
@@ -532,8 +301,7 @@ func (c *Ctx) Read(k dds.Key) (dds.Value, bool) {
 		v, ok = c.reads.Get(k)
 	}
 	c.misses++
-	c.dynProbe()
-	c.tbl.insert(h, k, v, ok, c.stamp, c.liveDyn())
+	c.tbl.insert(h, k, v, ok, c.stamp)
 	return v, ok
 }
 
@@ -592,26 +360,10 @@ func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 	c.resolve = c.resolve[:0]
 	for _, k := range keys {
 		h := dds.HashOf(k, c.salt)
-		if s := c.tbl.lookup(h, k); s != nil {
-			if s.stamp == c.stamp {
-				dst = append(dst, ValueOK{s.val, s.ok})
-				c.resolve = append(c.resolve, -1)
-				continue
-			}
-			if c.sharedDyn {
-				// Worker-cache hit, finalized inline: charged in key order
-				// like the scalar loop, served without joining the store
-				// batch.
-				if !c.charge() {
-					dst = append(dst, ValueOK{})
-					c.resolve = append(c.resolve, -1)
-					continue
-				}
-				v, ok := c.hit(s)
-				dst = append(dst, ValueOK{v, ok})
-				c.resolve = append(c.resolve, -1)
-				continue
-			}
+		if s := c.tbl.lookup(h, k, c.stamp); s != nil {
+			dst = append(dst, ValueOK{s.val, s.ok})
+			c.resolve = append(c.resolve, -1)
+			continue
 		}
 		if slot, dup := c.pendingIdx[k]; dup {
 			dst = append(dst, ValueOK{})
@@ -643,9 +395,8 @@ func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 		vals, oks := c.batchVals[:n], c.batchOks[:n]
 		c.batch.GetMany(c.batchKeys, vals, oks)
 		c.misses += int64(n)
-		live := c.liveDyn()
 		for i, k := range c.batchKeys {
-			c.tbl.insert(c.batchHs[i], k, vals[i], oks[i], c.stamp, live)
+			c.tbl.insert(c.batchHs[i], k, vals[i], oks[i], c.stamp)
 		}
 		for j, slot := range c.resolve {
 			if slot >= 0 {

@@ -31,7 +31,6 @@ func (r *Runtime) AddStatic(name string, pairs []dds.KV) error {
 	}
 	r.staticPairs = append(r.staticPairs, pairs...)
 	r.static = dds.NewStore(r.staticPairs, r.cfg.P, r.staticSalt)
-	r.staticSeq++
 	return nil
 }
 
@@ -42,46 +41,23 @@ func (r *Runtime) StaticStore() *dds.Store { return r.static }
 // ReadStatic returns the value stored under k in the static store. It is
 // charged and cached like Read.
 func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) {
-	// Static reads get their own worker-cache table, keyed by the static
-	// store's placement hash and invalidated only when AddStatic rebuilds
-	// the store — the static data is immutable across rounds, so after the
-	// first round most machines' static reads are worker-cache hits. Hits
-	// are charged like any first read, and the owning shard of the static
-	// store's own ledger is credited through the same deferred batch as
-	// dynamic hits.
+	// Static reads get their own memo table, keyed by the static store's
+	// placement hash; the probe charges the static store's shard ledger,
+	// which Round folds into the round's MaxShardLoad.
 	h := dds.HashOf(k, c.ssalt)
-	if s := c.stbl.lookup(h, k); s != nil {
-		if s.stamp == c.stamp {
-			return s.val, s.ok
-		}
-		if c.sharedStatic {
-			if !c.charge() {
-				return dds.Value{}, false
-			}
-			c.sHits++
-			c.spol.hits++
-			c.staticProbe()
-			if c.static != nil {
-				if c.sloads == nil {
-					c.sloads = make([]int64, c.P)
-				}
-				c.sloads[c.div.Of(h)]++
-			}
-			s.stamp = c.stamp
-			return s.val, s.ok
-		}
+	if s := c.stbl.lookup(h, k, c.stamp); s != nil {
+		return s.val, s.ok
 	}
 	if !c.charge() {
 		return dds.Value{}, false
 	}
-	c.staticProbe()
 	var v dds.Value
 	var ok bool
 	if c.static != nil {
 		v, ok = c.static.GetHashed(k, h)
 	}
 	c.misses++
-	c.stbl.insert(h, k, v, ok, c.stamp, c.liveStatic())
+	c.stbl.insert(h, k, v, ok, c.stamp)
 	return v, ok
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ampc/internal/dds"
+	"ampc/internal/rpc"
 )
 
 func TestAddStaticReadable(t *testing.T) {
@@ -76,7 +77,7 @@ func TestStaticChargesBudget(t *testing.T) {
 	}
 	_ = rt.Round("read", func(ctx *Ctx) error {
 		ctx.ReadStatic(key(0, 0))
-		ctx.ReadStatic(key(0, 0)) // cache hit, free
+		ctx.ReadStatic(key(0, 0)) // repeat, free
 		if ctx.Queries() != 1 {
 			t.Errorf("Queries = %d, want 1", ctx.Queries())
 		}
@@ -89,23 +90,46 @@ func TestStaticChargesBudget(t *testing.T) {
 	})
 }
 
-// TestStaticReadsCountedAsHitOrMiss pins the cache accounting identity on a
-// static-only round: every charged point read is either a worker-cache hit
-// or a store probe, so hits + misses equals the round's queries — with the
-// cache on (machines sharing a worker hit each other's entries) and off.
-func TestStaticReadsCountedAsHitOrMiss(t *testing.T) {
-	for _, noCache := range []bool{false, true} {
-		rt := New(Config{P: 8, S: 100, Seed: 3, Workers: 2, NoWorkerCache: noCache})
-		var pairs []dds.KV
-		for i := int64(0); i < 16; i++ {
-			pairs = append(pairs, pair(i, i))
-		}
+// TestPointReadsAllReachStore pins the read counter on every backend: with
+// only a per-machine memo, each charged point read — Read, ReadMany or
+// ReadStatic — probes a store, so a round of point reads has CacheMisses
+// equal to its queries, repeats excluded.
+func TestPointReadsAllReachStore(t *testing.T) {
+	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	backends := map[string]func() dds.Publisher{
+		"mem":  func() dds.Publisher { return nil },
+		"file": func() dds.Publisher { return dds.NewFilePublisher(t.TempDir()) },
+		"rpc": func() dds.Publisher {
+			return rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}})
+		},
+	}
+	var pairs []dds.KV
+	for i := int64(0); i < 16; i++ {
+		pairs = append(pairs, pair(i, i))
+	}
+	for name, pub := range backends {
+		rt := New(Config{P: 8, S: 100, Seed: 3, Workers: 2, Backend: pub()})
 		if err := rt.AddStatic("publish", pairs); err != nil {
 			t.Fatal(err)
 		}
+		rt.SetInput(pairs)
+		keys := make([]dds.Key, 8)
+		for i := range keys {
+			keys[i] = key(int64(8+i), 0)
+		}
 		err := rt.Round("read", func(ctx *Ctx) error {
-			for i := int64(0); i < 16; i++ {
-				ctx.ReadStatic(key(i, 0))
+			for rep := 0; rep < 2; rep++ {
+				for i := int64(0); i < 16; i++ {
+					ctx.ReadStatic(key(i, 0))
+				}
+				for i := int64(0); i < 8; i++ {
+					ctx.Read(key(i, 0))
+				}
+				ctx.ReadMany(keys, nil)
 			}
 			return nil
 		})
@@ -113,12 +137,35 @@ func TestStaticReadsCountedAsHitOrMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := rt.Stats()[len(rt.Stats())-1]
-		if st.Queries != 8*16 {
-			t.Fatalf("noCache=%v: Queries = %d, want %d", noCache, st.Queries, 8*16)
+		if st.Queries != 8*32 || st.CacheMisses != st.Queries {
+			t.Errorf("%s: Queries = %d (want %d), CacheMisses = %d (want Queries)",
+				name, st.Queries, 8*32, st.CacheMisses)
 		}
-		if st.CacheMisses == 0 || st.CacheHits+st.CacheMisses != st.Queries {
-			t.Errorf("noCache=%v: hits %d + misses %d != %d charged point reads",
-				noCache, st.CacheHits, st.CacheMisses, st.Queries)
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStaticReadsInShardLoad checks that static reads count in the Lemma
+// 2.1 ledger of the round that makes them: eight machines reading one static
+// key put a load of 8 on its shard every round, not a load accumulating
+// across rounds.
+func TestStaticReadsInShardLoad(t *testing.T) {
+	rt := New(cfg(8, 100))
+	if err := rt.AddStatic("publish", []dds.KV{pair(0, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		err := rt.Round("read", func(ctx *Ctx) error {
+			ctx.ReadStatic(key(0, 0))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rt.Stats()[len(rt.Stats())-1].MaxShardLoad; got != 8 {
+			t.Errorf("round %d: MaxShardLoad = %d, want 8", i, got)
 		}
 	}
 }

@@ -86,11 +86,6 @@ type Options struct {
 	// the backend default (250ms). Chaos scenarios tune it to trade
 	// recovery latency against probe storms on a flapping server.
 	RPCDownCooldown time.Duration
-	// NoWorkerCache disables the runtime's per-worker read-through cache
-	// over the previous round's store (see ampc.Config.NoWorkerCache).
-	// Outputs and all model accounting are identical; the cache-off run is
-	// the reference side of the cache-invisibility differential tests.
-	NoWorkerCache bool
 	// Observer, when non-nil, receives every AMPC round's statistics as
 	// soon as the round completes, letting callers stream telemetry while
 	// a run is still in flight. It is invoked synchronously from the
@@ -294,7 +289,6 @@ func (o Options) newRuntime(ctx context.Context, n, m int) *ampc.Runtime {
 		Seed:             o.Seed,
 		FaultProb:        o.FaultProb,
 		Backend:          pub,
-		NoWorkerCache:    o.NoWorkerCache,
 		Observer:         o.Observer,
 		RetainFinalStore: o.RetainStore,
 	})
@@ -356,16 +350,18 @@ type Telemetry struct {
 	DriverContractTime time.Duration
 	DriverReadbackTime time.Duration
 	DriverIngestTime   time.Duration
-	// CacheHits and CacheMisses sum the per-round worker read-cache
-	// counters: hits were charged queries answered without a store probe,
-	// misses reached the store. They never affect TotalQueries or any
-	// output.
-	CacheHits   int64
+	// CacheHits is always zero: the runtime keeps no read cache shared
+	// between machines, so no charged read is answered without a store
+	// probe. It stays only while the benchmark still reads it.
+	CacheHits int64
+	// CacheMisses sums the per-round point reads that reached a store
+	// (RoundStats.CacheMisses): every charged Read, ReadMany and
+	// ReadStatic key.
 	CacheMisses int64
 	// RPCFrames sums the read-path request frames the rpc backend sent
-	// during execute phases; zero for in-process backends. With the
-	// worker cache and single-flight coalescing this runs far below
-	// TotalQueries — the dedup the trajectory watches.
+	// during execute phases; zero for in-process backends. With a remote
+	// round's machines reading at once into shared frames, plus the
+	// backend's single-flight, this runs far below TotalQueries.
 	RPCFrames int64
 	// RoundStats is the per-round breakdown.
 	RoundStats []ampc.RoundStats
@@ -389,7 +385,6 @@ func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
 		t.FreezeMergeTime += st.FreezeMerge
 		t.FreezeBuildTime += st.FreezeBuild
 		t.PublishTime += st.Publish
-		t.CacheHits += st.CacheHits
 		t.CacheMisses += st.CacheMisses
 		t.RPCFrames += st.RPCFrames
 	}

@@ -1087,13 +1087,6 @@ func (ps *pendingStore) GetHashed(k Key, h uint64) (Value, bool) {
 	return b.Get(k)
 }
 
-// AddShardLoads settles deferred load deltas against the serving side.
-func (ps *pendingStore) AddShardLoads(deltas []int64) {
-	if lb, ok := ps.backend().(LoadBatcher); ok {
-		lb.AddShardLoads(deltas)
-	}
-}
-
 // Salt returns the placement salt; identical on both sides of the swap (the
 // segment records the salt the in-memory store was built with).
 func (ps *pendingStore) Salt() uint64 {
@@ -1106,6 +1099,5 @@ func (ps *pendingStore) Salt() uint64 {
 var (
 	_ StoreBackend = (*pendingStore)(nil)
 	_ BatchGetter  = (*pendingStore)(nil)
-	_ LoadBatcher  = (*pendingStore)(nil)
 	_ Salter       = (*pendingStore)(nil)
 )

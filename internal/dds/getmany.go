@@ -18,19 +18,10 @@ import (
 // per key. Results and per-shard load totals are exactly what the scalar Get
 // loop would produce — one query charged per key.
 
-// LoadBatcher is an optional StoreBackend capability: add query-count deltas
-// to many shards in one call. The runtime's per-worker read cache uses it to
-// settle the Lemma 2.1 contention ledger for reads it served from cache —
-// deltas[i] queries are credited to shard i, exactly as if each read had
-// probed the store — without taking one atomic add per hit.
-type LoadBatcher interface {
-	AddShardLoads(deltas []int64)
-}
-
 // Salter is an optional StoreBackend capability exposing the placement salt
-// the store was built with. A caller holding the salt can compute ShardOf
-// locally — the runtime's read cache needs it to attribute cache hits to the
-// owning shard without re-probing.
+// the store was built with. A caller holding the salt computes the placement
+// hash itself (HashOf) — the runtime's read memo keys its table by it and
+// hands it to PrehashedGetter, so each read hashes its key once.
 type Salter interface {
 	Salt() uint64
 }
@@ -99,16 +90,6 @@ func (s *Store) GetMany(keys []Key, vals []Value, oks []bool) {
 	gmPool.Put(g)
 }
 
-// AddShardLoads implements LoadBatcher: deltas[i] queries are added to shard
-// i's load counter.
-func (s *Store) AddShardLoads(deltas []int64) {
-	for i, d := range deltas {
-		if d != 0 {
-			s.shards[i].load.Add(d)
-		}
-	}
-}
-
 // GetMany implements BatchGetter over the mmap'd segment: identical
 // results and per-shard load accounting to the scalar Get loop, with the
 // batch grouped by shard so each shard's slot region is swept while its
@@ -152,20 +133,9 @@ func (s *FileStore) GetMany(keys []Key, vals []Value, oks []bool) {
 	gmPool.Put(g)
 }
 
-// AddShardLoads implements LoadBatcher for the file store.
-func (s *FileStore) AddShardLoads(deltas []int64) {
-	for i, d := range deltas {
-		if d != 0 {
-			s.shards[i].load.Add(d)
-		}
-	}
-}
-
 var (
 	_ BatchGetter = (*Store)(nil)
 	_ BatchGetter = (*FileStore)(nil)
-	_ LoadBatcher = (*Store)(nil)
-	_ LoadBatcher = (*FileStore)(nil)
 	_ Salter      = (*Store)(nil)
 	_ Salter      = (*FileStore)(nil)
 )

@@ -100,36 +100,9 @@ func TestGetManyMatchesGet(t *testing.T) {
 	}
 }
 
-// TestAddShardLoads checks the deferred-load settlement hook: deltas land on
-// the matching shard counters and zero deltas cost nothing.
-func TestAddShardLoads(t *testing.T) {
-	pairs := []KV{kv(1, 1, 0, 10, 0), kv(1, 2, 0, 20, 0)}
-	stores := map[string]batchStore{
-		"mem":  NewStore(pairs, 8, 9),
-		"file": roundTrip(t, NewStore(pairs, 8, 9)),
-	}
-	for name, s := range stores {
-		t.Run(name, func(t *testing.T) {
-			lb, ok := s.(LoadBatcher)
-			if !ok {
-				t.Fatalf("%T does not implement LoadBatcher", s)
-			}
-			deltas := []int64{3, 0, 0, 1, 0, 0, 0, 5}
-			lb.AddShardLoads(deltas)
-			lb.AddShardLoads(deltas)
-			got := s.ShardLoads()
-			for i, d := range deltas {
-				if got[i] != 2*d {
-					t.Fatalf("shard %d: load %d, want %d", i, got[i], 2*d)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreGetMany pins the batched read path: one 256-key batch per
-// iteration against the in-memory store, the unit the worker cache and the
-// rpc backend lean on.
+// iteration against the in-memory store, the unit ReadMany and the rpc
+// backend lean on.
 func BenchmarkStoreGetMany(b *testing.B) {
 	const n = 1 << 16
 	const batch = 256

@@ -3,7 +3,7 @@ package dds
 // Pre-hashed point reads.
 //
 // Every store routes a key to its shard with the same salted SplitMix64
-// hash, and the runtime's per-worker read cache needs that exact hash as its
+// hash, and the runtime's per-machine read memo needs that exact hash as its
 // own table key. Exposing the hash (HashOf) and a Get that accepts it
 // (GetHashed) lets one hash computation serve both the cache probe and the
 // store probe — the scalar Get path otherwise hashes every key twice, once
@@ -19,16 +19,6 @@ func HashOf(k Key, salt uint64) uint64 { return hash(k, salt) }
 type PrehashedGetter interface {
 	GetHashed(k Key, h uint64) (Value, bool)
 }
-
-// ShardDiv maps placement hashes to shard indices for a fixed shard count,
-// with the divide precomputed (the same Lemire reduction the stores use).
-type ShardDiv struct{ div divisor }
-
-// NewShardDiv precomputes the hash→shard reduction for n shards.
-func NewShardDiv(n int) ShardDiv { return ShardDiv{newDivisor(uint64(n))} }
-
-// Of returns the shard index h maps to: exactly h % n.
-func (d ShardDiv) Of(h uint64) int { return int(d.div.mod(h)) }
 
 // GetHashed implements PrehashedGetter: exactly Get(k) given h = HashOf(k,
 // s.Salt()), including the shard load charge.

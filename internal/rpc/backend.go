@@ -275,16 +275,6 @@ func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 // store at publish time.
 func (b *Backend) Salt() uint64 { return b.salt }
 
-// AddShardLoads implements dds.LoadBatcher: deltas[i] queries are credited
-// to shard i's client-side load counter.
-func (b *Backend) AddShardLoads(deltas []int64) {
-	for i, d := range deltas {
-		if d != 0 {
-			b.loads[i].Add(d)
-		}
-	}
-}
-
 // ReadFrames returns the total read-path request frames this backend's
 // client has sent, retries included. The counter is client-wide (it spans
 // generations); callers diff it around a window.
@@ -342,6 +332,5 @@ func (b *Backend) Close() error {
 var (
 	_ dds.StoreBackend = (*Backend)(nil)
 	_ dds.BatchGetter  = (*Backend)(nil)
-	_ dds.LoadBatcher  = (*Backend)(nil)
 	_ dds.Salter       = (*Backend)(nil)
 )

@@ -291,14 +291,6 @@ func (ps *pending) GetRange(k dds.Key, lo, hi int, dst []dds.Value) []dds.Value 
 	return ps.backend().GetRange(k, lo, hi, dst)
 }
 
-// AddShardLoads settles deferred load deltas against the serving side; both
-// the retained in-memory store and the remote backend implement it.
-func (ps *pending) AddShardLoads(deltas []int64) {
-	if lb, ok := ps.backend().(dds.LoadBatcher); ok {
-		lb.AddShardLoads(deltas)
-	}
-}
-
 // Salt returns the placement salt, identical on both sides of the swap.
 func (ps *pending) Salt() uint64 { return ps.remote.Salt() }
 
@@ -317,7 +309,6 @@ func (ps *pending) ResetLoads()         { ps.backend().ResetLoads() }
 var (
 	_ dds.StoreBackend = (*pending)(nil)
 	_ dds.BatchGetter  = (*pending)(nil)
-	_ dds.LoadBatcher  = (*pending)(nil)
 	_ dds.Salter       = (*pending)(nil)
 	_ dds.Publisher    = (*Publisher)(nil)
 )

@@ -12,21 +12,18 @@ import (
 	"ampc"
 )
 
-// readPathConfigs is the full read-path acceptance cube: every backend and
-// worker count crossed with the worker cache toggle.
+// readPathConfigs is the full read-path acceptance grid: every backend
+// crossed with worker counts 1 and 8.
 type readPathConfig struct {
 	backend string
 	workers int
-	noCache bool
 }
 
 func readPathConfigs() []readPathConfig {
 	var cfgs []readPathConfig
 	for _, backend := range []string{ampc.BackendMem, ampc.BackendFile, ampc.BackendRPC} {
 		for _, workers := range []int{1, 8} {
-			for _, noCache := range []bool{false, true} {
-				cfgs = append(cfgs, readPathConfig{backend, workers, noCache})
-			}
+			cfgs = append(cfgs, readPathConfig{backend, workers})
 		}
 	}
 	return cfgs
@@ -65,14 +62,13 @@ func segmentBytes(t *testing.T, dir string) []byte {
 	return buf.Bytes()
 }
 
-// TestReadPathDifferential is the acceptance gate for the read-path
-// acceleration stack: the per-worker generation cache, pinned machine
-// execution and batched store reads are all observable only as speed. Every
-// combination of backend, worker count and cache toggle must produce
-// byte-identical labels, payloads, summaries, query accounting — and, on
-// the file backend, byte-identical serialized segments. Runs under
-// -race in CI, which also exercises the single-flight and shared-cache
-// synchronization.
+// TestReadPathDifferential is the acceptance gate for the read path: the
+// lane schedule, batched store reads and the rpc backend's frames and
+// single-flight are all observable only as speed. Every combination of
+// backend and worker count must produce byte-identical labels, payloads,
+// summaries, query accounting — and, on the file backend, byte-identical
+// serialized segments. Runs under -race in CI, which also exercises the
+// remote lanes' shared frames and the single-flight synchronization.
 func TestReadPathDifferential(t *testing.T) {
 	servers := rpcServers(t)
 	r := ampc.NewRNG(6, 2)
@@ -85,14 +81,10 @@ func TestReadPathDifferential(t *testing.T) {
 		job := job
 		t.Run(job.Algo, func(t *testing.T) {
 			t.Parallel()
-			base, basePairs := runBackend(t, job, ampc.Options{Seed: 21, Backend: ampc.BackendMem, Workers: 1, NoWorkerCache: true})
+			base, basePairs := runBackend(t, job, ampc.Options{Seed: 21, Backend: ampc.BackendMem, Workers: 1})
 			var segWant []byte
-			cacheHitsSeen := false
 			for _, cfg := range readPathConfigs() {
-				opts := ampc.Options{
-					Seed: 21, Backend: cfg.backend, Workers: cfg.workers,
-					NoWorkerCache: cfg.noCache,
-				}
+				opts := ampc.Options{Seed: 21, Backend: cfg.backend, Workers: cfg.workers}
 				var storeDir string
 				if cfg.backend == ampc.BackendRPC {
 					opts.Servers = servers
@@ -102,7 +94,7 @@ func TestReadPathDifferential(t *testing.T) {
 					storeDir = t.TempDir()
 					opts.StoreDir = storeDir
 				}
-				label := fmt.Sprintf("%s/workers=%d/noCache=%v", cfg.backend, cfg.workers, cfg.noCache)
+				label := fmt.Sprintf("%s/workers=%d", cfg.backend, cfg.workers)
 				res, pairs := runBackend(t, job, opts)
 				if !reflect.DeepEqual(res.Labels, base.Labels) {
 					t.Errorf("%s: labels differ from baseline", label)
@@ -116,7 +108,7 @@ func TestReadPathDifferential(t *testing.T) {
 				if !reflect.DeepEqual(pairs, basePairs) {
 					t.Errorf("%s: per-round pair counts differ: %v vs %v", label, pairs, basePairs)
 				}
-				// The cache must be invisible to the model's cost
+				// The schedule must be invisible to the model's cost
 				// accounting, not just to the algorithm outputs.
 				bt, rt := base.Telemetry, res.Telemetry
 				if rt.TotalQueries != bt.TotalQueries || rt.MaxMachineQueries != bt.MaxMachineQueries ||
@@ -124,12 +116,6 @@ func TestReadPathDifferential(t *testing.T) {
 					t.Errorf("%s: accounting differs: queries %d/%d maxMachine %d/%d writes %d/%d maxShard %d/%d",
 						label, rt.TotalQueries, bt.TotalQueries, rt.MaxMachineQueries, bt.MaxMachineQueries,
 						rt.TotalWrites, bt.TotalWrites, rt.MaxShardLoad, bt.MaxShardLoad)
-				}
-				if cfg.noCache && rt.CacheHits != 0 {
-					t.Errorf("%s: cache disabled but %d hits reported", label, rt.CacheHits)
-				}
-				if !cfg.noCache && rt.CacheHits > 0 {
-					cacheHitsSeen = true
 				}
 				if cfg.backend == ampc.BackendRPC && rt.RPCFrames == 0 {
 					t.Errorf("%s: rpc run reported zero read frames", label)
@@ -155,9 +141,6 @@ func TestReadPathDifferential(t *testing.T) {
 						t.Errorf("%s: serialized segment bytes differ from the first file run", label)
 					}
 				}
-			}
-			if !cacheHitsSeen {
-				t.Error("no cache-enabled configuration reported a single cache hit; the worker cache never engaged")
 			}
 		})
 	}
