@@ -40,7 +40,9 @@ import (
 	"log"
 	"math"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"ampc"
@@ -133,7 +135,12 @@ func main() {
 	}
 	fmt.Printf("workload: %s n=%d m=%d   eps=%.2f seed=%d\n", workload, wn, wm, *eps, *seed)
 
-	ctx := context.Background()
+	// Ctrl-C and SIGTERM cancel the run like -timeout does, so the publisher
+	// aborts its in-flight write and removes its store directory on the way
+	// out; a second signal, once the first has cancelled, kills as usual.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)

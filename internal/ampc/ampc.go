@@ -258,9 +258,9 @@ func New(cfg Config) *Runtime {
 	}
 	r.builder = dds.NewBuilder(cfg.P)
 	// The pool starts eagerly: the pinned-freeze scheduler below must
-	// capture the pool — and only the pool — so that neither the builder
-	// nor the publisher ever holds a reference back to the Runtime (a cycle
-	// through an object with a finalizer would defeat collection).
+	// capture the pool — and only the pool — so that the builder never
+	// holds a reference back to the Runtime (a cycle through an object with
+	// a finalizer would defeat collection).
 	r.pool = newWorkerPool(r.workers)
 	// Store double-buffering: retiring generations recycle their slot
 	// arrays and slabs through the arena into the next freeze. A publisher
@@ -270,18 +270,13 @@ func New(cfg Config) *Runtime {
 	if ap, ok := cfg.Backend.(interface{ SetArena(*dds.Arena) }); ok {
 		ap.SetArena(r.arena)
 	}
-	// Stable shard ownership: freeze index builds (and sync-mode segment
-	// section fills) run on the pool with shard i pinned to worker i mod
-	// Workers, so a shard's arrays stay hot in the same worker's cache
-	// every round. The pool is idle during both phases — they run from the
-	// driver between rounds — so the pinned queues never contend with
-	// machine execution.
+	// Stable shard ownership: freeze index builds run on the pool with shard
+	// i pinned to worker i mod Workers, so a shard's arrays stay hot in the
+	// same worker's cache every round. The pool is idle during the freeze —
+	// it runs from the driver between rounds — so the pinned queues never
+	// contend with machine execution.
 	pool := r.pool
-	pinned := dds.Parallel(func(n int, f func(int)) { pool.runStriped(n, f) })
-	r.builder.SetParallel(pinned)
-	if sp, ok := cfg.Backend.(interface{ SetParallel(dds.Parallel) }); ok {
-		sp.SetParallel(pinned)
-	}
+	r.builder.SetParallel(func(n int, f func(int)) { pool.runStriped(n, f) })
 	r.ctxs = make([]*Ctx, r.workers)
 	for w := range r.ctxs {
 		r.ctxs[w] = &Ctx{}

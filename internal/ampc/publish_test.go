@@ -48,9 +48,10 @@ func chase(t *testing.T, rt *Runtime, n int) []int64 {
 }
 
 // TestWriteBehindBackendMatchesMem runs the same computation on the mem
-// backend and on file publishers in both write-behind and sync modes, for
+// backend and on write-behind file publishers under both residencies, for
 // worker counts 1 and 8, and requires identical outputs — the runtime-level
-// half of the backend differential.
+// half of the backend differential. Drop residency barriers before every
+// execute, so each round's reads all go through the mmap'd segment.
 func TestWriteBehindBackendMatchesMem(t *testing.T) {
 	const n = 256
 	mk := func(backend dds.Publisher, workers int) Config {
@@ -60,21 +61,21 @@ func TestWriteBehindBackendMatchesMem(t *testing.T) {
 	defer memRT.Close()
 	want := chase(t, memRT, n)
 
-	for _, sync := range []bool{false, true} {
+	for _, drop := range []bool{false, true} {
 		for _, workers := range []int{1, 8} {
 			pub := dds.NewFilePublisher("")
-			pub.SetSync(sync)
+			pub.SetDropRetired(drop)
 			rt := New(mk(pub, workers))
 			got := chase(t, rt, n)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("sync=%v workers=%d: label[%d] = %d, want %d", sync, workers, i, got[i], want[i])
+					t.Fatalf("drop=%v workers=%d: label[%d] = %d, want %d", drop, workers, i, got[i], want[i])
 				}
 			}
 			stats := rt.Stats()
 			rt.Close()
 			if len(stats) != 3 {
-				t.Fatalf("sync=%v workers=%d: %d rounds recorded", sync, workers, len(stats))
+				t.Fatalf("drop=%v workers=%d: %d rounds recorded", drop, workers, len(stats))
 			}
 		}
 	}

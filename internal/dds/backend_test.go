@@ -183,9 +183,7 @@ func TestFilePublisherLifecycle(t *testing.T) {
 		t.Fatalf("post-barrier Get = %v ok=%v", v, ok)
 	}
 
-	// Salts rotate per generation, as the runtime draws them: with equal
-	// salts the second publish would delta-encode against the first and pin
-	// it on disk, which the delta-specific tests cover.
+	// Salts rotate per generation, as the runtime draws them.
 	b, err := pub.Publish(1, NewStore([]KV{kv(1, 2, 0, 20, 0)}, 2, 6))
 	if err != nil {
 		t.Fatal(err)
@@ -237,23 +235,29 @@ func TestFilePublisherLifecycle(t *testing.T) {
 // to be retired, the file must serve), and under retained residency only
 // when every section is raw — an mmap-served open costs nothing and frees
 // the arrays — while a compressed segment keeps the frozen store serving.
+// The all-raw segment comes the production way: a one-shard store whose
+// section exceeds packThreshold stays raw.
 func TestBarrierSwapResidency(t *testing.T) {
-	kvs := []KV{kv(1, 1, 0, 10, 0), kv(1, 2, 0, 20, 0)}
+	small := []KV{kv(1, 1, 0, 10, 0), kv(1, 2, 0, 20, 0)}
+	large := make([]KV, 50000)
+	for i := range large {
+		large[i] = kv(1, int64(i), 0, int64(i)*10, 0)
+	}
 	for _, tc := range []struct {
-		name           string
-		drop, compress bool
-		wantFile       bool
+		name     string
+		drop     bool
+		store    *Store
+		wantFile bool
 	}{
-		{"drop-compressed", true, true, true},
-		{"retain-compressed", false, true, false},
-		{"retain-raw", false, false, true},
+		{"drop-compressed", true, NewStore(small, 2, 5), true},
+		{"retain-compressed", false, NewStore(small, 2, 5), false},
+		{"retain-raw", false, NewStore(large, 1, 5), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pub := NewFilePublisher(t.TempDir())
 			defer pub.Close()
 			pub.SetDropRetired(tc.drop)
-			pub.compress = tc.compress
-			b, err := pub.Publish(0, NewStore(kvs, 2, 5))
+			b, err := pub.Publish(0, tc.store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,31 +273,6 @@ func TestBarrierSwapResidency(t *testing.T) {
 				t.Fatalf("post-barrier Get = %v ok=%v", v, ok)
 			}
 		})
-	}
-}
-
-// TestFilePublisherSync covers the synchronous mode: Publish returns the
-// mmap'd segment directly, already durable, and Barrier is a no-op.
-func TestFilePublisherSync(t *testing.T) {
-	pub := NewFilePublisher("")
-	pub.SetSync(true)
-	defer pub.Close()
-	b, err := pub.Publish(0, NewStore([]KV{kv(1, 4, 0, 40, 0)}, 3, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, ok := b.(*FileStore)
-	if !ok {
-		t.Fatalf("sync publish returned %T, want *FileStore", b)
-	}
-	if _, err := os.Stat(segPath(pub, 0)); err != nil {
-		t.Fatalf("sync publish did not leave a durable segment: %v", err)
-	}
-	if v, ok := fs.Get(Key{1, 4, 0}); !ok || v.A != 40 {
-		t.Fatalf("Get = %v ok=%v", v, ok)
-	}
-	if err := pub.Barrier(); err != nil {
-		t.Fatalf("sync barrier: %v", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -20,7 +19,7 @@ import (
 // overflow slab the in-memory engine probes — so the mmap'd read path runs
 // the identical probe sequence over the mapped bytes with no deserialization
 // step. A block is a raw section of a segment file (segment.go), and what
-// every packed or delta section decodes back to.
+// every packed section decodes back to.
 //
 //	header   64 bytes
 //	  [0:8)    magic "AMPCSHRD"
@@ -214,16 +213,11 @@ func (sh *fileShard) value(off, i int) Value {
 // segment file. All read methods are safe for concurrent use and account
 // per-shard load exactly like the in-memory store.
 type FileStore struct {
-	shards []fileShard
-	salt   uint64
-	pairs  int
-	// sections holds each shard's raw block bytes in shard order — views
-	// into the mapping for raw sections, decode buffers for packed and
-	// delta ones. They are what a
-	// later generation's delta sections encode against.
-	sections [][]byte
-	unmaps   []func() error
-	cleanup  func() error // optional, run after unmapping (e.g. remove dir)
+	shards  []fileShard
+	salt    uint64
+	pairs   int
+	unmaps  []func() error
+	cleanup func() error // optional, run after unmapping (the publisher's release)
 }
 
 // shardHeader carries one decoded shard block.
@@ -237,7 +231,7 @@ type shardHeader struct {
 }
 
 // parseShardBlock decodes one raw shard block — a section as it lies in a
-// segment, or as a packed or delta section decodes — validating magic,
+// segment, or as a packed section decodes — validating magic,
 // version and geometry against exactly len(data) bytes. Verification comes
 // in two parts: verifySum re-folds the raw block checksum; verifyScan runs
 // the structural slot-table scan that makes probing safe. Both off is the
@@ -466,87 +460,62 @@ func (s *FileStore) ResetLoads() {
 // simulation toward a DDS that actually lives outside the round's address
 // space.
 //
-// Publishing is write-behind by default: Publish hands the frozen store to a
-// background goroutine that serializes it through a reused buffer, fsyncs
-// the segment and its directory, and renames it into place — all while the
-// caller's next round executes against the still-in-memory store. Barrier
-// joins the in-flight write; once the segment is durable the published
-// backend atomically swaps its reads to the mmap'd file and releases the
-// in-memory arrays into the publisher's Arena for the next freeze to
-// recycle. SetSync(true) restores fully synchronous publishing (serialize,
-// fsync, mmap before Publish returns), which is also the mode whose reads
-// exercise the mmap path for the whole round.
+// Publishing is write-behind: Publish hands the frozen store to a background
+// goroutine that serializes it through a reused buffer and renames the
+// segment into place, all while the caller's next round executes against the
+// still-in-memory store. Barrier joins the in-flight write; once the segment
+// is complete the published backend can atomically swap its reads to the
+// mmap'd file and release the in-memory arrays into the publisher's Arena
+// for the next freeze to recycle.
 //
 // Retired stores are deleted when the runtime closes their backend, so disk
-// usage stays bounded by the newest durable segment plus the one being
-// written (plus the base a delta-encoded latest still reads from); the
-// latest segment is kept until the publisher itself is closed, and survives
-// it when the caller supplied the directory.
+// usage stays bounded by the newest complete segment plus the one being
+// written; the latest segment is kept until the publisher itself is closed,
+// and survives it when the caller supplied the directory.
 //
-// Segments compress on the way down by default (packed sections, plus delta
-// sections against the previous generation when the placement salts match —
-// see segcodec.go). Compression never changes read results: packed and
-// delta sections decode to the exact raw block bytes at open.
-// SetDropRetired(true) selects the bounded-residency mode for out-of-core
-// runs: the runtime barriers before each execute, so adaptive reads serve
-// from the mmap'd segment (page cache, reclaimable under memory pressure)
-// and the retired in-memory store returns to the arena a round earlier —
-// resident memory is O(the generation being written), not O(two).
+// Each section is packed where that is smaller and raw otherwise (see
+// segcodec.go); a packed section decodes to the exact raw block at open, so
+// the encoding never changes read results. SetDropRetired(true) selects the
+// bounded-residency mode for out-of-core runs: the runtime barriers before
+// each execute, so adaptive reads serve from the mmap'd segment (page cache,
+// reclaimable under memory pressure) and the retired in-memory store returns
+// to the arena a round earlier — resident memory is O(the generation being
+// written), not O(two).
 type FilePublisher struct {
-	mu          sync.Mutex
-	dir         string // base directory; lazily created on first Publish
-	owned       bool   // dir was auto-created (temp) and is removed on Close
-	ready       bool
-	sync        bool            // publish in the foreground; reads go straight to mmap
-	compress    bool            // encode packed/delta sections where they win
-	drop        bool            // barrier before execute; mem store dropped after publish
-	ctx         context.Context // optional; cancels in-flight write-behind publishes
-	arena       *Arena          // optional; receives swapped-out in-memory stores
-	run         Parallel        // optional; schedules sync-mode section fills
-	buf         []byte          // reused segment serialization buffer
-	inflight    *pendingStore   // the write-behind publish not yet joined
-	segs        map[string]*segState
-	latest      string        // newest durable segment
-	latestSeq   uint64        // its sequence number (base naming for delta sections)
-	latestSalt  uint64        // its placement salt (delta engages only on a match)
-	latestDelta bool          // it holds delta sections (cannot serve as a base)
-	garbage     []string      // retired segments awaiting off-thread deletion
-	lock        *fileLock     // liveness lock inside the run directory
-	closed      chan struct{} // closed by Close; aborts in-flight writes
-	closeOnce   sync.Once
+	mu        sync.Mutex
+	dir       string          // the caller's directory until the first Publish, then the run-* directory
+	owned     bool            // the run directory sits under the shared temp parent and is removed on Close
+	ready     bool            // dir is the created, locked run directory
+	drop      bool            // barrier before execute; mem store dropped after publish
+	ctx       context.Context // optional; cancels in-flight write-behind publishes
+	arena     *Arena          // optional; receives swapped-out in-memory stores
+	buf       []byte          // reused segment serialization buffer
+	inflight  *pendingStore   // the write-behind publish not yet joined
+	segs      map[string]bool // complete segment → a published backend still serves it
+	latest    string          // newest complete segment
+	garbage   []string        // retired segments awaiting off-thread deletion
+	lock      *fileLock       // liveness lock inside the run directory
+	closed    chan struct{}   // closed by Close; aborts in-flight writes
+	closeOnce sync.Once
 }
 
-// segState tracks one durable segment's lifetime: it stays on disk while a
-// backend still reads it, while it is the latest generation, or while a
-// newer delta-encoded segment decodes against it.
-type segState struct {
-	open bool   // a published backend still serves this segment
-	base string // segment whose sections this file's delta sections copy from
-}
-
-// NewFilePublisher returns a publisher writing segment files under dir. An
-// empty dir selects a fresh temporary directory that is removed when the
-// publisher is closed; a caller-supplied dir receives a unique run-*
-// subdirectory per publisher, so concurrent or repeated runs sharing a
-// store directory never write over each other's live segments, and each
-// run's final segment survives in its own run directory. Orphaned run
-// directories left by crashed prior runs are swept on the first Publish
+// NewFilePublisher returns a publisher writing segment files into a unique
+// run-* subdirectory of dir, so concurrent or repeated runs sharing a store
+// directory never write over each other's live segments, and each run's
+// final segment survives in its own run directory. An empty dir selects the
+// shared temporary parent (os.TempDir()/ampc-dds) instead, and the run
+// directory there is removed when the publisher is closed. Either way the
+// first Publish sweeps the parent for run directories left by crashed runs
 // (liveness decided by a file lock each live publisher holds). The
 // filesystem is not touched until the first Publish, so construction never
 // fails.
 func NewFilePublisher(dir string) *FilePublisher {
 	return &FilePublisher{
-		dir:      dir,
-		compress: true,
-		segs:     make(map[string]*segState),
-		closed:   make(chan struct{}),
+		dir:    dir,
+		segs:   make(map[string]bool),
+		closed: make(chan struct{}),
 	}
 }
-
-// SetSync selects synchronous publishing: Publish serializes, fsyncs and
-// mmaps the segment before returning, instead of write-behind. Call before
-// the first Publish.
-func (p *FilePublisher) SetSync(sync bool) { p.sync = sync }
 
 // SetDropRetired selects the bounded-residency mode: the runtime barriers
 // before each execute (see BarrierBeforeExecute), so reads come from the
@@ -571,15 +540,6 @@ func (p *FilePublisher) SetContext(ctx context.Context) { p.ctx = ctx }
 // stores into. Call before the first Publish.
 func (p *FilePublisher) SetArena(a *Arena) { p.arena = a }
 
-// SetParallel installs the scheduler used for per-shard section fills when
-// publishing synchronously — the AMPC runtime passes its pinned worker-pool
-// scheduler, so the worker that built a shard's index also serializes its
-// section. Write-behind publishes ignore it: their fills run on the
-// background writer while those pool workers are busy executing the next
-// round, and borrowing them would serialize the publish behind the execute
-// phase it is meant to overlap. Call before the first Publish.
-func (p *FilePublisher) SetParallel(run Parallel) { p.run = run }
-
 // InFlight reports whether a write-behind publish has not yet been joined —
 // the condition under which the next Barrier call would actually block or
 // swap anything. The runtime uses it to skip the per-round barrier (and its
@@ -590,8 +550,8 @@ func (p *FilePublisher) InFlight() bool {
 	return p.inflight != nil
 }
 
-// Dir returns the base directory (empty until the first Publish when the
-// publisher owns a temporary directory).
+// Dir returns the run directory the segments go to (empty until the first
+// Publish when the publisher owns a temporary directory).
 func (p *FilePublisher) Dir() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -618,31 +578,26 @@ func (p *FilePublisher) cancelled() error {
 // no live owner — a crashed prior run — and is swept, temp files and all.
 const runLockName = ".lock"
 
-// ensureDir lazily creates the base (or run-*) directory; p.mu held. In a
-// caller-supplied directory, creation and sweeping serialize on a
-// parent-level lock so a sweeper can never catch a sibling publisher between
-// creating its run directory and locking it.
+// ensureDir lazily creates this publisher's run-* directory under the
+// caller's directory or the shared temporary parent; p.mu held. Creation and
+// sweeping serialize on a parent-level lock so a sweeper can never catch a
+// sibling publisher between creating its run directory and locking it.
 func (p *FilePublisher) ensureDir() error {
 	if p.ready {
 		return nil
 	}
-	if p.dir == "" {
-		tmp, err := os.MkdirTemp("", "ampc-dds-")
-		if err != nil {
-			return err
-		}
-		p.dir, p.owned = tmp, true
-		p.ready = true
-		return nil
+	parent := p.dir
+	if parent == "" {
+		parent, p.owned = filepath.Join(os.TempDir(), "ampc-dds"), true
 	}
-	if err := os.MkdirAll(p.dir, 0o755); err != nil {
+	if err := os.MkdirAll(parent, 0o755); err != nil {
 		return err
 	}
-	gate, gateErr := acquireFileLock(filepath.Join(p.dir, ".ampc-dir.lock"), true)
+	gate, gateErr := acquireFileLock(filepath.Join(parent, ".ampc-dir.lock"), true)
 	if gateErr == nil {
-		sweepStaleRuns(p.dir)
+		sweepStaleRuns(parent, !p.owned)
 	}
-	run, err := os.MkdirTemp(p.dir, "run-")
+	run, err := os.MkdirTemp(parent, "run-")
 	if err != nil {
 		if gateErr == nil {
 			gate.release()
@@ -661,15 +616,13 @@ func (p *FilePublisher) ensureDir() error {
 }
 
 // sweepStaleRuns cleans up after crashed prior runs sharing parent: any run
-// directory whose liveness lock is acquirable has no live owner, so its
-// leftover temp files and superseded segments — files the run would have
-// deleted itself had it kept going — are removed. The newest durable
-// segment (and the base segment its delta sections may read from) is kept,
-// preserving the contract that a run's latest complete store survives; a
-// stale run directory holding no durable segment at all is removed
-// entirely. Held locks (live runs) and platforms without file locking leave
-// entries alone.
-func sweepStaleRuns(parent string) {
+// directory whose liveness lock is acquirable has no live owner, and
+// sweepStaleRun prunes it — keeping its newest segment when keepNewest (a
+// caller's directory, where a run's latest complete store is its product)
+// and removing it entirely otherwise (the shared temporary parent, where
+// nobody can name a dead run). Stray temp files in parent go too. Held locks
+// (live runs) and platforms without file locking leave entries alone.
+func sweepStaleRuns(parent string, keepNewest bool) {
 	entries, err := os.ReadDir(parent)
 	if err != nil {
 		return
@@ -690,14 +643,21 @@ func sweepStaleRuns(parent string) {
 		if err != nil {
 			continue // held by a live run, or locking unsupported
 		}
-		sweepStaleRun(dir)
+		sweepStaleRun(dir, keepNewest)
 		lk.release()
 	}
 }
 
 // sweepStaleRun prunes one ownerless run directory; the caller holds its
-// liveness lock.
-func sweepStaleRun(dir string) {
+// liveness lock. With keepNewest, its leftover temp files and superseded
+// segments — files the run would have deleted itself had it kept going — are
+// removed and the newest segment stays; a run holding no segment at all, or
+// any run without keepNewest, is removed entirely.
+func sweepStaleRun(dir string, keepNewest bool) {
+	if !keepNewest {
+		os.RemoveAll(dir)
+		return
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
@@ -722,35 +682,11 @@ func sweepStaleRun(dir string) {
 		os.RemoveAll(dir)
 		return
 	}
-	keep := map[uint64]bool{newest: true}
-	if base, ok := segmentBaseSeq(filepath.Join(dir, segs[newest])); ok {
-		keep[base] = true
-	}
 	for seq, name := range segs {
-		if !keep[seq] {
+		if seq != newest {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
-}
-
-// segmentBaseSeq reads the delta base sequence out of a segment file's
-// super-header, reporting false when the file is not a readable segment of
-// this version or is self-contained.
-func segmentBaseSeq(path string) (uint64, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false
-	}
-	defer f.Close()
-	h := make([]byte, headerBytes)
-	if _, err := io.ReadFull(f, h); err != nil {
-		return 0, false
-	}
-	if string(h[0:8]) != segmentMagic || le.Uint32(h[8:]) != segmentVersion {
-		return 0, false
-	}
-	base := le.Uint64(h[40:])
-	return base, base != noBaseSeq
 }
 
 // release retires one published segment: its backend closed, so it may be
@@ -761,64 +697,33 @@ func segmentBaseSeq(path string) (uint64, bool) {
 func (p *FilePublisher) release(path string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if st := p.segs[path]; st != nil {
-		st.open = false
+	if _, ok := p.segs[path]; ok {
+		p.segs[path] = false
 		p.tryRetire(path)
 	}
 	return nil
 }
 
 // tryRetire queues path for deletion unless it is still needed: the newest
-// durable generation always stays (disk always holds the latest complete
-// store), as does any segment a backend still reads or a durable delta
-// segment decodes against. Retiring a delta segment unpins its base, which
-// is then retried in turn; p.mu held.
+// complete generation always stays (disk always holds the latest complete
+// store), as does any segment a backend still reads; p.mu held.
 func (p *FilePublisher) tryRetire(path string) {
-	st := p.segs[path]
-	if st == nil || st.open || path == p.latest {
+	if open, ok := p.segs[path]; !ok || open || path == p.latest {
 		return
-	}
-	for _, other := range p.segs {
-		if other.base == path {
-			return
-		}
 	}
 	delete(p.segs, path)
 	p.garbage = append(p.garbage, path)
-	if st.base != "" {
-		p.tryRetire(st.base)
-	}
 }
 
-// recordDurable marks path as the newest durable segment — with the
-// sequence, salt and delta-dependency facts the next publish's encoding
-// decision needs — and retires the generation it supersedes; p.mu held.
-func (p *FilePublisher) recordDurable(path string, seq uint64, salt uint64, base string) {
-	p.segs[path] = &segState{open: true, base: base}
+// recordDurable marks path as the newest complete segment and retires the
+// generation it supersedes; p.mu held.
+func (p *FilePublisher) recordDurable(path string) {
+	p.segs[path] = true
 	old := p.latest
-	p.latest, p.latestSeq, p.latestSalt, p.latestDelta = path, seq, salt, base != ""
+	p.latest = path
 	if old != "" && old != path {
 		p.tryRetire(old)
 	}
-}
-
-// deltaBase decides the delta-encoding options for publishing store s as
-// sequence seq: the newest durable segment serves as base iff compression is
-// on, it is itself self-contained (chains are one level), and its placement
-// salt matches — without a salt match no slot lands at the same offset and a
-// delta could never win. The base reopens trusted (this process wrote and
-// verified it); the caller owns closing opts.base. p.mu held.
-func (p *FilePublisher) deltaBase(s *Store) (o segOpts, basePath string) {
-	o.compress = p.compress
-	if !p.compress || p.latest == "" || p.latestDelta || p.latestSalt != s.salt {
-		return o, ""
-	}
-	base, err := openSegmentDepth(p.latest, false, false)
-	if err != nil {
-		return o, ""
-	}
-	o.base, o.baseSeq = base, p.latestSeq
-	return o, p.latest
 }
 
 // drainGarbage deletes retired segments queued by release. Called from the
@@ -834,9 +739,8 @@ func (p *FilePublisher) drainGarbage() {
 	}
 }
 
-// Publish installs store seq. In write-behind mode (the default) it returns
-// immediately with a backend reading the in-memory store while the segment
-// serializes in the background; in sync mode it returns the mmap'd segment.
+// Publish installs store seq: it returns immediately with a backend reading
+// the in-memory store while the segment serializes in the background.
 // Publish takes ownership of s: after a successful Publish the caller must
 // read only through the returned backend, because s's arrays may be
 // recycled into a later store once the segment is durable.
@@ -856,37 +760,7 @@ func (p *FilePublisher) Publish(seq int, s *Store) (StoreBackend, error) {
 		return nil, err
 	}
 	path := filepath.Join(p.dir, fmt.Sprintf(segFileFmt, seq))
-	o, basePath := p.deltaBase(s)
-	if p.sync {
-		buf, st, err := writeSegment(s, path, p.buf, o, p.cancelled, p.run)
-		p.buf = buf
-		if o.base != nil {
-			o.base.Close()
-		}
-		if err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		fs, err := openSegment(path, false)
-		if err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		if !st.usedDelta {
-			basePath = ""
-		}
-		p.recordDurable(path, uint64(seq), s.salt, basePath)
-		p.mu.Unlock()
-		p.drainGarbage()
-		fs.cleanup = func() error { return p.release(path) }
-		p.arena.Recycle(s)
-		return fs, nil
-	}
-	// Mid-run generations skip fsync (segOpts.nosync): they are read
-	// through the page cache and superseded within rounds; the surviving
-	// segment is made durable once, at Close.
-	o.nosync = true
-	ps := &pendingStore{pub: p, path: path, mem: s, seq: uint64(seq), opts: o, basePath: basePath, done: make(chan struct{})}
+	ps := &pendingStore{pub: p, path: path, mem: s, done: make(chan struct{})}
 	ps.store(s)
 	buf := p.buf
 	p.buf, p.inflight = nil, ps
@@ -933,9 +807,10 @@ func (p *FilePublisher) Barrier() error {
 }
 
 // Close aborts any in-flight publish (its temp file is removed; a segment
-// that already became durable is kept as the latest) and removes the base
-// directory when the publisher created it itself; a caller-supplied
-// directory is left in place with the latest segment.
+// that already became durable is kept as the latest) and removes the run
+// directory when it sits under the shared temporary parent; in a
+// caller-supplied directory the run directory is left in place with the
+// latest segment, fsynced.
 func (p *FilePublisher) Close() error {
 	p.closeOnce.Do(func() { close(p.closed) })
 	p.mu.Lock()
@@ -959,18 +834,11 @@ func (p *FilePublisher) Close() error {
 	}
 	// Write-behind publishes skipped their per-segment fsync; in a
 	// caller-supplied directory the surviving store is the run's product,
-	// so make it (and the base a delta-encoded survivor decodes against)
-	// durable now.
+	// so make it durable now.
 	var err error
 	if p.latest != "" {
-		paths := []string{p.latest}
-		if st := p.segs[p.latest]; st != nil && st.base != "" {
-			paths = append(paths, st.base)
-		}
-		for _, path := range paths {
-			if serr := syncPath(path); serr != nil && !os.IsNotExist(serr) && err == nil {
-				err = serr
-			}
+		if err = syncPath(p.latest); os.IsNotExist(err) {
+			err = nil
 		}
 		if serr := syncDir(filepath.Dir(p.latest)); err == nil {
 			err = serr
@@ -984,38 +852,28 @@ func (p *FilePublisher) Close() error {
 // the background; once Barrier observes the write durable, reads swap
 // atomically to the mmap'd segment and the in-memory arrays are recycled.
 type pendingStore struct {
-	inner    atomic.Pointer[StoreBackend]
-	mem      *Store // retained until the swap
-	path     string
-	seq      uint64
-	opts     segOpts // encoding decision made at Publish; opts.base owned here
-	basePath string  // opts.base's path, recorded as a pin iff delta engaged
-	pub      *FilePublisher
-	done     chan struct{} // closed when the background write finishes
-	err      error         // write outcome; read only after done
-	mapped   bool          // all sections raw: an open serves from the mmap; after done
+	inner  atomic.Pointer[StoreBackend]
+	mem    *Store // retained until the swap
+	path   string
+	pub    *FilePublisher
+	done   chan struct{} // closed when the background write finishes
+	err    error         // write outcome; read only after done
+	mapped bool          // all sections raw: an open serves from the mmap; after done
 }
 
 // run is the background writer: one publish, one goroutine, joined by
-// Barrier (or Publish/Close) through ps.done.
+// Barrier (or Publish/Close) through ps.done. Mid-run generations skip fsync
+// (segOpts.nosync): they are read through the page cache and superseded
+// within rounds; the surviving segment is made durable once, at Close.
 func (ps *pendingStore) run(buf []byte) {
-	ps.pub.drainGarbage()
-	buf, st, err := writeSegment(ps.mem, ps.path, buf, ps.opts, ps.pub.cancelled, nil)
-	if ps.opts.base != nil {
-		ps.opts.base.Close()
-		ps.opts.base = nil
-	}
-	ps.err = err
-	ps.mapped = st.allRaw
 	p := ps.pub
+	p.drainGarbage()
+	buf, allRaw, err := writeSegment(ps.mem, ps.path, buf, segOpts{compress: true, nosync: true}, p.cancelled)
+	ps.err, ps.mapped = err, allRaw
 	p.mu.Lock()
 	p.buf = buf // return the serialization buffer for the next publish
 	if err == nil {
-		base := ps.basePath
-		if !st.usedDelta {
-			base = ""
-		}
-		p.recordDurable(ps.path, ps.seq, ps.mem.salt, base)
+		p.recordDurable(ps.path)
 	}
 	p.mu.Unlock()
 	close(ps.done)

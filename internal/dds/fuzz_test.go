@@ -128,8 +128,7 @@ func FuzzShardCodec(f *testing.F) {
 // whatever the input, it must either fail with an error or yield a reader
 // whose reads and routing do not crash — no input may panic the packed
 // decoder, the probe arithmetic or the shard modulo, or slice past the
-// section. A delta section must always be refused: a lone section carries no
-// base.
+// section. An encoding byte other than raw or packed must always be refused.
 func FuzzOpenSection(f *testing.F) {
 	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 	f.Add(valid, encRaw, uint8(0))
@@ -150,21 +149,22 @@ func FuzzOpenSection(f *testing.F) {
 			f.Add(sec, encs[i], uint8(i))
 		}
 	}
+	// Valid sections under an encoding byte the reader does not implement.
 	seeds := segmentByteSeeds()
-	sections, encs, err := sliceSections(seeds[len(seeds)-1])
+	sections, _, err := sliceSections(seeds[1])
 	if err != nil {
 		f.Fatal(err)
 	}
 	for i, sec := range sections {
-		f.Add(sec, encs[i], uint8(i))
+		f.Add(sec, byte(2), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, enc byte, index uint8) {
 		r, err := OpenSection(data, enc, int(index))
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		if enc == encDelta {
-			t.Fatal("a delta section opened without a base")
+		if enc != encRaw && enc != encPacked {
+			t.Fatalf("a section of unknown encoding %d opened", enc)
 		}
 		for _, k := range []Key{{1, 1, 0}, {2, 1, 1}, {0, 0, 0}} {
 			ShardOf(k, r.Salt(), r.ShardCount())
@@ -224,37 +224,24 @@ func FuzzSegmentCodec(f *testing.F) {
 }
 
 // segmentByteSeeds builds deterministic whole-segment seeds covering every
-// section encoding: the raw wire form, a compressed segment with packed
-// sections, and a delta segment against a synthesized base. The delta seed
-// exercises the ErrMissingBase path under fuzzing (the base segment is never
-// on disk next to the fuzz input) and gives the mutator real delta op
-// streams to splice.
+// section encoding byte the reader branches on: the raw wire form, a
+// compressed segment with packed sections, and that segment with section 0's
+// encoding byte set to 2 — one the reader does not implement — under a valid
+// super-header checksum, so the refusal is reachable past the checksum gate.
 func segmentByteSeeds() [][]byte {
 	r := rand.New(rand.NewSource(606))
-	pairs := randomPairs(r, 800, 5)
-	s := NewStore(pairs, 2, 0x5EED1)
+	s := NewStore(randomPairs(r, 800, 5), 2, 0x5EED1)
 	raw := AppendSegment(nil, s)
-	packed, _ := appendSegment(nil, s, segOpts{compress: true}, nil)
-
-	next := append([]KV(nil), pairs...)
-	for i := 0; i*29 < len(next); i++ {
-		next[i*29].Value.B ^= 0x33
-	}
-	// A base FileStore synthesized in memory: encodeSection only consults
-	// the salt and the per-shard raw section bytes.
-	base := &FileStore{salt: s.salt}
-	for i := range s.shards {
-		sec, _ := encodeSection(s, i, segOpts{}, nil)
-		base.sections = append(base.sections, sec)
-	}
-	delta, _ := appendSegment(nil, NewStore(next, 2, 0x5EED1), segOpts{compress: true, base: base, baseSeq: 0}, nil)
-	return [][]byte{raw, packed, delta}
+	packed, _ := appendSegment(nil, s, segOpts{compress: true})
+	unknown := append([]byte(nil), packed...)
+	unknown[headerBytes+16] = 2
+	return [][]byte{raw, packed, fixSegChecksum(unknown)}
 }
 
 // FuzzOpenSegment feeds arbitrary bytes to the segment reader: whatever the
 // bytes, OpenSegment must either fail with an error or yield a store whose
 // reads do not crash — no input may panic the probe arithmetic, the section
-// slicing, the packed/delta decoders, or map past the file.
+// slicing, the packed decoder, or map past the file.
 func FuzzOpenSegment(f *testing.F) {
 	valid := AppendSegment(nil, goldenStore())
 	f.Add(valid)
@@ -291,7 +278,7 @@ func FuzzOpenSegment(f *testing.F) {
 // fuzzing corpus-file encoding, so CI replays the seeds as regression inputs
 // without -fuzz. The workload seeds feed the shard and segment codec
 // fuzzers; the reader fuzzer additionally gets whole-segment byte seeds in
-// every section encoding (raw, packed, delta).
+// both section encodings plus an unknown encoding byte.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("run with -update to regenerate the seed corpus")

@@ -7,7 +7,7 @@ import (
 
 // This file is the dds surface a networked store builds on. A publisher
 // ships each generation in the segment codec's own sections — EncodeSections
-// packs them exactly as the file publisher does on disk, minus delta — and a
+// packs them exactly as the file publisher does on disk — and a
 // remote shard server opens each one with OpenSection, the decoder behind
 // OpenSegment, then answers point queries through ShardReader with the
 // identical probe sequence as the mmap'd segment, so a remote read returns
@@ -41,13 +41,12 @@ func ShardOf(k Key, salt uint64, p int) int {
 }
 
 // EncodeSections serializes s into buf (reused as scratch) as the networked
-// publisher ships it: the compressed segment the file publisher writes —
-// each section packed where that is smaller, raw otherwise — but never delta,
-// since a shard server holds no base to decode against. It returns the
+// publisher ships it: the compressed segment the file publisher writes, each
+// section packed where that is smaller and raw otherwise. It returns the
 // segment bytes and, in shard order, each section (a view into them) with
 // its encoding byte: the pairs OpenSection takes.
 func EncodeSections(buf []byte, s *Store) ([]byte, [][]byte, []byte) {
-	buf, _ = appendSegment(buf[:0], s, segOpts{compress: true}, nil)
+	buf, _ = appendSegment(buf[:0], s, segOpts{compress: true})
 	sections, encs, err := sliceSections(buf)
 	if err != nil {
 		panic("dds: EncodeSections produced an unreadable segment: " + err.Error())
@@ -139,16 +138,15 @@ type ShardReader struct {
 // verification OpenSegment applies: a raw section's checksum, a packed
 // section's checksum over the packed bytes before it decodes, then the
 // slot-table scan that keeps probes over untrusted bytes in bounds. The
-// shard count must be in range and hold index, since readers route by it. A
-// delta section is refused with ErrMissingBase: it decodes only against a
-// base segment, which a lone section does not carry. The reader owns its
-// memory — a raw section is copied, a packed one decodes into fresh bytes —
-// so data may be reused once OpenSection returns.
+// shard count must be in range and hold index, since readers route by it. An
+// encoding byte other than raw or packed is refused with ErrBadVersion. The
+// reader owns its memory — a raw section is copied, a packed one decodes
+// into fresh bytes — so data may be reused once OpenSection returns.
 func OpenSection(data []byte, enc byte, index int) (*ShardReader, error) {
 	if enc == encRaw {
 		data = append([]byte(nil), data...)
 	}
-	_, hdr, err := openSection(data, enc, index, nil, true, fmt.Sprintf("section %d", index))
+	hdr, err := openSection(data, enc, index, true, fmt.Sprintf("section %d", index))
 	if err != nil {
 		return nil, err
 	}

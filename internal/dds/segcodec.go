@@ -8,17 +8,14 @@ import (
 
 // Section encodings of the v3 segment format. A section table entry carries
 // one of these in its encoding byte; readers reject values they do not
-// implement. encRaw is bit-for-bit a v1 shard block. encPacked is the same
-// block with empty slots elided and every field varint-packed; its header
-// checksum word covers the packed bytes on disk (not the decoded raw form),
-// so integrity is verified against what was actually written before any
-// decoding runs. encDelta is a copy/literal diff of the raw block against the
-// same shard's section in a base segment named by the super-header; it
-// decodes back to the exact raw bytes, raw checksum included.
+// implement with ErrBadVersion. encRaw is bit-for-bit a v1 shard block.
+// encPacked is the same block with empty slots elided and every field
+// varint-packed; its header checksum word covers the packed bytes on disk
+// (not the decoded raw form), so integrity is verified against what was
+// actually written before any decoding runs.
 const (
 	encRaw    byte = 0
 	encPacked byte = 1
-	encDelta  byte = 2
 )
 
 const (
@@ -33,11 +30,6 @@ const (
 	// packThreshold ever grows, while a corrupt header cannot demand an
 	// unbounded allocation.
 	maxPackedRaw = 8 << 20
-
-	// deltaMinCopy is the shortest run of bytes matching the base worth
-	// switching out of a literal for. Below it the two varint op lengths
-	// cost more than the bytes they save.
-	deltaMinCopy = 32
 )
 
 // zigzag maps signed to unsigned so small-magnitude values of either sign
@@ -46,7 +38,7 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// varReader decodes the varint streams of packed and delta sections with a
+// varReader decodes the varint stream of a packed section with a
 // sticky error, so decode loops stay straight-line and every malformed input
 // surfaces as a typed error instead of a panic.
 type varReader struct {
@@ -292,159 +284,26 @@ func unpackBlock(data []byte, path string, verify bool) ([]byte, error) {
 	return raw, nil
 }
 
-// appendDeltaBlock appends a delta of raw against base to dst: a uvarint raw
-// size, then alternating copy/literal ops — uvarint copy length (bytes taken
-// from base at the same offset) and uvarint literal length plus the literal
-// bytes — with both cursors advancing in lockstep. Offsets never appear in
-// the stream: a round that rewrites few keys leaves most slots byte-equal in
-// place, which is exactly what aligned copies capture.
-func appendDeltaBlock(dst, raw, base []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(raw)))
-	limit := len(raw)
-	if len(base) < limit {
-		limit = len(base)
-	}
-	i := 0
-	for i < len(raw) {
-		j := i
-		for j < limit && raw[j] == base[j] {
-			j++
-		}
-		if j-i < deltaMinCopy && j < len(raw) {
-			j = i
-		}
-		dst = binary.AppendUvarint(dst, uint64(j-i))
-		i = j
-		if i == len(raw) {
-			break
-		}
-		// Literal run: until the next base match long enough to pay for
-		// its op, or the end of the block.
-		k := i
-		for k < len(raw) {
-			if k < limit && raw[k] == base[k] {
-				e := k
-				for e < limit && raw[e] == base[e] && e-k < deltaMinCopy {
-					e++
-				}
-				if e-k >= deltaMinCopy {
-					break
-				}
-				k = e
-				continue
-			}
-			k++
-		}
-		dst = binary.AppendUvarint(dst, uint64(k-i))
-		dst = append(dst, raw[i:k]...)
-		i = k
-	}
-	return dst
-}
-
-// undeltaBlock reconstructs the raw shard block a delta section encodes,
-// reading copy ops out of base. The declared raw size is bounded by what
-// base plus the literal bytes present could possibly cover, so a corrupt
-// size cannot demand an unbounded allocation; the decoded bytes still run
-// through parseShardBlock, whose checksum verifies the reconstruction
-// against the base actually on disk.
-func undeltaBlock(data, base []byte, path string) ([]byte, error) {
-	r := &varReader{data: data, path: path}
-	rawSize := r.uvarint()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if rawSize > uint64(len(base))+uint64(len(data)) {
-		return nil, fmt.Errorf("%w: %s: delta section declares %d raw bytes over a %d-byte base",
-			ErrBadGeometry, path, rawSize, len(base))
-	}
-	raw := make([]byte, rawSize)
-	pos := uint64(0)
-	for pos < rawSize {
-		copyLen := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if copyLen > rawSize-pos || pos+copyLen > uint64(len(base)) {
-			return nil, fmt.Errorf("%w: %s: delta copy of %d bytes at %d outside block or base",
-				ErrBadGeometry, path, copyLen, pos)
-		}
-		copy(raw[pos:], base[pos:pos+copyLen])
-		pos += copyLen
-		if pos == rawSize {
-			break
-		}
-		litLen := r.uvarint()
-		if r.err != nil {
-			return nil, r.err
-		}
-		if litLen > rawSize-pos {
-			return nil, fmt.Errorf("%w: %s: delta literal of %d bytes at %d outside block",
-				ErrBadGeometry, path, litLen, pos)
-		}
-		if copyLen == 0 && litLen == 0 {
-			return nil, fmt.Errorf("%w: %s: empty delta op at %d", ErrBadGeometry, path, pos)
-		}
-		if uint64(r.remaining()) < litLen {
-			return nil, fmt.Errorf("%w: %s: delta literal cut short", ErrTruncated, path)
-		}
-		copy(raw[pos:], r.data[r.pos:r.pos+int(litLen)])
-		r.pos += int(litLen)
-		pos += litLen
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %s: %d trailing bytes in delta section",
-			ErrBadGeometry, path, r.remaining())
-	}
-	return raw, nil
-}
-
-// sectionScratch holds the reusable buffers of one encodeSection caller. The
-// returned section aliases the scratch, so a caller reusing scratch across
-// sections must consume each result before encoding the next.
-type sectionScratch struct {
-	raw []byte
-	enc []byte
-	del []byte
-}
-
-// encodeSection serializes shard i of s under the segment options: the raw
-// block always, a packed candidate when compression is on and the section is
-// small enough to decode at open, and a delta candidate when a base segment
-// with the same placement salt is available. The smallest wins; ties keep
-// the cheaper decode (raw over packed over delta). The choice is a pure
-// function of the store and options, never of scheduling.
-func encodeSection(s *Store, i int, o segOpts, sc *sectionScratch) ([]byte, byte) {
-	if sc == nil {
-		sc = &sectionScratch{}
-	}
+// encodeSection appends shard i of s to dst[:0] under the segment options and
+// returns the section with its encoding: packed when compression is on, the
+// section is small enough to decode at open, and packing is smaller than the
+// raw block; raw otherwise (a tie keeps raw, the cheaper decode). The choice
+// is a pure function of the store and options, never of scheduling. A caller
+// reusing dst across sections must consume each result before encoding the
+// next.
+func encodeSection(dst []byte, s *Store, i int, o segOpts) ([]byte, byte) {
 	sh := &s.shards[i]
 	n := shardBlockBytes(sh)
-	packable := o.compress && n <= packThreshold
-	var deltaBase []byte
-	if o.compress && o.base != nil && o.base.salt == s.salt && i < len(o.base.sections) {
-		deltaBase = o.base.sections[i]
-	}
-	if packable {
+	if o.compress && n <= packThreshold {
 		// Pack straight from the shard index; the raw size is known from
 		// geometry alone, so when packing wins (the common case — slot
 		// tables run at most half full) the raw block is never built.
-		sc.enc = packShard(sc.enc[:0], sh, i, len(s.shards), s.salt)
-		if len(sc.enc) < n && deltaBase == nil {
-			return sc.enc, encPacked
+		dst = packShard(dst[:0], sh, i, len(s.shards), s.salt)
+		if len(dst) < n {
+			return dst, encPacked
 		}
 	}
-	sc.raw = growBytes(sc.raw[:0], n)
-	fillShardBlock(sc.raw, sh, i, len(s.shards), s.salt)
-	best, enc := sc.raw, encRaw
-	if packable && len(sc.enc) < len(best) {
-		best, enc = sc.enc, encPacked
-	}
-	if deltaBase != nil {
-		sc.del = appendDeltaBlock(sc.del[:0], sc.raw, deltaBase)
-		if len(sc.del) < len(best) {
-			best, enc = sc.del, encDelta
-		}
-	}
-	return best, enc
+	dst = growBytes(dst[:0], n)
+	fillShardBlock(dst, sh, i, len(s.shards), s.salt)
+	return dst, encRaw
 }

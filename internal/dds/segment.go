@@ -25,45 +25,36 @@ import (
 //	  [16:24)  placement salt, uint64
 //	  [24:32)  total pairs, uint64
 //	  [32:40)  total file size in bytes, uint64
-//	  [40:48)  delta base sequence, uint64 (all-ones when no section is
-//	           delta-encoded): the store-NNNNNN.seg in the same directory
-//	           that delta sections decode against
+//	  [40:48)  reserved, written all-ones, ignored on read
 //	  [48:56)  reserved, zero
 //	  [56:64)  checksum, uint64 over header[0:56] ++ section table
 //	section table  shard count * 24-byte entries
 //	  [0:8)    section offset from the start of the file, uint64
 //	  [8:16)   section length in bytes, uint64
-//	  [16]     section encoding (encRaw, encPacked, encDelta)
+//	  [16]     section encoding (encRaw, encPacked)
 //	  [17:24)  reserved, zero
 //	sections  one per shard, contiguous and in shard order
 //
 // A raw section is bit-for-bit a v1 shard block (64-byte shard header, slot
 // records, slab records) keeping its own checksum and slot/slab geometry, so
 // it validates independently and the mmap'd read path probes the block's
-// bytes in place. Packed and delta sections (segcodec.go) decode
-// back to raw blocks before the same structural validation runs. A delta
-// section reconstructs the raw bytes exactly, raw checksum included; a
-// packed section instead carries a checksum over its own packed bytes, so a
-// verifying open checks integrity against what is on disk before decoding
-// and the decoded block parses with its checksum skipped. Sections must start
-// immediately after the table and tile the file exactly; a table whose
-// offsets are swapped, overlapping or gapped is rejected as ErrBadGeometry
-// before any section is read.
-//
-// Delta chains are one level deep: a base segment must itself contain no
-// delta sections, so opening any segment touches at most two files.
+// bytes in place. A packed section (segcodec.go) decodes back to a raw block
+// before the same structural validation runs; it carries a checksum over its
+// own packed bytes, so a verifying open checks integrity against what is on
+// disk before decoding and the decoded block parses with its checksum
+// skipped. Every segment is self-contained. Sections must start immediately
+// after the table and tile the file exactly; a table whose offsets are
+// swapped, overlapping or gapped is rejected as ErrBadGeometry before any
+// section is read.
 //
 // Versioning rules match the shard format: the magic never changes, layout
-// changes bump the version, readers reject versions they do not implement.
+// changes bump the version, readers reject versions (and section encodings)
+// they do not implement.
 const (
 	segmentMagic   = "AMPCSEGM"
 	segmentVersion = 3
 	segTableEntry  = 24
 	segFileFmt     = "store-%06d.seg"
-
-	// noBaseSeq in the super-header's base field marks a segment with no
-	// delta sections — self-contained, usable as a delta base.
-	noBaseSeq = ^uint64(0)
 
 	// segStreamThreshold is the estimated raw size beyond which
 	// writeSegment streams sections to the file one at a time through a
@@ -73,14 +64,9 @@ const (
 	segStreamThreshold = 64 << 20
 )
 
-// ErrMissingBase reports a delta-encoded section whose base segment is
-// absent, unreadable, or unusable (for example, itself delta-encoded). The
-// segment is not self-contained; reads cannot be answered without the base.
-var ErrMissingBase = errors.New("dds: delta base segment missing")
-
 // SectionError locates a validation failure inside one section of a segment
 // file. It wraps the section's underlying typed error — ErrChecksum,
-// ErrTruncated, ErrBadGeometry, ErrMissingBase, ... — so errors.Is sees
+// ErrTruncated, ErrBadGeometry, ErrBadVersion, ... — so errors.Is sees
 // through it, and errors.As recovers which shard's section is damaged.
 type SectionError struct {
 	Section int
@@ -93,16 +79,11 @@ func (e *SectionError) Error() string {
 
 func (e *SectionError) Unwrap() error { return e.Err }
 
-// segOpts selects how appendSegment encodes sections. The zero value writes
-// every section raw (AppendSegment). compress enables packed sections — what
-// disk and wire both carry; a non-nil base additionally
-// offers delta encoding against it (the publisher's previous durable
-// generation, reopened trusted). baseSeq is the base's segment sequence,
-// recorded in the super-header iff a section actually chose delta.
+// segOpts selects how appendSegment encodes and writeSegment stores a
+// segment. The zero value writes every section raw (AppendSegment) and
+// fsyncs; compress enables packed sections — what disk and wire both carry.
 type segOpts struct {
 	compress bool
-	base     *FileStore
-	baseSeq  uint64
 
 	// nosync skips the file and directory fsyncs after the atomic rename.
 	// Write-behind publishes set it: a mid-run generation is superseded and
@@ -114,38 +95,26 @@ type segOpts struct {
 	nosync bool
 }
 
-// segStats reports what the section encoder chose for one segment.
-type segStats struct {
-	// usedDelta: some section delta-encoded against o.base, which must
-	// then stay alive on disk for readers.
-	usedDelta bool
-	// allRaw: every section is raw, so an open serves reads straight from
-	// the mapping with no decode. The publisher's barrier uses this to
-	// decide whether swapping reads onto the segment buys anything.
-	allRaw bool
-}
-
 // AppendSegment serializes s as a segment into buf and returns the extended
 // slice. Every section is raw — the uncompressed form, which SegmentSections
 // slices — and serialization is deterministic: the same store produces
 // identical bytes into a fresh or recycled buffer, with per-shard sections
 // filling in parallel for large stores.
 func AppendSegment(buf []byte, s *Store) []byte {
-	buf, _ = appendSegment(buf, s, segOpts{}, nil)
+	buf, _ = appendSegment(buf, s, segOpts{})
 	return buf
 }
 
-// appendSegment is AppendSegment with encoding options and a scheduling
-// hook: a non-nil run schedules the per-shard section encodes (a synchronous
-// publisher passes the runtime's pinned worker scheduler, so the worker that
-// built a shard's index serializes its section). The bytes never depend on
-// the schedule.
-func appendSegment(buf []byte, s *Store, o segOpts, run Parallel) ([]byte, segStats) {
+// appendSegment is AppendSegment with encoding options. It also reports
+// whether every section is raw, so an open serves reads straight from the
+// mapping with no decode — the publisher's barrier uses this to decide
+// whether swapping reads onto the segment buys anything.
+func appendSegment(buf []byte, s *Store, o segOpts) ([]byte, bool) {
 	p := len(s.shards)
 	parts := make([][]byte, p)
 	encs := make([]byte, p)
-	dispatch(p, buildWorkers(s.pairs), run, func(i int) {
-		parts[i], encs[i] = encodeSection(s, i, o, nil)
+	dispatch(p, buildWorkers(s.pairs), nil, func(i int) {
+		parts[i], encs[i] = encodeSection(nil, s, i, o)
 	})
 	base := len(buf)
 	total := headerBytes + p*segTableEntry
@@ -157,7 +126,7 @@ func appendSegment(buf []byte, s *Store, o segOpts, run Parallel) ([]byte, segSt
 	table := seg[headerBytes : headerBytes+p*segTableEntry]
 	clear(table)
 	off := headerBytes + p*segTableEntry
-	st := segStats{allRaw: true}
+	allRaw := true
 	for i := 0; i < p; i++ {
 		e := table[i*segTableEntry:]
 		le.PutUint64(e[0:], uint64(off))
@@ -165,18 +134,13 @@ func appendSegment(buf []byte, s *Store, o segOpts, run Parallel) ([]byte, segSt
 		e[16] = encs[i]
 		copy(seg[off:], parts[i])
 		off += len(parts[i])
-		if encs[i] != encRaw {
-			st.allRaw = false
-		}
-		if encs[i] == encDelta {
-			st.usedDelta = true
-		}
+		allRaw = allRaw && encs[i] == encRaw
 	}
-	fillSegmentHeader(seg[:headerBytes], s, o, table, uint64(off), st.usedDelta)
-	return buf, st
+	fillSegmentHeader(seg[:headerBytes], s, table, uint64(off))
+	return buf, allRaw
 }
 
-func fillSegmentHeader(h []byte, s *Store, o segOpts, table []byte, size uint64, usedDelta bool) {
+func fillSegmentHeader(h []byte, s *Store, table []byte, size uint64) {
 	clear(h)
 	copy(h[0:8], segmentMagic)
 	le.PutUint32(h[8:], segmentVersion)
@@ -184,11 +148,7 @@ func fillSegmentHeader(h []byte, s *Store, o segOpts, table []byte, size uint64,
 	le.PutUint64(h[16:], s.salt)
 	le.PutUint64(h[24:], uint64(s.pairs))
 	le.PutUint64(h[32:], size)
-	baseSeq := uint64(noBaseSeq)
-	if usedDelta {
-		baseSeq = o.baseSeq
-	}
-	le.PutUint64(h[40:], baseSeq)
+	le.PutUint64(h[40:], ^uint64(0)) // reserved: all-ones, as every v3 segment has held
 	le.PutUint64(h[56:], checksum(h[0:56], table))
 }
 
@@ -203,14 +163,14 @@ func segmentRawBytes(s *Store) int {
 }
 
 // WriteSegment serializes s into path through buf (reused when large
-// enough) and returns the possibly-grown buffer. Sections are compressed
-// where that wins (no delta — the caller offered no base). The write is
-// atomic and durable: bytes go to a hidden temp file in path's directory,
-// the file is fsynced, renamed over path, and the directory is fsynced — a
-// crash leaves either no segment or a complete one, never a torn file, and
-// a rename that returned means the segment survives power loss.
+// enough) and returns the possibly-grown buffer. Sections are packed where
+// that wins. The write is atomic and durable: bytes go to a hidden temp file
+// in path's directory, the file is fsynced, renamed over path, and the
+// directory is fsynced — a crash leaves either no segment or a complete one,
+// never a torn file, and a rename that returned means the segment survives
+// power loss.
 func WriteSegment(s *Store, path string, buf []byte) ([]byte, error) {
-	buf, _, err := writeSegment(s, path, buf, segOpts{compress: true}, nil, nil)
+	buf, _, err := writeSegment(s, path, buf, segOpts{compress: true}, nil)
 	return buf, err
 }
 
@@ -218,29 +178,28 @@ func WriteSegment(s *Store, path string, buf []byte) ([]byte, error) {
 // segment was durable (context cancellation or publisher Close).
 var errPublishCancelled = errors.New("dds: segment publish cancelled")
 
-// writeSegment is WriteSegment with encoding options, a cancellation hook —
+// writeSegment is WriteSegment with encoding options and a cancellation hook:
 // when cancelled returns a non-nil error between write chunks, the temp file
-// is removed and the error returned, so no partial segment survives — and
-// the section-encode scheduling hook of appendSegment. Stores whose raw size
-// exceeds segStreamThreshold stream section by section instead of buffering
-// the whole segment; the bytes on disk are identical either way.
-func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func() error, run Parallel) ([]byte, segStats, error) {
+// is removed and the error returned, so no partial segment survives. It
+// reports appendSegment's all-raw fact. Stores whose raw size exceeds
+// segStreamThreshold stream section by section instead of buffering the
+// whole segment; the bytes on disk are identical either way.
+func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func() error) ([]byte, bool, error) {
 	if segmentRawBytes(s) > segStreamThreshold {
-		st, err := streamSegment(s, path, o, cancelled)
-		return buf, st, err
+		allRaw, err := streamSegment(s, path, o, cancelled)
+		return buf, allRaw, err
 	}
-	var st segStats
-	buf, st = appendSegment(buf[:0], s, o, run)
+	buf, allRaw := appendSegment(buf[:0], s, o)
 	dir := filepath.Dir(path)
 	tmp := filepath.Join(dir, "."+filepath.Base(path)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return buf, segStats{}, err
+		return buf, false, err
 	}
-	fail := func(err error) ([]byte, segStats, error) {
+	fail := func(err error) ([]byte, bool, error) {
 		f.Close()
 		os.Remove(tmp)
-		return buf, segStats{}, err
+		return buf, false, err
 	}
 	const chunk = 4 << 20
 	for off := 0; off < len(buf); off += chunk {
@@ -264,22 +223,22 @@ func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func()
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return buf, segStats{}, err
+		return buf, false, err
 	}
 	if cancelled != nil {
 		if err := cancelled(); err != nil {
 			os.Remove(tmp)
-			return buf, segStats{}, err
+			return buf, false, err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return buf, segStats{}, err
+		return buf, false, err
 	}
 	if o.nosync {
-		return buf, st, nil
+		return buf, allRaw, nil
 	}
-	return buf, st, syncDir(dir)
+	return buf, allRaw, syncDir(dir)
 }
 
 // streamSegment writes s to path one section at a time: a zeroed
@@ -288,18 +247,18 @@ func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func()
 // and table (whose checksum needs the final offsets) before fsync and
 // rename. Out-of-core stores publish without ever holding more than one
 // encoded section in memory.
-func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (segStats, error) {
+func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bool, error) {
 	p := len(s.shards)
 	dir := filepath.Dir(path)
 	tmp := filepath.Join(dir, "."+filepath.Base(path)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return segStats{}, err
+		return false, err
 	}
-	fail := func(err error) (segStats, error) {
+	fail := func(err error) (bool, error) {
 		f.Close()
 		os.Remove(tmp)
-		return segStats{}, err
+		return false, err
 	}
 	ht := make([]byte, headerBytes+p*segTableEntry)
 	if _, err := f.Write(ht); err != nil {
@@ -307,15 +266,16 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (se
 	}
 	const chunk = 4 << 20
 	off := uint64(len(ht))
-	st := segStats{allRaw: true}
-	sc := &sectionScratch{}
+	allRaw := true
+	var part []byte
 	for i := 0; i < p; i++ {
 		if cancelled != nil {
 			if err := cancelled(); err != nil {
 				return fail(err)
 			}
 		}
-		part, enc := encodeSection(s, i, o, sc)
+		var enc byte
+		part, enc = encodeSection(part, s, i, o)
 		for w := 0; w < len(part); w += chunk {
 			end := w + chunk
 			if end > len(part) {
@@ -334,15 +294,10 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (se
 		le.PutUint64(e[0:], off)
 		le.PutUint64(e[8:], uint64(len(part)))
 		e[16] = enc
-		if enc != encRaw {
-			st.allRaw = false
-		}
-		if enc == encDelta {
-			st.usedDelta = true
-		}
+		allRaw = allRaw && enc == encRaw
 		off += uint64(len(part))
 	}
-	fillSegmentHeader(ht[:headerBytes], s, o, ht[headerBytes:], off, st.usedDelta)
+	fillSegmentHeader(ht[:headerBytes], s, ht[headerBytes:], off)
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return fail(err)
 	}
@@ -356,26 +311,26 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (se
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return segStats{}, err
+		return false, err
 	}
 	if cancelled != nil {
 		if err := cancelled(); err != nil {
 			os.Remove(tmp)
-			return segStats{}, err
+			return false, err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return segStats{}, err
+		return false, err
 	}
 	if o.nosync {
-		return st, nil
+		return allRaw, nil
 	}
-	return st, syncDir(dir)
+	return allRaw, syncDir(dir)
 }
 
 // syncPath fsyncs one file by path — the close-time durability pass over a
-// run's surviving segments, whose write-behind publishes skipped the
+// run's surviving segment, whose write-behind publish skipped the
 // per-segment fsync.
 func syncPath(path string) error {
 	f, err := os.Open(path)
@@ -413,27 +368,18 @@ func syncDir(dir string) error {
 // section's own checksum and slot-table structure are verified before any
 // read is answered; damage fails with the same typed errors as v1 shard
 // files, wrapped in a SectionError when it is confined to one section.
-// Packed and delta sections decode onto the heap here; delta sections open
-// the base segment named in the super-header, and fail with ErrMissingBase
-// when it is gone or unusable.
+// Packed sections decode onto the heap here.
 func OpenSegment(path string) (*FileStore, error) {
 	return openSegment(path, true)
 }
 
 // openSegment is OpenSegment with the verification toggle. verify=false is
-// the publisher's trusted path for a segment this process serialized and
-// fsynced moments ago: structural bounds are still enforced (slices must
-// stay inside the mapping, packed and delta sections must decode) but
-// checksums and the slot-table scan — a full re-read of bytes that were
-// just written — are skipped.
+// the publisher's trusted path for a segment this process serialized
+// moments ago: structural bounds are still enforced (slices must stay
+// inside the mapping, packed sections must decode) but checksums and the
+// slot-table scan — a full re-read of bytes that were just written — are
+// skipped.
 func openSegment(path string, verify bool) (*FileStore, error) {
-	return openSegmentDepth(path, verify, true)
-}
-
-// openSegmentDepth carries the delta-chain guard: a base segment opens with
-// allowDelta=false, so a chain deeper than one level is rejected instead of
-// recursing across files.
-func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -472,7 +418,6 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 	s.salt = le.Uint64(h[16:])
 	declaredPairs := le.Uint64(h[24:])
 	declaredSize := le.Uint64(h[32:])
-	baseSeq := le.Uint64(h[40:])
 	tableEnd := int64(headerBytes) + int64(count)*segTableEntry
 	if info.Size() < tableEnd {
 		return nil, fmt.Errorf("%w: %s: %d bytes, section table needs %d", ErrTruncated, path, info.Size(), tableEnd)
@@ -498,43 +443,10 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// The base segment of any delta section opens lazily, once, trusted (the
-	// decoded block's own checksum verifies the reconstruction when verify
-	// is on) and closes before return — decoded sections own their bytes.
-	var deltaBase *FileStore
-	defer func() {
-		if deltaBase != nil {
-			deltaBase.Close()
-		}
-	}()
-	baseSection := func(i int) ([]byte, error) {
-		if !allowDelta {
-			return nil, fmt.Errorf("%w: %s: delta section in a base segment (chains are one level deep)", ErrMissingBase, path)
-		}
-		if deltaBase == nil {
-			if baseSeq == noBaseSeq {
-				return nil, fmt.Errorf("%w: %s: delta section but super-header names no base", ErrMissingBase, path)
-			}
-			basePath := filepath.Join(filepath.Dir(path), fmt.Sprintf(segFileFmt, baseSeq))
-			if basePath == path {
-				return nil, fmt.Errorf("%w: %s: segment names itself as base", ErrMissingBase, path)
-			}
-			b, err := openSegmentDepth(basePath, false, false)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: base %s: %v", ErrMissingBase, path, filepath.Base(basePath), err)
-			}
-			deltaBase = b
-		}
-		if i < len(deltaBase.sections) {
-			return deltaBase.sections[i], nil
-		}
-		return nil, nil
-	}
 	s.shards = make([]fileShard, 0, count)
-	s.sections = make([][]byte, 0, count)
 	pairs := uint64(0)
 	for i, sec := range sections {
-		raw, hdr, err := openSection(sec, encs[i], i, baseSection, verify, path)
+		hdr, err := openSection(sec, encs[i], i, verify, path)
 		if err != nil {
 			return nil, &SectionError{Section: i, Err: err}
 		}
@@ -549,7 +461,6 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 			slab:  hdr.slab,
 			size:  hdr.size,
 		})
-		s.sections = append(s.sections, raw)
 	}
 	if pairs != declaredPairs {
 		return nil, fmt.Errorf("%w: %s: sections hold %d pairs, super-header declares %d",
@@ -563,34 +474,23 @@ func openSegmentDepth(path string, verify, allowDelta bool) (*FileStore, error) 
 // openSection decodes one section of encoding enc into the raw shard block
 // it stands for and parses it as shard index — the one section decoder behind
 // both OpenSegment and the shard server's OpenSection. A raw section parses
-// in place (the returned block aliases data); packed and delta sections
-// decode into fresh memory. With verify on, raw and delta sections get the
-// raw checksum and the slot-table scan; a packed section's checksum is
-// checked over the packed bytes before decoding (its checksum word holds the
-// packed sum, so the parse skips the raw one) and the decoded block is then
-// scanned. base returns the raw section a delta decodes against; nil refuses
-// delta sections with ErrMissingBase.
-func openSection(data []byte, enc byte, index int, base func(index int) ([]byte, error), verify bool, path string) ([]byte, shardHeader, error) {
+// in place (the parsed block aliases data); a packed section decodes into
+// fresh memory. With verify on, a raw section gets the raw checksum and the
+// slot-table scan; a packed section's checksum is checked over the packed
+// bytes before decoding (its checksum word holds the packed sum, so the
+// parse skips the raw one) and the decoded block is then scanned. Any other
+// encoding byte is refused with ErrBadVersion.
+func openSection(data []byte, enc byte, index int, verify bool, path string) (shardHeader, error) {
 	raw := data
-	var err error
 	switch enc {
 	case encRaw:
 	case encPacked:
-		raw, err = unpackBlock(data, path, verify)
-	case encDelta:
-		if base == nil {
-			return nil, shardHeader{}, fmt.Errorf("%w: %s: delta section with no base segment to decode against", ErrMissingBase, path)
-		}
-		var b []byte
-		if b, err = base(index); err == nil {
-			raw, err = undeltaBlock(data, b, path)
+		var err error
+		if raw, err = unpackBlock(data, path, verify); err != nil {
+			return shardHeader{}, err
 		}
 	default:
-		err = fmt.Errorf("%w: %s: section encoding %d, reader implements raw/packed/delta", ErrBadVersion, path, enc)
+		return shardHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements raw/packed", ErrBadVersion, path, enc)
 	}
-	if err != nil {
-		return nil, shardHeader{}, err
-	}
-	hdr, err := parseShardBlock(raw, path, index, verify && enc != encPacked, verify)
-	return raw, hdr, err
+	return parseShardBlock(raw, path, index, verify && enc == encRaw, verify)
 }

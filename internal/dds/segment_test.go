@@ -40,7 +40,7 @@ func TestGoldenSegmentFile(t *testing.T) {
 		got  []byte
 	}{
 		{"compressed", goldenSegment, func() []byte {
-			b, _ := appendSegment(nil, goldenStore(), segOpts{compress: true}, nil)
+			b, _ := appendSegment(nil, goldenStore(), segOpts{compress: true})
 			return b
 		}()},
 		{"raw", goldenSegmentRaw, AppendSegment(nil, goldenStore())},
@@ -70,14 +70,14 @@ func TestGoldenSegmentFile(t *testing.T) {
 // encoding: EncodeSections' bytes are the committed compressed golden
 // segment (whose sections TestGoldenShardFiles opens with OpenSection), its
 // sections are packed — the golden shards are tables at most half full — and
-// a delta section, which only a base segment can decode, is refused with
-// ErrMissingBase.
+// an encoding byte the reader does not implement is refused with
+// ErrBadVersion.
 func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
 	want, err := os.ReadFile(goldenSegment)
 	if err != nil {
 		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
 	}
-	seg, _, encs := EncodeSections([]byte("dirty scratch"), goldenStore())
+	seg, sections, encs := EncodeSections([]byte("dirty scratch"), goldenStore())
 	if !bytes.Equal(seg, want) {
 		t.Fatalf("EncodeSections differs from the compressed golden segment (%d vs %d bytes)", len(seg), len(want))
 	}
@@ -85,25 +85,9 @@ func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
 		if enc != encPacked {
 			t.Fatalf("section %d has encoding %d, want packed", i, enc)
 		}
-	}
-
-	seeds := segmentByteSeeds()
-	sections, encs, err := sliceSections(seeds[len(seeds)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	deltas := 0
-	for i, sec := range sections {
-		if encs[i] != encDelta {
-			continue
+		if _, err := OpenSection(sections[i], 2, i); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("section %d as encoding 2: %v, want ErrBadVersion", i, err)
 		}
-		deltas++
-		if _, err := OpenSection(sec, encs[i], i); !errors.Is(err, ErrMissingBase) {
-			t.Fatalf("delta section %d: %v, want ErrMissingBase", i, err)
-		}
-	}
-	if deltas == 0 {
-		t.Fatal("the delta seed segment holds no delta section")
 	}
 }
 
@@ -179,6 +163,10 @@ func TestSegmentCorruption(t *testing.T) {
 			le.PutUint64(b[16:], goldenSalt+1)
 			return fixSegChecksum(b)
 		}, ErrBadGeometry, 0},
+		{"unknown section encoding", func(b []byte) []byte {
+			b[tableAt(0)+16] = 2
+			return fixSegChecksum(b)
+		}, ErrBadVersion, 0},
 		{"pair total disagrees with sections", func(b []byte) []byte {
 			le.PutUint64(b[24:], uint64(len(goldenPairs))+1)
 			return fixSegChecksum(b)
@@ -270,10 +258,10 @@ func TestSegmentSerializationDeterminism(t *testing.T) {
 	}
 }
 
-// TestWriteBehindDeterminism publishes the same chain of stores through
-// every combination of build parallelism (workers 1 vs 8) and publish
-// overlap (write-behind vs sync) and asserts the segment files on disk are
-// byte-identical — write-behind publishing must be invisible in the bytes.
+// TestWriteBehindDeterminism publishes the same chain of stores through the
+// write-behind publisher at build parallelism 1 and 8 and asserts every
+// segment file on disk is byte-identical to WriteSegment's bytes for the same
+// store — write-behind publishing must be invisible in the bytes.
 func TestWriteBehindDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(5150))
 	rounds := make([][]KV, 4)
@@ -281,55 +269,49 @@ func TestWriteBehindDeterminism(t *testing.T) {
 		rounds[i] = randomPairs(r, 3000+500*i, 4)
 	}
 	const p = 8
+	salt := func(seq int) uint64 { return uint64(seq)*17 + 3 }
 
-	var want [][]byte
-	for _, cfg := range []struct {
-		name    string
-		workers int
-		sync    bool
-	}{
-		{"sync/workers=1", 1, true},
-		{"sync/workers=8", 8, true},
-		{"write-behind/workers=1", 1, false},
-		{"write-behind/workers=8", 8, false},
-	} {
+	want := make([][]byte, len(rounds))
+	for seq, pairs := range rounds {
+		path := filepath.Join(t.TempDir(), "store.seg")
+		if _, err := WriteSegment(NewStore(pairs, p, salt(seq)), path, nil); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[seq] = data
+	}
+	for _, workers := range []int{1, 8} {
 		pub := NewFilePublisher(t.TempDir())
 		var backends []StoreBackend
-		pub.SetSync(cfg.sync)
 		for seq, pairs := range rounds {
-			b, err := pub.Publish(seq, buildStore([][]KV{pairs}, p, uint64(seq)*17+3, cfg.workers, nil, nil, nil))
+			b, err := pub.Publish(seq, buildStore([][]KV{pairs}, p, salt(seq), workers, nil, nil, nil))
 			if err != nil {
-				t.Fatalf("%s: publish %d: %v", cfg.name, seq, err)
+				t.Fatalf("workers=%d: publish %d: %v", workers, seq, err)
 			}
 			backends = append(backends, b)
 		}
 		if err := pub.Barrier(); err != nil {
-			t.Fatalf("%s: barrier: %v", cfg.name, err)
+			t.Fatalf("workers=%d: barrier: %v", workers, err)
 		}
-		got := make([][]byte, len(rounds))
 		for seq := range rounds {
-			data, err := os.ReadFile(filepath.Join(pub.Dir(), fmt.Sprintf(segFileFmt, seq)))
+			got, err := os.ReadFile(filepath.Join(pub.Dir(), fmt.Sprintf(segFileFmt, seq)))
 			if err != nil {
-				t.Fatalf("%s: store %d: %v", cfg.name, seq, err)
+				t.Fatalf("workers=%d: store %d: %v", workers, seq, err)
 			}
-			got[seq] = data
+			if !bytes.Equal(got, want[seq]) {
+				t.Errorf("workers=%d: store %d segment differs from WriteSegment's", workers, seq)
+			}
 		}
 		for _, b := range backends {
 			if err := b.Close(); err != nil {
-				t.Fatalf("%s: close backend: %v", cfg.name, err)
+				t.Fatalf("workers=%d: close backend: %v", workers, err)
 			}
 		}
 		if err := pub.Close(); err != nil {
-			t.Fatalf("%s: close publisher: %v", cfg.name, err)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		for seq := range rounds {
-			if !bytes.Equal(got[seq], want[seq]) {
-				t.Errorf("%s: store %d segment differs from sync/workers=1", cfg.name, seq)
-			}
+			t.Fatalf("workers=%d: close publisher: %v", workers, err)
 		}
 	}
 }

@@ -137,10 +137,10 @@ func TestPutFrameAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestPutRefusesDelta: a section marked delta-encoded (dds's encoding byte 2)
-// decodes only against a base segment the server does not hold, so the put
-// fails with dds.ErrMissingBase and installs nothing.
-func TestPutRefusesDelta(t *testing.T) {
+// TestPutRefusesUnknownEncoding: a section whose encoding byte is neither raw
+// (0) nor packed (1) is one the reader does not implement, so the put fails
+// with dds.ErrBadVersion and installs nothing.
+func TestPutRefusesUnknownEncoding(t *testing.T) {
 	s, err := NewServer(ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +149,11 @@ func TestPutRefusesDelta(t *testing.T) {
 	_, sections, encs := dds.EncodeSections(nil, dds.NewStore(testPairs(100), 2, 0x5eed))
 	encs[1] = 2
 	err = s.handlePut((&client{run: 7}).appendPut(nil, 1, []int{0, 1}, sections, encs))
-	if !errors.Is(err, dds.ErrMissingBase) {
-		t.Fatalf("delta put: %v, want ErrMissingBase", err)
+	if !errors.Is(err, dds.ErrBadVersion) {
+		t.Fatalf("put with encoding 2: %v, want ErrBadVersion", err)
 	}
 	if len(s.gens) != 0 {
-		t.Fatal("a frame with a delta section installed a generation")
+		t.Fatal("a frame with an unknown section encoding installed a generation")
 	}
 }
 
