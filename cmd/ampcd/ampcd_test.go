@@ -296,6 +296,41 @@ func TestDaemonCancel(t *testing.T) {
 	}
 }
 
+// TestDaemonDegenerateSpecs submits generator specs outside their
+// generators' contracts: each must get a prompt 400 naming the reason, not
+// a hung request (cgnm's rejection sampling on a too-dense spec) or an
+// empty reply (a generator panic recovered by net/http).
+func TestDaemonDegenerateSpecs(t *testing.T) {
+	_, base := testServer(t)
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, tc := range []struct {
+		spec graphSpec
+		want string
+	}{
+		{graphSpec{Kind: "cgnm", N: 3}, "exceeds n(n-1)/2"},
+		{graphSpec{Kind: "gnm", N: 1}, "exceeds n(n-1)/2"},
+		{graphSpec{Kind: "cgnm", N: 100, M: 50}, "below n-1"},
+		{graphSpec{Kind: "cycle2", N: 7}, "even n >= 6"},
+		{graphSpec{Kind: "forest", N: 5}, "trees=10 exceeds n=5"},
+		{graphSpec{Kind: "gnm", N: 10, M: -1}, "negative"},
+	} {
+		body, _ := json.Marshal(submitRequest{Algo: "connectivity", Graph: &tc.spec})
+		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := decodeJSON(resp, http.StatusBadRequest, &e); err != nil {
+			t.Fatalf("%+v: %v", tc.spec, err)
+		}
+		if !strings.Contains(e.Error, tc.want) {
+			t.Fatalf("%+v: error %q, want it to mention %q", tc.spec, e.Error, tc.want)
+		}
+	}
+}
+
 func TestDaemonBadRequests(t *testing.T) {
 	_, base := testServer(t)
 	var e struct {

@@ -103,6 +103,9 @@ func main() {
 	})
 	job := ampc.Job{Algo: *algo, Check: *check}
 
+	if spec.Input != ampc.InputList && *input == "" {
+		checkSpec(*gkind, *n, *m, *trees)
+	}
 	r := ampc.NewRNG(*seed, 0x7)
 	var workload string
 	var wn, wm int
@@ -234,6 +237,40 @@ func makeGraph(kind string, n, m, trees int, r *ampc.RNG) *ampc.Graph {
 		fmt.Fprintf(os.Stderr, "unknown -graph %q\n", kind)
 		os.Exit(2)
 		return nil
+	}
+}
+
+// checkSpec exits 2 with the reason when (n, m, trees) falls outside the
+// -graph generator's contract — where the generator would panic, or for
+// cgnm once spun forever.
+func checkSpec(kind string, n, m, trees int) {
+	maxM := n * (n - 1) / 2
+	if kind == "skew" {
+		h := ampc.HubCount(n)
+		maxM = h*(n-h) + h*(h-1)/2
+	}
+	var err error
+	switch {
+	case m < 0:
+		err = fmt.Errorf("-m %d is negative", m)
+	case (kind == "gnm" || kind == "cgnm" || kind == "powerlaw" || kind == "skew") && m > maxM:
+		err = fmt.Errorf("-graph %s: -m %d exceeds the %d distinct edges n=%d allows", kind, m, maxM, n)
+	case kind == "cgnm" && m < n-1:
+		err = fmt.Errorf("-graph cgnm: -m %d is below n-1=%d, too few edges to connect n=%d", m, n-1, n)
+	case kind == "mgnm" && n < 2:
+		err = fmt.Errorf("-graph mgnm: needs -n >= 2, got %d", n)
+	case (kind == "path" || kind == "star" || kind == "tree") && n < 1:
+		err = fmt.Errorf("-graph %s: needs -n >= 1, got %d", kind, n)
+	case kind == "cycle" && n < 3:
+		err = fmt.Errorf("-graph cycle: needs -n >= 3, got %d", n)
+	case kind == "cycle2" && (n < 6 || n%2 != 0):
+		err = fmt.Errorf("-graph cycle2: needs even -n >= 6, got %d", n)
+	case kind == "forest" && (trees < 1 || trees > n):
+		err = fmt.Errorf("-graph forest: needs 1 <= -trees <= n, got trees=%d n=%d", trees, n)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 }
 

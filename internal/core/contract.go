@@ -97,7 +97,7 @@ func since(acc *time.Duration, start time.Time) { *acc += time.Since(start) }
 
 // flatDriver is the master's working set for the contraction algorithms
 // (connectivity, its streamed variant, MSF, affinity): the dense
-// vertex-indexed contraction maps, the sort buffer contraction runs in, the
+// vertex-indexed contraction maps, the sort buffers contraction runs in, the
 // two CSR buffers Gc alternates between, and the read-back buffers. All of
 // it is allocated once per run and reused by every phase, so a phase costs
 // no allocation proportional to the live graph.
@@ -110,14 +110,20 @@ type flatDriver struct {
 	target []int32
 	leader []bool
 
-	keys []uint64 // unweighted contraction: packed directed edges
-	recs []wrec   // weighted contraction: directed edges with weights
-	bufs [2]contracted
+	// keys holds an unweighted contraction's packed directed edges, which
+	// sortKeys orders through sorted (as long as keys) and counts (n+1).
+	keys   []uint64
+	sorted []uint64
+	counts []int32
+	recs   []wrec // weighted contraction: directed edges with weights
+	bufs   [2]contracted
 
 	// compactAt is how many records a streamed contraction collects before
 	// it first sorts and dedups them in place (streamCompactAt; tests
-	// lower it).
-	compactAt int
+	// lower it); limit is the threshold in flight. collect is collectEdge,
+	// bound once so a replay allocates nothing.
+	compactAt, limit int
+	collect          func(u, v int)
 
 	order []int32 // the phase's shuffled exploration order
 
@@ -259,40 +265,49 @@ func (d *flatDriver) contract(gc *contracted, m2 []int) *contracted {
 // materialized Gc: the first contraction of a streamed run (live is the
 // ingest's vertex list), or — with target still the identity and live nil —
 // the plain materialization of a small stream, multigraph edges deduped.
-// Streams are unweighted, so this is for unweighted drivers only. Records are deduplicated in place whenever they have doubled since the
-// last time (from compactAt on), so the memory high-water mark is a
-// constant plus twice the deduped contracted graph — never the input, and
-// never a hash set over it.
+// Streams are unweighted, so this is for unweighted drivers only.
+// Records are sorted and deduplicated in place whenever they have doubled
+// since the last time (from compactAt on). The high-water mark is therefore
+// a constant plus a small multiple of the deduped contracted graph (the keys
+// and their sort scratch): never the input, and never a hash set over it.
 func (d *flatDriver) contractStream(es graph.EdgeStream, live []int32, m2 []int) *contracted {
 	defer since(&d.times.contract, time.Now())
 	d.relabel(m2)
-	target := d.target
-	limit := d.compactAt
-	d.keys = slices.Grow(d.keys[:0], min(2*es.M(), limit))
-	es.Each(func(u, v int) {
-		tu, tv := target[u], target[v]
-		if tu == tv {
-			return
-		}
-		if len(d.keys) >= limit {
-			slices.Sort(d.keys)
-			d.keys = slices.Compact(d.keys)
-			limit = max(limit, 2*len(d.keys))
-		}
-		d.keys = append(d.keys, pack(tu, tv), pack(tv, tu))
-	})
+	d.limit = d.compactAt
+	d.keys = slices.Grow(d.keys[:0], min(2*es.M(), d.limit))
+	if d.collect == nil {
+		d.collect = d.collectEdge
+	}
+	es.Each(d.collect)
 	d.restoreTargets(live)
 	return d.build(&d.bufs[0])
 }
 
-// build turns the collected directed-edge records into CSR in out: one sort
-// groups them by source and, within a source, by destination (then weight),
-// a single pass drops the duplicates, and — weighted graphs only — each
-// adjacency run is then ordered by (weight, id).
+// collectEdge is contractStream's edge callback: it maps one streamed edge
+// through target into two packed keys, compacting first when the keys
+// reach limit.
+func (d *flatDriver) collectEdge(u, v int) {
+	tu, tv := d.target[u], d.target[v]
+	if tu == tv {
+		return
+	}
+	if len(d.keys) >= d.limit {
+		d.sortKeys()
+		d.keys = slices.Compact(d.keys)
+		d.limit = max(d.limit, 2*len(d.keys))
+	}
+	d.keys = append(d.keys, pack(tu, tv), pack(tv, tu))
+}
+
+// build turns the collected directed-edge records into CSR in out. The
+// records are ordered by source and, within a source, by destination (then
+// weight): sortKeys' counting passes for packed keys, a comparison sort for
+// weighted records. A single pass drops the duplicates, and — weighted
+// graphs only — each adjacency run is then ordered by (weight, id).
 func (d *flatDriver) build(out *contracted) *contracted {
 	out.reset()
 	if !d.weighted {
-		slices.Sort(d.keys)
+		d.sortKeys()
 		out.to = slices.Grow(out.to, len(d.keys))
 		// Ids fit 31 bits, so ^0 equals no packed pair and shares no source.
 		prev := ^uint64(0)
@@ -351,6 +366,34 @@ func (d *flatDriver) build(out *contracted) *contracted {
 	}
 	out.offs = append(out.offs, len(out.to))
 	return out
+}
+
+// sortKeys sorts keys ascending with two stable counting passes: by
+// destination into sorted, then by source back into keys. Both halves of a
+// packed key are vertex ids below len(target), so each pass has one bucket
+// per id and the result is exactly slices.Sort's, in O(keys + n) per pass.
+// Counts are int32: a contraction holds fewer than 2^31 records.
+func (d *flatDriver) sortKeys() {
+	d.sorted = resized(d.sorted, len(d.keys))
+	d.counts = resized(d.counts, len(d.target)+1)
+	countingPass(d.keys, d.sorted, d.counts, 0)
+	countingPass(d.sorted, d.keys, d.counts, 32)
+}
+
+// countingPass scatters src into dst stably by the 32-bit id at shift.
+func countingPass(src, dst []uint64, counts []int32, shift uint) {
+	clear(counts)
+	for _, k := range src {
+		counts[uint32(k>>shift)+1]++
+	}
+	for i := 1; i < len(counts); i++ {
+		counts[i] += counts[i-1]
+	}
+	for _, k := range src {
+		b := uint32(k >> shift)
+		dst[counts[b]] = k
+		counts[b]++
+	}
 }
 
 // shuffled returns the live vertices in the phase's exploration order: a

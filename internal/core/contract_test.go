@@ -157,21 +157,46 @@ func randomTarget(verts []int32, shape int, r *rng.RNG) map[int]int {
 	return target
 }
 
+// wideTrials is how many trials of each reference test run in the wide
+// band: ids of 17 bits, so both halves of a packed key span more than one
+// 16-bit digit, with the top id n-1 live.
+const wideTrials = 16
+
+// wideN draws a wide-band vertex count in [2^16, 2^17).
+func wideN(r *rng.RNG) int { return 1<<16 + r.Intn(1<<16) }
+
+// withTopEdge adds an edge from a random vertex to n-1 when edges lacks one.
+func withTopEdge(n int, edges []graph.WeightedEdge, r *rng.RNG) []graph.WeightedEdge {
+	for _, e := range edges {
+		if e.V == n-1 {
+			return edges
+		}
+	}
+	return append(edges, graph.WeightedEdge{U: r.Intn(n - 1), V: n - 1, Weight: int64(len(edges) + 1)})
+}
+
 // TestContractMatchesReference drives the flat contraction and the map-based
 // reference side by side through chains of random contractions — weighted
 // and not, over every target shape — and requires identical vertex lists,
 // adjacency order, weights and relabeling after every step. Chaining three
-// steps also covers the CSR double buffer and the restored dense maps.
+// steps also covers the CSR double buffer and the restored dense maps. The
+// last wideTrials trials draw sparse graphs over 17-bit ids.
 func TestContractMatchesReference(t *testing.T) {
 	r := rng.New(300, 0)
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 400+wideTrials; trial++ {
 		weighted := trial%2 == 0
 		n := 2 + r.Intn(40)
 		m := r.Intn(n * (n - 1) / 2)
 		if m > 3*n {
 			m = 3 * n
 		}
+		if trial >= 400 {
+			n, m = wideN(r), 50+r.Intn(300)
+		}
 		edges := randomWeightedEdges(n, m, trial%4 == 0, r)
+		if trial >= 400 {
+			edges = withTopEdge(n, edges, r)
+		}
 		what := fmt.Sprintf("trial %d (n=%d m=%d weighted=%v)", trial, n, m, weighted)
 
 		d, err := newFlatDriver(n, weighted, 1)
@@ -241,15 +266,40 @@ func TestContractMergesAndDedups(t *testing.T) {
 	}
 }
 
+// edgeList replays a fixed multigraph edge list as a stream.
+type edgeList struct {
+	n     int
+	edges []graph.Edge
+}
+
+func (s edgeList) N() int { return s.n }
+func (s edgeList) M() int { return len(s.edges) }
+func (s edgeList) Each(emit func(u, v int)) {
+	for _, e := range s.edges {
+		emit(e.U, e.V)
+	}
+}
+
 // TestContractStreamMatchesReference replays multigraph streams (duplicate
 // edges included) through contractStream under the identity map — the
 // materialize shortcut — and under a random contraction, against the
-// reference fed the same edges; odd trials force the in-flight dedup.
+// reference fed the same edges; odd trials force the in-flight dedup. The
+// last wideTrials trials stream over 17-bit ids with the top id n-1 live.
 func TestContractStreamMatchesReference(t *testing.T) {
 	r := rng.New(301, 0)
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 60+wideTrials; trial++ {
 		n := 2 + r.Intn(50)
 		es := graph.StreamGNM(n, r.Intn(6*n), uint64(trial))
+		if trial >= 60 {
+			n = wideN(r)
+			wide := edgeList{n: n}
+			graph.StreamGNM(n, 100+r.Intn(300), uint64(trial)).Each(func(u, v int) {
+				wide.edges = append(wide.edges, graph.Edge{U: u, V: v})
+			})
+			top := graph.Edge{U: r.Intn(n - 1), V: n - 1}
+			wide.edges = append(wide.edges, top, top) // a live top id, duplicated
+			es = wide
+		}
 		ref := &refContracted{adj: make(map[int][]wedge)}
 		id := map[int]int{}
 		var live []int32
@@ -354,10 +404,12 @@ func contractFixture(tb testing.TB, n, m int) (*flatDriver, *contracted, func())
 // TestContractReusesBuffers pins the allocation contract: once the first
 // contraction has sized the driver's buffers, a contraction of the same
 // graph allocates nothing — the per-phase cost is O(1) allocations, not
-// O(n') maps and slices.
+// O(n') maps and slices. The streamed contraction keeps the same contract
+// with its in-flight compaction forced.
 func TestContractReusesBuffers(t *testing.T) {
-	d, gc, setTargets := contractFixture(t, 5000, 20000)
-	m2 := make([]int, 5000)
+	const n = 5000
+	d, gc, setTargets := contractFixture(t, n, 20000)
+	m2 := make([]int, n)
 	contractOnce := func() {
 		for v := range m2 {
 			m2[v] = v
@@ -371,6 +423,30 @@ func TestContractReusesBuffers(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, contractOnce); allocs > 0 {
 		t.Fatalf("a warmed-up contraction allocates %.0f times, want 0", allocs)
 	}
+
+	es := graph.StreamGNM(n, 40000, 304)
+	ds, err := newFlatDriver(n, false, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.compactAt = 1024
+	live := make([]int32, n)
+	for v := range live {
+		live[v] = int32(v)
+	}
+	streamOnce := func() {
+		for v := range m2 {
+			m2[v] = v
+			ds.target[v] = int32(v - v%3) // every vertex joins a multiple of 3
+		}
+		if next := ds.contractStream(es, live, m2); next.edges() == 0 || 3*len(next.verts) > n+2 {
+			t.Fatalf("streamed contraction left %d vertices, %d edges", len(next.verts), next.edges())
+		}
+	}
+	streamOnce()
+	if allocs := testing.AllocsPerRun(5, streamOnce); allocs > 0 {
+		t.Fatalf("a warmed-up streamed contraction allocates %.0f times, want 0", allocs)
+	}
 }
 
 func BenchmarkContract(b *testing.B) {
@@ -381,6 +457,34 @@ func BenchmarkContract(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		setTargets()
 		if next := d.contract(gc, m2); next.edges() == 0 {
+			b.Fatal("contraction emptied the graph")
+		}
+	}
+}
+
+// BenchmarkContractStream is the first contraction of the benchmark's
+// streamed multigraph cell (10^4 vertices, 100 edges per vertex) at a fifth
+// of its edges: every vertex joins a multiple of 3.
+func BenchmarkContractStream(b *testing.B) {
+	const n = 10000
+	es := graph.StreamGNM(n, 200000, 1)
+	d, err := newFlatDriver(n, false, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := make([]int32, n)
+	m2 := make([]int, n)
+	for v := range live {
+		live[v] = int32(v)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := range m2 {
+			m2[v] = v
+			d.target[v] = int32(v - v%3)
+		}
+		if next := d.contractStream(es, live, m2); next.edges() == 0 {
 			b.Fatal("contraction emptied the graph")
 		}
 	}

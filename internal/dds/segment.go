@@ -57,10 +57,10 @@ const (
 	segFileFmt     = "store-%06d.seg"
 
 	// segStreamThreshold is the estimated raw size beyond which
-	// writeSegment streams sections to the file one at a time through a
-	// reused scratch instead of assembling the whole segment in memory,
-	// keeping the publish-path allocation O(largest section) for
-	// out-of-core stores.
+	// writeSegment streams sections to the file a window at a time through
+	// reused per-worker scratch instead of assembling the whole segment in
+	// memory, keeping the publish-path allocation O(workers × largest
+	// section) for out-of-core stores.
 	segStreamThreshold = 64 << 20
 )
 
@@ -241,12 +241,12 @@ func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func()
 	return buf, allRaw, syncDir(dir)
 }
 
-// streamSegment writes s to path one section at a time: a zeroed
-// header+table placeholder first, each encoded section through one reused
-// scratch in cancellable chunks, then a seek back to patch the real header
-// and table (whose checksum needs the final offsets) before fsync and
-// rename. Out-of-core stores publish without ever holding more than one
-// encoded section in memory.
+// streamSegment writes s to path in section order: a zeroed header+table
+// placeholder first, then windows of one section per worker, encoded in
+// parallel into reused scratch and written in cancellable chunks, then a
+// seek back to patch the real header and table (whose checksum needs the
+// final offsets) before fsync and rename. Out-of-core stores publish
+// holding at most one encoded section per worker in memory.
 func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bool, error) {
 	p := len(s.shards)
 	dir := filepath.Dir(path)
@@ -267,35 +267,41 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bo
 	const chunk = 4 << 20
 	off := uint64(len(ht))
 	allRaw := true
-	var part []byte
-	for i := 0; i < p; i++ {
+	workers := buildWorkers(s.pairs)
+	parts := make([][]byte, workers)
+	encs := make([]byte, workers)
+	for lo := 0; lo < p; lo += workers {
+		window := min(workers, p-lo)
 		if cancelled != nil {
 			if err := cancelled(); err != nil {
 				return fail(err)
 			}
 		}
-		var enc byte
-		part, enc = encodeSection(part, s, i, o)
-		for w := 0; w < len(part); w += chunk {
-			end := w + chunk
-			if end > len(part) {
-				end = len(part)
-			}
-			if _, err := f.Write(part[w:end]); err != nil {
-				return fail(err)
-			}
-			if cancelled != nil {
-				if err := cancelled(); err != nil {
+		dispatch(window, workers, nil, func(j int) {
+			parts[j], encs[j] = encodeSection(parts[j], s, lo+j, o)
+		})
+		for j, part := range parts[:window] {
+			for w := 0; w < len(part); w += chunk {
+				end := w + chunk
+				if end > len(part) {
+					end = len(part)
+				}
+				if _, err := f.Write(part[w:end]); err != nil {
 					return fail(err)
 				}
+				if cancelled != nil {
+					if err := cancelled(); err != nil {
+						return fail(err)
+					}
+				}
 			}
+			e := ht[headerBytes+(lo+j)*segTableEntry:]
+			le.PutUint64(e[0:], off)
+			le.PutUint64(e[8:], uint64(len(part)))
+			e[16] = encs[j]
+			allRaw = allRaw && encs[j] == encRaw
+			off += uint64(len(part))
 		}
-		e := ht[headerBytes+i*segTableEntry:]
-		le.PutUint64(e[0:], off)
-		le.PutUint64(e[8:], uint64(len(part)))
-		e[16] = enc
-		allRaw = allRaw && enc == encRaw
-		off += uint64(len(part))
 	}
 	fillSegmentHeader(ht[:headerBytes], s, ht[headerBytes:], off)
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -368,7 +374,8 @@ func syncDir(dir string) error {
 // section's own checksum and slot-table structure are verified before any
 // read is answered; damage fails with the same typed errors as v1 shard
 // files, wrapped in a SectionError when it is confined to one section.
-// Packed sections decode onto the heap here.
+// Packed sections decode onto the heap here, striped over the cores; the
+// error reported is always the lowest-index section's.
 func OpenSegment(path string) (*FileStore, error) {
 	return openSegment(path, true)
 }
@@ -443,12 +450,18 @@ func openSegment(path string, verify bool) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	// Sections open in parallel, then are checked in section order, so the
+	// SectionError returned is the lowest-index failure on every run.
+	hdrs := make([]shardHeader, count)
+	errs := make([]error, count)
+	dispatch(count, buildWorkers(int(min(declaredPairs, 1<<31))), nil, func(i int) {
+		hdrs[i], errs[i] = openSection(sections[i], encs[i], i, verify, path)
+	})
 	s.shards = make([]fileShard, 0, count)
 	pairs := uint64(0)
-	for i, sec := range sections {
-		hdr, err := openSection(sec, encs[i], i, verify, path)
-		if err != nil {
-			return nil, &SectionError{Section: i, Err: err}
+	for i, hdr := range hdrs {
+		if errs[i] != nil {
+			return nil, &SectionError{Section: i, Err: errs[i]}
 		}
 		if hdr.count != count || hdr.salt != s.salt {
 			return nil, &SectionError{Section: i, Err: fmt.Errorf(

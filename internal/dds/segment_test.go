@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -167,6 +168,15 @@ func TestSegmentCorruption(t *testing.T) {
 			b[tableAt(0)+16] = 2
 			return fixSegChecksum(b)
 		}, ErrBadVersion, 0},
+		{"two corrupt sections, opened in parallel", func(b []byte) []byte {
+			// Both sections fail their checksum. A declared pair total past
+			// buildWorkers' cutoff stripes the open over the cores; the
+			// lower index must still be the one reported.
+			b[le.Uint64(b[tableAt(1):])-1] ^= 0x40
+			b[len(b)-1] ^= 0x40
+			le.PutUint64(b[24:], 1<<20)
+			return fixSegChecksum(b)
+		}, ErrChecksum, 0},
 		{"pair total disagrees with sections", func(b []byte) []byte {
 			le.PutUint64(b[24:], uint64(len(goldenPairs))+1)
 			return fixSegChecksum(b)
@@ -329,4 +339,117 @@ func TestSegmentEmptyStore(t *testing.T) {
 			t.Fatal("empty store answered a Get")
 		}
 	}
+}
+
+// mixedStore returns a store whose segment has both section encodings: one
+// key written rawDup times fills its shard's slab past packThreshold, so
+// that section stays raw, while the other shards pack.
+func mixedStore(p, pairs, rawDup int) *Store {
+	kvs := randomPairs(rand.New(rand.NewSource(41)), pairs, 3)
+	for i := 0; i < rawDup; i++ {
+		kvs = append(kvs, kv(7, 7, 7, int64(i), 0))
+	}
+	return NewStore(kvs, p, 0x5157)
+}
+
+// TestStreamSegmentMatchesAppend pins that the streamed write path puts the
+// bytes appendSegment assembles in memory on disk, raw section included,
+// whatever the number of cores encoding it.
+func TestStreamSegmentMatchesAppend(t *testing.T) {
+	s := mixedStore(12, 30000, packThreshold/valueBytes+1)
+	want, wantRaw := appendSegment(nil, s, segOpts{compress: true})
+	sections, encs, err := sliceSections(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(encs, []byte{encRaw}) || !bytes.Contains(encs, []byte{encPacked}) {
+		t.Fatalf("section encodings %v, want both raw and packed", encs)
+	}
+	if len(sections) != 12 {
+		t.Fatalf("%d sections, want 12", len(sections))
+	}
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		path := filepath.Join(t.TempDir(), "store.seg")
+		allRaw, err := streamSegment(s, path, segOpts{compress: true, nosync: true}, nil)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || allRaw != wantRaw {
+			t.Fatalf("GOMAXPROCS=%d: streamed %d bytes (all raw %v), appendSegment %d (all raw %v)",
+				procs, len(got), allRaw, len(want), wantRaw)
+		}
+	}
+}
+
+// TestStreamSegmentCancel cancels a streamed write at each of its
+// cancellation points in turn: every one must return the cancellation and
+// leave neither the temp file nor the segment behind.
+func TestStreamSegmentCancel(t *testing.T) {
+	s := mixedStore(16, 20000, 0)
+	points := 0
+	count := func() error { points++; return nil }
+	if _, err := streamSegment(s, filepath.Join(t.TempDir(), "store.seg"), segOpts{compress: true, nosync: true}, count); err != nil {
+		t.Fatal(err)
+	}
+	if points < 16 {
+		t.Fatalf("%d cancellation points for 16 sections", points)
+	}
+	for k := 1; k <= points; k++ {
+		dir := t.TempDir()
+		calls := 0
+		cancelAt := func() error {
+			if calls++; calls >= k {
+				return errPublishCancelled
+			}
+			return nil
+		}
+		if _, err := streamSegment(s, filepath.Join(dir, "store.seg"), segOpts{compress: true, nosync: true}, cancelAt); !errors.Is(err, errPublishCancelled) {
+			t.Fatalf("cancel at point %d: %v", k, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("cancel at point %d left %s behind", k, left[0].Name())
+		}
+	}
+}
+
+// segBenchStore is a 400 000-pair store over 32 shards, every section packed.
+func segBenchStore() *Store { return mixedStore(32, 400000, 0) }
+
+// BenchmarkStreamSegment times the streamed publish of a packed segment;
+// run with -cpu 1,2 to see the encode striping.
+func BenchmarkStreamSegment(b *testing.B) {
+	s := segBenchStore()
+	path := filepath.Join(b.TempDir(), "store.seg")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := streamSegment(s, path, segOpts{compress: true, nosync: true}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/pair")
+}
+
+// BenchmarkOpenSegment times the publisher's trusted open of a packed
+// segment, which decodes every section; run with -cpu 1,2.
+func BenchmarkOpenSegment(b *testing.B) {
+	s := segBenchStore()
+	path := filepath.Join(b.TempDir(), "store.seg")
+	if _, err := WriteSegment(s, path, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs, err := openSegment(path, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fs.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/pair")
 }

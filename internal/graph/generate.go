@@ -193,10 +193,13 @@ func GNM(n, m int, r *rng.RNG) *Graph {
 }
 
 // ConnectedGNM returns a connected random graph: a random attachment tree
-// plus m-(n-1) additional uniform edges. m must be at least n-1.
+// plus m-(n-1) additional uniform edges. m must lie in [n-1, n(n-1)/2].
 func ConnectedGNM(n, m int, r *rng.RNG) *Graph {
 	if m < n-1 {
 		panic(fmt.Sprintf("graph: ConnectedGNM needs m >= n-1, got n=%d m=%d", n, m))
+	}
+	if maxM := n * (n - 1) / 2; m > maxM {
+		panic(fmt.Sprintf("graph: ConnectedGNM m=%d exceeds max %d for n=%d", m, maxM, n))
 	}
 	seen := make(map[Edge]bool, m)
 	edges := make([]Edge, 0, m)

@@ -217,6 +217,7 @@ func TestGeneratorPanics(t *testing.T) {
 		"gnm-too-big": func() { GNM(3, 10, rng.New(1, 1)) },
 		"forest0":     func() { RandomForest(3, 0, rng.New(1, 1)) },
 		"cgnm-sparse": func() { ConnectedGNM(5, 2, rng.New(1, 1)) },
+		"cgnm-dense":  func() { ConnectedGNM(3, 4, rng.New(1, 1)) },
 	} {
 		func() {
 			defer func() {
