@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -382,4 +383,47 @@ func TestDaemonBadRequests(t *testing.T) {
 	if !hz.OK || len(hz.Algorithms) == 0 {
 		t.Fatalf("healthz: %+v", hz)
 	}
+}
+
+// repeatByte is an endless reader of one byte value.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestDaemonSubmitBodyCap serves the daemon through newServer, checks the
+// header read timeout is set, and submits a body one byte over the cap: it
+// must be refused with 413 while /healthz keeps answering. The body streams
+// from a generator, so the client never holds it.
+func TestDaemonSubmitBodyCap(t *testing.T) {
+	d := newDaemon(ampc.Options{Seed: 1}, 0)
+	srv := newServer("127.0.0.1:0", d)
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatal("server has no ReadHeaderTimeout")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close(); d.close() })
+	base := "http://" + ln.Addr().String()
+
+	prefix := `{"algo":"`
+	body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(repeatByte('a'), maxSubmitBytes+1-int64(len(prefix))))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	var health map[string]any
+	get(t, base+"/healthz", http.StatusOK, &health)
 }

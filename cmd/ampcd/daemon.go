@@ -144,9 +144,19 @@ type graphSpec struct {
 	Seed  uint64 `json:"seed,omitempty"`
 }
 
+// maxSubmitBytes caps a job submission's body. An inline graph of a few
+// million edges fits; a body that never ends does not pin a handler or its
+// decode buffer.
+const maxSubmitBytes = 64 << 20
+
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -52,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	d := newDaemon(ampc.Options{Epsilon: *eps, Seed: *seed, Workers: *workers}, *maxConc)
-	srv := &http.Server{Addr: *addr, Handler: d.mux()}
+	srv := newServer(*addr, d)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -72,4 +72,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 	}
 	d.close()
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot hold connections
+// open forever.
+const readHeaderTimeout = 10 * time.Second
+
+// newServer returns the daemon's HTTP server on addr.
+func newServer(addr string, d *daemon) *http.Server {
+	return &http.Server{Addr: addr, Handler: d.mux(), ReadHeaderTimeout: readHeaderTimeout}
 }

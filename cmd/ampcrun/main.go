@@ -19,17 +19,17 @@
 // cycle), cycle2 (two cycles), grid (sqrt(n) x sqrt(n)), path, star, tree,
 // forest, clique, and mgnm — a streamed uniform multigraph that is never
 // materialized as an edge list, the out-of-core ingest workload
-// (connectivity only; combine with -backend file -residency drop to bound
-// resident memory at one store generation).
+// (connectivity only).
 //
 // -stream prints every round's statistics as it completes; -json emits the
 // run's telemetry (per-round breakdown included) as JSON instead of the
 // human summary; -workers sets the runtime's worker-pool size (outputs
-// never depend on it); -backend selects where each round's frozen store lives (mem keeps it
-// in process, file publishes it write-behind to a single mmap'd segment
-// file per store under -store-dir, rpc ships it to the shardd fleet named
-// by -servers with -replication copies per shard; outputs are identical for
-// every backend); -timeout aborts the run through context cancellation.
+// never depend on it); -backend selects where each round's frozen store lives
+// (mem keeps it in process, file keeps it in process and writes it behind the
+// next round to one durable segment file per store under -store-dir, rpc
+// ships it to the shardd fleet named by -servers with -replication copies per
+// shard; outputs are identical for every backend); -timeout aborts the run
+// through context cancellation.
 package main
 
 import (
@@ -63,9 +63,8 @@ func main() {
 		check    = flag.Bool("check", true, "verify against the sequential oracle")
 		fault    = flag.Float64("faults", 0, "per-round machine failure probability (output must not change)")
 		workers  = flag.Int("workers", 0, "worker lanes per round (0 = GOMAXPROCS); rounds over -backend rpc run one lane per machine instead; outputs are identical for any value")
-		backend  = flag.String("backend", "mem", "store backend: mem (in-process), file (write-behind segment files) or rpc (shardd servers); outputs are identical")
+		backend  = flag.String("backend", "mem", "store backend: mem (in-process), file (in-process, each store also written behind to a segment file) or rpc (shardd servers); outputs are identical")
 		storeDir = flag.String("store-dir", "", "directory for -backend=file segment files (default: a temp dir removed after the run)")
-		resid    = flag.String("residency", "", "file-backend memory policy for retired stores: retain (default) or drop (serve the previous round from mmap, freeing its memory)")
 		servers  = flag.String("servers", "", "comma-separated shardd addresses for -backend=rpc, e.g. 127.0.0.1:7701,127.0.0.1:7702")
 		replicas = flag.Int("replication", 1, "copies of each shard across the -servers fleet (rpc backend)")
 		rpcTO    = flag.Duration("rpc-timeout", 0, "per-request timeout against shardd servers (0 = default 2s)")
@@ -95,7 +94,7 @@ func main() {
 	eng := ampc.NewEngine(ampc.EngineOptions{
 		Defaults: ampc.Options{
 			Epsilon: *eps, Seed: *seed, FaultProb: *fault, Workers: *workers,
-			Backend: *backend, StoreDir: *storeDir, Residency: *resid,
+			Backend: *backend, StoreDir: *storeDir,
 			Servers: splitServers(*servers), Replication: *replicas, RPCTimeout: *rpcTO,
 			RPCDownCooldown: *rpcCool,
 		},

@@ -71,11 +71,11 @@ type Config struct {
 	FaultProb float64
 	// Backend publishes each round's frozen store as the StoreBackend the
 	// next round reads: nil (or dds.MemPublisher) keeps stores in process,
-	// dds.NewFilePublisher serializes them to mmap'd segment files,
-	// write-behind — store i's serialization overlaps round i+1's execute
-	// phase, and Round joins it before the next freeze. Outputs are
-	// byte-identical for every backend; only the physical home of D_{i-1}
-	// changes.
+	// dds.NewFilePublisher keeps them in process too and writes each to a
+	// segment file behind the round that reads it — store i's serialization
+	// overlaps round i+1's execute phase, and Round joins it before the next
+	// freeze. Outputs are byte-identical for every backend; only the
+	// physical home of D_{i-1} changes.
 	Backend dds.Publisher
 	// Observer, when non-nil, receives every round's statistics as soon as
 	// the round completes, before the next round starts. It is called
@@ -87,10 +87,9 @@ type Config struct {
 	// serving daemon keep a run's final frozen store resident and answer
 	// point queries at memory speed long after the runtime is gone. The
 	// detached store must be self-contained once the publisher closes: the
-	// mem backend always is, the file backend's mmap stays readable until
-	// its own Close even after the publisher unlinks the segment (POSIX
-	// unlink semantics), but an rpc backend's reads die with the
-	// publisher's connection pools — callers gate on that.
+	// mem and file backends' in-memory store always is, but an rpc
+	// backend's reads die with the publisher's connection pools — callers
+	// gate on that.
 	RetainFinalStore bool
 }
 
@@ -159,7 +158,7 @@ type Runtime struct {
 	seedR *rng.RNG
 
 	// Store publication: every frozen store goes through pub, which decides
-	// where the frozen shards live (in process, mmap'd files, ...). pubSeq
+	// where the frozen shards live (in process, on shard servers). pubSeq
 	// numbers published stores across SetInput and rounds; pubErr latches a
 	// publish failure until the next Round call reports it.
 	pub    dds.Publisher
@@ -217,9 +216,8 @@ type Runtime struct {
 	// preBarrier: the publisher asked for its barrier before the execute
 	// phase (BarrierBeforeExecute). A networked publisher needs D_{i-1}
 	// resident on its shard servers before round i's adaptive reads start —
-	// joining after execute, like the file backend does, would leave every
-	// read on the retained in-memory copy and the model's remote cost
-	// unpaid.
+	// joining after execute would leave every read on the retained
+	// in-memory copy and the model's remote cost unpaid.
 	preBarrier bool
 
 	// closed makes shutdown idempotent: drivers that retain the final store
@@ -264,8 +262,8 @@ func New(cfg Config) *Runtime {
 	r.pool = newWorkerPool(r.workers)
 	// Store double-buffering: retiring generations recycle their slot
 	// arrays and slabs through the arena into the next freeze. A publisher
-	// that externalizes stores asynchronously (dds.FilePublisher) gets the
-	// same arena so a store swapped onto its mmap'd segment is recycled too.
+	// that swaps reads off the frozen store asynchronously (the rpc
+	// publisher) gets the same arena, so a store it retires is recycled too.
 	r.arena = dds.NewArena()
 	if ap, ok := cfg.Backend.(interface{ SetArena(*dds.Arena) }); ok {
 		ap.SetArena(r.arena)
@@ -402,8 +400,8 @@ func (r *Runtime) shutdown() error {
 // and must Close it once done serving from it.
 func (r *Runtime) FinalStore() dds.StoreBackend { return r.final }
 
-// Close releases the runtime's worker pool, the current store backend (with
-// its mmap regions, if file-backed) and the store publisher, first joining
+// Close releases the runtime's worker pool, the current store backend and
+// the store publisher, first joining
 // any write-behind publish still in flight so the final store is durable.
 // It returns the first publish or release failure — in particular a failed
 // final-round write-behind publish, which no Round call was left to surface
@@ -649,8 +647,8 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 	// failure of that publish must surface here, from the same Round that
 	// would have exposed it under synchronous publishing. The barrier — and
 	// its clock read — is skipped outright when the publisher reports
-	// nothing in flight (the mem backend always, the file backend on empty
-	// rounds): one timestamp chain splits the phases because clock reads
+	// nothing in flight (the mem backend always, the rpc backend after its
+	// pre-execute barrier): one timestamp chain splits the phases because clock reads
 	// are not free on every platform and Round is the floor under every
 	// algorithm's per-round cost.
 	needBarrier := true

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -48,10 +49,9 @@ func chase(t *testing.T, rt *Runtime, n int) []int64 {
 }
 
 // TestWriteBehindBackendMatchesMem runs the same computation on the mem
-// backend and on write-behind file publishers under both residencies, for
-// worker counts 1 and 8, and requires identical outputs — the runtime-level
-// half of the backend differential. Drop residency barriers before every
-// execute, so each round's reads all go through the mmap'd segment.
+// backend and on write-behind file publishers, for worker counts 1 and 8,
+// and requires identical outputs — the runtime-level half of the backend
+// differential.
 func TestWriteBehindBackendMatchesMem(t *testing.T) {
 	const n = 256
 	mk := func(backend dds.Publisher, workers int) Config {
@@ -61,22 +61,18 @@ func TestWriteBehindBackendMatchesMem(t *testing.T) {
 	defer memRT.Close()
 	want := chase(t, memRT, n)
 
-	for _, drop := range []bool{false, true} {
-		for _, workers := range []int{1, 8} {
-			pub := dds.NewFilePublisher("")
-			pub.SetDropRetired(drop)
-			rt := New(mk(pub, workers))
-			got := chase(t, rt, n)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("drop=%v workers=%d: label[%d] = %d, want %d", drop, workers, i, got[i], want[i])
-				}
+	for _, workers := range []int{1, 8} {
+		rt := New(mk(dds.NewFilePublisher(""), workers))
+		got := chase(t, rt, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: label[%d] = %d, want %d", workers, i, got[i], want[i])
 			}
-			stats := rt.Stats()
-			rt.Close()
-			if len(stats) != 3 {
-				t.Fatalf("drop=%v workers=%d: %d rounds recorded", drop, workers, len(stats))
-			}
+		}
+		stats := rt.Stats()
+		rt.Close()
+		if len(stats) != 3 {
+			t.Fatalf("workers=%d: %d rounds recorded", workers, len(stats))
 		}
 	}
 }
@@ -84,12 +80,21 @@ func TestWriteBehindBackendMatchesMem(t *testing.T) {
 // TestClosJoinsWriteBehindPublish pins the Close contract: closing the
 // runtime joins the in-flight write-behind publish, so the final round's
 // segment is durable in a caller-supplied store directory after Close — and
-// no temp file survives anywhere under it.
+// no temp file survives anywhere under it. The segment must answer every key
+// exactly like the final store read before Close.
 func TestClosJoinsWriteBehindPublish(t *testing.T) {
+	const n = 128
 	dir := t.TempDir()
 	pub := dds.NewFilePublisher(dir)
 	rt := New(Config{P: 8, S: 200, Seed: 3, Backend: pub})
-	chase(t, rt, 128)
+	chase(t, rt, n)
+	final := rt.Store()
+	wantLen := final.Len()
+	want := make([][]dds.Value, n)
+	for i := range want {
+		k := key(int64(i), 0)
+		want[i] = final.GetRange(k, 0, final.Count(k), nil)
+	}
 	if err := rt.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -120,8 +125,82 @@ func TestClosJoinsWriteBehindPublish(t *testing.T) {
 		t.Fatalf("final segment unreadable after Close: %v", err)
 	}
 	defer fs.Close()
-	if fs.Len() == 0 {
-		t.Fatal("final segment is empty")
+	if fs.Len() != wantLen || wantLen == 0 {
+		t.Fatalf("final segment holds %d pairs, the final store %d", fs.Len(), wantLen)
+	}
+	for i, vs := range want {
+		k := key(int64(i), 0)
+		got := fs.GetRange(k, 0, len(vs)+1, nil)
+		if len(got) != len(vs) || fs.Count(k) != len(vs) {
+			t.Fatalf("key %d: segment holds %d values, the final store %d", i, len(got), len(vs))
+		}
+		for j := range vs {
+			if got[j] != vs[j] {
+				t.Fatalf("key %d value %d: segment %v, final store %v", i, j, got[j], vs[j])
+			}
+		}
+		if v, ok := fs.Get(k); len(vs) > 0 && (!ok || v != vs[0]) {
+			t.Fatalf("key %d: segment Get %v %v, final store %v", i, v, ok, vs[0])
+		}
+	}
+}
+
+// roundAlloc returns the bytes the third identical round of a write-heavy
+// workload allocates on a runtime with the given backend: SetInput and two
+// warm-up rounds fill the arena, so the measured round is steady state.
+func roundAlloc(t *testing.T, backend dds.Publisher) uint64 {
+	t.Helper()
+	const n = 40000
+	rt := New(Config{P: 8, S: 1 << 14, Seed: 11, Workers: 2, Backend: backend})
+	defer rt.Close()
+	input := make([]dds.KV, n)
+	for i := range input {
+		input[i] = pair(int64(i), int64(i))
+	}
+	rt.SetInput(input)
+	round := func() {
+		err := rt.Round("copy", func(c *Ctx) error {
+			for x := c.Machine; x < n; x += c.P {
+				c.Write(key(int64(x), 0), val(int64(x), 1))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	round()
+	// Join the write-behind publishes around the measured round, so the
+	// window holds exactly one round and its own segment encode.
+	var before, after runtime.MemStats
+	if err := rt.pub.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&before)
+	round()
+	if err := rt.pub.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFileRoundsRecycleThroughArena pins that a file-backed round retires its
+// store into the arena exactly as a mem-backed one does: in steady state it
+// allocates what the mem round does plus its segment encode — never a fresh
+// generation of slot tables.
+func TestFileRoundsRecycleThroughArena(t *testing.T) {
+	mem := roundAlloc(t, nil)
+	file := roundAlloc(t, dds.NewFilePublisher(t.TempDir()))
+	t.Logf("steady-state round allocates %d bytes on mem, %d on file", mem, file)
+	// About 5 000 pairs per shard take a 16 Ki-slot table of 48-byte slots:
+	// a fresh generation's tables are over 6 MiB on 8 shards. The packed
+	// segment encode (varint sections grown by append) allocates about 2 MiB.
+	const margin = 3 << 20
+	if file > mem+margin {
+		t.Fatalf("file-backed round allocates %d bytes, mem %d: more than the %d-byte margin, so the retired store did not recycle",
+			file, mem, margin)
 	}
 }
 

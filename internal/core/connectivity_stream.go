@@ -17,10 +17,7 @@ import (
 // phase replays the stream against the contraction map — so driver memory
 // is O(n + contracted graph), not O(m). From the second phase on the
 // contracted graph fits the materialized loop and the run proceeds exactly
-// as Connectivity. The stream must be replayable (graph.EdgeStream); with
-// the file backend and Options.Residency set to ResidencyDrop, total
-// resident memory for the ingest generation is bounded by one store
-// generation plus the driver state.
+// as Connectivity. The stream must be replayable (graph.EdgeStream).
 //
 // Duplicate edges are accepted (connectivity is multigraph-insensitive);
 // the budgeted BFS of Algorithm 6 dedups through its visited set.

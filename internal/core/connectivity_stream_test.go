@@ -59,32 +59,22 @@ func TestConnectivityStreamMatchesMaterialized(t *testing.T) {
 }
 
 // TestConnectivityStreamBackendsIdentical is the out-of-core differential:
-// the same streamed workload must produce byte-identical labelings across
-// the in-memory backend, the file backend, and the file backend in
-// drop-retired residency, at build parallelism 1 and 8. Residency and
-// backend choice are performance knobs — any divergence here means the mmap
-// read path or the residency swap changed an answer.
+// the same streamed workload must produce byte-identical labelings on the
+// in-memory and the file backend, at build parallelism 1 and 8. Backend
+// choice is a performance knob — any divergence here means the write-behind
+// publish changed an answer.
 func TestConnectivityStreamBackendsIdentical(t *testing.T) {
 	es := graph.StreamGNM(3000, 9000, 11)
 	var want []int
 	for _, workers := range []int{1, 8} {
-		for _, cfg := range []struct {
-			name      string
-			backend   string
-			residency string
-		}{
-			{"mem", BackendMem, ""},
-			{"file-retain", BackendFile, ResidencyRetain},
-			{"file-drop", BackendFile, ResidencyDrop},
-		} {
+		for _, backend := range []string{BackendMem, BackendFile} {
 			res, err := ConnectivityStream(context.Background(), es, Options{
-				Seed:      5,
-				Workers:   workers,
-				Backend:   cfg.backend,
-				Residency: cfg.residency,
+				Seed:    5,
+				Workers: workers,
+				Backend: backend,
 			})
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", cfg.name, workers, err)
+				t.Fatalf("%s workers=%d: %v", backend, workers, err)
 			}
 			if want == nil {
 				want = res.Components
@@ -96,7 +86,7 @@ func TestConnectivityStreamBackendsIdentical(t *testing.T) {
 			for v := range want {
 				if res.Components[v] != want[v] {
 					t.Fatalf("%s workers=%d: vertex %d labeled %d, mem/workers=1 labeled %d",
-						cfg.name, workers, v, res.Components[v], want[v])
+						backend, workers, v, res.Components[v], want[v])
 				}
 			}
 		}
@@ -126,13 +116,13 @@ func TestConnectivityStreamDeterministic(t *testing.T) {
 }
 
 // TestConnectivityStreamRejectsBadOptions mirrors the materialized entry
-// point's validation, including the residency/backend coupling.
+// point's validation, including the ignored Residency field's verdicts.
 func TestConnectivityStreamRejectsBadOptions(t *testing.T) {
 	es := graph.StreamGNM(10, 5, 1)
 	if _, err := ConnectivityStream(context.Background(), es, Options{Epsilon: 2}); err == nil {
 		t.Fatal("bad epsilon accepted")
 	}
-	if _, err := ConnectivityStream(context.Background(), es, Options{Residency: ResidencyDrop}); err == nil {
+	if _, err := ConnectivityStream(context.Background(), es, Options{Residency: "drop"}); err == nil {
 		t.Fatal("drop residency without the file backend accepted")
 	}
 	if _, err := ConnectivityStream(context.Background(), es, Options{Backend: BackendFile, Residency: "paged"}); err == nil {
@@ -184,7 +174,7 @@ func TestConnectivityStreamCheckRejectsWrongLabels(t *testing.T) {
 func TestConnectivityStreamRetainStore(t *testing.T) {
 	es := graph.StreamGNM(600, 1500, 31)
 	res, err := ConnectivityStream(context.Background(), es, Options{
-		Seed: 2, Backend: BackendFile, Residency: ResidencyDrop, RetainStore: true,
+		Seed: 2, Backend: BackendFile, RetainStore: true,
 	})
 	if err != nil {
 		t.Fatal(err)

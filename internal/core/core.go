@@ -51,8 +51,9 @@ type Options struct {
 	FaultProb float64
 	// Backend selects where each round's frozen store lives while the next
 	// round reads it: BackendMem (or empty) keeps it in process, BackendFile
-	// publishes it write-behind to one mmap'd segment file per store (see
-	// StoreDir). Outputs are byte-identical for every backend.
+	// keeps it in process too and writes each store behind the next round
+	// to one durable segment file (see StoreDir). Outputs are
+	// byte-identical for every backend.
 	Backend string
 	// StoreDir is the directory the file backend writes store segments
 	// under. Empty selects a temporary directory removed when the run
@@ -60,14 +61,9 @@ type Options struct {
 	// run-* subdirectory (concurrent runs never collide) and leaves its
 	// final store's segment file there. Ignored by the in-memory backend.
 	StoreDir string
-	// Residency selects the file backend's memory policy for retired
-	// stores: ResidencyRetain (or empty) keeps each generation's in-memory
-	// store as the read path and uses the segment files as durability
-	// only, while ResidencyDrop frees the retiring generation's memory as
-	// soon as its segment is durable and serves the next round's reads
-	// from the mmap'd file — resident memory stays O(one generation), the
-	// out-of-core mode. Outputs are byte-identical either way. Only the
-	// file backend accepts a non-empty value.
+	// Residency is ignored: every file-backed round reads the frozen store
+	// and each generation's segment is written behind it. Validation still
+	// accepts only "", "retain" or "drop", the last two with BackendFile.
 	Residency string
 	// Servers lists the shard server addresses ("host:port") the rpc
 	// backend publishes stores to and reads them back from. Required when
@@ -119,23 +115,14 @@ type Options struct {
 const (
 	// BackendMem keeps each round's frozen store in process (the default).
 	BackendMem = "mem"
-	// BackendFile serializes each round's frozen store to a segment file,
-	// write-behind, and reads it back through mmap.
+	// BackendFile reads each round's frozen store in process, like
+	// BackendMem, and writes it behind the next round to a segment file.
 	BackendFile = "file"
 	// BackendRPC publishes each round's frozen store to a fleet of shard
 	// servers (cmd/shardd) over TCP and serves the next round's adaptive
 	// reads from them — the actually-distributed backend. Requires
 	// Options.Servers.
 	BackendRPC = "rpc"
-)
-
-// Residency policies accepted by Options.Residency (file backend only).
-const (
-	// ResidencyRetain keeps retired stores in memory (the default).
-	ResidencyRetain = "retain"
-	// ResidencyDrop frees each retired store once its segment is durable
-	// and reads the previous generation through mmap instead.
-	ResidencyDrop = "drop"
 )
 
 // Defaults for Options fields.
@@ -198,14 +185,12 @@ func (o Options) validate() error {
 	}
 	switch o.Residency {
 	case "":
-	case ResidencyRetain, ResidencyDrop:
+	case "retain", "drop":
 		if o.Backend != BackendFile {
-			return fmt.Errorf("%w: Residency %q requires Backend %q (only file-backed stores have a disk copy to fall back on)",
-				ErrInvalidOptions, o.Residency, BackendFile)
+			return fmt.Errorf("%w: Residency %q requires Backend %q", ErrInvalidOptions, o.Residency, BackendFile)
 		}
 	default:
-		return fmt.Errorf("%w: Residency must be %q or %q (empty selects %q), got %q",
-			ErrInvalidOptions, ResidencyRetain, ResidencyDrop, ResidencyRetain, o.Residency)
+		return fmt.Errorf("%w: Residency must be \"retain\" or \"drop\" (or empty), got %q", ErrInvalidOptions, o.Residency)
 	}
 	if o.Replication < 0 {
 		return fmt.Errorf("%w: Replication must be non-negative, got %d", ErrInvalidOptions, o.Replication)
@@ -258,11 +243,6 @@ func (o Options) newRuntime(ctx context.Context, n, m int) *ampc.Runtime {
 	switch o.Backend {
 	case BackendFile:
 		fp := dds.NewFilePublisher(o.StoreDir)
-		if o.Residency == ResidencyDrop {
-			// Must precede ampc.New: the runtime latches the backend's
-			// barrier-before-execute capability once, at construction.
-			fp.SetDropRetired(true)
-		}
 		if ctx != nil {
 			// A cancelled run must also kill its in-flight write-behind
 			// publish, so no half-written segment outlives the abort.

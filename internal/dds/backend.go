@@ -59,7 +59,10 @@ type Publisher interface {
 	// through. The returned backend is closed by the runtime when the store
 	// retires. Publish takes ownership of s: a publisher may externalize it
 	// asynchronously and recycle its memory later, so after a successful
-	// Publish the caller reads only through the returned backend.
+	// Publish the caller reads only through the returned backend. A
+	// publisher that returns s itself (MemPublisher, FilePublisher) must be
+	// done reading it by the time its next Publish, Barrier or Close
+	// returns; from then on the caller may recycle s once it retires.
 	Publish(seq int, s *Store) (StoreBackend, error)
 	// Barrier joins any asynchronous work of the previous Publish — the
 	// write-behind serialization of a file publisher — and returns its

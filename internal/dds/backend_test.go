@@ -147,20 +147,19 @@ func segPath(pub *FilePublisher, seq int) string {
 }
 
 // TestFilePublisherLifecycle exercises the Publisher contract the runtime
-// relies on under write-behind: a published backend answers reads before its
-// segment is durable, Barrier makes the segment durable (under retained
-// residency a compressed segment skips the read swap — the frozen store
-// keeps serving and the file is the durable artifact), retired backends
-// delete their segments once superseded, the latest segment survives its own
-// Close, and a publisher-owned temp directory disappears on publisher Close.
+// relies on under write-behind: Publish returns the frozen store itself,
+// Barrier makes the segment durable, a superseded segment is deleted once
+// the next write starts, the latest segment survives, and a publisher-owned
+// temp directory disappears on publisher Close.
 func TestFilePublisherLifecycle(t *testing.T) {
 	pub := NewFilePublisher("")
-	a, err := pub.Publish(0, NewStore([]KV{kv(1, 1, 0, 10, 0)}, 2, 5))
+	sa := NewStore([]KV{kv(1, 1, 0, 10, 0)}, 2, 5)
+	a, err := pub.Publish(0, sa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := a.Get(Key{1, 1, 0}); !ok || v.A != 10 {
-		t.Fatalf("pre-barrier Get = %v ok=%v (write-behind must serve from memory)", v, ok)
+	if a != StoreBackend(sa) {
+		t.Fatalf("Publish returned %T, want the published *Store itself", a)
 	}
 	base := pub.Dir()
 	if base == "" {
@@ -173,52 +172,30 @@ func TestFilePublisherLifecycle(t *testing.T) {
 	if _, err := os.Stat(aPath); err != nil {
 		t.Fatalf("segment not durable after barrier: %v", err)
 	}
-	// This tiny store packs, so under retained residency the barrier must
-	// NOT swap reads onto the segment: opening it would decode every packed
-	// section onto the heap just to replace the equivalent in-memory store.
-	if _, ok := a.(*pendingStore).backend().(*Store); !ok {
-		t.Fatal("retained-residency barrier swapped a compressed segment onto the heap")
-	}
-	if v, ok := a.Get(Key{1, 1, 0}); !ok || v.A != 10 {
-		t.Fatalf("post-barrier Get = %v ok=%v", v, ok)
-	}
 
 	// Salts rotate per generation, as the runtime draws them.
-	b, err := pub.Publish(1, NewStore([]KV{kv(1, 2, 0, 20, 0)}, 2, 6))
-	if err != nil {
+	if _, err := pub.Publish(1, NewStore([]KV{kv(1, 2, 0, 20, 0)}, 2, 6)); err != nil {
 		t.Fatal(err)
-	}
-	if v, ok := b.Get(Key{1, 2, 0}); !ok || v.A != 20 {
-		t.Fatalf("published store Get = %v ok=%v", v, ok)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatalf("close retired backend: %v", err)
 	}
 	if err := pub.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	// Retired-segment deletion is deferred to the next publish's background
-	// goroutine (unlink cost must not extend the synchronous publish phase),
-	// so the retired file disappears once a third publish runs.
-	c, err := pub.Publish(2, NewStore([]KV{kv(1, 5, 0, 50, 0)}, 2, 7))
-	if err != nil {
+	// Superseded-segment deletion is deferred to the next publish's
+	// background goroutine (unlink cost must not extend the synchronous
+	// publish phase), so the first segment disappears once a third publish
+	// runs.
+	if _, err := pub.Publish(2, NewStore([]KV{kv(1, 5, 0, 50, 0)}, 2, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if err := pub.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(aPath); err == nil {
-		t.Fatal("retired store's segment was not removed once superseded")
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
+		t.Fatal("superseded segment was not removed")
 	}
 	cPath := segPath(pub, 2)
-	if err := c.Close(); err != nil {
-		t.Fatalf("close latest backend: %v", err)
-	}
 	if fs, err := OpenSegment(cPath); err != nil {
-		t.Fatalf("latest segment should survive its backend's Close: %v", err)
+		t.Fatalf("latest segment unreadable: %v", err)
 	} else {
 		fs.Close()
 	}
@@ -230,49 +207,98 @@ func TestFilePublisherLifecycle(t *testing.T) {
 	}
 }
 
-// TestBarrierSwapResidency pins when the barrier moves reads onto the
-// segment: always under drop-retired residency (the in-memory store is about
-// to be retired, the file must serve), and under retained residency only
-// when every section is raw — an mmap-served open costs nothing and frees
-// the arrays — while a compressed segment keeps the frozen store serving.
-// The all-raw segment comes the production way: a one-shard store whose
-// section exceeds packThreshold stays raw.
-func TestBarrierSwapResidency(t *testing.T) {
-	small := []KV{kv(1, 1, 0, 10, 0), kv(1, 2, 0, 20, 0)}
+// sameAnswers asserts that got answers Get, GetIndexed, Count and GetRange
+// for every key exactly like want, including one index past each key's
+// values.
+func sameAnswers(t *testing.T, got, want StoreBackend, keys []Key) {
+	t.Helper()
+	if got.Len() != want.Len() || got.Shards() != want.Shards() {
+		t.Fatalf("Len/Shards %d/%d, want %d/%d", got.Len(), got.Shards(), want.Len(), want.Shards())
+	}
+	for _, k := range keys {
+		n := want.Count(k)
+		if c := got.Count(k); c != n {
+			t.Fatalf("Count(%v) = %d, want %d", k, c, n)
+		}
+		gv, gok := got.Get(k)
+		wv, wok := want.Get(k)
+		if gv != wv || gok != wok {
+			t.Fatalf("Get(%v) = %v %v, want %v %v", k, gv, gok, wv, wok)
+		}
+		for i := 0; i <= n; i++ {
+			gv, gok := got.GetIndexed(k, i)
+			wv, wok := want.GetIndexed(k, i)
+			if gv != wv || gok != wok {
+				t.Fatalf("GetIndexed(%v, %d) = %v %v, want %v %v", k, i, gv, gok, wv, wok)
+			}
+		}
+		gr, wr := got.GetRange(k, 0, n+1, nil), want.GetRange(k, 0, n+1, nil)
+		if len(gr) != len(wr) {
+			t.Fatalf("GetRange(%v) returned %d values, want %d", k, len(gr), len(wr))
+		}
+		for i := range wr {
+			if gr[i] != wr[i] {
+				t.Fatalf("GetRange(%v)[%d] = %v, want %v", k, i, gr[i], wr[i])
+			}
+		}
+	}
+}
+
+// TestFilePublisherSegmentsMatchStore checks the segments end to end: no
+// round reads them back, so after each Barrier the new segment is opened
+// and must answer every key exactly like the in-memory store it was written
+// from. The chain covers packed sections, a dup-heavy store, an empty store
+// and a one-shard store whose section exceeds packThreshold and stays raw.
+func TestFilePublisherSegmentsMatchStore(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
 	large := make([]KV, 50000)
 	for i := range large {
 		large[i] = kv(1, int64(i), 0, int64(i)*10, 0)
 	}
-	for _, tc := range []struct {
-		name     string
-		drop     bool
-		store    *Store
-		wantFile bool
+	stores := []struct {
+		name  string
+		pairs []KV
+		p     int
 	}{
-		{"drop-compressed", true, NewStore(small, 2, 5), true},
-		{"retain-compressed", false, NewStore(small, 2, 5), false},
-		{"retain-raw", false, NewStore(large, 1, 5), true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			pub := NewFilePublisher(t.TempDir())
-			defer pub.Close()
-			pub.SetDropRetired(tc.drop)
-			b, err := pub.Publish(0, tc.store)
+		{"packed", randomPairs(r, 4000, 3), 8},
+		{"dup-heavy", randomPairs(r, 6000, 200), 5},
+		{"empty", nil, 4},
+		{"raw-one-shard", large, 1},
+		{"many-shards", randomPairs(r, 3000, 1), 64},
+	}
+	pub := NewFilePublisher(t.TempDir())
+	defer pub.Close()
+	for seq, tc := range stores {
+		s := NewStore(tc.pairs, tc.p, uint64(seq)*7919+1)
+		keys := make([]Key, 0, len(tc.pairs)+1)
+		for _, p := range tc.pairs {
+			keys = append(keys, p.Key)
+		}
+		keys = append(keys, Key{Tag: 9, A: -1, B: -1}) // absent
+		if _, err := pub.Publish(seq, s); err != nil {
+			t.Fatalf("%s: publish: %v", tc.name, err)
+		}
+		if err := pub.Barrier(); err != nil {
+			t.Fatalf("%s: barrier: %v", tc.name, err)
+		}
+		path := segPath(pub, seq)
+		if tc.name == "raw-one-shard" {
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer b.Close()
-			if err := pub.Barrier(); err != nil {
-				t.Fatal(err)
+			if _, encs, err := sliceSections(data); err != nil || encs[0] != encRaw {
+				t.Fatalf("%s: section encodings %v (%v), want the oversized shard raw", tc.name, encs, err)
 			}
-			_, isFile := b.(*pendingStore).backend().(*FileStore)
-			if isFile != tc.wantFile {
-				t.Fatalf("serving from FileStore = %v, want %v", isFile, tc.wantFile)
-			}
-			if v, ok := b.Get(Key{1, 2, 0}); !ok || v.A != 20 {
-				t.Fatalf("post-barrier Get = %v ok=%v", v, ok)
-			}
-		})
+		}
+		fs, err := OpenSegment(path)
+		if err != nil {
+			t.Fatalf("%s: OpenSegment: %v", tc.name, err)
+		}
+		sameAnswers(t, fs, s, keys)
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -318,8 +318,8 @@ func BenchmarkFileGet(b *testing.B) {
 }
 
 // BenchmarkSegmentGet is BenchmarkFileGet against the production read path:
-// a compressed segment opened through the publisher's trusted fast path,
-// its packed sections decoded at open.
+// a compressed segment as the publisher writes it, its packed sections
+// decoded at open.
 func BenchmarkSegmentGet(b *testing.B) {
 	const n = 1 << 16
 	pairs := make([]KV, n)
@@ -330,7 +330,7 @@ func BenchmarkSegmentGet(b *testing.B) {
 	if _, err := WriteSegment(NewStore(pairs, 16, 9), path, nil); err != nil {
 		b.Fatal(err)
 	}
-	fs, err := openSegment(path, false)
+	fs, err := OpenSegment(path)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -210,14 +210,14 @@ func (sh *fileShard) value(off, i int) Value {
 }
 
 // FileStore is a StoreBackend reading a serialized store from an mmap'd
-// segment file. All read methods are safe for concurrent use and account
+// segment file: raw sections are probed in place, packed ones decode onto
+// the heap at open. All read methods are safe for concurrent use and account
 // per-shard load exactly like the in-memory store.
 type FileStore struct {
-	shards  []fileShard
-	salt    uint64
-	pairs   int
-	unmaps  []func() error
-	cleanup func() error // optional, run after unmapping (the publisher's release)
+	shards []fileShard
+	salt   uint64
+	pairs  int
+	unmaps []func() error
 }
 
 // shardHeader carries one decoded shard block.
@@ -231,16 +231,12 @@ type shardHeader struct {
 }
 
 // parseShardBlock decodes one raw shard block — a section as it lies in a
-// segment, or as a packed section decodes — validating magic,
-// version and geometry against exactly len(data) bytes. Verification comes
-// in two parts: verifySum re-folds the raw block checksum; verifyScan runs
-// the structural slot-table scan that makes probing safe. Both off is the
-// trusted fast path for bytes this process serialized itself moments ago.
-// They separate for packed sections, whose integrity was already checked
-// against the packed bytes received — a verifying open still needs the scan
-// (a checksum anyone can recompute proves nothing about slab windows), but
-// the decoded block's checksum word holds the packed sum, not a raw sum.
-func parseShardBlock(data []byte, path string, index int, verifySum, verifyScan bool) (shardHeader, error) {
+// segment, or as a packed section decodes — validating magic, version and
+// geometry against exactly len(data) bytes, then running the structural
+// slot-table scan that makes probing safe. rawSum re-folds the block's raw
+// checksum; it is off for a decoded packed section, whose checksum word holds
+// the packed sum unpackBlock already checked against the bytes received.
+func parseShardBlock(data []byte, path string, index int, rawSum bool) (shardHeader, error) {
 	var hdr shardHeader
 	size := int64(len(data))
 	if size < headerBytes {
@@ -280,7 +276,7 @@ func parseShardBlock(data []byte, path string, index int, verifySum, verifyScan 
 	if size > want {
 		return hdr, fmt.Errorf("%w: %s: %d trailing bytes", ErrBadGeometry, path, size-want)
 	}
-	if verifySum {
+	if rawSum {
 		if sum := checksum(h[0:56], data[headerBytes:]); sum != le.Uint64(h[56:]) {
 			return hdr, fmt.Errorf("%w: %s", ErrChecksum, path)
 		}
@@ -290,9 +286,6 @@ func parseShardBlock(data []byte, path string, index int, verifySum, verifyScan 
 		hdr.mask = slotCount - 1
 	}
 	hdr.slab = data[headerBytes+int(slotCount)*slotBytes:]
-	if !verifyScan {
-		return hdr, nil
-	}
 
 	// Structural validation of the slot table. A checksum only proves the
 	// bytes match what some writer computed — it does not prove the writer
@@ -332,8 +325,7 @@ func parseShardBlock(data []byte, path string, index int, verifySum, verifyScan 
 // Salt returns the placement salt recorded in the shard headers.
 func (s *FileStore) Salt() uint64 { return s.salt }
 
-// Close unmaps the segment file and runs the cleanup hook, if any. The store
-// must not be read afterwards.
+// Close unmaps the segment file. The store must not be read afterwards.
 func (s *FileStore) Close() error {
 	var errs []error
 	for _, unmap := range s.unmaps {
@@ -341,10 +333,6 @@ func (s *FileStore) Close() error {
 	}
 	s.unmaps = nil
 	s.shards = nil
-	if s.cleanup != nil {
-		errs = append(errs, s.cleanup())
-		s.cleanup = nil
-	}
 	return errors.Join(errs...)
 }
 
@@ -455,45 +443,32 @@ func (s *FileStore) ResetLoads() {
 	}
 }
 
-// FilePublisher is a Publisher that serializes every published store into a
-// segment file and reads it back through mmap — the bridge from in-process
-// simulation toward a DDS that actually lives outside the round's address
-// space.
+// FilePublisher is a Publisher that writes every published store to a
+// segment file behind the round that reads it. The frozen in-memory store
+// itself is the backend the next round reads, exactly as on the mem backend;
+// the segment is the generation's durable copy, which OpenSegment (or a
+// shard server's OpenSection) reads back.
 //
 // Publishing is write-behind: Publish hands the frozen store to a background
 // goroutine that serializes it through a reused buffer and renames the
-// segment into place, all while the caller's next round executes against the
-// still-in-memory store. Barrier joins the in-flight write; once the segment
-// is complete the published backend can atomically swap its reads to the
-// mmap'd file and release the in-memory arrays into the publisher's Arena
-// for the next freeze to recycle.
+// segment into place while the caller's next round executes against the same
+// store, and returns the store. Barrier joins the write. Each section is
+// packed where that is smaller and raw otherwise (see segcodec.go).
 //
-// Retired stores are deleted when the runtime closes their backend, so disk
-// usage stays bounded by the newest complete segment plus the one being
-// written; the latest segment is kept until the publisher itself is closed,
-// and survives it when the caller supplied the directory.
-//
-// Each section is packed where that is smaller and raw otherwise (see
-// segcodec.go); a packed section decodes to the exact raw block at open, so
-// the encoding never changes read results. SetDropRetired(true) selects the
-// bounded-residency mode for out-of-core runs: the runtime barriers before
-// each execute, so adaptive reads serve from the mmap'd segment (page cache,
-// reclaimable under memory pressure) and the retired in-memory store returns
-// to the arena a round earlier — resident memory is O(the generation being
-// written), not O(two).
+// Disk holds at most two segments: the newest complete one, which always
+// stays, and the one being written. A superseded segment is deleted
+// off-thread, by the next write's goroutine or by Close. The latest segment
+// survives Close when the caller supplied the directory.
 type FilePublisher struct {
 	mu        sync.Mutex
 	dir       string          // the caller's directory until the first Publish, then the run-* directory
 	owned     bool            // the run directory sits under the shared temp parent and is removed on Close
 	ready     bool            // dir is the created, locked run directory
-	drop      bool            // barrier before execute; mem store dropped after publish
 	ctx       context.Context // optional; cancels in-flight write-behind publishes
-	arena     *Arena          // optional; receives swapped-out in-memory stores
 	buf       []byte          // reused segment serialization buffer
-	inflight  *pendingStore   // the write-behind publish not yet joined
-	segs      map[string]bool // complete segment → a published backend still serves it
+	inflight  chan error      // the write-behind publish not yet joined; yields its outcome
 	latest    string          // newest complete segment
-	garbage   []string        // retired segments awaiting off-thread deletion
+	garbage   []string        // superseded segments awaiting off-thread deletion
 	lock      *fileLock       // liveness lock inside the run directory
 	closed    chan struct{}   // closed by Close; aborts in-flight writes
 	closeOnce sync.Once
@@ -510,25 +485,8 @@ type FilePublisher struct {
 // filesystem is not touched until the first Publish, so construction never
 // fails.
 func NewFilePublisher(dir string) *FilePublisher {
-	return &FilePublisher{
-		dir:    dir,
-		segs:   make(map[string]bool),
-		closed: make(chan struct{}),
-	}
+	return &FilePublisher{dir: dir, closed: make(chan struct{})}
 }
-
-// SetDropRetired selects the bounded-residency mode: the runtime barriers
-// before each execute (see BarrierBeforeExecute), so reads come from the
-// mmap'd segment and each round's in-memory store is recycled as soon as its
-// segment is durable instead of serving one more round from the heap. Call
-// before the runtime is constructed.
-func (p *FilePublisher) SetDropRetired(drop bool) { p.drop = drop }
-
-// BarrierBeforeExecute makes the runtime join the previous publish before
-// executing a round when the drop-retired residency mode is on — the same
-// contract a networked publisher declares, here so adaptive reads genuinely
-// leave the round's address space and hit the file mapping.
-func (p *FilePublisher) BarrierBeforeExecute() bool { return p.drop }
 
 // SetContext attaches a cancellation context: an in-flight write-behind
 // publish aborts between write chunks once ctx is done, removing its temp
@@ -536,14 +494,10 @@ func (p *FilePublisher) BarrierBeforeExecute() bool { return p.drop }
 // Call before the first Publish.
 func (p *FilePublisher) SetContext(ctx context.Context) { p.ctx = ctx }
 
-// SetArena gives the publisher an arena to recycle swapped-out in-memory
-// stores into. Call before the first Publish.
-func (p *FilePublisher) SetArena(a *Arena) { p.arena = a }
-
 // InFlight reports whether a write-behind publish has not yet been joined —
-// the condition under which the next Barrier call would actually block or
-// swap anything. The runtime uses it to skip the per-round barrier (and its
-// clock reads) entirely on rounds with nothing pending.
+// the condition under which the next Barrier call would actually block. The
+// runtime uses it to skip the per-round barrier (and its clock reads)
+// entirely on rounds with nothing pending.
 func (p *FilePublisher) InFlight() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -689,46 +643,11 @@ func sweepStaleRun(dir string, keepNewest bool) {
 	}
 }
 
-// release retires one published segment: its backend closed, so it may be
-// deleted once nothing else needs it. Deletion is deferred to the garbage
-// queue, drained off the driver thread — unlinking a retired segment can
-// cost real time (block discard on some filesystems) and must not extend the
-// round's synchronous publish phase.
-func (p *FilePublisher) release(path string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.segs[path]; ok {
-		p.segs[path] = false
-		p.tryRetire(path)
-	}
-	return nil
-}
-
-// tryRetire queues path for deletion unless it is still needed: the newest
-// complete generation always stays (disk always holds the latest complete
-// store), as does any segment a backend still reads; p.mu held.
-func (p *FilePublisher) tryRetire(path string) {
-	if open, ok := p.segs[path]; !ok || open || path == p.latest {
-		return
-	}
-	delete(p.segs, path)
-	p.garbage = append(p.garbage, path)
-}
-
-// recordDurable marks path as the newest complete segment and retires the
-// generation it supersedes; p.mu held.
-func (p *FilePublisher) recordDurable(path string) {
-	p.segs[path] = true
-	old := p.latest
-	p.latest = path
-	if old != "" && old != path {
-		p.tryRetire(old)
-	}
-}
-
-// drainGarbage deletes retired segments queued by release. Called from the
-// background writer goroutine before each write (overlapping the caller's
-// execute phase) and from Close.
+// drainGarbage deletes superseded segments. Called from the background
+// writer goroutine before each write (overlapping the caller's execute
+// phase) and from Close: unlinking a segment can cost real time (block
+// discard on some filesystems) and must not extend the round's synchronous
+// publish phase.
 func (p *FilePublisher) drainGarbage() {
 	p.mu.Lock()
 	g := p.garbage
@@ -739,11 +658,9 @@ func (p *FilePublisher) drainGarbage() {
 	}
 }
 
-// Publish installs store seq: it returns immediately with a backend reading
-// the in-memory store while the segment serializes in the background.
-// Publish takes ownership of s: after a successful Publish the caller must
-// read only through the returned backend, because s's arrays may be
-// recycled into a later store once the segment is durable.
+// Publish installs store seq: it starts the segment write on a background
+// goroutine and returns s itself as the backend. The write reads s until the
+// next Publish, Barrier or Close returns, each of which joins it.
 func (p *FilePublisher) Publish(seq int, s *Store) (StoreBackend, error) {
 	if err := p.Barrier(); err != nil {
 		return nil, err
@@ -760,50 +677,47 @@ func (p *FilePublisher) Publish(seq int, s *Store) (StoreBackend, error) {
 		return nil, err
 	}
 	path := filepath.Join(p.dir, fmt.Sprintf(segFileFmt, seq))
-	ps := &pendingStore{pub: p, path: path, mem: s, done: make(chan struct{})}
-	ps.store(s)
+	done := make(chan error, 1)
 	buf := p.buf
-	p.buf, p.inflight = nil, ps
+	p.buf, p.inflight = nil, done
 	p.mu.Unlock()
-	go ps.run(buf)
-	return ps, nil
+	go func() { done <- p.write(path, s, buf) }()
+	return s, nil
+}
+
+// write is the background writer: one publish, one goroutine, joined by
+// Barrier (or Publish/Close) through the inflight channel. Mid-run
+// generations skip fsync (segOpts.nosync): they are superseded within
+// rounds; the surviving segment is made durable once, at Close. A complete
+// segment becomes the latest and queues the one it supersedes for deletion.
+func (p *FilePublisher) write(path string, s *Store, buf []byte) error {
+	p.drainGarbage()
+	buf, err := writeSegment(s, path, buf, segOpts{compress: true, nosync: true}, p.cancelled)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.buf = buf // return the serialization buffer for the next publish
+	if err == nil {
+		if p.latest != "" && p.latest != path {
+			p.garbage = append(p.garbage, p.latest)
+		}
+		p.latest = path
+	}
+	return err
 }
 
 // Barrier joins the in-flight write-behind publish: it blocks until the
 // segment is complete (written and atomically renamed into place; the fsync
-// is deferred to Close — see segOpts.nosync). When the swap onto the segment
-// pays — drop-retired residency needs the file to serve reads after the
-// in-memory store is dropped, and an all-raw segment serves straight from
-// the mapping so the arrays recycle for free — reads move to the mmap'd
-// segment and the in-memory store returns to the arena. A compressed
-// segment under retained residency skips the swap: opening it would decode
-// every packed section onto the heap just to replace the equivalent store
-// already in memory, so the frozen store keeps serving and the segment is
-// purely the durable artifact. A write failure or cancellation is returned
-// once, and the backend keeps serving from memory so reads stay correct
-// while the error surfaces.
+// is deferred to Close — see segOpts.nosync) and returns a write failure or
+// cancellation once.
 func (p *FilePublisher) Barrier() error {
 	p.mu.Lock()
-	ps := p.inflight
+	done := p.inflight
 	p.inflight = nil
 	p.mu.Unlock()
-	if ps == nil {
+	if done == nil {
 		return nil
 	}
-	<-ps.done
-	if ps.err != nil {
-		return ps.err
-	}
-	if !p.drop && !ps.mapped {
-		return nil
-	}
-	fs, err := openSegment(ps.path, false)
-	if err != nil {
-		return err
-	}
-	fs.cleanup = func() error { return p.release(ps.path) }
-	ps.swap(fs, p.arena)
-	return nil
+	return <-done
 }
 
 // Close aborts any in-flight publish (its temp file is removed; a segment
@@ -814,11 +728,11 @@ func (p *FilePublisher) Barrier() error {
 func (p *FilePublisher) Close() error {
 	p.closeOnce.Do(func() { close(p.closed) })
 	p.mu.Lock()
-	ps := p.inflight
+	done := p.inflight
 	p.inflight = nil
 	p.mu.Unlock()
-	if ps != nil {
-		<-ps.done
+	if done != nil {
+		<-done
 	}
 	p.drainGarbage()
 	p.mu.Lock()
@@ -846,116 +760,3 @@ func (p *FilePublisher) Close() error {
 	}
 	return err
 }
-
-// pendingStore is the backend returned by a write-behind Publish. Reads are
-// served by the frozen in-memory store while the segment file is written in
-// the background; once Barrier observes the write durable, reads swap
-// atomically to the mmap'd segment and the in-memory arrays are recycled.
-type pendingStore struct {
-	inner  atomic.Pointer[StoreBackend]
-	mem    *Store // retained until the swap
-	path   string
-	pub    *FilePublisher
-	done   chan struct{} // closed when the background write finishes
-	err    error         // write outcome; read only after done
-	mapped bool          // all sections raw: an open serves from the mmap; after done
-}
-
-// run is the background writer: one publish, one goroutine, joined by
-// Barrier (or Publish/Close) through ps.done. Mid-run generations skip fsync
-// (segOpts.nosync): they are read through the page cache and superseded
-// within rounds; the surviving segment is made durable once, at Close.
-func (ps *pendingStore) run(buf []byte) {
-	p := ps.pub
-	p.drainGarbage()
-	buf, allRaw, err := writeSegment(ps.mem, ps.path, buf, segOpts{compress: true, nosync: true}, p.cancelled)
-	ps.err, ps.mapped = err, allRaw
-	p.mu.Lock()
-	p.buf = buf // return the serialization buffer for the next publish
-	if err == nil {
-		p.recordDurable(ps.path)
-	}
-	p.mu.Unlock()
-	close(ps.done)
-}
-
-func (ps *pendingStore) store(b StoreBackend)  { ps.inner.Store(&b) }
-func (ps *pendingStore) backend() StoreBackend { return *ps.inner.Load() }
-
-// swap redirects reads to the mmap'd segment and hands the in-memory store
-// to the arena. Load counters carry over zero — the runtime resets them at
-// every round boundary anyway.
-func (ps *pendingStore) swap(fs *FileStore, a *Arena) {
-	ps.store(fs)
-	a.Recycle(ps.mem)
-	ps.mem = nil
-}
-
-// Close retires the backend: it joins the background write, then releases
-// whatever reads were being served from — the mmap'd segment after a swap,
-// or just the segment file when the store retired before any Barrier.
-func (ps *pendingStore) Close() error {
-	<-ps.done
-	if fs, ok := ps.backend().(*FileStore); ok {
-		return fs.Close()
-	}
-	ps.mem = nil
-	if ps.err == nil {
-		return ps.pub.release(ps.path)
-	}
-	return nil
-}
-
-// StoreBackend delegation: every read goes through the current inner
-// backend (in-memory before the swap, mmap'd segment after).
-
-func (ps *pendingStore) Get(k Key) (Value, bool)               { return ps.backend().Get(k) }
-func (ps *pendingStore) GetIndexed(k Key, i int) (Value, bool) { return ps.backend().GetIndexed(k, i) }
-func (ps *pendingStore) GetRange(k Key, lo, hi int, dst []Value) []Value {
-	return ps.backend().GetRange(k, lo, hi, dst)
-}
-func (ps *pendingStore) Count(k Key) int     { return ps.backend().Count(k) }
-func (ps *pendingStore) Len() int            { return ps.backend().Len() }
-func (ps *pendingStore) Shards() int         { return ps.backend().Shards() }
-func (ps *pendingStore) ShardSizes() []int   { return ps.backend().ShardSizes() }
-func (ps *pendingStore) ShardLoads() []int64 { return ps.backend().ShardLoads() }
-func (ps *pendingStore) MaxShardLoad() int64 { return ps.backend().MaxShardLoad() }
-func (ps *pendingStore) ResetLoads()         { ps.backend().ResetLoads() }
-
-// GetMany batches through whichever side currently serves reads; both the
-// in-memory store and the mmap'd segment implement BatchGetter natively.
-func (ps *pendingStore) GetMany(keys []Key, vals []Value, oks []bool) {
-	b := ps.backend()
-	if bg, ok := b.(BatchGetter); ok {
-		bg.GetMany(keys, vals, oks)
-		return
-	}
-	for i, k := range keys {
-		vals[i], oks[i] = b.Get(k)
-	}
-}
-
-// GetHashed delegates a pre-hashed read; both sides of the swap share the
-// salt, so the caller's hash routes identically on either.
-func (ps *pendingStore) GetHashed(k Key, h uint64) (Value, bool) {
-	b := ps.backend()
-	if pg, ok := b.(PrehashedGetter); ok {
-		return pg.GetHashed(k, h)
-	}
-	return b.Get(k)
-}
-
-// Salt returns the placement salt; identical on both sides of the swap (the
-// segment records the salt the in-memory store was built with).
-func (ps *pendingStore) Salt() uint64 {
-	if sl, ok := ps.backend().(Salter); ok {
-		return sl.Salt()
-	}
-	return 0
-}
-
-var (
-	_ StoreBackend = (*pendingStore)(nil)
-	_ BatchGetter  = (*pendingStore)(nil)
-	_ Salter       = (*pendingStore)(nil)
-)

@@ -232,7 +232,7 @@ func segmentByteSeeds() [][]byte {
 	r := rand.New(rand.NewSource(606))
 	s := NewStore(randomPairs(r, 800, 5), 2, 0x5EED1)
 	raw := AppendSegment(nil, s)
-	packed, _ := appendSegment(nil, s, segOpts{compress: true})
+	packed := appendSegment(nil, s, segOpts{compress: true})
 	unknown := append([]byte(nil), packed...)
 	unknown[headerBytes+16] = 2
 	return [][]byte{raw, packed, fixSegChecksum(unknown)}

@@ -21,7 +21,7 @@ func TestSegmentPackedSections(t *testing.T) {
 	pairs := randomPairs(r, 6000, 4)
 	s := NewStore(pairs, 4, 0xBEEF)
 	raw := AppendSegment(nil, s)
-	comp, _ := appendSegment(nil, s, segOpts{compress: true})
+	comp := appendSegment(nil, s, segOpts{compress: true})
 	if len(comp) >= len(raw) {
 		t.Fatalf("compressed segment %d bytes, raw %d — packing never engaged", len(comp), len(raw))
 	}
@@ -53,9 +53,9 @@ func TestSegmentPackedSections(t *testing.T) {
 func TestPackedBlockCorruption(t *testing.T) {
 	raw := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 	valid := packRawBlock(nil, raw)
-	got, err := unpackBlock(valid, "t", true)
+	got, err := unpackBlock(valid, "t")
 	if err != nil {
-		t.Fatalf("valid packed block rejected under verify: %v", err)
+		t.Fatalf("valid packed block rejected: %v", err)
 	}
 	// The decoded block matches the raw form everywhere except the checksum
 	// word, which holds the packed sum.
@@ -67,6 +67,14 @@ func TestPackedBlockCorruption(t *testing.T) {
 	}
 	header := append([]byte(nil), valid[:headerBytes]...)
 	overflow := bytes.Repeat([]byte{0xFF}, 11)
+	// resum re-seals a malformed block with a valid packed checksum, so the
+	// structural check itself has to reject it.
+	resum := func(b []byte) []byte {
+		if len(b) >= headerBytes {
+			le.PutUint64(b[56:], checksumPacked(b[:56], b[headerBytes:]))
+		}
+		return b
+	}
 
 	cases := []struct {
 		name string
@@ -84,9 +92,8 @@ func TestPackedBlockCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Structural errors must surface even on the trusted path, where
-			// the packed checksum is never folded.
-			if _, err := unpackBlock(tc.data, "t", false); !errors.Is(err, tc.want) {
+			data := resum(append([]byte(nil), tc.data...))
+			if _, err := unpackBlock(data, "t"); !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
 			}
 		})
@@ -95,18 +102,18 @@ func TestPackedBlockCorruption(t *testing.T) {
 	t.Run("declared slots beyond the size cap", func(t *testing.T) {
 		h := append([]byte(nil), header...)
 		le.PutUint64(h[40:48], maxPackedRaw/slotBytes+1)
-		if _, err := unpackBlock(h, "t", false); !errors.Is(err, ErrBadGeometry) {
+		if _, err := unpackBlock(resum(h), "t"); !errors.Is(err, ErrBadGeometry) {
 			t.Fatalf("error %v, want ErrBadGeometry", err)
 		}
 	})
 
-	// Integrity under verify: the packed checksum covers the header's first
+	// Integrity: the packed checksum covers the header's first
 	// 56 bytes and every payload byte, including a varint tail shorter than
 	// one checksum word, and a stale sum in the checksum word itself fails.
 	for _, flip := range []int{24, headerBytes, len(valid) - 1, 56} {
 		bad := append([]byte(nil), valid...)
 		bad[flip] ^= 0x01
-		if _, err := unpackBlock(bad, "t", true); !errors.Is(err, ErrChecksum) {
+		if _, err := unpackBlock(bad, "t"); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flipped byte %d: error %v, want ErrChecksum", flip, err)
 		}
 	}
@@ -271,21 +278,14 @@ func TestSweepStaleRuns(t *testing.T) {
 	})
 }
 
-// TestFilePublisherDropResidencyBoundsDisk simulates the runtime's
-// drop-residency round loop against the publisher and asserts the
-// out-of-core invariants: BarrierBeforeExecute is declared, reads swap onto
-// the mmap'd segment at each barrier, and after every round at most two
-// store segments exist on disk (the durable latest and its just-superseded
-// predecessor awaiting deferred deletion).
-func TestFilePublisherDropResidencyBoundsDisk(t *testing.T) {
-	dir := t.TempDir()
-	pub := NewFilePublisher(dir)
-	pub.SetDropRetired(true)
-	if !pub.BarrierBeforeExecute() {
-		t.Fatal("drop-retired publisher does not request the pre-execute barrier")
-	}
+// TestFilePublisherBoundsDisk simulates the runtime's round loop against the
+// publisher — publish, then the pre-freeze barrier — and asserts the disk
+// bound: after every round at most two store segments exist (the durable
+// latest and its just-superseded predecessor awaiting deferred deletion),
+// and after Close exactly the latest one.
+func TestFilePublisherBoundsDisk(t *testing.T) {
+	pub := NewFilePublisher(t.TempDir())
 	r := rand.New(rand.NewSource(44))
-	var prev StoreBackend
 	for seq := 0; seq < 6; seq++ {
 		pairs := randomPairs(r, 2000+seq*300, 3)
 		// Salts rotate per generation exactly as the runtime draws them.
@@ -293,34 +293,20 @@ func TestFilePublisherDropResidencyBoundsDisk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("publish %d: %v", seq, err)
 		}
-		// The runtime's drop mode barriers before the next execute, so
-		// reads leave the heap for the mapping.
 		if err := pub.Barrier(); err != nil {
 			t.Fatalf("barrier %d: %v", seq, err)
 		}
-		if _, ok := b.(*pendingStore).backend().(*FileStore); !ok {
-			t.Fatalf("round %d: post-barrier reads still served from memory", seq)
-		}
 		if v, ok := b.Get(pairs[0].Key); !ok || v != pairs[0].Value {
-			t.Fatalf("round %d: mmap'd read wrong: %v %v", seq, v, ok)
+			t.Fatalf("round %d: read wrong: %v %v", seq, v, ok)
 		}
-		if prev != nil {
-			if err := prev.Close(); err != nil {
-				t.Fatalf("close retired %d: %v", seq-1, err)
-			}
-		}
-		prev = b
 		if segs := segFiles(t, pub.Dir()); len(segs) > 2 {
 			t.Fatalf("round %d: %d segments on disk (%v), invariant allows 2", seq, len(segs), segs)
 		}
 	}
-	if err := prev.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := pub.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if segs := segFiles(t, pub.Dir()); len(segs) != 1 {
+	if segs := segFiles(t, pub.Dir()); len(segs) != 1 || segs[0] != fmt.Sprintf(segFileFmt, 5) {
 		t.Fatalf("after close: %v on disk, want exactly the latest segment", segs)
 	}
 }

@@ -46,7 +46,7 @@ func ShardOf(k Key, salt uint64, p int) int {
 // segment bytes and, in shard order, each section (a view into them) with
 // its encoding byte: the pairs OpenSection takes.
 func EncodeSections(buf []byte, s *Store) ([]byte, [][]byte, []byte) {
-	buf, _ = appendSegment(buf[:0], s, segOpts{compress: true})
+	buf = appendSegment(buf[:0], s, segOpts{compress: true})
 	sections, encs, err := sliceSections(buf)
 	if err != nil {
 		panic("dds: EncodeSections produced an unreadable segment: " + err.Error())
@@ -146,7 +146,7 @@ func OpenSection(data []byte, enc byte, index int) (*ShardReader, error) {
 	if enc == encRaw {
 		data = append([]byte(nil), data...)
 	}
-	hdr, err := openSection(data, enc, index, true, fmt.Sprintf("section %d", index))
+	hdr, err := openSection(data, enc, index, fmt.Sprintf("section %d", index))
 	if err != nil {
 		return nil, err
 	}

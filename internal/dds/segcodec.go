@@ -20,9 +20,9 @@ const (
 
 const (
 	// packThreshold is the largest raw section the writer will pack.
-	// Beyond it a section stays raw so the out-of-core read path serves
-	// giant shards straight from the mapping instead of decoding them
-	// onto the heap at open.
+	// Beyond it a section stays raw: readers cap the raw size a packed
+	// header may declare (maxPackedRaw) so a corrupt one cannot demand an
+	// unbounded decode allocation, and the writer stays well inside it.
 	packThreshold = 4 << 20
 
 	// maxPackedRaw bounds the raw size a packed section may declare —
@@ -209,14 +209,14 @@ func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 }
 
 // unpackBlock decodes a packed section back into the raw v1 shard block it
-// was packed from. With verify on, the packed checksum is checked against
-// the on-disk bytes before any decoding — corruption surfaces as ErrChecksum
-// over a few packed megabytes rather than a re-fold of the raw form. Only
-// enough of the copied header is trusted to size the allocation; the decoded
-// bytes then run through parseShardBlock (verify off — the raw checksum word
-// holds the packed sum) so a forged header still fails with the same typed
-// geometry errors as a raw section.
-func unpackBlock(data []byte, path string, verify bool) ([]byte, error) {
+// was packed from. The packed checksum is checked against the on-disk bytes
+// before any decoding — corruption surfaces as ErrChecksum over a few packed
+// megabytes rather than a re-fold of the raw form. Only enough of the copied
+// header is trusted to size the allocation; the decoded bytes then run
+// through parseShardBlock (raw checksum off — the checksum word holds the
+// packed sum) so a forged header still fails with the same typed geometry
+// errors as a raw section.
+func unpackBlock(data []byte, path string) ([]byte, error) {
 	if len(data) < headerBytes {
 		return nil, fmt.Errorf("%w: %s: packed section of %d bytes, header needs %d",
 			ErrTruncated, path, len(data), headerBytes)
@@ -225,10 +225,8 @@ func unpackBlock(data []byte, path string, verify bool) ([]byte, error) {
 	if string(h[0:8]) != shardMagic {
 		return nil, fmt.Errorf("%w: %s: packed section", ErrBadMagic, path)
 	}
-	if verify {
-		if sum := checksumPacked(h[:56], data[headerBytes:]); sum != le.Uint64(h[56:]) {
-			return nil, fmt.Errorf("%w: %s: packed section", ErrChecksum, path)
-		}
+	if sum := checksumPacked(h[:56], data[headerBytes:]); sum != le.Uint64(h[56:]) {
+		return nil, fmt.Errorf("%w: %s: packed section", ErrChecksum, path)
 	}
 	slotCount := le.Uint64(h[40:48])
 	slabCount := le.Uint64(h[48:56])

@@ -40,7 +40,7 @@ import (
 // it validates independently and the mmap'd read path probes the block's
 // bytes in place. A packed section (segcodec.go) decodes back to a raw block
 // before the same structural validation runs; it carries a checksum over its
-// own packed bytes, so a verifying open checks integrity against what is on
+// own packed bytes, so an open checks integrity against what is on
 // disk before decoding and the decoded block parses with its checksum
 // skipped. Every segment is self-contained. Sections must start immediately
 // after the table and tile the file exactly; a table whose offsets are
@@ -87,11 +87,10 @@ type segOpts struct {
 
 	// nosync skips the file and directory fsyncs after the atomic rename.
 	// Write-behind publishes set it: a mid-run generation is superseded and
-	// deleted seconds later, and every reader in this process sees the page
-	// cache, so per-segment fsync latency bought nothing but a longer
-	// barrier join. The publisher fsyncs the run's surviving segment once,
+	// deleted seconds later, so per-segment fsync latency bought nothing but
+	// a longer barrier join. The publisher fsyncs the run's surviving segment once,
 	// at Close — power loss mid-run can tear at most scratch files that
-	// crash recovery (sweepStaleRuns) or a verifying OpenSegment rejects.
+	// crash recovery (sweepStaleRuns) or OpenSegment rejects.
 	nosync bool
 }
 
@@ -101,15 +100,11 @@ type segOpts struct {
 // identical bytes into a fresh or recycled buffer, with per-shard sections
 // filling in parallel for large stores.
 func AppendSegment(buf []byte, s *Store) []byte {
-	buf, _ = appendSegment(buf, s, segOpts{})
-	return buf
+	return appendSegment(buf, s, segOpts{})
 }
 
-// appendSegment is AppendSegment with encoding options. It also reports
-// whether every section is raw, so an open serves reads straight from the
-// mapping with no decode — the publisher's barrier uses this to decide
-// whether swapping reads onto the segment buys anything.
-func appendSegment(buf []byte, s *Store, o segOpts) ([]byte, bool) {
+// appendSegment is AppendSegment with encoding options.
+func appendSegment(buf []byte, s *Store, o segOpts) []byte {
 	p := len(s.shards)
 	parts := make([][]byte, p)
 	encs := make([]byte, p)
@@ -126,7 +121,6 @@ func appendSegment(buf []byte, s *Store, o segOpts) ([]byte, bool) {
 	table := seg[headerBytes : headerBytes+p*segTableEntry]
 	clear(table)
 	off := headerBytes + p*segTableEntry
-	allRaw := true
 	for i := 0; i < p; i++ {
 		e := table[i*segTableEntry:]
 		le.PutUint64(e[0:], uint64(off))
@@ -134,10 +128,9 @@ func appendSegment(buf []byte, s *Store, o segOpts) ([]byte, bool) {
 		e[16] = encs[i]
 		copy(seg[off:], parts[i])
 		off += len(parts[i])
-		allRaw = allRaw && encs[i] == encRaw
 	}
 	fillSegmentHeader(seg[:headerBytes], s, table, uint64(off))
-	return buf, allRaw
+	return buf
 }
 
 func fillSegmentHeader(h []byte, s *Store, table []byte, size uint64) {
@@ -170,8 +163,7 @@ func segmentRawBytes(s *Store) int {
 // never a torn file, and a rename that returned means the segment survives
 // power loss.
 func WriteSegment(s *Store, path string, buf []byte) ([]byte, error) {
-	buf, _, err := writeSegment(s, path, buf, segOpts{compress: true}, nil)
-	return buf, err
+	return writeSegment(s, path, buf, segOpts{compress: true}, nil)
 }
 
 // errPublishCancelled reports a write-behind publish aborted before the
@@ -180,26 +172,25 @@ var errPublishCancelled = errors.New("dds: segment publish cancelled")
 
 // writeSegment is WriteSegment with encoding options and a cancellation hook:
 // when cancelled returns a non-nil error between write chunks, the temp file
-// is removed and the error returned, so no partial segment survives. It
-// reports appendSegment's all-raw fact. Stores whose raw size exceeds
-// segStreamThreshold stream section by section instead of buffering the
-// whole segment; the bytes on disk are identical either way.
-func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func() error) ([]byte, bool, error) {
+// is removed and the error returned, so no partial segment survives. Stores
+// whose raw size exceeds segStreamThreshold stream section by section
+// instead of buffering the whole segment; the bytes on disk are identical
+// either way.
+func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func() error) ([]byte, error) {
 	if segmentRawBytes(s) > segStreamThreshold {
-		allRaw, err := streamSegment(s, path, o, cancelled)
-		return buf, allRaw, err
+		return buf, streamSegment(s, path, o, cancelled)
 	}
-	buf, allRaw := appendSegment(buf[:0], s, o)
+	buf = appendSegment(buf[:0], s, o)
 	dir := filepath.Dir(path)
 	tmp := filepath.Join(dir, "."+filepath.Base(path)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return buf, false, err
+		return buf, err
 	}
-	fail := func(err error) ([]byte, bool, error) {
+	fail := func(err error) ([]byte, error) {
 		f.Close()
 		os.Remove(tmp)
-		return buf, false, err
+		return buf, err
 	}
 	const chunk = 4 << 20
 	for off := 0; off < len(buf); off += chunk {
@@ -223,22 +214,22 @@ func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func()
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return buf, false, err
+		return buf, err
 	}
 	if cancelled != nil {
 		if err := cancelled(); err != nil {
 			os.Remove(tmp)
-			return buf, false, err
+			return buf, err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return buf, false, err
+		return buf, err
 	}
 	if o.nosync {
-		return buf, allRaw, nil
+		return buf, nil
 	}
-	return buf, allRaw, syncDir(dir)
+	return buf, syncDir(dir)
 }
 
 // streamSegment writes s to path in section order: a zeroed header+table
@@ -247,18 +238,18 @@ func writeSegment(s *Store, path string, buf []byte, o segOpts, cancelled func()
 // seek back to patch the real header and table (whose checksum needs the
 // final offsets) before fsync and rename. Out-of-core stores publish
 // holding at most one encoded section per worker in memory.
-func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bool, error) {
+func streamSegment(s *Store, path string, o segOpts, cancelled func() error) error {
 	p := len(s.shards)
 	dir := filepath.Dir(path)
 	tmp := filepath.Join(dir, "."+filepath.Base(path)+".tmp")
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return false, err
+		return err
 	}
-	fail := func(err error) (bool, error) {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
 	ht := make([]byte, headerBytes+p*segTableEntry)
 	if _, err := f.Write(ht); err != nil {
@@ -266,7 +257,6 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bo
 	}
 	const chunk = 4 << 20
 	off := uint64(len(ht))
-	allRaw := true
 	workers := buildWorkers(s.pairs)
 	parts := make([][]byte, workers)
 	encs := make([]byte, workers)
@@ -299,7 +289,6 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bo
 			le.PutUint64(e[0:], off)
 			le.PutUint64(e[8:], uint64(len(part)))
 			e[16] = encs[j]
-			allRaw = allRaw && encs[j] == encRaw
 			off += uint64(len(part))
 		}
 	}
@@ -317,22 +306,22 @@ func streamSegment(s *Store, path string, o segOpts, cancelled func() error) (bo
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
 	if cancelled != nil {
 		if err := cancelled(); err != nil {
 			os.Remove(tmp)
-			return false, err
+			return err
 		}
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
 	if o.nosync {
-		return allRaw, nil
+		return nil
 	}
-	return allRaw, syncDir(dir)
+	return syncDir(dir)
 }
 
 // syncPath fsyncs one file by path — the close-time durability pass over a
@@ -377,16 +366,6 @@ func syncDir(dir string) error {
 // Packed sections decode onto the heap here, striped over the cores; the
 // error reported is always the lowest-index section's.
 func OpenSegment(path string) (*FileStore, error) {
-	return openSegment(path, true)
-}
-
-// openSegment is OpenSegment with the verification toggle. verify=false is
-// the publisher's trusted path for a segment this process serialized
-// moments ago: structural bounds are still enforced (slices must stay
-// inside the mapping, packed sections must decode) but checksums and the
-// slot-table scan — a full re-read of bytes that were just written — are
-// skipped.
-func openSegment(path string, verify bool) (*FileStore, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -430,10 +409,8 @@ func openSegment(path string, verify bool) (*FileStore, error) {
 		return nil, fmt.Errorf("%w: %s: %d bytes, section table needs %d", ErrTruncated, path, info.Size(), tableEnd)
 	}
 	table := data[headerBytes:tableEnd]
-	if verify {
-		if sum := checksum(h[0:56], table); sum != le.Uint64(h[56:]) {
-			return nil, fmt.Errorf("%w: %s: super-header", ErrChecksum, path)
-		}
+	if sum := checksum(h[0:56], table); sum != le.Uint64(h[56:]) {
+		return nil, fmt.Errorf("%w: %s: super-header", ErrChecksum, path)
 	}
 	if declaredSize != uint64(info.Size()) {
 		if declaredSize > uint64(info.Size()) {
@@ -455,7 +432,7 @@ func openSegment(path string, verify bool) (*FileStore, error) {
 	hdrs := make([]shardHeader, count)
 	errs := make([]error, count)
 	dispatch(count, buildWorkers(int(min(declaredPairs, 1<<31))), nil, func(i int) {
-		hdrs[i], errs[i] = openSection(sections[i], encs[i], i, verify, path)
+		hdrs[i], errs[i] = openSection(sections[i], encs[i], i, path)
 	})
 	s.shards = make([]fileShard, 0, count)
 	pairs := uint64(0)
@@ -487,23 +464,22 @@ func openSegment(path string, verify bool) (*FileStore, error) {
 // openSection decodes one section of encoding enc into the raw shard block
 // it stands for and parses it as shard index — the one section decoder behind
 // both OpenSegment and the shard server's OpenSection. A raw section parses
-// in place (the parsed block aliases data); a packed section decodes into
-// fresh memory. With verify on, a raw section gets the raw checksum and the
-// slot-table scan; a packed section's checksum is checked over the packed
-// bytes before decoding (its checksum word holds the packed sum, so the
-// parse skips the raw one) and the decoded block is then scanned. Any other
-// encoding byte is refused with ErrBadVersion.
-func openSection(data []byte, enc byte, index int, verify bool, path string) (shardHeader, error) {
+// in place (the parsed block aliases data) with its raw checksum; a packed
+// section's checksum is checked over the packed bytes before it decodes into
+// fresh memory (its checksum word holds the packed sum, so the parse skips
+// the raw one). Either way the slot-table scan runs. Any other encoding byte
+// is refused with ErrBadVersion.
+func openSection(data []byte, enc byte, index int, path string) (shardHeader, error) {
 	raw := data
 	switch enc {
 	case encRaw:
 	case encPacked:
 		var err error
-		if raw, err = unpackBlock(data, path, verify); err != nil {
+		if raw, err = unpackBlock(data, path); err != nil {
 			return shardHeader{}, err
 		}
 	default:
 		return shardHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements raw/packed", ErrBadVersion, path, enc)
 	}
-	return parseShardBlock(raw, path, index, verify && enc == encRaw, verify)
+	return parseShardBlock(raw, path, index, enc == encRaw)
 }

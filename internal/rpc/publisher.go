@@ -15,9 +15,8 @@ import (
 // quorum was reached (context cancellation or publisher Close).
 var errPublishCancelled = errors.New("rpc: store publish cancelled")
 
-// Publisher ships each round's frozen store to the shard servers. It
-// mirrors the file backend's write-behind pendingStore pattern: Publish
-// encodes the store on a background goroutine into the same packed sections
+// Publisher ships each round's frozen store to the shard servers. Like the
+// file backend it publishes write-behind: Publish encodes the store on a background goroutine into the same packed sections
 // the file backend writes to disk, and uploads each to its R owning servers
 // in a few put frames per server, while the returned backend serves reads
 // from the still-in-memory store; Barrier joins the upload, verifies the
