@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -426,4 +427,43 @@ func TestDaemonSubmitBodyCap(t *testing.T) {
 	}
 	var health map[string]any
 	get(t, base+"/healthz", http.StatusOK, &health)
+}
+
+// TestDaemonSubmitBodyDeadline sends a submission's headers at once and one
+// byte of its body, then stalls: the handler must answer 408 once the body
+// deadline passes instead of waiting on the client, and the daemon must
+// keep serving.
+func TestDaemonSubmitBodyDeadline(t *testing.T) {
+	defer func(d time.Duration) { submitBodyTimeout = d }(submitBodyTimeout)
+	submitBodyTimeout = 200 * time.Millisecond
+	d := newDaemon(ampc.Options{Seed: 1}, 0)
+	srv := newServer("127.0.0.1:0", d)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close(); d.close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST /v1/jobs HTTP/1.1\r\nHost: ampcd\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{")
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("stalled submit got no response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled submit: status %d, want %d", resp.StatusCode, http.StatusRequestTimeout)
+	}
+	if waited := time.Since(start); waited < submitBodyTimeout {
+		t.Fatalf("answered after %v, before the %v body deadline", waited, submitBodyTimeout)
+	}
+	var health map[string]any
+	get(t, "http://"+ln.Addr().String()+"/healthz", http.StatusOK, &health)
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"runtime/debug"
 	"sort"
 	"strconv"
@@ -149,17 +150,33 @@ type graphSpec struct {
 // decode buffer.
 const maxSubmitBytes = 64 << 20
 
+// submitBodyTimeout bounds how long a submission may take to deliver its
+// body once its headers are in; without it a client that trickles the body
+// holds the handler and its decoder for as long as it likes. It is set per
+// request, so the telemetry long-polls keep their own waits.
+var submitBodyTimeout = 30 * time.Second
+
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
+	// A writer that cannot take deadlines (a test recorder) reads without
+	// one.
+	rc := http.NewResponseController(w)
+	_ = rc.SetReadDeadline(time.Now().Add(submitBodyTimeout))
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		// The deadline stays: the server drains an unread body before it
+		// replies, and that drain must not wait on the client either.
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.As(err, &tooBig):
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			httpError(w, http.StatusRequestTimeout, "request body not received within %v", submitBodyTimeout)
+		default:
+			httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		}
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
+	_ = rc.SetReadDeadline(time.Time{})
 	spec, ok := ampc.Lookup(req.Algo)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown algorithm %q (registered: %s)",

@@ -126,11 +126,11 @@ type RoundStats struct {
 	// Freeze is the wall-clock time of the freeze phase: merging the
 	// machines' writes into the next round's immutable store.
 	Freeze time.Duration
-	// FreezeMerge and FreezeBuild split Freeze between its two parallel
-	// passes: merging writer buckets into contiguous per-shard regions (the
-	// sized merge that replaced the counting partition) and building the
-	// per-shard flat indexes. The split lets perf trajectories attribute a
-	// freeze delta to data movement versus index construction.
+	// FreezeMerge and FreezeBuild split Freeze between its two phases: the
+	// sizing pass (per-shard pair counts off the writers' stored shard ids,
+	// and the slot-table grab) and the insert tasks that place every pair
+	// in its shard's table. The split lets perf trajectories attribute a
+	// freeze delta to layout versus insertion.
 	FreezeMerge time.Duration
 	FreezeBuild time.Duration
 	// Publish is the wall-clock time this round spent synchronously on
@@ -268,9 +268,9 @@ func New(cfg Config) *Runtime {
 	if ap, ok := cfg.Backend.(interface{ SetArena(*dds.Arena) }); ok {
 		ap.SetArena(r.arena)
 	}
-	// Stable shard ownership: freeze index builds run on the pool with shard
-	// i pinned to worker i mod Workers, so a shard's arrays stay hot in the
-	// same worker's cache every round. The pool is idle during the freeze —
+	// Stable shard ownership: freeze insert task k runs on pool worker k and
+	// owns the shards i with i mod tasks == k, so a shard's arrays stay hot
+	// in the same worker's cache every round. The pool is idle during the freeze —
 	// it runs from the driver between rounds — so the pinned queues never
 	// contend with machine execution.
 	pool := r.pool
@@ -291,7 +291,7 @@ func New(cfg Config) *Runtime {
 	r.staticSalt = r.seedR.Uint64()
 	// The next store's salt is drawn up front (and re-drawn after every
 	// publish): writers pre-hash each written pair with it, which is what
-	// lets Freeze skip its counting pass. The draw order matches the old
+	// lets Freeze insert without hashing. The draw order matches the old
 	// freeze-time draw exactly, so seeds produce the same salt sequence.
 	r.nextSalt = r.seedR.Uint64()
 	r.builder.Prime(cfg.P, r.nextSalt)
@@ -565,8 +565,8 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 	}
 	// Priming replaces the plain Reset: it empties every writer and arms
 	// write-time pre-hashing for the next store's geometry, so this round's
-	// writes land in per-shard buckets and the freeze below is a sized merge
-	// with no counting pass.
+	// writes carry their destination shard and the freeze below inserts
+	// them in place with no hashing.
 	r.builder.Prime(r.cfg.P, r.nextSalt)
 	fail := r.failNext
 	r.failNext = nil

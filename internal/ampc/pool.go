@@ -14,13 +14,12 @@ import "sync"
 // Every worker owns a private job channel, which serves two dispatch
 // shapes. runWorkers hands worker w a closure that knows it is worker w —
 // used for round lanes, where lane w owns machines w, w+lanes, w+2·lanes,
-// ... every round. Shard work — freeze merges and index builds,
-// sync-publish section fills — goes through runStriped with stable
-// ownership over the pool's first stripe workers (Config.Workers, however
-// far the pool has grown): worker w always receives the same stripe of
-// shard indices, so a shard's slot arrays, slab and scratch region stay in
-// the same worker's cache generation after generation. Outputs never depend
-// on which worker ran the work.
+// ... every round. The freeze's insert tasks, each owning a stripe of
+// shards, go through runStriped with stable ownership over the pool's
+// first stripe workers (Config.Workers, however far the pool has grown):
+// worker w always receives the same task, and so the same shards, so a
+// shard's slot table and slab stay in the same worker's cache generation
+// after generation. Outputs never depend on which worker ran the work.
 //
 // The workers reference only the pool, never the Runtime, so an abandoned
 // Runtime stays collectable: its finalizer closes the pool and the workers

@@ -204,6 +204,58 @@ func TestFileRoundsRecycleThroughArena(t *testing.T) {
 	}
 }
 
+// TestWarmRoundsRetainTwoGenerations pins the freeze's memory footprint:
+// after warm rounds of 2^18 written pairs, the heap a collection leaves
+// holds the store being read and the arena's one spare generation — two
+// generations of 48-byte-slot tables — plus the writers' warm buffers
+// (a 48-byte entry and a 4-byte shard id per pair), and nothing that grows
+// with the pairs beyond that: no freeze scratch, no fatter slot.
+func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
+	// P = 12 keeps every shard's 2n well inside one power-of-two table size.
+	const n, p = 1 << 18, 12
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rt := New(Config{P: p, S: 1 << 16, Seed: 11, Workers: 2})
+	defer rt.Close()
+	input := make([]dds.KV, n)
+	for i := range input {
+		input[i] = pair(int64(i), int64(i))
+	}
+	rt.SetInput(input)
+	input = nil
+	for r := 0; r < 3; r++ {
+		err := rt.Round("copy", func(c *Ctx) error {
+			c.GrowWrites((n - c.Machine + c.P - 1) / c.P)
+			for x := c.Machine; x < n; x += c.P {
+				c.Write(key(int64(x), 0), val(int64(x), 1))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+
+	tables := int64(0)
+	for _, size := range rt.Store().(*dds.Store).ShardSizes() {
+		slots := int64(1)
+		for slots < 2*int64(size) {
+			slots <<= 1
+		}
+		tables += slots*48 + slots/8
+	}
+	bound := 2*tables + n*(48+4) + 1<<20
+	t.Logf("retained %d bytes; bound %d (tables %d per generation)", retained, bound, tables)
+	if retained > bound {
+		t.Fatalf("warm rounds retain %d bytes, more than two generations of tables, the writers and 1 MiB (%d)",
+			retained, bound)
+	}
+}
+
 // TestCloseSurfacesFinalPublishError pins the durability regression guard:
 // when the final round's write-behind publish dies after Round already
 // returned, the error must surface from Close — under synchronous

@@ -305,10 +305,10 @@ type Telemetry struct {
 	ExecuteTime time.Duration
 	// FreezeTime is the wall-clock time spent freezing writes into the next
 	// round's store, summed over rounds. FreezeMergeTime and
-	// FreezeBuildTime split it between merging the machines' pre-hashed
-	// writes into per-shard regions and building the per-shard indexes, so
-	// a freeze delta in a perf trajectory is attributable to data movement
-	// versus index construction.
+	// FreezeBuildTime split it between the sizing pass — per-shard pair
+	// counts off the writers' stored shard ids, and the slot-table grab —
+	// and inserting every pair into its table, so a freeze delta in a perf
+	// trajectory is attributable to layout versus insertion.
 	FreezeTime      time.Duration
 	FreezeMergeTime time.Duration
 	FreezeBuildTime time.Duration

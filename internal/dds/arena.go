@@ -9,28 +9,24 @@ import (
 // The AMPC round loop keeps two store generations alive — D_{i-1} being
 // read and D_i being built — so the natural steady state is double
 // buffering: when generation i-2 retires, its slot arrays and overflow
-// slabs (plus the partition scratch of the previous build) become the raw
-// material for generation i instead of garbage. Store shapes are stable
-// across rounds (the shard count is fixed and slot arrays are powers of
-// two), so after the first couple of rounds a freeze allocates almost
-// nothing.
+// slabs become the raw material for generation i instead of garbage. The
+// freeze inserts pairs straight into them and keeps no scratch of its own.
+// Store shapes are stable across rounds (the shard count is fixed and slot
+// arrays are powers of two), so after the first couple of rounds a freeze
+// allocates almost nothing.
 //
-// All methods are safe for concurrent use: shard builds grab from the
-// arena in parallel. A nil *Arena is valid everywhere and means "allocate
-// fresh" — callers never need to guard.
+// All methods are safe for concurrent use: a freeze's tasks grab tables and
+// slabs from the arena in parallel. A nil *Arena is valid everywhere and
+// means "allocate fresh" — callers never need to guard.
 type Arena struct {
 	mu sync.Mutex
 	// tables holds retired slot tables (slot array + occupancy bitmap)
 	// bucketed by log2(capacity); every slot array is allocated with a
 	// power-of-two length, so a bucket holds tables of exactly one capacity
-	// and grabTable is an exact-fit pop.
+	// and a table grab is an exact-fit pop.
 	tables [64][]table
 	// slabs holds retired overflow slabs, any capacity, first-fit.
 	slabs [][]Value
-	// Partition scratch from the previous build, reused whole.
-	kvs     []KV
-	hs      []uint64
-	slotIdx []int32
 }
 
 // table pairs a slot array with its occupancy bitmap; they are always
@@ -81,21 +77,6 @@ func (a *Arena) Recycle(s *Store) {
 	s.shards = nil
 }
 
-// lock and unlock expose the arena's mutex for callers that grab many
-// arrays in one sequential burst — the fused freeze sizes every shard's
-// table back to back, and one lock beats p of them. A nil arena is a no-op.
-func (a *Arena) lock() {
-	if a != nil {
-		a.mu.Lock()
-	}
-}
-
-func (a *Arena) unlock() {
-	if a != nil {
-		a.mu.Unlock()
-	}
-}
-
 // bitWords returns the occupancy-bitmap length for an n-slot table.
 func bitWords(n int) int { return (n + 63) / 64 }
 
@@ -103,116 +84,42 @@ func bitWords(n int) int { return (n + 63) / 64 }
 // two) with an all-clear occupancy bitmap, recycled when one of that
 // capacity is available. Only the bitmap is zeroed — 1/384th of the slot
 // bytes — because slot records are fully written at claim time and
-// serialization consults the bitmap for empties. The bitmap clear happens
-// outside the lock: concurrent shard builds must not serialize behind each
-// other.
+// serialization consults the bitmap for empties. Clearing and fresh
+// allocation happen outside the lock: the freeze's tasks grab their shards'
+// tables concurrently and must not serialize behind each other.
 func (a *Arena) grabTable(n int) ([]slot, []uint64) {
-	if a == nil || n <= 0 {
-		return make([]slot, n), make([]uint64, bitWords(n))
+	if a != nil {
+		b := bits.TrailingZeros(uint(n))
+		a.mu.Lock()
+		if k := len(a.tables[b]); k > 0 {
+			t := a.tables[b][k-1]
+			a.tables[b] = a.tables[b][:k-1]
+			a.mu.Unlock()
+			t.slots, t.bits = t.slots[:n], t.bits[:bitWords(n)]
+			clear(t.bits)
+			return t.slots, t.bits
+		}
+		a.mu.Unlock()
 	}
-	a.mu.Lock()
-	t, recycled := a.popTableLocked(n)
-	a.mu.Unlock()
-	if recycled {
-		clear(t.bits)
-	}
-	return t.slots, t.bits
-}
-
-// grabTableLocked is grabTable with the arena lock already held (or a nil
-// arena, which needs none). Only for single-threaded grab bursts.
-func (a *Arena) grabTableLocked(n int) ([]slot, []uint64) {
-	if a == nil || n <= 0 {
-		return make([]slot, n), make([]uint64, bitWords(n))
-	}
-	t, recycled := a.popTableLocked(n)
-	if recycled {
-		clear(t.bits)
-	}
-	return t.slots, t.bits
-}
-
-// popTableLocked pops a recycled table of capacity n (reporting true, its
-// bitmap still dirty) or allocates a fresh zeroed one (false). Lock held.
-func (a *Arena) popTableLocked(n int) (table, bool) {
-	b := bits.TrailingZeros(uint(n))
-	bucket := a.tables[b]
-	if len(bucket) == 0 {
-		return table{slots: make([]slot, n), bits: make([]uint64, bitWords(n))}, false
-	}
-	t := bucket[len(bucket)-1]
-	t.slots, t.bits = t.slots[:n], t.bits[:bitWords(n)]
-	a.tables[b] = bucket[:len(bucket)-1]
-	return t, true
+	return make([]slot, n), make([]uint64, bitWords(n))
 }
 
 // grabSlab returns a value slab of n entries, recycled first-fit. The slab
-// is not zeroed: every entry is overwritten by the build's placement pass.
+// is not zeroed: every entry is overwritten by the freeze's placement pass.
 func (a *Arena) grabSlab(n int) []Value {
 	if a == nil || n <= 0 {
 		return make([]Value, n)
 	}
 	a.mu.Lock()
-	sl := a.grabSlabLocked(n)
-	a.mu.Unlock()
-	return sl
-}
-
-// grabSlabLocked is grabSlab with the arena lock already held (or a nil
-// arena, which needs none).
-func (a *Arena) grabSlabLocked(n int) []Value {
-	if a == nil || n <= 0 {
-		return make([]Value, n)
-	}
 	for i, sl := range a.slabs {
 		if cap(sl) >= n {
 			last := len(a.slabs) - 1
 			a.slabs[i] = a.slabs[last]
 			a.slabs = a.slabs[:last]
+			a.mu.Unlock()
 			return sl[:n]
 		}
 	}
+	a.mu.Unlock()
 	return make([]Value, n)
-}
-
-// grabScratch returns the three partition scratch slices for a build over
-// total pairs, reusing the previous build's allocations when they fit.
-// The scratch is exclusive to one build at a time — the round loop freezes
-// sequentially — and comes back via putScratch.
-func (a *Arena) grabScratch(total int) (kvs []KV, hs []uint64, slotIdx []int32) {
-	if a == nil {
-		return make([]KV, total), make([]uint64, total), make([]int32, total)
-	}
-	a.mu.Lock()
-	kvs, hs, slotIdx = a.kvs, a.hs, a.slotIdx
-	a.kvs, a.hs, a.slotIdx = nil, nil, nil
-	a.mu.Unlock()
-	if cap(kvs) < total {
-		kvs = make([]KV, total)
-	}
-	if cap(hs) < total {
-		hs = make([]uint64, total)
-	}
-	if cap(slotIdx) < total {
-		slotIdx = make([]int32, total)
-	}
-	return kvs[:total], hs[:total], slotIdx[:total]
-}
-
-// putScratch returns partition scratch to the arena for the next build.
-func (a *Arena) putScratch(kvs []KV, hs []uint64, slotIdx []int32) {
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	if cap(kvs) > cap(a.kvs) {
-		a.kvs = kvs[:0]
-	}
-	if cap(hs) > cap(a.hs) {
-		a.hs = hs[:0]
-	}
-	if cap(slotIdx) > cap(a.slotIdx) {
-		a.slotIdx = slotIdx[:0]
-	}
-	a.mu.Unlock()
 }

@@ -50,8 +50,8 @@ var (
 )
 
 // Publisher turns each round's frozen in-memory store into the StoreBackend
-// the next round reads. Freeze always produces a *Store first — the merge
-// and index build are in-process work — and the publisher decides where the
+// the next round reads. Freeze always produces a *Store first — sizing and
+// insertion are in-process work — and the publisher decides where the
 // frozen shards live while they are being queried.
 type Publisher interface {
 	// Publish installs store number seq (a monotonically increasing counter

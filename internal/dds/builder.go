@@ -19,18 +19,14 @@ import (
 // lock and no allocation, and a builder can be Reset and reused across
 // rounds, keeping each machine's buffer capacity warm.
 //
-// A builder has two write-side modes. Unprimed (the default), writers buffer
-// plain pairs and Freeze partitions them with the counting build: hash every
-// pair to count per-shard sizes, prefix-sum, hash every pair again to
-// scatter. Primed with the next store's geometry — Prime(p, salt), which the
-// AMPC runtime calls every round because it draws the salt before the round
-// executes — writers pre-hash: each Write hashes its key once, resolves the
-// destination shard, and appends {key, hash|shard, value} to the writer's
-// buffer. Freeze then never hashes at all: the counting pass collapses to
-// reading stored shard ids, the scatter routes by them, and slot insertion
-// reuses the stored hash bits. Both modes produce byte-identical stores; the
-// primed path just moves the hashing to write time, where it runs inside the
-// machines' parallel execute phase.
+// A builder writes for one store geometry at a time. Prime(p, salt) — which
+// the AMPC runtime calls every round, because it draws the next store's salt
+// before the round executes — arms it; each Write then hashes its key once,
+// resolves the destination shard, and appends {key, hash|shard, value} to
+// the writer's buffer. Freeze never hashes: it sizes every shard's slot
+// table from the stored shard ids, then inserts each pair straight into its
+// table reusing the stored hash bits. A builder must be primed before its
+// first Writer call.
 //
 // (An earlier design kept a physical per-shard bucket per writer, making the
 // freeze a pure sized merge with no counting read. It measured slower: every
@@ -46,30 +42,31 @@ type Builder struct {
 	mu     sync.Mutex
 	extras map[int]*Writer
 
-	// Primed epoch: the shard count and salt writers pre-hash for. p == 0
-	// means unprimed (plain pair buffering). Writers copy the epoch when
-	// fetched; div caches the shard-count reduction so a fetch never
-	// recomputes it.
+	// Primed epoch: the shard count and salt writers pre-hash for; p == 0
+	// until the first Prime. Writers copy the epoch when fetched; div caches
+	// the shard-count reduction so a fetch never recomputes it.
 	p    int
 	salt uint64
 	div  divisor
 
-	// run, when set, schedules Freeze's parallel phases; the AMPC runtime
+	// run, when set, schedules Freeze's insert tasks; the AMPC runtime
 	// passes its pinned worker-pool scheduler here.
 	run Parallel
 
 	// stats records the last Freeze's merge/build wall-clock split.
 	stats FreezeStats
 
-	// Scratch reused across sequential fused freezes: per-shard pair counts
-	// and the stashed duplicate-key values awaiting slab placement.
+	// Scratch reused across freezes: per-shard pair counts, the shard-to-task
+	// ownership map, and each insert task's stashed duplicate-key values
+	// awaiting slab placement.
 	counts []int64
-	dups   []dupValue
+	owner  []int32
+	dups   [][]dupValue
 }
 
-// dupValue is one duplicate-key value met during a fused freeze: the slot
-// it belongs to and the value, stashed in arrival order until the slab
-// offsets are known.
+// dupValue is one duplicate-key value met during a freeze: the slot it
+// belongs to and the value, stashed in arrival order until the slab offsets
+// are known.
 type dupValue struct {
 	si   int32 // shard index
 	slot int32 // slot index within the shard
@@ -90,17 +87,16 @@ func NewBuilder(p int) *Builder {
 	return &Builder{writers: ws}
 }
 
-// SetParallel installs the scheduler Freeze uses for its parallel phases.
-// nil (the default) stripes work dynamically over transient goroutines; the
-// AMPC runtime passes a scheduler with stable shard-to-worker ownership.
-// The schedule never affects the frozen store.
+// SetParallel installs the scheduler Freeze runs its insert tasks on. nil
+// (the default) runs them over transient goroutines; the AMPC runtime
+// passes a scheduler with stable task-to-worker ownership. The schedule
+// never affects the frozen store.
 func (b *Builder) SetParallel(run Parallel) { b.run = run }
 
-// Prime arms the pre-hashed write path for a store sharded p ways with the
-// given placement salt: every subsequent Write hashes its key once, up
-// front, and records the destination shard with the pair. Freeze must then
-// be called with exactly this (p, salt) — the pre-computed routing is only
-// valid for it.
+// Prime arms the builder for a store sharded p ways with the given placement
+// salt: every subsequent Write hashes its key once, up front, and records the
+// destination shard with the pair. Freeze must then be called with exactly
+// this (p, salt) — the pre-computed routing is only valid for it.
 //
 // Priming is O(1): each writer adopts the new epoch (and discards anything
 // it buffered under an old one) when it is next fetched with Writer(m) —
@@ -113,10 +109,8 @@ func (b *Builder) Prime(p int, salt uint64) {
 		p = 1
 	}
 	if p > 1<<30 {
-		// A shard id must fit the routing word's low 32 bits; nothing real
-		// approaches this, but a silly p degrades to the counting build
-		// rather than corrupting routing.
-		p = 0
+		// A shard id must fit the routing word's low 32 bits.
+		panic(fmt.Sprintf("dds: Prime(p=%d): more than 2^30 shards", p))
 	}
 	if p != b.p {
 		b.div = newDivisor(uint64(p))
@@ -131,12 +125,15 @@ func (b *Builder) FreezeTimes() FreezeStats { return b.stats }
 // Writer returns an empty buffer for the given machine id. Writers for
 // distinct machines may be used concurrently; a single Writer is not
 // concurrency-safe. Requesting a machine's writer discards anything it
-// previously buffered (a restarted machine starts from scratch) — in primed
-// mode that includes the pre-hashed entries, so a failure-injected
-// machine's partial writes are invisible exactly like plain ones.
+// previously buffered (a restarted machine starts from scratch), so a
+// failure-injected machine's partial writes are invisible. The builder must
+// have been primed.
 func (b *Builder) Writer(machine int) *Writer {
 	if machine < 0 {
 		panic("dds: negative machine id")
+	}
+	if b.p == 0 {
+		panic("dds: Writer on a builder that was never primed; call Prime first")
 	}
 	if machine < len(b.writers) {
 		w := b.writers[machine]
@@ -159,10 +156,9 @@ func (b *Builder) Writer(machine int) *Writer {
 	return w
 }
 
-// DropWriter discards any buffered writes from the given machine — plain
-// pairs and pre-hashed entries alike. The AMPC runtime uses this to model
-// machine failure: a machine that dies mid-round restarts from scratch and
-// its partial writes must not be visible.
+// DropWriter discards any buffered writes from the given machine. The AMPC
+// runtime uses this to model machine failure: a machine that dies mid-round
+// restarts from scratch and its partial writes must not be visible.
 func (b *Builder) DropWriter(machine int) {
 	if machine >= 0 && machine < len(b.writers) {
 		b.writers[machine].clear()
@@ -176,7 +172,7 @@ func (b *Builder) DropWriter(machine int) {
 }
 
 // Reset empties every writer, keeping buffer capacities, so the builder can
-// be reused for the next round. The primed epoch, if any, is retained.
+// be reused for the next round. The primed epoch is retained.
 func (b *Builder) Reset() {
 	for _, w := range b.writers {
 		w.clear()
@@ -215,24 +211,9 @@ func (b *Builder) allWriters() []*Writer {
 	return ws
 }
 
-// buffers returns the per-machine plain-pair buffers in machine-id order.
-// Only meaningful for an unprimed builder.
-func (b *Builder) buffers() [][]KV {
-	ws := b.allWriters()
-	bufs := make([][]KV, 0, len(ws))
-	for _, w := range ws {
-		if w.p != 0 {
-			panic("dds: writer holds entries from a stale Prime epoch; fetch writers after Prime")
-		}
-		bufs = append(bufs, w.buf)
-	}
-	return bufs
-}
-
-// Pairs returns all buffered pairs merged in machine-id order. Each writer
-// is read through its own epoch — like Len — so pairs buffered before a
-// re-Prime are still reported rather than silently dropped (Freeze rejects
-// that state loudly; Pairs and Len must agree with each other regardless).
+// Pairs returns all buffered pairs merged in machine-id order, including
+// pairs a writer buffered before a re-Prime (Freeze rejects that state
+// loudly; Pairs and Len must agree with each other regardless).
 func (b *Builder) Pairs() []KV {
 	ws := b.allWriters()
 	total := 0
@@ -241,10 +222,6 @@ func (b *Builder) Pairs() []KV {
 	}
 	out := make([]KV, 0, total)
 	for _, w := range ws {
-		if w.p == 0 {
-			out = append(out, w.buf...)
-			continue
-		}
 		for i := range w.ents {
 			out = append(out, w.ents[i].kv)
 		}
@@ -262,46 +239,25 @@ func (b *Builder) Len() int {
 }
 
 // Freeze merges all buffered writes into an immutable Store sharded p ways
-// with the given salt. The partition and per-shard index builds run in
-// parallel for large rounds; the resulting store — including duplicate-key
-// index order — is identical to a sequential machine-id-order merge
-// regardless of parallelism. The builder's buffers are copied, so the
-// builder may be Reset and reused immediately.
+// with the given salt. The inserts run in parallel for large rounds; the
+// resulting store — including duplicate-key index order — is identical to a
+// sequential machine-id-order merge regardless of parallelism. The builder's
+// buffers are copied, so the builder may be Reset and reused immediately.
 func (b *Builder) Freeze(p int, salt uint64) *Store {
 	return b.FreezeArena(nil, p, salt)
 }
 
-// FreezeArena is Freeze drawing the new store's slot arrays, slabs and
-// partition scratch from the arena's recycled generation instead of the
-// allocator. The produced store is identical; only the provenance of its
-// memory changes. A primed builder must be frozen with its primed geometry:
-// the write-time hashes and shard ids are a function of (p, salt), and
-// freezing past them would silently mis-shard, so a mismatch panics.
+// FreezeArena is Freeze drawing the new store's slot tables and slabs from
+// the arena's recycled generation instead of the allocator. The produced
+// store is identical; only the provenance of its memory changes. The
+// builder must be frozen with its primed geometry: the write-time hashes and
+// shard ids are a function of (p, salt), and freezing past them would
+// silently mis-shard, so a mismatch panics.
 func (b *Builder) FreezeArena(a *Arena, p int, salt uint64) *Store {
-	if b.p != 0 {
-		if (p != b.p && !(p <= 0 && b.p == 1)) || salt != b.salt {
-			panic(fmt.Sprintf("dds: Freeze(p=%d, salt=%#x) on a builder primed for (p=%d, salt=%#x)",
-				p, salt, b.p, b.salt))
-		}
-		return b.freezePrimed(a)
+	if b.p == 0 || (p != b.p && !(p <= 0 && b.p == 1)) || salt != b.salt {
+		panic(fmt.Sprintf("dds: Freeze(p=%d, salt=%#x) on a builder primed for (p=%d, salt=%#x)",
+			p, salt, b.p, b.salt))
 	}
-	bufs := b.buffers()
-	total := 0
-	for _, buf := range bufs {
-		total += len(buf)
-	}
-	b.stats = FreezeStats{}
-	return buildStore(bufs, p, salt, buildWorkers(total), a, b.run, &b.stats)
-}
-
-// freezePrimed is the hash-free freeze over pre-hashed writer entries:
-// every routing decision reads the shard id stored at write time and slot
-// insertion reuses the stored hash bits, so no key is hashed and no modulo
-// is taken. Sequential freezes (small rounds, single-core hosts) take the
-// fused path; larger ones on multicore hosts run the three-pass parallel
-// pipeline. Both are byte-identical to the counting build of the same
-// writes — the property test suite compares all three as serialized bytes.
-func (b *Builder) freezePrimed(a *Arena) *Store {
 	ws := b.allWriters()
 	total := 0
 	for _, w := range ws {
@@ -313,94 +269,87 @@ func (b *Builder) freezePrimed(a *Arena) *Store {
 		}
 		total += len(w.ents)
 	}
+	return b.freeze(a, ws, total, buildWorkers(total))
+}
+
+// freeze inserts the writers' pre-hashed entries straight into their shards'
+// slot tables, in place: no key is hashed, no modulo is taken, and no pair is
+// copied anywhere but its slot. A sizing pass counts every shard's pairs off
+// the writers' compact shard-id arrays; then `workers` tasks run through the
+// scheduler, task k owning the shards with si % workers == k, first to grab
+// those shards' tables and then to insert their pairs. Every task streams all
+// writers in machine-id order, so each shard sees its pairs in exactly the
+// sequential merge order and the store is byte-identical for any worker
+// count or schedule. With one worker it is a single sequential pass.
+func (b *Builder) freeze(a *Arena, ws []*Writer, total, workers int) *Store {
+	p := b.p
+	s := &Store{shards: make([]shard, p), salt: b.salt, pairs: total, div: b.div}
 	b.stats = FreezeStats{}
 	if total == 0 {
-		return &Store{shards: make([]shard, b.p), salt: b.salt, pairs: 0, div: newDivisor(uint64(b.p))}
+		return s
 	}
-	return b.freezePrimedWorkers(a, ws, total, buildWorkers(total))
-}
-
-// freezePrimedWorkers dispatches on the worker count; split out so the
-// property tests can force either path regardless of host shape.
-func (b *Builder) freezePrimedWorkers(a *Arena, ws []*Writer, total, workers int) *Store {
-	if workers <= 1 {
-		return b.freezePrimedFused(a, ws, total)
-	}
-	return b.freezePrimedParallel(a, ws, total, workers)
-}
-
-// freezePrimedFused is the sequential fused freeze. With writes already
-// routed, a single pass over the writers' entries — in machine-id order,
-// which is exactly the merge order — inserts every pair straight into its
-// shard's slot table: a claimed slot takes its key and first value
-// immediately, and only duplicate-key values are stashed for slab placement
-// once the overflow offsets are known. There is no scatter, no pair
-// scratch, no hash scratch, and shards without duplicates skip the
-// overflow scan entirely.
-func (b *Builder) freezePrimedFused(a *Arena, ws []*Writer, total int) *Store {
-	p := b.p
-	s := &Store{shards: make([]shard, p), salt: b.salt, pairs: total, div: newDivisor(uint64(p))}
+	workers = max(1, min(workers, p))
 	t0 := time.Now()
 
-	// Sizing pass: per-shard pair counts streamed off the writers' compact
-	// shard-id arrays (4 bytes per pair, not the 48-byte entries), then
-	// table allocation under one arena lock. This is the freeze's whole
-	// layout cost — the merge phase of the split.
+	// Sizing pass: per-shard pair counts streamed off the shard-id arrays
+	// (4 bytes per pair, not the 48-byte entries); then every task grabs its
+	// own shards' tables, so fresh tables are zeroed on every core. This is
+	// the freeze's whole layout cost — the merge phase of the split.
 	if cap(b.counts) < p {
 		b.counts = make([]int64, p)
+		b.owner = make([]int32, p)
 	}
-	counts := b.counts[:p]
+	counts, owner := b.counts[:p], b.owner[:p]
 	clear(counts)
 	for _, w := range ws {
 		for _, si := range w.sis {
 			counts[si]++
 		}
 	}
-	a.lock()
-	for si := 0; si < p; si++ {
-		n := int(counts[si])
-		if n == 0 {
-			continue
-		}
-		sh := &s.shards[si]
-		sh.size = n
-		cap := 1
-		for cap < 2*n {
-			cap <<= 1
-		}
-		sh.slots, sh.bits = a.grabTableLocked(cap)
-		sh.mask = uint64(cap - 1)
+	for si := range owner {
+		owner[si] = int32(si % workers)
 	}
-	a.unlock()
+	for len(b.dups) < workers {
+		b.dups = append(b.dups, nil)
+	}
+	dispatch(workers, workers, b.run, func(k int) {
+		for si := k; si < p; si += workers {
+			s.shards[si].grab(a, int(counts[si]))
+		}
+	})
 	t1 := time.Now()
 
-	// Fused insert: pairs stream out of the writers in merge order and land
-	// in their slot tables in one touch. counts is reused to tally each
-	// shard's duplicate values, so duplicate-free shards skip the overflow
-	// scan below.
-	dups := b.dups[:0]
-	clear(counts)
+	dispatch(workers, workers, b.run, func(k int) {
+		b.dups[k] = s.insertOwned(a, ws, owner, int32(k), b.dups[k][:0])
+	})
+	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1)}
+	return s
+}
+
+// insertOwned is one freeze task: it streams every writer's entries in
+// machine-id order and inserts the pairs of the shards owner assigns to task
+// k. A claimed slot takes its key and first value at once; duplicate-key
+// values are stashed in dups, in arrival order, and placed once every owned
+// shard's slot counts are final. It returns the stash for reuse.
+func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups []dupValue) []dupValue {
 	for _, w := range ws {
-		for i := range w.ents {
-			e := &w.ents[i]
-			si := uint32(e.hs)
+		ents := w.ents[:len(w.sis)]
+		for i, si := range w.sis {
+			if owner[si] != k {
+				continue
+			}
+			e := &ents[i]
 			sh := &s.shards[si]
 			j := (e.hs >> 32) & sh.mask
 			for {
 				if !sh.occupied(j) {
 					sh.claim(j)
-					sl := &sh.slots[j]
-					sl.key = e.kv.Key
-					sl.first = e.kv.Value
-					sl.count = 1
-					sl.fill = 1
-					sl.off = 0
+					sh.slots[j] = slot{key: e.kv.Key, first: e.kv.Value, count: 1}
 					break
 				}
 				sl := &sh.slots[j]
 				if sl.key == e.kv.Key {
 					sl.count++
-					counts[si]++
 					dups = append(dups, dupValue{si: int32(si), slot: int32(j), v: e.kv.Value})
 					break
 				}
@@ -409,96 +358,54 @@ func (b *Builder) freezePrimedFused(a *Arena, ws []*Writer, total int) *Store {
 		}
 	}
 
-	// Overflow placement: shards with duplicates get slab offsets in slot
-	// order (identical to the counting build's overflow scan), then the
-	// stashed values replay in arrival order — per shard that is the
-	// machine-id merge order, so index assignment is byte-identical.
-	if len(dups) > 0 {
-		a.lock()
-		for si := 0; si < p; si++ {
-			if counts[si] == 0 {
-				continue
-			}
-			sh := &s.shards[si]
-			overflow := int32(0)
-			sh.forOccupied(func(j int) {
-				if sh.slots[j].count > 1 {
-					sh.slots[j].off = overflow
-					overflow += sh.slots[j].count - 1
-				}
-			})
-			sh.slab = a.grabSlabLocked(int(overflow))
+	// Overflow placement replays the stash backwards: layoutOverflow points
+	// each duplicated slot's off one past the end of its slab run, and every
+	// value steps off back by one, so a key's values land in arrival order —
+	// per shard the machine-id merge order — and off ends at the run's start.
+	for i := len(dups) - 1; i >= 0; i-- {
+		d := &dups[i]
+		sh := &s.shards[d.si]
+		if sh.slab == nil {
+			sh.layoutOverflow(a)
 		}
-		a.unlock()
-		for i := range dups {
-			d := &dups[i]
-			sh := &s.shards[d.si]
-			sl := &sh.slots[d.slot]
-			sh.slab[sl.off+sl.fill-1] = d.v
-			sl.fill++
-		}
+		sl := &sh.slots[d.slot]
+		sl.off--
+		sh.slab[sl.off] = d.v
 	}
-	b.dups = dups[:0]
-	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1)}
-	return s
+	return dups
 }
 
-// freezePrimedParallel is the multicore freeze: the same partition pipeline
-// as the counting build — per-chunk shard counts, prefix sums, scatter into
-// contiguous per-shard regions, parallel index builds — except that counting
-// and scatter read the stored shard ids instead of hashing.
-func (b *Builder) freezePrimedParallel(a *Arena, ws []*Writer, total, workers int) *Store {
-	p := b.p
-	bufs := make([][]entry, len(ws))
-	for i, w := range ws {
-		bufs[i] = w.ents
+// grab sizes the shard for n pairs: a power-of-two slot table at most half
+// full, from the arena when it holds one of that capacity.
+func (sh *shard) grab(a *Arena, n int) {
+	if n == 0 {
+		return
 	}
-	s := &Store{shards: make([]shard, p), salt: b.salt, pairs: total, div: newDivisor(uint64(p))}
-	t0 := time.Now()
-	chunks := splitChunks(bufs, workers, total)
-
-	// Counting pass over stored shard ids (no hashing).
-	counts := make([]int64, len(chunks)*p)
-	dispatch(len(chunks), workers, b.run, func(c int) {
-		row := counts[c*p : (c+1)*p]
-		for _, seg := range chunks[c] {
-			for i := range seg {
-				row[uint32(seg[i].hs)]++
-			}
-		}
-	})
-
-	starts, cursors := partitionLayout(counts, len(chunks), p)
-
-	// Scatter pass: each chunk streams its writers' entries in order and
-	// places them by stored shard id, hashes riding along for the build.
-	scratch, hs, slotIdx := a.grabScratch(total)
-	dispatch(len(chunks), workers, b.run, func(c int) {
-		cur := cursors[c*p : (c+1)*p]
-		for _, seg := range chunks[c] {
-			for i := range seg {
-				si := uint32(seg[i].hs)
-				pos := cur[si]
-				cur[si] = pos + 1
-				scratch[pos] = seg[i].kv
-				hs[pos] = seg[i].hs
-			}
-		}
-	})
-	t1 := time.Now()
-
-	// Index builds: one task per shard, so a pinned scheduler keeps each
-	// shard's slot arrays with the same worker every round.
-	dispatch(p, workers, b.run, func(sh int) {
-		lo, hi := starts[sh], starts[sh+1]
-		s.shards[sh].build(scratch[lo:hi], hs[lo:hi], slotIdx[lo:hi], a)
-	})
-	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1)}
-	a.putScratch(scratch, hs, slotIdx)
-	return s
+	cap := 1
+	for cap < 2*n {
+		cap <<= 1
+	}
+	sh.size = n
+	sh.slots, sh.bits = a.grabTable(cap)
+	sh.mask = uint64(cap - 1)
 }
 
-// entry is one buffered pair of a primed writer: the pair plus its packed
+// layoutOverflow sizes the shard's overflow slab and gives every duplicated
+// slot its run in slot order — the scan order the serialized format's slab
+// offsets are defined by — leaving off at the end of the run for the
+// backward placement to rewind.
+func (sh *shard) layoutOverflow(a *Arena) {
+	overflow := int32(0)
+	sh.forOccupied(func(j int) {
+		if c := sh.slots[j].count; c > 1 {
+			overflow += c - 1
+			sh.slots[j].off = overflow
+		}
+	})
+	sh.slab = a.grabSlab(int(overflow))
+}
+
+// entry is one buffered pair of a writer: the pair plus its packed
 // write-time routing word. The high 32 bits of hs are the high hash bits —
 // the only part slot insertion reads (probes start at hs >> 32) — and the
 // low 32 bits hold the destination shard id, which the hash's low bits are
@@ -508,17 +415,15 @@ type entry struct {
 	hs uint64
 }
 
-// Writer buffers one machine's writes for the round. Unprimed it appends
-// plain pairs; primed (by the owning Builder) it hashes each key once and
-// appends the pair with its packed hash|shard routing word, plus the bare
-// shard id to a compact side array — the freeze's sizing pass streams that
-// 4-byte-per-pair array instead of re-reading the 48-byte entries, which is
-// the difference between a counting pass and a length lookup.
+// Writer buffers one machine's writes for the round. It hashes each key once
+// and appends the pair with its packed hash|shard routing word, plus the
+// bare shard id to a compact side array — the freeze's sizing pass and its
+// tasks' ownership filter stream that 4-byte-per-pair array instead of
+// re-reading the 48-byte entries.
 type Writer struct {
-	buf  []KV     // unprimed mode
-	ents []entry  // primed mode
-	sis  []uint32 // primed mode: destination shard ids, parallel to ents
-	p    uint64   // shard count entries are routed for; 0 = unprimed
+	ents []entry
+	sis  []uint32 // destination shard ids, parallel to ents
+	p    uint64   // shard count entries are routed for
 	salt uint64
 	div  divisor // hash -> shard without a hardware divide
 }
@@ -533,7 +438,6 @@ func (w *Writer) adopt(b *Builder) {
 
 // clear empties the writer, keeping capacities.
 func (w *Writer) clear() {
-	w.buf = w.buf[:0]
 	w.ents = w.ents[:0]
 	w.sis = w.sis[:0]
 }
@@ -546,20 +450,12 @@ func (w *Writer) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	if w.p == 0 {
-		w.buf = slices.Grow(w.buf, n)
-		return
-	}
 	w.ents = slices.Grow(w.ents, n)
 	w.sis = slices.Grow(w.sis, n)
 }
 
 // Write appends one pair.
 func (w *Writer) Write(k Key, v Value) {
-	if w.p == 0 {
-		w.buf = append(w.buf, KV{k, v})
-		return
-	}
 	h := hash(k, w.salt)
 	si := w.div.mod(h)
 	w.ents = append(w.ents, entry{KV{k, v}, h&^uint64(0xffffffff) | si})
@@ -569,10 +465,6 @@ func (w *Writer) Write(k Key, v Value) {
 // WriteMany appends a batch of pairs in slice order, equivalent to calling
 // Write on each element.
 func (w *Writer) WriteMany(kvs []KV) {
-	if w.p == 0 {
-		w.buf = append(w.buf, kvs...)
-		return
-	}
 	w.Grow(len(kvs))
 	for i := range kvs {
 		h := hash(kvs[i].Key, w.salt)
@@ -583,9 +475,4 @@ func (w *Writer) WriteMany(kvs []KV) {
 }
 
 // Len returns the number of pairs buffered so far.
-func (w *Writer) Len() int {
-	if w.p == 0 {
-		return len(w.buf)
-	}
-	return len(w.ents)
-}
+func (w *Writer) Len() int { return len(w.ents) }

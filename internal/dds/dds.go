@@ -24,12 +24,14 @@
 // than a Go map. A slot holds the key, the first value inline (the common
 // single-value case costs one probe and no indirection), and — for
 // duplicated keys — an offset into a per-shard overflow slab holding values
-// 1..k-1 contiguously. Stores are built by a counting partition pass that
-// scatters pairs into contiguous per-shard regions, then the shards build
-// concurrently. The pipeline is deterministic for any worker count: pairs
-// land in their shard region in input order, so duplicate-key index
-// assignment is byte-identical to a sequential machine-id-order merge — the
-// property the runtime's fault-tolerance argument depends on.
+// 1..k-1 contiguously. Every store is frozen the same way: writers hash each
+// pair once at write time, a sizing pass counts every shard's pairs, and
+// tasks — each owning a stripe of shards — grab their shards' slot tables,
+// stream the writers in machine-id order and insert their pairs in place.
+// The freeze is deterministic for any worker count: every shard sees its
+// pairs in input order, so duplicate-key index assignment is byte-identical
+// to a sequential machine-id-order merge — the property the runtime's
+// fault-tolerance argument depends on.
 package dds
 
 import (
@@ -136,7 +138,6 @@ type slot struct {
 	first Value
 	count int32
 	off   int32
-	fill  int32 // build-time cursor; equals count once frozen
 }
 
 // shard holds the pairs that hashed to one DDS machine as a flat index.
@@ -217,11 +218,11 @@ type Store struct {
 // not depend on interleaving.
 type Parallel func(n int, f func(i int))
 
-// FreezeStats splits the wall-clock cost of one store build into its two
-// phases, so perf trajectories can attribute a freeze delta: Merge covers
-// partitioning the written pairs into contiguous per-shard regions (the
-// counting scatter for flat inputs, the sized bucket copy for pre-hashed
-// writers), Build covers constructing the per-shard flat indexes.
+// FreezeStats splits the wall-clock cost of one freeze into its two phases,
+// so perf trajectories can attribute a freeze delta: Merge covers the sizing
+// pass (per-shard pair counts off the writers' stored shard ids) and the
+// slot-table grab, Build covers inserting every pair into its table and
+// placing duplicate-key values in the overflow slabs.
 type FreezeStats struct {
 	Merge time.Duration
 	Build time.Duration
@@ -252,14 +253,24 @@ func dispatch(n, workers int, run Parallel, f func(i int)) {
 // retained. Large inputs build in parallel; the result is identical for any
 // level of parallelism.
 func NewStore(pairs []KV, p int, salt uint64) *Store {
-	return buildStore([][]KV{pairs}, p, salt, buildWorkers(len(pairs)), nil, nil, nil)
+	return NewStoreArena(pairs, p, salt, nil)
 }
 
-// NewStoreArena is NewStore drawing slot arrays, slabs and partition
-// scratch from the arena's recycled generation. The produced store is
-// identical; only the provenance of its memory changes.
+// NewStoreArena is NewStore drawing slot tables and slabs from the arena's
+// recycled generation. The produced store is identical; only the provenance
+// of its memory changes. It is the builder's freeze: the pairs are split
+// into contiguous runs written by consecutive machines — machine-id order is
+// input order — so the hashing runs on every core too.
 func NewStoreArena(pairs []KV, p int, salt uint64, a *Arena) *Store {
-	return buildStore([][]KV{pairs}, p, salt, buildWorkers(len(pairs)), a, nil, nil)
+	workers := buildWorkers(len(pairs))
+	b := NewBuilder(workers)
+	b.Prime(p, salt)
+	run := (len(pairs) + workers - 1) / workers
+	dispatch(workers, workers, nil, func(m int) {
+		lo := min(m*run, len(pairs))
+		b.Writer(m).WriteMany(pairs[lo:min(lo+run, len(pairs))])
+	})
+	return b.FreezeArena(a, p, salt)
 }
 
 // buildWorkers picks the build parallelism for an input size: small builds
@@ -273,146 +284,6 @@ func buildWorkers(pairs int) int {
 		w = 1
 	}
 	return w
-}
-
-// buildStore partitions the concatenation of bufs into contiguous per-shard
-// regions (counting pass, prefix sums, scatter pass) and then builds every
-// shard's flat index. All three passes parallelize over `workers` goroutines
-// (through run, when supplied); the scatter preserves input order within
-// each shard, so the store is independent of the worker count and schedule.
-// A non-nil arena supplies recycled slot arrays, slabs and partition
-// scratch; the result is identical either way. A non-nil st receives the
-// wall-clock split between the partition (Merge) and index-build (Build)
-// phases.
-func buildStore(bufs [][]KV, p int, salt uint64, workers int, a *Arena, run Parallel, st *FreezeStats) *Store {
-	if p <= 0 {
-		p = 1
-	}
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
-	}
-	s := &Store{shards: make([]shard, p), salt: salt, pairs: total, div: newDivisor(uint64(p))}
-	if total == 0 {
-		return s
-	}
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-
-	// Group the buffers into about `workers` contiguous chunks of roughly
-	// equal pair count; each chunk is one unit of partition work. Buffers
-	// bigger than a chunk are split by index so a single huge input still
-	// spreads.
-	chunks := splitChunks(bufs, workers, total)
-
-	// Counting pass: per-chunk, per-shard pair counts.
-	counts := make([]int64, len(chunks)*p)
-	dispatch(len(chunks), workers, run, func(c int) {
-		row := counts[c*p : (c+1)*p]
-		for _, seg := range chunks[c] {
-			for _, kv := range seg {
-				row[s.div.mod(hash(kv.Key, salt))]++
-			}
-		}
-	})
-
-	starts, cursors := partitionLayout(counts, len(chunks), p)
-
-	// Scatter pass: pairs land in their shard region in input order, with
-	// their full hash alongside so shard builds never rehash.
-	scratch, hs, slotIdx := a.grabScratch(total)
-	dispatch(len(chunks), workers, run, func(c int) {
-		cur := cursors[c*p : (c+1)*p]
-		for _, seg := range chunks[c] {
-			for _, kv := range seg {
-				h := hash(kv.Key, salt)
-				si := s.div.mod(h)
-				pos := cur[si]
-				cur[si] = pos + 1
-				scratch[pos] = kv
-				hs[pos] = h
-			}
-		}
-	})
-	var t1 time.Time
-	if st != nil {
-		t1 = time.Now()
-	}
-
-	// Index build: shards are independent; slotIdx is a shared scratch that
-	// each shard slices to its own region.
-	dispatch(p, workers, run, func(sh int) {
-		lo, hi := starts[sh], starts[sh+1]
-		s.shards[sh].build(scratch[lo:hi], hs[lo:hi], slotIdx[lo:hi], a)
-	})
-	if st != nil {
-		st.Merge, st.Build = t1.Sub(t0), time.Since(t1)
-	}
-	a.putScratch(scratch, hs, slotIdx)
-	return s
-}
-
-// partitionLayout turns per-chunk, per-shard counts into the shard region
-// starts and per-chunk write cursors of an order-preserving partition:
-// cursors are laid out so chunk order (= input order) is preserved inside
-// every shard region. Shared by the counting build and the pre-hashed
-// parallel freeze — the layout is what their byte-identity depends on, so
-// it exists exactly once.
-func partitionLayout(counts []int64, chunks, p int) (starts, cursors []int64) {
-	starts = make([]int64, p+1)
-	for sh := 0; sh < p; sh++ {
-		starts[sh+1] = starts[sh]
-		for c := 0; c < chunks; c++ {
-			starts[sh+1] += counts[c*p+sh]
-		}
-	}
-	cursors = make([]int64, chunks*p)
-	for sh := 0; sh < p; sh++ {
-		pos := starts[sh]
-		for c := 0; c < chunks; c++ {
-			cursors[c*p+sh] = pos
-			pos += counts[c*p+sh]
-		}
-	}
-	return starts, cursors
-}
-
-// chunk is one unit of partition work: an ordered run of buffer segments.
-type chunk[T any] [][]T
-
-// splitChunks groups the buffer list into about `workers` contiguous chunks
-// of roughly total/workers elements each, splitting oversized buffers by
-// index. Concatenating the chunks in order reproduces the concatenation of
-// bufs exactly, so partitioning is order-preserving for any worker count.
-func splitChunks[T any](bufs [][]T, workers, total int) []chunk[T] {
-	target := (total + workers - 1) / workers
-	if target < 1024 {
-		target = 1024
-	}
-	var chunks []chunk[T]
-	var cur chunk[T]
-	curSize := 0
-	for _, b := range bufs {
-		for len(b) > 0 {
-			if curSize >= target {
-				chunks = append(chunks, cur)
-				cur, curSize = nil, 0
-			}
-			n := len(b)
-			if room := target - curSize; n > room {
-				n = room
-			}
-			cur = append(cur, b[:n])
-			curSize += n
-			b = b[n:]
-		}
-	}
-	if curSize > 0 {
-		chunks = append(chunks, cur)
-	}
-	return chunks
 }
 
 // parallelDo runs f(0..n-1), striping the indices over up to `workers`
@@ -443,65 +314,6 @@ func parallelDo(n, workers int, f func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// build constructs the shard's flat index over its ordered pairs. hs holds
-// the precomputed hash of each pair; slotIdx is caller-provided scratch of
-// the same length. Two passes: the first inserts keys and counts duplicates,
-// the second places values — first value inline, the rest appended to the
-// overflow slab in input order, which is exactly the sequential merge order.
-func (sh *shard) build(pairs []KV, hs []uint64, slotIdx []int32, a *Arena) {
-	sh.size = len(pairs)
-	if len(pairs) == 0 {
-		return
-	}
-	cap := 1
-	for cap < 2*len(pairs) {
-		cap <<= 1
-	}
-	sh.slots, sh.bits = a.grabTable(cap)
-	sh.mask = uint64(cap - 1)
-	for i, kv := range pairs {
-		j := (hs[i] >> 32) & sh.mask
-		for {
-			if !sh.occupied(j) {
-				sh.claim(j)
-				sl := &sh.slots[j]
-				sl.key = kv.Key
-				sl.count = 1
-				sl.off = 0
-				sl.fill = 0
-				slotIdx[i] = int32(j)
-				break
-			}
-			sl := &sh.slots[j]
-			if sl.key == kv.Key {
-				sl.count++
-				slotIdx[i] = int32(j)
-				break
-			}
-			j = (j + 1) & sh.mask
-		}
-	}
-	overflow := int32(0)
-	sh.forOccupied(func(j int) {
-		if sh.slots[j].count > 1 {
-			sh.slots[j].off = overflow
-			overflow += sh.slots[j].count - 1
-		}
-	})
-	if overflow > 0 {
-		sh.slab = a.grabSlab(int(overflow))
-	}
-	for i, kv := range pairs {
-		sl := &sh.slots[slotIdx[i]]
-		if sl.fill == 0 {
-			sl.first = kv.Value
-		} else {
-			sh.slab[sl.off+sl.fill-1] = kv.Value
-		}
-		sl.fill++
-	}
 }
 
 // forOccupied invokes f for every occupied slot index, ascending — the scan

@@ -218,6 +218,7 @@ func TestConcurrentReads(t *testing.T) {
 
 func TestBuilderMergeOrder(t *testing.T) {
 	b := NewBuilder(8)
+	b.Prime(4, 5)
 	w2 := b.Writer(2)
 	w0 := b.Writer(0)
 	k := Key{1, 9, 0}
@@ -236,6 +237,7 @@ func TestBuilderMergeOrder(t *testing.T) {
 
 func TestBuilderDropWriter(t *testing.T) {
 	b := NewBuilder(8)
+	b.Prime(4, 5)
 	w := b.Writer(1)
 	w.Write(Key{1, 1, 0}, Value{1, 0})
 	b.DropWriter(1)
@@ -252,6 +254,7 @@ func TestBuilderDropWriter(t *testing.T) {
 
 func TestBuilderConcurrentWriters(t *testing.T) {
 	b := NewBuilder(8)
+	b.Prime(4, 5)
 	const machines, per = 8, 100
 	var wg sync.WaitGroup
 	for m := 0; m < machines; m++ {
@@ -272,6 +275,7 @@ func TestBuilderConcurrentWriters(t *testing.T) {
 
 func TestWriterLen(t *testing.T) {
 	b := NewBuilder(8)
+	b.Prime(4, 5)
 	w := b.Writer(0)
 	if w.Len() != 0 {
 		t.Fatal("fresh writer non-empty")

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -116,52 +117,67 @@ func TestFlatStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelFreezeMatchesSequential asserts that the parallel build path
-// is byte-identical to the sequential one for a fixed seed: same shard
-// sizes, same duplicate-key index assignment, same answers.
+// TestParallelFreezeMatchesSequential asserts that the freeze is
+// byte-identical to the counting-build oracle whatever its execution shape:
+// one to eight insert tasks under nil, reversed and pinned-striped
+// schedulers, fresh and dirty arenas, shard counts from 1 to 512 and
+// duplicate factors 1, 4 and 100 — same shard sizes, same duplicate-key
+// index assignment, same bytes.
 func TestParallelFreezeMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 10; trial++ {
-		n := r.Intn(20000) + 5000
-		pairs := randomPairs(r, n, 25)
-		p := r.Intn(32) + 1
-		salt := r.Uint64()
-		seq := buildStore([][]KV{pairs}, p, salt, 1, nil, nil, nil)
-		for _, workers := range []int{2, 3, 8} {
-			par := buildStore([][]KV{pairs}, p, salt, workers, nil, nil, nil)
-			compareStores(t, seq, par)
+	for _, p := range []int{1, 3, 16, 64, 512} {
+		for _, dup := range []int{1, 4, 100} {
+			pairs := randomPairs(r, r.Intn(4000)+4096, dup)
+			salt := r.Uint64()
+			want := oracleStore(pairs, p, salt)
+			wantBytes := AppendSegment(nil, want)
+			for _, workers := range []int{1, 2, 3, 8} {
+				for ri, run := range []Parallel{nil, reverseRun, stripedRun} {
+					for _, dirty := range []bool{false, true} {
+						// A dirty arena holds a retired store of another salt:
+						// recycled tables and slabs must not leak into the
+						// build.
+						a := NewArena()
+						if dirty {
+							a.Recycle(NewStore(pairs, p, salt^1))
+						}
+						got := freezePairs(pairs, 7, p, salt, workers, run, a)
+						if !bytes.Equal(AppendSegment(nil, got), wantBytes) {
+							t.Fatalf("p=%d dup=%d workers=%d run=%d dirty=%v: freeze differs from the oracle",
+								p, dup, workers, ri, dirty)
+						}
+					}
+				}
+			}
+			compareStores(t, want, NewStore(pairs, p, salt))
 		}
-		// An arena primed with a retired store must not change the build:
-		// recycled slot arrays are zeroed, slabs fully overwritten.
-		arena := NewArena()
-		arena.Recycle(buildStore([][]KV{pairs}, p, salt^1, 4, nil, nil, nil))
-		compareStores(t, seq, buildStore([][]KV{pairs}, p, salt, 4, arena, nil, nil))
 	}
 }
 
-// TestBuilderParallelFreezeMatchesSequential covers the Builder path: many
-// machines write interleaved duplicate keys, and Freeze (parallel for large
-// rounds) must agree with a sequential machine-id-order merge.
+// TestBuilderParallelFreezeMatchesSequential covers the public Builder
+// path: many machines write interleaved duplicate keys, and Freeze (parallel
+// for large rounds) must agree with the oracle over the machine-id-order
+// merge at every shard count.
 func TestBuilderParallelFreezeMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
-	const machines = 64
-	b := NewBuilder(machines)
-	for m := 0; m < machines; m++ {
-		w := b.Writer(m)
-		for i := 0; i < 150; i++ {
-			k := Key{Tag: 1, A: int64(r.Intn(400))}
-			w.Write(k, Value{A: int64(m), B: int64(i)})
+	const machines, salt = 64, 99
+	for _, p := range []int{1, 3, 16, 64, 512} {
+		b := NewBuilder(machines)
+		b.Prime(p, salt)
+		for m := 0; m < machines; m++ {
+			w := b.Writer(m)
+			for i := 0; i < 150; i++ {
+				k := Key{Tag: 1, A: int64(r.Intn(400))}
+				w.Write(k, Value{A: int64(m), B: int64(i)})
+			}
 		}
+		par := b.Freeze(p, salt)
+		if !bytes.Equal(AppendSegment(nil, par), AppendSegment(nil, oracleStore(b.Pairs(), p, salt))) {
+			t.Fatalf("p=%d: builder freeze differs from the oracle", p)
+		}
+		// Duplicate order must also match a map built from the merged pairs.
+		checkAgainstReference(t, par, reference(b.Pairs()), nil)
 	}
-	const p, salt = 16, 99
-	par := b.Freeze(p, salt)
-	seq := buildStore([][]KV{b.Pairs()}, p, salt, 1, nil, nil, nil)
-	compareStores(t, seq, par)
-
-	// ShardSizes and duplicate order must also match the historic
-	// sequential NewStore over the merged pairs.
-	ref := reference(b.Pairs())
-	checkAgainstReference(t, par, ref, nil)
 }
 
 // compareStores asserts two stores hold identical contents: shard sizes and

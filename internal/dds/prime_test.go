@@ -32,13 +32,10 @@ func stripedRun(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// fillPrimed primes b for (p, salt) — p == 0 leaves it unprimed, the
-// counting-build reference — and replays the writes of machines
+// fillPrimed primes b for (p, salt) and replays the writes of machines
 // 0..machines-1 in a deterministic interleaving with heavy duplicate keys.
 func fillPrimed(r *rand.Rand, b *Builder, machines, perMachine, p int, salt uint64, dup int) {
-	if p > 0 {
-		b.Prime(p, salt)
-	}
+	b.Prime(p, salt)
 	keySpace := machines*perMachine/dup + 1
 	for m := 0; m < machines; m++ {
 		w := b.Writer(m)
@@ -49,53 +46,42 @@ func fillPrimed(r *rand.Rand, b *Builder, machines, perMachine, p int, salt uint
 	}
 }
 
-// TestPrimedFreezeByteIdentical is the tentpole's property test: the
-// pre-hashed freeze must produce a store whose serialized segment bytes are
-// identical to the reference counting build of the same writes, across
-// every execution shape — fused (workers=1) and parallel (workers=8)
-// paths, nil and pinned/reversed schedulers, fresh and recycled arenas,
-// and duplicate-heavy key distributions.
+// TestPrimedFreezeByteIdentical is the freeze's property test: the in-place
+// freeze must produce a store whose serialized segment bytes are identical
+// to the counting-build oracle over the same writes, across every execution
+// shape — one to eight insert tasks, nil, reversed and pinned-striped
+// schedulers, fresh and dirty arenas — for shard counts from 1 to 512 and
+// duplicate-heavy key distributions. One builder is frozen in every shape,
+// so the reused duplicate stashes are exercised too.
 func TestPrimedFreezeByteIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(507))
-	for trial := 0; trial < 8; trial++ {
-		machines := []int{1, 4, 64}[trial%3]
-		perMachine := r.Intn(300) + 10
-		p := []int{1, 3, 16, 64}[trial%4]
-		dup := []int{1, 4, 100}[trial%3]
-		salt := r.Uint64()
-		seed := r.Int63()
-
-		// Reference: the same write sequence through an unprimed builder's
-		// counting build.
-		ref := NewBuilder(machines)
-		fillPrimed(rand.New(rand.NewSource(seed)), ref, machines, perMachine, 0, 0, dup)
-		refStore := ref.Freeze(p, salt)
-		want := string(AppendSegment(nil, refStore))
-
-		for _, workers := range []int{1, 8} {
-			for ri, run := range []Parallel{nil, reverseRun, stripedRun} {
-				for _, useArena := range []bool{false, true} {
-					b := NewBuilder(machines)
-					b.SetParallel(run)
-					fillPrimed(rand.New(rand.NewSource(seed)), b, machines, perMachine, p, salt, dup)
-					var a *Arena
-					if useArena {
-						// Dirty the arena with a retired store of the same
-						// shape so recycled tables and slabs are stale.
-						a = NewArena()
-						junk := NewBuilder(machines)
-						fillPrimed(rand.New(rand.NewSource(seed^0x5a)), junk, machines, perMachine, p, salt^1, dup)
-						a.Recycle(junk.Freeze(p, salt^1))
-					}
-					ws := b.allWriters()
-					total := 0
-					for _, w := range ws {
-						total += w.Len()
-					}
-					got := b.freezePrimedWorkers(a, ws, total, workers)
-					if gotBytes := string(AppendSegment(nil, got)); gotBytes != want {
-						t.Fatalf("trial %d workers=%d run=%d arena=%v: primed freeze bytes differ from counting build",
-							trial, workers, ri, useArena)
+	for _, p := range []int{1, 3, 16, 64, 512} {
+		for _, dup := range []int{1, 4, 100} {
+			machines := []int{1, 4, 64}[r.Intn(3)]
+			perMachine := r.Intn(300) + 10
+			salt := r.Uint64()
+			seed := r.Int63()
+			b := NewBuilder(machines)
+			fillPrimed(rand.New(rand.NewSource(seed)), b, machines, perMachine, p, salt, dup)
+			want := string(AppendSegment(nil, oracleStore(b.Pairs(), p, salt)))
+			ws := b.allWriters()
+			for _, workers := range []int{1, 2, 3, 8} {
+				for ri, run := range []Parallel{nil, reverseRun, stripedRun} {
+					for _, dirty := range []bool{false, true} {
+						a := NewArena()
+						if dirty {
+							// Dirty the arena with a retired store of the same
+							// shape so recycled tables and slabs are stale.
+							junk := NewBuilder(machines)
+							fillPrimed(rand.New(rand.NewSource(seed^0x5a)), junk, machines, perMachine, p, salt^1, dup)
+							a.Recycle(junk.Freeze(p, salt^1))
+						}
+						b.SetParallel(run)
+						got := b.freeze(a, ws, b.Len(), workers)
+						if gotBytes := string(AppendSegment(nil, got)); gotBytes != want {
+							t.Fatalf("p=%d dup=%d machines=%d workers=%d run=%d dirty=%v: freeze bytes differ from the oracle",
+								p, dup, machines, workers, ri, dirty)
+						}
 					}
 				}
 			}
@@ -104,19 +90,15 @@ func TestPrimedFreezeByteIdentical(t *testing.T) {
 }
 
 // TestPrimedFreezeThroughFreezeArena covers the public entry point: a
-// primed builder frozen via FreezeArena (the runtime's call) equals the
-// counting reference, and a geometry mismatch panics instead of
-// mis-sharding.
+// builder frozen via FreezeArena (the runtime's call) equals the oracle, and
+// a geometry mismatch panics instead of mis-sharding.
 func TestPrimedFreezeThroughFreezeArena(t *testing.T) {
 	const machines, perMachine, p, salt = 8, 200, 16, uint64(77)
-	ref := NewBuilder(machines)
-	fillPrimed(rand.New(rand.NewSource(3)), ref, machines, perMachine, 0, 0, 5)
-	want := string(AppendSegment(nil, ref.Freeze(p, salt)))
-
 	b := NewBuilder(machines)
 	fillPrimed(rand.New(rand.NewSource(3)), b, machines, perMachine, p, salt, 5)
+	want := string(AppendSegment(nil, oracleStore(b.Pairs(), p, salt)))
 	if got := string(AppendSegment(nil, b.FreezeArena(nil, p, salt))); got != want {
-		t.Fatal("primed FreezeArena bytes differ from counting build")
+		t.Fatal("FreezeArena bytes differ from the oracle")
 	}
 
 	b2 := NewBuilder(machines)
@@ -180,10 +162,11 @@ func TestPrimedDropWriter(t *testing.T) {
 
 // TestStaleEpochPairsAndLenAgree pins the inspection methods on the state
 // Freeze rejects: a writer written before a re-Prime must still be visible
-// through Pairs and Len (each writer reads through its own epoch), and the
-// freeze itself must fail loudly instead of silently dropping it.
+// through Pairs and Len, and the freeze itself must fail loudly instead of
+// silently dropping it.
 func TestStaleEpochPairsAndLenAgree(t *testing.T) {
 	b := NewBuilder(1)
+	b.Prime(4, 1)
 	b.Writer(0).Write(Key{Tag: 1, A: 1}, Value{A: 1})
 	b.Prime(8, 42) // the writer is not re-fetched
 	if b.Len() != 1 || len(b.Pairs()) != 1 {
@@ -197,85 +180,115 @@ func TestStaleEpochPairsAndLenAgree(t *testing.T) {
 	b.Freeze(8, 42)
 }
 
-// TestWriterWriteManyMatchesWriteLoop pins Writer-level batch semantics on
-// both write paths: WriteMany(kvs) must leave the writer in exactly the
-// state of a Write loop, so the frozen bytes agree.
+// TestUnprimedBuilderPanics pins that a builder has no write mode before
+// Prime: fetching a writer, or freezing, must fail loudly.
+func TestUnprimedBuilderPanics(t *testing.T) {
+	for name, f := range map[string]func(b *Builder){
+		"Writer": func(b *Builder) { b.Writer(0) },
+		"Freeze": func(b *Builder) { b.Freeze(0, 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s on an unprimed builder did not panic", name)
+				}
+			}()
+			f(NewBuilder(1))
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Prime past 2^30 shards did not panic")
+		}
+	}()
+	NewBuilder(1).Prime(1<<30+1, 0)
+}
+
+// TestWriterWriteManyMatchesWriteLoop pins Writer-level batch semantics:
+// WriteMany(kvs) must leave the writer in exactly the state of a Write loop,
+// so the frozen bytes agree.
 func TestWriterWriteManyMatchesWriteLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	kvs := make([]KV, 500)
 	for i := range kvs {
 		kvs[i] = KV{Key{Tag: 1, A: int64(r.Intn(60))}, Value{A: int64(i)}}
 	}
-	for _, primed := range []bool{false, true} {
-		p, salt := 0, uint64(0)
-		if primed {
-			p, salt = 7, uint64(123)
-		}
-		loop := NewBuilder(2)
-		batch := NewBuilder(2)
-		if primed {
-			loop.Prime(p, salt)
-			batch.Prime(p, salt)
-		}
-		lw, bw := loop.Writer(0), batch.Writer(0)
-		for _, kv := range kvs {
-			lw.Write(kv.Key, kv.Value)
-		}
-		bw.WriteMany(kvs[:200])
-		bw.WriteMany(kvs[200:])
-		if lw.Len() != bw.Len() {
-			t.Fatalf("primed=%v: Len %d vs %d", primed, lw.Len(), bw.Len())
-		}
-		fp, fsalt := 9, uint64(55)
-		if primed {
-			fp, fsalt = p, salt
-		}
-		a := string(AppendSegment(nil, loop.Freeze(fp, fsalt)))
-		b := string(AppendSegment(nil, batch.Freeze(fp, fsalt)))
-		if a != b {
-			t.Fatalf("primed=%v: WriteMany store differs from Write loop", primed)
-		}
+	const p, salt = 7, uint64(123)
+	loop := NewBuilder(2)
+	batch := NewBuilder(2)
+	loop.Prime(p, salt)
+	batch.Prime(p, salt)
+	lw, bw := loop.Writer(0), batch.Writer(0)
+	for _, kv := range kvs {
+		lw.Write(kv.Key, kv.Value)
+	}
+	bw.WriteMany(kvs[:200])
+	bw.WriteMany(kvs[200:])
+	if lw.Len() != bw.Len() {
+		t.Fatalf("Len %d vs %d", lw.Len(), bw.Len())
+	}
+	a := string(AppendSegment(nil, loop.Freeze(p, salt)))
+	b := string(AppendSegment(nil, batch.Freeze(p, salt)))
+	if a != b {
+		t.Fatal("WriteMany store differs from Write loop")
 	}
 }
 
-// TestWriterGrow pins the reservation contract on both write paths: a
-// writer reserved for n pairs takes exactly n — by Write and by WriteMany —
-// without allocating, and a reservation never changes the frozen bytes.
+// TestWriterGrow pins the reservation contract: a writer reserved for n
+// pairs takes exactly n — by Write and by WriteMany — without allocating,
+// and a reservation never changes the frozen bytes.
 func TestWriterGrow(t *testing.T) {
 	const n = 1000
 	kvs := make([]KV, n)
 	for i := range kvs {
 		kvs[i] = KV{Key{Tag: 2, A: int64(i % 70), B: int64(i)}, Value{A: int64(i)}}
 	}
-	for _, primed := range []bool{false, true} {
-		p, salt := 9, uint64(55)
-		plain, grown := NewBuilder(1), NewBuilder(1)
-		if primed {
-			plain.Prime(p, salt)
-			grown.Prime(p, salt)
-		}
-		pw := plain.Writer(0)
-		for _, kv := range kvs {
-			pw.Write(kv.Key, kv.Value)
-		}
-		gw := grown.Writer(0)
-		gw.Grow(n)
-		if allocs := testing.AllocsPerRun(10, func() {
-			gw.clear()
-			for _, kv := range kvs[:n/2] {
-				gw.Write(kv.Key, kv.Value)
-			}
-			gw.WriteMany(kvs[n/2:])
-		}); allocs != 0 {
-			t.Fatalf("primed=%v: filling a reserved writer allocates %.0f times", primed, allocs)
-		}
-		if gw.Len() != n {
-			t.Fatalf("primed=%v: reserved writer holds %d pairs, want %d", primed, gw.Len(), n)
-		}
-		a := string(AppendSegment(nil, plain.Freeze(p, salt)))
-		b := string(AppendSegment(nil, grown.Freeze(p, salt)))
-		if a != b {
-			t.Fatalf("primed=%v: Grow changed the frozen store", primed)
-		}
+	const p, salt = 9, uint64(55)
+	plain, grown := NewBuilder(1), NewBuilder(1)
+	plain.Prime(p, salt)
+	grown.Prime(p, salt)
+	pw := plain.Writer(0)
+	for _, kv := range kvs {
+		pw.Write(kv.Key, kv.Value)
 	}
+	gw := grown.Writer(0)
+	gw.Grow(n)
+	if allocs := testing.AllocsPerRun(10, func() {
+		gw.clear()
+		for _, kv := range kvs[:n/2] {
+			gw.Write(kv.Key, kv.Value)
+		}
+		gw.WriteMany(kvs[n/2:])
+	}); allocs != 0 {
+		t.Fatalf("filling a reserved writer allocates %.0f times", allocs)
+	}
+	if gw.Len() != n {
+		t.Fatalf("reserved writer holds %d pairs, want %d", gw.Len(), n)
+	}
+	a := string(AppendSegment(nil, plain.Freeze(p, salt)))
+	b := string(AppendSegment(nil, grown.Freeze(p, salt)))
+	if a != b {
+		t.Fatal("Grow changed the frozen store")
+	}
+}
+
+// BenchmarkFreeze measures the steady-state freeze: 2^20 pairs from 64
+// machines (about one in seven a duplicate-key value) into 512 shards, the
+// arena recycling each generation into the next as the runtime's does.
+func BenchmarkFreeze(b *testing.B) {
+	const pairs, machines, p, salt = 1 << 20, 64, 512, uint64(0xF5)
+	kvs := randomPairs(rand.New(rand.NewSource(9)), pairs, 4)
+	bld := NewBuilder(machines)
+	bld.Prime(p, salt)
+	for m := 0; m < machines; m++ {
+		bld.Writer(m).WriteMany(kvs[m*pairs/machines : (m+1)*pairs/machines])
+	}
+	a := NewArena()
+	a.Recycle(bld.FreezeArena(a, p, salt))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Recycle(bld.FreezeArena(a, p, salt))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 }

@@ -247,17 +247,17 @@ func TestSegmentSerializationDeterminism(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	pairs := randomPairs(r, 20000, 9)
 	const p, salt = 24, 0xABCD
-	base := AppendSegment(nil, buildStore([][]KV{pairs}, p, salt, 1, nil, nil, nil))
+	base := AppendSegment(nil, freezePairs(pairs, 4, p, salt, 1, nil, nil))
 	for _, workers := range []int{2, 8} {
-		got := AppendSegment(nil, buildStore([][]KV{pairs}, p, salt, workers, nil, nil, nil))
+		got := AppendSegment(nil, freezePairs(pairs, 4, p, salt, workers, nil, nil))
 		if !bytes.Equal(got, base) {
 			t.Fatalf("workers=%d: segment bytes differ from sequential build", workers)
 		}
 	}
 
 	arena := NewArena()
-	arena.Recycle(buildStore([][]KV{pairs}, p, salt^7, 8, nil, nil, nil))
-	st := buildStore([][]KV{pairs}, p, salt, 8, arena, nil, nil)
+	arena.Recycle(freezePairs(pairs, 4, p, salt^7, 8, nil, nil))
+	st := freezePairs(pairs, 4, p, salt, 8, nil, arena)
 	dirty := make([]byte, len(base)+512)
 	for i := range dirty {
 		dirty[i] = 0xAA
@@ -296,7 +296,7 @@ func TestWriteBehindDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		pub := NewFilePublisher(t.TempDir())
 		for seq, pairs := range rounds {
-			if _, err := pub.Publish(seq, buildStore([][]KV{pairs}, p, salt(seq), workers, nil, nil, nil)); err != nil {
+			if _, err := pub.Publish(seq, freezePairs(pairs, 4, p, salt(seq), workers, nil, nil)); err != nil {
 				t.Fatalf("workers=%d: publish %d: %v", workers, seq, err)
 			}
 			// Read each segment before the next write deletes it.
