@@ -368,32 +368,13 @@ func (d *flatDriver) build(out *contracted) *contracted {
 	return out
 }
 
-// sortKeys sorts keys ascending with two stable counting passes: by
-// destination into sorted, then by source back into keys. Both halves of a
-// packed key are vertex ids below len(target), so each pass has one bucket
-// per id and the result is exactly slices.Sort's, in O(keys + n) per pass.
-// Counts are int32: a contraction holds fewer than 2^31 records.
+// sortKeys sorts keys with graph.SortPacked: both halves of a packed key are
+// vertex ids below len(target), and a contraction holds fewer than 2^31
+// records.
 func (d *flatDriver) sortKeys() {
 	d.sorted = resized(d.sorted, len(d.keys))
 	d.counts = resized(d.counts, len(d.target)+1)
-	countingPass(d.keys, d.sorted, d.counts, 0)
-	countingPass(d.sorted, d.keys, d.counts, 32)
-}
-
-// countingPass scatters src into dst stably by the 32-bit id at shift.
-func countingPass(src, dst []uint64, counts []int32, shift uint) {
-	clear(counts)
-	for _, k := range src {
-		counts[uint32(k>>shift)+1]++
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	for _, k := range src {
-		b := uint32(k >> shift)
-		dst[counts[b]] = k
-		counts[b]++
-	}
+	graph.SortPacked(d.keys, d.sorted, d.counts)
 }
 
 // shuffled returns the live vertices in the phase's exploration order: a

@@ -72,31 +72,18 @@ type eulerTour struct {
 	g *graph.Graph
 	// succ and pred give the tour cycle through all 2m darts.
 	succ, pred []int
-	// edgeIdx maps a canonical edge to its index in g.Edges().
-	edgeIdx map[graph.Edge]int
 }
 
 // eulerTours builds the dart structure of forest g.
 func eulerTours(g *graph.Graph) *eulerTour {
 	m := g.M()
-	et := &eulerTour{
-		g:       g,
-		succ:    make([]int, 2*m),
-		pred:    make([]int, 2*m),
-		edgeIdx: make(map[graph.Edge]int, m),
-	}
-	for i, e := range g.Edges() {
-		et.edgeIdx[e] = i
-	}
+	et := &eulerTour{g: g, succ: make([]int, 2*m), pred: make([]int, 2*m)}
 	for d := 0; d < 2*m; d++ {
-		_, head := et.endpoints(d)
 		// The dart arrives at `head`; it continues along the neighbor that
 		// follows the dart's tail in head's sorted adjacency, cyclically.
-		tail, _ := et.endpoints(d)
+		tail, head := et.endpoints(d)
 		ns := g.Neighbors(head)
-		j := sort.SearchInts(ns, tail)
-		nxt := ns[(j+1)%len(ns)]
-		s := et.dartID(head, indexOfNeighbor(ns, nxt))
+		s := et.dartID(head, (sort.SearchInts(ns, tail)+1)%len(ns))
 		et.succ[d] = s
 		et.pred[s] = d
 	}
@@ -115,12 +102,11 @@ func (et *eulerTour) endpoints(d int) (tail, head int) {
 // dartID returns the dart leaving v toward its i-th neighbor.
 func (et *eulerTour) dartID(v, i int) int {
 	u := et.g.Neighbor(v, i)
-	e := graph.Edge{U: v, V: u}.Canon()
-	idx := et.edgeIdx[e]
-	if e.U == v {
-		return 2 * idx
+	d := 2 * et.g.EdgeIndex(v, u)
+	if v > u {
+		d++
 	}
-	return 2*idx + 1
+	return d
 }
 
 // asCycleGraph views the tour cycles as an undirected cycle graph on darts:
@@ -132,12 +118,4 @@ func (et *eulerTour) asCycleGraph() *cycleGraph {
 		cg.adj[d] = [2]int{et.succ[d], et.pred[d]}
 	}
 	return cg
-}
-
-func indexOfNeighbor(ns []int, x int) int {
-	i := sort.SearchInts(ns, x)
-	if i < len(ns) && ns[i] == x {
-		return i
-	}
-	panic("core: neighbor not found")
 }

@@ -102,7 +102,8 @@ func EncodeWeighted(g *WeightedGraph) []dds.KV {
 
 // Decode reconstructs a Graph from a store holding the standard encoding.
 // It is a test helper and master-side utility; reads are not budgeted. Any
-// store backend works — in-memory or file-backed.
+// store backend works — in-memory or file-backed. A missing degree or
+// adjacency record is an error, never a silently isolated vertex.
 func Decode(s dds.StoreBackend) (*Graph, error) {
 	meta, ok := s.Get(MetaKey())
 	if !ok {
@@ -111,7 +112,10 @@ func Decode(s dds.StoreBackend) (*Graph, error) {
 	n := int(meta.A)
 	var edges []Edge
 	for v := 0; v < n; v++ {
-		d, _ := s.Get(DegKey(v))
+		d, ok := s.Get(DegKey(v))
+		if !ok {
+			return nil, errTruncatedAdjacency
+		}
 		for i := 0; i < int(d.A); i++ {
 			a, ok := s.Get(AdjKey(v, i))
 			if !ok {

@@ -117,6 +117,20 @@ func TestDecodeTruncatedAdjacency(t *testing.T) {
 	}
 }
 
+func TestDecodeMissingDegree(t *testing.T) {
+	// A store that lost one degree record must not decode as a graph in
+	// which that vertex is isolated.
+	var pairs []dds.KV
+	for _, kv := range Encode(Path(4)) {
+		if kv.Key != DegKey(2) {
+			pairs = append(pairs, kv)
+		}
+	}
+	if _, err := Decode(dds.NewStore(pairs, 2, 1)); err != errTruncatedAdjacency {
+		t.Fatalf("Decode error %v, want %v", err, errTruncatedAdjacency)
+	}
+}
+
 func TestEncodeRankedOrdersByRank(t *testing.T) {
 	check := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%60 + 1

@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"ampc/internal/rng"
 )
@@ -169,31 +171,21 @@ func Caterpillar(spine, legs int) *Graph {
 }
 
 // GNM returns a uniformly random simple graph with n vertices and m distinct
-// edges (an Erdős–Rényi G(n, m) sample).
+// edges (an Erdős–Rényi G(n, m) sample): the first m distinct draws of a
+// uniform endpoint pair, rng consumption identical to deduplicating through
+// a Go map.
 func GNM(n, m int, r *rng.RNG) *Graph {
 	maxM := n * (n - 1) / 2
 	if m > maxM {
 		panic(fmt.Sprintf("graph: GNM m=%d exceeds max %d for n=%d", m, maxM, n))
 	}
-	seen := make(map[Edge]bool, m)
-	edges := make([]Edge, 0, m)
-	for len(edges) < m {
-		u, v := r.Intn(n), r.Intn(n)
-		if u == v {
-			continue
-		}
-		e := Edge{u, v}.Canon()
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-	}
-	return MustGraph(n, edges)
+	return sampleGraph(n, m, -1, nil, func() (int, int) { return r.Intn(n), r.Intn(n) })
 }
 
 // ConnectedGNM returns a connected random graph: a random attachment tree
-// plus m-(n-1) additional uniform edges. m must lie in [n-1, n(n-1)/2].
+// plus m-(n-1) additional uniform edges, the first distinct draws not in the
+// tree (rng consumption identical to deduplicating through a Go map). m must
+// lie in [n-1, n(n-1)/2].
 func ConnectedGNM(n, m int, r *rng.RNG) *Graph {
 	if m < n-1 {
 		panic(fmt.Sprintf("graph: ConnectedGNM needs m >= n-1, got n=%d m=%d", n, m))
@@ -201,34 +193,92 @@ func ConnectedGNM(n, m int, r *rng.RNG) *Graph {
 	if maxM := n * (n - 1) / 2; m > maxM {
 		panic(fmt.Sprintf("graph: ConnectedGNM m=%d exceeds max %d for n=%d", m, maxM, n))
 	}
-	seen := make(map[Edge]bool, m)
-	edges := make([]Edge, 0, m)
+	keys := make([]uint64, 0, m)
 	for i := 1; i < n; i++ {
-		e := Edge{i, r.Intn(i)}.Canon()
-		seen[e] = true
-		edges = append(edges, e)
+		keys = append(keys, packEdge(i, r.Intn(i)))
 	}
-	for len(edges) < m {
-		u, v := r.Intn(n), r.Intn(n)
-		if u == v {
-			continue
+	return sampleGraph(n, m, -1, keys, func() (int, int) { return r.Intn(n), r.Intn(n) })
+}
+
+// edgeSet is an open-addressed set of packed canonical edges: a flat table
+// at most half full, holding key+1 so that 0 marks an empty slot, probed
+// linearly from a multiplicative hash of the key.
+type edgeSet struct {
+	slots []uint64
+	shift uint
+}
+
+func newEdgeSet(m int) edgeSet {
+	b := bits.Len(uint(2 * m))
+	return edgeSet{slots: make([]uint64, 1<<b), shift: uint(64 - b)}
+}
+
+// add inserts k and reports whether it was absent.
+func (s edgeSet) add(k uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (k * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = k + 1
+			return true
+		case k + 1:
+			return false
 		}
-		e := Edge{u, v}.Canon()
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
 	}
-	return MustGraph(n, edges)
+}
+
+// sampleGraph is the random generators' one sampling loop: the graph on n
+// vertices of m distinct edges, the packed keys already in keys and then the
+// first distinct draws, skipping self-loops. After limit draws (never, if
+// limit < 0) it takes the pairs {u, v}, u < v < n, in lexicographic order
+// instead, so degenerate parameters terminate; the pairs a generator admits
+// must come first in that order. Draws are batched (so their inserts' cache
+// misses overlap), each batch stopping at the keys still missing and at the
+// limit: every draw, and the rng state after, is the one a loop
+// deduplicating through a Go map would make.
+func sampleGraph(n, m, limit int, keys []uint64, draw func() (u, v int)) *Graph {
+	keys = slices.Grow(keys, max(m-len(keys), 0))
+	set := newEdgeSet(cap(keys))
+	for _, k := range keys {
+		set.add(k)
+	}
+	var batch [64]uint64
+	for len(keys) < m {
+		if limit == 0 {
+			limit = -1
+			u, v := 0, 0
+			draw = func() (int, int) {
+				if v++; v == n {
+					u++
+					v = u + 1
+				}
+				return u, v
+			}
+		}
+		b := min(len(batch), m-len(keys))
+		if limit > 0 {
+			b = min(b, limit)
+			limit -= b
+		}
+		for j := range batch[:b] {
+			batch[j] = packEdge(draw())
+		}
+		for _, k := range batch[:b] {
+			if k>>32 != k&math.MaxUint32 && set.add(k) { // equal halves: a self-loop
+				keys = append(keys, k)
+			}
+		}
+	}
+	return must(fromKeys(n, keys))
 }
 
 // ChungLu returns a random graph with an approximately power-law degree
 // profile: vertex v gets expected weight proportional to (v+1)^{-1/(gamma-1)}
 // and edges are sampled by weighted endpoint choice, rejecting duplicates
-// and self-loops. gamma around 2.5 gives the long-tailed degree
-// distributions of social and web graphs, the workload class that motivated
-// the AMPC line of systems.
+// and self-loops: the first m distinct draws, rng consumption identical to
+// deduplicating through a Go map. gamma around 2.5 gives the long-tailed
+// degree distributions of social and web graphs, the workload class that
+// motivated the AMPC line of systems.
 func ChungLu(n, m int, gamma float64, r *rng.RNG) *Graph {
 	if gamma <= 1 {
 		panic("graph: ChungLu needs gamma > 1")
@@ -256,36 +306,7 @@ func ChungLu(n, m int, gamma float64, r *rng.RNG) *Graph {
 		}
 		return lo
 	}
-	seen := make(map[Edge]bool, m)
-	edges := make([]Edge, 0, m)
-	attempts := 0
-	for len(edges) < m {
-		if attempts++; attempts > 200*m+1000 {
-			// Degenerate parameters (tiny n, huge m): fall back to uniform
-			// fill so the generator always terminates.
-			for u := 0; u < n && len(edges) < m; u++ {
-				for v := u + 1; v < n && len(edges) < m; v++ {
-					e := Edge{u, v}
-					if !seen[e] {
-						seen[e] = true
-						edges = append(edges, e)
-					}
-				}
-			}
-			break
-		}
-		u, v := pick(), pick()
-		if u == v {
-			continue
-		}
-		e := Edge{u, v}.Canon()
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-	}
-	return MustGraph(n, edges)
+	return sampleGraph(n, m, 200*m+1000, nil, func() (int, int) { return pick(), pick() })
 }
 
 // PowerLaw returns a ChungLu sample at gamma 2.5, the long-tailed degree
@@ -312,7 +333,9 @@ func HubCount(n int) int {
 // hubs vertices and the other uniformly among all n. A hub's adjacency key
 // holds ~m/hubs values — the dup-heavy key distribution — and since a
 // key's values live on one shard, the store's shard load is maximally
-// skewed: the adversarial distribution the highload scenario drives.
+// skewed: the adversarial distribution the highload scenario drives. The
+// edges are the first m distinct draws, rng consumption identical to
+// deduplicating through a Go map.
 func SkewedDegree(n, m, hubs int, r *rng.RNG) *Graph {
 	if hubs <= 0 || hubs > n {
 		panic(fmt.Sprintf("graph: SkewedDegree needs 1 <= hubs <= n, got hubs=%d n=%d", hubs, n))
@@ -321,70 +344,28 @@ func SkewedDegree(n, m, hubs int, r *rng.RNG) *Graph {
 	if m > maxM {
 		panic(fmt.Sprintf("graph: SkewedDegree m=%d exceeds max %d for n=%d hubs=%d", m, maxM, n, hubs))
 	}
-	seen := make(map[Edge]bool, m)
-	edges := make([]Edge, 0, m)
-	attempts := 0
-	for len(edges) < m {
-		if attempts++; attempts > 200*m+1000 {
-			// Degenerate parameters (m near the hub-incident maximum): fill
-			// deterministically so the generator always terminates.
-			for u := 0; u < hubs && len(edges) < m; u++ {
-				for v := u + 1; v < n && len(edges) < m; v++ {
-					e := Edge{u, v}
-					if !seen[e] {
-						seen[e] = true
-						edges = append(edges, e)
-					}
-				}
-			}
-			break
-		}
-		u, v := r.Intn(hubs), r.Intn(n)
-		if u == v {
-			continue
-		}
-		e := Edge{u, v}.Canon()
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-	}
-	return MustGraph(n, edges)
+	return sampleGraph(n, m, 200*m+1000, nil, func() (int, int) { return r.Intn(hubs), r.Intn(n) })
 }
 
 // Bipartite returns a random bipartite graph with sides of size a and b and
-// m distinct edges.
+// m distinct edges: the first m distinct draws, rng consumption identical to
+// deduplicating through a Go map.
 func Bipartite(a, b, m int, r *rng.RNG) *Graph {
 	if m > a*b {
 		panic(fmt.Sprintf("graph: Bipartite m=%d exceeds max %d", m, a*b))
 	}
-	seen := make(map[Edge]bool, m)
-	edges := make([]Edge, 0, m)
-	for len(edges) < m {
-		u := r.Intn(a)
-		v := a + r.Intn(b)
-		e := Edge{u, v}
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		edges = append(edges, e)
-	}
-	return MustGraph(a+b, edges)
+	return sampleGraph(a+b, m, -1, nil, func() (int, int) { return r.Intn(a), a + r.Intn(b) })
 }
 
 // WithRandomWeights assigns distinct random weights to the edges of g by
 // shuffling the ranks 1..m and scaling, producing a weighted graph with a
 // unique MSF.
 func WithRandomWeights(g *Graph, r *rng.RNG) *WeightedGraph {
-	m := g.M()
-	ranks := r.Perm(m)
-	wes := make([]WeightedEdge, m)
-	for i, e := range g.Edges() {
-		wes[i] = WeightedEdge{e.U, e.V, int64(ranks[i]) + 1}
+	ws := make([]int64, g.M())
+	for i, rank := range r.Perm(g.M()) {
+		ws[i] = int64(rank) + 1
 	}
-	return MustWeightedGraph(g.N(), wes)
+	return &WeightedGraph{Graph: g, weights: ws}
 }
 
 // Union returns the disjoint union of graphs, relabeling the vertices of

@@ -9,6 +9,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -34,16 +36,21 @@ type Graph struct {
 	offs  []int // len n+1
 	adj   []int // len 2m, neighbors sorted per vertex
 	edges []Edge
+	first []int // len n+1: edges[first[u]:first[u+1]] are the edges {u, v > u}
 }
 
 // NewGraph builds a CSR graph on n vertices from an edge list. It returns an
-// error for out-of-range endpoints, self-loops, or duplicate edges.
+// error for out-of-range endpoints, self-loops, or duplicate edges, and for
+// more than 2^31-1 vertices or edges, the range of its packed keys (packEdge)
+// and their counting sort, which input in canonical order skips.
 func NewGraph(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	deg := make([]int, n)
-	canon := make([]Edge, len(edges))
+	if n > math.MaxInt32 || len(edges) > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d vertices or %d edges exceed the 2^31-1 limit", n, len(edges))
+	}
+	keys := make([]uint64, len(edges))
 	for i, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: edge %v out of range [0,%d)", e, n)
@@ -51,47 +58,79 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop at vertex %d", e.U)
 		}
-		canon[i] = e.Canon()
-		deg[e.U]++
-		deg[e.V]++
+		keys[i] = packEdge(e.U, e.V)
 	}
-	sort.Slice(canon, func(i, j int) bool {
-		if canon[i].U != canon[j].U {
-			return canon[i].U < canon[j].U
-		}
-		return canon[i].V < canon[j].V
-	})
-	for i := 1; i < len(canon); i++ {
-		if canon[i] == canon[i-1] {
-			return nil, fmt.Errorf("graph: duplicate edge %v", canon[i])
-		}
+	return fromKeys(n, keys)
+}
+
+// packEdge returns the key of the canonical edge {u, v}: min<<32 | max.
+func packEdge(u, v int) uint64 { return uint64(min(u, v))<<32 | uint64(max(u, v)) }
+
+// fromKeys builds the graph on n vertices from packed edge keys in any
+// order, sorting keys in place; a duplicate is an error. Filling adjacency in
+// ascending key order leaves every list ascending with no per-vertex sort:
+// x gets its neighbors below x from the keys (u, x), which all precede its
+// keys (x, v), and each group arrives by ascending partner.
+func fromKeys(n int, keys []uint64) (*Graph, error) {
+	if !slices.IsSorted(keys) {
+		SortPacked(keys, make([]uint64, len(keys)), make([]int32, n+1))
 	}
-	g := &Graph{n: n, offs: make([]int, n+1), adj: make([]int, 2*len(edges)), edges: canon}
+	g := &Graph{n: n, offs: make([]int, n+1), adj: make([]int, 2*len(keys)), edges: make([]Edge, len(keys)), first: make([]int, n+1)}
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			return nil, fmt.Errorf("graph: duplicate edge %v", g.edges[i-1])
+		}
+		g.edges[i] = Edge{int(k >> 32), int(uint32(k))}
+		g.first[k>>32+1]++
+		g.offs[k>>32+1]++
+		g.offs[uint32(k)+1]++
+	}
 	for v := 0; v < n; v++ {
-		g.offs[v+1] = g.offs[v] + deg[v]
+		g.offs[v+1] += g.offs[v]
+		g.first[v+1] += g.first[v]
 	}
-	fill := make([]int, n)
-	copy(fill, g.offs[:n])
-	for _, e := range canon {
+	fill := slices.Clone(g.offs[:n])
+	for _, e := range g.edges {
 		g.adj[fill[e.U]] = e.V
 		fill[e.U]++
 		g.adj[fill[e.V]] = e.U
 		fill[e.V]++
 	}
-	for v := 0; v < n; v++ {
-		sort.Ints(g.adj[g.offs[v]:g.offs[v+1]])
-	}
 	return g, nil
+}
+
+// SortPacked sorts keys ascending with two stable counting passes, by the
+// low 32-bit id into scratch and by the high id back, in O(len(keys) +
+// len(counts)) each. Both ids must lie below len(counts)-1, scratch must be
+// as long as keys, and keys must number fewer than 2^31 (counts are int32).
+func SortPacked(keys, scratch []uint64, counts []int32) {
+	src, dst := keys, scratch
+	for _, shift := range []uint{0, 32} {
+		clear(counts)
+		for _, k := range src {
+			counts[uint32(k>>shift)+1]++
+		}
+		for i := 1; i < len(counts); i++ {
+			counts[i] += counts[i-1]
+		}
+		for _, k := range src {
+			b := uint32(k >> shift)
+			dst[counts[b]] = k
+			counts[b]++
+		}
+		src, dst = dst, src
+	}
 }
 
 // MustGraph is NewGraph that panics on error; for tests and generators whose
 // inputs are valid by construction.
-func MustGraph(n int, edges []Edge) *Graph {
-	g, err := NewGraph(n, edges)
+func MustGraph(n int, edges []Edge) *Graph { return must(NewGraph(n, edges)) }
+
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return g
+	return v
 }
 
 // N returns the number of vertices.
@@ -114,13 +153,22 @@ func (g *Graph) Neighbor(v, i int) int { return g.adj[g.offs[v]+i] }
 func (g *Graph) Edges() []Edge { return g.edges }
 
 // HasEdge reports whether the edge {u, v} is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n || u == v {
-		return false
+func (g *Graph) HasEdge(u, v int) bool { return g.EdgeIndex(u, v) >= 0 }
+
+// EdgeIndex returns the position of edge {u, v} in Edges(), or -1 if it is
+// absent. The neighbors above u close u's sorted list in the order of its
+// canonical edges, which end where u+1's begin.
+func (g *Graph) EdgeIndex(u, v int) int {
+	u, v = min(u, v), max(u, v)
+	if u < 0 || v >= g.n {
+		return -1
 	}
 	ns := g.Neighbors(u)
 	i := sort.SearchInts(ns, v)
-	return i < len(ns) && ns[i] == v
+	if i == len(ns) || ns[i] != v {
+		return -1
+	}
+	return g.first[u+1] - (len(ns) - i)
 }
 
 // MaxDeg returns the maximum degree, or 0 for an empty graph.
@@ -152,53 +200,54 @@ func (e WeightedEdge) Canonical() WeightedEdge {
 // WeightedGraph couples a Graph with a weight per canonical edge.
 type WeightedGraph struct {
 	*Graph
-	weights map[Edge]int64
+	weights []int64 // weights[i] is the weight of Edges()[i]
 }
 
 // NewWeightedGraph builds a weighted graph. Weights must be distinct: the
 // paper assumes distinct weights so the minimum spanning forest is unique.
+// With several repeated weights, the error names the smallest.
 func NewWeightedGraph(n int, edges []WeightedEdge) (*WeightedGraph, error) {
 	plain := make([]Edge, len(edges))
-	weights := make(map[Edge]int64, len(edges))
-	seen := make(map[int64]bool, len(edges))
+	weights := make([]int64, len(edges))
 	for i, e := range edges {
 		plain[i] = Edge{e.U, e.V}
-		if seen[e.Weight] {
-			return nil, fmt.Errorf("graph: duplicate weight %d (MSF uniqueness requires distinct weights)", e.Weight)
+		weights[i] = e.Weight
+	}
+	slices.Sort(weights)
+	for i := 1; i < len(weights); i++ {
+		if weights[i] == weights[i-1] {
+			return nil, fmt.Errorf("graph: duplicate weight %d (MSF uniqueness requires distinct weights)", weights[i])
 		}
-		seen[e.Weight] = true
-		weights[plain[i].Canon()] = e.Weight
 	}
 	g, err := NewGraph(n, plain)
 	if err != nil {
 		return nil, err
+	}
+	for _, e := range edges {
+		weights[g.EdgeIndex(e.U, e.V)] = e.Weight
 	}
 	return &WeightedGraph{Graph: g, weights: weights}, nil
 }
 
 // MustWeightedGraph is NewWeightedGraph that panics on error.
 func MustWeightedGraph(n int, edges []WeightedEdge) *WeightedGraph {
-	g, err := NewWeightedGraph(n, edges)
-	if err != nil {
-		panic(err)
-	}
-	return g
+	return must(NewWeightedGraph(n, edges))
 }
 
 // Weight returns the weight of edge {u, v}; the edge must exist.
 func (g *WeightedGraph) Weight(u, v int) int64 {
-	w, ok := g.weights[Edge{u, v}.Canon()]
-	if !ok {
+	i := g.EdgeIndex(u, v)
+	if i < 0 {
 		panic(fmt.Sprintf("graph: weight of absent edge {%d,%d}", u, v))
 	}
-	return w
+	return g.weights[i]
 }
 
 // WeightedEdges returns the canonical edge list with weights.
 func (g *WeightedGraph) WeightedEdges() []WeightedEdge {
-	out := make([]WeightedEdge, 0, g.M())
-	for _, e := range g.Edges() {
-		out = append(out, WeightedEdge{e.U, e.V, g.weights[e]})
+	out := make([]WeightedEdge, g.M())
+	for i, e := range g.Edges() {
+		out[i] = WeightedEdge{e.U, e.V, g.weights[i]}
 	}
 	return out
 }

@@ -241,6 +241,41 @@ func TestWeightedGraph(t *testing.T) {
 	if _, err := NewWeightedGraph(3, []WeightedEdge{{0, 1, 5}, {1, 2, 5}}); err == nil {
 		t.Fatal("duplicate weights accepted")
 	}
+	_, err := NewWeightedGraph(4, []WeightedEdge{{0, 1, 9}, {1, 2, 9}, {2, 3, 4}, {0, 3, 4}})
+	if want := "graph: duplicate weight 4 (MSF uniqueness requires distinct weights)"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+
+	// Weights given in shuffled order with flipped endpoints land on their
+	// edges, in both directions, and read back in canonical order.
+	r := rng.New(12, 0)
+	base := GNM(300, 2000, r)
+	in := make([]WeightedEdge, base.M())
+	for i, e := range base.Edges() {
+		in[i] = WeightedEdge{e.V, e.U, int64(3*i + 7)}
+	}
+	r.Shuffle(len(in), func(i, j int) { in[i], in[j] = in[j], in[i] })
+	wg := MustWeightedGraph(300, in)
+	for _, e := range in {
+		if wg.Weight(e.U, e.V) != e.Weight || wg.Weight(e.V, e.U) != e.Weight {
+			t.Fatalf("Weight(%d, %d) = %d, want %d", e.U, e.V, wg.Weight(e.U, e.V), e.Weight)
+		}
+	}
+	for i, e := range wg.WeightedEdges() {
+		if e.U != base.Edges()[i].U || e.V != base.Edges()[i].V || e.Weight != int64(3*i+7) {
+			t.Fatalf("WeightedEdges()[%d] = %+v", i, e)
+		}
+	}
+	for u := 0; u < 300; u++ {
+		for v := 0; v < 300; v++ {
+			if i := wg.EdgeIndex(u, v); (i >= 0) != base.HasEdge(u, v) || i >= 0 && base.Edges()[i] != (Edge{u, v}).Canon() {
+				t.Fatalf("EdgeIndex(%d, %d) = %d", u, v, i)
+			}
+		}
+	}
+	if wg.EdgeIndex(-1, 3) != -1 || wg.EdgeIndex(3, 300) != -1 {
+		t.Fatal("out-of-range EdgeIndex found an edge")
+	}
 }
 
 func TestWithRandomWeightsDistinct(t *testing.T) {
