@@ -102,11 +102,16 @@ func runBackend(t *testing.T, job ampc.Job, opts ampc.Options) (*ampc.Result, []
 	if err != nil {
 		t.Fatalf("%s backend=%s workers=%d: %v", job.Algo, opts.Backend, opts.Workers, err)
 	}
+	return res, roundPairs(res)
+}
+
+// roundPairs returns the run's pair count per round.
+func roundPairs(res *ampc.Result) []int {
 	pairs := make([]int, len(res.Telemetry.RoundStats))
 	for i, st := range res.Telemetry.RoundStats {
 		pairs[i] = st.Pairs
 	}
-	return res, pairs
+	return pairs
 }
 
 // normalizePayload returns a copy of an algorithm payload with its Telemetry
@@ -210,60 +215,6 @@ func TestBackendOptionValidation(t *testing.T) {
 	opts := ampc.Options{Backend: ampc.BackendRPC, Servers: rpcServers(t), Replication: 2}
 	if _, err := eng.Run(context.Background(), ampc.Job{Algo: "connectivity", Graph: g, Opts: &opts}); err != nil {
 		t.Fatalf("rpc backend rejected: %v", err)
-	}
-}
-
-// TestRPCKillReplica is the replication acceptance test at the engine level:
-// with a dedicated 3-server fleet and Replication=2, killing one server
-// mid-run (after the second round's stats land) must not change one byte of
-// output versus the in-memory backend — reads fail over, publishes settle
-// for the surviving replica's ack.
-func TestRPCKillReplica(t *testing.T) {
-	g := ampc.GNM(400, 1200, ampc.NewRNG(4, 4))
-	job := ampc.Job{Algo: "connectivity", Graph: g, Check: true}
-	base, basePairs := runBackend(t, job, ampc.Options{Seed: 11, Backend: ampc.BackendMem, Workers: 1})
-
-	fleet, err := rpc.StartFleet(make([]rpc.ServerConfig, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close()
-	addrs := fleet.Addrs()
-	var killOnce sync.Once
-	rounds := 0
-	eng := ampc.NewEngine(ampc.EngineOptions{
-		Observer: func(ev ampc.RoundEvent) {
-			rounds++
-			if rounds == 2 {
-				killOnce.Do(func() { fleet.Kill(1) })
-			}
-		},
-	})
-	opts := ampc.Options{Seed: 11, Backend: ampc.BackendRPC, Servers: addrs, Replication: 2, Workers: 4}
-	j := job
-	j.Opts = &opts
-	res, err := eng.Run(context.Background(), j)
-	if err != nil {
-		t.Fatalf("run with killed replica: %v", err)
-	}
-	if rounds < 3 {
-		t.Skipf("run finished in %d rounds; the kill never hit a live round", rounds)
-	}
-	if !reflect.DeepEqual(res.Labels, base.Labels) {
-		t.Error("killing one of R=2 replicas changed labels")
-	}
-	if res.Summary != base.Summary {
-		t.Errorf("summary %q vs %q after replica kill", res.Summary, base.Summary)
-	}
-	if res.Check != base.Check {
-		t.Errorf("check status %v vs %v after replica kill", res.Check, base.Check)
-	}
-	pairs := make([]int, len(res.Telemetry.RoundStats))
-	for i, st := range res.Telemetry.RoundStats {
-		pairs[i] = st.Pairs
-	}
-	if !reflect.DeepEqual(pairs, basePairs) {
-		t.Errorf("per-round pair counts differ after replica kill: %v vs %v", pairs, basePairs)
 	}
 }
 

@@ -310,8 +310,8 @@ func ChungLu(n, m int, gamma float64, r *rng.RNG) *Graph {
 }
 
 // PowerLaw returns a ChungLu sample at gamma 2.5, the long-tailed degree
-// profile of social and web graphs — the workload axis the scenario
-// harness sweeps next to gnm/cgnm. The fixed gamma keeps the workload
+// profile of social and web graphs — the workload axis the chaos grid
+// sweeps next to gnm/cgnm. The fixed gamma keeps the workload
 // regenerable from (kind, n, m, seed) alone.
 func PowerLaw(n, m int, r *rng.RNG) *Graph {
 	return ChungLu(n, m, 2.5, r)
@@ -319,7 +319,7 @@ func PowerLaw(n, m int, r *rng.RNG) *Graph {
 
 // HubCount returns the hub-set size the "skew" workload kind uses for n
 // vertices: 1% of the graph, at least one vertex. Fixed here so every
-// consumer (ampcrun, cmd/scenario) regenerates identical graphs from
+// consumer (ampcrun, the chaos grid) regenerates identical graphs from
 // (kind, n, m, seed).
 func HubCount(n int) int {
 	if h := n / 100; h > 1 {

@@ -27,7 +27,8 @@ func sameGraph(t *testing.T, name string, got, want *Graph) {
 // TestGeneratorsMatchMapOracle pins every random generator to the
 // map-deduplicating reference: the same graph, and the rng left in the same
 // state, at bench scale, near-complete density, tiny n and the ChungLu
-// attempt-limit fallback.
+// attempt-limit fallback. A seed change must change the graph, so the
+// determinism is not vacuous.
 func TestGeneratorsMatchMapOracle(t *testing.T) {
 	complete := func(n int) int { return n * (n - 1) / 2 }
 	type generator func(n, m int, r *rng.RNG) *Graph
@@ -74,6 +75,10 @@ func TestGeneratorsMatchMapOracle(t *testing.T) {
 						func(r *rng.RNG) *Graph { return g.got(n, m, r) },
 						func(r *rng.RNG) *Graph { return g.want(n, m, r) })
 				}
+			}
+			m := g.maxM(300) / 3
+			if slices.Equal(g.got(300, m, rng.New(1, 0)).Edges(), g.got(300, m, rng.New(2, 0)).Edges()) {
+				t.Fatalf("seeds 1 and 2 drew the same graph")
 			}
 		})
 	}

@@ -6,10 +6,10 @@ import (
 )
 
 // Fleet is a set of in-process loopback shard servers launched and torn
-// down together, with the chaos controls the scenario orchestrator drives:
-// kill a server, relaunch it on the same address, pause it (hold requests
-// unanswered like a SIGSTOPped process) and resume it — one launch/teardown
-// path shared by the tests, cmd/scenario and the benchmark.
+// down together, with the chaos controls the root package's TestScenario
+// drives: kill a server, relaunch it on the same address, pause it (hold
+// requests unanswered like a SIGSTOPped process) and resume it — one
+// launch/teardown path shared by the tests and the benchmark.
 //
 // In-process, but not in-memory: every read still crosses a real TCP
 // socket and pays full serialization and protocol cost.

@@ -30,11 +30,7 @@ func TestWorkersAndFaultsDoNotAffectOutputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d fault=%v: %v", workers, fault, err)
 		}
-		pairs := make([]int, len(res.Telemetry.RoundStats))
-		for i, st := range res.Telemetry.RoundStats {
-			pairs[i] = st.Pairs
-		}
-		return res.Labels, pairs
+		return res.Labels, roundPairs(res)
 	}
 
 	baseLabels, basePairs := run(1, 0)
@@ -116,11 +112,7 @@ func TestAllAlgorithmsWorkersInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", algo, workers, err)
 			}
-			pairs := make([]int, len(res.Telemetry.RoundStats))
-			for i, st := range res.Telemetry.RoundStats {
-				pairs[i] = st.Pairs
-			}
-			return res, pairs
+			return res, roundPairs(res)
 		}
 		serial, serialPairs := run(1)
 		pooled, pooledPairs := run(8)
