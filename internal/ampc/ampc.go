@@ -199,9 +199,8 @@ type Runtime struct {
 	misses atomic.Int64
 
 	// Static side store; see static.go.
-	static      *dds.Store
-	staticPairs []dds.KV
-	staticSalt  uint64
+	static     *dds.Store
+	staticSalt uint64
 
 	// failNext maps machine id -> number of times the machine should fail
 	// (have its writes dropped and be re-executed) in the next round.
@@ -531,7 +530,14 @@ type RoundFunc func(ctx *Ctx) error
 // schedule — writes merge in machine-id order and randomness is keyed by
 // (seed, round, machine) — so any Workers value produces bit-identical
 // stores.
-func (r *Runtime) Round(name string, f RoundFunc) error {
+func (r *Runtime) Round(name string, f RoundFunc) error { return r.run(name, f, false) }
+
+// run executes one counted round. A static round (AddStatic) writes for the
+// static store instead of D_i: its writers pre-hash under the static salt,
+// its freeze builds the next static store on top of the current one, and
+// the store it publishes as D_i is empty. The salt rotation is the same
+// either way, so every later store's salt and placement are unchanged.
+func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 	if r.ctx != nil {
 		if err := r.ctx.Err(); err != nil {
 			return err
@@ -567,7 +573,11 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 	// write-time pre-hashing for the next store's geometry, so this round's
 	// writes carry their destination shard and the freeze below inserts
 	// them in place with no hashing.
-	r.builder.Prime(r.cfg.P, r.nextSalt)
+	salt := r.nextSalt
+	if static {
+		salt = r.staticSalt
+	}
+	r.builder.Prime(r.cfg.P, salt)
 	fail := r.failNext
 	r.failNext = nil
 	if r.faultR != nil {
@@ -663,8 +673,15 @@ func (r *Runtime) Round(name string, f RoundFunc) error {
 		}
 		t1 = time.Now()
 	}
-	nextStore := r.builder.FreezeArena(r.arena, r.cfg.P, r.nextSalt)
-	st.Pairs = nextStore.Len()
+	var nextStore *dds.Store
+	if static {
+		r.static = r.builder.FreezeOnto(r.arena, r.static, r.cfg.P, salt)
+		st.Pairs = int(st.Writes)
+		nextStore = dds.NewStore(nil, r.cfg.P, r.nextSalt)
+	} else {
+		nextStore = r.builder.FreezeArena(r.arena, r.cfg.P, salt)
+		st.Pairs = nextStore.Len()
+	}
 	fz := r.builder.FreezeTimes()
 	t2 := time.Now()
 	r.publish(nextStore)

@@ -152,6 +152,32 @@ func BenchmarkWriteFreeze(b *testing.B) {
 	}
 }
 
+// BenchmarkAddStatic measures the static publish: one counted round of
+// 2^20 pairs over P = 512 machines, frozen once into the static store, on a
+// fresh runtime each iteration (a second AddStatic would freeze on top of
+// the first). The pairs repeat a key one time in four, as graph encodings do.
+func BenchmarkAddStatic(b *testing.B) {
+	const n, p = 1 << 20, 512
+	pairs := make([]dds.KV, n)
+	for i := range pairs {
+		pairs[i] = dds.KV{Key: key(int64(i/4), int64(i%4/3)), Value: val(int64(i), 0)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rt := New(Config{P: p, S: 1 << 10, Seed: 6})
+		b.StartTimer()
+		if err := rt.AddStatic("publish", pairs); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		rt.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/pair")
+}
+
 func benchName(prefix string, v int) string {
 	return prefix + "=" + itoa(v)
 }

@@ -240,20 +240,28 @@ func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 
-	tables := int64(0)
-	for _, size := range rt.Store().(*dds.Store).ShardSizes() {
-		slots := int64(1)
-		for slots < 2*int64(size) {
-			slots <<= 1
-		}
-		tables += slots*48 + slots/8
-	}
+	tables := tableBytes(rt.Store().ShardSizes())
 	bound := 2*tables + n*(48+4) + 1<<20
 	t.Logf("retained %d bytes; bound %d (tables %d per generation)", retained, bound, tables)
 	if retained > bound {
 		t.Fatalf("warm rounds retain %d bytes, more than two generations of tables, the writers and 1 MiB (%d)",
 			retained, bound)
 	}
+}
+
+// tableBytes is the heap one store generation's slot tables take: per shard,
+// the power-of-two table at most half full, 48-byte slots plus the
+// occupancy bitmap.
+func tableBytes(shardSizes []int) int64 {
+	total := int64(0)
+	for _, size := range shardSizes {
+		slots := int64(1)
+		for slots < 2*int64(size) {
+			slots <<= 1
+		}
+		total += slots*48 + slots/8
+	}
+	return total
 }
 
 // TestCloseSurfacesFinalPublishError pins the durability regression guard:

@@ -10,28 +10,24 @@ import "ampc/internal/dds"
 // re-publish its O(S) share every round at no asymptotic cost, so the model
 // permits this — but simulating the copy would dominate runtime without
 // changing any measured quantity. The runtime therefore maintains a static
-// side store: AddStatic publishes pairs once (as a real, counted round) and
+// side store: AddStatic publishes pairs once, as one real, counted round
+// whose writes go through one freeze under the static store's salt, and
 // ReadStatic serves them in every later round, charged against the reading
-// machine's budget exactly like Read.
+// machine's budget exactly like Read. The round's D_i is empty: static pairs
+// are read only through ReadStatic.
 
 // AddStatic publishes pairs into the static store via a counted round: the
 // P machines split the pair list into blocks and each writes its block, so
-// per-machine write budgets are enforced. The pairs then remain readable
-// via Ctx.ReadStatic for the rest of the computation.
+// per-machine write budgets are enforced. The round's freeze builds the new
+// static store on top of the current one — earlier calls' pairs first, so a
+// key published again gains values after its earlier ones — and the pairs
+// remain readable via Ctx.ReadStatic for the rest of the computation.
 func (r *Runtime) AddStatic(name string, pairs []dds.KV) error {
-	err := r.Round(name, func(ctx *Ctx) error {
+	return r.run(name, func(ctx *Ctx) error {
 		lo, hi := BlockRange(ctx.Machine, len(pairs), ctx.P)
-		for _, kv := range pairs[lo:hi] {
-			ctx.Write(kv.Key, kv.Value)
-		}
+		ctx.WriteMany(pairs[lo:hi])
 		return nil
-	})
-	if err != nil {
-		return err
-	}
-	r.staticPairs = append(r.staticPairs, pairs...)
-	r.static = dds.NewStore(r.staticPairs, r.cfg.P, r.staticSalt)
-	return nil
+	}, true)
 }
 
 // StaticStore returns the current static store for master-side (uncounted)

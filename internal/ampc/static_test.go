@@ -1,6 +1,10 @@
 package ampc
 
 import (
+	"bytes"
+	"math/rand"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ampc/internal/dds"
@@ -228,5 +232,180 @@ func TestReadStaticBeforeAddStatic(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStaticStoreMatchesRebuild holds the one-freeze static publish to the
+// rebuild it replaced: AddStatic used to keep every call's pairs and
+// rebuild the static store with dds.NewStore over all of them. One to four
+// calls, with keys repeated within and across calls, under several worker
+// counts and injected machine failures, must leave a static store whose
+// segment bytes equal that rebuild's, and whose indexed reads list a key's
+// values across calls in call order.
+func TestStaticStoreMatchesRebuild(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	for calls := 1; calls <= 4; calls++ {
+		for _, workers := range []int{1, 2, 8} {
+			rt := New(Config{P: 16, S: 1 << 12, Seed: uint64(10*calls + workers), Workers: workers, FaultProb: 0.2})
+			var all []dds.KV
+			for c := 0; c < calls; c++ {
+				pairs := make([]dds.KV, 200+r.Intn(2000))
+				for i := range pairs {
+					pairs[i] = dds.KV{Key: key(int64(r.Intn(600)), int64(r.Intn(2))), Value: val(int64(c), int64(i))}
+				}
+				if err := rt.AddStatic("publish", pairs); err != nil {
+					t.Fatal(err)
+				}
+				all = append(all, pairs...)
+			}
+			want := dds.AppendSegment(nil, dds.NewStore(all, rt.cfg.P, rt.staticSalt))
+			if got := dds.AppendSegment(nil, rt.StaticStore()); !bytes.Equal(got, want) {
+				t.Fatalf("calls=%d workers=%d: static store bytes differ from the rebuild over all calls", calls, workers)
+			}
+
+			ref := map[dds.Key][]dds.Value{}
+			for _, kv := range all {
+				ref[kv.Key] = append(ref[kv.Key], kv.Value)
+			}
+			err := rt.Round("read", func(ctx *Ctx) error {
+				for k, vs := range ref {
+					if int(k.A)%ctx.P != ctx.Machine {
+						continue
+					}
+					for i, want := range vs {
+						if got, ok := ctx.ReadStaticIndexed(k, i); !ok || got != want {
+							t.Errorf("calls=%d workers=%d: ReadStaticIndexed(%v, %d) = %v ok=%v, want %v",
+								calls, workers, k, i, got, ok, want)
+						}
+					}
+					if _, ok := ctx.ReadStaticIndexed(k, len(vs)); ok {
+						t.Errorf("calls=%d workers=%d: ReadStaticIndexed(%v, %d) past the last value hit", calls, workers, k, len(vs))
+					}
+				}
+				return ctx.Err()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.Close()
+		}
+	}
+}
+
+// TestStaticPublishRetainsOneGeneration pins the static publish's memory:
+// after AddStatic of 2^18 pairs and one round writing as many, the heap a
+// collection leaves holds one generation of static tables, at most two
+// generations of round tables, the writers' warm buffers and 1 MiB — no
+// copy of the published pairs and no second static generation.
+func TestStaticPublishRetainsOneGeneration(t *testing.T) {
+	const n, p = 1 << 18, 12
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rt := New(Config{P: p, S: 1 << 16, Seed: 11, Workers: 2})
+	defer rt.Close()
+	pairs := make([]dds.KV, n)
+	for i := range pairs {
+		pairs[i] = pair(int64(i), int64(i))
+	}
+	if err := rt.AddStatic("publish", pairs); err != nil {
+		t.Fatal(err)
+	}
+	pairs = nil
+	err := rt.Round("copy", func(c *Ctx) error {
+		c.GrowWrites((n - c.Machine + c.P - 1) / c.P)
+		for x := c.Machine; x < n; x += c.P {
+			c.Write(key(int64(x), 1), val(int64(x), 1))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+
+	static := tableBytes(rt.StaticStore().ShardSizes())
+	round := tableBytes(rt.Store().ShardSizes())
+	bound := static + 2*round + n*(48+4) + 1<<20
+	t.Logf("retained %d bytes; bound %d (static tables %d, round tables %d per generation)", retained, bound, static, round)
+	if retained > bound {
+		t.Fatalf("static publish retains %d bytes, more than one static generation, two round generations, the writers and 1 MiB (%d)",
+			retained, bound)
+	}
+}
+
+// TestStaticReadContract pins what the static round publishes on every
+// backend: its pairs are served by ReadStatic only, the D_i it publishes is
+// empty (the file backend's segment for it holds no pair, the rpc fleet
+// serves an empty generation), and its RoundStats still report the pairs
+// written.
+func TestStaticReadContract(t *testing.T) {
+	fleet, err := rpc.StartFleet(make([]rpc.ServerConfig, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	var pairs []dds.KV
+	for i := int64(0); i < 32; i++ {
+		pairs = append(pairs, pair(i, 100+i))
+	}
+	for _, name := range []string{"mem", "file", "rpc"} {
+		var pub dds.Publisher
+		dir := t.TempDir()
+		switch name {
+		case "file":
+			pub = dds.NewFilePublisher(dir)
+		case "rpc":
+			pub = rpc.NewPublisher(rpc.Config{Servers: fleet.Addrs(), Replication: 2})
+		}
+		rt := New(Config{P: 8, S: 100, Seed: 5, Workers: 2, Backend: pub})
+		if err := rt.AddStatic("publish", pairs); err != nil {
+			t.Fatal(err)
+		}
+		if st := rt.Stats()[0]; st.Pairs != len(pairs) || st.Writes != int64(len(pairs)) {
+			t.Errorf("%s: static round reports Pairs %d, Writes %d; want %d written", name, st.Pairs, st.Writes, len(pairs))
+		}
+		if name == "file" {
+			if err := pub.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			segs, _ := filepath.Glob(filepath.Join(dir, "*", "*.seg"))
+			if len(segs) != 1 {
+				t.Fatalf("file: %d segments after the static round, want 1: %v", len(segs), segs)
+			}
+			fs, err := dds.OpenSegment(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs.Len() != 0 {
+				t.Errorf("file: the static round's segment holds %d pairs, want 0", fs.Len())
+			}
+			fs.Close()
+		}
+		err := rt.Round("read", func(ctx *Ctx) error {
+			if ctx.Machine == 0 && ctx.reads.Len() != 0 {
+				t.Errorf("%s: the store the static round published holds %d pairs, want 0", name, ctx.reads.Len())
+			}
+			for _, kv := range pairs {
+				if v, ok := ctx.ReadStatic(kv.Key); !ok || v != kv.Value {
+					t.Errorf("%s: ReadStatic(%v) = %v ok=%v, want %v", name, kv.Key, v, ok, kv.Value)
+				}
+				if v, ok := ctx.Read(kv.Key); ok {
+					t.Errorf("%s: Read(%v) of a static key hit with %v; static pairs are served by ReadStatic only", name, kv.Key, v)
+				}
+			}
+			return ctx.Err()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "rpc" && rt.Stats()[1].RPCFrames == 0 {
+			t.Errorf("rpc: the read round sent no frames; its reads never reached the fleet")
+		}
+		if err := rt.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

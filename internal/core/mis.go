@@ -52,9 +52,7 @@ func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 		return MISResult{}, err
 	}
 	n := g.N()
-	_, space := opts.params(n, g.M())
-	opts.budgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/space
-	rt := opts.newRuntime(ctx, n, g.M())
+	rt := misRuntime(ctx, g, opts)
 	defer rt.Close()
 	driver := opts.driverRNG(4)
 
@@ -92,6 +90,14 @@ func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 		in[v] = settled[v] == 1
 	}
 	return MISResult{InMIS: in, Pi: pi, Telemetry: telemetryFrom(rt, iters)}, nil
+}
+
+// misRuntime provisions MIS's runtime: the usual shape for n vertices and m
+// edges, with the budget raised to afford a high-degree visit.
+func misRuntime(ctx context.Context, g *graph.Graph, opts Options) *ampc.Runtime {
+	_, space := opts.params(g.N(), g.M())
+	opts.budgetFactor = ampc.DefaultBudgetFactor + (2*g.MaxDeg()+16)/space
+	return opts.newRuntime(ctx, g.N(), g.M())
 }
 
 // misEval determines f(v, π) if possible (Algorithm 5), returning +1 (in

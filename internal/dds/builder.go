@@ -254,6 +254,17 @@ func (b *Builder) Freeze(p int, salt uint64) *Store {
 // shard ids are a function of (p, salt), and freezing past them would
 // silently mis-shard, so a mismatch panics.
 func (b *Builder) FreezeArena(a *Arena, p int, salt uint64) *Store {
+	return b.FreezeOnto(a, nil, p, salt)
+}
+
+// FreezeOnto is FreezeArena on top of a base store: the frozen store holds
+// base's pairs and then the writers', byte-identical to NewStore over base's
+// input followed by the writes in machine-id order. Each shard inserts the
+// base's keys first, every key with its values in index order, so a key
+// written again gains values after its base ones. base must be sharded p
+// ways under salt; nil means none. The AMPC runtime's static store grows
+// this way, one counted round per publish, without keeping its input.
+func (b *Builder) FreezeOnto(a *Arena, base *Store, p int, salt uint64) *Store {
 	if b.p == 0 || (p != b.p && !(p <= 0 && b.p == 1)) || salt != b.salt {
 		panic(fmt.Sprintf("dds: Freeze(p=%d, salt=%#x) on a builder primed for (p=%d, salt=%#x)",
 			p, salt, b.p, b.salt))
@@ -269,7 +280,14 @@ func (b *Builder) FreezeArena(a *Arena, p int, salt uint64) *Store {
 		}
 		total += len(w.ents)
 	}
-	return b.freeze(a, ws, total, buildWorkers(total))
+	if base != nil {
+		if len(base.shards) != b.p || base.salt != b.salt {
+			panic(fmt.Sprintf("dds: FreezeOnto a base of (p=%d, salt=%#x) on a builder primed for (p=%d, salt=%#x)",
+				len(base.shards), base.salt, b.p, b.salt))
+		}
+		total += base.pairs
+	}
+	return b.freeze(a, base, ws, total, buildWorkers(total))
 }
 
 // freeze inserts the writers' pre-hashed entries straight into their shards'
@@ -280,8 +298,9 @@ func (b *Builder) FreezeArena(a *Arena, p int, salt uint64) *Store {
 // those shards' tables and then to insert their pairs. Every task streams all
 // writers in machine-id order, so each shard sees its pairs in exactly the
 // sequential merge order and the store is byte-identical for any worker
-// count or schedule. With one worker it is a single sequential pass.
-func (b *Builder) freeze(a *Arena, ws []*Writer, total, workers int) *Store {
+// count or schedule. With one worker it is a single sequential pass. A
+// non-nil base's shards are sized in and re-inserted ahead of the writers.
+func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int) *Store {
 	p := b.p
 	s := &Store{shards: make([]shard, p), salt: b.salt, pairs: total, div: b.div}
 	b.stats = FreezeStats{}
@@ -301,6 +320,11 @@ func (b *Builder) freeze(a *Arena, ws []*Writer, total, workers int) *Store {
 	}
 	counts, owner := b.counts[:p], b.owner[:p]
 	clear(counts)
+	if base != nil {
+		for si := range counts {
+			counts[si] = int64(base.shards[si].size)
+		}
+	}
 	for _, w := range ws {
 		for _, si := range w.sis {
 			counts[si]++
@@ -320,7 +344,13 @@ func (b *Builder) freeze(a *Arena, ws []*Writer, total, workers int) *Store {
 	t1 := time.Now()
 
 	dispatch(workers, workers, b.run, func(k int) {
-		b.dups[k] = s.insertOwned(a, ws, owner, int32(k), b.dups[k][:0])
+		dups := b.dups[k][:0]
+		if base != nil {
+			for si := k; si < p; si += workers {
+				dups = s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, dups)
+			}
+		}
+		b.dups[k] = s.insertOwned(a, ws, owner, int32(k), dups)
 	})
 	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1)}
 	return s
@@ -372,6 +402,31 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups
 		sl.off--
 		sh.slab[sl.off] = d.v
 	}
+	return dups
+}
+
+// insertBase inserts a base shard's keys into this shard's empty table,
+// each claiming its slot with its count and stashing its values past the
+// first in index order, and returns the stash. Keys go in the base table's
+// probe order — ascending from an empty slot, wrapping — which visits every
+// cluster from its start. That reproduces the slots the base's original
+// insertion order gives in this table: the table is the base's size or a
+// power-of-two multiple of it, probing starts at the same hash bits, and a
+// key probes past another here only if it did in the base table, where the
+// one it passed sits ahead of it in probe order.
+func (sh *shard) insertBase(base *shard, si int32, salt uint64, dups []dupValue) []dupValue {
+	base.forProbeOrder(func(i int) {
+		bs := &base.slots[i]
+		j := (hash(bs.key, salt) >> 32) & sh.mask
+		for sh.occupied(j) {
+			j = (j + 1) & sh.mask
+		}
+		sh.claim(j)
+		sh.slots[j] = slot{key: bs.key, first: bs.first, count: bs.count}
+		for x := 1; x < int(bs.count); x++ {
+			dups = append(dups, dupValue{si: si, slot: int32(j), v: base.value(bs, x)})
+		}
+	})
 	return dups
 }
 

@@ -329,6 +329,27 @@ func (sh *shard) forOccupied(f func(j int)) {
 	}
 }
 
+// forProbeOrder invokes f for every occupied slot index in probe order:
+// ascending from the first empty slot to the end of the table, then from
+// the start up to it, so every cluster is visited from its first slot. The
+// table must hold an empty slot, as every table at most half full does.
+func (sh *shard) forProbeOrder(f func(j int)) {
+	e := 0
+	for e < len(sh.slots) && sh.occupied(uint64(e)) {
+		e++
+	}
+	sh.forOccupied(func(j int) {
+		if j > e {
+			f(j)
+		}
+	})
+	sh.forOccupied(func(j int) {
+		if j < e {
+			f(j)
+		}
+	})
+}
+
 // shardFor returns the shard owning key k and its hash, counting n queries
 // against it. Reads keep the hardware modulo: the shard pointer's address
 // depends on it, so the divide sits on the load's critical path where it

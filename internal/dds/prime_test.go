@@ -77,7 +77,7 @@ func TestPrimedFreezeByteIdentical(t *testing.T) {
 							a.Recycle(junk.Freeze(p, salt^1))
 						}
 						b.SetParallel(run)
-						got := b.freeze(a, ws, b.Len(), workers)
+						got := b.freeze(a, nil, ws, b.Len(), workers)
 						if gotBytes := string(AppendSegment(nil, got)); gotBytes != want {
 							t.Fatalf("p=%d dup=%d machines=%d workers=%d run=%d dirty=%v: freeze bytes differ from the oracle",
 								p, dup, machines, workers, ri, dirty)
