@@ -146,10 +146,10 @@ var (
 type Options = core.Options
 
 // Store backend names for Options.Backend: BackendMem keeps each round's
-// frozen store in process, BackendFile publishes it write-behind to mmap'd
-// segment files (see Options.StoreDir), and BackendRPC ships it to a fleet
-// of shardd servers (see Options.Servers and Options.Replication). Outputs
-// are byte-identical for every backend.
+// frozen store in process, BackendFile does too and writes a durable copy
+// of each behind the next round to a segment file (see Options.StoreDir),
+// and BackendRPC ships it to shardd servers (see Options.Servers and
+// Options.Replication). Outputs are byte-identical for every backend.
 const (
 	BackendMem  = core.BackendMem
 	BackendFile = core.BackendFile

@@ -137,10 +137,11 @@ func normalizePayload(p any) any {
 // TestBackendDifferential is the acceptance gate for the StoreBackend layer:
 // every registered algorithm, run through the Engine on the same seeds, must
 // produce byte-identical labels, payloads, summaries and oracle-check status
-// whether each round reads D_{i-1} from in-process shards, from mmap'd shard
-// files, or over the wire from a fleet of shardd servers — and for the
-// published backends, for any worker count. A future backend plugs into the
-// same test by adding its name to the backends list.
+// whether each round reads D_{i-1} from in-process shards, from in-process
+// shards with a segment written behind each, or over the wire from a fleet
+// of shardd servers — and for the published backends, for any worker count.
+// A future backend plugs into the same test by adding its name to the
+// backends list.
 func TestBackendDifferential(t *testing.T) {
 	servers := rpcServers(t)
 	backends := []struct {

@@ -49,11 +49,11 @@ type Options struct {
 	// probability (see ampc.Config.FaultProb). Outputs must not change.
 	// Must lie in [0, 1).
 	FaultProb float64
-	// Backend selects where each round's frozen store lives while the next
-	// round reads it: BackendMem (or empty) keeps it in process, BackendFile
-	// keeps it in process too and writes each store behind the next round
-	// to one durable segment file (see StoreDir). Outputs are
-	// byte-identical for every backend.
+	// Backend selects where each round's frozen store lives: BackendMem (or
+	// empty) in process; BackendFile is mem plus a durable, write-behind copy
+	// of each generation in a segment file (StoreDir), at most two on disk,
+	// read back only by dds.OpenSegment for tests and the benchmark's probe;
+	// BackendRPC on shard servers. Outputs are byte-identical for all three.
 	Backend string
 	// StoreDir is the directory the file backend writes store segments
 	// under. Empty selects a temporary directory removed when the run

@@ -3,10 +3,10 @@ package dds
 // StoreBackend is the read surface of one round's frozen store D_{i-1}. The
 // AMPC runtime reads the previous round's data exclusively through this
 // interface, so where the frozen shards physically live — in-process arrays
-// (*Store), mmap'd files (*FileStore), or eventually a remote shard server —
-// is invisible to every algorithm. All methods must be safe for concurrent
-// use and must account queries against per-shard load counters so the
-// Lemma 2.1 contention analysis keeps working for every backend.
+// (*Store, also what OpenSegment decodes a segment into) or remote shard
+// servers — is invisible to every algorithm. All methods must be safe for
+// concurrent use and must account queries against per-shard load counters so
+// the Lemma 2.1 contention analysis keeps working for every backend.
 type StoreBackend interface {
 	// Get returns the value stored under k (index 0 of a duplicated key).
 	Get(k Key) (Value, bool)
@@ -29,8 +29,8 @@ type StoreBackend interface {
 	MaxShardLoad() int64
 	// ResetLoads zeroes the per-shard counters.
 	ResetLoads()
-	// Close releases backend resources (mmap regions, file handles). The
-	// store must not be read after Close; closing the in-memory backend is
+	// Close releases backend resources (a remote generation's connections).
+	// The store must not be read after Close; closing an in-memory store is
 	// a no-op.
 	Close() error
 }
@@ -43,11 +43,7 @@ func (s *Store) Close() error { return nil }
 // must preserve it so key-to-shard routing is reproduced exactly.
 func (s *Store) Salt() uint64 { return s.salt }
 
-// compile-time checks: both storage engines satisfy the backend surface.
-var (
-	_ StoreBackend = (*Store)(nil)
-	_ StoreBackend = (*FileStore)(nil)
-)
+var _ StoreBackend = (*Store)(nil)
 
 // Publisher turns each round's frozen in-memory store into the StoreBackend
 // the next round reads. Freeze always produces a *Store first — sizing and

@@ -1,6 +1,7 @@
 package dds
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,10 +12,9 @@ import (
 )
 
 // roundTrip serializes s as an all-raw segment — every section a plain
-// shard block, served straight from the mapping — and opens it back with
-// full verification, failing the test on any codec error. The FileStore is
-// closed when the test finishes.
-func roundTrip(t testing.TB, s *Store) *FileStore {
+// shard block — and opens it back with full verification, failing the test
+// on any codec error. The store is closed when the test finishes.
+func roundTrip(t testing.TB, s *Store) *Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store-raw.seg")
 	if err := os.WriteFile(path, AppendSegment(nil, s), 0o644); err != nil {
@@ -26,7 +26,7 @@ func roundTrip(t testing.TB, s *Store) *FileStore {
 	}
 	t.Cleanup(func() {
 		if err := fs.Close(); err != nil {
-			t.Errorf("FileStore.Close: %v", err)
+			t.Errorf("Close: %v", err)
 		}
 	})
 	return fs
@@ -35,7 +35,7 @@ func roundTrip(t testing.TB, s *Store) *FileStore {
 // segmentRoundTrip serializes s as WriteSegment's compressed segment (packed
 // sections where they win) and opens it back with full verification,
 // failing the test on any codec error.
-func segmentRoundTrip(t testing.TB, s *Store) *FileStore {
+func segmentRoundTrip(t testing.TB, s *Store) *Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.seg")
 	if _, err := WriteSegment(s, path, nil); err != nil {
@@ -47,7 +47,7 @@ func segmentRoundTrip(t testing.TB, s *Store) *FileStore {
 	}
 	t.Cleanup(func() {
 		if err := fs.Close(); err != nil {
-			t.Errorf("FileStore.Close: %v", err)
+			t.Errorf("Close: %v", err)
 		}
 	})
 	return fs
@@ -64,11 +64,11 @@ func forEachBackend(t *testing.T, s *Store, fn func(t *testing.T, b StoreBackend
 	t.Run("segment", func(t *testing.T) { fn(t, segmentRoundTrip(t, s)) })
 }
 
-// TestFileStoreMatchesReference is the file-backend twin of
+// TestSegmentMatchesReference is the segment twin of
 // TestFlatStoreMatchesReference: random pair sets with heavy duplicate keys,
 // round-tripped through the codec, must answer every read exactly like a
 // map[Key][]Value built in the same order.
-func TestFileStoreMatchesReference(t *testing.T) {
+func TestSegmentMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 12; trial++ {
 		n := r.Intn(3000) + 1
@@ -89,10 +89,10 @@ func TestFileStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFileStoreShardMetadata pins the serialized metadata: shard sizes, pair
+// TestSegmentShardMetadata pins the serialized metadata: shard sizes, pair
 // count, shard count and salt survive the round-trip bit-exactly, and load
 // accounting starts from zero on the reopened store.
-func TestFileStoreShardMetadata(t *testing.T) {
+func TestSegmentShardMetadata(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	pairs := randomPairs(r, 5000, 7)
 	s := NewStore(pairs, 13, 0xFEED)
@@ -110,16 +110,50 @@ func TestFileStoreShardMetadata(t *testing.T) {
 	}
 	for i, l := range fs.ShardLoads() {
 		if l != 0 {
-			t.Fatalf("fresh file store shard %d load = %d", i, l)
+			t.Fatalf("fresh decoded store shard %d load = %d", i, l)
 		}
 	}
 	fs.Get(pairs[0].Key)
 	if fs.MaxShardLoad() != 1 {
-		t.Fatalf("file store MaxShardLoad = %d after one query", fs.MaxShardLoad())
+		t.Fatalf("decoded store MaxShardLoad = %d after one query", fs.MaxShardLoad())
 	}
 	fs.ResetLoads()
 	if fs.MaxShardLoad() != 0 {
-		t.Fatal("file store ResetLoads did not zero counters")
+		t.Fatal("decoded store ResetLoads did not zero counters")
+	}
+}
+
+// TestSegmentReserializes pins the decoder's slot placement, occupancy bits
+// and slab offsets: a store decoded from a raw or a compressed segment must
+// serialize back to exactly the bytes of the store it came from — for heavy
+// duplicate chains, and for stores so small most of their shards are empty —
+// and both golden segments must reopen to the committed raw golden bytes.
+func TestSegmentReserializes(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	for _, p := range []int{1, 13, 64} {
+		for _, pairs := range [][]KV{randomPairs(r, 4000, 200), randomPairs(r, 30, 3), nil} {
+			s := NewStore(pairs, p, r.Uint64())
+			want := AppendSegment(nil, s)
+			for name, open := range map[string]func(testing.TB, *Store) *Store{"raw": roundTrip, "compressed": segmentRoundTrip} {
+				if got := AppendSegment(nil, open(t, s)); !bytes.Equal(got, want) {
+					t.Fatalf("p=%d, %d pairs, %s: re-serialized segment differs (%d vs %d bytes)",
+						p, len(pairs), name, len(got), len(want))
+				}
+			}
+		}
+	}
+	want, err := os.ReadFile(goldenSegmentRaw)
+	if err != nil {
+		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
+	}
+	for _, path := range []string{goldenSegmentRaw, goldenSegment} {
+		s, err := OpenSegment(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendSegment(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%s re-serializes to %d bytes that differ from the raw golden segment", path, len(got))
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ func kv(tag uint8, a, b, va, vb int64) KV {
 }
 
 // The read-path tests below run through forEachBackend, so the in-memory
-// store and the serialize→mmap file store answer every case identically.
+// store and the stores decoded from its raw and compressed segments answer
+// every case identically.
 
 func TestGetPresent(t *testing.T) {
 	forEachBackend(t, NewStore([]KV{kv(1, 2, 3, 10, 20)}, 4, 99), func(t *testing.T, s StoreBackend) {
@@ -305,25 +306,8 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
-// BenchmarkFileGet is BenchmarkGet against the mmap'd file backend (an
-// all-raw segment, probed in place), pinning the cost of probing serialized
-// slots relative to the in-memory index.
-func BenchmarkFileGet(b *testing.B) {
-	const n = 1 << 16
-	pairs := make([]KV, n)
-	for i := range pairs {
-		pairs[i] = kv(1, int64(i), 0, int64(i), 0)
-	}
-	fs := roundTrip(b, NewStore(pairs, 16, 9))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fs.Get(Key{1, int64(i & (n - 1)), 0})
-	}
-}
-
-// BenchmarkSegmentGet is BenchmarkFileGet against the production read path:
-// a compressed segment as the publisher writes it, its packed sections
-// decoded at open.
+// BenchmarkSegmentGet is BenchmarkGet against a store decoded from a
+// compressed segment as the publisher writes it.
 func BenchmarkSegmentGet(b *testing.B) {
 	const n = 1 << 16
 	pairs := make([]KV, n)

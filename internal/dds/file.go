@@ -5,21 +5,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Shard block format (version 1).
 //
 // One shard of a frozen store serializes as a block: the shard's flat index
 // written verbatim in little-endian — the same open-addressing slot array and
-// overflow slab the in-memory engine probes — so the mmap'd read path runs
-// the identical probe sequence over the mapped bytes with no deserialization
-// step. A block is a raw section of a segment file (segment.go), and what
-// every packed section decodes back to.
+// overflow slab the in-memory engine probes — so a reader decodes it record
+// by record back into a shard whose probes take the writer's exact path. A
+// block is a raw section of a segment file (segment.go); a packed section
+// (segcodec.go) is its varint form and decodes into the same shard.
 //
 //	header   64 bytes
 //	  [0:8)    magic "AMPCSHRD"
@@ -157,94 +157,38 @@ func growBytes(buf []byte, n int) []byte {
 	return append(buf, make([]byte, n)...)
 }
 
-// fileShard is one shard of a FileStore: the serialized slot array and slab,
-// probed in place over the mapped bytes.
-type fileShard struct {
-	slots []byte // slotCount * slotBytes
-	mask  uint64
-	slab  []byte // slabCount * valueBytes
-	size  int
-	load  atomic.Int64
+// blockHeader is what a decoder keeps of a shard block's 64-byte header.
+type blockHeader struct {
+	count       int    // shards in the store
+	salt        uint64 // placement salt
+	size        int    // pairs resident on this shard
+	slots, slab uint64 // slot count, slab value count
 }
 
-// findOff returns the byte offset of the slot holding k within the shard's
-// slot region, or -1. Identical probe sequence to the in-memory shard. The
-// slot region is hoisted into a local and every record is re-sliced with an
-// explicit capacity so the per-probe field loads compile to single bounded
-// reads — this probe is the whole cost of a file-backed Get and must stay
-// at parity with the in-memory index.
-func (sh *fileShard) findOff(k Key, h uint64) int {
-	slots := sh.slots
-	if len(slots) == 0 {
-		return -1
+// checkMagic is the first check of both section encodings: a whole header
+// that starts with the shard magic.
+func checkMagic(data []byte, path string) error {
+	if len(data) < headerBytes {
+		return fmt.Errorf("%w: %s: %d bytes, header needs %d", ErrTruncated, path, len(data), headerBytes)
 	}
-	ka, kb := uint64(k.A), uint64(k.B)
-	i := (h >> 32) & sh.mask
-	for {
-		off := int(i) * slotBytes
-		rec := slots[off : off+slotBytes : off+slotBytes]
-		if le.Uint32(rec[32:36]) == 0 {
-			return -1
-		}
-		if le.Uint64(rec[0:8]) == ka && le.Uint64(rec[8:16]) == kb && rec[40] == k.Tag {
-			return off
-		}
-		i = (i + 1) & sh.mask
+	if string(data[0:8]) != shardMagic {
+		return fmt.Errorf("%w: %s", ErrBadMagic, path)
 	}
+	return nil
 }
 
-// count returns the value count of the slot record at byte offset off.
-func (sh *fileShard) count(off int) int {
-	return int(int32(le.Uint32(sh.slots[off+32:])))
-}
-
-// value returns the i-th (0-based) value of the slot record at offset off.
-func (sh *fileShard) value(off, i int) Value {
-	if i == 0 {
-		rec := sh.slots[off+16 : off+32 : off+32]
-		return Value{A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))}
-	}
-	slabOff := int(int32(le.Uint32(sh.slots[off+36:])))
-	rec := sh.slab[(slabOff+i-1)*valueBytes:]
-	return Value{A: int64(le.Uint64(rec[0:])), B: int64(le.Uint64(rec[8:]))}
-}
-
-// FileStore is a StoreBackend reading a serialized store from an mmap'd
-// segment file: raw sections are probed in place, packed ones decode onto
-// the heap at open. All read methods are safe for concurrent use and account
-// per-shard load exactly like the in-memory store.
-type FileStore struct {
-	shards []fileShard
-	salt   uint64
-	pairs  int
-	unmaps []func() error
-}
-
-// shardHeader carries one decoded shard block.
-type shardHeader struct {
-	count int
-	salt  uint64
-	size  int
-	slots []byte
-	mask  uint64
-	slab  []byte
-}
-
-// parseShardBlock decodes one raw shard block — a section as it lies in a
-// segment, or as a packed section decodes — validating magic, version and
-// geometry against exactly len(data) bytes, then running the structural
-// slot-table scan that makes probing safe. rawSum re-folds the block's raw
-// checksum; it is off for a decoded packed section, whose checksum word holds
-// the packed sum unpackBlock already checked against the bytes received.
-func parseShardBlock(data []byte, path string, index int, rawSum bool) (shardHeader, error) {
-	var hdr shardHeader
-	size := int64(len(data))
-	if size < headerBytes {
-		return hdr, fmt.Errorf("%w: %s: %d bytes, header needs %d", ErrTruncated, path, size, headerBytes)
-	}
-	h := data[:headerBytes]
-	if string(h[0:8]) != shardMagic {
-		return hdr, fmt.Errorf("%w: %s", ErrBadMagic, path)
+// readBlockHeader checks the header fields both encodings declare alike —
+// the version, the shard index and count, a slot count of 0 or a power of
+// two — and returns them. Readers route by hash % count, so a zero count
+// would divide by zero on the first read, and a shard outside its own store
+// is never addressed.
+func readBlockHeader(h []byte, path string, index int) (blockHeader, error) {
+	hdr := blockHeader{
+		count: int(le.Uint32(h[16:])),
+		salt:  le.Uint64(h[24:]),
+		size:  int(le.Uint64(h[32:])),
+		slots: le.Uint64(h[40:]),
+		slab:  le.Uint64(h[48:]),
 	}
 	if v := le.Uint32(h[8:]); v != shardVersion {
 		return hdr, fmt.Errorf("%w: %s: version %d, reader implements %d", ErrBadVersion, path, v, shardVersion)
@@ -252,195 +196,107 @@ func parseShardBlock(data []byte, path string, index int, rawSum bool) (shardHea
 	if got := int(le.Uint32(h[12:])); got != index {
 		return hdr, fmt.Errorf("%w: %s: header says shard %d", ErrBadGeometry, path, got)
 	}
-	hdr.count = int(le.Uint32(h[16:]))
-	// Readers route by hash % count, so a zero count would divide by zero on
-	// the first read, and a shard outside its own store is never addressed.
 	if hdr.count == 0 || hdr.count > maxShardFiles || index >= hdr.count {
 		return hdr, fmt.Errorf("%w: %s: shard %d of a %d-shard store", ErrBadGeometry, path, index, hdr.count)
 	}
-	hdr.salt = le.Uint64(h[24:])
-	hdr.size = int(le.Uint64(h[32:]))
-	slotCount := le.Uint64(h[40:])
-	slabCount := le.Uint64(h[48:])
-	if slotCount&(slotCount-1) != 0 { // 0 or a power of two
-		return hdr, fmt.Errorf("%w: %s: slot count %d not a power of two", ErrBadGeometry, path, slotCount)
+	if hdr.slots&(hdr.slots-1) != 0 {
+		return hdr, fmt.Errorf("%w: %s: slot count %d not a power of two", ErrBadGeometry, path, hdr.slots)
 	}
-	if slotCount > uint64(size) || slabCount > uint64(size) {
+	return hdr, nil
+}
+
+// alloc gives sh an all-clear table of slots entries and a slab of slab
+// values for a decoder to fill.
+func (sh *shard) alloc(slots, slab uint64) {
+	sh.slots = make([]slot, slots)
+	sh.bits = make([]uint64, bitWords(int(slots)))
+	sh.slab = make([]Value, slab)
+	sh.mask = max(slots, 1) - 1
+}
+
+// parseShardBlock decodes one raw shard block, exactly len(data) bytes, into
+// sh. After the header, size and checksum checks, every slot record with a
+// non-zero count becomes an occupied slot and the value records become the
+// slab; then the structural validation both encodings share runs.
+func parseShardBlock(sh *shard, data []byte, path string, index int) (blockHeader, error) {
+	if err := checkMagic(data, path); err != nil {
+		return blockHeader{}, err
+	}
+	hdr, err := readBlockHeader(data, path, index)
+	if err != nil {
+		return hdr, err
+	}
+	size := uint64(len(data))
+	if hdr.slots > size || hdr.slab > size {
 		return hdr, fmt.Errorf("%w: %s: %d bytes, header declares %d slots and %d slab values",
-			ErrTruncated, path, size, slotCount, slabCount)
+			ErrTruncated, path, size, hdr.slots, hdr.slab)
 	}
-	want := int64(headerBytes) + int64(slotCount)*slotBytes + int64(slabCount)*valueBytes
+	want := headerBytes + hdr.slots*slotBytes + hdr.slab*valueBytes
 	if size < want {
 		return hdr, fmt.Errorf("%w: %s: %d bytes, header declares %d", ErrTruncated, path, size, want)
 	}
 	if size > want {
 		return hdr, fmt.Errorf("%w: %s: %d trailing bytes", ErrBadGeometry, path, size-want)
 	}
-	if rawSum {
-		if sum := checksum(h[0:56], data[headerBytes:]); sum != le.Uint64(h[56:]) {
-			return hdr, fmt.Errorf("%w: %s", ErrChecksum, path)
-		}
+	if sum := checksum(data[0:56], data[headerBytes:]); sum != le.Uint64(data[56:]) {
+		return hdr, fmt.Errorf("%w: %s", ErrChecksum, path)
 	}
-	hdr.slots = data[headerBytes : headerBytes+int(slotCount)*slotBytes]
-	if slotCount > 0 {
-		hdr.mask = slotCount - 1
-	}
-	hdr.slab = data[headerBytes+int(slotCount)*slotBytes:]
-
-	// Structural validation of the slot table. A checksum only proves the
-	// bytes match what some writer computed — it does not prove the writer
-	// was honest — so reads must be made safe here: every occupied slot's
-	// slab window must lie inside the slab, the counts must sum to the
-	// declared pair count, and at least one slot must be empty or the
-	// linear probe for an absent key would never terminate.
-	occupied, total := uint64(0), uint64(0)
-	for off := 0; off < len(hdr.slots); off += slotBytes {
-		cnt := int32(le.Uint32(hdr.slots[off+32:]))
+	sh.alloc(hdr.slots, hdr.slab)
+	recs := data[headerBytes:]
+	for i := range sh.slots {
+		rec := recs[i*slotBytes : (i+1)*slotBytes]
+		cnt := int32(le.Uint32(rec[32:36]))
 		if cnt == 0 {
 			continue
 		}
-		occupied++
-		if cnt < 0 {
-			return hdr, fmt.Errorf("%w: %s: negative slot count", ErrBadGeometry, path)
+		sh.slots[i] = slot{
+			key:   Key{Tag: rec[40], A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))},
+			first: Value{A: int64(le.Uint64(rec[16:24])), B: int64(le.Uint64(rec[24:32]))},
+			count: cnt,
+			off:   int32(le.Uint32(rec[36:40])),
 		}
-		total += uint64(cnt)
-		if cnt > 1 {
-			so := int32(le.Uint32(hdr.slots[off+36:]))
-			if so < 0 || uint64(so)+uint64(cnt-1) > slabCount {
-				return hdr, fmt.Errorf("%w: %s: slot slab window [%d, %d) outside slab of %d values",
-					ErrBadGeometry, path, so, uint64(so)+uint64(cnt-1), slabCount)
+		sh.claim(uint64(i))
+	}
+	vals := recs[len(sh.slots)*slotBytes:]
+	for i := range sh.slab {
+		rec := vals[i*valueBytes : (i+1)*valueBytes]
+		sh.slab[i] = Value{A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))}
+	}
+	return hdr, sh.finish(hdr, path)
+}
+
+// finish is the structural validation both encodings end with. A checksum
+// only proves the bytes match what some writer computed — not that the
+// writer was honest — so reads are made safe here: every occupied slot's
+// slab window must lie inside the slab, the counts must sum to the declared
+// pair count, and at least one slot must be empty or the linear probe for an
+// absent key would never terminate. A shard that passes takes the declared
+// pair count.
+func (sh *shard) finish(hdr blockHeader, path string) error {
+	occupied, total := 0, uint64(0)
+	for wi, word := range sh.bits {
+		for ; word != 0; word &= word - 1 {
+			sl := &sh.slots[wi<<6|bits.TrailingZeros64(word)]
+			occupied++
+			if sl.count < 0 {
+				return fmt.Errorf("%w: %s: negative slot count", ErrBadGeometry, path)
+			}
+			total += uint64(sl.count)
+			if sl.count > 1 && (sl.off < 0 || uint64(sl.off)+uint64(sl.count-1) > hdr.slab) {
+				return fmt.Errorf("%w: %s: slot slab window [%d, %d) outside slab of %d values",
+					ErrBadGeometry, path, sl.off, uint64(sl.off)+uint64(sl.count-1), hdr.slab)
 			}
 		}
 	}
-	if occupied > 0 && occupied == slotCount {
-		return hdr, fmt.Errorf("%w: %s: no empty slot, probes would not terminate", ErrBadGeometry, path)
+	if occupied > 0 && occupied == len(sh.slots) {
+		return fmt.Errorf("%w: %s: no empty slot, probes would not terminate", ErrBadGeometry, path)
 	}
 	if total != uint64(hdr.size) {
-		return hdr, fmt.Errorf("%w: %s: slot counts sum to %d, header declares %d pairs",
+		return fmt.Errorf("%w: %s: slot counts sum to %d, header declares %d pairs",
 			ErrBadGeometry, path, total, hdr.size)
 	}
-	return hdr, nil
-}
-
-// Salt returns the placement salt recorded in the shard headers.
-func (s *FileStore) Salt() uint64 { return s.salt }
-
-// Close unmaps the segment file. The store must not be read afterwards.
-func (s *FileStore) Close() error {
-	var errs []error
-	for _, unmap := range s.unmaps {
-		errs = append(errs, unmap())
-	}
-	s.unmaps = nil
-	s.shards = nil
-	return errors.Join(errs...)
-}
-
-// shardFor returns the shard owning key k and its hash, counting n queries
-// against it. Like the in-memory store, reads keep the hardware modulo: it
-// sits on the shard pointer's critical path, where it beats the multiply
-// reduction.
-func (s *FileStore) shardFor(k Key, n int64) (*fileShard, uint64) {
-	h := hash(k, s.salt)
-	sh := &s.shards[h%uint64(len(s.shards))]
-	sh.load.Add(n)
-	return sh, h
-}
-
-// Get returns the value stored under k (index 0 of a duplicated key).
-func (s *FileStore) Get(k Key) (Value, bool) {
-	sh, h := s.shardFor(k, 1)
-	off := sh.findOff(k, h)
-	if off < 0 {
-		return Value{}, false
-	}
-	return sh.value(off, 0), true
-}
-
-// GetIndexed returns the i-th (0-based) value stored under k.
-func (s *FileStore) GetIndexed(k Key, i int) (Value, bool) {
-	sh, h := s.shardFor(k, 1)
-	off := sh.findOff(k, h)
-	if off < 0 || i < 0 || i >= sh.count(off) {
-		return Value{}, false
-	}
-	return sh.value(off, i), true
-}
-
-// GetRange appends the values stored under k at indices [lo, hi) to dst,
-// charging the shard hi-lo queries but probing the key once — identical
-// semantics and contention accounting to the in-memory store.
-func (s *FileStore) GetRange(k Key, lo, hi int, dst []Value) []Value {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= lo {
-		return dst
-	}
-	sh, h := s.shardFor(k, int64(hi-lo))
-	off := sh.findOff(k, h)
-	if off < 0 {
-		return dst
-	}
-	if n := sh.count(off); hi > n {
-		hi = n
-	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, sh.value(off, i))
-	}
-	return dst
-}
-
-// Count returns the number of pairs stored under k.
-func (s *FileStore) Count(k Key) int {
-	sh, h := s.shardFor(k, 1)
-	off := sh.findOff(k, h)
-	if off < 0 {
-		return 0
-	}
-	return sh.count(off)
-}
-
-// Len returns the total number of pairs in the store.
-func (s *FileStore) Len() int { return s.pairs }
-
-// Shards returns the number of DDS machines backing the store.
-func (s *FileStore) Shards() int { return len(s.shards) }
-
-// ShardSizes returns the number of pairs resident on each shard.
-func (s *FileStore) ShardSizes() []int {
-	sizes := make([]int, len(s.shards))
-	for i := range s.shards {
-		sizes[i] = s.shards[i].size
-	}
-	return sizes
-}
-
-// ShardLoads returns a copy of the per-shard query counters.
-func (s *FileStore) ShardLoads() []int64 {
-	loads := make([]int64, len(s.shards))
-	for i := range s.shards {
-		loads[i] = s.shards[i].load.Load()
-	}
-	return loads
-}
-
-// MaxShardLoad returns the largest per-shard query count.
-func (s *FileStore) MaxShardLoad() int64 {
-	var max int64
-	for i := range s.shards {
-		if l := s.shards[i].load.Load(); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// ResetLoads zeroes the per-shard counters.
-func (s *FileStore) ResetLoads() {
-	for i := range s.shards {
-		s.shards[i].load.Store(0)
-	}
+	sh.size = hdr.size
+	return nil
 }
 
 // FilePublisher is a Publisher that writes every published store to a

@@ -73,8 +73,8 @@ func TestGoldenShardFiles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: open section %d (encoding %d): %v", path, i, encs[i], err)
 			}
-			if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.fs.size != s.ShardSizes()[i] {
-				t.Fatalf("%s: section %d metadata: salt=%#x shards=%d pairs=%d", path, i, r.Salt(), r.ShardCount(), r.fs.size)
+			if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.sh.size != s.ShardSizes()[i] {
+				t.Fatalf("%s: section %d metadata: salt=%#x shards=%d pairs=%d", path, i, r.Salt(), r.ShardCount(), r.sh.size)
 			}
 			for k, vs := range ref {
 				if ShardOf(k, goldenSalt, goldenShards) != i {

@@ -95,9 +95,9 @@ func FuzzShardCodec(f *testing.F) {
 				if err != nil {
 					t.Fatalf("OpenSection rejected its own encoding %d: %v", form.encs[i], err)
 				}
-				if r.fs.size != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
+				if r.sh.size != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
 					t.Fatalf("shard %d metadata drift: pairs %d/%d shards %d/%d salt %#x/%#x",
-						i, r.fs.size, mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
+						i, r.sh.size, mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
 				}
 				readers[i] = r
 			}
@@ -176,7 +176,7 @@ func FuzzOpenSection(f *testing.F) {
 }
 
 // FuzzSegmentCodec is the segment-format twin of FuzzShardCodec: arbitrary
-// KV multisets round-trip through serialize→single segment file→mmap→read
+// KV multisets round-trip through serialize→single segment file→decode→read
 // and must answer every query exactly like the in-memory store — and the
 // segment bytes must be identical whether serialized into a fresh or a
 // recycled dirty buffer.

@@ -90,52 +90,7 @@ func (s *Store) GetMany(keys []Key, vals []Value, oks []bool) {
 	gmPool.Put(g)
 }
 
-// GetMany implements BatchGetter over the mmap'd segment: identical
-// results and per-shard load accounting to the scalar Get loop, with the
-// batch grouped by shard so each shard's slot region is swept while its
-// pages are hot.
-func (s *FileStore) GetMany(keys []Key, vals []Value, oks []bool) {
-	n := len(keys)
-	if n < gmScalarCutoff {
-		for i, k := range keys {
-			vals[i], oks[i] = s.Get(k)
-		}
-		return
-	}
-	div := newDivisor(uint64(len(s.shards)))
-	g := gmPool.Get().(*gmScratch)
-	g.grow(n)
-	hs, ord := g.hs, g.ord
-	for i, k := range keys {
-		h := hash(k, s.salt)
-		hs[i] = h
-		ord[i] = div.mod(h)<<32 | uint64(uint32(i))
-	}
-	slices.Sort(ord)
-	for lo := 0; lo < n; {
-		si := ord[lo] >> 32
-		hi := lo + 1
-		for hi < n && ord[hi]>>32 == si {
-			hi++
-		}
-		sh := &s.shards[si]
-		sh.load.Add(int64(hi - lo))
-		for j := lo; j < hi; j++ {
-			i := int(uint32(ord[j]))
-			if off := sh.findOff(keys[i], hs[i]); off >= 0 {
-				vals[i], oks[i] = sh.value(off, 0), true
-			} else {
-				vals[i], oks[i] = Value{}, false
-			}
-		}
-		lo = hi
-	}
-	gmPool.Put(g)
-}
-
 var (
 	_ BatchGetter = (*Store)(nil)
-	_ BatchGetter = (*FileStore)(nil)
 	_ Salter      = (*Store)(nil)
-	_ Salter      = (*FileStore)(nil)
 )

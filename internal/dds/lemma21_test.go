@@ -12,7 +12,8 @@ import (
 // Here balls are key-value pairs, weights are per-key query counts, and
 // bins are shards. The bound is a property of the placement hash, so it must
 // hold for every storage backend — the table-driven helper runs the same
-// query schedule against the in-memory shards and the mmap'd file shards.
+// query schedule against the in-memory shards and the shards decoded from a
+// segment.
 func TestLemma21WeightedBallsInBins(t *testing.T) {
 	const (
 		p = 64

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -46,25 +47,23 @@ func TestSegmentPackedSections(t *testing.T) {
 	checkAgainstReference(t, fs, reference(pairs), []Key{{9, 9, 9}})
 }
 
-// TestPackedBlockCorruption drives unpackBlock with every malformed packed
-// stream shape: truncated varints, over-declared geometry, slot indexes past
-// the table, 64-bit varint overflow and trailing bytes all fail with typed
-// errors — never a panic, never a silent mis-decode.
+// TestPackedBlockCorruption drives the packed decoder, through OpenSection,
+// with every malformed packed stream shape: truncated varints, over-declared
+// geometry, slot indexes past the table, 64-bit varint overflow and trailing
+// bytes all fail with typed errors — never a panic, never a silent
+// mis-decode. The packed and raw forms of one block decode to the same shard.
 func TestPackedBlockCorruption(t *testing.T) {
 	raw := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
 	valid := packRawBlock(nil, raw)
-	got, err := unpackBlock(valid, "t")
+	got, err := OpenSection(valid, encPacked, 0)
 	if err != nil {
 		t.Fatalf("valid packed block rejected: %v", err)
 	}
-	// The decoded block matches the raw form everywhere except the checksum
-	// word, which holds the packed sum.
-	if !bytes.Equal(got[:56], raw[:56]) || !bytes.Equal(got[headerBytes:], raw[headerBytes:]) {
-		t.Fatal("valid packed block did not round-trip")
+	want, err := OpenSection(raw, encRaw, 0)
+	if err != nil {
+		t.Fatalf("valid raw block rejected: %v", err)
 	}
-	if le.Uint64(got[56:]) != checksumPacked(valid[:56], valid[headerBytes:]) {
-		t.Fatal("decoded header does not carry the packed checksum")
-	}
+	sameShard(t, &got.sh, &want.sh)
 	header := append([]byte(nil), valid[:headerBytes]...)
 	overflow := bytes.Repeat([]byte{0xFF}, 11)
 	// resum re-seals a malformed block with a valid packed checksum, so the
@@ -93,16 +92,66 @@ func TestPackedBlockCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := resum(append([]byte(nil), tc.data...))
-			if _, err := unpackBlock(data, "t"); !errors.Is(err, tc.want) {
+			if _, err := OpenSection(data, encPacked, 0); !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
 			}
 		})
 	}
 
+	// A record listed with count 0 — here 1<<32, which truncates to 0 as a
+	// raw record's 32-bit count field does — is an empty slot, exactly as
+	// the same record reads in a raw block; count and offset of the other
+	// record truncate to 32 bits the same way.
+	t.Run("listed record with count 0 is an empty slot", func(t *testing.T) {
+		h := make([]byte, headerBytes)
+		copy(h, shardMagic)
+		le.PutUint32(h[8:], shardVersion)
+		le.PutUint32(h[16:], 1)
+		le.PutUint64(h[32:], 1) // one pair
+		le.PutUint64(h[40:], 4) // four slots, no slab
+		packed := binary.AppendUvarint(append([]byte(nil), h...), 2)
+		rawBlock := append(append([]byte(nil), h...), make([]byte, 4*slotBytes)...)
+		firstB := int64(-12)
+		for _, rec := range []struct{ slot, count, off uint64 }{{0, 1 << 32, 3}, {2, 1<<32 | 1, 1<<32 | 5}} {
+			gap := rec.slot
+			if rec.slot > 0 {
+				gap = 1 // slot 2 follows slot 0
+			}
+			packed = binary.AppendUvarint(packed, gap)
+			packed = binary.AppendUvarint(packed, zigzag(7))
+			packed = binary.AppendUvarint(packed, zigzag(-int64(rec.slot)))
+			packed = append(packed, 2)
+			packed = binary.AppendUvarint(packed, zigzag(11))
+			packed = binary.AppendUvarint(packed, zigzag(firstB))
+			packed = binary.AppendUvarint(packed, rec.count)
+			packed = binary.AppendUvarint(packed, rec.off)
+			r := rawBlock[headerBytes+int(rec.slot)*slotBytes:]
+			le.PutUint64(r[0:], 7)
+			le.PutUint64(r[8:], uint64(-int64(rec.slot)))
+			le.PutUint64(r[16:], 11)
+			le.PutUint64(r[24:], uint64(firstB))
+			le.PutUint32(r[32:], uint32(rec.count))
+			le.PutUint32(r[36:], uint32(rec.off))
+			r[40] = 2
+		}
+		got, err := OpenSection(resum(packed), encPacked, 0)
+		if err != nil {
+			t.Fatalf("packed block rejected: %v", err)
+		}
+		want, err := OpenSection(fixChecksum(rawBlock), encRaw, 0)
+		if err != nil {
+			t.Fatalf("raw block rejected: %v", err)
+		}
+		sameShard(t, &got.sh, &want.sh)
+		if got.sh.occupied(0) || !got.sh.occupied(2) || got.sh.slots[2].count != 1 || got.sh.slots[2].off != 5 {
+			t.Fatalf("decoded occupancy %b, slot 2 = %+v", got.sh.bits[0], got.sh.slots[2])
+		}
+	})
+
 	t.Run("declared slots beyond the size cap", func(t *testing.T) {
 		h := append([]byte(nil), header...)
 		le.PutUint64(h[40:48], maxPackedRaw/slotBytes+1)
-		if _, err := unpackBlock(resum(h), "t"); !errors.Is(err, ErrBadGeometry) {
+		if _, err := OpenSection(resum(h), encPacked, 0); !errors.Is(err, ErrBadGeometry) {
 			t.Fatalf("error %v, want ErrBadGeometry", err)
 		}
 	})
@@ -113,10 +162,26 @@ func TestPackedBlockCorruption(t *testing.T) {
 	for _, flip := range []int{24, headerBytes, len(valid) - 1, 56} {
 		bad := append([]byte(nil), valid...)
 		bad[flip] ^= 0x01
-		if _, err := unpackBlock(bad, "t"); !errors.Is(err, ErrChecksum) {
+		if _, err := OpenSection(bad, encPacked, 0); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flipped byte %d: error %v, want ErrChecksum", flip, err)
 		}
 	}
+}
+
+// sameShard fails the test unless two decoded shards hold the same table:
+// slot count, occupancy bits, every occupied slot, slab and pair count.
+func sameShard(t *testing.T, got, want *shard) {
+	t.Helper()
+	if len(got.slots) != len(want.slots) || got.mask != want.mask || got.size != want.size ||
+		!slices.Equal(got.bits, want.bits) || !slices.Equal(got.slab, want.slab) {
+		t.Fatalf("shards differ: %d/%d slots, %d/%d pairs, bits %v/%v, slab %v/%v",
+			len(got.slots), len(want.slots), got.size, want.size, got.bits, want.bits, got.slab, want.slab)
+	}
+	got.forOccupied(func(j int) {
+		if got.slots[j] != want.slots[j] {
+			t.Fatalf("slot %d: %+v, want %+v", j, got.slots[j], want.slots[j])
+		}
+	})
 }
 
 // segFiles lists the store-*.seg files under dir, sorted by ReadDir order.

@@ -31,17 +31,4 @@ func (s *Store) GetHashed(k Key, h uint64) (Value, bool) {
 	return Value{}, false
 }
 
-// GetHashed implements PrehashedGetter for the mmap'd segment.
-func (s *FileStore) GetHashed(k Key, h uint64) (Value, bool) {
-	sh := &s.shards[h%uint64(len(s.shards))]
-	sh.load.Add(1)
-	if off := sh.findOff(k, h); off >= 0 {
-		return sh.value(off, 0), true
-	}
-	return Value{}, false
-}
-
-var (
-	_ PrehashedGetter = (*Store)(nil)
-	_ PrehashedGetter = (*FileStore)(nil)
-)
+var _ PrehashedGetter = (*Store)(nil)

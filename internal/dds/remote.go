@@ -7,11 +7,11 @@ import (
 
 // This file is the dds surface a networked store builds on. A publisher
 // ships each generation in the segment codec's own sections — EncodeSections
-// packs them exactly as the file publisher does on disk — and a
-// remote shard server opens each one with OpenSection, the decoder behind
-// OpenSegment, then answers point queries through ShardReader with the
-// identical probe sequence as the mmap'd segment, so a remote read returns
-// byte-for-byte what a local read of the same frozen store would.
+// packs them exactly as the file publisher does on disk — and a remote shard
+// server opens each one with OpenSection, the decoder behind OpenSegment,
+// into the in-memory shard form every store reads, then answers point
+// queries through ShardReader with shard.find, so a remote read returns
+// exactly what a local read of the same frozen store would.
 
 // ErrBackendUnavailable reports that a store backend could not answer reads
 // or accept writes — a shard server is unreachable, timed out, or no replica
@@ -74,9 +74,10 @@ func SegmentSections(seg []byte) ([][]byte, error) {
 	return sections, nil
 }
 
-// sliceSections checks a serialized segment's super-header and section
-// tiling and returns each section's bytes and encoding byte, so the returned
-// slices are in bounds; section contents are left to OpenSection.
+// sliceSections checks a serialized segment's super-header — its checksum
+// over the header and section table, and the size it declares — and the
+// section tiling, and returns each section's bytes and encoding byte, so the
+// returned slices are in bounds; section contents are left to openSection.
 func sliceSections(seg []byte) ([][]byte, []byte, error) {
 	if len(seg) < headerBytes {
 		return nil, nil, fmt.Errorf("%w: segment of %d bytes, super-header needs %d", ErrTruncated, len(seg), headerBytes)
@@ -97,6 +98,14 @@ func sliceSections(seg []byte) ([][]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: segment of %d bytes, section table needs %d", ErrTruncated, len(seg), tableEnd)
 	}
 	table := seg[headerBytes:tableEnd]
+	if sum := checksum(h[0:56], table); sum != le.Uint64(h[56:]) {
+		return nil, nil, fmt.Errorf("%w: super-header", ErrChecksum)
+	}
+	if size, declared := uint64(len(seg)), le.Uint64(h[32:]); declared > size {
+		return nil, nil, fmt.Errorf("%w: %d bytes, super-header declares %d", ErrTruncated, size, declared)
+	} else if declared < size {
+		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadGeometry, size-declared)
+	}
 	sections := make([][]byte, count)
 	encs := make([]byte, count)
 	next := uint64(tableEnd)
@@ -124,11 +133,11 @@ func sliceSections(seg []byte) ([][]byte, []byte, error) {
 }
 
 // ShardReader answers point queries over one opened section — the read side
-// of a shard server. The probe sequence is identical to the mmap'd segment
-// path, so a query answered remotely returns exactly what the local store
-// would.
+// of a shard server. It holds the section decoded into the same shard form a
+// local store reads, so a query answered remotely returns exactly what the
+// local store would.
 type ShardReader struct {
-	fs     fileShard
+	sh     shard
 	shards int
 	salt   uint64
 }
@@ -137,24 +146,19 @@ type ShardReader struct {
 // encoding byte, index the shard it must declare — with the same
 // verification OpenSegment applies: a raw section's checksum, a packed
 // section's checksum over the packed bytes before it decodes, then the
-// slot-table scan that keeps probes over untrusted bytes in bounds. The
-// shard count must be in range and hold index, since readers route by it. An
-// encoding byte other than raw or packed is refused with ErrBadVersion. The
-// reader owns its memory — a raw section is copied, a packed one decodes
-// into fresh bytes — so data may be reused once OpenSection returns.
+// structural validation that keeps probes over untrusted bytes in bounds.
+// The shard count must be in range and hold index, since readers route by
+// it. An encoding byte other than raw or packed is refused with
+// ErrBadVersion. The section decodes into memory the reader owns, so data
+// may be reused once OpenSection returns.
 func OpenSection(data []byte, enc byte, index int) (*ShardReader, error) {
-	if enc == encRaw {
-		data = append([]byte(nil), data...)
-	}
-	hdr, err := openSection(data, enc, index, fmt.Sprintf("section %d", index))
+	r := new(ShardReader)
+	hdr, err := openSection(&r.sh, data, enc, index, fmt.Sprintf("section %d", index))
 	if err != nil {
 		return nil, err
 	}
-	return &ShardReader{
-		fs:     fileShard{slots: hdr.slots, mask: hdr.mask, slab: hdr.slab, size: hdr.size},
-		shards: hdr.count,
-		salt:   hdr.salt,
-	}, nil
+	r.shards, r.salt = hdr.count, hdr.salt
+	return r, nil
 }
 
 // ShardCount returns the total shard count of the store the section came from.
@@ -165,11 +169,10 @@ func (r *ShardReader) Salt() uint64 { return r.salt }
 
 // Get returns the value stored under k (index 0 of a duplicated key).
 func (r *ShardReader) Get(k Key) (Value, bool) {
-	off := r.fs.findOff(k, hash(k, r.salt))
-	if off < 0 {
-		return Value{}, false
+	if sl := r.sh.find(k, hash(k, r.salt)); sl != nil {
+		return sl.first, true
 	}
-	return r.fs.value(off, 0), true
+	return Value{}, false
 }
 
 // GetRange appends the values stored under k at indices [lo, hi) to dst.
@@ -180,24 +183,20 @@ func (r *ShardReader) GetRange(k Key, lo, hi int, dst []Value) []Value {
 	if hi <= lo {
 		return dst
 	}
-	off := r.fs.findOff(k, hash(k, r.salt))
-	if off < 0 {
+	sl := r.sh.find(k, hash(k, r.salt))
+	if sl == nil {
 		return dst
 	}
-	if n := r.fs.count(off); hi > n {
-		hi = n
-	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, r.fs.value(off, i))
+	for i := lo; i < min(hi, int(sl.count)); i++ {
+		dst = append(dst, r.sh.value(sl, i))
 	}
 	return dst
 }
 
 // Count returns the number of pairs stored under k.
 func (r *ShardReader) Count(k Key) int {
-	off := r.fs.findOff(k, hash(k, r.salt))
-	if off < 0 {
-		return 0
+	if sl := r.sh.find(k, hash(k, r.salt)); sl != nil {
+		return int(sl.count)
 	}
-	return r.fs.count(off)
+	return 0
 }

@@ -208,78 +208,77 @@ func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 	return dst
 }
 
-// unpackBlock decodes a packed section back into the raw v1 shard block it
-// was packed from. The packed checksum is checked against the on-disk bytes
-// before any decoding — corruption surfaces as ErrChecksum over a few packed
-// megabytes rather than a re-fold of the raw form. Only enough of the copied
-// header is trusted to size the allocation; the decoded bytes then run
-// through parseShardBlock (raw checksum off — the checksum word holds the
-// packed sum) so a forged header still fails with the same typed geometry
-// errors as a raw section.
-func unpackBlock(data []byte, path string) ([]byte, error) {
-	if len(data) < headerBytes {
-		return nil, fmt.Errorf("%w: %s: packed section of %d bytes, header needs %d",
-			ErrTruncated, path, len(data), headerBytes)
+// unpackShard decodes a packed section into sh. The packed checksum is
+// checked against the bytes received before any decoding, so corruption
+// surfaces as ErrChecksum. Only the declared slot and slab counts are
+// trusted before the checks, to size the allocation under maxPackedRaw;
+// listed records go straight into their slots (a record listed with count 0
+// stays an empty slot, as it reads in a raw block), then the header checks
+// and the structural validation a raw section gets run on the result, so a
+// forged header fails with the same typed errors.
+func unpackShard(sh *shard, data []byte, path string, index int) (blockHeader, error) {
+	if err := checkMagic(data, path); err != nil {
+		return blockHeader{}, err
 	}
 	h := data[:headerBytes]
-	if string(h[0:8]) != shardMagic {
-		return nil, fmt.Errorf("%w: %s: packed section", ErrBadMagic, path)
-	}
 	if sum := checksumPacked(h[:56], data[headerBytes:]); sum != le.Uint64(h[56:]) {
-		return nil, fmt.Errorf("%w: %s: packed section", ErrChecksum, path)
+		return blockHeader{}, fmt.Errorf("%w: %s: packed section", ErrChecksum, path)
 	}
-	slotCount := le.Uint64(h[40:48])
-	slabCount := le.Uint64(h[48:56])
-	if slotCount > maxPackedRaw/slotBytes || slabCount > maxPackedRaw/valueBytes {
-		return nil, fmt.Errorf("%w: %s: packed section declares %d slots, %d slab records; reader caps raw size at %d bytes",
+	slotCount, slabCount := le.Uint64(h[40:48]), le.Uint64(h[48:56])
+	if slotCount > maxPackedRaw/slotBytes || slabCount > maxPackedRaw/valueBytes ||
+		headerBytes+slotCount*slotBytes+slabCount*valueBytes > maxPackedRaw {
+		return blockHeader{}, fmt.Errorf("%w: %s: packed section declares %d slots, %d slab records; reader caps raw size at %d bytes",
 			ErrBadGeometry, path, slotCount, slabCount, maxPackedRaw)
 	}
-	rawSize := headerBytes + int(slotCount)*slotBytes + int(slabCount)*valueBytes
-	if rawSize > maxPackedRaw {
-		return nil, fmt.Errorf("%w: %s: packed section declares %d raw bytes, reader caps at %d",
-			ErrBadGeometry, path, rawSize, maxPackedRaw)
-	}
-	raw := make([]byte, rawSize)
-	copy(raw, h)
+	sh.alloc(slotCount, slabCount)
 	r := &varReader{data: data[headerBytes:], path: path}
 	occ := r.uvarint()
 	if r.err == nil && occ > slotCount {
-		return nil, fmt.Errorf("%w: %s: packed section declares %d occupied of %d slots",
+		return blockHeader{}, fmt.Errorf("%w: %s: packed section declares %d occupied of %d slots",
 			ErrBadGeometry, path, occ, slotCount)
 	}
-	slot := int64(-1)
+	next := uint64(0) // the lowest slot index the next record may take
 	for j := uint64(0); j < occ && r.err == nil; j++ {
 		gap := r.uvarint()
 		if r.err != nil {
 			break
 		}
-		slot += int64(gap) + 1
-		if uint64(slot) >= slotCount {
-			return nil, fmt.Errorf("%w: %s: packed slot index %d of %d slots",
-				ErrBadGeometry, path, slot, slotCount)
+		if gap >= slotCount-next {
+			return blockHeader{}, fmt.Errorf("%w: %s: packed slot gap %d after slot %d of %d slots",
+				ErrBadGeometry, path, gap, int64(next)-1, slotCount)
 		}
-		rec := raw[headerBytes+int(slot)*slotBytes:]
-		le.PutUint64(rec[0:], uint64(r.svarint()))
-		le.PutUint64(rec[8:], uint64(r.svarint()))
-		tag := r.byte()
-		le.PutUint64(rec[16:], uint64(r.svarint()))
-		le.PutUint64(rec[24:], uint64(r.svarint()))
-		le.PutUint32(rec[32:], uint32(r.uvarint()))
-		le.PutUint32(rec[36:], uint32(r.uvarint()))
-		rec[40] = tag
+		i := next + gap
+		next = i + 1
+		sl := &sh.slots[i]
+		sl.key.A = r.svarint()
+		sl.key.B = r.svarint()
+		sl.key.Tag = r.byte()
+		sl.first.A = r.svarint()
+		sl.first.B = r.svarint()
+		sl.count = int32(uint32(r.uvarint()))
+		sl.off = int32(uint32(r.uvarint()))
+		if sl.count != 0 {
+			sh.claim(i)
+		}
 	}
-	for off := headerBytes + int(slotCount)*slotBytes; off < rawSize && r.err == nil; off += valueBytes {
-		le.PutUint64(raw[off:], uint64(r.svarint()))
-		le.PutUint64(raw[off+8:], uint64(r.svarint()))
+	for i := range sh.slab {
+		if r.err != nil {
+			break
+		}
+		sh.slab[i] = Value{A: r.svarint(), B: r.svarint()}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return blockHeader{}, r.err
 	}
 	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %s: %d trailing bytes in packed section",
+		return blockHeader{}, fmt.Errorf("%w: %s: %d trailing bytes in packed section",
 			ErrBadGeometry, path, r.remaining())
 	}
-	return raw, nil
+	hdr, err := readBlockHeader(h, path, index)
+	if err != nil {
+		return hdr, err
+	}
+	return hdr, sh.finish(hdr, path)
 }
 
 // encodeSection appends shard i of s to dst[:0] under the segment options and

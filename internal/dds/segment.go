@@ -37,12 +37,11 @@ import (
 //
 // A raw section is bit-for-bit a v1 shard block (64-byte shard header, slot
 // records, slab records) keeping its own checksum and slot/slab geometry, so
-// it validates independently and the mmap'd read path probes the block's
-// bytes in place. A packed section (segcodec.go) decodes back to a raw block
-// before the same structural validation runs; it carries a checksum over its
-// own packed bytes, so an open checks integrity against what is on
-// disk before decoding and the decoded block parses with its checksum
-// skipped. Every segment is self-contained. Sections must start immediately
+// it validates independently. A packed section (segcodec.go) carries a
+// checksum over its own packed bytes, so an open checks integrity against
+// what is on disk before decoding. Both decode straight into an in-memory
+// shard and pass the same header checks and structural validation. Every
+// segment is self-contained. Sections must start immediately
 // after the table and tile the file exactly; a table whose offsets are
 // swapped, overlapping or gapped is rejected as ErrBadGeometry before any
 // section is read.
@@ -358,83 +357,32 @@ func syncDir(dir string) error {
 	return err
 }
 
-// OpenSegment maps the segment file at path and returns the StoreBackend
-// reading it. The super-header checksum, the section tiling, and every
-// section's own checksum and slot-table structure are verified before any
-// read is answered; damage fails with the same typed errors as v1 shard
-// files, wrapped in a SectionError when it is confined to one section.
-// Packed sections decode onto the heap here, striped over the cores; the
-// error reported is always the lowest-index section's.
-func OpenSegment(path string) (*FileStore, error) {
-	f, err := os.Open(path)
+// OpenSegment reads the segment file at path and decodes it into a Store.
+// The super-header checksum, the section tiling, and every section's own
+// checksum and slot-table structure are verified; damage fails with the
+// typed errors of this package, wrapped in a SectionError when it is
+// confined to one section. Sections decode striped over the cores; the
+// error reported is always the lowest-index section's. The store holds no
+// file resources: it reads like any frozen store.
+func OpenSegment(path string) (*Store, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if info.Size() < headerBytes {
-		return nil, fmt.Errorf("%w: %s: %d bytes, super-header needs %d", ErrTruncated, path, info.Size(), headerBytes)
-	}
-	data, unmap, err := mmapFile(f, info.Size())
-	if err != nil {
-		return nil, fmt.Errorf("dds: segment file: %s: map: %w", path, err)
-	}
-	s := &FileStore{unmaps: []func() error{unmap}}
-	ok := false
-	defer func() {
-		if !ok {
-			s.Close()
-		}
-	}()
-
-	h := data[:headerBytes]
-	if string(h[0:8]) != segmentMagic {
-		return nil, fmt.Errorf("%w: %s: not a segment file", ErrBadMagic, path)
-	}
-	if v := le.Uint32(h[8:]); v != segmentVersion {
-		return nil, fmt.Errorf("%w: %s: segment version %d, reader implements %d", ErrBadVersion, path, v, segmentVersion)
-	}
-	count := int(le.Uint32(h[12:]))
-	if count <= 0 || count > maxShardFiles {
-		return nil, fmt.Errorf("%w: %s: shard count %d", ErrBadGeometry, path, count)
-	}
-	s.salt = le.Uint64(h[16:])
-	declaredPairs := le.Uint64(h[24:])
-	declaredSize := le.Uint64(h[32:])
-	tableEnd := int64(headerBytes) + int64(count)*segTableEntry
-	if info.Size() < tableEnd {
-		return nil, fmt.Errorf("%w: %s: %d bytes, section table needs %d", ErrTruncated, path, info.Size(), tableEnd)
-	}
-	table := data[headerBytes:tableEnd]
-	if sum := checksum(h[0:56], table); sum != le.Uint64(h[56:]) {
-		return nil, fmt.Errorf("%w: %s: super-header", ErrChecksum, path)
-	}
-	if declaredSize != uint64(info.Size()) {
-		if declaredSize > uint64(info.Size()) {
-			return nil, fmt.Errorf("%w: %s: %d bytes, super-header declares %d", ErrTruncated, path, info.Size(), declaredSize)
-		}
-		return nil, fmt.Errorf("%w: %s: %d trailing bytes", ErrBadGeometry, path, uint64(info.Size())-declaredSize)
-	}
-
-	// The section table must tile [tableEnd, size) exactly in shard order: a
-	// swapped, overlapping or gapped pair of entries is a geometry error, and
-	// catching it before any section is read means section offsets can be
-	// trusted as slice bounds.
 	sections, encs, err := sliceSections(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	// Sections open in parallel, then are checked in section order, so the
+	count := len(sections)
+	s := &Store{shards: make([]shard, count), salt: le.Uint64(data[16:]), div: newDivisor(uint64(count))}
+	declaredPairs := le.Uint64(data[24:])
+	// Sections decode in parallel, then are checked in section order, so the
 	// SectionError returned is the lowest-index failure on every run.
-	hdrs := make([]shardHeader, count)
+	hdrs := make([]blockHeader, count)
 	errs := make([]error, count)
 	dispatch(count, buildWorkers(int(min(declaredPairs, 1<<31))), nil, func(i int) {
-		hdrs[i], errs[i] = openSection(sections[i], encs[i], i, path)
+		hdrs[i], errs[i] = openSection(&s.shards[i], sections[i], encs[i], i, path)
 	})
-	s.shards = make([]fileShard, 0, count)
 	pairs := uint64(0)
 	for i, hdr := range hdrs {
 		if errs[i] != nil {
@@ -445,41 +393,25 @@ func OpenSegment(path string) (*FileStore, error) {
 				"%w: %s: section disagrees with super-header on shard count or salt", ErrBadGeometry, path)}
 		}
 		pairs += uint64(hdr.size)
-		s.shards = append(s.shards, fileShard{
-			slots: hdr.slots,
-			mask:  hdr.mask,
-			slab:  hdr.slab,
-			size:  hdr.size,
-		})
 	}
 	if pairs != declaredPairs {
 		return nil, fmt.Errorf("%w: %s: sections hold %d pairs, super-header declares %d",
 			ErrBadGeometry, path, pairs, declaredPairs)
 	}
 	s.pairs = int(pairs)
-	ok = true
 	return s, nil
 }
 
-// openSection decodes one section of encoding enc into the raw shard block
-// it stands for and parses it as shard index — the one section decoder behind
-// both OpenSegment and the shard server's OpenSection. A raw section parses
-// in place (the parsed block aliases data) with its raw checksum; a packed
-// section's checksum is checked over the packed bytes before it decodes into
-// fresh memory (its checksum word holds the packed sum, so the parse skips
-// the raw one). Either way the slot-table scan runs. Any other encoding byte
-// is refused with ErrBadVersion.
-func openSection(data []byte, enc byte, index int, path string) (shardHeader, error) {
-	raw := data
+// openSection decodes one section of encoding enc into sh as shard index —
+// the one section decoder behind both OpenSegment and the shard server's
+// OpenSection. Any encoding byte other than raw or packed is refused with
+// ErrBadVersion.
+func openSection(sh *shard, data []byte, enc byte, index int, path string) (blockHeader, error) {
 	switch enc {
 	case encRaw:
+		return parseShardBlock(sh, data, path, index)
 	case encPacked:
-		var err error
-		if raw, err = unpackBlock(data, path); err != nil {
-			return shardHeader{}, err
-		}
-	default:
-		return shardHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements raw/packed", ErrBadVersion, path, enc)
+		return unpackShard(sh, data, path, index)
 	}
-	return parseShardBlock(raw, path, index, enc == encRaw)
+	return blockHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements raw/packed", ErrBadVersion, path, enc)
 }

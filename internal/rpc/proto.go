@@ -43,9 +43,9 @@
 // fills each put frame with as many of one server's sections as fit in
 // frameEager bytes (a larger section travels alone), so a generation costs
 // a few round trips per server, not one per shard. The server opens every
-// section with dds.OpenSection — the decoder, checksums and slot-table scan
-// the file backend applies — and installs a frame's sections all or none;
-// its probe sequence over them matches a local read exactly.
+// section with dds.OpenSection — the decoder and checks behind
+// dds.OpenSegment — and installs a frame's sections all or none; it probes
+// them as the in-memory store does, so a remote read matches a local one.
 package rpc
 
 import (

@@ -296,8 +296,8 @@ func (s *Server) handle(op byte, req, resp []byte) ([]byte, error) {
 
 // handlePut opens every section of a put frame before taking s.mu, then
 // installs them together: a frame with any bad section installs none. Each
-// reader owns its memory (dds.OpenSection copies raw sections out of the
-// connection's reused frame buffer; packed ones decode into fresh bytes).
+// reader owns its memory: dds.OpenSection decodes every section out of the
+// connection's reused frame buffer into a fresh in-memory shard.
 func (s *Server) handlePut(req []byte) error {
 	if len(req) < 20 {
 		return fmt.Errorf("rpc: put: short frame (%d bytes)", len(req))

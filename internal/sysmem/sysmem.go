@@ -12,7 +12,7 @@ import (
 
 // PeakRSSMB returns the process's peak resident set size in MiB: VmHWM
 // from /proc/self/status where the kernel provides it (Linux — it includes
-// mmap'd segment pages actually touched), falling back to the Go runtime's
+// every page actually touched, heap or not), falling back to the Go runtime's
 // HeapSys+StackSys high-water proxy elsewhere. The fallback undercounts
 // non-heap memory; the value is still monotone and useful for orientation
 // on other platforms.
