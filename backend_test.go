@@ -2,12 +2,16 @@ package ampc_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ampc"
 	"ampc/internal/rpc"
@@ -187,6 +191,80 @@ func TestBackendDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMSFWideWeights runs msf on GNM with every edge weight shifted past
+// 2^33, so no weight fits a store slot's int32 words and its low 32 bits
+// are all zero, and holds its edges' weights to KruskalMSF on the mem, file
+// and rpc backends.
+func TestMSFWideWeights(t *testing.T) {
+	r := ampc.NewRNG(8, 1)
+	base := ampc.WithRandomWeights(ampc.GNM(400, 1600, r), r)
+	wes := base.WeightedEdges()
+	for i := range wes {
+		wes[i].Weight <<= 33
+	}
+	g, err := ampc.NewWeightedGraph(base.N(), wes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for _, e := range ampc.KruskalMSF(g) {
+		want = append(want, e.Weight)
+	}
+	slices.Sort(want)
+	for _, backend := range []string{ampc.BackendMem, ampc.BackendFile, ampc.BackendRPC} {
+		opts := ampc.Options{Seed: 5, Backend: backend}
+		switch backend {
+		case ampc.BackendFile:
+			opts.StoreDir = t.TempDir()
+		case ampc.BackendRPC:
+			opts.Servers, opts.Replication = rpcServers(t), 2
+		}
+		res, _ := runBackend(t, ampc.Job{Algo: "msf", Weighted: g, Check: true}, opts)
+		var got []int64
+		for _, e := range res.Payload.(ampc.MSFResult).Edges {
+			got = append(got, e.Weight)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d MSF weights differ from Kruskal's %d", backend, len(got), len(want))
+		}
+	}
+}
+
+// TestRPCRunCancelsPromptly pins that cancelling a run whose shard servers
+// stall returns within a second with context.Canceled: a request blocked on
+// a paused server returns at once instead of waiting out RPCTimeout.
+func TestRPCRunCancelsPromptly(t *testing.T) {
+	fleet, err := rpc.StartFleet(make([]rpc.ServerConfig, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	var cancelled atomic.Int64
+	eng := ampc.NewEngine(ampc.EngineOptions{Observer: func(ampc.RoundEvent) {
+		once.Do(func() {
+			fleet.Pause(0)
+			fleet.Pause(1)
+			time.AfterFunc(100*time.Millisecond, func() {
+				cancelled.Store(time.Now().UnixNano())
+				cancel()
+			})
+		})
+	}})
+	opts := ampc.Options{Backend: ampc.BackendRPC, Servers: fleet.Addrs(), Replication: 2, RPCTimeout: 30 * time.Second}
+	job := ampc.Job{Algo: "connectivity", Graph: ampc.GNM(20000, 80000, ampc.NewRNG(3, 0)), Opts: &opts}
+	_, err = eng.Run(ctx, job)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if took := time.Since(time.Unix(0, cancelled.Load())); took > time.Second {
+		t.Fatalf("the run returned %v after its cancellation, want under 1s", took)
 	}
 }
 

@@ -328,7 +328,7 @@ func TestStaticPublishRetainsOneGeneration(t *testing.T) {
 
 	static := tableBytes(rt.StaticStore().ShardSizes())
 	round := tableBytes(rt.Store().ShardSizes())
-	bound := static + 2*round + n*(48+4) + 1<<20
+	bound := static + 2*round + n*(24+4) + 1<<20
 	t.Logf("retained %d bytes; bound %d (static tables %d, round tables %d per generation)", retained, bound, static, round)
 	if retained > bound {
 		t.Fatalf("static publish retains %d bytes, more than one static generation, two round generations, the writers and 1 MiB (%d)",

@@ -82,7 +82,7 @@ func bitWords(n int) int { return (n + 63) / 64 }
 
 // grabTable returns a slot table of exactly n entries (n must be a power of
 // two) with an all-clear occupancy bitmap, recycled when one of that
-// capacity is available. Only the bitmap is zeroed — 1/384th of the slot
+// capacity is available. Only the bitmap is zeroed — 1/224th of the slot
 // bytes — because slot records are fully written at claim time and
 // serialization consults the bitmap for empties. Clearing and fresh
 // allocation happen outside the lock: the freeze's tasks grab their shards'

@@ -3,8 +3,6 @@ package dds
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -15,32 +13,28 @@ import (
 // deterministic for a fixed schedule of writes.
 //
 // Writers are pre-sized at NewBuilder time: the runtime knows the machine
-// count up front, so Writer(m) for m < p is a plain indexed lookup with no
-// lock and no allocation, and a builder can be Reset and reused across
-// rounds, keeping each machine's buffer capacity warm.
+// count up front, so Writer(m) is a plain indexed lookup with no lock and no
+// allocation, and a builder is reused across rounds, keeping each machine's
+// buffer capacity warm.
 //
 // A builder writes for one store geometry at a time. Prime(p, salt) — which
 // the AMPC runtime calls every round, because it draws the next store's salt
 // before the round executes — arms it; each Write then hashes its key once,
-// resolves the destination shard, and appends {key, hash|shard, value} to
-// the writer's buffer. Freeze never hashes: it sizes every shard's slot
-// table from the stored shard ids, then inserts each pair straight into its
-// table reusing the stored hash bits. A builder must be primed before its
-// first Writer call.
+// resolves the destination shard, and appends a 24-byte entry — the high
+// hash bits and the pair's int32 words — plus the shard id to the writer's
+// buffers. Freeze never hashes: it sizes every shard's slot table from the
+// stored shard ids, then inserts each pair straight into its table reusing
+// the stored hash bits. A builder must be primed before its first Writer
+// call.
 //
 // (An earlier design kept a physical per-shard bucket per writer, making the
 // freeze a pure sized merge with no counting read. It measured slower: every
-// Write then scattered a 48-byte append across p bucket tails — two
+// Write then scattered an entry append across p bucket tails — two
 // dependent cache misses on the hottest path in the system — where the flat
 // buffer is a single streaming append. Reading stored shard ids is cheap;
 // write-time cache misses are not.)
 type Builder struct {
 	writers []*Writer
-
-	// mu guards extras, the overflow path for machine ids at or beyond the
-	// pre-sized count (only exercised by callers that under-declared p).
-	mu     sync.Mutex
-	extras map[int]*Writer
 
 	// Primed epoch: the shard count and salt writers pre-hash for; p == 0
 	// until the first Prime. Writers copy the epoch when fetched; div caches
@@ -73,8 +67,7 @@ type dupValue struct {
 	v    Value
 }
 
-// NewBuilder returns a builder pre-sized for p machines. Writer(m) for
-// m in [0, p) never locks or allocates.
+// NewBuilder returns a builder of writers for machines [0, p).
 func NewBuilder(p int) *Builder {
 	if p < 0 {
 		p = 0
@@ -109,7 +102,7 @@ func (b *Builder) Prime(p int, salt uint64) {
 		p = 1
 	}
 	if p > 1<<30 {
-		// A shard id must fit the routing word's low 32 bits.
+		// A shard id must fit the writers' uint32 shard-id array.
 		panic(fmt.Sprintf("dds: Prime(p=%d): more than 2^30 shards", p))
 	}
 	if p != b.p {
@@ -135,114 +128,32 @@ func (b *Builder) Writer(machine int) *Writer {
 	if b.p == 0 {
 		panic("dds: Writer on a builder that was never primed; call Prime first")
 	}
-	if machine < len(b.writers) {
-		w := b.writers[machine]
-		w.clear()
-		w.adopt(b)
-		return w
+	if machine >= len(b.writers) {
+		panic(fmt.Sprintf("dds: Writer(%d) on a builder of %d writers", machine, len(b.writers)))
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.extras == nil {
-		b.extras = make(map[int]*Writer)
-	}
-	w := b.extras[machine]
-	if w == nil {
-		w = &Writer{}
-		b.extras[machine] = w
-	}
+	w := b.writers[machine]
 	w.clear()
 	w.adopt(b)
 	return w
 }
 
-// DropWriter discards any buffered writes from the given machine. The AMPC
-// runtime uses this to model machine failure: a machine that dies mid-round
-// restarts from scratch and its partial writes must not be visible.
-func (b *Builder) DropWriter(machine int) {
-	if machine >= 0 && machine < len(b.writers) {
-		b.writers[machine].clear()
-		return
-	}
-	b.mu.Lock()
-	if w := b.extras[machine]; w != nil {
-		w.clear()
-	}
-	b.mu.Unlock()
-}
-
-// Reset empties every writer, keeping buffer capacities, so the builder can
-// be reused for the next round. The primed epoch is retained.
-func (b *Builder) Reset() {
-	for _, w := range b.writers {
-		w.clear()
-	}
-	b.mu.Lock()
-	for _, w := range b.extras {
-		w.clear()
-	}
-	b.mu.Unlock()
-}
-
 // allWriters returns every writer holding at least one pair, in machine-id
-// order (pre-sized writers first, then any overflow machines sorted by id;
-// overflow ids are always >= the pre-sized count).
+// order.
 func (b *Builder) allWriters() []*Writer {
-	ws := make([]*Writer, 0, len(b.writers)+len(b.extras))
+	ws := make([]*Writer, 0, len(b.writers))
 	for _, w := range b.writers {
 		if w.Len() > 0 {
 			ws = append(ws, w)
 		}
 	}
-	b.mu.Lock()
-	if len(b.extras) > 0 {
-		ids := make([]int, 0, len(b.extras))
-		for id := range b.extras {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			if w := b.extras[id]; w.Len() > 0 {
-				ws = append(ws, w)
-			}
-		}
-	}
-	b.mu.Unlock()
 	return ws
-}
-
-// Pairs returns all buffered pairs merged in machine-id order, including
-// pairs a writer buffered before a re-Prime (Freeze rejects that state
-// loudly; Pairs and Len must agree with each other regardless).
-func (b *Builder) Pairs() []KV {
-	ws := b.allWriters()
-	total := 0
-	for _, w := range ws {
-		total += w.Len()
-	}
-	out := make([]KV, 0, total)
-	for _, w := range ws {
-		for i := range w.ents {
-			out = append(out, w.ents[i].kv)
-		}
-	}
-	return out
-}
-
-// Len returns the total number of buffered pairs.
-func (b *Builder) Len() int {
-	n := 0
-	for _, w := range b.allWriters() {
-		n += w.Len()
-	}
-	return n
 }
 
 // Freeze merges all buffered writes into an immutable Store sharded p ways
 // with the given salt. The inserts run in parallel for large rounds; the
 // resulting store — including duplicate-key index order — is identical to a
 // sequential machine-id-order merge regardless of parallelism. The builder's
-// buffers are copied, so the builder may be Reset and reused immediately.
+// buffers are copied, so the builder may be reused immediately.
 func (b *Builder) Freeze(p int, salt uint64) *Store {
 	return b.FreezeArena(nil, p, salt)
 }
@@ -311,7 +222,7 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 	t0 := time.Now()
 
 	// Sizing pass: per-shard pair counts streamed off the shard-id arrays
-	// (4 bytes per pair, not the 48-byte entries); then every task grabs its
+	// (4 bytes per pair, not the 24-byte entries); then every task grabs its
 	// own shards' tables, so fresh tables are zeroed on every core. This is
 	// the freeze's whole layout cost — the merge phase of the split.
 	if cap(b.counts) < p {
@@ -358,7 +269,7 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 
 // insertOwned is one freeze task: it streams every writer's entries in
 // machine-id order and inserts the pairs of the shards owner assigns to task
-// k. A claimed slot takes its key and first value at once; duplicate-key
+// k. A claimed slot takes a narrow entry's fields at once; duplicate-key
 // values are stashed in dups, in arrival order, and placed once every owned
 // shard's slot counts are final. It returns the stash for reuse.
 func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups []dupValue) []dupValue {
@@ -370,17 +281,21 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups
 			}
 			e := &ents[i]
 			sh := &s.shards[si]
-			j := (e.hs >> 32) & sh.mask
+			j := uint64(e.h) & sh.mask
+			if e.wide {
+				dups = sh.insertWide(w.wide[e.ka], j, int32(si), dups)
+				continue
+			}
 			for {
 				if !sh.occupied(j) {
 					sh.claim(j)
-					sh.slots[j] = slot{key: e.kv.Key, first: e.kv.Value, count: 1}
+					sh.slots[j] = slot{tag: e.tag, ka: e.ka, kb: e.kb, va: e.va, vb: e.vb, count: 1}
 					break
 				}
 				sl := &sh.slots[j]
-				if sl.key == e.kv.Key {
+				if sl.ka == e.ka && sl.kb == e.kb && sl.tag == e.tag && sl.flags&wideKey == 0 {
 					sl.count++
-					dups = append(dups, dupValue{si: int32(si), slot: int32(j), v: e.kv.Value})
+					dups = append(dups, dupValue{si: int32(si), slot: int32(j), v: Value{A: int64(e.va), B: int64(e.vb)}})
 					break
 				}
 				j = (j + 1) & sh.mask
@@ -405,6 +320,19 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups
 	return dups
 }
 
+// insertWide inserts a pair with a wide key or value, probing from slot j.
+func (sh *shard) insertWide(kv KV, j uint64, si int32, dups []dupValue) []dupValue {
+	for ; sh.occupied(j); j = (j + 1) & sh.mask {
+		if sh.key(&sh.slots[j]) == kv.Key {
+			sh.slots[j].count++
+			return append(dups, dupValue{si: si, slot: int32(j), v: kv.Value})
+		}
+	}
+	sh.claim(j)
+	sh.set(j, kv.Key, kv.Value, 1, 0)
+	return dups
+}
+
 // insertBase inserts a base shard's keys into this shard's empty table,
 // each claiming its slot with its count and stashing its values past the
 // first in index order, and returns the stash. Keys go in the base table's
@@ -417,12 +345,13 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups
 func (sh *shard) insertBase(base *shard, si int32, salt uint64, dups []dupValue) []dupValue {
 	base.forProbeOrder(func(i int) {
 		bs := &base.slots[i]
-		j := (hash(bs.key, salt) >> 32) & sh.mask
+		k := base.key(bs)
+		j := (hash(k, salt) >> 32) & sh.mask
 		for sh.occupied(j) {
 			j = (j + 1) & sh.mask
 		}
 		sh.claim(j)
-		sh.slots[j] = slot{key: bs.key, first: bs.first, count: bs.count}
+		sh.set(j, k, base.first(bs), bs.count, 0)
 		for x := 1; x < int(bs.count); x++ {
 			dups = append(dups, dupValue{si: si, slot: int32(j), v: base.value(bs, x)})
 		}
@@ -460,24 +389,26 @@ func (sh *shard) layoutOverflow(a *Arena) {
 	sh.slab = a.grabSlab(int(overflow))
 }
 
-// entry is one buffered pair of a writer: the pair plus its packed
-// write-time routing word. The high 32 bits of hs are the high hash bits —
-// the only part slot insertion reads (probes start at hs >> 32) — and the
-// low 32 bits hold the destination shard id, which the hash's low bits are
-// free to carry because nothing downstream reads them.
+// entry is one buffered pair of a writer, 24 bytes: the high 32 hash bits
+// — the only part slot insertion reads (probes start at h) — and the pair's
+// words as a slot holds them. A pair with a word that does not fit int32 is
+// wide: its entry's ka indexes the writer's wide buffer instead.
 type entry struct {
-	kv KV
-	hs uint64
+	h      uint32
+	tag    uint8
+	wide   bool
+	ka, kb int32
+	va, vb int32
 }
 
 // Writer buffers one machine's writes for the round. It hashes each key once
-// and appends the pair with its packed hash|shard routing word, plus the
-// bare shard id to a compact side array — the freeze's sizing pass and its
-// tasks' ownership filter stream that 4-byte-per-pair array instead of
-// re-reading the 48-byte entries.
+// and appends the entry, plus the bare shard id to a compact side array —
+// the freeze's sizing pass and its tasks' ownership filter stream that
+// 4-byte-per-pair array instead of re-reading the entries.
 type Writer struct {
 	ents []entry
 	sis  []uint32 // destination shard ids, parallel to ents
+	wide []KV     // the wide pairs entries index
 	p    uint64   // shard count entries are routed for
 	salt uint64
 	div  divisor // hash -> shard without a hardware divide
@@ -493,8 +424,7 @@ func (w *Writer) adopt(b *Builder) {
 
 // clear empties the writer, keeping capacities.
 func (w *Writer) clear() {
-	w.ents = w.ents[:0]
-	w.sis = w.sis[:0]
+	w.ents, w.sis, w.wide = w.ents[:0], w.sis[:0], w.wide[:0]
 }
 
 // Grow reserves room for n more pairs, so a producer that knows its output
@@ -512,20 +442,30 @@ func (w *Writer) Grow(n int) {
 // Write appends one pair.
 func (w *Writer) Write(k Key, v Value) {
 	h := hash(k, w.salt)
-	si := w.div.mod(h)
-	w.ents = append(w.ents, entry{KV{k, v}, h&^uint64(0xffffffff) | si})
-	w.sis = append(w.sis, uint32(si))
+	e := entry{h: uint32(h >> 32), tag: k.Tag, ka: int32(k.A), kb: int32(k.B), va: int32(v.A), vb: int32(v.B)}
+	if !narrow(k.A, k.B) || !narrow(v.A, v.B) {
+		e.wide, e.ka = true, int32(len(w.wide))
+		w.wide = append(w.wide, KV{k, v})
+	}
+	w.ents = append(w.ents, e)
+	w.sis = append(w.sis, uint32(w.div.mod(h)))
 }
 
 // WriteMany appends a batch of pairs in slice order, equivalent to calling
-// Write on each element.
+// Write on each element. It repeats Write's body: a call per pair measured
+// slower.
 func (w *Writer) WriteMany(kvs []KV) {
 	w.Grow(len(kvs))
 	for i := range kvs {
-		h := hash(kvs[i].Key, w.salt)
-		si := w.div.mod(h)
-		w.ents = append(w.ents, entry{kvs[i], h&^uint64(0xffffffff) | si})
-		w.sis = append(w.sis, uint32(si))
+		k, v := kvs[i].Key, kvs[i].Value
+		h := hash(k, w.salt)
+		e := entry{h: uint32(h >> 32), tag: k.Tag, ka: int32(k.A), kb: int32(k.B), va: int32(v.A), vb: int32(v.B)}
+		if !narrow(k.A, k.B) || !narrow(v.A, v.B) {
+			e.wide, e.ka = true, int32(len(w.wide))
+			w.wide = append(w.wide, kvs[i])
+		}
+		w.ents = append(w.ents, e)
+		w.sis = append(w.sis, uint32(w.div.mod(h)))
 	}
 }
 

@@ -21,13 +21,16 @@
 // placement is independent of the keys an algorithm chooses to query.
 //
 // Storage engine: each shard is a flat open-addressing hash index rather
-// than a Go map. A slot holds the key, the first value inline (the common
-// single-value case costs one probe and no indirection), and — for
-// duplicated keys — an offset into a per-shard overflow slab holding values
-// 1..k-1 contiguously. Every store is frozen the same way: writers hash each
-// pair once at write time, a sizing pass counts every shard's pairs, and
-// tasks — each owning a stripe of shards — grab their shards' slot tables,
-// stream the writers in machine-id order and insert their pairs in place.
+// than a Go map. A 28-byte slot holds the key, the first value inline (the
+// common single-value case costs one probe and no indirection) as int32
+// words, and — for duplicated keys — an offset into a per-shard overflow
+// slab holding values 1..k-1 contiguously. Every algorithm's keys and values
+// fit int32 words; the rare word that does not spills its key or first
+// value to a per-shard side table, so Key and Value stay two int64 words.
+// Every store is frozen the same way: writers hash each pair once at write
+// time, a sizing pass counts every shard's pairs, and tasks — each owning a
+// stripe of shards — grab their shards' slot tables, stream the writers in
+// machine-id order and insert their pairs in place.
 // The freeze is deterministic for any worker count: every shard sees its
 // pairs in input order, so duplicate-key index assignment is byte-identical
 // to a sequential machine-id-order merge — the property the runtime's
@@ -128,29 +131,46 @@ func (dv divisor) mod(n uint64) uint64 {
 	return h3 + carry
 }
 
-// slot is one entry of a shard's open-addressing index. The first value is
-// stored inline; values 1..count-1 of a duplicated key live at
+// slot is one entry of a shard's open-addressing index, 28 bytes: the key's
+// tag and words and the first value inline as int32. Vertex ids, indices,
+// degrees and ranks fit (n < 2³¹), so the common single-value case costs one
+// probe and no indirection. A word that does not fit (an MSF weight past
+// 2³¹, say) spills: wideKey makes ka index the shard's wkeys, wideVal makes
+// va index its wvals. A key
+// is wide exactly when a word does not fit, so a narrow and a wide key never
+// compare equal. Values 1..count-1 of a duplicated key live at
 // slab[off : off+count-1]. Occupancy lives in the shard's bitmap, not here:
 // a recycled slot array may hold stale bytes in unclaimed slots, and every
 // field of a claimed slot is written at claim time.
 type slot struct {
-	key   Key
-	first Value
-	count int32
-	off   int32
+	tag, flags uint8
+	ka, kb     int32
+	va, vb     int32
+	count, off int32
 }
+
+const (
+	wideKey uint8 = 1 << iota
+	wideVal
+)
+
+// narrow reports whether both words fit a slot's int32 fields.
+func narrow(a, b int64) bool { return int64(int32(a)) == a && int64(int32(b)) == b }
 
 // shard holds the pairs that hashed to one DDS machine as a flat index.
 // bits is the slot-occupancy bitmap, one bit per slot. Keeping emptiness
 // out of the slot records means a recycled table is reset by clearing the
-// bitmap — 1/384th of the slot bytes — instead of zeroing every record, and
+// bitmap — 1/224th of the slot bytes — instead of zeroing every record, and
 // the build's probes for free slots read the cache-resident bitmap instead
-// of cold 48-byte records.
+// of cold slot records. wkeys and wvals hold the rare wide keys and first
+// values the slots index.
 type shard struct {
 	slots []slot
 	bits  []uint64
 	mask  uint64
 	slab  []Value
+	wkeys []Key
+	wvals []Value
 	size  int          // pairs resident on this shard
 	load  atomic.Int64 // queries answered by this shard
 }
@@ -165,22 +185,58 @@ func (sh *shard) claim(i uint64) {
 	sh.bits[i>>6] |= 1 << (i & 63)
 }
 
+// set writes every field of slot j, spilling a wide key or first value.
+func (sh *shard) set(j uint64, k Key, v Value, count, off int32) {
+	sl := slot{tag: k.Tag, ka: int32(k.A), kb: int32(k.B), va: int32(v.A), vb: int32(v.B), count: count, off: off}
+	if !narrow(k.A, k.B) {
+		sl.flags, sl.ka = wideKey, int32(len(sh.wkeys))
+		sh.wkeys = append(sh.wkeys, k)
+	}
+	if !narrow(v.A, v.B) {
+		sl.flags, sl.va = sl.flags|wideVal, int32(len(sh.wvals))
+		sh.wvals = append(sh.wvals, v)
+	}
+	sh.slots[j] = sl
+}
+
+// key returns the key slot sl holds.
+func (sh *shard) key(sl *slot) Key {
+	if sl.flags&wideKey != 0 {
+		return sh.wkeys[sl.ka]
+	}
+	return Key{Tag: sl.tag, A: int64(sl.ka), B: int64(sl.kb)}
+}
+
+// first returns the value at index 0 of slot sl.
+func (sh *shard) first(sl *slot) Value {
+	if sl.flags&wideVal != 0 {
+		return sh.wvals[sl.va]
+	}
+	return Value{A: int64(sl.va), B: int64(sl.vb)}
+}
+
 // find returns the slot holding k, or nil. The table is at most half full,
 // so linear probing terminates at an empty slot. The key compare and the
 // occupancy load are arranged dependency-free — the slot line and the
 // bitmap word load in parallel — so the bitmap adds no latency to the hit
 // path; the occupancy check gates the match because an unclaimed slot may
-// hold stale bytes that happen to equal k.
+// hold stale bytes that happen to equal k. A wide k compares only wideKey
+// slots, through wkeys.
 func (sh *shard) find(k Key, h uint64) *slot {
 	slots, bm := sh.slots, sh.bits
 	if len(slots) == 0 {
 		return nil
 	}
+	a, b, wide := int32(k.A), int32(k.B), !narrow(k.A, k.B)
 	i := (h >> 32) & sh.mask
 	for {
 		sl := &slots[i]
 		occ := bm[i>>6] >> (i & 63) & 1
-		if sl.key == k && occ != 0 {
+		if wide {
+			if occ != 0 && sl.flags&wideKey != 0 && sh.wkeys[sl.ka] == k {
+				return sl
+			}
+		} else if sl.ka == a && sl.kb == b && sl.tag == k.Tag && sl.flags&wideKey == 0 && occ != 0 {
 			return sl
 		}
 		if occ == 0 {
@@ -193,7 +249,7 @@ func (sh *shard) find(k Key, h uint64) *slot {
 // value returns the i-th (0-based) value of a slot.
 func (sh *shard) value(sl *slot, i int) Value {
 	if i == 0 {
-		return sl.first
+		return sh.first(sl)
 	}
 	return sh.slab[int(sl.off)+i-1]
 }
@@ -372,7 +428,7 @@ func (s *Store) Get(k Key) (Value, bool) {
 	if sl == nil {
 		return Value{}, false
 	}
-	return sl.first, true
+	return sh.first(sl), true
 }
 
 // GetIndexed returns the i-th (0-based) value stored under k, for keys with

@@ -236,23 +236,6 @@ func TestBuilderMergeOrder(t *testing.T) {
 	})
 }
 
-func TestBuilderDropWriter(t *testing.T) {
-	b := NewBuilder(8)
-	b.Prime(4, 5)
-	w := b.Writer(1)
-	w.Write(Key{1, 1, 0}, Value{1, 0})
-	b.DropWriter(1)
-	if got := len(b.Pairs()); got != 0 {
-		t.Fatalf("pairs after drop = %d, want 0", got)
-	}
-	// A fresh writer for the same machine starts clean.
-	w = b.Writer(1)
-	w.Write(Key{1, 2, 0}, Value{2, 0})
-	if got := len(b.Pairs()); got != 1 {
-		t.Fatalf("pairs after rewrite = %d, want 1", got)
-	}
-}
-
 func TestBuilderConcurrentWriters(t *testing.T) {
 	b := NewBuilder(8)
 	b.Prime(4, 5)
@@ -269,7 +252,7 @@ func TestBuilderConcurrentWriters(t *testing.T) {
 		}(m)
 	}
 	wg.Wait()
-	if got := len(b.Pairs()); got != machines*per {
+	if got := len(pairsOf(b)); got != machines*per {
 		t.Fatalf("pairs = %d, want %d", got, machines*per)
 	}
 }

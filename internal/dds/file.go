@@ -15,11 +15,14 @@ import (
 // Shard block format (version 1).
 //
 // One shard of a frozen store serializes as a block: the shard's flat index
-// written verbatim in little-endian — the same open-addressing slot array and
-// overflow slab the in-memory engine probes — so a reader decodes it record
-// by record back into a shard whose probes take the writer's exact path. A
-// block is a raw section of a segment file (segment.go); a packed section
-// (segcodec.go) is its varint form and decodes into the same shard.
+// in little-endian — the same open-addressing slot positions and overflow
+// slab the in-memory engine probes — so a reader decodes it record by record
+// back into a shard whose probes take the writer's exact path. The records
+// are 48-byte logical slots with full 64-bit words: they do not mirror the
+// 28-byte in-memory slot, whose wide words spill to side tables, so
+// encoders read every slot through key and first. A block is a raw section
+// of a segment file (segment.go); a packed section (segcodec.go) is its
+// varint form and decodes into the same shard.
 //
 //	header   64 bytes
 //	  [0:8)    magic "AMPCSHRD"
@@ -117,13 +120,14 @@ func fillShardBlock(dst []byte, sh *shard, index, count int, salt uint64) {
 			continue
 		}
 		sl := &sh.slots[i]
-		le.PutUint64(rec[0:], uint64(sl.key.A))
-		le.PutUint64(rec[8:], uint64(sl.key.B))
-		le.PutUint64(rec[16:], uint64(sl.first.A))
-		le.PutUint64(rec[24:], uint64(sl.first.B))
+		k, v := sh.key(sl), sh.first(sl)
+		le.PutUint64(rec[0:], uint64(k.A))
+		le.PutUint64(rec[8:], uint64(k.B))
+		le.PutUint64(rec[16:], uint64(v.A))
+		le.PutUint64(rec[24:], uint64(v.B))
 		le.PutUint32(rec[32:], uint32(sl.count))
 		le.PutUint32(rec[36:], uint32(sl.off))
-		rec[40] = sl.key.Tag
+		rec[40] = k.Tag
 		for j := 41; j < slotBytes; j++ {
 			rec[j] = 0
 		}
@@ -249,12 +253,8 @@ func parseShardBlock(sh *shard, data []byte, path string, index int) (blockHeade
 		if cnt == 0 {
 			continue
 		}
-		sh.slots[i] = slot{
-			key:   Key{Tag: rec[40], A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))},
-			first: Value{A: int64(le.Uint64(rec[16:24])), B: int64(le.Uint64(rec[24:32]))},
-			count: cnt,
-			off:   int32(le.Uint32(rec[36:40])),
-		}
+		sh.set(uint64(i), Key{Tag: rec[40], A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))},
+			Value{A: int64(le.Uint64(rec[16:24])), B: int64(le.Uint64(rec[24:32]))}, cnt, int32(le.Uint32(rec[36:40])))
 		sh.claim(uint64(i))
 	}
 	vals := recs[len(sh.slots)*slotBytes:]

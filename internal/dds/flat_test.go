@@ -172,11 +172,11 @@ func TestBuilderParallelFreezeMatchesSequential(t *testing.T) {
 			}
 		}
 		par := b.Freeze(p, salt)
-		if !bytes.Equal(AppendSegment(nil, par), AppendSegment(nil, oracleStore(b.Pairs(), p, salt))) {
+		if !bytes.Equal(AppendSegment(nil, par), AppendSegment(nil, oracleStore(pairsOf(b), p, salt))) {
 			t.Fatalf("p=%d: builder freeze differs from the oracle", p)
 		}
 		// Duplicate order must also match a map built from the merged pairs.
-		checkAgainstReference(t, par, reference(b.Pairs()), nil)
+		checkAgainstReference(t, par, reference(pairsOf(b)), nil)
 	}
 }
 
@@ -201,14 +201,15 @@ func compareStores(t *testing.T, a, b *Store) {
 				continue
 			}
 			sl := &sh.slots[j]
-			if got := b.Count(sl.key); got != int(sl.count) {
-				t.Fatalf("key %v count %d vs %d", sl.key, sl.count, got)
+			k := sh.key(sl)
+			if got := b.Count(k); got != int(sl.count) {
+				t.Fatalf("key %v count %d vs %d", k, sl.count, got)
 			}
 			for i := 0; i < int(sl.count); i++ {
 				want := sh.value(sl, i)
-				got, ok := b.GetIndexed(sl.key, i)
+				got, ok := b.GetIndexed(k, i)
 				if !ok || got != want {
-					t.Fatalf("key %v index %d: %v vs %v (ok=%v)", sl.key, i, want, got, ok)
+					t.Fatalf("key %v index %d: %v vs %v (ok=%v)", k, i, want, got, ok)
 				}
 			}
 		}

@@ -19,7 +19,10 @@ const fuzzSizeCap = 1 << 20
 // shard count, the next 8 bytes the placement salt, then every 6-byte record
 // is one pair. The key space is deliberately tiny so random inputs produce
 // long duplicate-key chains and exercise the overflow slab; value A is the
-// write position, making any index-order corruption visible.
+// write position, making any index-order corruption visible. A record whose
+// first byte has its top bit set shifts key A by 33 bits, and a non-zero
+// fourth byte pushes value B below -2^31: both spill out of a slot's int32
+// words.
 func decodeFuzzPairs(data []byte) (pairs []KV, p int, salt uint64) {
 	p, salt = 1, 0x9E
 	if len(data) > 0 {
@@ -32,8 +35,12 @@ func decodeFuzzPairs(data []byte) (pairs []KV, p int, salt uint64) {
 	}
 	for i := 0; i+6 <= len(data); i += 6 {
 		rec := data[i : i+6]
+		a := int64(int8(rec[1])) % 20
+		if rec[0]&0x80 != 0 {
+			a <<= 33
+		}
 		pairs = append(pairs, KV{
-			Key: Key{Tag: rec[0] % 5, A: int64(int8(rec[1])) % 20, B: int64(rec[2] % 3)},
+			Key: Key{Tag: rec[0] % 5, A: a, B: int64(rec[2] % 3)},
 			Value: Value{
 				A: int64(len(pairs)),
 				B: int64(le.Uint16(rec[4:6])) - int64(rec[3])<<32,
@@ -65,6 +72,16 @@ func fuzzSeeds() [][]byte {
 	}
 }
 
+// wideFuzzSeed is a FuzzShardCodec input whose pairs interleave narrow and
+// wide keys and values under shared keys.
+func wideFuzzSeed() []byte {
+	seed := []byte{2, 1, 2, 3, 4, 5, 6, 7, 8}
+	for i := 0; i < 30; i++ {
+		seed = append(seed, byte(i%2)<<7|byte(i%3), byte(i%4), 1, byte(i%3), byte(i), 1)
+	}
+	return seed
+}
+
 // FuzzShardCodec round-trips arbitrary KV multisets through the section
 // codec the rpc wire carries — EncodeSections → OpenSection with full
 // verification, shard by shard, once over the packed sections it ships and
@@ -74,6 +91,7 @@ func FuzzShardCodec(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
+	f.Add(wideFuzzSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzSizeCap {
 			t.Skip("oversized input: every header field is within the first 64 bytes")
@@ -157,6 +175,17 @@ func FuzzOpenSection(f *testing.F) {
 	}
 	for i, sec := range sections {
 		f.Add(sec, byte(2), uint8(i))
+	}
+	// Wide records, packed and raw: spilled keys and values.
+	wide := NewStore(widePairs(rand.New(rand.NewSource(35)), 300), 2, 0x5EED1)
+	_, packed, encs := EncodeSections(nil, wide)
+	raw, err := SegmentSections(AppendSegment(nil, wide))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := range packed {
+		f.Add(packed[i], encs[i], uint8(i))
+		f.Add(raw[i], encRaw, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, enc byte, index uint8) {
 		r, err := OpenSection(data, enc, int(index))

@@ -80,7 +80,7 @@ func (s *Store) GetMany(keys []Key, vals []Value, oks []bool) {
 		for j := lo; j < hi; j++ {
 			i := int(uint32(ord[j]))
 			if sl := sh.find(keys[i], hs[i]); sl != nil {
-				vals[i], oks[i] = sl.first, true
+				vals[i], oks[i] = sh.first(sl), true
 			} else {
 				vals[i], oks[i] = Value{}, false
 			}

@@ -178,8 +178,10 @@ func sameShard(t *testing.T, got, want *shard) {
 			len(got.slots), len(want.slots), got.size, want.size, got.bits, want.bits, got.slab, want.slab)
 	}
 	got.forOccupied(func(j int) {
-		if got.slots[j] != want.slots[j] {
-			t.Fatalf("slot %d: %+v, want %+v", j, got.slots[j], want.slots[j])
+		g, w := &got.slots[j], &want.slots[j]
+		if got.key(g) != want.key(w) || got.first(g) != want.first(w) || g.count != w.count || g.off != w.off {
+			t.Fatalf("slot %d: %v %v %d@%d, want %v %v %d@%d", j, got.key(g), got.first(g), g.count, g.off,
+				want.key(w), want.first(w), w.count, w.off)
 		}
 	})
 }

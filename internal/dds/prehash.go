@@ -26,7 +26,7 @@ func (s *Store) GetHashed(k Key, h uint64) (Value, bool) {
 	sh := &s.shards[h%uint64(len(s.shards))]
 	sh.load.Add(1)
 	if sl := sh.find(k, h); sl != nil {
-		return sl.first, true
+		return sh.first(sl), true
 	}
 	return Value{}, false
 }

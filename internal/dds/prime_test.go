@@ -1,7 +1,9 @@
 package dds
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -63,7 +65,8 @@ func TestPrimedFreezeByteIdentical(t *testing.T) {
 			seed := r.Int63()
 			b := NewBuilder(machines)
 			fillPrimed(rand.New(rand.NewSource(seed)), b, machines, perMachine, p, salt, dup)
-			want := string(AppendSegment(nil, oracleStore(b.Pairs(), p, salt)))
+			pairs := pairsOf(b)
+			want := string(AppendSegment(nil, oracleStore(pairs, p, salt)))
 			ws := b.allWriters()
 			for _, workers := range []int{1, 2, 3, 8} {
 				for ri, run := range []Parallel{nil, reverseRun, stripedRun} {
@@ -77,7 +80,7 @@ func TestPrimedFreezeByteIdentical(t *testing.T) {
 							a.Recycle(junk.Freeze(p, salt^1))
 						}
 						b.SetParallel(run)
-						got := b.freeze(a, nil, ws, b.Len(), workers)
+						got := b.freeze(a, nil, ws, len(pairs), workers)
 						if gotBytes := string(AppendSegment(nil, got)); gotBytes != want {
 							t.Fatalf("p=%d dup=%d machines=%d workers=%d run=%d dirty=%v: freeze bytes differ from the oracle",
 								p, dup, machines, workers, ri, dirty)
@@ -96,7 +99,7 @@ func TestPrimedFreezeThroughFreezeArena(t *testing.T) {
 	const machines, perMachine, p, salt = 8, 200, 16, uint64(77)
 	b := NewBuilder(machines)
 	fillPrimed(rand.New(rand.NewSource(3)), b, machines, perMachine, p, salt, 5)
-	want := string(AppendSegment(nil, oracleStore(b.Pairs(), p, salt)))
+	want := string(AppendSegment(nil, oracleStore(pairsOf(b), p, salt)))
 	if got := string(AppendSegment(nil, b.FreezeArena(nil, p, salt))); got != want {
 		t.Fatal("FreezeArena bytes differ from the oracle")
 	}
@@ -111,14 +114,14 @@ func TestPrimedFreezeThroughFreezeArena(t *testing.T) {
 	b2.Freeze(p, salt^1)
 }
 
-// TestPrimedDropWriter pins the fault-model contract on the pre-hashed
-// path: DropWriter (and re-fetching a machine's Writer) must discard the
-// machine's partial pre-hashed entries, leaving the freeze byte-identical
-// to a run in which the dropped writes never happened.
-func TestPrimedDropWriter(t *testing.T) {
+// TestPrimedRefetchDiscards pins the fault-model contract on the
+// pre-hashed path: re-fetching a machine's Writer must discard the machine's
+// partial pre-hashed entries, narrow and wide, leaving the freeze
+// byte-identical to a run in which the discarded writes never happened.
+func TestPrimedRefetchDiscards(t *testing.T) {
 	const machines, p, salt = 4, 8, uint64(5)
 
-	build := func(withGhost bool, drop bool) string {
+	build := func(withGhost bool) string {
 		b := NewBuilder(machines)
 		b.Prime(p, salt)
 		for m := 0; m < machines; m++ {
@@ -126,58 +129,45 @@ func TestPrimedDropWriter(t *testing.T) {
 			w.Write(Key{Tag: 1, A: int64(m)}, Value{A: int64(m)})
 		}
 		if withGhost {
-			w := b.Writer(2) // refetch discards machine 2's earlier write
-			w.Write(Key{Tag: 1, A: 2}, Value{A: 2})
+			w := b.Writer(2)
 			w.Write(Key{Tag: 9, A: 99}, Value{A: 99})
-			if drop {
-				b.DropWriter(2)
-				w = b.Writer(2)
-				w.Write(Key{Tag: 1, A: 2}, Value{A: 2})
-			}
+			w.Write(Key{Tag: 9, A: 1 << 40}, Value{B: -1 << 40})
 		}
+		w := b.Writer(2) // refetch discards machine 2's earlier writes
+		w.Write(Key{Tag: 1, A: 2}, Value{A: 2})
 		return string(AppendSegment(nil, b.Freeze(p, salt)))
 	}
-
-	clean := build(false, false)
-	if got := build(true, true); got != clean {
-		t.Fatal("DropWriter left pre-hashed partial writes visible")
-	}
-	if got := build(true, false); got == clean {
-		t.Fatal("sanity: the ghost write should have changed the store")
-	}
-
-	// Len must agree with the bucketed state after drops.
-	b := NewBuilder(machines)
-	b.Prime(p, salt)
-	b.Writer(0).Write(Key{Tag: 1, A: 1}, Value{})
-	b.Writer(1).Write(Key{Tag: 1, A: 2}, Value{})
-	b.DropWriter(0)
-	if b.Len() != 1 {
-		t.Fatalf("Len after drop = %d, want 1", b.Len())
-	}
-	if got := len(b.Pairs()); got != 1 {
-		t.Fatalf("Pairs after drop = %d, want 1", got)
+	if build(true) != build(false) {
+		t.Fatal("a re-fetched writer left partial writes visible")
 	}
 }
 
-// TestStaleEpochPairsAndLenAgree pins the inspection methods on the state
-// Freeze rejects: a writer written before a re-Prime must still be visible
-// through Pairs and Len, and the freeze itself must fail loudly instead of
-// silently dropping it.
-func TestStaleEpochPairsAndLenAgree(t *testing.T) {
+// TestStaleEpochFreezePanics pins that a writer written before a re-Prime
+// and never re-fetched fails the freeze loudly instead of mis-sharding.
+func TestStaleEpochFreezePanics(t *testing.T) {
 	b := NewBuilder(1)
 	b.Prime(4, 1)
 	b.Writer(0).Write(Key{Tag: 1, A: 1}, Value{A: 1})
 	b.Prime(8, 42) // the writer is not re-fetched
-	if b.Len() != 1 || len(b.Pairs()) != 1 {
-		t.Fatalf("Len = %d, Pairs = %d; both must report the stale-epoch pair", b.Len(), len(b.Pairs()))
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("freezing a stale-epoch writer did not panic")
 		}
 	}()
 	b.Freeze(8, 42)
+}
+
+// TestWriterPastCountPanics pins that a builder has exactly the writers it
+// was made with: a machine id past them fails loudly.
+func TestWriterPastCountPanics(t *testing.T) {
+	b := NewBuilder(2)
+	b.Prime(4, 1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Writer(2) on a builder of 2 writers") {
+			t.Fatalf("Writer past the pre-sized count: panic %v", r)
+		}
+	}()
+	b.Writer(2)
 }
 
 // TestUnprimedBuilderPanics pins that a builder has no write mode before

@@ -170,7 +170,7 @@ func (r *ShardReader) Salt() uint64 { return r.salt }
 // Get returns the value stored under k (index 0 of a duplicated key).
 func (r *ShardReader) Get(k Key) (Value, bool) {
 	if sl := r.sh.find(k, hash(k, r.salt)); sl != nil {
-		return sl.first, true
+		return r.sh.first(sl), true
 	}
 	return Value{}, false
 }

@@ -103,7 +103,8 @@ func checksumPacked(header, payload []byte) uint64 {
 	return h
 }
 
-// packRawBlock appends the packed form of a raw v1 shard block to dst.
+// packShard appends the packed form of one in-memory shard's raw v1 block
+// to dst:
 //
 //	[0:64)  the raw block header, with the checksum word [56:64) replaced
 //	        by a sum over header[0:56) plus the packed payload — integrity
@@ -120,52 +121,10 @@ func checksumPacked(header, payload []byte) uint64 {
 // Empty slots are elided entirely — the decoder re-zeroes them — which is
 // where the win comes from: slot tables run at most half full by
 // construction, and graph workloads keep keys and values near zero where
-// varints are one or two bytes instead of eight.
-func packRawBlock(dst, raw []byte) []byte {
-	base := len(dst)
-	dst = append(dst, raw[:headerBytes]...)
-	slotCount := int(le.Uint64(raw[40:48]))
-	slots := raw[headerBytes : headerBytes+slotCount*slotBytes]
-	occ := 0
-	for i := 0; i < slotCount; i++ {
-		if le.Uint32(slots[i*slotBytes+32:]) != 0 {
-			occ++
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(occ))
-	prev := -1
-	for i := 0; i < slotCount; i++ {
-		rec := slots[i*slotBytes : i*slotBytes+slotBytes]
-		if le.Uint32(rec[32:]) == 0 {
-			continue
-		}
-		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
-		prev = i
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[0:]))))
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[8:]))))
-		dst = append(dst, rec[40])
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[16:]))))
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[24:]))))
-		dst = binary.AppendUvarint(dst, uint64(le.Uint32(rec[32:])))
-		dst = binary.AppendUvarint(dst, uint64(le.Uint32(rec[36:])))
-	}
-	for off := headerBytes + slotCount*slotBytes; off < len(raw); off += valueBytes {
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(raw[off:]))))
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(raw[off+8:]))))
-	}
-	le.PutUint64(dst[base+56:], checksumPacked(dst[base:base+56], dst[base+headerBytes:]))
-	return dst
-}
-
-// packShard appends the packed form of one in-memory shard to dst —
-// byte-identical to packRawBlock over that shard's raw block, without ever
-// materializing the block. The raw form of a half-full slot table is mostly
-// zero padding; building it just to elide it again cost more publish CPU
-// than the varint encoding itself, so the hot write-behind path emits
-// varints straight from the slot index and folds the checksum over the
-// packed bytes it just wrote — the chain never visits a byte that does not
-// reach the disk. packRawBlock stays as the reference implementation the
-// tests diff against.
+// varints are one or two bytes instead of eight. The raw block is never
+// materialized: the varints come straight from the slot index and the
+// checksum folds over the packed bytes just written. The tests hold it to
+// a reference packer over the raw block.
 func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 	base := len(dst)
 	dst = growBytes(dst, headerBytes)
@@ -190,13 +149,14 @@ func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 			continue
 		}
 		sl := &sh.slots[i]
+		k, v := sh.key(sl), sh.first(sl)
 		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
 		prev = i
-		dst = binary.AppendUvarint(dst, zigzag(int64(sl.key.A)))
-		dst = binary.AppendUvarint(dst, zigzag(int64(sl.key.B)))
-		dst = append(dst, sl.key.Tag)
-		dst = binary.AppendUvarint(dst, zigzag(int64(sl.first.A)))
-		dst = binary.AppendUvarint(dst, zigzag(int64(sl.first.B)))
+		dst = binary.AppendUvarint(dst, zigzag(k.A))
+		dst = binary.AppendUvarint(dst, zigzag(k.B))
+		dst = append(dst, k.Tag)
+		dst = binary.AppendUvarint(dst, zigzag(v.A))
+		dst = binary.AppendUvarint(dst, zigzag(v.B))
 		dst = binary.AppendUvarint(dst, uint64(uint32(sl.count)))
 		dst = binary.AppendUvarint(dst, uint64(uint32(sl.off)))
 	}
@@ -249,15 +209,11 @@ func unpackShard(sh *shard, data []byte, path string, index int) (blockHeader, e
 		}
 		i := next + gap
 		next = i + 1
-		sl := &sh.slots[i]
-		sl.key.A = r.svarint()
-		sl.key.B = r.svarint()
-		sl.key.Tag = r.byte()
-		sl.first.A = r.svarint()
-		sl.first.B = r.svarint()
-		sl.count = int32(uint32(r.uvarint()))
-		sl.off = int32(uint32(r.uvarint()))
-		if sl.count != 0 {
+		ka, kb := r.svarint(), r.svarint()
+		k := Key{Tag: r.byte(), A: ka, B: kb}
+		v := Value{A: r.svarint(), B: r.svarint()}
+		if count, off := int32(uint32(r.uvarint())), int32(uint32(r.uvarint())); count != 0 {
+			sh.set(i, k, v, count, off)
 			sh.claim(i)
 		}
 	}

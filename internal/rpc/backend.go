@@ -241,7 +241,7 @@ func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 			switch {
 			case j.err == nil:
 				pending = append(pending, j.retry...)
-			case retryable(j.err):
+			case retryable(j.err) && b.c.ctx.Err() == nil:
 				pending = append(pending, j.idxs...)
 			default:
 				for _, i := range j.idxs {

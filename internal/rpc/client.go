@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -100,8 +101,9 @@ type remoteError struct{ msg string }
 func (e *remoteError) Error() string { return "rpc: server: " + e.msg }
 
 // retryable reports whether a request failure may succeed on another
-// replica: transport errors and missing stores do, terminal server errors
-// do not.
+// replica: transport errors (a dial or read timeout included) and missing
+// stores do, terminal server errors do not. Whether the run was cancelled is
+// the caller's question, asked of the run context, never of the error.
 func retryable(err error) bool {
 	var re *remoteError
 	return !errors.As(err, &re)
@@ -172,7 +174,7 @@ func (s *server) markUp() {
 // pooled connection may just mean the server restarted since the connection
 // went idle, while a failure on a fresh dial is evidence against the
 // server's health.
-func (s *server) get() (cn *conn, pooled bool, err error) {
+func (s *server) get(ctx context.Context) (cn *conn, pooled bool, err error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -185,13 +187,13 @@ func (s *server) get() (cn *conn, pooled bool, err error) {
 		return cn, true, nil
 	}
 	s.mu.Unlock()
-	cn, err = s.dial()
+	cn, err = s.dial(ctx)
 	return cn, false, err
 }
 
 // dial opens a fresh connection with the handshake buffered.
-func (s *server) dial() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", s.addr, s.cfg.Timeout)
+func (s *server) dial(ctx context.Context) (*conn, error) {
+	nc, err := (&net.Dialer{Timeout: s.cfg.Timeout}).DialContext(ctx, "tcp", s.addr)
 	if err != nil {
 		return nil, err
 	}
@@ -253,26 +255,30 @@ func (s *server) closePool() {
 // pool is discarded and the request retried once on a fresh dial before any
 // failure counts against health. Failures on fresh connections (the dial
 // itself, or the retry) mark the server down. Protocol-level failures
-// (statusErr, statusNoStore) never do.
-func (s *server) roundTrip(op byte, req []byte, force bool, decode func(resp []byte) error) error {
+// (statusErr, statusNoStore) never do, and neither does the cancellation of
+// ctx, which returns ctx.Err() as soon as ctx is done.
+func (s *server) roundTrip(ctx context.Context, op byte, req []byte, force bool, decode func(resp []byte) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if !force && s.down() {
 		return fmt.Errorf("rpc: server %s marked down: %w", s.addr, dds.ErrBackendUnavailable)
 	}
-	cn, pooled, err := s.get()
-	if err != nil {
-		s.markDown()
-		return err
-	}
-	err, transport := s.exchange(cn, op, req, decode)
-	if transport && pooled {
-		s.discardIdle()
-		if cn, err = s.dial(); err != nil {
-			s.markDown()
-			return err
+	cn, pooled, err := s.get(ctx)
+	transport := err != nil
+	if err == nil {
+		err, transport = s.exchange(ctx, cn, op, req, decode)
+		if transport && pooled && ctx.Err() == nil {
+			s.discardIdle()
+			if cn, err = s.dial(ctx); err == nil {
+				err, transport = s.exchange(ctx, cn, op, req, decode)
+			}
 		}
-		err, transport = s.exchange(cn, op, req, decode)
 	}
 	if transport {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
+		}
 		s.markDown()
 	}
 	return err
@@ -283,8 +289,9 @@ func (s *server) roundTrip(op byte, req []byte, force bool, decode func(resp []b
 // connection is then already closed and the caller decides what the failure
 // says about the server's health. On success (transport=false) the server is
 // marked up, the connection is pooled, and err carries any protocol-level
-// outcome.
-func (s *server) exchange(cn *conn, op byte, req []byte, decode func(resp []byte) error) (err error, transport bool) {
+// outcome. Cancelling ctx expires the connection's deadline, so a blocked
+// exchange fails at once instead of waiting out the timeout.
+func (s *server) exchange(ctx context.Context, cn *conn, op byte, req []byte, decode func(resp []byte) error) (err error, transport bool) {
 	fail := func(err error) (error, bool) {
 		cn.close()
 		return err, true
@@ -292,6 +299,8 @@ func (s *server) exchange(cn *conn, op byte, req []byte, decode func(resp []byte
 	if err := cn.nc.SetDeadline(time.Now().Add(s.cfg.Timeout)); err != nil {
 		return fail(err)
 	}
+	stop := context.AfterFunc(ctx, func() { cn.nc.SetDeadline(time.Unix(1, 0)) })
+	defer stop()
 	if err := writeFrame(cn.bw, op, req); err != nil {
 		return fail(err)
 	}
@@ -312,13 +321,20 @@ func (s *server) exchange(cn *conn, op byte, req []byte, decode func(resp []byte
 	default:
 		err = &remoteError{msg: fmt.Sprintf("%s: %s", s.addr, resp)}
 	}
-	cn.nc.SetDeadline(time.Time{})
-	s.put(cn)
+	if stop() { // a cancellation racing the reset would poison a pooled connection
+		cn.nc.SetDeadline(time.Time{})
+		s.put(cn)
+	} else {
+		cn.close()
+	}
 	return err, false
 }
 
-// client routes requests for one run across the server fleet.
+// client routes requests for one run across the server fleet. ctx is the
+// run's context (Publisher.SetContext); every request returns ctx.Err() once
+// it is done.
 type client struct {
+	ctx     context.Context
 	cfg     Config
 	run     uint64 // random per-publisher id namespacing generations
 	servers []*server
@@ -327,7 +343,7 @@ type client struct {
 
 func newClient(cfg Config) *client {
 	cfg = cfg.withDefaults()
-	c := &client{cfg: cfg, run: randomRun()}
+	c := &client{ctx: context.Background(), cfg: cfg, run: randomRun()}
 	for _, addr := range cfg.Servers {
 		c.servers = append(c.servers, &server{addr: addr, cfg: &c.cfg})
 	}
@@ -362,10 +378,11 @@ func primaryRange(j, p, n int) (lo, hi int) {
 	return (j*p + n - 1) / n, ((j+1)*p + n - 1) / n
 }
 
-// eachReplica runs fn against the shard's replicas until one succeeds. The
-// first pass skips marked-down servers; later passes force a probe. The
-// returned error wraps dds.ErrBackendUnavailable and names the shard and
-// the replica addresses.
+// eachReplica runs fn against the shard's replicas until one succeeds, a
+// failure is terminal, or the run is cancelled. The first pass skips
+// marked-down servers; later passes force a probe. Exhausting the replicas
+// returns an error that wraps dds.ErrBackendUnavailable and names the shard
+// and the replica addresses.
 func (c *client) eachReplica(shard, p int, fn func(s *server, force bool) error) error {
 	r := c.cfg.Replication
 	var lastErr error
@@ -380,7 +397,7 @@ func (c *client) eachReplica(shard, p int, fn func(s *server, force bool) error)
 			if err == nil {
 				return nil
 			}
-			if !retryable(err) {
+			if !retryable(err) || c.ctx.Err() != nil {
 				return err
 			}
 			lastErr = err
@@ -430,14 +447,16 @@ func (c *client) appendPut(req []byte, seq uint64, shards []int, sections [][]by
 	return req
 }
 
-// free drops generation seq on every reachable server, best-effort.
+// free drops generation seq on every reachable server, best-effort. After
+// the run's cancellation it sends nothing: the servers evict the run's
+// generations by their per-run cap instead.
 func (c *client) free(seq uint64) {
 	req := c.reqHeader(make([]byte, 0, 16), seq)
 	for _, s := range c.servers {
 		if s.down() {
 			continue
 		}
-		s.roundTrip(opFree, req, false, func([]byte) error { return nil })
+		s.roundTrip(c.ctx, opFree, req, false, func([]byte) error { return nil })
 	}
 }
 
@@ -466,7 +485,7 @@ func (c *client) getRange(seq uint64, k dds.Key, lo, hi, shard, p int, dst []dds
 		req = le.AppendUint32(req, uint32(lo))
 		req = le.AppendUint32(req, uint32(hi))
 		base := len(dst)
-		return s.roundTrip(opGetRange, req, force, func(resp []byte) error {
+		return s.roundTrip(c.ctx, opGetRange, req, force, func(resp []byte) error {
 			if len(resp) < 4 {
 				return fmt.Errorf("%s: getRange response of %d bytes", s.addr, len(resp))
 			}
@@ -491,7 +510,7 @@ func (c *client) count(seq uint64, k dds.Key, shard, p int) (int, error) {
 		c.frames.Add(1)
 		req := c.reqHeader(make([]byte, 0, 16+keyBytes), seq)
 		req = appendKey(req, k)
-		return s.roundTrip(opCount, req, force, func(resp []byte) error {
+		return s.roundTrip(c.ctx, opCount, req, force, func(resp []byte) error {
 			if len(resp) != 4 {
 				return fmt.Errorf("%s: count response of %d bytes", s.addr, len(resp))
 			}
@@ -579,7 +598,7 @@ func (c *client) sendBatch(s *server, batch []*batchCall, n int) {
 			req = appendKey(req, b.keys[i])
 		}
 	}
-	err := s.roundTrip(opGetBatch, req, batch[0].force, func(resp []byte) error {
+	err := s.roundTrip(c.ctx, opGetBatch, req, batch[0].force, func(resp []byte) error {
 		if len(resp) != n*(1+valBytes) {
 			return fmt.Errorf("%s: getBatch response of %d bytes for %d keys", s.addr, len(resp), n)
 		}
@@ -610,5 +629,5 @@ func Ping(addr string, timeout time.Duration) error {
 	cfg := Config{Servers: []string{addr}, Timeout: timeout}.withDefaults()
 	s := &server{addr: addr, cfg: &cfg}
 	defer s.closePool()
-	return s.roundTrip(opPing, nil, true, func([]byte) error { return nil })
+	return s.roundTrip(context.Background(), opPing, nil, true, func([]byte) error { return nil })
 }

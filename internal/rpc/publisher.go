@@ -52,9 +52,16 @@ func NewPublisher(cfg Config) *Publisher {
 // stores into. Call before the first Publish.
 func (p *Publisher) SetArena(a *dds.Arena) { p.arena = a }
 
-// SetContext attaches a cancellation context: an in-flight upload aborts
-// between put frames once ctx is done. Call before the first Publish.
-func (p *Publisher) SetContext(ctx context.Context) { p.ctx = ctx }
+// SetContext attaches a cancellation context: once ctx is done, an in-flight
+// upload aborts, and every request of the publisher and of the backends it
+// returned — a read blocked on a stalled server included — returns ctx.Err()
+// at once, marking no server down. Call before the first Publish.
+func (p *Publisher) SetContext(ctx context.Context) {
+	p.ctx = ctx
+	if ctx != nil {
+		p.c.ctx = ctx
+	}
+}
 
 // InFlight reports whether an upload has not yet been joined.
 func (p *Publisher) InFlight() bool {
@@ -152,7 +159,7 @@ func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error)
 				// retrying a dead server frame after frame would stall the
 				// barrier.
 				req = p.c.appendPut(req[:0], seq, frame, sections, encs)
-				if err := s.roundTrip(opPut, req, true, func([]byte) error { return nil }); err != nil {
+				if err := s.roundTrip(p.c.ctx, opPut, req, true, func([]byte) error { return nil }); err != nil {
 					return
 				}
 				for _, sh := range frame {

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
@@ -14,7 +15,7 @@ import (
 // putFrame sends one put frame carrying shards' sections, as the publisher's
 // upload does.
 func putFrame(c *client, s *server, seq uint64, shards []int, sections [][]byte, encs []byte) error {
-	return s.roundTrip(opPut, c.appendPut(nil, seq, shards, sections, encs), true, func([]byte) error { return nil })
+	return s.roundTrip(context.Background(), opPut, c.appendPut(nil, seq, shards, sections, encs), true, func([]byte) error { return nil })
 }
 
 // forgeSection rewrites a raw section's header through mutate and recomputes

@@ -1,6 +1,8 @@
 package rpc
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -242,6 +244,49 @@ func TestCoalescedFramePausedPrimary(t *testing.T) {
 	}
 	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
 		t.Fatalf("failover latched %v", err)
+	}
+}
+
+// TestCancelledReadReturnsPromptly: a read blocked on a paused server
+// returns as soon as the publisher's context is cancelled, not after the
+// request timeout, latching context.Canceled and marking no server down;
+// later reads fail at once.
+func TestCancelledReadReturnsPromptly(t *testing.T) {
+	fleet, addrs := startFleet(t, 1, ServerConfig{})
+	pairs := testPairs(2000)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := NewPublisher(Config{Servers: addrs, Timeout: 30 * time.Second})
+	t.Cleanup(func() { p.Close() })
+	p.SetContext(ctx)
+	b, err := p.Publish(1, dds.NewStore(pairs, 8, 0x5eed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]dds.Key, 64)
+	for i := range keys {
+		keys[i] = pairs[i].Key
+	}
+	vals, oks := make([]dds.Value, len(keys)), make([]bool, len(keys))
+	fleet[0].Pause()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	start := time.Now()
+	b.(dds.BatchGetter).GetMany(keys, vals, oks)
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("cancelled read took %v, want about the 100ms until cancel", took)
+	}
+	if err := b.(interface{ ReadErr() error }).ReadErr(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("latched %v, want context.Canceled", err)
+	}
+	start = time.Now()
+	if n := b.Count(keys[0]); n != 0 || time.Since(start) > time.Second {
+		t.Fatalf("a read after cancellation answered %d after %v", n, time.Since(start))
+	}
+	if d := p.c.servers[0].downs.Load(); d != 0 {
+		t.Fatalf("cancellation marked the paused server down %d times", d)
 	}
 }
 
