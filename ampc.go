@@ -15,7 +15,8 @@
 //     list ranking, tree rooting with subtree/preorder properties, and
 //     2-edge connectivity via BC-labeling (internal/core);
 //   - the classic MPC baselines the paper compares against — pointer
-//     doubling, Luby's MIS, Borůvka, label propagation (internal/mpc);
+//     doubling, Luby's MIS, Borůvka, label propagation (internal/mpc) —
+//     run as MPC rounds simulated on the same runtime (§2);
 //   - graph generators and exact reference oracles (internal/graph).
 //
 // This root package is the stable facade: it re-exports the graph types,
@@ -33,10 +34,9 @@
 //
 // Register and Algorithms expose the registry itself, so servers and CLI
 // harnesses dispatch by name instead of switching over entry points. The
-// three entry points whose inputs a Job does not carry — RootForest (a root
-// per tree), SubtreeAggregates (a rooted forest and per-vertex values) and
-// ShrinkTrace (the Lemma 4.1 experiment) — are plain functions that take
-// the context first.
+// two entry points whose inputs a Job does not carry — RootForest (a root
+// per tree) and SubtreeAggregates (a rooted forest and per-vertex values) —
+// are plain functions that take the context first.
 //
 // Every algorithm takes an Options value; the zero value picks ε = 0.5,
 // seed 0 and sensible simulation defaults, and the same seed always
@@ -197,12 +197,6 @@ var ComputeTreeProps = core.ComputeTreeProps
 // RMQ (Lemma 8.9).
 func SubtreeAggregates(ctx context.Context, rf *RootedForest, values []int64, opts Options) (min, max []int64, tel Telemetry, err error) {
 	return core.SubtreeAggregates(ctx, rf, values, opts)
-}
-
-// ShrinkTrace exposes per-iteration sizes of the Shrink procedure (§4) for
-// the Lemma 4.1 experiments.
-func ShrinkTrace(ctx context.Context, g *Graph, delta float64, iterations int, opts Options) ([]int, Telemetry, error) {
-	return core.ShrinkTrace(ctx, g, delta, iterations, opts)
 }
 
 // Matching and coloring oracles.

@@ -1,5 +1,5 @@
-// Micro-benchmarks for the series neither cmd/figure1 nor cmd/lemmas
-// prints: the §10 extensions (maximal matching, greedy coloring), affinity
+// Micro-benchmarks for the series neither cmd/figure1 nor the lemma-bound
+// tests cover: the §10 extensions (maximal matching, greedy coloring), affinity
 // clustering, and two 2-Cycle ablations — aggressive failure injection
 // (every machine killed and replayed with probability 0.25 each round) and
 // the space exponent ε, whose rounds scale like 1/ε while S scales like

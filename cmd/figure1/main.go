@@ -4,7 +4,8 @@
 // on simulation constants; the figure's claim is the SHAPE — AMPC round
 // counts are flat (or log log) in n while the MPC baselines grow like
 // log n (pointer doubling, Luby, Borůvka) or the diameter (label
-// propagation).
+// propagation). Both columns are counted by one budget-enforced runtime:
+// the MPC baselines run as the paper's §2 simulation of MPC rounds on it.
 //
 //	go run ./cmd/figure1 [-quick]
 package main
@@ -50,28 +51,28 @@ func main() {
 		r := rng.New(uint64(n), 1)
 		g := graph.TwoCycleInstance(n, n%3 != 0, r)
 		a := run(eng, ampc.Job{Algo: "twocycle", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		m, err := mpc.TwoCycle(g, p, r)
+		m, err := mpc.TwoCycle(g, p)
 		fail(err)
 		fmt.Printf("%10d %14d %14d\n", n, a.Rounds, m.Rounds)
 	}
 
 	fmt.Println("\n== Connectivity: AMPC IncreaseDegrees (O(log log n)) vs MPC label propagation (Theta(D)) ==")
-	fmt.Println("   (hash-to-min, the stronger O(log n) MapReduce baseline, shown for comparison)")
-	fmt.Printf("%10s %10s %14s %14s %14s\n", "n (grid)", "diameter", "AMPC rounds", "LabelProp", "HashToMin")
+	fmt.Printf("%10s %10s %14s %14s\n", "n (grid)", "diameter", "AMPC rounds", "LabelProp")
 	for _, n := range sizes {
 		side := isqrt(n)
 		g := graph.Grid(side, side)
 		a := run(eng, ampc.Job{Algo: "connectivity", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		m := mpc.LabelPropagation(g, p)
-		htm := mpc.HashToMin(g, p)
-		fmt.Printf("%10d %10d %14d %14d %14d\n", side*side, 2*(side-1), a.Rounds, m.Rounds, htm.Rounds)
+		m, err := mpc.LabelPropagation(g, p)
+		fail(err)
+		fmt.Printf("%10d %10d %14d %14d\n", side*side, 2*(side-1), a.Rounds, m.Rounds)
 	}
 	fmt.Printf("%10s %10s %14s %14s\n", "n (gnm)", "~log n", "AMPC rounds", "MPC rounds")
 	for _, n := range sizes {
 		r := rng.New(uint64(n), 2)
 		g := graph.ConnectedGNM(n, 4*n, r)
 		a := run(eng, ampc.Job{Algo: "connectivity", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		m := mpc.LabelPropagation(g, p)
+		m, err := mpc.LabelPropagation(g, p)
+		fail(err)
 		fmt.Printf("%10d %10s %14d %14d\n", n, "-", a.Rounds, m.Rounds)
 	}
 
@@ -81,7 +82,8 @@ func main() {
 		r := rng.New(uint64(n), 3)
 		g := graph.WithRandomWeights(graph.ConnectedGNM(n, 4*n, r), r)
 		a := run(eng, ampc.Job{Algo: "msf", Weighted: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		m := mpc.BoruvkaMSF(g, p)
+		m, err := mpc.BoruvkaMSF(g, p)
+		fail(err)
 		fmt.Printf("%10d %14d %14d %12d\n", n, a.Rounds, m.Rounds, m.Phases)
 	}
 
@@ -91,7 +93,8 @@ func main() {
 		r := rng.New(uint64(n), 4)
 		g := graph.GNM(n, 4*n, r)
 		a := run(eng, ampc.Job{Algo: "mis", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		m := mpc.LubyMIS(g, p, r)
+		m, err := mpc.LubyMIS(g, p, r)
+		fail(err)
 		fmt.Printf("%10d %14d %14d %12d\n", n, a.Rounds, m.Rounds, m.Iterations)
 	}
 
@@ -101,7 +104,8 @@ func main() {
 		r := rng.New(uint64(n), 5)
 		g := graph.RandomForest(n, 8, r)
 		a := run(eng, ampc.Job{Algo: "forestconn", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		m := mpc.LabelPropagation(g, p)
+		m, err := mpc.LabelPropagation(g, p)
+		fail(err)
 		fmt.Printf("%10d %14d %14d\n", n, a.Rounds, m.Rounds)
 	}
 
@@ -116,13 +120,15 @@ func main() {
 		r := rng.New(uint64(n), 6)
 		g := graph.ConnectedGNM(n, 2*n, r)
 		a := run(eng, ampc.Job{Algo: "biconn", Graph: g, Opts: &ampc.Options{Seed: uint64(n)}})
-		lp := mpc.LabelPropagation(g, p)
+		lp, err := mpc.LabelPropagation(g, p)
+		fail(err)
 		next := make([]int, n)
 		for i := 0; i < n-1; i++ {
 			next[i] = i + 1
 		}
 		next[n-1] = -1
-		lr := mpc.PointerDoublingListRank(next, p)
+		lr, err := mpc.PointerDoublingListRank(next, p)
+		fail(err)
 		proxy := 2*lp.Rounds + lr.Rounds
 		fmt.Printf("%10d %14d %14d\n", n, a.Rounds, proxy)
 	}

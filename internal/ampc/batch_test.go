@@ -62,11 +62,13 @@ func TestReadManyBudgetExhaustion(t *testing.T) {
 }
 
 func TestReadIndexedManyMatchesReadIndexed(t *testing.T) {
-	k := key(5, 0)
+	k, k2 := key(5, 0), key(6, 0)
 	input := []dds.KV{
 		{Key: k, Value: val(10, 0)},
 		{Key: k, Value: val(20, 0)},
 		{Key: k, Value: val(30, 0)},
+		{Key: k2, Value: val(40, 0)},
+		{Key: k2, Value: val(50, 0)},
 	}
 	rt := New(cfg(1, 100))
 	rt.SetInput(input)
@@ -99,6 +101,14 @@ func TestReadIndexedManyMatchesReadIndexed(t *testing.T) {
 		}
 		if ctx.Queries() != 4 {
 			t.Errorf("Queries after cached batch = %d, want 4", ctx.Queries())
+		}
+		// A second key drains in its own single probe, charged per index.
+		out = ctx.ReadIndexedMany(k2, 2, out[:0])
+		if len(out) != 2 || out[0].Value.A != 40 || out[1].Value.A != 50 || !out[1].OK {
+			t.Errorf("second key batch = %+v", out)
+		}
+		if ctx.Queries() != 6 {
+			t.Errorf("Queries after second key = %d, want 6", ctx.Queries())
 		}
 		return nil
 	})

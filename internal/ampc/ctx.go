@@ -46,6 +46,10 @@ type Ctx struct {
 	stbl       getCache // point-read memo over the static store
 	cacheIdx   map[indexedKey]cachedValue
 	cacheCount map[dds.Key]int
+	// cacheRange memoizes ReadIndexedMany's single-probe reads: the first
+	// n indices of a key, held at rangeVals[off : off+n].
+	cacheRange map[dds.Key]idxRange
+	rangeVals  []ValueOK
 
 	// stamp identifies the current machine attempt: a table entry with a
 	// matching stamp was read by this machine this attempt (a free repeat);
@@ -180,6 +184,8 @@ type indexedKey struct {
 	i int
 }
 
+type idxRange struct{ off, n int }
+
 // ValueOK is one result of a batched read: the value and whether the queried
 // (key, index) was present.
 type ValueOK struct {
@@ -252,6 +258,12 @@ func (c *Ctx) reset(r *Runtime, m int) {
 	} else {
 		clear(c.cacheCount)
 	}
+	if len(c.cacheRange) > resetMapThreshold {
+		c.cacheRange = nil
+	} else {
+		clear(c.cacheRange)
+	}
+	c.rangeVals = c.rangeVals[:0]
 }
 
 // charge consumes one unit of query budget. It reports false (and latches
@@ -307,6 +319,10 @@ func (c *Ctx) Read(k dds.Key) (dds.Value, bool) {
 
 // ReadIndexed returns the i-th value stored under a duplicated key.
 func (c *Ctx) ReadIndexed(k dds.Key, i int) (dds.Value, bool) {
+	if rg, found := c.cacheRange[k]; found && i >= 0 && i < rg.n {
+		r := c.rangeVals[rg.off+i]
+		return r.Value, r.OK
+	}
 	ik := indexedKey{k, i}
 	if cv, found := c.cacheIdx[ik]; found {
 		return cv.v, cv.ok
@@ -417,12 +433,13 @@ func (c *Ctx) ReadIndexedMany(k dds.Key, n int, dst []ValueOK) []ValueOK {
 	if n <= 0 {
 		return dst
 	}
-	if len(c.cacheIdx) > 0 {
-		// Conservative fallback: any cached indexed read (for any key)
-		// disables the single-probe path, because charging a cached index
-		// twice would violate the count-once budget rule and checking this
-		// key's n indices individually costs what the fast path saves.
-		// Machines that drain inboxes batch-first never pay this.
+	if _, seen := c.cacheRange[k]; seen || len(c.cacheIdx) > 0 {
+		// Conservative fallback: a key read before, or any single-index
+		// read (for any key), disables the single-probe path, because
+		// charging a cached index twice would violate the count-once
+		// budget rule and checking this key's n indices individually costs
+		// what the fast path saves. Machines that drain each key once with
+		// ReadIndexedMany never pay this.
 		for i := 0; i < n; i++ {
 			v, ok := c.ReadIndexed(k, i)
 			dst = append(dst, ValueOK{v, ok})
@@ -434,18 +451,23 @@ func (c *Ctx) ReadIndexedMany(k dds.Key, n int, dst []ValueOK) []ValueOK {
 		charged++
 	}
 	c.scratch = c.reads.GetRange(k, 0, charged, c.scratch[:0])
-	if charged > 0 && c.cacheIdx == nil {
-		c.cacheIdx = make(map[indexedKey]cachedValue)
-	}
-	for i := 0; i < n; i++ {
+	off := len(c.rangeVals)
+	for i := 0; i < charged; i++ {
 		var r ValueOK
-		if i < charged {
-			if i < len(c.scratch) {
-				r = ValueOK{c.scratch[i], true}
-			}
-			c.cacheIdx[indexedKey{k, i}] = cachedValue{r.Value, c.stamp, r.OK}
+		if i < len(c.scratch) {
+			r = ValueOK{c.scratch[i], true}
 		}
-		dst = append(dst, r)
+		c.rangeVals = append(c.rangeVals, r)
+	}
+	if charged > 0 {
+		if c.cacheRange == nil {
+			c.cacheRange = make(map[dds.Key]idxRange)
+		}
+		c.cacheRange[k] = idxRange{off, charged}
+	}
+	dst = append(dst, c.rangeVals[off:]...)
+	for i := charged; i < n; i++ {
+		dst = append(dst, ValueOK{})
 	}
 	return dst
 }

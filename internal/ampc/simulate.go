@@ -17,46 +17,60 @@ import (
 //     PRAM step, and total space proportional to the number of processors."
 //
 // Both simulators run on the ordinary budget-enforced Runtime, so the
-// simulated algorithms inherit the model's communication accounting.
+// simulated algorithms inherit the model's communication accounting. The
+// MPC baselines of the paper's Figure 1 (internal/mpc) run on MPCRound.
 
 // Reserved tags for simulation traffic. They sit at the top of the
 // algorithm tag space; the static-store namespace bit (0x80) stays clear.
 const (
-	tagSimMsg  uint8 = 0x70 // (tag, dstMachine, 0) -> message words (duplicated per message)
+	tagSimMsg  uint8 = 0x70 // (tag, dstItem, 0) -> message words (duplicated per message)
 	tagSimCell uint8 = 0x71 // (tag, addr, 0) -> PRAM memory cell
 )
 
 // SimMessage is a constant-size MPC message for the simulation layer.
 type SimMessage struct {
-	// Dst is the destination machine id.
+	// Dst is the item the message is addressed to — a vertex, a dart, or a
+	// machine when items = P — in [0, items) of the round that reads it.
 	Dst int
 	// A, B are the payload words.
 	A, B int64
 }
 
 // MPCRoundFunc is one simulated MPC machine's work in one round: consume
-// the inbox, emit messages for the next round.
+// the inbox, emit messages for the next round. The inbox holds the messages
+// of the machine's items in item order; each one's Dst is the item it was
+// delivered to, and within an item messages arrive in sender-machine order,
+// then in send order.
 type MPCRoundFunc func(machine int, inbox []SimMessage, send func(SimMessage))
 
-// MPCRound executes one MPC round on the AMPC runtime using the paper's §2
-// construction: sends become writes keyed by the destination machine id;
-// the next round's machines read the pairs keyed by their own id. Each
-// simulated MPC round costs exactly one AMPC round, and the MPC model's
-// communication limits map onto the runtime's enforced budgets.
-func (r *Runtime) MPCRound(name string, f MPCRoundFunc) error {
+// MPCRound executes one MPC round over items [0, items) on the AMPC runtime
+// using the paper's §2 construction, with messages addressed to items
+// rather than machines: a send becomes a write keyed by its destination
+// item, and machine m reads the pairs keyed by each item of
+// BlockRange(m, items, P), charged one count per item and one read per
+// message. Machine
+// addressing is the case items = P. Each simulated MPC round costs exactly
+// one AMPC round, and the MPC model's O(S) communication limit is the
+// runtime's enforced budget: a machine that sends or receives more than
+// Budget() messages fails the round with ErrBudget.
+func (r *Runtime) MPCRound(name string, items int, f MPCRoundFunc) error {
 	return r.Round(name, func(ctx *Ctx) error {
-		me := int64(ctx.Machine)
-		inboxKey := dds.Key{Tag: tagSimMsg, A: me}
-		k := ctx.CountKey(inboxKey)
-		// Drain the inbox in one batched read: a single probe of the owning
-		// shard serves all k messages instead of k separate dispatches.
-		vs := ctx.ReadIndexedMany(inboxKey, k, nil)
-		inbox := make([]SimMessage, 0, k)
-		for i, v := range vs {
-			if !v.OK {
-				return fmt.Errorf("ampc: simulated inbox truncated at %d/%d (err %v)", i, k, ctx.Err())
+		lo, hi := BlockRange(ctx.Machine, items, ctx.P)
+		var inbox []SimMessage
+		var vs []ValueOK
+		for it := lo; it < hi; it++ {
+			k := dds.Key{Tag: tagSimMsg, A: int64(it)}
+			n := ctx.CountKey(k)
+			vs = ctx.ReadIndexedMany(k, n, vs[:0])
+			for i, v := range vs {
+				if !v.OK {
+					return fmt.Errorf("ampc: simulated inbox of item %d truncated at %d/%d", it, i, n)
+				}
+				inbox = append(inbox, SimMessage{Dst: it, A: v.Value.A, B: v.Value.B})
 			}
-			inbox = append(inbox, SimMessage{Dst: ctx.Machine, A: v.Value.A, B: v.Value.B})
+		}
+		if err := ctx.Err(); err != nil {
+			return err // an over-budget inbox never reaches f
 		}
 		// Sends accumulate locally and flush through one batched write: the
 		// outbox of a simulated MPC machine is its round output, and the

@@ -1,6 +1,7 @@
 package ampc
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestMPCRoundRing(t *testing.T) {
 	rt := New(Config{P: p, S: 100, Seed: 1})
 
 	// Round 1: everyone sends its id to the next machine.
-	err := rt.MPCRound("send", func(m int, inbox []SimMessage, send func(SimMessage)) {
+	err := rt.MPCRound("send", p, func(m int, inbox []SimMessage, send func(SimMessage)) {
 		if len(inbox) != 0 {
 			t.Errorf("machine %d: unexpected inbox %v", m, inbox)
 		}
@@ -22,7 +23,7 @@ func TestMPCRoundRing(t *testing.T) {
 	}
 	// Rounds 2..4: forward whatever arrives.
 	for round := 0; round < 3; round++ {
-		err = rt.MPCRound("forward", func(m int, inbox []SimMessage, send func(SimMessage)) {
+		err = rt.MPCRound("forward", p, func(m int, inbox []SimMessage, send func(SimMessage)) {
 			if len(inbox) != 1 {
 				t.Errorf("machine %d: inbox size %d", m, len(inbox))
 				return
@@ -34,7 +35,7 @@ func TestMPCRoundRing(t *testing.T) {
 		}
 	}
 	// After 4 hops, machine m holds the id of machine m-4.
-	err = rt.MPCRound("check", func(m int, inbox []SimMessage, _ func(SimMessage)) {
+	err = rt.MPCRound("check", p, func(m int, inbox []SimMessage, _ func(SimMessage)) {
 		want := int64((m + p - 4) % p)
 		if len(inbox) != 1 || inbox[0].A != want {
 			t.Errorf("machine %d: got %v, want token %d", m, inbox, want)
@@ -45,16 +46,20 @@ func TestMPCRoundRing(t *testing.T) {
 	}
 }
 
+// TestMPCRoundFanIn checks MPCRound's delivery and its model limits: a
+// fan-in to one machine arrives whole, messages to two items of one machine
+// land in their own inboxes in sender-machine order, and a fan-in of more
+// than Budget() messages to one item fails the round with ErrBudget.
 func TestMPCRoundFanIn(t *testing.T) {
 	const p = 6
 	rt := New(Config{P: p, S: 100, Seed: 2})
-	err := rt.MPCRound("fan", func(m int, _ []SimMessage, send func(SimMessage)) {
+	err := rt.MPCRound("fan", p, func(m int, _ []SimMessage, send func(SimMessage)) {
 		send(SimMessage{Dst: 0, A: int64(m)})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = rt.MPCRound("collect", func(m int, inbox []SimMessage, _ func(SimMessage)) {
+	err = rt.MPCRound("collect", p, func(m int, inbox []SimMessage, _ func(SimMessage)) {
 		if m != 0 {
 			if len(inbox) != 0 {
 				t.Errorf("machine %d received %v", m, inbox)
@@ -74,6 +79,67 @@ func TestMPCRoundFanIn(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// Items 0 and 1 of 2p both belong to machine 0. Every machine m sends
+	// (m, 0) and (m, 1) to item 1 with (m, 2) to item 0 in between: each
+	// item's inbox is its own, in sender-machine order, then send order.
+	const items = 2 * p
+	err = rt.MPCRound("pair", items, func(m int, _ []SimMessage, send func(SimMessage)) {
+		send(SimMessage{Dst: 1, A: int64(m), B: 0})
+		send(SimMessage{Dst: 0, A: int64(m), B: 2})
+		send(SimMessage{Dst: 1, A: int64(m), B: 1})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = rt.MPCRound("split", items, func(m int, inbox []SimMessage, _ func(SimMessage)) {
+		if m != 0 {
+			if len(inbox) != 0 {
+				t.Errorf("machine %d received %v", m, inbox)
+			}
+			return
+		}
+		var want []SimMessage
+		for s := 0; s < p; s++ {
+			want = append(want, SimMessage{Dst: 0, A: int64(s), B: 2})
+		}
+		for s := 0; s < p; s++ {
+			want = append(want,
+				SimMessage{Dst: 1, A: int64(s), B: 0},
+				SimMessage{Dst: 1, A: int64(s), B: 1})
+		}
+		if len(inbox) != len(want) {
+			t.Fatalf("machine 0 inbox %v, want %v", inbox, want)
+		}
+		for i := range want {
+			if inbox[i] != want[i] {
+				t.Fatalf("machine 0 inbox[%d] = %v, want %v (inbox %v)", i, inbox[i], want[i], inbox)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A fan-in past the budget: every machine sends within its own write
+	// budget, but item 0's reader would receive more than Budget().
+	per := rt.Budget()/p + 1
+	err = rt.MPCRound("flood", p, func(m int, _ []SimMessage, send func(SimMessage)) {
+		for i := 0; i < per; i++ {
+			send(SimMessage{Dst: 0, A: int64(m)})
+		}
+	})
+	if err != nil {
+		t.Fatalf("sends within each machine's budget failed: %v", err)
+	}
+	err = rt.MPCRound("overflow", p, func(m int, inbox []SimMessage, _ func(SimMessage)) {
+		if m == 0 {
+			t.Errorf("machine 0 ran on an over-budget inbox of %d", len(inbox))
+		}
+	})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("fan-in of %d > %d messages: err = %v, want ErrBudget", per*p, rt.Budget(), err)
 	}
 }
 

@@ -12,6 +12,13 @@ import (
 // asserts it. Measured maximum of iterations·ε over the sweep below: 0.7.
 const misIterConst = 2.0
 
+// misQueryConst bounds the total query work of Proposition 5.1 as c(n+m).
+// The paper counts one query per visited vertex; the runtime charges every
+// read — a visit's degree record plus one π-ordered adjacency record per
+// earlier neighbor it gets to — so c is that per-visit constant. Measured
+// maximum over the sweep below: 2.31 (gnm, ε = 0.5, seed 3).
+const misQueryConst = 2.5
+
 // TestMISPaperBounds holds MIS to the paper's bounds over seed × generator
 // × ε: at most c/ε settle iterations (Lemma 5.2), and no machine issuing
 // more queries in a round than the runtime's per-machine budget (Lemma 4.3;
@@ -37,6 +44,10 @@ func TestMISPaperBounds(t *testing.T) {
 				if limit := int(misIterConst / eps); tel.Phases > limit {
 					t.Errorf("%s ε=%.1f seed=%d: %d iterations, Lemma 5.2 allows %d (c/ε, c = %.1f)",
 						gen.name, eps, seed, tel.Phases, limit, misIterConst)
+				}
+				if ratio := float64(tel.TotalQueries) / float64(g.N()+g.M()); ratio > misQueryConst {
+					t.Errorf("%s ε=%.1f seed=%d: %d queries = %.2f(n+m), Prop. 5.1 allows %.1f(n+m)",
+						gen.name, eps, seed, tel.TotalQueries, ratio, misQueryConst)
 				}
 				if tel.MaxMachineQueries > budget {
 					t.Errorf("%s ε=%.1f seed=%d: a machine issued %d queries in a round, over the per-machine budget %d",

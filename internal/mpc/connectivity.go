@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"ampc/internal/ampc"
 	"ampc/internal/graph"
 )
 
@@ -12,8 +13,6 @@ type ConnectivityResult struct {
 	Components []int
 	// Rounds is the number of MPC communication rounds used.
 	Rounds int
-	// Messages is the total message volume.
-	Messages int64
 }
 
 // LabelPropagation computes connected components by iterated minimum-label
@@ -24,33 +23,37 @@ type ConnectivityResult struct {
 // baseline, and the gap AMPC closes.
 //
 // Termination adds one quiet round in which no label changes.
-func LabelPropagation(g *graph.Graph, p int) ConnectivityResult {
+func LabelPropagation(g *graph.Graph, p int) (ConnectivityResult, error) {
 	n := g.N()
-	rt := New(p, n)
+	rt := newRuntime(p, n, g.M())
+	defer rt.Close()
 	comp := make([]int, n)
 	for v := range comp {
 		comp[v] = v
 	}
 
 	for {
-		changedPer := make([]bool, rt.P())
+		changedPer := make([]bool, p)
 		next := make([]int, n)
 		copy(next, comp)
-		rt.Round(func(m int, inbox []Message, mb *Mailbox) {
-			// Apply labels received last round, then send current labels.
-			lo, hi := rt.VertexRange(m)
+		// Apply labels received last round, then send current labels.
+		err := rt.MPCRound("label-prop", n, func(m int, inbox []ampc.SimMessage, send func(ampc.SimMessage)) {
 			for _, msg := range inbox {
-				if int(msg.B) < next[msg.Dst] {
-					next[msg.Dst] = int(msg.B)
+				if int(msg.A) < next[msg.Dst] {
+					next[msg.Dst] = int(msg.A)
 					changedPer[m] = true
 				}
 			}
+			lo, hi := ampc.BlockRange(m, n, p)
 			for v := lo; v < hi; v++ {
 				for _, u := range g.Neighbors(v) {
-					mb.Send(Message{Dst: u, B: int64(next[v])})
+					send(ampc.SimMessage{Dst: u, A: int64(next[v])})
 				}
 			}
 		})
+		if err != nil {
+			return ConnectivityResult{}, err
+		}
 		comp = next
 		changed := false
 		for _, c := range changedPer {
@@ -60,7 +63,7 @@ func LabelPropagation(g *graph.Graph, p int) ConnectivityResult {
 			break
 		}
 	}
-	return ConnectivityResult{Components: comp, Rounds: rt.Rounds(), Messages: rt.TotalMessages()}
+	return ConnectivityResult{Components: comp, Rounds: rt.Rounds()}, nil
 }
 
 // ListRankingResult reports the outcome and cost of MPC list ranking.
@@ -69,8 +72,6 @@ type ListRankingResult struct {
 	Rank []int
 	// Rounds is the number of MPC communication rounds used.
 	Rounds int
-	// Messages is the total message volume.
-	Messages int64
 }
 
 // PointerDoublingListRank ranks a linked list with the classic pointer-
@@ -81,9 +82,10 @@ type ListRankingResult struct {
 //
 // next[v] = -1 marks the tail. The input must be a single list covering all
 // of next's indices.
-func PointerDoublingListRank(next []int, p int) ListRankingResult {
+func PointerDoublingListRank(next []int, p int) (ListRankingResult, error) {
 	n := len(next)
-	rt := New(p, n)
+	rt := newRuntime(p, n, max(n-1, 0))
+	defer rt.Close()
 	rank := make([]int, n)
 	nxt := make([]int, n)
 	for v := range next {
@@ -94,35 +96,38 @@ func PointerDoublingListRank(next []int, p int) ListRankingResult {
 	}
 
 	for step := 1; step < n; step *= 2 {
-		type reply struct {
-			v, nextNext, rankNext int
-		}
-		rt.Round(func(m int, _ []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
+		// Request: every vertex asks its successor, sending its own id.
+		err := rt.MPCRound("pd-request", n, func(m int, _ []ampc.SimMessage, send func(ampc.SimMessage)) {
+			lo, hi := ampc.BlockRange(m, n, p)
 			for v := lo; v < hi; v++ {
 				if nxt[v] != -1 {
-					mb.Send(Message{Dst: nxt[v], A: int64(v)})
+					send(ampc.SimMessage{Dst: nxt[v], A: int64(v)})
 				}
 			}
 		})
-		rt.Round(func(m int, inbox []Message, mb *Mailbox) {
+		if err != nil {
+			return ListRankingResult{}, err
+		}
+		// Reply: the successor answers (next-next, rank).
+		err = rt.MPCRound("pd-reply", n, func(_ int, inbox []ampc.SimMessage, send func(ampc.SimMessage)) {
 			for _, req := range inbox {
 				t := req.Dst
-				mb.Send(Message{Dst: int(req.A), A: int64(nxt[t]), B: int64(rank[t])})
+				send(ampc.SimMessage{Dst: int(req.A), A: int64(nxt[t]), B: int64(rank[t])})
 			}
 		})
-		replies := make([][]reply, rt.P())
-		rt.Round(func(m int, inbox []Message, _ *Mailbox) {
-			for _, msg := range inbox {
-				replies[m] = append(replies[m], reply{msg.Dst, int(msg.A), int(msg.B)})
+		if err != nil {
+			return ListRankingResult{}, err
+		}
+		// Apply: a barrier round with no sends.
+		err = rt.MPCRound("pd-apply", n, func(_ int, inbox []ampc.SimMessage, _ func(ampc.SimMessage)) {
+			for _, rp := range inbox {
+				rank[rp.Dst] += int(rp.B)
+				nxt[rp.Dst] = int(rp.A)
 			}
 		})
-		for _, rs := range replies {
-			for _, rp := range rs {
-				rank[rp.v] += rp.rankNext
-				nxt[rp.v] = rp.nextNext
-			}
+		if err != nil {
+			return ListRankingResult{}, err
 		}
 	}
-	return ListRankingResult{Rank: rank, Rounds: rt.Rounds(), Messages: rt.TotalMessages()}
+	return ListRankingResult{Rank: rank, Rounds: rt.Rounds()}, nil
 }

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"ampc/internal/ampc"
 	"ampc/internal/graph"
 	"ampc/internal/rng"
 )
@@ -13,8 +14,6 @@ type MISResult struct {
 	Rounds int
 	// Iterations is the number of Luby iterations (each costs four rounds).
 	Iterations int
-	// Messages is the total message volume.
-	Messages int64
 }
 
 // LubyMIS computes a maximal independent set with Luby's random-priority
@@ -24,16 +23,17 @@ type MISResult struct {
 // that AMPC's O(1) algorithm beats).
 //
 // Each iteration costs four MPC rounds:
-//  1. every live vertex draws a random priority and sends it to its live
-//     neighbors;
+//  1. every live vertex draws a random priority and sends (itself, its
+//     priority) to its live neighbors;
 //  2. local minima join the MIS and announce it to their neighbors;
 //  3. the announced neighbors die and tell their own neighbors to forget
 //     them;
 //  4. the forget notifications are applied (a synchronization barrier with
 //     no sends).
-func LubyMIS(g *graph.Graph, p int, r *rng.RNG) MISResult {
+func LubyMIS(g *graph.Graph, p int, r *rng.RNG) (MISResult, error) {
 	n := g.N()
-	rt := New(p, n)
+	rt := newRuntime(p, n, g.M())
+	defer rt.Close()
 
 	alive := make([]bool, n)
 	inMIS := make([]bool, n)
@@ -48,7 +48,7 @@ func LubyMIS(g *graph.Graph, p int, r *rng.RNG) MISResult {
 	}
 
 	// Per-machine RNG streams derived once so rounds stay deterministic.
-	machineRNG := make([]*rng.RNG, rt.P())
+	machineRNG := make([]*rng.RNG, p)
 	for m := range machineRNG {
 		machineRNG[m] = r.Split()
 	}
@@ -59,8 +59,8 @@ func LubyMIS(g *graph.Graph, p int, r *rng.RNG) MISResult {
 		prio := make([]int64, n)
 
 		// Round 1: draw and exchange priorities among live vertices.
-		rt.Round(func(m int, _ []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
+		err := rt.MPCRound("luby-priority", n, func(m int, _ []ampc.SimMessage, send func(ampc.SimMessage)) {
+			lo, hi := ampc.BlockRange(m, n, p)
 			mr := machineRNG[m]
 			for v := lo; v < hi; v++ {
 				if !alive[v] {
@@ -68,22 +68,27 @@ func LubyMIS(g *graph.Graph, p int, r *rng.RNG) MISResult {
 				}
 				prio[v] = mr.Int63()
 				for u := range liveNeighbors[v] {
-					mb.Send(Message{Dst: u, A: int64(v), B: prio[v]})
+					send(ampc.SimMessage{Dst: u, A: int64(v), B: prio[v]})
 				}
 			}
 		})
+		if err != nil {
+			return MISResult{}, err
+		}
 
 		// Round 2: local minima join the MIS and announce membership.
 		// Isolated live vertices (no live neighbors) join unconditionally.
 		joined := make([]bool, n)
-		rt.Round(func(m int, inbox []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
+		err = rt.MPCRound("luby-join", n, func(m int, inbox []ampc.SimMessage, send func(ampc.SimMessage)) {
 			minNbr := make(map[int]int64)
-			for _, msg := range inbox {
-				if cur, ok := minNbr[msg.Dst]; !ok || msg.B < cur {
-					minNbr[msg.Dst] = msg.B
+			byItem(inbox, func(v int, prios []ampc.SimMessage) {
+				best := prios[0].B
+				for _, msg := range prios[1:] {
+					best = min(best, msg.B)
 				}
-			}
+				minNbr[v] = best
+			})
+			lo, hi := ampc.BlockRange(m, n, p)
 			for v := lo; v < hi; v++ {
 				if !alive[v] {
 					continue
@@ -92,39 +97,41 @@ func LubyMIS(g *graph.Graph, p int, r *rng.RNG) MISResult {
 				if !has || prio[v] < best {
 					joined[v] = true
 					for u := range liveNeighbors[v] {
-						mb.Send(Message{Dst: u, A: int64(v)})
+						send(ampc.SimMessage{Dst: u, A: int64(v)})
 					}
 				}
 			}
 		})
+		if err != nil {
+			return MISResult{}, err
+		}
 
 		// Round 3: neighbors of winners die and notify their own neighbors.
 		died := make([]bool, n)
-		rt.Round(func(m int, inbox []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
-			killed := make(map[int]bool)
-			for _, msg := range inbox {
-				killed[msg.Dst] = true
-			}
-			for v := lo; v < hi; v++ {
-				if !alive[v] || joined[v] || !killed[v] {
-					continue
+		err = rt.MPCRound("luby-kill", n, func(_ int, inbox []ampc.SimMessage, send func(ampc.SimMessage)) {
+			byItem(inbox, func(v int, _ []ampc.SimMessage) {
+				if !alive[v] || joined[v] {
+					return
 				}
 				died[v] = true
 				for u := range liveNeighbors[v] {
-					mb.Send(Message{Dst: u, A: int64(v)})
+					send(ampc.SimMessage{Dst: u, A: int64(v)})
 				}
-			}
+			})
 		})
+		if err != nil {
+			return MISResult{}, err
+		}
 
-		// Apply deaths; drain the forget notifications with a zero-send
-		// round folded into the next iteration's round 1 inbox. We process
-		// them here directly because the runtime delivered them already.
-		rt.Round(func(m int, inbox []Message, _ *Mailbox) {
+		// Round 4: apply the forget notifications.
+		err = rt.MPCRound("luby-forget", n, func(_ int, inbox []ampc.SimMessage, _ func(ampc.SimMessage)) {
 			for _, msg := range inbox {
 				delete(liveNeighbors[msg.Dst], int(msg.A))
 			}
 		})
+		if err != nil {
+			return MISResult{}, err
+		}
 
 		for v := 0; v < n; v++ {
 			if joined[v] {
@@ -139,10 +146,5 @@ func LubyMIS(g *graph.Graph, p int, r *rng.RNG) MISResult {
 		}
 	}
 
-	return MISResult{
-		InMIS:      inMIS,
-		Rounds:     rt.Rounds(),
-		Iterations: iterations,
-		Messages:   rt.TotalMessages(),
-	}
+	return MISResult{InMIS: inMIS, Rounds: rt.Rounds(), Iterations: iterations}, nil
 }

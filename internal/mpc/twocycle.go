@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"ampc/internal/ampc"
 	"ampc/internal/graph"
-	"ampc/internal/rng"
 )
 
 // TwoCycleResult reports the outcome and cost of the MPC 2-Cycle baseline.
@@ -14,8 +14,6 @@ type TwoCycleResult struct {
 	SingleCycle bool
 	// Rounds is the number of MPC communication rounds used.
 	Rounds int
-	// Messages is the total message volume.
-	Messages int64
 }
 
 // TwoCycle solves the 2-Cycle problem with pointer doubling over darts — the
@@ -27,16 +25,16 @@ type TwoCycleResult struct {
 // with w the neighbor of v other than u, so darts form directed cycles that
 // cover each undirected cycle twice. Pointer doubling propagates the minimum
 // origin vertex around every dart cycle in ceil(log2(2n)) doubling steps;
-// each step costs two MPC rounds (pointer-read request, reply). The input is
-// a single cycle iff all vertices end with the same cycle-minimum.
-func TwoCycle(g *graph.Graph, p int, r *rng.RNG) (TwoCycleResult, error) {
+// each step costs two MPC rounds (pointer-read request, reply) plus an
+// apply barrier. Messages are addressed to darts. The input is a single
+// cycle iff all vertices end with the same cycle-minimum.
+func TwoCycle(g *graph.Graph, p int) (TwoCycleResult, error) {
 	n := g.N()
 	for v := 0; v < n; v++ {
 		if g.Deg(v) != 2 {
 			return TwoCycleResult{}, fmt.Errorf("mpc: 2-cycle input must be 2-regular, vertex %d has degree %d", v, g.Deg(v))
 		}
 	}
-	_ = r // the baseline is deterministic; the parameter keeps signatures uniform
 
 	// Dart d = 2v + i is the traversal leaving v toward its i-th neighbor.
 	nd := 2 * n
@@ -56,70 +54,46 @@ func TwoCycle(g *graph.Graph, p int, r *rng.RNG) (TwoCycleResult, error) {
 		}
 	}
 
-	rt := New(p, n)
+	rt := newRuntime(p, nd, n)
+	defer rt.Close()
 	steps := bits.Len(uint(nd)) // ceil(log2(2n)) + O(1)
-	type reply struct {
-		dart     int
-		nextNext int
-		mnNext   int64
-	}
 	for s := 0; s < steps; s++ {
-		// Request round: the owner of dart d asks the owner of next[d] for
-		// (next[next[d]], mn[next[d]]). Messages are vertex-addressed; dart
-		// d lives with vertex d/2.
-		rt.Round(func(m int, _ []Message, mb *Mailbox) {
-			lo, hi := rt.VertexRange(m)
-			for v := lo; v < hi; v++ {
-				for i := 0; i < 2; i++ {
-					d := 2*v + i
-					mb.Send(Message{Dst: next[d] / 2, A: int64(d), B: int64(next[d])})
-				}
+		// Request: dart d asks next[d] for (next[next[d]], mn[next[d]]).
+		err := rt.MPCRound("2cycle-request", nd, func(m int, _ []ampc.SimMessage, send func(ampc.SimMessage)) {
+			lo, hi := ampc.BlockRange(m, nd, p)
+			for d := lo; d < hi; d++ {
+				send(ampc.SimMessage{Dst: next[d], A: int64(d)})
 			}
 		})
-		// Reply round: serve the requests from local state.
-		replies := make([][]reply, rt.P())
-		rt.Round(func(m int, inbox []Message, mb *Mailbox) {
+		if err != nil {
+			return TwoCycleResult{}, err
+		}
+		// Reply: serve the requests from local state.
+		err = rt.MPCRound("2cycle-reply", nd, func(_ int, inbox []ampc.SimMessage, send func(ampc.SimMessage)) {
 			for _, req := range inbox {
-				target := int(req.B)
-				mb.Send(Message{Dst: int(req.A) / 2, A: req.A, B: int64(next[target]), C: mn[target]})
+				t := req.Dst
+				send(ampc.SimMessage{Dst: int(req.A), A: int64(next[t]), B: mn[t]})
 			}
 		})
-		// Apply replies. The inbox of the *next* round carries them, so we
-		// drain it with one more logical step folded into the next request
-		// round; to keep the implementation simple we instead apply them
-		// here by peeking at the runtime's delivered state via a no-op
-		// round. This no-op is NOT counted as communication (it sends
-		// nothing) but it does consume a synchronization barrier, which we
-		// deliberately include in the round count — MPC implementations pay
-		// it too.
-		rt.Round(func(m int, inbox []Message, _ *Mailbox) {
-			rs := make([]reply, 0, len(inbox))
-			for _, msg := range inbox {
-				rs = append(rs, reply{dart: int(msg.A), nextNext: int(msg.B), mnNext: msg.C})
+		if err != nil {
+			return TwoCycleResult{}, err
+		}
+		// Apply: a synchronization barrier that sends nothing, which the
+		// round count includes — MPC implementations pay it too.
+		err = rt.MPCRound("2cycle-apply", nd, func(_ int, inbox []ampc.SimMessage, _ func(ampc.SimMessage)) {
+			for _, rp := range inbox {
+				mn[rp.Dst] = min(mn[rp.Dst], rp.B)
+				next[rp.Dst] = int(rp.A)
 			}
-			replies[m] = rs
 		})
-		for _, rs := range replies {
-			for _, rp := range rs {
-				if rp.mnNext < mn[rp.dart] {
-					mn[rp.dart] = rp.mnNext
-				}
-				next[rp.dart] = rp.nextNext
-			}
+		if err != nil {
+			return TwoCycleResult{}, err
 		}
 	}
 
 	seen := make(map[int64]bool)
 	for v := 0; v < n; v++ {
-		m0, m1 := mn[2*v], mn[2*v+1]
-		if m1 < m0 {
-			m0 = m1
-		}
-		seen[m0] = true
+		seen[min(mn[2*v], mn[2*v+1])] = true
 	}
-	return TwoCycleResult{
-		SingleCycle: len(seen) == 1,
-		Rounds:      rt.Rounds(),
-		Messages:    rt.TotalMessages(),
-	}, nil
+	return TwoCycleResult{SingleCycle: len(seen) == 1, Rounds: rt.Rounds()}, nil
 }
