@@ -97,7 +97,7 @@ func BenchmarkAdaptiveReadMany(b *testing.B) {
 // backend whose store reports read frames, so the round runs one lane per
 // machine (P = 64) and every machine reads the same 256 hot keys. Each
 // machine is charged for and fetches every key; the backend's per-server
-// frames and per-generation single-flight are all that coalesce the reads.
+// frames are all that coalesce the reads.
 func BenchmarkRemoteRound(b *testing.B) {
 	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {

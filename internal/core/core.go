@@ -340,8 +340,8 @@ type Telemetry struct {
 	CacheMisses int64
 	// RPCFrames sums the read-path request frames the rpc backend sent
 	// during execute phases; zero for in-process backends. With a remote
-	// round's machines reading at once into shared frames, plus the
-	// backend's single-flight, this runs far below TotalQueries.
+	// round's machines reading at once into each server's shared frames,
+	// this runs far below TotalQueries.
 	RPCFrames int64
 	// RoundStats is the per-round breakdown.
 	RoundStats []ampc.RoundStats

@@ -149,13 +149,14 @@ type ShardReader struct {
 // structural validation that keeps probes over untrusted bytes in bounds.
 // The shard count must be in range and hold index, since readers route by
 // it. An encoding byte other than raw or packed is refused with
-// ErrBadVersion. The section decodes into memory the reader owns, so data
-// may be reused once OpenSection returns.
+// ErrBadVersion, and every failure comes wrapped in a SectionError naming
+// index. The section decodes into memory the reader owns, so data may be
+// reused once OpenSection returns.
 func OpenSection(data []byte, enc byte, index int) (*ShardReader, error) {
 	r := new(ShardReader)
-	hdr, err := openSection(&r.sh, data, enc, index, fmt.Sprintf("section %d", index))
+	hdr, err := openSection(&r.sh, data, enc, index, "section")
 	if err != nil {
-		return nil, err
+		return nil, &SectionError{Section: index, Err: err}
 	}
 	r.shards, r.salt = hdr.count, hdr.salt
 	return r, nil

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +13,8 @@ import (
 // only the key probes travel. StoreBackend reads have no error returns —
 // a transport failure that survives replica failover latches here and the
 // runtime surfaces it from the round via ReadErr.
+// Every point read joins its server's next getBatch frame and nothing is
+// shared between reads: the frame entry is a read's whole cost.
 type Backend struct {
 	c     *client
 	seq   uint64
@@ -23,31 +24,8 @@ type Backend struct {
 	sizes []int
 	loads []atomic.Int64
 
-	// reads single-flights key fetches for this generation, one locked map
-	// per shard. The generation is immutable, so the first fetch of a key is
-	// authoritative; concurrent and later readers of the same key wait on
-	// (or find) its flight instead of paying their own request frame. Shard
-	// loads are still counted per arriving read — the Lemma 2.1 ledger
-	// charges the query whether or not a frame travels.
-	reads []flights
-
 	errMu sync.Mutex
 	err   error
-}
-
-// flights is one shard's share of the single-flight table.
-type flights struct {
-	mu sync.Mutex
-	m  map[dds.Key]*flight
-}
-
-// flight is one single-flighted key fetch: done closes once val/ok are
-// final (a key whose replicas are all exhausted resolves absent, with the
-// failure latched by the fetching reader).
-type flight struct {
-	done chan struct{}
-	val  dds.Value
-	ok   bool
 }
 
 func newBackend(c *client, seq uint64, s *dds.Store) *Backend {
@@ -59,24 +37,7 @@ func newBackend(c *client, seq uint64, s *dds.Store) *Backend {
 		pairs: s.Len(),
 		sizes: s.ShardSizes(),
 		loads: make([]atomic.Int64, s.Shards()),
-		reads: make([]flights, s.Shards()),
 	}
-}
-
-// claim returns k's flight and whether it is fresh — installed just now by
-// this call, which must then resolve it.
-func (b *Backend) claim(shard int, k dds.Key, fresh *flight) (*flight, bool) {
-	fs := &b.reads[shard]
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if f := fs.m[k]; f != nil {
-		return f, false
-	}
-	if fs.m == nil {
-		fs.m = make(map[dds.Key]*flight)
-	}
-	fs.m[k] = fresh
-	return fresh, true
 }
 
 // fail latches the first read failure for the runtime to surface.
@@ -95,34 +56,26 @@ func (b *Backend) ReadErr() error {
 	return b.err
 }
 
-// Get returns the value stored under k (index 0 of a duplicated key). The
-// fetch is single-flighted: whoever claims the key's flight pays the request
-// frame, everyone else waits on the result.
+// Get returns the value stored under k (index 0 of a duplicated key): a
+// batch of one on GetMany's path.
 func (b *Backend) Get(k dds.Key) (dds.Value, bool) {
 	shard := dds.ShardOf(k, b.salt, b.p)
 	b.loads[shard].Add(1)
-	f, fresh := b.claim(shard, k, &flight{done: make(chan struct{})})
-	if !fresh {
-		<-f.done
-		return f.val, f.ok
-	}
 	v, ok, err := b.c.getOne(b.seq, k, shard, b.p)
 	if err != nil {
 		b.fail(err)
-		v, ok = dds.Value{}, false
 	}
-	f.val, f.ok = v, ok
-	close(f.done)
 	return v, ok
 }
 
-// GetIndexed returns the i-th (0-based) value stored under k.
+// GetIndexed returns the i-th (0-based) value stored under k. The shard is
+// charged first, as dds.Store charges it, whatever the index.
 func (b *Backend) GetIndexed(k dds.Key, i int) (dds.Value, bool) {
+	shard := dds.ShardOf(k, b.salt, b.p)
+	b.loads[shard].Add(1)
 	if i < 0 {
 		return dds.Value{}, false
 	}
-	shard := dds.ShardOf(k, b.salt, b.p)
-	b.loads[shard].Add(1)
 	vals, err := b.c.getRange(b.seq, k, i, i+1, shard, b.p, nil)
 	if err != nil {
 		b.fail(err)
@@ -167,108 +120,25 @@ func (b *Backend) Count(k dds.Key) int {
 }
 
 // GetMany implements dds.BatchGetter: the key set is grouped by owning
-// server and sent as one request frame per server, in parallel. Keys whose
-// server fails advance to the next replica in lockstep rounds; a key whose
-// replicas are all exhausted reads as absent and latches the failure.
-//
-// Fetches are single-flighted per generation: only the keys this call claims
-// first go into request frames; keys another machine is fetching (or already
-// fetched) are filled from their flight after the owned fetches complete, so
-// N machines wanting the same hot key cost one frame entry instead of N.
+// server and each server's share joins that server's next request frame.
+// Keys whose server fails advance to the next replica in lockstep rounds; a
+// key whose replicas are all exhausted reads as absent and latches the
+// failure.
 func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
-	n := len(keys)
-	if n == 0 {
+	if len(keys) == 0 {
 		return
 	}
-	shards := make([]int, n)
-	for i, k := range keys {
-		shards[i] = dds.ShardOf(k, b.salt, b.p)
-		b.loads[shards[i]].Add(1)
+	sc := readPool.Get().(*readScratch)
+	sc.shards = sc.shards[:0]
+	for _, k := range keys {
+		shard := dds.ShardOf(k, b.salt, b.p)
+		b.loads[shard].Add(1)
+		sc.shards = append(sc.shards, shard)
 	}
-	// The flights this call claims resolve together, so they share one
-	// allocation and one done channel.
-	done := make(chan struct{})
-	fresh := make([]flight, n)
-	flights := make([]*flight, n)
-	pending := make([]int, 0, n) // indices whose fetch this call owns
-	var waits []int              // indices served by another caller's flight
-	for i, k := range keys {
-		fresh[i].done = done
-		f, mine := b.claim(shards[i], k, &fresh[i])
-		flights[i] = f
-		if mine {
-			pending = append(pending, i)
-		} else {
-			waits = append(waits, i)
-		}
+	if err := b.c.read(sc, b.seq, b.p, keys, vals, oks); err != nil {
+		b.fail(err)
 	}
-	owned := append([]int(nil), pending...)
-	r := b.c.cfg.Replication
-	maxAttempts := r * b.c.cfg.Passes
-	for att := 0; att < maxAttempts && len(pending) > 0; att++ {
-		// Later sweeps force a probe of marked-down servers, mirroring
-		// eachReplica's recovery behavior.
-		force := att >= r
-		groups := make(map[*server][]int)
-		for _, i := range pending {
-			s := b.c.replica(shards[i], b.p, att%r)
-			groups[s] = append(groups[s], i)
-		}
-		type job struct {
-			s           *server
-			idxs, retry []int
-			err         error
-		}
-		jobs := make([]job, 0, len(groups))
-		for s, idxs := range groups {
-			jobs = append(jobs, job{s: s, idxs: idxs})
-		}
-		// Every server's share joins that server's next frame at once; this
-		// goroutine carries the first.
-		fetch := func(j *job) { j.retry, j.err = b.c.getBatch(j.s, b.seq, keys, j.idxs, vals, oks, force) }
-		var wg sync.WaitGroup
-		for j := 1; j < len(jobs); j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fetch(&jobs[j])
-			}()
-		}
-		fetch(&jobs[0])
-		wg.Wait()
-		pending = pending[:0]
-		for _, j := range jobs {
-			switch {
-			case j.err == nil:
-				pending = append(pending, j.retry...)
-			case retryable(j.err) && b.c.ctx.Err() == nil:
-				pending = append(pending, j.idxs...)
-			default:
-				for _, i := range j.idxs {
-					vals[i], oks[i] = dds.Value{}, false
-				}
-				b.fail(j.err)
-			}
-		}
-	}
-	for _, i := range pending {
-		vals[i], oks[i] = dds.Value{}, false
-		b.fail(fmt.Errorf("rpc: read of shard %d (primary %s): all %d replicas exhausted: %w",
-			shards[i], b.c.replica(shards[i], b.p, 0).addr, r, dds.ErrBackendUnavailable))
-	}
-	// Every owned index now holds its final result (fetched, terminal-error
-	// absent, or replica-exhausted absent): resolve the flights, then fill
-	// the indices waiting on other callers. Own flights close first, so a
-	// duplicated key inside one call never deadlocks on itself.
-	for _, i := range owned {
-		flights[i].val, flights[i].ok = vals[i], oks[i]
-	}
-	close(done)
-	for _, i := range waits {
-		f := flights[i]
-		<-f.done
-		vals[i], oks[i] = f.val, f.ok
-	}
+	readPool.Put(sc)
 }
 
 // Salt implements dds.Salter: the placement salt captured from the frozen

@@ -119,31 +119,33 @@ type conn struct {
 
 func (cn *conn) close() { cn.nc.Close() }
 
-// server is the client-side state for one shard server: its connection pool
-// and health mark. downUntil holds the monotonic cfg.now() deadline before
-// which the server is skipped (0 = healthy); it turns a dead server into one
-// fast failure per cooldown instead of a timeout per request. downs counts
-// mark-downs over the server's lifetime, for tests and diagnostics. queue
-// holds the getBatch calls waiting for a frame and sending says one is in
-// flight (see getBatch); batchMu guards both.
+// server is the client-side state for one shard server: its connection pool,
+// health mark and read queue. downUntil holds the monotonic cfg.now()
+// deadline before which the server is skipped (0 = healthy); it turns a dead
+// server into one fast failure per cooldown instead of a timeout per
+// request. downs counts mark-downs over the server's lifetime, for tests and
+// diagnostics. queue holds the reads for the next getBatch frame, which the
+// server's one sender drains (sendLoop); mu guards all but the health mark.
 type server struct {
 	addr      string
 	cfg       *Config
 	mu        sync.Mutex
 	idle      []*conn
+	busy      map[*conn]struct{} // connections in an exchange
 	closed    bool
 	downUntil atomic.Int64
 	downs     atomic.Int64
 
-	batchMu sync.Mutex
+	ready   sync.Cond
 	queue   []*batchCall
-	sending bool
+	started bool // sendLoop is running
+	waiting bool // sendLoop waits on ready
 }
 
 // batchCall is one caller's share of a coalesced getBatch frame: its keys,
-// where their results land, and the outcome. wake delivers true when the
-// caller is handed the sender role, false once a sender has filled in its
-// results.
+// where their results land, and the outcome. The sender fills in the results
+// and then calls wg.Done; the caller owns the call again once wg.Wait
+// returns, so calls are pooled and reused.
 type batchCall struct {
 	seq   uint64
 	force bool
@@ -153,7 +155,13 @@ type batchCall struct {
 	oks   []bool
 	retry []int
 	err   error
-	wake  chan bool
+	wg    *sync.WaitGroup
+}
+
+func newServer(addr string, cfg *Config) *server {
+	s := &server{addr: addr, cfg: cfg, busy: make(map[*conn]struct{})}
+	s.ready.L = &s.mu
+	return s
 }
 
 func (s *server) down() bool {
@@ -234,14 +242,20 @@ func (s *server) put(cn *conn) {
 	cn.close()
 }
 
+// closePool severs the pool, fails the exchanges in progress at once, and
+// stops the sender once the reads already queued have failed on the closed
+// pool.
 func (s *server) closePool() {
 	s.mu.Lock()
-	idle := s.idle
-	s.idle, s.closed = nil, true
-	s.mu.Unlock()
-	for _, cn := range idle {
+	defer s.mu.Unlock()
+	for _, cn := range s.idle {
 		cn.close()
 	}
+	for cn := range s.busy {
+		cn.close()
+	}
+	s.idle, s.closed = nil, true
+	s.ready.Broadcast()
 }
 
 // roundTrip sends one request and decodes its response while the connection
@@ -289,17 +303,33 @@ func (s *server) roundTrip(ctx context.Context, op byte, req []byte, force bool,
 // connection is then already closed and the caller decides what the failure
 // says about the server's health. On success (transport=false) the server is
 // marked up, the connection is pooled, and err carries any protocol-level
-// outcome. Cancelling ctx expires the connection's deadline, so a blocked
-// exchange fails at once instead of waiting out the timeout.
+// outcome. Cancelling ctx expires the connection's deadline, and closePool
+// closes the connection, so a blocked exchange fails at once instead of
+// waiting out the timeout.
 func (s *server) exchange(ctx context.Context, cn *conn, op byte, req []byte, decode func(resp []byte) error) (err error, transport bool) {
 	fail := func(err error) (error, bool) {
 		cn.close()
 		return err, true
 	}
+	s.mu.Lock()
+	closed := s.closed
+	s.busy[cn] = struct{}{}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.busy, cn)
+		s.mu.Unlock()
+	}()
+	if closed {
+		return fail(fmt.Errorf("rpc: client closed"))
+	}
 	if err := cn.nc.SetDeadline(time.Now().Add(s.cfg.Timeout)); err != nil {
 		return fail(err)
 	}
-	stop := context.AfterFunc(ctx, func() { cn.nc.SetDeadline(time.Unix(1, 0)) })
+	stop := func() bool { return true } // a context that is never done
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { cn.nc.SetDeadline(time.Unix(1, 0)) })
+	}
 	defer stop()
 	if err := writeFrame(cn.bw, op, req); err != nil {
 		return fail(err)
@@ -338,14 +368,15 @@ type client struct {
 	cfg     Config
 	run     uint64 // random per-publisher id namespacing generations
 	servers []*server
-	frames  atomic.Int64 // read-path request frames sent (incl. retries)
+	frames  atomic.Int64   // read-path request frames sent (incl. retries)
+	senders sync.WaitGroup // the servers' running sendLoops
 }
 
 func newClient(cfg Config) *client {
 	cfg = cfg.withDefaults()
 	c := &client{ctx: context.Background(), cfg: cfg, run: randomRun()}
 	for _, addr := range cfg.Servers {
-		c.servers = append(c.servers, &server{addr: addr, cfg: &c.cfg})
+		c.servers = append(c.servers, newServer(addr, &c.cfg))
 	}
 	return c
 }
@@ -358,18 +389,24 @@ func randomRun() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
+// close severs the pools and returns once the senders have exited.
 func (c *client) close() {
 	for _, s := range c.servers {
 		s.closePool()
 	}
+	c.senders.Wait()
 }
 
 // replica returns the server holding replica `i` of the given shard in a
 // p-shard store: the contiguous-range primary plus its i-th successor.
 func (c *client) replica(shard, p, i int) *server {
+	return c.servers[c.replicaIndex(shard, p, i)]
+}
+
+// replicaIndex is replica's server number.
+func (c *client) replicaIndex(shard, p, i int) int {
 	n := len(c.servers)
-	primary := shard * n / p
-	return c.servers[(primary+i)%n]
+	return (shard*n/p + i) % n
 }
 
 // primaryRange returns the contiguous shard range [lo, hi) that server j
@@ -461,19 +498,31 @@ func (c *client) free(seq uint64) {
 }
 
 // getOne reads a single key with replica failover, as a one-key member of
-// each tried server's coalesced getBatch frame.
+// each tried server's next getBatch frame.
 func (c *client) getOne(seq uint64, k dds.Key, shard, p int) (dds.Value, bool, error) {
-	var val [1]dds.Value
-	var ok [1]bool
-	err := c.eachReplica(shard, p, func(s *server, force bool) error {
-		retry, err := c.getBatch(s, seq, []dds.Key{k}, []int{0}, val[:], ok[:], force)
-		if err == nil && len(retry) > 0 {
-			err = fmt.Errorf("%w: %s: shard %d", errNoStore, s.addr, shard)
-		}
-		return err
-	})
-	return val[0], ok[0], err
+	sc := readPool.Get().(*readScratch)
+	sc.key[0] = k
+	sc.shards = append(sc.shards[:0], shard)
+	err := c.read(sc, seq, p, sc.key[:], sc.val[:], sc.ok[:])
+	v, ok := sc.val[0], sc.ok[0]
+	readPool.Put(sc)
+	return v, ok, err
 }
+
+// readScratch is one read's working set, pooled so that a read allocates
+// nothing; groups and calls are indexed by server number.
+type readScratch struct {
+	key     [1]dds.Key
+	val     [1]dds.Value
+	ok      [1]bool
+	shards  []int
+	pending []int
+	groups  [][]int
+	calls   []batchCall
+	wg      sync.WaitGroup
+}
+
+var readPool = sync.Pool{New: func() any { return new(readScratch) }}
 
 // getRange reads values [lo, hi) of one key with replica failover, appending
 // to dst.
@@ -523,76 +572,182 @@ func (c *client) count(seq uint64, k dds.Key, shard, p int) (int, error) {
 
 // maxBatchKeys caps one coalesced getBatch frame so that neither its request
 // nor its response outgrows maxFrame; a single call above it still travels
-// alone, as it always did.
+// alone.
 const maxBatchKeys = (maxFrame - 64) / keyBytes
 
-// getBatch reads the keys at idxs (indices into keys) from one server,
-// filling vals/oks. It returns the indices that must retry on another
-// replica (shards not resident there) and the transport/protocol error, if
-// any, in which case every index must retry.
-//
-// Concurrent calls to one server share frames, group-commit style: every
-// call queues itself; one that finds no getBatch in flight becomes the
-// sender, ships itself and every queued call with the same (seq, force) as
-// one frame, splits the response back by offset, and hands the sender role
-// to the oldest call still queued. Calls arriving while a frame is out ride
-// the next one, so a round of P adaptive machines pays one round trip per
-// server per step instead of one per machine. A failed frame fails every
-// member, and each member then fails over on its own.
-func (c *client) getBatch(s *server, seq uint64, keys []dds.Key, idxs []int, vals []dds.Value, oks []bool, force bool) ([]int, error) {
-	call := &batchCall{seq: seq, force: force, keys: keys, idxs: idxs, vals: vals, oks: oks, wake: make(chan bool, 1)}
-	s.batchMu.Lock()
-	s.queue = append(s.queue, call)
-	lead := !s.sending
-	s.sending = true
-	s.batchMu.Unlock()
-	if !lead && !<-call.wake {
-		return call.retry, call.err
+// maxYields bounds the yields a sender spends letting woken callers queue
+// before it collects the next frame.
+const maxYields = 8
+
+// read fetches keys into vals/oks, the owning shard of keys[i] in
+// sc.shards[i] of a p-shard store: every server's share joins that server's
+// next getBatch frame, all at once, and the call waits for them together.
+// Keys whose server fails advance to the next replica in lockstep attempts;
+// the first pass skips marked-down servers, later ones force a probe, as
+// eachReplica does. A key whose read failed reads absent, and read returns
+// the first failure.
+func (c *client) read(sc *readScratch, seq uint64, p int, keys []dds.Key, vals []dds.Value, oks []bool) error {
+	n := len(c.servers)
+	if len(sc.groups) < n {
+		sc.groups, sc.calls = make([][]int, n), make([]batchCall, n)
 	}
-	// One yield before collecting lets the callers the previous frame just
-	// woke queue their next reads in time to ride this frame.
-	runtime.Gosched()
-	batch, n := []*batchCall{call}, len(idxs)
-	s.batchMu.Lock()
-	rest := s.queue[:0]
-	for _, b := range s.queue {
-		switch {
-		case b == call:
-		case b.seq == seq && b.force == force && n+len(b.idxs) <= maxBatchKeys:
-			batch, n = append(batch, b), n+len(b.idxs)
-		default:
-			rest = append(rest, b)
+	pending := sc.pending[:0]
+	for i := range keys {
+		pending = append(pending, i)
+	}
+	var first error
+	fail := func(idxs []int, err error) {
+		for _, i := range idxs {
+			vals[i], oks[i] = dds.Value{}, false
+		}
+		if first == nil {
+			first = err
 		}
 	}
-	clear(s.queue[len(rest):])
-	s.queue = rest
-	s.batchMu.Unlock()
-
-	c.sendBatch(s, batch, n)
-
-	var next *batchCall
-	s.batchMu.Lock()
-	if len(s.queue) > 0 {
-		next = s.queue[0]
-	} else {
-		s.sending = false
+	r := c.cfg.Replication
+	for att := 0; att < r*c.cfg.Passes && len(pending) > 0; att++ {
+		force := att >= r
+		groups := sc.groups[:n]
+		for j := range groups {
+			groups[j] = groups[j][:0]
+		}
+		for _, i := range pending {
+			j := c.replicaIndex(sc.shards[i], p, att%r)
+			groups[j] = append(groups[j], i)
+		}
+		for j, idxs := range groups {
+			if len(idxs) > 0 {
+				call := &sc.calls[j]
+				*call = batchCall{seq: seq, force: force, keys: keys, idxs: idxs, vals: vals, oks: oks, retry: call.retry, wg: &sc.wg}
+				sc.wg.Add(1)
+				c.servers[j].join(c, call)
+			}
+		}
+		sc.wg.Wait()
+		pending = pending[:0]
+		for j, idxs := range groups {
+			if len(idxs) == 0 {
+				continue
+			}
+			call := &sc.calls[j]
+			switch {
+			case call.err == nil:
+				pending = append(pending, call.retry...)
+			case retryable(call.err) && c.ctx.Err() == nil:
+				pending = append(pending, idxs...)
+			default:
+				fail(idxs, call.err)
+			}
+			// Keep only the retry buffer: a pooled call holds no caller's slices.
+			*call = batchCall{retry: call.retry[:0]}
+		}
 	}
-	s.batchMu.Unlock()
-	if next != nil {
-		next.wake <- true
+	if len(pending) > 0 {
+		sh := sc.shards[pending[0]]
+		fail(pending, fmt.Errorf("rpc: read of shard %d (primary %s): all %d replicas exhausted: %w",
+			sh, c.replica(sh, p, 0).addr, r, dds.ErrBackendUnavailable))
 	}
-	for _, b := range batch[1:] {
-		b.wake <- false
-	}
-	return call.retry, call.err
+	sc.pending = pending
+	return first
 }
 
-// sendBatch ships the n keys of a coalesced batch as one getBatch frame and
-// records each member's share of the outcome.
-func (c *client) sendBatch(s *server, batch []*batchCall, n int) {
+// join queues call for s's next getBatch frame, starting the server's
+// sender on its first read. A call that finds the sender waiting wakes it
+// after one yield, so that the callers running alongside queue in time to
+// ride the same frame. A call that must not probe a marked-down server, or
+// that arrives after the client closed, fails at once.
+func (s *server) join(c *client, call *batchCall) {
+	if !call.force && s.down() {
+		call.err = fmt.Errorf("rpc: server %s marked down: %w", s.addr, dds.ErrBackendUnavailable)
+		call.wg.Done()
+		return
+	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		call.err = fmt.Errorf("rpc: client closed")
+		call.wg.Done()
+		return
+	}
+	s.queue = append(s.queue, call)
+	if !s.started {
+		s.started = true
+		c.senders.Add(1)
+		go s.sendLoop(c)
+	}
+	waiting := s.waiting
+	s.mu.Unlock()
+	if waiting {
+		runtime.Gosched()
+		s.mu.Lock()
+		s.ready.Signal()
+		s.mu.Unlock()
+	}
+}
+
+// sendLoop is s's one sender, group-commit style: it drains the oldest
+// queued call and every other call with the same (seq, force), up to
+// maxBatchKeys, into one frame, splits the response back to them, wakes
+// them, and yields until the queue stops growing (at most maxYields times)
+// so that the callers just woken queue their next reads in time to ride the
+// next frame. A round of P adaptive machines thus pays about one round trip
+// per server per step instead of one per machine. A failed frame fails
+// every member, and each fails over on its own. The sender exits once the
+// client has closed and the queue is empty; close waits for that.
+func (s *server) sendLoop(c *client) {
+	defer c.senders.Done()
+	var batch []*batchCall
+	var req []byte
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.waiting = true
+			s.ready.Wait()
+			s.waiting = false
+		}
+		if len(s.queue) == 0 {
+			s.mu.Unlock()
+			return
+		}
+		lead := s.queue[0]
+		batch = append(batch[:0], lead)
+		n := len(lead.idxs)
+		rest := s.queue[:0]
+		for _, b := range s.queue[1:] {
+			if b.seq == lead.seq && b.force == lead.force && n+len(b.idxs) <= maxBatchKeys {
+				batch, n = append(batch, b), n+len(b.idxs)
+			} else {
+				rest = append(rest, b)
+			}
+		}
+		clear(s.queue[len(rest):])
+		s.queue = rest
+		s.mu.Unlock()
+
+		req = c.sendBatch(s, batch, n, req)
+		for i, b := range batch {
+			batch[i] = nil
+			b.wg.Done()
+		}
+		for queued, i := -1, 0; i < maxYields; i++ {
+			runtime.Gosched()
+			s.mu.Lock()
+			n := len(s.queue)
+			s.mu.Unlock()
+			if n == queued {
+				break
+			}
+			queued = n
+		}
+	}
+}
+
+// sendBatch ships the n keys of a coalesced batch as one getBatch frame,
+// built in req (returned for reuse), and records each member's share of the
+// outcome.
+func (c *client) sendBatch(s *server, batch []*batchCall, n int, req []byte) []byte {
 	c.frames.Add(1)
-	req := c.reqHeader(make([]byte, 0, 20+n*keyBytes), batch[0].seq)
-	req = le.AppendUint32(req, uint32(n))
+	req = le.AppendUint32(c.reqHeader(req[:0], batch[0].seq), uint32(n))
 	for _, b := range batch {
 		for _, i := range b.idxs {
 			req = appendKey(req, b.keys[i])
@@ -621,13 +776,14 @@ func (c *client) sendBatch(s *server, batch []*batchCall, n int) {
 	for _, b := range batch {
 		b.err = err
 	}
+	return req
 }
 
 // Ping dials addr and exchanges one ping, bounded by timeout. Used by
 // `shardd -ping` as a readiness probe.
 func Ping(addr string, timeout time.Duration) error {
 	cfg := Config{Servers: []string{addr}, Timeout: timeout}.withDefaults()
-	s := &server{addr: addr, cfg: &cfg}
+	s := newServer(addr, &cfg)
 	defer s.closePool()
 	return s.roundTrip(context.Background(), opPing, nil, true, func([]byte) error { return nil })
 }

@@ -18,7 +18,7 @@ func TestDownCooldownMonotonicClock(t *testing.T) {
 	var mono atomic.Int64 // simulated monotonic clock, in nanoseconds
 	cfg := Config{Servers: []string{"127.0.0.1:9"}, DownCooldown: 250 * time.Millisecond}.withDefaults()
 	cfg.now = func() time.Duration { return time.Duration(mono.Load()) }
-	s := &server{addr: cfg.Servers[0], cfg: &cfg}
+	s := newServer(cfg.Servers[0], &cfg)
 
 	if s.down() {
 		t.Fatal("fresh server marked down")
@@ -66,7 +66,7 @@ func TestDownCooldownMonotonicClock(t *testing.T) {
 // plus the cooldown.
 func TestDownDeadlineUsesMonotonicBase(t *testing.T) {
 	cfg := Config{Servers: []string{"127.0.0.1:9"}}.withDefaults()
-	s := &server{addr: cfg.Servers[0], cfg: &cfg}
+	s := newServer(cfg.Servers[0], &cfg)
 	s.markDown()
 	if !s.down() {
 		t.Fatal("server not down after markDown")
@@ -120,8 +120,6 @@ func TestServerRestartNoSpuriousMarkdown(t *testing.T) {
 	// server holds nothing — without any mark-down: the stale pooled
 	// connection is replaced by a fresh dial that gets a protocol-level
 	// no-store answer, which says nothing bad about the server's health.
-	// The key must be one checkBackend never swept: already-fetched keys
-	// are answered by the backend's single-flight cache without a frame.
 	if _, ok := b1.Get(dds.Key{Tag: 9, A: 1 << 40, B: 7}); ok {
 		t.Fatal("read of a generation the restarted server never held succeeded")
 	}
@@ -166,8 +164,7 @@ func TestDeadServerStillMarksDown(t *testing.T) {
 		t.Fatal("warm read failed")
 	}
 
-	// No relaunch: the redial gets connection refused. Probe a key the
-	// warm read did not already cache in the backend's single-flight map.
+	// No relaunch: the redial gets connection refused.
 	srv.Close()
 	if _, ok := b.Get(dds.Key{Tag: 9, A: 1 << 40, B: 7}); ok {
 		t.Fatal("read from a dead server succeeded")

@@ -113,12 +113,11 @@ func decodeValue(b []byte) dds.Value {
 }
 
 // writeFrame sends one length-prefixed frame: tag is the op (requests) or
-// status (responses). The caller flushes.
+// status (responses). The caller flushes. The header is built in the
+// writer's own buffer, so a frame allocates nothing.
 func writeFrame(w *bufio.Writer, tag byte, payload []byte) error {
-	var head [frameHead]byte
-	le.PutUint32(head[0:4], uint32(1+len(payload)))
-	head[4] = tag
-	if _, err := w.Write(head[:]); err != nil {
+	head := append(le.AppendUint32(w.AvailableBuffer(), uint32(1+len(payload))), tag)
+	if _, err := w.Write(head); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -130,13 +129,18 @@ func writeFrame(w *bufio.Writer, tag byte, payload []byte) error {
 // costs a peer 5 bytes, so a claimed length beyond both buf and frameEager
 // allocates nothing up front: the buffer doubles as payload bytes actually
 // arrive, and a peer that sends a hostile length and stops costs at most
-// frameEager.
+// frameEager. io.EOF means the stream ended cleanly between frames; a stream
+// that ends inside a frame reads io.ErrUnexpectedEOF.
 func readFrame(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
-	var head [frameHead]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	head, err := r.Peek(frameHead)
+	if err != nil {
+		if err == io.EOF && len(head) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, buf, err
 	}
-	length := le.Uint32(head[0:4])
+	length, tag := le.Uint32(head[0:4]), head[4]
+	r.Discard(frameHead)
 	if length < 1 || length > maxFrame {
 		return 0, nil, buf, fmt.Errorf("rpc: frame length %d outside [1, %d]", length, maxFrame)
 	}
@@ -155,8 +159,11 @@ func readFrame(r *bufio.Reader, buf []byte) (byte, []byte, []byte, error) {
 		have := len(payload)
 		payload = payload[:min(cap(payload), n)]
 		if _, err := io.ReadFull(r, payload[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return 0, nil, buf, err
 		}
 	}
-	return head[4], payload, payload, nil
+	return tag, payload, payload, nil
 }

@@ -36,6 +36,7 @@ type Publisher struct {
 	arena    *dds.Arena
 	ctx      context.Context
 	buf      []byte   // reused segment serialization buffer
+	puts     [][]byte // reused put-frame buffer per server
 	inflight *pending // the write-behind publish not yet joined
 
 	closed    chan struct{}
@@ -45,7 +46,7 @@ type Publisher struct {
 // NewPublisher returns a publisher shipping stores to cfg.Servers. Nothing
 // is dialed until the first Publish, so construction never fails.
 func NewPublisher(cfg Config) *Publisher {
-	return &Publisher{cfg: cfg.withDefaults(), c: newClient(cfg), closed: make(chan struct{})}
+	return &Publisher{cfg: cfg.withDefaults(), c: newClient(cfg), puts: make([][]byte, len(cfg.Servers)), closed: make(chan struct{})}
 }
 
 // SetArena gives the publisher an arena to recycle swapped-out in-memory
@@ -124,8 +125,9 @@ func (p *Publisher) Publish(seq int, s *dds.Store) (dds.StoreBackend, error) {
 
 // upload encodes s into packed sections and sends each to its R owners, one
 // goroutine per server so a slow server delays only its own shards, and
-// each server's sections in as few put frames as frameEager allows. It
-// returns nil once every shard reached its write quorum.
+// each server's sections in as few put frames as frameEager allows, built
+// in that server's reused buffer. It returns nil once every shard reached
+// its write quorum.
 func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error) {
 	buf, sections, encs := dds.EncodeSections(buf, s)
 	shardCount := len(sections)
@@ -149,7 +151,8 @@ func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error)
 		go func(j int) {
 			defer wg.Done()
 			s := p.c.servers[j]
-			var req []byte
+			req := p.puts[j]
+			defer func() { p.puts[j] = req }()
 			for _, frame := range putFrames(perServer[j], sections) {
 				if p.cancelled() != nil {
 					return
@@ -207,7 +210,8 @@ func (p *Publisher) Barrier() error {
 	return nil
 }
 
-// Close aborts any in-flight upload and severs the connection pools.
+// Close aborts any in-flight upload and severs the connection pools, failing
+// every exchange in progress, and returns once the read senders have exited.
 // Backends already published must be closed separately (the runtime does).
 func (p *Publisher) Close() error {
 	p.closeOnce.Do(func() { close(p.closed) })
@@ -272,18 +276,10 @@ func (ps *pending) Close() error {
 // the servers; before the swap reads are in-process and cannot fail.
 func (ps *pending) ReadErr() error { return ps.remote.ReadErr() }
 
-// GetMany batches through the remote backend after the swap; before it, the
-// in-memory store answers key by key (dds.Store has no batch surface, and
-// in-process reads gain nothing from one).
+// GetMany batches through the current backend: the in-memory store before
+// the swap, the remote one after it. Both implement dds.BatchGetter.
 func (ps *pending) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
-	b := ps.backend()
-	if bg, ok := b.(dds.BatchGetter); ok {
-		bg.GetMany(keys, vals, oks)
-		return
-	}
-	for i, k := range keys {
-		vals[i], oks[i] = b.Get(k)
-	}
+	ps.backend().(dds.BatchGetter).GetMany(keys, vals, oks)
 }
 
 // StoreBackend delegation: every read goes through the current inner

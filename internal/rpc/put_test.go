@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -132,9 +133,13 @@ func TestPutFrameAllOrNothing(t *testing.T) {
 		t.Fatalf("%d generations resident after a refused frame", resident)
 	}
 	keys := []dds.Key{pairs[0].Key, pairs[1].Key}
-	_, err := c.getBatch(c.servers[0], 1, keys, []int{0, 1}, make([]dds.Value, 2), make([]bool, 2), true)
-	if !errors.Is(err, errNoStore) {
-		t.Fatalf("read of the refused generation: %v, want noStore", err)
+	var wg sync.WaitGroup
+	call := &batchCall{seq: 1, force: true, keys: keys, idxs: []int{0, 1}, vals: make([]dds.Value, 2), oks: make([]bool, 2), wg: &wg}
+	wg.Add(1)
+	c.servers[0].join(c, call)
+	wg.Wait()
+	if !errors.Is(call.err, errNoStore) {
+		t.Fatalf("read of the refused generation: %v, want noStore", call.err)
 	}
 }
 

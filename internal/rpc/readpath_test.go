@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,7 +17,7 @@ import (
 // TestGetManyDupAndAbsentBatch is the batched-read equivalence check over
 // the wire: a dup-heavy batch with interleaved absent keys must answer
 // exactly like scalar Get, and the per-key load ledger must not shrink —
-// the single-flight layer coalesces frames, never accounting.
+// coalescing into frames saves round trips, never accounting.
 func TestGetManyDupAndAbsentBatch(t *testing.T) {
 	_, addrs := startFleet(t, 3, ServerConfig{})
 	pairs := testPairs(600)
@@ -53,11 +56,10 @@ func TestGetManyDupAndAbsentBatch(t *testing.T) {
 	}
 }
 
-// TestSingleFlightCoalescesFrames pins the whole point of the per-generation
-// single-flight: a batch that is 100 copies of one key crosses the wire as
-// one request frame, and concurrent scalar Gets of one key stay bounded by
-// the caller count rather than multiplying by retries.
-func TestSingleFlightCoalescesFrames(t *testing.T) {
+// TestDuplicateKeysShareOneFrame: a batch that is 100 copies of one key
+// crosses the wire as one request frame, and concurrent scalar Gets of one
+// key stay bounded by the caller count rather than multiplying by retries.
+func TestDuplicateKeysShareOneFrame(t *testing.T) {
 	_, addrs := startFleet(t, 1, ServerConfig{})
 	pairs := testPairs(100)
 	_, b := publish(t, Config{Servers: addrs}, dds.NewStore(pairs, 4, 0x5eed))
@@ -164,8 +166,8 @@ func splitKeys(ref map[dds.Key][]dds.Value, n, per int, keep func(dds.Key) bool)
 // frame with the others. 64 concurrent readers — 32 single GetMany batches
 // and 32 chains of 4 scalar Gets, 160 requests in all — measure 8 frames
 // (about two per adaptive step: the callers woken by one frame straddle the
-// hand-off to the next sender); the bound of 16 is twice that, while one
-// frame per request would be 160. The shard-load ledger still charges every
+// sender's next collection); the bound of 16 is twice that, while one frame
+// per request would be 160. The shard-load ledger still charges every
 // key: coalescing saves frames, never accounting.
 func TestCoalescedFrames(t *testing.T) {
 	_, addrs := startFleet(t, 1, ServerConfig{FaultLatency: 20 * time.Millisecond})
@@ -309,4 +311,154 @@ func sumLoads(b dds.StoreBackend) int64 {
 		n += l
 	}
 	return n
+}
+
+// TestFreedGenerationNeverReadsNext frees each generation on the servers
+// while reads of it are in flight, then publishes the next generation. Every
+// answer for the freed generation must be its own value, or absent with a
+// failure latched (its replicas all answered no-store), never a value of the
+// next generation, which a server that reused a freed generation's memory
+// for the next put would serve. Run it under -race.
+func TestFreedGenerationNeverReadsNext(t *testing.T) {
+	_, addrs := startFleet(t, 2, ServerConfig{})
+	const pairs = 1 << 14
+	gen := func(g int64) *dds.Store {
+		kvs := make([]dds.KV, pairs)
+		for i := range kvs {
+			kvs[i] = dds.KV{Key: dds.Key{Tag: 1, A: int64(i)}, Value: dds.Value{A: int64(i), B: g}}
+		}
+		return dds.NewStore(kvs, 8, 0x5eed)
+	}
+	p := NewPublisher(Config{Servers: addrs, Replication: 2})
+	t.Cleanup(func() { p.Close() })
+	p.SetArena(dds.NewArena())
+	publishGen := func(g int64) dds.StoreBackend {
+		b, err := p.Publish(int(g), gen(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	b := publishGen(1)
+	const readers, batch = 4, 4096
+	for g := int64(1); g < 5; g++ {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		errs := make(chan string, readers)
+		var absent atomic.Int64
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				keys := make([]dds.Key, batch)
+				vals, oks := make([]dds.Value, batch), make([]bool, batch)
+				for round := 0; ; round++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for i := range keys {
+						keys[i] = dds.Key{Tag: 1, A: int64((r*batch + round*readers*batch + i) % pairs)}
+					}
+					b.(dds.BatchGetter).GetMany(keys, vals, oks)
+					for i, k := range keys {
+						switch {
+						case !oks[i]:
+							absent.Add(1)
+						case vals[i] != (dds.Value{A: k.A, B: g}):
+							errs <- fmt.Sprintf("key %d of generation %d read %+v", k.A, g, vals[i])
+							return
+						}
+					}
+				}
+			}()
+		}
+		time.Sleep(10 * time.Millisecond)
+		b.Close()
+		next := publishGen(g + 1)
+		time.Sleep(10 * time.Millisecond)
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Fatal(e)
+		}
+		if absent.Load() > 0 && b.(interface{ ReadErr() error }).ReadErr() == nil {
+			t.Fatalf("generation %d answered %d reads absent without latching a failure", g, absent.Load())
+		}
+		b = next
+	}
+}
+
+// TestSendersExitOnClose: the per-server senders that the first reads start
+// have exited by the time the publisher's Close returns.
+func TestSendersExitOnClose(t *testing.T) {
+	_, addrs := startFleet(t, 3, ServerConfig{})
+	pairs := testPairs(300)
+	p := NewPublisher(Config{Servers: addrs, Replication: 2})
+	b, err := p.Publish(1, dds.NewStore(pairs, 8, 0x5eed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	senders := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "rpc.(*server).sendLoop")
+	}
+	keys := make([]dds.Key, len(pairs))
+	for i, kv := range pairs {
+		keys[i] = kv.Key
+	}
+	b.(dds.BatchGetter).GetMany(keys, make([]dds.Value, len(keys)), make([]bool, len(keys)))
+	if n := senders(); n != 3 {
+		t.Fatalf("%d senders after reads from 3 servers, want 3", n)
+	}
+	p.Close()
+	if n := senders(); n != 0 {
+		t.Fatalf("%d senders still running after Close", n)
+	}
+}
+
+// TestCloseFailsBlockedRead: Close returns at once while the sender is
+// blocked in an exchange with a stalled server on a context that is never
+// cancelled, and the blocked read fails instead of waiting out the timeout.
+func TestCloseFailsBlockedRead(t *testing.T) {
+	fleet, addrs := startFleet(t, 1, ServerConfig{})
+	pairs := testPairs(300)
+	p := NewPublisher(Config{Servers: addrs, Timeout: 30 * time.Second})
+	b, err := p.Publish(1, dds.NewStore(pairs, 8, 0x5eed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	fleet[0].Pause()
+	t.Cleanup(fleet[0].Resume)
+	read := make(chan bool)
+	go func() {
+		_, ok := b.Get(pairs[0].Key)
+		read <- ok
+	}()
+	time.Sleep(100 * time.Millisecond)
+	start := time.Now()
+	p.Close()
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v with a read blocked on a stalled server", took)
+	}
+	select {
+	case ok := <-read:
+		if ok {
+			t.Fatal("a read cut off by Close answered present")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the blocked read still waits a second after Close")
+	}
 }

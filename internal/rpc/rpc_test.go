@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -124,8 +125,9 @@ func TestReadFrameGrows(t *testing.T) {
 // FuzzReadFrame feeds arbitrary bytes to the frame reader the way a
 // connection would: frame after frame into one recycled buffer. Whatever
 // the bytes, readFrame must return an error or a payload of exactly the
-// claimed length that re-encodes to the bytes consumed, and the buffer may
-// never outgrow what the peer actually sent.
+// claimed length that re-encodes to the bytes consumed, the buffer may
+// never outgrow what the peer actually sent, and io.EOF comes only between
+// frames.
 func FuzzReadFrame(f *testing.F) {
 	// Real frames, encoded as client.appendPut and client.getBatch encode them.
 	puts, get := seedRequests(f)
@@ -133,6 +135,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(append(frame(opGetBatch, get), frame(opPing, nil)...))
 	f.Add(append(le.AppendUint32(nil, maxFrame), opPut))
 	f.Add(append(le.AppendUint32(nil, 0), opPing))
+	f.Add(append(frame(opPing, nil), frame(opPing, nil)[:3]...)) // ends inside a header
+	f.Add(frame(opGetBatch, get)[:frameHead])                    // ends before the payload
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -143,6 +147,9 @@ func FuzzReadFrame(f *testing.F) {
 			buf = b
 			if limit := max(frameEager, 2*len(data)); cap(buf) > limit {
 				t.Fatalf("buffer grew to %d for %d input bytes", cap(buf), len(data))
+			}
+			if err == io.EOF && len(rest) > 0 {
+				t.Fatalf("clean end of stream reported %d bytes into a frame", len(rest))
 			}
 			if err != nil {
 				return
@@ -333,7 +340,7 @@ func TestShardAssignment(t *testing.T) {
 // startFleet launches n loopback servers through the shared Fleet helper
 // and returns them with their addresses. The fleet is closed by the test
 // cleanup; individual servers may be killed first.
-func startFleet(t *testing.T, n int, cfg ServerConfig) ([]*Server, []string) {
+func startFleet(t testing.TB, n int, cfg ServerConfig) ([]*Server, []string) {
 	t.Helper()
 	cfgs := make([]ServerConfig, n)
 	for i := range cfgs {
@@ -406,7 +413,7 @@ func checkBackend(t *testing.T, b dds.StoreBackend, ref map[dds.Key][]dds.Value)
 
 // publish ships the store through a fresh publisher and joins the barrier,
 // returning the swapped remote backend.
-func publish(t *testing.T, cfg Config, s *dds.Store) (*Publisher, dds.StoreBackend) {
+func publish(t testing.TB, cfg Config, s *dds.Store) (*Publisher, dds.StoreBackend) {
 	t.Helper()
 	p := NewPublisher(cfg)
 	t.Cleanup(func() { p.Close() })
@@ -448,6 +455,53 @@ func TestPublishReadCycle(t *testing.T) {
 	err := b.(interface{ ReadErr() error }).ReadErr()
 	if !errors.Is(err, dds.ErrBackendUnavailable) {
 		t.Fatalf("freed-generation read latched %v, want ErrBackendUnavailable", err)
+	}
+}
+
+// TestIndexedReadsChargeLikeStore pins the load ledger of GetIndexed on
+// every backend: a negative index, an index past the key's count and an
+// absent key each charge the owning shard one query, as dds.Store does, so
+// max_shard_load never depends on where the store lives.
+func TestIndexedReadsChargeLikeStore(t *testing.T) {
+	_, addrs := startFleet(t, 1, ServerConfig{})
+	pairs := testPairs(200)
+	store := func() *dds.Store { return dds.NewStore(pairs, 4, 0x5eed) }
+	fp := dds.NewFilePublisher(t.TempDir())
+	t.Cleanup(func() { fp.Close() })
+	file, err := fp.Publish(1, store())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, remote := publish(t, Config{Servers: addrs}, store())
+	k := pairs[0].Key
+	absent := dds.Key{Tag: 99, A: -7, B: -7}
+	var want []int64
+	for _, bk := range []struct {
+		name string
+		b    dds.StoreBackend
+	}{{"mem", store()}, {"file", file}, {"rpc", remote}} {
+		bk.b.ResetLoads()
+		for _, read := range []struct {
+			k dds.Key
+			i int
+		}{{k, -1}, {k, bk.b.Count(k)}, {absent, 0}} {
+			if v, ok := bk.b.GetIndexed(read.k, read.i); ok {
+				t.Fatalf("%s: GetIndexed(%+v, %d) = %+v, want absent", bk.name, read.k, read.i, v)
+			}
+		}
+		loads := bk.b.ShardLoads()
+		var total int64
+		for _, l := range loads {
+			total += l
+		}
+		if total != 4 { // the three indexed reads and the Count
+			t.Fatalf("%s: loads %v total %d, want 4", bk.name, loads, total)
+		}
+		if want == nil {
+			want = loads
+		} else if !slices.Equal(loads, want) {
+			t.Fatalf("%s: loads %v, mem charged %v", bk.name, loads, want)
+		}
 	}
 }
 
