@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// roundTrip serializes s as an all-raw segment — every section a plain
-// shard block — and opens it back with full verification, failing the test
-// on any codec error. The store is closed when the test finishes.
+// roundTrip serializes s with AppendSegment, the in-memory encoder the wire
+// uses, writes the bytes to a file and opens it back with full verification,
+// failing the test on any codec error. The store is closed when the test
+// finishes.
 func roundTrip(t testing.TB, s *Store) *Store {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "store-raw.seg")
+	path := filepath.Join(t.TempDir(), "store.seg")
 	if err := os.WriteFile(path, AppendSegment(nil, s), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +33,9 @@ func roundTrip(t testing.TB, s *Store) *Store {
 	return fs
 }
 
-// segmentRoundTrip serializes s as WriteSegment's compressed segment (packed
-// sections where they win) and opens it back with full verification,
-// failing the test on any codec error.
+// segmentRoundTrip writes s with WriteSegment, the streamed file writer, and
+// opens it back with full verification, failing the test on any codec
+// error.
 func segmentRoundTrip(t testing.TB, s *Store) *Store {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "store.seg")
@@ -54,8 +55,8 @@ func segmentRoundTrip(t testing.TB, s *Store) *Store {
 }
 
 // forEachBackend runs fn once per storage backend as subtests: against the
-// in-memory store itself, against its raw-segment round-trip, and against
-// its compressed-segment round-trip. Every read-path test in this package
+// in-memory store itself, against its AppendSegment round-trip, and against
+// its WriteSegment round-trip. Every read-path test in this package
 // goes through it, so any future backend added here is locked to the same
 // semantics mechanically.
 func forEachBackend(t *testing.T, s *Store, fn func(t *testing.T, b StoreBackend)) {
@@ -124,17 +125,17 @@ func TestSegmentShardMetadata(t *testing.T) {
 }
 
 // TestSegmentReserializes pins the decoder's slot placement, occupancy bits
-// and slab offsets: a store decoded from a raw or a compressed segment must
-// serialize back to exactly the bytes of the store it came from — for heavy
-// duplicate chains, and for stores so small most of their shards are empty —
-// and both golden segments must reopen to the committed raw golden bytes.
+// and slab offsets: a store decoded from AppendSegment's or WriteSegment's
+// segment must serialize back to exactly the bytes of the store it came
+// from — for heavy duplicate chains, and for stores so small most of their
+// shards are empty — and the golden segment must reopen to its own bytes.
 func TestSegmentReserializes(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	for _, p := range []int{1, 13, 64} {
 		for _, pairs := range [][]KV{randomPairs(r, 4000, 200), randomPairs(r, 30, 3), nil} {
 			s := NewStore(pairs, p, r.Uint64())
 			want := AppendSegment(nil, s)
-			for name, open := range map[string]func(testing.TB, *Store) *Store{"raw": roundTrip, "compressed": segmentRoundTrip} {
+			for name, open := range map[string]func(testing.TB, *Store) *Store{"AppendSegment": roundTrip, "WriteSegment": segmentRoundTrip} {
 				if got := AppendSegment(nil, open(t, s)); !bytes.Equal(got, want) {
 					t.Fatalf("p=%d, %d pairs, %s: re-serialized segment differs (%d vs %d bytes)",
 						p, len(pairs), name, len(got), len(want))
@@ -142,18 +143,16 @@ func TestSegmentReserializes(t *testing.T) {
 			}
 		}
 	}
-	want, err := os.ReadFile(goldenSegmentRaw)
+	want, err := os.ReadFile(goldenSegment)
 	if err != nil {
 		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
 	}
-	for _, path := range []string{goldenSegmentRaw, goldenSegment} {
-		s, err := OpenSegment(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := AppendSegment(nil, s); !bytes.Equal(got, want) {
-			t.Fatalf("%s re-serializes to %d bytes that differ from the raw golden segment", path, len(got))
-		}
+	s, err := OpenSegment(goldenSegment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := AppendSegment(nil, s); !bytes.Equal(got, want) {
+		t.Fatalf("golden segment re-serializes to %d bytes that differ from its own", len(got))
 	}
 }
 
@@ -281,8 +280,9 @@ func sameAnswers(t *testing.T, got, want StoreBackend, keys []Key) {
 // TestFilePublisherSegmentsMatchStore checks the segments end to end: no
 // round reads them back, so after each Barrier the new segment is opened
 // and must answer every key exactly like the in-memory store it was written
-// from. The chain covers packed sections, a dup-heavy store, an empty store
-// and a one-shard store whose section exceeds packThreshold and stays raw.
+// from. The chain covers a plain store, a dup-heavy store, an empty store
+// and a one-shard store whose section is past the size above which earlier
+// writers left a section raw.
 func TestFilePublisherSegmentsMatchStore(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	large := make([]KV, 50000)
@@ -297,7 +297,7 @@ func TestFilePublisherSegmentsMatchStore(t *testing.T) {
 		{"packed", randomPairs(r, 4000, 3), 8},
 		{"dup-heavy", randomPairs(r, 6000, 200), 5},
 		{"empty", nil, 4},
-		{"raw-one-shard", large, 1},
+		{"large-one-shard", large, 1},
 		{"many-shards", randomPairs(r, 3000, 1), 64},
 	}
 	pub := NewFilePublisher(t.TempDir())
@@ -316,13 +316,13 @@ func TestFilePublisherSegmentsMatchStore(t *testing.T) {
 			t.Fatalf("%s: barrier: %v", tc.name, err)
 		}
 		path := segPath(pub, seq)
-		if tc.name == "raw-one-shard" {
+		if tc.name == "large-one-shard" {
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, encs, err := sliceSections(data); err != nil || encs[0] != encRaw {
-				t.Fatalf("%s: section encodings %v (%v), want the oversized shard raw", tc.name, encs, err)
+			if _, encs, err := sliceSections(data); err != nil || encs[0] != encPacked {
+				t.Fatalf("%s: section encodings %v (%v), want the large shard packed", tc.name, encs, err)
 			}
 		}
 		fs, err := OpenSegment(path)

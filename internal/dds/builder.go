@@ -359,19 +359,16 @@ func (sh *shard) insertBase(base *shard, si int32, salt uint64, dups []dupValue)
 	return dups
 }
 
-// grab sizes the shard for n pairs: a power-of-two slot table at most half
-// full, from the arena when it holds one of that capacity.
+// grab sizes the shard for n pairs: a tableSlots(n) slot table, from the
+// arena when it holds one of that capacity.
 func (sh *shard) grab(a *Arena, n int) {
 	if n == 0 {
 		return
 	}
-	cap := 1
-	for cap < 2*n {
-		cap <<= 1
-	}
+	cap := tableSlots(uint64(n))
 	sh.size = n
-	sh.slots, sh.bits = a.grabTable(cap)
-	sh.mask = uint64(cap - 1)
+	sh.slots, sh.bits = a.grabTable(int(cap))
+	sh.mask = cap - 1
 }
 
 // layoutOverflow sizes the shard's overflow slab and gives every duplicated

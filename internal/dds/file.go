@@ -5,151 +5,54 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 )
 
-// Shard block format (version 1).
-//
-// One shard of a frozen store serializes as a block: the shard's flat index
-// in little-endian — the same open-addressing slot positions and overflow
-// slab the in-memory engine probes — so a reader decodes it record by record
-// back into a shard whose probes take the writer's exact path. The records
-// are 48-byte logical slots with full 64-bit words: they do not mirror the
-// 28-byte in-memory slot, whose wide words spill to side tables, so
-// encoders read every slot through key and first. A block is a raw section
-// of a segment file (segment.go); a packed section (segcodec.go) is its
-// varint form and decodes into the same shard.
-//
-//	header   64 bytes
-//	  [0:8)    magic "AMPCSHRD"
-//	  [8:12)   format version, uint32 (currently 1)
-//	  [12:16)  shard index, uint32
-//	  [16:20)  shard count, uint32
-//	  [20:24)  reserved, zero
-//	  [24:32)  placement salt, uint64
-//	  [32:40)  pairs resident on this shard, uint64
-//	  [40:48)  slot count, uint64 (a power of two, or 0 for an empty shard)
-//	  [48:56)  slab value count, uint64
-//	  [56:64)  checksum, uint64 over header[0:56] ++ payload
-//	payload  slot count * 48-byte slot records, then slab count * 16-byte
-//	         value records
-//
-//	slot record, 48 bytes
-//	  [0:8)    key.A, int64     [8:16)   key.B, int64
-//	  [16:24)  first.A, int64   [24:32)  first.B, int64
-//	  [32:36)  count, int32     [36:40)  slab offset, int32
-//	  [40]     key.Tag          [41:48)  reserved, zero
-//
-//	value record, 16 bytes: A int64, B int64
-//
-// Versioning rules: the magic never changes; any layout change (field moves,
-// record sizes, checksum definition) bumps the version, and readers reject
-// versions they do not know with ErrBadVersion. Reserved bytes are written
-// as zero and ignored on read, so they are available to future versions only
-// behind a version bump.
-const (
-	shardMagic    = "AMPCSHRD"
-	shardVersion  = 1
-	headerBytes   = 64
-	slotBytes     = 48
-	valueBytes    = 16
-	checksumSeed  = 0x9e3779b97f4a7c15
-	maxShardFiles = 1 << 20 // sanity cap on the shard count read from a header
-)
-
 // Typed errors returned when opening a serialized store. Use errors.Is; the
 // returned errors wrap these sentinels with the offending path and detail.
 var (
-	// ErrBadMagic means the bytes do not start with the shard (or segment)
-	// magic — they are not a shard block at all.
+	// ErrBadMagic means the bytes do not start with the section (or segment)
+	// magic — they are not a section at all.
 	ErrBadMagic = errors.New("dds: shard file: bad magic")
-	// ErrBadVersion means the file declares a format version this reader
-	// does not implement.
+	// ErrBadVersion means the bytes declare a format version or a section
+	// encoding this reader does not implement.
 	ErrBadVersion = errors.New("dds: shard file: unsupported format version")
-	// ErrTruncated means the file is shorter than its header or declared
+	// ErrTruncated means the bytes are shorter than their header or declared
 	// payload.
 	ErrTruncated = errors.New("dds: shard file: truncated")
 	// ErrChecksum means the header+payload checksum does not match: the
 	// bytes were corrupted after serialization.
 	ErrChecksum = errors.New("dds: shard file: checksum mismatch")
 	// ErrBadGeometry means the header fields are structurally inconsistent:
-	// a non-power-of-two slot count, a shard index other than the expected
-	// one, or a section table that does not tile its segment.
+	// a slot count other than the one its pair count gets, a shard index
+	// other than the expected one, or a section table that does not tile its
+	// segment.
 	ErrBadGeometry = errors.New("dds: shard file: inconsistent geometry")
 )
 
 var le = binary.LittleEndian
 
-// checksum folds 8-byte little-endian words of the given byte slices through
-// the store's SplitMix64 finalizer. The chain is order-sensitive, so moved or
-// swapped records change the sum.
+// checksum folds the 8-byte little-endian words of the given byte slices,
+// each one's final partial word zero-padded, through the store's SplitMix64
+// finalizer. The chain is order-sensitive, so moved or swapped records
+// change the sum.
 func checksum(parts ...[]byte) uint64 {
 	h := uint64(checksumSeed)
 	for _, p := range parts {
-		for i := 0; i+8 <= len(p); i += 8 {
+		i := 0
+		for ; i+8 <= len(p); i += 8 {
 			h = mix(h ^ le.Uint64(p[i:]))
+		}
+		if i < len(p) {
+			var tail [8]byte
+			copy(tail[:], p[i:])
+			h = mix(h ^ le.Uint64(tail[:]))
 		}
 	}
 	return h
-}
-
-// shardBlockBytes returns the exact serialized size of one shard's block:
-// header plus slot and slab records. Computable without serializing, which
-// is what lets the segment writer lay out its section table up front and
-// fill sections in parallel.
-func shardBlockBytes(sh *shard) int {
-	return headerBytes + len(sh.slots)*slotBytes + len(sh.slab)*valueBytes
-}
-
-// fillShardBlock serializes one shard into dst, which must be exactly
-// shardBlockBytes(sh) long. Every byte of dst is written — reserved bytes
-// explicitly zeroed, unclaimed slots as all-zero records (their in-memory
-// bytes may be stale from a recycled table; occupancy lives in the bitmap)
-// — so filling a recycled buffer from a recycled store is deterministic.
-func fillShardBlock(dst []byte, sh *shard, index, count int, salt uint64) {
-	off := headerBytes
-	for i := range sh.slots {
-		rec := dst[off : off+slotBytes]
-		if !sh.occupied(uint64(i)) {
-			clear(rec)
-			off += slotBytes
-			continue
-		}
-		sl := &sh.slots[i]
-		k, v := sh.key(sl), sh.first(sl)
-		le.PutUint64(rec[0:], uint64(k.A))
-		le.PutUint64(rec[8:], uint64(k.B))
-		le.PutUint64(rec[16:], uint64(v.A))
-		le.PutUint64(rec[24:], uint64(v.B))
-		le.PutUint32(rec[32:], uint32(sl.count))
-		le.PutUint32(rec[36:], uint32(sl.off))
-		rec[40] = k.Tag
-		for j := 41; j < slotBytes; j++ {
-			rec[j] = 0
-		}
-		off += slotBytes
-	}
-	for _, v := range sh.slab {
-		rec := dst[off : off+valueBytes]
-		le.PutUint64(rec[0:], uint64(v.A))
-		le.PutUint64(rec[8:], uint64(v.B))
-		off += valueBytes
-	}
-	h := dst[:headerBytes]
-	clear(h)
-	copy(h[0:8], shardMagic)
-	le.PutUint32(h[8:], shardVersion)
-	le.PutUint32(h[12:], uint32(index))
-	le.PutUint32(h[16:], uint32(count))
-	le.PutUint64(h[24:], salt)
-	le.PutUint64(h[32:], uint64(sh.size))
-	le.PutUint64(h[40:], uint64(len(sh.slots)))
-	le.PutUint64(h[48:], uint64(len(sh.slab)))
-	le.PutUint64(h[56:], checksum(h[0:56], dst[headerBytes:]))
 }
 
 // growBytes extends buf by n bytes, reusing spare capacity when available.
@@ -161,144 +64,6 @@ func growBytes(buf []byte, n int) []byte {
 	return append(buf, make([]byte, n)...)
 }
 
-// blockHeader is what a decoder keeps of a shard block's 64-byte header.
-type blockHeader struct {
-	count       int    // shards in the store
-	salt        uint64 // placement salt
-	size        int    // pairs resident on this shard
-	slots, slab uint64 // slot count, slab value count
-}
-
-// checkMagic is the first check of both section encodings: a whole header
-// that starts with the shard magic.
-func checkMagic(data []byte, path string) error {
-	if len(data) < headerBytes {
-		return fmt.Errorf("%w: %s: %d bytes, header needs %d", ErrTruncated, path, len(data), headerBytes)
-	}
-	if string(data[0:8]) != shardMagic {
-		return fmt.Errorf("%w: %s", ErrBadMagic, path)
-	}
-	return nil
-}
-
-// readBlockHeader checks the header fields both encodings declare alike —
-// the version, the shard index and count, a slot count of 0 or a power of
-// two — and returns them. Readers route by hash % count, so a zero count
-// would divide by zero on the first read, and a shard outside its own store
-// is never addressed.
-func readBlockHeader(h []byte, path string, index int) (blockHeader, error) {
-	hdr := blockHeader{
-		count: int(le.Uint32(h[16:])),
-		salt:  le.Uint64(h[24:]),
-		size:  int(le.Uint64(h[32:])),
-		slots: le.Uint64(h[40:]),
-		slab:  le.Uint64(h[48:]),
-	}
-	if v := le.Uint32(h[8:]); v != shardVersion {
-		return hdr, fmt.Errorf("%w: %s: version %d, reader implements %d", ErrBadVersion, path, v, shardVersion)
-	}
-	if got := int(le.Uint32(h[12:])); got != index {
-		return hdr, fmt.Errorf("%w: %s: header says shard %d", ErrBadGeometry, path, got)
-	}
-	if hdr.count == 0 || hdr.count > maxShardFiles || index >= hdr.count {
-		return hdr, fmt.Errorf("%w: %s: shard %d of a %d-shard store", ErrBadGeometry, path, index, hdr.count)
-	}
-	if hdr.slots&(hdr.slots-1) != 0 {
-		return hdr, fmt.Errorf("%w: %s: slot count %d not a power of two", ErrBadGeometry, path, hdr.slots)
-	}
-	return hdr, nil
-}
-
-// alloc gives sh an all-clear table of slots entries and a slab of slab
-// values for a decoder to fill.
-func (sh *shard) alloc(slots, slab uint64) {
-	sh.slots = make([]slot, slots)
-	sh.bits = make([]uint64, bitWords(int(slots)))
-	sh.slab = make([]Value, slab)
-	sh.mask = max(slots, 1) - 1
-}
-
-// parseShardBlock decodes one raw shard block, exactly len(data) bytes, into
-// sh. After the header, size and checksum checks, every slot record with a
-// non-zero count becomes an occupied slot and the value records become the
-// slab; then the structural validation both encodings share runs.
-func parseShardBlock(sh *shard, data []byte, path string, index int) (blockHeader, error) {
-	if err := checkMagic(data, path); err != nil {
-		return blockHeader{}, err
-	}
-	hdr, err := readBlockHeader(data, path, index)
-	if err != nil {
-		return hdr, err
-	}
-	size := uint64(len(data))
-	if hdr.slots > size || hdr.slab > size {
-		return hdr, fmt.Errorf("%w: %s: %d bytes, header declares %d slots and %d slab values",
-			ErrTruncated, path, size, hdr.slots, hdr.slab)
-	}
-	want := headerBytes + hdr.slots*slotBytes + hdr.slab*valueBytes
-	if size < want {
-		return hdr, fmt.Errorf("%w: %s: %d bytes, header declares %d", ErrTruncated, path, size, want)
-	}
-	if size > want {
-		return hdr, fmt.Errorf("%w: %s: %d trailing bytes", ErrBadGeometry, path, size-want)
-	}
-	if sum := checksum(data[0:56], data[headerBytes:]); sum != le.Uint64(data[56:]) {
-		return hdr, fmt.Errorf("%w: %s", ErrChecksum, path)
-	}
-	sh.alloc(hdr.slots, hdr.slab)
-	recs := data[headerBytes:]
-	for i := range sh.slots {
-		rec := recs[i*slotBytes : (i+1)*slotBytes]
-		cnt := int32(le.Uint32(rec[32:36]))
-		if cnt == 0 {
-			continue
-		}
-		sh.set(uint64(i), Key{Tag: rec[40], A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))},
-			Value{A: int64(le.Uint64(rec[16:24])), B: int64(le.Uint64(rec[24:32]))}, cnt, int32(le.Uint32(rec[36:40])))
-		sh.claim(uint64(i))
-	}
-	vals := recs[len(sh.slots)*slotBytes:]
-	for i := range sh.slab {
-		rec := vals[i*valueBytes : (i+1)*valueBytes]
-		sh.slab[i] = Value{A: int64(le.Uint64(rec[0:8])), B: int64(le.Uint64(rec[8:16]))}
-	}
-	return hdr, sh.finish(hdr, path)
-}
-
-// finish is the structural validation both encodings end with. A checksum
-// only proves the bytes match what some writer computed — not that the
-// writer was honest — so reads are made safe here: every occupied slot's
-// slab window must lie inside the slab, the counts must sum to the declared
-// pair count, and at least one slot must be empty or the linear probe for an
-// absent key would never terminate. A shard that passes takes the declared
-// pair count.
-func (sh *shard) finish(hdr blockHeader, path string) error {
-	occupied, total := 0, uint64(0)
-	for wi, word := range sh.bits {
-		for ; word != 0; word &= word - 1 {
-			sl := &sh.slots[wi<<6|bits.TrailingZeros64(word)]
-			occupied++
-			if sl.count < 0 {
-				return fmt.Errorf("%w: %s: negative slot count", ErrBadGeometry, path)
-			}
-			total += uint64(sl.count)
-			if sl.count > 1 && (sl.off < 0 || uint64(sl.off)+uint64(sl.count-1) > hdr.slab) {
-				return fmt.Errorf("%w: %s: slot slab window [%d, %d) outside slab of %d values",
-					ErrBadGeometry, path, sl.off, uint64(sl.off)+uint64(sl.count-1), hdr.slab)
-			}
-		}
-	}
-	if occupied > 0 && occupied == len(sh.slots) {
-		return fmt.Errorf("%w: %s: no empty slot, probes would not terminate", ErrBadGeometry, path)
-	}
-	if total != uint64(hdr.size) {
-		return fmt.Errorf("%w: %s: slot counts sum to %d, header declares %d pairs",
-			ErrBadGeometry, path, total, hdr.size)
-	}
-	sh.size = hdr.size
-	return nil
-}
-
 // FilePublisher is a Publisher that writes every published store to a
 // segment file behind the round that reads it. The frozen in-memory store
 // itself is the backend the next round reads, exactly as on the mem backend;
@@ -306,10 +71,9 @@ func (sh *shard) finish(hdr blockHeader, path string) error {
 // shard server's OpenSection) reads back.
 //
 // Publishing is write-behind: Publish hands the frozen store to a background
-// goroutine that serializes it through a reused buffer and renames the
-// segment into place while the caller's next round executes against the same
-// store, and returns the store. Barrier joins the write. Each section is
-// packed where that is smaller and raw otherwise (see segcodec.go).
+// goroutine that streams it to a segment file and renames the segment into
+// place while the caller's next round executes against the same store, and
+// returns the store. Barrier joins the write.
 //
 // Disk holds at most two segments: the newest complete one, which always
 // stays, and the one being written. A superseded segment is deleted
@@ -321,7 +85,6 @@ type FilePublisher struct {
 	owned     bool            // the run directory sits under the shared temp parent and is removed on Close
 	ready     bool            // dir is the created, locked run directory
 	ctx       context.Context // optional; cancels in-flight write-behind publishes
-	buf       []byte          // reused segment serialization buffer
 	inflight  chan error      // the write-behind publish not yet joined; yields its outcome
 	latest    string          // newest complete segment
 	garbage   []string        // superseded segments awaiting off-thread deletion
@@ -534,24 +297,23 @@ func (p *FilePublisher) Publish(seq int, s *Store) (StoreBackend, error) {
 	}
 	path := filepath.Join(p.dir, fmt.Sprintf(segFileFmt, seq))
 	done := make(chan error, 1)
-	buf := p.buf
-	p.buf, p.inflight = nil, done
+	p.inflight = done
 	p.mu.Unlock()
-	go func() { done <- p.write(path, s, buf) }()
+	go func() { done <- p.write(path, s) }()
 	return s, nil
 }
 
 // write is the background writer: one publish, one goroutine, joined by
 // Barrier (or Publish/Close) through the inflight channel. Mid-run
-// generations skip fsync (segOpts.nosync): they are superseded within
-// rounds; the surviving segment is made durable once, at Close. A complete
-// segment becomes the latest and queues the one it supersedes for deletion.
-func (p *FilePublisher) write(path string, s *Store, buf []byte) error {
+// generations skip fsync (streamSegment's nosync): they are superseded
+// within rounds; the surviving segment is made durable once, at Close. A
+// complete segment becomes the latest and queues the one it supersedes for
+// deletion.
+func (p *FilePublisher) write(path string, s *Store) error {
 	p.drainGarbage()
-	buf, err := writeSegment(s, path, buf, segOpts{compress: true, nosync: true}, p.cancelled)
+	err := streamSegment(s, path, true, p.cancelled)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.buf = buf // return the serialization buffer for the next publish
 	if err == nil {
 		if p.latest != "" && p.latest != path {
 			p.garbage = append(p.garbage, p.latest)
@@ -563,7 +325,7 @@ func (p *FilePublisher) write(path string, s *Store, buf []byte) error {
 
 // Barrier joins the in-flight write-behind publish: it blocks until the
 // segment is complete (written and atomically renamed into place; the fsync
-// is deferred to Close — see segOpts.nosync) and returns a write failure or
+// is deferred to Close) and returns a write failure or
 // cancellation once.
 func (p *FilePublisher) Barrier() error {
 	p.mu.Lock()

@@ -32,69 +32,59 @@ const (
 
 func goldenStore() *Store { return NewStore(goldenPairs, goldenShards, goldenSalt) }
 
-// shardBlock serializes one shard as a standalone block.
-func shardBlock(sh *shard, index, count int, salt uint64) []byte {
-	b := make([]byte, shardBlockBytes(sh))
-	fillShardBlock(b, sh, index, count, salt)
-	return b
-}
-
-// TestGoldenShardFiles pins the shard block format: every section of the
-// committed raw golden segment must be byte-for-byte the block the codec
-// serializes today, and every section of both golden segments — raw and
-// packed — must open with OpenSection, the shard server's entry point, as a
-// reader answering every read for the keys it owns. Any codec change that
+// TestGoldenShardFiles pins the section format: every section of the
+// committed golden segment must be byte-for-byte the section the codec packs
+// today, and must open with OpenSection, the shard server's entry point, as
+// a reader answering every read for the keys it owns. Any codec change that
 // silently alters the format — field moves, endianness, checksum definition
 // — fails here; deliberate format changes must bump shardVersion and
 // regenerate with -update.
 func TestGoldenShardFiles(t *testing.T) {
 	s := goldenStore()
 	ref := reference(goldenPairs)
-	for _, path := range []string{goldenSegmentRaw, goldenSegment} {
-		seg, err := os.ReadFile(path)
+	seg, err := os.ReadFile(goldenSegment)
+	if err != nil {
+		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
+	}
+	sections, encs, err := sliceSections(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sections) != goldenShards {
+		t.Fatalf("golden segment has %d sections, want %d", len(sections), goldenShards)
+	}
+	for i, sec := range sections {
+		if want := packShard(nil, &s.shards[i], i, goldenShards, goldenSalt); !bytes.Equal(sec, want) {
+			t.Errorf("shard %d: section no longer bit-identical to the committed format (%d vs %d bytes); "+
+				"a deliberate format change must bump shardVersion and regenerate with -update",
+				i, len(want), len(sec))
+		}
+		r, err := OpenSection(sec, encs[i], i)
 		if err != nil {
-			t.Fatalf("missing golden segment (regenerate with -update): %v", err)
+			t.Fatalf("open section %d (encoding %d): %v", i, encs[i], err)
 		}
-		sections, encs, err := sliceSections(seg)
-		if err != nil {
-			t.Fatal(err)
+		if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.sh.size != s.ShardSizes()[i] {
+			t.Fatalf("section %d metadata: salt=%#x shards=%d pairs=%d", i, r.Salt(), r.ShardCount(), r.sh.size)
 		}
-		if len(sections) != goldenShards {
-			t.Fatalf("%s has %d sections, want %d", path, len(sections), goldenShards)
-		}
-		for i, sec := range sections {
-			want := shardBlock(&s.shards[i], i, goldenShards, goldenSalt)
-			if path == goldenSegmentRaw && !bytes.Equal(sec, want) {
-				t.Errorf("shard %d: block serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
-					"a deliberate format change must bump shardVersion and regenerate with -update",
-					i, len(want), len(sec))
+		for k, vs := range ref {
+			if ShardOf(k, goldenSalt, goldenShards) != i {
+				continue
 			}
-			r, err := OpenSection(sec, encs[i], i)
-			if err != nil {
-				t.Fatalf("%s: open section %d (encoding %d): %v", path, i, encs[i], err)
-			}
-			if r.Salt() != goldenSalt || r.ShardCount() != goldenShards || r.sh.size != s.ShardSizes()[i] {
-				t.Fatalf("%s: section %d metadata: salt=%#x shards=%d pairs=%d", path, i, r.Salt(), r.ShardCount(), r.sh.size)
-			}
-			for k, vs := range ref {
-				if ShardOf(k, goldenSalt, goldenShards) != i {
-					continue
-				}
-				if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
-					t.Fatalf("%s: section %d: GetRange(%v) = %v, want %v", path, i, k, got, vs)
-				}
+			if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
+				t.Fatalf("section %d: GetRange(%v) = %v, want %v", i, k, got, vs)
 			}
 		}
 	}
 }
 
-// TestShardCorruption is the corruption table: every way a shard block can
-// be damaged maps to a typed error, so callers can distinguish "not a shard
-// block" from "torn write" from "bit rot". The header-bounds rows recompute
-// the checksum, as any sender can: a block whose shard count is zero would
-// otherwise divide by zero on the first read routed to its store.
+// TestShardCorruption is the corruption table: every way a section can be
+// damaged maps to a typed error, so callers can distinguish "not a section"
+// from "torn write" from "bit rot". The checksum covers every payload byte,
+// so the rows that reach a check behind it recompute the checksum, as any
+// sender can: a section whose shard count is zero would otherwise divide by
+// zero on the first read routed to its store.
 func TestShardCorruption(t *testing.T) {
-	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
+	valid := packShard(nil, &goldenStore().shards[0], 0, 1, goldenSalt)
 
 	cases := []struct {
 		name   string
@@ -104,16 +94,16 @@ func TestShardCorruption(t *testing.T) {
 	}{
 		{"truncated header", func(b []byte) []byte { return b[:headerBytes-12] }, ErrTruncated, 0},
 		{"empty file", func(b []byte) []byte { return nil }, ErrTruncated, 0},
-		{"truncated payload", func(b []byte) []byte { return b[:len(b)-5] }, ErrTruncated, 0},
+		{"truncated payload", func(b []byte) []byte { return fixChecksum(b[:len(b)-5]) }, ErrTruncated, 0},
 		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic, 0},
 		{"wrong version", func(b []byte) []byte { le.PutUint32(b[8:], shardVersion+1); return b }, ErrBadVersion, 0},
 		{"future version", func(b []byte) []byte { le.PutUint32(b[8:], 0xFFFF); return b }, ErrBadVersion, 0},
 		{"bad checksum", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, ErrChecksum, 0},
 		{"flipped header field", func(b []byte) []byte { b[33] ^= 0x01; return b }, ErrChecksum, 0},
 		{"wrong shard index", func(b []byte) []byte { le.PutUint32(b[12:], 7); return b }, ErrBadGeometry, 0},
-		{"slot count not a power of two", func(b []byte) []byte { le.PutUint64(b[40:], 3); return b }, ErrBadGeometry, 0},
-		{"declared payload beyond file", func(b []byte) []byte { le.PutUint64(b[48:], 1<<40); return b }, ErrTruncated, 0},
-		{"trailing garbage", func(b []byte) []byte { return append(b, 0xAA) }, ErrBadGeometry, 0},
+		{"slot count not a power of two", func(b []byte) []byte { le.PutUint64(b[40:], 3); return fixChecksum(b) }, ErrBadGeometry, 0},
+		{"declared payload beyond file", func(b []byte) []byte { le.PutUint64(b[48:], 1<<40); return fixChecksum(b) }, ErrTruncated, 0},
+		{"trailing garbage", func(b []byte) []byte { return fixChecksum(append(b, 0xAA)) }, ErrBadGeometry, 0},
 		{"zero shard count", func(b []byte) []byte { le.PutUint32(b[16:], 0); return fixChecksum(b) }, ErrBadGeometry, 0},
 		{"shard count beyond cap", func(b []byte) []byte {
 			le.PutUint32(b[16:], maxShardFiles+1)
@@ -124,8 +114,8 @@ func TestShardCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), valid...))
-			if _, err := OpenSection(buf, encRaw, tc.index); err == nil {
-				t.Fatalf("corrupted block opened cleanly")
+			if _, err := OpenSection(buf, encPacked, tc.index); err == nil {
+				t.Fatalf("corrupted section opened cleanly")
 			} else if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
 			}
@@ -133,8 +123,9 @@ func TestShardCorruption(t *testing.T) {
 	}
 }
 
-// fixChecksum recomputes a mutated block's checksum, making the structural
-// validation behind the checksum gate reachable — the dishonest-writer case.
+// fixChecksum recomputes a mutated section's (or raw block's) checksum,
+// making the structural validation behind the checksum gate reachable — the
+// dishonest-writer case.
 func fixChecksum(b []byte) []byte {
 	le.PutUint64(b[56:], checksum(b[0:56], b[headerBytes:]))
 	return b
@@ -143,9 +134,10 @@ func fixChecksum(b []byte) []byte {
 // TestSlotTableValidation covers corruption that survives a recomputed
 // checksum: a checksum proves the bytes match what some writer computed, not
 // that the writer was honest, so the reader must reject slot tables whose
-// probes would hang or read out of bounds.
+// probes would hang or read out of bounds. Each row edits the raw block's
+// records and packs the result with the reference packer, which seals it.
 func TestSlotTableValidation(t *testing.T) {
-	base := shardBlock(&NewStore(goldenPairs, 1, goldenSalt).shards[0], 0, 1, goldenSalt)
+	base := rawBlock(&NewStore(goldenPairs, 1, goldenSalt).shards[0], 0, 1, goldenSalt)
 	slotCount := int(le.Uint64(base[40:48]))
 	findSlot := func(b []byte, pred func(cnt int32) bool) int {
 		for off := headerBytes; off < headerBytes+slotCount*slotBytes; off += slotBytes {
@@ -162,17 +154,17 @@ func TestSlotTableValidation(t *testing.T) {
 	}{
 		{"pair count disagrees with slot counts", func(b []byte) []byte {
 			le.PutUint64(b[32:], le.Uint64(b[32:])+1)
-			return fixChecksum(b)
+			return b
 		}},
 		{"slab window outside slab", func(b []byte) []byte {
 			off := findSlot(b, func(c int32) bool { return c > 1 })
 			le.PutUint32(b[off+36:], 1<<30)
-			return fixChecksum(b)
+			return b
 		}},
 		{"negative slot count", func(b []byte) []byte {
 			off := findSlot(b, func(c int32) bool { return c == 1 })
 			le.PutUint32(b[off+32:], 0x80000001)
-			return fixChecksum(b)
+			return b
 		}},
 		{"no empty slot", func(b []byte) []byte {
 			for off := headerBytes; off < headerBytes+slotCount*slotBytes; off += slotBytes {
@@ -180,13 +172,13 @@ func TestSlotTableValidation(t *testing.T) {
 					le.PutUint32(b[off+32:], 1)
 				}
 			}
-			return fixChecksum(b)
+			return b
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			buf := tc.mutate(append([]byte(nil), base...))
-			if _, err := OpenSection(buf, encRaw, 0); err == nil {
+			buf := packRawBlock(nil, tc.mutate(append([]byte(nil), base...)))
+			if _, err := OpenSection(buf, encPacked, 0); err == nil {
 				t.Fatal("dishonest slot table opened cleanly")
 			} else if !errors.Is(err, ErrBadGeometry) {
 				t.Fatalf("error %v, want errors.Is(..., ErrBadGeometry)", err)

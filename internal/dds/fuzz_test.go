@@ -84,9 +84,8 @@ func wideFuzzSeed() []byte {
 
 // FuzzShardCodec round-trips arbitrary KV multisets through the section
 // codec the rpc wire carries — EncodeSections → OpenSection with full
-// verification, shard by shard, once over the packed sections it ships and
-// once over the raw blocks — and demands the readers answer Get, GetRange
-// and Count exactly like a reference map built from the same pairs.
+// verification, shard by shard — and demands the readers answer Get,
+// GetRange and Count exactly like a reference map built from the same pairs.
 func FuzzShardCodec(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
@@ -98,44 +97,35 @@ func FuzzShardCodec(f *testing.F) {
 		}
 		pairs, p, salt := decodeFuzzPairs(data)
 		mem := NewStore(pairs, p, salt)
-		_, packed, encs := EncodeSections(nil, mem)
-		raw, err := SegmentSections(AppendSegment(nil, mem))
-		if err != nil {
-			t.Fatal(err)
+		_, sections, encs := EncodeSections(nil, mem)
+		readers := make([]*ShardReader, p)
+		for i := range readers {
+			r, err := OpenSection(sections[i], encs[i], i)
+			if err != nil {
+				t.Fatalf("OpenSection rejected its own encoding %d: %v", encs[i], err)
+			}
+			if r.sh.size != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
+				t.Fatalf("shard %d metadata drift: pairs %d/%d shards %d/%d salt %#x/%#x",
+					i, r.sh.size, mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
+			}
+			readers[i] = r
 		}
-		for _, form := range []struct {
-			sections [][]byte
-			encs     []byte
-		}{{packed, encs}, {raw, make([]byte, p)}} {
-			readers := make([]*ShardReader, p)
-			for i := range readers {
-				r, err := OpenSection(form.sections[i], form.encs[i], i)
-				if err != nil {
-					t.Fatalf("OpenSection rejected its own encoding %d: %v", form.encs[i], err)
-				}
-				if r.sh.size != mem.ShardSizes()[i] || r.ShardCount() != p || r.Salt() != salt {
-					t.Fatalf("shard %d metadata drift: pairs %d/%d shards %d/%d salt %#x/%#x",
-						i, r.sh.size, mem.ShardSizes()[i], r.ShardCount(), p, r.Salt(), salt)
-				}
-				readers[i] = r
+		owner := func(k Key) *ShardReader { return readers[ShardOf(k, salt, p)] }
+		for k, vs := range reference(pairs) {
+			r := owner(k)
+			if got := r.Count(k); got != len(vs) {
+				t.Fatalf("Count(%v) = %d, want %d", k, got, len(vs))
 			}
-			owner := func(k Key) *ShardReader { return readers[ShardOf(k, salt, p)] }
-			for k, vs := range reference(pairs) {
-				r := owner(k)
-				if got := r.Count(k); got != len(vs) {
-					t.Fatalf("Count(%v) = %d, want %d", k, got, len(vs))
-				}
-				if v, ok := r.Get(k); !ok || v != vs[0] {
-					t.Fatalf("Get(%v) = %v ok=%v, want %v", k, v, ok, vs[0])
-				}
-				if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
-					t.Fatalf("GetRange(%v) = %v, want %v", k, got, vs)
-				}
+			if v, ok := r.Get(k); !ok || v != vs[0] {
+				t.Fatalf("Get(%v) = %v ok=%v, want %v", k, v, ok, vs[0])
 			}
-			for _, k := range []Key{{9, 0, 0}, {9, 5, 1}, {0, 99, 0}, {4, -21, 2}} {
-				if _, ok := owner(k).Get(k); ok {
-					t.Fatalf("absent key %v answered a Get", k)
-				}
+			if got := r.GetRange(k, 0, len(vs)+1, nil); !slices.Equal(got, vs) {
+				t.Fatalf("GetRange(%v) = %v, want %v", k, got, vs)
+			}
+		}
+		for _, k := range []Key{{9, 0, 0}, {9, 5, 1}, {0, 99, 0}, {4, -21, 2}} {
+			if _, ok := owner(k).Get(k); ok {
+				t.Fatalf("absent key %v answered a Get", k)
 			}
 		}
 	})
@@ -144,32 +134,33 @@ func FuzzShardCodec(f *testing.F) {
 // FuzzOpenSection feeds arbitrary bytes, encoding byte and shard index to
 // OpenSection, the entry point a shard server exposes to the network:
 // whatever the input, it must either fail with an error or yield a reader
-// whose reads and routing do not crash — no input may panic the packed
-// decoder, the probe arithmetic or the shard modulo, or slice past the
-// section. An encoding byte other than raw or packed must always be refused.
+// whose reads and routing do not crash — no input may panic the decoder,
+// the probe arithmetic or the shard modulo, or slice past the section. An
+// encoding byte other than the packed one must always be refused; the seeds
+// include raw blocks under encoding 0 and valid sections under 2.
 func FuzzOpenSection(f *testing.F) {
-	valid := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
-	f.Add(valid, encRaw, uint8(0))
-	f.Add(valid[:headerBytes], encRaw, uint8(0))
-	f.Add(valid[:len(valid)-3], encRaw, uint8(0))
-	f.Add([]byte(shardMagic), encRaw, uint8(0))
-	f.Add([]byte{}, encRaw, uint8(0))
-	for _, path := range []string{goldenSegmentRaw, goldenSegment} {
-		seg, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		sections, encs, err := sliceSections(seg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		for i, sec := range sections {
-			f.Add(sec, encs[i], uint8(i))
-		}
+	golden := goldenStore()
+	valid := packShard(nil, &golden.shards[0], 0, 1, goldenSalt)
+	f.Add(valid, encPacked, uint8(0))
+	f.Add(valid[:headerBytes], encPacked, uint8(0))
+	f.Add(valid[:len(valid)-3], encPacked, uint8(0))
+	f.Add([]byte(shardMagic), encPacked, uint8(0))
+	f.Add([]byte{}, encPacked, uint8(0))
+	seg, err := os.ReadFile(goldenSegment)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sections, encs, err := sliceSections(seg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, sec := range sections {
+		f.Add(sec, encs[i], uint8(i))
+		f.Add(rawBlock(&golden.shards[i], i, goldenShards, goldenSalt), byte(0), uint8(i))
 	}
 	// Valid sections under an encoding byte the reader does not implement.
 	seeds := segmentByteSeeds()
-	sections, _, err := sliceSections(seeds[1])
+	sections, _, err = sliceSections(seeds[1])
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -179,20 +170,16 @@ func FuzzOpenSection(f *testing.F) {
 	// Wide records, packed and raw: spilled keys and values.
 	wide := NewStore(widePairs(rand.New(rand.NewSource(35)), 300), 2, 0x5EED1)
 	_, packed, encs := EncodeSections(nil, wide)
-	raw, err := SegmentSections(AppendSegment(nil, wide))
-	if err != nil {
-		f.Fatal(err)
-	}
 	for i := range packed {
 		f.Add(packed[i], encs[i], uint8(i))
-		f.Add(raw[i], encRaw, uint8(i))
+		f.Add(rawBlock(&wide.shards[i], i, len(packed), wide.salt), byte(0), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, enc byte, index uint8) {
 		r, err := OpenSection(data, enc, int(index))
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		if enc != encRaw && enc != encPacked {
+		if enc != encPacked {
 			t.Fatalf("a section of unknown encoding %d opened", enc)
 		}
 		for _, k := range []Key{{1, 1, 0}, {2, 1, 1}, {0, 0, 0}} {
@@ -253,18 +240,18 @@ func FuzzSegmentCodec(f *testing.F) {
 }
 
 // segmentByteSeeds builds deterministic whole-segment seeds covering every
-// section encoding byte the reader branches on: the raw wire form, a
-// compressed segment with packed sections, and that segment with section 0's
-// encoding byte set to 2 — one the reader does not implement — under a valid
-// super-header checksum, so the refusal is reachable past the checksum gate.
+// section encoding byte the reader sees: raw blocks under encoding 0 (the
+// form earlier writers produced, which must be refused), a segment as the
+// writer packs it, and that segment with section 0's encoding byte set to 2
+// under a valid super-header checksum, so the refusals are reachable past
+// the checksum gate.
 func segmentByteSeeds() [][]byte {
 	r := rand.New(rand.NewSource(606))
 	s := NewStore(randomPairs(r, 800, 5), 2, 0x5EED1)
-	raw := AppendSegment(nil, s)
-	packed := appendSegment(nil, s, segOpts{compress: true})
+	packed := AppendSegment(nil, s)
 	unknown := append([]byte(nil), packed...)
 	unknown[headerBytes+16] = 2
-	return [][]byte{raw, packed, fixSegChecksum(unknown)}
+	return [][]byte{rawSegment(s), packed, fixSegChecksum(unknown)}
 }
 
 // FuzzOpenSegment feeds arbitrary bytes to the segment reader: whatever the
@@ -306,8 +293,8 @@ func FuzzOpenSegment(f *testing.F) {
 // TestWriteFuzzCorpus (with -update) materializes the seed corpora in the Go
 // fuzzing corpus-file encoding, so CI replays the seeds as regression inputs
 // without -fuzz. The workload seeds feed the shard and segment codec
-// fuzzers; the reader fuzzer additionally gets whole-segment byte seeds in
-// both section encodings plus an unknown encoding byte.
+// fuzzers; the reader fuzzer additionally gets whole-segment byte seeds:
+// raw blocks, packed sections and an unknown encoding byte.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("run with -update to regenerate the seed corpus")

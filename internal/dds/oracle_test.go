@@ -109,8 +109,82 @@ func pairsOf(b *Builder) []KV {
 	return out
 }
 
-// packRawBlock is the reference packer: the packed form (see packShard) of
-// a materialized raw v1 shard block, appended to dst.
+// The raw block is the reference form the tests derive packed sections
+// from: a section's 64-byte header, then every slot as a 48-byte record with
+// full 64-bit words — unclaimed slots all-zero — then every slab value as a
+// 16-byte record, the checksum folded over those words. It is what value 0
+// of a segment table's encoding byte named before packing became the only
+// encoding; readers refuse it.
+//
+//	slot record, 48 bytes
+//	  [0:8)    key.A, int64     [8:16)   key.B, int64
+//	  [16:24)  first.A, int64   [24:32)  first.B, int64
+//	  [32:36)  count, int32     [36:40)  slab offset, int32
+//	  [40]     key.Tag          [41:48)  reserved, zero
+//
+//	value record, 16 bytes: A int64, B int64
+const (
+	slotBytes  = 48
+	valueBytes = 16
+)
+
+// rawBlock returns shard sh, as shard index of count under salt, as a raw
+// block. It shares nothing with packShard but the header layout.
+func rawBlock(sh *shard, index, count int, salt uint64) []byte {
+	dst := make([]byte, headerBytes+len(sh.slots)*slotBytes+len(sh.slab)*valueBytes)
+	for i := range sh.slots {
+		if !sh.occupied(uint64(i)) {
+			continue
+		}
+		rec := dst[headerBytes+i*slotBytes:]
+		sl := &sh.slots[i]
+		k, v := sh.key(sl), sh.first(sl)
+		le.PutUint64(rec[0:], uint64(k.A))
+		le.PutUint64(rec[8:], uint64(k.B))
+		le.PutUint64(rec[16:], uint64(v.A))
+		le.PutUint64(rec[24:], uint64(v.B))
+		le.PutUint32(rec[32:], uint32(sl.count))
+		le.PutUint32(rec[36:], uint32(sl.off))
+		rec[40] = k.Tag
+	}
+	for i, v := range sh.slab {
+		rec := dst[headerBytes+len(sh.slots)*slotBytes+i*valueBytes:]
+		le.PutUint64(rec[0:], uint64(v.A))
+		le.PutUint64(rec[8:], uint64(v.B))
+	}
+	h := dst[:headerBytes]
+	copy(h[0:8], shardMagic)
+	le.PutUint32(h[8:], shardVersion)
+	le.PutUint32(h[12:], uint32(index))
+	le.PutUint32(h[16:], uint32(count))
+	le.PutUint64(h[24:], salt)
+	le.PutUint64(h[32:], uint64(sh.size))
+	le.PutUint64(h[40:], uint64(len(sh.slots)))
+	le.PutUint64(h[48:], uint64(len(sh.slab)))
+	le.PutUint64(h[56:], checksum(h[0:56], dst[headerBytes:]))
+	return dst
+}
+
+// rawSegment is s as a v3 segment whose sections are raw blocks under
+// encoding byte 0 — the form AppendSegment produced before packing became
+// the only encoding. Readers refuse it with ErrBadVersion.
+func rawSegment(s *Store) []byte {
+	p := len(s.shards)
+	seg := make([]byte, headerBytes+p*segTableEntry)
+	for i := range s.shards {
+		block := rawBlock(&s.shards[i], i, p, s.salt)
+		e := seg[headerBytes+i*segTableEntry:]
+		le.PutUint64(e[0:], uint64(len(seg)))
+		le.PutUint64(e[8:], uint64(len(block)))
+		seg = append(seg, block...)
+	}
+	fillSegmentHeader(seg[:headerBytes], s, seg[headerBytes:headerBytes+p*segTableEntry], uint64(len(seg)))
+	return seg
+}
+
+// packRawBlock is the reference packer: the section format (see packShard)
+// of a raw block, appended to dst. A record with a non-zero count is an
+// occupied slot.
 func packRawBlock(dst, raw []byte) []byte {
 	base := len(dst)
 	dst = append(dst, raw[:headerBytes]...)
@@ -143,7 +217,7 @@ func packRawBlock(dst, raw []byte) []byte {
 		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(raw[off:]))))
 		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(raw[off+8:]))))
 	}
-	le.PutUint64(dst[base+56:], checksumPacked(dst[base:base+56], dst[base+headerBytes:]))
+	le.PutUint64(dst[base+56:], checksum(dst[base:base+56], dst[base+headerBytes:]))
 	return dst
 }
 

@@ -13,66 +13,100 @@ import (
 	"testing"
 )
 
-// TestSegmentPackedSections asserts the compressed writer actually emits
-// packed sections on a compressible store, that they are smaller than the
-// raw form, and that the fully-verified reader answers every query exactly
-// like the in-memory store it came from.
+// TestSegmentPackedSections asserts the writer packs every section, that
+// packing beats the raw block, and that both fully-verified readers —
+// OpenSegment and OpenSection — decode each section into the table the
+// oracle freeze builds. One row's only shard is past the size (4 MiB of raw
+// records) above which earlier writers left a section raw.
 func TestSegmentPackedSections(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	pairs := randomPairs(r, 6000, 4)
-	s := NewStore(pairs, 4, 0xBEEF)
-	raw := AppendSegment(nil, s)
-	comp := appendSegment(nil, s, segOpts{compress: true})
-	if len(comp) >= len(raw) {
-		t.Fatalf("compressed segment %d bytes, raw %d — packing never engaged", len(comp), len(raw))
+	large := make([]KV, 50000)
+	for i := range large {
+		large[i] = kv(1, int64(i), 0, int64(i)*10, 0)
 	}
-	packed := 0
-	for i := 0; i < s.Shards(); i++ {
-		if comp[headerBytes+i*segTableEntry+16] == encPacked {
-			packed++
-		}
+	for _, tc := range []struct {
+		name  string
+		pairs []KV
+		p     int
+		salt  uint64
+	}{
+		{"random", randomPairs(rand.New(rand.NewSource(7)), 6000, 4), 4, 0xBEEF},
+		{"one large shard", large, 1, 0x1A},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore(tc.pairs, tc.p, tc.salt)
+			oracle := oracleStore(tc.pairs, tc.p, tc.salt)
+			seg := AppendSegment(nil, s)
+			if raw := rawSegment(s); len(seg) >= len(raw) {
+				t.Fatalf("segment %d bytes, raw blocks %d — packing never engaged", len(seg), len(raw))
+			}
+			sections, encs, err := sliceSections(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sec := range sections {
+				if encs[i] != encPacked {
+					t.Fatalf("section %d (%d bytes) has encoding %d, want packed", i, len(sec), encs[i])
+				}
+				r, err := OpenSection(sec, encs[i], i)
+				if err != nil {
+					t.Fatalf("OpenSection %d: %v", i, err)
+				}
+				sameShard(t, &r.sh, &oracle.shards[i])
+			}
+			path := filepath.Join(t.TempDir(), fmt.Sprintf(segFileFmt, 0))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fs, err := OpenSegment(path)
+			if err != nil {
+				t.Fatalf("OpenSegment rejected a packed segment: %v", err)
+			}
+			defer fs.Close()
+			for i := range fs.shards {
+				sameShard(t, &fs.shards[i], &oracle.shards[i])
+			}
+			checkAgainstReference(t, fs, reference(tc.pairs), []Key{{9, 9, 9}})
+		})
 	}
-	if packed == 0 {
-		t.Fatal("no section chose encPacked despite the size win")
-	}
-	path := filepath.Join(t.TempDir(), fmt.Sprintf(segFileFmt, 0))
-	if err := os.WriteFile(path, comp, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := OpenSegment(path)
-	if err != nil {
-		t.Fatalf("OpenSegment rejected a packed segment: %v", err)
-	}
-	defer fs.Close()
-	checkAgainstReference(t, fs, reference(pairs), []Key{{9, 9, 9}})
 }
 
-// TestPackedBlockCorruption drives the packed decoder, through OpenSection,
-// with every malformed packed stream shape: truncated varints, over-declared
-// geometry, slot indexes past the table, 64-bit varint overflow and trailing
-// bytes all fail with typed errors — never a panic, never a silent
-// mis-decode. The packed and raw forms of one block decode to the same shard.
+// TestPackedBlockCorruption drives the section decoder, through OpenSection,
+// with every malformed stream shape: truncated varints, over-declared
+// geometry, slot indexes past the table, counts past int32, 64-bit varint
+// overflow and trailing bytes all fail with typed errors — never a panic,
+// never a silent mis-decode.
 func TestPackedBlockCorruption(t *testing.T) {
-	raw := shardBlock(&goldenStore().shards[0], 0, 1, goldenSalt)
-	valid := packRawBlock(nil, raw)
+	s := NewStore(goldenPairs, 1, goldenSalt)
+	valid := packShard(nil, &s.shards[0], 0, 1, goldenSalt)
 	got, err := OpenSection(valid, encPacked, 0)
 	if err != nil {
-		t.Fatalf("valid packed block rejected: %v", err)
+		t.Fatalf("valid section rejected: %v", err)
 	}
-	want, err := OpenSection(raw, encRaw, 0)
-	if err != nil {
-		t.Fatalf("valid raw block rejected: %v", err)
-	}
-	sameShard(t, &got.sh, &want.sh)
-	header := append([]byte(nil), valid[:headerBytes]...)
+	sameShard(t, &got.sh, &s.shards[0])
 	overflow := bytes.Repeat([]byte{0xFF}, 11)
-	// resum re-seals a malformed block with a valid packed checksum, so the
+	// resum re-seals a malformed section with a valid checksum, so the
 	// structural check itself has to reject it.
 	resum := func(b []byte) []byte {
 		if len(b) >= headerBytes {
-			le.PutUint64(b[56:], checksumPacked(b[:56], b[headerBytes:]))
+			le.PutUint64(b[56:], checksum(b[:56], b[headerBytes:]))
 		}
 		return b
+	}
+	// forge is valid's header declaring pairs and slots, no slab, then
+	// payload.
+	forge := func(pairs, slots uint64, payload ...byte) []byte {
+		b := append([]byte(nil), valid[:headerBytes]...)
+		le.PutUint64(b[32:], pairs)
+		le.PutUint64(b[40:], slots)
+		le.PutUint64(b[48:], 0)
+		return slices.Clip(append(b, payload...))
+	}
+	// small is the header of a one-pair shard: two slots, no slab.
+	small := forge(1, 2)
+	// oneSlot is a one-pair section whose record lists count and off.
+	oneSlot := func(count, off uint64) []byte {
+		b := forge(1, 2, 1, 0, 2, 2, 1, 2, 2) // one record at slot 0: key (1,1,1), value (1,1)
+		return binary.AppendUvarint(binary.AppendUvarint(b, count), off)
 	}
 
 	cases := []struct {
@@ -82,12 +116,17 @@ func TestPackedBlockCorruption(t *testing.T) {
 	}{
 		{"shorter than a header", valid[:headerBytes-1], ErrTruncated},
 		{"not a shard header", append([]byte("XXXXXXXX"), valid[8:]...), ErrBadMagic},
-		{"varint stream cut short", valid[:headerBytes+1], ErrTruncated},
+		{"varint stream cut short", append(small, 0x80, 0x80), ErrTruncated},
 		{"payload truncated mid-slot", valid[:len(valid)-3], ErrTruncated},
-		{"occupied count overflows varint", append(append([]byte(nil), header...), overflow...), ErrBadGeometry},
-		{"occupied exceeds slot table", binary.AppendUvarint(append([]byte(nil), header...), 1<<40), ErrBadGeometry},
-		{"slot index past the table", append(binary.AppendUvarint(binary.AppendUvarint(append([]byte(nil), header...), 1), 1<<30), 0), ErrBadGeometry},
+		{"occupied count overflows varint", append(small, overflow...), ErrBadGeometry},
+		{"occupied exceeds slot table", binary.AppendUvarint(small, 1<<40), ErrBadGeometry},
+		{"slot index past the table", append(binary.AppendUvarint(binary.AppendUvarint(small, 1), 1<<30), 0), ErrBadGeometry},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0x01), ErrBadGeometry},
+		{"declared slots beyond the size cap", forge(uint64(s.Len()), 1<<40), ErrBadGeometry},
+		{"declared pairs over a few payload bytes", forge(1<<40, le.Uint64(valid[40:]), valid[headerBytes:]...), ErrBadGeometry},
+		{"declared pairs and their slots beyond the payload", forge(1<<40, 1<<41, valid[headerBytes:]...), ErrTruncated},
+		{"slot count beyond int32", oneSlot(1<<32|1, 0), ErrBadGeometry},
+		{"slab offset beyond int32", oneSlot(1, 1<<32), ErrBadGeometry},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,67 +137,34 @@ func TestPackedBlockCorruption(t *testing.T) {
 		})
 	}
 
-	// A record listed with count 0 — here 1<<32, which truncates to 0 as a
-	// raw record's 32-bit count field does — is an empty slot, exactly as
-	// the same record reads in a raw block; count and offset of the other
-	// record truncate to 32 bits the same way.
+	// A record listed with count 0 is an empty slot; the others decode as
+	// listed.
 	t.Run("listed record with count 0 is an empty slot", func(t *testing.T) {
-		h := make([]byte, headerBytes)
-		copy(h, shardMagic)
-		le.PutUint32(h[8:], shardVersion)
-		le.PutUint32(h[16:], 1)
-		le.PutUint64(h[32:], 1) // one pair
-		le.PutUint64(h[40:], 4) // four slots, no slab
-		packed := binary.AppendUvarint(append([]byte(nil), h...), 2)
-		rawBlock := append(append([]byte(nil), h...), make([]byte, 4*slotBytes)...)
-		firstB := int64(-12)
-		for _, rec := range []struct{ slot, count, off uint64 }{{0, 1 << 32, 3}, {2, 1<<32 | 1, 1<<32 | 5}} {
-			gap := rec.slot
-			if rec.slot > 0 {
-				gap = 1 // slot 2 follows slot 0
-			}
-			packed = binary.AppendUvarint(packed, gap)
+		packed := forge(1, 2, 2) // one pair, two slots, two records
+		for _, rec := range []struct{ count, off uint64 }{{0, 3}, {1, 5}} {
+			packed = binary.AppendUvarint(packed, 0) // slot 0, then slot 1
 			packed = binary.AppendUvarint(packed, zigzag(7))
-			packed = binary.AppendUvarint(packed, zigzag(-int64(rec.slot)))
+			packed = binary.AppendUvarint(packed, zigzag(-1))
 			packed = append(packed, 2)
 			packed = binary.AppendUvarint(packed, zigzag(11))
-			packed = binary.AppendUvarint(packed, zigzag(firstB))
+			packed = binary.AppendUvarint(packed, zigzag(-12))
 			packed = binary.AppendUvarint(packed, rec.count)
 			packed = binary.AppendUvarint(packed, rec.off)
-			r := rawBlock[headerBytes+int(rec.slot)*slotBytes:]
-			le.PutUint64(r[0:], 7)
-			le.PutUint64(r[8:], uint64(-int64(rec.slot)))
-			le.PutUint64(r[16:], 11)
-			le.PutUint64(r[24:], uint64(firstB))
-			le.PutUint32(r[32:], uint32(rec.count))
-			le.PutUint32(r[36:], uint32(rec.off))
-			r[40] = 2
 		}
 		got, err := OpenSection(resum(packed), encPacked, 0)
 		if err != nil {
-			t.Fatalf("packed block rejected: %v", err)
+			t.Fatalf("section rejected: %v", err)
 		}
-		want, err := OpenSection(fixChecksum(rawBlock), encRaw, 0)
-		if err != nil {
-			t.Fatalf("raw block rejected: %v", err)
-		}
-		sameShard(t, &got.sh, &want.sh)
-		if got.sh.occupied(0) || !got.sh.occupied(2) || got.sh.slots[2].count != 1 || got.sh.slots[2].off != 5 {
-			t.Fatalf("decoded occupancy %b, slot 2 = %+v", got.sh.bits[0], got.sh.slots[2])
+		sl := &got.sh.slots[1]
+		if got.sh.occupied(0) || !got.sh.occupied(1) || sl.count != 1 || sl.off != 5 ||
+			got.sh.key(sl) != (Key{Tag: 2, A: 7, B: -1}) || got.sh.first(sl) != (Value{A: 11, B: -12}) {
+			t.Fatalf("decoded occupancy %b, slot 1 = %+v", got.sh.bits[0], *sl)
 		}
 	})
 
-	t.Run("declared slots beyond the size cap", func(t *testing.T) {
-		h := append([]byte(nil), header...)
-		le.PutUint64(h[40:48], maxPackedRaw/slotBytes+1)
-		if _, err := OpenSection(resum(h), encPacked, 0); !errors.Is(err, ErrBadGeometry) {
-			t.Fatalf("error %v, want ErrBadGeometry", err)
-		}
-	})
-
-	// Integrity: the packed checksum covers the header's first
-	// 56 bytes and every payload byte, including a varint tail shorter than
-	// one checksum word, and a stale sum in the checksum word itself fails.
+	// Integrity: the checksum covers the header's first 56 bytes and every
+	// payload byte, including a varint tail shorter than one checksum word,
+	// and a stale sum in the checksum word itself fails.
 	for _, flip := range []int{24, headerBytes, len(valid) - 1, 56} {
 		bad := append([]byte(nil), valid...)
 		bad[flip] ^= 0x01
@@ -378,12 +384,11 @@ func TestFilePublisherBoundsDisk(t *testing.T) {
 	}
 }
 
-// TestPackShardMatchesReference pins the fused packer against the reference
-// path: packShard, which folds the block checksum over virtual raw words and
-// emits varints straight from the in-memory slot index, must produce exactly
-// packRawBlock over the materialized raw block — for every shard of stores
-// spanning empty shards, duplicate chains, negative words and recycled
-// destination buffers.
+// TestPackShardMatchesReference pins the packer against the reference
+// path: packShard, which emits varints straight from the in-memory slot
+// index, must produce exactly packRawBlock over the shard's raw block — for
+// every shard of stores spanning empty shards, duplicate chains, negative
+// words and recycled destination buffers.
 func TestPackShardMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
 	stores := []*Store{
@@ -397,17 +402,15 @@ func TestPackShardMatchesReference(t *testing.T) {
 		dirty := []byte{0xEE, 0xEE, 0xEE}
 		for i := range s.shards {
 			sh := &s.shards[i]
-			raw := make([]byte, shardBlockBytes(sh))
-			fillShardBlock(raw, sh, i, len(s.shards), s.salt)
-			want := packRawBlock(nil, raw)
+			want := packRawBlock(nil, rawBlock(sh, i, len(s.shards), s.salt))
 			got := packShard(nil, sh, i, len(s.shards), s.salt)
 			if string(got) != string(want) {
-				t.Fatalf("store %d shard %d: fused packer diverges from reference (%d vs %d bytes)",
+				t.Fatalf("store %d shard %d: packer diverges from reference (%d vs %d bytes)",
 					si, i, len(got), len(want))
 			}
 			recycled := packShard(dirty[:0:3], sh, i, len(s.shards), s.salt)
 			if string(recycled) != string(want) {
-				t.Fatalf("store %d shard %d: fused packer depends on destination buffer contents", si, i)
+				t.Fatalf("store %d shard %d: packer depends on destination buffer contents", si, i)
 			}
 		}
 	}

@@ -41,12 +41,11 @@ func ShardOf(k Key, salt uint64, p int) int {
 }
 
 // EncodeSections serializes s into buf (reused as scratch) as the networked
-// publisher ships it: the compressed segment the file publisher writes, each
-// section packed where that is smaller and raw otherwise. It returns the
-// segment bytes and, in shard order, each section (a view into them) with
-// its encoding byte: the pairs OpenSection takes.
+// publisher ships it: AppendSegment's segment, the bytes the file publisher
+// writes. It returns the segment bytes and, in shard order, each section (a
+// view into them) with its encoding byte: the pairs OpenSection takes.
 func EncodeSections(buf []byte, s *Store) ([]byte, [][]byte, []byte) {
-	buf = appendSegment(buf[:0], s, segOpts{compress: true})
+	buf = AppendSegment(buf[:0], s)
 	sections, encs, err := sliceSections(buf)
 	if err != nil {
 		panic("dds: EncodeSections produced an unreadable segment: " + err.Error())
@@ -54,24 +53,14 @@ func EncodeSections(buf []byte, s *Store) ([]byte, [][]byte, []byte) {
 	return buf, sections, encs
 }
 
-// SegmentSections slices a raw segment (AppendSegment's output) into its
-// per-shard sections, in shard order, without copying; a compressed section
-// is rejected, so every slice is a self-contained v1 shard block. It sizes
-// the uncompressed form — the wire moves EncodeSections' sections — and its
-// one caller outside the tests is the benchmark's computed
-// rpc.wire_bytes_per_generation.
+// SegmentSections slices a segment (AppendSegment's output) into its
+// per-shard sections, in shard order, without copying, after the checks
+// sliceSections makes. Its one caller outside the tests is the benchmark's
+// computed rpc.wire_bytes_per_generation: the sections are what a put
+// carries.
 func SegmentSections(seg []byte) ([][]byte, error) {
-	sections, encs, err := sliceSections(seg)
-	if err != nil {
-		return nil, err
-	}
-	for i, enc := range encs {
-		if enc != encRaw {
-			return nil, fmt.Errorf("%w: section %d has encoding %d; only raw sections are shard blocks",
-				ErrBadGeometry, i, enc)
-		}
-	}
-	return sections, nil
+	sections, _, err := sliceSections(seg)
+	return sections, err
 }
 
 // sliceSections checks a serialized segment's super-header — its checksum
@@ -143,12 +132,12 @@ type ShardReader struct {
 }
 
 // OpenSection opens one section as EncodeSections produced it — enc is its
-// encoding byte, index the shard it must declare — with the same
-// verification OpenSegment applies: a raw section's checksum, a packed
-// section's checksum over the packed bytes before it decodes, then the
+// encoding byte, index the shard it must declare — through the decoder and
+// checks behind OpenSegment: the checksum over the bytes received before
+// anything decodes, declared sizes the section itself bounds, then the
 // structural validation that keeps probes over untrusted bytes in bounds.
 // The shard count must be in range and hold index, since readers route by
-// it. An encoding byte other than raw or packed is refused with
+// it. An encoding byte other than the packed one is refused with
 // ErrBadVersion, and every failure comes wrapped in a SectionError naming
 // index. The section decodes into memory the reader owns, so data may be
 // reused once OpenSection returns.

@@ -8,19 +8,15 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-const (
-	goldenSegment    = goldenDir + "/store.seg"     // WriteSegment's compressed form
-	goldenSegmentRaw = goldenDir + "/store-raw.seg" // AppendSegment's raw wire form
-)
+const goldenSegment = goldenDir + "/store.seg"
 
-// TestGoldenSegmentFile pins the segment format in both of its forms: the
-// compressed segment WriteSegment puts on disk (packed sections where they
-// win) and the raw segment AppendSegment produces for the wire must each
-// reproduce their committed file byte-for-byte, and opening either file must
-// answer every read exactly. Deliberate format changes must bump
+// TestGoldenSegmentFile pins the segment format: the segment WriteSegment
+// puts on disk must reproduce the committed file byte-for-byte, and opening
+// it must answer every read exactly. Deliberate format changes must bump
 // segmentVersion and regenerate with -update.
 func TestGoldenSegmentFile(t *testing.T) {
 	s := goldenStore()
@@ -31,48 +27,32 @@ func TestGoldenSegmentFile(t *testing.T) {
 		if _, err := WriteSegment(s, goldenSegment, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenSegmentRaw, AppendSegment(nil, goldenStore()), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for _, g := range []struct {
-		name string
-		path string
-		got  []byte
-	}{
-		{"compressed", goldenSegment, func() []byte {
-			b := appendSegment(nil, goldenStore(), segOpts{compress: true})
-			return b
-		}()},
-		{"raw", goldenSegmentRaw, AppendSegment(nil, goldenStore())},
-	} {
-		want, err := os.ReadFile(g.path)
-		if err != nil {
-			t.Fatalf("missing golden segment (regenerate with -update): %v", err)
-		}
-		if !bytes.Equal(g.got, want) {
-			t.Errorf("%s segment serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
-				"a deliberate format change must bump segmentVersion and regenerate with -update",
-				g.name, len(g.got), len(want))
-		}
-		fs, err := OpenSegment(g.path)
-		if err != nil {
-			t.Fatalf("open %s golden segment: %v", g.name, err)
-		}
-		if fs.Salt() != goldenSalt || fs.Shards() != goldenShards || fs.Len() != len(goldenPairs) {
-			t.Fatalf("%s golden metadata: salt=%#x shards=%d len=%d", g.name, fs.Salt(), fs.Shards(), fs.Len())
-		}
-		checkAgainstReference(t, fs, reference(goldenPairs), []Key{{9, 9, 9}, {1, 3, 0}})
-		fs.Close()
+	want, err := os.ReadFile(goldenSegment)
+	if err != nil {
+		t.Fatalf("missing golden segment (regenerate with -update): %v", err)
 	}
+	if got := AppendSegment(nil, s); !bytes.Equal(got, want) {
+		t.Errorf("segment serialization no longer bit-identical to the committed format (%d vs %d bytes); "+
+			"a deliberate format change must bump segmentVersion and regenerate with -update",
+			len(got), len(want))
+	}
+	fs, err := OpenSegment(goldenSegment)
+	if err != nil {
+		t.Fatalf("open golden segment: %v", err)
+	}
+	if fs.Salt() != goldenSalt || fs.Shards() != goldenShards || fs.Len() != len(goldenPairs) {
+		t.Fatalf("golden metadata: salt=%#x shards=%d len=%d", fs.Salt(), fs.Shards(), fs.Len())
+	}
+	checkAgainstReference(t, fs, reference(goldenPairs), []Key{{9, 9, 9}, {1, 3, 0}})
+	fs.Close()
 }
 
 // TestEncodeSectionsIsTheDiskCodec pins that the wire and the disk carry one
-// encoding: EncodeSections' bytes are the committed compressed golden
-// segment (whose sections TestGoldenShardFiles opens with OpenSection), its
-// sections are packed — the golden shards are tables at most half full — and
-// an encoding byte the reader does not implement is refused with
-// ErrBadVersion.
+// encoding: EncodeSections' bytes are the committed golden segment (whose
+// sections TestGoldenShardFiles opens with OpenSection), every section is
+// packed, and an encoding byte the reader does not implement — 0, the raw
+// block earlier writers used, or 2 — is refused with ErrBadVersion.
 func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
 	want, err := os.ReadFile(goldenSegment)
 	if err != nil {
@@ -80,14 +60,16 @@ func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
 	}
 	seg, sections, encs := EncodeSections([]byte("dirty scratch"), goldenStore())
 	if !bytes.Equal(seg, want) {
-		t.Fatalf("EncodeSections differs from the compressed golden segment (%d vs %d bytes)", len(seg), len(want))
+		t.Fatalf("EncodeSections differs from the golden segment (%d vs %d bytes)", len(seg), len(want))
 	}
 	for i, enc := range encs {
 		if enc != encPacked {
 			t.Fatalf("section %d has encoding %d, want packed", i, enc)
 		}
-		if _, err := OpenSection(sections[i], 2, i); !errors.Is(err, ErrBadVersion) {
-			t.Fatalf("section %d as encoding 2: %v, want ErrBadVersion", i, err)
+		for _, bad := range []byte{0, 2} {
+			if _, err := OpenSection(sections[i], bad, i); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("section %d as encoding %d: %v, want ErrBadVersion", i, bad, err)
+			}
 		}
 	}
 }
@@ -103,7 +85,8 @@ func fixSegChecksum(b []byte) []byte {
 // TestSegmentCorruption is the segment-level corruption table: super-header
 // damage, section-table damage (including swapped section offsets) and
 // section-level damage each map to a typed error, with SectionError locating
-// the damaged section.
+// the damaged section. A segment of raw blocks, as earlier writers produced
+// for empty shards, is refused like any unknown section encoding.
 func TestSegmentCorruption(t *testing.T) {
 	valid := AppendSegment(nil, goldenStore())
 	tableAt := func(i int) int { return headerBytes + i*segTableEntry }
@@ -144,16 +127,17 @@ func TestSegmentCorruption(t *testing.T) {
 		}, ErrBadGeometry, -1},
 		{"overlapping sections", func(b []byte) []byte {
 			// Pull section 1's offset back into section 0's bytes.
-			le.PutUint64(b[tableAt(1):], le.Uint64(b[tableAt(1):])-uint64(slotBytes))
+			le.PutUint64(b[tableAt(1):], le.Uint64(b[tableAt(1):])-1)
 			return fixSegChecksum(b)
 		}, ErrBadGeometry, -1},
 		{"truncated section", func(b []byte) []byte {
-			// Shorten the file by one value record, keeping super-header and
-			// table consistent, so only the last section's own header notices.
-			b = b[:len(b)-valueBytes]
-			le.PutUint64(b[32:], uint64(len(b)))
+			// Cut the last section to half a header, keeping super-header
+			// and table consistent, so only the section's own check notices.
 			last := tableAt(1) + 8
-			le.PutUint64(b[last:], le.Uint64(b[last:])-valueBytes)
+			cut := le.Uint64(b[last:]) - headerBytes/2
+			b = b[:uint64(len(b))-cut]
+			le.PutUint64(b[32:], uint64(len(b)))
+			le.PutUint64(b[last:], headerBytes/2)
 			return fixSegChecksum(b)
 		}, ErrTruncated, 1},
 		{"section payload corruption", func(b []byte) []byte {
@@ -168,6 +152,7 @@ func TestSegmentCorruption(t *testing.T) {
 			b[tableAt(0)+16] = 2
 			return fixSegChecksum(b)
 		}, ErrBadVersion, 0},
+		{"raw sections", func([]byte) []byte { return rawSegment(goldenStore()) }, ErrBadVersion, 0},
 		{"two corrupt sections, opened in parallel", func(b []byte) []byte {
 			// Both sections fail their checksum. A declared pair total past
 			// buildWorkers' cutoff stripes the open over the cores; the
@@ -210,14 +195,15 @@ func TestSegmentCorruption(t *testing.T) {
 	}
 }
 
-// TestSegmentDishonestSection reuses the slot-table attack from the shard
+// TestSegmentDishonestSection reuses the slot-table attack from the section
 // corruption suite at segment level: a section whose checksum is valid but
 // whose slot table lies must still be rejected before any read.
 func TestSegmentDishonestSection(t *testing.T) {
 	s := NewStore(goldenPairs, 1, goldenSalt)
 	b := AppendSegment(nil, s)
 	sec := b[headerBytes+segTableEntry:] // single section
-	// Declare one pair more than the slots hold, re-checksum the section.
+	// Declare one pair more than the slots hold (a table of the same size),
+	// re-checksum the section.
 	le.PutUint64(sec[32:], le.Uint64(sec[32:])+1)
 	le.PutUint64(sec[56:], checksum(sec[0:56], sec[headerBytes:]))
 	// The super-header's pair total must agree with the section so the
@@ -332,37 +318,35 @@ func TestSegmentEmptyStore(t *testing.T) {
 	}
 }
 
-// mixedStore returns a store whose segment has both section encodings: one
-// key written rawDup times fills its shard's slab past packThreshold, so
-// that section stays raw, while the other shards pack.
-func mixedStore(p, pairs, rawDup int) *Store {
+// mixedStore returns a store of random pairs plus one key written dup
+// times, whose long chain gives its shard a section past the writer's
+// chunk.
+func mixedStore(p, pairs, dup int) *Store {
 	kvs := randomPairs(rand.New(rand.NewSource(41)), pairs, 3)
-	for i := 0; i < rawDup; i++ {
+	for i := 0; i < dup; i++ {
 		kvs = append(kvs, kv(7, 7, 7, int64(i), 0))
 	}
 	return NewStore(kvs, p, 0x5157)
 }
 
 // TestStreamSegmentMatchesAppend pins that the streamed write path puts the
-// bytes appendSegment assembles in memory on disk, raw section included,
-// whatever the number of cores encoding it.
+// bytes AppendSegment assembles in memory on disk, a section spanning
+// several write chunks included, whatever the number of cores encoding it.
 func TestStreamSegmentMatchesAppend(t *testing.T) {
-	s := mixedStore(12, 30000, packThreshold/valueBytes+1)
-	want := appendSegment(nil, s, segOpts{compress: true})
+	s := mixedStore(12, 30000, writeChunk/2)
+	want := AppendSegment(nil, s)
 	sections, encs, err := sliceSections(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(encs, []byte{encRaw}) || !bytes.Contains(encs, []byte{encPacked}) {
-		t.Fatalf("section encodings %v, want both raw and packed", encs)
-	}
-	if len(sections) != 12 {
-		t.Fatalf("%d sections, want 12", len(sections))
+	long := func(sec []byte) bool { return len(sec) > writeChunk }
+	if !bytes.Equal(encs, bytes.Repeat([]byte{encPacked}, 12)) || !slices.ContainsFunc(sections, long) {
+		t.Fatalf("%d sections of encodings %v, want 12 packed, one past %d bytes", len(sections), encs, writeChunk)
 	}
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		path := filepath.Join(t.TempDir(), "store.seg")
-		err := streamSegment(s, path, segOpts{compress: true, nosync: true}, nil)
+		err := streamSegment(s, path, true, nil)
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
@@ -372,7 +356,7 @@ func TestStreamSegmentMatchesAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("GOMAXPROCS=%d: streamed %d bytes, appendSegment %d", procs, len(got), len(want))
+			t.Fatalf("GOMAXPROCS=%d: streamed %d bytes, AppendSegment %d", procs, len(got), len(want))
 		}
 	}
 }
@@ -384,7 +368,7 @@ func TestStreamSegmentCancel(t *testing.T) {
 	s := mixedStore(16, 20000, 0)
 	points := 0
 	count := func() error { points++; return nil }
-	if err := streamSegment(s, filepath.Join(t.TempDir(), "store.seg"), segOpts{compress: true, nosync: true}, count); err != nil {
+	if err := streamSegment(s, filepath.Join(t.TempDir(), "store.seg"), true, count); err != nil {
 		t.Fatal(err)
 	}
 	if points < 16 {
@@ -399,7 +383,7 @@ func TestStreamSegmentCancel(t *testing.T) {
 			}
 			return nil
 		}
-		if err := streamSegment(s, filepath.Join(dir, "store.seg"), segOpts{compress: true, nosync: true}, cancelAt); !errors.Is(err, errPublishCancelled) {
+		if err := streamSegment(s, filepath.Join(dir, "store.seg"), true, cancelAt); !errors.Is(err, errPublishCancelled) {
 			t.Fatalf("cancel at point %d: %v", k, err)
 		}
 		if left, _ := os.ReadDir(dir); len(left) != 0 {
@@ -418,7 +402,7 @@ func BenchmarkStreamSegment(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "store.seg")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := streamSegment(s, path, segOpts{compress: true, nosync: true}, nil); err != nil {
+		if err := streamSegment(s, path, true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -82,8 +82,8 @@ func checkBatchReads(t *testing.T, s *Store, ref map[Key][]Value) {
 // slot's int32 fields: mixed with narrow ones, they must read back exactly
 // like a reference map, and serialize to exactly the oracle's bytes, through
 // every path a store takes — NewStore, a freeze onto a base holding wide
-// records, a freeze into an arena dirtied by wide records, raw and packed
-// segments, and OpenSection.
+// records, a freeze into an arena dirtied by wide records, a segment, and
+// OpenSection.
 func TestWideRecords(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	for _, p := range []int{1, 4, 16} {
@@ -108,43 +108,38 @@ func TestWideRecords(t *testing.T) {
 		dirty.Recycle(NewStore(widePairs(rand.New(rand.NewSource(int64(p))), 3000), p, salt^1))
 		check("dirty arena", freezePairs(pairs, 8, p, salt, 3, stripedRun, dirty))
 
-		for _, compress := range []bool{false, true} {
-			seg := appendSegment(nil, s, segOpts{compress: compress})
-			path := filepath.Join(t.TempDir(), "store.seg")
-			if err := os.WriteFile(path, seg, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			opened, err := OpenSegment(path)
-			if err != nil {
-				t.Fatalf("p=%d compress=%v: OpenSegment: %v", p, compress, err)
-			}
-			check("OpenSegment", opened)
+		seg := AppendSegment(nil, s)
+		path := filepath.Join(t.TempDir(), "store.seg")
+		if err := os.WriteFile(path, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := OpenSegment(path)
+		if err != nil {
+			t.Fatalf("p=%d: OpenSegment: %v", p, err)
+		}
+		check("OpenSegment", opened)
 
-			sections, encs, err := sliceSections(seg)
+		sections, encs, err := sliceSections(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sec := range sections {
+			rd, err := OpenSection(sec, encs[i], i)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("p=%d section %d (encoding %d): %v", p, i, encs[i], err)
 			}
-			if compress && !slices.Contains(encs, encPacked) {
-				t.Fatalf("p=%d: no section packed", p)
+			sameShard(t, &rd.sh, &s.shards[i])
+			for k, vs := range ref {
+				if ShardOf(k, salt, p) != i {
+					continue
+				}
+				if v, ok := rd.Get(k); !ok || v != vs[0] || rd.Count(k) != len(vs) || !slices.Equal(rd.GetRange(k, 0, len(vs), nil), vs) {
+					t.Fatalf("p=%d section %d: key %v reads %v ok=%v count %d, want %v", p, i, k, v, ok, rd.Count(k), vs)
+				}
 			}
-			for i, sec := range sections {
-				rd, err := OpenSection(sec, encs[i], i)
-				if err != nil {
-					t.Fatalf("p=%d section %d (encoding %d): %v", p, i, encs[i], err)
-				}
-				sameShard(t, &rd.sh, &s.shards[i])
-				for k, vs := range ref {
-					if ShardOf(k, salt, p) != i {
-						continue
-					}
-					if v, ok := rd.Get(k); !ok || v != vs[0] || rd.Count(k) != len(vs) || !slices.Equal(rd.GetRange(k, 0, len(vs), nil), vs) {
-						t.Fatalf("p=%d section %d: key %v reads %v ok=%v count %d, want %v", p, i, k, v, ok, rd.Count(k), vs)
-					}
-				}
-				for _, k := range wideAbsent {
-					if _, ok := rd.Get(k); ok || rd.Count(k) != 0 {
-						t.Fatalf("p=%d section %d: absent key %v found", p, i, k)
-					}
+			for _, k := range wideAbsent {
+				if _, ok := rd.Get(k); ok || rd.Count(k) != 0 {
+					t.Fatalf("p=%d section %d: absent key %v found", p, i, k)
 				}
 			}
 		}

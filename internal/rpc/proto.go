@@ -38,8 +38,8 @@
 //	          resp n u32
 //	free      req  run u64 | seq u64                 resp —
 //
-// A put carries the segment codec's own sections (dds.EncodeSections):
-// packed where that is smaller, raw otherwise. A publisher
+// A put carries the segment codec's own sections (dds.EncodeSections),
+// each with its encoding byte; packed is the only encoding. A publisher
 // fills each put frame with as many of one server's sections as fit in
 // frameEager bytes (a larger section travels alone), so a generation costs
 // a few round trips per server, not one per shard. The server opens every

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -19,15 +20,17 @@ func putFrame(c *client, s *server, seq uint64, shards []int, sections [][]byte,
 	return s.roundTrip(context.Background(), opPut, c.appendPut(nil, seq, shards, sections, encs), true, func([]byte) error { return nil })
 }
 
-// forgeSection rewrites a raw section's header through mutate and recomputes
+// forgeSection rewrites a section's header through mutate and recomputes
 // its checksum as the codec does — SplitMix64 over the 8-byte words of
-// header[0:56] ++ payload. Any sender can do this, so a bound the header
-// declares holds only if the reader checks it.
+// header[0:56] ++ payload, the payload's final partial word zero-padded. Any
+// sender can do this, so a bound the header declares holds only if the
+// reader checks it.
 func forgeSection(sec []byte, mutate func(h []byte)) []byte {
 	b := append([]byte(nil), sec...)
 	mutate(b[:64])
+	payload := append(append([]byte(nil), b[64:]...), make([]byte, (8-len(b[64:])%8)%8)...)
 	h := uint64(0x9e3779b97f4a7c15)
-	for _, part := range [][]byte{b[0:56], b[64:]} {
+	for _, part := range [][]byte{b[0:56], payload} {
 		for i := 0; i+8 <= len(part); i += 8 {
 			z := h ^ le.Uint64(part[i:])
 			z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -50,10 +53,7 @@ func TestPutForgedHeaderRefused(t *testing.T) {
 	defer c.close()
 	pairs := testPairs(60)
 	store := dds.NewStore(pairs, 4, 0x5eed)
-	raw, err := dds.SegmentSections(dds.AppendSegment(nil, store))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sections, encs := dds.EncodeSections(nil, store)
 	for seq, tc := range []struct {
 		name   string
 		shard  int
@@ -64,9 +64,9 @@ func TestPutForgedHeaderRefused(t *testing.T) {
 		{"shard index beyond count", 4, func(h []byte) { le.PutUint32(h[12:], 4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sections := make([][]byte, tc.shard+1)
-			sections[tc.shard] = forgeSection(raw[0], tc.mutate)
-			err := putFrame(c, c.servers[0], uint64(seq), []int{tc.shard}, sections, make([]byte, len(sections)))
+			forged := make([][]byte, tc.shard+1)
+			forged[tc.shard] = forgeSection(sections[0], tc.mutate)
+			err := putFrame(c, c.servers[0], uint64(seq), []int{tc.shard}, forged, bytes.Repeat(encs[:1], tc.shard+1))
 			var re *remoteError
 			if !errors.As(err, &re) || !strings.Contains(err.Error(), "inconsistent geometry") {
 				t.Fatalf("forged put: %v, want a geometry refusal", err)

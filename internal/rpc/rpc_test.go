@@ -174,17 +174,11 @@ func frame(op byte, payload []byte) []byte {
 
 // seedRequests returns real request payloads for generation 3 of run 0xfeed:
 // two multi-section put frames covering a 4-shard store — the sections
-// EncodeSections ships, except shard 2 travels raw so both forms the server
-// opens are present — and a two-key getBatch.
+// EncodeSections ships — and a two-key getBatch.
 func seedRequests(f *testing.F) (puts [][]byte, get []byte) {
 	c := &client{run: 0xfeed}
 	store := dds.NewStore(testPairs(200), 4, 0x5eed)
 	_, sections, encs := dds.EncodeSections(nil, store)
-	raw, err := dds.SegmentSections(dds.AppendSegment(nil, store))
-	if err != nil {
-		f.Fatal(err)
-	}
-	sections[2], encs[2] = raw[2], 0
 	puts = append(puts, c.appendPut(nil, 3, []int{0, 1}, sections, encs), c.appendPut(nil, 3, []int{2, 3}, sections, encs))
 	get = le.AppendUint32(c.reqHeader(nil, 3), 2)
 	get = appendKey(appendKey(get, dds.Key{Tag: 1, A: 4, B: 4}), dds.Key{Tag: 2, A: -5})

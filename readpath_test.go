@@ -63,12 +63,13 @@ func segmentBytes(t *testing.T, dir string) []byte {
 }
 
 // TestReadPathDifferential is the acceptance gate for the read path: the
-// lane schedule, batched store reads and the rpc backend's frames and
-// single-flight are all observable only as speed. Every combination of
+// lane schedule, batched store reads and the rpc backend's coalesced
+// getBatch frames are all observable only as speed. Every combination of
 // backend and worker count must produce byte-identical labels, payloads,
 // summaries, query accounting — and, on the file backend, byte-identical
 // serialized segments. Runs under -race in CI, which also exercises the
-// remote lanes' shared frames and the single-flight synchronization.
+// remote lanes' shared frames and the per-server sender goroutines that
+// fill them.
 func TestReadPathDifferential(t *testing.T) {
 	servers := rpcServers(t)
 	r := ampc.NewRNG(6, 2)
