@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -205,15 +206,39 @@ func increaseDegrees(rt *ampc.Runtime, verts []int32, d int, phase int) error {
 }
 
 // bfsScratch holds one machine's BFS working set, reused across the
-// vertices of its block: the visited set stays small (at most d+1 entries),
-// so clearing it between vertices is far cheaper than growing a fresh map
-// and four slices per explored vertex.
+// vertices of its block: the visited set, v plus order, stays small (d+1 at
+// most), so emptying it between vertices is far cheaper than growing a fresh
+// set and four slices per explored vertex.
 type bfsScratch struct {
-	visited map[int]bool
+	visited vertexSet
 	order   []int
 	queue   []int
 	keys    []dds.Key
 	vals    []ampc.ValueOK
+}
+
+// vertexSet is the visited set of one BFS at a time: a linear-probing table
+// of id+1 words (0 is empty), at least twice its members.
+type vertexSet []uint64
+
+// reset empties the set and sizes it for up to n members.
+func (s *vertexSet) reset(n int) {
+	if len(*s) < 2*n {
+		*s = make(vertexSet, 1<<bits.Len(uint(2*n-1)))
+	}
+	clear(*s)
+}
+
+// add inserts v and reports whether it was absent.
+func (s vertexSet) add(v int) bool {
+	w, mask := uint64(v)+1, uint64(len(s)-1)
+	for i := w * 0x9E3779B97F4A7C15 >> 32 & mask; s[i] != w; i = (i + 1) & mask {
+		if s[i] == 0 {
+			s[i] = w
+			return true
+		}
+	}
+	return false
 }
 
 // bfsExplore runs the budgeted BFS from v, returning the visited vertices
@@ -229,20 +254,16 @@ func bfsExplore(ctx *ampc.Ctx, st *bfsScratch, v, d int) ([]int, bool, error) {
 	readCap := 2*d*d + 32
 	reads := 0
 
-	if st.visited == nil {
-		st.visited = make(map[int]bool, d+1)
-	} else {
-		clear(st.visited)
-	}
-	visited := st.visited
-	visited[v] = true
+	visited := &st.visited
+	visited.reset(d + 1)
+	visited.add(v)
 	order := st.order[:0]
 	queue := append(st.queue[:0], v)
 	whole := true
 	keys := st.keys
 	vals := st.vals
 	qi := 0
-	for qi < len(queue) && len(visited) < d+1 {
+	for qi < len(queue) && len(order) < d {
 		x := queue[qi]
 		qi++
 		if reads >= readCap {
@@ -256,7 +277,7 @@ func bfsExplore(ctx *ampc.Ctx, st *bfsScratch, v, d int) ([]int, bool, error) {
 		}
 		n := int(deg.A)
 		for i := 0; i < n && whole; {
-			if len(visited) >= d+1 || reads >= readCap {
+			if len(order) >= d || reads >= readCap {
 				whole = false
 				break
 			}
@@ -269,7 +290,7 @@ func bfsExplore(ctx *ampc.Ctx, st *bfsScratch, v, d int) ([]int, bool, error) {
 			}
 			// Each unvisited entry grows the visited set, so the remaining
 			// capacity bounds how many entries can still be useful.
-			room := d + 1 - len(visited)
+			room := d - len(order)
 			if batch > room {
 				batch = room
 			}
@@ -286,13 +307,12 @@ func bfsExplore(ctx *ampc.Ctx, st *bfsScratch, v, d int) ([]int, bool, error) {
 				// An entry encountered while the visited set is already full
 				// may be a vertex we will never explore: the exploration is
 				// no longer provably whole.
-				if len(visited) >= d+1 {
+				if len(order) >= d {
 					whole = false
 					break
 				}
 				u := int(a.Value.A)
-				if !visited[u] {
-					visited[u] = true
+				if visited.add(u) {
 					order = append(order, u)
 					queue = append(queue, u)
 				}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"ampc/internal/ampc"
@@ -100,7 +99,8 @@ func since(acc *time.Duration, start time.Time) { *acc += time.Since(start) }
 // vertex-indexed contraction maps, the sort buffers contraction runs in, the
 // two CSR buffers Gc alternates between, and the read-back buffers. All of
 // it is allocated once per run and reused by every phase, so a phase costs
-// no allocation proportional to the live graph.
+// no allocation proportional to the live graph. Its edge mapping, counting
+// sorts and read-back are striped over the run's Options.Workers goroutines.
 type flatDriver struct {
 	weighted bool
 
@@ -111,11 +111,12 @@ type flatDriver struct {
 	leader []bool
 
 	// keys holds an unweighted contraction's packed directed edges, which
-	// sortKeys orders through sorted (as long as keys) and counts (n+1).
+	// sortKeys orders through sorted (as long as keys) and counts (n each).
 	keys   []uint64
 	sorted []uint64
-	counts []int32
+	counts [][]int32
 	recs   []wrec // weighted contraction: directed edges with weights
+	parts  []part // per contract stripe: where its edges went, how many
 	bufs   [2]contracted
 
 	// compactAt is how many records a streamed contraction collects before
@@ -145,7 +146,7 @@ const streamCompactAt = 1 << 22
 
 // newFlatDriver sizes the dense maps for vertex ids in [0, n). Ids are
 // packed two to a 64-bit sort key, so n must fit 31 bits. workers is the
-// run's Options.Workers: the read-back stripes over as many goroutines.
+// run's Options.Workers: the driver stripes over as many goroutines.
 func newFlatDriver(n int, weighted bool, workers int) (*flatDriver, error) {
 	if int64(n) > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: %d vertices exceed the driver's 2^31-1 vertex id range", ErrInvalidOptions, n)
@@ -228,30 +229,24 @@ func (d *flatDriver) restoreTargets(live []int32) {
 // returns the next Gc: every directed edge maps through target into a packed
 // record, self-loops drop, and build sorts, dedups (keeping the minimum
 // weight per contracted pair, which the cycle property allows MSF) and
-// emits CSR. The result lives in the driver's other CSR buffer; gc's arrays
-// are recycled by the contraction after next.
+// emits CSR. Each worker maps a stripe of about equal edge count into its
+// edges' span of the record buffer, and the spans close up in stripe order.
+// The result lives in the driver's other CSR buffer; gc's arrays are
+// recycled by the contraction after next.
 func (d *flatDriver) contract(gc *contracted, m2 []int) *contracted {
 	defer since(&d.times.contract, time.Now())
 	d.relabel(m2)
-	target := d.target
 	if d.weighted {
-		d.recs = slices.Grow(d.recs[:0], len(gc.to))
+		d.recs = resized(d.recs, len(gc.to))
 	} else {
-		d.keys = slices.Grow(d.keys[:0], len(gc.to))
+		d.keys = resized(d.keys, len(gc.to))
 	}
-	for i, v := range gc.verts {
-		tv := target[v]
-		for j := gc.offs[i]; j < gc.offs[i+1]; j++ {
-			tu := target[gc.to[j]]
-			if tv == tu {
-				continue
-			}
-			if d.weighted {
-				d.recs = append(d.recs, wrec{pack(tv, tu), gc.w[j]})
-			} else {
-				d.keys = append(d.keys, pack(tv, tu))
-			}
-		}
+	d.parts = resized(d.parts, d.rb.workers)
+	ampc.FanOut(d.rb.workers, mapJob{d, gc}, mapJob.stripe)
+	if d.weighted {
+		d.recs = closeUp(d.recs, d.parts)
+	} else {
+		d.keys = closeUp(d.keys, d.parts)
 	}
 	d.restoreTargets(gc.verts)
 	out := &d.bufs[0]
@@ -259,6 +254,50 @@ func (d *flatDriver) contract(gc *contracted, m2 []int) *contracted {
 		out = &d.bufs[1]
 	}
 	return d.build(out)
+}
+
+type part struct{ at, n int }
+
+// mapJob maps the edges of stripe w's live vertices through target into
+// their own span of the record buffer, dropping self-loops.
+type mapJob struct {
+	d  *flatDriver
+	gc *contracted
+}
+
+func (j mapJob) stripe(w int) error {
+	d, gc := j.d, j.gc
+	vertexAt := func(e int) int { return sort.SearchInts(gc.offs[:len(gc.verts)], e) }
+	lo, hi := ampc.BlockRange(w, len(gc.to), len(d.parts))
+	a, b := vertexAt(lo), vertexAt(hi)
+	at, n := gc.offs[a], gc.offs[a]
+	target, keys, recs := d.target, d.keys, d.recs
+	for i := a; i < b; i++ {
+		tv := target[gc.verts[i]]
+		for e := gc.offs[i]; e < gc.offs[i+1]; e++ {
+			tu := target[gc.to[e]]
+			if tv == tu {
+				continue
+			}
+			if d.weighted {
+				recs[n] = wrec{pack(tv, tu), gc.w[e]}
+			} else {
+				keys[n] = pack(tv, tu)
+			}
+			n++
+		}
+	}
+	d.parts[w] = part{at, n - at}
+	return nil
+}
+
+// closeUp moves the parts of s, each at or after the total before it, together.
+func closeUp[T any](s []T, parts []part) []T {
+	n := 0
+	for _, p := range parts {
+		n += copy(s[n:], s[p.at:p.at+p.n])
+	}
+	return s[:n]
 }
 
 // contractStream is contract fed from a replayed edge stream instead of a
@@ -370,11 +409,15 @@ func (d *flatDriver) build(out *contracted) *contracted {
 
 // sortKeys sorts keys with graph.SortPacked: both halves of a packed key are
 // vertex ids below len(target), and a contraction holds fewer than 2^31
-// records.
+// records. It stripes over at most one worker per n keys, so the counts
+// never outweigh the keys.
 func (d *flatDriver) sortKeys() {
+	stripes := min(d.rb.workers, max(1, len(d.keys)/max(1, len(d.target))))
+	for len(d.counts) < stripes {
+		d.counts = append(d.counts, make([]int32, len(d.target)))
+	}
 	d.sorted = resized(d.sorted, len(d.keys))
-	d.counts = resized(d.counts, len(d.target)+1)
-	graph.SortPacked(d.keys, d.sorted, d.counts)
+	graph.SortPacked(d.keys, d.sorted, d.counts[:stripes])
 }
 
 // shuffled returns the live vertices in the phase's exploration order: a
@@ -596,27 +639,7 @@ func (rb *readback) sweep(store dds.StoreBackend, total int, put func(j int, v d
 		}
 		return nil
 	}
-	var err error
-	if workers == 1 {
-		err = span(0)
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = span(w)
-			}(w)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
-		}
-	}
+	err := ampc.FanOut(workers, span, func(span func(int) error, w int) error { return span(w) })
 	if err == nil && missing == nil {
 		if cause := readErr(store); cause != nil {
 			err = fmt.Errorf("core: read-back: %w", cause)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -175,6 +176,10 @@ func withTopEdge(n int, edges []graph.WeightedEdge, r *rng.RNG) []graph.Weighted
 	return append(edges, graph.WeightedEdge{U: r.Intn(n - 1), V: n - 1, Weight: int64(len(edges) + 1)})
 }
 
+// contractWorkers are the stripe counts every contraction trial runs at: one
+// stripe, two, and more stripes than a small graph has vertices.
+var contractWorkers = []int{1, 2, 8}
+
 // TestContractMatchesReference drives the flat contraction and the map-based
 // reference side by side through chains of random contractions — weighted
 // and not, over every target shape — and requires identical vertex lists,
@@ -184,56 +189,60 @@ func withTopEdge(n int, edges []graph.WeightedEdge, r *rng.RNG) []graph.Weighted
 func TestContractMatchesReference(t *testing.T) {
 	r := rng.New(300, 0)
 	for trial := 0; trial < 400+wideTrials; trial++ {
-		weighted := trial%2 == 0
-		n := 2 + r.Intn(40)
-		m := r.Intn(n * (n - 1) / 2)
-		if m > 3*n {
-			m = 3 * n
-		}
-		if trial >= 400 {
-			n, m = wideN(r), 50+r.Intn(300)
-		}
-		edges := randomWeightedEdges(n, m, trial%4 == 0, r)
-		if trial >= 400 {
-			edges = withTopEdge(n, edges, r)
-		}
-		what := fmt.Sprintf("trial %d (n=%d m=%d weighted=%v)", trial, n, m, weighted)
+		start := *r
+		for _, workers := range contractWorkers {
+			*r = start // every worker count replays the same trial
+			weighted := trial%2 == 0
+			n := 2 + r.Intn(40)
+			m := r.Intn(n * (n - 1) / 2)
+			if m > 3*n {
+				m = 3 * n
+			}
+			if trial >= 400 {
+				n, m = wideN(r), 50+r.Intn(300)
+			}
+			edges := randomWeightedEdges(n, m, trial%4 == 0, r)
+			if trial >= 400 {
+				edges = withTopEdge(n, edges, r)
+			}
+			what := fmt.Sprintf("trial %d (n=%d m=%d weighted=%v workers=%d)", trial, n, m, weighted, workers)
 
-		d, err := newFlatDriver(n, weighted, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gc *contracted
-		if weighted {
-			gc = d.fromWeighted(edges)
-		} else {
-			plain := make([]graph.Edge, len(edges))
-			for i, e := range edges {
-				plain[i] = graph.Edge{U: e.U, V: e.V}
+			d, err := newFlatDriver(n, weighted, workers)
+			if err != nil {
+				t.Fatal(err)
 			}
-			gc = d.fromGraph(graph.MustGraph(n, plain))
-		}
-		ref := refFromEdges(edges, weighted)
-		sameContracted(t, what+" initial", gc, ref)
+			var gc *contracted
+			if weighted {
+				gc = d.fromWeighted(edges)
+			} else {
+				plain := make([]graph.Edge, len(edges))
+				for i, e := range edges {
+					plain[i] = graph.Edge{U: e.U, V: e.V}
+				}
+				gc = d.fromGraph(graph.MustGraph(n, plain))
+			}
+			ref := refFromEdges(edges, weighted)
+			sameContracted(t, what+" initial", gc, ref)
 
-		m2, refM2 := make([]int, n), make([]int, n)
-		for v := range m2 {
-			m2[v], refM2[v] = v, v
-		}
-		for step := 0; step < 3 && len(gc.verts) > 0; step++ {
-			target := randomTarget(gc.verts, (trial/4+step)%4, r)
-			for v, tv := range target {
-				d.target[v] = int32(tv)
+			m2, refM2 := make([]int, n), make([]int, n)
+			for v := range m2 {
+				m2[v], refM2[v] = v, v
 			}
-			gc = d.contract(gc, m2)
-			ref = refContractInto(ref, target, refM2)
-			sameContracted(t, fmt.Sprintf("%s step %d", what, step), gc, ref)
-			if !reflect.DeepEqual(m2, refM2) {
-				t.Fatalf("%s step %d: m2 %v, reference %v", what, step, m2, refM2)
-			}
-			for v, tv := range d.target {
-				if int(tv) != v {
-					t.Fatalf("%s step %d: target[%d] = %d left behind", what, step, v, tv)
+			for step := 0; step < 3 && len(gc.verts) > 0; step++ {
+				target := randomTarget(gc.verts, (trial/4+step)%4, r)
+				for v, tv := range target {
+					d.target[v] = int32(tv)
+				}
+				gc = d.contract(gc, m2)
+				ref = refContractInto(ref, target, refM2)
+				sameContracted(t, fmt.Sprintf("%s step %d", what, step), gc, ref)
+				if !reflect.DeepEqual(m2, refM2) {
+					t.Fatalf("%s step %d: m2 %v, reference %v", what, step, m2, refM2)
+				}
+				for v, tv := range d.target {
+					if int(tv) != v {
+						t.Fatalf("%s step %d: target[%d] = %d left behind", what, step, v, tv)
+					}
 				}
 			}
 		}
@@ -288,53 +297,57 @@ func (s edgeList) Each(emit func(u, v int)) {
 func TestContractStreamMatchesReference(t *testing.T) {
 	r := rng.New(301, 0)
 	for trial := 0; trial < 60+wideTrials; trial++ {
-		n := 2 + r.Intn(50)
-		es := graph.StreamGNM(n, r.Intn(6*n), uint64(trial))
-		if trial >= 60 {
-			n = wideN(r)
-			wide := edgeList{n: n}
-			graph.StreamGNM(n, 100+r.Intn(300), uint64(trial)).Each(func(u, v int) {
-				wide.edges = append(wide.edges, graph.Edge{U: u, V: v})
-			})
-			top := graph.Edge{U: r.Intn(n - 1), V: n - 1}
-			wide.edges = append(wide.edges, top, top) // a live top id, duplicated
-			es = wide
-		}
-		ref := &refContracted{adj: make(map[int][]wedge)}
-		id := map[int]int{}
-		var live []int32
-		es.Each(func(u, v int) {
-			ref.adj[u] = append(ref.adj[u], wedge{to: v})
-			ref.adj[v] = append(ref.adj[v], wedge{to: u})
-			id[u], id[v] = u, v
-		})
-		for v := 0; v < n; v++ {
-			if _, ok := id[v]; ok {
-				live = append(live, int32(v))
+		start := *r
+		for _, workers := range contractWorkers {
+			*r = start // every worker count replays the same trial
+			n := 2 + r.Intn(50)
+			es := graph.StreamGNM(n, r.Intn(6*n), uint64(trial))
+			if trial >= 60 {
+				n = wideN(r)
+				wide := edgeList{n: n}
+				graph.StreamGNM(n, 100+r.Intn(300), uint64(trial)).Each(func(u, v int) {
+					wide.edges = append(wide.edges, graph.Edge{U: u, V: v})
+				})
+				top := graph.Edge{U: r.Intn(n - 1), V: n - 1}
+				wide.edges = append(wide.edges, top, top) // a live top id, duplicated
+				es = wide
 			}
-		}
-		d, err := newFlatDriver(n, false, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if trial%2 == 1 {
-			d.compactAt = 16 // dedup mid-stream, several times over
-		}
-		m2, refM2 := make([]int, n), make([]int, n)
-		for v := range m2 {
-			m2[v], refM2[v] = v, v
-		}
-		sameContracted(t, fmt.Sprintf("trial %d identity", trial), d.contractStream(es, nil, m2), refContractInto(ref, id, refM2))
-		if len(live) == 0 {
-			continue
-		}
-		target := randomTarget(live, trial%3, r)
-		for v, tv := range target {
-			d.target[v] = int32(tv)
-		}
-		sameContracted(t, fmt.Sprintf("trial %d contracted", trial), d.contractStream(es, live, m2), refContractInto(ref, target, refM2))
-		if !reflect.DeepEqual(m2, refM2) {
-			t.Fatalf("trial %d: m2 %v, reference %v", trial, m2, refM2)
+			ref := &refContracted{adj: make(map[int][]wedge)}
+			id := map[int]int{}
+			var live []int32
+			es.Each(func(u, v int) {
+				ref.adj[u] = append(ref.adj[u], wedge{to: v})
+				ref.adj[v] = append(ref.adj[v], wedge{to: u})
+				id[u], id[v] = u, v
+			})
+			for v := 0; v < n; v++ {
+				if _, ok := id[v]; ok {
+					live = append(live, int32(v))
+				}
+			}
+			d, err := newFlatDriver(n, false, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trial%2 == 1 {
+				d.compactAt = 16 // dedup mid-stream, several times over
+			}
+			m2, refM2 := make([]int, n), make([]int, n)
+			for v := range m2 {
+				m2[v], refM2[v] = v, v
+			}
+			sameContracted(t, fmt.Sprintf("trial %d workers %d identity", trial, workers), d.contractStream(es, nil, m2), refContractInto(ref, id, refM2))
+			if len(live) == 0 {
+				continue
+			}
+			target := randomTarget(live, trial%3, r)
+			for v, tv := range target {
+				d.target[v] = int32(tv)
+			}
+			sameContracted(t, fmt.Sprintf("trial %d workers %d contracted", trial, workers), d.contractStream(es, live, m2), refContractInto(ref, target, refM2))
+			if !reflect.DeepEqual(m2, refM2) {
+				t.Fatalf("trial %d workers %d: m2 %v, reference %v", trial, workers, m2, refM2)
+			}
 		}
 	}
 }
@@ -378,9 +391,9 @@ func TestPublishContractedRecords(t *testing.T) {
 // contractFixture returns a driver holding a GNM graph and a leader-style
 // contraction map over it: about a third of the vertices are leaders and
 // every other vertex joins its smallest leader neighbor, if it has one.
-func contractFixture(tb testing.TB, n, m int) (*flatDriver, *contracted, func()) {
+func contractFixture(tb testing.TB, n, m, workers int) (*flatDriver, *contracted, func()) {
 	g := graph.GNM(n, m, rng.New(303, 0))
-	d, err := newFlatDriver(n, false, 1)
+	d, err := newFlatDriver(n, false, workers)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -403,62 +416,87 @@ func contractFixture(tb testing.TB, n, m int) (*flatDriver, *contracted, func())
 
 // TestContractReusesBuffers pins the allocation contract: once the first
 // contraction has sized the driver's buffers, a contraction of the same
-// graph allocates nothing — the per-phase cost is O(1) allocations, not
-// O(n') maps and slices. The streamed contraction keeps the same contract
-// with its in-flight compaction forced.
+// graph allocates nothing at one worker — the per-phase cost is O(1)
+// allocations, not O(n') maps and slices — and, striped over two workers,
+// only the fan-out's fixed handful, the same at every graph size. The
+// streamed contraction keeps the same contract with its in-flight
+// compaction forced.
 func TestContractReusesBuffers(t *testing.T) {
-	const n = 5000
-	d, gc, setTargets := contractFixture(t, n, 20000)
-	m2 := make([]int, n)
-	contractOnce := func() {
-		for v := range m2 {
-			m2[v] = v
+	for _, workers := range []int{1, 2} {
+		var perSize []float64
+		for _, n := range []int{5000, 20000} {
+			plain := contractAllocs(t, n, workers, false)
+			streamed := contractAllocs(t, n, workers, true)
+			if workers == 1 && plain+streamed > 0 {
+				t.Fatalf("n=%d: a warmed-up contraction allocates %.0f times, streamed %.0f, want 0", n, plain, streamed)
+			}
+			perSize = append(perSize, plain, streamed)
 		}
-		setTargets()
-		if next := d.contract(gc, m2); next.edges() == 0 || next.edges() >= gc.edges() {
-			t.Fatalf("contraction kept %d of %d edges", next.edges(), gc.edges())
+		t.Logf("workers=%d: allocations per contraction (plain, streamed at n=5000, then n=20000): %v", workers, perSize)
+		if perSize[0] != perSize[2] || perSize[1] != perSize[3] || slices.Max(perSize) > 64 {
+			t.Fatalf("workers=%d: warmed-up contractions allocate %v times (plain, streamed at n=5000, then n=20000), want a small count that does not grow with n", workers, perSize)
 		}
 	}
-	contractOnce()
-	if allocs := testing.AllocsPerRun(5, contractOnce); allocs > 0 {
-		t.Fatalf("a warmed-up contraction allocates %.0f times, want 0", allocs)
-	}
+}
 
-	es := graph.StreamGNM(n, 40000, 304)
-	ds, err := newFlatDriver(n, false, 1)
+// contractAllocs returns the allocations of one warmed-up contraction of a
+// GNM graph on n vertices, or of a streamed one with compaction forced.
+func contractAllocs(t *testing.T, n, workers int, streamed bool) float64 {
+	m2 := make([]int, n)
+	if !streamed {
+		d, gc, setTargets := contractFixture(t, n, 4*n, workers)
+		return warmAllocs(func() {
+			for v := range m2 {
+				m2[v] = v
+			}
+			setTargets()
+			if next := d.contract(gc, m2); next.edges() == 0 || next.edges() >= gc.edges() {
+				t.Fatalf("contraction kept %d of %d edges", next.edges(), gc.edges())
+			}
+		})
+	}
+	es := graph.StreamGNM(n, 8*n, 304)
+	d, err := newFlatDriver(n, false, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds.compactAt = 1024
+	d.compactAt = 1024
 	live := make([]int32, n)
 	for v := range live {
 		live[v] = int32(v)
 	}
-	streamOnce := func() {
+	return warmAllocs(func() {
 		for v := range m2 {
 			m2[v] = v
-			ds.target[v] = int32(v - v%3) // every vertex joins a multiple of 3
+			d.target[v] = int32(v - v%3) // every vertex joins a multiple of 3
 		}
-		if next := ds.contractStream(es, live, m2); next.edges() == 0 || 3*len(next.verts) > n+2 {
+		if next := d.contractStream(es, live, m2); next.edges() == 0 || 3*len(next.verts) > n+2 {
 			t.Fatalf("streamed contraction left %d vertices, %d edges", len(next.verts), next.edges())
 		}
-	}
-	streamOnce()
-	if allocs := testing.AllocsPerRun(5, streamOnce); allocs > 0 {
-		t.Fatalf("a warmed-up streamed contraction allocates %.0f times, want 0", allocs)
-	}
+	})
+}
+
+// warmAllocs runs f once to size the buffers, then returns its allocations
+// per run.
+func warmAllocs(f func()) float64 {
+	f()
+	return testing.AllocsPerRun(5, f)
 }
 
 func BenchmarkContract(b *testing.B) {
-	d, gc, setTargets := contractFixture(b, 100000, 400000)
-	m2 := make([]int, 100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		setTargets()
-		if next := d.contract(gc, m2); next.edges() == 0 {
-			b.Fatal("contraction emptied the graph")
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			d, gc, setTargets := contractFixture(b, 100000, 400000, workers)
+			m2 := make([]int, 100000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				setTargets()
+				if next := d.contract(gc, m2); next.edges() == 0 {
+					b.Fatal("contraction emptied the graph")
+				}
+			}
+		})
 	}
 }
 
@@ -468,25 +506,29 @@ func BenchmarkContract(b *testing.B) {
 func BenchmarkContractStream(b *testing.B) {
 	const n = 10000
 	es := graph.StreamGNM(n, 200000, 1)
-	d, err := newFlatDriver(n, false, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
 	live := make([]int32, n)
 	m2 := make([]int, n)
 	for v := range live {
 		live[v] = int32(v)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for v := range m2 {
-			m2[v] = v
-			d.target[v] = int32(v - v%3)
-		}
-		if next := d.contractStream(es, live, m2); next.edges() == 0 {
-			b.Fatal("contraction emptied the graph")
-		}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
+			d, err := newFlatDriver(n, false, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for v := range m2 {
+					m2[v] = v
+					d.target[v] = int32(v - v%3)
+				}
+				if next := d.contractStream(es, live, m2); next.edges() == 0 {
+					b.Fatal("contraction emptied the graph")
+				}
+			}
+		})
 	}
 }
 

@@ -325,7 +325,8 @@ type Telemetry struct {
 	// the master's read-back of the records a round wrote, and turning the
 	// input into the first Gc or streaming it into D0 — so a driver delta
 	// in a perf trajectory is attributable; the remainder is sampling,
-	// shuffling and result assembly.
+	// shuffling and result assembly. Contraction and read-back stripe over
+	// Options.Workers goroutines: these are wall-clock, not CPU, times.
 	DriverTime         time.Duration
 	DriverContractTime time.Duration
 	DriverReadbackTime time.Duration

@@ -1,9 +1,6 @@
 package dds
 
-import (
-	"slices"
-	"sync"
-)
+import "sync"
 
 // Batched point reads for the in-process stores.
 //
@@ -12,11 +9,11 @@ import (
 // cold slot-table line. GetMany instead resolves all the shard routes first
 // (reusing the same multiply-based remainder the primed writers use — this
 // is a throughput-shaped loop, where the divisor beats the hardware divide),
-// sorts the batch by shard, and probes each shard's slot table in one
-// sequential sweep: the shard's slots and bitmap stay resident across the
-// run, and the per-shard load counter is bumped once per run instead of once
-// per key. Results and per-shard load totals are exactly what the scalar Get
-// loop would produce — one query charged per key.
+// groups the batch by shard with one counting pass over the shard ids, and
+// probes each shard's slot table in one sweep: the per-shard load counter is
+// bumped once per run instead of once per key. Results and per-shard load
+// totals are exactly what the scalar Get loop would produce — one query
+// charged per key.
 
 // Salter is an optional StoreBackend capability exposing the placement salt
 // the store was built with. A caller holding the salt computes the placement
@@ -27,26 +24,20 @@ type Salter interface {
 }
 
 // gmScratch is the per-call scratch of a GetMany: the precomputed hashes and
-// the shard-sorted order. Pooled so steady-state batches allocate nothing.
+// shard ids, the key indices grouped by shard, the shards the batch touches
+// and one count per shard (all zero between calls). Pooled so steady-state
+// batches allocate nothing.
 type gmScratch struct {
-	hs  []uint64
-	ord []uint64 // shard<<32 | input index, sorted
+	hs             []uint64
+	sis, ord, used []uint32
+	ends           []int32
 }
 
 var gmPool = sync.Pool{New: func() any { return new(gmScratch) }}
 
-func (g *gmScratch) grow(n int) {
-	if cap(g.hs) < n {
-		g.hs = make([]uint64, n)
-		g.ord = make([]uint64, n)
-	}
-	g.hs = g.hs[:n]
-	g.ord = g.ord[:n]
-}
-
 // gmScalarCutoff is the batch size below which GetMany degrades to the
-// scalar Get loop: the sort and scratch bookkeeping only pay for themselves
-// once a batch has enough keys to form same-shard runs.
+// scalar Get loop: the grouping and scratch bookkeeping only pay for
+// themselves once a batch has enough keys to form same-shard runs.
 const gmScalarCutoff = 16
 
 // GetMany implements BatchGetter: vals[i], oks[i] receive exactly what
@@ -61,24 +52,39 @@ func (s *Store) GetMany(keys []Key, vals []Value, oks []bool) {
 		return
 	}
 	g := gmPool.Get().(*gmScratch)
-	g.grow(n)
-	hs, ord := g.hs, g.ord
+	if cap(g.hs) < n {
+		g.hs, g.sis, g.ord, g.used = make([]uint64, n), make([]uint32, n), make([]uint32, n), make([]uint32, n)
+	}
+	if len(g.ends) < len(s.shards) {
+		g.ends = make([]int32, len(s.shards))
+	}
+	hs, sis, ord, used, ends := g.hs[:n], g.sis[:n], g.ord[:n], g.used[:0], g.ends
 	for i, k := range keys {
 		h := hash(k, s.salt)
-		hs[i] = h
-		ord[i] = s.div.mod(h)<<32 | uint64(uint32(i))
-	}
-	slices.Sort(ord)
-	for lo := 0; lo < n; {
-		si := ord[lo] >> 32
-		hi := lo + 1
-		for hi < n && ord[hi]>>32 == si {
-			hi++
+		si := uint32(s.div.mod(h))
+		hs[i], sis[i] = h, si
+		if ends[si] == 0 {
+			used = append(used, si)
 		}
+		ends[si]++
+	}
+	// Turn the counts into each touched shard's first position, then scatter
+	// the indices in input order: ends[si] finishes as the end of si's run.
+	var at int32
+	for _, si := range used {
+		ends[si], at = at, at+ends[si]
+	}
+	for i, si := range sis {
+		ord[ends[si]] = uint32(i)
+		ends[si]++
+	}
+	lo := int32(0)
+	for _, si := range used {
+		hi := ends[si]
+		ends[si] = 0
 		sh := &s.shards[si]
 		sh.load.Add(int64(hi - lo))
-		for j := lo; j < hi; j++ {
-			i := int(uint32(ord[j]))
+		for _, i := range ord[lo:hi] {
 			if sl := sh.find(keys[i], hs[i]); sl != nil {
 				vals[i], oks[i] = sh.first(sl), true
 			} else {

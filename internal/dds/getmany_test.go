@@ -1,6 +1,8 @@
 package dds
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -31,25 +33,29 @@ func getManyKeys(n int) []Key {
 	return keys
 }
 
-// TestGetManyMatchesGet runs the same batch through scalar Get on one store
-// instance and GetMany on a second, identically built one, for every store
-// kind that implements BatchGetter natively. Values, presence bits and the
-// full per-shard load ledger must come out identical — GetMany is a throughput
-// optimization, never an accounting change.
+// TestGetManyMatchesGet runs the same batches through scalar Get on one
+// store instance and GetMany on a second, identically built one, for every
+// store kind that implements BatchGetter natively and for one, 16 and 512
+// shards. The batches: the hostile mix, sizes around gmScalarCutoff, keys
+// that all land on one shard, and keys that are all absent. Values,
+// presence bits and the full per-shard load ledger must come out identical
+// after every batch — GetMany is a throughput optimization, never an
+// accounting change.
 func TestGetManyMatchesGet(t *testing.T) {
-	const n = 1 << 12
+	const n, salt = 1 << 12, 9
 	pairs := make([]KV, n)
 	for i := range pairs {
 		pairs[i] = kv(1, int64(i), int64(i%7), int64(2*i), int64(i))
 	}
-	factories := map[string]func(t *testing.T) batchStore{
-		"mem": func(t *testing.T) batchStore { return NewStore(pairs, 16, 9) },
-		"file": func(t *testing.T) batchStore {
-			return roundTrip(t, NewStore(pairs, 16, 9))
+	keys := getManyKeys(n)
+	factories := map[string]func(t *testing.T, p int) batchStore{
+		"mem": func(t *testing.T, p int) batchStore { return NewStore(pairs, p, salt) },
+		"file": func(t *testing.T, p int) batchStore {
+			return roundTrip(t, NewStore(pairs, p, salt))
 		},
-		"segment": func(t *testing.T) batchStore {
+		"segment": func(t *testing.T, p int) batchStore {
 			path := t.TempDir() + "/store.seg"
-			if _, err := WriteSegment(NewStore(pairs, 16, 9), path, nil); err != nil {
+			if _, err := WriteSegment(NewStore(pairs, p, salt), path, nil); err != nil {
 				t.Fatal(err)
 			}
 			fs, err := OpenSegment(path)
@@ -60,43 +66,65 @@ func TestGetManyMatchesGet(t *testing.T) {
 			return fs
 		},
 	}
-	keys := getManyKeys(n)
+	absent := make([]Key, 100)
+	for i := range absent {
+		absent[i] = Key{1, int64(n + i), 0}
+	}
 	for name, mk := range factories {
 		t.Run(name, func(t *testing.T) {
-			scalar, batched := mk(t), mk(t)
-			wantV := make([]Value, len(keys))
-			wantOK := make([]bool, len(keys))
-			for i, k := range keys {
-				wantV[i], wantOK[i] = scalar.Get(k)
-			}
-			gotV := make([]Value, len(keys))
-			gotOK := make([]bool, len(keys))
-			gotV[0] = Value{^int64(0), ^int64(0)} // stale garbage GetMany must overwrite
-			batched.GetMany(keys, gotV, gotOK)
-			for i := range keys {
-				if gotV[i] != wantV[i] || gotOK[i] != wantOK[i] {
-					t.Fatalf("key %d %v: GetMany = (%v,%v), Get = (%v,%v)",
-						i, keys[i], gotV[i], gotOK[i], wantV[i], wantOK[i])
+			for _, p := range []int{1, 16, 512} {
+				var oneShard []Key
+				for i := 0; i < n && len(oneShard) < 3*gmScalarCutoff; i++ {
+					if k := (Key{1, int64(i), int64(i % 7)}); HashOf(k, salt)%uint64(p) == 0 {
+						oneShard = append(oneShard, k)
+					}
 				}
-			}
-			sl, bl := scalar.ShardLoads(), batched.ShardLoads()
-			if len(sl) != len(bl) {
-				t.Fatalf("shard count mismatch: %d vs %d", len(sl), len(bl))
-			}
-			for i := range sl {
-				if sl[i] != bl[i] {
-					t.Fatalf("shard %d load: GetMany accounted %d, Get accounted %d", i, bl[i], sl[i])
+				batches := []struct {
+					what string
+					keys []Key
+				}{
+					{"hostile", keys},
+					{"below cutoff", keys[:gmScalarCutoff-1]},
+					{"at cutoff", keys[:gmScalarCutoff]},
+					{"above cutoff", keys[:gmScalarCutoff+1]},
+					{"one shard", oneShard},
+					{"absent", absent},
+					{"single", keys[7:8]},
+					{"empty", nil},
 				}
-			}
-			// Empty and single-key batches must be safe no-ops / scalar twins.
-			batched.GetMany(nil, nil, nil)
-			one := []Key{keys[7]}
-			v1, ok1 := make([]Value, 1), make([]bool, 1)
-			batched.GetMany(one, v1, ok1)
-			if v1[0] != wantV[7] || ok1[0] != wantOK[7] {
-				t.Fatalf("single-key batch: got (%v,%v), want (%v,%v)", v1[0], ok1[0], wantV[7], wantOK[7])
+				scalar, batched := mk(t, p), mk(t, p)
+				for _, b := range batches {
+					checkGetMany(t, fmt.Sprintf("P=%d %s", p, b.what), scalar, batched, b.keys)
+				}
 			}
 		})
+	}
+}
+
+// checkGetMany reads batch through scalar Get on one store and GetMany on
+// its twin, and requires equal results and equal per-shard load ledgers.
+func checkGetMany(t *testing.T, what string, scalar, batched batchStore, batch []Key) {
+	t.Helper()
+	wantV := make([]Value, len(batch))
+	wantOK := make([]bool, len(batch))
+	for i, k := range batch {
+		wantV[i], wantOK[i] = scalar.Get(k)
+	}
+	gotV := make([]Value, len(batch))
+	gotOK := make([]bool, len(batch))
+	for i := range gotV {
+		gotV[i] = Value{^int64(0), ^int64(0)} // stale garbage GetMany must overwrite
+	}
+	batched.GetMany(batch, gotV, gotOK)
+	for i := range batch {
+		if gotV[i] != wantV[i] || gotOK[i] != wantOK[i] {
+			t.Fatalf("%s: key %d %v: GetMany = (%v,%v), Get = (%v,%v)",
+				what, i, batch[i], gotV[i], gotOK[i], wantV[i], wantOK[i])
+		}
+	}
+	sl, bl := scalar.ShardLoads(), batched.ShardLoads()
+	if !slices.Equal(sl, bl) {
+		t.Fatalf("%s: per-shard loads: GetMany accounted %v, Get accounted %v", what, bl, sl)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"ampc/internal/ampc"
 )
 
 // Edge is an undirected edge between two vertex ids.
@@ -73,7 +75,7 @@ func packEdge(u, v int) uint64 { return uint64(min(u, v))<<32 | uint64(max(u, v)
 // keys (x, v), and each group arrives by ascending partner.
 func fromKeys(n int, keys []uint64) (*Graph, error) {
 	if !slices.IsSorted(keys) {
-		SortPacked(keys, make([]uint64, len(keys)), make([]int32, n+1))
+		SortPacked(keys, make([]uint64, len(keys)), [][]int32{make([]int32, n)})
 	}
 	g := &Graph{n: n, offs: make([]int, n+1), adj: make([]int, 2*len(keys)), edges: make([]Edge, len(keys)), first: make([]int, n+1)}
 	for i, k := range keys {
@@ -100,26 +102,53 @@ func fromKeys(n int, keys []uint64) (*Graph, error) {
 }
 
 // SortPacked sorts keys ascending with two stable counting passes, by the
-// low 32-bit id into scratch and by the high id back, in O(len(keys) +
-// len(counts)) each. Both ids must lie below len(counts)-1, scratch must be
-// as long as keys, and keys must number fewer than 2^31 (counts are int32).
-func SortPacked(keys, scratch []uint64, counts []int32) {
-	src, dst := keys, scratch
-	for _, shift := range []uint{0, 32} {
-		clear(counts)
-		for _, k := range src {
-			counts[uint32(k>>shift)+1]++
+// low 32-bit id into scratch and by the high id back. A pass is striped over
+// len(counts) goroutines: each counts its stripe's ids into counts[w], one
+// prefix over (id, stripe) turns the counts into first slots, and the
+// stripes scatter into disjoint slots, so any stripe count (at least one)
+// sorts alike. Ids must lie below len(counts[w]), scratch be as long as
+// keys, and keys number fewer than 2^31.
+func SortPacked(keys, scratch []uint64, counts [][]int32) {
+	p := packedPass{src: keys, dst: scratch, counts: counts}
+	for _, p.shift = range [2]uint{0, 32} {
+		ampc.FanOut(len(counts), p, packedPass.count)
+		var next int32
+		for id := range counts[0] {
+			for _, c := range counts {
+				c[id], next = next, next+c[id]
+			}
 		}
-		for i := 1; i < len(counts); i++ {
-			counts[i] += counts[i-1]
-		}
-		for _, k := range src {
-			b := uint32(k >> shift)
-			dst[counts[b]] = k
-			counts[b]++
-		}
-		src, dst = dst, src
+		ampc.FanOut(len(counts), p, packedPass.scatter)
+		p.src, p.dst = p.dst, p.src
 	}
+}
+
+// packedPass is one SortPacked pass, by the id at shift.
+type packedPass struct {
+	src, dst []uint64
+	counts   [][]int32
+	shift    uint
+}
+
+func (p packedPass) count(w int) error {
+	c := p.counts[w]
+	clear(c)
+	lo, hi := ampc.BlockRange(w, len(p.src), len(p.counts))
+	for _, k := range p.src[lo:hi] {
+		c[uint32(k>>p.shift)]++
+	}
+	return nil
+}
+
+func (p packedPass) scatter(w int) error {
+	c := p.counts[w]
+	lo, hi := ampc.BlockRange(w, len(p.src), len(p.counts))
+	for _, k := range p.src[lo:hi] {
+		id := uint32(k >> p.shift)
+		p.dst[c[id]] = k
+		c[id]++
+	}
+	return nil
 }
 
 // MustGraph is NewGraph that panics on error; for tests and generators whose

@@ -217,3 +217,77 @@ func BenchmarkNewGraph(b *testing.B) {
 		})
 	}
 }
+
+// stripedCounts returns w histograms of n counts, SortPacked's striping.
+func stripedCounts(w, n int) [][]int32 {
+	counts := make([][]int32, w)
+	for i := range counts {
+		counts[i] = make([]int32, n)
+	}
+	return counts
+}
+
+// TestSortPackedStripes holds the striped counting sort to slices.Sort for
+// every stripe count: empty input, fewer keys than stripes (stripes that get
+// no keys), all-equal keys, ids at n-1, and random keys with heavy
+// duplication.
+func TestSortPackedStripes(t *testing.T) {
+	r := rng.New(11, 0)
+	const n = 1000
+	random := func(count, ids int) []uint64 {
+		keys := make([]uint64, count)
+		for i := range keys {
+			keys[i] = uint64(r.Intn(ids))<<32 | uint64(r.Intn(ids))
+		}
+		return keys
+	}
+	top := uint64(n-1)<<32 | uint64(n-1)
+	allEqual := make([]uint64, 500)
+	for i := range allEqual {
+		allEqual[i] = uint64(n-1)<<32 | 9
+	}
+	cases := []struct {
+		name string
+		keys []uint64
+	}{
+		{"empty", nil},
+		{"one", []uint64{top}},
+		{"fewer than stripes", []uint64{top, 5, 3 << 32}},
+		{"all equal", allEqual},
+		{"ids at n-1", append(random(300, n), top, top, uint64(n-1), uint64(n-1)<<32)},
+		{"dense", random(20000, 30)},
+		{"sparse", random(20000, n)},
+	}
+	for _, c := range cases {
+		want := slices.Clone(c.keys)
+		slices.Sort(want)
+		for _, w := range []int{1, 2, 3, 8} {
+			keys := slices.Clone(c.keys)
+			SortPacked(keys, make([]uint64, len(keys)), stripedCounts(w, n))
+			if !slices.Equal(keys, want) {
+				t.Fatalf("%s, %d stripes: striped sort differs from slices.Sort", c.name, w)
+			}
+		}
+	}
+}
+
+// BenchmarkSortPacked times the counting sort of 10⁶ random packed keys
+// over 10⁵ ids, sequential and over two stripes.
+func BenchmarkSortPacked(b *testing.B) {
+	const n = 100000
+	r := rng.New(1, 0)
+	input := make([]uint64, 1000000)
+	for i := range input {
+		input[i] = uint64(r.Intn(n))<<32 | uint64(r.Intn(n))
+	}
+	keys, scratch := make([]uint64, len(input)), make([]uint64, len(input))
+	for _, w := range []int{1, 2} {
+		counts := stripedCounts(w, n)
+		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(keys, input)
+				SortPacked(keys, scratch, counts)
+			}
+		})
+	}
+}
