@@ -280,6 +280,7 @@ func printTelemetry(t ampc.Telemetry, wall time.Duration) {
 	fmt.Printf("  total queries       %d\n", t.TotalQueries)
 	fmt.Printf("  max machine queries %d per round\n", t.MaxMachineQueries)
 	fmt.Printf("  max shard load      %d per round\n", t.MaxShardLoad)
+	fmt.Printf("  adaptive depth      %d read calls (Σ of each round's max per machine)\n", t.AdaptiveDepth)
 	if t.CacheMisses > 0 {
 		fmt.Printf("  store point reads   %d\n", t.CacheMisses)
 	}

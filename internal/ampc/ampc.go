@@ -112,6 +112,10 @@ type RoundStats struct {
 	MaxMachineQueries int
 	// MaxMachineWrites is the largest per-machine write count.
 	MaxMachineWrites int
+	// MaxMachineReadCalls is the largest per-machine count of read calls
+	// (every Read*, ReadMany-style batch and CountKey call is one): an upper
+	// bound on the round's chain of dependent reads, its adaptive depth.
+	MaxMachineReadCalls int
 	// MaxShardLoad is the largest number of queries answered by one DDS
 	// shard this round, the quantity bounded by Lemma 2.1. A shard of the
 	// current store and the same-index shard of the static store are one
@@ -182,6 +186,7 @@ type Runtime struct {
 	ctxs     []*Ctx // lanes 0..workers-1's Ctxs, persistent across rounds
 	errs     []error
 	queries  []int
+	calls    []int
 	writes   []int
 
 	// Capabilities of the current read backend, asserted once per publish
@@ -280,6 +285,7 @@ func New(cfg Config) *Runtime {
 	}
 	r.errs = make([]error, cfg.P)
 	r.queries = make([]int, cfg.P)
+	r.calls = make([]int, cfg.P)
 	r.writes = make([]int, cfg.P)
 	// The initial empty D0 stays in memory whatever the backend: publishing
 	// a placeholder through a file publisher would write and immediately
@@ -650,6 +656,7 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 		if r.writes[m] > st.MaxMachineWrites {
 			st.MaxMachineWrites = r.writes[m]
 		}
+		st.MaxMachineReadCalls = max(st.MaxMachineReadCalls, r.calls[m])
 	}
 
 	// Join the previous round's write-behind publish before freezing: the
@@ -731,6 +738,7 @@ func (r *Runtime) runMachine(c *Ctx, m int, f RoundFunc, attempts int) {
 		if a == attempts-1 {
 			r.errs[m] = err
 			r.queries[m] = c.queries
+			r.calls[m] = c.calls
 			r.writes[m] = c.writes
 		}
 	}

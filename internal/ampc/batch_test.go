@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ampc/internal/dds"
+	"ampc/internal/rpc"
 )
 
 func TestReadManyMatchesRead(t *testing.T) {
@@ -207,5 +208,53 @@ func TestWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("workers=%d: machine %d output %d, want %d", w, m, got[m], base[m])
 			}
 		}
+	}
+}
+
+// TestReadCallsAndBatchDuplicates counts read calls per machine — every
+// call is one, however many keys it carries — and checks that a batched
+// read with in-batch duplicates and memo hits answers and charges like Read
+// in a loop, both on mem (the scalar loop) and over rpc (one GetMany).
+func TestReadCallsAndBatchDuplicates(t *testing.T) {
+	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for name, c := range map[string]Config{
+		"mem": {P: 2, S: 100, Seed: 1},
+		"rpc": {P: 2, S: 100, Seed: 1, Backend: rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}})},
+	} {
+		rt := New(c)
+		rt.SetInput([]dds.KV{pair(0, 10), pair(1, 11), pair(1, 12), pair(3, 13)})
+		err := rt.Round("calls", func(ctx *Ctx) error {
+			ctx.Read(key(3, 0))
+			keys := []dds.Key{key(0, 0), key(2, 0), key(0, 0), key(3, 0), key(2, 0), key(0, 0)}
+			out := ctx.ReadMany(keys, nil)
+			for i, k := range keys {
+				if v, ok := ctx.Read(k); out[i] != (ValueOK{v, ok}) {
+					t.Errorf("%s: ReadMany[%d] = %+v, Read = %v %v", name, i, out[i], v, ok)
+				}
+			}
+			if ctx.Queries() != 3 {
+				t.Errorf("%s: Queries = %d, want 3 distinct keys", name, ctx.Queries())
+			}
+			if ctx.Machine == 1 {
+				ctx.CountKey(key(1, 0))
+				ctx.ReadIndexedMany(key(1, 0), 2, nil)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Machine 1: Read, ReadMany, six Reads, CountKey, ReadIndexedMany.
+		if got := rt.Stats()[0].MaxMachineReadCalls; got != 10 {
+			t.Errorf("%s: MaxMachineReadCalls = %d, want 10", name, got)
+		}
+		if frames := rt.Stats()[0].RPCFrames; (name == "rpc") != (frames > 0) {
+			t.Errorf("%s: %d rpc read frames", name, frames)
+		}
+		rt.Close()
 	}
 }

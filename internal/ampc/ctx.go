@@ -40,6 +40,7 @@ type Ctx struct {
 
 	queries int
 	writes  int
+	calls   int // read calls this attempt: an upper bound on its dependent read chain
 	err     error
 
 	tbl        getCache // point-read memo over the current store
@@ -66,14 +67,12 @@ type Ctx struct {
 
 	// ReadMany batch scratch: the distinct uncached keys of one call, their
 	// hashes and results, and for every appended output either -1 (already
-	// final) or the batch slot to copy from. pendingIdx detects in-batch
-	// duplicates; it is empty between calls.
-	batchKeys  []dds.Key
-	batchHs    []uint64
-	batchVals  []dds.Value
-	batchOks   []bool
-	resolve    []int32
-	pendingIdx map[dds.Key]int32
+	// final) or the batch slot to copy from.
+	batchKeys []dds.Key
+	batchHs   []uint64
+	batchVals []dds.Value
+	batchOks  []bool
+	resolve   []int32
 }
 
 type cachedValue struct {
@@ -86,12 +85,15 @@ type cachedValue struct {
 // (the table's probe key, shared with the store's shard routing), the key
 // itself for collision rejection, the cached result, and the stamp of the
 // machine attempt that read it. Stamps start at 1, so a zeroed slot is dead.
+// A pending slot is a key of the ReadMany in progress: val.A is its batch
+// slot, which is how the call finds its in-batch duplicates.
 type getSlot struct {
-	h     uint64
-	key   dds.Key
-	val   dds.Value
-	stamp uint32
-	ok    bool
+	h       uint64
+	key     dds.Key
+	val     dds.Value
+	stamp   uint32
+	ok      bool
+	pending bool
 }
 
 // getCache is the open-addressed, linear-probing table behind Read and
@@ -136,8 +138,9 @@ func (t *getCache) lookup(h uint64, k dds.Key, live uint32) *getSlot {
 }
 
 // insert stores (h, k) → (v, ok) for the attempt stamped live in the first
-// dead slot of its probe chain. Callers insert only keys lookup missed.
-func (t *getCache) insert(h uint64, k dds.Key, v dds.Value, ok bool, live uint32) {
+// dead slot of its probe chain and returns the slot, valid until the next
+// insert. Callers insert only keys lookup missed.
+func (t *getCache) insert(h uint64, k dds.Key, v dds.Value, ok bool, live uint32) *getSlot {
 	if t.live != live {
 		t.live, t.n = live, 0
 	}
@@ -150,6 +153,7 @@ func (t *getCache) insert(h uint64, k dds.Key, v dds.Value, ok bool, live uint32
 	}
 	t.slots[i] = getSlot{h: h, key: k, val: v, stamp: live, ok: ok}
 	t.n++
+	return &t.slots[i]
 }
 
 // grow doubles the table and rehashes the live entries into it; dead ones
@@ -239,7 +243,7 @@ func (c *Ctx) reset(r *Runtime, m int) {
 		c.RNG.Reseed(r.cfg.Seed, machineStream(r.round, m))
 	}
 	c.w = r.builder.Writer(m)
-	c.queries, c.writes, c.err = 0, 0, nil
+	c.queries, c.writes, c.calls, c.err = 0, 0, 0, nil
 	c.stamp++
 	if c.stamp == 0 {
 		// Stamp wraparound: a surviving entry from 2^32 attempts ago could
@@ -297,7 +301,10 @@ func (c *Ctx) Remaining() int {
 // Read returns the value stored under k in the previous round's store, or
 // ok=false if the key is absent or the budget is exhausted (check Err to
 // distinguish).
-func (c *Ctx) Read(k dds.Key) (dds.Value, bool) {
+func (c *Ctx) Read(k dds.Key) (dds.Value, bool) { c.calls++; return c.read(k) }
+
+// read is Read without the call count, for the batched reads' scalar loops.
+func (c *Ctx) read(k dds.Key) (dds.Value, bool) {
 	h := dds.HashOf(k, c.salt)
 	if s := c.tbl.lookup(h, k, c.stamp); s != nil {
 		return s.val, s.ok
@@ -318,7 +325,9 @@ func (c *Ctx) Read(k dds.Key) (dds.Value, bool) {
 }
 
 // ReadIndexed returns the i-th value stored under a duplicated key.
-func (c *Ctx) ReadIndexed(k dds.Key, i int) (dds.Value, bool) {
+func (c *Ctx) ReadIndexed(k dds.Key, i int) (dds.Value, bool) { c.calls++; return c.readIndexed(k, i) }
+
+func (c *Ctx) readIndexed(k dds.Key, i int) (dds.Value, bool) {
 	if rg, found := c.cacheRange[k]; found && i >= 0 && i < rg.n {
 		r := c.rangeVals[rg.off+i]
 		return r.Value, r.OK
@@ -340,6 +349,7 @@ func (c *Ctx) ReadIndexed(k dds.Key, i int) (dds.Value, bool) {
 
 // CountKey returns the number of values stored under k.
 func (c *Ctx) CountKey(k dds.Key) int {
+	c.calls++
 	if n, found := c.cacheCount[k]; found {
 		return n
 	}
@@ -358,14 +368,16 @@ func (c *Ctx) CountKey(k dds.Key) int {
 // to dst (pass nil for a fresh slice) and returns the extended slice. The
 // semantics are exactly Read in a loop — budget charged once per distinct
 // key, already-cached keys free, OK = false past budget exhaustion (check
-// Err). When the store backend batches (dds.BatchGetter — every built-in
-// backend), the call's distinct uncached keys go to the store as one
-// GetMany instead of one probe each; results, caching and budget charges
-// are identical either way.
+// Err). It is one read call, however many keys it carries. On a networked
+// backend (dds.BatchGetter that reports read frames: rpc) the call's
+// distinct uncached keys go to the store as one GetMany instead of one probe
+// each; mem and file serve it through the pre-hashed scalar loop (see
+// bindBackend). Results, caching and budget charges are identical either way.
 func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
+	c.calls++
 	if c.batch == nil {
 		for _, k := range keys {
-			v, ok := c.Read(k)
+			v, ok := c.read(k)
 			dst = append(dst, ValueOK{v, ok})
 		}
 		return dst
@@ -376,32 +388,28 @@ func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 	c.resolve = c.resolve[:0]
 	for _, k := range keys {
 		h := dds.HashOf(k, c.salt)
-		if s := c.tbl.lookup(h, k, c.stamp); s != nil {
+		s := c.tbl.lookup(h, k, c.stamp)
+		switch {
+		case s != nil && s.pending:
+			dst = append(dst, ValueOK{})
+			c.resolve = append(c.resolve, int32(s.val.A))
+		case s != nil:
 			dst = append(dst, ValueOK{s.val, s.ok})
 			c.resolve = append(c.resolve, -1)
-			continue
-		}
-		if slot, dup := c.pendingIdx[k]; dup {
-			dst = append(dst, ValueOK{})
-			c.resolve = append(c.resolve, slot)
-			continue
-		}
-		// Charging happens in key order, exactly as the loop would: the
-		// first uncached key past the budget latches ErrBudget and it and
-		// every later uncached key read as absent.
-		if !c.charge() {
+		case !c.charge():
+			// Charging happens in key order, exactly as the loop would: the
+			// first uncached key past the budget latches ErrBudget and it
+			// and every later uncached key read as absent.
 			dst = append(dst, ValueOK{})
 			c.resolve = append(c.resolve, -1)
-			continue
+		default:
+			slot := int32(len(c.batchKeys))
+			c.tbl.insert(h, k, dds.Value{A: int64(slot)}, false, c.stamp).pending = true
+			c.batchKeys = append(c.batchKeys, k)
+			c.batchHs = append(c.batchHs, h)
+			dst = append(dst, ValueOK{})
+			c.resolve = append(c.resolve, slot)
 		}
-		if c.pendingIdx == nil {
-			c.pendingIdx = make(map[dds.Key]int32)
-		}
-		c.pendingIdx[k] = int32(len(c.batchKeys))
-		c.batchKeys = append(c.batchKeys, k)
-		c.batchHs = append(c.batchHs, h)
-		dst = append(dst, ValueOK{})
-		c.resolve = append(c.resolve, int32(len(c.batchKeys)-1))
 	}
 	if n := len(c.batchKeys); n > 0 {
 		if cap(c.batchVals) < n {
@@ -412,14 +420,14 @@ func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 		c.batch.GetMany(c.batchKeys, vals, oks)
 		c.misses += int64(n)
 		for i, k := range c.batchKeys {
-			c.tbl.insert(c.batchHs[i], k, vals[i], oks[i], c.stamp)
+			s := c.tbl.lookup(c.batchHs[i], k, c.stamp)
+			s.val, s.ok, s.pending = vals[i], oks[i], false
 		}
 		for j, slot := range c.resolve {
 			if slot >= 0 {
 				dst[base+j] = ValueOK{vals[slot], oks[slot]}
 			}
 		}
-		clear(c.pendingIdx)
 	}
 	return dst
 }
@@ -433,6 +441,7 @@ func (c *Ctx) ReadIndexedMany(k dds.Key, n int, dst []ValueOK) []ValueOK {
 	if n <= 0 {
 		return dst
 	}
+	c.calls++
 	if _, seen := c.cacheRange[k]; seen || len(c.cacheIdx) > 0 {
 		// Conservative fallback: a key read before, or any single-index
 		// read (for any key), disables the single-probe path, because
@@ -441,7 +450,7 @@ func (c *Ctx) ReadIndexedMany(k dds.Key, n int, dst []ValueOK) []ValueOK {
 		// what the fast path saves. Machines that drain each key once with
 		// ReadIndexedMany never pay this.
 		for i := 0; i < n; i++ {
-			v, ok := c.ReadIndexed(k, i)
+			v, ok := c.readIndexed(k, i)
 			dst = append(dst, ValueOK{v, ok})
 		}
 		return dst

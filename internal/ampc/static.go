@@ -36,7 +36,9 @@ func (r *Runtime) StaticStore() *dds.Store { return r.static }
 
 // ReadStatic returns the value stored under k in the static store. It is
 // charged and cached like Read.
-func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) {
+func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) { c.calls++; return c.readStatic(k) }
+
+func (c *Ctx) readStatic(k dds.Key) (dds.Value, bool) {
 	// Static reads get their own memo table, keyed by the static store's
 	// placement hash; the probe charges the static store's shard ledger,
 	// which Round folds into the round's MaxShardLoad.
@@ -60,8 +62,9 @@ func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) {
 // ReadStaticMany is the static-store counterpart of ReadMany: one ValueOK
 // per key appended to dst, budget charged per distinct uncached key.
 func (c *Ctx) ReadStaticMany(keys []dds.Key, dst []ValueOK) []ValueOK {
+	c.calls++
 	for _, k := range keys {
-		v, ok := c.ReadStatic(k)
+		v, ok := c.readStatic(k)
 		dst = append(dst, ValueOK{v, ok})
 	}
 	return dst
@@ -69,6 +72,7 @@ func (c *Ctx) ReadStaticMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 
 // ReadStaticIndexed returns the i-th value under a duplicated static key.
 func (c *Ctx) ReadStaticIndexed(k dds.Key, i int) (dds.Value, bool) {
+	c.calls++
 	ik := indexedKey{staticKey(k), i}
 	if cv, hit := c.cacheIdx[ik]; hit {
 		return cv.v, cv.ok

@@ -299,6 +299,7 @@ func accumulate(agg *Telemetry, t Telemetry) {
 	agg.Rounds += t.Rounds
 	agg.Phases += t.Phases
 	agg.TotalQueries += t.TotalQueries
+	agg.AdaptiveDepth += t.AdaptiveDepth
 	if t.MaxMachineQueries > agg.MaxMachineQueries {
 		agg.MaxMachineQueries = t.MaxMachineQueries
 	}

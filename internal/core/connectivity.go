@@ -172,163 +172,210 @@ func publishContracted(rt *ampc.Runtime, gc *contracted, phase int) error {
 // increaseDegrees is Algorithm 6: every vertex BFSes its component through
 // the DDS until it has visited d vertices (or exhausted the component),
 // and records the visited set. The reads are adaptive: each frontier pop
-// depends on earlier reads. Per-vertex reads are capped at ~4d²+32, the
+// depends on earlier reads. Per-vertex reads are capped at 2d²+32, the
 // O(d²) of Lemma 6.1. verts is the live vertex list in the phase's shuffled
 // order, block-partitioned across machines.
+//
+// A machine runs its block's explorations in lock-step (blockBFS), so its
+// chain of dependent reads is that of its longest exploration, not the sum
+// over its block. Each exploration reads the keys it would read alone, so
+// the machine's charged set, its records and their order are unchanged.
+// A lane's machines hand their state on through free, so an in-process
+// round allocates it per lane, not per machine.
 func increaseDegrees(rt *ampc.Runtime, verts []int32, d int, phase int) error {
+	free := make(chan *blockBFS, rt.Config().Workers)
 	return rt.Round(fmt.Sprintf("conn-increase-%d", phase), func(ctx *ampc.Ctx) error {
 		lo, hi := ampc.BlockRange(ctx.Machine, len(verts), ctx.P)
-		var out []dds.KV // per-vertex batch, reused across the machine's block
-		var st bfsScratch
-		for _, v := range verts[lo:hi] {
-			found, whole, err := bfsExplore(ctx, &st, int(v), d)
-			if err != nil {
-				return err
-			}
-			w := int64(0)
-			if whole {
-				w = 1
-			}
-			out = append(out[:0], dds.KV{
-				Key:   dds.Key{Tag: tagConnSize, A: int64(v)},
-				Value: dds.Value{A: int64(len(found)), B: w},
-			})
-			for i, x := range found {
-				out = append(out, dds.KV{
-					Key:   dds.Key{Tag: tagConnFound, A: int64(v), B: int64(i)},
-					Value: dds.Value{A: int64(x)},
-				})
-			}
-			ctx.WriteMany(out)
+		var b *blockBFS
+		select {
+		case b = <-free:
+		default:
+			b = new(blockBFS)
+		}
+		b.reset(verts[lo:hi], d)
+		if err := b.run(ctx); err != nil {
+			return err
+		}
+		b.write(ctx)
+		select {
+		case free <- b:
+		default:
 		}
 		return ctx.Err()
 	})
 }
 
-// bfsScratch holds one machine's BFS working set, reused across the
-// vertices of its block: the visited set, v plus order, stays small (d+1 at
-// most), so emptying it between vertices is far cheaper than growing a fresh
-// set and four slices per explored vertex.
-type bfsScratch struct {
-	visited vertexSet
-	order   []int
-	queue   []int
+// readBlock caps the keys of one read, an adjacency block or a lock-step
+// step: all P lanes of a remote round hold that much read scratch at once.
+const readBlock = 64
+
+// explorer is one vertex's budgeted BFS, suspended between reads. Its queue
+// is always [v] ++ order, so one window of d+1 vertices holds both: the
+// window's first n entries are the queue, and qi is the next to pop.
+type explorer struct {
+	n, qi  int32 // window fill and queue position
+	deg, i int32 // the popped vertex's degree (-1 until read), next adjacency index
+	want   int32 // keys of the pending read; 0 once finished
+	whole  bool
+	reads  int // keys read, against readCap
+}
+
+// blockBFS is one machine's explorations, run in lock-step: each step
+// issues every unfinished exploration's pending read (in block order, up to
+// readBlock keys) as one ReadMany and feeds each its values. Its state is
+// O(block · d) int32 words, kept for the lane's next machine.
+type blockBFS struct {
+	d, w    int32 // the budget and a window's width, d+1
+	readCap int
+	ex      []explorer
+	win     []int32 // exploration i's window is win[i·w : i·w+w]; seen follows
+	seen    []int32 // the visited sets: open addressing over 1 + a window position
 	keys    []dds.Key
 	vals    []ampc.ValueOK
+	out     []dds.KV
 }
 
-// vertexSet is the visited set of one BFS at a time: a linear-probing table
-// of id+1 words (0 is empty), at least twice its members.
-type vertexSet []uint64
-
-// reset empties the set and sizes it for up to n members.
-func (s *vertexSet) reset(n int) {
-	if len(*s) < 2*n {
-		*s = make(vertexSet, 1<<bits.Len(uint(2*n-1)))
+// reset starts the explorations of block with budget d.
+func (b *blockBFS) reset(block []int32, d int) {
+	w := d + 1
+	nw := len(block) * w
+	b.d, b.w, b.readCap = int32(d), int32(w), 2*d*d+32
+	b.ex = resized(b.ex, len(block))
+	b.win = resized(b.win, nw+1<<bits.Len(uint(nw+nw/2)))
+	clear(b.ex)
+	clear(b.win)
+	b.seen = b.win[nw:]
+	for i, v := range block {
+		b.ex[i].whole = true
+		b.visit(i, v)
+		b.ex[i].want = b.next(&b.ex[i])
 	}
-	clear(*s)
 }
 
-// add inserts v and reports whether it was absent.
-func (s vertexSet) add(v int) bool {
-	w, mask := uint64(v)+1, uint64(len(s)-1)
-	for i := w * 0x9E3779B97F4A7C15 >> 32 & mask; s[i] != w; i = (i + 1) & mask {
-		if s[i] == 0 {
-			s[i] = w
-			return true
+// visit adds u to exploration i's window unless it is there already. The
+// block's visited sets share one table whose slots hold 1 + u's window
+// position, so a member is matched by its window and its id.
+func (b *blockBFS) visit(i int, u int32) {
+	e := &b.ex[i]
+	lo := int32(i) * b.w
+	mask := uint64(len(b.seen) - 1)
+	for j := (uint64(uint32(u))<<32 | uint64(i)) * 0x9E3779B97F4A7C15 >> 32 & mask; ; j = (j + 1) & mask {
+		p := b.seen[j] - 1
+		if p < 0 {
+			b.seen[j] = lo + e.n + 1
+			b.win[lo+e.n] = u
+			e.n++
+			return
+		}
+		if p >= lo && p < lo+b.w && b.win[p] == u {
+			return
 		}
 	}
-	return false
 }
 
-// bfsExplore runs the budgeted BFS from v, returning the visited vertices
-// (excluding v) and whether the whole component was exhausted. Adjacency
-// lists are pulled through the batched ReadMany API in blocks bounded by
-// the per-vertex read cap — the O(d²) of Lemma 6.1, which counts every key
-// — and by the remaining exploration capacity, so a block never charges
-// more than the sequential probe order could still have needed. The
-// returned slice aliases st.order and is valid until the next call with
-// the same scratch.
-func bfsExplore(ctx *ampc.Ctx, st *bfsScratch, v, d int) ([]int, bool, error) {
-	const block = 64
-	readCap := 2*d*d + 32
-	reads := 0
+// next runs e's BFS up to its next read and returns that read's key count,
+// 0 once the exploration is over: the budgeted BFS's control flow (the
+// tests keep it whole as bfsExplore), cut at each read.
+func (b *blockBFS) next(e *explorer) int32 {
+	switch {
+	case !e.whole:
+		return 0
+	case e.i < e.deg && e.n <= b.d && e.reads < b.readCap: // the popped vertex's next adjacency block
+		k := int32(min(int(min(e.deg-e.i, readBlock, b.d-e.n+1)), b.readCap-e.reads))
+		e.reads += int(k)
+		return k
+	case e.i < e.deg || e.reads >= b.readCap: // a full visited set, or the read cap, cuts it short
+		e.whole = false
+		return 0
+	case e.qi < e.n && e.n <= b.d: // pop, and read the degree
+		e.qi++
+		e.deg, e.i = -1, 0
+		e.reads++
+		return 1
+	}
+	e.whole = e.qi == e.n // an exhausted queue is the whole component
+	return 0
+}
 
-	visited := &st.visited
-	visited.reset(d + 1)
-	visited.add(v)
-	order := st.order[:0]
-	queue := append(st.queue[:0], v)
-	whole := true
-	keys := st.keys
-	vals := st.vals
-	qi := 0
-	for qi < len(queue) && len(order) < d {
-		x := queue[qi]
-		qi++
-		if reads >= readCap {
-			whole = false
-			break
+// run drives the block's explorations to their end, one ReadMany a step.
+func (b *blockBFS) run(ctx *ampc.Ctx) error {
+	for lo := 0; ; {
+		for lo < len(b.ex) && b.ex[lo].want == 0 {
+			lo++
 		}
-		reads++
-		deg, ok := ctx.Read(dds.Key{Tag: tagConnDeg, A: int64(x)})
-		if !ok {
-			return nil, false, fmt.Errorf("core: missing degree for %d (err %v)", x, ctx.Err())
+		hi := lo
+		b.keys = b.keys[:0]
+		for ; hi < len(b.ex) && (hi == lo || len(b.keys)+int(b.ex[hi].want) <= readBlock); hi++ {
+			e := &b.ex[hi]
+			v := int64(b.win[int32(hi)*b.w+e.qi-1]) // the popped vertex
+			if e.deg < 0 {
+				b.keys = append(b.keys, dds.Key{Tag: tagConnDeg, A: v})
+				continue
+			}
+			for t := int32(0); t < e.want; t++ {
+				b.keys = append(b.keys, dds.Key{Tag: tagConnAdj, A: v, B: int64(e.i + t)})
+			}
 		}
-		n := int(deg.A)
-		for i := 0; i < n && whole; {
-			if len(order) >= d || reads >= readCap {
-				whole = false
-				break
-			}
-			batch := n - i
-			if batch > block {
-				batch = block
-			}
-			if rem := readCap - reads; batch > rem {
-				batch = rem
-			}
-			// Each unvisited entry grows the visited set, so the remaining
-			// capacity bounds how many entries can still be useful.
-			room := d - len(order)
-			if batch > room {
-				batch = room
-			}
-			keys = keys[:0]
-			for t := 0; t < batch; t++ {
-				keys = append(keys, dds.Key{Tag: tagConnAdj, A: int64(x), B: int64(i + t)})
-			}
-			vals = ctx.ReadMany(keys, vals[:0])
-			reads += batch
-			for t, a := range vals {
-				if !a.OK {
-					return nil, false, fmt.Errorf("core: missing adjacency (%d,%d) (err %v)", x, i+t, ctx.Err())
-				}
-				// An entry encountered while the visited set is already full
-				// may be a vertex we will never explore: the exploration is
-				// no longer provably whole.
-				if len(order) >= d {
-					whole = false
-					break
-				}
-				u := int(a.Value.A)
-				if visited.add(u) {
-					order = append(order, u)
-					queue = append(queue, u)
-				}
-			}
-			i += batch
+		if len(b.keys) == 0 {
+			return nil
 		}
-		if !whole || reads >= readCap {
-			whole = false
-			break
+		b.vals = ctx.ReadMany(b.keys, b.vals[:0])
+		vals := b.vals
+		for i := lo; i < hi; i++ {
+			k := b.ex[i].want
+			if err := b.feed(ctx, i, vals[:k]); err != nil {
+				return err
+			}
+			vals = vals[k:]
 		}
 	}
-	if qi < len(queue) {
-		whole = false
+}
+
+// feed hands exploration i the values of its pending read and moves it on
+// to its next one. A finished exploration gets no values and stays put.
+func (b *blockBFS) feed(ctx *ampc.Ctx, i int, vals []ampc.ValueOK) error {
+	e := &b.ex[i]
+	v := b.win[int32(i)*b.w+e.qi-1]
+	if e.deg < 0 {
+		if !vals[0].OK {
+			return fmt.Errorf("core: missing degree for %d (err %v)", v, ctx.Err())
+		}
+		e.deg = int32(vals[0].Value.A)
+	} else {
+		for t, a := range vals {
+			if !a.OK {
+				return fmt.Errorf("core: missing adjacency (%d,%d) (err %v)", v, int(e.i)+t, ctx.Err())
+			}
+			b.visit(i, int32(a.Value.A)) // a block never outgrows the window: next sizes it to the room
+		}
+		e.i += int32(len(vals))
 	}
-	st.order, st.queue, st.keys, st.vals = order, queue, keys, vals
-	return order, whole, nil
+	e.want = b.next(e)
+	return nil
+}
+
+// write emits every exploration's records in block order: its size and
+// whole flag, then its visited vertices in visit order.
+func (b *blockBFS) write(ctx *ampc.Ctx) {
+	for i := range b.ex {
+		e := &b.ex[i]
+		win := b.win[int32(i)*b.w : int32(i)*b.w+e.n]
+		v, whole := int64(win[0]), int64(0)
+		if e.whole {
+			whole = 1
+		}
+		b.out = append(b.out[:0], dds.KV{
+			Key:   dds.Key{Tag: tagConnSize, A: v},
+			Value: dds.Value{A: int64(len(win) - 1), B: whole},
+		})
+		for j, u := range win[1:] {
+			b.out = append(b.out, dds.KV{
+				Key:   dds.Key{Tag: tagConnFound, A: v, B: int64(j)},
+				Value: dds.Value{A: int64(u)},
+			})
+		}
+		ctx.WriteMany(b.out)
+	}
 }
 
 // readAdjacency streams vertex v's n adjacency records through the batched

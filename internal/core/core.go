@@ -344,6 +344,10 @@ type Telemetry struct {
 	// round's machines reading at once into each server's shared frames,
 	// this runs far below TotalQueries.
 	RPCFrames int64
+	// AdaptiveDepth sums RoundStats.MaxMachineReadCalls over rounds: an
+	// upper bound on the run's critical path of dependent reads, the
+	// quantity adaptivity trades against rounds.
+	AdaptiveDepth int
 	// RoundStats is the per-round breakdown.
 	RoundStats []ampc.RoundStats
 }
@@ -368,6 +372,7 @@ func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
 		t.PublishTime += st.Publish
 		t.CacheMisses += st.CacheMisses
 		t.RPCFrames += st.RPCFrames
+		t.AdaptiveDepth += st.MaxMachineReadCalls
 	}
 	t.DriverTime = rt.Elapsed() - t.ExecuteTime - t.FreezeTime - t.PublishTime
 	return t
