@@ -467,43 +467,11 @@ func (r *Runtime) SetInputStream(fill func(writer func(machine int) *dds.Writer)
 // Close) retires it — re-fetch it instead of retaining it.
 func (r *Runtime) Store() dds.StoreBackend { return r.cur }
 
-// Rounds returns the number of rounds executed so far.
+// Rounds returns the number of rounds executed so far, len(Stats()).
 func (r *Runtime) Rounds() int { return r.round }
 
 // Stats returns per-round accounting in execution order.
 func (r *Runtime) Stats() []RoundStats { return r.stats }
-
-// TotalQueries sums queries over all executed rounds.
-func (r *Runtime) TotalQueries() int64 {
-	var t int64
-	for _, s := range r.stats {
-		t += s.Queries
-	}
-	return t
-}
-
-// MaxMachineQueries returns the largest per-machine query count over all
-// rounds.
-func (r *Runtime) MaxMachineQueries() int {
-	m := 0
-	for _, s := range r.stats {
-		if s.MaxMachineQueries > m {
-			m = s.MaxMachineQueries
-		}
-	}
-	return m
-}
-
-// MaxShardLoad returns the largest per-round shard load seen so far.
-func (r *Runtime) MaxShardLoad() int64 {
-	var m int64
-	for _, s := range r.stats {
-		if s.MaxShardLoad > m {
-			m = s.MaxShardLoad
-		}
-	}
-	return m
-}
 
 // FailMachine schedules the given machine to fail (lose its writes and be
 // restarted) the given number of times during the next executed round. The

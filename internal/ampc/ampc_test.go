@@ -381,11 +381,8 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Pairs != 2 {
 		t.Fatalf("Pairs = %d, want 2", st.Pairs)
 	}
-	if rt.TotalQueries() != 3 {
-		t.Fatalf("TotalQueries = %d", rt.TotalQueries())
-	}
-	if rt.MaxMachineQueries() != 2 {
-		t.Fatalf("runtime MaxMachineQueries = %d", rt.MaxMachineQueries())
+	if n := len(rt.Stats()); n != 1 || rt.Rounds() != n {
+		t.Fatalf("%d stats records for %d rounds, want 1", n, rt.Rounds())
 	}
 }
 
@@ -507,8 +504,8 @@ func TestRuntimeAccessors(t *testing.T) {
 	if got := rt.Config(); got.P != 3 || got.S != 50 {
 		t.Fatalf("Config = %+v", got)
 	}
-	if rt.MaxShardLoad() != 0 {
-		t.Fatal("MaxShardLoad nonzero before any round")
+	if len(rt.Stats()) != 0 {
+		t.Fatal("stats recorded before any round")
 	}
 	rt.SetInput([]dds.KV{pair(0, 1)})
 	err := rt.Round("read", func(ctx *Ctx) error {
@@ -522,7 +519,7 @@ func TestRuntimeAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt.MaxShardLoad() == 0 {
+	if rt.Stats()[0].MaxShardLoad == 0 {
 		t.Fatal("MaxShardLoad zero after reads")
 	}
 }

@@ -28,7 +28,9 @@ type BiconnResult struct {
 	// BlockLabel is the BC-labeling L: for a non-root vertex v it names the
 	// biconnected component containing the tree edge (v, parent(v)).
 	BlockLabel []int
-	// Telemetry aggregates the cost of all pipeline stages.
+	// Telemetry sums the cost of all pipeline stages; its DriverTime is
+	// the pipeline's wall time minus its rounds' phases, so the master's
+	// work between stages counts as driver time.
 	Telemetry Telemetry
 }
 
@@ -57,20 +59,20 @@ type BiconnResult struct {
 // Bridges are singleton blocks; a non-root vertex is an articulation point
 // iff it heads a block; the root iff it heads at least two.
 func Biconnectivity(ctx context.Context, g *graph.Graph, opts Options) (BiconnResult, error) {
+	pl := newPipeline()
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return BiconnResult{}, err
 	}
 	n := g.N()
-	agg := Telemetry{}
 
 	// Step 1: spanning forest.
 	forestEdges, compLabels, tel, err := SpanningForest(ctx, g, opts)
 	if err != nil {
 		return BiconnResult{}, err
 	}
-	accumulate(&agg, tel)
+	pl.add(tel)
 	forest := graph.MustGraph(n, forestEdges)
 
 	// Step 2: root each tree at its component representative, then number.
@@ -86,7 +88,7 @@ func Biconnectivity(ctx context.Context, g *graph.Graph, opts Options) (BiconnRe
 	if err != nil {
 		return BiconnResult{}, err
 	}
-	accumulate(&agg, rf.Telemetry)
+	pl.add(rf.Telemetry)
 	props, err := ComputeTreeProps(rf)
 	if err != nil {
 		return BiconnResult{}, err
@@ -128,7 +130,7 @@ func Biconnectivity(ctx context.Context, g *graph.Graph, opts Options) (BiconnRe
 	if err != nil {
 		return BiconnResult{}, err
 	}
-	accumulate(&agg, tel2)
+	pl.add(tel2)
 
 	// Step 4: auxiliary block graph on tree-edge children.
 	var aux []graph.Edge
@@ -172,7 +174,7 @@ func Biconnectivity(ctx context.Context, g *graph.Graph, opts Options) (BiconnRe
 	if err != nil {
 		return BiconnResult{}, err
 	}
-	accumulate(&agg, conn.Telemetry)
+	pl.add(conn.Telemetry)
 	blocks := conn.Components
 
 	// Harvest: bridges, articulation points, 2-edge components.
@@ -229,14 +231,14 @@ func Biconnectivity(ctx context.Context, g *graph.Graph, opts Options) (BiconnRe
 	if err != nil {
 		return BiconnResult{}, err
 	}
-	accumulate(&agg, tec.Telemetry)
+	pl.add(tec.Telemetry)
 
 	return BiconnResult{
 		Bridges:            bridges,
 		ArticulationPoints: aps,
 		TwoEdgeComponents:  tec.Components,
 		BlockLabel:         blocks,
-		Telemetry:          agg,
+		Telemetry:          pl.telemetry(),
 	}, nil
 }
 
@@ -293,24 +295,3 @@ func subtreeExtremes(cctx context.Context, g *graph.Graph, lowVals, highVals []i
 }
 
 func isTreeEdge(forest *graph.Graph, u, v int) bool { return forest.HasEdge(u, v) }
-
-// accumulate folds one stage's telemetry into the aggregate.
-func accumulate(agg *Telemetry, t Telemetry) {
-	agg.Rounds += t.Rounds
-	agg.Phases += t.Phases
-	agg.TotalQueries += t.TotalQueries
-	agg.AdaptiveDepth += t.AdaptiveDepth
-	if t.MaxMachineQueries > agg.MaxMachineQueries {
-		agg.MaxMachineQueries = t.MaxMachineQueries
-	}
-	if t.MaxShardLoad > agg.MaxShardLoad {
-		agg.MaxShardLoad = t.MaxShardLoad
-	}
-	if t.P > agg.P {
-		agg.P = t.P
-	}
-	if t.S > agg.S {
-		agg.S = t.S
-	}
-	agg.RoundStats = append(agg.RoundStats, t.RoundStats...)
-}

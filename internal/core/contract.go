@@ -90,6 +90,12 @@ type driverTimes struct {
 	contract, readback, ingest time.Duration
 }
 
+// stamp returns t with its driver sub-phases set to dt.
+func (dt driverTimes) stamp(t Telemetry) Telemetry {
+	t.DriverContractTime, t.DriverReadbackTime, t.DriverIngestTime = dt.contract, dt.readback, dt.ingest
+	return t
+}
+
 // since adds the time elapsed from start to acc; deferred around a sub-phase
 // as since(&d.times.x, time.Now()).
 func since(acc *time.Duration, start time.Time) { *acc += time.Since(start) }
@@ -166,11 +172,7 @@ func newFlatDriver(n int, weighted bool, workers int) (*flatDriver, error) {
 
 // telemetry is telemetryFrom plus the driver's sub-phase split.
 func (d *flatDriver) telemetry(rt *ampc.Runtime, phases int) Telemetry {
-	t := telemetryFrom(rt, phases)
-	t.DriverContractTime = d.times.contract
-	t.DriverReadbackTime = d.times.readback
-	t.DriverIngestTime = d.times.ingest
-	return t
+	return d.times.stamp(telemetryFrom(rt, phases))
 }
 
 // fromGraph builds the initial Gc of an unweighted graph: a straight copy

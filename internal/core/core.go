@@ -318,7 +318,11 @@ type Telemetry struct {
 	PublishTime time.Duration
 	// DriverTime is the wall-clock time the run spent on the driver itself,
 	// between rounds: the runtime's lifetime up to this report minus every
-	// round's execute, freeze and publish time. For the contraction
+	// round's execute, freeze and publish time. A composed pipeline
+	// (Biconnectivity, SpanningForest, RootForest, SubtreeAggregates) sums
+	// its stages' rounds, phases and driver sub-phases, and its driver time
+	// is the pipeline's own wall time from entry minus its rounds' phases,
+	// so master work between stages counts too. For the contraction
 	// algorithms (connectivity, MSF, affinity) DriverContractTime,
 	// DriverReadbackTime and DriverIngestTime split out its three named
 	// sub-phases — applying a phase's contraction map and rebuilding Gc,
@@ -352,19 +356,16 @@ type Telemetry struct {
 	RoundStats []ampc.RoundStats
 }
 
-func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
-	t := Telemetry{
-		Rounds:            rt.Rounds(),
-		Phases:            phases,
-		TotalQueries:      rt.TotalQueries(),
-		MaxMachineQueries: rt.MaxMachineQueries(),
-		MaxShardLoad:      rt.MaxShardLoad(),
-		P:                 rt.Config().P,
-		S:                 rt.Config().S,
-		RoundStats:        rt.Stats(),
-	}
-	for _, st := range t.RoundStats {
+// fold computes every Telemetry total from the rounds a report covers:
+// sums and maxima over stats, the phase count and cluster shape as given,
+// and DriverTime as wall minus the rounds' execute, freeze and publish.
+func fold(stats []ampc.RoundStats, phases, p, s int, wall time.Duration) Telemetry {
+	t := Telemetry{Rounds: len(stats), Phases: phases, P: p, S: s, RoundStats: stats}
+	for _, st := range stats {
+		t.TotalQueries += st.Queries
 		t.TotalWrites += st.Writes
+		t.MaxMachineQueries = max(t.MaxMachineQueries, st.MaxMachineQueries)
+		t.MaxShardLoad = max(t.MaxShardLoad, st.MaxShardLoad)
 		t.ExecuteTime += st.Execute
 		t.FreezeTime += st.Freeze
 		t.FreezeMergeTime += st.FreezeMerge
@@ -374,8 +375,41 @@ func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
 		t.RPCFrames += st.RPCFrames
 		t.AdaptiveDepth += st.MaxMachineReadCalls
 	}
-	t.DriverTime = rt.Elapsed() - t.ExecuteTime - t.FreezeTime - t.PublishTime
+	t.DriverTime = wall - t.ExecuteTime - t.FreezeTime - t.PublishTime
 	return t
+}
+
+// telemetryFrom reports one runtime's rounds over its lifetime.
+func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
+	return fold(rt.Stats(), phases, rt.Config().P, rt.Config().S, rt.Elapsed())
+}
+
+// pipeline collects the stages of a composed run — each a full Telemetry
+// of its own — into one report over the pipeline's wall time from start.
+type pipeline struct {
+	start  time.Time
+	stats  []ampc.RoundStats
+	phases int
+	p, s   int
+	driver driverTimes
+}
+
+func newPipeline() *pipeline { return &pipeline{start: time.Now()} }
+
+// add appends one stage's rounds and sums its phases and driver
+// sub-phases; the cluster shape is the widest any stage used.
+func (pl *pipeline) add(t Telemetry) {
+	pl.stats = append(pl.stats, t.RoundStats...)
+	pl.phases += t.Phases
+	pl.p, pl.s = max(pl.p, t.P), max(pl.s, t.S)
+	pl.driver.contract += t.DriverContractTime
+	pl.driver.readback += t.DriverReadbackTime
+	pl.driver.ingest += t.DriverIngestTime
+}
+
+// telemetry folds the stages added so far over the wall time since start.
+func (pl *pipeline) telemetry() Telemetry {
+	return pl.driver.stamp(fold(pl.stats, pl.phases, pl.p, pl.s, time.Since(pl.start)))
 }
 
 // driverRNG returns the deterministic random stream used for driver-side

@@ -33,12 +33,12 @@ func CycleConnectivity(ctx context.Context, g *graph.Graph, opts Options) (Cycle
 	if err := opts.validate(); err != nil {
 		return CycleConnectivityResult{}, err
 	}
+	rt := opts.newRuntime(ctx, g.N(), g.M())
+	defer rt.Close()
 	cg, err := cycleGraphOf(g)
 	if err != nil {
 		return CycleConnectivityResult{}, err
 	}
-	rt := opts.newRuntime(ctx, g.N(), g.M())
-	defer rt.Close()
 	driver := opts.driverRNG(1)
 
 	labels, phases, err := cycleConnLabels(rt, cg, g.N(), opts, driver)

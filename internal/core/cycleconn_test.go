@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"ampc/internal/graph"
@@ -110,6 +111,42 @@ func TestForestConnectivityTrees(t *testing.T) {
 		if !graph.SameLabeling(res.Components, graph.Components(tc.g)) {
 			t.Fatalf("%s: wrong labeling", tc.name)
 		}
+	}
+}
+
+// TestForestConnectivityPhases pins Phases to the shrink iterations — one
+// shrink-traverse round each — for forest connectivity as for cycle
+// connectivity, whose pipeline it runs on the Euler-tour cycles: a phase
+// is an outer iteration, not a round.
+func TestForestConnectivityPhases(t *testing.T) {
+	shrinkRounds := func(tel Telemetry) int {
+		k := 0
+		for _, st := range tel.RoundStats {
+			if strings.HasPrefix(st.Name, "shrink-traverse-") {
+				k++
+			}
+		}
+		return k
+	}
+	forest, err := ForestConnectivity(context.Background(), graph.RandomForest(3000, 4, rng.New(5, 1)), Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycles, err := CycleConnectivity(context.Background(), graph.Union(graph.Cycle(2000), graph.Cycle(1000)), Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tel := range map[string]Telemetry{"forestconn": forest.Telemetry, "cycleconn": cycles.Telemetry} {
+		if k := shrinkRounds(tel); tel.Phases == 0 || tel.Phases != k || tel.Phases >= tel.Rounds {
+			t.Errorf("%s: %d phases over %d rounds with %d shrink iterations", name, tel.Phases, tel.Rounds, k)
+		}
+	}
+	edgeless, err := ForestConnectivity(context.Background(), graph.MustGraph(7, nil), Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edgeless.Telemetry.Phases != 0 {
+		t.Errorf("edgeless forest: %d phases, want 0", edgeless.Telemetry.Phases)
 	}
 }
 

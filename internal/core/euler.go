@@ -20,7 +20,8 @@ type RootedForest struct {
 	// DartRank[d] is the position of dart d in its tree's tour, starting
 	// at 0 for the first dart leaving the root.
 	DartRank []int
-	// Telemetry is the measured cost (dominated by the list-ranking run).
+	// Telemetry is the list-ranking run's rounds over the wall time of the
+	// whole RootForest call.
 	Telemetry Telemetry
 }
 
@@ -30,6 +31,7 @@ type RootedForest struct {
 // dart, and each vertex's parent is the tail of the earliest dart entering
 // it.
 func RootForest(ctx context.Context, g *graph.Graph, roots []int, opts Options) (*RootedForest, error) {
+	pl := newPipeline()
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -75,6 +77,7 @@ func RootForest(ctx context.Context, g *graph.Graph, roots []int, opts Options) 
 	if err != nil {
 		return nil, err
 	}
+	pl.add(lr.Telemetry)
 
 	// Parent of v = tail of the minimum-rank dart entering v. This is an
 	// O(1)-round MPC aggregation (group darts by head, take the min);
@@ -105,7 +108,7 @@ func RootForest(ctx context.Context, g *graph.Graph, roots []int, opts Options) 
 		Root:      root,
 		Tour:      et,
 		DartRank:  lr.Rank,
-		Telemetry: lr.Telemetry,
+		Telemetry: pl.telemetry(),
 	}, nil
 }
 

@@ -32,17 +32,18 @@ func ForestConnectivity(ctx context.Context, g *graph.Graph, opts Options) (Fore
 		return ForestConnectivityResult{}, fmt.Errorf("core: forest connectivity input has a cycle")
 	}
 
-	et := eulerTours(g)
 	rt := opts.newRuntime(ctx, 2*g.M()+1, 2*g.M())
 	defer rt.Close()
+	et := eulerTours(g)
 	driver := opts.driverRNG(2)
 
 	comp := make([]int, g.N())
 	for v := range comp {
 		comp[v] = v // isolated vertices keep their own label
 	}
+	phases := 0
 	if g.M() > 0 {
-		labels, phases, err := cycleConnLabels(rt, et.asCycleGraph(), 2*g.M(), opts, driver)
+		labels, iters, err := cycleConnLabels(rt, et.asCycleGraph(), 2*g.M(), opts, driver)
 		if err != nil {
 			return ForestConnectivityResult{}, err
 		}
@@ -55,11 +56,11 @@ func ForestConnectivity(ctx context.Context, g *graph.Graph, opts Options) (Fore
 				comp[v] = g.N() + labels[et.dartID(v, 0)]
 			}
 		}
-		_ = phases
+		phases = iters
 	}
 	return ForestConnectivityResult{
 		Components: comp,
-		Telemetry:  telemetryFrom(rt, rt.Rounds()),
+		Telemetry:  telemetryFrom(rt, phases),
 	}, nil
 }
 

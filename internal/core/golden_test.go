@@ -27,6 +27,11 @@ import (
 // The rows of the three §5 query processes (MIS, matching, coloring) were
 // captured from the ranked-adjacency rewrite, which lowered their query
 // counts on purpose; they share the read-back with the contraction drivers.
+// The rows of the remaining registered drivers (biconnectivity, list
+// ranking, 2-Cycle, cycle and forest connectivity) each run two natural
+// input shapes of their own; they were captured when every Telemetry total
+// came to be folded from the rounds, which gave biconnectivity its writes
+// and forest connectivity its shrink phases.
 //
 // Regenerate only for an intended behaviour change:
 //
@@ -37,8 +42,16 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_dr
 const goldenPath = "testdata/golden_driver.tsv"
 
 var (
-	goldenAlgos    = []string{"connectivity", "stream-local", "stream-ingest", "msf", "forest", "affinity", "mis", "matching", "coloring"}
-	goldenKinds    = []string{"gnm", "powerlaw"}
+	goldenAlgos = []string{"connectivity", "stream-local", "stream-ingest", "msf", "forest", "affinity", "mis", "matching", "coloring",
+		"biconn", "listrank", "twocycle", "cycleconn", "forestconn"}
+	// goldenKinds names an algorithm's two input shapes; the graph
+	// algorithms without an entry run gnm and powerlaw.
+	goldenKinds = map[string][]string{
+		"listrank":   {"path", "lists"},
+		"twocycle":   {"one", "two"},
+		"cycleconn":  {"two", "many"},
+		"forestconn": {"tree", "forest"},
+	}
 	goldenSeeds    = []uint64{1, 2, 3}
 	goldenWorkers  = []int{1, 8}
 	goldenBackends = []string{BackendMem, BackendFile}
@@ -71,6 +84,40 @@ func goldenGraph(kind string, n, m int, seed uint64) *graph.Graph {
 		return graph.PowerLaw(n, m, r)
 	}
 	return graph.GNM(n, m, r)
+}
+
+// goldenCycles returns a cycle union on n vertices: two cycles of n/2, or
+// many cycles of random lengths, ids permuted either way.
+func goldenCycles(kind string, n int, seed uint64) *graph.Graph {
+	r := rng.New(seed, 0x7)
+	if kind == "two" {
+		return graph.TwoCycleInstance(n, false, r)
+	}
+	var parts []*graph.Graph
+	for left := n; left > 0; {
+		l := 3 + r.Intn(300)
+		if left-l < 3 {
+			l = left
+		}
+		parts = append(parts, graph.Cycle(l))
+		left -= l
+	}
+	return graph.Relabel(graph.Union(parts...), r.Perm(n))
+}
+
+// goldenList returns a successor vector over a random order of n
+// elements: one list for path, about one break per hundred for lists.
+func goldenList(kind string, n int, seed uint64) []int {
+	r := rng.New(seed, 0x7)
+	order := r.Perm(n)
+	next := make([]int, n)
+	for i, v := range order {
+		next[v] = -1
+		if i+1 < n && (kind == "path" || r.Intn(100) != 0) {
+			next[v] = order[i+1]
+		}
+	}
+	return next
 }
 
 // goldenStream returns the cell's edge stream: the uniform multigraph (with
@@ -138,6 +185,36 @@ func goldenRun(algo, kind string, seed uint64, opts Options) (string, Telemetry,
 		res, err := GreedyColoring(ctx, goldenGraph(kind, 1200, 4000, seed), opts)
 		d.ints(res.Color...)
 		return d.sum(), res.Telemetry, err
+	case "biconn":
+		res, err := Biconnectivity(ctx, goldenGraph(kind, 1000, 2000, seed), opts)
+		for _, e := range res.Bridges {
+			d.ints(e.U, e.V)
+		}
+		d.ints(res.ArticulationPoints...)
+		d.ints(res.TwoEdgeComponents...)
+		d.ints(res.BlockLabel...)
+		return d.sum(), res.Telemetry, err
+	case "listrank":
+		res, err := ListRanking(ctx, goldenList(kind, 3000, seed), opts)
+		d.ints(res.Rank...)
+		return d.sum(), res.Telemetry, err
+	case "twocycle":
+		res, err := TwoCycle(ctx, graph.TwoCycleInstance(2000, kind == "one", rng.New(seed, 0x7)), opts)
+		d.ints(btoi(res.SingleCycle))
+		return d.sum(), res.Telemetry, err
+	case "cycleconn":
+		res, err := CycleConnectivity(ctx, goldenCycles(kind, 2000, seed), opts)
+		d.ints(res.Components...)
+		return d.sum(), res.Telemetry, err
+	case "forestconn":
+		r := rng.New(seed, 0x7)
+		g := graph.RandomTree(1500, r)
+		if kind == "forest" {
+			g = graph.RandomForest(1500, 20, r)
+		}
+		res, err := ForestConnectivity(ctx, g, opts)
+		d.ints(res.Components...)
+		return d.sum(), res.Telemetry, err
 	}
 	return "", Telemetry{}, fmt.Errorf("unknown golden algorithm %q", algo)
 }
@@ -178,7 +255,11 @@ func TestGoldenDriverTable(t *testing.T) {
 	lines := []string{goldenHeader}
 	cells := 0
 	for _, algo := range goldenAlgos {
-		for _, kind := range goldenKinds {
+		kinds := goldenKinds[algo]
+		if kinds == nil {
+			kinds = []string{"gnm", "powerlaw"}
+		}
+		for _, kind := range kinds {
 			for _, seed := range goldenSeeds {
 				for _, workers := range goldenWorkers {
 					for _, backend := range goldenBackends {

@@ -133,8 +133,10 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 
 // SpanningForest computes an arbitrary spanning forest by running MSF over
 // edge-index weights (Corollary 7.2). It returns the forest edges and a
-// connectivity labeling derived from them.
+// connectivity labeling derived from them. Its telemetry is MSF's rounds
+// over the wall time of the whole call.
 func SpanningForest(ctx context.Context, g *graph.Graph, opts Options) ([]graph.Edge, []int, Telemetry, error) {
+	pl := newPipeline()
 	wes := make([]graph.WeightedEdge, g.M())
 	for i, e := range g.Edges() {
 		wes[i] = graph.WeightedEdge{U: e.U, V: e.V, Weight: int64(i) + 1}
@@ -164,7 +166,8 @@ func SpanningForest(ctx context.Context, g *graph.Graph, opts Options) ([]graph.
 	for v := 0; v < g.N(); v++ {
 		labels[v] = min[dsu.Find(v)]
 	}
-	return forest, labels, res.Telemetry, nil
+	pl.add(res.Telemetry)
+	return forest, labels, pl.telemetry(), nil
 }
 
 // msfIncreaseDegree is Algorithm 8: every vertex grows a local Prim tree of

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
+
+	"ampc/internal/ampc"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -80,18 +83,68 @@ func TestShrinkIterationsValues(t *testing.T) {
 	}
 }
 
-func TestTelemetryAccumulate(t *testing.T) {
-	agg := Telemetry{}
-	accumulate(&agg, Telemetry{Rounds: 3, Phases: 1, TotalQueries: 100, MaxMachineQueries: 10, MaxShardLoad: 5, P: 4, S: 64})
-	accumulate(&agg, Telemetry{Rounds: 2, Phases: 2, TotalQueries: 50, MaxMachineQueries: 20, MaxShardLoad: 3, P: 8, S: 32})
-	if agg.Rounds != 5 || agg.Phases != 3 || agg.TotalQueries != 150 {
-		t.Fatalf("sums wrong: %+v", agg)
+// TestTelemetryFold checks the one fold from per-round stats to a report:
+// sums, maxima, adaptive depth, the timing and read-path totals, and
+// DriverTime as the wall time left outside the rounds' phases — and that a
+// pipeline of stages folds to the same report over its concatenated rounds.
+func TestTelemetryFold(t *testing.T) {
+	ms := time.Millisecond
+	a := []ampc.RoundStats{
+		{Queries: 100, Writes: 7, MaxMachineQueries: 10, MaxShardLoad: 5, MaxMachineReadCalls: 4,
+			Execute: 3 * ms, Freeze: 2 * ms, FreezeMerge: ms, FreezeBuild: ms, Publish: ms, CacheMisses: 90, RPCFrames: 6},
+		{Queries: 50, Writes: 3, MaxMachineQueries: 20, MaxShardLoad: 3, MaxMachineReadCalls: 2,
+			Execute: 5 * ms, Freeze: 4 * ms, FreezeMerge: 3 * ms, FreezeBuild: ms, CacheMisses: 40, RPCFrames: 2},
 	}
-	if agg.MaxMachineQueries != 20 || agg.MaxShardLoad != 5 {
-		t.Fatalf("maxima wrong: %+v", agg)
+	b := []ampc.RoundStats{
+		{Queries: 25, Writes: 1, MaxMachineQueries: 15, MaxShardLoad: 9, MaxMachineReadCalls: 1,
+			Execute: ms, Freeze: ms, FreezeBuild: ms, Publish: 2 * ms, CacheMisses: 20, RPCFrames: 1},
 	}
-	if agg.P != 8 || agg.S != 64 {
-		t.Fatalf("shape maxima wrong: %+v", agg)
+	check := func(name string, got Telemetry, wall time.Duration) {
+		t.Helper()
+		if got.Rounds != 3 || got.TotalQueries != 175 || got.TotalWrites != 11 || got.AdaptiveDepth != 7 {
+			t.Errorf("%s: sums wrong: %+v", name, got)
+		}
+		if got.MaxMachineQueries != 20 || got.MaxShardLoad != 9 {
+			t.Errorf("%s: maxima wrong: %+v", name, got)
+		}
+		if got.ExecuteTime != 9*ms || got.FreezeTime != 7*ms || got.FreezeMergeTime != 4*ms ||
+			got.FreezeBuildTime != 3*ms || got.PublishTime != 3*ms {
+			t.Errorf("%s: phase times wrong: %+v", name, got)
+		}
+		if got.CacheMisses != 150 || got.RPCFrames != 9 || got.CacheHits != 0 {
+			t.Errorf("%s: read-path totals wrong: %+v", name, got)
+		}
+		if got.DriverTime != wall-19*ms {
+			t.Errorf("%s: driver time %v, want wall %v - 19ms", name, got.DriverTime, wall)
+		}
+		if len(got.RoundStats) != 3 || got.RoundStats[2].Queries != 25 {
+			t.Errorf("%s: round breakdown wrong: %+v", name, got.RoundStats)
+		}
+	}
+
+	tel := fold(append(append([]ampc.RoundStats(nil), a...), b...), 3, 8, 64, 50*ms)
+	check("fold", tel, 50*ms)
+	if tel.Phases != 3 || tel.P != 8 || tel.S != 64 {
+		t.Errorf("fold: phases and shape not echoed: %+v", tel)
+	}
+
+	pl := newPipeline()
+	stageA := driverTimes{contract: ms, readback: 2 * ms, ingest: 3 * ms}.stamp(fold(a, 1, 4, 64, 20*ms))
+	stageB := driverTimes{contract: ms}.stamp(fold(b, 2, 8, 32, 10*ms))
+	pl.add(stageA)
+	pl.add(stageB)
+	start := pl.start
+	tel = pl.telemetry()
+	wall := tel.DriverTime + 19*ms // the pipeline's own wall time
+	if wall < 0 || wall > time.Since(start) {
+		t.Errorf("pipeline: driver time %v not measured from the pipeline's start", tel.DriverTime)
+	}
+	check("pipeline", tel, wall)
+	if tel.Phases != 3 || tel.P != 8 || tel.S != 64 {
+		t.Errorf("pipeline: phases %d, shape %d×%d; want 3, 8×64", tel.Phases, tel.P, tel.S)
+	}
+	if tel.DriverContractTime != 2*ms || tel.DriverReadbackTime != 2*ms || tel.DriverIngestTime != 3*ms {
+		t.Errorf("pipeline: driver sub-phases not summed: %+v", tel)
 	}
 }
 

@@ -110,8 +110,9 @@ func ComputeTreeProps(rf *RootedForest) (*TreeProps, error) {
 // min/max): per-tree preorder numbers are globalized so every subtree is a
 // contiguous interval, a sparse table over the interval array is published
 // to the DDS, and one AMPC round answers every vertex's two range queries
-// in O(1) budgeted reads each.
+// in O(1) budgeted reads each. The telemetry covers the whole call.
 func SubtreeAggregates(ctx context.Context, rf *RootedForest, values []int64, opts Options) (min, max []int64, tel Telemetry, err error) {
+	pl := newPipeline()
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
 		return nil, nil, Telemetry{}, err
@@ -144,7 +145,11 @@ func SubtreeAggregates(ctx context.Context, rf *RootedForest, values []int64, op
 
 	g := rf.Tour.g
 	min, max, tel, err = subtreeExtremes(ctx, g, arr, arr, gPre, props, opts)
-	return min, max, tel, err
+	if err != nil {
+		return nil, nil, Telemetry{}, err
+	}
+	pl.add(tel)
+	return min, max, pl.telemetry(), nil
 }
 
 // parentDart returns the dart (parent(v) -> v) for non-root v.

@@ -25,13 +25,13 @@ func TwoCycle(ctx context.Context, g *graph.Graph, opts Options) (TwoCycleResult
 	if err := opts.validate(); err != nil {
 		return TwoCycleResult{}, err
 	}
+	n := g.N()
+	rt := opts.newRuntime(ctx, n, g.M())
+	defer rt.Close()
 	cg, err := cycleGraphOf(g)
 	if err != nil {
 		return TwoCycleResult{}, err
 	}
-	n := g.N()
-	rt := opts.newRuntime(ctx, n, g.M())
-	defer rt.Close()
 	driver := opts.driverRNG(0)
 
 	t := shrinkIterations(opts.Epsilon)
