@@ -113,7 +113,8 @@ type RoundStats struct {
 	// MaxMachineWrites is the largest per-machine write count.
 	MaxMachineWrites int
 	// MaxMachineReadCalls is the largest per-machine count of read calls
-	// (every Read*, ReadMany-style batch and CountKey call is one): an upper
+	// (every Read, ReadStatic and ReadMany-style batch is one; ReadAll is
+	// two, its count and its range, or one for an absent key): an upper
 	// bound on the round's chain of dependent reads, its adaptive depth.
 	MaxMachineReadCalls int
 	// MaxShardLoad is the largest number of queries answered by one DDS
@@ -143,9 +144,10 @@ type RoundStats struct {
 	// write-behind the serialization itself overlaps the next round's
 	// execute phase and never appears here.
 	Publish time.Duration
-	// CacheMisses counts point reads (Read, ReadMany, ReadStatic) that
-	// reached a store this round: every charged point read, since the
-	// per-machine memo serves only free repeats.
+	// CacheMisses counts point reads (Read, ReadMany, ReadStatic and
+	// ReadStaticMany) that reached a store this round: every charged point
+	// read, since the per-machine memo serves only free repeats. ReadAll's
+	// count and range probes are not point reads and do not count.
 	CacheMisses int64
 	// RPCFrames counts read-path request frames the networked backend sent
 	// during this round's execute phase, retries included; zero for
@@ -466,9 +468,6 @@ func (r *Runtime) SetInputStream(fill func(writer func(machine int) *dds.Writer)
 // returned backend is only valid until the next round (or SetInput or
 // Close) retires it — re-fetch it instead of retaining it.
 func (r *Runtime) Store() dds.StoreBackend { return r.cur }
-
-// Rounds returns the number of rounds executed so far, len(Stats()).
-func (r *Runtime) Rounds() int { return r.round }
 
 // Stats returns per-round accounting in execution order.
 func (r *Runtime) Stats() []RoundStats { return r.stats }

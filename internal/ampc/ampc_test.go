@@ -52,8 +52,8 @@ func TestRoundReadWrite(t *testing.T) {
 			t.Fatalf("machine %d output = %v ok=%v", m, v, ok)
 		}
 	}
-	if rt.Rounds() != 1 {
-		t.Fatalf("Rounds = %d", rt.Rounds())
+	if len(rt.Stats()) != 1 {
+		t.Fatalf("Rounds = %d", len(rt.Stats()))
 	}
 }
 
@@ -223,24 +223,64 @@ func TestCacheCoversAbsentKeys(t *testing.T) {
 	}
 }
 
-func TestReadIndexedAndCount(t *testing.T) {
+// TestReadAll pins ReadAll's answers and accounting: a key's values in
+// index order for 1 + n queries and two read calls, an absent key for one
+// query and one call, a repeat for no query, and a budget cut mid-range as
+// the values paid for, the rest absent, and ErrBudget.
+func TestReadAll(t *testing.T) {
+	k, k2, absent := key(5, 0), key(6, 0), key(7, 0)
+	input := []dds.KV{
+		{Key: k, Value: val(10, 0)},
+		{Key: k, Value: val(20, 0)},
+		{Key: k, Value: val(30, 0)},
+		{Key: k2, Value: val(40, 0)},
+		{Key: k2, Value: val(50, 0)},
+	}
 	rt := New(cfg(1, 100))
-	k := key(5, 0)
-	rt.SetInput([]dds.KV{{Key: k, Value: val(10, 0)}, {Key: k, Value: val(20, 0)}})
-	err := rt.Round("dup", func(ctx *Ctx) error {
-		if n := ctx.CountKey(k); n != 2 {
-			t.Errorf("CountKey = %d", n)
+	rt.SetInput(input)
+	err := rt.Round("all", func(ctx *Ctx) error {
+		expect := func(what string, got []ValueOK, want []int64, queries, calls int) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Errorf("%s: %d values %+v, want %v", what, len(got), got, want)
+			}
+			for i := range min(len(got), len(want)) {
+				if !got[i].OK || got[i].Value.A != want[i] {
+					t.Errorf("%s: index %d = %+v, want A=%d", what, i, got[i], want[i])
+				}
+			}
+			if ctx.Queries() != queries || ctx.calls != calls {
+				t.Errorf("%s: %d queries and %d read calls, want %d and %d", what, ctx.Queries(), ctx.calls, queries, calls)
+			}
 		}
-		v0, ok0 := ctx.ReadIndexed(k, 0)
-		v1, ok1 := ctx.ReadIndexed(k, 1)
-		_, ok2 := ctx.ReadIndexed(k, 2)
-		if !ok0 || !ok1 || ok2 || v0.A != 10 || v1.A != 20 {
-			t.Errorf("indexed reads wrong: %v %v", v0, v1)
-		}
+		expect("first read", ctx.ReadAll(k, nil), []int64{10, 20, 30}, 4, 2)
+		expect("absent key", ctx.ReadAll(absent, nil), nil, 5, 3)
+		expect("repeat", ctx.ReadAll(k, nil), []int64{10, 20, 30}, 5, 5)
+		expect("absent repeat", ctx.ReadAll(absent, nil), nil, 5, 6)
+		out := ctx.ReadAll(k2, []ValueOK{{}})
+		expect("second key after dst", out[1:], []int64{40, 50}, 8, 8)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// A budget of 3 pays for the count and two of k's three values.
+	rt = New(Config{P: 1, S: 3, BudgetFactor: 1, Seed: 1})
+	rt.SetInput(input)
+	err = rt.Round("cut", func(ctx *Ctx) error {
+		got := ctx.ReadAll(k, nil)
+		want := []ValueOK{{val(10, 0), true}, {val(20, 0), true}, {}}
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Errorf("cut read = %+v, want %+v", got, want)
+		}
+		if !errors.Is(ctx.Err(), ErrBudget) || ctx.Queries() != 3 {
+			t.Errorf("cut read: err %v after %d queries, want ErrBudget after 3", ctx.Err(), ctx.Queries())
+		}
+		return nil
+	})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
 
@@ -381,8 +421,8 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Pairs != 2 {
 		t.Fatalf("Pairs = %d, want 2", st.Pairs)
 	}
-	if n := len(rt.Stats()); n != 1 || rt.Rounds() != n {
-		t.Fatalf("%d stats records for %d rounds, want 1", n, rt.Rounds())
+	if n := len(rt.Stats()); n != 1 {
+		t.Fatalf("%d stats records, want 1", n)
 	}
 }
 
@@ -521,19 +561,5 @@ func TestRuntimeAccessors(t *testing.T) {
 	}
 	if rt.Stats()[0].MaxShardLoad == 0 {
 		t.Fatal("MaxShardLoad zero after reads")
-	}
-}
-
-func TestStaticStoreAccessor(t *testing.T) {
-	rt := New(cfg(2, 100))
-	if rt.StaticStore() != nil {
-		t.Fatal("static store non-nil before AddStatic")
-	}
-	if err := rt.AddStatic("s", []dds.KV{pair(3, 33)}); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := rt.StaticStore().Get(key(3, 0))
-	if !ok || v.A != 33 {
-		t.Fatalf("master static read = %v ok=%v", v, ok)
 	}
 }

@@ -62,62 +62,6 @@ func TestReadManyBudgetExhaustion(t *testing.T) {
 	}
 }
 
-func TestReadIndexedManyMatchesReadIndexed(t *testing.T) {
-	k, k2 := key(5, 0), key(6, 0)
-	input := []dds.KV{
-		{Key: k, Value: val(10, 0)},
-		{Key: k, Value: val(20, 0)},
-		{Key: k, Value: val(30, 0)},
-		{Key: k2, Value: val(40, 0)},
-		{Key: k2, Value: val(50, 0)},
-	}
-	rt := New(cfg(1, 100))
-	rt.SetInput(input)
-	err := rt.Round("dup", func(ctx *Ctx) error {
-		out := ctx.ReadIndexedMany(k, 4, nil)
-		for i, want := range []int64{10, 20, 30} {
-			if !out[i].OK || out[i].Value.A != want {
-				t.Errorf("index %d = %+v, want A=%d", i, out[i], want)
-			}
-		}
-		if out[3].OK {
-			t.Error("index beyond count reported present")
-		}
-		if ctx.Queries() != 4 {
-			t.Errorf("Queries = %d, want 4", ctx.Queries())
-		}
-		// Repeats are cache hits, whichever API fetched them first.
-		if v, ok := ctx.ReadIndexed(k, 1); !ok || v.A != 20 {
-			t.Errorf("ReadIndexed after batch = %v ok=%v", v, ok)
-		}
-		if ctx.Queries() != 4 {
-			t.Errorf("Queries after cached repeat = %d, want 4", ctx.Queries())
-		}
-		// A second batch over warmed cache must agree.
-		out = ctx.ReadIndexedMany(k, 3, out[:0])
-		for i, want := range []int64{10, 20, 30} {
-			if !out[i].OK || out[i].Value.A != want {
-				t.Errorf("cached index %d = %+v, want A=%d", i, out[i], want)
-			}
-		}
-		if ctx.Queries() != 4 {
-			t.Errorf("Queries after cached batch = %d, want 4", ctx.Queries())
-		}
-		// A second key drains in its own single probe, charged per index.
-		out = ctx.ReadIndexedMany(k2, 2, out[:0])
-		if len(out) != 2 || out[0].Value.A != 40 || out[1].Value.A != 50 || !out[1].OK {
-			t.Errorf("second key batch = %+v", out)
-		}
-		if ctx.Queries() != 6 {
-			t.Errorf("Queries after second key = %d, want 6", ctx.Queries())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReadStaticManyMatchesReadStatic(t *testing.T) {
 	rt := New(cfg(2, 100))
 	if err := rt.AddStatic("s", []dds.KV{pair(1, 11), pair(2, 22)}); err != nil {
@@ -240,15 +184,14 @@ func TestReadCallsAndBatchDuplicates(t *testing.T) {
 				t.Errorf("%s: Queries = %d, want 3 distinct keys", name, ctx.Queries())
 			}
 			if ctx.Machine == 1 {
-				ctx.CountKey(key(1, 0))
-				ctx.ReadIndexedMany(key(1, 0), 2, nil)
+				ctx.ReadAll(key(1, 0), nil)
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Machine 1: Read, ReadMany, six Reads, CountKey, ReadIndexedMany.
+		// Machine 1: Read, ReadMany, six Reads, and ReadAll's count and range.
 		if got := rt.Stats()[0].MaxMachineReadCalls; got != 10 {
 			t.Errorf("%s: MaxMachineReadCalls = %d, want 10", name, got)
 		}

@@ -43,14 +43,12 @@ type Ctx struct {
 	calls   int // read calls this attempt: an upper bound on its dependent read chain
 	err     error
 
-	tbl        getCache // point-read memo over the current store
-	stbl       getCache // point-read memo over the static store
-	cacheIdx   map[indexedKey]cachedValue
-	cacheCount map[dds.Key]int
-	// cacheRange memoizes ReadIndexedMany's single-probe reads: the first
-	// n indices of a key, held at rangeVals[off : off+n].
-	cacheRange map[dds.Key]idxRange
-	rangeVals  []ValueOK
+	tbl  getCache // point-read memo over the current store
+	stbl getCache // point-read memo over the static store
+	// ranges memoizes ReadAll: a key's whole result, held at
+	// rangeVals[off : off+n].
+	ranges    map[dds.Key]idxRange
+	rangeVals []ValueOK
 
 	// stamp identifies the current machine attempt: a table entry with a
 	// matching stamp was read by this machine this attempt (a free repeat);
@@ -75,12 +73,6 @@ type Ctx struct {
 	resolve   []int32
 }
 
-type cachedValue struct {
-	v     dds.Value
-	stamp uint32
-	ok    bool
-}
-
 // getSlot is one entry of the point-read memo: the key's placement hash
 // (the table's probe key, shared with the store's shard routing), the key
 // itself for collision rejection, the cached result, and the stamp of the
@@ -97,7 +89,7 @@ type getSlot struct {
 }
 
 // getCache is the open-addressed, linear-probing table behind Read and
-// ReadStatic. A hash-keyed flat table beats a map[dds.Key]cachedValue twice
+// ReadStatic. A hash-keyed flat table beats a map keyed by dds.Key twice
 // over: the placement hash is computed once and shared with the store probe
 // (the map re-hashed every 24-byte key through aeshash), and recycling is
 // O(1) — a stamp bump kills every entry of the finished machine, where
@@ -183,25 +175,14 @@ func (t *getCache) clear() {
 	t.live, t.n = 0, 0
 }
 
-type indexedKey struct {
-	k dds.Key
-	i int
-}
-
 type idxRange struct{ off, n int }
 
 // ValueOK is one result of a batched read: the value and whether the queried
-// (key, index) was present.
+// key (or index of a duplicated key) was present.
 type ValueOK struct {
 	Value dds.Value
 	OK    bool
 }
-
-// resetMapThreshold bounds the cost of recycling a Ctx between machines:
-// clearing a map sweeps its whole bucket array, so after an unusually
-// read-heavy machine it is cheaper to drop the map and let the next machine
-// grow a fresh one.
-const resetMapThreshold = 1 << 12
 
 // bind prepares the Ctx for one lane-round: everything constant across the
 // machines this lane will run — store references, salts, budget — is set
@@ -252,21 +233,7 @@ func (c *Ctx) reset(r *Runtime, m int) {
 		c.stbl.clear()
 		c.stamp = 1
 	}
-	if len(c.cacheIdx) > resetMapThreshold {
-		c.cacheIdx = nil
-	} else {
-		clear(c.cacheIdx)
-	}
-	if len(c.cacheCount) > resetMapThreshold {
-		c.cacheCount = nil
-	} else {
-		clear(c.cacheCount)
-	}
-	if len(c.cacheRange) > resetMapThreshold {
-		c.cacheRange = nil
-	} else {
-		clear(c.cacheRange)
-	}
+	clear(c.ranges)
 	c.rangeVals = c.rangeVals[:0]
 }
 
@@ -322,46 +289,6 @@ func (c *Ctx) read(k dds.Key) (dds.Value, bool) {
 	c.misses++
 	c.tbl.insert(h, k, v, ok, c.stamp)
 	return v, ok
-}
-
-// ReadIndexed returns the i-th value stored under a duplicated key.
-func (c *Ctx) ReadIndexed(k dds.Key, i int) (dds.Value, bool) { c.calls++; return c.readIndexed(k, i) }
-
-func (c *Ctx) readIndexed(k dds.Key, i int) (dds.Value, bool) {
-	if rg, found := c.cacheRange[k]; found && i >= 0 && i < rg.n {
-		r := c.rangeVals[rg.off+i]
-		return r.Value, r.OK
-	}
-	ik := indexedKey{k, i}
-	if cv, found := c.cacheIdx[ik]; found {
-		return cv.v, cv.ok
-	}
-	if !c.charge() {
-		return dds.Value{}, false
-	}
-	v, ok := c.reads.GetIndexed(k, i)
-	if c.cacheIdx == nil {
-		c.cacheIdx = make(map[indexedKey]cachedValue)
-	}
-	c.cacheIdx[ik] = cachedValue{v, c.stamp, ok}
-	return v, ok
-}
-
-// CountKey returns the number of values stored under k.
-func (c *Ctx) CountKey(k dds.Key) int {
-	c.calls++
-	if n, found := c.cacheCount[k]; found {
-		return n
-	}
-	if !c.charge() {
-		return 0
-	}
-	n := c.reads.Count(k)
-	if c.cacheCount == nil {
-		c.cacheCount = make(map[dds.Key]int)
-	}
-	c.cacheCount[k] = n
-	return n
 }
 
 // ReadMany performs a batched adaptive read: it appends one ValueOK per key
@@ -432,28 +359,26 @@ func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 	return dst
 }
 
-// ReadIndexedMany reads the first n indexed values of a duplicated key in
-// one batch, appending them to dst. When none of the indices is cached —
-// the common case for inbox-style drains — the store is probed once for the
-// whole range instead of n times. Each uncached index is charged against
-// the budget like a ReadIndexed call.
-func (c *Ctx) ReadIndexedMany(k dds.Key, n int, dst []ValueOK) []ValueOK {
-	if n <= 0 {
+// ReadAll appends every value stored under k to dst, in index order — the
+// §2 MPC simulation's inbox read. It costs 1 + n queries for a key holding
+// n values: one to count them, one per value. Past the budget the values
+// read as absent and ErrBudget latches. It is two read calls, since the
+// range probe depends on the count, or one for an absent key; a repeat of
+// the same key on the same machine charges no query.
+func (c *Ctx) ReadAll(k dds.Key, dst []ValueOK) []ValueOK {
+	c.calls++
+	if rg, seen := c.ranges[k]; seen {
+		if rg.n > 0 {
+			c.calls++
+		}
+		return append(dst, c.rangeVals[rg.off:rg.off+rg.n]...)
+	}
+	if !c.charge() {
 		return dst
 	}
-	c.calls++
-	if _, seen := c.cacheRange[k]; seen || len(c.cacheIdx) > 0 {
-		// Conservative fallback: a key read before, or any single-index
-		// read (for any key), disables the single-probe path, because
-		// charging a cached index twice would violate the count-once
-		// budget rule and checking this key's n indices individually costs
-		// what the fast path saves. Machines that drain each key once with
-		// ReadIndexedMany never pay this.
-		for i := 0; i < n; i++ {
-			v, ok := c.readIndexed(k, i)
-			dst = append(dst, ValueOK{v, ok})
-		}
-		return dst
+	n := c.reads.Count(k)
+	if n > 0 {
+		c.calls++
 	}
 	charged := 0
 	for charged < n && c.charge() {
@@ -461,24 +386,18 @@ func (c *Ctx) ReadIndexedMany(k dds.Key, n int, dst []ValueOK) []ValueOK {
 	}
 	c.scratch = c.reads.GetRange(k, 0, charged, c.scratch[:0])
 	off := len(c.rangeVals)
-	for i := 0; i < charged; i++ {
+	for i := 0; i < n; i++ {
 		var r ValueOK
 		if i < len(c.scratch) {
 			r = ValueOK{c.scratch[i], true}
 		}
 		c.rangeVals = append(c.rangeVals, r)
 	}
-	if charged > 0 {
-		if c.cacheRange == nil {
-			c.cacheRange = make(map[dds.Key]idxRange)
-		}
-		c.cacheRange[k] = idxRange{off, charged}
+	if c.ranges == nil {
+		c.ranges = make(map[dds.Key]idxRange)
 	}
-	dst = append(dst, c.rangeVals[off:]...)
-	for i := charged; i < n; i++ {
-		dst = append(dst, ValueOK{})
-	}
-	return dst
+	c.ranges[k] = idxRange{off, n}
+	return append(dst, c.rangeVals[off:]...)
 }
 
 // Write appends one pair to the next round's store. Writing beyond the

@@ -3,6 +3,8 @@ package ampc
 import (
 	"errors"
 	"testing"
+
+	"ampc/internal/rpc"
 )
 
 // TestMPCRoundRing simulates the MPC token ring from the paper's §2
@@ -46,13 +48,62 @@ func TestMPCRoundRing(t *testing.T) {
 	}
 }
 
-// TestMPCRoundFanIn checks MPCRound's delivery and its model limits: a
-// fan-in to one machine arrives whole, messages to two items of one machine
-// land in their own inboxes in sender-machine order, and a fan-in of more
-// than Budget() messages to one item fails the round with ErrBudget.
+// TestMPCRoundFanIn checks MPCRound's delivery, its model limits and its
+// accounting, on mem and over one in-process rpc server, where the inbox's
+// count and range probes cross the wire: a fan-in to one machine arrives
+// whole, messages to two items of one machine land in their own inboxes in
+// sender-machine order, and a fan-in of more than Budget() messages to one
+// item fails the round with ErrBudget. Every round's queries, busiest
+// machine's queries and read calls, and point-read misses are pinned: each
+// item's inbox read costs one count query, one query per message, and two
+// read calls (one for an empty inbox).
 func TestMPCRoundFanIn(t *testing.T) {
+	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for _, backend := range []string{"mem", "rpc"} {
+		t.Run(backend, func(t *testing.T) {
+			c := Config{P: 6, S: 100, Seed: 2}
+			if backend == "rpc" {
+				c.Backend = rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}})
+			}
+			rt := New(c)
+			defer rt.Close()
+			mpcFanIn(t, rt)
+			want := []struct {
+				name                 string
+				queries              int64
+				maxQueries, maxCalls int
+				misses               int64
+			}{
+				{"fan", 6, 1, 1, 0},
+				{"collect", 12, 7, 2, 0},
+				{"pair", 12, 2, 2, 0},
+				{"split", 30, 20, 4, 0},
+				{"flood", 6, 1, 1, 0},
+			}
+			st := rt.Stats()
+			if len(st) != len(want) {
+				t.Fatalf("%d stats records, want %d", len(st), len(want))
+			}
+			for i, w := range want {
+				g := st[i]
+				if g.Name != w.name || g.Queries != w.queries || g.MaxMachineQueries != w.maxQueries ||
+					g.MaxMachineReadCalls != w.maxCalls || g.CacheMisses != w.misses {
+					t.Errorf("round %d: %s queries %d, max machine queries %d, max read calls %d, misses %d; want %+v",
+						i, g.Name, g.Queries, g.MaxMachineQueries, g.MaxMachineReadCalls, g.CacheMisses, w)
+				}
+			}
+		})
+	}
+}
+
+// mpcFanIn runs TestMPCRoundFanIn's rounds on rt, checking every inbox.
+func mpcFanIn(t *testing.T, rt *Runtime) {
+	t.Helper()
 	const p = 6
-	rt := New(Config{P: p, S: 100, Seed: 2})
 	err := rt.MPCRound("fan", p, func(m int, _ []SimMessage, send func(SimMessage)) {
 		send(SimMessage{Dst: 0, A: int64(m)})
 	})
@@ -140,141 +191,5 @@ func TestMPCRoundFanIn(t *testing.T) {
 	})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("fan-in of %d > %d messages: err = %v, want ErrBudget", per*p, rt.Budget(), err)
-	}
-}
-
-// TestPRAMPrefixSums runs the classic O(log n)-step pointer-doubling prefix
-// sum on the simulated CREW PRAM and checks the O(1)-rounds-per-step claim.
-func TestPRAMPrefixSums(t *testing.T) {
-	const n = 64
-	rt := New(Config{P: 8, S: 200, Seed: 3})
-	mem := make([]int64, n)
-	for i := range mem {
-		mem[i] = int64(i + 1)
-	}
-	pram, err := NewPRAM(rt, n, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	roundsBefore := rt.Rounds()
-
-	steps := 0
-	for stride := 1; stride < n; stride *= 2 {
-		steps++
-		st := stride
-		err := pram.Step("scan", func(s *StepCtx) error {
-			i := s.Proc
-			cur, err := s.Read(i)
-			if err != nil {
-				return err
-			}
-			if i >= st {
-				prev, err := s.Read(i - st)
-				if err != nil {
-					return err
-				}
-				s.Write(i, cur+prev)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got := pram.Memory()
-	for i := 0; i < n; i++ {
-		want := int64((i + 1) * (i + 2) / 2)
-		if got[i] != want {
-			t.Fatalf("prefix[%d] = %d, want %d", i, got[i], want)
-		}
-	}
-	if rounds := rt.Rounds() - roundsBefore; rounds != steps {
-		t.Fatalf("PRAM used %d rounds for %d steps, want exactly 1 per step", rounds, steps)
-	}
-}
-
-func TestPRAMCarryForward(t *testing.T) {
-	rt := New(Config{P: 4, S: 100, Seed: 4})
-	pram, err := NewPRAM(rt, 4, []int64{10, 20, 30, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Step 1: only processor 0 writes (cell 0 = 11); others idle.
-	err = pram.Step("touch", func(s *StepCtx) error {
-		if s.Proc == 0 {
-			v, err := s.Read(0)
-			if err != nil {
-				return err
-			}
-			s.Write(0, v+1)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Several idle steps: memory must survive untouched.
-	for i := 0; i < 3; i++ {
-		if err := pram.Step("idle", func(*StepCtx) error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := pram.Memory()
-	want := []int64{11, 20, 30, 40}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("memory = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestPRAMCrossMachineWrite(t *testing.T) {
-	// A processor writes a cell owned by a DIFFERENT machine's block; the
-	// owner's stale carry must lose to the fresh write.
-	rt := New(Config{P: 4, S: 100, Seed: 5})
-	pram, err := NewPRAM(rt, 4, []int64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = pram.Step("cross", func(s *StepCtx) error {
-		if s.Proc == 3 {
-			s.Write(0, 999) // cell 0 lives in machine 0's block
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pram.Step("idle", func(*StepCtx) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := pram.Memory()[0]; got != 999 {
-		t.Fatalf("cell 0 = %d after cross-machine write, want 999", got)
-	}
-}
-
-func TestPRAMValidation(t *testing.T) {
-	rt := New(Config{P: 2, S: 50, Seed: 6})
-	if _, err := NewPRAM(rt, 0, []int64{1}); err == nil {
-		t.Fatal("zero processors accepted")
-	}
-	pram, err := NewPRAM(rt, 2, []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = pram.Step("bad-read", func(s *StepCtx) error {
-		if s.Proc == 0 {
-			if _, err := s.Read(99); err == nil {
-				t.Error("read of unwritten cell succeeded")
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pram.Processors() != 2 || pram.Cells() != 1 {
-		t.Fatal("accessors wrong")
 	}
 }

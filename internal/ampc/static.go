@@ -30,10 +30,6 @@ func (r *Runtime) AddStatic(name string, pairs []dds.KV) error {
 	}, true)
 }
 
-// StaticStore returns the current static store for master-side (uncounted)
-// reads; nil if AddStatic was never called.
-func (r *Runtime) StaticStore() *dds.Store { return r.static }
-
 // ReadStatic returns the value stored under k in the static store. It is
 // charged and cached like Read.
 func (c *Ctx) ReadStatic(k dds.Key) (dds.Value, bool) { c.calls++; return c.readStatic(k) }
@@ -68,33 +64,4 @@ func (c *Ctx) ReadStaticMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 		dst = append(dst, ValueOK{v, ok})
 	}
 	return dst
-}
-
-// ReadStaticIndexed returns the i-th value under a duplicated static key.
-func (c *Ctx) ReadStaticIndexed(k dds.Key, i int) (dds.Value, bool) {
-	c.calls++
-	ik := indexedKey{staticKey(k), i}
-	if cv, hit := c.cacheIdx[ik]; hit {
-		return cv.v, cv.ok
-	}
-	if !c.charge() {
-		return dds.Value{}, false
-	}
-	var v dds.Value
-	var ok bool
-	if c.static != nil {
-		v, ok = c.static.GetIndexed(k, i)
-	}
-	if c.cacheIdx == nil {
-		c.cacheIdx = make(map[indexedKey]cachedValue)
-	}
-	c.cacheIdx[ik] = cachedValue{v, c.stamp, ok}
-	return v, ok
-}
-
-// staticKey namespaces static cache entries away from per-round ones by
-// flipping the top tag bit, which graph/algorithm tags never use.
-func staticKey(k dds.Key) dds.Key {
-	k.Tag |= 0x80
-	return k
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ampc/internal/dds"
@@ -17,8 +18,8 @@ func TestAddStaticReadable(t *testing.T) {
 	if err := rt.AddStatic("publish", pairs); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Rounds() != 1 {
-		t.Fatalf("publish should count one round, got %d", rt.Rounds())
+	if len(rt.Stats()) != 1 {
+		t.Fatalf("publish should count one round, got %d", len(rt.Stats()))
 	}
 	err := rt.Round("read", func(ctx *Ctx) error {
 		for i := int64(0); i < 3; i++ {
@@ -200,28 +201,6 @@ func TestStaticAndDynamicKeysDistinct(t *testing.T) {
 	}
 }
 
-func TestReadStaticIndexed(t *testing.T) {
-	rt := New(cfg(1, 100))
-	k := key(3, 0)
-	if err := rt.AddStatic("publish", []dds.KV{
-		{Key: k, Value: val(1, 0)}, {Key: k, Value: val(2, 0)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err := rt.Round("read", func(ctx *Ctx) error {
-		v0, ok0 := ctx.ReadStaticIndexed(k, 0)
-		v1, ok1 := ctx.ReadStaticIndexed(k, 1)
-		_, ok2 := ctx.ReadStaticIndexed(k, 2)
-		if !ok0 || !ok1 || ok2 || v0.A != 1 || v1.A != 2 {
-			t.Errorf("indexed static reads wrong: %v %v", v0, v1)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReadStaticBeforeAddStatic(t *testing.T) {
 	rt := New(cfg(1, 100))
 	err := rt.Round("read", func(ctx *Ctx) error {
@@ -240,7 +219,7 @@ func TestReadStaticBeforeAddStatic(t *testing.T) {
 // rebuild the static store with dds.NewStore over all of them. One to four
 // calls, with keys repeated within and across calls, under several worker
 // counts and injected machine failures, must leave a static store whose
-// segment bytes equal that rebuild's, and whose indexed reads list a key's
+// segment bytes equal that rebuild's, and whose range reads list a key's
 // values across calls in call order.
 func TestStaticStoreMatchesRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
@@ -259,7 +238,7 @@ func TestStaticStoreMatchesRebuild(t *testing.T) {
 				all = append(all, pairs...)
 			}
 			want := dds.AppendSegment(nil, dds.NewStore(all, rt.cfg.P, rt.staticSalt))
-			if got := dds.AppendSegment(nil, rt.StaticStore()); !bytes.Equal(got, want) {
+			if got := dds.AppendSegment(nil, rt.static); !bytes.Equal(got, want) {
 				t.Fatalf("calls=%d workers=%d: static store bytes differ from the rebuild over all calls", calls, workers)
 			}
 
@@ -267,25 +246,11 @@ func TestStaticStoreMatchesRebuild(t *testing.T) {
 			for _, kv := range all {
 				ref[kv.Key] = append(ref[kv.Key], kv.Value)
 			}
-			err := rt.Round("read", func(ctx *Ctx) error {
-				for k, vs := range ref {
-					if int(k.A)%ctx.P != ctx.Machine {
-						continue
-					}
-					for i, want := range vs {
-						if got, ok := ctx.ReadStaticIndexed(k, i); !ok || got != want {
-							t.Errorf("calls=%d workers=%d: ReadStaticIndexed(%v, %d) = %v ok=%v, want %v",
-								calls, workers, k, i, got, ok, want)
-						}
-					}
-					if _, ok := ctx.ReadStaticIndexed(k, len(vs)); ok {
-						t.Errorf("calls=%d workers=%d: ReadStaticIndexed(%v, %d) past the last value hit", calls, workers, k, len(vs))
-					}
+			for k, vs := range ref {
+				got := rt.static.GetRange(k, 0, len(vs)+1, nil)
+				if !slices.Equal(got, vs) {
+					t.Fatalf("calls=%d workers=%d: static values of %v = %v, want %v", calls, workers, k, got, vs)
 				}
-				return ctx.Err()
-			})
-			if err != nil {
-				t.Fatal(err)
 			}
 			rt.Close()
 		}
@@ -326,7 +291,7 @@ func TestStaticPublishRetainsOneGeneration(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 
-	static := tableBytes(rt.StaticStore().ShardSizes())
+	static := tableBytes(rt.static.ShardSizes())
 	round := tableBytes(rt.Store().ShardSizes())
 	bound := static + 2*round + n*(24+4) + 1<<20
 	t.Logf("retained %d bytes; bound %d (static tables %d, round tables %d per generation)", retained, bound, static, round)

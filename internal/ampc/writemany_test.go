@@ -8,21 +8,19 @@ import (
 )
 
 // storeDump reads every key of a deterministic key set back from the
-// runtime's current store, with per-key counts and all indexed values, so
-// two runs can be compared for byte-level observable equality.
+// runtime's current store, with per-key counts and all values in index
+// order, so two runs can be compared for byte-level observable equality.
 func storeDump(t *testing.T, rt *Runtime, keys []dds.Key) []dds.Value {
 	t.Helper()
 	var out []dds.Value
 	for _, k := range keys {
 		n := rt.Store().Count(k)
 		out = append(out, dds.Value{A: int64(n)})
-		for i := 0; i < n; i++ {
-			v, ok := rt.Store().GetIndexed(k, i)
-			if !ok {
-				t.Fatalf("GetIndexed(%v, %d) missing", k, i)
-			}
-			out = append(out, v)
+		vs := rt.Store().GetRange(k, 0, n, nil)
+		if len(vs) != n {
+			t.Fatalf("GetRange(%v, 0, %d) returned %d values", k, n, len(vs))
 		}
+		out = append(out, vs...)
 	}
 	return out
 }
@@ -122,7 +120,7 @@ func TestWriteManyBudgetExhaustion(t *testing.T) {
 	// The round failed, so neither run advanced; both stores must agree
 	// (and in particular WriteMany must not have buffered pairs the loop
 	// would have rejected — compare through a fresh successful round).
-	if loopRT.Rounds() != 0 || batchRT.Rounds() != 0 {
+	if len(loopRT.Stats()) != 0 || len(batchRT.Stats()) != 0 {
 		t.Fatal("failed round advanced the round counter")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"ampc/internal/ampc"
@@ -52,7 +53,7 @@ func AffinityClustering(ctx context.Context, g *graph.WeightedGraph, opts Option
 	}
 
 	var levels [][]int
-	maxLevels := 2*bitsLen(n) + 4
+	maxLevels := 2*bits.Len(uint(n)) + 4
 	for level := 0; len(gc.verts) > 0 && gc.edges() > 0; level++ {
 		if level > maxLevels {
 			return AffinityResult{}, fmt.Errorf("core: affinity clustering failed to converge after %d levels", maxLevels)
@@ -132,15 +133,6 @@ func (d *flatDriver) fragmentTargets(store dds.StoreBackend, verts []int32) erro
 		seen[v] = false
 	}
 	return nil
-}
-
-func bitsLen(n int) int {
-	l := 0
-	for n > 0 {
-		l++
-		n >>= 1
-	}
-	return l
 }
 
 // AffinityOracle is the sequential reference: identical merge rule, used by

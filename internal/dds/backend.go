@@ -10,8 +10,6 @@ package dds
 type StoreBackend interface {
 	// Get returns the value stored under k (index 0 of a duplicated key).
 	Get(k Key) (Value, bool)
-	// GetIndexed returns the i-th (0-based) value stored under k.
-	GetIndexed(k Key, i int) (Value, bool)
 	// GetRange appends the values stored under k at indices [lo, hi) to dst,
 	// charging the shard hi-lo queries but probing the key once.
 	GetRange(k Key, lo, hi int, dst []Value) []Value

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -240,9 +241,9 @@ func TestFilePublisherLifecycle(t *testing.T) {
 	}
 }
 
-// sameAnswers asserts that got answers Get, GetIndexed, Count and GetRange
-// for every key exactly like want, including one index past each key's
-// values.
+// sameAnswers asserts that got answers Get, Count and GetRange — each index
+// alone and the whole range — for every key exactly like want, including one
+// index past each key's values.
 func sameAnswers(t *testing.T, got, want StoreBackend, keys []Key) {
 	t.Helper()
 	if got.Len() != want.Len() || got.Shards() != want.Shards() {
@@ -259,10 +260,8 @@ func sameAnswers(t *testing.T, got, want StoreBackend, keys []Key) {
 			t.Fatalf("Get(%v) = %v %v, want %v %v", k, gv, gok, wv, wok)
 		}
 		for i := 0; i <= n; i++ {
-			gv, gok := got.GetIndexed(k, i)
-			wv, wok := want.GetIndexed(k, i)
-			if gv != wv || gok != wok {
-				t.Fatalf("GetIndexed(%v, %d) = %v %v, want %v %v", k, i, gv, gok, wv, wok)
+			if g, w := got.GetRange(k, i, i+1, nil), want.GetRange(k, i, i+1, nil); !slices.Equal(g, w) {
+				t.Fatalf("GetRange(%v, %d, %d) = %v, want %v", k, i, i+1, g, w)
 			}
 		}
 		gr, wr := got.GetRange(k, 0, n+1, nil), want.GetRange(k, 0, n+1, nil)

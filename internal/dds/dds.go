@@ -431,17 +431,6 @@ func (s *Store) Get(k Key) (Value, bool) {
 	return sh.first(sl), true
 }
 
-// GetIndexed returns the i-th (0-based) value stored under k, for keys with
-// multiple pairs.
-func (s *Store) GetIndexed(k Key, i int) (Value, bool) {
-	sh, h := s.shardFor(k, 1)
-	sl := sh.find(k, h)
-	if sl == nil || i < 0 || i >= int(sl.count) {
-		return Value{}, false
-	}
-	return sh.value(sl, i), true
-}
-
 // GetRange appends the values stored under k at indices [lo, hi) to dst and
 // returns the extended slice; indices at or beyond the key's count are
 // skipped. The key is probed once but the shard is charged hi-lo queries —

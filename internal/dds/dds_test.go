@@ -49,16 +49,15 @@ func TestDuplicateKeyIndexing(t *testing.T) {
 			t.Fatalf("Count = %d, want 3", got)
 		}
 		for i, want := range []int64{100, 200, 300} {
-			v, ok := s.GetIndexed(k, i)
-			if !ok || v.A != want {
-				t.Fatalf("index %d: got %v ok=%v, want A=%d", i, v, ok, want)
+			if got := s.GetRange(k, i, i+1, nil); len(got) != 1 || got[0].A != want {
+				t.Fatalf("index %d: got %v, want A=%d", i, got, want)
 			}
 		}
-		if _, ok := s.GetIndexed(k, 3); ok {
-			t.Fatal("index out of range reported present")
+		if got := s.GetRange(k, 0, 4, nil); len(got) != 3 {
+			t.Fatalf("range past the count returned %v", got)
 		}
-		if _, ok := s.GetIndexed(k, -1); ok {
-			t.Fatal("negative index reported present")
+		if got := s.GetRange(k, 3, 4, nil); len(got) != 0 {
+			t.Fatalf("index out of range reported present: %v", got)
 		}
 	})
 }
@@ -228,10 +227,8 @@ func TestBuilderMergeOrder(t *testing.T) {
 	// Machine 0's write must come first regardless of Writer creation
 	// order, and the serialized store must preserve the assignment.
 	forEachBackend(t, b.Freeze(4, 5), func(t *testing.T, s StoreBackend) {
-		v0, _ := s.GetIndexed(k, 0)
-		v1, _ := s.GetIndexed(k, 1)
-		if v0.A != 100 || v1.A != 200 {
-			t.Fatalf("merge order wrong: got %v, %v", v0, v1)
+		if vs := s.GetRange(k, 0, 2, nil); len(vs) != 2 || vs[0].A != 100 || vs[1].A != 200 {
+			t.Fatalf("merge order wrong: got %v", vs)
 		}
 	})
 }

@@ -32,8 +32,8 @@ func reference(pairs []KV) map[Key][]Value {
 	return m
 }
 
-// checkAgainstReference asserts that s answers Get, GetIndexed, GetRange and
-// Count exactly like the reference map, including for keys that are absent.
+// checkAgainstReference asserts that s answers Get, GetRange and Count
+// exactly like the reference map, including for keys that are absent.
 // It takes the backend interface, so the in-memory store and every
 // serialized backend are held to identical semantics.
 func checkAgainstReference(t *testing.T, s StoreBackend, ref map[Key][]Value, probeAbsent []Key) {
@@ -47,13 +47,12 @@ func checkAgainstReference(t *testing.T, s StoreBackend, ref map[Key][]Value, pr
 			t.Fatalf("Get(%v) = %v ok=%v, want %v", k, v, ok, vs[0])
 		}
 		for i, want := range vs {
-			v, ok := s.GetIndexed(k, i)
-			if !ok || v != want {
-				t.Fatalf("GetIndexed(%v, %d) = %v ok=%v, want %v", k, i, v, ok, want)
+			if got := s.GetRange(k, i, i+1, nil); len(got) != 1 || got[0] != want {
+				t.Fatalf("GetRange(%v, %d, %d) = %v, want %v", k, i, i+1, got, want)
 			}
 		}
-		if _, ok := s.GetIndexed(k, len(vs)); ok {
-			t.Fatalf("GetIndexed(%v, %d) beyond count reported present", k, len(vs))
+		if got := s.GetRange(k, len(vs), len(vs)+1, nil); len(got) != 0 {
+			t.Fatalf("GetRange(%v) beyond count returned %v", k, got)
 		}
 		if got := s.GetRange(k, 0, len(vs), nil); len(got) != len(vs) {
 			t.Fatalf("GetRange(%v) returned %d values, want %d", k, len(got), len(vs))
@@ -205,11 +204,10 @@ func compareStores(t *testing.T, a, b *Store) {
 			if got := b.Count(k); got != int(sl.count) {
 				t.Fatalf("key %v count %d vs %d", k, sl.count, got)
 			}
+			got := b.GetRange(k, 0, int(sl.count), nil)
 			for i := 0; i < int(sl.count); i++ {
-				want := sh.value(sl, i)
-				got, ok := b.GetIndexed(k, i)
-				if !ok || got != want {
-					t.Fatalf("key %v index %d: %v vs %v (ok=%v)", k, i, want, got, ok)
+				if want := sh.value(sl, i); i >= len(got) || got[i] != want {
+					t.Fatalf("key %v index %d: want %v, got %v", k, i, want, got)
 				}
 			}
 		}

@@ -284,7 +284,7 @@ func FuzzOpenSegment(f *testing.F) {
 		for _, k := range []Key{{1, 1, 0}, {2, 1, 1}, {0, 0, 0}} {
 			fs.Get(k)
 			fs.Count(k)
-			fs.GetIndexed(k, 1)
+			fs.GetRange(k, 1, 2, nil)
 			fs.GetRange(k, 0, 4, nil)
 		}
 	})

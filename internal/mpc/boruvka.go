@@ -120,7 +120,7 @@ func BoruvkaMSF(g *graph.WeightedGraph, p int) (MSFResult, error) {
 		}
 
 		if !progress {
-			return MSFResult{Edges: canonicalSort(msf), Rounds: rt.Rounds(), Phases: phase}, nil
+			return MSFResult{Edges: canonicalSort(msf), Rounds: len(rt.Stats()), Phases: phase}, nil
 		}
 	}
 }

@@ -59,11 +59,11 @@ func LabelPropagation(g *graph.Graph, p int) (ConnectivityResult, error) {
 		for _, c := range changedPer {
 			changed = changed || c
 		}
-		if !changed && rt.Rounds() > 1 {
+		if !changed && len(rt.Stats()) > 1 {
 			break
 		}
 	}
-	return ConnectivityResult{Components: comp, Rounds: rt.Rounds()}, nil
+	return ConnectivityResult{Components: comp, Rounds: len(rt.Stats())}, nil
 }
 
 // ListRankingResult reports the outcome and cost of MPC list ranking.
@@ -129,5 +129,5 @@ func PointerDoublingListRank(next []int, p int) (ListRankingResult, error) {
 			return ListRankingResult{}, err
 		}
 	}
-	return ListRankingResult{Rank: rank, Rounds: rt.Rounds()}, nil
+	return ListRankingResult{Rank: rank, Rounds: len(rt.Stats())}, nil
 }

@@ -146,5 +146,5 @@ func LubyMIS(g *graph.Graph, p int, r *rng.RNG) (MISResult, error) {
 		}
 	}
 
-	return MISResult{InMIS: inMIS, Rounds: rt.Rounds(), Iterations: iterations}, nil
+	return MISResult{InMIS: inMIS, Rounds: len(rt.Stats()), Iterations: iterations}, nil
 }

@@ -95,5 +95,5 @@ func TwoCycle(g *graph.Graph, p int) (TwoCycleResult, error) {
 	for v := 0; v < n; v++ {
 		seen[min(mn[2*v], mn[2*v+1])] = true
 	}
-	return TwoCycleResult{SingleCycle: len(seen) == 1, Rounds: rt.Rounds()}, nil
+	return TwoCycleResult{SingleCycle: len(seen) == 1, Rounds: len(rt.Stats())}, nil
 }

@@ -68,25 +68,6 @@ func (b *Backend) Get(k dds.Key) (dds.Value, bool) {
 	return v, ok
 }
 
-// GetIndexed returns the i-th (0-based) value stored under k. The shard is
-// charged first, as dds.Store charges it, whatever the index.
-func (b *Backend) GetIndexed(k dds.Key, i int) (dds.Value, bool) {
-	shard := dds.ShardOf(k, b.salt, b.p)
-	b.loads[shard].Add(1)
-	if i < 0 {
-		return dds.Value{}, false
-	}
-	vals, err := b.c.getRange(b.seq, k, i, i+1, shard, b.p, nil)
-	if err != nil {
-		b.fail(err)
-		return dds.Value{}, false
-	}
-	if len(vals) == 0 {
-		return dds.Value{}, false
-	}
-	return vals[0], true
-}
-
 // GetRange appends the values stored under k at indices [lo, hi) to dst,
 // charging the shard hi-lo queries but probing the key once — one request
 // frame however wide the range.

@@ -286,9 +286,6 @@ func (ps *pending) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 // backend (in-memory before the swap, the server fleet after).
 
 func (ps *pending) Get(k dds.Key) (dds.Value, bool) { return ps.backend().Get(k) }
-func (ps *pending) GetIndexed(k dds.Key, i int) (dds.Value, bool) {
-	return ps.backend().GetIndexed(k, i)
-}
 func (ps *pending) GetRange(k dds.Key, lo, hi int, dst []dds.Value) []dds.Value {
 	return ps.backend().GetRange(k, lo, hi, dst)
 }

@@ -364,9 +364,8 @@ func checkBackend(t *testing.T, b dds.StoreBackend, ref map[dds.Key][]dds.Value)
 			t.Fatalf("Get(%+v) = %+v %v, want %+v", k, v, ok, want[0])
 		}
 		for i, w := range want {
-			v, ok := b.GetIndexed(k, i)
-			if !ok || v != w {
-				t.Fatalf("GetIndexed(%+v, %d) = %+v %v, want %+v", k, i, v, ok, w)
+			if got := b.GetRange(k, i, i+1, nil); len(got) != 1 || got[0] != w {
+				t.Fatalf("GetRange(%+v, %d, %d) = %+v, want %+v", k, i, i+1, got, w)
 			}
 		}
 		got := b.GetRange(k, 0, len(want), nil)
@@ -452,10 +451,11 @@ func TestPublishReadCycle(t *testing.T) {
 	}
 }
 
-// TestIndexedReadsChargeLikeStore pins the load ledger of GetIndexed on
-// every backend: a negative index, an index past the key's count and an
-// absent key each charge the owning shard one query, as dds.Store does, so
-// max_shard_load never depends on where the store lives.
+// TestIndexedReadsChargeLikeStore pins the load ledger of the indexed
+// reads, Count and GetRange, on every backend: a count charges the owning
+// shard one query and a range hi-lo, even when it starts past the key's
+// count or the key is absent, and an empty range charges nothing, as
+// dds.Store does, so max_shard_load never depends on where the store lives.
 func TestIndexedReadsChargeLikeStore(t *testing.T) {
 	_, addrs := startFleet(t, 1, ServerConfig{})
 	pairs := testPairs(200)
@@ -475,12 +475,16 @@ func TestIndexedReadsChargeLikeStore(t *testing.T) {
 		b    dds.StoreBackend
 	}{{"mem", store()}, {"file", file}, {"rpc", remote}} {
 		bk.b.ResetLoads()
+		n := bk.b.Count(k)
+		if got := bk.b.Count(absent); got != 0 {
+			t.Fatalf("%s: Count(absent) = %d", bk.name, got)
+		}
 		for _, read := range []struct {
-			k dds.Key
-			i int
-		}{{k, -1}, {k, bk.b.Count(k)}, {absent, 0}} {
-			if v, ok := bk.b.GetIndexed(read.k, read.i); ok {
-				t.Fatalf("%s: GetIndexed(%+v, %d) = %+v, want absent", bk.name, read.k, read.i, v)
+			k      dds.Key
+			lo, hi int
+		}{{k, n, n + 2}, {absent, 0, 3}, {k, 0, 0}} {
+			if got := bk.b.GetRange(read.k, read.lo, read.hi, nil); len(got) != 0 {
+				t.Fatalf("%s: GetRange(%+v, %d, %d) = %+v, want nothing", bk.name, read.k, read.lo, read.hi, got)
 			}
 		}
 		loads := bk.b.ShardLoads()
@@ -488,8 +492,8 @@ func TestIndexedReadsChargeLikeStore(t *testing.T) {
 		for _, l := range loads {
 			total += l
 		}
-		if total != 4 { // the three indexed reads and the Count
-			t.Fatalf("%s: loads %v total %d, want 4", bk.name, loads, total)
+		if total != 7 { // two counts, then ranges of 2, 3 and 0
+			t.Fatalf("%s: loads %v total %d, want 7", bk.name, loads, total)
 		}
 		if want == nil {
 			want = loads
