@@ -62,6 +62,53 @@ func TestReadManyBudgetExhaustion(t *testing.T) {
 	}
 }
 
+// TestReadIndexedManyMatchesReadIndexed checks that a ReadAll drain
+// matches the key's values index by index, that a repeat is a free cache
+// hit (its two read calls still counted), and that a second key drains
+// in its own count and range, charged per index.
+func TestReadIndexedManyMatchesReadIndexed(t *testing.T) {
+	k, k2 := key(5, 0), key(6, 0)
+	input := []dds.KV{
+		{Key: k, Value: val(10, 0)},
+		{Key: k, Value: val(20, 0)},
+		{Key: k, Value: val(30, 0)},
+		{Key: k2, Value: val(40, 0)},
+		{Key: k2, Value: val(50, 0)},
+	}
+	rt := New(cfg(1, 100))
+	rt.SetInput(input)
+	err := rt.Round("dup", func(ctx *Ctx) error {
+		check := func(what string, out []ValueOK, want []int64, queries int) {
+			t.Helper()
+			if len(out) != len(want) {
+				t.Fatalf("%s: %d values %+v, want %v", what, len(out), out, want)
+			}
+			for i, w := range want {
+				if !out[i].OK || out[i].Value.A != w {
+					t.Errorf("%s: index %d = %+v, want A=%d", what, i, out[i], w)
+				}
+			}
+			if ctx.Queries() != queries {
+				t.Errorf("%s: Queries = %d, want %d", what, ctx.Queries(), queries)
+			}
+		}
+		out := ctx.ReadAll(k, nil)
+		check("first drain", out, []int64{10, 20, 30}, 4)
+		// A second drain over the warmed cache must agree, for free.
+		out = ctx.ReadAll(k, out[:0])
+		check("cached drain", out, []int64{10, 20, 30}, 4)
+		out = ctx.ReadAll(k2, out[:0])
+		check("second key", out, []int64{40, 50}, 7)
+		if ctx.calls != 6 {
+			t.Errorf("read calls = %d, want 6", ctx.calls)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReadStaticManyMatchesReadStatic(t *testing.T) {
 	rt := New(cfg(2, 100))
 	if err := rt.AddStatic("s", []dds.KV{pair(1, 11), pair(2, 22)}); err != nil {
