@@ -299,37 +299,52 @@ func TestDaemonCancel(t *testing.T) {
 }
 
 // TestDaemonDegenerateSpecs submits generator specs outside their
-// generators' contracts: each must get a prompt 400 naming the reason, not
-// a hung request (cgnm's rejection sampling on a too-dense spec) or an
-// empty reply (a generator panic recovered by net/http).
+// generators' contracts, and inputs above the size limit: each must get a
+// prompt 400 naming the reason, not a hung request (cgnm's rejection
+// sampling on a too-dense spec), an empty reply (a generator panic
+// recovered by net/http) or an allocation the body's few bytes ask for.
 func TestDaemonDegenerateSpecs(t *testing.T) {
 	_, base := testServer(t)
 	client := &http.Client{Timeout: 5 * time.Second}
+	conn := func(spec graphSpec) submitRequest { return submitRequest{Algo: "connectivity", Graph: &spec} }
 	for _, tc := range []struct {
-		spec graphSpec
+		req  submitRequest
 		want string
 	}{
-		{graphSpec{Kind: "cgnm", N: 3}, "exceeds n(n-1)/2"},
-		{graphSpec{Kind: "gnm", N: 1}, "exceeds n(n-1)/2"},
-		{graphSpec{Kind: "cgnm", N: 100, M: 50}, "below n-1"},
-		{graphSpec{Kind: "cycle2", N: 7}, "even n >= 6"},
-		{graphSpec{Kind: "forest", N: 5}, "trees=10 exceeds n=5"},
-		{graphSpec{Kind: "gnm", N: 10, M: -1}, "negative"},
+		{conn(graphSpec{Kind: "cgnm", N: 3}), "exceeds n(n-1)/2"},
+		{conn(graphSpec{Kind: "gnm", N: 1}), "exceeds n(n-1)/2"},
+		{conn(graphSpec{Kind: "cgnm", N: 100, M: 50}), "below n-1"},
+		{conn(graphSpec{Kind: "cycle2", N: 7}), "even n >= 6"},
+		{conn(graphSpec{Kind: "forest", N: 5}), "trees=10 exceeds n=5"},
+		{conn(graphSpec{Kind: "gnm", N: 10, M: -1}), "negative"},
+		{conn(graphSpec{Kind: "gnm", N: maxInputSize + 1, M: 10}), "above the limit"},
+		{submitRequest{Algo: "listrank", Graph: &graphSpec{Kind: "list", N: -1}}, "list: n=-1 is negative"},
+		{submitRequest{Algo: "listrank", Graph: &graphSpec{Kind: "list", N: maxInputSize + 1}}, "above the limit"},
+		{submitRequest{Algo: "connectivity", N: maxInputSize + 1, Edges: [][]int{{0, 1}}}, "above the limit"},
+		{submitRequest{Algo: "msf", N: maxInputSize + 1, Edges: [][]int{{0, 1, 5}}}, "above the limit"},
 	} {
-		body, _ := json.Marshal(submitRequest{Algo: "connectivity", Graph: &tc.spec})
+		body, _ := json.Marshal(tc.req)
 		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("%+v: %v", tc.spec, err)
+			t.Fatalf("%s: %v", body, err)
 		}
 		var e struct {
 			Error string `json:"error"`
 		}
 		if err := decodeJSON(resp, http.StatusBadRequest, &e); err != nil {
-			t.Fatalf("%+v: %v", tc.spec, err)
+			t.Fatalf("%s: %v", body, err)
 		}
 		if !strings.Contains(e.Error, tc.want) {
-			t.Fatalf("%+v: error %q, want it to mention %q", tc.spec, e.Error, tc.want)
+			t.Fatalf("%s: error %q, want it to mention %q", body, e.Error, tc.want)
 		}
+	}
+	resp, err := client.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after the degenerate specs: %s", resp.Status)
 	}
 }
 

@@ -150,6 +150,21 @@ type graphSpec struct {
 // decode buffer.
 const maxSubmitBytes = 64 << 20
 
+// maxInputSize bounds a submission's n and m, generated or inline, so a
+// body of a few bytes cannot make the daemon allocate without limit. No
+// body under maxSubmitBytes lists more elements than it has bytes, so
+// every inline input a body can carry fits, and so do the benchmark's
+// graphs of 10^5 vertices and 4·10^5 edges.
+const maxInputSize = maxSubmitBytes
+
+// sizeErr reports an n or m above maxInputSize, or nil.
+func sizeErr(n, m int) error {
+	if n > maxInputSize || m > maxInputSize {
+		return fmt.Errorf("n=%d, m=%d: above the limit of %d vertices or edges", n, m, maxInputSize)
+	}
+	return nil
+}
+
 // submitBodyTimeout bounds how long a submission may take to deliver its
 // body once its headers are in; without it a client that trickles the body
 // holds the handler and its decoder for as long as it likes. It is set per
@@ -307,6 +322,12 @@ func buildJob(spec ampc.AlgorithmSpec, req *submitRequest) (ampc.Job, int, int, 
 			if req.Graph.Kind != "list" {
 				return job, 0, 0, fmt.Errorf("algorithm %q takes a list: use graph kind \"list\" or inline \"next\"", req.Algo)
 			}
+			if n := req.Graph.N; n < 0 {
+				return job, 0, 0, fmt.Errorf("list: n=%d is negative", n)
+			}
+			if err := sizeErr(req.Graph.N, 0); err != nil {
+				return job, 0, 0, err
+			}
 			next = pathList(req.Graph.N)
 		}
 		if next == nil {
@@ -352,6 +373,9 @@ func pathList(n int) []int {
 
 func inputGraph(req *submitRequest) (*ampc.Graph, error) {
 	if req.Edges != nil {
+		if err := sizeErr(req.N, len(req.Edges)); err != nil {
+			return nil, err
+		}
 		edges := make([]ampc.Edge, len(req.Edges))
 		for i, e := range req.Edges {
 			if len(e) != 2 {
@@ -369,6 +393,9 @@ func inputGraph(req *submitRequest) (*ampc.Graph, error) {
 
 func inputWeightedGraph(req *submitRequest) (*ampc.WeightedGraph, error) {
 	if req.Edges != nil {
+		if err := sizeErr(req.N, len(req.Edges)); err != nil {
+			return nil, err
+		}
 		edges := make([]ampc.WeightedEdge, len(req.Edges))
 		for i, e := range req.Edges {
 			if len(e) != 3 {
@@ -400,6 +427,9 @@ func makeGraph(spec *graphSpec) (*ampc.Graph, error) {
 	}
 	if trees <= 0 {
 		trees = 10
+	}
+	if err := sizeErr(n, m); err != nil {
+		return nil, err
 	}
 	if err := specErr(spec.Kind, n, m, trees); err != nil {
 		return nil, err

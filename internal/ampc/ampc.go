@@ -193,11 +193,10 @@ type Runtime struct {
 
 	// Capabilities of the current read backend, asserted once per publish
 	// instead of once per machine reset (type assertions on every reset
-	// showed up in the round-overhead benchmark): the batch surface, the
-	// pre-hashed point-read surface and the placement salt it needs.
-	curBatch dds.BatchGetter
-	curPre   dds.PrehashedGetter
-	curSalt  uint64
+	// showed up in the round-overhead benchmark): the pre-hashed point-read
+	// surface and the placement salt it needs.
+	curPre  dds.PrehashedGetter
+	curSalt uint64
 	// curFrames exposes the networked backend's read-frame counter, for
 	// the per-round RPCFrames delta and the lane count; nil for in-process
 	// backends.
@@ -349,19 +348,11 @@ func (r *Runtime) publish(s *dds.Store) {
 // scalar probe, so mem and file serve ReadMany through the pre-hashed
 // scalar path instead.
 func (r *Runtime) bindBackend() {
-	r.curBatch = nil
-	r.curPre = nil
 	r.curFrames, _ = r.cur.(interface{ ReadFrames() int64 })
-	if b, ok := r.cur.(dds.BatchGetter); ok && r.curFrames != nil {
-		r.curBatch = b
-	}
-	r.curSalt = 0
-	if sl, ok := r.cur.(dds.Salter); ok {
-		r.curSalt = sl.Salt()
-		// The salt pins the backend's own placement hash, so a
-		// pre-hashed Get can trust the caller's value.
-		r.curPre, _ = r.cur.(dds.PrehashedGetter)
-	}
+	// The salt pins the backend's own placement hash, so a pre-hashed Get
+	// can trust the caller's value.
+	r.curSalt = r.cur.Salt()
+	r.curPre, _ = r.cur.(dds.PrehashedGetter)
 }
 
 // shutdown releases everything the runtime owns; shared by Close and the
@@ -526,11 +517,7 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 	// as publish cost: it is the synchronous tail of the previous publish.
 	var preBarrier time.Duration
 	if r.preBarrier {
-		inFlight := true
-		if ip, ok := r.pub.(interface{ InFlight() bool }); ok {
-			inFlight = ip.InFlight()
-		}
-		if inFlight {
+		if r.pub.InFlight() {
 			t := time.Now()
 			if err := r.pub.Barrier(); err != nil {
 				return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
@@ -593,10 +580,8 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 	// latches it and the round fails here, before machine errors — a machine
 	// that misbehaved because its reads silently came back absent is a
 	// symptom, not the cause.
-	if re, ok := r.cur.(interface{ ReadErr() error }); ok {
-		if err := re.ReadErr(); err != nil {
-			return fmt.Errorf("ampc: round %d (%s): store read: %w", r.round, name, err)
-		}
+	if err := r.cur.ReadErr(); err != nil {
+		return fmt.Errorf("ampc: round %d (%s): store read: %w", r.round, name, err)
 	}
 
 	for m, err := range r.errs {
@@ -635,10 +620,7 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 	// pre-execute barrier): one timestamp chain splits the phases because clock reads
 	// are not free on every platform and Round is the floor under every
 	// algorithm's per-round cost.
-	needBarrier := true
-	if ip, ok := r.pub.(interface{ InFlight() bool }); ok {
-		needBarrier = ip.InFlight()
-	}
+	needBarrier := r.pub.InFlight()
 	t0 := time.Now()
 	t1 := t0
 	if needBarrier {

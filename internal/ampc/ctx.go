@@ -32,7 +32,7 @@ type Ctx struct {
 	RNG *rng.RNG
 
 	reads  dds.StoreBackend
-	batch  dds.BatchGetter     // reads' batch surface, when it has one
+	batch  bool                // ReadMany goes to reads as one GetMany: a networked backend
 	preGet dds.PrehashedGetter // reads' pre-hashed surface, when it has one
 	static *dds.Store
 	w      *dds.Writer
@@ -194,7 +194,7 @@ func (c *Ctx) bind(r *Runtime) {
 	c.S = r.cfg.S
 	c.Round = r.round
 	c.reads = r.cur
-	c.batch = r.curBatch
+	c.batch = r.curFrames != nil
 	c.preGet = r.curPre
 	c.static = r.static
 	c.budget = r.Budget()
@@ -208,7 +208,7 @@ func (c *Ctx) bind(r *Runtime) {
 func (c *Ctx) finish(r *Runtime) {
 	r.misses.Add(c.misses)
 	c.misses = 0
-	c.reads, c.batch, c.preGet, c.static, c.w = nil, nil, nil, nil, nil
+	c.reads, c.preGet, c.static, c.w = nil, nil, nil, nil
 }
 
 // reset prepares the Ctx to run machine m of the runtime's current round
@@ -296,13 +296,13 @@ func (c *Ctx) read(k dds.Key) (dds.Value, bool) {
 // semantics are exactly Read in a loop — budget charged once per distinct
 // key, already-cached keys free, OK = false past budget exhaustion (check
 // Err). It is one read call, however many keys it carries. On a networked
-// backend (dds.BatchGetter that reports read frames: rpc) the call's
+// backend (one that reports read frames: rpc) the call's
 // distinct uncached keys go to the store as one GetMany instead of one probe
 // each; mem and file serve it through the pre-hashed scalar loop (see
 // bindBackend). Results, caching and budget charges are identical either way.
 func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 	c.calls++
-	if c.batch == nil {
+	if !c.batch {
 		for _, k := range keys {
 			v, ok := c.read(k)
 			dst = append(dst, ValueOK{v, ok})
@@ -344,7 +344,7 @@ func (c *Ctx) ReadMany(keys []dds.Key, dst []ValueOK) []ValueOK {
 			c.batchOks = make([]bool, n)
 		}
 		vals, oks := c.batchVals[:n], c.batchOks[:n]
-		c.batch.GetMany(c.batchKeys, vals, oks)
+		c.reads.GetMany(c.batchKeys, vals, oks)
 		c.misses += int64(n)
 		for i, k := range c.batchKeys {
 			s := c.tbl.lookup(c.batchHs[i], k, c.stamp)

@@ -47,10 +47,7 @@ func AffinityClustering(ctx context.Context, g *graph.WeightedGraph, opts Option
 	defer rt.Close()
 
 	gc := d.fromWeighted(g.WeightedEdges())
-	m2 := make([]int, n)
-	for v := range m2 {
-		m2[v] = v
-	}
+	m2 := identityMap(n)
 
 	var levels [][]int
 	maxLevels := 2*bits.Len(uint(n)) + 4

@@ -64,24 +64,21 @@ func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (Connectivi
 	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
-	driver := opts.driverRNG(5)
 
-	gc := d.fromGraph(g)
-	m2 := make([]int, n) // M: original vertex -> current representative
-	for v := range m2 {
-		m2[v] = v
-	}
-
-	phases, err := connectivityPhases(ctx, rt, d, gc, m2, driver, opts, n, g.M(), 0)
+	m2 := identityMap(n) // M: original vertex -> current representative
+	phases, err := d.runPhases(ctx, rt, increaseDegrees, d.fromGraph(g), m2, opts.driverRNG(5), opts, n, g.M(), 0)
 	if err != nil {
 		return ConnectivityResult{}, err
 	}
+	return d.connectivityResult(rt, m2, phases, opts.RetainStore)
+}
 
-	comp := make([]int, n)
-	copy(comp, m2)
-	res := ConnectivityResult{Components: comp}
-	if opts.RetainStore {
-		store, err := retainServeStore(rt, comp)
+// connectivityResult reports a finished connectivity run: m2 holds the
+// component labels.
+func (d *flatDriver) connectivityResult(rt *ampc.Runtime, m2 []int, phases int, retain bool) (ConnectivityResult, error) {
+	res := ConnectivityResult{Components: m2}
+	if retain {
+		store, err := retainServeStore(rt, m2)
 		if err != nil {
 			return ConnectivityResult{}, err
 		}
@@ -91,12 +88,32 @@ func Connectivity(ctx context.Context, g *graph.Graph, opts Options) (Connectivi
 	return res, nil
 }
 
-// connectivityPhases drives the contraction loop of §6 from the given
-// contracted state until the graph is exhausted, mutating m2 in place, and
-// returns the total phase count. Connectivity enters it at phase 0 with the
-// materialized input; ConnectivityStream enters at phase 1, having run the
-// first phase against the streamed ingest without ever materializing Gc.
-func connectivityPhases(ctx context.Context, rt *ampc.Runtime, d *flatDriver, gc *contracted, m2 []int, driver *rng.RNG, opts Options, n, m, phases int) (int, error) {
+// identityMap returns the identity map on [0, n): every original vertex its
+// own representative.
+func identityMap(n int) []int {
+	m := make([]int, n)
+	for v := range m {
+		m[v] = v
+	}
+	return m
+}
+
+// exploreRound is a phase's exploration round: every vertex of verts, in
+// that order and block-partitioned across machines, explores up to d
+// vertices and records what it found — Algorithm 6's BFS (increaseDegrees)
+// or Algorithm 8's Prim growth (msfIncreaseDegree).
+type exploreRound func(rt *ampc.Runtime, verts []int32, d int, phase int) error
+
+// runPhases is the contraction loop that Connectivity (§6, Algorithm 7),
+// ConnectivityStream and MSF (§7, Algorithm 9) share, differing only in
+// explore. From the given contracted state until the graph is exhausted,
+// each phase publishes Gc, explores, samples leaders and contracts; a
+// remainder small enough for one machine is solved there. It mutates m2 in
+// place and returns the total phase count. Connectivity and MSF enter at
+// phase 0 with the materialized input; ConnectivityStream enters at phase
+// 1, having run the first phase against the streamed ingest without ever
+// materializing Gc.
+func (d *flatDriver) runPhases(ctx context.Context, rt *ampc.Runtime, explore exploreRound, gc *contracted, m2 []int, driver *rng.RNG, opts Options, n, m, phases int) (int, error) {
 	totalSpace := float64(opts.spaceFactor * (n + m + 1))
 	dCap := math.Pow(float64(n), opts.Epsilon/2)
 	maxPhases := 4*int(math.Log2(float64(n+4))) + 16
@@ -106,19 +123,13 @@ func connectivityPhases(ctx context.Context, rt *ampc.Runtime, d *flatDriver, gc
 			return phases, err
 		}
 		if phases++; phases > maxPhases {
-			return phases, fmt.Errorf("core: connectivity failed to converge after %d phases", maxPhases)
+			return phases, fmt.Errorf("core: contraction failed to converge after %d phases", maxPhases)
 		}
 
 		// Small remainder: publish and solve on a single machine, the
 		// paper's final step.
 		if 1+len(gc.verts)+2*gc.edges() <= rt.Budget()/2 {
-			if err := solveLocally(rt, gc, phases); err != nil {
-				return phases, err
-			}
-			if err := d.applyLocalLabels(rt.Store(), gc, m2); err != nil {
-				return phases, err
-			}
-			break
+			return phases, d.solveLocally(rt, gc, m2, phases)
 		}
 
 		budget := connExploreBudget(totalSpace, len(gc.verts), dCap)
@@ -126,12 +137,12 @@ func connectivityPhases(ctx context.Context, rt *ampc.Runtime, d *flatDriver, gc
 		if err := publishContracted(rt, gc, phases); err != nil {
 			return phases, err
 		}
-		if err := increaseDegrees(rt, d.shuffled(gc.verts, driver), budget, phases); err != nil {
+		if err := explore(rt, d.shuffled(gc.verts, driver), budget, phases); err != nil {
 			return phases, err
 		}
 
 		// Leader sampling and contraction (MPC bookkeeping, master side).
-		if err := d.pickTargets(rt.Store(), gc.verts, budget, driver, false); err != nil {
+		if err := d.pickTargets(rt.Store(), gc.verts, budget, driver); err != nil {
 			return phases, err
 		}
 		gc = d.contract(gc, m2)
@@ -378,81 +389,105 @@ func (b *blockBFS) write(ctx *ampc.Ctx) {
 	}
 }
 
-// readAdjacency streams vertex v's n adjacency records through the batched
-// read API in blocks, invoking f for every (index, value) in order.
-func readAdjacency(ctx *ampc.Ctx, v, n int, f func(i int, a dds.Value) error) error {
-	const block = 128
-	var keys [block]dds.Key
-	var vals []ampc.ValueOK
-	for i := 0; i < n; i += block {
-		b := n - i
-		if b > block {
-			b = block
-		}
-		for t := 0; t < b; t++ {
-			keys[t] = dds.Key{Tag: tagConnAdj, A: int64(v), B: int64(i + t)}
-		}
-		vals = ctx.ReadMany(keys[:b], vals[:0])
-		for t, a := range vals {
-			if !a.OK {
-				return fmt.Errorf("core: missing adjacency (%d,%d) (err %v)", v, i+t, ctx.Err())
-			}
-			if err := f(i+t, a.Value); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// solveLocally publishes the remaining graph and has machine 0 label it in
-// one round — the "fits on a single machine" final step.
-func solveLocally(rt *ampc.Runtime, gc *contracted, phase int) error {
+// solveLocally publishes the remainder and has machine 0 finish it in one
+// round — the "fits on a single machine" final step: connectivity labels
+// it through a union-find, MSF runs Kruskal over it.
+func (d *flatDriver) solveLocally(rt *ampc.Runtime, gc *contracted, m2 []int, phase int) error {
 	if err := publishContracted(rt, gc, phase*1000); err != nil {
 		return err
 	}
 	verts := gc.verts
-	return rt.Round(fmt.Sprintf("conn-local-%d", phase), func(ctx *ampc.Ctx) error {
+	name := "conn-local-%d"
+	if d.weighted {
+		name = "msf-local-%d"
+	}
+	err := rt.Round(fmt.Sprintf(name, phase), func(ctx *ampc.Ctx) error {
 		if ctx.Machine != 0 {
 			return nil
 		}
-		// Machine 0 reads the whole remainder and runs a local union-find
-		// over positions in verts (ascending, so ids resolve by search).
-		dsu := graph.NewDSU(len(verts))
-		for i, v := range verts {
-			deg, ok := ctx.Read(dds.Key{Tag: tagConnDeg, A: int64(v)})
-			if !ok {
-				return fmt.Errorf("core: local solve missing degree for %d (err %v)", v, ctx.Err())
-			}
-			err := readAdjacency(ctx, int(v), int(deg.A), func(_ int, a dds.Value) error {
-				j, _ := slices.BinarySearch(verts, int32(a.A))
-				dsu.Union(i, j)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
+		offs, to, w, err := readRemainder(ctx, verts)
+		if err != nil {
+			return err
 		}
-		// Canonical label: minimum vertex id per root — the first member met
-		// in ascending order.
-		minOf := make([]int32, len(verts))
-		for i := range minOf {
-			minOf[i] = -1
+		if d.weighted {
+			ctx.WriteMany(kruskal(offs, to, w))
+		} else {
+			ctx.WriteMany(labelRemainder(verts, offs, to))
 		}
-		labels := make([]dds.KV, 0, len(verts))
-		for i, v := range verts {
-			r := dsu.Find(i)
-			if minOf[r] < 0 {
-				minOf[r] = v
-			}
-			labels = append(labels, dds.KV{
-				Key:   dds.Key{Tag: tagConnLabel, A: int64(v)},
-				Value: dds.Value{A: int64(minOf[r])},
-			})
-		}
-		ctx.WriteMany(labels)
 		return ctx.Err()
 	})
+	if err != nil {
+		return err
+	}
+	if d.weighted {
+		return d.readCommitted(rt.Store())
+	}
+	return d.applyLocalLabels(rt.Store(), gc, m2)
+}
+
+// readRemainder is machine 0's read of the published remainder: every
+// degree in one ReadMany, then every adjacency record in one more, so the
+// local solve is two dependent reads, not a chain per vertex. The
+// remainder fits in Budget/2 words, so its keys and values stay O(S). It
+// returns vertex i's adjacency as positions in verts (ascending, so ids
+// resolve by search) to[offs[i]:offs[i+1]] with the weights w alongside.
+func readRemainder(ctx *ampc.Ctx, verts []int32) (offs []int, to []int32, w []int64, err error) {
+	keys := make([]dds.Key, len(verts))
+	for i, v := range verts {
+		keys[i] = dds.Key{Tag: tagConnDeg, A: int64(v)}
+	}
+	vals := ctx.ReadMany(keys, nil)
+	offs = make([]int, len(verts)+1)
+	for i, deg := range vals {
+		if !deg.OK {
+			return nil, nil, nil, fmt.Errorf("core: local solve missing degree for %d (err %v)", verts[i], ctx.Err())
+		}
+		offs[i+1] = offs[i] + int(deg.Value.A)
+	}
+	keys = keys[:0]
+	for i, v := range verts {
+		for j := range offs[i+1] - offs[i] {
+			keys = append(keys, dds.Key{Tag: tagConnAdj, A: int64(v), B: int64(j)})
+		}
+	}
+	vals = ctx.ReadMany(keys, vals[:0])
+	to, w = make([]int32, len(vals)), make([]int64, len(vals))
+	for e, a := range vals {
+		if !a.OK {
+			return nil, nil, nil, fmt.Errorf("core: missing adjacency (%d,%d) (err %v)", keys[e].A, keys[e].B, ctx.Err())
+		}
+		j, _ := slices.BinarySearch(verts, int32(a.Value.A))
+		to[e], w[e] = int32(j), a.Value.B
+	}
+	return offs, to, w, nil
+}
+
+// labelRemainder labels the remainder through a union-find over positions
+// in verts: each vertex gets its component's minimum id, the first member
+// met in ascending order.
+func labelRemainder(verts []int32, offs []int, to []int32) []dds.KV {
+	dsu := graph.NewDSU(len(verts))
+	for i := range verts {
+		for _, j := range to[offs[i]:offs[i+1]] {
+			dsu.Union(i, int(j))
+		}
+	}
+	minOf := make([]int32, len(verts))
+	for i := range minOf {
+		minOf[i] = -1
+	}
+	labels := make([]dds.KV, 0, len(verts))
+	for i, v := range verts {
+		r := dsu.Find(i)
+		if minOf[r] < 0 {
+			minOf[r] = v
+		}
+		labels = append(labels, dds.KV{
+			Key:   dds.Key{Tag: tagConnLabel, A: int64(v)},
+			Value: dds.Value{A: int64(minOf[r])},
+		})
+	}
+	return labels
 }
 
 // applyLocalLabels folds the local-solve labels into the original->current

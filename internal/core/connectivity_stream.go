@@ -51,10 +51,7 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 	}
 	d.times.ingest += time.Since(ingestStart)
 
-	m2 := make([]int, n) // M: original vertex -> current representative
-	for v := range m2 {
-		m2[v] = v
-	}
+	m2 := identityMap(n) // M: original vertex -> current representative
 
 	gc := &contracted{}
 	phases := 0
@@ -75,29 +72,17 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 		if err := increaseDegrees(rt, d.shuffled(verts, driver), budget, phases); err != nil {
 			return ConnectivityResult{}, err
 		}
-		if err := d.pickTargets(rt.Store(), verts, budget, driver, false); err != nil {
+		if err := d.pickTargets(rt.Store(), verts, budget, driver); err != nil {
 			return ConnectivityResult{}, err
 		}
 		gc = d.contractStream(es, verts, m2)
 	}
 
-	phases, err = connectivityPhases(ctx, rt, d, gc, m2, driver, opts, n, m, phases)
+	phases, err = d.runPhases(ctx, rt, increaseDegrees, gc, m2, driver, opts, n, m, phases)
 	if err != nil {
 		return ConnectivityResult{}, err
 	}
-
-	comp := make([]int, n)
-	copy(comp, m2)
-	res := ConnectivityResult{Components: comp}
-	if opts.RetainStore {
-		store, err := retainServeStore(rt, comp)
-		if err != nil {
-			return ConnectivityResult{}, err
-		}
-		res.Store = store
-	}
-	res.Telemetry = d.telemetry(rt, phases)
-	return res, nil
+	return d.connectivityResult(rt, m2, phases, opts.RetainStore)
 }
 
 // streamIngest publishes the streamed graph as D0 without materializing any

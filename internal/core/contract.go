@@ -135,13 +135,15 @@ type flatDriver struct {
 	order []int32 // the phase's shuffled exploration order
 
 	// Read-back of an increase round: vertex i of the live list explored
-	// found[off[i]:off[i+1]], whole[i] reports a fully explored component;
-	// tree holds the matching local-tree edge weights (MSF).
+	// found[off[i]:off[i+1]], whole[i] reports a fully explored component.
 	off   []int
 	whole []bool
 	found []int32
-	tree  []int64
 	rb    readback
+
+	// committed collects MSF's edge weights, with repeats: every phase's
+	// local-tree edges and the local solve's Kruskal edges.
+	committed []int64
 
 	times driverTimes
 }
@@ -432,11 +434,12 @@ func (d *flatDriver) shuffled(verts []int32, driver rngShuffler) []int32 {
 }
 
 // pickTargets is the master's half of a phase after the increase round:
-// sample leaders, read back every live vertex's explored set (and, withTree,
-// its local-tree edge weights into d.tree) and set the contraction map.
-func (d *flatDriver) pickTargets(store dds.StoreBackend, verts []int32, budget int, driver rngShuffler, withTree bool) error {
+// sample leaders, read back every live vertex's explored set (and, for
+// MSF, its local-tree edge weights into d.committed) and set the
+// contraction map.
+func (d *flatDriver) pickTargets(store dds.StoreBackend, verts []int32, budget int, driver rngShuffler) error {
 	d.sampleLeaders(verts, budget, driver)
-	if err := d.readFound(store, verts, withTree); err != nil {
+	if err := d.readFound(store, verts); err != nil {
 		return err
 	}
 	d.contractionTargets(verts)
@@ -494,9 +497,9 @@ func (d *flatDriver) contractionTargets(verts []int32) {
 
 // readFound reads back the explored set every live vertex recorded in the
 // increase round just run — sizes first, then the members in one batched
-// sweep — into off/whole/found; withTree also fetches the local-tree edge
-// weights (one per member) into tree.
-func (d *flatDriver) readFound(store dds.StoreBackend, verts []int32, withTree bool) error {
+// sweep — into off/whole/found; a weighted driver (MSF) also appends the
+// local-tree edge weights, one per member, to committed.
+func (d *flatDriver) readFound(store dds.StoreBackend, verts []int32) error {
 	defer since(&d.times.readback, time.Now())
 	n := len(verts)
 	d.off = resized(d.off, n+1)
@@ -519,11 +522,12 @@ func (d *flatDriver) readFound(store dds.StoreBackend, verts []int32, withTree b
 	err = d.rb.perMember(store, tagConnFound, "found", verts, off, func(j int, v dds.Value) {
 		found[j] = int32(v.A)
 	})
-	if err != nil || !withTree {
+	if err != nil || !d.weighted {
 		return err
 	}
-	d.tree = resized(d.tree, total)
-	tree := d.tree
+	base := len(d.committed)
+	d.committed = slices.Grow(d.committed, total)[:base+total]
+	tree := d.committed[base:]
 	return d.rb.perMember(store, tagMSFEdge, "tree-edge", verts, off, func(j int, v dds.Value) {
 		tree[j] = v.A
 	})
@@ -630,7 +634,7 @@ func (rb *readback) sweep(store dds.StoreBackend, total int, put func(j int, v d
 			n := min(rbChunk, hi-lo)
 			keys, vals, oks := s.keys[:n], s.vals[:n], s.oks[:n]
 			fill(keys, lo)
-			getMany(store, keys, vals, oks)
+			store.GetMany(keys, vals, oks)
 			for t, ok := range oks {
 				if ok {
 					put(lo+t, vals[t])
@@ -643,23 +647,11 @@ func (rb *readback) sweep(store dds.StoreBackend, total int, put func(j int, v d
 	}
 	err := ampc.FanOut(workers, span, func(span func(int) error, w int) error { return span(w) })
 	if err == nil && missing == nil {
-		if cause := readErr(store); cause != nil {
+		if cause := store.ReadErr(); cause != nil {
 			err = fmt.Errorf("core: read-back: %w", cause)
 		}
 	}
 	return err
-}
-
-// getMany is Get over a key batch, through the backend's batch surface when
-// it has one (every built-in backend does).
-func getMany(store dds.StoreBackend, keys []dds.Key, vals []dds.Value, oks []bool) {
-	if bg, ok := store.(dds.BatchGetter); ok {
-		bg.GetMany(keys, vals, oks)
-		return
-	}
-	for i, k := range keys {
-		vals[i], oks[i] = store.Get(k)
-	}
 }
 
 // missingRecord reports a record the previous round must have written and
@@ -669,17 +661,8 @@ func getMany(store dds.StoreBackend, keys []dds.Key, vals []dds.Value, oks []boo
 // all exhausted reads as absent), that failure is the cause and is wrapped.
 func missingRecord(store dds.StoreBackend, what string, a, b int64) error {
 	err := fmt.Errorf("core: missing %s record (%d,%d)", what, a, b)
-	if cause := readErr(store); cause != nil {
+	if cause := store.ReadErr(); cause != nil {
 		return fmt.Errorf("%w: %w", err, cause)
 	}
 	return err
-}
-
-// readErr returns the read failure the store latched, if it is a backend
-// that latches one.
-func readErr(store dds.StoreBackend) error {
-	if re, ok := store.(interface{ ReadErr() error }); ok {
-		return re.ReadErr()
-	}
-	return nil
 }

@@ -220,7 +220,7 @@ func TestLockstepExploreReadCap(t *testing.T) {
 // fails the round with ErrBudget on both paths.
 func TestLockstepExploreBudget(t *testing.T) {
 	g := graph.GNM(1500, 6000, rng.New(2, 0x7))
-	for name, increase := range map[string]func(*ampc.Runtime, []int32, int, int) error{
+	for name, increase := range map[string]exploreRound{
 		"lockstep":   increaseDegrees,
 		"sequential": increaseDegreesSequential,
 	} {
@@ -231,10 +231,10 @@ func TestLockstepExploreBudget(t *testing.T) {
 	}
 }
 
-// increaseChains drives connectivityPhases' loop with the given increase
-// round and returns each increase round's MaxMachineReadCalls and the
-// final labels.
-func increaseChains(t *testing.T, g *graph.Graph, increase func(*ampc.Runtime, []int32, int, int) error) ([]int, []int) {
+// increaseChains runs the shared phase loop with the given increase round
+// and returns each increase round's MaxMachineReadCalls and the final
+// labels.
+func increaseChains(t *testing.T, g *graph.Graph, increase exploreRound) ([]int, []int) {
 	t.Helper()
 	opts := Options{Seed: 1, Epsilon: 0.5}.withDefaults()
 	n := g.N()
@@ -247,39 +247,24 @@ func increaseChains(t *testing.T, g *graph.Graph, increase func(*ampc.Runtime, [
 	if rt.Config().P != 512 {
 		t.Fatalf("P = %d, want 512", rt.Config().P)
 	}
-	driver := opts.driverRNG(5)
-	gc := d.fromGraph(g)
-	m2 := make([]int, n)
-	for v := range m2 {
-		m2[v] = v
+	m2 := identityMap(n)
+	if _, err := d.runPhases(context.Background(), rt, increase, d.fromGraph(g), m2, opts.driverRNG(5), opts, n, g.M(), 0); err != nil {
+		t.Fatal(err)
 	}
-	totalSpace := float64(opts.spaceFactor * (n + g.M() + 1))
-	dCap := math.Pow(float64(n), opts.Epsilon/2)
 	var chains []int
-	for phase := 1; len(gc.verts) > 0 && gc.edges() > 0; phase++ {
-		if 1+len(gc.verts)+2*gc.edges() <= rt.Budget()/2 {
-			break
+	for _, st := range rt.Stats() {
+		if strings.HasPrefix(st.Name, "conn-increase-") {
+			chains = append(chains, st.MaxMachineReadCalls)
 		}
-		budget := connExploreBudget(totalSpace, len(gc.verts), dCap)
-		if err := publishContracted(rt, gc, phase); err != nil {
-			t.Fatal(err)
-		}
-		if err := increase(rt, d.shuffled(gc.verts, driver), budget, phase); err != nil {
-			t.Fatal(err)
-		}
-		st := rt.Stats()
-		chains = append(chains, st[len(st)-1].MaxMachineReadCalls)
-		if err := d.pickTargets(rt.Store(), gc.verts, budget, driver, false); err != nil {
-			t.Fatal(err)
-		}
-		gc = d.contract(gc, m2)
 	}
 	return chains, m2
 }
 
 // TestLockstepReadChain pins the point of the lock-step: on the rpc
 // benchmark's graph each increase round's longest chain of read calls is
-// a handful, a quarter or less of the sequential explorations' in sum.
+// a handful, a quarter or less of the sequential explorations' in sum. The
+// local solve reads its remainder in two calls, charging the 648 queries
+// the per-vertex reads it replaced charged.
 func TestLockstepReadChain(t *testing.T) {
 	g := graph.GNM(20000, 80000, rng.New(1, 0x7))
 	lock, lockLabels := increaseChains(t, g, increaseDegrees)
@@ -292,10 +277,20 @@ func TestLockstepReadChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []int
+	locals := 0
 	for _, st := range res.Telemetry.RoundStats {
 		if strings.HasPrefix(st.Name, "conn-increase-") {
 			got = append(got, st.MaxMachineReadCalls)
 		}
+		if strings.HasPrefix(st.Name, "conn-local-") {
+			locals++
+			if st.MaxMachineReadCalls != 2 || st.Queries != 648 {
+				t.Errorf("%s: %d read calls and %d queries, want 2 and 648", st.Name, st.MaxMachineReadCalls, st.Queries)
+			}
+		}
+	}
+	if locals != 1 {
+		t.Errorf("%d local-solve rounds, want 1", locals)
 	}
 	if !slices.Equal(got, lock) {
 		t.Fatalf("Connectivity's increase rounds made chains %v, the phase replay %v", got, lock)

@@ -169,6 +169,15 @@ func (s *lossyStore) Get(k dds.Key) (dds.Value, bool) {
 	return s.StoreBackend.Get(k)
 }
 
+func (s *lossyStore) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
+	s.StoreBackend.GetMany(keys, vals, oks)
+	for i, k := range keys {
+		if k == s.drop {
+			vals[i], oks[i] = dds.Value{}, false
+		}
+	}
+}
+
 func (s *lossyStore) ReadErr() error { return s.latched }
 
 // TestReadFoundMissingRecord is the fault injection for the silent-wrong-
@@ -192,7 +201,7 @@ func TestReadFoundMissingRecord(t *testing.T) {
 		if err := increaseDegrees(rt, d.shuffled(gc.verts, rng.New(3, 1)), 4, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.readFound(rt.Store(), gc.verts, false); err != nil {
+		if err := d.readFound(rt.Store(), gc.verts); err != nil {
 			t.Fatalf("clean read-back: %v", err)
 		}
 		// Knock out the second found record of the first vertex that has one.
@@ -202,18 +211,18 @@ func TestReadFoundMissingRecord(t *testing.T) {
 		}
 		v := int64(gc.verts[i])
 		lossy := &lossyStore{StoreBackend: rt.Store(), drop: dds.Key{Tag: tagConnFound, A: v, B: 1}}
-		err = d.readFound(lossy, gc.verts, false)
+		err = d.readFound(lossy, gc.verts)
 		if want := fmt.Sprintf("core: missing found record (%d,1)", v); err == nil || err.Error() != want {
 			t.Fatalf("workers=%d: read-back over a lossy store returned %v, want %q", workers, err, want)
 		}
 		lossy.latched = fmt.Errorf("shard 3: %w", dds.ErrBackendUnavailable)
-		err = d.readFound(lossy, gc.verts, false)
+		err = d.readFound(lossy, gc.verts)
 		if !errors.Is(err, dds.ErrBackendUnavailable) {
 			t.Fatalf("workers=%d: latched read failure not wrapped: %v", workers, err)
 		}
 		// A missing size record is the same defect one step earlier.
 		lossy = &lossyStore{StoreBackend: rt.Store(), drop: dds.Key{Tag: tagConnSize, A: v}}
-		if err := d.readFound(lossy, gc.verts, false); err == nil {
+		if err := d.readFound(lossy, gc.verts); err == nil {
 			t.Fatalf("workers=%d: missing size record accepted", workers)
 		}
 	}
@@ -328,7 +337,7 @@ func TestMasterReadbackMissingRecord(t *testing.T) {
 			}},
 		{"msf", []dds.Key{{Tag: tagMSFEdge, A: -1}, {Tag: tagMSFEdge, A: -1, B: 1}, {Tag: tagMSFEdge, A: -1, B: 2}}, dds.Key{Tag: tagMSFEdge, A: -1, B: 1},
 			"", func(store dds.StoreBackend) error {
-				return readCommitted(store, map[int64]bool{})
+				return new(flatDriver).readCommitted(store)
 			}},
 	} {
 		var pairs []dds.KV

@@ -141,7 +141,7 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 			lo, hi := ampc.BlockRange(ctx.Machine, len(shuffled), ctx.P)
 			hops := make([]dds.KV, 0, hi-lo)
 			for _, s := range shuffled[lo:hi] {
-				end, acc, err := listWalk(ctx, s, r)
+				end, acc, err := listWalk(ctx, s, r, nil)
 				if err != nil {
 					return err
 				}
@@ -214,41 +214,22 @@ func ListRanking(ctx context.Context, next []int, opts Options) (ListRankingResu
 		driver.Shuffle(len(shuffledW), func(i, j int) { shuffledW[i], shuffledW[j] = shuffledW[j], shuffledW[i] })
 		err := rt.Round(fmt.Sprintf("list-unwind-%d", r), func(ctx *ampc.Ctx) error {
 			lo, hi := ampc.BlockRange(ctx.Machine, len(shuffledW), ctx.P)
-			var pair [2]dds.Key
-			var res []ampc.ValueOK
 			var ranks []dds.KV // rank writes batched per walker
+			var base int64     // the current walker's rank
+			absorb := func(u int, acc int64) {
+				ranks = append(ranks, dds.KV{Key: dds.Key{Tag: tagListD, A: int64(u)}, Value: dds.Value{A: base + acc}})
+			}
 			for _, s := range shuffledW[lo:hi] {
 				dv, ok := ctx.Read(dds.Key{Tag: tagListD, A: int64(s)})
 				if !ok {
 					return fmt.Errorf("core: missing rank for walker %d (err %v)", s, ctx.Err())
 				}
 				// Carry the walker's own rank forward, then rank the
-				// absorbed run after it. As in listWalk, each hop batches the
-				// next element's mark with its successor (the next hop's
-				// pointer), wasting one read at the final hop.
-				ranks = append(ranks[:0], dds.KV{Key: dds.Key{Tag: tagListD, A: int64(s)}, Value: dds.Value{A: dv.A}})
-				d := dv.A
-				v, ok := ctx.ReadStatic(dds.Key{Tag: tagListNext, A: int64(s), B: int64(r)})
-				if !ok {
-					return fmt.Errorf("core: missing level-%d pointer for %d (err %v)", r, s, ctx.Err())
-				}
-				for {
-					nxt := int(v.A)
-					if nxt == -1 {
-						break
-					}
-					d += v.B
-					pair[0] = dds.Key{Tag: tagListMark, A: int64(nxt), B: int64(r)}
-					pair[1] = dds.Key{Tag: tagListNext, A: int64(nxt), B: int64(r)}
-					res = ctx.ReadStaticMany(pair[:], res[:0])
-					if res[0].OK {
-						break
-					}
-					ranks = append(ranks, dds.KV{Key: dds.Key{Tag: tagListD, A: int64(nxt)}, Value: dds.Value{A: d}})
-					if !res[1].OK {
-						return fmt.Errorf("core: missing level-%d pointer for %d (err %v)", r, nxt, ctx.Err())
-					}
-					v = res[1].Value
+				// absorbed run after it.
+				base = dv.A
+				ranks = append(ranks[:0], dds.KV{Key: dds.Key{Tag: tagListD, A: int64(s)}, Value: dds.Value{A: base}})
+				if _, _, err := listWalk(ctx, s, r, absorb); err != nil {
+					return err
 				}
 				ctx.WriteMany(ranks)
 			}
@@ -291,11 +272,13 @@ func readRanks(store dds.StoreBackend, n int) ([]int, error) {
 
 // listWalk walks forward from sample s along level-r pointers until the
 // next marked element or the tail, returning the stopping element (-1 for
-// tail) and the accumulated weight. Each pointer jump fetches the next
-// element's mark and successor together in one batched static read: the
-// successor doubles as the prefetch for the following hop, at the cost of
-// one unused read at the hop that ends the walk.
-func listWalk(ctx *ampc.Ctx, s, r int) (int, int64, error) {
+// tail) and the accumulated weight; absorbed, when not nil, gets every
+// unmarked element passed on the way with the weight accumulated up to it.
+// Each pointer jump fetches the next element's mark and successor together
+// in one batched static read: the successor doubles as the prefetch for
+// the following hop, at the cost of one unused read at the hop that ends
+// the walk.
+func listWalk(ctx *ampc.Ctx, s, r int, absorbed func(u int, acc int64)) (int, int64, error) {
 	acc := int64(0)
 	v, ok := ctx.ReadStatic(dds.Key{Tag: tagListNext, A: int64(s), B: int64(r)})
 	if !ok {
@@ -314,6 +297,9 @@ func listWalk(ctx *ampc.Ctx, s, r int) (int, int64, error) {
 		res = ctx.ReadStaticMany(pair[:], res[:0])
 		if res[0].OK {
 			return nxt, acc, nil
+		}
+		if absorbed != nil {
+			absorbed(nxt, acc)
 		}
 		if !res[1].OK {
 			return 0, 0, fmt.Errorf("core: walk fell off the list at %d (err %v)", nxt, ctx.Err())

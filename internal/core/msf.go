@@ -1,11 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 
 	"ampc/internal/ampc"
 	"ampc/internal/dds"
@@ -35,8 +34,9 @@ type MSFResult struct {
 // committed to the MSF (they are minimum-cut edges of the contracted
 // graph), leaders are sampled, and vertices contract to leaders inside
 // their local trees. Contraction keeps the lightest edge per merged pair
-// (the cycle property discards the rest) and a weight -> original-edge map
-// recovers input edges, as the paper's mapping M does.
+// (the cycle property discards the rest), and the committed weights, looked
+// up in the input sorted by weight, recover input edges as the paper's
+// mapping M does.
 func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, error) {
 	ctx = orBackground(ctx)
 	opts = opts.withDefaults()
@@ -50,74 +50,31 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 	}
 	rt := opts.newRuntime(ctx, n, g.M())
 	defer rt.Close()
-	driver := opts.driverRNG(6)
-
-	wes := g.WeightedEdges()
-	byWeight := make(map[int64]graph.WeightedEdge, len(wes))
-	for _, e := range wes {
-		byWeight[e.Weight] = e
-	}
 
 	// Adjacency lists are kept sorted by weight: lazy Prim then reads each
 	// vertex's cheapest unread edge first and never needs a full list,
 	// which is what bounds a local tree's reads by O(d²) (Lemma 6.1's
 	// argument). The sort is a standard MPC primitive.
+	wes := g.WeightedEdges()
 	gc := d.fromWeighted(wes)
-	m2 := make([]int, n)
-	for v := range m2 {
-		m2[v] = v
+	phases, err := d.runPhases(ctx, rt, msfIncreaseDegree, gc, identityMap(n), opts.driverRNG(6), opts, n, g.M(), 0)
+	if err != nil {
+		return MSFResult{}, err
 	}
 
-	committed := make(map[int64]bool)
-	totalSpace := float64(opts.spaceFactor * (n + g.M() + 1))
-	dCap := math.Pow(float64(n), opts.Epsilon/2)
-	phases := 0
-	maxPhases := 4*int(math.Log2(float64(n+4))) + 16
-
-	for len(gc.verts) > 0 && gc.edges() > 0 {
-		if err := ctx.Err(); err != nil {
-			return MSFResult{}, err
-		}
-		if phases++; phases > maxPhases {
-			return MSFResult{}, fmt.Errorf("core: MSF failed to converge after %d phases", maxPhases)
-		}
-
-		if 1+len(gc.verts)+2*gc.edges() <= rt.Budget()/2 {
-			if err := msfSolveLocally(rt, gc, phases, committed); err != nil {
-				return MSFResult{}, err
-			}
-			break
-		}
-
-		budget := connExploreBudget(totalSpace, len(gc.verts), dCap)
-
-		if err := publishContracted(rt, gc, phases); err != nil {
-			return MSFResult{}, err
-		}
-		if err := msfIncreaseDegree(rt, d.shuffled(gc.verts, driver), budget, phases); err != nil {
-			return MSFResult{}, err
-		}
-
-		// Sample leaders and contract within local trees, committing this
-		// round's local-tree edges (all are MSF edges of Gc, hence of G).
-		if err := d.pickTargets(rt.Store(), gc.verts, budget, driver, true); err != nil {
-			return MSFResult{}, err
-		}
-		for _, w := range d.tree {
-			committed[w] = true
-		}
-		gc = d.contract(gc, m2)
-	}
-
+	// Every committed weight is an MSF edge of some Gc, hence of G; weights
+	// are distinct, so each names one input edge.
+	slices.Sort(d.committed)
+	committed := slices.Compact(d.committed)
+	slices.SortFunc(wes, func(a, b graph.WeightedEdge) int { return cmp.Compare(a.Weight, b.Weight) })
 	edges := make([]graph.WeightedEdge, 0, len(committed))
-	for w := range committed {
-		e, ok := byWeight[w]
+	for _, w := range committed {
+		i, ok := slices.BinarySearchFunc(wes, w, func(e graph.WeightedEdge, w int64) int { return cmp.Compare(e.Weight, w) })
 		if !ok {
 			return MSFResult{}, fmt.Errorf("core: committed weight %d maps to no input edge", w)
 		}
-		edges = append(edges, e)
+		edges = append(edges, wes[i])
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Weight < edges[j].Weight })
 	res := MSFResult{Edges: edges}
 	if opts.RetainStore {
 		res.Components = forestComponents(n, edges)
@@ -338,72 +295,49 @@ func primExplore(ctx *ampc.Ctx, v, d int) ([]int, []int64, bool, error) {
 	return members, treeWeights, false, nil
 }
 
-// msfSolveLocally publishes the remainder and has machine 0 finish it with
-// a local Kruskal, writing the chosen weights for the master to commit.
-func msfSolveLocally(rt *ampc.Runtime, gc *contracted, phase int, committed map[int64]bool) error {
-	if err := publishContracted(rt, gc, phase*1000); err != nil {
-		return err
+// kruskal is MSF's local solve over the remainder readRemainder read: a
+// Kruskal pass whose chosen weights machine 0 writes for the master to
+// commit.
+func kruskal(offs []int, to []int32, w []int64) []dds.KV {
+	type we struct {
+		w    int64
+		a, b int
 	}
-	verts := gc.verts
-	err := rt.Round(fmt.Sprintf("msf-local-%d", phase), func(ctx *ampc.Ctx) error {
-		if ctx.Machine != 0 {
-			return nil
-		}
-		// Edges are kept as positions in verts (ascending, so neighbor ids
-		// resolve by search).
-		type we struct {
-			w    int64
-			a, b int
-		}
-		var edges []we
-		for i, v := range verts {
-			deg, ok := ctx.Read(dds.Key{Tag: tagConnDeg, A: int64(v)})
-			if !ok {
-				return fmt.Errorf("core: local MSF missing degree for %d (err %v)", v, ctx.Err())
+	var edges []we
+	for i := range len(offs) - 1 {
+		for e := offs[i]; e < offs[i+1]; e++ {
+			if i < int(to[e]) {
+				edges = append(edges, we{w: w[e], a: i, b: int(to[e])})
 			}
-			err := readAdjacency(ctx, int(v), int(deg.A), func(_ int, a dds.Value) error {
-				if int64(v) < a.A {
-					j, _ := slices.BinarySearch(verts, int32(a.A))
-					edges = append(edges, we{w: a.B, a: i, b: j})
-				}
-				return nil
+		}
+	}
+	slices.SortFunc(edges, func(x, y we) int { return cmp.Compare(x.w, y.w) })
+	dsu := graph.NewDSU(len(offs) - 1)
+	var chosen []dds.KV
+	for _, e := range edges {
+		if dsu.Union(e.a, e.b) {
+			chosen = append(chosen, dds.KV{
+				Key:   dds.Key{Tag: tagMSFEdge, A: -1, B: int64(len(chosen))},
+				Value: dds.Value{A: e.w},
 			})
-			if err != nil {
-				return err
-			}
 		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].w < edges[j].w })
-		dsu := graph.NewDSU(len(verts))
-		chosen := make([]dds.KV, 0, len(verts))
-		for _, e := range edges {
-			if dsu.Union(e.a, e.b) {
-				chosen = append(chosen, dds.KV{
-					Key:   dds.Key{Tag: tagMSFEdge, A: -1, B: int64(len(chosen))},
-					Value: dds.Value{A: e.w},
-				})
-			}
-		}
-		ctx.WriteMany(chosen)
-		return ctx.Err()
-	})
-	if err != nil {
-		return err
 	}
-	return readCommitted(rt.Store(), committed)
+	return chosen
 }
 
-// readCommitted folds the local solve's chosen weights into committed. The
-// list ends at the first absent index, so a record the backend lost would
-// silently truncate it: a latched read failure fails the phase instead.
-func readCommitted(store dds.StoreBackend, committed map[int64]bool) error {
+// readCommitted appends the local solve's chosen weights to d.committed.
+// The list ends at the first absent index, so a record the backend lost
+// would silently truncate it: a latched read failure fails the phase
+// instead.
+func (d *flatDriver) readCommitted(store dds.StoreBackend) error {
 	for i := 0; ; i++ {
 		w, ok := store.Get(dds.Key{Tag: tagMSFEdge, A: -1, B: int64(i)})
 		if !ok {
 			break
 		}
-		committed[w.A] = true
+		d.committed = append(d.committed, w.A)
 	}
-	if cause := readErr(store); cause != nil {
+	if cause := store.ReadErr(); cause != nil {
 		return fmt.Errorf("core: reading committed MSF edges: %w", cause)
 	}
 	return nil

@@ -217,7 +217,7 @@ func readSamples(store dds.StoreBackend, verts []int) ([]int, error) {
 			samples = append(samples, v)
 		}
 	}
-	if cause := readErr(store); cause != nil {
+	if cause := store.ReadErr(); cause != nil {
 		return nil, fmt.Errorf("core: reading cycle marks: %w", cause)
 	}
 	return samples, nil
@@ -248,7 +248,7 @@ func readContracted(store dds.StoreBackend, cur *cycleGraph, samples []int, pare
 	}
 	// An absent parent means "unvisited": only a latched failure tells a
 	// lost record apart.
-	if cause := readErr(store); cause != nil {
+	if cause := store.ReadErr(); cause != nil {
 		return nil, fmt.Errorf("core: reading cycle parents: %w", cause)
 	}
 	for _, v := range cur.verts {

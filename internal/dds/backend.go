@@ -10,6 +10,8 @@ package dds
 type StoreBackend interface {
 	// Get returns the value stored under k (index 0 of a duplicated key).
 	Get(k Key) (Value, bool)
+	// BatchGetter's GetMany is Get over a whole key batch.
+	BatchGetter
 	// GetRange appends the values stored under k at indices [lo, hi) to dst,
 	// charging the shard hi-lo queries but probing the key once.
 	GetRange(k Key, lo, hi int, dst []Value) []Value
@@ -27,6 +29,16 @@ type StoreBackend interface {
 	MaxShardLoad() int64
 	// ResetLoads zeroes the per-shard counters.
 	ResetLoads()
+	// Salt returns the placement salt the store was built with. A caller
+	// holding it computes the placement hash itself (HashOf): the runtime's
+	// read memo keys its table by it and hands it to PrehashedGetter, so
+	// each read hashes its key once.
+	Salt() uint64
+	// ReadErr returns the first read failure the backend latched, or nil.
+	// A networked read that exhausts every replica cannot be reported
+	// through Get, so it reads as absent and latches here; an in-process
+	// store never fails a read.
+	ReadErr() error
 	// Close releases backend resources (a remote generation's connections).
 	// The store must not be read after Close; closing an in-memory store is
 	// a no-op.
@@ -40,6 +52,20 @@ func (s *Store) Close() error { return nil }
 // Backends that re-materialize a store (file serialization, remote shards)
 // must preserve it so key-to-shard routing is reproduced exactly.
 func (s *Store) Salt() uint64 { return s.salt }
+
+// ReadErr implements StoreBackend: an in-memory read never fails.
+func (s *Store) ReadErr() error { return nil }
+
+// BatchGetter is Get over a whole key batch in one call, part of every
+// StoreBackend. A networked backend coalesces a machine's read set into
+// per-server request frames instead of paying one round trip per key.
+//
+// GetMany fills vals[i], oks[i] for each keys[i] with exactly the result
+// Get(keys[i]) would return, and accounts per-shard load identically (one
+// query per key). The three slices must have equal length.
+type BatchGetter interface {
+	GetMany(keys []Key, vals []Value, oks []bool)
+}
 
 var _ StoreBackend = (*Store)(nil)
 
@@ -58,6 +84,10 @@ type Publisher interface {
 	// done reading it by the time its next Publish, Barrier or Close
 	// returns; from then on the caller may recycle s once it retires.
 	Publish(seq int, s *Store) (StoreBackend, error)
+	// InFlight reports whether a Publish's asynchronous work has not yet
+	// been joined, so the runtime can skip a Barrier (and its clock read)
+	// that has nothing to join.
+	InFlight() bool
 	// Barrier joins any asynchronous work of the previous Publish — the
 	// write-behind serialization of a file publisher — and returns its
 	// failure, if any, exactly once. The runtime calls it before freezing

@@ -15,14 +15,6 @@ import "sync"
 // totals are exactly what the scalar Get loop would produce — one query
 // charged per key.
 
-// Salter is an optional StoreBackend capability exposing the placement salt
-// the store was built with. A caller holding the salt computes the placement
-// hash itself (HashOf) — the runtime's read memo keys its table by it and
-// hands it to PrehashedGetter, so each read hashes its key once.
-type Salter interface {
-	Salt() uint64
-}
-
 // gmScratch is the per-call scratch of a GetMany: the precomputed hashes and
 // shard ids, the key indices grouped by shard, the shards the batch touches
 // and one count per shard (all zero between calls). Pooled so steady-state
@@ -40,7 +32,7 @@ var gmPool = sync.Pool{New: func() any { return new(gmScratch) }}
 // themselves once a batch has enough keys to form same-shard runs.
 const gmScalarCutoff = 16
 
-// GetMany implements BatchGetter: vals[i], oks[i] receive exactly what
+// GetMany implements StoreBackend: vals[i], oks[i] receive exactly what
 // Get(keys[i]) would return, with identical per-shard load accounting (one
 // query per key). The three slices must have equal length.
 func (s *Store) GetMany(keys []Key, vals []Value, oks []bool) {
@@ -95,8 +87,3 @@ func (s *Store) GetMany(keys []Key, vals []Value, oks []bool) {
 	}
 	gmPool.Put(g)
 }
-
-var (
-	_ BatchGetter = (*Store)(nil)
-	_ Salter      = (*Store)(nil)
-)

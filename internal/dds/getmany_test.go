@@ -35,7 +35,7 @@ func getManyKeys(n int) []Key {
 
 // TestGetManyMatchesGet runs the same batches through scalar Get on one
 // store instance and GetMany on a second, identically built one, for every
-// store kind that implements BatchGetter natively and for one, 16 and 512
+// in-process store kind and for one, 16 and 512
 // shards. The batches: the hostile mix, sizes around gmScalarCutoff, keys
 // that all land on one shard, and keys that are all absent. Values,
 // presence bits and the full per-shard load ledger must come out identical

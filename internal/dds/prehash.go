@@ -15,7 +15,7 @@ func HashOf(k Key, salt uint64) uint64 { return hash(k, salt) }
 
 // PrehashedGetter is an optional StoreBackend capability: a Get that reuses
 // a hash the caller already computed with the store's salt (HashOf with
-// Salter's salt). Results and load accounting are identical to Get.
+// StoreBackend.Salt). Results and load accounting are identical to Get.
 type PrehashedGetter interface {
 	GetHashed(k Key, h uint64) (Value, bool)
 }

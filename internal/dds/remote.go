@@ -19,19 +19,6 @@ import (
 // failing shard range and server address; use errors.Is to classify.
 var ErrBackendUnavailable = errors.New("dds: store backend unavailable")
 
-// BatchGetter is an optional StoreBackend capability: Get over a whole key
-// batch in one call. A networked backend implements it to coalesce a
-// machine's read set into per-server request frames instead of paying one
-// round trip per key; in-process backends answer key by key and gain
-// nothing, so the runtime only uses it when the type assertion succeeds.
-//
-// GetMany fills vals[i], oks[i] for each keys[i] with exactly the result
-// Get(keys[i]) would return, and accounts per-shard load identically (one
-// query per key). The three slices must have equal length.
-type BatchGetter interface {
-	GetMany(keys []Key, vals []Value, oks []bool)
-}
-
 // ShardOf returns the index of the shard owning key k in a store of p shards
 // built with the given placement salt — the routing rule every backend
 // reproduces. A networked client uses it to group a key batch by owning

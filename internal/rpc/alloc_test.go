@@ -26,11 +26,10 @@ func allocFleet(tb testing.TB) (dds.StoreBackend, []dds.Key) {
 // allocations, none per key.
 func TestRemoteReadAllocs(t *testing.T) {
 	b, keys := allocFleet(t)
-	bg := b.(dds.BatchGetter)
 	vals, oks := make([]dds.Value, 64), make([]bool, 64)
 	next := 0
 	many := testing.AllocsPerRun(200, func() {
-		bg.GetMany(keys[next:next+64], vals, oks)
+		b.GetMany(keys[next:next+64], vals, oks)
 		next += 64
 	})
 	one := testing.AllocsPerRun(200, func() {
@@ -46,7 +45,7 @@ func TestRemoteReadAllocs(t *testing.T) {
 	if one > 6 {
 		t.Errorf("a Get allocates %.1f times, want <= 6", one)
 	}
-	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+	if err := b.ReadErr(); err != nil {
 		t.Fatalf("reads latched %v", err)
 	}
 }
@@ -55,12 +54,11 @@ func TestRemoteReadAllocs(t *testing.T) {
 // fleet of TestRemoteReadAllocs.
 func BenchmarkBackendGetMany(b *testing.B) {
 	be, keys := allocFleet(b)
-	bg := be.(dds.BatchGetter)
 	vals, oks := make([]dds.Value, 64), make([]bool, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := i * 64 % len(keys)
-		bg.GetMany(keys[off:off+64], vals, oks)
+		be.GetMany(keys[off:off+64], vals, oks)
 	}
 }

@@ -100,7 +100,7 @@ func (b *Backend) Count(k dds.Key) int {
 	return n
 }
 
-// GetMany implements dds.BatchGetter: the key set is grouped by owning
+// GetMany implements dds.StoreBackend: the key set is grouped by owning
 // server and each server's share joins that server's next request frame.
 // Keys whose server fails advance to the next replica in lockstep rounds; a
 // key whose replicas are all exhausted reads as absent and latches the
@@ -122,7 +122,7 @@ func (b *Backend) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
 	readPool.Put(sc)
 }
 
-// Salt implements dds.Salter: the placement salt captured from the frozen
+// Salt implements dds.StoreBackend: the placement salt captured from the frozen
 // store at publish time.
 func (b *Backend) Salt() uint64 { return b.salt }
 
@@ -180,8 +180,4 @@ func (b *Backend) Close() error {
 	return nil
 }
 
-var (
-	_ dds.StoreBackend = (*Backend)(nil)
-	_ dds.BatchGetter  = (*Backend)(nil)
-	_ dds.Salter       = (*Backend)(nil)
-)
+var _ dds.StoreBackend = (*Backend)(nil)

@@ -86,7 +86,7 @@ func TestDialTimeoutFailsOver(t *testing.T) {
 		},
 		"batch": func(b dds.StoreBackend, keys []dds.Key) {
 			vals, oks := make([]dds.Value, len(keys)), make([]bool, len(keys))
-			b.(dds.BatchGetter).GetMany(keys, vals, oks)
+			b.GetMany(keys, vals, oks)
 			for i, k := range keys {
 				if !oks[i] || vals[i] != ref[k][0] {
 					t.Fatalf("GetMany(%+v) = %+v %v, want %+v", k, vals[i], oks[i], ref[k][0])
@@ -130,7 +130,7 @@ func TestDialTimeoutFailsOver(t *testing.T) {
 			if took := time.Since(start); took < timeout {
 				t.Fatalf("reads took %v, less than the %v dial timeout: the dial did not time out", took, timeout)
 			}
-			if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+			if err := b.ReadErr(); err != nil {
 				t.Fatalf("dial timeout latched %v, want failover to the second replica", err)
 			}
 			if d := dead.downs.Load(); d == 0 {

@@ -51,7 +51,7 @@ func TestFleetKillRestart(t *testing.T) {
 	// answers, nothing latched.
 	time.Sleep(20 * time.Millisecond) // let the down cooldown lapse
 	checkBackend(t, b, ref)
-	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+	if err := b.ReadErr(); err != nil {
 		t.Fatalf("kill+restart latched %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestFleetPauseStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkBackend(t, b, ref) // timeouts mark server 1 down, replicas answer
-	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+	if err := b.ReadErr(); err != nil {
 		t.Fatalf("paused-server failover latched %v", err)
 	}
 

@@ -277,9 +277,9 @@ func (ps *pending) Close() error {
 func (ps *pending) ReadErr() error { return ps.remote.ReadErr() }
 
 // GetMany batches through the current backend: the in-memory store before
-// the swap, the remote one after it. Both implement dds.BatchGetter.
+// the swap, the remote one after it.
 func (ps *pending) GetMany(keys []dds.Key, vals []dds.Value, oks []bool) {
-	ps.backend().(dds.BatchGetter).GetMany(keys, vals, oks)
+	ps.backend().GetMany(keys, vals, oks)
 }
 
 // StoreBackend delegation: every read goes through the current inner
@@ -307,7 +307,5 @@ func (ps *pending) ResetLoads()         { ps.backend().ResetLoads() }
 
 var (
 	_ dds.StoreBackend = (*pending)(nil)
-	_ dds.BatchGetter  = (*pending)(nil)
-	_ dds.Salter       = (*pending)(nil)
 	_ dds.Publisher    = (*Publisher)(nil)
 )

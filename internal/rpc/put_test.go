@@ -191,7 +191,7 @@ func TestPublishFewPutFrames(t *testing.T) {
 		keys = append(keys, k)
 	}
 	vals, oks := make([]dds.Value, len(keys)), make([]bool, len(keys))
-	b.(dds.BatchGetter).GetMany(keys, vals, oks)
+	b.GetMany(keys, vals, oks)
 	for i, k := range keys {
 		if !oks[i] || vals[i] != ref[k][0] {
 			t.Fatalf("Get(%+v) = %+v %v, want %+v", k, vals[i], oks[i], ref[k][0])

@@ -36,7 +36,7 @@ func TestGetManyDupAndAbsentBatch(t *testing.T) {
 	vals := make([]dds.Value, len(keys))
 	oks := make([]bool, len(keys))
 	before := sumLoads(b)
-	b.(dds.BatchGetter).GetMany(keys, vals, oks)
+	b.GetMany(keys, vals, oks)
 	for i, k := range keys {
 		want, present := ref[k]
 		if oks[i] != present {
@@ -51,8 +51,8 @@ func TestGetManyDupAndAbsentBatch(t *testing.T) {
 	if got := sumLoads(b) - before; got != int64(len(keys)) {
 		t.Fatalf("batch of %d keys accounted %d shard loads", len(keys), got)
 	}
-	if re := b.(interface{ ReadErr() error }); re.ReadErr() != nil {
-		t.Fatalf("reads latched %v", re.ReadErr())
+	if err := b.ReadErr(); err != nil {
+		t.Fatalf("reads latched %v", err)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestDuplicateKeysShareOneFrame(t *testing.T) {
 	vals := make([]dds.Value, len(keys))
 	oks := make([]bool, len(keys))
 	base := fr.ReadFrames()
-	b.(dds.BatchGetter).GetMany(keys, vals, oks)
+	b.GetMany(keys, vals, oks)
 	if got := fr.ReadFrames() - base; got != 1 {
 		t.Fatalf("100-duplicate batch used %d frames, want 1", got)
 	}
@@ -123,7 +123,7 @@ func concurrentReads(t *testing.T, b dds.StoreBackend, ref map[dds.Key][]dds.Val
 			vals := make([]dds.Value, len(keys))
 			oks := make([]bool, len(keys))
 			if r%2 == 0 {
-				b.(dds.BatchGetter).GetMany(keys, vals, oks)
+				b.GetMany(keys, vals, oks)
 			} else {
 				for i, k := range keys {
 					vals[i], oks[i] = b.Get(k)
@@ -190,7 +190,7 @@ func TestCoalescedFrames(t *testing.T) {
 	if got := sumLoads(b) - loads0; got != int64(total) {
 		t.Fatalf("%d reads accounted %d shard loads", total, got)
 	}
-	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+	if err := b.ReadErr(); err != nil {
 		t.Fatalf("reads latched %v", err)
 	}
 }
@@ -214,7 +214,7 @@ func TestCoalescedFrameDropFailsOver(t *testing.T) {
 		dds.NewStore(pairs, 8, 0x5eed))
 	downs0 := p.c.servers[0].downs.Load()
 	concurrentReads(t, b, ref, splitKeys(ref, 64, 8, nil))
-	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+	if err := b.ReadErr(); err != nil {
 		t.Fatalf("failover latched %v", err)
 	}
 	if p.c.servers[0].downs.Load() == downs0 {
@@ -244,7 +244,7 @@ func TestCoalescedFramePausedPrimary(t *testing.T) {
 	if took := time.Since(start); took > 6*timeout {
 		t.Fatalf("32 readers behind a paused primary took %v, want about one timeout (%v)", took, timeout)
 	}
-	if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+	if err := b.ReadErr(); err != nil {
 		t.Fatalf("failover latched %v", err)
 	}
 }
@@ -276,11 +276,11 @@ func TestCancelledReadReturnsPromptly(t *testing.T) {
 	fleet[0].Pause()
 	time.AfterFunc(100*time.Millisecond, cancel)
 	start := time.Now()
-	b.(dds.BatchGetter).GetMany(keys, vals, oks)
+	b.GetMany(keys, vals, oks)
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("cancelled read took %v, want about the 100ms until cancel", took)
 	}
-	if err := b.(interface{ ReadErr() error }).ReadErr(); !errors.Is(err, context.Canceled) {
+	if err := b.ReadErr(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("latched %v, want context.Canceled", err)
 	}
 	start = time.Now()
@@ -365,7 +365,7 @@ func TestFreedGenerationNeverReadsNext(t *testing.T) {
 					for i := range keys {
 						keys[i] = dds.Key{Tag: 1, A: int64((r*batch + round*readers*batch + i) % pairs)}
 					}
-					b.(dds.BatchGetter).GetMany(keys, vals, oks)
+					b.GetMany(keys, vals, oks)
 					for i, k := range keys {
 						switch {
 						case !oks[i]:
@@ -388,7 +388,7 @@ func TestFreedGenerationNeverReadsNext(t *testing.T) {
 		for e := range errs {
 			t.Fatal(e)
 		}
-		if absent.Load() > 0 && b.(interface{ ReadErr() error }).ReadErr() == nil {
+		if absent.Load() > 0 && b.ReadErr() == nil {
 			t.Fatalf("generation %d answered %d reads absent without latching a failure", g, absent.Load())
 		}
 		b = next
@@ -416,7 +416,7 @@ func TestSendersExitOnClose(t *testing.T) {
 	for i, kv := range pairs {
 		keys[i] = kv.Key
 	}
-	b.(dds.BatchGetter).GetMany(keys, make([]dds.Value, len(keys)), make([]bool, len(keys)))
+	b.GetMany(keys, make([]dds.Value, len(keys)), make([]bool, len(keys)))
 	if n := senders(); n != 3 {
 		t.Fatalf("%d senders after reads from 3 servers, want 3", n)
 	}

@@ -388,18 +388,16 @@ func checkBackend(t *testing.T, b dds.StoreBackend, ref map[dds.Key][]dds.Value)
 		keys = append(keys, k)
 	}
 	keys = append(keys, absent)
-	if bg, ok := b.(dds.BatchGetter); ok {
-		vals := make([]dds.Value, len(keys))
-		oks := make([]bool, len(keys))
-		bg.GetMany(keys, vals, oks)
-		for i, k := range keys {
-			want, present := ref[k]
-			if oks[i] != present {
-				t.Fatalf("GetMany(%+v) ok=%v, want %v", k, oks[i], present)
-			}
-			if present && vals[i] != want[0] {
-				t.Fatalf("GetMany(%+v) = %+v, want %+v", k, vals[i], want[0])
-			}
+	vals := make([]dds.Value, len(keys))
+	oks := make([]bool, len(keys))
+	b.GetMany(keys, vals, oks)
+	for i, k := range keys {
+		want, present := ref[k]
+		if oks[i] != present {
+			t.Fatalf("GetMany(%+v) ok=%v, want %v", k, oks[i], present)
+		}
+		if present && vals[i] != want[0] {
+			t.Fatalf("GetMany(%+v) = %+v, want %+v", k, vals[i], want[0])
 		}
 	}
 }
@@ -433,8 +431,8 @@ func TestPublishReadCycle(t *testing.T) {
 	ref := reference(pairs)
 	_, b := publish(t, Config{Servers: addrs}, dds.NewStore(pairs, 4, 0x5eed))
 	checkBackend(t, b, ref)
-	if re := b.(interface{ ReadErr() error }); re.ReadErr() != nil {
-		t.Fatalf("clean reads latched %v", re.ReadErr())
+	if err := b.ReadErr(); err != nil {
+		t.Fatalf("clean reads latched %v", err)
 	}
 
 	// Freeing the generation makes later reads fail loudly, not silently
@@ -445,7 +443,7 @@ func TestPublishReadCycle(t *testing.T) {
 	if _, ok := b.Get(dds.Key{A: 1, B: 1}); ok {
 		t.Fatal("read of a freed generation returned ok")
 	}
-	err := b.(interface{ ReadErr() error }).ReadErr()
+	err := b.ReadErr()
 	if !errors.Is(err, dds.ErrBackendUnavailable) {
 		t.Fatalf("freed-generation read latched %v, want ErrBackendUnavailable", err)
 	}
@@ -516,7 +514,7 @@ func TestQuorumFailover(t *testing.T) {
 			_, b := publish(t, cfg, dds.NewStore(pairs, 6, 0x5eed))
 			fleet[kill].Close()
 			checkBackend(t, b, ref)
-			if err := b.(interface{ ReadErr() error }).ReadErr(); err != nil {
+			if err := b.ReadErr(); err != nil {
 				t.Fatalf("failover latched %v", err)
 			}
 		})
