@@ -225,15 +225,8 @@ func init() {
 			return nil
 		},
 		Query: func(res *Result) (QueryHandler, error) {
-			cr := res.Payload.(core.ConnectivityResult)
-			if cr.Store == nil {
-				return nil, nil
-			}
-			q, err := core.NewConnectivityQuery(cr)
-			if err != nil {
-				return nil, err
-			}
-			return newLabelHandler([]string{"label"}, q.Len(), q.Label, q.Close), nil
+			r := res.Payload.(core.ConnectivityResult)
+			return retained("label", len(r.Components), r.Store)
 		},
 	})
 
@@ -279,15 +272,8 @@ func init() {
 			return nil
 		},
 		Query: func(res *Result) (QueryHandler, error) {
-			mr := res.Payload.(core.MSFResult)
-			if mr.Store == nil {
-				return nil, nil
-			}
-			q, err := core.NewMSFQuery(mr)
-			if err != nil {
-				return nil, err
-			}
-			return newLabelHandler([]string{"component"}, q.Len(), q.Component, q.Close), nil
+			r := res.Payload.(core.MSFResult)
+			return retained("component", len(r.Components), r.Store)
 		},
 	})
 
@@ -398,15 +384,8 @@ func init() {
 			return nil
 		},
 		Query: func(res *Result) (QueryHandler, error) {
-			lr := res.Payload.(core.ListRankingResult)
-			if lr.Store == nil {
-				return nil, nil
-			}
-			q, err := core.NewListRankQuery(lr)
-			if err != nil {
-				return nil, err
-			}
-			return newLabelHandler([]string{"rank"}, q.Len(), q.Rank, q.Close), nil
+			r := res.Payload.(core.ListRankingResult)
+			return retained("rank", len(r.Rank), r.Store)
 		},
 	})
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ampc"
+	"ampc/internal/graph"
 )
 
 // Job states reported by the daemon. A job is created in stateRunning
@@ -415,13 +416,11 @@ func inputWeightedGraph(req *submitRequest) (*ampc.WeightedGraph, error) {
 	return ampc.WithRandomWeights(g, ampc.NewRNG(req.Graph.Seed, 0x11)), nil
 }
 
-// makeGraph generates a synthetic workload, mirroring ampcrun's kinds. A
-// spec outside its generator's contract is refused with the reason.
+// makeGraph generates a synthetic workload through graph.Generate, the
+// generator table ampcrun shares, once the spec is within the daemon's size
+// limit.
 func makeGraph(spec *graphSpec) (*ampc.Graph, error) {
 	n, m, trees := spec.N, spec.M, spec.Trees
-	if n <= 0 {
-		return nil, fmt.Errorf("graph spec needs n > 0, got %d", n)
-	}
 	if m == 0 {
 		m = 4 * n
 	}
@@ -431,54 +430,7 @@ func makeGraph(spec *graphSpec) (*ampc.Graph, error) {
 	if err := sizeErr(n, m); err != nil {
 		return nil, err
 	}
-	if err := specErr(spec.Kind, n, m, trees); err != nil {
-		return nil, err
-	}
-	r := ampc.NewRNG(spec.Seed, 0x7)
-	switch spec.Kind {
-	case "gnm":
-		return ampc.GNM(n, m, r), nil
-	case "cgnm":
-		return ampc.ConnectedGNM(n, m, r), nil
-	case "cycle":
-		return ampc.TwoCycleInstance(n, true, r), nil
-	case "cycle2":
-		return ampc.TwoCycleInstance(n, false, r), nil
-	case "path":
-		return ampc.Path(n), nil
-	case "star":
-		return ampc.Star(n), nil
-	case "tree":
-		return ampc.RandomTree(n, r), nil
-	case "forest":
-		return ampc.RandomForest(n, trees, r), nil
-	case "clique":
-		return ampc.Clique(n), nil
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", spec.Kind)
-	}
-}
-
-// specErr reports why (n, m, trees) falls outside kind's generator
-// contract — where the generator would panic, or for cgnm once spun
-// forever — or nil.
-func specErr(kind string, n, m, trees int) error {
-	maxM := n * (n - 1) / 2
-	switch {
-	case m < 0:
-		return fmt.Errorf("%s: m=%d is negative", kind, m)
-	case (kind == "gnm" || kind == "cgnm") && m > maxM:
-		return fmt.Errorf("%s: m=%d exceeds n(n-1)/2=%d for n=%d", kind, m, maxM, n)
-	case kind == "cgnm" && m < n-1:
-		return fmt.Errorf("cgnm: m=%d is below n-1=%d, too few edges to connect n=%d", m, n-1, n)
-	case kind == "cycle" && n < 3:
-		return fmt.Errorf("cycle: needs n >= 3, got %d", n)
-	case kind == "cycle2" && (n < 6 || n%2 != 0):
-		return fmt.Errorf("cycle2: needs even n >= 6, got %d", n)
-	case kind == "forest" && trees > n:
-		return fmt.Errorf("forest: trees=%d exceeds n=%d", trees, n)
-	}
-	return nil
+	return graph.Generate(spec.Kind, n, m, trees, ampc.NewRNG(spec.Seed, 0x7))
 }
 
 // jobStatus is the wire form of a job's lifecycle state.

@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -46,6 +45,7 @@ import (
 	"time"
 
 	"ampc"
+	"ampc/internal/graph"
 	"ampc/internal/sysmem"
 )
 
@@ -102,9 +102,6 @@ func main() {
 	})
 	job := ampc.Job{Algo: *algo, Check: *check}
 
-	if spec.Input != ampc.InputList && *input == "" {
-		checkSpec(*gkind, *n, *m, *trees)
-	}
 	r := ampc.NewRNG(*seed, 0x7)
 	var workload string
 	var wn, wm int
@@ -121,6 +118,9 @@ func main() {
 		workload, wn, wm = "list", *n, 0
 	case ampc.InputGraph:
 		if *gkind == "mgnm" && *input == "" {
+			if *n < 2 || *m < 0 {
+				usage(fmt.Errorf("mgnm: needs n >= 2 and m >= 0, got n=%d m=%d", *n, *m))
+			}
 			es := ampc.StreamGNM(*n, *m, *seed)
 			job.Stream = es
 			workload, wn, wm = *gkind, es.N(), es.M()
@@ -202,75 +202,11 @@ func loadOrMakeGraph(input string, gkind *string, n, m, trees int, r *ampc.RNG) 
 		*gkind = input
 		return g
 	}
-	return makeGraph(*gkind, n, m, trees, r)
-}
-
-func makeGraph(kind string, n, m, trees int, r *ampc.RNG) *ampc.Graph {
-	switch kind {
-	case "gnm":
-		return ampc.GNM(n, m, r)
-	case "cgnm":
-		return ampc.ConnectedGNM(n, m, r)
-	case "powerlaw":
-		return ampc.PowerLaw(n, m, r)
-	case "skew":
-		return ampc.SkewedDegree(n, m, ampc.HubCount(n), r)
-	case "cycle":
-		return ampc.TwoCycleInstance(n, true, r)
-	case "cycle2":
-		return ampc.TwoCycleInstance(n, false, r)
-	case "grid":
-		side := int(math.Sqrt(float64(n)))
-		return ampc.Grid(side, side)
-	case "path":
-		return ampc.Path(n)
-	case "star":
-		return ampc.Star(n)
-	case "tree":
-		return ampc.RandomTree(n, r)
-	case "forest":
-		return ampc.RandomForest(n, trees, r)
-	case "clique":
-		return ampc.Clique(n)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -graph %q\n", kind)
-		os.Exit(2)
-		return nil
-	}
-}
-
-// checkSpec exits 2 with the reason when (n, m, trees) falls outside the
-// -graph generator's contract — where the generator would panic, or for
-// cgnm once spun forever.
-func checkSpec(kind string, n, m, trees int) {
-	maxM := n * (n - 1) / 2
-	if kind == "skew" {
-		h := ampc.HubCount(n)
-		maxM = h*(n-h) + h*(h-1)/2
-	}
-	var err error
-	switch {
-	case m < 0:
-		err = fmt.Errorf("-m %d is negative", m)
-	case (kind == "gnm" || kind == "cgnm" || kind == "powerlaw" || kind == "skew") && m > maxM:
-		err = fmt.Errorf("-graph %s: -m %d exceeds the %d distinct edges n=%d allows", kind, m, maxM, n)
-	case kind == "cgnm" && m < n-1:
-		err = fmt.Errorf("-graph cgnm: -m %d is below n-1=%d, too few edges to connect n=%d", m, n-1, n)
-	case kind == "mgnm" && n < 2:
-		err = fmt.Errorf("-graph mgnm: needs -n >= 2, got %d", n)
-	case (kind == "path" || kind == "star" || kind == "tree") && n < 1:
-		err = fmt.Errorf("-graph %s: needs -n >= 1, got %d", kind, n)
-	case kind == "cycle" && n < 3:
-		err = fmt.Errorf("-graph cycle: needs -n >= 3, got %d", n)
-	case kind == "cycle2" && (n < 6 || n%2 != 0):
-		err = fmt.Errorf("-graph cycle2: needs even -n >= 6, got %d", n)
-	case kind == "forest" && (trees < 1 || trees > n):
-		err = fmt.Errorf("-graph forest: needs 1 <= -trees <= n, got trees=%d n=%d", trees, n)
-	}
+	g, err := graph.Generate(*gkind, n, m, trees, r)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage(err)
 	}
+	return g
 }
 
 func printTelemetry(t ampc.Telemetry, wall time.Duration) {
@@ -296,6 +232,12 @@ func printTelemetry(t ampc.Telemetry, wall time.Duration) {
 		t.DriverIngestTime.Round(time.Microsecond))
 	fmt.Printf("  wall time           %v\n", wall.Round(time.Microsecond))
 	fmt.Printf("  peak rss            %.1f MB\n", sysmem.PeakRSSMB())
+}
+
+// usage exits 2 with err: the run was asked for something it cannot do.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }
 
 func fail(err error) {

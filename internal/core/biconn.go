@@ -65,6 +65,7 @@ func Biconnectivity(ctx context.Context, g *graph.Graph, opts Options) (BiconnRe
 	if err := opts.validate(); err != nil {
 		return BiconnResult{}, err
 	}
+	opts.RetainStore = false // no stage's store is served
 	n := g.N()
 
 	// Step 1: spanning forest.

@@ -30,8 +30,8 @@ type ConnectivityResult struct {
 	// connected component.
 	Components []int
 	// Store is the retained final store holding the labels under the
-	// serving tag, populated only when Options.RetainStore was set; query
-	// it through NewConnectivityQuery. The caller owns its Close.
+	// serving tag, populated only when Options.RetainStore was set: v's
+	// label is Get(ServeKey(v)). The caller owns its Close.
 	Store dds.StoreBackend
 	// Telemetry is the measured cost.
 	Telemetry Telemetry
@@ -108,11 +108,12 @@ type exploreRound func(rt *ampc.Runtime, verts []int32, d int, phase int) error
 // ConnectivityStream and MSF (§7, Algorithm 9) share, differing only in
 // explore. From the given contracted state until the graph is exhausted,
 // each phase publishes Gc, explores, samples leaders and contracts; a
-// remainder small enough for one machine is solved there. It mutates m2 in
-// place and returns the total phase count. Connectivity and MSF enter at
-// phase 0 with the materialized input; ConnectivityStream enters at phase
-// 1, having run the first phase against the streamed ingest without ever
-// materializing Gc.
+// remainder small enough for one machine is solved there. It mutates m2,
+// the original -> current vertex map, in place (MSF, which reads its
+// output from the committed weights, passes nil) and returns the total
+// phase count. Connectivity and MSF enter at phase 0 with the materialized
+// input; ConnectivityStream enters at phase 1, having run the first phase
+// against the streamed ingest without ever materializing Gc.
 func (d *flatDriver) runPhases(ctx context.Context, rt *ampc.Runtime, explore exploreRound, gc *contracted, m2 []int, driver *rng.RNG, opts Options, n, m, phases int) (int, error) {
 	totalSpace := float64(opts.spaceFactor * (n + m + 1))
 	dCap := math.Pow(float64(n), opts.Epsilon/2)

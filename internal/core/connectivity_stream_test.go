@@ -169,8 +169,8 @@ func TestConnectivityStreamCheckRejectsWrongLabels(t *testing.T) {
 }
 
 // TestConnectivityStreamRetainStore covers the retained-store path of the
-// streamed driver: point queries through ConnectivityQuery answer exactly
-// the returned labeling.
+// streamed driver: the retained store's serving labels, read through
+// ServeKey, are exactly the returned labeling.
 func TestConnectivityStreamRetainStore(t *testing.T) {
 	es := graph.StreamGNM(600, 1500, 31)
 	res, err := ConnectivityStream(context.Background(), es, Options{
@@ -182,15 +182,11 @@ func TestConnectivityStreamRetainStore(t *testing.T) {
 	if res.Store == nil {
 		t.Fatal("RetainStore produced no store")
 	}
-	q, err := NewConnectivityQuery(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
+	defer res.Store.Close()
 	for _, v := range []int{0, 17, 299, 599} {
-		got, ok := q.Label(v)
-		if !ok || got != res.Components[v] {
-			t.Fatalf("query Label(%d) = %d,%v want %d", v, got, ok, res.Components[v])
+		got, ok := res.Store.Get(ServeKey(v))
+		if !ok || int(got.A) != res.Components[v] {
+			t.Fatalf("Get(ServeKey(%d)) = %d,%v want %d", v, got.A, ok, res.Components[v])
 		}
 	}
 }

@@ -90,14 +90,13 @@ type Options struct {
 	Observer func(ampc.RoundStats)
 	// RetainStore keeps the run's final frozen store alive after the
 	// runtime shuts down, exposed on the result (ConnectivityResult.Store,
-	// MSFResult.Store, ListRankingResult.Store) for warm point queries
-	// through the typed query surfaces (ConnectivityQuery, MSFQuery,
-	// ListRankQuery). Algorithms that support retention run one extra
-	// serve-publish round so the retained store holds exactly the
-	// per-element labels under one known tag; the caller owns the store's
-	// Close. Supported on the mem and file backends; the rpc backend's
-	// reads die with the run's connection pools, so RetainStore with
-	// BackendRPC is rejected by validation.
+	// MSFResult.Store, ListRankingResult.Store) for warm point queries:
+	// those algorithms run one extra serve-publish round, so element v's
+	// label is Get(ServeKey(v)); the caller owns the store's Close.
+	// Pipelines (SpanningForest, RootForest, Biconnectivity) serve nothing
+	// and run their stages without it. Supported on the mem and file
+	// backends; the rpc backend's reads die with the run's connection
+	// pools, so RetainStore with BackendRPC is rejected by validation.
 	RetainStore bool
 
 	// budgetFactor is the runtime's per-machine budget constant; zero

@@ -36,6 +36,7 @@ func RootForest(ctx context.Context, g *graph.Graph, roots []int, opts Options) 
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
+	opts.RetainStore = false // the ranks are used here, not served
 	if !graph.IsForest(g) {
 		return nil, fmt.Errorf("core: RootForest input has a cycle")
 	}

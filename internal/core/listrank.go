@@ -23,8 +23,8 @@ type ListRankingResult struct {
 	// of each list has rank 0).
 	Rank []int
 	// Store is the retained final store holding the ranks under the
-	// serving tag, populated only when Options.RetainStore was set; query
-	// it through NewListRankQuery. The caller owns its Close.
+	// serving tag, populated only when Options.RetainStore was set: v's
+	// rank is Get(ServeKey(v)). The caller owns its Close.
 	Store dds.StoreBackend
 	// Telemetry is the measured cost.
 	Telemetry Telemetry

@@ -20,8 +20,8 @@ type MSFResult struct {
 	// forest component, populated only when Options.RetainStore was set.
 	Components []int
 	// Store is the retained final store holding the component labels under
-	// the serving tag, populated only when Options.RetainStore was set;
-	// query it through NewMSFQuery. The caller owns its Close.
+	// the serving tag, populated only when Options.RetainStore was set: v's
+	// component is Get(ServeKey(v)). The caller owns its Close.
 	Store dds.StoreBackend
 	// Telemetry is the measured cost.
 	Telemetry Telemetry
@@ -57,7 +57,7 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 	// argument). The sort is a standard MPC primitive.
 	wes := g.WeightedEdges()
 	gc := d.fromWeighted(wes)
-	phases, err := d.runPhases(ctx, rt, msfIncreaseDegree, gc, identityMap(n), opts.driverRNG(6), opts, n, g.M(), 0)
+	phases, err := d.runPhases(ctx, rt, msfIncreaseDegree, gc, nil, opts.driverRNG(6), opts, n, g.M(), 0)
 	if err != nil {
 		return MSFResult{}, err
 	}
@@ -94,6 +94,10 @@ func MSF(ctx context.Context, g *graph.WeightedGraph, opts Options) (MSFResult, 
 // over the wall time of the whole call.
 func SpanningForest(ctx context.Context, g *graph.Graph, opts Options) ([]graph.Edge, []int, Telemetry, error) {
 	pl := newPipeline()
+	if err := opts.validate(); err != nil {
+		return nil, nil, Telemetry{}, err
+	}
+	opts.RetainStore = false // the forest is returned, not served
 	wes := make([]graph.WeightedEdge, g.M())
 	for i, e := range g.Edges() {
 		wes[i] = graph.WeightedEdge{U: e.U, V: e.V, Weight: int64(i) + 1}
@@ -107,24 +111,11 @@ func SpanningForest(ctx context.Context, g *graph.Graph, opts Options) ([]graph.
 		return nil, nil, Telemetry{}, err
 	}
 	forest := make([]graph.Edge, len(res.Edges))
-	dsu := graph.NewDSU(g.N())
 	for i, e := range res.Edges {
 		forest[i] = graph.Edge{U: e.U, V: e.V}.Canon()
-		dsu.Union(e.U, e.V)
-	}
-	labels := make([]int, g.N())
-	min := make(map[int]int)
-	for v := 0; v < g.N(); v++ {
-		r := dsu.Find(v)
-		if cur, ok := min[r]; !ok || v < cur {
-			min[r] = v
-		}
-	}
-	for v := 0; v < g.N(); v++ {
-		labels[v] = min[dsu.Find(v)]
 	}
 	pl.add(res.Telemetry)
-	return forest, labels, pl.telemetry(), nil
+	return forest, forestComponents(g.N(), res.Edges), pl.telemetry(), nil
 }
 
 // msfIncreaseDegree is Algorithm 8: every vertex grows a local Prim tree of

@@ -11,8 +11,8 @@ import (
 // tagServe is the DDS tag of the serving labels: when Options.RetainStore is
 // set, the supporting algorithms end their run with one extra serve-publish
 // round writing (tagServe, v) -> label for every element, so the retained
-// final store holds exactly the queryable output under one tag known to the
-// query surfaces — no per-algorithm tag knowledge leaks out of this file.
+// final store holds exactly the queryable output under one tag: a lookup is
+// one Get(ServeKey(v)), with no per-algorithm tag knowledge.
 const tagServe = graph.TagAlgoBase + 50
 
 // ServeKey returns the retained-store key of element v's serving label.
@@ -50,126 +50,6 @@ func retainServeStore(rt *ampc.Runtime, labels []int) (dds.StoreBackend, error) 
 	}
 	return store, nil
 }
-
-// LabelStore is a warm point-query surface over a retained serving store:
-// one store probe per lookup (~tens of nanoseconds on the mem backend), safe
-// for concurrent use because the store is immutable. It underlies the typed
-// per-algorithm query types below.
-type LabelStore struct {
-	n     int
-	store dds.StoreBackend
-}
-
-// NewLabelStore wraps a retained serving store holding labels for elements
-// [0, n).
-func NewLabelStore(store dds.StoreBackend, n int) (*LabelStore, error) {
-	if store == nil {
-		return nil, fmt.Errorf("core: no retained store (run with Options.RetainStore)")
-	}
-	return &LabelStore{n: n, store: store}, nil
-}
-
-// Len returns the number of elements the store holds labels for.
-func (q *LabelStore) Len() int { return q.n }
-
-// Lookup returns element v's label; ok is false when v is out of range.
-func (q *LabelStore) Lookup(v int) (label int, ok bool) {
-	if v < 0 || v >= q.n {
-		return 0, false
-	}
-	val, ok := q.store.Get(ServeKey(v))
-	if !ok {
-		return 0, false
-	}
-	return int(val.A), true
-}
-
-// Close releases the retained store.
-func (q *LabelStore) Close() error { return q.store.Close() }
-
-// ConnectivityQuery answers warm point queries against a retained
-// connectivity run: per-vertex component labels and same-component tests.
-type ConnectivityQuery struct{ ls *LabelStore }
-
-// NewConnectivityQuery wraps a ConnectivityResult produced with
-// Options.RetainStore. The query takes ownership of res.Store.
-func NewConnectivityQuery(res ConnectivityResult) (*ConnectivityQuery, error) {
-	ls, err := NewLabelStore(res.Store, len(res.Components))
-	if err != nil {
-		return nil, err
-	}
-	return &ConnectivityQuery{ls: ls}, nil
-}
-
-// Label returns v's component label.
-func (q *ConnectivityQuery) Label(v int) (int, bool) { return q.ls.Lookup(v) }
-
-// SameComponent reports whether u and v share a component; ok is false when
-// either vertex is out of range.
-func (q *ConnectivityQuery) SameComponent(u, v int) (same, ok bool) {
-	lu, ok1 := q.ls.Lookup(u)
-	lv, ok2 := q.ls.Lookup(v)
-	return lu == lv, ok1 && ok2
-}
-
-// Len returns the vertex count.
-func (q *ConnectivityQuery) Len() int { return q.ls.Len() }
-
-// Close releases the retained store.
-func (q *ConnectivityQuery) Close() error { return q.ls.Close() }
-
-// MSFQuery answers warm point queries against a retained MSF run: forest
-// component membership per vertex.
-type MSFQuery struct{ ls *LabelStore }
-
-// NewMSFQuery wraps an MSFResult produced with Options.RetainStore. The
-// query takes ownership of res.Store.
-func NewMSFQuery(res MSFResult) (*MSFQuery, error) {
-	ls, err := NewLabelStore(res.Store, len(res.Components))
-	if err != nil {
-		return nil, err
-	}
-	return &MSFQuery{ls: ls}, nil
-}
-
-// Component returns the canonical id of the forest component containing v.
-func (q *MSFQuery) Component(v int) (int, bool) { return q.ls.Lookup(v) }
-
-// SameComponent reports whether u and v lie in the same forest component.
-func (q *MSFQuery) SameComponent(u, v int) (same, ok bool) {
-	lu, ok1 := q.ls.Lookup(u)
-	lv, ok2 := q.ls.Lookup(v)
-	return lu == lv, ok1 && ok2
-}
-
-// Len returns the vertex count.
-func (q *MSFQuery) Len() int { return q.ls.Len() }
-
-// Close releases the retained store.
-func (q *MSFQuery) Close() error { return q.ls.Close() }
-
-// ListRankQuery answers warm point queries against a retained list-ranking
-// run: per-element ranks.
-type ListRankQuery struct{ ls *LabelStore }
-
-// NewListRankQuery wraps a ListRankingResult produced with
-// Options.RetainStore. The query takes ownership of res.Store.
-func NewListRankQuery(res ListRankingResult) (*ListRankQuery, error) {
-	ls, err := NewLabelStore(res.Store, len(res.Rank))
-	if err != nil {
-		return nil, err
-	}
-	return &ListRankQuery{ls: ls}, nil
-}
-
-// Rank returns element v's rank within its list.
-func (q *ListRankQuery) Rank(v int) (int, bool) { return q.ls.Lookup(v) }
-
-// Len returns the element count.
-func (q *ListRankQuery) Len() int { return q.ls.Len() }
-
-// Close releases the retained store.
-func (q *ListRankQuery) Close() error { return q.ls.Close() }
 
 // forestComponents derives the connectivity labeling a forest induces:
 // canonical minimum vertex id per component, matching the convention of the

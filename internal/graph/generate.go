@@ -381,3 +381,70 @@ func Union(gs ...*Graph) *Graph {
 	}
 	return MustGraph(n, edges)
 }
+
+// Generate builds the synthetic workload named kind, the one generator
+// table ampcrun and ampcd share. A spec outside its generator's contract —
+// where the generator would panic, or for cgnm once spun forever — is
+// refused with the reason.
+func Generate(kind string, n, m, trees int, r *rng.RNG) (*Graph, error) {
+	if err := specErr(kind, n, m, trees); err != nil {
+		return nil, err
+	}
+	switch kind {
+	case "gnm":
+		return GNM(n, m, r), nil
+	case "cgnm":
+		return ConnectedGNM(n, m, r), nil
+	case "powerlaw":
+		return PowerLaw(n, m, r), nil
+	case "skew":
+		return SkewedDegree(n, m, HubCount(n), r), nil
+	case "cycle":
+		return TwoCycleInstance(n, true, r), nil
+	case "cycle2":
+		return TwoCycleInstance(n, false, r), nil
+	case "grid":
+		side := int(math.Sqrt(float64(n)))
+		return Grid(side, side), nil
+	case "path":
+		return Path(n), nil
+	case "star":
+		return Star(n), nil
+	case "tree":
+		return RandomTree(n, r), nil
+	case "forest":
+		return RandomForest(n, trees, r), nil
+	case "clique":
+		return Clique(n), nil
+	}
+	return nil, fmt.Errorf("unknown graph kind %q", kind)
+}
+
+// specErr reports why (n, m, trees) falls outside kind's generator
+// contract, or nil.
+func specErr(kind string, n, m, trees int) error {
+	maxM, bound := n*(n-1)/2, "n(n-1)/2"
+	if kind == "skew" { // every edge has one of the h hubs as an endpoint
+		h := HubCount(n)
+		maxM, bound = h*(n-h)+h*(h-1)/2, "h(n-h)+h(h-1)/2"
+	}
+	switch {
+	case n < 1:
+		return fmt.Errorf("%s: needs n >= 1, got %d", kind, n)
+	case m < 0:
+		return fmt.Errorf("%s: m=%d is negative", kind, m)
+	case (kind == "gnm" || kind == "cgnm" || kind == "powerlaw" || kind == "skew") && m > maxM:
+		return fmt.Errorf("%s: m=%d exceeds %s=%d for n=%d", kind, m, bound, maxM, n)
+	case kind == "cgnm" && m < n-1:
+		return fmt.Errorf("cgnm: m=%d is below n-1=%d, too few edges to connect n=%d", m, n-1, n)
+	case kind == "cycle" && n < 3:
+		return fmt.Errorf("cycle: needs n >= 3, got %d", n)
+	case kind == "cycle2" && (n < 6 || n%2 != 0):
+		return fmt.Errorf("cycle2: needs even n >= 6, got %d", n)
+	case kind == "forest" && trees < 1:
+		return fmt.Errorf("forest: needs trees >= 1, got %d", trees)
+	case kind == "forest" && trees > n:
+		return fmt.Errorf("forest: trees=%d exceeds n=%d", trees, n)
+	}
+	return nil
+}

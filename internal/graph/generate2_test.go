@@ -2,6 +2,7 @@ package graph
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +184,45 @@ func TestBipartiteIsBipartite(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGenerateContract: every kind builds at a valid spec, and a spec
+// outside its generator's contract is refused with the reason instead of
+// reaching the generator (which would panic, or for cgnm spin).
+func TestGenerateContract(t *testing.T) {
+	for _, kind := range []string{"gnm", "cgnm", "powerlaw", "skew", "cycle", "cycle2", "grid", "path", "star", "tree", "forest", "clique"} {
+		g, err := Generate(kind, 36, 35, 3, rng.New(1, 0))
+		if err != nil || g.N() == 0 {
+			t.Fatalf("Generate(%s, 36, 35, 3): %v", kind, err)
+		}
+	}
+	h := HubCount(50)
+	for _, tc := range []struct {
+		kind        string
+		n, m, trees int
+		want        string
+	}{
+		{"gnm", 0, 0, 1, "needs n >= 1"},
+		{"gnm", 10, -1, 1, "negative"},
+		{"gnm", 1, 4, 1, "exceeds n(n-1)/2=0"},
+		{"powerlaw", 5, 11, 1, "exceeds n(n-1)/2=10"},
+		{"skew", 50, h*(50-h) + h*(h-1)/2 + 1, 1, "exceeds h(n-h)+h(h-1)/2"},
+		{"cgnm", 100, 50, 1, "below n-1"},
+		{"cycle", 2, 0, 1, "n >= 3"},
+		{"cycle2", 7, 0, 1, "even n >= 6"},
+		{"forest", 5, 0, 0, "trees >= 1"},
+		{"forest", 5, 0, 10, "trees=10 exceeds n=5"},
+		{"dodecahedron", 10, 0, 1, "unknown graph kind"},
+	} {
+		_, err := Generate(tc.kind, tc.n, tc.m, tc.trees, rng.New(1, 0))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Generate(%s, %d, %d, %d) = %v, want an error mentioning %q", tc.kind, tc.n, tc.m, tc.trees, err, tc.want)
+		}
+	}
+	// The largest skew spec the bound admits still builds.
+	if _, err := Generate("skew", 50, h*(50-h)+h*(h-1)/2, 1, rng.New(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,6 +3,9 @@ package ampc
 import (
 	"errors"
 	"fmt"
+
+	"ampc/internal/core"
+	"ampc/internal/dds"
 )
 
 // ErrNotQueryable is reported by Engine.Query when a Result cannot serve
@@ -28,34 +31,37 @@ type QueryHandler interface {
 	Close() error
 }
 
-// labelHandler adapts one label-lookup function to the QueryHandler
-// surface; every current query surface is a single int->int labeling, so
-// one adapter covers all three registered hooks.
+// labelHandler is the one QueryHandler: every query kind is an int->int
+// labeling the serve-publish round wrote under core.ServeKey, so a lookup
+// is one Get on the retained store.
 type labelHandler struct {
-	kinds   []string
-	n       int
-	lookup  func(int) (int, bool)
-	closeFn func() error
+	kinds []string
+	n     int
+	store dds.StoreBackend
+}
+
+// retained returns the handler over a run's retained store holding n
+// labels of the given kind, or (nil, nil) when the run retained none.
+func retained(kind string, n int, store dds.StoreBackend) (QueryHandler, error) {
+	if store == nil {
+		return nil, nil
+	}
+	return &labelHandler{kinds: []string{kind}, n: n, store: store}, nil
 }
 
 func (h *labelHandler) Kinds() []string { return h.kinds }
 func (h *labelHandler) Len() int        { return h.n }
-func (h *labelHandler) Close() error    { return h.closeFn() }
+func (h *labelHandler) Close() error    { return h.store.Close() }
 
 func (h *labelHandler) Lookup(kind string, key int) (int, bool, error) {
-	for _, k := range h.kinds {
-		if k == kind {
-			v, ok := h.lookup(key)
-			return v, ok, nil
-		}
+	if kind != h.kinds[0] {
+		return 0, false, fmt.Errorf("unknown query kind %q (supported: %v)", kind, h.kinds)
 	}
-	return 0, false, fmt.Errorf("unknown query kind %q (supported: %v)", kind, h.kinds)
-}
-
-// newLabelHandler builds the QueryHandler over a typed query surface's
-// lookup and close functions.
-func newLabelHandler(kinds []string, n int, lookup func(int) (int, bool), close func() error) QueryHandler {
-	return &labelHandler{kinds: kinds, n: n, lookup: lookup, closeFn: close}
+	if key < 0 || key >= h.n {
+		return 0, false, nil
+	}
+	v, ok := h.store.Get(core.ServeKey(key))
+	return int(v.A), ok, nil
 }
 
 // Query builds the warm point-query surface for a finished job's Result.

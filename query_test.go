@@ -140,3 +140,43 @@ func TestRetainStoreRejectedWithRPCBackend(t *testing.T) {
 		t.Fatalf("RetainStore + rpc backend: %v, want ErrInvalidOptions", err)
 	}
 }
+
+// TestRetainStoreLeavesPipelinesUnchanged: a pipeline returns its output
+// and serves none of its stages' stores, so RetainStore must not add a
+// serve-publish round, or its writes, to any stage.
+func TestRetainStoreLeavesPipelinesUnchanged(t *testing.T) {
+	type cost struct {
+		rounds          int
+		queries, writes int64
+	}
+	of := func(tel Telemetry) cost { return cost{tel.Rounds, tel.TotalQueries, tel.TotalWrites} }
+	g := GNM(2000, 8000, NewRNG(1, 0))
+	tree := RandomTree(2000, NewRNG(1, 1))
+	run := func(retain bool) map[string]cost {
+		opts := Options{Seed: 1, RetainStore: retain}
+		eng := NewEngine(EngineOptions{Defaults: opts})
+		got := map[string]cost{}
+		for _, algo := range []string{"biconn", "spanningforest"} {
+			res, err := eng.Run(context.Background(), Job{Algo: algo, Graph: g, Check: true})
+			if err != nil {
+				t.Fatalf("%s (retain %v): %v", algo, retain, err)
+			}
+			if _, err := eng.Query(res); !errors.Is(err, ErrNotQueryable) {
+				t.Fatalf("%s (retain %v): Query = %v, want ErrNotQueryable", algo, retain, err)
+			}
+			got[algo] = of(res.Telemetry)
+		}
+		rf, err := RootForest(context.Background(), tree, []int{0}, opts)
+		if err != nil {
+			t.Fatalf("RootForest (retain %v): %v", retain, err)
+		}
+		got["rootforest"] = of(rf.Telemetry)
+		return got
+	}
+	plain, retained := run(false), run(true)
+	for name, want := range plain {
+		if got := retained[name]; got != want {
+			t.Errorf("%s: RetainStore changed rounds/queries/writes %+v -> %+v", name, want, got)
+		}
+	}
+}
