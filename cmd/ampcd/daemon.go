@@ -323,13 +323,13 @@ func buildJob(spec ampc.AlgorithmSpec, req *submitRequest) (ampc.Job, int, int, 
 			if req.Graph.Kind != "list" {
 				return job, 0, 0, fmt.Errorf("algorithm %q takes a list: use graph kind \"list\" or inline \"next\"", req.Algo)
 			}
-			if n := req.Graph.N; n < 0 {
-				return job, 0, 0, fmt.Errorf("list: n=%d is negative", n)
-			}
 			if err := sizeErr(req.Graph.N, 0); err != nil {
 				return job, 0, 0, err
 			}
-			next = pathList(req.Graph.N)
+			var err error
+			if next, err = graph.PathList(req.Graph.N); err != nil {
+				return job, 0, 0, err
+			}
 		}
 		if next == nil {
 			return job, 0, 0, fmt.Errorf("algorithm %q needs \"next\" or a list generator", req.Algo)
@@ -359,17 +359,6 @@ func buildJob(spec ampc.AlgorithmSpec, req *submitRequest) (ampc.Job, int, int, 
 		return job, wg.N(), wg.M(), nil
 	}
 	return job, 0, 0, fmt.Errorf("algorithm %q has unsupported input kind", req.Algo)
-}
-
-func pathList(n int) []int {
-	next := make([]int, n)
-	for i := 0; i < n-1; i++ {
-		next[i] = i + 1
-	}
-	if n > 0 {
-		next[n-1] = -1
-	}
-	return next
 }
 
 func inputGraph(req *submitRequest) (*ampc.Graph, error) {

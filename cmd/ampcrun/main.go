@@ -107,12 +107,9 @@ func main() {
 	var wn, wm int
 	switch spec.Input {
 	case ampc.InputList:
-		next := make([]int, *n)
-		for i := 0; i < *n-1; i++ {
-			next[i] = i + 1
-		}
-		if *n > 0 {
-			next[*n-1] = -1
+		next, err := graph.PathList(*n)
+		if err != nil {
+			usage(err)
 		}
 		job.Next = next
 		workload, wn, wm = "list", *n, 0

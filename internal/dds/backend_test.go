@@ -320,7 +320,7 @@ func TestFilePublisherSegmentsMatchStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, encs, err := sliceSections(data); err != nil || encs[0] != encPacked {
+			if _, encs, err := sliceSections(data); err != nil || encs[0] != encSection {
 				t.Fatalf("%s: section encodings %v (%v), want the large shard packed", tc.name, encs, err)
 			}
 		}

@@ -114,7 +114,7 @@ func TestShardCorruption(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(append([]byte(nil), valid...))
-			if _, err := OpenSection(buf, encPacked, tc.index); err == nil {
+			if _, err := OpenSection(buf, encSection, tc.index); err == nil {
 				t.Fatalf("corrupted section opened cleanly")
 			} else if !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
@@ -178,7 +178,7 @@ func TestSlotTableValidation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := packRawBlock(nil, tc.mutate(append([]byte(nil), base...)))
-			if _, err := OpenSection(buf, encPacked, 0); err == nil {
+			if _, err := OpenSection(buf, encSection, 0); err == nil {
 				t.Fatal("dishonest slot table opened cleanly")
 			} else if !errors.Is(err, ErrBadGeometry) {
 				t.Fatalf("error %v, want errors.Is(..., ErrBadGeometry)", err)

@@ -136,16 +136,18 @@ func FuzzShardCodec(f *testing.F) {
 // whatever the input, it must either fail with an error or yield a reader
 // whose reads and routing do not crash — no input may panic the decoder,
 // the probe arithmetic or the shard modulo, or slice past the section. An
-// encoding byte other than the packed one must always be refused; the seeds
-// include raw blocks under encoding 0 and valid sections under 2.
+// encoding byte other than encSection must always be refused, and so must
+// a version 1 (varint) section; the seeds include raw blocks under encoding
+// 0, valid sections under 2, and the version 1 sections of the version 3
+// golden segment.
 func FuzzOpenSection(f *testing.F) {
 	golden := goldenStore()
 	valid := packShard(nil, &golden.shards[0], 0, 1, goldenSalt)
-	f.Add(valid, encPacked, uint8(0))
-	f.Add(valid[:headerBytes], encPacked, uint8(0))
-	f.Add(valid[:len(valid)-3], encPacked, uint8(0))
-	f.Add([]byte(shardMagic), encPacked, uint8(0))
-	f.Add([]byte{}, encPacked, uint8(0))
+	f.Add(valid, encSection, uint8(0))
+	f.Add(valid[:headerBytes], encSection, uint8(0))
+	f.Add(valid[:len(valid)-3], encSection, uint8(0))
+	f.Add([]byte(shardMagic), encSection, uint8(0))
+	f.Add([]byte{}, encSection, uint8(0))
 	seg, err := os.ReadFile(goldenSegment)
 	if err != nil {
 		f.Fatal(err)
@@ -159,7 +161,7 @@ func FuzzOpenSection(f *testing.F) {
 		f.Add(rawBlock(&golden.shards[i], i, goldenShards, goldenSalt), byte(0), uint8(i))
 	}
 	// Valid sections under an encoding byte the reader does not implement.
-	seeds := segmentByteSeeds()
+	seeds := segmentByteSeeds(f)
 	sections, _, err = sliceSections(seeds[1])
 	if err != nil {
 		f.Fatal(err)
@@ -167,20 +169,30 @@ func FuzzOpenSection(f *testing.F) {
 	for i, sec := range sections {
 		f.Add(sec, byte(2), uint8(i))
 	}
-	// Wide records, packed and raw: spilled keys and values.
+	// Wide records, encoded and raw: spilled keys and values.
 	wide := NewStore(widePairs(rand.New(rand.NewSource(35)), 300), 2, 0x5EED1)
-	_, packed, encs := EncodeSections(nil, wide)
-	for i := range packed {
-		f.Add(packed[i], encs[i], uint8(i))
-		f.Add(rawBlock(&wide.shards[i], i, len(packed), wide.salt), byte(0), uint8(i))
+	_, encoded, encs := EncodeSections(nil, wide)
+	for i := range encoded {
+		f.Add(encoded[i], encs[i], uint8(i))
+		f.Add(rawBlock(&wide.shards[i], i, len(encoded), wide.salt), byte(0), uint8(i))
+	}
+	// Version 1 sections, which a reader of version 2 refuses.
+	old, err := os.ReadFile(goldenSegmentV3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < goldenShards; i++ {
+		e := old[headerBytes+i*segTableEntry:]
+		off, n := le.Uint64(e), le.Uint64(e[8:])
+		f.Add(old[off:off+n], encSection, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, enc byte, index uint8) {
 		r, err := OpenSection(data, enc, int(index))
 		if err != nil {
 			return // rejected: fine, as long as it did not panic
 		}
-		if enc != encPacked {
-			t.Fatalf("a section of unknown encoding %d opened", enc)
+		if enc != encSection || le.Uint32(data[8:]) != shardVersion {
+			t.Fatalf("a section of encoding %d, version %d opened", enc, le.Uint32(data[8:]))
 		}
 		for _, k := range []Key{{1, 1, 0}, {2, 1, 1}, {0, 0, 0}} {
 			ShardOf(k, r.Salt(), r.ShardCount())
@@ -240,24 +252,29 @@ func FuzzSegmentCodec(f *testing.F) {
 }
 
 // segmentByteSeeds builds deterministic whole-segment seeds covering every
-// section encoding byte the reader sees: raw blocks under encoding 0 (the
-// form earlier writers produced, which must be refused), a segment as the
-// writer packs it, and that segment with section 0's encoding byte set to 2
-// under a valid super-header checksum, so the refusals are reachable past
-// the checksum gate.
-func segmentByteSeeds() [][]byte {
+// section encoding byte and format version the reader sees: raw blocks
+// under encoding 0 (the form earlier writers produced, which must be
+// refused), a segment as the writer encodes it, that segment with section
+// 0's encoding byte set to 2 under a valid super-header checksum, so the
+// refusals are reachable past the checksum gate, and the version 3 golden
+// segment of varint sections, which must be refused too.
+func segmentByteSeeds(tb testing.TB) [][]byte {
 	r := rand.New(rand.NewSource(606))
 	s := NewStore(randomPairs(r, 800, 5), 2, 0x5EED1)
-	packed := AppendSegment(nil, s)
-	unknown := append([]byte(nil), packed...)
+	encoded := AppendSegment(nil, s)
+	unknown := append([]byte(nil), encoded...)
 	unknown[headerBytes+16] = 2
-	return [][]byte{rawSegment(s), packed, fixSegChecksum(unknown)}
+	old, err := os.ReadFile(goldenSegmentV3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{rawSegment(s), encoded, fixSegChecksum(unknown), old}
 }
 
 // FuzzOpenSegment feeds arbitrary bytes to the segment reader: whatever the
 // bytes, OpenSegment must either fail with an error or yield a store whose
 // reads do not crash — no input may panic the probe arithmetic, the section
-// slicing, the packed decoder, or map past the file.
+// slicing, the section decoder, or map past the file.
 func FuzzOpenSegment(f *testing.F) {
 	valid := AppendSegment(nil, goldenStore())
 	f.Add(valid)
@@ -265,7 +282,7 @@ func FuzzOpenSegment(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte(segmentMagic))
 	f.Add([]byte{})
-	for _, seed := range segmentByteSeeds() {
+	for _, seed := range segmentByteSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -292,17 +309,18 @@ func FuzzOpenSegment(f *testing.F) {
 
 // TestWriteFuzzCorpus (with -update) materializes the seed corpora in the Go
 // fuzzing corpus-file encoding, so CI replays the seeds as regression inputs
-// without -fuzz. The workload seeds feed the shard and segment codec
-// fuzzers; the reader fuzzer additionally gets whole-segment byte seeds:
-// raw blocks, packed sections and an unknown encoding byte.
+// without -fuzz. The workload seeds, wide records included, feed the shard
+// and segment codec fuzzers; the reader fuzzer gets whole-segment byte
+// seeds: raw blocks, encoded sections, an unknown encoding byte and a
+// version 3 segment.
 func TestWriteFuzzCorpus(t *testing.T) {
 	if !*updateGolden {
 		t.Skip("run with -update to regenerate the seed corpus")
 	}
 	corpora := map[string][][]byte{
-		"FuzzShardCodec":   fuzzSeeds(),
-		"FuzzSegmentCodec": fuzzSeeds(),
-		"FuzzOpenSegment":  segmentByteSeeds(),
+		"FuzzShardCodec":   append(fuzzSeeds(), wideFuzzSeed()),
+		"FuzzSegmentCodec": append(fuzzSeeds(), wideFuzzSeed()),
+		"FuzzOpenSegment":  segmentByteSeeds(t),
 	}
 	for target, seeds := range corpora {
 		dir := filepath.Join("testdata", "fuzz", target)

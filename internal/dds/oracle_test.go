@@ -1,7 +1,6 @@
 package dds
 
 import (
-	"encoding/binary"
 	"testing"
 	"unsafe"
 )
@@ -184,39 +183,50 @@ func rawSegment(s *Store) []byte {
 
 // packRawBlock is the reference packer: the section format (see packShard)
 // of a raw block, appended to dst. A record with a non-zero count is an
-// occupied slot.
+// occupied slot, and its flags follow from its words and count alone: a
+// word pair outside int32 travels inline after the record, a count other
+// than 1 travels with its slab offset.
 func packRawBlock(dst, raw []byte) []byte {
 	base := len(dst)
 	dst = append(dst, raw[:headerBytes]...)
 	slotCount := int(le.Uint64(raw[40:48]))
 	slots := raw[headerBytes : headerBytes+slotCount*slotBytes]
-	occ := 0
+	bitmap := make([]uint64, (slotCount+63)/64)
 	for i := 0; i < slotCount; i++ {
 		if le.Uint32(slots[i*slotBytes+32:]) != 0 {
-			occ++
+			bitmap[i/64] |= 1 << (i % 64)
 		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(occ))
-	prev := -1
+	for _, w := range bitmap {
+		dst = le.AppendUint64(dst, w)
+	}
 	for i := 0; i < slotCount; i++ {
 		rec := slots[i*slotBytes : i*slotBytes+slotBytes]
 		if le.Uint32(rec[32:]) == 0 {
 			continue
 		}
-		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
-		prev = i
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[0:]))))
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[8:]))))
-		dst = append(dst, rec[40])
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[16:]))))
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(rec[24:]))))
-		dst = binary.AppendUvarint(dst, uint64(le.Uint32(rec[32:])))
-		dst = binary.AppendUvarint(dst, uint64(le.Uint32(rec[36:])))
+		var out [recordBytes]byte
+		var tail []byte
+		out[0] = rec[40]
+		if le.Uint32(rec[32:]) != 1 {
+			out[1] |= 4
+			tail = append(tail, rec[32:40]...)
+		}
+		for w, flag := range []byte{1, 2} { // key words, then first-value words
+			a, b := rec[16*w:16*w+8], rec[16*w+8:16*w+16]
+			if narrow(int64(le.Uint64(a)), int64(le.Uint64(b))) {
+				copy(out[4+8*w:], a[:4])
+				copy(out[8+8*w:], b[:4])
+				continue
+			}
+			out[1] |= flag
+			tail = append(tail, rec[16*w:16*w+16]...)
+		}
+		// The tail holds count and offset, then the wide key, then the wide
+		// value: the order the loop above appended them in.
+		dst = append(append(dst, out[:]...), tail...)
 	}
-	for off := headerBytes + slotCount*slotBytes; off < len(raw); off += valueBytes {
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(raw[off:]))))
-		dst = binary.AppendUvarint(dst, zigzag(int64(le.Uint64(raw[off+8:]))))
-	}
+	dst = append(dst, raw[headerBytes+slotCount*slotBytes:]...) // slab values: the same 16-byte records
 	le.PutUint64(dst[base+56:], checksum(dst[base:base+56], dst[base+headerBytes:]))
 	return dst
 }

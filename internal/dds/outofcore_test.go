@@ -1,8 +1,6 @@
 package dds
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -44,7 +42,7 @@ func TestSegmentPackedSections(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, sec := range sections {
-				if encs[i] != encPacked {
+				if encs[i] != encSection {
 					t.Fatalf("section %d (%d bytes) has encoding %d, want packed", i, len(sec), encs[i])
 				}
 				r, err := OpenSection(sec, encs[i], i)
@@ -71,19 +69,19 @@ func TestSegmentPackedSections(t *testing.T) {
 }
 
 // TestPackedBlockCorruption drives the section decoder, through OpenSection,
-// with every malformed stream shape: truncated varints, over-declared
-// geometry, slot indexes past the table, counts past int32, 64-bit varint
-// overflow and trailing bytes all fail with typed errors — never a panic,
-// never a silent mis-decode.
+// with every malformed payload shape: a bitmap that disagrees with the
+// declared pairs or claims a slot past the table, unknown record flags, a
+// duplicated record's count or offset out of range, plain and wide records
+// cut short, trailing bytes and forged sizes that would over-allocate all
+// fail with typed errors — never a panic, never a silent mis-decode.
 func TestPackedBlockCorruption(t *testing.T) {
 	s := NewStore(goldenPairs, 1, goldenSalt)
 	valid := packShard(nil, &s.shards[0], 0, 1, goldenSalt)
-	got, err := OpenSection(valid, encPacked, 0)
+	got, err := OpenSection(valid, encSection, 0)
 	if err != nil {
 		t.Fatalf("valid section rejected: %v", err)
 	}
 	sameShard(t, &got.sh, &s.shards[0])
-	overflow := bytes.Repeat([]byte{0xFF}, 11)
 	// resum re-seals a malformed section with a valid checksum, so the
 	// structural check itself has to reject it.
 	resum := func(b []byte) []byte {
@@ -92,22 +90,56 @@ func TestPackedBlockCorruption(t *testing.T) {
 		}
 		return b
 	}
-	// forge is valid's header declaring pairs and slots, no slab, then
-	// payload.
-	forge := func(pairs, slots uint64, payload ...byte) []byte {
+	// forge is valid's header declaring pairs, slots and slab values, then
+	// the payload parts.
+	forge := func(pairs, slots, slab uint64, parts ...[]byte) []byte {
 		b := append([]byte(nil), valid[:headerBytes]...)
 		le.PutUint64(b[32:], pairs)
 		le.PutUint64(b[40:], slots)
-		le.PutUint64(b[48:], 0)
-		return slices.Clip(append(b, payload...))
+		le.PutUint64(b[48:], slab)
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return slices.Clip(b)
 	}
-	// small is the header of a one-pair shard: two slots, no slab.
-	small := forge(1, 2)
-	// oneSlot is a one-pair section whose record lists count and off.
-	oneSlot := func(count, off uint64) []byte {
-		b := forge(1, 2, 1, 0, 2, 2, 1, 2, 2) // one record at slot 0: key (1,1,1), value (1,1)
-		return binary.AppendUvarint(binary.AppendUvarint(b, count), off)
+	word := func(w uint64) []byte { return le.AppendUint64(nil, w) }
+	// rec is a record of key (2, 7, -1) and first value (11, -12) under
+	// flags, then tail.
+	rec := func(flags uint32, tail ...uint32) []byte {
+		b := le.AppendUint32(nil, 2|flags<<8)
+		for _, w := range append([]uint32{7, 0xFFFFFFFF, 11, 0xFFFFFFF4}, tail...) {
+			b = le.AppendUint32(b, w)
+		}
+		return b
 	}
+	// one is a one-pair shard: two slots, slot 1 claimed. dup is a one-key
+	// shard of two pairs: four slots, slot 1 claimed with the listed count
+	// and offset, one slab value.
+	one := forge(1, 2, 0, word(2), rec(0))
+	dup := func(count, off uint32) []byte { return forge(2, 4, 1, word(2), rec(4, count, off), make([]byte, 16)) }
+	wideKey := forge(1, 2, 0, word(2), rec(1), word(1<<40), word(5))
+
+	t.Run("forged records decode as listed", func(t *testing.T) {
+		for _, tc := range []struct {
+			data  []byte
+			key   Key
+			count int
+		}{
+			{one, Key{Tag: 2, A: 7, B: -1}, 1},
+			{dup(2, 0), Key{Tag: 2, A: 7, B: -1}, 2},
+			{wideKey, Key{Tag: 2, A: 1 << 40, B: 5}, 1},
+		} {
+			got, err := OpenSection(resum(append([]byte(nil), tc.data...)), encSection, 0)
+			if err != nil {
+				t.Fatalf("section rejected: %v", err)
+			}
+			sl := &got.sh.slots[1]
+			if got.sh.occupied(0) || !got.sh.occupied(1) || int(sl.count) != tc.count || sl.off != 0 ||
+				got.sh.key(sl) != tc.key || got.sh.first(sl) != (Value{A: 11, B: -12}) {
+				t.Fatalf("decoded occupancy %b, slot 1 = %+v", got.sh.bits[0], *sl)
+			}
+		}
+	})
 
 	cases := []struct {
 		name string
@@ -116,59 +148,43 @@ func TestPackedBlockCorruption(t *testing.T) {
 	}{
 		{"shorter than a header", valid[:headerBytes-1], ErrTruncated},
 		{"not a shard header", append([]byte("XXXXXXXX"), valid[8:]...), ErrBadMagic},
-		{"varint stream cut short", append(small, 0x80, 0x80), ErrTruncated},
+		{"record cut short", one[:len(one)-1], ErrTruncated},
 		{"payload truncated mid-slot", valid[:len(valid)-3], ErrTruncated},
-		{"occupied count overflows varint", append(small, overflow...), ErrBadGeometry},
-		{"occupied exceeds slot table", binary.AppendUvarint(small, 1<<40), ErrBadGeometry},
-		{"slot index past the table", append(binary.AppendUvarint(binary.AppendUvarint(small, 1), 1<<30), 0), ErrBadGeometry},
+		{"bitmap popcount differs from occupied count", forge(1, 2, 0, word(0), rec(0)), ErrBadGeometry},
+		{"occupied exceeds slot table", forge(1, 2, 0, word(3), rec(0), rec(0)), ErrBadGeometry},
+		{"slot index past the table", forge(1, 2, 0, word(1<<2), rec(0)), ErrBadGeometry},
+		{"unknown flag bits", forge(1, 2, 0, word(2), rec(8)), ErrBadGeometry},
+		{"reserved record byte set", forge(1, 2, 0, word(2), rec(0x100)), ErrBadGeometry},
+		{"count 0 on a claimed slot", dup(0, 0), ErrBadGeometry},
+		{"count 1 on a duplicated record", dup(1, 0), ErrBadGeometry},
+		{"slot count beyond int32", dup(1<<31|2, 0), ErrBadGeometry},
+		{"slab offset beyond int32", dup(2, 1<<31), ErrBadGeometry},
+		{"slab window outside slab", dup(2, 1), ErrBadGeometry},
+		{"slot counts disagree with the pairs", forge(3, 8, 2, word(2), rec(4, 2, 0), make([]byte, 32)), ErrBadGeometry},
+		{"more slab values than pairs", forge(1, 2, 2, word(2), rec(0), make([]byte, 32)), ErrBadGeometry},
+		{"wide record cut short", wideKey[:len(wideKey)-8], ErrTruncated},
+		{"duplicated record cut short", forge(2, 4, 1, word(2), rec(4, 2), make([]byte, 16))[:headerBytes+8+24], ErrTruncated},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0x01), ErrBadGeometry},
-		{"declared slots beyond the size cap", forge(uint64(s.Len()), 1<<40), ErrBadGeometry},
-		{"declared pairs over a few payload bytes", forge(1<<40, le.Uint64(valid[40:]), valid[headerBytes:]...), ErrBadGeometry},
-		{"declared pairs and their slots beyond the payload", forge(1<<40, 1<<41, valid[headerBytes:]...), ErrTruncated},
-		{"slot count beyond int32", oneSlot(1<<32|1, 0), ErrBadGeometry},
-		{"slab offset beyond int32", oneSlot(1, 1<<32), ErrBadGeometry},
+		{"declared slots beyond the size cap", forge(uint64(s.Len()), 1<<40, 0), ErrBadGeometry},
+		{"declared pairs over a few payload bytes", forge(1<<40, le.Uint64(valid[40:]), 0, valid[headerBytes:]), ErrBadGeometry},
+		{"declared pairs and their slots beyond the payload", forge(1<<40, 1<<41, 0, valid[headerBytes:]), ErrTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := resum(append([]byte(nil), tc.data...))
-			if _, err := OpenSection(data, encPacked, 0); !errors.Is(err, tc.want) {
+			if _, err := OpenSection(data, encSection, 0); !errors.Is(err, tc.want) {
 				t.Fatalf("error %v, want errors.Is(..., %v)", err, tc.want)
 			}
 		})
 	}
 
-	// A record listed with count 0 is an empty slot; the others decode as
-	// listed.
-	t.Run("listed record with count 0 is an empty slot", func(t *testing.T) {
-		packed := forge(1, 2, 2) // one pair, two slots, two records
-		for _, rec := range []struct{ count, off uint64 }{{0, 3}, {1, 5}} {
-			packed = binary.AppendUvarint(packed, 0) // slot 0, then slot 1
-			packed = binary.AppendUvarint(packed, zigzag(7))
-			packed = binary.AppendUvarint(packed, zigzag(-1))
-			packed = append(packed, 2)
-			packed = binary.AppendUvarint(packed, zigzag(11))
-			packed = binary.AppendUvarint(packed, zigzag(-12))
-			packed = binary.AppendUvarint(packed, rec.count)
-			packed = binary.AppendUvarint(packed, rec.off)
-		}
-		got, err := OpenSection(resum(packed), encPacked, 0)
-		if err != nil {
-			t.Fatalf("section rejected: %v", err)
-		}
-		sl := &got.sh.slots[1]
-		if got.sh.occupied(0) || !got.sh.occupied(1) || sl.count != 1 || sl.off != 5 ||
-			got.sh.key(sl) != (Key{Tag: 2, A: 7, B: -1}) || got.sh.first(sl) != (Value{A: 11, B: -12}) {
-			t.Fatalf("decoded occupancy %b, slot 1 = %+v", got.sh.bits[0], *sl)
-		}
-	})
-
 	// Integrity: the checksum covers the header's first 56 bytes and every
-	// payload byte, including a varint tail shorter than one checksum word,
+	// payload byte, including a tail shorter than one checksum word,
 	// and a stale sum in the checksum word itself fails.
 	for _, flip := range []int{24, headerBytes, len(valid) - 1, 56} {
 		bad := append([]byte(nil), valid...)
 		bad[flip] ^= 0x01
-		if _, err := OpenSection(bad, encPacked, 0); !errors.Is(err, ErrChecksum) {
+		if _, err := OpenSection(bad, encSection, 0); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flipped byte %d: error %v, want ErrChecksum", flip, err)
 		}
 	}

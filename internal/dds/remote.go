@@ -7,7 +7,7 @@ import (
 
 // This file is the dds surface a networked store builds on. A publisher
 // ships each generation in the segment codec's own sections — EncodeSections
-// packs them exactly as the file publisher does on disk — and a remote shard
+// encodes them exactly as the file publisher does on disk — and a remote shard
 // server opens each one with OpenSection, the decoder behind OpenSegment,
 // into the in-memory shard form every store reads, then answers point
 // queries through ShardReader with shard.find, so a remote read returns
@@ -124,7 +124,7 @@ type ShardReader struct {
 // anything decodes, declared sizes the section itself bounds, then the
 // structural validation that keeps probes over untrusted bytes in bounds.
 // The shard count must be in range and hold index, since readers route by
-// it. An encoding byte other than the packed one is refused with
+// it. An encoding byte other than encSection is refused with
 // ErrBadVersion, and every failure comes wrapped in a SectionError naming
 // index. The section decodes into memory the reader owns, so data may be
 // reused once OpenSection returns.

@@ -1,24 +1,24 @@
 package dds
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
 )
 
-// Section format (version 1).
+// Section format (version 2).
 //
 // One shard of a frozen store serializes as a section: its flat index — the
 // same open-addressing slot positions and overflow slab the in-memory engine
-// probes — as a 64-byte header and a varint payload, so a reader decodes it
-// back into a shard whose probes take the writer's exact path. A segment
-// file (segment.go) is a table of sections, and an rpc put carries them one
-// by one.
+// probes — as a 64-byte header and a fixed-width payload that mirrors the
+// in-memory slot, so a reader decodes it by copying the bitmap and loading
+// each record at fixed offsets into a shard whose probes take the writer's
+// exact path. A segment file (segment.go) is a table of sections, and an
+// rpc put carries them one by one.
 //
 //	header   64 bytes
 //	  [0:8)    magic "AMPCSHRD"
-//	  [8:12)   format version, uint32 (currently 1)
+//	  [8:12)   format version, uint32 (currently 2)
 //	  [12:16)  shard index, uint32
 //	  [16:20)  shard count, uint32
 //	  [20:24)  reserved, zero
@@ -28,86 +28,52 @@ import (
 //	  [48:56)  slab value count, uint64
 //	  [56:64)  checksum, uint64 over header[0:56] ++ payload, the payload's
 //	           final partial word zero-padded
-//	payload
-//	  uvarint occupied slot count
-//	  per occupied slot, ascending slot index:
-//	    uvarint gap from the previous occupied slot (first: the index itself)
-//	    svarint key.A, svarint key.B, key tag byte
-//	    svarint first.A, svarint first.B
-//	    uvarint count, uvarint slab offset, each at most math.MaxInt32
-//	  per slab value: svarint A, svarint B
+//	payload  (integers little-endian)
+//	  occupancy bitmap, one uint64 word per 64 slots; bit i marks slot i
+//	  per occupied slot, ascending slot index, a 20-byte record:
+//	    [0]      key tag
+//	    [1:4)    flags, 24 bits: 1 wide key, 2 wide first value,
+//	             4 duplicated key; any other bit is refused
+//	    [4:12)   key.A, key.B, int32 (zero when the key is wide)
+//	    [12:20)  first.A, first.B, int32 (zero when the value is wide)
+//	    then, flag 4 only: count int32 (>= 2), slab offset int32
+//	    then, flag 1 only: key.A, key.B, int64
+//	    then, flag 2 only: first.A, first.B, int64
+//	  per slab value: A int64, B int64
 //
-// An svarint is a zigzag-mapped uvarint. Empty slots are elided — the
-// decoder re-zeroes them — and graph workloads keep keys and values near
-// zero, where a varint is one or two bytes instead of eight.
+// Every key keeps its first value in its slot and the rest in the slab, so
+// the occupied slot count is pairs - slab values: the bitmap's popcount
+// must equal it. The bytes depend only on the logical table — wide words
+// travel inline in slot order, never as the indices a slot holds — so one
+// store always encodes to the same section.
 //
 // Versioning rules: the magic never changes; any layout change bumps the
-// version, and readers reject versions they do not know with ErrBadVersion.
-// Reserved bytes are written as zero and ignored on read, so they are
-// available to future versions only behind a version bump.
+// version, and readers reject versions they do not know with ErrBadVersion
+// (version 1 was a varint payload). Reserved bytes are written as zero and
+// ignored on read, so they are available to future versions only behind a
+// version bump.
 const (
 	shardMagic    = "AMPCSHRD"
-	shardVersion  = 1
+	shardVersion  = 2
 	headerBytes   = 64
+	recordBytes   = 20
 	checksumSeed  = 0x9e3779b97f4a7c15
 	maxShardFiles = 1 << 20 // sanity cap on the shard count read from a header
 )
 
-// encPacked is the encoding byte a segment's section table and an rpc put
-// carry for every section. It is the only encoding: readers refuse any
-// other value with ErrBadVersion. (Value 0 named the 48-byte-record block
-// earlier writers emitted for empty shards.)
-const encPacked byte = 1
+// wireDup is the record flag that appends a duplicated key's count and slab
+// offset. It exists only on the wire: in memory every slot holds both.
+const wireDup uint32 = 4
 
-// zigzag maps signed to unsigned so small-magnitude values of either sign
-// stay short under varint encoding.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+// extBytes is the record tail each valid flag combination appends.
+var extBytes = [2 * wireDup]int{0, 16, 16, 32, 8, 24, 24, 40}
 
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// varReader decodes the varint stream of a section with a sticky error, so
-// decode loops stay straight-line and every malformed input surfaces as a
-// typed error instead of a panic.
-type varReader struct {
-	data []byte
-	pos  int
-	path string
-	err  error
-}
-
-func (r *varReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.pos:])
-	if n == 0 {
-		r.err = fmt.Errorf("%w: %s: varint cut short", ErrTruncated, r.path)
-		return 0
-	}
-	if n < 0 {
-		r.err = fmt.Errorf("%w: %s: varint overflows 64 bits", ErrBadGeometry, r.path)
-		return 0
-	}
-	r.pos += n
-	return v
-}
-
-func (r *varReader) svarint() int64 { return unzigzag(r.uvarint()) }
-
-func (r *varReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.pos >= len(r.data) {
-		r.err = fmt.Errorf("%w: %s: byte cut short", ErrTruncated, r.path)
-		return 0
-	}
-	b := r.data[r.pos]
-	r.pos++
-	return b
-}
-
-func (r *varReader) remaining() int { return len(r.data) - r.pos }
+// encSection is the encoding byte a segment's section table and an rpc put
+// carry for every section. It is the only encoding — the section's own
+// header versions its layout — and readers refuse any other value with
+// ErrBadVersion. (Value 0 named the 48-byte-record block earlier writers
+// emitted for empty shards.)
+const encSection byte = 1
 
 // tableSlots is the slot count a freeze gives a shard of n pairs: the next
 // power of two >= 2n, so the table is at most half full, or 0 when empty.
@@ -119,13 +85,16 @@ func tableSlots(n uint64) uint64 {
 }
 
 // packShard appends shard sh, as shard index of count under salt, to dst in
-// the section format. The varints come straight from the slot index, and the
-// checksum folds over the bytes just written. The tests hold it to an
+// the section format: the bitmap words as they are, then one record per
+// occupied slot written straight from the slot, then the slab, and the
+// checksum folded over the bytes just written. The tests hold it to an
 // independent reference packer.
 func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 	base := len(dst)
-	dst = growBytes(dst, headerBytes)
-	h := dst[base : base+headerBytes]
+	occ := sh.size - len(sh.slab)
+	dst = slices.Grow(dst, headerBytes+8*len(sh.bits)+recordBytes*occ+16*len(sh.slab))
+	dst = dst[:base+headerBytes]
+	h := dst[base:]
 	clear(h)
 	copy(h[0:8], shardMagic)
 	le.PutUint32(h[8:], shardVersion)
@@ -135,31 +104,42 @@ func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 	le.PutUint64(h[32:], uint64(sh.size))
 	le.PutUint64(h[40:], uint64(len(sh.slots)))
 	le.PutUint64(h[48:], uint64(len(sh.slab)))
-	occ := 0
 	for _, w := range sh.bits {
-		occ += bits.OnesCount64(w)
+		dst = le.AppendUint64(dst, w)
 	}
-	dst = binary.AppendUvarint(dst, uint64(occ))
-	prev := -1
-	for i := range sh.slots {
-		if !sh.occupied(uint64(i)) {
-			continue
+	for wi, word := range sh.bits {
+		for ; word != 0; word &= word - 1 {
+			sl := &sh.slots[wi<<6|bits.TrailingZeros64(word)]
+			f := uint32(sl.flags)
+			if sl.count > 1 {
+				f |= wireDup
+			}
+			var rec [recordBytes]byte
+			le.PutUint32(rec[0:], uint32(sl.tag)|f<<8)
+			if sl.flags&wideKey == 0 {
+				le.PutUint32(rec[4:], uint32(sl.ka))
+				le.PutUint32(rec[8:], uint32(sl.kb))
+			}
+			if sl.flags&wideVal == 0 {
+				le.PutUint32(rec[12:], uint32(sl.va))
+				le.PutUint32(rec[16:], uint32(sl.vb))
+			}
+			dst = append(dst, rec[:]...)
+			if sl.count > 1 {
+				dst = le.AppendUint32(le.AppendUint32(dst, uint32(sl.count)), uint32(sl.off))
+			}
+			if sl.flags&wideKey != 0 {
+				k := sh.key(sl)
+				dst = le.AppendUint64(le.AppendUint64(dst, uint64(k.A)), uint64(k.B))
+			}
+			if sl.flags&wideVal != 0 {
+				v := sh.first(sl)
+				dst = le.AppendUint64(le.AppendUint64(dst, uint64(v.A)), uint64(v.B))
+			}
 		}
-		sl := &sh.slots[i]
-		k, v := sh.key(sl), sh.first(sl)
-		dst = binary.AppendUvarint(dst, uint64(i-prev-1))
-		prev = i
-		dst = binary.AppendUvarint(dst, zigzag(k.A))
-		dst = binary.AppendUvarint(dst, zigzag(k.B))
-		dst = append(dst, k.Tag)
-		dst = binary.AppendUvarint(dst, zigzag(v.A))
-		dst = binary.AppendUvarint(dst, zigzag(v.B))
-		dst = binary.AppendUvarint(dst, uint64(uint32(sl.count)))
-		dst = binary.AppendUvarint(dst, uint64(uint32(sl.off)))
 	}
 	for _, v := range sh.slab {
-		dst = binary.AppendUvarint(dst, zigzag(v.A))
-		dst = binary.AppendUvarint(dst, zigzag(v.B))
+		dst = le.AppendUint64(le.AppendUint64(dst, uint64(v.A)), uint64(v.B))
 	}
 	le.PutUint64(dst[base+56:], checksum(dst[base:base+56], dst[base+headerBytes:]))
 	return dst
@@ -175,19 +155,25 @@ type blockHeader struct {
 
 // openSection decodes one section of encoding enc into sh as shard index —
 // the one section decoder behind OpenSegment and the shard server's
-// OpenSection. An encoding byte other than encPacked is refused with
+// OpenSection. An encoding byte other than encSection is refused with
 // ErrBadVersion. The header fields that need nothing else — version, shard
 // index and count — are checked first, then the checksum over the bytes
 // received, then the declared sizes against the section itself, before
 // anything is allocated: the slot count must be the one a freeze picks for
-// the pair count, and every pair and every slab value costs at least two
-// payload bytes, so a forged header can demand at most a constant multiple
-// of its own length. Listed records go straight into their slots (a record
-// listed with count 0 stays an empty slot), then finish validates the
-// table.
+// the pair count, and every pair costs at least 16 payload bytes (a slab
+// value; a record is 20), so a forged header can demand at most a constant
+// multiple of its own length. The bitmap is copied and its popcount checked
+// against the occupied count, each record fills its slot, and the slab
+// copies in.
+//
+// A checksum only proves the bytes match what some writer computed — not
+// that the writer was honest — so reads are made safe here too: every
+// duplicated slot's slab window must lie inside the slab, and the counts
+// must sum to the declared pair count. The table is at most half full, so
+// the linear probe for an absent key always meets an empty slot.
 func openSection(sh *shard, data []byte, enc byte, index int, path string) (blockHeader, error) {
-	if enc != encPacked {
-		return blockHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements %d", ErrBadVersion, path, enc, encPacked)
+	if enc != encSection {
+		return blockHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements %d", ErrBadVersion, path, enc, encSection)
 	}
 	if len(data) < headerBytes {
 		return blockHeader{}, fmt.Errorf("%w: %s: %d bytes, header needs %d", ErrTruncated, path, len(data), headerBytes)
@@ -195,7 +181,7 @@ func openSection(sh *shard, data []byte, enc byte, index int, path string) (bloc
 	if string(data[0:8]) != shardMagic {
 		return blockHeader{}, fmt.Errorf("%w: %s", ErrBadMagic, path)
 	}
-	h, payload := data[:headerBytes], data[headerBytes:]
+	h, p := data[:headerBytes], data[headerBytes:]
 	hdr := blockHeader{
 		count: int(le.Uint32(h[16:])),
 		salt:  le.Uint64(h[24:]),
@@ -215,61 +201,92 @@ func openSection(sh *shard, data []byte, enc byte, index int, path string) (bloc
 	if hdr.count == 0 || hdr.count > maxShardFiles || index >= hdr.count {
 		return hdr, fmt.Errorf("%w: %s: shard %d of a %d-shard store", ErrBadGeometry, path, index, hdr.count)
 	}
-	if sum := checksum(h[:56], payload); sum != le.Uint64(h[56:]) {
+	if sum := checksum(h[:56], p); sum != le.Uint64(h[56:]) {
 		return hdr, fmt.Errorf("%w: %s", ErrChecksum, path)
 	}
 	if want := tableSlots(hdr.size); hdr.slots != want {
 		return hdr, fmt.Errorf("%w: %s: %d slots for %d pairs, a freeze picks %d",
 			ErrBadGeometry, path, hdr.slots, hdr.size, want)
 	}
-	if room := uint64(len(payload)) / 2; hdr.size > room || hdr.slab > room {
+	if room := uint64(len(p)) / 16; hdr.size > room || hdr.slab > room {
 		return hdr, fmt.Errorf("%w: %s: %d payload bytes, header declares %d pairs and %d slab values",
-			ErrTruncated, path, len(payload), hdr.size, hdr.slab)
+			ErrTruncated, path, len(p), hdr.size, hdr.slab)
 	}
+	if hdr.slab > hdr.size {
+		return hdr, fmt.Errorf("%w: %s: %d slab values for %d pairs", ErrBadGeometry, path, hdr.slab, hdr.size)
+	}
+	// The room check leaves the bitmap in bounds: slots <= 4 * pairs.
 	sh.alloc(hdr.slots, hdr.slab)
-	r := &varReader{data: payload, path: path}
-	occ := r.uvarint()
-	if r.err == nil && occ > hdr.slots {
-		return hdr, fmt.Errorf("%w: %s: %d occupied of %d slots", ErrBadGeometry, path, occ, hdr.slots)
+	occ := 0
+	for i := range sh.bits {
+		sh.bits[i] = le.Uint64(p[8*i:])
+		occ += bits.OnesCount64(sh.bits[i])
 	}
-	next := uint64(0) // the lowest slot index the next record may take
-	for j := uint64(0); j < occ && r.err == nil; j++ {
-		gap := r.uvarint()
-		if r.err != nil {
-			break
+	p = p[8*len(sh.bits):]
+	// Slot counts are powers of two, so only a table under 64 slots has
+	// bits past its end; a shift by 64 or more is 0.
+	if len(sh.bits) > 0 && sh.bits[0]>>hdr.slots != 0 {
+		return hdr, fmt.Errorf("%w: %s: occupancy bit past slot %d", ErrBadGeometry, path, hdr.slots)
+	}
+	if uint64(occ) != hdr.size-hdr.slab {
+		return hdr, fmt.Errorf("%w: %s: %d occupied slots, header declares %d pairs and %d slab values",
+			ErrBadGeometry, path, occ, hdr.size, hdr.slab)
+	}
+	dups := uint64(0) // slab values the records claim
+	for wi, word := range sh.bits {
+		for ; word != 0; word &= word - 1 {
+			i := uint64(wi<<6 | bits.TrailingZeros64(word))
+			if len(p) < recordBytes {
+				return hdr, fmt.Errorf("%w: %s: record of slot %d cut short", ErrTruncated, path, i)
+			}
+			head := le.Uint32(p[0:4])
+			sl := slot{tag: uint8(head), ka: int32(le.Uint32(p[4:])), kb: int32(le.Uint32(p[8:])),
+				va: int32(le.Uint32(p[12:])), vb: int32(le.Uint32(p[16:20])), count: 1}
+			p = p[recordBytes:]
+			f := head >> 8
+			if f == 0 {
+				sh.slots[i] = sl
+				continue
+			}
+			if f >= 2*wireDup {
+				return hdr, fmt.Errorf("%w: %s: slot %d has unknown flags %#x", ErrBadGeometry, path, i, f)
+			}
+			if len(p) < extBytes[f] {
+				return hdr, fmt.Errorf("%w: %s: wide or duplicated record of slot %d cut short", ErrTruncated, path, i)
+			}
+			k := Key{Tag: sl.tag, A: int64(sl.ka), B: int64(sl.kb)}
+			v := Value{A: int64(sl.va), B: int64(sl.vb)}
+			if f&wireDup != 0 {
+				sl.count, sl.off, p = int32(le.Uint32(p)), int32(le.Uint32(p[4:])), p[8:]
+				if sl.count < 2 || sl.off < 0 || uint64(sl.off)+uint64(sl.count-1) > hdr.slab {
+					return hdr, fmt.Errorf("%w: %s: slot %d count %d, slab window [%d, %d) outside slab of %d values",
+						ErrBadGeometry, path, i, sl.count, sl.off, int64(sl.off)+int64(sl.count)-1, hdr.slab)
+				}
+				dups += uint64(sl.count - 1)
+			}
+			if uint8(f)&wideKey != 0 {
+				k.A, k.B, p = int64(le.Uint64(p)), int64(le.Uint64(p[8:])), p[16:]
+			}
+			if uint8(f)&wideVal != 0 {
+				v.A, v.B, p = int64(le.Uint64(p)), int64(le.Uint64(p[8:])), p[16:]
+			}
+			sh.set(i, k, v, sl.count, sl.off)
 		}
-		if gap >= hdr.slots-next {
-			return hdr, fmt.Errorf("%w: %s: slot gap %d after slot %d of %d slots",
-				ErrBadGeometry, path, gap, int64(next)-1, hdr.slots)
-		}
-		i := next + gap
-		next = i + 1
-		ka, kb := r.svarint(), r.svarint()
-		k := Key{Tag: r.byte(), A: ka, B: kb}
-		v := Value{A: r.svarint(), B: r.svarint()}
-		count, off := r.uvarint(), r.uvarint()
-		if count > math.MaxInt32 || off > math.MaxInt32 {
-			return hdr, fmt.Errorf("%w: %s: slot %d count %d, slab offset %d beyond int32",
-				ErrBadGeometry, path, i, count, off)
-		}
-		if count != 0 {
-			sh.set(i, k, v, int32(count), int32(off))
-			sh.claim(i)
-		}
+	}
+	if dups != hdr.slab {
+		return hdr, fmt.Errorf("%w: %s: slot counts sum to %d, header declares %d pairs",
+			ErrBadGeometry, path, uint64(occ)+dups, hdr.size)
+	}
+	if want := 16 * hdr.slab; uint64(len(p)) < want {
+		return hdr, fmt.Errorf("%w: %s: %d bytes left for %d slab values", ErrTruncated, path, len(p), hdr.slab)
+	} else if uint64(len(p)) > want {
+		return hdr, fmt.Errorf("%w: %s: %d trailing bytes", ErrBadGeometry, path, uint64(len(p))-want)
 	}
 	for i := range sh.slab {
-		if r.err != nil {
-			break
-		}
-		sh.slab[i] = Value{A: r.svarint(), B: r.svarint()}
+		sh.slab[i] = Value{A: int64(le.Uint64(p[16*i:])), B: int64(le.Uint64(p[16*i+8:]))}
 	}
-	if r.err != nil {
-		return hdr, r.err
-	}
-	if r.remaining() != 0 {
-		return hdr, fmt.Errorf("%w: %s: %d trailing bytes", ErrBadGeometry, path, r.remaining())
-	}
-	return hdr, sh.finish(hdr, path)
+	sh.size = int(hdr.size)
+	return hdr, nil
 }
 
 // alloc gives sh an all-clear table of slots entries and a slab of slab
@@ -279,35 +296,4 @@ func (sh *shard) alloc(slots, slab uint64) {
 	sh.bits = make([]uint64, bitWords(int(slots)))
 	sh.slab = make([]Value, slab)
 	sh.mask = max(slots, 1) - 1
-}
-
-// finish is the structural validation the decode ends with. A checksum only
-// proves the bytes match what some writer computed — not that the writer
-// was honest — so reads are made safe here: every occupied slot's slab
-// window must lie inside the slab, the counts must sum to the declared pair
-// count, and at least one slot must be empty or the linear probe for an
-// absent key would never terminate. A shard that passes takes the declared
-// pair count.
-func (sh *shard) finish(hdr blockHeader, path string) error {
-	occupied, total := 0, uint64(0)
-	for wi, word := range sh.bits {
-		for ; word != 0; word &= word - 1 {
-			sl := &sh.slots[wi<<6|bits.TrailingZeros64(word)]
-			occupied++
-			total += uint64(sl.count)
-			if sl.count > 1 && uint64(sl.off)+uint64(sl.count-1) > hdr.slab {
-				return fmt.Errorf("%w: %s: slot slab window [%d, %d) outside slab of %d values",
-					ErrBadGeometry, path, sl.off, uint64(sl.off)+uint64(sl.count-1), hdr.slab)
-			}
-		}
-	}
-	if occupied > 0 && occupied == len(sh.slots) {
-		return fmt.Errorf("%w: %s: no empty slot, probes would not terminate", ErrBadGeometry, path)
-	}
-	if total != hdr.size {
-		return fmt.Errorf("%w: %s: slot counts sum to %d, header declares %d pairs",
-			ErrBadGeometry, path, total, hdr.size)
-	}
-	sh.size = int(hdr.size)
-	return nil
 }

@@ -9,7 +9,7 @@ import (
 	"syscall"
 )
 
-// On-disk segment format (version 3).
+// On-disk segment format (version 4).
 //
 // A frozen store serializes as ONE file — store-NNNNNN.seg — instead of one
 // file per shard. Writing P shard files per round made the file backend's
@@ -20,18 +20,17 @@ import (
 //
 //	super-header  64 bytes
 //	  [0:8)    magic "AMPCSEGM"
-//	  [8:12)   format version, uint32 (currently 3)
+//	  [8:12)   format version, uint32 (currently 4)
 //	  [12:16)  shard count, uint32
 //	  [16:24)  placement salt, uint64
 //	  [24:32)  total pairs, uint64
 //	  [32:40)  total file size in bytes, uint64
-//	  [40:48)  reserved, written all-ones, ignored on read
-//	  [48:56)  reserved, zero
+//	  [40:56)  reserved, zero
 //	  [56:64)  checksum, uint64 over header[0:56] ++ section table
 //	section table  shard count * 24-byte entries
 //	  [0:8)    section offset from the start of the file, uint64
 //	  [8:16)   section length in bytes, uint64
-//	  [16]     section encoding, encPacked
+//	  [16]     section encoding, encSection
 //	  [17:24)  reserved, zero
 //	sections  one per shard, contiguous and in shard order
 //
@@ -45,10 +44,11 @@ import (
 //
 // Versioning rules match the section format: the magic never changes,
 // layout changes bump the version, readers reject versions and section
-// encodings they do not implement with ErrBadVersion.
+// encodings they do not implement with ErrBadVersion. Version 4 carries
+// version 2 (fixed-width) sections; version 3 carried the varint ones.
 const (
 	segmentMagic   = "AMPCSEGM"
-	segmentVersion = 3
+	segmentVersion = 4
 	segTableEntry  = 24
 	segFileFmt     = "store-%06d.seg"
 )
@@ -70,7 +70,7 @@ func (e *SectionError) Unwrap() error { return e.Err }
 
 // AppendSegment serializes s as a segment into buf and returns the extended
 // slice: in memory, the bytes streamSegment puts in a segment file, and
-// what EncodeSections ships. Sections pack in parallel for large stores,
+// what EncodeSections ships. Sections encode in parallel for large stores,
 // and the bytes are a pure function of the store: the same into a fresh or
 // a recycled buffer.
 func AppendSegment(buf []byte, s *Store) []byte {
@@ -93,7 +93,7 @@ func AppendSegment(buf []byte, s *Store) []byte {
 		e := table[i*segTableEntry:]
 		le.PutUint64(e[0:], uint64(off))
 		le.PutUint64(e[8:], uint64(len(parts[i])))
-		e[16] = encPacked
+		e[16] = encSection
 		copy(seg[off:], parts[i])
 		off += len(parts[i])
 	}
@@ -109,7 +109,6 @@ func fillSegmentHeader(h []byte, s *Store, table []byte, size uint64) {
 	le.PutUint64(h[16:], s.salt)
 	le.PutUint64(h[24:], uint64(s.pairs))
 	le.PutUint64(h[32:], size)
-	le.PutUint64(h[40:], ^uint64(0)) // reserved: all-ones, as every v3 segment has held
 	le.PutUint64(h[56:], checksum(h[0:56], table))
 }
 
@@ -131,10 +130,10 @@ const writeChunk = 1 << 20
 
 // streamSegment writes s to path, the one segment file writer: a zeroed
 // header+table placeholder first, then the sections in shard order —
-// windows of one section per worker, packed in parallel into reused scratch
+// windows of one section per worker, encoded in parallel into reused scratch
 // and written through one buffered writer, so small sections share a write
 // syscall — then the real header and table, whose checksum needs the final
-// offsets, over the placeholder. Memory stays at one packed section per
+// offsets, over the placeholder. Memory stays at one encoded section per
 // worker whatever the store's size, and the bytes are AppendSegment's.
 //
 // The write is atomic: the bytes go to a hidden temp file in path's
@@ -191,7 +190,7 @@ func streamSegment(s *Store, path string, nosync bool, cancelled func() error) e
 			e := ht[headerBytes+(lo+j)*segTableEntry:]
 			le.PutUint64(e[0:], off)
 			le.PutUint64(e[8:], uint64(len(part)))
-			e[16] = encPacked
+			e[16] = encSection
 			off += uint64(len(part))
 		}
 	}

@@ -12,7 +12,12 @@ import (
 	"testing"
 )
 
-const goldenSegment = goldenDir + "/store.seg"
+const (
+	goldenSegment = goldenDir + "/store.seg"
+	// goldenSegmentV3 is the golden store as version 3 wrote it, with
+	// version 1 (varint) sections. It is never regenerated.
+	goldenSegmentV3 = goldenDir + "/store-v3.seg"
+)
 
 // TestGoldenSegmentFile pins the segment format: the segment WriteSegment
 // puts on disk must reproduce the committed file byte-for-byte, and opening
@@ -51,7 +56,7 @@ func TestGoldenSegmentFile(t *testing.T) {
 // TestEncodeSectionsIsTheDiskCodec pins that the wire and the disk carry one
 // encoding: EncodeSections' bytes are the committed golden segment (whose
 // sections TestGoldenShardFiles opens with OpenSection), every section is
-// packed, and an encoding byte the reader does not implement — 0, the raw
+// under encSection, and an encoding byte the reader does not implement — 0, the raw
 // block earlier writers used, or 2 — is refused with ErrBadVersion.
 func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
 	want, err := os.ReadFile(goldenSegment)
@@ -63,13 +68,33 @@ func TestEncodeSectionsIsTheDiskCodec(t *testing.T) {
 		t.Fatalf("EncodeSections differs from the golden segment (%d vs %d bytes)", len(seg), len(want))
 	}
 	for i, enc := range encs {
-		if enc != encPacked {
-			t.Fatalf("section %d has encoding %d, want packed", i, enc)
+		if enc != encSection {
+			t.Fatalf("section %d has encoding %d, want %d", i, enc, encSection)
 		}
 		for _, bad := range []byte{0, 2} {
 			if _, err := OpenSection(sections[i], bad, i); !errors.Is(err, ErrBadVersion) {
 				t.Fatalf("section %d as encoding %d: %v, want ErrBadVersion", i, bad, err)
 			}
+		}
+	}
+}
+
+// TestVersion3SegmentRefused pins the compatibility break of the
+// fixed-width sections: the version 3 golden segment and each of its
+// version 1 sections are refused with ErrBadVersion, never decoded.
+func TestVersion3SegmentRefused(t *testing.T) {
+	if _, err := OpenSegment(goldenSegmentV3); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("version 3 segment: %v, want ErrBadVersion", err)
+	}
+	old, err := os.ReadFile(goldenSegmentV3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < goldenShards; i++ {
+		e := old[headerBytes+i*segTableEntry:]
+		off, n := le.Uint64(e), le.Uint64(e[8:])
+		if _, err := OpenSection(old[off:off+n], old[headerBytes+i*segTableEntry+16], i); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version 1 section %d: %v, want ErrBadVersion", i, err)
 		}
 	}
 }
@@ -340,7 +365,7 @@ func TestStreamSegmentMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := func(sec []byte) bool { return len(sec) > writeChunk }
-	if !bytes.Equal(encs, bytes.Repeat([]byte{encPacked}, 12)) || !slices.ContainsFunc(sections, long) {
+	if !bytes.Equal(encs, bytes.Repeat([]byte{encSection}, 12)) || !slices.ContainsFunc(sections, long) {
 		t.Fatalf("%d sections of encodings %v, want 12 packed, one past %d bytes", len(sections), encs, writeChunk)
 	}
 	for _, procs := range []int{1, 2, 8} {

@@ -420,6 +420,22 @@ func Generate(kind string, n, m, trees int, r *rng.RNG) (*Graph, error) {
 	return nil, fmt.Errorf("unknown graph kind %q", kind)
 }
 
+// PathList returns the list 0 → 1 → … → n-1 as successor indices, the last
+// -1: the list workload ampcrun and ampcd share. A negative n is refused.
+func PathList(n int) ([]int, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("list: n=%d is negative", n)
+	}
+	next := make([]int, n)
+	for i := range next {
+		next[i] = i + 1
+	}
+	if n > 0 {
+		next[n-1] = -1
+	}
+	return next, nil
+}
+
 // specErr reports why (n, m, trees) falls outside kind's generator
 // contract, or nil.
 func specErr(kind string, n, m, trees int) error {

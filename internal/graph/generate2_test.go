@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -224,5 +225,19 @@ func TestGenerateContract(t *testing.T) {
 	// The largest skew spec the bound admits still builds.
 	if _, err := Generate("skew", 50, h*(50-h)+h*(h-1)/2, 1, rng.New(1, 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPathList pins the shared list workload: successors in order, the
+// last -1, an empty list for n = 0, and a negative n refused with its
+// reason instead of a makeslice panic.
+func TestPathList(t *testing.T) {
+	for n, want := range map[int][]int{0: {}, 1: {-1}, 4: {1, 2, 3, -1}} {
+		if got, err := PathList(n); err != nil || !slices.Equal(got, want) {
+			t.Errorf("PathList(%d) = %v, %v; want %v", n, got, err, want)
+		}
+	}
+	if got, err := PathList(-1); err == nil || got != nil || !strings.Contains(err.Error(), "n=-1 is negative") {
+		t.Errorf("PathList(-1) = %v, %v; want a refusal", got, err)
 	}
 }

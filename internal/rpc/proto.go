@@ -39,10 +39,10 @@
 //	free      req  run u64 | seq u64                 resp —
 //
 // A put carries the segment codec's own sections (dds.EncodeSections),
-// each with its encoding byte; packed is the only encoding. A publisher
-// fills each put frame with as many of one server's sections as fit in
-// frameEager bytes (a larger section travels alone), so a generation costs
-// a few round trips per server, not one per shard. The server opens every
+// each with its encoding byte (one encoding: the fixed-width section). A
+// publisher fills each put frame with as many of one server's sections as
+// fit in frameEager bytes (a larger section travels alone), so a generation
+// costs a few round trips per server, not one per shard. The server opens every
 // section with dds.OpenSection — the decoder and checks behind
 // dds.OpenSegment — and installs a frame's sections all or none; it probes
 // them as the in-memory store does, so a remote read matches a local one.

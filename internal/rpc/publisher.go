@@ -16,7 +16,7 @@ import (
 var errPublishCancelled = errors.New("rpc: store publish cancelled")
 
 // Publisher ships each round's frozen store to the shard servers. Like the
-// file backend it publishes write-behind: Publish encodes the store on a background goroutine into the same packed sections
+// file backend it publishes write-behind: Publish encodes the store on a background goroutine into the same fixed-width sections
 // the file backend writes to disk, and uploads each to its R owning servers
 // in a few put frames per server, while the returned backend serves reads
 // from the still-in-memory store; Barrier joins the upload, verifies the
@@ -123,7 +123,7 @@ func (p *Publisher) Publish(seq int, s *dds.Store) (dds.StoreBackend, error) {
 	return ps, nil
 }
 
-// upload encodes s into packed sections and sends each to its R owners, one
+// upload encodes s into fixed-width sections and sends each to its R owners, one
 // goroutine per server so a slow server delays only its own shards, and
 // each server's sections in as few put frames as frameEager allows, built
 // in that server's reused buffer. It returns nil once every shard reached
