@@ -5,16 +5,23 @@ import "ampc/internal/dds"
 // Static data support.
 //
 // In the AMPC model, data written in round i is visible only in round i+1;
-// data needed later must be re-written every round. The paper's algorithms
-// keep the input graph "in the DDS" throughout and each machine could
-// re-publish its O(S) share every round at no asymptotic cost, so the model
-// permits this — but simulating the copy would dominate runtime without
-// changing any measured quantity. The runtime therefore maintains a static
-// side store: AddStatic publishes pairs once, as one real, counted round
-// whose writes go through one freeze under the static store's salt, and
-// ReadStatic serves them in every later round, charged against the reading
-// machine's budget exactly like Read. The round's D_i is empty: static pairs
-// are read only through ReadStatic.
+// data needed later must be re-written every round. In the paper the
+// algorithms keep the input graph "in the DDS" throughout, and each machine
+// could re-publish its O(S) share every round at no asymptotic cost, so the
+// model permits this — but simulating the copy would dominate runtime
+// without changing any measured quantity. The runtime therefore maintains a
+// static side store: AddStatic publishes pairs once, as one real, counted
+// round whose writes go through one freeze under the static store's salt,
+// and ReadStatic serves them in every later round, charged against the
+// reading machine's budget exactly like Read. The round's D_i is empty:
+// static pairs are read only through ReadStatic.
+//
+// The static store does not live in the backend's DDS. On every backend —
+// mem, file and rpc alike — it is an in-process *dds.Store: it is written
+// to no segment and sent to no shard server, and ReadStatic and
+// ReadStaticMany never send an rpc frame. Over a fleet, MIS, matching,
+// coloring, list ranking, cycle connectivity and biconn's RMQ therefore
+// report 0 RPCFrames for their static reads.
 
 // AddStatic publishes pairs into the static store via a counted round: the
 // P machines split the pair list into blocks and each writes its block, so

@@ -381,6 +381,7 @@ func (sh *shard) layoutOverflow(a *Arena) {
 		if c := sh.slots[j].count; c > 1 {
 			overflow += c - 1
 			sh.slots[j].off = overflow
+			sh.dups++
 		}
 	})
 	sh.slab = a.grabSlab(int(overflow))

@@ -172,6 +172,7 @@ type shard struct {
 	wkeys []Key
 	wvals []Value
 	size  int          // pairs resident on this shard
+	dups  int          // slots with count > 1, each 8 section bytes (sectionBytes)
 	load  atomic.Int64 // queries answered by this shard
 }
 

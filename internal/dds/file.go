@@ -55,15 +55,6 @@ func checksum(parts ...[]byte) uint64 {
 	return h
 }
 
-// growBytes extends buf by n bytes, reusing spare capacity when available.
-// The extension is not zeroed when recycled; callers overwrite every byte.
-func growBytes(buf []byte, n int) []byte {
-	if tot := len(buf) + n; tot <= cap(buf) {
-		return buf[:tot]
-	}
-	return append(buf, make([]byte, n)...)
-}
-
 // FilePublisher is a Publisher that writes every published store to a
 // segment file behind the round that reads it. The frozen in-memory store
 // itself is the backend the next round reads, exactly as on the mem backend;

@@ -75,6 +75,7 @@ func oracleShard(sh *shard, pairs []KV, hs []uint64) {
 		if counts[j] > 1 {
 			offs[j] = overflow
 			overflow += counts[j] - 1
+			sh.dups++
 		}
 	})
 	if overflow > 0 {
@@ -169,15 +170,17 @@ func rawBlock(sh *shard, index, count int, salt uint64) []byte {
 // the only encoding. Readers refuse it with ErrBadVersion.
 func rawSegment(s *Store) []byte {
 	p := len(s.shards)
-	seg := make([]byte, headerBytes+p*segTableEntry)
+	seg, _ := layoutSegment(s) // its table, size and checksum are rewritten
 	for i := range s.shards {
 		block := rawBlock(&s.shards[i], i, p, s.salt)
 		e := seg[headerBytes+i*segTableEntry:]
 		le.PutUint64(e[0:], uint64(len(seg)))
 		le.PutUint64(e[8:], uint64(len(block)))
+		e[16] = 0
 		seg = append(seg, block...)
 	}
-	fillSegmentHeader(seg[:headerBytes], s, seg[headerBytes:headerBytes+p*segTableEntry], uint64(len(seg)))
+	le.PutUint64(seg[32:], uint64(len(seg)))
+	le.PutUint64(seg[56:], checksum(seg[0:56], seg[headerBytes:headerBytes+p*segTableEntry]))
 	return seg
 }
 

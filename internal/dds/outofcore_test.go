@@ -401,10 +401,13 @@ func TestFilePublisherBoundsDisk(t *testing.T) {
 }
 
 // TestPackShardMatchesReference pins the packer against the reference
-// path: packShard, which emits varints straight from the in-memory slot
-// index, must produce exactly packRawBlock over the shard's raw block — for
-// every shard of stores spanning empty shards, duplicate chains, negative
-// words and recycled destination buffers.
+// path: packShard, which writes fixed-width records straight from the
+// in-memory slots, must produce exactly packRawBlock over the shard's raw
+// block, and sectionBytes, which lays segments out before packing, must
+// give its exact length — for every shard of stores spanning empty shards,
+// duplicate chains, negative words, wide keys and first values, a store
+// decoded from its segment (whose duplicated-slot count the decoder keeps),
+// and recycled destination buffers.
 func TestPackShardMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(404))
 	stores := []*Store{
@@ -412,6 +415,8 @@ func TestPackShardMatchesReference(t *testing.T) {
 		NewStore(randomPairs(r, 1, 1), 1, 0x2),
 		NewStore(randomPairs(r, 5000, 7), 17, 0x9E3779),
 		NewStore(randomPairs(r, 20000, 2), 64, 0xFFFFFFFFFFFFFFFF),
+		NewStore(widePairs(r, 3000), 8, 0x51DE),
+		roundTrip(t, NewStore(widePairs(r, 3000), 8, 0x51DF)),
 		goldenStore(),
 	}
 	for si, s := range stores {
@@ -423,6 +428,9 @@ func TestPackShardMatchesReference(t *testing.T) {
 			if string(got) != string(want) {
 				t.Fatalf("store %d shard %d: packer diverges from reference (%d vs %d bytes)",
 					si, i, len(got), len(want))
+			}
+			if n := sectionBytes(sh); n != len(got) {
+				t.Fatalf("store %d shard %d: sectionBytes says %d, the section is %d bytes", si, i, n, len(got))
 			}
 			recycled := packShard(dirty[:0:3], sh, i, len(s.shards), s.salt)
 			if string(recycled) != string(want) {

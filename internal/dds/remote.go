@@ -29,13 +29,16 @@ func ShardOf(k Key, salt uint64, p int) int {
 
 // EncodeSections serializes s into buf (reused as scratch) as the networked
 // publisher ships it: AppendSegment's segment, the bytes the file publisher
-// writes. It returns the segment bytes and, in shard order, each section (a
-// view into them) with its encoding byte: the pairs OpenSection takes.
+// writes. It returns the segment bytes and, in shard order, each section —
+// a view into them, cut where the segment's own table laid it out — with
+// its encoding byte: the pairs OpenSection takes.
 func EncodeSections(buf []byte, s *Store) ([]byte, [][]byte, []byte) {
 	buf = AppendSegment(buf[:0], s)
-	sections, encs, err := sliceSections(buf)
-	if err != nil {
-		panic("dds: EncodeSections produced an unreadable segment: " + err.Error())
+	sections, encs := make([][]byte, len(s.shards)), make([]byte, len(s.shards))
+	for i := range sections {
+		e := buf[headerBytes+i*segTableEntry:]
+		off, end := le.Uint64(e), le.Uint64(e)+le.Uint64(e[8:])
+		sections[i], encs[i] = buf[off:end:end], e[16]
 	}
 	return buf, sections, encs
 }

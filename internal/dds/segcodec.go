@@ -84,15 +84,23 @@ func tableSlots(n uint64) uint64 {
 	return 1 << bits.Len64(2*n-1)
 }
 
+// sectionBytes is the length of sh's section, known from the shard's counts
+// before a byte is packed: the header, the bitmap words, a record per
+// occupied slot with its duplicated and wide extras, and the slab.
+func sectionBytes(sh *shard) int {
+	occ := sh.size - len(sh.slab)
+	return headerBytes + 8*len(sh.bits) + recordBytes*occ + 8*sh.dups + 16*(len(sh.wkeys)+len(sh.wvals)+len(sh.slab))
+}
+
 // packShard appends shard sh, as shard index of count under salt, to dst in
 // the section format: the bitmap words as they are, then one record per
 // occupied slot written straight from the slot, then the slab, and the
-// checksum folded over the bytes just written. The tests hold it to an
-// independent reference packer.
+// checksum folded over the bytes just written. dst grows once, exactly, so a
+// section laid out in place never moves. The tests hold it to an independent
+// reference packer.
 func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 	base := len(dst)
-	occ := sh.size - len(sh.slab)
-	dst = slices.Grow(dst, headerBytes+8*len(sh.bits)+recordBytes*occ+16*len(sh.slab))
+	dst = slices.Grow(dst, sectionBytes(sh))
 	dst = dst[:base+headerBytes]
 	h := dst[base:]
 	clear(h)
@@ -263,6 +271,7 @@ func openSection(sh *shard, data []byte, enc byte, index int, path string) (bloc
 						ErrBadGeometry, path, i, sl.count, sl.off, int64(sl.off)+int64(sl.count)-1, hdr.slab)
 				}
 				dups += uint64(sl.count - 1)
+				sh.dups++
 			}
 			if uint8(f)&wideKey != 0 {
 				k.A, k.B, p = int64(le.Uint64(p)), int64(le.Uint64(p[8:])), p[16:]

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"syscall"
 )
 
@@ -70,46 +71,45 @@ func (e *SectionError) Unwrap() error { return e.Err }
 
 // AppendSegment serializes s as a segment into buf and returns the extended
 // slice: in memory, the bytes streamSegment puts in a segment file, and
-// what EncodeSections ships. Sections encode in parallel for large stores,
-// and the bytes are a pure function of the store: the same into a fresh or
-// a recycled buffer.
+// what EncodeSections ships. buf grows once, to the layout's size, and every
+// section packs in place, in parallel for large stores; the bytes are a pure
+// function of the store, whatever buf held.
 func AppendSegment(buf []byte, s *Store) []byte {
-	p := len(s.shards)
-	parts := make([][]byte, p)
-	dispatch(p, buildWorkers(s.pairs), nil, func(i int) {
-		parts[i] = packShard(nil, &s.shards[i], i, p, s.salt)
-	})
-	base := len(buf)
-	total := headerBytes + p*segTableEntry
-	for i := range parts {
-		total += len(parts[i])
-	}
-	buf = growBytes(buf, total)
+	ht, offs := layoutSegment(s)
+	p, base := len(s.shards), len(buf)
+	buf = slices.Grow(buf, offs[p])[:base+offs[p]]
 	seg := buf[base:]
-	table := seg[headerBytes : headerBytes+p*segTableEntry]
-	clear(table)
-	off := headerBytes + p*segTableEntry
-	for i := 0; i < p; i++ {
-		e := table[i*segTableEntry:]
-		le.PutUint64(e[0:], uint64(off))
-		le.PutUint64(e[8:], uint64(len(parts[i])))
-		e[16] = encSection
-		copy(seg[off:], parts[i])
-		off += len(parts[i])
-	}
-	fillSegmentHeader(seg[:headerBytes], s, table, uint64(off))
+	copy(seg, ht)
+	dispatch(p, buildWorkers(s.pairs), nil, func(i int) {
+		packShard(seg[offs[i]:offs[i]:offs[i+1]], &s.shards[i], i, p, s.salt)
+	})
 	return buf
 }
 
-func fillSegmentHeader(h []byte, s *Store, table []byte, size uint64) {
-	clear(h)
-	copy(h[0:8], segmentMagic)
-	le.PutUint32(h[8:], segmentVersion)
-	le.PutUint32(h[12:], uint32(len(s.shards)))
-	le.PutUint64(h[16:], s.salt)
-	le.PutUint64(h[24:], uint64(s.pairs))
-	le.PutUint64(h[32:], size)
-	le.PutUint64(h[56:], checksum(h[0:56], table))
+// layoutSegment sizes the sections of s and returns the final super-header
+// and section table, and the offsets: section i spans [offs[i], offs[i+1]),
+// and offs[p] is the segment's size.
+func layoutSegment(s *Store) ([]byte, []int) {
+	p := len(s.shards)
+	offs := make([]int, p+1)
+	offs[0] = headerBytes + p*segTableEntry
+	ht := make([]byte, offs[0])
+	table := ht[headerBytes:]
+	for i := 0; i < p; i++ {
+		offs[i+1] = offs[i] + sectionBytes(&s.shards[i])
+		e := table[i*segTableEntry:]
+		le.PutUint64(e[0:], uint64(offs[i]))
+		le.PutUint64(e[8:], uint64(offs[i+1]-offs[i]))
+		e[16] = encSection
+	}
+	copy(ht[0:8], segmentMagic)
+	le.PutUint32(ht[8:], segmentVersion)
+	le.PutUint32(ht[12:], uint32(p))
+	le.PutUint64(ht[16:], s.salt)
+	le.PutUint64(ht[24:], uint64(s.pairs))
+	le.PutUint64(ht[32:], uint64(offs[p]))
+	le.PutUint64(ht[56:], checksum(ht[0:56], table))
+	return ht, offs
 }
 
 // WriteSegment writes s to path as a segment file, fsynced (see
@@ -128,13 +128,12 @@ var errPublishCancelled = errors.New("dds: segment publish cancelled")
 // writes between two polls of its cancellation hook.
 const writeChunk = 1 << 20
 
-// streamSegment writes s to path, the one segment file writer: a zeroed
-// header+table placeholder first, then the sections in shard order —
-// windows of one section per worker, encoded in parallel into reused scratch
-// and written through one buffered writer, so small sections share a write
-// syscall — then the real header and table, whose checksum needs the final
-// offsets, over the placeholder. Memory stays at one encoded section per
-// worker whatever the store's size, and the bytes are AppendSegment's.
+// streamSegment writes s to path, the one segment file writer: the final
+// header and table first, from the layout, then the sections in shard order
+// — windows of one section per worker, packed in parallel into reused
+// scratch and written through one buffered writer, so small sections share
+// a write syscall. Memory stays at one packed section per worker whatever
+// the store's size, and the bytes are AppendSegment's.
 //
 // The write is atomic: the bytes go to a hidden temp file in path's
 // directory, which is fsynced, renamed over path, and the directory
@@ -163,11 +162,10 @@ func streamSegment(s *Store, path string, nosync bool, cancelled func() error) e
 		return err
 	}
 	w := bufio.NewWriterSize(f, writeChunk)
-	ht := make([]byte, headerBytes+p*segTableEntry)
+	ht, _ := layoutSegment(s)
 	if _, err := w.Write(ht); err != nil {
 		return fail(err)
 	}
-	off := uint64(len(ht))
 	workers := buildWorkers(s.pairs)
 	parts := make([][]byte, workers)
 	for lo := 0; lo < p; lo += workers {
@@ -178,7 +176,7 @@ func streamSegment(s *Store, path string, nosync bool, cancelled func() error) e
 		dispatch(window, workers, nil, func(j int) {
 			parts[j] = packShard(parts[j][:0], &s.shards[lo+j], lo+j, p, s.salt)
 		})
-		for j, part := range parts[:window] {
+		for _, part := range parts[:window] {
 			for c := 0; c < len(part); c += writeChunk {
 				if _, err := w.Write(part[c:min(c+writeChunk, len(part))]); err != nil {
 					return fail(err)
@@ -187,18 +185,9 @@ func streamSegment(s *Store, path string, nosync bool, cancelled func() error) e
 					return fail(err)
 				}
 			}
-			e := ht[headerBytes+(lo+j)*segTableEntry:]
-			le.PutUint64(e[0:], off)
-			le.PutUint64(e[8:], uint64(len(part)))
-			e[16] = encSection
-			off += uint64(len(part))
 		}
 	}
-	fillSegmentHeader(ht[:headerBytes], s, ht[headerBytes:], off)
 	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if _, err := f.WriteAt(ht, 0); err != nil {
 		return fail(err)
 	}
 	if !nosync {

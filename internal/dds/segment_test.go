@@ -434,6 +434,20 @@ func BenchmarkStreamSegment(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/pair")
 }
 
+// BenchmarkAppendSegment times the in-memory encode of a 200 000-pair,
+// 64-shard store into a recycled buffer; allocs/op and B/op show what the
+// encode allocates beyond the segment itself.
+func BenchmarkAppendSegment(b *testing.B) {
+	s := mixedStore(64, 200000, 0)
+	buf := AppendSegment(nil, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendSegment(buf[:0], s)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*s.Len()), "ns/pair")
+}
+
 // BenchmarkOpenSegment times the verifying open of a packed segment, which
 // checks and decodes every section; run with -cpu 1,2.
 func BenchmarkOpenSegment(b *testing.B) {

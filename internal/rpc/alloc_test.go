@@ -62,3 +62,30 @@ func BenchmarkBackendGetMany(b *testing.B) {
 		be.GetMany(keys[off:off+64], vals, oks)
 	}
 }
+
+// BenchmarkPublish publishes one generation of 2^17 pairs over 64 shards and
+// joins its Barrier, on a 3-server in-process fleet with R = 2, after a
+// warm-up publish that sizes the publisher's segment buffer. allocs/op and
+// B/op are process-wide, so they include the servers' decode of every put.
+func BenchmarkPublish(b *testing.B) {
+	_, addrs := startFleet(b, 3, ServerConfig{})
+	p := NewPublisher(Config{Servers: addrs, Replication: 2})
+	defer p.Close()
+	s := dds.NewStore(testPairs(1<<17), 64, 0x5eed)
+	publishOnce := func(seq int) {
+		be, err := p.Publish(seq, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Barrier(); err != nil {
+			b.Fatal(err)
+		}
+		be.Close()
+	}
+	publishOnce(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		publishOnce(i + 1)
+	}
+}

@@ -271,7 +271,7 @@ func (s *server) closePool() {
 // itself, or the retry) mark the server down. Protocol-level failures
 // (statusErr, statusNoStore) never do, and neither does the cancellation of
 // ctx, which returns ctx.Err() as soon as ctx is done.
-func (s *server) roundTrip(ctx context.Context, op byte, req []byte, force bool, decode func(resp []byte) error) error {
+func (s *server) roundTrip(ctx context.Context, op byte, req [][]byte, force bool, decode func(resp []byte) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -306,7 +306,7 @@ func (s *server) roundTrip(ctx context.Context, op byte, req []byte, force bool,
 // outcome. Cancelling ctx expires the connection's deadline, and closePool
 // closes the connection, so a blocked exchange fails at once instead of
 // waiting out the timeout.
-func (s *server) exchange(ctx context.Context, cn *conn, op byte, req []byte, decode func(resp []byte) error) (err error, transport bool) {
+func (s *server) exchange(ctx context.Context, cn *conn, op byte, req [][]byte, decode func(resp []byte) error) (err error, transport bool) {
 	fail := func(err error) (error, bool) {
 		cn.close()
 		return err, true
@@ -331,7 +331,7 @@ func (s *server) exchange(ctx context.Context, cn *conn, op byte, req []byte, de
 		stop = context.AfterFunc(ctx, func() { cn.nc.SetDeadline(time.Unix(1, 0)) })
 	}
 	defer stop()
-	if err := writeFrame(cn.bw, op, req); err != nil {
+	if err := writeFrame(cn.bw, op, req...); err != nil {
 		return fail(err)
 	}
 	if err := cn.bw.Flush(); err != nil {
@@ -471,17 +471,18 @@ func putFrames(shards []int, sections [][]byte) [][]int {
 	return frames
 }
 
-// appendPut appends the payload of one put frame: the sections of shards
-// (indices into sections) with their encoding bytes.
-func (c *client) appendPut(req []byte, seq uint64, shards []int, sections [][]byte, encs []byte) []byte {
-	req = le.AppendUint32(c.reqHeader(req, seq), uint32(len(shards)))
+// putParts returns the payload of one put frame as pieces for writeFrame:
+// the run|seq|n header, then per shard (indices into sections) its
+// shard|enc|len head and the section itself, a view into the segment.
+func (c *client) putParts(seq uint64, shards []int, sections [][]byte, encs []byte) [][]byte {
+	head := le.AppendUint32(c.reqHeader(make([]byte, 0, 20+sectionHead*len(shards)), seq), uint32(len(shards)))
+	parts := append(make([][]byte, 0, 1+2*len(shards)), head)
 	for _, sh := range shards {
-		req = le.AppendUint32(req, uint32(sh))
-		req = append(req, encs[sh])
-		req = le.AppendUint32(req, uint32(len(sections[sh])))
-		req = append(req, sections[sh]...)
+		at := len(head)
+		head = le.AppendUint32(append(le.AppendUint32(head, uint32(sh)), encs[sh]), uint32(len(sections[sh])))
+		parts = append(parts, head[at:], sections[sh])
 	}
-	return req
+	return parts
 }
 
 // free drops generation seq on every reachable server, best-effort. After
@@ -493,7 +494,7 @@ func (c *client) free(seq uint64) {
 		if s.down() {
 			continue
 		}
-		s.roundTrip(c.ctx, opFree, req, false, func([]byte) error { return nil })
+		s.roundTrip(c.ctx, opFree, [][]byte{req}, false, func([]byte) error { return nil })
 	}
 }
 
@@ -534,7 +535,7 @@ func (c *client) getRange(seq uint64, k dds.Key, lo, hi, shard, p int, dst []dds
 		req = le.AppendUint32(req, uint32(lo))
 		req = le.AppendUint32(req, uint32(hi))
 		base := len(dst)
-		return s.roundTrip(c.ctx, opGetRange, req, force, func(resp []byte) error {
+		return s.roundTrip(c.ctx, opGetRange, [][]byte{req}, force, func(resp []byte) error {
 			if len(resp) < 4 {
 				return fmt.Errorf("%s: getRange response of %d bytes", s.addr, len(resp))
 			}
@@ -559,7 +560,7 @@ func (c *client) count(seq uint64, k dds.Key, shard, p int) (int, error) {
 		c.frames.Add(1)
 		req := c.reqHeader(make([]byte, 0, 16+keyBytes), seq)
 		req = appendKey(req, k)
-		return s.roundTrip(c.ctx, opCount, req, force, func(resp []byte) error {
+		return s.roundTrip(c.ctx, opCount, [][]byte{req}, force, func(resp []byte) error {
 			if len(resp) != 4 {
 				return fmt.Errorf("%s: count response of %d bytes", s.addr, len(resp))
 			}
@@ -753,7 +754,7 @@ func (c *client) sendBatch(s *server, batch []*batchCall, n int, req []byte) []b
 			req = appendKey(req, b.keys[i])
 		}
 	}
-	err := s.roundTrip(c.ctx, opGetBatch, req, batch[0].force, func(resp []byte) error {
+	err := s.roundTrip(c.ctx, opGetBatch, [][]byte{req}, batch[0].force, func(resp []byte) error {
 		if len(resp) != n*(1+valBytes) {
 			return fmt.Errorf("%s: getBatch response of %d bytes for %d keys", s.addr, len(resp), n)
 		}

@@ -42,7 +42,9 @@
 // each with its encoding byte (one encoding: the fixed-width section). A
 // publisher fills each put frame with as many of one server's sections as
 // fit in frameEager bytes (a larger section travels alone), so a generation
-// costs a few round trips per server, not one per shard. The server opens every
+// costs a few round trips per server, not one per shard, and writes the
+// frame as its header and views into the encoded segment, never copying a
+// section into a request buffer. The server opens every
 // section with dds.OpenSection — the decoder and checks behind
 // dds.OpenSegment — and installs a frame's sections all or none; it probes
 // them as the in-memory store does, so a remote read matches a local one.
@@ -112,15 +114,18 @@ func decodeValue(b []byte) dds.Value {
 	return dds.Value{A: int64(le.Uint64(b[0:8])), B: int64(le.Uint64(b[8:16]))}
 }
 
-// writeFrame sends one length-prefixed frame: tag is the op (requests) or
-// status (responses). The caller flushes. The header is built in the
-// writer's own buffer, so a frame allocates nothing.
-func writeFrame(w *bufio.Writer, tag byte, payload []byte) error {
-	head := append(le.AppendUint32(w.AvailableBuffer(), uint32(1+len(payload))), tag)
-	if _, err := w.Write(head); err != nil {
-		return err
+// writeFrame sends one length-prefixed frame, its payload the pieces in
+// order; tag is the op (requests) or status (responses). The caller flushes.
+// The header goes in the writer's own buffer, so a frame allocates nothing.
+func writeFrame(w *bufio.Writer, tag byte, payload ...[]byte) error {
+	n := 1
+	for _, p := range payload {
+		n += len(p)
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(append(le.AppendUint32(w.AvailableBuffer(), uint32(n)), tag))
+	for _, p := range payload {
+		_, err = w.Write(p) // a bufio error sticks: the last write reports it
+	}
 	return err
 }
 

@@ -16,12 +16,13 @@ import (
 var errPublishCancelled = errors.New("rpc: store publish cancelled")
 
 // Publisher ships each round's frozen store to the shard servers. Like the
-// file backend it publishes write-behind: Publish encodes the store on a background goroutine into the same fixed-width sections
-// the file backend writes to disk, and uploads each to its R owning servers
-// in a few put frames per server, while the returned backend serves reads
-// from the still-in-memory store; Barrier joins the upload, verifies the
-// per-shard write quorum, swaps reads onto the remote fleet and recycles the
-// in-memory arrays.
+// file backend it publishes write-behind: Publish encodes the store on a
+// background goroutine into one segment buffer, the bytes the file backend
+// writes to disk, and sends each section to its R owning servers in a few
+// put frames per server, each written as its header and views into that
+// buffer, while the returned backend serves reads from the in-memory store;
+// Barrier joins the upload, checks the per-shard write quorum, swaps reads
+// onto the remote fleet and recycles the in-memory arrays.
 //
 // Unlike the file publisher, Barrier runs before the next round's execute
 // phase (BarrierBeforeExecute): a round's adaptive reads must hit D_{i-1}
@@ -35,8 +36,7 @@ type Publisher struct {
 	mu       sync.Mutex
 	arena    *dds.Arena
 	ctx      context.Context
-	buf      []byte   // reused segment serialization buffer
-	puts     [][]byte // reused put-frame buffer per server
+	buf      []byte   // the last generation's segment, reused by the next
 	inflight *pending // the write-behind publish not yet joined
 
 	closed    chan struct{}
@@ -46,7 +46,7 @@ type Publisher struct {
 // NewPublisher returns a publisher shipping stores to cfg.Servers. Nothing
 // is dialed until the first Publish, so construction never fails.
 func NewPublisher(cfg Config) *Publisher {
-	return &Publisher{cfg: cfg.withDefaults(), c: newClient(cfg), puts: make([][]byte, len(cfg.Servers)), closed: make(chan struct{})}
+	return &Publisher{cfg: cfg.withDefaults(), c: newClient(cfg), closed: make(chan struct{})}
 }
 
 // SetArena gives the publisher an arena to recycle swapped-out in-memory
@@ -123,21 +123,19 @@ func (p *Publisher) Publish(seq int, s *dds.Store) (dds.StoreBackend, error) {
 	return ps, nil
 }
 
-// upload encodes s into fixed-width sections and sends each to its R owners, one
-// goroutine per server so a slow server delays only its own shards, and
-// each server's sections in as few put frames as frameEager allows, built
-// in that server's reused buffer. It returns nil once every shard reached
-// its write quorum.
+// upload encodes s into buf's segment and sends each section to its R
+// owners, one goroutine per server so a slow server delays only its own
+// shards, and each server's sections in as few put frames as frameEager
+// allows, each written from the segment without assembling a request. It
+// returns nil once every shard reached its write quorum.
 func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error) {
 	buf, sections, encs := dds.EncodeSections(buf, s)
 	shardCount := len(sections)
-	n := len(p.c.servers)
 	r := p.cfg.Replication
-	perServer := make([][]int, n)
+	perServer := make([][]int, len(p.c.servers))
 	for sh := 0; sh < shardCount; sh++ {
-		primary := sh * n / shardCount
 		for i := 0; i < r; i++ {
-			j := (primary + i) % n
+			j := p.c.replicaIndex(sh, shardCount, i)
 			perServer[j] = append(perServer[j], sh)
 		}
 	}
@@ -151,8 +149,6 @@ func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error)
 		go func(j int) {
 			defer wg.Done()
 			s := p.c.servers[j]
-			req := p.puts[j]
-			defer func() { p.puts[j] = req }()
 			for _, frame := range putFrames(perServer[j], sections) {
 				if p.cancelled() != nil {
 					return
@@ -161,7 +157,7 @@ func (p *Publisher) upload(seq uint64, s *dds.Store, buf []byte) ([]byte, error)
 				// remaining frames this publish: the replicas cover them, and
 				// retrying a dead server frame after frame would stall the
 				// barrier.
-				req = p.c.appendPut(req[:0], seq, frame, sections, encs)
+				req := p.c.putParts(seq, frame, sections, encs)
 				if err := s.roundTrip(p.c.ctx, opPut, req, true, func([]byte) error { return nil }); err != nil {
 					return
 				}
@@ -243,12 +239,10 @@ type pending struct {
 // run is the background uploader: one publish, one goroutine, joined by
 // Barrier (or Publish/Close) through ps.done.
 func (ps *pending) run(buf []byte) {
-	buf, err := ps.pub.upload(ps.seq, ps.mem, buf)
-	ps.err = err
-	p := ps.pub
-	p.mu.Lock()
-	p.buf = buf // return the serialization buffer for the next publish
-	p.mu.Unlock()
+	buf, ps.err = ps.pub.upload(ps.seq, ps.mem, buf)
+	ps.pub.mu.Lock()
+	ps.pub.buf = buf // return the segment buffer for the next publish
+	ps.pub.mu.Unlock()
 	close(ps.done)
 }
 

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -17,7 +18,21 @@ import (
 // putFrame sends one put frame carrying shards' sections, as the publisher's
 // upload does.
 func putFrame(c *client, s *server, seq uint64, shards []int, sections [][]byte, encs []byte) error {
-	return s.roundTrip(context.Background(), opPut, c.appendPut(nil, seq, shards, sections, encs), true, func([]byte) error { return nil })
+	return s.roundTrip(context.Background(), opPut, c.putParts(seq, shards, sections, encs), true, func([]byte) error { return nil })
+}
+
+// appendPut is the reference layout of a put frame's payload, assembled in
+// one buffer: run, seq and n, then each section's shard|enc|len head and
+// its bytes. putParts must send exactly these bytes (TestPutPartsMatchAppendPut).
+func (c *client) appendPut(req []byte, seq uint64, shards []int, sections [][]byte, encs []byte) []byte {
+	req = le.AppendUint32(c.reqHeader(req, seq), uint32(len(shards)))
+	for _, sh := range shards {
+		req = le.AppendUint32(req, uint32(sh))
+		req = append(req, encs[sh])
+		req = le.AppendUint32(req, uint32(len(sections[sh])))
+		req = append(req, sections[sh]...)
+	}
+	return req
 }
 
 // forgeSection rewrites a section's header through mutate and recomputes
@@ -196,5 +211,42 @@ func TestPublishFewPutFrames(t *testing.T) {
 		if !oks[i] || vals[i] != ref[k][0] {
 			t.Fatalf("Get(%+v) = %+v %v, want %+v", k, vals[i], oks[i], ref[k][0])
 		}
+	}
+}
+
+// TestPutPartsMatchAppendPut pins the put wire bytes: every frame the
+// publisher's split makes, written as putParts' pieces, must be byte for
+// byte writeFrame(opPut, appendPut(...)) — one length prefix, run, seq and
+// n, then each section's head and bytes — for frames of many sections and
+// for one whose section is larger than frameEager and travels alone.
+func TestPutPartsMatchAppendPut(t *testing.T) {
+	pairs := testPairs(2000)
+	for i := 0; i < frameEager/16+1000; i++ {
+		pairs = append(pairs, dds.KV{Key: dds.Key{Tag: 9, A: 1}, Value: dds.Value{A: int64(i)}})
+	}
+	_, sections, encs := dds.EncodeSections(nil, dds.NewStore(pairs, 16, 0x5eed))
+	c := &client{run: 0xfeed}
+	shards := make([]int, len(sections))
+	for i := range shards {
+		shards[i] = i
+	}
+	var many, alone bool
+	for _, fr := range putFrames(shards, sections) {
+		many = many || len(fr) > 1
+		alone = alone || len(fr) == 1 && len(sections[fr[0]]) > frameEager
+		var got bytes.Buffer
+		bw := bufio.NewWriter(&got)
+		if err := writeFrame(bw, opPut, c.putParts(5, fr, sections, encs)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := frame(opPut, c.appendPut(nil, 5, fr, sections, encs)); !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("put frame of shards %v: %d bytes differ from the reference's %d", fr, got.Len(), len(want))
+		}
+	}
+	if !many || !alone {
+		t.Fatalf("frames of several sections %v, a section past frameEager alone %v: want both", many, alone)
 	}
 }

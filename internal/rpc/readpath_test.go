@@ -396,7 +396,9 @@ func TestFreedGenerationNeverReadsNext(t *testing.T) {
 }
 
 // TestSendersExitOnClose: the per-server senders that the first reads start
-// have exited by the time the publisher's Close returns.
+// exit once the publisher closes. Close waits for them, but a sender counts
+// as done while it is still in its deferred frame, so the stacks are polled
+// for up to 2s after Close instead of counted once.
 func TestSendersExitOnClose(t *testing.T) {
 	_, addrs := startFleet(t, 3, ServerConfig{})
 	pairs := testPairs(300)
@@ -408,10 +410,11 @@ func TestSendersExitOnClose(t *testing.T) {
 	if err := p.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	senders := func() int {
+	stacks := func() string {
 		buf := make([]byte, 1<<20)
-		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "rpc.(*server).sendLoop")
+		return string(buf[:runtime.Stack(buf, true)])
 	}
+	senders := func() int { return strings.Count(stacks(), "rpc.(*server).sendLoop") }
 	keys := make([]dds.Key, len(pairs))
 	for i, kv := range pairs {
 		keys[i] = kv.Key
@@ -421,8 +424,12 @@ func TestSendersExitOnClose(t *testing.T) {
 		t.Fatalf("%d senders after reads from 3 servers, want 3", n)
 	}
 	p.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for senders() != 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
 	if n := senders(); n != 0 {
-		t.Fatalf("%d senders still running after Close", n)
+		t.Fatalf("%d senders still running 2s after Close\n%s", n, stacks())
 	}
 }
 
