@@ -27,7 +27,7 @@ func testServer(t *testing.T) (*daemon, string) {
 }
 
 // postJob submits a job and returns its id.
-func postJob(t *testing.T, base string, req submitRequest) uint64 {
+func postJob(t *testing.T, base string, req submitWire) uint64 {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -93,7 +93,7 @@ func waitDone(t *testing.T, base string, id uint64) string {
 
 func TestDaemonLifecycle(t *testing.T) {
 	_, base := testServer(t)
-	id := postJob(t, base, submitRequest{
+	id := postJob(t, base, submitWire{
 		Algo:  "connectivity",
 		Graph: &graphSpec{Kind: "gnm", N: 2000, M: 5000, Seed: 3},
 		Check: true,
@@ -197,10 +197,10 @@ func TestDaemonListrankAndMSF(t *testing.T) {
 		next[i] = i + 1
 	}
 	next[n-1] = -1
-	lrID := postJob(t, base, submitRequest{Algo: "listrank", Next: next, Check: true})
+	lrID := postJob(t, base, submitWire{Algo: "listrank", Next: next, Check: true})
 
 	// MSF over a generated weighted graph.
-	msfID := postJob(t, base, submitRequest{
+	msfID := postJob(t, base, submitWire{
 		Algo:  "msf",
 		Graph: &graphSpec{Kind: "gnm", N: 400, M: 900, Seed: 5},
 		Check: true,
@@ -235,7 +235,7 @@ func TestDaemonListrankAndMSF(t *testing.T) {
 func TestDaemonRetainFalse(t *testing.T) {
 	_, base := testServer(t)
 	off := false
-	id := postJob(t, base, submitRequest{
+	id := postJob(t, base, submitWire{
 		Algo:   "connectivity",
 		Graph:  &graphSpec{Kind: "gnm", N: 300, M: 600, Seed: 2},
 		Retain: &off,
@@ -261,7 +261,7 @@ func TestDaemonCollectsAfterJob(t *testing.T) {
 	_, base := testServer(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	id := postJob(t, base, submitRequest{
+	id := postJob(t, base, submitWire{
 		Algo:  "connectivity",
 		Graph: &graphSpec{Kind: "gnm", N: 300, M: 600, Seed: 2},
 	})
@@ -278,7 +278,7 @@ func TestDaemonCancel(t *testing.T) {
 	_, base := testServer(t)
 	// Big enough to still be running when the cancel lands; if it wins the
 	// race anyway, the test accepts done.
-	id := postJob(t, base, submitRequest{
+	id := postJob(t, base, submitWire{
 		Algo:  "connectivity",
 		Graph: &graphSpec{Kind: "gnm", N: 300000, M: 900000, Seed: 4},
 	})
@@ -306,9 +306,9 @@ func TestDaemonCancel(t *testing.T) {
 func TestDaemonDegenerateSpecs(t *testing.T) {
 	_, base := testServer(t)
 	client := &http.Client{Timeout: 5 * time.Second}
-	conn := func(spec graphSpec) submitRequest { return submitRequest{Algo: "connectivity", Graph: &spec} }
+	conn := func(spec graphSpec) submitWire { return submitWire{Algo: "connectivity", Graph: &spec} }
 	for _, tc := range []struct {
-		req  submitRequest
+		req  submitWire
 		want string
 	}{
 		{conn(graphSpec{Kind: "cgnm", N: 3}), "exceeds n(n-1)/2"},
@@ -318,10 +318,10 @@ func TestDaemonDegenerateSpecs(t *testing.T) {
 		{conn(graphSpec{Kind: "forest", N: 5}), "trees=10 exceeds n=5"},
 		{conn(graphSpec{Kind: "gnm", N: 10, M: -1}), "negative"},
 		{conn(graphSpec{Kind: "gnm", N: maxInputSize + 1, M: 10}), "above the limit"},
-		{submitRequest{Algo: "listrank", Graph: &graphSpec{Kind: "list", N: -1}}, "list: n=-1 is negative"},
-		{submitRequest{Algo: "listrank", Graph: &graphSpec{Kind: "list", N: maxInputSize + 1}}, "above the limit"},
-		{submitRequest{Algo: "connectivity", N: maxInputSize + 1, Edges: [][]int{{0, 1}}}, "above the limit"},
-		{submitRequest{Algo: "msf", N: maxInputSize + 1, Edges: [][]int{{0, 1, 5}}}, "above the limit"},
+		{submitWire{Algo: "listrank", Graph: &graphSpec{Kind: "list", N: -1}}, "list: n=-1 is negative"},
+		{submitWire{Algo: "listrank", Graph: &graphSpec{Kind: "list", N: maxInputSize + 1}}, "above the limit"},
+		{submitWire{Algo: "connectivity", N: maxInputSize + 1, Edges: [][]int{{0, 1}}}, "above the limit"},
+		{submitWire{Algo: "msf", N: maxInputSize + 1, Edges: [][]int{{0, 1, 5}}}, "above the limit"},
 	} {
 		body, _ := json.Marshal(tc.req)
 		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -354,7 +354,7 @@ func TestDaemonBadRequests(t *testing.T) {
 		Error string `json:"error"`
 	}
 
-	post := func(req submitRequest) *http.Response {
+	post := func(req submitWire) *http.Response {
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -363,18 +363,18 @@ func TestDaemonBadRequests(t *testing.T) {
 		return resp
 	}
 
-	if err := decodeJSON(post(submitRequest{Algo: "nope"}), http.StatusBadRequest, &e); err != nil {
+	if err := decodeJSON(post(submitWire{Algo: "nope"}), http.StatusBadRequest, &e); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeJSON(post(submitRequest{Algo: "connectivity"}), http.StatusBadRequest, &e); err != nil {
+	if err := decodeJSON(post(submitWire{Algo: "connectivity"}), http.StatusBadRequest, &e); err != nil {
 		t.Fatal(err) // no input at all
 	}
-	if err := decodeJSON(post(submitRequest{
+	if err := decodeJSON(post(submitWire{
 		Algo: "connectivity", Graph: &graphSpec{Kind: "dodecahedron", N: 10},
 	}), http.StatusBadRequest, &e); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeJSON(post(submitRequest{
+	if err := decodeJSON(post(submitWire{
 		Algo: "listrank", Next: []int{5, -1}, // successor out of range
 	}), http.StatusBadRequest, &e); err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestDaemonBadRequests(t *testing.T) {
 	get(t, base+"/v1/jobs/999/query?key=0", http.StatusNotFound, &e)
 
 	// Inline unweighted edges for a weighted algorithm are rejected.
-	if err := decodeJSON(post(submitRequest{
+	if err := decodeJSON(post(submitWire{
 		Algo: "msf", N: 3, Edges: [][]int{{0, 1}},
 	}), http.StatusBadRequest, &e); err != nil {
 		t.Fatal(err)

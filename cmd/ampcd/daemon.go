@@ -47,8 +47,7 @@ type job struct {
 	rounds []roundRec
 	change chan struct{} // closed and replaced on every visible update
 
-	// oracle inputs kept for /result checking by clients that want the
-	// whole labeling; nil for large inline submissions is fine.
+	// The input's vertex (or list element) and edge counts, for status.
 	n int
 	m int
 }
@@ -111,20 +110,27 @@ func (d *daemon) mux() *http.ServeMux {
 	return mux
 }
 
-// submitRequest is the POST /v1/jobs body. The input is either a generator
-// spec (Graph) or inline data (Edges/Next); exactly one form must match the
-// algorithm's input kind.
+// submitRequest is the POST /v1/jobs body, as decodeSubmit reads it. The
+// input is either a generator spec (Graph) or inline data (Edges/Next);
+// exactly one form must match the algorithm's input kind.
+//
+// Inline data is integers only: "edges" is an array of rows, each an array
+// of integers, and "next" an array of integers. A number with a fraction or
+// an exponent, a leading zero, a value outside int or a null in an integer's
+// place is refused. "edges" or "next" set to null counts as absent, and a
+// null row as a row of no elements. The body is read whole, up to
+// maxSubmitBytes (64 MiB), before it is decoded.
 type submitRequest struct {
 	Algo string `json:"algo"`
 
 	// Graph selects a generated workload.
 	Graph *graphSpec `json:"graph,omitempty"`
 	// N with Edges submits an inline graph: rows are [u, v] or, for
-	// weighted algorithms, [u, v, w].
-	N     int     `json:"n,omitempty"`
-	Edges [][]int `json:"edges,omitempty"`
+	// weighted algorithms, [u, v, w]. Edges is nil when absent.
+	N     int   `json:"n,omitempty"`
+	Edges *rows `json:"-"`
 	// Next submits an inline successor vector for list algorithms.
-	Next []int `json:"next,omitempty"`
+	Next []int `json:"-"`
 
 	// Check verifies the output against the sequential oracle.
 	Check bool `json:"check,omitempty"`
@@ -148,7 +154,7 @@ type graphSpec struct {
 
 // maxSubmitBytes caps a job submission's body. An inline graph of a few
 // million edges fits; a body that never ends does not pin a handler or its
-// decode buffer.
+// body buffer.
 const maxSubmitBytes = 64 << 20
 
 // maxInputSize bounds a submission's n and m, generated or inline, so a
@@ -168,17 +174,17 @@ func sizeErr(n, m int) error {
 
 // submitBodyTimeout bounds how long a submission may take to deliver its
 // body once its headers are in; without it a client that trickles the body
-// holds the handler and its decoder for as long as it likes. It is set per
+// holds the handler and its body buffer for as long as it likes. It is set per
 // request, so the telemetry long-polls keep their own waits.
 var submitBodyTimeout = 30 * time.Second
 
 func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
 	// A writer that cannot take deadlines (a test recorder) reads without
 	// one.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(submitBodyTimeout))
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
+	if err != nil {
 		// The deadline stays: the server drains an unread body before it
 		// replies, and that drain must not wait on the client either.
 		var tooBig *http.MaxBytesError
@@ -193,6 +199,11 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_ = rc.SetReadDeadline(time.Time{})
+	req, err := decodeSubmit(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
 	spec, ok := ampc.Lookup(req.Algo)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown algorithm %q (registered: %s)",
@@ -200,7 +211,7 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ampcJob, n, m, err := buildJob(spec, &req)
+	ampcJob, n, m, err := buildJob(spec, req)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -363,11 +374,12 @@ func buildJob(spec ampc.AlgorithmSpec, req *submitRequest) (ampc.Job, int, int, 
 
 func inputGraph(req *submitRequest) (*ampc.Graph, error) {
 	if req.Edges != nil {
-		if err := sizeErr(req.N, len(req.Edges)); err != nil {
+		if err := sizeErr(req.N, req.Edges.len()); err != nil {
 			return nil, err
 		}
-		edges := make([]ampc.Edge, len(req.Edges))
-		for i, e := range req.Edges {
+		edges := make([]ampc.Edge, req.Edges.len())
+		for i := range edges {
+			e := req.Edges.row(i)
 			if len(e) != 2 {
 				return nil, fmt.Errorf("edges[%d]: want [u, v], got %d elements", i, len(e))
 			}
@@ -383,11 +395,12 @@ func inputGraph(req *submitRequest) (*ampc.Graph, error) {
 
 func inputWeightedGraph(req *submitRequest) (*ampc.WeightedGraph, error) {
 	if req.Edges != nil {
-		if err := sizeErr(req.N, len(req.Edges)); err != nil {
+		if err := sizeErr(req.N, req.Edges.len()); err != nil {
 			return nil, err
 		}
-		edges := make([]ampc.WeightedEdge, len(req.Edges))
-		for i, e := range req.Edges {
+		edges := make([]ampc.WeightedEdge, req.Edges.len())
+		for i := range edges {
+			e := req.Edges.row(i)
 			if len(e) != 3 {
 				return nil, fmt.Errorf("edges[%d]: want [u, v, w], got %d elements", i, len(e))
 			}

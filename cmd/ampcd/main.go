@@ -19,6 +19,14 @@
 //	GET    /metrics                 Prometheus text exposition
 //	GET    /healthz                 liveness + registered algorithms
 //
+// A submission's input is a generator spec ("graph") or inline data:
+// "n" with "edges", an array of [u, v] rows ([u, v, w] for weighted
+// algorithms), or "next", an array of successors (-1 ends a list). Inline
+// data is integers only: a row of another width, a fraction, an exponent, a
+// leading zero or a null in an integer's place gets a 400. The body is read
+// whole, up to 64 MiB (413 beyond), and then decoded in one pass; bytes
+// after its JSON object are ignored.
+//
 // Jobs default to retain=true: the run's final store stays resident until
 // the job is deleted. Submitting with "retain": false runs fire-and-forget
 // (status and result still served, no /query surface). Either way the run's
