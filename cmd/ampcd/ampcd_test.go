@@ -444,6 +444,45 @@ func TestDaemonSubmitBodyCap(t *testing.T) {
 	get(t, base+"/healthz", http.StatusOK, &health)
 }
 
+// TestDaemonSubmitDeclaredTooLarge declares a body past the cap in its
+// headers and sends none of it: the 413 must come from the declared length
+// at once, not after the body deadline or a read of the cap's worth of
+// bytes, and the daemon must keep serving.
+func TestDaemonSubmitDeclaredTooLarge(t *testing.T) {
+	defer func(d time.Duration) { submitBodyTimeout = d }(submitBodyTimeout)
+	submitBodyTimeout = 5 * time.Second
+	d := newDaemon(ampc.Options{Seed: 1}, 0)
+	srv := newServer("127.0.0.1:0", d)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close(); d.close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/jobs HTTP/1.1\r\nHost: ampcd\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", 100<<20)
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("declared-oversized submit got no response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("declared-oversized submit: status %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if waited := time.Since(start); waited >= submitBodyTimeout {
+		t.Fatalf("answered after %v, not before the %v body deadline", waited, submitBodyTimeout)
+	}
+	var health map[string]any
+	get(t, "http://"+ln.Addr().String()+"/healthz", http.StatusOK, &health)
+}
+
 // TestDaemonSubmitBodyDeadline sends a submission's headers at once and one
 // byte of its body, then stalls: the handler must answer 408 once the body
 // deadline passes instead of waiting on the client, and the daemon must

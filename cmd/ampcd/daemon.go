@@ -183,6 +183,12 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// one.
 	rc := http.NewResponseController(w)
 	_ = rc.SetReadDeadline(time.Now().Add(submitBodyTimeout))
+	// A body declared over the cap is refused before a byte of it is read;
+	// the server then closes the connection instead of draining it.
+	if r.ContentLength > maxSubmitBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body of %d bytes exceeds %d bytes", r.ContentLength, maxSubmitBytes)
+		return
+	}
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxSubmitBytes), r.ContentLength)
 	if err != nil {
 		// The deadline stays: the server drains an unread body before it

@@ -194,10 +194,10 @@ func TestFileRoundsRecycleThroughArena(t *testing.T) {
 	mem := roundAlloc(t, nil)
 	file := roundAlloc(t, dds.NewFilePublisher(t.TempDir()))
 	t.Logf("steady-state round allocates %d bytes on mem, %d on file", mem, file)
-	// About 5 000 pairs per shard take a 16 Ki-slot table of 28-byte slots:
-	// a fresh generation's tables are over 3.5 MiB on 8 shards. The packed
-	// segment encode (varint sections grown by append) allocates about 2 MiB.
-	const margin = 3 << 20
+	// About 5 000 pairs per shard take a 16 Ki-slot table of 20-byte slots:
+	// a fresh generation's tables are over 2.5 MiB on 8 shards. The segment
+	// encode (fixed-width sections) allocates about 1.3 MB.
+	const margin = 2 << 20
 	if file > mem+margin {
 		t.Fatalf("file-backed round allocates %d bytes, mem %d: more than the %d-byte margin, so the retired store did not recycle",
 			file, mem, margin)
@@ -207,7 +207,7 @@ func TestFileRoundsRecycleThroughArena(t *testing.T) {
 // TestWarmRoundsRetainTwoGenerations pins the freeze's memory footprint:
 // after warm rounds of 2^18 written pairs, the heap a collection leaves
 // holds the store being read and the arena's one spare generation — two
-// generations of 28-byte-slot tables — plus the writers' warm buffers
+// generations of 20-byte-slot tables — plus the writers' warm buffers
 // (a 24-byte entry and a 4-byte shard id per pair), and nothing that grows
 // with the pairs beyond that: no freeze scratch, no fatter slot or entry.
 func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
@@ -250,7 +250,7 @@ func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
 }
 
 // tableBytes is the heap one store generation's slot tables take: per shard,
-// the power-of-two table at most half full, 28-byte slots plus the
+// the power-of-two table at most half full, 20-byte slots plus the
 // occupancy bitmap.
 func tableBytes(shardSizes []int) int64 {
 	total := int64(0)
@@ -259,7 +259,7 @@ func tableBytes(shardSizes []int) int64 {
 		for slots < 2*int64(size) {
 			slots <<= 1
 		}
-		total += slots*28 + slots/8
+		total += slots*20 + slots/8
 	}
 	return total
 }

@@ -51,20 +51,22 @@ type Builder struct {
 	stats FreezeStats
 
 	// Scratch reused across freezes: per-shard pair counts, the shard-to-task
-	// ownership map, and each insert task's stashed duplicate-key values
-	// awaiting slab placement.
+	// ownership map, each insert task's stashed duplicate-key values
+	// awaiting slab placement, and each shard's duplicated keys: a stashed
+	// key holds the first value's words as va and vb and, once its shard is
+	// laid out, the slab cursor as kb.
 	counts []int64
 	owner  []int32
 	dups   [][]dupValue
+	keys   [][]slot
 }
 
-// dupValue is one duplicate-key value met during a freeze: the slot it
-// belongs to and the value, stashed in arrival order until the slab offsets
-// are known.
+// dupValue is one duplicate-key value met during a freeze: its shard, its
+// key in the shard's stashed keys and the value, stashed in arrival order
+// until the slab offsets are known.
 type dupValue struct {
-	si   int32 // shard index
-	slot int32 // slot index within the shard
-	v    Value
+	si, key int32
+	v       Value
 }
 
 // NewBuilder returns a builder of writers for machines [0, p).
@@ -247,9 +249,13 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 	for len(b.dups) < workers {
 		b.dups = append(b.dups, nil)
 	}
+	for len(b.keys) < p {
+		b.keys = append(b.keys, nil)
+	}
 	dispatch(workers, workers, b.run, func(k int) {
 		for si := k; si < p; si += workers {
 			s.shards[si].grab(a, int(counts[si]))
+			b.keys[si] = b.keys[si][:0]
 		}
 	})
 	t1 := time.Now()
@@ -258,10 +264,10 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 		dups := b.dups[k][:0]
 		if base != nil {
 			for si := k; si < p; si += workers {
-				dups = s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, dups)
+				dups = s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, b.keys, dups)
 			}
 		}
-		b.dups[k] = s.insertOwned(a, ws, owner, int32(k), dups)
+		b.dups[k] = s.insertOwned(a, ws, owner, int32(k), b.keys, dups)
 	})
 	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1)}
 	return s
@@ -271,8 +277,8 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 // machine-id order and inserts the pairs of the shards owner assigns to task
 // k. A claimed slot takes a narrow entry's fields at once; duplicate-key
 // values are stashed in dups, in arrival order, and placed once every owned
-// shard's slot counts are final. It returns the stash for reuse.
-func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups []dupValue) []dupValue {
+// shard's counts are final. It returns the stash for reuse.
+func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys [][]slot, dups []dupValue) []dupValue {
 	for _, w := range ws {
 		ents := w.ents[:len(w.sis)]
 		for i, si := range w.sis {
@@ -283,19 +289,18 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups
 			sh := &s.shards[si]
 			j := uint64(e.h) & sh.mask
 			if e.wide {
-				dups = sh.insertWide(w.wide[e.ka], j, int32(si), dups)
+				dups = sh.insertWide(w.wide[e.ka], j, int32(si), keys, dups)
 				continue
 			}
 			for {
 				if !sh.occupied(j) {
 					sh.claim(j)
-					sh.slots[j] = slot{tag: e.tag, ka: e.ka, kb: e.kb, va: e.va, vb: e.vb, count: 1}
+					sh.slots[j] = slot{tag: e.tag, ka: e.ka, kb: e.kb, va: e.va, vb: e.vb}
 					break
 				}
 				sl := &sh.slots[j]
 				if sl.ka == e.ka && sl.kb == e.kb && sl.tag == e.tag && sl.flags&wideKey == 0 {
-					sl.count++
-					dups = append(dups, dupValue{si: int32(si), slot: int32(j), v: Value{A: int64(e.va), B: int64(e.vb)}})
+					dups = sh.addDup(j, int32(si), Value{A: int64(e.va), B: int64(e.vb)}, keys, dups)
 					break
 				}
 				j = (j + 1) & sh.mask
@@ -303,46 +308,59 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, dups
 		}
 	}
 
-	// Overflow placement replays the stash backwards: layoutOverflow points
-	// each duplicated slot's off one past the end of its slab run, and every
-	// value steps off back by one, so a key's values land in arrival order —
-	// per shard the machine-id merge order — and off ends at the run's start.
+	// Overflow placement replays the stash backwards: layoutOverflow leaves
+	// each stashed key's cursor at the end of its slab run, and every value
+	// steps it back by one, so a key's values land in arrival order — per
+	// shard the machine-id merge order.
 	for i := len(dups) - 1; i >= 0; i-- {
 		d := &dups[i]
 		sh := &s.shards[d.si]
 		if sh.slab == nil {
-			sh.layoutOverflow(a)
+			sh.layoutOverflow(a, keys[d.si])
 		}
-		sl := &sh.slots[d.slot]
-		sl.off--
-		sh.slab[sl.off] = d.v
+		key := &keys[d.si][d.key]
+		key.kb--
+		sh.slab[key.kb] = d.v
 	}
 	return dups
 }
 
+// addDup stashes v, one more value of the key in slot j of shard si. The
+// key's first extra value marks the slot duplicated and moves its first
+// value's words to a new stashed key; until layoutOverflow the slot's va
+// indexes that key and its vb counts the key's values.
+func (sh *shard) addDup(j uint64, si int32, v Value, keys [][]slot, dups []dupValue) []dupValue {
+	sl := &sh.slots[j]
+	if sl.flags&dupKey == 0 {
+		keys[si] = append(keys[si], slot{va: sl.va, vb: sl.vb})
+		sl.flags, sl.va, sl.vb = sl.flags|dupKey, int32(len(keys[si])-1), 1
+	}
+	sl.vb++
+	return append(dups, dupValue{si: si, key: sl.va, v: v})
+}
+
 // insertWide inserts a pair with a wide key or value, probing from slot j.
-func (sh *shard) insertWide(kv KV, j uint64, si int32, dups []dupValue) []dupValue {
+func (sh *shard) insertWide(kv KV, j uint64, si int32, keys [][]slot, dups []dupValue) []dupValue {
 	for ; sh.occupied(j); j = (j + 1) & sh.mask {
 		if sh.key(&sh.slots[j]) == kv.Key {
-			sh.slots[j].count++
-			return append(dups, dupValue{si: si, slot: int32(j), v: kv.Value})
+			return sh.addDup(j, si, kv.Value, keys, dups)
 		}
 	}
 	sh.claim(j)
-	sh.set(j, kv.Key, kv.Value, 1, 0)
+	sh.set(j, kv.Key, kv.Value)
 	return dups
 }
 
 // insertBase inserts a base shard's keys into this shard's empty table,
-// each claiming its slot with its count and stashing its values past the
-// first in index order, and returns the stash. Keys go in the base table's
+// each claiming its slot with its first value and stashing the rest in index
+// order, and returns the stash. Keys go in the base table's
 // probe order — ascending from an empty slot, wrapping — which visits every
 // cluster from its start. That reproduces the slots the base's original
 // insertion order gives in this table: the table is the base's size or a
 // power-of-two multiple of it, probing starts at the same hash bits, and a
 // key probes past another here only if it did in the base table, where the
 // one it passed sits ahead of it in probe order.
-func (sh *shard) insertBase(base *shard, si int32, salt uint64, dups []dupValue) []dupValue {
+func (sh *shard) insertBase(base *shard, si int32, salt uint64, keys [][]slot, dups []dupValue) []dupValue {
 	base.forProbeOrder(func(i int) {
 		bs := &base.slots[i]
 		k := base.key(bs)
@@ -351,9 +369,9 @@ func (sh *shard) insertBase(base *shard, si int32, salt uint64, dups []dupValue)
 			j = (j + 1) & sh.mask
 		}
 		sh.claim(j)
-		sh.set(j, k, base.first(bs), bs.count, 0)
-		for x := 1; x < int(bs.count); x++ {
-			dups = append(dups, dupValue{si: si, slot: int32(j), v: base.value(bs, x)})
+		sh.set(j, k, base.first(bs))
+		for x := 1; x < base.count(bs); x++ {
+			dups = sh.addDup(j, si, base.value(bs, x), keys, dups)
 		}
 	})
 	return dups
@@ -372,16 +390,18 @@ func (sh *shard) grab(a *Arena, n int) {
 }
 
 // layoutOverflow sizes the shard's overflow slab and gives every duplicated
-// slot its run in slot order — the scan order the serialized format's slab
-// offsets are defined by — leaving off at the end of the run for the
-// backward placement to rewind.
-func (sh *shard) layoutOverflow(a *Arena) {
-	overflow := int32(0)
+// slot its entry and its run in slot order — the scan order the serialized
+// format's slab offsets are defined by — leaving the stash key's cursor at
+// the end of the run for the backward placement to rewind.
+func (sh *shard) layoutOverflow(a *Arena, keys []slot) {
+	overflow, free := int32(0), uint64(0)
 	sh.forOccupied(func(j int) {
-		if c := sh.slots[j].count; c > 1 {
-			overflow += c - 1
-			sh.slots[j].off = overflow
-			sh.dups++
+		if sl := &sh.slots[j]; sl.flags&dupKey != 0 {
+			key, count := &keys[sl.va], sl.vb
+			sl.va, sl.vb = key.va, key.vb
+			free = sh.dupe(uint64(j), free, count, overflow)
+			overflow += count - 1
+			key.kb = overflow
 		}
 	})
 	sh.slab = a.grabSlab(int(overflow))

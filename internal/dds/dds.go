@@ -21,12 +21,12 @@
 // placement is independent of the keys an algorithm chooses to query.
 //
 // Storage engine: each shard is a flat open-addressing hash index rather
-// than a Go map. A 28-byte slot holds the key, the first value inline (the
-// common single-value case costs one probe and no indirection) as int32
-// words, and — for duplicated keys — an offset into a per-shard overflow
-// slab holding values 1..k-1 contiguously. Every algorithm's keys and values
-// fit int32 words; the rare word that does not spills its key or first
-// value to a per-shard side table, so Key and Value stay two int64 words.
+// than a Go map. A 20-byte slot, laid out as a section record, holds the key
+// and the first value inline as int32 words (one probe, no indirection); a
+// duplicated key's slot indexes an unclaimed slot holding its first value,
+// count and offset into an overflow slab of values 1..k-1. Every algorithm's
+// keys and values fit int32 words; the rare word that does not spills its key
+// or first value to a per-shard side table, so Key and Value stay two int64 words.
 // Every store is frozen the same way: writers hash each pair once at write
 // time, a sizing pass counts every shard's pairs, and tasks — each owning a
 // stripe of shards — grab their shards' slot tables, stream the writers in
@@ -131,27 +131,28 @@ func (dv divisor) mod(n uint64) uint64 {
 	return h3 + carry
 }
 
-// slot is one entry of a shard's open-addressing index, 28 bytes: the key's
-// tag and words and the first value inline as int32. Vertex ids, indices,
-// degrees and ranks fit (n < 2³¹), so the common single-value case costs one
-// probe and no indirection. A word that does not fit (an MSF weight past
-// 2³¹, say) spills: wideKey makes ka index the shard's wkeys, wideVal makes
-// va index its wvals. A key
-// is wide exactly when a word does not fit, so a narrow and a wide key never
-// compare equal. Values 1..count-1 of a duplicated key live at
-// slab[off : off+count-1]. Occupancy lives in the shard's bitmap, not here:
-// a recycled slot array may hold stale bytes in unclaimed slots, and every
-// field of a claimed slot is written at claim time.
+// slot is one entry of a shard's open-addressing index, 20 bytes as a
+// section record: the key's tag and words and the first value inline as
+// int32. Vertex ids, indices, degrees and ranks fit (n < 2³¹). A word that
+// does not fit (an MSF weight past 2³¹, say) spills: wideKey makes ka index
+// the shard's wkeys, wideVal makes the first value's A word index its wvals.
+// A key is wide exactly when a word does not fit, so a narrow and a wide key
+// never compare equal. A duplicated key (dupKey) has va index an unclaimed
+// slot of the table, its entry, holding the key's count and the slab offset
+// of values 1..count-1 as ka and kb and the first value's words as va and
+// vb. Occupancy lives in the shard's bitmap, so probes never read an entry;
+// unclaimed slots may hold stale bytes, and a claimed slot is written whole.
 type slot struct {
 	tag, flags uint8
 	ka, kb     int32
 	va, vb     int32
-	count, off int32
 }
 
+// Slot flags, also a section record's: its head is tag | flags<<8.
 const (
 	wideKey uint8 = 1 << iota
 	wideVal
+	dupKey
 )
 
 // narrow reports whether both words fit a slot's int32 fields.
@@ -160,7 +161,7 @@ func narrow(a, b int64) bool { return int64(int32(a)) == a && int64(int32(b)) ==
 // shard holds the pairs that hashed to one DDS machine as a flat index.
 // bits is the slot-occupancy bitmap, one bit per slot. Keeping emptiness
 // out of the slot records means a recycled table is reset by clearing the
-// bitmap — 1/224th of the slot bytes — instead of zeroing every record, and
+// bitmap — 1/160th of the slot bytes — instead of zeroing every record, and
 // the build's probes for free slots read the cache-resident bitmap instead
 // of cold slot records. wkeys and wvals hold the rare wide keys and first
 // values the slots index.
@@ -172,7 +173,7 @@ type shard struct {
 	wkeys []Key
 	wvals []Value
 	size  int          // pairs resident on this shard
-	dups  int          // slots with count > 1, each 8 section bytes (sectionBytes)
+	dups  int          // duplicated keys, each 8 section bytes (sectionBytes)
 	load  atomic.Int64 // queries answered by this shard
 }
 
@@ -187,8 +188,8 @@ func (sh *shard) claim(i uint64) {
 }
 
 // set writes every field of slot j, spilling a wide key or first value.
-func (sh *shard) set(j uint64, k Key, v Value, count, off int32) {
-	sl := slot{tag: k.Tag, ka: int32(k.A), kb: int32(k.B), va: int32(v.A), vb: int32(v.B), count: count, off: off}
+func (sh *shard) set(j uint64, k Key, v Value) {
+	sl := slot{tag: k.Tag, ka: int32(k.A), kb: int32(k.B), va: int32(v.A), vb: int32(v.B)}
 	if !narrow(k.A, k.B) {
 		sl.flags, sl.ka = wideKey, int32(len(sh.wkeys))
 		sh.wkeys = append(sh.wkeys, k)
@@ -198,6 +199,20 @@ func (sh *shard) set(j uint64, k Key, v Value, count, off int32) {
 		sh.wvals = append(sh.wvals, v)
 	}
 	sh.slots[j] = sl
+}
+
+// dupe makes slot j hold count values, the rest at slab[off:], its entry in
+// the first unclaimed slot from free on (a table at most half full has one
+// for every duplicated key); it returns the slot after the entry.
+func (sh *shard) dupe(j, free uint64, count, off int32) uint64 {
+	for sh.occupied(free) {
+		free++
+	}
+	sl := &sh.slots[j]
+	sh.slots[free] = slot{ka: count, kb: off, va: sl.va, vb: sl.vb}
+	sl.flags, sl.va = sl.flags|dupKey, int32(free)
+	sh.dups++
+	return free + 1
 }
 
 // key returns the key slot sl holds.
@@ -210,11 +225,26 @@ func (sh *shard) key(sl *slot) Key {
 
 // first returns the value at index 0 of slot sl.
 func (sh *shard) first(sl *slot) Value {
-	if sl.flags&wideVal != 0 {
-		return sh.wvals[sl.va]
+	va, vb := sl.va, sl.vb
+	if sl.flags&dupKey != 0 {
+		va, vb = sh.slots[va].va, sh.slots[va].vb
 	}
-	return Value{A: int64(sl.va), B: int64(sl.vb)}
+	if sl.flags&wideVal != 0 {
+		return sh.wvals[va]
+	}
+	return Value{A: int64(va), B: int64(vb)}
 }
+
+// count returns the number of values slot sl holds.
+func (sh *shard) count(sl *slot) int {
+	if sl.flags&dupKey != 0 {
+		return int(sh.slots[sl.va].ka)
+	}
+	return 1
+}
+
+// off returns the slab offset of a duplicated slot's values past the first.
+func (sh *shard) off(sl *slot) int { return int(sh.slots[sl.va].kb) }
 
 // find returns the slot holding k, or nil. The table is at most half full,
 // so linear probing terminates at an empty slot. The key compare and the
@@ -252,7 +282,7 @@ func (sh *shard) value(sl *slot, i int) Value {
 	if i == 0 {
 		return sh.first(sl)
 	}
-	return sh.slab[int(sl.off)+i-1]
+	return sh.slab[sh.off(sl)+i-1]
 }
 
 // Store is an immutable snapshot of one round's data, sharded across a fixed
@@ -445,15 +475,15 @@ func (s *Store) GetRange(k Key, lo, hi int, dst []Value) []Value {
 		return dst
 	}
 	sh, h := s.shardFor(k, int64(hi-lo))
-	sl := sh.find(k, h)
-	if sl == nil {
-		return dst
-	}
-	if hi > int(sl.count) {
-		hi = int(sl.count)
-	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, sh.value(sl, i))
+	return sh.getRange(k, h, lo, hi, dst)
+}
+
+// getRange appends the values of key k, of hash h, at indices [lo, hi).
+func (sh *shard) getRange(k Key, h uint64, lo, hi int, dst []Value) []Value {
+	if sl := sh.find(k, h); sl != nil {
+		for i, end := lo, min(hi, sh.count(sl)); i < end; i++ {
+			dst = append(dst, sh.value(sl, i))
+		}
 	}
 	return dst
 }
@@ -465,7 +495,7 @@ func (s *Store) Count(k Key) int {
 	if sl == nil {
 		return 0
 	}
-	return int(sl.count)
+	return sh.count(sl)
 }
 
 // Len returns the total number of pairs in the store.

@@ -286,6 +286,28 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// BenchmarkDupKeyRead reads duplicated keys the way a machine walks a
+// key's values: Count, then GetRange over all of them. Each of the 2^14
+// keys holds four values, so every read goes through the key's entry for
+// its count and slab offset: the one read path with a second load.
+func BenchmarkDupKeyRead(b *testing.B) {
+	const keys, dup = 1 << 14, 4
+	pairs := make([]KV, 0, keys*dup)
+	for x := 0; x < dup; x++ {
+		for i := 0; i < keys; i++ {
+			pairs = append(pairs, kv(1, int64(i), 0, int64(i), int64(x)))
+		}
+	}
+	s := NewStore(pairs, 16, 9)
+	dst := make([]Value, 0, dup)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := Key{1, int64(uint32(i*2654435761) & (keys - 1)), 0}
+		dst = s.GetRange(k, 0, s.Count(k), dst[:0])
+	}
+}
+
 // BenchmarkSegmentGet is BenchmarkGet against a store decoded from a
 // compressed segment as the publisher writes it.
 func BenchmarkSegmentGet(b *testing.B) {

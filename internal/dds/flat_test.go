@@ -201,11 +201,12 @@ func compareStores(t *testing.T, a, b *Store) {
 			}
 			sl := &sh.slots[j]
 			k := sh.key(sl)
-			if got := b.Count(k); got != int(sl.count) {
-				t.Fatalf("key %v count %d vs %d", k, sl.count, got)
+			count := sh.count(sl)
+			if got := b.Count(k); got != count {
+				t.Fatalf("key %v count %d vs %d", k, count, got)
 			}
-			got := b.GetRange(k, 0, int(sl.count), nil)
-			for i := 0; i < int(sl.count); i++ {
+			got := b.GetRange(k, 0, count, nil)
+			for i := 0; i < count; i++ {
 				if want := sh.value(sl, i); i >= len(got) || got[i] != want {
 					t.Fatalf("key %v index %d: want %v, got %v", k, i, want, got)
 				}

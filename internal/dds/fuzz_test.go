@@ -170,7 +170,7 @@ func FuzzOpenSection(f *testing.F) {
 		f.Add(sec, byte(2), uint8(i))
 	}
 	// Wide records, encoded and raw: spilled keys and values.
-	wide := NewStore(widePairs(rand.New(rand.NewSource(35)), 300), 2, 0x5EED1)
+	wide := wideSeedStore()
 	_, encoded, encs := EncodeSections(nil, wide)
 	for i := range encoded {
 		f.Add(encoded[i], encs[i], uint8(i))
@@ -251,6 +251,13 @@ func FuzzSegmentCodec(f *testing.F) {
 	})
 }
 
+// wideSeedStore is a two-shard store whose records take every flag
+// combination: wide keys, wide first values and both, each also under a
+// duplicated key.
+func wideSeedStore() *Store {
+	return NewStore(widePairs(rand.New(rand.NewSource(35)), 300), 2, 0x5EED1)
+}
+
 // segmentByteSeeds builds deterministic whole-segment seeds covering every
 // section encoding byte and format version the reader sees: raw blocks
 // under encoding 0 (the form earlier writers produced, which must be
@@ -285,6 +292,7 @@ func FuzzOpenSegment(f *testing.F) {
 	for _, seed := range segmentByteSeeds(f) {
 		f.Add(seed)
 	}
+	f.Add(AppendSegment(nil, wideSeedStore()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzSizeCap {
 			t.Skip("oversized input: every header field is within the first 64 bytes")

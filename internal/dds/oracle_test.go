@@ -75,7 +75,6 @@ func oracleShard(sh *shard, pairs []KV, hs []uint64) {
 		if counts[j] > 1 {
 			offs[j] = overflow
 			overflow += counts[j] - 1
-			sh.dups++
 		}
 	})
 	if overflow > 0 {
@@ -91,7 +90,13 @@ func oracleShard(sh *shard, pairs []KV, hs []uint64) {
 		}
 		fill[j]++
 	}
-	sh.forOccupied(func(j int) { sh.set(uint64(j), keys[j], firsts[j], counts[j], offs[j]) })
+	free := uint64(0)
+	sh.forOccupied(func(j int) {
+		sh.set(uint64(j), keys[j], firsts[j])
+		if counts[j] > 1 {
+			free = sh.dupe(uint64(j), free, counts[j], offs[j])
+		}
+	})
 }
 
 // pairsOf returns every pair b's writers buffer, merged in machine-id order.
@@ -143,8 +148,10 @@ func rawBlock(sh *shard, index, count int, salt uint64) []byte {
 		le.PutUint64(rec[8:], uint64(k.B))
 		le.PutUint64(rec[16:], uint64(v.A))
 		le.PutUint64(rec[24:], uint64(v.B))
-		le.PutUint32(rec[32:], uint32(sl.count))
-		le.PutUint32(rec[36:], uint32(sl.off))
+		le.PutUint32(rec[32:], uint32(sh.count(sl)))
+		if sh.count(sl) > 1 {
+			le.PutUint32(rec[36:], uint32(sh.off(sl)))
+		}
 		rec[40] = k.Tag
 	}
 	for i, v := range sh.slab {
@@ -251,13 +258,13 @@ func freezePairs(pairs []KV, machines, p int, salt uint64, workers int, run Para
 	return b.freeze(a, nil, ws, len(pairs), workers)
 }
 
-// TestRecordSizes pins the narrow records: a 28-byte slot (tag, flags,
-// int32 key and first-value words, count, slab offset) and a 24-byte writer
-// entry (high hash bits, tag, wide flag, int32 words), with no field
+// TestRecordSizes pins the narrow records: a 20-byte slot (tag, flags,
+// int32 key and first-value words), a section record's size, and a 24-byte
+// writer entry (high hash bits, tag, wide flag, int32 words), with no field
 // padding them out.
 func TestRecordSizes(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 28 {
-		t.Fatalf("slot is %d bytes, want 28", got)
+	if got := unsafe.Sizeof(slot{}); got != recordBytes {
+		t.Fatalf("slot is %d bytes, want %d", got, recordBytes)
 	}
 	if got := unsafe.Sizeof(entry{}); got != 24 {
 		t.Fatalf("entry is %d bytes, want 24", got)

@@ -134,7 +134,7 @@ func TestPackedBlockCorruption(t *testing.T) {
 				t.Fatalf("section rejected: %v", err)
 			}
 			sl := &got.sh.slots[1]
-			if got.sh.occupied(0) || !got.sh.occupied(1) || int(sl.count) != tc.count || sl.off != 0 ||
+			if got.sh.occupied(0) || !got.sh.occupied(1) || got.sh.count(sl) != tc.count || tc.count > 1 && got.sh.off(sl) != 0 ||
 				got.sh.key(sl) != tc.key || got.sh.first(sl) != (Value{A: 11, B: -12}) {
 				t.Fatalf("decoded occupancy %b, slot 1 = %+v", got.sh.bits[0], *sl)
 			}
@@ -201,9 +201,10 @@ func sameShard(t *testing.T, got, want *shard) {
 	}
 	got.forOccupied(func(j int) {
 		g, w := &got.slots[j], &want.slots[j]
-		if got.key(g) != want.key(w) || got.first(g) != want.first(w) || g.count != w.count || g.off != w.off {
-			t.Fatalf("slot %d: %v %v %d@%d, want %v %v %d@%d", j, got.key(g), got.first(g), g.count, g.off,
-				want.key(w), want.first(w), w.count, w.off)
+		gc, wc := got.count(g), want.count(w)
+		if got.key(g) != want.key(w) || got.first(g) != want.first(w) || gc != wc || gc > 1 && got.off(g) != want.off(w) {
+			t.Fatalf("slot %d: %v %v count %d, want %v %v count %d", j, got.key(g), got.first(g), gc,
+				want.key(w), want.first(w), wc)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package dds
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -262,12 +263,14 @@ func TestWriterGrow(t *testing.T) {
 	}
 }
 
-// BenchmarkFreeze measures the steady-state freeze: 2^20 pairs from 64
-// machines (about one in seven a duplicate-key value) into 512 shards, the
-// arena recycling each generation into the next as the runtime's does.
-func BenchmarkFreeze(b *testing.B) {
-	const pairs, machines, p, salt = 1 << 20, 64, 512, uint64(0xF5)
-	kvs := randomPairs(rand.New(rand.NewSource(9)), pairs, 4)
+// TestSteadyFreezeAllocatesNoDupTable pins that a steady-state freeze with
+// duplicated keys allocates no side table for them: each key's entry takes
+// an unclaimed slot of its recycled table, so the freeze allocates less
+// than the 16 bytes per duplicated key a separate table would take, and
+// the store still answers like the reference.
+func TestSteadyFreezeAllocatesNoDupTable(t *testing.T) {
+	const pairs, machines, p, salt = 1 << 14, 8, 16, uint64(0xD0B)
+	kvs := randomPairs(rand.New(rand.NewSource(12)), pairs, 4)
 	bld := NewBuilder(machines)
 	bld.Prime(p, salt)
 	for m := 0; m < machines; m++ {
@@ -275,10 +278,49 @@ func BenchmarkFreeze(b *testing.B) {
 	}
 	a := NewArena()
 	a.Recycle(bld.FreezeArena(a, p, salt))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Recycle(bld.FreezeArena(a, p, salt))
+	a.Recycle(bld.FreezeArena(a, p, salt))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := bld.FreezeArena(a, p, salt)
+	runtime.ReadMemStats(&after)
+	dups := 0
+	for i := range s.shards {
+		dups += s.shards[i].dups
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+	if dups == 0 {
+		t.Fatal("no duplicated keys to place")
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("steady-state freeze of %d duplicated keys allocates %d bytes", dups, got)
+	if got >= uint64(16*dups) {
+		t.Fatalf("steady-state freeze of %d duplicated keys allocates %d bytes", dups, got)
+	}
+	checkAgainstReference(t, s, reference(kvs), nil)
+}
+
+// BenchmarkFreeze measures the steady-state freeze: 2^20 pairs from 64
+// machines into 512 shards, the arena recycling each generation into the
+// next as the runtime's does. dup is randomPairs' duplicate factor: at 4
+// about one pair in seven is a duplicate-key value, at 1 about one in
+// twenty-five.
+func BenchmarkFreeze(b *testing.B) {
+	const pairs, machines, p, salt = 1 << 20, 64, 512, uint64(0xF5)
+	for _, dup := range []int{1, 4} {
+		b.Run(fmt.Sprintf("dup=%d", dup), func(b *testing.B) {
+			kvs := randomPairs(rand.New(rand.NewSource(9)), pairs, dup)
+			bld := NewBuilder(machines)
+			bld.Prime(p, salt)
+			for m := 0; m < machines; m++ {
+				bld.Writer(m).WriteMany(kvs[m*pairs/machines : (m+1)*pairs/machines])
+			}
+			a := NewArena()
+			a.Recycle(bld.FreezeArena(a, p, salt))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Recycle(bld.FreezeArena(a, p, salt))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+		})
+	}
 }

@@ -163,20 +163,13 @@ func (r *ShardReader) GetRange(k Key, lo, hi int, dst []Value) []Value {
 	if hi <= lo {
 		return dst
 	}
-	sl := r.sh.find(k, hash(k, r.salt))
-	if sl == nil {
-		return dst
-	}
-	for i := lo; i < min(hi, int(sl.count)); i++ {
-		dst = append(dst, r.sh.value(sl, i))
-	}
-	return dst
+	return r.sh.getRange(k, hash(k, r.salt), lo, hi, dst)
 }
 
 // Count returns the number of pairs stored under k.
 func (r *ShardReader) Count(k Key) int {
 	if sl := r.sh.find(k, hash(k, r.salt)); sl != nil {
-		return int(sl.count)
+		return r.sh.count(sl)
 	}
 	return 0
 }

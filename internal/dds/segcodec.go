@@ -61,12 +61,8 @@ const (
 	maxShardFiles = 1 << 20 // sanity cap on the shard count read from a header
 )
 
-// wireDup is the record flag that appends a duplicated key's count and slab
-// offset. It exists only on the wire: in memory every slot holds both.
-const wireDup uint32 = 4
-
 // extBytes is the record tail each valid flag combination appends.
-var extBytes = [2 * wireDup]int{0, 16, 16, 32, 8, 24, 24, 40}
+var extBytes = [2 * dupKey]int{0, 16, 16, 32, 8, 24, 24, 40}
 
 // encSection is the encoding byte a segment's section table and an rpc put
 // carry for every section. It is the only encoding — the section's own
@@ -118,23 +114,20 @@ func packShard(dst []byte, sh *shard, index, count int, salt uint64) []byte {
 	for wi, word := range sh.bits {
 		for ; word != 0; word &= word - 1 {
 			sl := &sh.slots[wi<<6|bits.TrailingZeros64(word)]
-			f := uint32(sl.flags)
-			if sl.count > 1 {
-				f |= wireDup
-			}
 			var rec [recordBytes]byte
-			le.PutUint32(rec[0:], uint32(sl.tag)|f<<8)
+			le.PutUint32(rec[0:], uint32(sl.tag)|uint32(sl.flags)<<8)
 			if sl.flags&wideKey == 0 {
 				le.PutUint32(rec[4:], uint32(sl.ka))
 				le.PutUint32(rec[8:], uint32(sl.kb))
 			}
 			if sl.flags&wideVal == 0 {
-				le.PutUint32(rec[12:], uint32(sl.va))
-				le.PutUint32(rec[16:], uint32(sl.vb))
+				v := sh.first(sl)
+				le.PutUint32(rec[12:], uint32(v.A))
+				le.PutUint32(rec[16:], uint32(v.B))
 			}
 			dst = append(dst, rec[:]...)
-			if sl.count > 1 {
-				dst = le.AppendUint32(le.AppendUint32(dst, uint32(sl.count)), uint32(sl.off))
+			if sl.flags&dupKey != 0 {
+				dst = le.AppendUint32(le.AppendUint32(dst, uint32(sh.count(sl))), uint32(sh.off(sl)))
 			}
 			if sl.flags&wideKey != 0 {
 				k := sh.key(sl)
@@ -177,8 +170,8 @@ type blockHeader struct {
 // A checksum only proves the bytes match what some writer computed — not
 // that the writer was honest — so reads are made safe here too: every
 // duplicated slot's slab window must lie inside the slab, and the counts
-// must sum to the declared pair count. The table is at most half full, so
-// the linear probe for an absent key always meets an empty slot.
+// must sum to the declared pair count. The table is at most half full, so an
+// absent key's probe meets an empty slot and every entry finds one.
 func openSection(sh *shard, data []byte, enc byte, index int, path string) (blockHeader, error) {
 	if enc != encSection {
 		return blockHeader{}, fmt.Errorf("%w: %s: section encoding %d, reader implements %d", ErrBadVersion, path, enc, encSection)
@@ -240,7 +233,7 @@ func openSection(sh *shard, data []byte, enc byte, index int, path string) (bloc
 		return hdr, fmt.Errorf("%w: %s: %d occupied slots, header declares %d pairs and %d slab values",
 			ErrBadGeometry, path, occ, hdr.size, hdr.slab)
 	}
-	dups := uint64(0) // slab values the records claim
+	dups, free := uint64(0), uint64(0) // slab values the records claim; dupe's cursor
 	for wi, word := range sh.bits {
 		for ; word != 0; word &= word - 1 {
 			i := uint64(wi<<6 | bits.TrailingZeros64(word))
@@ -248,38 +241,40 @@ func openSection(sh *shard, data []byte, enc byte, index int, path string) (bloc
 				return hdr, fmt.Errorf("%w: %s: record of slot %d cut short", ErrTruncated, path, i)
 			}
 			head := le.Uint32(p[0:4])
-			sl := slot{tag: uint8(head), ka: int32(le.Uint32(p[4:])), kb: int32(le.Uint32(p[8:])),
-				va: int32(le.Uint32(p[12:])), vb: int32(le.Uint32(p[16:20])), count: 1}
+			sl := slot{tag: uint8(head), flags: uint8(head >> 8), ka: int32(le.Uint32(p[4:])), kb: int32(le.Uint32(p[8:])),
+				va: int32(le.Uint32(p[12:])), vb: int32(le.Uint32(p[16:20]))}
 			p = p[recordBytes:]
-			f := head >> 8
-			if f == 0 {
+			if head>>8 == 0 {
 				sh.slots[i] = sl
 				continue
 			}
-			if f >= 2*wireDup {
+			if f := head >> 8; f >= uint32(2*dupKey) {
 				return hdr, fmt.Errorf("%w: %s: slot %d has unknown flags %#x", ErrBadGeometry, path, i, f)
 			}
-			if len(p) < extBytes[f] {
+			if len(p) < extBytes[sl.flags] {
 				return hdr, fmt.Errorf("%w: %s: wide or duplicated record of slot %d cut short", ErrTruncated, path, i)
 			}
 			k := Key{Tag: sl.tag, A: int64(sl.ka), B: int64(sl.kb)}
 			v := Value{A: int64(sl.va), B: int64(sl.vb)}
-			if f&wireDup != 0 {
-				sl.count, sl.off, p = int32(le.Uint32(p)), int32(le.Uint32(p[4:])), p[8:]
-				if sl.count < 2 || sl.off < 0 || uint64(sl.off)+uint64(sl.count-1) > hdr.slab {
+			count, off := int32(1), int32(0)
+			if sl.flags&dupKey != 0 {
+				count, off, p = int32(le.Uint32(p)), int32(le.Uint32(p[4:])), p[8:]
+				if count < 2 || off < 0 || uint64(off)+uint64(count-1) > hdr.slab {
 					return hdr, fmt.Errorf("%w: %s: slot %d count %d, slab window [%d, %d) outside slab of %d values",
-						ErrBadGeometry, path, i, sl.count, sl.off, int64(sl.off)+int64(sl.count)-1, hdr.slab)
+						ErrBadGeometry, path, i, count, off, int64(off)+int64(count)-1, hdr.slab)
 				}
-				dups += uint64(sl.count - 1)
-				sh.dups++
+				dups += uint64(count - 1)
 			}
-			if uint8(f)&wideKey != 0 {
+			if sl.flags&wideKey != 0 {
 				k.A, k.B, p = int64(le.Uint64(p)), int64(le.Uint64(p[8:])), p[16:]
 			}
-			if uint8(f)&wideVal != 0 {
+			if sl.flags&wideVal != 0 {
 				v.A, v.B, p = int64(le.Uint64(p)), int64(le.Uint64(p[8:])), p[16:]
 			}
-			sh.set(i, k, v, sl.count, sl.off)
+			sh.set(i, k, v)
+			if count > 1 {
+				free = sh.dupe(i, free, count, off)
+			}
 		}
 	}
 	if dups != hdr.slab {
