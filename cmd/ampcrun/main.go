@@ -221,8 +221,9 @@ func printTelemetry(t ampc.Telemetry, wall time.Duration) {
 		fmt.Printf("  rpc read frames     %d\n", t.RPCFrames)
 	}
 	fmt.Printf("  execute time        %v\n", t.ExecuteTime.Round(time.Microsecond))
-	fmt.Printf("  freeze time         %v (merge %v, build %v)\n", t.FreezeTime.Round(time.Microsecond),
-		t.FreezeMergeTime.Round(time.Microsecond), t.FreezeBuildTime.Round(time.Microsecond))
+	fmt.Printf("  freeze time         %v (merge %v, build %v; fresh tables %.1f MB, slabs %.1f MB)\n",
+		t.FreezeTime.Round(time.Microsecond), t.FreezeMergeTime.Round(time.Microsecond),
+		t.FreezeBuildTime.Round(time.Microsecond), float64(t.FreshTableBytes)/(1<<20), float64(t.FreshSlabBytes)/(1<<20))
 	fmt.Printf("  publish time        %v\n", t.PublishTime.Round(time.Microsecond))
 	fmt.Printf("  driver time         %v (contract %v, read-back %v, ingest %v)\n", t.DriverTime.Round(time.Microsecond),
 		t.DriverContractTime.Round(time.Microsecond), t.DriverReadbackTime.Round(time.Microsecond),

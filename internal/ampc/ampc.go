@@ -138,6 +138,13 @@ type RoundStats struct {
 	// freeze delta to layout versus insertion.
 	FreezeMerge time.Duration
 	FreezeBuild time.Duration
+	// FreshTableBytes and FreshSlabBytes are the slot-table and overflow-
+	// slab bytes the freeze allocated because the runtime's arena held no
+	// retired one with room for them. After the first two rounds they stay
+	// zero unless a shard needs a larger table or slab than the retired
+	// generation has.
+	FreshTableBytes int64
+	FreshSlabBytes  int64
 	// Publish is the wall-clock time this round spent synchronously on
 	// store publication: joining the previous round's write-behind publish
 	// before freezing, plus handing the frozen store to the publisher. With
@@ -638,12 +645,13 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 		nextStore = r.builder.FreezeArena(r.arena, r.cfg.P, salt)
 		st.Pairs = nextStore.Len()
 	}
-	fz := r.builder.FreezeTimes()
+	fz := r.builder.LastFreeze()
 	t2 := time.Now()
 	r.publish(nextStore)
 	t3 := time.Now()
 	st.Freeze = t2.Sub(t1)
 	st.FreezeMerge, st.FreezeBuild = fz.Merge, fz.Build
+	st.FreshTableBytes, st.FreshSlabBytes = fz.FreshTableBytes, fz.FreshSlabBytes
 	st.Publish = preBarrier + t1.Sub(t0) + t3.Sub(t2)
 	if err := r.pubErr; err != nil {
 		r.pubErr = nil

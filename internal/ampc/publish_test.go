@@ -211,7 +211,11 @@ func TestFileRoundsRecycleThroughArena(t *testing.T) {
 // (a 24-byte entry and a 4-byte shard id per pair), and nothing that grows
 // with the pairs beyond that: no freeze scratch, no fatter slot or entry.
 func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
-	// P = 12 keeps every shard's 2n well inside one power-of-two table size.
+	// Every round writes the same pairs, and P = 12 keeps every shard's 2n
+	// well inside one power-of-two table size, so all three generations'
+	// tables are the size tableBytes computes from the last store. Stores
+	// that shrink between rounds hold recycled tables larger than their
+	// own; internal/dds' TestShrinkingFreezesRecycleTables covers them.
 	const n, p = 1 << 18, 12
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -311,6 +311,11 @@ type Telemetry struct {
 	FreezeTime      time.Duration
 	FreezeMergeTime time.Duration
 	FreezeBuildTime time.Duration
+	// FreshTableBytes and FreshSlabBytes sum the rounds' freshly allocated
+	// slot-table and overflow-slab bytes (RoundStats.FreshTableBytes): what
+	// the freezes could not take from the arena's retired generation.
+	FreshTableBytes int64
+	FreshSlabBytes  int64
 	// PublishTime is the wall-clock time spent synchronously publishing
 	// frozen stores (joining write-behind serialization and installing the
 	// backend), summed over rounds. Zero for the in-memory backend.
@@ -369,6 +374,8 @@ func fold(stats []ampc.RoundStats, phases, p, s int, wall time.Duration) Telemet
 		t.FreezeTime += st.Freeze
 		t.FreezeMergeTime += st.FreezeMerge
 		t.FreezeBuildTime += st.FreezeBuild
+		t.FreshTableBytes += st.FreshTableBytes
+		t.FreshSlabBytes += st.FreshSlabBytes
 		t.PublishTime += st.Publish
 		t.CacheMisses += st.CacheMisses
 		t.RPCFrames += st.RPCFrames

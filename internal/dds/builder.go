@@ -3,6 +3,7 @@ package dds
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 )
 
@@ -47,7 +48,8 @@ type Builder struct {
 	// passes its pinned worker-pool scheduler here.
 	run Parallel
 
-	// stats records the last Freeze's merge/build wall-clock split.
+	// stats records the last Freeze's merge/build wall-clock split and the
+	// bytes it allocated fresh.
 	stats FreezeStats
 
 	// Scratch reused across freezes: per-shard pair counts, the shard-to-task
@@ -113,9 +115,10 @@ func (b *Builder) Prime(p int, salt uint64) {
 	b.p, b.salt = p, salt
 }
 
-// FreezeTimes returns the wall-clock merge/build split of the most recent
-// Freeze. Zero after an empty freeze.
-func (b *Builder) FreezeTimes() FreezeStats { return b.stats }
+// LastFreeze returns the most recent Freeze's wall-clock merge/build split
+// and the table and slab bytes it allocated fresh. Zero after an empty
+// freeze.
+func (b *Builder) LastFreeze() FreezeStats { return b.stats }
 
 // Writer returns an empty buffer for the given machine id. Writers for
 // distinct machines may be used concurrently; a single Writer is not
@@ -252,11 +255,14 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 	for len(b.keys) < p {
 		b.keys = append(b.keys, nil)
 	}
+	var freshTables, freshSlabs atomic.Int64
 	dispatch(workers, workers, b.run, func(k int) {
+		fresh := int64(0)
 		for si := k; si < p; si += workers {
-			s.shards[si].grab(a, int(counts[si]))
+			fresh += s.shards[si].grab(a, int(counts[si]))
 			b.keys[si] = b.keys[si][:0]
 		}
+		freshTables.Add(fresh)
 	})
 	t1 := time.Now()
 
@@ -267,9 +273,12 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 				dups = s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, b.keys, dups)
 			}
 		}
-		b.dups[k] = s.insertOwned(a, ws, owner, int32(k), b.keys, dups)
+		var fresh int64
+		b.dups[k], fresh = s.insertOwned(a, ws, owner, int32(k), b.keys, dups)
+		freshSlabs.Add(fresh)
 	})
-	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1)}
+	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1),
+		FreshTableBytes: freshTables.Load(), FreshSlabBytes: freshSlabs.Load()}
 	return s
 }
 
@@ -277,8 +286,9 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 // machine-id order and inserts the pairs of the shards owner assigns to task
 // k. A claimed slot takes a narrow entry's fields at once; duplicate-key
 // values are stashed in dups, in arrival order, and placed once every owned
-// shard's counts are final. It returns the stash for reuse.
-func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys [][]slot, dups []dupValue) []dupValue {
+// shard's counts are final. It returns the stash for reuse and the bytes of
+// the slabs it allocated fresh.
+func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys [][]slot, dups []dupValue) ([]dupValue, int64) {
 	for _, w := range ws {
 		ents := w.ents[:len(w.sis)]
 		for i, si := range w.sis {
@@ -312,17 +322,18 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys
 	// each stashed key's cursor at the end of its slab run, and every value
 	// steps it back by one, so a key's values land in arrival order — per
 	// shard the machine-id merge order.
+	fresh := int64(0)
 	for i := len(dups) - 1; i >= 0; i-- {
 		d := &dups[i]
 		sh := &s.shards[d.si]
 		if sh.slab == nil {
-			sh.layoutOverflow(a, keys[d.si])
+			fresh += sh.layoutOverflow(a, keys[d.si])
 		}
 		key := &keys[d.si][d.key]
 		key.kb--
 		sh.slab[key.kb] = d.v
 	}
-	return dups
+	return dups, fresh
 }
 
 // addDup stashes v, one more value of the key in slot j of shard si. The
@@ -378,22 +389,26 @@ func (sh *shard) insertBase(base *shard, si int32, salt uint64, keys [][]slot, d
 }
 
 // grab sizes the shard for n pairs: a tableSlots(n) slot table, from the
-// arena when it holds one of that capacity.
-func (sh *shard) grab(a *Arena, n int) {
+// arena when it holds one with room for it. It returns the table's bytes
+// if it was allocated fresh, else 0.
+func (sh *shard) grab(a *Arena, n int) int64 {
 	if n == 0 {
-		return
+		return 0
 	}
 	cap := tableSlots(uint64(n))
 	sh.size = n
-	sh.slots, sh.bits = a.grabTable(int(cap))
+	var fresh int64
+	sh.slots, sh.bits, fresh = a.grabTable(int(cap))
 	sh.mask = cap - 1
+	return fresh
 }
 
 // layoutOverflow sizes the shard's overflow slab and gives every duplicated
 // slot its entry and its run in slot order — the scan order the serialized
 // format's slab offsets are defined by — leaving the stash key's cursor at
-// the end of the run for the backward placement to rewind.
-func (sh *shard) layoutOverflow(a *Arena, keys []slot) {
+// the end of the run for the backward placement to rewind. It returns the
+// slab's bytes if it was allocated fresh, else 0.
+func (sh *shard) layoutOverflow(a *Arena, keys []slot) int64 {
 	overflow, free := int32(0), uint64(0)
 	sh.forOccupied(func(j int) {
 		if sl := &sh.slots[j]; sl.flags&dupKey != 0 {
@@ -404,7 +419,9 @@ func (sh *shard) layoutOverflow(a *Arena, keys []slot) {
 			key.kb = overflow
 		}
 	})
-	sh.slab = a.grabSlab(int(overflow))
+	var fresh int64
+	sh.slab, fresh = a.grabSlab(int(overflow))
+	return fresh
 }
 
 // entry is one buffered pair of a writer, 24 bytes: the high 32 hash bits

@@ -309,10 +309,15 @@ type Parallel func(n int, f func(i int))
 // so perf trajectories can attribute a freeze delta: Merge covers the sizing
 // pass (per-shard pair counts off the writers' stored shard ids) and the
 // slot-table grab, Build covers inserting every pair into its table and
-// placing duplicate-key values in the overflow slabs.
+// placing duplicate-key values in the overflow slabs. FreshTableBytes and
+// FreshSlabBytes count the slot tables (slots and bitmaps) and overflow
+// slabs the freeze allocated because its arena had none with room for
+// them; a freeze without an arena allocates everything fresh.
 type FreezeStats struct {
-	Merge time.Duration
-	Build time.Duration
+	Merge           time.Duration
+	Build           time.Duration
+	FreshTableBytes int64
+	FreshSlabBytes  int64
 }
 
 // dispatch runs n independent tasks over the chosen scheduler: inline when

@@ -130,19 +130,24 @@ func TestParallelFreezeMatchesSequential(t *testing.T) {
 			salt := r.Uint64()
 			want := oracleStore(pairs, p, salt)
 			wantBytes := AppendSegment(nil, want)
+			// A store four times larger, from its own rng so the inputs
+			// above stay as they were.
+			larger := randomPairs(rand.New(rand.NewSource(int64(p*dup))), 4*len(pairs), dup)
 			for _, workers := range []int{1, 2, 3, 8} {
 				for ri, run := range []Parallel{nil, reverseRun, stripedRun} {
-					for _, dirty := range []bool{false, true} {
+					for dirty, retired := range [][]KV{nil, pairs, larger} {
 						// A dirty arena holds a retired store of another salt:
 						// recycled tables and slabs must not leak into the
-						// build.
+						// build. Tables of the larger store are resliced
+						// down and keep stale slots and bitmap words past
+						// the new length.
 						a := NewArena()
-						if dirty {
-							a.Recycle(NewStore(pairs, p, salt^1))
+						if retired != nil {
+							a.Recycle(NewStore(retired, p, salt^1))
 						}
 						got := freezePairs(pairs, 7, p, salt, workers, run, a)
 						if !bytes.Equal(AppendSegment(nil, got), wantBytes) {
-							t.Fatalf("p=%d dup=%d workers=%d run=%d dirty=%v: freeze differs from the oracle",
+							t.Fatalf("p=%d dup=%d workers=%d run=%d dirty=%d: freeze differs from the oracle",
 								p, dup, workers, ri, dirty)
 						}
 					}
