@@ -504,9 +504,11 @@ func TestDaemonSubmitBodyDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	// The clock starts before the headers go out: the server's deadline
+	// starts when they arrive, which can be before a write returns.
+	start := time.Now()
 	fmt.Fprint(conn, "POST /v1/jobs HTTP/1.1\r\nHost: ampcd\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{")
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	start := time.Now()
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatalf("stalled submit got no response: %v", err)

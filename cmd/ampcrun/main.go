@@ -132,7 +132,13 @@ func main() {
 		job.Weighted = wg
 		workload, wn, wm = *gkind, wg.N(), wg.M()
 	}
-	fmt.Printf("workload: %s n=%d m=%d   eps=%.2f seed=%d\n", workload, wn, wm, *eps, *seed)
+	// Under -json stdout carries the telemetry document alone, so
+	// `ampcrun -json | jq` parses; the human lines go to stderr.
+	human := os.Stdout
+	if *asJSON {
+		human = os.Stderr
+	}
+	fmt.Fprintf(human, "workload: %s n=%d m=%d   eps=%.2f seed=%d\n", workload, wn, wm, *eps, *seed)
 
 	// Ctrl-C and SIGTERM cancel the run like -timeout does, so the publisher
 	// aborts its in-flight write and removes its store directory on the way
@@ -151,9 +157,9 @@ func main() {
 	wall := time.Since(start)
 	fail(err)
 
-	fmt.Printf("result: %s\n", res.Summary)
+	fmt.Fprintf(human, "result: %s\n", res.Summary)
 	if res.Check == ampc.CheckPassed {
-		fmt.Println("oracle check passed")
+		fmt.Fprintln(human, "oracle check passed")
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

@@ -140,16 +140,16 @@ type RoundStats struct {
 	FreezeBuild time.Duration
 	// FreshTableBytes and FreshSlabBytes are the slot-table and overflow-
 	// slab bytes the freeze allocated because the runtime's arena held no
-	// retired one with room for them. After the first two rounds they stay
-	// zero unless a shard needs a larger table or slab than the retired
+	// retired one with room for them. After the first round they stay zero
+	// unless a shard needs a larger table or slab than the retired
 	// generation has.
 	FreshTableBytes int64
 	FreshSlabBytes  int64
 	// Publish is the wall-clock time this round spent synchronously on
 	// store publication: joining the previous round's write-behind publish
-	// before freezing, plus handing the frozen store to the publisher. With
-	// write-behind the serialization itself overlaps the next round's
-	// execute phase and never appears here.
+	// and retiring its store before freezing, plus handing the frozen store
+	// to the publisher. With write-behind the serialization itself overlaps
+	// the next round's execute phase and never appears here.
 	Publish time.Duration
 	// CacheMisses counts point reads (Read, ReadMany, ReadStatic and
 	// ReadStaticMany) that reached a store this round: every charged point
@@ -272,9 +272,9 @@ func New(cfg Config) *Runtime {
 	// holds a reference back to the Runtime (a cycle through an object with
 	// a finalizer would defeat collection).
 	r.pool = newWorkerPool(r.workers)
-	// Store double-buffering: retiring generations recycle their slot
-	// arrays and slabs through the arena into the next freeze. A publisher
-	// that swaps reads off the frozen store asynchronously (the rpc
+	// Store recycling: D_{i-1} retires once round i's machines are done, and
+	// its slot arrays and slabs go through the arena into D_i's freeze. A
+	// publisher that swaps reads off the frozen store asynchronously (the rpc
 	// publisher) gets the same arena, so a store it retires is recycled too.
 	r.arena = dds.NewArena()
 	if ap, ok := cfg.Backend.(interface{ SetArena(*dds.Arena) }); ok {
@@ -319,15 +319,12 @@ func New(cfg Config) *Runtime {
 }
 
 // publish installs s as the current store through the backend publisher and
-// closes the retiring backend. A publish failure latches the error — it is
-// reported by the next Round call — and keeps the in-memory store readable
-// so driver-side reads do not crash before the error surfaces. A retiring
-// in-memory store is recycled into the arena: at this point no machine, no
-// pooled Ctx and no publisher references it, so its arrays become the raw
-// material of the round after next's freeze. Publishing also rotates
-// nextSalt: the store just installed consumed its salt, so the salt of the
-// store after it is drawn now, ahead of the writes that will pre-hash for
-// it.
+// retires the store it replaces, if a Round has not retired it already. A
+// publish failure latches the error — it is reported by the next Round call
+// — and keeps the in-memory store readable so driver-side reads do not crash
+// before the error surfaces. Publishing also rotates nextSalt: the store
+// just installed consumed its salt, so the salt of the store after it is
+// drawn now, ahead of the writes that will pre-hash for it.
 func (r *Runtime) publish(s *dds.Store) {
 	nb, err := r.pub.Publish(r.pubSeq, s)
 	r.pubSeq++
@@ -335,15 +332,25 @@ func (r *Runtime) publish(s *dds.Store) {
 		r.pubErr = err
 		nb = s
 	}
-	if r.cur != nil {
-		r.cur.Close()
-		if ms, ok := r.cur.(*dds.Store); ok && ms != nb {
-			r.arena.Recycle(ms)
-		}
-	}
+	r.retire(nb)
 	r.cur = nb
 	r.bindBackend()
 	r.nextSalt = r.seedR.Uint64()
+}
+
+// retire closes the current backend and recycles an in-process store's
+// arrays into the next freeze, unless it is next, the backend taking its
+// place: Round retires D_{i-1} once its machines are done, before D_i
+// freezes, and publish retires the store SetInput replaces.
+func (r *Runtime) retire(next dds.StoreBackend) {
+	if r.cur == nil {
+		return
+	}
+	r.cur.Close()
+	if ms, ok := r.cur.(*dds.Store); ok && r.cur != next {
+		r.arena.Recycle(ms)
+	}
+	r.cur = nil
 }
 
 // bindBackend re-asserts the current backend's optional capabilities, once
@@ -463,8 +470,9 @@ func (r *Runtime) SetInputStream(fill func(writer func(machine int) *dds.Writer)
 // Store returns the current store D_{i-1} (the output of the last round).
 // Callers must treat it as read-only; driver-side reads through this method
 // model the master machine and are not counted against any budget. The
-// returned backend is only valid until the next round (or SetInput or
-// Close) retires it — re-fetch it instead of retaining it.
+// returned backend is only valid until it retires — in the next Round once
+// its machines have run, or at SetInput or Close — so re-fetch it instead of
+// retaining it. A Round that fails leaves it current.
 func (r *Runtime) Store() dds.StoreBackend { return r.cur }
 
 // Stats returns per-round accounting in execution order.
@@ -619,23 +627,24 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 	}
 
 	// Join the previous round's write-behind publish before freezing: the
-	// freeze is about to recycle the retiring generation's arrays, and a
+	// publisher must be done reading D_{i-1} before it retires, and a
 	// failure of that publish must surface here, from the same Round that
-	// would have exposed it under synchronous publishing. The barrier — and
-	// its clock read — is skipped outright when the publisher reports
-	// nothing in flight (the mem backend always, the rpc backend after its
-	// pre-execute barrier): one timestamp chain splits the phases because clock reads
-	// are not free on every platform and Round is the floor under every
+	// would have exposed it under synchronous publishing. The barrier is
+	// skipped outright when the publisher reports nothing in flight (the
+	// mem backend always, the rpc backend after its pre-execute barrier).
+	// Then D_{i-1} retires, so the freeze builds D_i in its tables and a
+	// round holds one generation, not two. Barrier and retire are timed as
+	// publish: one timestamp chain splits the phases because clock reads are
+	// not free on every platform and Round is the floor under every
 	// algorithm's per-round cost.
-	needBarrier := r.pub.InFlight()
 	t0 := time.Now()
-	t1 := t0
-	if needBarrier {
+	if r.pub.InFlight() {
 		if err := r.pub.Barrier(); err != nil {
 			return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
 		}
-		t1 = time.Now()
 	}
+	r.retire(nil)
+	t1 := time.Now()
 	var nextStore *dds.Store
 	if static {
 		r.static = r.builder.FreezeOnto(r.arena, r.static, r.cfg.P, salt)

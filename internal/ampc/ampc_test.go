@@ -116,6 +116,88 @@ func TestBudgetEnforcedOnWrites(t *testing.T) {
 	}
 }
 
+// TestFailedRoundKeepsStore pins where D_{i-1} retires: after its round's
+// machines succeed, never before. A round that fails once its machines have
+// run — a machine error, or ErrBudget — must leave Store() on D_{i-1} with
+// every pair readable, and the next round must read it, on every backend.
+func TestFailedRoundKeepsStore(t *testing.T) {
+	srv, err := rpc.NewServer(rpc.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	backends := map[string]func() dds.Publisher{
+		"mem":  func() dds.Publisher { return nil },
+		"file": func() dds.Publisher { return dds.NewFilePublisher(t.TempDir()) },
+		"rpc": func() dds.Publisher {
+			return rpc.NewPublisher(rpc.Config{Servers: []string{srv.Addr()}})
+		},
+	}
+	errMachine := errors.New("machine failed")
+	failures := map[string]RoundFunc{
+		"machine error": func(ctx *Ctx) error {
+			ctx.Write(key(int64(ctx.Machine), 0), val(-1, 0))
+			if ctx.Machine == 2 {
+				return errMachine
+			}
+			return nil
+		},
+		"budget": func(ctx *Ctx) error {
+			ctx.Write(key(int64(ctx.Machine), 0), val(-1, 0))
+			for i := 0; i <= 8; i++ { // one past the budget
+				ctx.Read(key(int64(100+i), 0))
+			}
+			return nil
+		},
+	}
+	const n = 32
+	for bname, pub := range backends {
+		for fname, fail := range failures {
+			rt := New(Config{P: 4, S: 8, BudgetFactor: 1, Seed: 5, Workers: 2, Backend: pub()})
+			input := make([]dds.KV, n)
+			for i := range input {
+				input[i] = pair(int64(i), int64(i))
+			}
+			rt.SetInput(input)
+			// One successful round first, so the store the failed round
+			// must keep is a round's output, not the input.
+			err := rt.Round("copy", func(ctx *Ctx) error {
+				for x := ctx.Machine; x < n; x += ctx.P {
+					v, _ := ctx.Read(key(int64(x), 0))
+					ctx.Write(key(int64(x), 0), val(v.A+1000, 0))
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", bname, err)
+			}
+			err = rt.Round("fail", fail)
+			if err == nil || (fname == "budget") != errors.Is(err, ErrBudget) {
+				t.Fatalf("%s/%s: err = %v", bname, fname, err)
+			}
+			for i := int64(0); i < n; i++ {
+				if v, ok := rt.Store().Get(key(i, 0)); !ok || v.A != i+1000 {
+					t.Fatalf("%s/%s: after the failed round key %d = %v %v, want %d", bname, fname, i, v, ok, i+1000)
+				}
+			}
+			err = rt.Round("read", func(ctx *Ctx) error {
+				for x := ctx.Machine; x < n; x += ctx.P {
+					if v, ok := ctx.Read(key(int64(x), 0)); !ok || v.A != int64(x)+1000 {
+						t.Errorf("%s/%s: round after the failed one reads key %d = %v %v", bname, fname, x, v, ok)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", bname, fname, err)
+			}
+			if err := rt.Close(); err != nil {
+				t.Fatalf("%s/%s: Close: %v", bname, fname, err)
+			}
+		}
+	}
+}
+
 func TestCacheHitsAreFree(t *testing.T) {
 	rt := New(Config{P: 1, S: 2, BudgetFactor: 1, Seed: 1})
 	rt.SetInput([]dds.KV{pair(0, 7)})

@@ -204,18 +204,19 @@ func TestFileRoundsRecycleThroughArena(t *testing.T) {
 	}
 }
 
-// TestWarmRoundsRetainTwoGenerations pins the freeze's memory footprint:
+// TestWarmRoundsRetainOneGeneration pins the freeze's memory footprint:
 // after warm rounds of 2^18 written pairs, the heap a collection leaves
-// holds the store being read and the arena's one spare generation — two
-// generations of 20-byte-slot tables — plus the writers' warm buffers
-// (a 24-byte entry and a 4-byte shard id per pair), and nothing that grows
-// with the pairs beyond that: no freeze scratch, no fatter slot or entry.
-func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
+// holds one generation of 20-byte-slot tables — D_{i-1} retires before D_i
+// freezes, so D_i is built in its tables and the arena keeps no spare —
+// plus the writers' warm buffers (a 24-byte entry and a 4-byte shard id per
+// pair), and nothing that grows with the pairs beyond that: no freeze
+// scratch, no second generation, no fatter slot or entry.
+func TestWarmRoundsRetainOneGeneration(t *testing.T) {
 	// Every round writes the same pairs, and P = 12 keeps every shard's 2n
-	// well inside one power-of-two table size, so all three generations'
-	// tables are the size tableBytes computes from the last store. Stores
-	// that shrink between rounds hold recycled tables larger than their
-	// own; internal/dds' TestShrinkingFreezesRecycleTables covers them.
+	// well inside one power-of-two table size, so every generation's tables
+	// are the size tableBytes computes from the last store. Stores that
+	// shrink between rounds hold recycled tables larger than their own;
+	// internal/dds' TestShrinkingFreezesRecycleTables covers them.
 	const n, p = 1 << 18, 12
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -245,10 +246,10 @@ func TestWarmRoundsRetainTwoGenerations(t *testing.T) {
 	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 
 	tables := tableBytes(rt.Store().ShardSizes())
-	bound := 2*tables + n*(24+4) + 1<<20
+	bound := tables + n*(24+4) + 1<<20
 	t.Logf("retained %d bytes; bound %d (tables %d per generation)", retained, bound, tables)
 	if retained > bound {
-		t.Fatalf("warm rounds retain %d bytes, more than two generations of tables, the writers and 1 MiB (%d)",
+		t.Fatalf("warm rounds retain %d bytes, more than one generation of tables, the writers and 1 MiB (%d)",
 			retained, bound)
 	}
 }

@@ -6,17 +6,18 @@ import (
 )
 
 // Arena recycles the allocations of retired stores into the next freeze.
-// The AMPC round loop keeps two store generations alive — D_{i-1} being
-// read and D_i being built — so the natural steady state is double
-// buffering: when generation i-2 retires, its slot arrays and overflow
-// slabs become the raw material for generation i instead of garbage. The
-// freeze inserts pairs straight into them and keeps no scratch of its own.
-// A grab takes the smallest retired array with room for the request, so a
-// store that shrinks between rounds (a contraction halving its tables)
-// reuses its larger predecessors instead of allocating: a freeze allocates
-// fresh arrays only when a shard needs more room than the retired
-// generation has — the first two freezes of a run, and a store that
-// outgrows the one before last.
+// In the AMPC model the writes of round i-1 form D_{i-1}, which only round
+// i reads, so D_{i-1} is dead once round i's machines finish: the runtime
+// retires it then, before D_i freezes, and its slot arrays and overflow
+// slabs become the raw material for D_i instead of garbage. A round holds
+// one generation of tables — the one being read, then the one being built
+// in its arrays — plus its writes. The freeze inserts pairs straight into
+// them and keeps no scratch of its own. A grab takes the smallest retired
+// array with room for the request, so a store that shrinks between rounds
+// (a contraction halving its tables) reuses its larger predecessor instead
+// of allocating: a freeze allocates fresh arrays only when a shard needs
+// more room than the retired generation has — the first freeze of a run,
+// and a store that outgrows the one before it.
 //
 // All methods are safe for concurrent use: a freeze's tasks grab tables and
 // slabs from the arena in parallel. A nil *Arena is valid everywhere and
@@ -50,12 +51,12 @@ func NewArena() *Arena { return &Arena{} }
 // must guarantee no reader still holds s. Safe on a nil arena or store
 // (no-op).
 //
-// The arena retains exactly one retired generation: whatever the previous
+// The arena retains at most one retired generation: whatever the previous
 // Recycle left that the builds in between did not grab is dropped to the
-// garbage collector first. That is the double-buffering steady state — one
-// generation being read, one being built, one generation of spare arrays —
-// and it bounds the arena's footprint for callers whose build and retire
-// rates diverge (repeated SetInput, shrinking stores).
+// garbage collector first. In the runtime's steady state the next freeze
+// grabs the whole generation, so the arena holds nothing between rounds;
+// the drop bounds its footprint for callers whose build and retire rates
+// diverge (repeated SetInput, shrinking stores).
 func (a *Arena) Recycle(s *Store) {
 	if a == nil || s == nil || s.shards == nil {
 		return
