@@ -215,6 +215,10 @@ type Runtime struct {
 	static     *dds.Store
 	staticSalt uint64
 
+	// input sums the freezes of SetInput and SetInputStream, which run
+	// outside every round and so appear in no RoundStats.
+	input dds.FreezeStats
+
 	// failNext maps machine id -> number of times the machine should fail
 	// (have its writes dropped and be re-executed) in the next round.
 	failNext map[int]int
@@ -446,10 +450,13 @@ func (r *Runtime) Elapsed() time.Duration { return time.Since(r.created) }
 func (r *Runtime) Budget() int { return r.cfg.BudgetFactor * r.cfg.S }
 
 // SetInput installs the pairs as the current store (the input D0, "stored
-// using a set of keys known to all machines"). It does not count as a round.
-// With a file backend, a publish failure here surfaces from the next Round.
+// using a set of keys known to all machines"). It does not count as a round:
+// its freeze is reported by InputFreeze. With a file backend, a publish
+// failure here surfaces from the next Round.
 func (r *Runtime) SetInput(pairs []dds.KV) {
-	r.publish(dds.NewStoreArena(pairs, r.cfg.P, r.nextSalt, r.arena))
+	s, fz := dds.NewStoreArena(pairs, r.cfg.P, r.nextSalt, r.arena)
+	r.addInputFreeze(fz)
+	r.publish(s)
 }
 
 // SetInputStream installs D0 from a streaming producer instead of a
@@ -464,8 +471,22 @@ func (r *Runtime) SetInput(pairs []dds.KV) {
 func (r *Runtime) SetInputStream(fill func(writer func(machine int) *dds.Writer)) {
 	r.builder.Prime(r.cfg.P, r.nextSalt)
 	fill(r.builder.Writer)
-	r.publish(r.builder.FreezeArena(r.arena, r.cfg.P, r.nextSalt))
+	s := r.builder.FreezeArena(r.arena, r.cfg.P, r.nextSalt)
+	r.addInputFreeze(r.builder.LastFreeze())
+	r.publish(s)
 }
+
+func (r *Runtime) addInputFreeze(fz dds.FreezeStats) {
+	r.input.Merge += fz.Merge
+	r.input.Build += fz.Build
+	r.input.FreshTableBytes += fz.FreshTableBytes
+	r.input.FreshSlabBytes += fz.FreshSlabBytes
+}
+
+// InputFreeze returns the summed freezes of SetInput and SetInputStream:
+// the bytes they allocated fresh, which no RoundStats reports, and their
+// time, which a driver spends between rounds and counts as its own.
+func (r *Runtime) InputFreeze() dds.FreezeStats { return r.input }
 
 // Store returns the current store D_{i-1} (the output of the last round).
 // Callers must treat it as read-only; driver-side reads through this method
@@ -511,7 +532,7 @@ type RoundFunc func(ctx *Ctx) error
 // stores.
 func (r *Runtime) Round(name string, f RoundFunc) error { return r.run(name, f, false) }
 
-// run executes one counted round. A static round (AddStatic) writes for the
+// run executes one counted round. A static round (StaticRound) writes for the
 // static store instead of D_i: its writers pre-hash under the static salt,
 // its freeze builds the next static store on top of the current one, and
 // the store it publishes as D_i is empty. The salt rotation is the same

@@ -10,11 +10,17 @@ import "ampc/internal/dds"
 // could re-publish its O(S) share every round at no asymptotic cost, so the
 // model permits this — but simulating the copy would dominate runtime
 // without changing any measured quantity. The runtime therefore maintains a
-// static side store: AddStatic publishes pairs once, as one real, counted
+// static side store: StaticRound publishes pairs once, as one real, counted
 // round whose writes go through one freeze under the static store's salt,
 // and ReadStatic serves them in every later round, charged against the
 // reading machine's budget exactly like Read. The round's D_i is empty:
 // static pairs are read only through ReadStatic.
+//
+// A StaticRound's machines generate their own blocks of records, the way
+// connectivity's publish rounds write a contracted graph, so the master
+// never holds the published list: MIS and coloring emit their rank-ordered
+// graph by record ordinal (graph.Ranked). AddStatic is the wrapper for a
+// caller that already holds the list.
 //
 // The static store does not live in the backend's DDS. On every backend —
 // mem, file and rpc alike — it is an in-process *dds.Store: it is written
@@ -23,18 +29,23 @@ import "ampc/internal/dds"
 // coloring, list ranking, cycle connectivity and biconn's RMQ therefore
 // report 0 RPCFrames for their static reads.
 
-// AddStatic publishes pairs into the static store via a counted round: the
-// P machines split the pair list into blocks and each writes its block, so
-// per-machine write budgets are enforced. The round's freeze builds the new
-// static store on top of the current one — earlier calls' pairs first, so a
-// key published again gains values after its earlier ones — and the pairs
-// remain readable via Ctx.ReadStatic for the rest of the computation.
+// StaticRound is the static twin of Round: f runs on all P machines, each
+// writing its share of the static pairs, so per-machine write budgets are
+// enforced. The round's freeze builds the new static store on top of the
+// current one — earlier calls' pairs first, so a key published again gains
+// values after its earlier ones — and the pairs remain readable via
+// Ctx.ReadStatic for the rest of the computation. f reads D_{i-1} like any
+// round; the D_i it leaves is empty.
+func (r *Runtime) StaticRound(name string, f RoundFunc) error { return r.run(name, f, true) }
+
+// AddStatic publishes a pair list into the static store through StaticRound:
+// the P machines split the list into blocks and each writes its block.
 func (r *Runtime) AddStatic(name string, pairs []dds.KV) error {
-	return r.run(name, func(ctx *Ctx) error {
+	return r.StaticRound(name, func(ctx *Ctx) error {
 		lo, hi := BlockRange(ctx.Machine, len(pairs), ctx.P)
 		ctx.WriteMany(pairs[lo:hi])
 		return nil
-	}, true)
+	})
 }
 
 // ReadStatic returns the value stored under k in the static store. It is

@@ -257,6 +257,55 @@ func TestStaticStoreMatchesRebuild(t *testing.T) {
 	}
 }
 
+// TestStaticRoundMatchesAddStatic: a StaticRound whose machines read D_{i-1}
+// and write what they read, block by block, leaves the static store
+// AddStatic of the same list leaves, byte for byte, with the same round
+// accounting, and an empty D_i.
+func TestStaticRoundMatchesAddStatic(t *testing.T) {
+	const n = 3000
+	input := make([]dds.KV, n)
+	for i := range input {
+		input[i] = pair(int64(i), int64(10*i))
+	}
+	for _, workers := range []int{1, 3} {
+		c := Config{P: 16, S: 1 << 12, Seed: 52, Workers: workers}
+		listed, emitted := New(c), New(c)
+		listed.SetInput(input)
+		emitted.SetInput(input)
+		if err := listed.AddStatic("publish", input); err != nil {
+			t.Fatal(err)
+		}
+		err := emitted.StaticRound("publish", func(ctx *Ctx) error {
+			lo, hi := BlockRange(ctx.Machine, n, ctx.P)
+			ctx.GrowWrites(hi - lo)
+			for i := lo; i < hi; i++ {
+				v, ok := ctx.Read(key(int64(i), 0))
+				if !ok {
+					t.Errorf("machine %d: D_{i-1} misses key %d", ctx.Machine, i)
+				}
+				ctx.Write(key(int64(i), 0), v)
+			}
+			return ctx.Err()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dds.AppendSegment(nil, emitted.static), dds.AppendSegment(nil, listed.static)) {
+			t.Fatalf("workers=%d: StaticRound's static store differs from AddStatic's", workers)
+		}
+		a, b := listed.Stats()[0], emitted.Stats()[0]
+		if a.Writes != b.Writes || a.MaxMachineWrites != b.MaxMachineWrites || a.Pairs != b.Pairs || b.Pairs != n {
+			t.Fatalf("workers=%d: StaticRound writes %d (max %d, pairs %d), AddStatic %d (max %d, pairs %d)",
+				workers, b.Writes, b.MaxMachineWrites, b.Pairs, a.Writes, a.MaxMachineWrites, a.Pairs)
+		}
+		if l := emitted.Store().Len(); l != 0 {
+			t.Fatalf("workers=%d: StaticRound left %d pairs in D_i", workers, l)
+		}
+		listed.Close()
+		emitted.Close()
+	}
+}
+
 // TestStaticPublishRetainsOneGeneration pins the static publish's memory:
 // after AddStatic of 2^18 pairs and one round writing as many, the heap a
 // collection leaves holds one generation of static tables, at most two
@@ -372,5 +421,35 @@ func TestStaticReadContract(t *testing.T) {
 		if err := rt.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestInputFreezeReported: SetInput and SetInputStream freeze D0 outside
+// every round, so no RoundStats carries their fresh tables; InputFreeze
+// sums them.
+func TestInputFreezeReported(t *testing.T) {
+	rt := New(Config{P: 8, S: 1 << 12, Seed: 3, Workers: 2})
+	defer rt.Close()
+	pairs := make([]dds.KV, 5000)
+	for i := range pairs {
+		pairs[i] = pair(int64(i), int64(i))
+	}
+	rt.SetInput(pairs)
+	first := rt.InputFreeze().FreshTableBytes
+	if first < int64(20*len(pairs)) {
+		t.Fatalf("SetInput of %d pairs reports %d fresh table bytes, want at least %d", len(pairs), first, 20*len(pairs))
+	}
+	// Twice the pairs need tables larger than the retired ones.
+	rt.SetInputStream(func(writer func(int) *dds.Writer) {
+		w := writer(0)
+		for i := 0; i < 2*len(pairs); i++ {
+			w.Write(key(int64(i), 1), val(int64(i), 0))
+		}
+	})
+	if got := rt.InputFreeze().FreshTableBytes; got <= first {
+		t.Fatalf("SetInputStream added no fresh table bytes: %d after %d", got, first)
+	}
+	if len(rt.Stats()) != 0 {
+		t.Fatalf("input freezes counted %d rounds", len(rt.Stats()))
 	}
 }

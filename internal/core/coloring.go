@@ -47,7 +47,7 @@ func GreedyColoring(ctx context.Context, g *graph.Graph, opts Options) (Coloring
 	driver := opts.driverRNG(13)
 
 	pi := driver.Perm(n)
-	if err := rt.AddStatic("color-publish", graph.EncodeRanked(g, pi)); err != nil {
+	if err := publishRanked(rt, "color-publish", g, pi); err != nil {
 		return ColoringResult{}, err
 	}
 

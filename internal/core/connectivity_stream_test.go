@@ -38,6 +38,27 @@ func TestConnectivityStreamMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestConnectivityStreamReportsInputFreeze: the streamed ingest freezes D0
+// outside every round, and the slot tables it allocates must still reach
+// the report's FreshTableBytes — at least a 20-byte slot per record of its
+// 2m adjacency records — on top of the rounds' own.
+func TestConnectivityStreamReportsInputFreeze(t *testing.T) {
+	const n, m = 2000, 2400
+	res, err := ConnectivityStream(context.Background(), graph.StreamGNM(n, m, 3), Options{Seed: 13, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := res.Telemetry
+	var rounds int64
+	for _, st := range tel.RoundStats {
+		rounds += st.FreshTableBytes
+	}
+	if input := tel.FreshTableBytes - rounds; input < 20*2*m {
+		t.Fatalf("FreshTableBytes %d is the rounds' %d plus %d for the input freeze, want at least %d",
+			tel.FreshTableBytes, rounds, input, 20*2*m)
+	}
+}
+
 // TestConnectivityStreamMatchesMaterialized asserts the streamed driver and
 // the materialized driver agree on component structure for the same graph —
 // they may pick different representatives, so the comparison is up to

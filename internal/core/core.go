@@ -311,9 +311,12 @@ type Telemetry struct {
 	FreezeTime      time.Duration
 	FreezeMergeTime time.Duration
 	FreezeBuildTime time.Duration
-	// FreshTableBytes and FreshSlabBytes sum the rounds' freshly allocated
-	// slot-table and overflow-slab bytes (RoundStats.FreshTableBytes): what
-	// the freezes could not take from the arena's retired generation.
+	// FreshTableBytes and FreshSlabBytes sum the freshly allocated slot-table
+	// and overflow-slab bytes of the rounds (RoundStats.FreshTableBytes) and
+	// of the input freeze that installs D0 outside every round
+	// (ampc.Runtime.InputFreeze): what the freezes could not take from the
+	// arena's retired generation. The input freeze's time is the driver's,
+	// inside DriverIngestTime.
 	FreshTableBytes int64
 	FreshSlabBytes  int64
 	// PublishTime is the wall-clock time spent synchronously publishing
@@ -358,13 +361,20 @@ type Telemetry struct {
 	AdaptiveDepth int
 	// RoundStats is the per-round breakdown.
 	RoundStats []ampc.RoundStats
+
+	// input is the input freezes folded in, kept so a pipeline can fold
+	// its stages' again.
+	input dds.FreezeStats
 }
 
-// fold computes every Telemetry total from the rounds a report covers:
-// sums and maxima over stats, the phase count and cluster shape as given,
-// and DriverTime as wall minus the rounds' execute, freeze and publish.
-func fold(stats []ampc.RoundStats, phases, p, s int, wall time.Duration) Telemetry {
-	t := Telemetry{Rounds: len(stats), Phases: phases, P: p, S: s, RoundStats: stats}
+// fold computes every Telemetry total from the rounds a report covers and
+// its input freezes: sums and maxima over stats, the input freezes' fresh
+// bytes, the phase count and cluster shape as given, and DriverTime as wall
+// minus the rounds' execute, freeze and publish — an input freeze's time
+// stays the driver's.
+func fold(stats []ampc.RoundStats, input dds.FreezeStats, phases, p, s int, wall time.Duration) Telemetry {
+	t := Telemetry{Rounds: len(stats), Phases: phases, P: p, S: s, RoundStats: stats, input: input}
+	t.FreshTableBytes, t.FreshSlabBytes = input.FreshTableBytes, input.FreshSlabBytes
 	for _, st := range stats {
 		t.TotalQueries += st.Queries
 		t.TotalWrites += st.Writes
@@ -387,7 +397,7 @@ func fold(stats []ampc.RoundStats, phases, p, s int, wall time.Duration) Telemet
 
 // telemetryFrom reports one runtime's rounds over its lifetime.
 func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
-	return fold(rt.Stats(), phases, rt.Config().P, rt.Config().S, rt.Elapsed())
+	return fold(rt.Stats(), rt.InputFreeze(), phases, rt.Config().P, rt.Config().S, rt.Elapsed())
 }
 
 // pipeline collects the stages of a composed run — each a full Telemetry
@@ -395,6 +405,7 @@ func telemetryFrom(rt *ampc.Runtime, phases int) Telemetry {
 type pipeline struct {
 	start  time.Time
 	stats  []ampc.RoundStats
+	input  dds.FreezeStats
 	phases int
 	p, s   int
 	driver driverTimes
@@ -406,6 +417,8 @@ func newPipeline() *pipeline { return &pipeline{start: time.Now()} }
 // sub-phases; the cluster shape is the widest any stage used.
 func (pl *pipeline) add(t Telemetry) {
 	pl.stats = append(pl.stats, t.RoundStats...)
+	pl.input.FreshTableBytes += t.input.FreshTableBytes
+	pl.input.FreshSlabBytes += t.input.FreshSlabBytes
 	pl.phases += t.Phases
 	pl.p, pl.s = max(pl.p, t.P), max(pl.s, t.S)
 	pl.driver.contract += t.DriverContractTime
@@ -415,7 +428,7 @@ func (pl *pipeline) add(t Telemetry) {
 
 // telemetry folds the stages added so far over the wall time since start.
 func (pl *pipeline) telemetry() Telemetry {
-	return pl.driver.stamp(fold(pl.stats, pl.phases, pl.p, pl.s, time.Since(pl.start)))
+	return pl.driver.stamp(fold(pl.stats, pl.input, pl.phases, pl.p, pl.s, time.Since(pl.start)))
 }
 
 // driverRNG returns the deterministic random stream used for driver-side

@@ -37,7 +37,7 @@ type MISResult struct {
 // Communication accounting: the paper counts one query per visited vertex,
 // with Algorithm 5 sorting the visited vertex's neighbor list by π locally.
 // Here the lists are published already in π order with the ranks inline
-// (graph.EncodeRanked) and every DDS read is charged individually, so a
+// (graph.Ranked) and every DDS read is charged individually, so a
 // visit costs one status read (from the second iteration on), one
 // degree-and-rank read, and one adjacency read per earlier neighbor the
 // recursion actually gets to, plus the one that shows the earlier prefix has
@@ -59,7 +59,7 @@ func MIS(ctx context.Context, g *graph.Graph, opts Options) (MISResult, error) {
 	// Publish the graph with every adjacency list ordered by the priority
 	// permutation and the ranks inline.
 	pi := driver.Perm(n)
-	if err := rt.AddStatic("mis-publish", graph.EncodeRanked(g, pi)); err != nil {
+	if err := publishRanked(rt, "mis-publish", g, pi); err != nil {
 		return MISResult{}, err
 	}
 

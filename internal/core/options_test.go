@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ampc/internal/ampc"
+	"ampc/internal/dds"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -84,14 +85,17 @@ func TestShrinkIterationsValues(t *testing.T) {
 }
 
 // TestTelemetryFold checks the one fold from per-round stats to a report:
-// sums, maxima, adaptive depth, the timing and read-path totals, and
-// DriverTime as the wall time left outside the rounds' phases — and that a
-// pipeline of stages folds to the same report over its concatenated rounds.
+// sums, maxima, adaptive depth, the timing and read-path totals, the fresh
+// bytes of the rounds and of the input freezes, and DriverTime as the wall
+// time left outside the rounds' phases, an input freeze's time included —
+// and that a pipeline of stages folds to the same report over its
+// concatenated rounds and input freezes.
 func TestTelemetryFold(t *testing.T) {
 	ms := time.Millisecond
 	a := []ampc.RoundStats{
 		{Queries: 100, Writes: 7, MaxMachineQueries: 10, MaxShardLoad: 5, MaxMachineReadCalls: 4,
-			Execute: 3 * ms, Freeze: 2 * ms, FreezeMerge: ms, FreezeBuild: ms, Publish: ms, CacheMisses: 90, RPCFrames: 6},
+			Execute: 3 * ms, Freeze: 2 * ms, FreezeMerge: ms, FreezeBuild: ms, Publish: ms, CacheMisses: 90, RPCFrames: 6,
+			FreshTableBytes: 100, FreshSlabBytes: 10},
 		{Queries: 50, Writes: 3, MaxMachineQueries: 20, MaxShardLoad: 3, MaxMachineReadCalls: 2,
 			Execute: 5 * ms, Freeze: 4 * ms, FreezeMerge: 3 * ms, FreezeBuild: ms, CacheMisses: 40, RPCFrames: 2},
 	}
@@ -99,8 +103,13 @@ func TestTelemetryFold(t *testing.T) {
 		{Queries: 25, Writes: 1, MaxMachineQueries: 15, MaxShardLoad: 9, MaxMachineReadCalls: 1,
 			Execute: ms, Freeze: ms, FreezeBuild: ms, Publish: 2 * ms, CacheMisses: 20, RPCFrames: 1},
 	}
+	inA := dds.FreezeStats{Merge: 5 * ms, Build: 5 * ms, FreshTableBytes: 1000, FreshSlabBytes: 50}
+	inB := dds.FreezeStats{FreshTableBytes: 2000}
 	check := func(name string, got Telemetry, wall time.Duration) {
 		t.Helper()
+		if got.FreshTableBytes != 3100 || got.FreshSlabBytes != 60 {
+			t.Errorf("%s: fresh bytes %d tables, %d slabs; want 3100 and 60", name, got.FreshTableBytes, got.FreshSlabBytes)
+		}
 		if got.Rounds != 3 || got.TotalQueries != 175 || got.TotalWrites != 11 || got.AdaptiveDepth != 7 {
 			t.Errorf("%s: sums wrong: %+v", name, got)
 		}
@@ -122,15 +131,16 @@ func TestTelemetryFold(t *testing.T) {
 		}
 	}
 
-	tel := fold(append(append([]ampc.RoundStats(nil), a...), b...), 3, 8, 64, 50*ms)
+	both := dds.FreezeStats{Merge: inA.Merge, Build: inA.Build, FreshTableBytes: 3000, FreshSlabBytes: 50}
+	tel := fold(append(append([]ampc.RoundStats(nil), a...), b...), both, 3, 8, 64, 50*ms)
 	check("fold", tel, 50*ms)
 	if tel.Phases != 3 || tel.P != 8 || tel.S != 64 {
 		t.Errorf("fold: phases and shape not echoed: %+v", tel)
 	}
 
 	pl := newPipeline()
-	stageA := driverTimes{contract: ms, readback: 2 * ms, ingest: 3 * ms}.stamp(fold(a, 1, 4, 64, 20*ms))
-	stageB := driverTimes{contract: ms}.stamp(fold(b, 2, 8, 32, 10*ms))
+	stageA := driverTimes{contract: ms, readback: 2 * ms, ingest: 3 * ms}.stamp(fold(a, inA, 1, 4, 64, 20*ms))
+	stageB := driverTimes{contract: ms}.stamp(fold(b, inB, 2, 8, 32, 10*ms))
 	pl.add(stageA)
 	pl.add(stageB)
 	start := pl.start

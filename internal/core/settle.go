@@ -7,6 +7,7 @@ import (
 
 	"ampc/internal/ampc"
 	"ampc/internal/dds"
+	"ampc/internal/graph"
 )
 
 // The §5 truncated query process, shared by MIS, maximal matching and greedy
@@ -19,6 +20,23 @@ import (
 // until the visit capacity or its query budget runs out. What it determines
 // it publishes as a status record; the master folds those back, and elements
 // left unknown retry next iteration against the statuses settled so far.
+
+// publishRanked is MIS's and coloring's first round: it publishes g ranked
+// by pi (graph.Ranked) into the static store. Each machine emits its block
+// of records straight from the rank-ordered lists into a writer reserved to
+// the block's size, as publishContracted does, so the master never holds
+// the pair list; the machines write what AddStatic of graph.EncodeRanked
+// would, block for block.
+func publishRanked(rt *ampc.Runtime, name string, g *graph.Graph, pi []int) error {
+	rk := graph.NewRanked(g, pi)
+	total := rk.Records()
+	return rt.StaticRound(name, func(ctx *ampc.Ctx) error {
+		lo, hi := ampc.BlockRange(ctx.Machine, total, ctx.P)
+		ctx.GrowWrites(hi - lo)
+		rk.Emit(ctx, lo, hi)
+		return ctx.Err()
+	})
+}
 
 // queryReserve is the slack a machine keeps unspent in its query budget so a
 // read never trips ErrBudget; running low is treated as truncation.

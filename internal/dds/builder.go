@@ -53,13 +53,15 @@ type Builder struct {
 	stats FreezeStats
 
 	// Scratch reused across freezes: per-shard pair counts, the shard-to-task
-	// ownership map, each insert task's stashed duplicate-key values
+	// ownership map, each insert task's stash of duplicate-key values
 	// awaiting slab placement, and each shard's duplicated keys: a stashed
 	// key holds the first value's words as va and vb and, once its shard is
-	// laid out, the slab cursor as kb.
+	// laid out, the slab cursor as kb. A task's stash keeps its chunks, so
+	// a later freeze with no more duplicates than an earlier one allocates
+	// none.
 	counts []int64
 	owner  []int32
-	dups   [][]dupValue
+	dups   []dupStash
 	keys   [][]slot
 }
 
@@ -69,6 +71,42 @@ type Builder struct {
 type dupValue struct {
 	si, key int32
 	v       Value
+}
+
+// dupChunk is the number of values in one chunk of a dupStash (96 KiB).
+const dupChunk = 1 << 12
+
+// dupStash holds one insert task's duplicate-key values in arrival order, in
+// fixed-size chunks: growing it never copies a value, so a freeze allocates
+// no more than the stash's final size rounded up to a chunk, where an
+// appended slice would allocate about five times that on its way up.
+type dupStash struct {
+	chunks [][]dupValue // every chunk has capacity dupChunk
+	used   int          // chunks holding values; cur is the last of them
+	cur    []dupValue   // the chunk being filled
+}
+
+// reset empties the stash, keeping its chunks.
+func (d *dupStash) reset() { d.used, d.cur = 0, nil }
+
+// push appends one value.
+func (d *dupStash) push(v dupValue) {
+	if len(d.cur) == cap(d.cur) {
+		if d.used == len(d.chunks) {
+			d.chunks = append(d.chunks, make([]dupValue, 0, dupChunk))
+		}
+		d.cur = d.chunks[d.used][:0]
+		d.used++
+	}
+	d.cur = append(d.cur, v)
+}
+
+// chunk returns the values of chunk c, which must be below used.
+func (d *dupStash) chunk(c int) []dupValue {
+	if c == d.used-1 {
+		return d.cur
+	}
+	return d.chunks[c][:dupChunk]
 }
 
 // NewBuilder returns a builder of writers for machines [0, p).
@@ -250,7 +288,7 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 		owner[si] = int32(si % workers)
 	}
 	for len(b.dups) < workers {
-		b.dups = append(b.dups, nil)
+		b.dups = append(b.dups, dupStash{})
 	}
 	for len(b.keys) < p {
 		b.keys = append(b.keys, nil)
@@ -267,15 +305,14 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 	t1 := time.Now()
 
 	dispatch(workers, workers, b.run, func(k int) {
-		dups := b.dups[k][:0]
+		dups := &b.dups[k]
+		dups.reset()
 		if base != nil {
 			for si := k; si < p; si += workers {
-				dups = s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, b.keys, dups)
+				s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, b.keys, dups)
 			}
 		}
-		var fresh int64
-		b.dups[k], fresh = s.insertOwned(a, ws, owner, int32(k), b.keys, dups)
-		freshSlabs.Add(fresh)
+		freshSlabs.Add(s.insertOwned(a, ws, owner, int32(k), b.keys, dups))
 	})
 	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1),
 		FreshTableBytes: freshTables.Load(), FreshSlabBytes: freshSlabs.Load()}
@@ -286,9 +323,9 @@ func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int
 // machine-id order and inserts the pairs of the shards owner assigns to task
 // k. A claimed slot takes a narrow entry's fields at once; duplicate-key
 // values are stashed in dups, in arrival order, and placed once every owned
-// shard's counts are final. It returns the stash for reuse and the bytes of
-// the slabs it allocated fresh.
-func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys [][]slot, dups []dupValue) ([]dupValue, int64) {
+// shard's counts are final. It returns the bytes of the slabs it allocated
+// fresh.
+func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys [][]slot, dups *dupStash) int64 {
 	for _, w := range ws {
 		ents := w.ents[:len(w.sis)]
 		for i, si := range w.sis {
@@ -299,7 +336,7 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys
 			sh := &s.shards[si]
 			j := uint64(e.h) & sh.mask
 			if e.wide {
-				dups = sh.insertWide(w.wide[e.ka], j, int32(si), keys, dups)
+				sh.insertWide(w.wide[e.ka], j, int32(si), keys, dups)
 				continue
 			}
 			for {
@@ -310,7 +347,7 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys
 				}
 				sl := &sh.slots[j]
 				if sl.ka == e.ka && sl.kb == e.kb && sl.tag == e.tag && sl.flags&wideKey == 0 {
-					dups = sh.addDup(j, int32(si), Value{A: int64(e.va), B: int64(e.vb)}, keys, dups)
+					sh.addDup(j, int32(si), Value{A: int64(e.va), B: int64(e.vb)}, keys, dups)
 					break
 				}
 				j = (j + 1) & sh.mask
@@ -318,60 +355,63 @@ func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys
 		}
 	}
 
-	// Overflow placement replays the stash backwards: layoutOverflow leaves
-	// each stashed key's cursor at the end of its slab run, and every value
-	// steps it back by one, so a key's values land in arrival order — per
-	// shard the machine-id merge order.
+	// Overflow placement replays the stash backwards, chunk by chunk:
+	// layoutOverflow leaves each stashed key's cursor at the end of its slab
+	// run, and every value steps it back by one, so a key's values land in
+	// arrival order — per shard the machine-id merge order.
 	fresh := int64(0)
-	for i := len(dups) - 1; i >= 0; i-- {
-		d := &dups[i]
-		sh := &s.shards[d.si]
-		if sh.slab == nil {
-			fresh += sh.layoutOverflow(a, keys[d.si])
+	for c := dups.used - 1; c >= 0; c-- {
+		chunk := dups.chunk(c)
+		for i := len(chunk) - 1; i >= 0; i-- {
+			d := &chunk[i]
+			sh := &s.shards[d.si]
+			if sh.slab == nil {
+				fresh += sh.layoutOverflow(a, keys[d.si])
+			}
+			key := &keys[d.si][d.key]
+			key.kb--
+			sh.slab[key.kb] = d.v
 		}
-		key := &keys[d.si][d.key]
-		key.kb--
-		sh.slab[key.kb] = d.v
 	}
-	return dups, fresh
+	return fresh
 }
 
 // addDup stashes v, one more value of the key in slot j of shard si. The
 // key's first extra value marks the slot duplicated and moves its first
 // value's words to a new stashed key; until layoutOverflow the slot's va
 // indexes that key and its vb counts the key's values.
-func (sh *shard) addDup(j uint64, si int32, v Value, keys [][]slot, dups []dupValue) []dupValue {
+func (sh *shard) addDup(j uint64, si int32, v Value, keys [][]slot, dups *dupStash) {
 	sl := &sh.slots[j]
 	if sl.flags&dupKey == 0 {
 		keys[si] = append(keys[si], slot{va: sl.va, vb: sl.vb})
 		sl.flags, sl.va, sl.vb = sl.flags|dupKey, int32(len(keys[si])-1), 1
 	}
 	sl.vb++
-	return append(dups, dupValue{si: si, key: sl.va, v: v})
+	dups.push(dupValue{si: si, key: sl.va, v: v})
 }
 
 // insertWide inserts a pair with a wide key or value, probing from slot j.
-func (sh *shard) insertWide(kv KV, j uint64, si int32, keys [][]slot, dups []dupValue) []dupValue {
+func (sh *shard) insertWide(kv KV, j uint64, si int32, keys [][]slot, dups *dupStash) {
 	for ; sh.occupied(j); j = (j + 1) & sh.mask {
 		if sh.key(&sh.slots[j]) == kv.Key {
-			return sh.addDup(j, si, kv.Value, keys, dups)
+			sh.addDup(j, si, kv.Value, keys, dups)
+			return
 		}
 	}
 	sh.claim(j)
 	sh.set(j, kv.Key, kv.Value)
-	return dups
 }
 
 // insertBase inserts a base shard's keys into this shard's empty table,
 // each claiming its slot with its first value and stashing the rest in index
-// order, and returns the stash. Keys go in the base table's
+// order. Keys go in the base table's
 // probe order — ascending from an empty slot, wrapping — which visits every
 // cluster from its start. That reproduces the slots the base's original
 // insertion order gives in this table: the table is the base's size or a
 // power-of-two multiple of it, probing starts at the same hash bits, and a
 // key probes past another here only if it did in the base table, where the
 // one it passed sits ahead of it in probe order.
-func (sh *shard) insertBase(base *shard, si int32, salt uint64, keys [][]slot, dups []dupValue) []dupValue {
+func (sh *shard) insertBase(base *shard, si int32, salt uint64, keys [][]slot, dups *dupStash) {
 	base.forProbeOrder(func(i int) {
 		bs := &base.slots[i]
 		k := base.key(bs)
@@ -382,10 +422,9 @@ func (sh *shard) insertBase(base *shard, si int32, salt uint64, keys [][]slot, d
 		sh.claim(j)
 		sh.set(j, k, base.first(bs))
 		for x := 1; x < base.count(bs); x++ {
-			dups = sh.addDup(j, si, base.value(bs, x), keys, dups)
+			sh.addDup(j, si, base.value(bs, x), keys, dups)
 		}
 	})
-	return dups
 }
 
 // grab sizes the shard for n pairs: a tableSlots(n) slot table, from the

@@ -345,15 +345,17 @@ func dispatch(n, workers int, run Parallel, f func(i int)) {
 // retained. Large inputs build in parallel; the result is identical for any
 // level of parallelism.
 func NewStore(pairs []KV, p int, salt uint64) *Store {
-	return NewStoreArena(pairs, p, salt, nil)
+	s, _ := NewStoreArena(pairs, p, salt, nil)
+	return s
 }
 
 // NewStoreArena is NewStore drawing slot tables and slabs from the arena's
 // recycled generation. The produced store is identical; only the provenance
 // of its memory changes. It is the builder's freeze: the pairs are split
 // into contiguous runs written by consecutive machines — machine-id order is
-// input order — so the hashing runs on every core too.
-func NewStoreArena(pairs []KV, p int, salt uint64, a *Arena) *Store {
+// input order — so the hashing runs on every core too. It also returns the
+// freeze's stats, the bytes it allocated fresh among them.
+func NewStoreArena(pairs []KV, p int, salt uint64, a *Arena) (*Store, FreezeStats) {
 	workers := buildWorkers(len(pairs))
 	b := NewBuilder(workers)
 	b.Prime(p, salt)
@@ -362,7 +364,8 @@ func NewStoreArena(pairs []KV, p int, salt uint64, a *Arena) *Store {
 		lo := min(m*run, len(pairs))
 		b.Writer(m).WriteMany(pairs[lo:min(lo+run, len(pairs))])
 	})
-	return b.FreezeArena(a, p, salt)
+	s := b.FreezeArena(a, p, salt)
+	return s, b.LastFreeze()
 }
 
 // buildWorkers picks the build parallelism for an input size: small builds

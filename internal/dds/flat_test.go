@@ -158,6 +158,39 @@ func TestParallelFreezeMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestFreezeStashSpansChunks holds freezes whose insert tasks each stash
+// more than one chunk of duplicate-key values to the oracle, at 1 to 4
+// tasks, alone and on top of a FreezeOnto base, so every task's backward
+// placement crosses chunk boundaries. randomPairs at dup=100 makes about
+// nine pairs in ten a duplicate value.
+func TestFreezeStashSpansChunks(t *testing.T) {
+	const machines, p = 7, 16
+	r := rand.New(rand.NewSource(52))
+	salt := r.Uint64()
+	base := randomPairs(r, 2*dupChunk, 100)
+	top := randomPairs(r, 12*dupChunk, 100)
+	for _, calls := range [][][]KV{{top}, {base, top}} {
+		var concat []KV
+		for _, pairs := range calls {
+			concat = append(concat, pairs...)
+		}
+		want := AppendSegment(nil, oracleStore(concat, p, salt))
+		for workers := 1; workers <= 4; workers++ {
+			b := NewBuilder(machines)
+			got := freezeChainOn(b, calls, machines, p, salt, workers, NewArena())
+			for k := range workers {
+				if b.dups[k].used < 2 {
+					t.Fatalf("calls=%d workers=%d: task %d stashed %d chunks, want more than one",
+						len(calls), workers, k, b.dups[k].used)
+				}
+			}
+			if !bytes.Equal(AppendSegment(nil, got), want) {
+				t.Fatalf("calls=%d workers=%d: freeze differs from the oracle", len(calls), workers)
+			}
+		}
+	}
+}
+
 // TestBuilderParallelFreezeMatchesSequential covers the public Builder
 // path: many machines write interleaved duplicate keys, and Freeze (parallel
 // for large rounds) must agree with the oracle over the machine-id-order

@@ -9,9 +9,14 @@ import (
 // the previous call produced, the way the AMPC runtime grows its static
 // store: every call is its own generation and only the last survives.
 func freezeChain(calls [][]KV, machines, p int, salt uint64, workers int, run Parallel, a *Arena) *Store {
-	var s *Store
 	b := NewBuilder(machines)
 	b.SetParallel(run)
+	return freezeChainOn(b, calls, machines, p, salt, workers, a)
+}
+
+// freezeChainOn is freezeChain through a given builder.
+func freezeChainOn(b *Builder, calls [][]KV, machines, p int, salt uint64, workers int, a *Arena) *Store {
+	var s *Store
 	for _, pairs := range calls {
 		b.Prime(p, salt)
 		per := (len(pairs) + machines - 1) / machines

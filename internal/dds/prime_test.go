@@ -298,6 +298,46 @@ func TestSteadyFreezeAllocatesNoDupTable(t *testing.T) {
 	checkAgainstReference(t, s, reference(kvs), nil)
 }
 
+// TestFirstFreezeStashAllocatesItsSize pins the duplicate stash's growth: a
+// fresh builder's first freeze of D duplicate-key values allocates, beyond
+// the table and slab bytes it reports, at most 40 bytes per value — the
+// 24-byte stashed value, its last chunk's slack and the shards' lists of
+// duplicated keys. A stash grown by append from nil allocates about five
+// times its final size, ≈ 120 bytes per value.
+func TestFirstFreezeStashAllocatesItsSize(t *testing.T) {
+	const machines, p, salt = 8, 16, uint64(0xF1257)
+	const single, keys, copies = 1 << 16, 1 << 14, 9
+	kvs := make([]KV, 0, single+keys*copies)
+	for i := 0; i < single; i++ {
+		kvs = append(kvs, KV{Key{Tag: 1, A: int64(i)}, Value{A: int64(i)}})
+	}
+	for c := 0; c < copies; c++ {
+		for i := 0; i < keys; i++ {
+			kvs = append(kvs, KV{Key{Tag: 2, A: int64(i)}, Value{A: int64(c), B: int64(i)}})
+		}
+	}
+	bld := NewBuilder(machines)
+	bld.Prime(p, salt)
+	for m := 0; m < machines; m++ {
+		bld.Writer(m).WriteMany(kvs[m*len(kvs)/machines : (m+1)*len(kvs)/machines])
+	}
+	ws := bld.allWriters()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := bld.freeze(nil, nil, ws, len(kvs), 2)
+	runtime.ReadMemStats(&after)
+	fz := bld.LastFreeze()
+	extra := int64(after.TotalAlloc-before.TotalAlloc) - fz.FreshTableBytes - fz.FreshSlabBytes
+	per := float64(extra) / float64(keys*(copies-1))
+	t.Logf("first freeze of %d duplicate values: %d bytes beyond tables and slabs, %.1f B per value",
+		keys*(copies-1), extra, per)
+	if per > 40 {
+		t.Fatalf("first freeze allocates %.1f B per duplicate value beyond tables and slabs, want at most 40", per)
+	}
+	checkAgainstReference(t, s, reference(kvs), nil)
+}
+
 // BenchmarkFreeze measures the steady-state freeze: 2^20 pairs from 64
 // machines into 512 shards, the arena recycling each generation into the
 // next as the runtime's does. dup is randomPairs' duplicate factor: at 4
@@ -323,4 +363,22 @@ func BenchmarkFreeze(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 		})
 	}
+	// fresh-dup=4 times a first freeze: a new builder and an empty arena
+	// every iteration, so its B/op is the tables, slabs and stash a run's
+	// first freeze allocates. Filling the writers is not timed.
+	b.Run("fresh-dup=4", func(b *testing.B) {
+		kvs := randomPairs(rand.New(rand.NewSource(9)), pairs, 4)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			bld := NewBuilder(machines)
+			bld.Prime(p, salt)
+			for m := 0; m < machines; m++ {
+				bld.Writer(m).WriteMany(kvs[m*pairs/machines : (m+1)*pairs/machines])
+			}
+			b.StartTimer()
+			bld.FreezeArena(nil, p, salt)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+	})
 }

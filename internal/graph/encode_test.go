@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -170,5 +171,73 @@ func TestEncodeRankedOrdersByRank(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRankedEmitMatchesEncodeRanked holds the ranged emitter to the
+// collected encoding: P machines emitting their blocks of an even split, at
+// P = 1, 3, 7 and past the record count, write exactly EncodeRanked's
+// records in order; and on a graph with isolated vertices so does every
+// single range, named among them a block starting on the metadata record,
+// on a degree record, inside an adjacency list and on an isolated vertex,
+// and an empty one.
+func TestRankedEmitMatchesEncodeRanked(t *testing.T) {
+	r := rng.New(52, 3)
+	// Vertices 2, 4, 6 and 7 are isolated.
+	small, err := NewGraph(9, []Edge{{0, 3}, {0, 5}, {3, 5}, {5, 8}, {1, 8}, {1, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := NewGraph(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(rk *Ranked, lo, hi int) []dds.KV {
+		var got kvList
+		rk.Emit(&got, lo, hi)
+		return got
+	}
+	for gi, g := range []*Graph{small, GNM(300, 900, r), GNM(1, 0, r), empty} {
+		pi := r.Perm(g.N())
+		want := EncodeRanked(g, pi)
+		rk := NewRanked(g, pi)
+		if rk.Records() != len(want) || len(want) != 1+g.N()+2*g.M() {
+			t.Fatalf("graph %d: Records() = %d, EncodeRanked has %d, want %d", gi, rk.Records(), len(want), 1+g.N()+2*g.M())
+		}
+		for _, p := range []int{1, 3, 7, len(want) + 5} {
+			var got []dds.KV
+			for m := 0; m < p; m++ {
+				got = append(got, emit(rk, m*len(want)/p, (m+1)*len(want)/p)...)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("graph %d, P=%d: blocks emit %v, want %v", gi, p, got, want)
+			}
+		}
+	}
+
+	pi := r.Perm(small.N())
+	want := EncodeRanked(small, pi)
+	rk := NewRanked(small, pi)
+	deg := func(v int) int { return 1 + v + small.offs[v] }
+	for _, c := range []struct {
+		name   string
+		lo, hi int
+	}{
+		{"metadata", 0, 4},
+		{"degree record", deg(3), deg(5) + 1},
+		{"inside a list", deg(5) + 2, deg(8) + 1},
+		{"isolated vertex", deg(6), len(want)},
+		{"empty", deg(5) + 1, deg(5) + 1},
+	} {
+		if got := emit(rk, c.lo, c.hi); !slices.Equal(got, want[c.lo:c.hi]) {
+			t.Fatalf("%s [%d, %d): emits %v, want %v", c.name, c.lo, c.hi, got, want[c.lo:c.hi])
+		}
+	}
+	for lo := 0; lo <= len(want); lo++ {
+		for hi := lo; hi <= len(want)+2; hi++ {
+			if got := emit(rk, lo, hi); !slices.Equal(got, want[lo:min(hi, len(want))]) {
+				t.Fatalf("[%d, %d): emits %v, want %v", lo, hi, got, want[lo:min(hi, len(want))])
+			}
+		}
 	}
 }
