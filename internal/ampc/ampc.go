@@ -9,7 +9,10 @@
 // Read* methods query D_{i-1} and whose Write method appends to D_i. The
 // defining feature of the model — adaptivity — falls out naturally: Read is
 // an ordinary blocking call, so a machine's later queries may depend on the
-// results of its earlier ones within the same round.
+// results of its earlier ones within the same round. A publish round, whose
+// machines read nothing and write their blocks of a record list the master
+// already holds, is EmitRound (EmitStatic for the static store): it charges
+// the same writes but freezes the list from its emitter, running no machine.
 //
 // The runtime enforces the model's resource constraints rather than merely
 // observing them: each machine may issue at most Budget() queries and
@@ -59,7 +62,8 @@ type Config struct {
 	// — machine randomness and write merge order depend only on (Seed,
 	// round, machine). A remote round — one whose store reports read frames
 	// — runs P lanes instead, one machine each, so their reads can share
-	// frames.
+	// frames. An emitted round (EmitRound, EmitStatic) runs no lanes: its
+	// machines read nothing, and the freeze emits their blocks itself.
 	Workers int
 	// Seed makes the whole computation deterministic.
 	Seed uint64
@@ -450,28 +454,16 @@ func (r *Runtime) Elapsed() time.Duration { return time.Since(r.created) }
 func (r *Runtime) Budget() int { return r.cfg.BudgetFactor * r.cfg.S }
 
 // SetInput installs the pairs as the current store (the input D0, "stored
-// using a set of keys known to all machines"). It does not count as a round:
-// its freeze is reported by InputFreeze. With a file backend, a publish
-// failure here surfaces from the next Round.
-func (r *Runtime) SetInput(pairs []dds.KV) {
-	s, fz := dds.NewStoreArena(pairs, r.cfg.P, r.nextSalt, r.arena)
-	r.addInputFreeze(fz)
-	r.publish(s)
-}
+// using a set of keys known to all machines"): SetInputStream over the list.
+func (r *Runtime) SetInput(pairs []dds.KV) { r.SetInputStream(len(pairs), dds.EmitList(pairs)) }
 
-// SetInputStream installs D0 from a streaming producer instead of a
-// materialized pair slice: fill receives the primed builder's writer
-// accessor and emits records machine by machine, so no O(input) []dds.KV
-// ever exists — the writers pre-hash and route each record as it arrives
-// and the freeze below assembles shards from those buffers directly.
-// Fetch each machine's writer exactly once: like Round-time machines, a
-// refetch models a restarted machine and discards the earlier writes.
-// Like SetInput this does not count as a round, and with a file backend a
-// publish failure surfaces from the next Round.
-func (r *Runtime) SetInputStream(fill func(writer func(machine int) *dds.Writer)) {
-	r.builder.Prime(r.cfg.P, r.nextSalt)
-	fill(r.builder.Writer)
-	s := r.builder.FreezeArena(r.arena, r.cfg.P, r.nextSalt)
+// SetInputStream installs the n records emit produces as the current store,
+// frozen from the emitter (dds.Builder.FreezeEmitted): no record list need
+// exist, and no record is buffered in a writer. It does not count as a
+// round: its freeze is reported by InputFreeze. With a file backend, a
+// publish failure here surfaces from the next Round.
+func (r *Runtime) SetInputStream(n int, emit dds.Emitter) {
+	s := r.builder.FreezeEmitted(r.arena, nil, r.cfg.P, r.nextSalt, n, emit)
 	r.addInputFreeze(r.builder.LastFreeze())
 	r.publish(s)
 }
@@ -530,62 +522,16 @@ type RoundFunc func(ctx *Ctx) error
 // schedule — writes merge in machine-id order and randomness is keyed by
 // (seed, round, machine) — so any Workers value produces bit-identical
 // stores.
-func (r *Runtime) Round(name string, f RoundFunc) error { return r.run(name, f, false) }
-
-// run executes one counted round. A static round (StaticRound) writes for the
-// static store instead of D_i: its writers pre-hash under the static salt,
-// its freeze builds the next static store on top of the current one, and
-// the store it publishes as D_i is empty. The salt rotation is the same
-// either way, so every later store's salt and placement are unchanged.
-func (r *Runtime) run(name string, f RoundFunc, static bool) error {
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
+func (r *Runtime) Round(name string, f RoundFunc) error {
+	preBarrier, fail, err := r.begin(name)
+	if err != nil {
+		return err
 	}
-	if err := r.pubErr; err != nil {
-		r.pubErr = nil
-		return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
-	}
-	// A publisher that asked for its barrier ahead of execute (a networked
-	// backend) joins the previous round's publish here, so this round's
-	// adaptive reads hit the store where it now lives. The join time counts
-	// as publish cost: it is the synchronous tail of the previous publish.
-	var preBarrier time.Duration
-	if r.preBarrier {
-		if r.pub.InFlight() {
-			t := time.Now()
-			if err := r.pub.Barrier(); err != nil {
-				return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
-			}
-			preBarrier = time.Since(t)
-		}
-	}
-	r.cur.ResetLoads()
-	if r.static != nil {
-		r.static.ResetLoads()
-	}
-	// Priming replaces the plain Reset: it empties every writer and arms
-	// write-time pre-hashing for the next store's geometry, so this round's
-	// writes carry their destination shard and the freeze below inserts
-	// them in place with no hashing.
+	// Priming empties every writer and arms write-time pre-hashing for the
+	// next store's geometry, so this round's writes carry their destination
+	// shard and the freeze inserts them in place with no hashing.
 	salt := r.nextSalt
-	if static {
-		salt = r.staticSalt
-	}
 	r.builder.Prime(r.cfg.P, salt)
-	fail := r.failNext
-	r.failNext = nil
-	if r.faultR != nil {
-		for m := 0; m < r.cfg.P; m++ {
-			if r.faultR.Bernoulli(r.cfg.FaultProb) {
-				if fail == nil {
-					fail = make(map[int]int)
-				}
-				fail[m]++
-			}
-		}
-	}
 
 	r.misses.Store(0)
 	var framesBase int64
@@ -646,35 +592,119 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 		}
 		st.MaxMachineReadCalls = max(st.MaxMachineReadCalls, r.calls[m])
 	}
+	return r.end(&st, preBarrier, func() *dds.Store {
+		s := r.builder.FreezeArena(r.arena, r.cfg.P, salt)
+		st.Pairs = s.Len()
+		return s
+	})
+}
 
-	// Join the previous round's write-behind publish before freezing: the
-	// publisher must be done reading D_{i-1} before it retires, and a
-	// failure of that publish must surface here, from the same Round that
-	// would have exposed it under synchronous publishing. The barrier is
-	// skipped outright when the publisher reports nothing in flight (the
-	// mem backend always, the rpc backend after its pre-execute barrier).
-	// Then D_{i-1} retires, so the freeze builds D_i in its tables and a
-	// round holds one generation, not two. Barrier and retire are timed as
-	// publish: one timestamp chain splits the phases because clock reads are
-	// not free on every platform and Round is the floor under every
-	// algorithm's per-round cost.
+// EmitRound is a publish round: machine m writes records BlockRange(m, n, P)
+// of the list emit produces, in order, and reads nothing. It leaves the
+// store and the RoundStats counts a Round of those machines would, but runs
+// no machine and no lane, on any backend: the freeze reads the records from
+// emit (dds.Builder.FreezeEmitted), so they are never buffered in writers,
+// and the round's Execute is zero. Each machine is charged its block's
+// writes, and a block past the write budget fails the round with ErrBudget
+// naming its machine, as the Round would. Scheduled failures (FailMachine,
+// Config.FaultProb) are drawn as for any round; a restarted machine would
+// emit the same block, so they change nothing.
+func (r *Runtime) EmitRound(name string, n int, emit dds.Emitter) error {
+	return r.emitRound(name, n, emit, false)
+}
+
+// emitRound runs EmitRound, or with static set EmitStatic.
+func (r *Runtime) emitRound(name string, n int, emit dds.Emitter, static bool) error {
+	preBarrier, _, err := r.begin(name)
+	if err != nil {
+		return err
+	}
+	// Machine 0's block is the largest: BlockRange gives the n mod P extra
+	// records to the lowest machines.
+	lo, hi := BlockRange(0, n, r.cfg.P)
+	if hi-lo > r.Budget() {
+		return fmt.Errorf("ampc: round %d (%s) machine %d: %w", r.round, name, 0, ErrBudget)
+	}
+	st := RoundStats{Name: name, MaxShardLoad: r.maxShardLoad(), Writes: int64(n), MaxMachineWrites: hi - lo, Pairs: n}
+	return r.end(&st, preBarrier, func() *dds.Store {
+		if static {
+			r.static = r.builder.FreezeEmitted(r.arena, r.static, r.cfg.P, r.staticSalt, n, emit)
+			return dds.NewStore(nil, r.cfg.P, r.nextSalt)
+		}
+		return r.builder.FreezeEmitted(r.arena, nil, r.cfg.P, r.nextSalt, n, emit)
+	})
+}
+
+// begin opens a counted round: it fails it on a done context or a latched
+// publish error, joins the previous publish ahead of execute for a
+// publisher that asks for it (returning the time that took), resets the
+// shard loads, and draws the round's failure schedule.
+func (r *Runtime) begin(name string) (time.Duration, map[int]int, error) {
+	if r.ctx != nil {
+		if err := r.ctx.Err(); err != nil {
+			return 0, nil, err
+		}
+	}
+	if err := r.pubErr; err != nil {
+		r.pubErr = nil
+		return 0, nil, fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
+	}
+	// A publisher that asked for its barrier ahead of execute (a networked
+	// backend) joins the previous round's publish here, so this round's
+	// adaptive reads hit the store where it now lives. The join time counts
+	// as publish cost: it is the synchronous tail of the previous publish.
+	var preBarrier time.Duration
+	if r.preBarrier {
+		if r.pub.InFlight() {
+			t := time.Now()
+			if err := r.pub.Barrier(); err != nil {
+				return 0, nil, fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
+			}
+			preBarrier = time.Since(t)
+		}
+	}
+	r.cur.ResetLoads()
+	if r.static != nil {
+		r.static.ResetLoads()
+	}
+	fail := r.failNext
+	r.failNext = nil
+	if r.faultR != nil {
+		for m := 0; m < r.cfg.P; m++ {
+			if r.faultR.Bernoulli(r.cfg.FaultProb) {
+				if fail == nil {
+					fail = make(map[int]int)
+				}
+				fail[m]++
+			}
+		}
+	}
+	return preBarrier, fail, nil
+}
+
+// end closes a counted round whose machines are done: it freezes the next
+// store with freeze, publishes it, and records st.
+//
+// It joins the previous round's write-behind publish before freezing: the
+// publisher must be done reading D_{i-1} before it retires, and a failure
+// of that publish must surface here, from the same Round that would have
+// exposed it under synchronous publishing. The barrier is skipped outright
+// when the publisher reports nothing in flight (the mem backend always, the
+// rpc backend after its pre-execute barrier). Then D_{i-1} retires, so the
+// freeze builds D_i in its tables and a round holds one generation, not
+// two. Barrier and retire are timed as publish: one timestamp chain splits
+// the phases because clock reads are not free on every platform and end is
+// the floor under every algorithm's per-round cost.
+func (r *Runtime) end(st *RoundStats, preBarrier time.Duration, freeze func() *dds.Store) error {
 	t0 := time.Now()
 	if r.pub.InFlight() {
 		if err := r.pub.Barrier(); err != nil {
-			return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
+			return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, st.Name, err)
 		}
 	}
 	r.retire(nil)
 	t1 := time.Now()
-	var nextStore *dds.Store
-	if static {
-		r.static = r.builder.FreezeOnto(r.arena, r.static, r.cfg.P, salt)
-		st.Pairs = int(st.Writes)
-		nextStore = dds.NewStore(nil, r.cfg.P, r.nextSalt)
-	} else {
-		nextStore = r.builder.FreezeArena(r.arena, r.cfg.P, salt)
-		st.Pairs = nextStore.Len()
-	}
+	nextStore := freeze()
 	fz := r.builder.LastFreeze()
 	t2 := time.Now()
 	r.publish(nextStore)
@@ -685,12 +715,12 @@ func (r *Runtime) run(name string, f RoundFunc, static bool) error {
 	st.Publish = preBarrier + t1.Sub(t0) + t3.Sub(t2)
 	if err := r.pubErr; err != nil {
 		r.pubErr = nil
-		return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, name, err)
+		return fmt.Errorf("ampc: round %d (%s): store publish: %w", r.round, st.Name, err)
 	}
-	r.stats = append(r.stats, st)
+	r.stats = append(r.stats, *st)
 	r.round++
 	if r.cfg.Observer != nil {
-		r.cfg.Observer(st)
+		r.cfg.Observer(*st)
 	}
 	return nil
 }

@@ -178,6 +178,48 @@ func BenchmarkAddStatic(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/pair")
 }
 
+// BenchmarkEmitRound measures a steady-state publish round of 900 000
+// records over P = 512 machines, about connectivity's largest conn-publish
+// round on the benchmark's GNM(10^5, 4·10^5): emitted, an EmitRound whose
+// freeze replays the records from their ordinals; round, a Round whose
+// machines write the same blocks through their writers. Both leave the
+// same store (TestEmitRoundMatchesRound).
+func BenchmarkEmitRound(b *testing.B) {
+	const n, p = 900_000, 512
+	emit := func(w dds.RecordWriter, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w.Write(key(int64(i/9), int64(i%9)), val(int64(i), 0))
+		}
+	}
+	for _, mode := range []string{"emitted", "round"} {
+		b.Run(mode, func(b *testing.B) {
+			rt := New(Config{P: p, S: 1 << 12, Seed: 7})
+			defer rt.Close()
+			round := func() error {
+				if mode == "emitted" {
+					return rt.EmitRound("publish", n, emit)
+				}
+				return rt.Round("publish", func(ctx *Ctx) error {
+					lo, hi := BlockRange(ctx.Machine, n, ctx.P)
+					emit(ctx, lo, hi)
+					return ctx.Err()
+				})
+			}
+			if err := round(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := round(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/record")
+		})
+	}
+}
+
 func benchName(prefix string, v int) string {
 	return prefix + "=" + itoa(v)
 }

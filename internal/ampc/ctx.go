@@ -435,16 +435,5 @@ func (c *Ctx) WriteMany(kvs []dds.KV) {
 	}
 }
 
-// GrowWrites reserves writer capacity for n more pairs — a machine that knows
-// its output size up front calls it once so the writes that follow never
-// reallocate. The reservation is clipped to the remaining write budget:
-// pairs past it would be dropped anyway.
-func (c *Ctx) GrowWrites(n int) {
-	if room := c.budget - c.writes; n > room {
-		n = room
-	}
-	c.w.Grow(n)
-}
-
 // Writes returns the number of pairs written so far this round.
 func (c *Ctx) Writes() int { return c.writes }

@@ -231,10 +231,7 @@ func TestWarmRoundsRetainOneGeneration(t *testing.T) {
 	input = nil
 	for r := 0; r < 3; r++ {
 		err := rt.Round("copy", func(c *Ctx) error {
-			c.GrowWrites((n - c.Machine + c.P - 1) / c.P)
-			for x := c.Machine; x < n; x += c.P {
-				c.Write(key(int64(x), 0), val(int64(x), 1))
-			}
+			c.WriteMany(stripe(c, n, 0))
 			return nil
 		})
 		if err != nil {
@@ -252,6 +249,18 @@ func TestWarmRoundsRetainOneGeneration(t *testing.T) {
 		t.Fatalf("warm rounds retain %d bytes, more than one generation of tables, the writers and 1 MiB (%d)",
 			retained, bound)
 	}
+}
+
+// stripe returns the pairs key(x, b) -> val(x, 1) for the x < n that c's
+// machine owns in a stripe over the machines, for one WriteMany: a batch
+// reserves its writer's room at once, so the writer's capacity is its
+// length.
+func stripe(c *Ctx, n int, b int64) []dds.KV {
+	kvs := make([]dds.KV, 0, (n-c.Machine+c.P-1)/c.P)
+	for x := c.Machine; x < n; x += c.P {
+		kvs = append(kvs, dds.KV{Key: key(int64(x), b), Value: val(int64(x), 1)})
+	}
+	return kvs
 }
 
 // tableBytes is the heap one store generation's slot tables take: per shard,

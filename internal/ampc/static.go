@@ -10,17 +10,17 @@ import "ampc/internal/dds"
 // could re-publish its O(S) share every round at no asymptotic cost, so the
 // model permits this — but simulating the copy would dominate runtime
 // without changing any measured quantity. The runtime therefore maintains a
-// static side store: StaticRound publishes pairs once, as one real, counted
-// round whose writes go through one freeze under the static store's salt,
-// and ReadStatic serves them in every later round, charged against the
-// reading machine's budget exactly like Read. The round's D_i is empty:
-// static pairs are read only through ReadStatic.
-//
-// A StaticRound's machines generate their own blocks of records, the way
-// connectivity's publish rounds write a contracted graph, so the master
-// never holds the published list: MIS and coloring emit their rank-ordered
-// graph by record ordinal (graph.Ranked). AddStatic is the wrapper for a
-// caller that already holds the list.
+// static side store: EmitStatic publishes a record list once, as one real,
+// counted round in which machine m writes block m of the list, frozen from
+// the list's emitter on top of the static store under the static store's
+// salt (no writer buffers the records), and ReadStatic serves the pairs in
+// every later round, charged against the reading machine's budget exactly
+// like Read. The round's D_i is empty: static pairs are read only through
+// ReadStatic. MIS and coloring emit their rank-ordered graph by record
+// ordinal (graph.Ranked), so the master never holds the published list.
+// AddStatic is the wrapper for a caller that already holds one (list
+// ranking, cycle connectivity, biconn's RMQ, matching): the freeze reads
+// the list in place and never copies it into writers.
 //
 // The static store does not live in the backend's DDS. On every backend —
 // mem, file and rpc alike — it is an in-process *dds.Store: it is written
@@ -29,23 +29,21 @@ import "ampc/internal/dds"
 // coloring, list ranking, cycle connectivity and biconn's RMQ therefore
 // report 0 RPCFrames for their static reads.
 
-// StaticRound is the static twin of Round: f runs on all P machines, each
-// writing its share of the static pairs, so per-machine write budgets are
-// enforced. The round's freeze builds the new static store on top of the
-// current one — earlier calls' pairs first, so a key published again gains
-// values after its earlier ones — and the pairs remain readable via
-// Ctx.ReadStatic for the rest of the computation. f reads D_{i-1} like any
-// round; the D_i it leaves is empty.
-func (r *Runtime) StaticRound(name string, f RoundFunc) error { return r.run(name, f, true) }
+// EmitStatic is the static twin of EmitRound: machine m writes records
+// BlockRange(m, n, P) of emit's list, its block charged against its write
+// budget, and the round's freeze builds the new static store from emit on
+// top of the current one — earlier calls' pairs first, so a key published
+// again gains values after its earlier ones. The pairs remain readable via
+// Ctx.ReadStatic for the rest of the computation; the D_i the round leaves
+// is empty.
+func (r *Runtime) EmitStatic(name string, n int, emit dds.Emitter) error {
+	return r.emitRound(name, n, emit, true)
+}
 
-// AddStatic publishes a pair list into the static store through StaticRound:
-// the P machines split the list into blocks and each writes its block.
+// AddStatic publishes a pair list into the static store: EmitStatic over the
+// list.
 func (r *Runtime) AddStatic(name string, pairs []dds.KV) error {
-	return r.StaticRound(name, func(ctx *Ctx) error {
-		lo, hi := BlockRange(ctx.Machine, len(pairs), ctx.P)
-		ctx.WriteMany(pairs[lo:hi])
-		return nil
-	})
+	return r.EmitStatic(name, len(pairs), dds.EmitList(pairs))
 }
 
 // ReadStatic returns the value stored under k in the static store. It is

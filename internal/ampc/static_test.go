@@ -257,49 +257,44 @@ func TestStaticStoreMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestStaticRoundMatchesAddStatic: a StaticRound whose machines read D_{i-1}
-// and write what they read, block by block, leaves the static store
-// AddStatic of the same list leaves, byte for byte, with the same round
-// accounting, and an empty D_i.
-func TestStaticRoundMatchesAddStatic(t *testing.T) {
+// TestEmitStaticMatchesAddStatic: EmitStatic of a list computed from the
+// record ordinal leaves the static store AddStatic of the materialized list
+// leaves, byte for byte, alone and on top of an earlier publish, with the
+// same round accounting and an empty D_i.
+func TestEmitStaticMatchesAddStatic(t *testing.T) {
 	const n = 3000
+	rec := func(i int) dds.KV { return pair(int64(i%(n/3)), int64(10*i)) }
+	emit := func(w dds.RecordWriter, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			kv := rec(i)
+			w.Write(kv.Key, kv.Value)
+		}
+	}
 	input := make([]dds.KV, n)
 	for i := range input {
-		input[i] = pair(int64(i), int64(10*i))
+		input[i] = rec(i)
 	}
 	for _, workers := range []int{1, 3} {
 		c := Config{P: 16, S: 1 << 12, Seed: 52, Workers: workers}
 		listed, emitted := New(c), New(c)
-		listed.SetInput(input)
-		emitted.SetInput(input)
-		if err := listed.AddStatic("publish", input); err != nil {
-			t.Fatal(err)
-		}
-		err := emitted.StaticRound("publish", func(ctx *Ctx) error {
-			lo, hi := BlockRange(ctx.Machine, n, ctx.P)
-			ctx.GrowWrites(hi - lo)
-			for i := lo; i < hi; i++ {
-				v, ok := ctx.Read(key(int64(i), 0))
-				if !ok {
-					t.Errorf("machine %d: D_{i-1} misses key %d", ctx.Machine, i)
-				}
-				ctx.Write(key(int64(i), 0), v)
+		for call := range 2 {
+			if err := listed.AddStatic("publish", input); err != nil {
+				t.Fatal(err)
 			}
-			return ctx.Err()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dds.AppendSegment(nil, emitted.static), dds.AppendSegment(nil, listed.static)) {
-			t.Fatalf("workers=%d: StaticRound's static store differs from AddStatic's", workers)
-		}
-		a, b := listed.Stats()[0], emitted.Stats()[0]
-		if a.Writes != b.Writes || a.MaxMachineWrites != b.MaxMachineWrites || a.Pairs != b.Pairs || b.Pairs != n {
-			t.Fatalf("workers=%d: StaticRound writes %d (max %d, pairs %d), AddStatic %d (max %d, pairs %d)",
-				workers, b.Writes, b.MaxMachineWrites, b.Pairs, a.Writes, a.MaxMachineWrites, a.Pairs)
-		}
-		if l := emitted.Store().Len(); l != 0 {
-			t.Fatalf("workers=%d: StaticRound left %d pairs in D_i", workers, l)
+			if err := emitted.EmitStatic("publish", n, emit); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dds.AppendSegment(nil, emitted.static), dds.AppendSegment(nil, listed.static)) {
+				t.Fatalf("workers=%d call=%d: EmitStatic's static store differs from AddStatic's", workers, call)
+			}
+			a, b := listed.Stats()[call], emitted.Stats()[call]
+			if a.Writes != b.Writes || a.MaxMachineWrites != b.MaxMachineWrites || a.Pairs != b.Pairs || b.Pairs != n {
+				t.Fatalf("workers=%d call=%d: EmitStatic writes %d (max %d, pairs %d), AddStatic %d (max %d, pairs %d)",
+					workers, call, b.Writes, b.MaxMachineWrites, b.Pairs, a.Writes, a.MaxMachineWrites, a.Pairs)
+			}
+			if l := emitted.Store().Len(); l != 0 {
+				t.Fatalf("workers=%d call=%d: EmitStatic left %d pairs in D_i", workers, call, l)
+			}
 		}
 		listed.Close()
 		emitted.Close()
@@ -327,10 +322,7 @@ func TestStaticPublishRetainsOneGeneration(t *testing.T) {
 	}
 	pairs = nil
 	err := rt.Round("copy", func(c *Ctx) error {
-		c.GrowWrites((n - c.Machine + c.P - 1) / c.P)
-		for x := c.Machine; x < n; x += c.P {
-			c.Write(key(int64(x), 1), val(int64(x), 1))
-		}
+		c.WriteMany(stripe(c, n, 1))
 		return nil
 	})
 	if err != nil {
@@ -440,9 +432,8 @@ func TestInputFreezeReported(t *testing.T) {
 		t.Fatalf("SetInput of %d pairs reports %d fresh table bytes, want at least %d", len(pairs), first, 20*len(pairs))
 	}
 	// Twice the pairs need tables larger than the retired ones.
-	rt.SetInputStream(func(writer func(int) *dds.Writer) {
-		w := writer(0)
-		for i := 0; i < 2*len(pairs); i++ {
+	rt.SetInputStream(2*len(pairs), func(w dds.RecordWriter, lo, hi int) {
+		for i := lo; i < hi; i++ {
 			w.Write(key(int64(i), 1), val(int64(i), 0))
 		}
 	})

@@ -169,16 +169,10 @@ func connExploreBudget(totalSpace float64, nPrime int, dCap float64) int {
 // first round of each phase. The records form one flat list, block-
 // partitioned across machines, so a high-degree contracted vertex cannot
 // overload a single writer (the flattening is the usual MPC load-balancing
-// shuffle); each machine generates its block straight from the CSR arrays
-// into a writer reserved to the block's exact size.
+// shuffle); the round is emitted from the CSR arrays (ampc.EmitRound), so
+// no record is copied into a writer.
 func publishContracted(rt *ampc.Runtime, gc *contracted, phase int) error {
-	total := gc.records()
-	return rt.Round(fmt.Sprintf("conn-publish-%d", phase), func(ctx *ampc.Ctx) error {
-		lo, hi := ampc.BlockRange(ctx.Machine, total, ctx.P)
-		ctx.GrowWrites(hi - lo)
-		gc.writeRecords(ctx, lo, hi)
-		return ctx.Err()
-	})
+	return rt.EmitRound(fmt.Sprintf("conn-publish-%d", phase), gc.records(), gc.emit)
 }
 
 // increaseDegrees is Algorithm 6: every vertex BFSes its component through

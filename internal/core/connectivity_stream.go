@@ -12,8 +12,8 @@ import (
 
 // ConnectivityStream computes connected components over a streamed edge
 // producer: the out-of-core entry point. The input graph is never
-// materialized as an edge list — ingest streams each edge's two adjacency
-// records straight into the primed store builder, and the first contraction
+// materialized as an edge list — ingest freezes each edge's two adjacency
+// records straight from the stream into D0, and the first contraction
 // phase replays the stream against the contraction map — so driver memory
 // is O(n + contracted graph), not O(m). From the second phase on the
 // contracted graph fits the materialized loop and the run proceeds exactly
@@ -86,49 +86,38 @@ func ConnectivityStream(ctx context.Context, es graph.EdgeStream, opts Options) 
 }
 
 // streamIngest publishes the streamed graph as D0 without materializing any
-// record list: the deg records for all live vertices, then both adjacency
-// records of every streamed edge, are written to the builder in emission
-// order and block-partitioned over the P machines by record ordinal —
-// the same balanced layout publishContracted produces for materialized
-// graphs, so a high-degree vertex cannot overload one writer. The per-edge
-// adjacency index is tracked with O(n) cursors; nothing here is O(m).
+// record list: the deg records of the live vertices, then both adjacency
+// records of every streamed edge in stream order, frozen from an emitter
+// that replays the stream (ampc.Runtime.SetInputStream), so no record is
+// buffered in a writer either. The input is not a round, so no machine is
+// charged for it. An emitter call replays the whole stream, which has no
+// seek: a freeze of W tasks replays it 2W times, W for its sizing pass's
+// ranges and once per insert task. Each call tracks the per-edge adjacency
+// index with its own O(n) cursor array; nothing here is O(m).
 func streamIngest(rt *ampc.Runtime, d *flatDriver, es graph.EdgeStream, deg []int32, verts []int32) {
 	defer since(&d.times.ingest, time.Now())
-	p := rt.Config().P
-	total := len(verts) + 2*es.M()
-	block := (total + p - 1) / p
-	if block < 1 {
-		block = 1
-	}
-	rt.SetInputStream(func(writer func(machine int) *dds.Writer) {
-		var w *dds.Writer
-		cur := -1
-		ord := 0
-		put := func(k dds.Key, v dds.Value) {
-			mach := ord / block
-			if mach >= p {
-				mach = p - 1
-			}
-			if mach != cur {
-				// Strictly ascending: each machine's writer is fetched
-				// exactly once (a refetch would discard its records), and
-				// reserved to the block it is about to receive.
-				cur = mach
-				w = writer(mach)
-				w.Grow(min(block, total-ord))
-			}
-			w.Write(k, v)
-			ord++
+	rt.SetInputStream(len(verts)+2*es.M(), func(w dds.RecordWriter, lo, hi int) {
+		for ord := lo; ord < min(hi, len(verts)); ord++ {
+			v := verts[ord]
+			w.Write(dds.Key{Tag: tagConnDeg, A: int64(v)}, dds.Value{A: int64(deg[v])})
 		}
-		for _, v := range verts {
-			put(dds.Key{Tag: tagConnDeg, A: int64(v)}, dds.Value{A: int64(deg[v])})
+		if hi <= len(verts) {
+			return
 		}
+		// The stream replays from its start: records before lo only advance
+		// the cursors.
 		cursor := make([]int32, len(deg))
+		ord := len(verts)
 		es.Each(func(u, v int) {
-			put(dds.Key{Tag: tagConnAdj, A: int64(u), B: int64(cursor[u])}, dds.Value{A: int64(v)})
+			if ord >= lo && ord < hi {
+				w.Write(dds.Key{Tag: tagConnAdj, A: int64(u), B: int64(cursor[u])}, dds.Value{A: int64(v)})
+			}
+			if ord+1 >= lo && ord+1 < hi {
+				w.Write(dds.Key{Tag: tagConnAdj, A: int64(v), B: int64(cursor[v])}, dds.Value{A: int64(u)})
+			}
 			cursor[u]++
-			put(dds.Key{Tag: tagConnAdj, A: int64(v), B: int64(cursor[v])}, dds.Value{A: int64(u)})
 			cursor[v]++
+			ord += 2
 		})
 	})
 }

@@ -42,11 +42,11 @@ func (gc *contracted) reset() {
 	gc.verts, gc.offs, gc.to, gc.w = gc.verts[:0], gc.offs[:0], gc.to[:0], gc.w[:0]
 }
 
-// writeRecords writes records [lo, hi) of the flattened record list — per
-// live vertex, in order, its degree record followed by its adjacency
-// records — so vertex i's degree record has ordinal i+offs[i] and a machine
-// generates its block straight from the CSR arrays.
-func (gc *contracted) writeRecords(ctx *ampc.Ctx, lo, hi int) {
+// emit writes records [lo, hi) of the flattened record list — per live
+// vertex, in order, its degree record followed by its adjacency records — so
+// vertex i's degree record has ordinal i+offs[i] and any block is generated
+// straight from the CSR arrays. It is the list's dds.Emitter.
+func (gc *contracted) emit(w dds.RecordWriter, lo, hi int) {
 	if lo >= hi {
 		return
 	}
@@ -57,7 +57,7 @@ func (gc *contracted) writeRecords(ctx *ampc.Ctx, lo, hi int) {
 		v := int64(gc.verts[i])
 		first, deg := gc.offs[i], gc.offs[i+1]-gc.offs[i]
 		if ord == i+first {
-			ctx.Write(dds.Key{Tag: tagConnDeg, A: v}, dds.Value{A: int64(deg)})
+			w.Write(dds.Key{Tag: tagConnDeg, A: v}, dds.Value{A: int64(deg)})
 			ord++
 		}
 		for j := ord - (i + first) - 1; j < deg && ord < hi; j++ {
@@ -65,7 +65,7 @@ func (gc *contracted) writeRecords(ctx *ampc.Ctx, lo, hi int) {
 			if gc.w != nil {
 				val.B = gc.w[first+j]
 			}
-			ctx.Write(dds.Key{Tag: tagConnAdj, A: v, B: int64(j)}, val)
+			w.Write(dds.Key{Tag: tagConnAdj, A: v, B: int64(j)}, val)
 			ord++
 		}
 	}

@@ -22,20 +22,13 @@ import (
 // left unknown retry next iteration against the statuses settled so far.
 
 // publishRanked is MIS's and coloring's first round: it publishes g ranked
-// by pi (graph.Ranked) into the static store. Each machine emits its block
-// of records straight from the rank-ordered lists into a writer reserved to
-// the block's size, as publishContracted does, so the master never holds
-// the pair list; the machines write what AddStatic of graph.EncodeRanked
-// would, block for block.
+// by pi (graph.Ranked) into the static store, machine m writing block m of
+// the records, emitted straight from the rank-ordered lists
+// (ampc.EmitStatic): the master never holds the pair list and no writer
+// buffers it. The store is what AddStatic of graph.EncodeRanked would make.
 func publishRanked(rt *ampc.Runtime, name string, g *graph.Graph, pi []int) error {
 	rk := graph.NewRanked(g, pi)
-	total := rk.Records()
-	return rt.StaticRound(name, func(ctx *ampc.Ctx) error {
-		lo, hi := ampc.BlockRange(ctx.Machine, total, ctx.P)
-		ctx.GrowWrites(hi - lo)
-		rk.Emit(ctx, lo, hi)
-		return ctx.Err()
-	})
+	return rt.EmitStatic(name, rk.Records(), rk.Emit)
 }
 
 // queryReserve is the slack a machine keeps unspent in its query budget so a

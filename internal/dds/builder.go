@@ -40,29 +40,57 @@ type Builder struct {
 	// Primed epoch: the shard count and salt writers pre-hash for; p == 0
 	// until the first Prime. Writers copy the epoch when fetched; div caches
 	// the shard-count reduction so a fetch never recomputes it.
+	placement
+
+	freezer
+}
+
+// placement is a store's geometry as its writers and freezes route by: the
+// shard count, the salt, and the reduction of a hash to a shard.
+type placement struct {
 	p    int
 	salt uint64
 	div  divisor
+}
 
-	// run, when set, schedules Freeze's insert tasks; the AMPC runtime
-	// passes its pinned worker-pool scheduler here.
+// newPlacement returns the placement of a store sharded p ways under salt;
+// p <= 0 means one shard.
+func newPlacement(p int, salt uint64) placement {
+	if p <= 0 {
+		p = 1
+	}
+	if p > 1<<30 {
+		// A shard id must fit the writers' uint32 shard-id array.
+		panic(fmt.Sprintf("dds: a store of p=%d shards: more than 2^30", p))
+	}
+	return placement{p: p, salt: salt, div: newDivisor(uint64(p))}
+}
+
+// freezer is what a freeze runs with besides its input: the scheduler of
+// its tasks, the last freeze's stats, and scratch reused across freezes —
+// per-shard pair counts, the shard-to-task ownership map, each insert
+// task's stash of duplicate-key values awaiting slab placement, and each
+// shard's duplicated keys: a stashed key holds the first value's words as
+// va and vb and, once its shard is laid out, the slab cursor as kb. A
+// task's stash keeps its chunks, so a later freeze with no more duplicates
+// than an earlier one allocates none.
+type freezer struct {
+	// run, when set, schedules the freeze's tasks; the AMPC runtime passes
+	// its pinned worker-pool scheduler here.
 	run Parallel
 
-	// stats records the last Freeze's merge/build wall-clock split and the
-	// bytes it allocated fresh.
+	// stats records the last freeze's merge/build split and the bytes it
+	// allocated fresh.
 	stats FreezeStats
 
-	// Scratch reused across freezes: per-shard pair counts, the shard-to-task
-	// ownership map, each insert task's stash of duplicate-key values
-	// awaiting slab placement, and each shard's duplicated keys: a stashed
-	// key holds the first value's words as va and vb and, once its shard is
-	// laid out, the slab cursor as kb. A task's stash keeps its chunks, so
-	// a later freeze with no more duplicates than an earlier one allocates
-	// none.
 	counts []int64
 	owner  []int32
 	dups   []dupStash
 	keys   [][]slot
+	// tasks holds an emitted freeze's per-task shard counts, task-major,
+	// and batches its insert tasks' entry batches.
+	tasks   []int64
+	batches []*entryBatch
 }
 
 // dupValue is one duplicate-key value met during a freeze: its shard, its
@@ -140,17 +168,11 @@ func (b *Builder) SetParallel(run Parallel) { b.run = run }
 // epoch and never re-fetched fails the freeze loudly rather than
 // mis-sharding.
 func (b *Builder) Prime(p int, salt uint64) {
-	if p <= 0 {
-		p = 1
+	if p > 0 && p == b.p {
+		b.salt = salt
+		return
 	}
-	if p > 1<<30 {
-		// A shard id must fit the writers' uint32 shard-id array.
-		panic(fmt.Sprintf("dds: Prime(p=%d): more than 2^30 shards", p))
-	}
-	if p != b.p {
-		b.div = newDivisor(uint64(p))
-	}
-	b.p, b.salt = p, salt
+	b.placement = newPlacement(p, salt)
 }
 
 // LastFreeze returns the most recent Freeze's wall-clock merge/build split
@@ -208,17 +230,6 @@ func (b *Builder) Freeze(p int, salt uint64) *Store {
 // shard ids are a function of (p, salt), and freezing past them would
 // silently mis-shard, so a mismatch panics.
 func (b *Builder) FreezeArena(a *Arena, p int, salt uint64) *Store {
-	return b.FreezeOnto(a, nil, p, salt)
-}
-
-// FreezeOnto is FreezeArena on top of a base store: the frozen store holds
-// base's pairs and then the writers', byte-identical to NewStore over base's
-// input followed by the writes in machine-id order. Each shard inserts the
-// base's keys first, every key with its values in index order, so a key
-// written again gains values after its base ones. base must be sharded p
-// ways under salt; nil means none. The AMPC runtime's static store grows
-// this way, one counted round per publish, without keeping its input.
-func (b *Builder) FreezeOnto(a *Arena, base *Store, p int, salt uint64) *Store {
 	if b.p == 0 || (p != b.p && !(p <= 0 && b.p == 1)) || salt != b.salt {
 		panic(fmt.Sprintf("dds: Freeze(p=%d, salt=%#x) on a builder primed for (p=%d, salt=%#x)",
 			p, salt, b.p, b.salt))
@@ -234,131 +245,152 @@ func (b *Builder) FreezeOnto(a *Arena, base *Store, p int, salt uint64) *Store {
 		}
 		total += len(w.ents)
 	}
-	if base != nil {
-		if len(base.shards) != b.p || base.salt != b.salt {
-			panic(fmt.Sprintf("dds: FreezeOnto a base of (p=%d, salt=%#x) on a builder primed for (p=%d, salt=%#x)",
-				len(base.shards), base.salt, b.p, b.salt))
-		}
-		total += base.pairs
-	}
-	return b.freeze(a, base, ws, total, buildWorkers(total))
+	return b.freeze(a, ws, total, buildWorkers(total))
 }
 
 // freeze inserts the writers' pre-hashed entries straight into their shards'
 // slot tables, in place: no key is hashed, no modulo is taken, and no pair is
-// copied anywhere but its slot. A sizing pass counts every shard's pairs off
-// the writers' compact shard-id arrays; then `workers` tasks run through the
-// scheduler, task k owning the shards with si % workers == k, first to grab
-// those shards' tables and then to insert their pairs. Every task streams all
-// writers in machine-id order, so each shard sees its pairs in exactly the
-// sequential merge order and the store is byte-identical for any worker
-// count or schedule. With one worker it is a single sequential pass. A
-// non-nil base's shards are sized in and re-inserted ahead of the writers.
-func (b *Builder) freeze(a *Arena, base *Store, ws []*Writer, total, workers int) *Store {
-	p := b.p
-	s := &Store{shards: make([]shard, p), salt: b.salt, pairs: total, div: b.div}
-	b.stats = FreezeStats{}
+// copied anywhere but its slot. The sizing pass counts every shard's pairs
+// off the writers' compact shard-id arrays; every insert task streams all
+// writers in machine-id order.
+func (b *Builder) freeze(a *Arena, ws []*Writer, total, workers int) *Store {
+	return b.build(a, nil, b.placement, total, workers, func(counts []int64) {
+		for _, w := range ws {
+			for _, si := range w.sis {
+				counts[si]++
+			}
+		}
+	}, func(s *Store, owner []int32, k int32, keys [][]slot, dups *dupStash) {
+		s.insertWriters(ws, owner, k, keys, dups)
+	})
+}
+
+// build is every freeze's skeleton. size adds each shard's pairs to counts
+// (which hold the base's shard sizes, or zeros); then `workers` tasks run
+// through the scheduler, task k owning the shards with si % workers == k,
+// first to grab those shards' tables and then to insert their pairs: a
+// non-nil base's first, then fill's, then the duplicate-key values each
+// task stashed. fill must hand every shard its pairs in input order, so each
+// shard sees exactly the sequential merge order and the store is
+// byte-identical for any worker count or schedule. With one worker it is a
+// single sequential pass.
+func (f *freezer) build(a *Arena, base *Store, pl placement, total, workers int,
+	size func(counts []int64), fill func(s *Store, owner []int32, k int32, keys [][]slot, dups *dupStash)) *Store {
+	p := pl.p
+	s := &Store{shards: make([]shard, p), salt: pl.salt, pairs: total, div: pl.div}
+	f.stats = FreezeStats{}
 	if total == 0 {
 		return s
 	}
 	workers = max(1, min(workers, p))
 	t0 := time.Now()
 
-	// Sizing pass: per-shard pair counts streamed off the shard-id arrays
-	// (4 bytes per pair, not the 24-byte entries); then every task grabs its
-	// own shards' tables, so fresh tables are zeroed on every core. This is
-	// the freeze's whole layout cost — the merge phase of the split.
-	if cap(b.counts) < p {
-		b.counts = make([]int64, p)
-		b.owner = make([]int32, p)
+	// Sizing pass; then every task grabs its own shards' tables, so fresh
+	// tables are zeroed on every core. This is the freeze's whole layout
+	// cost — the merge phase of the split.
+	if cap(f.counts) < p {
+		f.counts = make([]int64, p)
+		f.owner = make([]int32, p)
 	}
-	counts, owner := b.counts[:p], b.owner[:p]
+	counts, owner := f.counts[:p], f.owner[:p]
 	clear(counts)
 	if base != nil {
 		for si := range counts {
 			counts[si] = int64(base.shards[si].size)
 		}
 	}
-	for _, w := range ws {
-		for _, si := range w.sis {
-			counts[si]++
-		}
-	}
+	size(counts)
 	for si := range owner {
 		owner[si] = int32(si % workers)
 	}
-	for len(b.dups) < workers {
-		b.dups = append(b.dups, dupStash{})
+	for len(f.dups) < workers {
+		f.dups = append(f.dups, dupStash{})
 	}
-	for len(b.keys) < p {
-		b.keys = append(b.keys, nil)
+	for len(f.keys) < p {
+		f.keys = append(f.keys, nil)
 	}
 	var freshTables, freshSlabs atomic.Int64
-	dispatch(workers, workers, b.run, func(k int) {
+	dispatch(workers, workers, f.run, func(k int) {
 		fresh := int64(0)
 		for si := k; si < p; si += workers {
 			fresh += s.shards[si].grab(a, int(counts[si]))
-			b.keys[si] = b.keys[si][:0]
+			f.keys[si] = f.keys[si][:0]
 		}
 		freshTables.Add(fresh)
 	})
 	t1 := time.Now()
 
-	dispatch(workers, workers, b.run, func(k int) {
-		dups := &b.dups[k]
+	dispatch(workers, workers, f.run, func(k int) {
+		dups := &f.dups[k]
 		dups.reset()
 		if base != nil {
 			for si := k; si < p; si += workers {
-				s.shards[si].insertBase(&base.shards[si], int32(si), b.salt, b.keys, dups)
+				s.shards[si].insertBase(&base.shards[si], int32(si), pl.salt, f.keys, dups)
 			}
 		}
-		freshSlabs.Add(s.insertOwned(a, ws, owner, int32(k), b.keys, dups))
+		fill(s, owner, int32(k), f.keys, dups)
+		freshSlabs.Add(s.placeDups(a, f.keys, dups))
 	})
-	b.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1),
+	f.stats = FreezeStats{Merge: t1.Sub(t0), Build: time.Since(t1),
 		FreshTableBytes: freshTables.Load(), FreshSlabBytes: freshSlabs.Load()}
 	return s
 }
 
-// insertOwned is one freeze task: it streams every writer's entries in
-// machine-id order and inserts the pairs of the shards owner assigns to task
-// k. A claimed slot takes a narrow entry's fields at once; duplicate-key
-// values are stashed in dups, in arrival order, and placed once every owned
-// shard's counts are final. It returns the bytes of the slabs it allocated
-// fresh.
-func (s *Store) insertOwned(a *Arena, ws []*Writer, owner []int32, k int32, keys [][]slot, dups *dupStash) int64 {
+// insertWriters is one buffered freeze task: it streams every writer's
+// entries in machine-id order and inserts the pairs of the shards owner
+// assigns to task k.
+func (s *Store) insertWriters(ws []*Writer, owner []int32, k int32, keys [][]slot, dups *dupStash) {
 	for _, w := range ws {
-		ents := w.ents[:len(w.sis)]
-		for i, si := range w.sis {
-			if owner[si] != k {
-				continue
-			}
-			e := &ents[i]
-			sh := &s.shards[si]
-			j := uint64(e.h) & sh.mask
-			if e.wide {
-				sh.insertWide(w.wide[e.ka], j, int32(si), keys, dups)
-				continue
-			}
-			for {
-				if !sh.occupied(j) {
-					sh.claim(j)
-					sh.slots[j] = slot{tag: e.tag, ka: e.ka, kb: e.kb, va: e.va, vb: e.vb}
-					break
-				}
-				sl := &sh.slots[j]
-				if sl.ka == e.ka && sl.kb == e.kb && sl.tag == e.tag && sl.flags&wideKey == 0 {
-					sh.addDup(j, int32(si), Value{A: int64(e.va), B: int64(e.vb)}, keys, dups)
-					break
-				}
-				j = (j + 1) & sh.mask
-			}
-		}
+		s.insertEntries(w.ents, w.sis, w.wide, owner, k, keys, dups)
 	}
+}
 
-	// Overflow placement replays the stash backwards, chunk by chunk:
-	// layoutOverflow leaves each stashed key's cursor at the end of its slab
-	// run, and every value steps it back by one, so a key's values land in
-	// arrival order — per shard the machine-id merge order.
+// insertEntries inserts, in order, the pre-hashed entries whose shard ids
+// owner assigns to task k; a wide entry's pair is in wide. It is the insert
+// loop of every freeze.
+func (s *Store) insertEntries(ents []entry, sis []uint32, wide []KV, owner []int32, k int32, keys [][]slot, dups *dupStash) {
+	ents = ents[:len(sis)]
+	for i, si := range sis {
+		if owner[si] != k {
+			continue
+		}
+		e := &ents[i]
+		sh := &s.shards[si]
+		j := uint64(e.h) & sh.mask
+		if e.wide {
+			sh.insertWide(wide[e.ka], j, int32(si), keys, dups)
+			continue
+		}
+		sh.insert(j, slot{tag: e.tag, ka: e.ka, kb: e.kb, va: e.va, vb: e.vb}, int32(si), keys, dups)
+	}
+}
+
+// insert inserts a narrow pair, given as the slot it claims, probing from
+// slot j: a claimed slot takes it whole at once, and a value of a key the
+// shard already holds is stashed in dups, in arrival order, to be placed
+// once every owned shard's counts are final.
+func (sh *shard) insert(j uint64, e slot, si int32, keys [][]slot, dups *dupStash) {
+	for {
+		if !sh.occupied(j) {
+			sh.claim(j)
+			sh.slots[j] = e
+			return
+		}
+		sl := &sh.slots[j]
+		if sl.ka == e.ka && sl.kb == e.kb && sl.tag == e.tag && sl.flags&wideKey == 0 {
+			sh.addDup(j, si, Value{A: int64(e.va), B: int64(e.vb)}, keys, dups)
+			return
+		}
+		j = (j + 1) & sh.mask
+	}
+}
+
+// placeDups places a task's stashed duplicate-key values in their shards'
+// slabs and returns the bytes of the slabs it allocated fresh. It replays
+// the stash backwards, chunk by chunk: layoutOverflow leaves each stashed
+// key's cursor at the end of its slab run, and every value steps it back by
+// one, so a key's values land in arrival order — per shard the input order.
+func (s *Store) placeDups(a *Arena, keys [][]slot, dups *dupStash) int64 {
 	fresh := int64(0)
 	for c := dups.used - 1; c >= 0; c-- {
 		chunk := dups.chunk(c)

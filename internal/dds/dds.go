@@ -342,30 +342,12 @@ func dispatch(n, workers int, run Parallel, f func(i int)) {
 // given placement salt. Duplicate keys keep their slice order: the caller
 // controls index assignment by the order of the input slice (the model says
 // the indices 1..k are assigned arbitrarily). The input slice is not
-// retained. Large inputs build in parallel; the result is identical for any
-// level of parallelism.
+// retained. It is the emitted freeze over the list, so no pair is copied
+// anywhere but its slot; large inputs build in parallel, and the result is
+// identical for any level of parallelism.
 func NewStore(pairs []KV, p int, salt uint64) *Store {
-	s, _ := NewStoreArena(pairs, p, salt, nil)
-	return s
-}
-
-// NewStoreArena is NewStore drawing slot tables and slabs from the arena's
-// recycled generation. The produced store is identical; only the provenance
-// of its memory changes. It is the builder's freeze: the pairs are split
-// into contiguous runs written by consecutive machines — machine-id order is
-// input order — so the hashing runs on every core too. It also returns the
-// freeze's stats, the bytes it allocated fresh among them.
-func NewStoreArena(pairs []KV, p int, salt uint64, a *Arena) (*Store, FreezeStats) {
-	workers := buildWorkers(len(pairs))
-	b := NewBuilder(workers)
-	b.Prime(p, salt)
-	run := (len(pairs) + workers - 1) / workers
-	dispatch(workers, workers, nil, func(m int) {
-		lo := min(m*run, len(pairs))
-		b.Writer(m).WriteMany(pairs[lo:min(lo+run, len(pairs))])
-	})
-	s := b.FreezeArena(a, p, salt)
-	return s, b.LastFreeze()
+	var f freezer
+	return f.freezeEmitted(nil, nil, newPlacement(p, salt), len(pairs), EmitList(pairs), buildWorkers(len(pairs)))
 }
 
 // buildWorkers picks the build parallelism for an input size: small builds

@@ -160,7 +160,7 @@ func TestParallelFreezeMatchesSequential(t *testing.T) {
 
 // TestFreezeStashSpansChunks holds freezes whose insert tasks each stash
 // more than one chunk of duplicate-key values to the oracle, at 1 to 4
-// tasks, alone and on top of a FreezeOnto base, so every task's backward
+// tasks, alone and emitted on top of a base, so every task's backward
 // placement crosses chunk boundaries. randomPairs at dup=100 makes about
 // nine pairs in ten a duplicate value.
 func TestFreezeStashSpansChunks(t *testing.T) {

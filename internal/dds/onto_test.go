@@ -14,21 +14,24 @@ func freezeChain(calls [][]KV, machines, p int, salt uint64, workers int, run Pa
 	return freezeChainOn(b, calls, machines, p, salt, workers, a)
 }
 
-// freezeChainOn is freezeChain through a given builder.
+// freezeChainOn is freezeChain through a given builder. The first call's
+// pairs are buffered through the machines' writers and frozen; every later
+// call's are emitted onto the store before it (FreezeEmitted with a base),
+// so a chain covers both freezes and the base re-insertion.
 func freezeChainOn(b *Builder, calls [][]KV, machines, p int, salt uint64, workers int, a *Arena) *Store {
 	var s *Store
 	for _, pairs := range calls {
+		if s != nil {
+			s = b.freezeEmitted(a, s, newPlacement(p, salt), len(pairs), EmitList(pairs), workers)
+			continue
+		}
 		b.Prime(p, salt)
 		per := (len(pairs) + machines - 1) / machines
 		for m := 0; m < machines; m++ {
 			lo := min(m*per, len(pairs))
 			b.Writer(m).WriteMany(pairs[lo:min(lo+per, len(pairs))])
 		}
-		total := len(pairs)
-		if s != nil {
-			total += s.pairs
-		}
-		s = b.freeze(a, s, b.allWriters(), total, workers)
+		s = b.freeze(a, b.allWriters(), len(pairs), workers)
 	}
 	return s
 }
@@ -125,8 +128,8 @@ func TestFreezeOntoCrowdedTables(t *testing.T) {
 }
 
 // TestFreezeOntoGeometryMismatchPanics: a base sharded or salted unlike the
-// primed builder cannot be re-inserted without rehashing its placement, so
-// FreezeOnto refuses it.
+// freeze cannot be re-inserted without rehashing its placement, so
+// FreezeEmitted refuses it.
 func TestFreezeOntoGeometryMismatchPanics(t *testing.T) {
 	base := NewStore([]KV{{Key: Key{Tag: 1, A: 1}}}, 4, 7)
 	for _, tc := range []struct {
@@ -136,12 +139,10 @@ func TestFreezeOntoGeometryMismatchPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("FreezeOnto(p=%d, salt=%d) on a (4, 7) base did not panic", tc.p, tc.salt)
+					t.Errorf("FreezeEmitted(p=%d, salt=%d) on a (4, 7) base did not panic", tc.p, tc.salt)
 				}
 			}()
-			b := NewBuilder(1)
-			b.Prime(tc.p, tc.salt)
-			b.FreezeOnto(nil, base, tc.p, tc.salt)
+			NewBuilder(0).FreezeEmitted(nil, base, tc.p, tc.salt, 1, EmitList([]KV{{Key: Key{Tag: 1, A: 2}}}))
 		}()
 	}
 }

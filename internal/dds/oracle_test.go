@@ -255,7 +255,7 @@ func freezePairs(pairs []KV, machines, p int, salt uint64, workers int, run Para
 		b.Writer(m).WriteMany(pairs[lo:min(lo+per, len(pairs))])
 	}
 	ws := b.allWriters()
-	return b.freeze(a, nil, ws, len(pairs), workers)
+	return b.freeze(a, ws, len(pairs), workers)
 }
 
 // TestRecordSizes pins the narrow records: a 20-byte slot (tag, flags,

@@ -81,7 +81,7 @@ func TestPrimedFreezeByteIdentical(t *testing.T) {
 							a.Recycle(junk.Freeze(p, salt^1))
 						}
 						b.SetParallel(run)
-						got := b.freeze(a, nil, ws, len(pairs), workers)
+						got := b.freeze(a, ws, len(pairs), workers)
 						if gotBytes := string(AppendSegment(nil, got)); gotBytes != want {
 							t.Fatalf("p=%d dup=%d machines=%d workers=%d run=%d dirty=%v: freeze bytes differ from the oracle",
 								p, dup, machines, workers, ri, dirty)
@@ -325,7 +325,7 @@ func TestFirstFreezeStashAllocatesItsSize(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s := bld.freeze(nil, nil, ws, len(kvs), 2)
+	s := bld.freeze(nil, ws, len(kvs), 2)
 	runtime.ReadMemStats(&after)
 	fz := bld.LastFreeze()
 	extra := int64(after.TotalAlloc-before.TotalAlloc) - fz.FreshTableBytes - fz.FreshSlabBytes
@@ -378,6 +378,47 @@ func BenchmarkFreeze(b *testing.B) {
 			}
 			b.StartTimer()
 			bld.FreezeArena(nil, p, salt)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+	})
+}
+
+// BenchmarkFreezeEmitted times a steady-state freeze of 2^20 pairs into 512
+// shards with the pairs' producer in the timed loop: emitted, the emitted
+// freeze replaying a list; buffered, 64 machines' WriteMany of the same
+// list into their writers and the buffered freeze. Both recycle each
+// generation through the arena, as the runtime does; B/op of buffered
+// includes no writer growth once the writers are warm.
+func BenchmarkFreezeEmitted(b *testing.B) {
+	const pairs, machines, p, salt = 1 << 20, 64, 512, uint64(0xF5)
+	kvs := randomPairs(rand.New(rand.NewSource(9)), pairs, 4)
+	b.Run("emitted", func(b *testing.B) {
+		bld := NewBuilder(0)
+		a := NewArena()
+		emit := EmitList(kvs)
+		a.Recycle(bld.FreezeEmitted(a, nil, p, salt, pairs, emit))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.Recycle(bld.FreezeEmitted(a, nil, p, salt, pairs, emit))
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+	})
+	b.Run("buffered", func(b *testing.B) {
+		bld := NewBuilder(machines)
+		a := NewArena()
+		round := func() *Store {
+			bld.Prime(p, salt)
+			for m := 0; m < machines; m++ {
+				bld.Writer(m).WriteMany(kvs[m*pairs/machines : (m+1)*pairs/machines])
+			}
+			return bld.FreezeArena(a, p, salt)
+		}
+		a.Recycle(round())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.Recycle(round())
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 	})

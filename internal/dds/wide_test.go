@@ -103,7 +103,7 @@ func TestWideRecords(t *testing.T) {
 		s := NewStore(pairs, p, salt)
 		check("NewStore", s)
 		half := len(pairs) / 2
-		check("FreezeOnto", freezeChain([][]KV{pairs[:half], pairs[half:]}, 4, p, salt, 2, stripedRun, nil))
+		check("emitted onto a base", freezeChain([][]KV{pairs[:half], pairs[half:]}, 4, p, salt, 2, stripedRun, nil))
 		dirty := NewArena()
 		dirty.Recycle(NewStore(widePairs(rand.New(rand.NewSource(int64(p))), 3000), p, salt^1))
 		check("dirty arena", freezePairs(pairs, 8, p, salt, 3, stripedRun, dirty))

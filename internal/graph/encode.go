@@ -73,12 +73,6 @@ func EncodeRanked(g *Graph, pi []int) []dds.KV {
 	return pairs
 }
 
-// RecordWriter receives emitted records; *ampc.Ctx and *dds.Writer are
-// ones.
-type RecordWriter interface {
-	Write(dds.Key, dds.Value)
-}
-
 // kvList collects records as pairs.
 type kvList []dds.KV
 
@@ -126,7 +120,7 @@ func (r *Ranked) Records() int { return 1 + r.g.N() + len(r.adj) }
 
 // Emit writes records [lo, hi) to w in ordinal order: the records
 // EncodeRanked(g, pi)[lo:hi] holds. hi is clamped to Records().
-func (r *Ranked) Emit(w RecordWriter, lo, hi int) {
+func (r *Ranked) Emit(w dds.RecordWriter, lo, hi int) {
 	hi = min(hi, r.Records())
 	if lo >= hi {
 		return
